@@ -31,26 +31,57 @@ const (
 	// defaultTextCompareSelectivity is used for order comparisons over
 	// non-numeric columns, where a histogram gives little signal.
 	defaultTextCompareSelectivity = 1.0 / 3
-	// maxJoinPairSample caps the number of joined row pairs sampled per
-	// foreign-key edge when training the join-indicator statistics; larger
-	// joins are subsampled uniformly so the model stays compact.
+	// maxJoinPairSample caps the joined row pairs sampled per foreign-key
+	// edge; larger joins are subsampled uniformly so the model stays compact.
 	maxJoinPairSample = 100_000
 )
 
-// columnModel is the per-column distribution: exact value frequencies, the
-// row postings of each value and the column's values themselves (so the
-// per-relation model can answer single-relation selectivities exactly,
-// capturing intra-row correlation — the "Bayesian model in a single
-// relation" of §2.3), plus an equi-width numeric histogram.
-type columnModel struct {
-	ref      schema.ColumnRef
-	total    int
-	nonNull  int
-	distinct int
+// csr is a sequence of int32 lists stored flat, list i at
+// items[off[i]:off[i+1]]: nothing in it for the garbage collector to trace.
+type csr struct{ off, items []int32 }
 
-	freq     map[string]int   // value.Key() -> count
-	postings map[string][]int // value.Key() -> row indexes
-	values   []value.Value    // row index -> value
+func (c csr) at(i int32) []int32 { return c.items[c.off[i]:c.off[i+1]] }
+
+// groupCSR groups vals (nil: the positions 0, 1, 2, …) into n lists by keys,
+// each in input order, with a counting sort: exact-size allocations only.
+func groupCSR(n int, keys, vals []int32) csr {
+	c := csr{off: make([]int32, n+1), items: make([]int32, len(keys))}
+	for _, k := range keys {
+		c.off[k+1]++
+	}
+	for i := 0; i < n; i++ {
+		c.off[i+1] += c.off[i]
+	}
+	next := append([]int32(nil), c.off[:n]...)
+	for i, k := range keys {
+		v := int32(i)
+		if vals != nil {
+			v = vals[i]
+		}
+		c.items[next[k]] = v
+		next[k]++
+	}
+	return c
+}
+
+// columnModel is the per-column distribution: a dictionary of the column's
+// distinct values with the rows holding each one (so the per-relation model
+// can answer single-relation selectivities exactly, capturing intra-row
+// correlation — the "Bayesian model in a single relation" of §2.3), plus an
+// equi-width numeric histogram.
+type columnModel struct {
+	ref   schema.ColumnRef
+	total int
+	ids   map[string]int32 // value.Key() -> value id
+	vals  []value.Value    // value id -> the first value seen with that key
+	// post.at(id) are the rows holding value id, ascending; the last list,
+	// post.at(len(vals)), are the NULL rows.
+	post csr
+	// variantRows hold a value that shares its key with vals[id] without
+	// being identical to it ("Lake"/"lake", "3"/"3.0"): Eval need not agree
+	// across those, so these rows are evaluated one by one (variantVals).
+	variantRows []int32
+	variantVals []value.Value
 
 	numeric    bool
 	lo, hi     float64
@@ -58,73 +89,83 @@ type columnModel struct {
 	numericCnt int
 }
 
-func newColumnModel(ref schema.ColumnRef) *columnModel {
-	return &columnModel{ref: ref, freq: make(map[string]int), postings: make(map[string][]int)}
-}
-
-func (c *columnModel) observe(v value.Value) {
-	c.total++
-	if v.IsNull() {
-		return
-	}
-	c.nonNull++
-	key := v.Key()
-	if _, seen := c.freq[key]; !seen {
-		c.distinct++
-	}
-	c.freq[key]++
-	if f, ok := v.Float(); ok && (v.Kind().Numeric() || v.Kind().Temporal()) {
-		if c.numericCnt == 0 || f < c.lo {
-			c.lo = f
-		}
-		if c.numericCnt == 0 || f > c.hi {
-			c.hi = f
-		}
-		c.numericCnt++
-	}
-}
-
-// finalize builds the value postings and the numeric histogram once min and
-// max are known. It needs a second pass over the column values.
-func (c *columnModel) finalize(values []value.Value) {
-	c.values = values
-	for row, v := range values {
+// trainColumn builds the model of column ci of rel; rowID is len(rel.Rows) scratch.
+func trainColumn(ref schema.ColumnRef, rel *mem.Relation, ci int, rowID []int32) *columnModel {
+	c := &columnModel{ref: ref, total: len(rel.Rows), ids: make(map[string]int32)}
+	for row, tuple := range rel.Rows {
+		v := tuple[ci]
 		if v.IsNull() {
+			rowID[row] = -1
 			continue
+		}
+		if v.Kind().Numeric() || v.Kind().Temporal() {
+			f, _ := v.Float()
+			if c.numericCnt == 0 || f < c.lo {
+				c.lo = f
+			}
+			if c.numericCnt == 0 || f > c.hi {
+				c.hi = f
+			}
+			c.numericCnt++
 		}
 		key := v.Key()
-		c.postings[key] = append(c.postings[key], row)
+		id, seen := c.ids[key]
+		if !seen {
+			id = int32(len(c.vals))
+			c.ids[key] = id
+			c.vals = append(c.vals, v)
+		} else if !v.EqualStrict(c.vals[id]) {
+			c.variantRows = append(c.variantRows, int32(row))
+			c.variantVals = append(c.variantVals, v)
+		}
+		rowID[row] = id
 	}
+	for row, id := range rowID {
+		if id < 0 {
+			rowID[row] = int32(len(c.vals))
+		}
+	}
+	c.post = groupCSR(len(c.vals)+1, rowID, nil)
+	c.buildHistogram()
+	return c
+}
+
+func (c *columnModel) nullRows() []int32 { return c.post.at(int32(len(c.vals))) }
+
+// buildHistogram fills the equi-width histogram once min and max are known,
+// per distinct value: values sharing a key share their numeric view.
+func (c *columnModel) buildHistogram() {
+	c.numeric = c.numericCnt > 0
 	if c.numericCnt < 2 || c.hi <= c.lo {
-		c.numeric = c.numericCnt > 0
 		return
 	}
-	c.numeric = true
 	c.buckets = make([]int, numericBuckets)
 	width := (c.hi - c.lo) / float64(numericBuckets)
-	for _, v := range values {
+	for id, v := range c.vals {
 		f, ok := v.Float()
-		if !ok || v.IsNull() {
+		if !ok {
 			continue
 		}
-		idx := int((f - c.lo) / width)
-		if idx >= numericBuckets {
-			idx = numericBuckets - 1
-		}
-		if idx < 0 {
-			idx = 0
-		}
-		c.buckets[idx]++
+		idx := min(max(int((f-c.lo)/width), 0), numericBuckets-1)
+		c.buckets[idx] += len(c.post.at(int32(id)))
 	}
+}
+
+// rowsOf returns the ascending rows whose value has the key, if any.
+func (c *columnModel) rowsOf(key string) []int32 {
+	id, ok := c.ids[key]
+	if !ok {
+		return nil
+	}
+	return c.post.at(id)
 }
 
 // equalitySelectivity estimates P(column = keyword).
 func (c *columnModel) equalitySelectivity(keyword string) float64 {
-	if c.nonNull == 0 {
+	if len(c.vals) == 0 {
 		return 0
 	}
-	key := value.Parse(keyword).Key()
-	if n, ok := c.freq[key]; ok {
+	if n := len(c.rowsOf(value.Parse(keyword).Key())); n > 0 {
 		return float64(n) / float64(c.total)
 	}
 	// Unseen value: Laplace-style smoothing well below one occurrence.
@@ -134,7 +175,7 @@ func (c *columnModel) equalitySelectivity(keyword string) float64 {
 // rangeSelectivity estimates P(lo <= column <= hi) for numeric columns,
 // falling back to a constant for text.
 func (c *columnModel) rangeSelectivity(lo, hi float64) float64 {
-	if c.nonNull == 0 {
+	if len(c.vals) == 0 {
 		return 0
 	}
 	if !c.numeric {
@@ -146,7 +187,7 @@ func (c *columnModel) rangeSelectivity(lo, hi float64) float64 {
 	if c.buckets == nil {
 		// Single-point numeric column.
 		if lo <= c.lo && c.lo <= hi {
-			return float64(c.nonNull) / float64(c.total)
+			return float64(c.total-len(c.nullRows())) / float64(c.total)
 		}
 		return 0.5 / float64(c.total+1)
 	}
@@ -191,7 +232,7 @@ func (c *columnModel) selectivity(e lang.ValueExpr) float64 {
 		case lang.OpEq:
 			return c.equalitySelectivity(n.Const.String())
 		case lang.OpNe:
-			return clamp01(1 - c.equalitySelectivity(n.Const.String()))
+			return min(max(1-c.equalitySelectivity(n.Const.String()), 0), 1)
 		case lang.OpLt, lang.OpLe:
 			if isNum {
 				return c.rangeSelectivity(math.Inf(-1), constF)
@@ -224,64 +265,45 @@ func (c *columnModel) selectivity(e lang.ValueExpr) float64 {
 		for _, t := range n.Terms {
 			miss *= 1 - c.selectivity(t)
 		}
-		return clamp01(1 - miss)
+		return min(max(1-miss, 0), 1)
 	case lang.Not:
-		return clamp01(1 - c.selectivity(n.Term))
+		return min(max(1-c.selectivity(n.Term), 0), 1)
 	default:
 		return defaultTextCompareSelectivity
 	}
-}
-
-func clamp01(f float64) float64 {
-	if f < 0 {
-		return 0
-	}
-	if f > 1 {
-		return 1
-	}
-	return f
 }
 
 // relationModel is the per-relation Bayesian model: the column distributions
 // plus the relation size. Columns are combined under the naive-Bayes
 // independence assumption.
 type relationModel struct {
-	table   string
 	rows    int
-	columns map[string]*columnModel // lower(column) -> model
+	columns map[string]*columnModel // column name, original case AND lower-cased
 }
 
 // joinStats are the trained join-indicator statistics of one foreign-key
 // edge: the probability that a random (from-row, to-row) pair joins, and a
-// (possibly subsampled) list of joined row-index pairs — the empirical
-// distribution of the join indicator that Getoor et al.'s construction
-// conditions the per-relation models on.
+// (possibly subsampled) set of joined row pairs — the empirical distribution
+// Getoor et al.'s construction conditions the per-relation models on — as
+// adjacency lists both ways, so a set of rows reaches its pairs from either end.
 type joinStats struct {
 	prob       float64 // P(J = 1) over random pairs
 	totalPairs int     // true number of joined pairs
-	// pairs holds up to maxJoinPairSample sampled (fromRow, toRow) pairs.
-	pairs [][2]int
+	sampled    int     // pairs kept, at most maxJoinPairSample
+	byFrom     csr     // from-row -> to-rows of its sampled pairs, ascending
+	byTo       csr     // to-row -> from-rows of its sampled pairs, ascending
 }
 
 // Model is the trained database-wide model: one relation model per table and
-// the join-indicator statistics of every foreign key.
+// the join-indicator statistics of every foreign key. A trained Model is
+// immutable and safe for concurrent use.
 type Model struct {
 	relations map[string]*relationModel // keyed by table name, original case AND lower-cased
-	joins     map[string]*joinStats     // canonical FK key
-	// joinByFK indexes the same joinStats by the foreign-key struct (both
-	// orientations), so the estimator's per-edge lookup — run once per
-	// filter edge per scheduling pick — skips the lower-case/concat key
-	// build. fkKey remains the fallback for edges spelled with a casing the
-	// schema does not use.
-	joinByFK map[schema.ForeignKey]*joinStats
-}
-
-// ColumnConstraint binds a value constraint to a source column; the
-// estimator multiplies the corresponding selectivities into the expected
-// match count.
-type ColumnConstraint struct {
-	Ref  schema.ColumnRef
-	Expr lang.ValueExpr
+	columns   []*columnModel            // every column once, in schema order
+	// joins is keyed by the schema's own foreign-key structs, which is how
+	// graphx spells every filter edge: the per-edge lookup builds no key.
+	joins map[schema.ForeignKey]*joinStats
+	sets  Sets // the model itself, unless this is a Sharing view
 }
 
 // Train fits the model to the current contents of the database. The
@@ -291,97 +313,86 @@ type ColumnConstraint struct {
 func Train(db *mem.Database) *Model {
 	m := &Model{
 		relations: make(map[string]*relationModel),
-		joins:     make(map[string]*joinStats),
-		joinByFK:  make(map[schema.ForeignKey]*joinStats),
+		joins:     make(map[schema.ForeignKey]*joinStats),
 	}
+	m.sets = m
 	sch := db.Schema()
 	for _, t := range sch.Tables() {
 		rel, _ := db.Relation(t.Name)
-		rm := &relationModel{table: t.Name, rows: rel.NumRows(), columns: make(map[string]*columnModel)}
+		rm := &relationModel{rows: rel.NumRows(), columns: make(map[string]*columnModel)}
+		rowID := make([]int32, rel.NumRows())
 		for ci, col := range t.Columns {
-			cm := newColumnModel(schema.ColumnRef{Table: t.Name, Column: col.Name})
-			vals := make([]value.Value, 0, len(rel.Rows))
-			for _, row := range rel.Rows {
-				cm.observe(row[ci])
-				vals = append(vals, row[ci])
-			}
-			cm.finalize(vals)
+			cm := trainColumn(schema.ColumnRef{Table: t.Name, Column: col.Name}, rel, ci, rowID)
 			rm.columns[strings.ToLower(col.Name)] = cm
 			rm.columns[col.Name] = cm
+			m.columns = append(m.columns, cm)
 		}
 		m.relations[strings.ToLower(t.Name)] = rm
 		m.relations[t.Name] = rm
 	}
-	// Join indicators: for FK edge R.a -> S.b, the indicator J_RS is 1 for a
-	// (r, s) pair when r.a = s.b. We record P(J=1) and a sample of the
-	// joined pairs, which is the sufficient statistic the per-relation
-	// models are conditioned on when estimating across relations.
+	// For FK edge R.a -> S.b the join indicator J_RS is 1 for an (r, s) pair
+	// when r.a = s.b.
 	for _, fk := range sch.ForeignKeys() {
-		js := m.trainJoin(db, fk)
-		m.joins[fkKey(fk)] = js
-		m.joinByFK[fk] = js
-		m.joinByFK[schema.ForeignKey{From: fk.To, To: fk.From}] = js
+		m.joins[fk] = trainJoin(m.column(fk.From), m.column(fk.To))
 	}
 	return m
 }
 
-// joinFor resolves the join-indicator statistics of an edge: the exact
-// struct lookup first (schema-cased edges, the common case), the canonical
-// string key as fallback.
+// joinFor resolves the statistics of an edge: by the struct itself, else by
+// the schema's spelling of its two columns.
 func (m *Model) joinFor(fk schema.ForeignKey) *joinStats {
-	if js, ok := m.joinByFK[fk]; ok {
+	if js, ok := m.joins[fk]; ok {
 		return js
 	}
-	return m.joins[fkKey(fk)]
+	from, to := m.column(fk.From), m.column(fk.To)
+	if from == nil || to == nil {
+		return nil
+	}
+	return m.joins[schema.ForeignKey{From: from.ref, To: to.ref}]
 }
 
 // trainJoin computes the join-indicator statistics of one foreign key.
-func (m *Model) trainJoin(db *mem.Database, fk schema.ForeignKey) *joinStats {
+// Joined pairs are enumerated in from-row order, to-rows ascending within a
+// from-row, and a join above the sampling budget keeps every stride-th pair
+// of that order: the sample is a function of the data alone.
+func trainJoin(from, to *columnModel) *joinStats {
 	js := &joinStats{}
-	fromRel, ok1 := db.Relation(fk.From.Table)
-	toRel, ok2 := db.Relation(fk.To.Table)
-	if !ok1 || !ok2 || fromRel.NumRows() == 0 || toRel.NumRows() == 0 {
+	if from.total == 0 || to.total == 0 {
 		return js
 	}
-	fromCM := m.column(fk.From)
-	toCM := m.column(fk.To)
-	if fromCM == nil || toCM == nil {
-		return js
+	// partner[r] is the to-column value id that from-row r joins, -1 for none.
+	partner := make([]int32, from.total)
+	for r := range partner {
+		partner[r] = -1
 	}
-	// Enumerate joined pairs through the postings of the smaller side.
-	for key, fromRows := range fromCM.postings {
-		toRows, ok := toCM.postings[key]
-		if !ok {
-			continue
-		}
-		for _, fr := range fromRows {
-			for _, tr := range toRows {
-				js.totalPairs++
-				js.pairs = append(js.pairs, [2]int{fr, tr})
+	for id, v := range from.vals {
+		if toID, ok := to.ids[v.Key()]; ok {
+			rows := from.post.at(int32(id))
+			js.totalPairs += len(rows) * len(to.post.at(toID))
+			for _, r := range rows {
+				partner[r] = toID
 			}
 		}
 	}
-	// Subsample uniformly (deterministically, every k-th pair) when the join
-	// is larger than the sampling budget.
-	if len(js.pairs) > maxJoinPairSample {
-		stride := (len(js.pairs) + maxJoinPairSample - 1) / maxJoinPairSample
-		sampled := make([][2]int, 0, maxJoinPairSample)
-		for i := 0; i < len(js.pairs); i += stride {
-			sampled = append(sampled, js.pairs[i])
+	js.prob = float64(js.totalPairs) / (float64(from.total) * float64(to.total))
+	stride := max(1, (js.totalPairs+maxJoinPairSample-1)/maxJoinPairSample)
+	js.sampled = (js.totalPairs + stride - 1) / stride
+	fromRows, toRows := make([]int32, 0, js.sampled), make([]int32, 0, js.sampled)
+	seen := 0 // pairs enumerated so far; pair i is kept when i%stride == 0
+	for r, toID := range partner {
+		if toID < 0 {
+			continue
 		}
-		js.pairs = sampled
+		joined := to.post.at(toID)
+		for k := (stride - seen%stride) % stride; k < len(joined); k += stride {
+			fromRows = append(fromRows, int32(r))
+			toRows = append(toRows, joined[k])
+		}
+		seen += len(joined)
 	}
-	js.prob = float64(js.totalPairs) / (float64(fromRel.NumRows()) * float64(toRel.NumRows()))
+	js.byFrom = groupCSR(from.total, fromRows, toRows)
+	js.byTo = groupCSR(to.total, toRows, fromRows)
 	return js
-}
-
-func fkKey(fk schema.ForeignKey) string {
-	a := strings.ToLower(fk.From.String())
-	b := strings.ToLower(fk.To.String())
-	if a > b {
-		a, b = b, a
-	}
-	return a + "|" + b
 }
 
 func (m *Model) relation(table string) *relationModel {
@@ -431,282 +442,15 @@ func (m *Model) Selectivity(ref schema.ColumnRef, e lang.ValueExpr) float64 {
 }
 
 // JoinProbability returns the trained join-indicator probability for a
-// foreign key edge.
+// foreign key edge (0 when unknown).
 func (m *Model) JoinProbability(fk schema.ForeignKey) float64 {
-	if js, ok := m.joins[fkKey(fk)]; ok {
+	if js := m.joinFor(fk); js != nil {
 		return js.prob
 	}
 	return 0
 }
 
-// ExpectedMatches estimates the number of tuples in the join of tables
-// (along edges) that satisfy all column constraints. It uses the
-// probabilistic-relational-model construction of Getoor et al.: the
-// per-relation models give the (exact, correlation-aware) fraction of each
-// relation's rows satisfying its constraints, the join-indicator statistics
-// give both P(J=1) and the conditional probability that a joined pair
-// satisfies the constraints of its two endpoints, and a tree factorisation
-// combines them:
-//
-//	E = ∏ |R_i| · ∏_e P(J_e=1) · ∏_e P(constr_from, constr_to | J_e=1) / ∏_i p_i^(deg_i − 1)
-//
-// where p_i is the per-relation constraint probability and deg_i the number
-// of filter edges incident to relation i.
-func (m *Model) ExpectedMatches(tables []string, edges []schema.ForeignKey, constraints []ColumnConstraint) float64 {
-	byTable := make(map[string][]ColumnConstraint)
-	for _, c := range constraints {
-		key := strings.ToLower(c.Ref.Table)
-		byTable[key] = append(byTable[key], c)
-	}
-
-	// Per-table match sets and probabilities.
-	matchSets := make(map[string]map[int]struct{}, len(tables))
-	probs := make(map[string]float64, len(tables))
-	e := 1.0
-	for _, t := range tables {
-		rows := m.RelationSize(t)
-		if rows == 0 {
-			return 0
-		}
-		e *= float64(rows)
-		key := strings.ToLower(t)
-		cons := byTable[key]
-		if len(cons) == 0 {
-			matchSets[key] = nil // nil = all rows match
-			probs[key] = 1
-			continue
-		}
-		set, ok := m.relationMatchRows(t, cons)
-		if !ok {
-			// Unknown column: keep a pessimistic small probability.
-			probs[key] = 0.01
-			matchSets[key] = nil
-			e *= 0.01
-			continue
-		}
-		p := float64(len(set)) / float64(rows)
-		matchSets[key] = set
-		probs[key] = p
-		if p == 0 {
-			return 0
-		}
-		e *= p
-	}
-	// Defensive: constraints on tables outside the filter contribute their
-	// independent selectivities.
-	for key, cons := range byTable {
-		if _, inFilter := probs[key]; inFilter {
-			continue
-		}
-		for _, c := range cons {
-			e *= m.Selectivity(c.Ref, c.Expr)
-		}
-	}
-
-	// Edge factors: P(J=1) and the conditional pair probability, which
-	// replaces the product of the two endpoint probabilities (hence the
-	// division — equivalently, multiply by the correlation lift).
-	for _, fk := range edges {
-		js := m.joinFor(fk)
-		if js == nil || js.totalPairs == 0 {
-			return 0
-		}
-		e *= js.prob
-		fromKey := strings.ToLower(fk.From.Table)
-		toKey := strings.ToLower(fk.To.Table)
-		pFrom, okFrom := probs[fromKey]
-		pTo, okTo := probs[toKey]
-		if !okFrom || !okTo {
-			continue
-		}
-		pairFrac := js.conditionalPairProbability(matchSets[fromKey], matchSets[toKey])
-		denom := pFrom * pTo
-		if denom <= 0 {
-			return 0
-		}
-		e *= pairFrac / denom
-	}
-	return e
-}
-
-// conditionalPairProbability estimates P(from-row matches ∧ to-row matches |
-// J=1) from the sampled joined pairs. nil match sets mean "all rows match".
-func (js *joinStats) conditionalPairProbability(fromSet, toSet map[int]struct{}) float64 {
-	if len(js.pairs) == 0 {
-		return 0
-	}
-	if fromSet == nil && toSet == nil {
-		return 1
-	}
-	hits := 0
-	for _, p := range js.pairs {
-		if fromSet != nil {
-			if _, ok := fromSet[p[0]]; !ok {
-				continue
-			}
-		}
-		if toSet != nil {
-			if _, ok := toSet[p[1]]; !ok {
-				continue
-			}
-		}
-		hits++
-	}
-	return float64(hits) / float64(len(js.pairs))
-}
-
-// relationMatchRows returns the exact set of rows of a relation satisfying
-// the conjunction of constraints on its columns. ok is false when a column
-// is unknown to the model.
-func (m *Model) relationMatchRows(table string, cons []ColumnConstraint) (map[int]struct{}, bool) {
-	rm := m.relation(table)
-	if rm == nil {
-		return nil, false
-	}
-	var acc map[int]struct{}
-	for _, c := range cons {
-		cm := rm.column(c.Ref.Column)
-		if cm == nil {
-			return nil, false
-		}
-		rows := cm.rowsSatisfying(c.Expr)
-		if acc == nil {
-			acc = rows
-			continue
-		}
-		for r := range acc {
-			if _, keep := rows[r]; !keep {
-				delete(acc, r)
-			}
-		}
-	}
-	if acc == nil {
-		acc = make(map[int]struct{})
-	}
-	return acc, true
-}
-
-// FailureProbability estimates the probability that the join produces no
-// tuple satisfying the constraints. Modelling tuple matches as independent
-// rare events (Poisson), P(fail) = exp(-E[matches]).
-func (m *Model) FailureProbability(tables []string, edges []schema.ForeignKey, constraints []ColumnConstraint) float64 {
-	e := m.ExpectedMatches(tables, edges, constraints)
-	return math.Exp(-e)
-}
-
-// MatchingRows returns the exact number of rows of ref whose value
-// satisfies the constraint, when that count can be read directly off the
-// trained frequency map — i.e. for keyword-equality constraints and
-// disjunctions of them. ok is false for constraints that need estimation
-// (ranges, comparisons, conjunctions, negations) or unknown columns.
-//
-// The filter scheduler uses this to recognise filters whose success is
-// already certain from preprocessing (the keyword provably exists in the
-// bound column), which the plain Poisson estimate cannot express.
-func (m *Model) MatchingRows(ref schema.ColumnRef, e lang.ValueExpr) (int, bool) {
-	cm := m.column(ref)
-	if cm == nil || e == nil {
-		return 0, false
-	}
-	rows, ok := cm.rowsMatching(e)
-	if !ok {
-		return 0, false
-	}
-	return len(rows), true
-}
-
-// rowsMatching returns the exact row set satisfying an equality-shaped
-// constraint, ok=false for constraints that need estimation.
-func (c *columnModel) rowsMatching(e lang.ValueExpr) (map[int]struct{}, bool) {
-	switch n := e.(type) {
-	case lang.Keyword:
-		return toSet(c.postings[value.Parse(n.Word).Key()]), true
-	case lang.Compare:
-		if n.Op == lang.OpEq {
-			return toSet(c.postings[n.Const.Key()]), true
-		}
-		return nil, false
-	case lang.Or:
-		out := make(map[int]struct{})
-		for _, t := range n.Terms {
-			rows, ok := c.rowsMatching(t)
-			if !ok {
-				return nil, false
-			}
-			for r := range rows {
-				out[r] = struct{}{}
-			}
-		}
-		return out, true
-	default:
-		return nil, false
-	}
-}
-
-// rowsSatisfying returns the exact row set satisfying any value constraint:
-// equality-shaped constraints use the postings index, everything else falls
-// back to evaluating the constraint over the stored column values.
-func (c *columnModel) rowsSatisfying(e lang.ValueExpr) map[int]struct{} {
-	if e == nil {
-		return allRowsSet(len(c.values))
-	}
-	if rows, ok := c.rowsMatching(e); ok {
-		return rows
-	}
-	out := make(map[int]struct{})
-	for row, v := range c.values {
-		if e.Eval(v) {
-			out[row] = struct{}{}
-		}
-	}
-	return out
-}
-
-func allRowsSet(n int) map[int]struct{} {
-	out := make(map[int]struct{}, n)
-	for i := 0; i < n; i++ {
-		out[i] = struct{}{}
-	}
-	return out
-}
-
-func toSet(rows []int) map[int]struct{} {
-	out := make(map[int]struct{}, len(rows))
-	for _, r := range rows {
-		out[r] = struct{}{}
-	}
-	return out
-}
-
-// ExactMatchingRows returns the exact number of rows of a single relation
-// satisfying the conjunction of the given constraints (all of which must
-// reference columns of that relation). Unlike the naive-Bayes product it
-// accounts for correlations between columns of the same row exactly — the
-// role the paper's per-relation Bayesian models play. ok is false when the
-// relation or a referenced column is unknown, or a constraint references a
-// different table.
-func (m *Model) ExactMatchingRows(table string, cons []ColumnConstraint) (int, bool) {
-	rm := m.relation(table)
-	if rm == nil {
-		return 0, false
-	}
-	if len(cons) == 0 {
-		return rm.rows, true
-	}
-	for _, c := range cons {
-		if !strings.EqualFold(c.Ref.Table, table) {
-			return 0, false
-		}
-	}
-	set, ok := m.relationMatchRows(table, cons)
-	if !ok {
-		return 0, false
-	}
-	return len(set), true
-}
-
-// ColumnSummary is a compact description of one trained column model; the
-// demo UI and debugging tools display it.
+// ColumnSummary is a compact description of one trained column model.
 type ColumnSummary struct {
 	Ref      schema.ColumnRef
 	Rows     int
@@ -720,36 +464,22 @@ type ColumnSummary struct {
 // Summaries returns per-column summaries of the trained model, sorted by
 // column reference.
 func (m *Model) Summaries() []ColumnSummary {
-	var out []ColumnSummary
-	// The lookup maps alias every model under both its original-cased and
-	// lower-cased name; deduplicate by identity when enumerating.
-	seenRel := make(map[*relationModel]struct{}, len(m.relations))
-	seenCol := make(map[*columnModel]struct{})
-	for _, rm := range m.relations {
-		if _, dup := seenRel[rm]; dup {
-			continue
+	out := make([]ColumnSummary, 0, len(m.columns))
+	for _, cm := range m.columns {
+		s := ColumnSummary{
+			Ref:      cm.ref,
+			Rows:     cm.total,
+			NonNull:  cm.total - len(cm.nullRows()),
+			Distinct: len(cm.vals),
+			Numeric:  cm.numeric,
 		}
-		seenRel[rm] = struct{}{}
-		for _, cm := range rm.columns {
-			if _, dup := seenCol[cm]; dup {
-				continue
+		for id, v := range cm.vals {
+			n := len(cm.post.at(int32(id)))
+			if key := v.Key(); n > s.TopCount || (n == s.TopCount && key < s.TopValue) {
+				s.TopCount, s.TopValue = n, key
 			}
-			seenCol[cm] = struct{}{}
-			s := ColumnSummary{
-				Ref:      cm.ref,
-				Rows:     cm.total,
-				NonNull:  cm.nonNull,
-				Distinct: cm.distinct,
-				Numeric:  cm.numeric,
-			}
-			for key, n := range cm.freq {
-				if n > s.TopCount || (n == s.TopCount && key < s.TopValue) {
-					s.TopCount = n
-					s.TopValue = key
-				}
-			}
-			out = append(out, s)
 		}
+		out = append(out, s)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ref.Less(out[j].Ref) })
 	return out

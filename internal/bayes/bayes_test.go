@@ -174,6 +174,55 @@ func TestJoinProbability(t *testing.T) {
 	}
 }
 
+// TestTrainSamplesJoinDeterministically pins that the join-indicator sample
+// of a key with more joined pairs than the sampling budget is a function of
+// the data: two models trained on the same database estimate alike.
+func TestTrainSamplesJoinDeterministically(t *testing.T) {
+	db := bigJoinDatabase(t)
+	db.Analyze()
+	fk := db.Schema().ForeignKeys()[0]
+	tables := []string{"Many", "One"}
+	edges := []schema.ForeignKey{fk}
+	constraintSets := [][]ColumnConstraint{
+		{
+			{Ref: ref("Many", "Shade"), Expr: lang.MustParseValueConstraint("0")},
+			{Ref: ref("One", "Size"), Expr: lang.MustParseValueConstraint("0 || 2")},
+		},
+		{
+			{Ref: ref("Many", "Shade"), Expr: lang.MustParseValueConstraint("<= 1")},
+			{Ref: ref("One", "Size"), Expr: lang.MustParseValueConstraint("[1, 2]")},
+		},
+		{
+			{Ref: ref("Many", "Key"), Expr: lang.MustParseValueConstraint("south")},
+			{Ref: ref("Many", "Shade"), Expr: lang.MustParseValueConstraint("!= 3")},
+			{Ref: ref("One", "Size"), Expr: lang.MustParseValueConstraint("3")},
+		},
+	}
+	first := Train(db)
+	if js := first.joinFor(fk); js.totalPairs <= maxJoinPairSample || js.sampled > maxJoinPairSample {
+		t.Fatalf("fixture joins %d pairs and samples %d; want more than %d joined, at most that many sampled",
+			js.totalPairs, js.sampled, maxJoinPairSample)
+	}
+	for round := 0; round < 5; round++ {
+		again := Train(db)
+		for i, cons := range constraintSets {
+			if a, b := first.FailureProbability(tables, edges, cons), again.FailureProbability(tables, edges, cons); a != b {
+				t.Errorf("constraint set %d: retrained model's failure probability %v, first model's %v", i, b, a)
+			}
+			// The joins here are large enough that every failure
+			// probability underflows to 0; the expected match count is
+			// what still carries the sampled pair fraction.
+			a, b := first.ExpectedMatches(tables, edges, cons), again.ExpectedMatches(tables, edges, cons)
+			if a != b {
+				t.Errorf("constraint set %d: retrained model expects %v matches, first model %v", i, b, a)
+			}
+			if a <= 0 {
+				t.Errorf("constraint set %d: expected matches %v do not depend on the sample", i, a)
+			}
+		}
+	}
+}
+
 func TestExpectedMatchesAndFailure(t *testing.T) {
 	m, db := trainedModel(t)
 	fk := db.Schema().ForeignKeys()[0]

@@ -1,0 +1,500 @@
+package bayes
+
+import (
+	"fmt"
+	"math"
+	"strings"
+	"testing"
+
+	"prism/internal/dataset"
+	"prism/internal/lang"
+	"prism/internal/mem"
+	"prism/internal/schema"
+	"prism/internal/value"
+	"prism/internal/workload"
+)
+
+// diffFixture pairs the compact model with the map-based oracle trained on
+// the same database.
+type diffFixture struct {
+	t    *testing.T
+	db   *mem.Database
+	live *Model
+	ref  *refModel
+	n    int // comparisons made
+}
+
+func newDiffFixture(t *testing.T, db *mem.Database) *diffFixture {
+	t.Helper()
+	db.Analyze()
+	live := Train(db)
+	return &diffFixture{t: t, db: db, live: live, ref: trainReference(db, live)}
+}
+
+// rememberingSets is a Sets that asks the model once per distinct question,
+// as a round's estimator does.
+type rememberingSets struct {
+	model *Model
+	cells map[cellQuestion]*RowSet
+	both  map[[2]*RowSet]*RowSet
+	pairs map[pairQuestion]int
+}
+
+type cellQuestion struct {
+	sample, target int
+	ref            schema.ColumnRef
+}
+
+type pairQuestion struct {
+	fk       schema.ForeignKey
+	from, to *RowSet
+}
+
+// remembering returns the model estimating through a fresh rememberingSets.
+func remembering(m *Model) *Model {
+	return m.Sharing(&rememberingSets{
+		model: m,
+		cells: make(map[cellQuestion]*RowSet),
+		both:  make(map[[2]*RowSet]*RowSet),
+		pairs: make(map[pairQuestion]int),
+	})
+}
+
+func (r *rememberingSets) MatchRows(c ColumnConstraint) (*RowSet, bool) {
+	q := cellQuestion{c.Sample, c.Target, c.Ref}
+	if rows, ok := r.cells[q]; ok {
+		return rows, true
+	}
+	rows, known := r.model.MatchRows(c)
+	if known {
+		r.cells[q] = rows
+	}
+	return rows, known
+}
+
+func (r *rememberingSets) Intersect(a, b *RowSet) *RowSet {
+	q := [2]*RowSet{a, b}
+	if _, ok := r.both[q]; !ok {
+		r.both[q] = r.model.Intersect(a, b)
+	}
+	return r.both[q]
+}
+
+func (r *rememberingSets) PairHits(fk schema.ForeignKey, from, to *RowSet) int {
+	q := pairQuestion{fk, from, to}
+	if _, ok := r.pairs[q]; !ok {
+		r.pairs[q] = r.model.PairHits(fk, from, to)
+	}
+	return r.pairs[q]
+}
+
+// same is == on float64, with NaN equal to itself.
+func same(a, b float64) bool { return a == b || (math.IsNaN(a) && math.IsNaN(b)) }
+
+// check requires the oracle, the Model and a remembering view of it (asked
+// twice, so the second answer comes from memory) to agree exactly on one
+// estimate.
+func (fx *diffFixture) check(memo *Model, tables []string, edges []schema.ForeignKey, cons []ColumnConstraint) {
+	fx.t.Helper()
+	fx.n++
+	want := fx.ref.ExpectedMatches(tables, edges, cons)
+	if got := fx.live.ExpectedMatches(tables, edges, cons); !same(got, want) {
+		fx.t.Errorf("ExpectedMatches(%v, %v, %v) = %v, oracle %v", tables, edges, describe(cons), got, want)
+	}
+	wantFail := fx.ref.FailureProbability(tables, edges, cons)
+	if got := fx.live.FailureProbability(tables, edges, cons); !same(got, wantFail) {
+		fx.t.Errorf("FailureProbability(%v, %v, %v) = %v, oracle %v", tables, edges, describe(cons), got, wantFail)
+	}
+	for pass := 0; pass < 2; pass++ {
+		if got := memo.FailureProbability(tables, edges, cons); !same(got, wantFail) {
+			fx.t.Errorf("remembering FailureProbability(%v, %v, %v) pass %d = %v, oracle %v", tables, edges, describe(cons), pass, got, wantFail)
+		}
+	}
+	if len(tables) == 1 {
+		wantN, wantOK := fx.ref.ExactMatchingRows(tables[0], cons)
+		if n, ok := fx.live.ExactMatchingRows(tables[0], cons); n != wantN || ok != wantOK {
+			fx.t.Errorf("ExactMatchingRows(%s, %v) = %d,%v, oracle %d,%v", tables[0], describe(cons), n, ok, wantN, wantOK)
+		}
+		if n, ok := memo.ExactMatchingRows(tables[0], cons); n != wantN || ok != wantOK {
+			fx.t.Errorf("remembering ExactMatchingRows(%s, %v) = %d,%v, oracle %d,%v", tables[0], describe(cons), n, ok, wantN, wantOK)
+		}
+	}
+}
+
+func describe(cons []ColumnConstraint) string {
+	parts := make([]string, len(cons))
+	for i, c := range cons {
+		expr := "<nil>"
+		if c.Expr != nil {
+			expr = c.Expr.String()
+		}
+		parts[i] = c.Ref.String() + " " + expr
+	}
+	return "[" + strings.Join(parts, "; ") + "]"
+}
+
+// checkTree compares the whole tree, every single edge of it and every
+// single table of it under the constraints that fall on them.
+func (fx *diffFixture) checkTree(memo *Model, tables []string, edges []schema.ForeignKey, cons []ColumnConstraint) {
+	fx.t.Helper()
+	on := func(keep ...string) []ColumnConstraint {
+		var out []ColumnConstraint
+		for _, c := range cons {
+			for _, t := range keep {
+				if strings.EqualFold(c.Ref.Table, t) {
+					out = append(out, c)
+				}
+			}
+		}
+		return out
+	}
+	fx.check(memo, tables, edges, cons)
+	for _, e := range edges {
+		pair := []string{e.From.Table, e.To.Table}
+		fx.check(memo, pair, []schema.ForeignKey{e}, on(pair...))
+	}
+	for _, t := range tables {
+		fx.check(memo, []string{t}, nil, on(t))
+	}
+}
+
+// derivedMappings turns a schema's foreign keys into ground-truth mappings
+// for the workload generator: one two-table join per key and one three-table
+// chain per pair of keys that share a table.
+func derivedMappings(sch *schema.Schema) []workload.GroundTruthMapping {
+	project := func(tables ...string) []schema.ColumnRef {
+		var out []schema.ColumnRef
+		for _, name := range tables {
+			t, _ := sch.Table(name)
+			for i, c := range t.Columns {
+				if i < 2 {
+					out = append(out, schema.ColumnRef{Table: t.Name, Column: c.Name})
+				}
+			}
+		}
+		return out
+	}
+	join := func(fk schema.ForeignKey) mem.JoinEdge { return mem.JoinEdge{Left: fk.From, Right: fk.To} }
+	var out []workload.GroundTruthMapping
+	fks := sch.ForeignKeys()
+	for i, a := range fks {
+		out = append(out, workload.GroundTruthMapping{
+			Name: fmt.Sprintf("fk%d", i),
+			Plan: mem.Plan{Tables: []string{a.From.Table, a.To.Table}, Joins: []mem.JoinEdge{join(a)}, Project: project(a.From.Table, a.To.Table)},
+		})
+		for j := i + 1; j < len(fks); j++ {
+			b := fks[j]
+			tables := map[string]struct{}{a.From.Table: {}, a.To.Table: {}, b.From.Table: {}, b.To.Table: {}}
+			if len(tables) != 3 {
+				continue
+			}
+			var names []string
+			for _, t := range []string{a.From.Table, a.To.Table, b.From.Table, b.To.Table} {
+				if _, fresh := tables[t]; fresh {
+					names = append(names, t)
+					delete(tables, t)
+				}
+			}
+			out = append(out, workload.GroundTruthMapping{
+				Name: fmt.Sprintf("fk%d-fk%d", i, j),
+				Plan: mem.Plan{Tables: names, Joins: []mem.JoinEdge{join(a), join(b)}, Project: project(names...)},
+			})
+		}
+	}
+	return out
+}
+
+// exprBattery builds one constraint of every lang.ValueExpr kind (every
+// comparison operator included) around two values of a column.
+func exprBattery(a, b value.Value) []lang.ValueExpr {
+	lo, hi := a, b
+	if hi.Less(lo) {
+		lo, hi = hi, lo
+	}
+	out := []lang.ValueExpr{
+		lang.Keyword{Word: a.String()},
+		lang.Keyword{Word: "no such value"},
+		lang.Keyword{Word: ""},
+		lang.Range{Lo: lo, Hi: hi},
+		lang.And{Terms: []lang.ValueExpr{lang.Compare{Op: lang.OpGe, Const: lo}, lang.Compare{Op: lang.OpLe, Const: hi}}},
+		lang.And{Terms: []lang.ValueExpr{lang.Keyword{Word: a.String()}, lang.Keyword{Word: b.String()}}},
+		lang.Or{Terms: []lang.ValueExpr{lang.Keyword{Word: a.String()}, lang.Keyword{Word: b.String()}}},
+		lang.Or{Terms: []lang.ValueExpr{lang.Keyword{Word: a.String()}, lang.Compare{Op: lang.OpEq, Const: b}}},
+		// A disjunction that starts equality-shaped and then is not.
+		lang.Or{Terms: []lang.ValueExpr{lang.Keyword{Word: a.String()}, lang.Compare{Op: lang.OpGt, Const: hi}}},
+		lang.Not{Term: lang.Keyword{Word: a.String()}},
+		lang.Not{Term: lang.Range{Lo: lo, Hi: hi}},
+		lang.Not{Term: lang.Or{Terms: []lang.ValueExpr{lang.Keyword{Word: a.String()}, lang.Keyword{Word: b.String()}}}},
+	}
+	for _, op := range []lang.BinOp{lang.OpEq, lang.OpNe, lang.OpLt, lang.OpLe, lang.OpGt, lang.OpGe} {
+		out = append(out, lang.Compare{Op: op, Const: a}, lang.Compare{Op: op, Const: value.NewText(b.String())})
+	}
+	return out
+}
+
+// checkBattery runs the expression battery over every column of the
+// database: alone on its table, across every foreign key of the table, and
+// paired with a constraint on the key's other table.
+func (fx *diffFixture) checkBattery() {
+	fx.t.Helper()
+	sch := fx.db.Schema()
+	pick := func(table string, ci int) (a, b value.Value) {
+		rel, _ := fx.db.Relation(table)
+		for _, at := range []int{0, len(rel.Rows) / 2, len(rel.Rows) - 1} {
+			if at < 0 || at >= len(rel.Rows) {
+				continue
+			}
+			if v := rel.Rows[at][ci]; !v.IsNull() {
+				a, b = b, v
+			}
+		}
+		if a.IsNull() {
+			a = b
+		}
+		return a, b
+	}
+	for _, t := range sch.Tables() {
+		for ci, col := range t.Columns {
+			a, b := pick(t.Name, ci)
+			if b.IsNull() {
+				continue
+			}
+			colRef := schema.ColumnRef{Table: t.Name, Column: col.Name}
+			for xi, e := range exprBattery(a, b) {
+				memo := remembering(fx.live)
+				cons := []ColumnConstraint{{Ref: colRef, Expr: e, Target: xi}}
+				fx.check(memo, []string{t.Name}, nil, cons)
+				for _, fk := range sch.EdgesOf(t.Name) {
+					tables := []string{fk.From.Table, fk.To.Table}
+					edges := []schema.ForeignKey{fk}
+					fx.check(memo, tables, edges, cons)
+					other := fk.To
+					if strings.EqualFold(other.Table, t.Name) {
+						other = fk.From
+					}
+					ot, _ := sch.Table(other.Table)
+					oa, ob := pick(ot.Name, 0)
+					if ob.IsNull() {
+						continue
+					}
+					both := append(cons[:1:1], ColumnConstraint{
+						Ref:    schema.ColumnRef{Table: ot.Name, Column: ot.Columns[0].Name},
+						Expr:   lang.Or{Terms: []lang.ValueExpr{lang.Keyword{Word: oa.String()}, lang.Keyword{Word: ob.String()}}},
+						Sample: 1,
+					})
+					fx.check(memo, tables, edges, both)
+				}
+			}
+		}
+	}
+}
+
+// checkGenerated compares the estimates of generated specifications at every
+// resolution level: the constraints of each sample row on the ground-truth
+// tree, its edges and its tables.
+func (fx *diffFixture) checkGenerated(mappings []workload.GroundTruthMapping) {
+	fx.t.Helper()
+	gen, err := workload.NewGenerator(fx.db, 1, mappings)
+	if err != nil {
+		fx.t.Fatal(err)
+	}
+	levels := append(workload.Levels(), workload.LevelPaper)
+	for _, level := range levels {
+		cases, err := gen.Generate(level, 2*len(gen.Mappings()), workload.Config{SamplesPerCase: 2})
+		if err != nil {
+			fx.t.Fatal(err)
+		}
+		for _, tc := range cases {
+			memo := remembering(fx.live)
+			edges := make([]schema.ForeignKey, len(tc.GroundTruth.Joins))
+			for i, j := range tc.GroundTruth.Joins {
+				edges[i] = schema.ForeignKey{From: j.Left, To: j.Right}
+			}
+			for si, sample := range tc.Spec.Samples {
+				var cons []ColumnConstraint
+				for ti, cell := range sample.Cells {
+					if cell != nil {
+						cons = append(cons, ColumnConstraint{
+							Ref: tc.GroundTruth.Project[ti], Expr: cell,
+							Sample: si, Target: ti,
+						})
+					}
+				}
+				fx.checkTree(memo, tc.GroundTruth.Tables, edges, cons)
+			}
+		}
+	}
+}
+
+// checkUnknowns covers the branches that answer without a match set.
+func (fx *diffFixture) checkUnknowns() {
+	fx.t.Helper()
+	sch := fx.db.Schema()
+	fk := sch.ForeignKeys()[0]
+	tables := []string{fk.From.Table, fk.To.Table}
+	edges := []schema.ForeignKey{fk}
+	kw := lang.Keyword{Word: "x"}
+	rng := lang.Range{Lo: value.NewInt(0), Hi: value.NewInt(10)}
+	outside := sch.Tables()[len(sch.Tables())-1].Name
+	for i, cons := range [][]ColumnConstraint{
+		nil,
+		{{Ref: schema.ColumnRef{Table: fk.From.Table, Column: "no_such_column"}, Expr: kw}},
+		{{Ref: fk.From, Expr: nil}},
+		{{Ref: schema.ColumnRef{Table: "no_such_table", Column: "c"}, Expr: kw}},
+		{{Ref: schema.ColumnRef{Table: outside, Column: sch.Tables()[len(sch.Tables())-1].Columns[0].Name}, Expr: rng}},
+		{{Ref: schema.ColumnRef{Table: strings.ToUpper(fk.To.Table), Column: strings.ToLower(fk.To.Column)}, Expr: rng}},
+	} {
+		for ci := range cons {
+			cons[ci].Sample, cons[ci].Target = i, ci
+		}
+		memo := remembering(fx.live)
+		fx.check(memo, tables, edges, cons)
+		fx.check(memo, tables[:1], nil, cons)
+		fx.check(memo, tables[:1], edges, cons)                          // an edge whose far table the filter lacks
+		fx.check(memo, []string{"no_such_table"}, nil, cons)             // unknown relation
+		fx.check(memo, tables, []schema.ForeignKey{{From: fk.To}}, cons) // unknown edge
+	}
+}
+
+func TestDifferentialAgainstReference(t *testing.T) {
+	mondial, err := dataset.Mondial(dataset.DefaultMondialConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	imdb, err := dataset.IMDB(dataset.DefaultIMDBConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	nba, err := dataset.NBA(dataset.DefaultNBAConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, db := range []*mem.Database{mondial, imdb, nba, quirksDatabase(t), bigJoinDatabase(t)} {
+		db := db
+		t.Run(db.Name, func(t *testing.T) {
+			fx := newDiffFixture(t, db)
+			mappings := derivedMappings(db.Schema())
+			if db == mondial {
+				mappings = append(workload.MondialGroundTruths(), mappings...)
+			}
+			fx.checkGenerated(mappings)
+			fx.checkBattery()
+			fx.checkUnknowns()
+			t.Logf("%d estimates compared", fx.n)
+		})
+	}
+}
+
+// quirksDatabase is a three-table chain built to hold what the bundled data
+// sets lack: NULLs in constrained and in join columns, dangling and
+// many-to-many keys, and text values that share a key without being equal
+// ("ABC"/"abc", "3"/"3.0").
+func quirksDatabase(t testing.TB) *mem.Database {
+	t.Helper()
+	s := schema.New()
+	for _, tab := range []*schema.Table{
+		schema.MustTable("Parent",
+			schema.Column{Name: "Tag", Type: value.Text},
+			schema.Column{Name: "Score", Type: value.Decimal},
+			schema.Column{Name: "Id", Type: value.Int}),
+		schema.MustTable("Child",
+			schema.Column{Name: "Label", Type: value.Text},
+			schema.Column{Name: "Parent", Type: value.Int},
+			schema.Column{Name: "Day", Type: value.Date}),
+		schema.MustTable("Grand",
+			schema.Column{Name: "Label", Type: value.Text},
+			schema.Column{Name: "Weight", Type: value.Int}),
+	} {
+		if err := s.AddTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, fk := range []schema.ForeignKey{
+		{From: schema.ColumnRef{Table: "Child", Column: "Parent"}, To: schema.ColumnRef{Table: "Parent", Column: "Id"}},
+		{From: schema.ColumnRef{Table: "Grand", Column: "Label"}, To: schema.ColumnRef{Table: "Child", Column: "Label"}},
+	} {
+		if err := s.AddForeignKey(fk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := mem.NewDatabase("quirks", s)
+	null := value.NullValue
+	insert := func(table string, vs ...value.Value) {
+		if err := db.Insert(table, vs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tags := []string{"ABC", "abc", "3", "3.0", "Abc", "", "x y", "3.00", "7"}
+	for i := 0; i < 40; i++ {
+		tag, score := value.NewText(tags[i%len(tags)]), value.NewDecimal(float64(i%7)*1.5)
+		if tags[i%len(tags)] == "" {
+			tag = null
+		}
+		if i%5 == 0 {
+			score = null
+		}
+		insert("Parent", tag, score, value.NewInt(int64(i%30))) // ids 0..9 appear twice
+	}
+	labels := []string{"red", "RED", "green", "blue", "Blue"}
+	for i := 0; i < 90; i++ {
+		parent := value.NewInt(int64(i % 35)) // 30..34 dangle
+		if i%11 == 0 {
+			parent = null
+		}
+		label := value.NewText(labels[i%len(labels)])
+		if i%13 == 0 {
+			label = null
+		}
+		insert("Child", label, parent, value.NewDateYMD(2020, 1, 1+i%20))
+	}
+	for i := 0; i < 25; i++ {
+		label := value.NewText(labels[(i*2)%len(labels)])
+		if i%6 == 0 {
+			label = null
+		}
+		insert("Grand", label, value.NewInt(int64(i%4)))
+	}
+	return db
+}
+
+// bigJoinDatabase holds one foreign key with 631 × 201 = 126831 joined
+// pairs, above maxJoinPairSample, so its join statistics keep every second
+// pair. A key's pair count is odd for one key and even for the others, and
+// the non-key columns follow the parity of a row's position within its key,
+// so the order in which pairs are enumerated decides which ones are kept and
+// shows in the estimates.
+func bigJoinDatabase(t testing.TB) *mem.Database {
+	t.Helper()
+	s := schema.New()
+	for _, tab := range []*schema.Table{
+		schema.MustTable("Many",
+			schema.Column{Name: "Key", Type: value.Text},
+			schema.Column{Name: "Shade", Type: value.Int}),
+		schema.MustTable("One",
+			schema.Column{Name: "Key", Type: value.Text},
+			schema.Column{Name: "Size", Type: value.Int}),
+	} {
+		if err := s.AddTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddForeignKey(schema.ForeignKey{
+		From: schema.ColumnRef{Table: "Many", Column: "Key"},
+		To:   schema.ColumnRef{Table: "One", Column: "Key"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db := mem.NewDatabase("bigjoin", s)
+	keys := []string{"north", "south", "east"}
+	for i := 0; i < 631; i++ {
+		if err := db.Insert("Many", value.Tuple{value.NewText(keys[i%3]), value.NewInt(int64(i / 3 % 4))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 603; i++ {
+		if err := db.Insert("One", value.Tuple{value.NewText(keys[i%3]), value.NewInt(int64(i / 3 % 4))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}

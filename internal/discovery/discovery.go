@@ -657,6 +657,14 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 	// can hang one child span per validation batch under it.
 	spSchedule := trace.Child("schedule")
 	res, err := runner.RunContext(obs.ContextWithSpan(ctx, spSchedule))
+	if be, ok := estimator.(*sched.BayesEstimator); ok {
+		// The scheduler's estimate span counts the calls; what the calls
+		// shared is the Bayes estimator's to report.
+		cellSets, memoHits := be.MemoStats()
+		spEstimate := spSchedule.Find("estimate")
+		spEstimate.SetAttr("cell_sets", cellSets)
+		spEstimate.SetAttr("memo_hits", memoHits)
+	}
 	spSchedule.SetAttr("validations", res.Validations)
 	spSchedule.SetAttr("implied", res.Implied)
 	spSchedule.SetAttr("confirmed", len(res.Confirmed))

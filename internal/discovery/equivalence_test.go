@@ -71,7 +71,9 @@ func discoverWith(t *testing.T, db *mem.Database, spec *constraint.Spec, opts Op
 // TestExecutorEquivalenceAcrossDatasets is the acceptance gate of the
 // columnar engine: on every bundled data set, every registered backend must
 // produce the identical mapping set, result previews, and validation
-// schedule as the mem reference.
+// schedule as the mem reference. The digest includes the validation and
+// implication counters, which depend on goroutine timing above one worker
+// (see TestExecutorEquivalenceParallel), so the rounds pin Parallelism 1.
 func TestExecutorEquivalenceAcrossDatasets(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -122,7 +124,7 @@ func TestExecutorEquivalenceAcrossDatasets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := Options{IncludeResults: true, ResultLimit: 5}
+			opts := Options{IncludeResults: true, ResultLimit: 5, Parallelism: 1}
 			reference := discoverWith(t, db, spec, opts, "mem")
 			if len(reference.Mappings) == 0 {
 				t.Fatalf("reference round found no mappings — the fixture is too weak to test equivalence")
@@ -142,7 +144,8 @@ func TestExecutorEquivalenceAcrossDatasets(t *testing.T) {
 }
 
 // TestExecutorEquivalencePolicies checks that backend choice is orthogonal
-// to the scheduling policy: for each policy, all backends agree.
+// to the scheduling policy: for each policy, all backends agree. Counters
+// are digested, so the rounds pin Parallelism 1.
 func TestExecutorEquivalencePolicies(t *testing.T) {
 	db := smallMondial(t)
 	spec := paperSpec(t)
@@ -151,7 +154,7 @@ func TestExecutorEquivalencePolicies(t *testing.T) {
 		t.Run(string(policy), func(t *testing.T) {
 			var want string
 			for _, name := range executors(t) {
-				digest := reportDigest(t, discoverWith(t, db, spec, Options{Policy: policy}, name))
+				digest := reportDigest(t, discoverWith(t, db, spec, Options{Policy: policy, Parallelism: 1}, name))
 				if want == "" {
 					want = digest
 				} else if digest != want {

@@ -74,6 +74,27 @@ func TestDiscoverTrace(t *testing.T) {
 		t.Errorf("validate spans sum rowsScanned=%d, report says %d", rows, report.Cost.RowsScanned)
 	}
 
+	// One estimate span per round (not per filter): a cold round estimates
+	// every filter, and the memo shares cells between them.
+	estimates := 0
+	for _, c := range sched.Children {
+		if c.Name == "estimate" {
+			estimates++
+		}
+	}
+	if estimates != 1 {
+		t.Fatalf("schedule span has %d estimate children, want 1", estimates)
+	}
+	estimate := sched.Find("estimate")
+	if got := estimate.Attr("calls"); got != report.FiltersGenerated {
+		t.Errorf("estimate calls attr = %v, report says %d filters", got, report.FiltersGenerated)
+	}
+	cellSets, _ := estimate.Attr("cell_sets").(int)
+	memoHits, _ := estimate.Attr("memo_hits").(int)
+	if cellSets <= 0 || cellSets >= report.FiltersGenerated || memoHits <= 0 {
+		t.Errorf("estimate cell_sets=%d memo_hits=%d over %d filters: the memo shared nothing", cellSets, memoHits, report.FiltersGenerated)
+	}
+
 	// Memory accounting reached the trace (the columnar executor always
 	// uses some scratch).
 	if v, ok := trace.Attr("scratchBytes").(int); !ok || v <= 0 {
@@ -104,6 +125,33 @@ func TestDiscoverTrace(t *testing.T) {
 	}
 	if lines < 6 {
 		t.Errorf("NDJSON dump has %d spans, want the root plus all phases", lines)
+	}
+}
+
+// TestReplayTraceEstimatesNothing pins that a round the session cache
+// resolves completely asks the estimator for nothing.
+func TestReplayTraceEstimatesNothing(t *testing.T) {
+	e := NewEngine(smallMondial(t))
+	sess := e.NewSession(0)
+	opts := Options{Trace: true, Parallelism: 1}
+	if _, err := sess.Discover(context.Background(), paperSpec(t), opts); err != nil {
+		t.Fatal(err)
+	}
+	replay, err := sess.Discover(context.Background(), paperSpec(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay.Validations != 0 {
+		t.Fatalf("replay executed %d validations", replay.Validations)
+	}
+	estimate := replay.Trace.Find("estimate")
+	if estimate == nil {
+		t.Fatal("replay trace has no estimate span")
+	}
+	for _, attr := range []string{"calls", "cell_sets", "memo_hits"} {
+		if got := estimate.Attr(attr); got != 0 {
+			t.Errorf("replay estimate %s = %v, want 0", attr, got)
+		}
 	}
 }
 

@@ -32,6 +32,7 @@ import (
 	"prism/internal/filter"
 	"prism/internal/obs"
 	"prism/internal/rowset"
+	"prism/internal/schema"
 )
 
 // Estimator predicts the probability that validating a filter fails.
@@ -70,9 +71,78 @@ func (e *PathLengthEstimator) FailureProbability(f *filter.Filter) float64 {
 // BayesEstimator is Prism's estimator: per-relation Bayesian models plus
 // join indicators (package bayes), evaluated against the sample constraints
 // of the specification.
+//
+// The filters of a round share a handful of spec cells and join edges, so an
+// estimator remembers the match sets and pair counts the model computed for
+// it and every later filter that meets one reads the answer. The memo is
+// scoped to the estimator — build one per round, as discovery does — and an
+// estimator serves one goroutine (the scheduling loop); it takes no lock.
 type BayesEstimator struct {
 	Model *bayes.Model
 	Spec  *constraint.Spec
+
+	memo   *estimateMemo            // created by the first estimate
+	shared *bayes.Model             // Model, estimating through memo
+	cons   []bayes.ColumnConstraint // scratch, reused across estimates
+}
+
+// estimateMemo implements bayes.Sets by asking the model once: per cell of
+// the specification on a source column, per pair of intersected sets, per
+// join edge between two sets.
+type estimateMemo struct {
+	model *bayes.Model
+	cells map[cellKey]*bayes.RowSet
+	both  map[[2]*bayes.RowSet]*bayes.RowSet
+	pairs map[pairsKey]int
+	// cellSets counts the distinct cell sets computed, hits the answers
+	// given from memory.
+	cellSets, hits int
+}
+
+type cellKey struct {
+	sample, target int
+	source         schema.ColumnRef
+}
+
+type pairsKey struct {
+	edge     schema.ForeignKey
+	from, to *bayes.RowSet
+}
+
+func (m *estimateMemo) MatchRows(c bayes.ColumnConstraint) (*bayes.RowSet, bool) {
+	key := cellKey{sample: c.Sample, target: c.Target, source: c.Ref}
+	if rows, ok := m.cells[key]; ok {
+		m.hits++
+		return rows, true
+	}
+	rows, known := m.model.MatchRows(c)
+	if known {
+		m.cells[key] = rows
+		m.cellSets++
+	}
+	return rows, known
+}
+
+func (m *estimateMemo) Intersect(a, b *bayes.RowSet) *bayes.RowSet {
+	key := [2]*bayes.RowSet{a, b}
+	if rows, ok := m.both[key]; ok {
+		m.hits++
+		return rows
+	}
+	rows := m.model.Intersect(a, b)
+	m.both[key] = rows
+	return rows
+}
+
+func (m *estimateMemo) PairHits(fk schema.ForeignKey, from, to *bayes.RowSet) int {
+	key := pairsKey{edge: fk, from: from, to: to}
+	if n, ok := m.pairs[key]; ok {
+		m.hits++
+		return n
+	}
+	n := m.model.PairHits(fk, from, to)
+	m.pairs[key] = n
+	return n
 }
 
 // Name implements Estimator.
@@ -84,15 +154,25 @@ func (e *BayesEstimator) FailureProbability(f *filter.Filter) float64 {
 	if len(e.Spec.Samples) == 0 {
 		return 0
 	}
+	if e.memo == nil {
+		e.memo = &estimateMemo{
+			model: e.Model,
+			cells: make(map[cellKey]*bayes.RowSet),
+			both:  make(map[[2]*bayes.RowSet]*bayes.RowSet),
+			pairs: make(map[pairsKey]int),
+		}
+		e.shared = e.Model.Sharing(e.memo)
+	}
 	allMatch := 1.0
-	for _, sample := range e.Spec.Samples {
-		var cons []bayes.ColumnConstraint
+	for si, sample := range e.Spec.Samples {
+		cons := e.cons[:0]
 		for i, tc := range f.TargetCols {
 			if tc >= len(sample.Cells) || sample.Cells[tc] == nil {
 				continue
 			}
-			cons = append(cons, bayes.ColumnConstraint{Ref: f.Sources[i], Expr: sample.Cells[tc]})
+			cons = append(cons, bayes.ColumnConstraint{Ref: f.Sources[i], Expr: sample.Cells[tc], Sample: si, Target: tc})
 		}
+		e.cons = cons
 		allMatch *= 1 - e.sampleFailure(f, cons)
 	}
 	p := 1 - allMatch
@@ -116,14 +196,23 @@ func (e *BayesEstimator) FailureProbability(f *filter.Filter) float64 {
 // matches through join indicators.
 func (e *BayesEstimator) sampleFailure(f *filter.Filter, cons []bayes.ColumnConstraint) float64 {
 	if len(f.Tree.Edges) == 0 {
-		if count, ok := e.Model.ExactMatchingRows(f.Tree.Tables[0], cons); ok {
+		if count, ok := e.shared.ExactMatchingRows(f.Tree.Tables[0], cons); ok {
 			if count > 0 {
 				return 0
 			}
 			return 1
 		}
 	}
-	return e.Model.FailureProbability(f.Tree.Tables, f.Tree.Edges, cons)
+	return e.shared.FailureProbability(f.Tree.Tables, f.Tree.Edges, cons)
+}
+
+// MemoStats reports how many distinct cell match sets the estimator has
+// had computed and how many answers its memo gave, for the round trace.
+func (e *BayesEstimator) MemoStats() (cellSets, memoHits int) {
+	if e.memo == nil {
+		return 0, 0
+	}
+	return e.memo.cellSets, e.memo.hits
 }
 
 // OracleEstimator knows the true outcome of every filter; scheduling with it
@@ -374,11 +463,6 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	res := Result{Policy: r.Estimator.Name()}
 	start := opts.Now()
 
-	// Failure probabilities are static per filter; compute once.
-	failProb := make([]float64, r.Set.NumFilters())
-	for i, f := range r.Set.Filters {
-		failProb[i] = clamp01(r.Estimator.FailureProbability(f))
-	}
 	// Top-filter membership: filters that are the top of some candidate.
 	isTop := make([]bool, r.Set.NumFilters())
 	for _, ti := range r.Set.Top {
@@ -477,6 +561,27 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 		}
 	}
 
+	// On traced rounds the estimates hang one "estimate" span, and each
+	// dispatched batch a "validate" span, under the round's schedule span;
+	// untraced rounds carry a nil parent and every span call is a no-op.
+	traceParent := obs.SpanFromContext(ctx)
+
+	// Failure probabilities are static per filter; compute once, and only
+	// for the filters pick can still reach: one the session cache already
+	// determined, or whose candidates it all resolved, is never ranked.
+	failProb := make([]float64, r.Set.NumFilters())
+	spEstimate := traceParent.Child("estimate")
+	estimates := 0
+	for i, f := range r.Set.Filters {
+		if sess.Determined(i) || sess.PruningReach(i) == 0 {
+			continue
+		}
+		failProb[i] = clamp01(r.Estimator.FailureProbability(f))
+		estimates++
+	}
+	spEstimate.SetAttr("calls", estimates)
+	spEstimate.End()
+
 	applyOutcome := func(idx int, vr filter.ValidationResult) {
 		sess.RecordExecution(idx, vr)
 		if opts.Cache != nil {
@@ -507,10 +612,6 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	// singletons keep the plain ValidateContext path — the batch call would
 	// add bookkeeping for an identical single probe.
 	batchSingletons := opts.Batching && len(r.Spec.Samples) > 1
-	// On traced rounds each dispatched batch hangs a "validate" span under
-	// the round's schedule span; untraced rounds carry a nil parent and
-	// every span call below is a no-op.
-	traceParent := obs.SpanFromContext(ctx)
 	for w := 0; w < parallelism; w++ {
 		go func() {
 			pool.liveWorkers.Add(1)
