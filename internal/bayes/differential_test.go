@@ -1,12 +1,12 @@
 package bayes
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
 
 	"prism/internal/dataset"
+	"prism/internal/difftest"
 	"prism/internal/lang"
 	"prism/internal/mem"
 	"prism/internal/schema"
@@ -156,52 +156,6 @@ func (fx *diffFixture) checkTree(memo *Model, tables []string, edges []schema.Fo
 	for _, t := range tables {
 		fx.check(memo, []string{t}, nil, on(t))
 	}
-}
-
-// derivedMappings turns a schema's foreign keys into ground-truth mappings
-// for the workload generator: one two-table join per key and one three-table
-// chain per pair of keys that share a table.
-func derivedMappings(sch *schema.Schema) []workload.GroundTruthMapping {
-	project := func(tables ...string) []schema.ColumnRef {
-		var out []schema.ColumnRef
-		for _, name := range tables {
-			t, _ := sch.Table(name)
-			for i, c := range t.Columns {
-				if i < 2 {
-					out = append(out, schema.ColumnRef{Table: t.Name, Column: c.Name})
-				}
-			}
-		}
-		return out
-	}
-	join := func(fk schema.ForeignKey) mem.JoinEdge { return mem.JoinEdge{Left: fk.From, Right: fk.To} }
-	var out []workload.GroundTruthMapping
-	fks := sch.ForeignKeys()
-	for i, a := range fks {
-		out = append(out, workload.GroundTruthMapping{
-			Name: fmt.Sprintf("fk%d", i),
-			Plan: mem.Plan{Tables: []string{a.From.Table, a.To.Table}, Joins: []mem.JoinEdge{join(a)}, Project: project(a.From.Table, a.To.Table)},
-		})
-		for j := i + 1; j < len(fks); j++ {
-			b := fks[j]
-			tables := map[string]struct{}{a.From.Table: {}, a.To.Table: {}, b.From.Table: {}, b.To.Table: {}}
-			if len(tables) != 3 {
-				continue
-			}
-			var names []string
-			for _, t := range []string{a.From.Table, a.To.Table, b.From.Table, b.To.Table} {
-				if _, fresh := tables[t]; fresh {
-					names = append(names, t)
-					delete(tables, t)
-				}
-			}
-			out = append(out, workload.GroundTruthMapping{
-				Name: fmt.Sprintf("fk%d-fk%d", i, j),
-				Plan: mem.Plan{Tables: names, Joins: []mem.JoinEdge{join(a), join(b)}, Project: project(names...)},
-			})
-		}
-	}
-	return out
 }
 
 // exprBattery builds one constraint of every lang.ValueExpr kind (every
@@ -373,7 +327,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 		db := db
 		t.Run(db.Name, func(t *testing.T) {
 			fx := newDiffFixture(t, db)
-			mappings := derivedMappings(db.Schema())
+			mappings := difftest.DerivedMappings(db.Schema())
 			if db == mondial {
 				mappings = append(workload.MondialGroundTruths(), mappings...)
 			}

@@ -401,14 +401,12 @@ func (e *Executor) ExecutorName() string { return "columnar" }
 // Schema implements exec.Metadata.
 func (e *Executor) Schema() *schema.Schema { return e.src.Schema() }
 
-// NumRows implements exec.Metadata. The scheduler's default cost model
-// calls this once per filter table per pick, so the lookup is an
-// allocation-free fold-insensitive scan instead of a lower-cased map key.
+// NumRows implements exec.Metadata: a catalog lookup by lower-cased name.
+// The scheduler's default cost model asks once per table per run and keeps
+// the answer, so the lookup is not on any per-probe path.
 func (e *Executor) NumRows(tbl string) int {
-	for _, t := range e.tables {
-		if strings.EqualFold(t.name, tbl) {
-			return t.numRows
-		}
+	if t, ok := e.byName[strings.ToLower(tbl)]; ok {
+		return t.numRows
 	}
 	return 0
 }

@@ -524,9 +524,8 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 
 	// Sessions also reuse the filter decomposition across rounds: the Set
 	// depends only on the candidate list (which refinement deltas usually
-	// leave unchanged), it is read-only during scheduling, and building its
-	// dependency relation is quadratic in the number of filters — the
-	// dominant fixed cost of a fully cached round.
+	// leave unchanged) and is read-only during scheduling, and its filters
+	// carry what rounds memoise on them (plan, fingerprint, key parts).
 	spDecompose := trace.Child("decompose")
 	var set *filter.Set
 	if sess != nil {

@@ -36,9 +36,9 @@ type Session struct {
 
 	// sets caches filter decompositions by candidate-list fingerprint.
 	// A filter.Set depends only on the candidates (not on constraint
-	// values or data), is immutable once built, and costs quadratic work
-	// in the number of filters — so warm rounds, which usually enumerate
-	// the identical candidate list, skip the rebuild entirely. setOrder
+	// values or data) and is immutable once built, so warm rounds, which
+	// usually enumerate the identical candidate list, skip the rebuild and
+	// find every filter's plan and fingerprint already rendered. setOrder
 	// tracks insertion for FIFO eviction at setCacheCapacity.
 	setMu    sync.Mutex
 	sets     map[string]*filter.Set
@@ -51,7 +51,8 @@ type Session struct {
 const setCacheCapacity = 8
 
 // candidatesKey fingerprints a candidate list (order-sensitive, since the
-// Set indexes candidates by position).
+// Set indexes candidates by position) from the signatures enumeration
+// rendered.
 func candidatesKey(candidates []graphx.Candidate) string {
 	h := fnv.New64a()
 	for _, c := range candidates {

@@ -21,9 +21,11 @@ package filter
 
 import (
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -82,6 +84,10 @@ type Filter struct {
 	plan     exec.Plan
 	fpOnce   sync.Once
 	fp       string
+	// sourceText holds the lower-cased "table.column" text of each source,
+	// parallel to Sources: the spelling Key and ValidationKey use.
+	sourceOnce sync.Once
+	sourceText []string
 }
 
 // IsTopOf reports whether the filter covers the full candidate (same tree
@@ -124,7 +130,7 @@ func PlanFingerprintComputations() int64 { return planFingerprintComputations.Lo
 // next to the plan itself. It is the batch grouping key: filters sharing it
 // have identical canonical plans, so one shared scan/join pipeline can
 // answer all their validations. The scheduler consults it every round and
-// the outcome cache keys on it, so it must not re-canonicalise and re-hash
+// ValidationKey starts with it, so it must not re-canonicalise and re-hash
 // the plan per probe.
 func (f *Filter) PlanFingerprint() string {
 	f.fpOnce.Do(func() {
@@ -132,6 +138,18 @@ func (f *Filter) PlanFingerprint() string {
 		planFingerprintComputations.Add(1)
 	})
 	return f.fp
+}
+
+// sourceTexts returns the lower-cased text of the filter's sources,
+// rendered once per filter (Decompose hands its own copy in).
+func (f *Filter) sourceTexts() []string {
+	f.sourceOnce.Do(func() {
+		f.sourceText = make([]string, len(f.Sources))
+		for i, src := range f.Sources {
+			f.sourceText[i] = strings.ToLower(src.String())
+		}
+	})
+	return f.sourceText
 }
 
 // JoinPathLength returns the number of join edges; the Filter baseline's
@@ -145,15 +163,6 @@ func (f *Filter) String() string {
 		cols[i] = fmt.Sprintf("c%d=%s", tc+1, f.Sources[i])
 	}
 	return fmt.Sprintf("filter[%s | %s]", f.Tree, strings.Join(cols, ", "))
-}
-
-func filterKey(tree graphx.Tree, targetCols []int, sources []schema.ColumnRef) string {
-	parts := make([]string, 0, len(targetCols)+1)
-	parts = append(parts, tree.Canonical())
-	for i, tc := range targetCols {
-		parts = append(parts, fmt.Sprintf("%d:%s", tc, strings.ToLower(sources[i].String())))
-	}
-	return strings.Join(parts, "#")
 }
 
 // Set is the filter decomposition of a batch of candidate queries, with the
@@ -181,13 +190,13 @@ func (s *Set) NumFilters() int { return len(s.Filters) }
 // NumCandidates returns the number of candidates.
 func (s *Set) NumCandidates() int { return len(s.Candidates) }
 
-// Parents returns the indexes of super-filters of filter i.
+// Parents returns the indexes of super-filters of filter i, ascending.
 func (s *Set) Parents(i int) []int { return s.parents[i] }
 
-// Children returns the indexes of sub-filters of filter i.
+// Children returns the indexes of sub-filters of filter i, ascending.
 func (s *Set) Children(i int) []int { return s.children[i] }
 
-// CandidatesOf returns the candidates containing filter i.
+// CandidatesOf returns the candidates containing filter i, ascending.
 func (s *Set) CandidatesOf(i int) []int { return s.candidatesOf[i] }
 
 // Decompose builds the filter set of the candidates: every connected
@@ -198,219 +207,365 @@ func Decompose(candidates []graphx.Candidate) *Set {
 	return s
 }
 
-// DecomposeContext is Decompose under a context. The dependency relation is
-// quadratic in the number of filters — tens of seconds on wide candidate
-// sets — so cancellation is checked throughout and aborts with ctx.Err().
+// DecomposeContext is Decompose under a context; cancellation is checked
+// throughout and aborts with ctx.Err().
+//
+// A filter is identified by integers — the id of its subtree and the
+// (target column, source column id) pairs it covers — so a candidate costs
+// one map probe per subtree of its tree, and the subtrees themselves come
+// from the graph's catalogue (graphx.Tree.Subtrees). The dependency
+// relation is then read off an index instead of comparing every pair of
+// filters: see lattice.
 func DecomposeContext(ctx context.Context, candidates []graphx.Candidate) (*Set, error) {
 	s := &Set{
 		Candidates:       candidates,
 		CandidateFilters: make([][]int, len(candidates)),
 		Top:              make([]int, len(candidates)),
 	}
-	index := make(map[string]int)
-
-	// candFilterSet is a dense filter-index bitset reused across
-	// candidates; iterating it recovers each candidate's filter list in
-	// ascending order without a per-candidate map + sort.
-	candFilterSet := rowset.New(0)
+	d := decomposer{
+		trees:   make(map[string]int32),
+		sources: make(map[schema.ColumnRef]int32),
+		byText:  make(map[string]int32),
+		index:   make(map[string]int),
+		// members is a dense filter-index bitset reused across candidates;
+		// iterating it recovers each candidate's filter list in ascending
+		// order without a per-candidate map + sort.
+		members: rowset.New(0),
+	}
 	for ci, cand := range candidates {
 		if ci%64 == 0 && ctx.Err() != nil {
 			return nil, ctx.Err()
 		}
-		subtrees := enumerateSubtrees(cand.Tree)
-		// Size the bitset for the worst case: every subtree mints a new
-		// filter.
-		candFilterSet.Reset(len(s.Filters) + len(subtrees))
-		for _, sub := range subtrees {
-			var targetCols []int
-			var sources []schema.ColumnRef
-			for tc, src := range cand.Projection {
-				if sub.Contains(src.Table) {
-					targetCols = append(targetCols, tc)
-					sources = append(sources, src)
-				}
-			}
-			if len(targetCols) == 0 {
-				continue
-			}
-			key := filterKey(sub, targetCols, sources)
-			fi, ok := index[key]
-			if !ok {
-				fi = len(s.Filters)
-				index[key] = fi
-				s.Filters = append(s.Filters, &Filter{
-					Key:        key,
-					Tree:       sub,
-					TargetCols: targetCols,
-					Sources:    sources,
-				})
-			}
-			candFilterSet.Add(int32(fi))
-			if sub.Size() == cand.Tree.Size() && len(targetCols) == len(cand.Projection) {
-				s.Top[ci] = fi
-			}
-		}
-		filters := make([]int, 0, candFilterSet.Popcount())
-		candFilterSet.ForEach(func(fi int32) bool {
-			filters = append(filters, int(fi))
-			return true
-		})
-		s.CandidateFilters[ci] = filters
+		d.add(s, ci, cand)
 	}
 
-	// Candidate membership per filter.
+	// Candidate membership per filter: the transpose of CandidateFilters,
+	// carved out of one array (lists capped, as in lattice).
+	counts := make([]int, len(s.Filters))
+	total := 0
+	for _, filters := range s.CandidateFilters {
+		for _, fi := range filters {
+			counts[fi]++
+		}
+		total += len(filters)
+	}
 	s.candidatesOf = make([][]int, len(s.Filters))
+	members := make([]int, total)
+	at := 0
+	for fi, c := range counts {
+		s.candidatesOf[fi] = members[at : at : at+c]
+		at += c
+	}
 	for ci, filters := range s.CandidateFilters {
 		for _, fi := range filters {
 			s.candidatesOf[fi] = append(s.candidatesOf[fi], ci)
 		}
 	}
-
-	// Dependency relation: i ≺ j (i is a sub-filter of j) iff i's tables,
-	// edges and covered column mapping are all subsets of j's. The relation
-	// is quadratic in the number of filters, so the per-filter shape data
-	// (sorted edge keys, covered-column mapping) is precomputed once here
-	// instead of per pair inside isSubFilter.
-	shapes := make([]filterShape, len(s.Filters))
-	for i, f := range s.Filters {
-		shapes[i] = newFilterShape(f)
-	}
-	s.parents = make([][]int, len(s.Filters))
-	s.children = make([][]int, len(s.Filters))
-	for i := range s.Filters {
-		if i%16 == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		for j := range s.Filters {
-			if i == j {
-				continue
-			}
-			if shapes[i].subsetOf(&shapes[j], s.Filters[i], s.Filters[j]) {
-				s.parents[i] = append(s.parents[i], j)
-				s.children[j] = append(s.children[j], i)
-			}
-		}
+	if err := d.lattice(ctx, s); err != nil {
+		return nil, err
 	}
 	return s, nil
 }
 
-// isSubFilter reports whether a is contained in b. It is the one-shot form
-// of filterShape.subsetOf; Decompose precomputes shapes instead of calling
-// this in its quadratic loop.
-func isSubFilter(a, b *Filter) bool {
-	sa, sb := newFilterShape(a), newFilterShape(b)
-	return sa.subsetOf(&sb, a, b)
+// decomposer holds the dense ids one decomposition assigns. Ids are local
+// to the call, so candidates of different graphs, or built by hand, mix
+// freely: identity always goes through the signature text, which an
+// enumerated tree only has to read.
+type decomposer struct {
+	// trees maps a subtree signature to its id.
+	trees map[string]int32
+	// sources maps a projected column to its id, byText the same by
+	// lower-cased text (spellings differing in case share an id), and texts
+	// holds that text per id.
+	sources map[schema.ColumnRef]int32
+	byText  map[string]int32
+	texts   []string
+	// index maps a filter's identity (see identity) to its index.
+	index map[string]int
+	// filterTree and filterCols hold, per filter, its tree id and its
+	// covered (target column, source id) pairs.
+	filterTree []int32
+	filterCols [][]colSource
+	// contains lists the (sub, super) pairs of tree ids, and paired marks
+	// the trees whose subtrees have been paired up already.
+	contains [][2]int32
+	paired   []bool
+	// numCols is the widest projection seen.
+	numCols int
+
+	// tree is the decomposition of the join tree of the last candidate;
+	// consecutive candidates usually share theirs.
+	tree    treeParts
+	members *rowset.Bitmap
+	// Scratch, reused across candidates.
+	pos  []int
+	srcs []int32
+	cols []colSource
+	key  []byte
+	text []byte
 }
 
-// filterShape is the precomputed containment-check data of one filter:
-// sorted canonical edge keys and the covered target-column → lower-cased
-// source mapping.
-type filterShape struct {
-	edgeKeys []string // sorted
-	colSrc   map[int]string
+// colSource is one covered target column with the id of its source column.
+type colSource struct {
+	target int
+	source int32
 }
 
-func newFilterShape(f *Filter) filterShape {
-	sh := filterShape{colSrc: make(map[int]string, len(f.TargetCols))}
-	if len(f.Tree.Edges) > 0 {
-		sh.edgeKeys = make([]string, len(f.Tree.Edges))
-		for i, e := range f.Tree.Edges {
-			sh.edgeKeys[i] = edgeKey(e)
-		}
-		slices.Sort(sh.edgeKeys)
-	}
-	for i, tc := range f.TargetCols {
-		sh.colSrc[tc] = strings.ToLower(f.Sources[i].String())
-	}
-	return sh
+// treeParts is one candidate join tree split into its connected subtrees.
+type treeParts struct {
+	subs []graphx.Subtree
+	// ids[k] is the tree id of subs[k]; has[k*size+p] reports whether the
+	// tree's p-th table is in subs[k].
+	ids  []int32
+	has  []bool
+	size int
 }
 
-// subsetOf reports whether filter a (with shape sa) is contained in b: a's
-// tables, edges and covered column mapping are all subsets of b's.
-func (sa *filterShape) subsetOf(sb *filterShape, a, b *Filter) bool {
-	if a.Tree.Size() > b.Tree.Size() || len(a.TargetCols) > len(b.TargetCols) {
-		return false
+// split decomposes the tree of a candidate, or recognises the previous
+// candidate's tree by its (shared, catalogue-owned) subtree list.
+func (d *decomposer) split(t graphx.Tree) *treeParts {
+	subs := t.Subtrees()
+	tp := &d.tree
+	if len(subs) > 0 && len(tp.subs) > 0 && &subs[0] == &tp.subs[0] {
+		return tp
 	}
-	for _, t := range a.Tree.Tables {
-		if !b.Tree.Contains(t) {
-			return false
+	tp.subs, tp.size = subs, t.Size()
+	tp.ids = tp.ids[:0]
+	tp.has = append(tp.has[:0], make([]bool, len(subs)*tp.size)...)
+	whole := int32(-1)
+	for k, sub := range subs {
+		id, ok := d.trees[sub.Canonical()]
+		if !ok {
+			id = int32(len(d.trees))
+			d.trees[sub.Canonical()] = id
+			d.paired = append(d.paired, false)
+		}
+		tp.ids = append(tp.ids, id)
+		for _, p := range sub.Tables() {
+			tp.has[k*tp.size+int(p)] = true
+		}
+		if sub.Size() == tp.size {
+			whole = id
 		}
 	}
-	// Sorted-merge subset test over the canonical edge keys.
-	j := 0
-	for _, ek := range sa.edgeKeys {
-		for j < len(sb.edgeKeys) && sb.edgeKeys[j] < ek {
-			j++
-		}
-		if j >= len(sb.edgeKeys) || sb.edgeKeys[j] != ek {
-			return false
+	if whole < 0 || d.paired[whole] {
+		return tp
+	}
+	d.paired[whole] = true
+	// Two subtrees of one tree contain each other exactly when their table
+	// sets do: a connected table set of a tree has one set of edges.
+	for k := range subs {
+		for l := range subs {
+			if subs[k].Size() < subs[l].Size() && subset(tp.has[k*tp.size:(k+1)*tp.size], tp.has[l*tp.size:(l+1)*tp.size]) {
+				d.contains = append(d.contains, [2]int32{tp.ids[k], tp.ids[l]})
+			}
 		}
 	}
-	for tc, src := range sa.colSrc {
-		if sb.colSrc[tc] != src {
+	return tp
+}
+
+func subset(a, b []bool) bool {
+	for i, in := range a {
+		if in && !b[i] {
 			return false
 		}
 	}
 	return true
 }
 
-func edgeKey(e schema.ForeignKey) string {
-	a, b := strings.ToLower(e.From.String()), strings.ToLower(e.To.String())
-	if a > b {
-		a, b = b, a
+// source returns the id of a projected source column.
+func (d *decomposer) source(ref schema.ColumnRef) int32 {
+	if id, ok := d.sources[ref]; ok {
+		return id
 	}
-	return a + "=" + b
+	text := strings.ToLower(ref.String())
+	id, ok := d.byText[text]
+	if !ok {
+		id = int32(len(d.texts))
+		d.byText[text] = id
+		d.texts = append(d.texts, text)
+	}
+	d.sources[ref] = id
+	return id
 }
 
-// enumerateSubtrees lists every connected subtree of the candidate tree
-// (including single tables and the full tree).
-func enumerateSubtrees(t graphx.Tree) []graphx.Tree {
-	seen := make(map[string]struct{})
-	var out []graphx.Tree
-	add := func(sub graphx.Tree) {
-		key := sub.Canonical()
-		if _, dup := seen[key]; dup {
-			return
-		}
-		seen[key] = struct{}{}
-		out = append(out, sub)
+// add decomposes one candidate into the set.
+func (d *decomposer) add(s *Set, ci int, cand graphx.Candidate) {
+	tp := d.split(cand.Tree)
+	d.numCols = max(d.numCols, len(cand.Projection))
+	// Per target column: the id of its source column and the position of
+	// the source's table in the candidate's tree.
+	d.pos, d.srcs = d.pos[:0], d.srcs[:0]
+	for _, src := range cand.Projection {
+		d.srcs = append(d.srcs, d.source(src))
+		d.pos = append(d.pos, tablePosition(cand.Tree.Tables, src.Table))
 	}
-	// Start from each table and grow along the candidate's own edges.
-	var expand func(sub graphx.Tree)
-	expand = func(sub graphx.Tree) {
-		for _, table := range sub.Tables {
-			for _, e := range t.Edges {
-				var other string
-				switch {
-				case strings.EqualFold(e.From.Table, table):
-					other = e.To.Table
-				case strings.EqualFold(e.To.Table, table):
-					other = e.From.Table
-				default:
-					continue
-				}
-				if sub.Contains(other) {
-					continue
-				}
-				next := graphx.Tree{
-					Tables: append(append([]string(nil), sub.Tables...), other),
-					Edges:  append(append([]schema.ForeignKey(nil), sub.Edges...), e),
-				}
-				key := next.Canonical()
-				if _, dup := seen[key]; dup {
-					continue
-				}
-				add(next)
-				expand(next)
+	// Size the bitset for the worst case: every subtree mints a new filter.
+	d.members.Reset(len(s.Filters) + len(tp.subs))
+	for k, sub := range tp.subs {
+		d.cols = d.cols[:0]
+		for tc, p := range d.pos {
+			if p >= 0 && tp.has[k*tp.size+p] {
+				d.cols = append(d.cols, colSource{target: tc, source: d.srcs[tc]})
 			}
 		}
+		if len(d.cols) == 0 {
+			continue
+		}
+		d.key = identity(d.key[:0], tp.ids[k], d.cols)
+		fi, ok := d.index[string(d.key)]
+		if !ok {
+			fi = len(s.Filters)
+			d.index[string(d.key)] = fi
+			s.Filters = append(s.Filters, d.mint(cand, sub))
+			d.filterTree = append(d.filterTree, tp.ids[k])
+			d.filterCols = append(d.filterCols, slices.Clone(d.cols))
+		}
+		d.members.Add(int32(fi))
+		if sub.Size() == tp.size && len(d.cols) == len(cand.Projection) {
+			s.Top[ci] = fi
+		}
 	}
-	for _, table := range t.Tables {
-		sub := graphx.Tree{Tables: []string{table}}
-		add(sub)
-		expand(sub)
+	filters := make([]int, 0, d.members.Popcount())
+	d.members.ForEach(func(fi int32) bool {
+		filters = append(filters, int(fi))
+		return true
+	})
+	s.CandidateFilters[ci] = filters
+}
+
+// tablePosition returns the position of the table in tables, -1 if absent.
+// Names in the spelling the tree uses are found without case folding.
+func tablePosition(tables []string, table string) int {
+	if p := slices.Index(tables, table); p >= 0 {
+		return p
 	}
-	return out
+	return slices.IndexFunc(tables, func(t string) bool { return strings.EqualFold(t, table) })
+}
+
+// identity appends the map key of a filter: its tree id and its covered
+// (target column, source id) pairs, fixed width.
+func identity(key []byte, tree int32, cols []colSource) []byte {
+	key = binary.LittleEndian.AppendUint32(key, uint32(tree))
+	for _, c := range cols {
+		key = binary.LittleEndian.AppendUint32(key, uint32(c.target))
+		key = binary.LittleEndian.AppendUint32(key, uint32(c.source))
+	}
+	return key
+}
+
+// mint builds the filter of a subtree of cand covering d.cols. The Key text
+// is rendered here, once per distinct filter.
+func (d *decomposer) mint(cand graphx.Candidate, sub graphx.Subtree) *Filter {
+	f := &Filter{
+		Tree:       cand.Tree.Subtree(sub),
+		TargetCols: make([]int, len(d.cols)),
+		Sources:    make([]schema.ColumnRef, len(d.cols)),
+		sourceText: make([]string, len(d.cols)),
+	}
+	key := append(d.text[:0], sub.Canonical()...)
+	for i, c := range d.cols {
+		f.TargetCols[i] = c.target
+		f.Sources[i] = cand.Projection[c.target]
+		f.sourceText[i] = d.texts[c.source]
+		key = strconv.AppendInt(append(key, '#'), int64(c.target), 10)
+		key = append(append(key, ':'), f.sourceText[i]...)
+	}
+	f.Key = string(key)
+	d.text = key
+	f.sourceOnce.Do(func() {})
+	return f
+}
+
+// lattice fills in the dependency relation: i ≺ j (i is a sub-filter of j)
+// iff i's tree is contained in j's and every target column i covers, j
+// covers from the same source column.
+//
+// Rather than test every pair, it indexes the filters twice — by tree and
+// by covered (target column, source) pair — as bitsets over filter indexes.
+// The super-filters of i are then the filters whose tree contains i's
+// (the union of the tree postings over the super-trees, prepared once per
+// tree) intersected with the posting of every pair i covers. Bitset
+// iteration yields them ascending, and the children lists are the
+// transpose, filled in ascending order of the sub-filter.
+func (d *decomposer) lattice(ctx context.Context, s *Set) error {
+	n := len(s.Filters)
+	// within[t] collects the filters whose tree contains tree t.
+	within := make([]*rowset.Bitmap, len(d.trees))
+	for fi, t := range d.filterTree {
+		if within[t] == nil {
+			within[t] = rowset.New(n)
+		}
+		within[t].Add(int32(fi))
+	}
+	// Filters of the same tree are already in; add those of proper
+	// super-trees. A tree that is only ever a subtree has no bitmap of its
+	// own to contribute, but it cannot be a filter's tree either.
+	own := make([]*rowset.Bitmap, len(within))
+	for t, b := range within {
+		if b != nil {
+			own[t] = rowset.New(n)
+			own[t].Or(b)
+		}
+	}
+	for _, pair := range d.contains {
+		sub, super := pair[0], pair[1]
+		if within[sub] != nil && own[super] != nil {
+			within[sub].Or(own[super])
+		}
+	}
+	// covering[target*len(texts)+source] collects the filters covering the
+	// target column from that source.
+	covering := make([]*rowset.Bitmap, d.numCols*len(d.texts))
+	for fi, cols := range d.filterCols {
+		for _, c := range cols {
+			at := c.target*len(d.texts) + int(c.source)
+			if covering[at] == nil {
+				covering[at] = rowset.New(n)
+			}
+			covering[at].Add(int32(fi))
+		}
+	}
+
+	s.parents = make([][]int, n)
+	s.children = make([][]int, n)
+	supers := rowset.New(n)
+	var flat []int32
+	starts := make([]int, n+1)
+	childCount := make([]int, n)
+	for i := range s.Filters {
+		if i%64 == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		supers.Reset(n)
+		supers.Or(within[d.filterTree[i]])
+		for _, c := range d.filterCols[i] {
+			supers.And(covering[c.target*len(d.texts)+int(c.source)])
+		}
+		supers.Remove(int32(i))
+		flat = supers.AppendTo(flat)
+		starts[i+1] = len(flat)
+	}
+	// Both relations live in one backing array each; the lists are capped
+	// so that an append by a caller cannot run into a neighbour.
+	parents := make([]int, len(flat))
+	for k, j := range flat {
+		parents[k] = int(j)
+		childCount[j]++
+	}
+	children := make([]int, len(flat))
+	at := 0
+	for j, c := range childCount {
+		s.children[j] = children[at : at : at+c]
+		at += c
+	}
+	for i := range s.Filters {
+		s.parents[i] = parents[starts[i]:starts[i+1]:starts[i+1]]
+		for _, j := range s.parents[i] {
+			s.children[j] = append(s.children[j], i)
+		}
+	}
+	return nil
 }
 
 // ValidationResult reports one filter validation.
@@ -689,6 +844,10 @@ type Session struct {
 	Cached int
 	// Cost accumulates execution statistics of the validations run.
 	Cost exec.ExecStats
+
+	// resolved logs the candidates in the order they were confirmed or
+	// pruned.
+	resolved []int
 }
 
 // NewSession creates a fresh session over a filter set.
@@ -707,27 +866,12 @@ func (s *Session) Determined(i int) bool { return s.Outcomes[i] != Unknown }
 func (s *Session) Resolved(c int) bool { return s.Status[c] != CandidateUnresolved }
 
 // UnresolvedCandidates returns the number of candidates still unresolved.
-func (s *Session) UnresolvedCandidates() int {
-	n := 0
-	for _, st := range s.Status {
-		if st == CandidateUnresolved {
-			n++
-		}
-	}
-	return n
-}
+func (s *Session) UnresolvedCandidates() int { return len(s.Status) - len(s.resolved) }
 
-// PruningReach returns the number of currently unresolved candidates that
-// contain filter i — the immediate pruning power of a failure of i.
-func (s *Session) PruningReach(i int) int {
-	n := 0
-	for _, ci := range s.Set.CandidatesOf(i) {
-		if !s.Resolved(ci) {
-			n++
-		}
-	}
-	return n
-}
+// Resolutions lists the candidates resolved so far, in the order their
+// status changed. The scheduler reads the tail it has not seen yet to keep
+// its per-filter counters current; callers must not modify the slice.
+func (s *Session) Resolutions() []int { return s.resolved }
 
 // RecordExecution applies the result of directly validating filter i.
 func (s *Session) RecordExecution(i int, res ValidationResult) {
@@ -776,6 +920,7 @@ func (s *Session) apply(i int, o Outcome) {
 		for _, ci := range s.Set.CandidatesOf(i) {
 			if s.Status[ci] == CandidateUnresolved {
 				s.Status[ci] = CandidatePruned
+				s.resolved = append(s.resolved, ci)
 			}
 		}
 	case Passed:
@@ -790,6 +935,7 @@ func (s *Session) apply(i int, o Outcome) {
 		for _, ci := range s.Set.CandidatesOf(i) {
 			if s.Status[ci] == CandidateUnresolved && s.Set.Top[ci] == i {
 				s.Status[ci] = CandidateConfirmed
+				s.resolved = append(s.resolved, ci)
 			}
 		}
 	}

@@ -5,10 +5,13 @@ import (
 	"testing"
 
 	"prism/internal/constraint"
+	"prism/internal/dataset"
+	"prism/internal/difftest"
 	"prism/internal/graphx"
 	"prism/internal/mem"
 	"prism/internal/schema"
 	"prism/internal/value"
+	"prism/internal/workload"
 )
 
 // fixture builds the mini Mondial database, the §3 spec, and the enumerated
@@ -454,13 +457,57 @@ func TestValidateEmptySampleSpec(t *testing.T) {
 	}
 }
 
+// lowResCandidates enumerates the widest round of the low-resolution
+// recipe — metadata on every column, no sample value — over a Mondial of
+// ten thousand rows: about a thousand candidates.
+func lowResCandidates(t testing.TB) []graphx.Candidate {
+	t.Helper()
+	db, err := dataset.Mondial(dataset.MondialConfig{Seed: 1, Countries: 20, ProvincesPerCountry: 8, CitiesPerProvince: 8,
+		Lakes: 1500, Rivers: 1000, Mountains: 800})
+	if err != nil {
+		t.Fatal(err)
+	}
+	db.Analyze()
+	gen, err := workload.NewGenerator(db, 1, workload.MondialGroundTruths())
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases, err := gen.Generate(workload.LevelMetadata, 5, workload.Config{SamplesPerCase: 1, LoosenFraction: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := graphx.New(db.Schema())
+	var widest []graphx.Candidate
+	for _, tc := range cases {
+		related, ok := difftest.Related(db, tc.Spec)
+		if !ok {
+			continue
+		}
+		cands, err := graphx.Enumerate(g, related, graphx.EnumerateOptions{RequireUsefulLeaves: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cands) > len(widest) {
+			widest = cands
+		}
+	}
+	if len(widest) < 500 {
+		t.Fatalf("widest low-resolution round has %d candidates", len(widest))
+	}
+	return widest
+}
+
+// BenchmarkDecompose measures the decomposition of a low-resolution round.
 func BenchmarkDecompose(b *testing.B) {
-	fx := newFixture(b)
+	candidates := lowResCandidates(b)
 	b.ReportAllocs()
 	b.ResetTimer()
+	var set *Set
 	for i := 0; i < b.N; i++ {
-		_ = Decompose(fx.candidates)
+		set = Decompose(candidates)
 	}
+	b.ReportMetric(float64(len(candidates)), "candidates")
+	b.ReportMetric(float64(set.NumFilters()), "filters")
 }
 
 func BenchmarkValidateTopFilter(b *testing.B) {

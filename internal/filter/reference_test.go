@@ -1,0 +1,481 @@
+package filter
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"slices"
+	"sort"
+	"strconv"
+	"strings"
+	"testing"
+
+	"prism/internal/constraint"
+	"prism/internal/difftest"
+	"prism/internal/graphx"
+	"prism/internal/lang"
+	"prism/internal/mem"
+	"prism/internal/schema"
+)
+
+// This file keeps filter decomposition, the dependency relation and the
+// validation key as they were computed before filters had integer
+// identities: subtrees re-enumerated and re-canonicalised per candidate, one
+// key string per candidate × subtree, every pair of filters compared, every
+// key part re-rendered per filter × sample. They are the oracles the indexed
+// implementations must reproduce exactly — list order included, since
+// propagation and the Implied counter follow it.
+
+func referenceFilterKey(tree graphx.Tree, targetCols []int, sources []schema.ColumnRef) string {
+	parts := make([]string, 0, len(targetCols)+1)
+	parts = append(parts, tree.Canonical())
+	for i, tc := range targetCols {
+		parts = append(parts, fmt.Sprintf("%d:%s", tc, strings.ToLower(sources[i].String())))
+	}
+	return strings.Join(parts, "#")
+}
+
+// referenceSet is what the quadratic decomposition produced.
+type referenceSet struct {
+	filters          []*Filter
+	candidateFilters [][]int
+	top              []int
+	parents          [][]int
+	children         [][]int
+	candidatesOf     [][]int
+}
+
+func referenceDecompose(candidates []graphx.Candidate) *referenceSet {
+	s := &referenceSet{
+		candidateFilters: make([][]int, len(candidates)),
+		top:              make([]int, len(candidates)),
+	}
+	index := make(map[string]int)
+	for ci, cand := range candidates {
+		member := make(map[int]struct{})
+		for _, sub := range enumerateSubtrees(cand.Tree) {
+			var targetCols []int
+			var sources []schema.ColumnRef
+			for tc, src := range cand.Projection {
+				if sub.Contains(src.Table) {
+					targetCols = append(targetCols, tc)
+					sources = append(sources, src)
+				}
+			}
+			if len(targetCols) == 0 {
+				continue
+			}
+			key := referenceFilterKey(sub, targetCols, sources)
+			fi, ok := index[key]
+			if !ok {
+				fi = len(s.filters)
+				index[key] = fi
+				s.filters = append(s.filters, &Filter{Key: key, Tree: sub, TargetCols: targetCols, Sources: sources})
+			}
+			member[fi] = struct{}{}
+			if sub.Size() == cand.Tree.Size() && len(targetCols) == len(cand.Projection) {
+				s.top[ci] = fi
+			}
+		}
+		filters := make([]int, 0, len(member))
+		for fi := range member {
+			filters = append(filters, fi)
+		}
+		sort.Ints(filters)
+		s.candidateFilters[ci] = filters
+	}
+	s.candidatesOf = make([][]int, len(s.filters))
+	for ci, filters := range s.candidateFilters {
+		for _, fi := range filters {
+			s.candidatesOf[fi] = append(s.candidatesOf[fi], ci)
+		}
+	}
+	shapes := make([]filterShape, len(s.filters))
+	for i, f := range s.filters {
+		shapes[i] = newFilterShape(f)
+	}
+	s.parents = make([][]int, len(s.filters))
+	s.children = make([][]int, len(s.filters))
+	for i := range s.filters {
+		for j := range s.filters {
+			if i != j && shapes[i].subsetOf(&shapes[j], s.filters[i], s.filters[j]) {
+				s.parents[i] = append(s.parents[i], j)
+				s.children[j] = append(s.children[j], i)
+			}
+		}
+	}
+	return s
+}
+
+// isSubFilter reports whether a is contained in b.
+func isSubFilter(a, b *Filter) bool {
+	sa, sb := newFilterShape(a), newFilterShape(b)
+	return sa.subsetOf(&sb, a, b)
+}
+
+// filterShape is the containment-check data of one filter: sorted canonical
+// edge keys and the covered target-column → lower-cased source mapping.
+type filterShape struct {
+	edgeKeys []string // sorted
+	colSrc   map[int]string
+}
+
+func newFilterShape(f *Filter) filterShape {
+	sh := filterShape{colSrc: make(map[int]string, len(f.TargetCols))}
+	if len(f.Tree.Edges) > 0 {
+		sh.edgeKeys = make([]string, len(f.Tree.Edges))
+		for i, e := range f.Tree.Edges {
+			a, b := strings.ToLower(e.From.String()), strings.ToLower(e.To.String())
+			if a > b {
+				a, b = b, a
+			}
+			sh.edgeKeys[i] = a + "=" + b
+		}
+		slices.Sort(sh.edgeKeys)
+	}
+	for i, tc := range f.TargetCols {
+		sh.colSrc[tc] = strings.ToLower(f.Sources[i].String())
+	}
+	return sh
+}
+
+// subsetOf reports whether filter a (with shape sa) is contained in b: a's
+// tables, edges and covered column mapping are all subsets of b's.
+func (sa *filterShape) subsetOf(sb *filterShape, a, b *Filter) bool {
+	if a.Tree.Size() > b.Tree.Size() || len(a.TargetCols) > len(b.TargetCols) {
+		return false
+	}
+	for _, t := range a.Tree.Tables {
+		if !b.Tree.Contains(t) {
+			return false
+		}
+	}
+	j := 0
+	for _, ek := range sa.edgeKeys {
+		for j < len(sb.edgeKeys) && sb.edgeKeys[j] < ek {
+			j++
+		}
+		if j >= len(sb.edgeKeys) || sb.edgeKeys[j] != ek {
+			return false
+		}
+	}
+	for tc, src := range sa.colSrc {
+		if sb.colSrc[tc] != src {
+			return false
+		}
+	}
+	return true
+}
+
+// enumerateSubtrees lists every connected subtree of the candidate tree
+// (including single tables and the full tree).
+func enumerateSubtrees(t graphx.Tree) []graphx.Tree {
+	seen := make(map[string]struct{})
+	var out []graphx.Tree
+	add := func(sub graphx.Tree) {
+		key := sub.Canonical()
+		if _, dup := seen[key]; dup {
+			return
+		}
+		seen[key] = struct{}{}
+		out = append(out, sub)
+	}
+	var expand func(sub graphx.Tree)
+	expand = func(sub graphx.Tree) {
+		for _, table := range sub.Tables {
+			for _, e := range t.Edges {
+				var other string
+				switch {
+				case strings.EqualFold(e.From.Table, table):
+					other = e.To.Table
+				case strings.EqualFold(e.To.Table, table):
+					other = e.From.Table
+				default:
+					continue
+				}
+				if sub.Contains(other) {
+					continue
+				}
+				next := graphx.Tree{
+					Tables: append(append([]string(nil), sub.Tables...), other),
+					Edges:  append(append([]schema.ForeignKey(nil), sub.Edges...), e),
+				}
+				key := next.Canonical()
+				if _, dup := seen[key]; dup {
+					continue
+				}
+				add(next)
+				expand(next)
+			}
+		}
+	}
+	for _, table := range t.Tables {
+		sub := graphx.Tree{Tables: []string{table}}
+		add(sub)
+		expand(sub)
+	}
+	return out
+}
+
+// PruningReach returns the number of currently unresolved candidates that
+// contain filter i, by scanning them: what the scheduler's reach counters
+// must equal.
+func (s *Session) PruningReach(i int) int {
+	n := 0
+	for _, ci := range s.Set.CandidatesOf(i) {
+		if !s.Resolved(ci) {
+			n++
+		}
+	}
+	return n
+}
+
+func referenceValidationKey(f *Filter, spec *constraint.Spec, datasetVersion uint64) string {
+	samples := spec.Samples
+	sigs := make([]string, 0, len(samples)+1)
+	exists := strconv.Quote("∃")
+	if len(samples) == 0 {
+		sigs = append(sigs, exists)
+	}
+	for _, sample := range samples {
+		var parts []string
+		for i, tc := range f.TargetCols {
+			if tc >= len(sample.Cells) || sample.Cells[tc] == nil {
+				continue
+			}
+			parts = append(parts, strconv.Quote(strings.ToLower(f.Sources[i].String())+"="+sample.Cells[tc].String()))
+		}
+		if len(parts) == 0 {
+			sigs = append(sigs, exists)
+			continue
+		}
+		sort.Strings(parts)
+		sigs = append(sigs, strings.Join(parts, "&"))
+	}
+	sort.Strings(sigs)
+	sigs = slices.Compact(sigs)
+	return "v" + strconv.FormatUint(datasetVersion, 10) + "|" + f.Plan().Fingerprint() + "|" + strings.Join(sigs, ";")
+}
+
+// sameSet requires the decomposition to equal the reference in everything a
+// scheduler can observe, list orders included.
+func sameSet(t *testing.T, name string, got *Set, want *referenceSet) {
+	t.Helper()
+	if len(got.Filters) != len(want.filters) {
+		t.Errorf("%s: %d filters, reference %d", name, len(got.Filters), len(want.filters))
+		return
+	}
+	for i, g := range got.Filters {
+		w := want.filters[i]
+		if g.Key != w.Key || !slices.Equal(g.TargetCols, w.TargetCols) || !slices.Equal(g.Sources, w.Sources) ||
+			!slices.Equal(g.Tree.Tables, w.Tree.Tables) || !slices.Equal(g.Tree.Edges, w.Tree.Edges) {
+			t.Errorf("%s filter %d: %s (%q), reference %s (%q)", name, i, g, g.Key, w, w.Key)
+			return
+		}
+		if !slices.Equal(got.Parents(i), want.parents[i]) {
+			t.Errorf("%s filter %d (%s): parents %v, reference %v", name, i, g.Key, got.Parents(i), want.parents[i])
+			return
+		}
+		if !slices.Equal(got.Children(i), want.children[i]) {
+			t.Errorf("%s filter %d (%s): children %v, reference %v", name, i, g.Key, got.Children(i), want.children[i])
+			return
+		}
+		if !slices.Equal(got.CandidatesOf(i), want.candidatesOf[i]) {
+			t.Errorf("%s filter %d (%s): candidates %v, reference %v", name, i, g.Key, got.CandidatesOf(i), want.candidatesOf[i])
+			return
+		}
+	}
+	if !slices.Equal(got.Top, want.top) {
+		t.Errorf("%s: top filters %v, reference %v", name, got.Top, want.top)
+	}
+	for ci := range got.CandidateFilters {
+		if !slices.Equal(got.CandidateFilters[ci], want.candidateFilters[ci]) {
+			t.Errorf("%s candidate %d: filters %v, reference %v", name, ci, got.CandidateFilters[ci], want.candidateFilters[ci])
+			return
+		}
+	}
+}
+
+// keySpecs are the specifications every filter's key is compared under: the
+// round's own, and ones built to stress the key's framing.
+func keySpecs(t *testing.T, spec *constraint.Spec) []*constraint.Spec {
+	t.Helper()
+	n := spec.NumColumns
+	row := func(cell func(col int) lang.ValueExpr) constraint.SampleConstraint {
+		cells := make([]lang.ValueExpr, n)
+		for col := range cells {
+			cells[col] = cell(col)
+		}
+		return constraint.SampleConstraint{Cells: cells}
+	}
+	hostile := row(func(col int) lang.ValueExpr {
+		return lang.Or{Terms: []lang.ValueExpr{
+			lang.Keyword{Word: `a&b;c|d "quoted" 'single' \ = ` + strconv.Itoa(col)},
+			// Control characters, and a truncated UTF-8 sequence last.
+			lang.Keyword{Word: "tab\tnewline\n∃ \xe2\x82"},
+		}}
+	})
+	sparse := row(func(col int) lang.ValueExpr {
+		if col == 0 {
+			return lang.Keyword{Word: "ends mid-rune\xe2\x82"}
+		}
+		return nil
+	})
+	empty := row(func(int) lang.ValueExpr { return nil })
+	return []*constraint.Spec{
+		spec,
+		// No samples at all, and samples without any constrained cell: the
+		// "∃" sentinel, alone and next to real signatures, with duplicates.
+		{NumColumns: n, Metadata: spec.Metadata},
+		{NumColumns: n, Metadata: spec.Metadata, Samples: []constraint.SampleConstraint{empty, empty}},
+		{NumColumns: n, Metadata: spec.Metadata, Samples: []constraint.SampleConstraint{hostile, empty, sparse, hostile}},
+	}
+}
+
+// differentialRounds enumerates the generator pool of one database on one
+// graph, as an engine would. The widest rounds (IMDB and NBA specifications
+// of four and six loosely constrained columns) would hit the default cap of
+// 5000 candidates; 1200 keeps the quadratic reference to half a second.
+func differentialRounds(t *testing.T, db *mem.Database, perLevel int) (rounds []difftest.Round, candidates [][]graphx.Candidate) {
+	t.Helper()
+	g := graphx.New(db.Schema())
+	rounds = difftest.Rounds(t, db, perLevel)
+	for _, round := range rounds {
+		cands, err := graphx.Enumerate(g, round.Related, graphx.EnumerateOptions{MaxCandidates: 1200, RequireUsefulLeaves: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		candidates = append(candidates, cands)
+	}
+	return rounds, candidates
+}
+
+// TestDecomposeMatchesReference compares the indexed decomposition with the
+// quadratic one over the generator pools of the three bundled databases,
+// low-resolution rounds of more than a thousand candidates included.
+func TestDecomposeMatchesReference(t *testing.T) {
+	widest := 0
+	for name, db := range difftest.Databases(t) {
+		rounds, candidates := differentialRounds(t, db, 1)
+		filters := 0
+		for i, round := range rounds {
+			got := Decompose(candidates[i])
+			sameSet(t, name+" "+round.Name, got, referenceDecompose(candidates[i]))
+			filters += got.NumFilters()
+			widest = max(widest, len(candidates[i]))
+		}
+		if filters == 0 {
+			t.Errorf("%s: no filters compared", name)
+		}
+	}
+	if widest < 1000 {
+		t.Errorf("widest round has %d candidates; the low-resolution recipe should pass a thousand", widest)
+	}
+}
+
+// TestDecomposeHandBuiltCandidates decomposes candidates that carry no
+// catalogue entry — literals, one of them spelled in another case, mixed
+// with enumerated ones and out of tree order — through the fallback.
+func TestDecomposeHandBuiltCandidates(t *testing.T) {
+	fx := newFixture(t)
+	var mixed []graphx.Candidate
+	for i, c := range fx.candidates {
+		lit := graphx.Candidate{
+			Tree:       graphx.Tree{Tables: slices.Clone(c.Tree.Tables), Edges: slices.Clone(c.Tree.Edges)},
+			Projection: slices.Clone(c.Projection),
+		}
+		if i%2 == 0 {
+			for k := range lit.Projection {
+				lit.Projection[k].Column = strings.ToUpper(lit.Projection[k].Column)
+			}
+		}
+		mixed = append(mixed, lit)
+	}
+	// Interleave the enumerated originals in reverse, so equal filters meet
+	// across the two kinds and consecutive candidates rarely share a tree.
+	for i := len(fx.candidates) - 1; i >= 0; i-- {
+		mixed = append(mixed, fx.candidates[i])
+	}
+	sameSet(t, "hand-built", Decompose(mixed), referenceDecompose(mixed))
+}
+
+// TestValidationKeyMatchesReference compares every filter's key, under the
+// round's specification and the framing stress specifications, with the key
+// rendered part by part.
+func TestValidationKeyMatchesReference(t *testing.T) {
+	keys := 0
+	for name, db := range difftest.Databases(t) {
+		rounds, candidates := differentialRounds(t, db, 1)
+		for i, round := range rounds {
+			if len(candidates[i]) > 200 {
+				continue // the same key code on more filters
+			}
+			set := Decompose(candidates[i])
+			for _, spec := range keySpecs(t, round.Spec) {
+				for _, f := range set.Filters {
+					for _, version := range []uint64{0, 7} {
+						got, want := ValidationKey(f, spec, version), referenceValidationKey(f, spec, version)
+						if got != want {
+							t.Fatalf("%s %s %s: key %q, reference %q", name, round.Name, f.Key, got, want)
+						}
+						keys++
+					}
+				}
+			}
+		}
+	}
+	if keys == 0 {
+		t.Fatal("no keys compared")
+	}
+	// Hand-built filters render their own source names; two target columns
+	// sharing one source column keep both parts.
+	fx := newFixture(t)
+	shared := &Filter{
+		Tree:       graphx.Tree{Tables: []string{"Lake"}},
+		TargetCols: []int{0, 1},
+		Sources:    []schema.ColumnRef{{Table: "Lake", Column: "Name"}, {Table: "LAKE", Column: "name"}},
+	}
+	spec, err := constraint.ParseGrid(3, [][]string{{"Lake Tahoe", "Crater Lake || Lake Tahoe", ""}, {"", "", "[1, 2]"}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, sp := range []*constraint.Spec{spec, fx.spec} {
+		if got, want := ValidationKey(shared, sp, 1), referenceValidationKey(shared, sp, 1); got != want {
+			t.Errorf("shared source column: key %q, reference %q", got, want)
+		}
+	}
+}
+
+// TestDecomposeContextCancelled requires a dead context to abort the
+// decomposition with its error, before and during the dependency relation.
+func TestDecomposeContextCancelled(t *testing.T) {
+	fx := newFixture(t)
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if set, err := DecomposeContext(ctx, fx.candidates); !errors.Is(err, context.Canceled) || set != nil {
+		t.Errorf("cancelled before the first candidate: set %v, err %v", set, err)
+	}
+	// Dead by the time the relation is built: the candidate loop polls the
+	// context every 64 candidates, so a short list reaches the relation.
+	polls := 0
+	late := pollCountingContext{Context: context.Background(), dieAfter: 1, polls: &polls}
+	if set, err := DecomposeContext(late, fx.candidates); !errors.Is(err, context.Canceled) || set != nil {
+		t.Errorf("cancelled before the dependency relation: set %v, err %v (polled %d times)", set, err, polls)
+	}
+}
+
+// pollCountingContext reports itself cancelled from the (dieAfter+1)-th call
+// to Err on.
+type pollCountingContext struct {
+	context.Context
+	dieAfter int
+	polls    *int
+}
+
+func (c pollCountingContext) Err() error {
+	*c.polls++
+	if *c.polls > c.dieAfter {
+		return context.Canceled
+	}
+	return nil
+}

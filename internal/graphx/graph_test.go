@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"prism/internal/constraint"
+	"prism/internal/difftest"
 	"prism/internal/schema"
 	"prism/internal/value"
 )
@@ -318,17 +320,77 @@ func BenchmarkConnectedTrees(b *testing.B) {
 	}
 }
 
+// paperRound returns the demo Mondial graph and the related columns of the
+// paper's three-column walkthrough specification.
+func paperRound(t testing.TB) (*Graph, [][]schema.ColumnRef) {
+	t.Helper()
+	db := difftest.Databases(t)["mondial"]
+	spec, err := constraint.ParseGrid(3,
+		[][]string{{"California || Nevada", "Lake Tahoe", ""}},
+		[]string{"", "", "DataType=='decimal' AND MinValue>='0'"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	related, ok := difftest.Related(db, spec)
+	if !ok {
+		t.Fatal("the walkthrough specification has an unrelated column")
+	}
+	return New(db.Schema()), related
+}
+
+// BenchmarkEnumerate measures a round's enumeration on a graph earlier
+// rounds have used: demo Mondial, the paper's three-column specification.
 func BenchmarkEnumerate(b *testing.B) {
-	g := New(mondialMiniSchema(b))
-	related := [][]schema.ColumnRef{
-		{ref("geo_lake", "Province"), ref("Province", "Name")},
-		{ref("Lake", "Name"), ref("geo_lake", "Lake")},
-		{ref("Lake", "Area")},
+	g, related := paperRound(b)
+	opts := EnumerateOptions{RequireUsefulLeaves: true}
+	cands, err := Enumerate(g, related, opts)
+	if err != nil {
+		b.Fatal(err)
 	}
 	b.ReportAllocs()
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(g, related, EnumerateOptions{MaxTables: 4}); err != nil {
+		if _, err := Enumerate(g, related, opts); err != nil {
 			b.Fatal(err)
 		}
+	}
+	b.ReportMetric(float64(len(cands)), "candidates")
+}
+
+// TestWarmEnumerateAllocatesPerCandidate bounds what a round on a warm
+// catalogue allocates: two objects per candidate (its projection and its
+// signature) and a fixed number of work lists — nothing per join tree, and
+// no tree or signature text.
+func TestWarmEnumerateAllocatesPerCandidate(t *testing.T) {
+	g, related := paperRound(t)
+	opts := EnumerateOptions{RequireUsefulLeaves: true}
+	cands, err := Enumerate(g, related, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trees := make(map[string]struct{})
+	for _, c := range cands {
+		trees[c.Tree.Canonical()] = struct{}{}
+	}
+	if len(trees) < 5 {
+		t.Fatalf("only %d join trees: the bound below would not notice a per-tree allocation", len(trees))
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := Enumerate(g, related, opts); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// The slack covers the work lists and the growth of the result slice.
+	if limit := float64(2*len(cands) + 40); allocs > limit {
+		t.Errorf("warm Enumerate of %d candidates over %d trees allocated %v times, want at most %v", len(cands), len(trees), allocs, limit)
+	}
+	// Signatures of enumerated values are reads, not renderings.
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, c := range cands {
+			_ = c.Canonical()
+			_ = c.Tree.Canonical()
+		}
+	}); allocs != 0 {
+		t.Errorf("Canonical on enumerated candidates allocated %v times, want 0", allocs)
 	}
 }

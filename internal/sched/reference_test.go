@@ -1,0 +1,346 @@
+package sched
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"prism/internal/bayes"
+	"prism/internal/colexec"
+	"prism/internal/constraint"
+	"prism/internal/difftest"
+	"prism/internal/exec"
+	"prism/internal/filter"
+	"prism/internal/graphx"
+	"prism/internal/mem"
+	"prism/internal/rowset"
+)
+
+// This file keeps filter selection as it was before the scheduler kept
+// counters: every pick rescanning the candidates of every filter for its
+// reach and its top-of-an-unresolved-candidate flag, and calling the cost
+// model (a row count per table per call) whenever a tie got that far. It is
+// the oracle the array-backed pick must agree with, pick for pick.
+
+// referenceEntry is the priority of one filter at selection time.
+type referenceEntry struct {
+	idx   int
+	score float64
+	isTop bool
+	reach int
+	cost  float64
+}
+
+func pruningReach(sess *filter.Session, i int) int {
+	n := 0
+	for _, ci := range sess.Set.CandidatesOf(i) {
+		if !sess.Resolved(ci) {
+			n++
+		}
+	}
+	return n
+}
+
+func referencePick(set *filter.Set, sess *filter.Session, failProb []float64, isTop []bool, costModel func(*filter.Filter) float64, inFlight *rowset.Bitmap) (int, bool) {
+	best := referenceEntry{idx: -1}
+	for i := range set.Filters {
+		if sess.Determined(i) || inFlight.Contains(int32(i)) {
+			continue
+		}
+		reach := pruningReach(sess, i)
+		if reach == 0 {
+			continue
+		}
+		topOfUnresolved := false
+		if isTop[i] {
+			for _, ci := range set.CandidatesOf(i) {
+				if set.Top[ci] == i && !sess.Resolved(ci) {
+					topOfUnresolved = true
+					break
+				}
+			}
+		}
+		topResolve := 0.0
+		if topOfUnresolved {
+			topResolve = 1
+		}
+		e := referenceEntry{
+			idx:   i,
+			score: failProb[i]*float64(reach) + (1-failProb[i])*topResolve,
+			isTop: topOfUnresolved,
+			reach: reach,
+		}
+		if best.idx < 0 || e.better(&best, set, costModel) {
+			best = e
+		}
+	}
+	if best.idx < 0 {
+		return 0, false
+	}
+	return best.idx, true
+}
+
+func (e *referenceEntry) better(best *referenceEntry, set *filter.Set, costModel func(*filter.Filter) float64) bool {
+	if e.score != best.score {
+		return e.score > best.score
+	}
+	if e.isTop != best.isTop {
+		return e.isTop
+	}
+	if e.reach != best.reach {
+		return e.reach > best.reach
+	}
+	if e.cost == 0 {
+		e.cost = clampCost(costModel(set.Filters[e.idx]))
+	}
+	if best.cost == 0 {
+		best.cost = clampCost(costModel(set.Filters[best.idx]))
+	}
+	if e.cost != best.cost {
+		return e.cost < best.cost
+	}
+	return e.idx < best.idx
+}
+
+// referenceRun is the sequential greedy loop over referencePick.
+type referenceRun struct {
+	picks       []int
+	validations int
+	implied     int
+	confirmed   []int
+	pruned      []int
+}
+
+func runReference(t *testing.T, db exec.Executor, spec *constraint.Spec, set *filter.Set, est Estimator) referenceRun {
+	t.Helper()
+	sess := filter.NewSession(set)
+	validator := &filter.Validator{DB: db, Spec: spec}
+	isTop := make([]bool, set.NumFilters())
+	for _, ti := range set.Top {
+		isTop[ti] = true
+	}
+	failProb := make([]float64, set.NumFilters())
+	for i, f := range set.Filters {
+		failProb[i] = clamp01(est.FailureProbability(f))
+	}
+	costModel := func(f *filter.Filter) float64 {
+		cost := 0.0
+		for _, t := range f.Tree.Tables {
+			cost += float64(db.NumRows(t))
+		}
+		if cost <= 0 {
+			cost = 1
+		}
+		return cost
+	}
+	inFlight := rowset.New(set.NumFilters())
+	var run referenceRun
+	for sess.UnresolvedCandidates() > 0 {
+		next, ok := referencePick(set, sess, failProb, isTop, costModel, inFlight)
+		if !ok {
+			break
+		}
+		vr, err := validator.Validate(set.Filters[next])
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess.RecordExecution(next, vr)
+		run.picks = append(run.picks, next)
+	}
+	run.validations, run.implied = sess.Executed, sess.Implied
+	run.confirmed, run.pruned = sess.Confirmed(), sess.Pruned()
+	return run
+}
+
+// probeLog is an executor that notes the plan of every probe, so two runs
+// can be compared by the sequence of validations they issued.
+type probeLog struct {
+	exec.Executor
+	plans []string
+}
+
+func (p *probeLog) Exists(plan exec.Plan, opts exec.ExecOptions) (bool, exec.ExecStats, error) {
+	sig := plan.Fingerprint()
+	for _, cp := range opts.ColumnPredicates {
+		sig += "|" + cp.Ref.String()
+	}
+	p.plans = append(p.plans, sig)
+	return p.Executor.Exists(plan, opts)
+}
+
+// referenceRounds decomposes the generator pool of a database. Rounds are
+// capped at 500 candidates: the reference pick is quadratic in them.
+func referenceRounds(t *testing.T, db *mem.Database) []generatedRound {
+	t.Helper()
+	g := graphx.New(db.Schema())
+	var out []generatedRound
+	for _, round := range difftest.Rounds(t, db, 2) {
+		cands, err := graphx.Enumerate(g, round.Related, graphx.EnumerateOptions{MaxCandidates: 500, RequireUsefulLeaves: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, generatedRound{name: round.Name, spec: round.Spec, set: filter.Decompose(cands)})
+	}
+	return out
+}
+
+func policies(model *bayes.Model, spec *constraint.Spec) map[string]func() Estimator {
+	return map[string]func() Estimator{
+		"bayes":      func() Estimator { return &BayesEstimator{Model: model, Spec: spec} },
+		"pathlength": func() Estimator { return &PathLengthEstimator{} },
+		"random":     func() Estimator { return &RandomEstimator{Seed: 7} },
+	}
+}
+
+// TestPickMatchesReference drives the ranking and the reference pick in
+// lock-step over the generator pools of the three bundled databases, under
+// each policy: the same filter at every step, and counters that equal a
+// fresh scan. It then requires a whole RunContext at parallelism 1 to issue
+// the reference's probes in the reference's order and to end with its
+// counters and candidate sets.
+func TestPickMatchesReference(t *testing.T) {
+	picks := 0
+	for name, mdb := range difftest.Databases(t) {
+		model := bayes.Train(mdb)
+		// The columnar backend answers the same probes several times faster
+		// than the row store; every run below validates the whole round.
+		db, err := colexec.New(mdb)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, round := range referenceRounds(t, mdb) {
+			for policy, newEstimator := range policies(model, round.spec) {
+				label := fmt.Sprintf("%s %s %s", name, round.name, policy)
+				refLog := &probeLog{Executor: db}
+				want := runReference(t, refLog, round.spec, round.set, newEstimator())
+				picks += len(want.picks)
+
+				// Lock-step: the ranking against the reference's pick sequence.
+				sess := filter.NewSession(round.set)
+				rank := newRanking(round.set, sess)
+				rank.estimate(newEstimator(), tableSizeCost(db))
+				validator := &filter.Validator{DB: db, Spec: round.spec}
+				inFlight := rowset.New(round.set.NumFilters())
+				for step, wantIdx := range want.picks {
+					got, ok := rank.pick(inFlight)
+					if !ok || got != wantIdx {
+						t.Fatalf("%s step %d: picked %d (ok=%v), reference %d", label, step, got, ok, wantIdx)
+					}
+					vr, err := validator.Validate(round.set.Filters[got])
+					if err != nil {
+						t.Fatal(err)
+					}
+					sess.RecordExecution(got, vr)
+					rank.sync()
+					if step%8 != 0 && step != len(want.picks)-1 {
+						continue // the scan is the expensive part
+					}
+					for i := range round.set.Filters {
+						if int(rank.reach[i]) != pruningReach(sess, i) {
+							t.Fatalf("%s step %d: reach[%d] = %d, scan says %d", label, step, i, rank.reach[i], pruningReach(sess, i))
+						}
+					}
+				}
+				if sess.UnresolvedCandidates() > 0 {
+					if got, ok := rank.pick(inFlight); ok {
+						t.Errorf("%s: picked %d after the reference stopped", label, got)
+					}
+				}
+
+				// The whole run.
+				runLog := &probeLog{Executor: db}
+				res, err := (&Runner{DB: runLog, Spec: round.spec, Set: round.set, Estimator: newEstimator(), Options: Options{Parallelism: 1}}).Run()
+				if err != nil {
+					t.Fatalf("%s: %v", label, err)
+				}
+				if !slices.Equal(runLog.plans, refLog.plans) {
+					t.Errorf("%s: run probed %d plans in another order than the reference's %d", label, len(runLog.plans), len(refLog.plans))
+				}
+				if res.Validations != want.validations || res.Implied != want.implied ||
+					!slices.Equal(res.Confirmed, want.confirmed) || !slices.Equal(res.Pruned, want.pruned) {
+					t.Errorf("%s: run ended with %d validations, %d implied, confirmed %v, pruned %v; reference %d, %d, %v, %v",
+						label, res.Validations, res.Implied, res.Confirmed, res.Pruned,
+						want.validations, want.implied, want.confirmed, want.pruned)
+				}
+			}
+		}
+	}
+	if picks == 0 {
+		t.Fatal("no picks compared")
+	}
+}
+
+// TestCostModelCalledOncePerFilter pins the contract of Options.CostModel:
+// a caller's model is honoured and asked at most once per filter per run.
+func TestCostModelCalledOncePerFilter(t *testing.T) {
+	fx := newFixture(t)
+	calls := make(map[*filter.Filter]int)
+	r := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: &PathLengthEstimator{}, Options: Options{
+		CostModel: func(f *filter.Filter) float64 {
+			calls[f]++
+			return float64(len(f.Key))
+		},
+	}}
+	if _, err := r.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if len(calls) == 0 {
+		t.Fatal("the cost model was never asked")
+	}
+	for f, n := range calls {
+		if n != 1 {
+			t.Errorf("cost model asked %d times about %s", n, f.Key)
+		}
+	}
+}
+
+// widestRound returns the round of the Mondial pool with the most filters.
+func widestRound(t testing.TB) (*mem.Database, generatedRound) {
+	t.Helper()
+	db := smallMondial(t)
+	g := graphx.New(db.Schema())
+	var widest generatedRound
+	for _, round := range difftest.Rounds(t, db, 1) {
+		cands, err := graphx.Enumerate(g, round.Related, graphx.EnumerateOptions{RequireUsefulLeaves: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if widest.set == nil || len(cands) > widest.set.NumCandidates() {
+			widest = generatedRound{name: round.Name, spec: round.Spec, set: filter.Decompose(cands)}
+		}
+	}
+	return db, widest
+}
+
+// TestPickDoesNotAllocate bounds the cost of a pick: array reads only.
+func TestPickDoesNotAllocate(t *testing.T) {
+	db, round := widestRound(t)
+	sess := filter.NewSession(round.set)
+	rank := newRanking(round.set, sess)
+	rank.estimate(&PathLengthEstimator{}, tableSizeCost(db))
+	inFlight := rowset.New(round.set.NumFilters())
+	if allocs := testing.AllocsPerRun(50, func() {
+		if _, ok := rank.pick(inFlight); !ok {
+			t.Fatal("nothing to pick")
+		}
+	}); allocs != 0 {
+		t.Errorf("a pick allocated %v times, want 0", allocs)
+	}
+}
+
+var sinkPick int
+
+// BenchmarkPick measures one selection over the widest round of the Mondial
+// pool (a few hundred candidates), nothing resolved yet.
+func BenchmarkPick(b *testing.B) {
+	db, round := widestRound(b)
+	sess := filter.NewSession(round.set)
+	rank := newRanking(round.set, sess)
+	rank.estimate(&PathLengthEstimator{}, tableSizeCost(db))
+	inFlight := rowset.New(round.set.NumFilters())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sinkPick, _ = rank.pick(inFlight)
+	}
+}

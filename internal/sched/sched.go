@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"prism/internal/bayes"
@@ -283,8 +284,9 @@ type Options struct {
 	// injected for testability.
 	Now func() time.Time
 	// CostModel estimates the execution cost of a filter; the default is
-	// the sum of its base-table sizes. Scores divide by cost, so cheaper
-	// filters are preferred at equal pruning power.
+	// the sum of its base-table sizes. Cost arbitrates between filters of
+	// equal pruning power, cheaper first. It is evaluated at most once per
+	// filter per run.
 	CostModel func(f *filter.Filter) float64
 	// MaxValidations bounds the number of validations (0 = unlimited); a
 	// safety valve for experiments. Exact at Parallelism 1; with P workers
@@ -391,23 +393,14 @@ type Result struct {
 type Runner struct {
 	// DB is the execution backend validations run against: any
 	// exec.Executor. The scheduling decisions themselves only consult the
-	// backend's catalog (NumRows, for the default cost model), so the
-	// validation order — and therefore the validation count, the paper's
-	// §2.4 metric — is identical across backends.
+	// backend's catalog (NumRows, once per table per run, for the default
+	// cost model), so the validation order — and therefore the validation
+	// count, the paper's §2.4 metric — is identical across backends.
 	DB        exec.Executor
 	Spec      *constraint.Spec
 	Set       *filter.Set
 	Estimator Estimator
 	Options   Options
-}
-
-// scoreEntry is the priority of one filter at selection time.
-type scoreEntry struct {
-	idx   int
-	score float64
-	isTop bool
-	reach int
-	cost  float64
 }
 
 // Run executes validations until every candidate is confirmed or pruned,
@@ -430,16 +423,7 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 		opts.Now = time.Now
 	}
 	if opts.CostModel == nil {
-		opts.CostModel = func(f *filter.Filter) float64 {
-			cost := 0.0
-			for _, t := range f.Tree.Tables {
-				cost += float64(r.DB.NumRows(t))
-			}
-			if cost <= 0 {
-				cost = 1
-			}
-			return cost
-		}
+		opts.CostModel = tableSizeCost(r.DB)
 	}
 	parallelism := opts.Parallelism
 	if parallelism <= 0 {
@@ -463,12 +447,6 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	res := Result{Policy: r.Estimator.Name()}
 	start := opts.Now()
 
-	// Top-filter membership: filters that are the top of some candidate.
-	isTop := make([]bool, r.Set.NumFilters())
-	for _, ti := range r.Set.Top {
-		isTop[ti] = true
-	}
-
 	// Batch grouping: the group key is the memoised per-filter plan
 	// fingerprint, and membership is computed once per run — never re-sorted
 	// or re-fingerprinted per probe (a fingerprint-computation counter test
@@ -484,21 +462,15 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 		}
 	}
 
+	rank := newRanking(r.Set, sess)
 	snapshot := func() Snapshot {
 		s := Snapshot{
 			Validations: sess.Executed,
 			Implied:     sess.Implied,
+			Confirmed:   rank.confirmed,
+			Pruned:      rank.pruned,
+			Unresolved:  sess.UnresolvedCandidates(),
 			Elapsed:     opts.Now().Sub(start),
-		}
-		for _, st := range sess.Status {
-			switch st {
-			case filter.CandidateConfirmed:
-				s.Confirmed++
-			case filter.CandidatePruned:
-				s.Pruned++
-			default:
-				s.Unresolved++
-			}
 		}
 		if opts.TimeLimit > 0 {
 			if rem := opts.TimeLimit - s.Elapsed; rem > 0 {
@@ -507,26 +479,19 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 		}
 		return s
 	}
-	// notified tracks which candidate resolutions were already delivered.
-	var notified []bool
-	if opts.OnResolved != nil {
-		notified = make([]bool, r.Set.NumCandidates())
-	}
-	// notifyOutcome delivers the callbacks after any applied outcome —
-	// executed, or served from the session cache.
+	// notifyOutcome brings the ranking up to date and delivers the
+	// callbacks after any applied outcome — executed, or served from the
+	// session cache. Candidates one outcome resolved together are reported
+	// in index order.
+	var fresh []int
 	notifyOutcome := func() {
-		if opts.OnResolved != nil {
-			var snap *Snapshot
-			for ci := range notified {
-				if notified[ci] || !sess.Resolved(ci) {
-					continue
-				}
-				notified[ci] = true
-				if snap == nil {
-					s := snapshot()
-					snap = &s
-				}
-				opts.OnResolved(ci, sess.Status[ci] == filter.CandidateConfirmed, *snap)
+		resolved := rank.sync()
+		if opts.OnResolved != nil && len(resolved) > 0 {
+			fresh = append(fresh[:0], resolved...)
+			slices.Sort(fresh)
+			snap := snapshot()
+			for _, ci := range fresh {
+				opts.OnResolved(ci, sess.Status[ci] == filter.CandidateConfirmed, snap)
 			}
 		}
 		if opts.OnProgress != nil {
@@ -566,19 +531,8 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	// untraced rounds carry a nil parent and every span call is a no-op.
 	traceParent := obs.SpanFromContext(ctx)
 
-	// Failure probabilities are static per filter; compute once, and only
-	// for the filters pick can still reach: one the session cache already
-	// determined, or whose candidates it all resolved, is never ranked.
-	failProb := make([]float64, r.Set.NumFilters())
 	spEstimate := traceParent.Child("estimate")
-	estimates := 0
-	for i, f := range r.Set.Filters {
-		if sess.Determined(i) || sess.PruningReach(i) == 0 {
-			continue
-		}
-		failProb[i] = clamp01(r.Estimator.FailureProbability(f))
-		estimates++
-	}
+	estimates := rank.estimate(r.Estimator, opts.CostModel)
 	spEstimate.SetAttr("calls", estimates)
 	spEstimate.End()
 
@@ -746,7 +700,7 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 		}
 		if !stopping {
 			for inFlightCount < parallelism {
-				next, ok := r.pick(sess, failProb, isTop, opts.CostModel, inFlight)
+				next, ok := rank.pick(inFlight)
 				if !ok {
 					break
 				}
@@ -758,7 +712,7 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 					// and implied outcomes, so the batch never re-executes
 					// what the session already knows.
 					for _, j := range groups[r.Set.Filters[next].PlanFingerprint()] {
-						if j == next || sess.Determined(j) || inFlight.Contains(int32(j)) || sess.PruningReach(j) == 0 {
+						if j == next || sess.Determined(j) || inFlight.Contains(int32(j)) || rank.reach[j] == 0 {
 							continue
 						}
 						batch = append(batch, j)
@@ -818,6 +772,92 @@ finish:
 	return res, runErr
 }
 
+// ranking is what pick reads: per filter, the two terms of its score that
+// are fixed for the run and the two counts that fall as candidates resolve.
+// The counts are kept current from the session's resolution log (sync), so
+// a pick is one pass over flat arrays.
+type ranking struct {
+	set  *filter.Set
+	sess *filter.Session
+	// failProb is the clamped failure estimate, cost the clamped cost-model
+	// value; both are zero for a filter the run never ranks.
+	failProb []float64
+	cost     []float64
+	// reach[i] counts the unresolved candidates containing filter i — all
+	// pruned if it fails — and tops[i] those of them whose top filter is i,
+	// confirmed if it passes.
+	reach []int32
+	tops  []int32
+	// live lists, ascending, the filters a pick may still choose. A filter
+	// leaves when it is determined or its reach falls to zero, and neither
+	// is ever undone, so pick drops the dead ones as it passes them.
+	live []int32
+	// seen is how much of the resolution log the counts reflect;
+	// confirmed and pruned count the candidates in that part.
+	seen              int
+	confirmed, pruned int
+}
+
+func newRanking(set *filter.Set, sess *filter.Session) *ranking {
+	n := set.NumFilters()
+	k := &ranking{
+		set: set, sess: sess,
+		failProb: make([]float64, n), cost: make([]float64, n),
+		reach: make([]int32, n), tops: make([]int32, n), live: make([]int32, n),
+	}
+	for i := range k.live {
+		k.live[i] = int32(i)
+	}
+	for ci, filters := range set.CandidateFilters {
+		for _, fi := range filters {
+			k.reach[fi]++
+			if fi == set.Top[ci] {
+				k.tops[fi]++
+			}
+		}
+	}
+	k.sync()
+	return k
+}
+
+// estimate fills in the static terms — failure probability and cost, both
+// fixed per filter — and returns how many filters it estimated: only those
+// pick can still reach. A filter the session cache already determined, or
+// whose candidates it all resolved, is never ranked.
+func (k *ranking) estimate(est Estimator, costModel func(*filter.Filter) float64) int {
+	estimates := 0
+	for i, f := range k.set.Filters {
+		if k.reach[i] == 0 || k.sess.Determined(i) {
+			continue
+		}
+		k.failProb[i] = clamp01(est.FailureProbability(f))
+		k.cost[i] = clampCost(costModel(f))
+		estimates++
+	}
+	return estimates
+}
+
+// sync folds the candidates resolved since the last call into the counts
+// and returns them, in resolution order.
+func (k *ranking) sync() []int {
+	resolved := k.sess.Resolutions()[k.seen:]
+	for _, ci := range resolved {
+		for _, fi := range k.set.CandidateFilters[ci] {
+			k.reach[fi]--
+			if fi == k.set.Top[ci] {
+				k.tops[fi]--
+			}
+		}
+		if k.sess.Status[ci] == filter.CandidateConfirmed {
+			k.confirmed++
+		} else {
+			k.pruned++
+		}
+	}
+	k.seen += len(resolved)
+	return resolved
+}
+
 // pick selects the next filter to validate: the undetermined filter with
 // the highest expected number of candidates resolved by one validation,
 //
@@ -831,77 +871,67 @@ finish:
 // the cost model only arbitrates ties, keeping validation time low at equal
 // pruning power. Filters already being validated (inFlight) are skipped.
 //
-// Only the maximum is needed, so the selection is a single allocation-free
-// argmax pass (this runs once per launched validation; the sort it
-// replaces was a visible slice of the validation-phase profile).
-func (r *Runner) pick(sess *filter.Session, failProb []float64, isTop []bool, costModel func(*filter.Filter) float64, inFlight *rowset.Bitmap) (int, bool) {
-	best := scoreEntry{idx: -1}
-	for i := range r.Set.Filters {
-		if sess.Determined(i) {
+// Only the maximum is needed and every term is an array read, so the
+// selection is a single allocation-free argmax pass (this runs once per
+// launched validation).
+func (k *ranking) pick(inFlight *rowset.Bitmap) (int, bool) {
+	best := -1
+	var bestScore float64
+	live, outcomes := k.live[:0], k.sess.Outcomes
+	for _, fi := range k.live {
+		i, reach := int(fi), k.reach[fi]
+		if reach == 0 || outcomes[i] != filter.Unknown {
 			continue
 		}
-		if inFlight.Contains(int32(i)) {
+		live = append(live, fi)
+		if inFlight.Contains(fi) {
 			continue
-		}
-		reach := sess.PruningReach(i)
-		if reach == 0 {
-			continue
-		}
-		topOfUnresolved := false
-		if isTop[i] {
-			for _, ci := range r.Set.CandidatesOf(i) {
-				if r.Set.Top[ci] == i && !sess.Resolved(ci) {
-					topOfUnresolved = true
-					break
-				}
-			}
 		}
 		topResolve := 0.0
-		if topOfUnresolved {
+		if k.tops[i] > 0 {
 			topResolve = 1
 		}
-		e := scoreEntry{
-			idx:   i,
-			score: failProb[i]*float64(reach) + (1-failProb[i])*topResolve,
-			isTop: topOfUnresolved,
-			reach: reach,
-		}
-		// Defer the cost model (a callback per filter) until a tie
-		// actually needs it; equal-score ties are common, equal
-		// score+top+reach ties rare.
-		if best.idx < 0 || e.better(&best, r, costModel) {
-			best = e
+		score := k.failProb[i]*float64(reach) + (1-k.failProb[i])*topResolve
+		if best < 0 || k.better(i, score, best, bestScore) {
+			best, bestScore = i, score
 		}
 	}
-	if best.idx < 0 {
-		return 0, false
-	}
-	return best.idx, true
+	k.live = live
+	return best, best >= 0
 }
 
-// better reports whether e precedes best in the pick order. The cost
-// tiebreak is evaluated lazily: costs are computed (and memoised on the
-// entries) only when score, top-membership and reach are all equal.
-func (e *scoreEntry) better(best *scoreEntry, r *Runner, costModel func(*filter.Filter) float64) bool {
-	if e.score != best.score {
-		return e.score > best.score
+// better reports whether filter i (with its score) precedes best in the
+// pick order. pick scans in index order, so an all-equal tie keeps best.
+func (k *ranking) better(i int, score float64, best int, bestScore float64) bool {
+	if score != bestScore {
+		return score > bestScore
 	}
-	if e.isTop != best.isTop {
-		return e.isTop
+	if top, bestTop := k.tops[i] > 0, k.tops[best] > 0; top != bestTop {
+		return top
 	}
-	if e.reach != best.reach {
-		return e.reach > best.reach
+	if k.reach[i] != k.reach[best] {
+		return k.reach[i] > k.reach[best]
 	}
-	if e.cost == 0 {
-		e.cost = clampCost(costModel(r.Set.Filters[e.idx]))
+	return k.cost[i] < k.cost[best]
+}
+
+// tableSizeCost returns the default cost model of one run: the sum of the
+// filter's base-table sizes, each table's row count asked of the backend
+// once.
+func tableSizeCost(db exec.Executor) func(*filter.Filter) float64 {
+	rows := make(map[string]float64)
+	return func(f *filter.Filter) float64 {
+		cost := 0.0
+		for _, t := range f.Tree.Tables {
+			n, ok := rows[t]
+			if !ok {
+				n = float64(db.NumRows(t))
+				rows[t] = n
+			}
+			cost += n
+		}
+		return cost
 	}
-	if best.cost == 0 {
-		best.cost = clampCost(costModel(r.Set.Filters[best.idx]))
-	}
-	if e.cost != best.cost {
-		return e.cost < best.cost
-	}
-	return e.idx < best.idx
 }
 
 func clampCost(c float64) float64 {
