@@ -8,7 +8,6 @@ package constraint
 import (
 	"fmt"
 	"strings"
-	"sync"
 
 	"prism/internal/lang"
 	"prism/internal/schema"
@@ -115,9 +114,7 @@ func (s SampleConstraint) String() string {
 }
 
 // Spec is the full multiresolution constraint set Q for one schema mapping
-// task. A specification is immutable once it has been handed to a discovery
-// round (refinement derives a new one, see Delta.Apply): rounds share it
-// between goroutines and remember what they rendered from it.
+// task.
 type Spec struct {
 	// NumColumns is the number of columns of the target schema.
 	NumColumns int
@@ -126,30 +123,6 @@ type Spec struct {
 	// Metadata holds one optional metadata constraint per target column
 	// (nil = unconstrained).
 	Metadata []lang.MetaExpr
-
-	cellOnce  sync.Once
-	cellTexts [][]string
-}
-
-// CellTexts returns the canonical text (ValueExpr.String) of every sample
-// cell, indexed by sample row and target column; an unconstrained cell is
-// the empty string. The grid is rendered on first use and shared: a session
-// round reads each text once per filter covering the cell. Callers must not
-// modify it.
-func (sp *Spec) CellTexts() [][]string {
-	sp.cellOnce.Do(func() {
-		sp.cellTexts = make([][]string, len(sp.Samples))
-		for si, sample := range sp.Samples {
-			row := make([]string, len(sample.Cells))
-			for ci, cell := range sample.Cells {
-				if cell != nil {
-					row[ci] = cell.String()
-				}
-			}
-			sp.cellTexts[si] = row
-		}
-	})
-	return sp.cellTexts
 }
 
 // NewSpec validates and assembles a specification.

@@ -525,7 +525,7 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 	// Sessions also reuse the filter decomposition across rounds: the Set
 	// depends only on the candidate list (which refinement deltas usually
 	// leave unchanged) and is read-only during scheduling, and its filters
-	// carry what rounds memoise on them (plan, fingerprint, key parts).
+	// carry what rounds memoise on them (plan and plan fingerprint).
 	spDecompose := trace.Child("decompose")
 	var set *filter.Set
 	if sess != nil {

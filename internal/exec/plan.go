@@ -1,13 +1,11 @@
 package exec
 
 import (
-	"bytes"
-	"encoding/hex"
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"sort"
 	"strings"
-	"unicode/utf8"
 
 	"prism/internal/schema"
 	"prism/internal/value"
@@ -68,107 +66,46 @@ func (p Plan) String() string {
 // can still differ between plans with equal canonical forms (both bundled
 // executors derive it from edge declaration order), so order-sensitive
 // callers must not treat Canonical as a full identity.
-func (p Plan) Canonical() string { return string(p.appendCanonical(nil)) }
+func (p Plan) Canonical() string {
+	tables := make([]string, len(p.Tables))
+	for i, t := range p.Tables {
+		tables[i] = strings.ToLower(t)
+	}
+	sort.Strings(tables)
+	joins := make([]string, len(p.Joins))
+	for i, j := range p.Joins {
+		l, r := strings.ToLower(j.Left.String()), strings.ToLower(j.Right.String())
+		if l > r {
+			l, r = r, l
+		}
+		joins[i] = l + "=" + r
+	}
+	sort.Strings(joins)
+	project := make([]string, len(p.Project))
+	for i, c := range p.Project {
+		project[i] = strings.ToLower(c.String())
+	}
+	var b strings.Builder
+	b.WriteString("t:")
+	b.WriteString(strings.Join(tables, ","))
+	b.WriteString("|j:")
+	b.WriteString(strings.Join(joins, ","))
+	b.WriteString("|p:")
+	b.WriteString(strings.Join(project, ","))
+	if p.Distinct {
+		b.WriteString("|distinct")
+	}
+	return b.String()
+}
 
 // Fingerprint hashes the plan's canonical form into a compact hex token.
 // Session filter-outcome caches key on it: because filter outcomes depend
 // only on the result set of a plan, two plans sharing a fingerprint are
 // interchangeable for existence-style validation on any backend.
 func (p Plan) Fingerprint() string {
-	var buf [256]byte
 	h := fnv.New64a()
-	h.Write(p.appendCanonical(buf[:0]))
-	var sum [8]byte
-	return hex.EncodeToString(h.Sum(sum[:0]))
-}
-
-// appendCanonical appends the canonical form to dst. Every session round
-// fingerprints each new filter's plan, so the form is assembled in one
-// buffer: the sortable parts are lower-cased into a scratch buffer, ordered
-// there, and copied across.
-func (p Plan) appendCanonical(dst []byte) []byte {
-	type part struct{ start, end int }
-	var (
-		scratchBuf [256]byte
-		partBuf    [8]part
-		scratch    = scratchBuf[:0]
-		parts      = partBuf[:0]
-	)
-	// flush copies the scratch parts to dst in byte order, comma-separated.
-	flush := func() {
-		text := func(k int) []byte { return scratch[parts[k].start:parts[k].end] }
-		for i := 1; i < len(parts); i++ {
-			for j := i; j > 0 && bytes.Compare(text(j), text(j-1)) < 0; j-- {
-				parts[j], parts[j-1] = parts[j-1], parts[j]
-			}
-		}
-		for k := range parts {
-			if k > 0 {
-				dst = append(dst, ',')
-			}
-			dst = append(dst, text(k)...)
-		}
-		scratch, parts = scratch[:0], parts[:0]
-	}
-
-	dst = append(dst, "t:"...)
-	for _, t := range p.Tables {
-		at := len(scratch)
-		scratch = appendLower(scratch, t)
-		parts = append(parts, part{at, len(scratch)})
-	}
-	flush()
-	dst = append(dst, "|j:"...)
-	for _, j := range p.Joins {
-		at := len(scratch)
-		scratch = appendLowerRef(scratch, j.Left)
-		mid := len(scratch)
-		scratch = appendLowerRef(scratch, j.Right)
-		end := len(scratch)
-		// The smaller side first, whichever way the edge was declared.
-		l, r := part{at, mid}, part{mid, end}
-		if bytes.Compare(scratch[at:mid], scratch[mid:end]) > 0 {
-			l, r = r, l
-		}
-		scratch = append(scratch, scratch[l.start:l.end]...)
-		scratch = append(scratch, '=')
-		scratch = append(scratch, scratch[r.start:r.end]...)
-		parts = append(parts, part{end, len(scratch)})
-	}
-	flush()
-	dst = append(dst, "|p:"...)
-	for i, c := range p.Project {
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = appendLowerRef(dst, c)
-	}
-	if p.Distinct {
-		dst = append(dst, "|distinct"...)
-	}
-	return dst
-}
-
-// appendLower appends strings.ToLower(s).
-func appendLower(dst []byte, s string) []byte {
-	for i := 0; i < len(s); i++ {
-		if s[i] >= utf8.RuneSelf {
-			return append(dst[:len(dst)-i], strings.ToLower(s)...)
-		}
-		c := s[i]
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		dst = append(dst, c)
-	}
-	return dst
-}
-
-// appendLowerRef appends strings.ToLower(ref.String()).
-func appendLowerRef(dst []byte, ref schema.ColumnRef) []byte {
-	dst = appendLower(dst, ref.Table)
-	dst = append(dst, '.')
-	return appendLower(dst, ref.Column)
+	h.Write([]byte(p.Canonical()))
+	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Validate checks that every table and column referenced by the plan exists

@@ -1,9 +1,10 @@
 package filter
 
 import (
-	"bytes"
 	"container/list"
+	"sort"
 	"strconv"
+	"strings"
 	"sync"
 
 	"prism/internal/constraint"
@@ -36,108 +37,62 @@ import (
 // Two validations with equal keys have equal outcomes on every conforming
 // executor, which is why a session cache can serve hits across rounds,
 // across sample reorderings, and even across execution backends.
-//
-// A session round builds one key per filter, so the parts that do not
-// depend on the pairing are rendered where they live: the plan fingerprint
-// and the lower-cased source names once per filter, the cell texts once per
-// specification (constraint.Spec.CellTexts).
 func ValidationKey(f *Filter, spec *constraint.Spec, datasetVersion uint64) string {
-	// Sized for a three-column filter under two samples; longer keys grow it.
-	key := make([]byte, 0, 256)
-	key = append(key, 'v')
-	key = strconv.AppendUint(key, datasetVersion, 10)
-	key = append(key, '|')
-	key = append(key, f.PlanFingerprint()...)
-	key = append(key, '|')
-	return string(appendSampleSignatures(key, f, spec))
+	sigs := sampleSignatures(f, spec)
+	var b strings.Builder
+	b.WriteString("v")
+	b.WriteString(strconv.FormatUint(datasetVersion, 10))
+	b.WriteString("|")
+	b.WriteString(f.PlanFingerprint())
+	b.WriteString("|")
+	b.WriteString(strings.Join(sigs, ";"))
+	return b.String()
 }
 
-// span is a piece of a byte buffer.
-type span struct{ start, end int }
-
-// sortSpans orders the spans by the bytes they cover in buf, as sorting the
-// corresponding strings would. There are a handful at most.
-func sortSpans(buf []byte, spans []span) {
-	for i := 1; i < len(spans); i++ {
-		for j := i; j > 0 && bytes.Compare(buf[spans[j].start:spans[j].end], buf[spans[j-1].start:spans[j-1].end]) < 0; j-- {
-			spans[j], spans[j-1] = spans[j-1], spans[j]
-		}
-	}
-}
-
-// appendQuotedBody appends strconv.Quote(s) without its surrounding quotes.
-func appendQuotedBody(buf []byte, s string) []byte {
-	at := len(buf)
-	buf = strconv.AppendQuote(buf, s)
-	return append(buf[:at], buf[at+1:len(buf)-1]...)
-}
-
-// appendSampleSignatures appends, joined by ";", the signature of every
-// sample constraint: the conjunction the validator actually checks against
-// the filter — "source=constraint" pairs for the covered, constrained cells
-// joined by "&", or the non-emptiness sentinel "∃". Signatures are sorted
-// and deduplicated — validation is a conjunction over samples, so order and
-// multiplicity cannot change the outcome — and so are the pairs within one.
-// Every pair is strconv.Quote-framed: constraint cells may contain the
+// sampleSignatures renders, per sample constraint, the conjunction the
+// validator actually checks against the filter: "source=constraint" pairs
+// for the covered, constrained cells, or the non-emptiness sentinel "∃".
+// Signatures are sorted and deduplicated — validation is a conjunction over
+// samples, so order and multiplicity cannot change the outcome. Every part
+// is strconv.Quote-framed before joining: constraint cells may contain the
 // joiner characters themselves, and the quoting keeps part boundaries
 // unambiguous so distinct constraint sets can never collide into one key.
-// (A pair is quoted in two halves around its "=": an ASCII byte between
-// them, so no escape can straddle it.)
-func appendSampleSignatures(key []byte, f *Filter, spec *constraint.Spec) []byte {
-	const exists = `"∃"`
+func sampleSignatures(f *Filter, spec *constraint.Spec) []string {
 	samples := spec.Samples
-	if len(samples) == 0 {
-		return append(key, exists...)
+	sigs := make([]string, 0, len(samples)+1)
+	add := func(sig string) {
+		sigs = append(sigs, sig)
 	}
-	cells := spec.CellTexts()
-	sources := f.sourceTexts()
-	var (
-		// Pairs are rendered into scratch, then copied in order into sigs.
-		scratch         = make([]byte, 0, 128)
-		sigs            = make([]byte, 0, 256)
-		pairBuf, sigBuf [8]span
-		sigSpans        = sigBuf[:0]
-	)
-	for si, sample := range samples {
-		scratch = scratch[:0]
-		pairs := pairBuf[:0]
+	exists := strconv.Quote("∃")
+	if len(samples) == 0 {
+		add(exists)
+	}
+	for _, sample := range samples {
+		var parts []string
 		for i, tc := range f.TargetCols {
 			if tc >= len(sample.Cells) || sample.Cells[tc] == nil {
 				continue
 			}
-			at := len(scratch)
-			scratch = append(scratch, '"')
-			scratch = appendQuotedBody(scratch, sources[i])
-			scratch = append(scratch, '=')
-			scratch = appendQuotedBody(scratch, cells[si][tc])
-			scratch = append(scratch, '"')
-			pairs = append(pairs, span{at, len(scratch)})
+			parts = append(parts, strconv.Quote(strings.ToLower(f.Sources[i].String())+"="+sample.Cells[tc].String()))
 		}
-		at := len(sigs)
-		if len(pairs) == 0 {
-			sigs = append(sigs, exists...)
+		if len(parts) == 0 {
+			add(exists)
+			continue
 		}
-		sortSpans(scratch, pairs)
-		for k, p := range pairs {
-			if k > 0 {
-				sigs = append(sigs, '&')
-			}
-			sigs = append(sigs, scratch[p.start:p.end]...)
-		}
-		sigSpans = append(sigSpans, span{at, len(sigs)})
+		sort.Strings(parts)
+		add(strings.Join(parts, "&"))
 	}
-	sortSpans(sigs, sigSpans)
-	for k, sp := range sigSpans {
-		sig := sigs[sp.start:sp.end]
-		if k > 0 {
-			if prev := sigSpans[k-1]; bytes.Equal(sig, sigs[prev.start:prev.end]) {
-				continue
-			}
-			key = append(key, ';')
+	sort.Strings(sigs)
+	out := sigs[:0]
+	var last string
+	for i, s := range sigs {
+		if i > 0 && s == last {
+			continue
 		}
-		key = append(key, sig...)
+		last = s
+		out = append(out, s)
 	}
-	return key
+	return out
 }
 
 // CacheStats is a point-in-time snapshot of an OutcomeCache's lifetime

@@ -84,10 +84,6 @@ type Filter struct {
 	plan     exec.Plan
 	fpOnce   sync.Once
 	fp       string
-	// sourceText holds the lower-cased "table.column" text of each source,
-	// parallel to Sources: the spelling Key and ValidationKey use.
-	sourceOnce sync.Once
-	sourceText []string
 }
 
 // IsTopOf reports whether the filter covers the full candidate (same tree
@@ -130,7 +126,7 @@ func PlanFingerprintComputations() int64 { return planFingerprintComputations.Lo
 // next to the plan itself. It is the batch grouping key: filters sharing it
 // have identical canonical plans, so one shared scan/join pipeline can
 // answer all their validations. The scheduler consults it every round and
-// ValidationKey starts with it, so it must not re-canonicalise and re-hash
+// the outcome cache keys on it, so it must not re-canonicalise and re-hash
 // the plan per probe.
 func (f *Filter) PlanFingerprint() string {
 	f.fpOnce.Do(func() {
@@ -138,18 +134,6 @@ func (f *Filter) PlanFingerprint() string {
 		planFingerprintComputations.Add(1)
 	})
 	return f.fp
-}
-
-// sourceTexts returns the lower-cased text of the filter's sources,
-// rendered once per filter (Decompose hands its own copy in).
-func (f *Filter) sourceTexts() []string {
-	f.sourceOnce.Do(func() {
-		f.sourceText = make([]string, len(f.Sources))
-		for i, src := range f.Sources {
-			f.sourceText[i] = strings.ToLower(src.String())
-		}
-	})
-	return f.sourceText
 }
 
 // JoinPathLength returns the number of join edges; the Filter baseline's
@@ -211,9 +195,9 @@ func Decompose(candidates []graphx.Candidate) *Set {
 // throughout and aborts with ctx.Err().
 //
 // A filter is identified by integers — the id of its subtree and the
-// (target column, source column id) pairs it covers — so a candidate costs
-// one map probe per subtree of its tree, and the subtrees themselves come
-// from the graph's catalogue (graphx.Tree.Subtrees). The dependency
+// (target column, source column id) pairs it covers — so a join tree is
+// taken apart (graphx.Tree.Subtrees) and its signatures rendered once per
+// tree, and a candidate costs one map probe per subtree. The dependency
 // relation is then read off an index instead of comparing every pair of
 // filters: see lattice.
 func DecomposeContext(ctx context.Context, candidates []graphx.Candidate) (*Set, error) {
@@ -239,38 +223,15 @@ func DecomposeContext(ctx context.Context, candidates []graphx.Candidate) (*Set,
 		d.add(s, ci, cand)
 	}
 
-	// Candidate membership per filter: the transpose of CandidateFilters,
-	// carved out of one array (lists capped, as in lattice).
-	counts := make([]int, len(s.Filters))
-	total := 0
-	for _, filters := range s.CandidateFilters {
-		for _, fi := range filters {
-			counts[fi]++
-		}
-		total += len(filters)
-	}
-	s.candidatesOf = make([][]int, len(s.Filters))
-	members := make([]int, total)
-	at := 0
-	for fi, c := range counts {
-		s.candidatesOf[fi] = members[at : at : at+c]
-		at += c
-	}
-	for ci, filters := range s.CandidateFilters {
-		for _, fi := range filters {
-			s.candidatesOf[fi] = append(s.candidatesOf[fi], ci)
-		}
-	}
+	s.candidatesOf = transpose(s.CandidateFilters, len(s.Filters))
 	if err := d.lattice(ctx, s); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// decomposer holds the dense ids one decomposition assigns. Ids are local
-// to the call, so candidates of different graphs, or built by hand, mix
-// freely: identity always goes through the signature text, which an
-// enumerated tree only has to read.
+// decomposer holds the dense ids one decomposition assigns: to subtree
+// signatures, to projected source columns and, from the two, to filters.
 type decomposer struct {
 	// trees maps a subtree signature to its id.
 	trees map[string]int32
@@ -313,6 +274,7 @@ type colSource struct {
 
 // treeParts is one candidate join tree split into its connected subtrees.
 type treeParts struct {
+	of   graphx.Tree
 	subs []graphx.Subtree
 	// ids[k] is the tree id of subs[k]; has[k*size+p] reports whether the
 	// tree's p-th table is in subs[k].
@@ -321,17 +283,20 @@ type treeParts struct {
 	size int
 }
 
-// split decomposes the tree of a candidate, or recognises the previous
-// candidate's tree by its (shared, catalogue-owned) subtree list.
+// split decomposes the tree of a candidate, unless it is the previous
+// candidate's: enumeration emits the candidates of one tree together, all
+// sharing the tree's slices.
 func (d *decomposer) split(t graphx.Tree) *treeParts {
-	subs := t.Subtrees()
 	tp := &d.tree
-	if len(subs) > 0 && len(tp.subs) > 0 && &subs[0] == &tp.subs[0] {
+	if sameSlice(t.Tables, tp.of.Tables) && sameSlice(t.Edges, tp.of.Edges) {
 		return tp
 	}
+	subs := t.Subtrees()
+	tp.of = t
 	tp.subs, tp.size = subs, t.Size()
 	tp.ids = tp.ids[:0]
-	tp.has = append(tp.has[:0], make([]bool, len(subs)*tp.size)...)
+	tp.has = slices.Grow(tp.has[:0], len(subs)*tp.size)[:len(subs)*tp.size]
+	clear(tp.has)
 	whole := int32(-1)
 	for k, sub := range subs {
 		id, ok := d.trees[sub.Canonical()]
@@ -362,6 +327,18 @@ func (d *decomposer) split(t graphx.Tree) *treeParts {
 		}
 	}
 	return tp
+}
+
+// sameSlice reports whether a and b are the same slice: same backing array,
+// same length. Two empty slices are the same only when both are nil.
+func sameSlice[T any](a, b []T) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	if len(a) == 0 {
+		return (a == nil) == (b == nil)
+	}
+	return &a[0] == &b[0]
 }
 
 func subset(a, b []bool) bool {
@@ -461,19 +438,16 @@ func (d *decomposer) mint(cand graphx.Candidate, sub graphx.Subtree) *Filter {
 		Tree:       cand.Tree.Subtree(sub),
 		TargetCols: make([]int, len(d.cols)),
 		Sources:    make([]schema.ColumnRef, len(d.cols)),
-		sourceText: make([]string, len(d.cols)),
 	}
 	key := append(d.text[:0], sub.Canonical()...)
 	for i, c := range d.cols {
 		f.TargetCols[i] = c.target
 		f.Sources[i] = cand.Projection[c.target]
-		f.sourceText[i] = d.texts[c.source]
 		key = strconv.AppendInt(append(key, '#'), int64(c.target), 10)
-		key = append(append(key, ':'), f.sourceText[i]...)
+		key = append(append(key, ':'), d.texts[c.source]...)
 	}
 	f.Key = string(key)
 	d.text = key
-	f.sourceOnce.Do(func() {})
 	return f
 }
 
@@ -490,27 +464,25 @@ func (d *decomposer) mint(cand graphx.Candidate, sub graphx.Subtree) *Filter {
 // transpose, filled in ascending order of the sub-filter.
 func (d *decomposer) lattice(ctx context.Context, s *Set) error {
 	n := len(s.Filters)
-	// within[t] collects the filters whose tree contains tree t.
-	within := make([]*rowset.Bitmap, len(d.trees))
+	// own[t] collects the filters of tree t, within[t] the filters whose
+	// tree contains t: its own and those of its super-trees. A tree that
+	// hosts no projected column in any candidate has neither.
+	own := make([]*rowset.Bitmap, len(d.trees))
 	for fi, t := range d.filterTree {
-		if within[t] == nil {
-			within[t] = rowset.New(n)
-		}
-		within[t].Add(int32(fi))
-	}
-	// Filters of the same tree are already in; add those of proper
-	// super-trees. A tree that is only ever a subtree has no bitmap of its
-	// own to contribute, but it cannot be a filter's tree either.
-	own := make([]*rowset.Bitmap, len(within))
-	for t, b := range within {
-		if b != nil {
+		if own[t] == nil {
 			own[t] = rowset.New(n)
-			own[t].Or(b)
+		}
+		own[t].Add(int32(fi))
+	}
+	within := make([]*rowset.Bitmap, len(own))
+	for t, b := range own {
+		if b != nil {
+			within[t] = rowset.New(n)
+			within[t].Or(b)
 		}
 	}
 	for _, pair := range d.contains {
-		sub, super := pair[0], pair[1]
-		if within[sub] != nil && own[super] != nil {
+		if sub, super := pair[0], pair[1]; within[sub] != nil && own[super] != nil {
 			within[sub].Or(own[super])
 		}
 	}
@@ -528,11 +500,9 @@ func (d *decomposer) lattice(ctx context.Context, s *Set) error {
 	}
 
 	s.parents = make([][]int, n)
-	s.children = make([][]int, n)
 	supers := rowset.New(n)
 	var flat []int32
 	starts := make([]int, n+1)
-	childCount := make([]int, n)
 	for i := range s.Filters {
 		if i%64 == 0 && ctx.Err() != nil {
 			return ctx.Err()
@@ -546,26 +516,42 @@ func (d *decomposer) lattice(ctx context.Context, s *Set) error {
 		flat = supers.AppendTo(flat)
 		starts[i+1] = len(flat)
 	}
-	// Both relations live in one backing array each; the lists are capped
-	// so that an append by a caller cannot run into a neighbour.
 	parents := make([]int, len(flat))
 	for k, j := range flat {
 		parents[k] = int(j)
-		childCount[j]++
 	}
-	children := make([]int, len(flat))
+	for i := range s.parents {
+		s.parents[i] = parents[starts[i]:starts[i+1]:starts[i+1]]
+	}
+	s.children = transpose(s.parents, n)
+	return nil
+}
+
+// transpose inverts a relation given as lists: out[j] lists the i whose
+// lists[i] contains j, ascending. The lists are carved out of one array and
+// capped, so that an append by a caller cannot run into a neighbour.
+func transpose(lists [][]int, n int) [][]int {
+	counts := make([]int, n)
+	total := 0
+	for _, list := range lists {
+		for _, j := range list {
+			counts[j]++
+		}
+		total += len(list)
+	}
+	out := make([][]int, n)
+	flat := make([]int, total)
 	at := 0
-	for j, c := range childCount {
-		s.children[j] = children[at : at : at+c]
+	for j, c := range counts {
+		out[j] = flat[at : at : at+c]
 		at += c
 	}
-	for i := range s.Filters {
-		s.parents[i] = parents[starts[i]:starts[i+1]:starts[i+1]]
-		for _, j := range s.parents[i] {
-			s.children[j] = append(s.children[j], i)
+	for i, list := range lists {
+		for _, j := range list {
+			out[j] = append(out[j], i)
 		}
 	}
-	return nil
+	return out
 }
 
 // ValidationResult reports one filter validation.

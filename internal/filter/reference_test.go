@@ -6,25 +6,21 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"strings"
 	"testing"
 
-	"prism/internal/constraint"
 	"prism/internal/difftest"
 	"prism/internal/graphx"
-	"prism/internal/lang"
 	"prism/internal/mem"
 	"prism/internal/schema"
 )
 
-// This file keeps filter decomposition, the dependency relation and the
-// validation key as they were computed before filters had integer
-// identities: subtrees re-enumerated and re-canonicalised per candidate, one
-// key string per candidate × subtree, every pair of filters compared, every
-// key part re-rendered per filter × sample. They are the oracles the indexed
-// implementations must reproduce exactly — list order included, since
-// propagation and the Implied counter follow it.
+// This file keeps filter decomposition and the dependency relation as they
+// were computed before filters had integer identities: subtrees
+// re-enumerated and re-canonicalised per candidate, one key string per
+// candidate × subtree, every pair of filters compared. They are the oracle
+// the indexed implementation must reproduce exactly — list order included,
+// since propagation and the Implied counter follow it.
 
 func referenceFilterKey(tree graphx.Tree, targetCols []int, sources []schema.ColumnRef) string {
 	parts := make([]string, 0, len(targetCols)+1)
@@ -230,33 +226,6 @@ func (s *Session) PruningReach(i int) int {
 	return n
 }
 
-func referenceValidationKey(f *Filter, spec *constraint.Spec, datasetVersion uint64) string {
-	samples := spec.Samples
-	sigs := make([]string, 0, len(samples)+1)
-	exists := strconv.Quote("∃")
-	if len(samples) == 0 {
-		sigs = append(sigs, exists)
-	}
-	for _, sample := range samples {
-		var parts []string
-		for i, tc := range f.TargetCols {
-			if tc >= len(sample.Cells) || sample.Cells[tc] == nil {
-				continue
-			}
-			parts = append(parts, strconv.Quote(strings.ToLower(f.Sources[i].String())+"="+sample.Cells[tc].String()))
-		}
-		if len(parts) == 0 {
-			sigs = append(sigs, exists)
-			continue
-		}
-		sort.Strings(parts)
-		sigs = append(sigs, strings.Join(parts, "&"))
-	}
-	sort.Strings(sigs)
-	sigs = slices.Compact(sigs)
-	return "v" + strconv.FormatUint(datasetVersion, 10) + "|" + f.Plan().Fingerprint() + "|" + strings.Join(sigs, ";")
-}
-
 // sameSet requires the decomposition to equal the reference in everything a
 // scheduler can observe, list orders included.
 func sameSet(t *testing.T, name string, got *Set, want *referenceSet) {
@@ -293,42 +262,6 @@ func sameSet(t *testing.T, name string, got *Set, want *referenceSet) {
 			t.Errorf("%s candidate %d: filters %v, reference %v", name, ci, got.CandidateFilters[ci], want.candidateFilters[ci])
 			return
 		}
-	}
-}
-
-// keySpecs are the specifications every filter's key is compared under: the
-// round's own, and ones built to stress the key's framing.
-func keySpecs(t *testing.T, spec *constraint.Spec) []*constraint.Spec {
-	t.Helper()
-	n := spec.NumColumns
-	row := func(cell func(col int) lang.ValueExpr) constraint.SampleConstraint {
-		cells := make([]lang.ValueExpr, n)
-		for col := range cells {
-			cells[col] = cell(col)
-		}
-		return constraint.SampleConstraint{Cells: cells}
-	}
-	hostile := row(func(col int) lang.ValueExpr {
-		return lang.Or{Terms: []lang.ValueExpr{
-			lang.Keyword{Word: `a&b;c|d "quoted" 'single' \ = ` + strconv.Itoa(col)},
-			// Control characters, and a truncated UTF-8 sequence last.
-			lang.Keyword{Word: "tab\tnewline\n∃ \xe2\x82"},
-		}}
-	})
-	sparse := row(func(col int) lang.ValueExpr {
-		if col == 0 {
-			return lang.Keyword{Word: "ends mid-rune\xe2\x82"}
-		}
-		return nil
-	})
-	empty := row(func(int) lang.ValueExpr { return nil })
-	return []*constraint.Spec{
-		spec,
-		// No samples at all, and samples without any constrained cell: the
-		// "∃" sentinel, alone and next to real signatures, with duplicates.
-		{NumColumns: n, Metadata: spec.Metadata},
-		{NumColumns: n, Metadata: spec.Metadata, Samples: []constraint.SampleConstraint{empty, empty}},
-		{NumColumns: n, Metadata: spec.Metadata, Samples: []constraint.SampleConstraint{hostile, empty, sparse, hostile}},
 	}
 }
 
@@ -397,53 +330,6 @@ func TestDecomposeHandBuiltCandidates(t *testing.T) {
 		mixed = append(mixed, fx.candidates[i])
 	}
 	sameSet(t, "hand-built", Decompose(mixed), referenceDecompose(mixed))
-}
-
-// TestValidationKeyMatchesReference compares every filter's key, under the
-// round's specification and the framing stress specifications, with the key
-// rendered part by part.
-func TestValidationKeyMatchesReference(t *testing.T) {
-	keys := 0
-	for name, db := range difftest.Databases(t) {
-		rounds, candidates := differentialRounds(t, db, 1)
-		for i, round := range rounds {
-			if len(candidates[i]) > 200 {
-				continue // the same key code on more filters
-			}
-			set := Decompose(candidates[i])
-			for _, spec := range keySpecs(t, round.Spec) {
-				for _, f := range set.Filters {
-					for _, version := range []uint64{0, 7} {
-						got, want := ValidationKey(f, spec, version), referenceValidationKey(f, spec, version)
-						if got != want {
-							t.Fatalf("%s %s %s: key %q, reference %q", name, round.Name, f.Key, got, want)
-						}
-						keys++
-					}
-				}
-			}
-		}
-	}
-	if keys == 0 {
-		t.Fatal("no keys compared")
-	}
-	// Hand-built filters render their own source names; two target columns
-	// sharing one source column keep both parts.
-	fx := newFixture(t)
-	shared := &Filter{
-		Tree:       graphx.Tree{Tables: []string{"Lake"}},
-		TargetCols: []int{0, 1},
-		Sources:    []schema.ColumnRef{{Table: "Lake", Column: "Name"}, {Table: "LAKE", Column: "name"}},
-	}
-	spec, err := constraint.ParseGrid(3, [][]string{{"Lake Tahoe", "Crater Lake || Lake Tahoe", ""}, {"", "", "[1, 2]"}}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sp := range []*constraint.Spec{spec, fx.spec} {
-		if got, want := ValidationKey(shared, sp, 1), referenceValidationKey(shared, sp, 1); got != want {
-			t.Errorf("shared source column: key %q, reference %q", got, want)
-		}
-	}
 }
 
 // TestDecomposeContextCancelled requires a dead context to abort the

@@ -8,7 +8,6 @@ package graphx
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"strings"
 
@@ -22,15 +21,11 @@ type Graph struct {
 	sch *schema.Schema
 	// adj maps lower(table) -> incident foreign keys.
 	adj map[string][]schema.ForeignKey
-	// cat memoises the join trees of the schema; see catalogue.
-	cat catalogue
 }
 
-// New builds the schema graph for a schema. The schema must not gain tables
-// or foreign keys afterwards.
+// New builds the schema graph for a schema.
 func New(sch *schema.Schema) *Graph {
 	g := &Graph{sch: sch, adj: make(map[string][]schema.ForeignKey)}
-	g.cat.init(sch)
 	for _, fk := range sch.ForeignKeys() {
 		g.adj[strings.ToLower(fk.From.Table)] = append(g.adj[strings.ToLower(fk.From.Table)], fk)
 		g.adj[strings.ToLower(fk.To.Table)] = append(g.adj[strings.ToLower(fk.To.Table)], fk)
@@ -68,18 +63,9 @@ func (g *Graph) Neighbors(table string) []string {
 
 // Tree is a connected, acyclic set of schema-graph edges: the join skeleton
 // of a candidate Project-Join query. A single-table tree has no edges.
-//
-// Trees produced by ConnectedTrees and Enumerate are entries of the graph's
-// catalogue: their slices are shared between rounds and must be treated as
-// read-only, and Canonical and Subtrees read what the catalogue computed
-// once. A tree built as a literal works everywhere an enumerated one does;
-// it just pays for those answers on every call.
 type Tree struct {
 	Tables []string
 	Edges  []schema.ForeignKey
-
-	// rep is the catalogue entry of an enumerated tree, nil for a literal.
-	rep *treeRep
 }
 
 // Size returns the number of tables in the tree.
@@ -118,14 +104,6 @@ func (t Tree) Leaves() []string {
 // Canonical returns a deterministic signature of the tree (sorted edge
 // list, or the table name for single-table trees), used for deduplication.
 func (t Tree) Canonical() string {
-	if t.rep != nil {
-		return t.rep.node.sig
-	}
-	return t.signature()
-}
-
-// signature renders the canonical signature.
-func (t Tree) signature() string {
 	if len(t.Edges) == 0 {
 		if len(t.Tables) == 0 {
 			return ""
@@ -172,38 +150,17 @@ func (t Tree) clone() Tree {
 
 // ConnectedTrees enumerates every connected subtree of the schema graph that
 // contains the seed table and has at most maxTables tables. The seed-only
-// tree is included. Trees are deduplicated by canonical signature. The list
-// is built once per graph and (seed, maxTables); the trees returned are
-// catalogue entries.
+// tree is included. Trees are deduplicated by canonical signature.
 func (g *Graph) ConnectedTrees(seed string, maxTables int) []Tree {
-	if maxTables < 1 {
-		return nil
-	}
-	id := g.cat.tableID(seed)
-	if id < 0 {
-		// Not a table of the schema: nothing to join with and nothing worth
-		// remembering.
-		return []Tree{{Tables: []string{seed}}}
-	}
-	g.cat.mu.Lock()
-	list := g.cat.connected(g, id, seed, maxTables)
-	g.cat.mu.Unlock()
-	out := make([]Tree, len(list))
-	for i, r := range list {
-		out[i] = r.tree
-	}
-	return out
-}
-
-// growTrees is the enumeration behind ConnectedTrees: depth-first growth
-// from the seed along foreign keys, first discovery of a signature wins.
-func (g *Graph) growTrees(seed string, maxTables int) []Tree {
 	canonicalName := seed
 	if tbl, ok := g.sch.Table(seed); ok {
 		canonicalName = tbl.Name
 	}
+	if maxTables < 1 {
+		return nil
+	}
 	start := Tree{Tables: []string{canonicalName}}
-	seen := map[string]struct{}{start.signature(): {}}
+	seen := map[string]struct{}{start.Canonical(): {}}
 	out := []Tree{start}
 	var expand func(t Tree)
 	expand = func(t Tree) {
@@ -222,7 +179,7 @@ func (g *Graph) growTrees(seed string, maxTables int) []Tree {
 				next := t.clone()
 				next.Tables = append(next.Tables, other)
 				next.Edges = append(next.Edges, fk)
-				key := next.signature()
+				key := next.Canonical()
 				if _, dup := seen[key]; dup {
 					continue
 				}
@@ -243,13 +200,14 @@ type Candidate struct {
 	// Projection maps target-column position -> source column.
 	Projection []schema.ColumnRef
 
-	// sig is Canonical(), set by Enumerate; empty on a literal.
+	// sig is Canonical(), kept by Enumerate; empty on a literal.
 	sig string
 }
 
 // Canonical returns a deterministic signature of the candidate. Enumerate
-// renders it once per candidate — rounds sort and fingerprint candidate
-// lists by it — so an enumerated candidate's Projection is read-only too.
+// renders it to deduplicate and keeps it — rounds sort and fingerprint
+// candidate lists by it — so an enumerated candidate's Tree and Projection
+// are read-only; a candidate built as a literal renders it on every call.
 func (c Candidate) Canonical() string {
 	if c.sig != "" {
 		return c.sig
@@ -310,10 +268,6 @@ func (o EnumerateOptions) withDefaults() EnumerateOptions {
 // column sets of related source columns. related[i] lists the feasible
 // source columns for target column i; every target column must have at
 // least one.
-//
-// The join trees come from the graph's catalogue, so a round pays for
-// merging the seeds' lists and for the candidates it emits, not for
-// rediscovering and re-canonicalising the schema's trees.
 func Enumerate(g *Graph, related [][]schema.ColumnRef, opts EnumerateOptions) ([]Candidate, error) {
 	opts = opts.withDefaults()
 	if len(related) == 0 {
@@ -325,189 +279,108 @@ func Enumerate(g *Graph, related [][]schema.ColumnRef, opts EnumerateOptions) ([
 		}
 	}
 
-	trees, choices, numTables := g.resolve(related, opts.MaxTables)
+	// Seed tables: every table hosting at least one related column.
+	seedSet := make(map[string]string) // lower -> canonical
+	for _, cols := range related {
+		for _, ref := range cols {
+			seedSet[strings.ToLower(ref.Table)] = ref.Table
+		}
+	}
+	seeds := make([]string, 0, len(seedSet))
+	for _, t := range seedSet {
+		seeds = append(seeds, t)
+	}
+	sort.Strings(seeds)
 
+	// Enumerate candidate trees from every seed, deduplicated.
+	treeSeen := make(map[string]struct{})
+	var trees []Tree
+	for _, seed := range seeds {
+		for _, t := range g.ConnectedTrees(seed, opts.MaxTables) {
+			key := t.Canonical()
+			if _, dup := treeSeen[key]; dup {
+				continue
+			}
+			treeSeen[key] = struct{}{}
+			trees = append(trees, t)
+		}
+	}
 	// Deterministic order: smaller trees first (cheaper candidates are
 	// preferred and validated earlier), then by signature.
-	slices.SortFunc(trees, func(a, b *treeRep) int {
-		if c := a.tree.Size() - b.tree.Size(); c != 0 {
-			return c
+	sort.Slice(trees, func(i, j int) bool {
+		if trees[i].Size() != trees[j].Size() {
+			return trees[i].Size() < trees[j].Size()
 		}
-		return strings.Compare(a.node.sig, b.node.sig)
+		return trees[i].Canonical() < trees[j].Canonical()
 	})
 
-	var (
-		out []Candidate
-		// inTree marks the table ids of the current tree.
-		inTree = make([]bool, numTables)
-		// avail[i] are the choices of column i inside the current tree,
-		// pick[i] the one the current assignment uses.
-		avail = make([][]choice, len(related))
-		pick  = make([]int, len(related))
-		sig   []byte
-	)
-	for i, cols := range choices {
-		avail[i] = make([]choice, 0, len(cols))
-	}
+	candSeen := make(map[string]struct{})
+	var out []Candidate
 	for _, tree := range trees {
-		if len(out) >= opts.MaxCandidates {
-			break
-		}
-		for _, id := range tree.tableIDs() {
-			inTree[id] = true
-		}
+		// Related columns available inside this tree, per target column.
+		choices := make([][]schema.ColumnRef, len(related))
 		feasible := true
-		for i, cols := range choices {
-			avail[i] = avail[i][:0]
-			for _, c := range cols {
-				if inTree[c.table] {
-					avail[i] = append(avail[i], c)
+		for i, cols := range related {
+			for _, ref := range cols {
+				if tree.Contains(ref.Table) {
+					choices[i] = append(choices[i], ref)
 				}
 			}
-			if len(avail[i]) == 0 {
+			if len(choices[i]) == 0 {
 				feasible = false
 				break
 			}
 		}
-		for _, id := range tree.tableIDs() {
-			inTree[id] = false
-		}
 		if !feasible {
 			continue
 		}
-		// Cartesian product of per-column choices, last column fastest.
-		clear(pick)
-		for {
-			if !opts.RequireUsefulLeaves || leavesUseful(tree, avail, pick) {
-				cand := Candidate{Tree: tree.tree, Projection: make([]schema.ColumnRef, len(related))}
-				sig = append(sig[:0], tree.node.sig...)
-				for i, k := range pick {
-					cand.Projection[i] = avail[i][k].ref
-					sig = append(append(sig, '#'), avail[i][k].text...)
+		// Cartesian product of per-column choices.
+		assignment := make([]schema.ColumnRef, len(related))
+		var emit func(col int) bool
+		emit = func(col int) bool {
+			if len(out) >= opts.MaxCandidates {
+				return false
+			}
+			if col == len(related) {
+				cand := Candidate{Tree: tree, Projection: append([]schema.ColumnRef(nil), assignment...)}
+				if opts.RequireUsefulLeaves && !leavesUseful(tree, cand.Projection) {
+					return true
 				}
-				cand.sig = string(sig)
+				cand.sig = cand.Canonical()
+				if _, dup := candSeen[cand.sig]; dup {
+					return true
+				}
+				candSeen[cand.sig] = struct{}{}
 				out = append(out, cand)
-				if len(out) >= opts.MaxCandidates {
-					return out, nil
+				return true
+			}
+			for _, ref := range choices[col] {
+				assignment[col] = ref
+				if !emit(col + 1) {
+					return false
 				}
 			}
-			col := len(pick) - 1
-			for col >= 0 {
-				if pick[col]++; pick[col] < len(avail[col]) {
-					break
-				}
-				pick[col] = 0
-				col--
-			}
-			if col < 0 {
-				break
-			}
+			return true
+		}
+		if !emit(0) {
+			break
 		}
 	}
 	return out, nil
 }
 
-// choice is one related source column of a target column.
-type choice struct {
-	ref   schema.ColumnRef
-	table int32  // table id; ids past the schema's stand for unknown tables
-	text  string // lower-cased "table.column", as candidate signatures spell it
-}
-
-// resolve reads everything Enumerate needs from the catalogue in one
-// critical section: the join trees reachable from the tables hosting a
-// related column (every seed's list merged, a tree keeping the order it has
-// in the alphabetically first seed's list) and the related columns as
-// choices, duplicates within a target column dropped. numTables bounds the
-// table ids used.
-func (g *Graph) resolve(related [][]schema.ColumnRef, maxTables int) (trees []*treeRep, choices [][]choice, numTables int) {
-	cat := &g.cat
-	cat.mu.Lock()
-	defer cat.mu.Unlock()
-
-	// Seed tables: every table hosting at least one related column, under
-	// the spelling of its last mention. Tables the schema does not know get
-	// ids past its own.
-	type seed struct {
-		name string
-		id   int32
-	}
-	var (
-		known   = g.sch.NumTables()
-		seeds   []seed
-		seedAt  = make([]int, known) // table id -> index into seeds, +1
-		unknown map[string]int32     // lower(name) -> id
-	)
-	choices = make([][]choice, len(related))
-	for i, cols := range related {
-		choices[i] = make([]choice, 0, len(cols))
-		for _, ref := range cols {
-			id := cat.tableID(ref.Table)
-			text := cat.refText(ref, id)
-			if id < 0 {
-				lower := strings.ToLower(ref.Table)
-				var ok bool
-				if id, ok = unknown[lower]; !ok {
-					if unknown == nil {
-						unknown = make(map[string]int32)
-					}
-					id = int32(len(seedAt))
-					unknown[lower] = id
-					seedAt = append(seedAt, 0)
-				}
-			}
-			if seedAt[id] == 0 {
-				seeds = append(seeds, seed{id: id})
-				seedAt[id] = len(seeds)
-			}
-			seeds[seedAt[id]-1].name = ref.Table
-			if !slices.ContainsFunc(choices[i], func(c choice) bool { return c.text == text }) {
-				choices[i] = append(choices[i], choice{ref: ref, table: id, text: text})
-			}
-		}
-	}
-	slices.SortFunc(seeds, func(a, b seed) int { return strings.Compare(a.name, b.name) })
-
-	lists := make([][]*treeRep, len(seeds))
-	for i, s := range seeds {
-		if int(s.id) < known {
-			lists[i] = cat.connected(g, s.id, s.name, maxTables)
-			continue
-		}
-		// A table the schema does not know joins with nothing; its tree is
-		// not worth remembering.
-		t := Tree{Tables: []string{s.name}}
-		t.rep = &treeRep{node: &treeNode{id: -1, sig: t.signature()}, tables: []int32{s.id}}
-		t.rep.tree = t
-		lists[i] = []*treeRep{t.rep}
-	}
-	seen := make([]bool, len(cat.nodes))
-	trees = make([]*treeRep, 0, len(cat.nodes))
-	for _, list := range lists {
-		for _, r := range list {
-			if id := r.node.id; id < 0 {
-				trees = append(trees, r)
-			} else if !seen[id] {
-				seen[id] = true
-				trees = append(trees, r)
-			}
-		}
-	}
-	return trees, choices, len(seedAt)
-}
-
 // leavesUseful reports whether every leaf table of the tree hosts at least
-// one column of the assignment.
-func leavesUseful(tree *treeRep, avail [][]choice, pick []int) bool {
-	for _, leaf := range tree.leafIDs() {
-		used := false
-		for i, k := range pick {
-			if avail[i][k].table == leaf {
-				used = true
-				break
-			}
-		}
-		if !used {
+// one projected column.
+func leavesUseful(tree Tree, projection []schema.ColumnRef) bool {
+	if tree.Size() <= 1 {
+		return true
+	}
+	used := make(map[string]bool)
+	for _, ref := range projection {
+		used[strings.ToLower(ref.Table)] = true
+	}
+	for _, leaf := range tree.Leaves() {
+		if !used[strings.ToLower(leaf)] {
 			return false
 		}
 	}

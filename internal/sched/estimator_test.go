@@ -8,10 +8,10 @@ import (
 	"prism/internal/bayes"
 	"prism/internal/constraint"
 	"prism/internal/dataset"
+	"prism/internal/difftest"
 	"prism/internal/filter"
 	"prism/internal/graphx"
 	"prism/internal/mem"
-	"prism/internal/schema"
 	"prism/internal/workload"
 )
 
@@ -72,16 +72,7 @@ type generatedRound struct {
 // way a discovery round does.
 func decompose(t testing.TB, db *mem.Database, name string, spec *constraint.Spec) generatedRound {
 	t.Helper()
-	related := make([][]schema.ColumnRef, spec.NumColumns)
-	for col := range related {
-		for _, st := range db.AllStats() {
-			ref := st.Ref
-			has := func(kw string) bool { return db.ColumnHasKeyword(ref, kw) }
-			if spec.ColumnFeasible(col, st, has) {
-				related[col] = append(related[col], ref)
-			}
-		}
-	}
+	related, _ := difftest.Related(db, spec)
 	cands, err := graphx.Enumerate(graphx.New(db.Schema()), related, graphx.EnumerateOptions{RequireUsefulLeaves: true})
 	if err != nil {
 		t.Fatal(err)
