@@ -10,14 +10,13 @@ package batchdiff
 
 import (
 	"errors"
-	"fmt"
 	"math/rand"
 	"testing"
 
 	"prism/internal/dataset"
+	"prism/internal/difftest"
 	"prism/internal/exec"
 	"prism/internal/mem"
-	"prism/internal/schema"
 	"prism/internal/value"
 
 	_ "prism/internal/colexec" // register the columnar backend
@@ -40,159 +39,6 @@ func diffDatasets() []diffDataset {
 		{"imdb", func() (*mem.Database, error) { return dataset.IMDB(dataset.IMDBConfig{}) }},
 		{"nba", func() (*mem.Database, error) { return dataset.NBA(dataset.NBAConfig{}) }},
 	}
-}
-
-// diffPlans derives validation-shaped Project-Join plans from the dataset's
-// own schema: every single table, every foreign-key pair, and every
-// two-edge chain — the same shapes filter.Decompose produces.
-func diffPlans(sch *schema.Schema) []exec.Plan {
-	var plans []exec.Plan
-	for _, t := range sch.Tables() {
-		n := min(2, len(t.Columns))
-		var proj []schema.ColumnRef
-		for i := 0; i < n; i++ {
-			proj = append(proj, schema.ColumnRef{Table: t.Name, Column: t.Columns[i].Name})
-		}
-		plans = append(plans, exec.Plan{Tables: []string{t.Name}, Project: proj})
-	}
-	fks := sch.ForeignKeys()
-	for _, fk := range fks {
-		plans = append(plans, exec.Plan{
-			Tables:  []string{fk.From.Table, fk.To.Table},
-			Joins:   []exec.JoinEdge{{Left: fk.From, Right: fk.To}},
-			Project: []schema.ColumnRef{fk.From, fk.To},
-		})
-	}
-	for i, a := range fks {
-		for _, b := range fks[i+1:] {
-			p, ok := chainPlan(a, b)
-			if ok {
-				plans = append(plans, p)
-			}
-			if len(plans) > 24 {
-				return plans
-			}
-		}
-	}
-	return plans
-}
-
-// chainPlan joins two foreign keys sharing exactly one table into a
-// three-table chain plan.
-func chainPlan(a, b schema.ForeignKey) (exec.Plan, bool) {
-	tables := []string{a.From.Table, a.To.Table}
-	var third string
-	switch {
-	case eqFold(b.From.Table, a.From.Table) && !eqFold(b.To.Table, a.To.Table):
-		third = b.To.Table
-	case eqFold(b.From.Table, a.To.Table) && !eqFold(b.To.Table, a.From.Table):
-		third = b.To.Table
-	case eqFold(b.To.Table, a.From.Table) && !eqFold(b.From.Table, a.To.Table):
-		third = b.From.Table
-	case eqFold(b.To.Table, a.To.Table) && !eqFold(b.From.Table, a.From.Table):
-		third = b.From.Table
-	default:
-		return exec.Plan{}, false
-	}
-	tables = append(tables, third)
-	return exec.Plan{
-		Tables: tables,
-		Joins: []exec.JoinEdge{
-			{Left: a.From, Right: a.To},
-			{Left: b.From, Right: b.To},
-		},
-		Project: []schema.ColumnRef{a.From, b.To},
-	}, true
-}
-
-func eqFold(a, b string) bool {
-	return value.Normalize(a) == value.Normalize(b)
-}
-
-// randomSet builds one random predicate set over the plan's tables:
-// keyword-equality predicates seeded from stored values (mostly
-// satisfiable), nonsense keywords (unsatisfiable), numeric bounds, and
-// bare scan-shaped predicates, optionally with a tuple predicate.
-func randomSet(rng *rand.Rand, db *mem.Database, p exec.Plan) exec.PredicateSet {
-	var set exec.PredicateSet
-	nPreds := rng.Intn(4)
-	for k := 0; k < nPreds; k++ {
-		tbl := p.Tables[rng.Intn(len(p.Tables))]
-		ts, ok := db.Schema().Table(tbl)
-		if !ok || len(ts.Columns) == 0 {
-			continue
-		}
-		col := ts.Columns[rng.Intn(len(ts.Columns))].Name
-		ref := schema.ColumnRef{Table: tbl, Column: col}
-		vals, err := db.ColumnValues(ref)
-		if err != nil {
-			continue
-		}
-		switch rng.Intn(4) {
-		case 0: // keyword equality on a stored value
-			v, ok := pickNonNull(rng, vals)
-			if !ok {
-				continue
-			}
-			kw := v.String()
-			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
-				Ref:      ref,
-				Pred:     func(c value.Value) bool { return c.MatchesKeyword(kw) },
-				Keywords: []string{kw},
-			})
-		case 1: // nonsense keyword: provably unsatisfiable
-			kw := fmt.Sprintf("zz-no-such-value-%d", rng.Intn(1000))
-			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
-				Ref:      ref,
-				Pred:     func(c value.Value) bool { return c.MatchesKeyword(kw) },
-				Keywords: []string{kw},
-			})
-		case 2: // numeric bounds around a stored value
-			f, ok := pickNumeric(rng, vals)
-			if !ok {
-				continue
-			}
-			lo, hi := f-1, f+1
-			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
-				Ref: ref,
-				Pred: func(c value.Value) bool {
-					cf, ok := c.Float()
-					return ok && cf >= lo && cf <= hi
-				},
-				Bounds: &exec.NumericBounds{Lo: lo, Hi: hi, HasLo: true, HasHi: true},
-			})
-		default: // scan-shaped: no keyword or bounds cover
-			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
-				Ref:  ref,
-				Pred: func(c value.Value) bool { return !c.IsNull() },
-			})
-		}
-	}
-	if rng.Intn(3) == 0 {
-		set.TuplePredicate = func(t value.Tuple) bool {
-			return len(t) > 0 && len(t[0].String())%2 == 0
-		}
-	}
-	return set
-}
-
-func pickNonNull(rng *rand.Rand, vals []value.Value) (value.Value, bool) {
-	for try := 0; try < 8 && len(vals) > 0; try++ {
-		v := vals[rng.Intn(len(vals))]
-		if !v.IsNull() {
-			return v, true
-		}
-	}
-	return value.Value{}, false
-}
-
-func pickNumeric(rng *rand.Rand, vals []value.Value) (float64, bool) {
-	for try := 0; try < 8 && len(vals) > 0; try++ {
-		if f, ok := vals[rng.Intn(len(vals))].Float(); ok {
-			return f, true
-		}
-	}
-	return 0, false
 }
 
 // verdictBytes renders a verdict slice as one byte per set, so equality
@@ -230,7 +76,7 @@ func TestBatchSequentialDifferential(t *testing.T) {
 		ds := ds
 		t.Run(ds.name, func(t *testing.T) {
 			db, col := buildExecutors(t, ds.build)
-			plans := diffPlans(db.Schema())
+			plans := difftest.Plans(db.Schema())
 			if len(plans) < 3 {
 				t.Fatalf("only %d plans derived — fixture too weak", len(plans))
 			}
@@ -240,7 +86,7 @@ func TestBatchSequentialDifferential(t *testing.T) {
 				for round := 0; round < 4; round++ {
 					sets := make([]exec.PredicateSet, rng.Intn(7))
 					for i := range sets {
-						sets[i] = randomSet(rng, db, plan)
+						sets[i] = difftest.RandomSet(rng, db, plan)
 					}
 					batch, _, err := col.ExistsBatch(plan, sets, exec.ExecOptions{})
 					if err != nil {
@@ -285,7 +131,7 @@ func TestBatchMixedVerdicts(t *testing.T) {
 		ds := ds
 		t.Run(ds.name, func(t *testing.T) {
 			db, col := buildExecutors(t, ds.build)
-			plans := diffPlans(db.Schema())
+			plans := difftest.Plans(db.Schema())
 			plan := plans[len(plans)-1]
 			ref := plan.Project[0]
 			sets := []exec.PredicateSet{
@@ -329,7 +175,7 @@ func TestBatchEmptyAndSingleton(t *testing.T) {
 		ds := ds
 		t.Run(ds.name, func(t *testing.T) {
 			db, col := buildExecutors(t, ds.build)
-			plan := diffPlans(db.Schema())[0]
+			plan := difftest.Plans(db.Schema())[0]
 			for _, ex := range []exec.Executor{db, col} {
 				vs, stats, err := ex.ExistsBatch(plan, nil, exec.ExecOptions{})
 				if err != nil {
@@ -384,7 +230,7 @@ func TestBatchCancellationMidBatch(t *testing.T) {
 	// window.
 	var plan exec.Plan
 	best := 0
-	for _, p := range diffPlans(db.Schema()) {
+	for _, p := range difftest.Plans(db.Schema()) {
 		rows := 0
 		for _, tbl := range p.Tables {
 			rows += db.NumRows(tbl)
@@ -426,7 +272,7 @@ func TestBatchCancellationMidBatch(t *testing.T) {
 func TestBatchMaxIntermediateFallback(t *testing.T) {
 	db, col := buildExecutors(t, diffDatasets()[0].build)
 	var plan exec.Plan
-	for _, p := range diffPlans(db.Schema()) {
+	for _, p := range difftest.Plans(db.Schema()) {
 		if len(p.Tables) >= 2 {
 			plan = p
 			break
@@ -450,11 +296,4 @@ func TestBatchMaxIntermediateFallback(t *testing.T) {
 			t.Fatalf("limit %d: batch %s != sequential %s", limit, verdictBytes(bv), verdictBytes(sv))
 		}
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

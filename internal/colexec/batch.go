@@ -13,7 +13,9 @@
 //     records each set's surviving rows in a per-(set, table) rowset
 //     bitmap; sets whose selection is provably (zone map) or actually
 //     empty are answered false immediately;
-//  2. runs the join pipeline ONCE in masked mode: every pipeline row
+//  2. runs the materialising join pipeline ONCE (joinPipeline — the only
+//     place the executor still builds a join; single probes walk it
+//     depth-first and stop at the first tuple): every pipeline row
 //     carries a uint64 membership mask (bit per set, sets per batch capped
 //     at 64 — larger batches are chunked) that starts from the per-set
 //     bitmaps on the starting table and is ANDed with each newly joined
@@ -185,13 +187,11 @@ func (e *Executor) runBatch(st *execState, p exec.Plan, sets []exec.PredicateSet
 		st.sels[ti] = sel
 	}
 
-	st.masked = true
-	nRows, err := e.joinPipeline(st, p, opts, &stats)
-	st.masked = false
-	if err != nil {
+	if err := e.planLevels(st, p); err != nil {
 		return nil, stats, err
 	}
-	if err := st.prepareProjection(p); err != nil {
+	nRows, err := st.joinPipeline(opts, &stats)
+	if err != nil {
 		return nil, stats, err
 	}
 
@@ -436,6 +436,120 @@ func (st *execState) appendSetChecks(si, ti, toCheck int) {
 		}
 		st.checks = append(st.checks, newPredCheck(&b.bp.cp, t.cols[b.bp.ci], toCheck, st))
 	}
+}
+
+// joinPipeline materialises the planned join (planLevels) column-at-a-time
+// for the shared scan, its only caller — a single execution walks the same
+// levels depth-first instead (execState.walk). Every pipeline row carries
+// one uint64: bit si is set while the row is still compatible with set
+// si's selections, and a row whose mask empties is dropped as it forms, so
+// "mix" rows (combinations of different sets' selections that belong to no
+// single set) never materialise. On return st.cur holds one row-id vector
+// per level (a table's level is its slot, st.slotOf) and st.maskCur the
+// masks of the nRows surviving rows.
+func (st *execState) joinPipeline(opts exec.ExecOptions, stats *runStats) (int, error) {
+	lv := st.levels
+	st.cur = append(st.cur[:0], lv[0].list)
+	nRows := st.maskStart(lv[0].tab, len(lv[0].list))
+	nRows = st.filterResiduals(nRows, &lv[0])
+	for d := 1; d < len(lv); d++ {
+		l := &lv[d]
+		probeVec := st.cur[l.probeLvl]
+
+		// Probe the prebuilt join index of the new table's column into
+		// fresh slot vectors; no hash table is built per execution and no
+		// per-row tuple is allocated.
+		st.next = st.next[:0]
+		vecBase := st.vecUsed
+		for s := 0; s <= d; s++ {
+			_, v := st.getVec()
+			st.next = append(st.next, v)
+		}
+		outRows := 0
+		st.maskNext = st.maskNext[:0]
+		for r := 0; r < nRows; r++ {
+			if st.interrupt.Hit() {
+				stats.hasPartial = true
+				return 0, exec.ErrInterrupted
+			}
+			k := l.probeCol.key(probeVec[r])
+			if k == "" {
+				continue // NULL never joins
+			}
+			for _, rid := range l.buildCol.join[k] {
+				if l.bm != nil && !l.bm.Contains(rid) {
+					continue
+				}
+				// The joined row's mask is the probe row's mask restricted
+				// to sets whose selection on the new table admits rid.
+				m := st.maskCur[r] & st.rowMask(l.tab, rid)
+				if m == 0 {
+					continue
+				}
+				st.maskNext = append(st.maskNext, m)
+				for s := 0; s < d; s++ {
+					st.next[s] = append(st.next[s], st.cur[s][r])
+				}
+				st.next[d] = append(st.next[d], rid)
+				outRows++
+				if opts.MaxIntermediate > 0 && outRows > opts.MaxIntermediate {
+					stats.AbortedTooLarge = true
+					stats.hasPartial = true
+					return 0, fmt.Errorf("colexec: intermediate result exceeded %d tuples", opts.MaxIntermediate)
+				}
+			}
+		}
+		for s := 0; s <= d; s++ {
+			st.keepVec(vecBase+s, st.next[s])
+		}
+		st.cur = append(st.cur[:0], st.next...)
+		st.maskCur, st.maskNext = st.maskNext, st.maskCur
+		stats.JoinsExecuted++
+		stats.IntermediateRows += outRows
+		// Memory high-water mark of this join step: one int32 per slot
+		// vector entry (d+1 vectors) plus the uint64 membership mask.
+		if stepBytes := outRows * ((d+1)*4 + 8); stepBytes > stats.PeakIntermediateBytes {
+			stats.PeakIntermediateBytes = stepBytes
+		}
+		nRows = st.filterResiduals(outRows, l)
+	}
+	return nRows, nil
+}
+
+// filterResiduals keeps the pipeline rows that satisfy the residual edges
+// level l closes — equal, non-null values on both columns — writing the
+// survivors of each edge into fresh slot vectors (the current ones may
+// alias a read-only selection).
+func (st *execState) filterResiduals(nRows int, l *joinLevel) int {
+	for i := l.resLo; i < l.resHi; i++ {
+		re := &st.residuals[i]
+		lvec, rvec := st.cur[st.slotOf[re.lt]], st.cur[st.slotOf[re.rt]]
+		width := len(st.cur)
+		st.next = st.next[:0]
+		vecBase := st.vecUsed
+		for s := 0; s < width; s++ {
+			_, v := st.getVec()
+			st.next = append(st.next, v)
+		}
+		st.maskNext = st.maskNext[:0]
+		for r := 0; r < nRows; r++ {
+			lv := re.lc.value(lvec[r])
+			if lv.IsNull() || !lv.Equal(re.rc.value(rvec[r])) {
+				continue
+			}
+			for s := 0; s < width; s++ {
+				st.next[s] = append(st.next[s], st.cur[s][r])
+			}
+			st.maskNext = append(st.maskNext, st.maskCur[r])
+		}
+		for s := 0; s < width; s++ {
+			st.keepVec(vecBase+s, st.next[s])
+		}
+		st.cur = append(st.cur[:0], st.next...)
+		st.maskCur, st.maskNext = st.maskNext, st.maskCur
+		nRows = len(st.maskCur)
+	}
+	return nRows
 }
 
 // rowMask returns the membership mask of table ti's row id: bit si is set

@@ -21,17 +21,23 @@
 //     one code per row), so scan-shaped predicates are evaluated once per
 //     distinct value instead of once per row.
 //
-// Execution is late-materialising and column-at-a-time: the intermediate
-// join state is one int32 row-id vector per joined table (not one slice
-// per intermediate row), selections are rowset bitmaps with ascending id
-// vectors, and all per-execution scratch (slot vectors, bitmaps, id
-// buffers, the projection tuple) comes from a sync.Pool of execution
-// states, so a warm existence-style validation probe runs without
-// allocating (guarded by an AllocsPerRun test). Result rows and their
-// order are identical to the mem reference executor (both start from the
-// smallest filtered table, extend the join by scanning plan edges in
-// declaration order, and probe in base-row order), which the
-// cross-executor equivalence tests rely on.
+// A single execution (Execute, ExecuteWith, Exists) never builds the join:
+// after the pushed-down predicates have reduced every base table to a
+// selection (an ascending id vector plus a rowset bitmap), the plan is
+// answered by one depth-first walk over the prebuilt join indexes — one
+// cursor per joined table, the projection gathered only at full depth —
+// that stops as soon as the caller has the tuples it asked for (the first
+// one for Exists, Limit for a preview). A depth-first walk emits tuples in
+// (start row, posting position, ...) order, which is the order the mem
+// reference executor produces (both start from the smallest filtered
+// table, extend the join by scanning plan edges in declaration order, and
+// probe in base-row order); the cross-executor equivalence tests rely on
+// it. Only ExistsBatch's shared scan materialises, column-at-a-time, one
+// int32 row-id vector per joined table (batch.go). All per-execution
+// scratch (level cursors, bitmaps, id buffers, the projection tuple) comes
+// from a sync.Pool of execution states, so a warm existence-style
+// validation probe runs without allocating (guarded by an AllocsPerRun
+// test).
 package colexec
 
 import (
@@ -41,6 +47,7 @@ import (
 	"strconv"
 	"strings"
 	"sync"
+	"unsafe"
 
 	"prism/internal/exec"
 	"prism/internal/rowset"
@@ -208,9 +215,8 @@ type Executor struct {
 	src    exec.Source
 	tables []*table          // plan binding scans this (EqualFold, no alloc)
 	byName map[string]*table // catalog lookups (SampleRows, NumRows)
-	// identity is the shared 0..maxRows-1 row-id vector used as the
-	// starting slot vector of unfiltered tables. It is read-only; residual
-	// filters write into fresh vectors instead of compacting in place.
+	// identity is the shared 0..maxRows-1 row-id vector an unfiltered
+	// start table is enumerated from. It is read-only.
 	identity []int32
 	states   sync.Pool // *execState
 }
@@ -491,9 +497,11 @@ func (e *Executor) ExecuteWith(p exec.Plan, opts exec.ExecOptions) (*exec.Result
 	return res, nil
 }
 
-// Exists implements exec.Executor. Unlike ExecuteWith it materialises
-// nothing: the projection tuple is pooled scratch and no Result is built,
-// which keeps the warm validation probe allocation-free.
+// Exists implements exec.Executor. It materialises nothing: the join is
+// walked only as far as the first tuple the predicates accept, the
+// projection tuple is pooled scratch and no Result is built, which keeps
+// the warm validation probe allocation-free and its cost independent of
+// the size of an answer nobody reads.
 func (e *Executor) Exists(p exec.Plan, opts exec.ExecOptions) (bool, exec.ExecStats, error) {
 	if err := faultScan.Hit(); err != nil {
 		return false, exec.ExecStats{}, err
@@ -537,9 +545,42 @@ type selection struct {
 	bm  *rowset.Bitmap
 }
 
+// boundJoin is a plan join edge resolved against the column stores once,
+// at bind time: the tables as indexes into execState.tabs plus the two
+// columns. Level planning and residual checks read these instead of
+// resolving names inside their loops.
+type boundJoin struct {
+	lt, rt int
+	lc, rc *column
+}
+
+// joinLevel is one level of the planned join. Level 0 enumerates the start
+// table's selection; level i > 0 places table tab by probing buildCol's
+// prebuilt join index with the key probeCol holds on the row already
+// placed at level probeLvl, keeping only rows of the table's selection bm
+// (nil = all rows). A table's level is also its slot in the batched
+// pipeline's slot vectors (execState.slotOf).
+type joinLevel struct {
+	tab                int
+	probeLvl           int
+	probeCol, buildCol *column
+	bm                 *rowset.Bitmap
+	// residuals[resLo:resHi] are the plan edges this level closes: both
+	// endpoints placed, checked on every partial tuple formed here.
+	resLo, resHi int
+
+	// Walk cursor: the id list being enumerated, the position in it, and
+	// how many partial tuples the walk has formed at this level.
+	list   []int32
+	pos    int
+	formed int
+}
+
+// gather is one projected column: the table it reads and, once the levels
+// are planned, that table's level.
 type gather struct {
-	slot int
-	col  *column
+	tab, slot int
+	col       *column
 }
 
 // predCheck is the per-predicate verification state of one selectRows
@@ -578,9 +619,15 @@ type execState struct {
 	tabs   []*table
 	sels   []*selection
 	preds  []boundPred
-	joins  []exec.JoinEdge
+	joins  []boundJoin
 	slotOf []int
 	checks []predCheck
+
+	// The planned join (planLevels) and the walk's current row id per
+	// level.
+	levels    []joinLevel
+	residuals []boundJoin
+	row       []int32
 
 	selArena []selection
 	selUsed  int
@@ -593,14 +640,13 @@ type execState struct {
 	verdicts [][]bool
 	vdUsed   int
 
-	cur     [][]int32 // current slot vectors
-	next    [][]int32
 	gathers []gather
 	scratch value.Tuple
 
 	// Batch-only scratch (ExistsBatch): per-set bound predicates, the flat
-	// nSets×nTabs verdict-bitmap grid, per-set liveness/satisfaction, and
-	// the shared-scan worklists.
+	// nSets×nTabs verdict-bitmap grid, per-set liveness/satisfaction, the
+	// shared-scan worklists, and the materialising pipeline's slot vectors
+	// with their per-row membership masks (see joinPipeline).
 	batchPreds []batchPred
 	setBMs     []*rowset.Bitmap
 	setLive    []bool
@@ -609,15 +655,10 @@ type execState struct {
 	scanRanges [][2]int
 	scanHits   []int
 	scanActive []bool
-
-	// Masked-join scratch: when masked is set (batch runs only), the join
-	// pipeline carries one uint64 per row — bit si set while the row is
-	// still compatible with set si's selections — and drops rows whose
-	// mask empties, so "mix" rows (combinations of different sets'
-	// selections that belong to no single set) never materialise.
-	masked   bool
-	maskCur  []uint64
-	maskNext []uint64
+	cur        [][]int32 // current slot vectors
+	next       [][]int32
+	maskCur    []uint64
+	maskNext   []uint64
 }
 
 func (e *Executor) getState() *execState {
@@ -628,15 +669,22 @@ func (e *Executor) getState() *execState {
 }
 
 func (e *Executor) putState(st *execState) {
-	// Drop every reference into request-lifetime data (predicate closures
-	// over the spec, the context-capturing interrupt function, projected
-	// values) so an idle pool pins nothing; the int32/bitmap arenas are
-	// kept for reuse.
+	st.reset()
+	e.states.Put(st)
+}
+
+// reset drops every reference into request-lifetime data (predicate
+// closures over the spec, the context-capturing interrupt function,
+// projected values) so an idle pool pins nothing; the int32/bitmap arenas
+// are kept for reuse.
+func (st *execState) reset() {
 	st.interrupt.Reset(nil)
 	st.tabs = truncate(st.tabs)
 	st.sels = truncate(st.sels)
 	st.preds = truncate(st.preds)
 	st.joins = truncate(st.joins)
+	st.levels = truncate(st.levels)
+	st.residuals = truncate(st.residuals)
 	st.checks = truncate(st.checks)
 	st.gathers = truncate(st.gathers)
 	st.cur = truncate(st.cur)
@@ -645,43 +693,44 @@ func (e *Executor) putState(st *execState) {
 	st.setBMs = truncate(st.setBMs)
 	clear(st.scratch)
 	st.slotOf = st.slotOf[:0]
+	st.row = st.row[:0]
 	st.setLive = st.setLive[:0]
 	st.setSat = st.setSat[:0]
 	st.scanSets = st.scanSets[:0]
 	st.scanRanges = st.scanRanges[:0]
 	st.scanHits = st.scanHits[:0]
 	st.scanActive = st.scanActive[:0]
-	st.masked = false
 	st.maskCur = st.maskCur[:0]
 	st.maskNext = st.maskNext[:0]
 	st.selUsed, st.bmUsed, st.idUsed, st.vecUsed, st.vdUsed = 0, 0, 0, 0, 0
-	e.states.Put(st)
 }
 
-// scratchFootprint reports the bytes of pooled scratch arenas this
-// execution state holds — the storage putState keeps for reuse. It is
-// recorded as ExecStats.ScratchBytes after each execution so a round
-// can account its scratch-pool high-water mark; the walk touches only
-// slice headers (no allocation, a handful of iterations).
+// scratchFootprint reports the bytes of pooled scratch this execution
+// drew, by length in use: the bitmaps, id buffers, slot vectors and
+// verdict tables it took from the arenas, the planned levels with the
+// walk's row vector, the batched pipeline's membership masks, and the
+// projection tuple. Capacity a larger, earlier execution left behind in
+// the same pooled state is not counted, so the figure is a function of
+// the execution and not of which state the pool handed out. It is
+// recorded as ExecStats.ScratchBytes; computing it touches only slice
+// headers (no allocation, a handful of iterations).
 func (st *execState) scratchFootprint() int {
 	n := 0
-	for _, bm := range st.bitmaps {
-		if bm != nil {
-			n += bm.Footprint()
-		}
+	for _, bm := range st.bitmaps[:st.bmUsed] {
+		n += (bm.Len() + 63) / 64 * 8
 	}
-	for _, b := range st.idBufs {
-		n += cap(b) * 4
+	for _, b := range st.idBufs[:st.idUsed] {
+		n += len(b) * 4
 	}
-	for _, b := range st.vecBufs {
-		n += cap(b) * 4
+	for _, b := range st.vecBufs[:st.vecUsed] {
+		n += len(b) * 4
 	}
-	for _, v := range st.verdicts {
-		n += cap(v)
+	for _, v := range st.verdicts[:st.vdUsed] {
+		n += len(v)
 	}
-	n += cap(st.maskCur) * 8
-	n += cap(st.maskNext) * 8
-	n += cap(st.scratch) * 16 // interface headers of the projection tuple
+	n += len(st.levels)*int(unsafe.Sizeof(joinLevel{})) + len(st.row)*4
+	n += (len(st.maskCur) + len(st.maskNext)) * 8
+	n += len(st.gathers) * int(unsafe.Sizeof(value.Value{}))
 	return n
 }
 
@@ -723,7 +772,8 @@ func (st *execState) getIDs() (int, []int32) {
 	}
 	slot := st.idUsed
 	st.idUsed++
-	return slot, st.idBufs[slot][:0]
+	st.idBufs[slot] = st.idBufs[slot][:0]
+	return slot, st.idBufs[slot]
 }
 
 func (st *execState) keepIDs(slot int, buf []int32) { st.idBufs[slot] = buf }
@@ -734,7 +784,8 @@ func (st *execState) getVec() (int, []int32) {
 	}
 	slot := st.vecUsed
 	st.vecUsed++
-	return slot, st.vecBufs[slot][:0]
+	st.vecBufs[slot] = st.vecBufs[slot][:0]
+	return slot, st.vecBufs[slot]
 }
 
 func (st *execState) keepVec(slot int, buf []int32) { st.vecBufs[slot] = buf }
@@ -746,8 +797,8 @@ func (st *execState) getVerdict(n int) []bool {
 	v := st.verdicts[st.vdUsed]
 	if cap(v) < n {
 		v = make([]bool, n)
-		st.verdicts[st.vdUsed] = v
 	}
+	st.verdicts[st.vdUsed] = v[:n]
 	st.vdUsed++
 	return v[:n]
 }
@@ -798,28 +849,27 @@ func (e *Executor) bind(st *execState, p exec.Plan, opts exec.ExecOptions) error
 		}
 		st.preds = append(st.preds, boundPred{cp: cp, tab: ti, ci: ci})
 	}
-	reach := uint64(1) // join-graph reachability from table 0, as a tab-index bitmask
 	for _, j := range p.Joins {
-		for _, ref := range []schema.ColumnRef{j.Left, j.Right} {
-			ti := st.tabIndex(ref.Table)
-			if ti < 0 {
-				return fmt.Errorf("colexec: plan join %s references table %q not in plan", j, ref.Table)
-			}
-			if st.tabs[ti].columnIndex(ref.Column) < 0 {
-				return fmt.Errorf("colexec: unknown column %q in table %q", ref.Column, ref.Table)
-			}
+		lt, lc, err := st.columnOf(j, j.Left)
+		if err != nil {
+			return err
 		}
+		rt, rc, err := st.columnOf(j, j.Right)
+		if err != nil {
+			return err
+		}
+		st.joins = append(st.joins, boundJoin{lt: lt, rt: rt, lc: lc, rc: rc})
 	}
 	// Reject disconnected join graphs up front (the reference engine does so
 	// in Plan.Validate): a fixpoint over the edge list, O(tables × joins) on
-	// a bitmask.
+	// a bitmask of table indexes, reachability taken from table 0.
+	reach := uint64(1)
 	for changed := true; changed; {
 		changed = false
-		for _, j := range p.Joins {
-			l := uint64(1) << uint(st.tabIndex(j.Left.Table))
-			r := uint64(1) << uint(st.tabIndex(j.Right.Table))
-			if reach&(l|r) != 0 && reach&(l|r) != l|r {
-				reach |= l | r
+		for i := range st.joins {
+			ends := uint64(1)<<uint(st.joins[i].lt) | uint64(1)<<uint(st.joins[i].rt)
+			if reach&ends != 0 && reach&ends != ends {
+				reach |= ends
 				changed = true
 			}
 		}
@@ -827,17 +877,35 @@ func (e *Executor) bind(st *execState, p exec.Plan, opts exec.ExecOptions) error
 	if reach != (uint64(1)<<uint(len(st.tabs)))-1 {
 		return fmt.Errorf("colexec: plan join graph is not connected")
 	}
-	st.joins = append(st.joins, p.Joins...)
 	for _, ref := range p.Project {
 		ti := st.tabIndex(ref.Table)
 		if ti < 0 {
 			return fmt.Errorf("colexec: plan projects %s from table not in plan", ref)
 		}
-		if st.tabs[ti].columnIndex(ref.Column) < 0 {
+		ci := st.tabs[ti].columnIndex(ref.Column)
+		if ci < 0 {
 			return fmt.Errorf("colexec: unknown column %q in table %q", ref.Column, ref.Table)
 		}
+		st.gathers = append(st.gathers, gather{tab: ti, col: st.tabs[ti].cols[ci]})
+	}
+	if cap(st.scratch) < len(st.gathers) {
+		st.scratch = make(value.Tuple, len(st.gathers))
 	}
 	return nil
+}
+
+// columnOf resolves one endpoint of plan join j to its table index and
+// column.
+func (st *execState) columnOf(j exec.JoinEdge, ref schema.ColumnRef) (int, *column, error) {
+	ti := st.tabIndex(ref.Table)
+	if ti < 0 {
+		return 0, nil, fmt.Errorf("colexec: plan join %s references table %q not in plan", j, ref.Table)
+	}
+	ci := st.tabs[ti].columnIndex(ref.Column)
+	if ci < 0 {
+		return 0, nil, fmt.Errorf("colexec: unknown column %q in table %q", ref.Column, ref.Table)
+	}
+	return ti, st.tabs[ti].cols[ci], nil
 }
 
 func (st *execState) tabIndex(name string) int {
@@ -847,18 +915,6 @@ func (st *execState) tabIndex(name string) int {
 		}
 	}
 	return -1
-}
-
-func (st *execState) columnOf(ref schema.ColumnRef) (tab int, col *column, err error) {
-	ti := st.tabIndex(ref.Table)
-	if ti < 0 {
-		return 0, nil, fmt.Errorf("colexec: unknown table %q", ref.Table)
-	}
-	ci := st.tabs[ti].columnIndex(ref.Column)
-	if ci < 0 {
-		return 0, nil, fmt.Errorf("colexec: unknown column %q in table %q", ref.Column, ref.Table)
-	}
-	return ti, st.tabs[ti].cols[ci], nil
 }
 
 func (st *execState) selCount(ti int) int {
@@ -871,49 +927,177 @@ func (st *execState) selCount(ti int) int {
 // run executes the plan, calling yield with a shared scratch tuple for
 // every surviving projected row (in the reference engine's row order)
 // until yield returns false. The caller owns result assembly and
-// Distinct/Limit bookkeeping around yield.
+// Distinct/Limit bookkeeping around yield. Every single execution —
+// Exists, Execute, limited previews — goes through here: bind, push the
+// predicates down, plan the levels, walk. Nothing is materialised, so
+// PeakIntermediateBytes stays 0.
 func (e *Executor) run(st *execState, p exec.Plan, opts exec.ExecOptions, yield func(value.Tuple) bool) (runStats, error) {
 	var stats runStats
 	if err := e.bind(st, p, opts); err != nil {
 		return stats, err
 	}
 	st.interrupt.Reset(opts.Interrupt)
+	if aborted := e.pushDown(st, &stats.ExecStats); aborted {
+		stats.hasPartial = true
+		return stats, exec.ErrInterrupted
+	}
+	if err := e.planLevels(st, p); err != nil {
+		return stats, err
+	}
+	err := st.walk(opts, &stats, yield)
+	for i := 1; i < len(st.levels); i++ {
+		stats.IntermediateRows += st.levels[i].formed
+	}
+	return stats, err
+}
 
-	// Push predicates down onto base tables.
+// pushDown installs the selection of every table that carries a
+// pushed-down predicate. It reports whether execution was interrupted.
+func (e *Executor) pushDown(st *execState, stats *exec.ExecStats) (aborted bool) {
 	for ti := range st.tabs {
-		hasPred := false
 		for i := range st.preds {
 			if st.preds[i].tab == ti {
-				hasPred = true
+				if e.selectRows(st, ti, stats) {
+					return true
+				}
 				break
 			}
 		}
-		if !hasPred {
+	}
+	return false
+}
+
+// planLevels orders the join over the already-installed selections. Same
+// starting table and edge-scan discipline as the reference engine, over
+// the filtered cardinalities, so both executors emit rows in the same
+// order (both call exec.StartTable, so the tie-break can never silently
+// diverge between backends): each further level takes the first edge in
+// plan order that crosses from the placed tables to a new one, and every
+// remaining edge whose endpoints are then both placed becomes a residual
+// equality check of that level. Edges left at the end are the
+// self-conditions of a single-table plan; they close on the last level.
+// The walk (run) and the batched materialising pipeline (runBatch) both
+// execute this plan.
+func (e *Executor) planLevels(st *execState, p exec.Plan) error {
+	start := st.tabIndex(exec.StartTable(p, func(tbl string) int {
+		return st.selCount(st.tabIndex(tbl))
+	}))
+	ids := e.identity[:st.tabs[start].numRows]
+	if sel := st.sels[start]; sel != nil {
+		ids = sel.ids
+	}
+	st.levels = append(st.levels[:0], joinLevel{tab: start, list: ids})
+	st.residuals = st.residuals[:0]
+	st.slotOf[start] = 0
+	placed := uint64(1) << uint(start)
+	isPlaced := func(ti int) bool { return placed>>uint(ti)&1 == 1 }
+
+	remaining := st.joins
+	for len(st.levels) < len(st.tabs) {
+		edgeIdx := -1
+		for i := range remaining {
+			if isPlaced(remaining[i].lt) != isPlaced(remaining[i].rt) {
+				edgeIdx = i
+				break
+			}
+		}
+		if edgeIdx < 0 {
+			return fmt.Errorf("colexec: plan join graph is not connected")
+		}
+		j := remaining[edgeIdx]
+		remaining = append(remaining[:edgeIdx], remaining[edgeIdx+1:]...)
+		if !isPlaced(j.lt) {
+			j = boundJoin{lt: j.rt, rt: j.lt, lc: j.rc, rc: j.lc}
+		}
+		l := joinLevel{tab: j.rt, probeLvl: st.slotOf[j.lt], probeCol: j.lc, buildCol: j.rc, resLo: len(st.residuals)}
+		if sel := st.sels[j.rt]; sel != nil {
+			l.bm = sel.bm
+		}
+		st.slotOf[j.rt] = len(st.levels)
+		placed |= 1 << uint(j.rt)
+		kept := remaining[:0]
+		for _, re := range remaining {
+			if isPlaced(re.lt) && isPlaced(re.rt) {
+				st.residuals = append(st.residuals, re)
+			} else {
+				kept = append(kept, re)
+			}
+		}
+		remaining = kept
+		l.resHi = len(st.residuals)
+		st.levels = append(st.levels, l)
+	}
+	st.residuals = append(st.residuals, remaining...)
+	st.levels[len(st.levels)-1].resHi = len(st.residuals)
+
+	for gi := range st.gathers {
+		st.gathers[gi].slot = st.slotOf[st.gathers[gi].tab]
+	}
+	if cap(st.row) < len(st.levels) {
+		st.row = make([]int32, len(st.levels))
+	}
+	st.row = st.row[:len(st.levels)]
+	return nil
+}
+
+// walk enumerates the planned join depth-first, one cursor per level:
+// level 0 runs over the start selection's ids, level i over the posting
+// list the join index holds for the key of the row placed at the level's
+// probe level, filtered by the table's selection bitmap. A row that joins
+// forms a partial tuple at its level (counted, and bounded by
+// opts.MaxIntermediate per level — on exhaustion exactly the per-step
+// output the materialising pipeline would have built); one that also
+// passes the level's residual edges is visited: the interrupt is polled
+// and the walk descends, or at full depth gathers the projection, applies
+// the tuple predicate and yields. It returns when yield says stop, so an
+// existence probe costs the path to its first accepted tuple.
+func (st *execState) walk(opts exec.ExecOptions, stats *runStats, yield func(value.Tuple) bool) error {
+	lv := st.levels
+	last := len(lv) - 1
+	proj := st.scratch[:len(st.gathers)]
+	for d := 0; d >= 0; {
+		l := &lv[d]
+		if l.pos == len(l.list) {
+			d--
 			continue
 		}
-		if aborted := e.selectRows(st, ti, &stats.ExecStats); aborted {
-			stats.hasPartial = true
-			return stats, exec.ErrInterrupted
+		rid := l.list[l.pos]
+		l.pos++
+		if d > 0 {
+			if l.bm != nil && !l.bm.Contains(rid) {
+				continue
+			}
+			l.formed++
+			if opts.MaxIntermediate > 0 && l.formed > opts.MaxIntermediate {
+				stats.AbortedTooLarge = true
+				stats.hasPartial = true
+				return fmt.Errorf("colexec: intermediate result exceeded %d tuples", opts.MaxIntermediate)
+			}
 		}
-	}
-
-	nRows, err := e.joinPipeline(st, p, opts, &stats)
-	if err != nil {
-		return stats, err
-	}
-
-	if err := st.prepareProjection(p); err != nil {
-		return stats, err
-	}
-	proj := st.scratch[:len(st.gathers)]
-	for r := 0; r < nRows; r++ {
+		st.row[d] = rid
+		if !st.residualsHold(l) {
+			continue
+		}
 		if st.interrupt.Hit() {
 			stats.hasPartial = true
-			return stats, exec.ErrInterrupted
+			return exec.ErrInterrupted
+		}
+		if d < last {
+			next := &lv[d+1]
+			if d+1 > stats.JoinsExecuted {
+				stats.JoinsExecuted = d + 1
+			}
+			k := next.probeCol.key(st.row[next.probeLvl])
+			if k == "" {
+				continue // NULL never joins
+			}
+			next.list, next.pos = next.buildCol.join[k], 0
+			d++
+			continue
 		}
 		for gi := range st.gathers {
 			g := &st.gathers[gi]
-			proj[gi] = g.col.value(st.cur[g.slot][r])
+			proj[gi] = g.col.value(st.row[g.slot])
 		}
 		if opts.TuplePredicate != nil && !opts.TuplePredicate(proj) {
 			continue
@@ -922,238 +1106,23 @@ func (e *Executor) run(st *execState, p exec.Plan, opts exec.ExecOptions, yield 
 			break
 		}
 	}
-	return stats, nil
-}
-
-// joinPipeline runs the join phase over the already-installed selections:
-// starting-table choice, the column-at-a-time index joins, and residual
-// edge filters. On return st.cur holds one slot vector per joined table
-// (st.slotOf maps table index to slot) with nRows surviving rows. It is
-// shared by the single-probe path (run) and the batched path (runBatch),
-// which differ only in how selections were built and what happens to the
-// surviving rows.
-func (e *Executor) joinPipeline(st *execState, p exec.Plan, opts exec.ExecOptions, stats *runStats) (int, error) {
-	// Same starting table and edge-scan discipline as the reference
-	// engine, over the filtered cardinalities, so both executors emit rows
-	// in the same order. Both call exec.StartTable so the tie-break can
-	// never silently diverge between backends.
-	start := st.tabIndex(exec.StartTable(p, func(tbl string) int {
-		return st.selCount(st.tabIndex(tbl))
-	}))
-	st.slotOf[start] = 0
-	st.cur = st.cur[:0]
-	if sel := st.sels[start]; sel != nil {
-		st.cur = append(st.cur, sel.ids)
-	} else {
-		st.cur = append(st.cur, e.identity[:st.tabs[start].numRows])
-	}
-	nRows := len(st.cur[0])
-	if st.masked {
-		nRows = st.maskStart(start, nRows)
-	}
-
-	var joined uint64 = 1 << uint(start)
-	joinedCount := 1
-	remaining := st.joins
-
-	for joinedCount < len(st.tabs) {
-		edgeIdx := -1
-		for i, edge := range remaining {
-			li := st.tabIndex(edge.Left.Table)
-			ri := st.tabIndex(edge.Right.Table)
-			if (joined>>uint(li))&1 != (joined>>uint(ri))&1 {
-				edgeIdx = i
-				break
-			}
-		}
-		if edgeIdx < 0 {
-			return 0, fmt.Errorf("colexec: plan join graph is not connected")
-		}
-		edge := remaining[edgeIdx]
-		remaining = append(remaining[:edgeIdx], remaining[edgeIdx+1:]...)
-
-		joinedRef, newRef := edge.Left, edge.Right
-		joinedTab, newTab := st.tabIndex(joinedRef.Table), st.tabIndex(newRef.Table)
-		if (joined>>uint(joinedTab))&1 == 0 {
-			joinedRef, newRef = newRef, joinedRef
-			joinedTab, newTab = newTab, joinedTab
-		}
-		probeCol := st.tabs[joinedTab].cols[st.tabs[joinedTab].columnIndex(joinedRef.Column)]
-		buildCol := st.tabs[newTab].cols[st.tabs[newTab].columnIndex(newRef.Column)]
-		newSel := st.sels[newTab]
-
-		probeVec := st.cur[st.slotOf[joinedTab]]
-		width := len(st.cur)
-
-		// Probe the prebuilt join index of the new table's column into
-		// fresh slot vectors; no hash table is built per execution and no
-		// per-row tuple is allocated.
-		st.next = st.next[:0]
-		vecBase := st.vecUsed
-		for s := 0; s <= width; s++ {
-			_, v := st.getVec()
-			st.next = append(st.next, v)
-		}
-		outRows := 0
-		if st.masked {
-			st.maskNext = st.maskNext[:0]
-		}
-		for r := 0; r < nRows; r++ {
-			if st.interrupt.Hit() {
-				stats.hasPartial = true
-				return 0, exec.ErrInterrupted
-			}
-			k := probeCol.key(probeVec[r])
-			if k == "" {
-				continue // NULL never joins
-			}
-			for _, rid := range buildCol.join[k] {
-				if newSel != nil && !newSel.bm.Contains(rid) {
-					continue
-				}
-				if st.masked {
-					// Drop the combination as it forms unless some set
-					// selected both sides: the joined row's mask is the
-					// probe row's mask restricted to sets whose selection
-					// on the new table admits rid.
-					m := st.maskCur[r] & st.rowMask(newTab, rid)
-					if m == 0 {
-						continue
-					}
-					st.maskNext = append(st.maskNext, m)
-				}
-				for s := 0; s < width; s++ {
-					st.next[s] = append(st.next[s], st.cur[s][r])
-				}
-				st.next[width] = append(st.next[width], rid)
-				outRows++
-				if opts.MaxIntermediate > 0 && outRows > opts.MaxIntermediate {
-					stats.AbortedTooLarge = true
-					stats.hasPartial = true
-					return 0, fmt.Errorf("colexec: intermediate result exceeded %d tuples", opts.MaxIntermediate)
-				}
-			}
-		}
-		for s := 0; s <= width; s++ {
-			st.keepVec(vecBase+s, st.next[s])
-		}
-		st.cur = append(st.cur[:0], st.next...)
-		if st.masked {
-			st.maskCur, st.maskNext = st.maskNext, st.maskCur
-		}
-		nRows = outRows
-		st.slotOf[newTab] = width
-		joined |= 1 << uint(newTab)
-		joinedCount++
-		stats.JoinsExecuted++
-		stats.IntermediateRows += outRows
-		// Memory high-water mark of this join step: one int32 per slot
-		// vector entry (width+1 vectors), plus the uint64 membership
-		// masks on the batched path.
-		stepBytes := outRows * (width + 1) * 4
-		if st.masked {
-			stepBytes += outRows * 8
-		}
-		if stepBytes > stats.PeakIntermediateBytes {
-			stats.PeakIntermediateBytes = stepBytes
-		}
-
-		// Residual edges with both endpoints joined become filters.
-		kept := remaining[:0]
-		for _, re := range remaining {
-			l, r := st.tabIndex(re.Left.Table), st.tabIndex(re.Right.Table)
-			if (joined>>uint(l))&1 == 1 && (joined>>uint(r))&1 == 1 {
-				var err error
-				nRows, err = st.filterResidual(nRows, re)
-				if err != nil {
-					return 0, err
-				}
-			} else {
-				kept = append(kept, re)
-			}
-		}
-		remaining = kept
-	}
-
-	// Apply any leftover internal join edges (single-table plans with
-	// self-conditions).
-	for _, re := range remaining {
-		var err error
-		nRows, err = st.filterResidual(nRows, re)
-		if err != nil {
-			return 0, err
-		}
-	}
-	return nRows, nil
-}
-
-// prepareProjection resolves the projection against the joined slot vectors
-// and sizes the pooled scratch tuple; rows are gathered from the column
-// stores only now (late materialisation).
-func (st *execState) prepareProjection(p exec.Plan) error {
-	st.gathers = st.gathers[:0]
-	for _, ref := range p.Project {
-		ti, col, err := st.columnOf(ref)
-		if err != nil {
-			return err
-		}
-		st.gathers = append(st.gathers, gather{slot: st.slotOf[ti], col: col})
-	}
-	if cap(st.scratch) < len(st.gathers) {
-		st.scratch = make(value.Tuple, len(st.gathers))
-	}
+	// A run that was not cut short answered every join step of the plan,
+	// whether or not a row reached it.
+	stats.JoinsExecuted = last
 	return nil
 }
 
-// filterResidual keeps intermediate rows whose two referenced columns hold
-// equal, non-null values, writing the surviving rows into fresh slot
-// vectors (the current ones may alias read-only selections or the shared
-// identity vector).
-func (st *execState) filterResidual(nRows int, edge exec.JoinEdge) (int, error) {
-	lt, lc, err := st.columnOf(edge.Left)
-	if err != nil {
-		return 0, err
-	}
-	rt, rc, err := st.columnOf(edge.Right)
-	if err != nil {
-		return 0, err
-	}
-	ls, rs := st.slotOf[lt], st.slotOf[rt]
-	if ls < 0 || rs < 0 {
-		return 0, fmt.Errorf("colexec: residual join %s references unjoined table", edge)
-	}
-	width := len(st.cur)
-	st.next = st.next[:0]
-	vecBase := st.vecUsed
-	for s := 0; s < width; s++ {
-		_, v := st.getVec()
-		st.next = append(st.next, v)
-	}
-	out := 0
-	if st.masked {
-		st.maskNext = st.maskNext[:0]
-	}
-	for r := 0; r < nRows; r++ {
-		lv := lc.value(st.cur[ls][r])
-		if lv.IsNull() || !lv.Equal(rc.value(st.cur[rs][r])) {
-			continue
+// residualsHold reports whether the partial tuple in st.row satisfies the
+// residual edges level l closes: equal, non-null values on both columns.
+func (st *execState) residualsHold(l *joinLevel) bool {
+	for i := l.resLo; i < l.resHi; i++ {
+		re := &st.residuals[i]
+		lv := re.lc.value(st.row[st.slotOf[re.lt]])
+		if lv.IsNull() || !lv.Equal(re.rc.value(st.row[st.slotOf[re.rt]])) {
+			return false
 		}
-		for s := 0; s < width; s++ {
-			st.next[s] = append(st.next[s], st.cur[s][r])
-		}
-		if st.masked {
-			st.maskNext = append(st.maskNext, st.maskCur[r])
-		}
-		out++
 	}
-	for s := 0; s < width; s++ {
-		st.keepVec(vecBase+s, st.next[s])
-	}
-	st.cur = append(st.cur[:0], st.next...)
-	if st.masked {
-		st.maskCur, st.maskNext = st.maskNext, st.maskCur
-	}
-	return out, nil
+	return true
 }
 
 // selectRows applies table ti's pushed-down predicates and installs the

@@ -6,7 +6,9 @@ package colexec
 import (
 	"testing"
 
+	"prism/internal/dataset"
 	"prism/internal/exec"
+	"prism/internal/schema"
 	"prism/internal/value"
 )
 
@@ -279,21 +281,156 @@ func TestWarmValidationPathAllocations(t *testing.T) {
 			Bounds: &exec.NumericBounds{Lo: 100, Hi: 600, HasLo: true, HasHi: true},
 		}},
 	}
-	probe := func(opts exec.ExecOptions) func() {
+	// A three-table chain, and (on the corner-case database) a plan whose
+	// third edge closes a cycle: the level cursors and the residual list
+	// come from the pooled state too. The residual edge compares integers;
+	// value.Compare lower-cases text operands, which allocates outside the
+	// executor.
+	edge := build(t, edgeDB(t))
+	_, cyclic := edgePlans()
+	probe := func(ex exec.Executor, plan exec.Plan, opts exec.ExecOptions) func() {
 		return func() {
-			if _, _, err := col.Exists(plan, opts); err != nil {
-				t.Fatal(err)
+			if ok, _, err := ex.Exists(plan, opts); err != nil || !ok {
+				t.Fatalf("Exists = %v, %v", ok, err)
 			}
 		}
 	}
+	always := func(value.Tuple) bool { return true }
 	for name, fn := range map[string]func(){
-		"keyword-probe": probe(kwOpts),
-		"range-probe":   probe(rangeOpts),
+		"keyword-probe":       probe(col, plan, kwOpts),
+		"range-probe":         probe(col, plan, rangeOpts),
+		"three-table-probe":   probe(col, threeWayPlan(), exec.ExecOptions{TuplePredicate: always}),
+		"residual-edge-probe": probe(edge, cyclic, exec.ExecOptions{TuplePredicate: always}),
 	} {
 		fn() // warm the pools
 		fn()
 		if allocs := testing.AllocsPerRun(200, fn); allocs != 0 {
 			t.Errorf("warm %s allocates %.2f times per run, want 0", name, allocs)
 		}
+	}
+}
+
+// TestScratchBytesDependsOnTheExecutionOnly pins ExecStats.ScratchBytes as
+// a function of the execution: the same probe reports the same bytes on a
+// fresh execution state and on one whose arenas a far larger plan and a
+// batch have already grown.
+func TestScratchBytesDependsOnTheExecutionOnly(t *testing.T) {
+	db := mondial(t)
+	col := buildColumnar(t, db)
+	probe := func(st *execState) int {
+		t.Helper()
+		found := false
+		_, err := col.run(st, lakePlan(), exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{{
+			Ref:      ref("Lake", "Name"),
+			Pred:     func(v value.Value) bool { return v.MatchesKeyword("lake tahoe") },
+			Keywords: []string{"lake tahoe"},
+		}}}, func(value.Tuple) bool { found = true; return false })
+		if err != nil || !found {
+			t.Fatalf("probe: found=%v err=%v", found, err)
+		}
+		n := st.scratchFootprint()
+		st.reset()
+		return n
+	}
+	fresh := probe(&execState{})
+	if fresh == 0 {
+		t.Fatal("a probe that selects rows reports no scratch")
+	}
+
+	warm := &execState{}
+	scanAll := func(table, column string) exec.ColumnPredicate {
+		return exec.ColumnPredicate{Ref: ref(table, column), Pred: func(value.Value) bool { return true }}
+	}
+	wide := threeWayPlan()
+	wide.Project = append(wide.Project, ref("Province", "Name"), ref("City", "Province"))
+	if _, err := col.run(warm, wide, exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{
+		scanAll("Country", "Name"), scanAll("Province", "Name"), scanAll("City", "Name"),
+	}}, func(value.Tuple) bool { return true }); err != nil {
+		t.Fatal(err)
+	}
+	big := warm.scratchFootprint()
+	warm.reset()
+	if _, _, err := col.runBatch(warm, lakePlan(), batchSets(), exec.ExecOptions{}); err != nil {
+		t.Fatal(err)
+	}
+	warm.reset()
+	if big <= fresh {
+		t.Fatalf("the warming plan drew %d bytes, the probe %d — it does not outgrow the probe", big, fresh)
+	}
+	if got := probe(warm); got != fresh {
+		t.Fatalf("ScratchBytes = %d on a warmed state, %d on a fresh one", got, fresh)
+	}
+}
+
+// TestFirstTupleCost pins what an existence probe pays: on a join where
+// every partial tuple extends, the walk forms at most one partial tuple per
+// level for the tuple it returns and for each one the tuple predicate
+// turned down before it.
+func TestFirstTupleCost(t *testing.T) {
+	db, plan := fanDB(t, 50, 4)
+	col := buildColumnar(t, db)
+	depth := len(plan.Tables) - 1
+	for _, reject := range []int{0, 1, 7, 60} {
+		rejected := 0
+		ok, stats, err := col.Exists(plan, exec.ExecOptions{TuplePredicate: func(value.Tuple) bool {
+			if rejected < reject {
+				rejected++
+				return false
+			}
+			return true
+		}})
+		if err != nil || !ok {
+			t.Fatalf("reject %d: ok=%v err=%v", reject, ok, err)
+		}
+		if stats.IntermediateRows > depth*(rejected+1) {
+			t.Errorf("reject %d: %d partial tuples formed, want <= %d × %d", reject, stats.IntermediateRows, depth, rejected+1)
+		}
+		if stats.JoinsExecuted != depth || stats.PeakIntermediateBytes != 0 {
+			t.Errorf("reject %d: stats %+v", reject, stats)
+		}
+	}
+}
+
+// BenchmarkExistsFirstTuple is the probe a low-resolution round is made
+// of: a four-table plan over the 10.7k-row Mondial of the benchmark's
+// oneshot_lowres workload with no pushed-down predicate at all (a
+// metadata-only specification constrains no cell). first-tuple is answered
+// by the first row that joins through; empty-answer, whose tuple predicate
+// turns every tuple down, walks the whole join.
+func BenchmarkExistsFirstTuple(b *testing.B) {
+	db, err := dataset.Mondial(dataset.MondialConfig{Seed: 1, Countries: 20, ProvincesPerCountry: 8, CitiesPerProvince: 8,
+		Lakes: 1500, Rivers: 1000, Mountains: 800})
+	if err != nil {
+		b.Fatal(err)
+	}
+	db.Analyze()
+	col := build(b, db)
+	plan := exec.Plan{
+		Tables: []string{"Country", "Province", "geo_lake", "geo_river"},
+		Joins: []exec.JoinEdge{
+			{Left: ref("Province", "Country"), Right: ref("Country", "Name")},
+			{Left: ref("geo_lake", "Province"), Right: ref("Province", "Name")},
+			{Left: ref("geo_river", "Province"), Right: ref("Province", "Name")},
+		},
+		Project: []schema.ColumnRef{ref("Country", "Name"), ref("Province", "Name"), ref("geo_lake", "Lake"), ref("geo_river", "River")},
+	}
+	for _, bc := range []struct {
+		name   string
+		accept bool
+	}{{"first-tuple", true}, {"empty-answer", false}} {
+		bc := bc
+		b.Run(bc.name, func(b *testing.B) {
+			opts := exec.ExecOptions{TuplePredicate: func(value.Tuple) bool { return bc.accept }}
+			b.ReportAllocs()
+			formed := 0
+			for i := 0; i < b.N; i++ {
+				ok, stats, err := col.Exists(plan, opts)
+				if err != nil || ok != bc.accept {
+					b.Fatalf("Exists = %v, %v", ok, err)
+				}
+				formed = stats.IntermediateRows
+			}
+			b.ReportMetric(float64(formed), "intermediate-rows/op")
+		})
 	}
 }

@@ -48,6 +48,18 @@ func lakePlan() exec.Plan {
 	}
 }
 
+// threeWayPlan chains Country, Province and City along their foreign keys.
+func threeWayPlan() exec.Plan {
+	return exec.Plan{
+		Tables: []string{"Country", "Province", "City"},
+		Joins: []exec.JoinEdge{
+			{Left: ref("Province", "Country"), Right: ref("Country", "Name")},
+			{Left: ref("City", "Province"), Right: ref("Province", "Name")},
+		},
+		Project: []schema.ColumnRef{ref("Country", "Name"), ref("City", "Name")},
+	}
+}
+
 // planVariants covers the execution shapes the validation phase produces:
 // single tables, two- and three-way joins, distinct projections, and
 // pushed-down predicates with and without keyword covers.
@@ -67,14 +79,6 @@ func planVariants() []struct {
 		Ref:  ref("Lake", "Area"),
 		Pred: func(v value.Value) bool { f, ok := v.Float(); return ok && f >= 100 && f <= 600 },
 	}
-	threeWay := exec.Plan{
-		Tables: []string{"Country", "Province", "City"},
-		Joins: []exec.JoinEdge{
-			{Left: ref("Province", "Country"), Right: ref("Country", "Name")},
-			{Left: ref("City", "Province"), Right: ref("Province", "Name")},
-		},
-		Project: []schema.ColumnRef{ref("Country", "Name"), ref("City", "Name")},
-	}
 	single := exec.Plan{
 		Tables:  []string{"Lake"},
 		Project: []schema.ColumnRef{ref("Lake", "Name"), ref("Lake", "Area")},
@@ -89,7 +93,7 @@ func planVariants() []struct {
 		{name: "single-table", plan: single},
 		{name: "two-way-join", plan: lakePlan()},
 		{name: "two-way-distinct", plan: distinct},
-		{name: "three-way-join", plan: threeWay},
+		{name: "three-way-join", plan: threeWayPlan()},
 		{name: "keyword-pushdown", plan: lakePlan(), opts: exec.ExecOptions{
 			ColumnPredicates: []exec.ColumnPredicate{keyword("California")},
 		}},

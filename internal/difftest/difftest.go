@@ -1,18 +1,22 @@
 // Package difftest builds the inputs shared by the differential tests of a
-// round's front half (graphx, filter, sched): the bundled databases and,
-// over each, a pool of workload-generator specifications with their related
-// columns, the way a discovery round finds them. It is imported by tests
-// only.
+// round's front half (graphx, filter, sched) and of the executors (colexec,
+// batchdiff): the bundled databases, over each a pool of
+// workload-generator specifications with their related columns, the way a
+// discovery round finds them, and a random generator of validation-shaped
+// plans and predicate sets. It is imported by tests only.
 package difftest
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"prism/internal/constraint"
 	"prism/internal/dataset"
+	"prism/internal/exec"
 	"prism/internal/mem"
 	"prism/internal/schema"
+	"prism/internal/value"
 	"prism/internal/workload"
 )
 
@@ -143,4 +147,157 @@ func DerivedMappings(sch *schema.Schema) []workload.GroundTruthMapping {
 		}
 	}
 	return out
+}
+
+// Plans derives validation-shaped Project-Join plans from the dataset's
+// own schema: every single table, every foreign-key pair, and every
+// two-edge chain — the same shapes filter.Decompose produces.
+func Plans(sch *schema.Schema) []exec.Plan {
+	var plans []exec.Plan
+	for _, t := range sch.Tables() {
+		n := min(2, len(t.Columns))
+		var proj []schema.ColumnRef
+		for i := 0; i < n; i++ {
+			proj = append(proj, schema.ColumnRef{Table: t.Name, Column: t.Columns[i].Name})
+		}
+		plans = append(plans, exec.Plan{Tables: []string{t.Name}, Project: proj})
+	}
+	fks := sch.ForeignKeys()
+	for _, fk := range fks {
+		plans = append(plans, exec.Plan{
+			Tables:  []string{fk.From.Table, fk.To.Table},
+			Joins:   []exec.JoinEdge{{Left: fk.From, Right: fk.To}},
+			Project: []schema.ColumnRef{fk.From, fk.To},
+		})
+	}
+	for i, a := range fks {
+		for _, b := range fks[i+1:] {
+			p, ok := chainPlan(a, b)
+			if ok {
+				plans = append(plans, p)
+			}
+			if len(plans) > 24 {
+				return plans
+			}
+		}
+	}
+	return plans
+}
+
+// chainPlan joins two foreign keys sharing exactly one table into a
+// three-table chain plan.
+func chainPlan(a, b schema.ForeignKey) (exec.Plan, bool) {
+	tables := []string{a.From.Table, a.To.Table}
+	var third string
+	switch {
+	case eqFold(b.From.Table, a.From.Table) && !eqFold(b.To.Table, a.To.Table):
+		third = b.To.Table
+	case eqFold(b.From.Table, a.To.Table) && !eqFold(b.To.Table, a.From.Table):
+		third = b.To.Table
+	case eqFold(b.To.Table, a.From.Table) && !eqFold(b.From.Table, a.To.Table):
+		third = b.From.Table
+	case eqFold(b.To.Table, a.To.Table) && !eqFold(b.From.Table, a.From.Table):
+		third = b.From.Table
+	default:
+		return exec.Plan{}, false
+	}
+	tables = append(tables, third)
+	return exec.Plan{
+		Tables: tables,
+		Joins: []exec.JoinEdge{
+			{Left: a.From, Right: a.To},
+			{Left: b.From, Right: b.To},
+		},
+		Project: []schema.ColumnRef{a.From, b.To},
+	}, true
+}
+
+func eqFold(a, b string) bool {
+	return value.Normalize(a) == value.Normalize(b)
+}
+
+// RandomSet builds one random predicate set over the plan's tables:
+// keyword-equality predicates seeded from stored values (mostly
+// satisfiable), nonsense keywords (unsatisfiable), numeric bounds, and
+// bare scan-shaped predicates, optionally with a tuple predicate.
+func RandomSet(rng *rand.Rand, db *mem.Database, p exec.Plan) exec.PredicateSet {
+	var set exec.PredicateSet
+	nPreds := rng.Intn(4)
+	for k := 0; k < nPreds; k++ {
+		tbl := p.Tables[rng.Intn(len(p.Tables))]
+		ts, ok := db.Schema().Table(tbl)
+		if !ok || len(ts.Columns) == 0 {
+			continue
+		}
+		col := ts.Columns[rng.Intn(len(ts.Columns))].Name
+		ref := schema.ColumnRef{Table: tbl, Column: col}
+		vals, err := db.ColumnValues(ref)
+		if err != nil {
+			continue
+		}
+		switch rng.Intn(4) {
+		case 0: // keyword equality on a stored value
+			v, ok := pickNonNull(rng, vals)
+			if !ok {
+				continue
+			}
+			kw := v.String()
+			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
+				Ref:      ref,
+				Pred:     func(c value.Value) bool { return c.MatchesKeyword(kw) },
+				Keywords: []string{kw},
+			})
+		case 1: // nonsense keyword: provably unsatisfiable
+			kw := fmt.Sprintf("zz-no-such-value-%d", rng.Intn(1000))
+			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
+				Ref:      ref,
+				Pred:     func(c value.Value) bool { return c.MatchesKeyword(kw) },
+				Keywords: []string{kw},
+			})
+		case 2: // numeric bounds around a stored value
+			f, ok := pickNumeric(rng, vals)
+			if !ok {
+				continue
+			}
+			lo, hi := f-1, f+1
+			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
+				Ref: ref,
+				Pred: func(c value.Value) bool {
+					cf, ok := c.Float()
+					return ok && cf >= lo && cf <= hi
+				},
+				Bounds: &exec.NumericBounds{Lo: lo, Hi: hi, HasLo: true, HasHi: true},
+			})
+		default: // scan-shaped: no keyword or bounds cover
+			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
+				Ref:  ref,
+				Pred: func(c value.Value) bool { return !c.IsNull() },
+			})
+		}
+	}
+	if rng.Intn(3) == 0 {
+		set.TuplePredicate = func(t value.Tuple) bool {
+			return len(t) > 0 && len(t[0].String())%2 == 0
+		}
+	}
+	return set
+}
+
+func pickNonNull(rng *rand.Rand, vals []value.Value) (value.Value, bool) {
+	for try := 0; try < 8 && len(vals) > 0; try++ {
+		v := vals[rng.Intn(len(vals))]
+		if !v.IsNull() {
+			return v, true
+		}
+	}
+	return value.Value{}, false
+}
+
+func pickNumeric(rng *rand.Rand, vals []value.Value) (float64, bool) {
+	for try := 0; try < 8 && len(vals) > 0; try++ {
+		if f, ok := vals[rng.Intn(len(vals))].Float(); ok {
+			return f, true
+		}
+	}
+	return 0, false
 }

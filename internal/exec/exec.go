@@ -77,7 +77,13 @@ type Executor interface {
 	ExecuteWith(p Plan, opts ExecOptions) (*Result, error)
 	// Exists reports whether the plan produces at least one tuple
 	// satisfying the options' predicates, terminating as early as possible.
-	// It returns the execution stats as the validation cost.
+	// It returns the execution stats as the validation cost. The default
+	// backend is required to stop at the first accepted tuple without
+	// building the join: its IntermediateRows then counts only the partial
+	// tuples formed on the way there, PeakIntermediateBytes is 0, and
+	// MaxIntermediate can only abort a probe that has not found its tuple
+	// yet. The reference engine computes the whole join and reads one row
+	// of it — same verdict, its own cost.
 	Exists(p Plan, opts ExecOptions) (bool, ExecStats, error)
 	// ExistsBatch answers many existence questions over one plan: verdict i
 	// reports what Exists would return for sets[i]'s predicates, but the

@@ -234,8 +234,13 @@ type ExecOptions struct {
 	TuplePredicate func(value.Tuple) bool
 	// Limit stops execution after this many result tuples (0 = unlimited).
 	Limit int
-	// MaxIntermediate aborts execution when an intermediate relation exceeds
-	// this many tuples (0 = unlimited); a guard for runaway joins.
+	// MaxIntermediate aborts execution when one join step has formed more
+	// than this many partial tuples (0 = unlimited); a guard for runaway
+	// joins. A backend that builds each step whole (mem, the columnar
+	// batched scan) checks the step's output; the columnar walk counts the
+	// partial tuples it has formed per level, which comes to the same
+	// number when the walk runs to exhaustion — a run that has its tuples
+	// before any level outgrows the bound simply answers.
 	MaxIntermediate int
 	// Interrupt, when non-nil, is polled periodically during execution;
 	// returning true aborts the run with ErrInterrupted. It is how context
@@ -291,8 +296,16 @@ func (c *InterruptChecker) Hit() bool {
 // executor but not across executors (an indexed executor scans fewer rows
 // for the same answer).
 type ExecStats struct {
-	RowsScanned       int // base-table rows read
-	IntermediateRows  int // tuples materialised across all join steps
+	RowsScanned int // base-table rows read
+	// IntermediateRows counts the partial join tuples formed across all
+	// join steps, before residual-edge filters. An engine that builds each
+	// step whole reports the whole join; the columnar walk reports what it
+	// formed before it stopped — the same sum on exhaustion, a handful when
+	// the first tuples were enough.
+	IntermediateRows int
+	// JoinsExecuted counts the join steps the execution answered: every
+	// step of the plan for a completed run, the deepest step entered for
+	// one that was interrupted or aborted.
 	JoinsExecuted     int
 	ResultRows        int
 	TerminatedEarly   bool // stopped due to Limit
@@ -305,12 +318,17 @@ type ExecStats struct {
 	BlocksPruned int
 	ZonesPruned  int
 
-	// Memory accounting: PeakIntermediateBytes is the largest
-	// materialised intermediate row set of any single join step, and
-	// ScratchBytes the pooled per-execution scratch footprint. Both are
-	// high-water marks, so Add takes the max rather than the sum —
-	// accumulated over a round they report the round's peak, not a
-	// meaningless total.
+	// Memory accounting (columnar executor). PeakIntermediateBytes is the
+	// largest materialised intermediate row set of any single join step:
+	// 0 for Exists, Execute and ExecuteWith, which walk the join without
+	// building it, non-zero only for ExistsBatch's shared scan.
+	// ScratchBytes is the pooled scratch the execution drew, counted by
+	// length in use — selection bitmaps and id vectors, verdict tables,
+	// level cursors, the batched scan's slot vectors and masks, the
+	// projection tuple — so it is a function of the execution, not of
+	// which pooled state served it. Both are high-water marks, so Add
+	// takes the max rather than the sum — accumulated over a round they
+	// report the round's peak, not a meaningless total.
 	PeakIntermediateBytes int
 	ScratchBytes          int
 }

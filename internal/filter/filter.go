@@ -567,7 +567,10 @@ type Validator struct {
 	// (the in-memory reference engine or the columnar engine).
 	DB   exec.Executor
 	Spec *constraint.Spec
-	// MaxIntermediate guards runaway joins during validation (0 = default).
+	// MaxIntermediate guards runaway joins during validation: a probe is
+	// aborted once a join step has formed more than this many partial
+	// tuples (exec.ExecOptions.MaxIntermediate). 0 means unbounded — there
+	// is no default.
 	MaxIntermediate int
 
 	// tmpls caches, per sample × target column, the pushed-down predicate

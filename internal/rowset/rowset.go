@@ -62,11 +62,6 @@ func (b *Bitmap) Reset(n int) {
 // Len returns the universe size.
 func (b *Bitmap) Len() int { return b.n }
 
-// Footprint returns the bytes of backing storage the bitmap holds
-// (capacity, not live universe) — the executor's scratch-pool memory
-// accounting sums these for pooled bitmaps.
-func (b *Bitmap) Footprint() int { return cap(b.words) * 8 }
-
 // Add inserts id into the set. id must be in [0, Len()).
 func (b *Bitmap) Add(id int32) {
 	b.words[uint32(id)/wordBits] |= 1 << (uint32(id) % wordBits)
