@@ -14,12 +14,15 @@
 package bayes
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 
 	"prism/internal/lang"
 	"prism/internal/mem"
+	"prism/internal/rowset"
 	"prism/internal/schema"
 	"prism/internal/value"
 )
@@ -82,6 +85,15 @@ type columnModel struct {
 	// across those, so these rows are evaluated one by one (variantVals).
 	variantRows []int32
 	variantVals []value.Value
+	// byView lists the value ids whose value has a numeric view
+	// (Value.Float) that is not NaN, ascending by it; views[i] is the view of
+	// vals[byView[i]]. A pure numeric range holds for exactly the values with
+	// a view inside it (lang.ExactRangeBounds), so its match set is the
+	// postings between two binary searches. The views are taken from the
+	// values themselves, not from the numeric flag below, which looks at
+	// kinds and passes over numeric-looking text.
+	byView []int32
+	views  []float64
 
 	numeric    bool
 	lo, hi     float64
@@ -127,7 +139,41 @@ func trainColumn(ref schema.ColumnRef, rel *mem.Relation, ci int, rowID []int32)
 	}
 	c.post = groupCSR(len(c.vals)+1, rowID, nil)
 	c.buildHistogram()
+	c.sortViews()
 	return c
+}
+
+// sortViews fills byView and views. The sort runs on a scratch slice of
+// pairs; the two slices the model keeps are sized exactly.
+func (c *columnModel) sortViews() {
+	type viewed struct {
+		view float64
+		id   int32
+	}
+	var pairs []viewed
+	for id, v := range c.vals {
+		if f, ok := v.Float(); ok && !math.IsNaN(f) {
+			pairs = append(pairs, viewed{f, int32(id)})
+		}
+	}
+	if len(pairs) == 0 {
+		return
+	}
+	slices.SortFunc(pairs, func(a, b viewed) int { return cmp.Compare(a.view, b.view) })
+	c.byView, c.views = make([]int32, len(pairs)), make([]float64, len(pairs))
+	for i, p := range pairs {
+		c.byView[i], c.views[i] = p.id, p.view
+	}
+}
+
+// addRangeRows adds the postings of the values whose numeric view lies in
+// [lo, hi]; an interval with lo > hi holds nothing.
+func (c *columnModel) addRangeRows(bits *rowset.Bitmap, lo, hi float64) {
+	from := sort.SearchFloat64s(c.views, lo)
+	to := sort.Search(len(c.views), func(i int) bool { return c.views[i] > hi })
+	for i := from; i < to; i++ {
+		bits.AddSorted(c.post.at(c.byView[i]))
+	}
 }
 
 func (c *columnModel) nullRows() []int32 { return c.post.at(int32(len(c.vals))) }

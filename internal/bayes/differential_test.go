@@ -4,6 +4,7 @@ import (
 	"math"
 	"strings"
 	"testing"
+	"time"
 
 	"prism/internal/dataset"
 	"prism/internal/difftest"
@@ -280,6 +281,61 @@ func (fx *diffFixture) checkGenerated(mappings []workload.GroundTruthMapping) {
 	}
 }
 
+// checkRanges asks every column for pure numeric ranges — the shape the
+// model answers from its sorted views instead of evaluating the expression —
+// around the numeric views of up to eight of its stored values: bounds equal
+// to stored views, as Int and as Decimal constants, one bound stored and one
+// between values, bounds the wrong way round, the two zeros, and the whole
+// line. Each is asked alone on its table and across every foreign key of it.
+func (fx *diffFixture) checkRanges() {
+	fx.t.Helper()
+	sch := fx.db.Schema()
+	for _, t := range sch.Tables() {
+		rel, _ := fx.db.Relation(t.Name)
+		for ci, col := range t.Columns {
+			var views []float64
+			step := max(1, len(rel.Rows)/8)
+			for at := 0; at < len(rel.Rows); at += step {
+				if f, ok := rel.Rows[at][ci].Float(); ok && !math.IsNaN(f) && !math.IsInf(f, 0) {
+					views = append(views, f)
+				}
+			}
+			views = append(views, 0) // every column is asked, also one without views
+			var ranges []lang.Range
+			for i, f := range views {
+				g := views[(i+1)%len(views)]
+				ranges = append(ranges,
+					lang.Range{Lo: value.NewDecimal(f), Hi: value.NewDecimal(f)},
+					lang.Range{Lo: value.NewInt(int64(f)), Hi: value.NewInt(int64(f))},
+					lang.Range{Lo: value.NewDecimal(min(f, g)), Hi: value.NewDecimal(max(f, g))},
+					lang.Range{Lo: value.NewDecimal(max(f, g)), Hi: value.NewDecimal(min(f, g) - 1)},
+					lang.Range{Lo: value.NewDecimal(f - 0.25), Hi: value.NewDecimal(f)},
+					lang.Range{Lo: value.NewDecimal(f), Hi: value.NewDecimal(f + 0.25)},
+				)
+			}
+			negZero := math.Copysign(0, -1)
+			ranges = append(ranges,
+				lang.Range{Lo: value.NewDecimal(negZero), Hi: value.NewDecimal(0)},
+				lang.Range{Lo: value.NewDecimal(0), Hi: value.NewDecimal(negZero)},
+				lang.Range{Lo: value.NewDecimal(-math.MaxFloat64), Hi: value.NewDecimal(math.MaxFloat64)},
+				lang.Range{Lo: value.NewDecimal(math.Inf(-1)), Hi: value.NewDecimal(math.Inf(1))},
+			)
+			colRef := schema.ColumnRef{Table: t.Name, Column: col.Name}
+			for xi, r := range ranges {
+				if _, exact := lang.ExactRangeBounds(r); !exact {
+					fx.t.Fatalf("%s is not a pure numeric range", r)
+				}
+				memo := remembering(fx.live)
+				cons := []ColumnConstraint{{Ref: colRef, Expr: r, Target: xi}}
+				fx.check(memo, []string{t.Name}, nil, cons)
+				for _, fk := range sch.EdgesOf(t.Name) {
+					fx.check(memo, []string{fk.From.Table, fk.To.Table}, []schema.ForeignKey{fk}, cons)
+				}
+			}
+		}
+	}
+}
+
 // checkUnknowns covers the branches that answer without a match set.
 func (fx *diffFixture) checkUnknowns() {
 	fx.t.Helper()
@@ -323,7 +379,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, db := range []*mem.Database{mondial, imdb, nba, quirksDatabase(t), bigJoinDatabase(t)} {
+	for _, db := range []*mem.Database{mondial, imdb, nba, difftest.Quirks(t), bigJoinDatabase(t), rangesDatabase(t)} {
 		db := db
 		t.Run(db.Name, func(t *testing.T) {
 			fx := newDiffFixture(t, db)
@@ -333,82 +389,11 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			}
 			fx.checkGenerated(mappings)
 			fx.checkBattery()
+			fx.checkRanges()
 			fx.checkUnknowns()
 			t.Logf("%d estimates compared", fx.n)
 		})
 	}
-}
-
-// quirksDatabase is a three-table chain built to hold what the bundled data
-// sets lack: NULLs in constrained and in join columns, dangling and
-// many-to-many keys, and text values that share a key without being equal
-// ("ABC"/"abc", "3"/"3.0").
-func quirksDatabase(t testing.TB) *mem.Database {
-	t.Helper()
-	s := schema.New()
-	for _, tab := range []*schema.Table{
-		schema.MustTable("Parent",
-			schema.Column{Name: "Tag", Type: value.Text},
-			schema.Column{Name: "Score", Type: value.Decimal},
-			schema.Column{Name: "Id", Type: value.Int}),
-		schema.MustTable("Child",
-			schema.Column{Name: "Label", Type: value.Text},
-			schema.Column{Name: "Parent", Type: value.Int},
-			schema.Column{Name: "Day", Type: value.Date}),
-		schema.MustTable("Grand",
-			schema.Column{Name: "Label", Type: value.Text},
-			schema.Column{Name: "Weight", Type: value.Int}),
-	} {
-		if err := s.AddTable(tab); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, fk := range []schema.ForeignKey{
-		{From: schema.ColumnRef{Table: "Child", Column: "Parent"}, To: schema.ColumnRef{Table: "Parent", Column: "Id"}},
-		{From: schema.ColumnRef{Table: "Grand", Column: "Label"}, To: schema.ColumnRef{Table: "Child", Column: "Label"}},
-	} {
-		if err := s.AddForeignKey(fk); err != nil {
-			t.Fatal(err)
-		}
-	}
-	db := mem.NewDatabase("quirks", s)
-	null := value.NullValue
-	insert := func(table string, vs ...value.Value) {
-		if err := db.Insert(table, vs); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tags := []string{"ABC", "abc", "3", "3.0", "Abc", "", "x y", "3.00", "7"}
-	for i := 0; i < 40; i++ {
-		tag, score := value.NewText(tags[i%len(tags)]), value.NewDecimal(float64(i%7)*1.5)
-		if tags[i%len(tags)] == "" {
-			tag = null
-		}
-		if i%5 == 0 {
-			score = null
-		}
-		insert("Parent", tag, score, value.NewInt(int64(i%30))) // ids 0..9 appear twice
-	}
-	labels := []string{"red", "RED", "green", "blue", "Blue"}
-	for i := 0; i < 90; i++ {
-		parent := value.NewInt(int64(i % 35)) // 30..34 dangle
-		if i%11 == 0 {
-			parent = null
-		}
-		label := value.NewText(labels[i%len(labels)])
-		if i%13 == 0 {
-			label = null
-		}
-		insert("Child", label, parent, value.NewDateYMD(2020, 1, 1+i%20))
-	}
-	for i := 0; i < 25; i++ {
-		label := value.NewText(labels[(i*2)%len(labels)])
-		if i%6 == 0 {
-			label = null
-		}
-		insert("Grand", label, value.NewInt(int64(i%4)))
-	}
-	return db
 }
 
 // bigJoinDatabase holds one foreign key with 631 × 201 = 126831 joined
@@ -447,6 +432,71 @@ func bigJoinDatabase(t testing.TB) *mem.Database {
 	}
 	for i := 0; i < 603; i++ {
 		if err := db.Insert("One", value.Tuple{value.NewText(keys[i%3]), value.NewInt(int64(i / 3 % 4))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// rangesDatabase holds what a pure numeric range can meet in a column and
+// the bundled data lacks: text that looks numeric beside text that does not
+// ("3", "3.0" and " 3" share a key and a view; "nan" has a view no range
+// accepts; "inf" one only the whole line does), the two zeros as decimals
+// and as text, NaN and the infinities stored as decimals, integers too large
+// for a float to tell apart, dates and times (their view is a count of
+// seconds), and a column that is NULL in every row.
+func rangesDatabase(t testing.TB) *mem.Database {
+	t.Helper()
+	s := schema.New()
+	for _, tab := range []*schema.Table{
+		schema.MustTable("Reading",
+			schema.Column{Name: "Txt", Type: value.Text},
+			schema.Column{Name: "Dec", Type: value.Decimal},
+			schema.Column{Name: "Num", Type: value.Int},
+			schema.Column{Name: "Day", Type: value.Date},
+			schema.Column{Name: "At", Type: value.Time},
+			schema.Column{Name: "Void", Type: value.Int},
+			schema.Column{Name: "Station", Type: value.Int}),
+		schema.MustTable("Station",
+			schema.Column{Name: "Id", Type: value.Int},
+			schema.Column{Name: "Height", Type: value.Decimal}),
+	} {
+		if err := s.AddTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddForeignKey(schema.ForeignKey{
+		From: schema.ColumnRef{Table: "Reading", Column: "Station"},
+		To:   schema.ColumnRef{Table: "Station", Column: "Id"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db := mem.NewDatabase("ranges", s)
+	null := value.NullValue
+	texts := []string{"3", "3.0", " 3", "3.00", "nan", "NaN", "inf", "-Inf", "-0", "0", "+0", "0.0", "abc", "1e2", "7", "2.5", "", "0x10", "-2.5"}
+	decs := []float64{math.Copysign(0, -1), 0, 1.5, 3, 2.5, math.NaN(), math.Inf(1), math.Inf(-1), -2.5, 3, 1e300, -1e300}
+	nums := []int64{0, 1, 2, 3, 3, 5, 8, -4, 1 << 53, 1<<53 + 1, math.MaxInt64, math.MinInt64}
+	for i := 0; i < 95; i++ {
+		txt := value.NewText(texts[i%len(texts)])
+		if texts[i%len(texts)] == "" {
+			txt = null
+		}
+		dec := value.NewDecimal(decs[i%len(decs)])
+		if i%9 == 0 {
+			dec = null
+		}
+		station := value.NewInt(int64(i % 6)) // 5 dangles
+		if i%10 == 0 {
+			station = null
+		}
+		if err := db.Insert("Reading", value.Tuple{txt, dec, value.NewInt(nums[i%len(nums)]),
+			value.NewDateYMD(2019+i%3, 1+time.Month(i%12), 1+i%28), value.NewTimeHMS(i%24, i%60, (i*7)%60),
+			null, station}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if err := db.Insert("Station", value.Tuple{value.NewInt(int64(i)), value.NewDecimal(float64(i) * 250.5)}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -154,8 +154,10 @@ func (m *Model) relationRows(table string, constraints []ColumnConstraint) (set 
 	return set, true
 }
 
-// MatchRows implements Sets. Equality-shaped constraints read their postings;
-// anything else is evaluated once per distinct value and once for NULL.
+// MatchRows implements Sets. Equality-shaped constraints read their postings
+// and a pure numeric range the postings its bounds enclose in the sorted
+// views; anything else is evaluated once per distinct value. Either way the
+// rows that hold a variant of their value, and NULL, are evaluated one by one.
 func (m *Model) MatchRows(c ColumnConstraint) (*RowSet, bool) {
 	cm := m.column(c.Ref)
 	if cm == nil || c.Expr == nil {
@@ -164,9 +166,13 @@ func (m *Model) MatchRows(c ColumnConstraint) (*RowSet, bool) {
 	bits := rowset.New(cm.total)
 	if !cm.addEqualityRows(bits, c.Expr) {
 		bits.Reset(cm.total) // a disjunction may have added rows before giving up
-		for id, v := range cm.vals {
-			if c.Expr.Eval(v) {
-				bits.AddSorted(cm.post.at(int32(id)))
+		if b, exact := lang.ExactRangeBounds(c.Expr); exact {
+			cm.addRangeRows(bits, b.Lo, b.Hi)
+		} else {
+			for id, v := range cm.vals {
+				if c.Expr.Eval(v) {
+					bits.AddSorted(cm.post.at(int32(id)))
+				}
 			}
 		}
 		for i, row := range cm.variantRows {

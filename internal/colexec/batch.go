@@ -72,6 +72,7 @@ func (e *Executor) ExistsBatch(p exec.Plan, sets []exec.PredicateSet, opts exec.
 			TuplePredicate:   sets[0].TuplePredicate,
 			MaxIntermediate:  opts.MaxIntermediate,
 			Interrupt:        opts.Interrupt,
+			Selections:       opts.Selections,
 		})
 		if err != nil {
 			return nil, stats, err
@@ -182,8 +183,8 @@ func (e *Executor) runBatch(st *execState, p exec.Plan, sets []exec.PredicateSet
 		idSlot, ids := st.getIDs()
 		ids = bm.AppendTo(ids)
 		st.keepIDs(idSlot, ids)
-		sel.bm = bm
-		sel.ids = ids
+		sel.Rows = bm
+		sel.IDs = ids
 		st.sels[ti] = sel
 	}
 

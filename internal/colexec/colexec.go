@@ -19,7 +19,10 @@
 //     skip the scan without touching a row;
 //   - a dictionary for low-cardinality columns (distinct stored values and
 //     one code per row), so scan-shaped predicates are evaluated once per
-//     distinct value instead of once per row.
+//     distinct value instead of once per row;
+//   - a dense numeric view for the other columns that hold numbers (one
+//     float64 per row, NaN where the row has none), so a pure numeric range
+//     is two float comparisons per row, with no value materialised.
 //
 // A single execution (Execute, ExecuteWith, Exists) never builds the join:
 // after the pushed-down predicates have reduced every base table to a
@@ -33,17 +36,31 @@
 // table, extend the join by scanning plan edges in declaration order, and
 // probe in base-row order); the cross-executor equivalence tests rely on
 // it. Only ExistsBatch's shared scan materialises, column-at-a-time, one
-// int32 row-id vector per joined table (batch.go). All per-execution
-// scratch (level cursors, bitmaps, id buffers, the projection tuple) comes
-// from a sync.Pool of execution states, so a warm existence-style
-// validation probe runs without allocating (guarded by an AllocsPerRun
-// test).
+// int32 row-id vector per joined table (batch.go).
+//
+// The probes of one discovery round put the same few cells on the same few
+// source columns over and over. A selection that costs a scan of the table
+// — no keyword seeds it, no zone map proves it empty — is therefore taken
+// from the round's exec.SelectionMemo when the caller brings one
+// (exec.ExecOptions.Selections) and says which predicate is which
+// (exec.ColumnPredicate.ID): the first execution to need a (column,
+// predicate) pair scans for it and publishes an immutable id vector and
+// bitmap, every later one — on any worker — installs that selection as it
+// is. The memo belongs to the caller and dies with its round; the executor
+// keeps nothing. Without a memo, and for anonymous predicates, every
+// execution selects for itself into pooled scratch.
+//
+// All per-execution scratch (level cursors, bitmaps, id buffers, the
+// projection tuple) comes from a sync.Pool of execution states, so a warm
+// existence-style validation probe runs without allocating, with a memo
+// (a hit) or without one (guarded by AllocsPerRun tests).
 package colexec
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -166,7 +183,14 @@ type column struct {
 	zone   zone
 	// blocks is the per-block zone map, one entry per blockRows rows.
 	blocks []blockZone
-	dict   *dictionary
+	// nums is the dense numeric view of a column stored row by row (no
+	// dictionary) in which some row has one: nums[ri] is the row's
+	// Value.Float(), and NaN where the row has no numeric view to compare —
+	// NULL, non-numeric text, or a view that is itself NaN, none of which an
+	// exact-bounds predicate accepts. Such a predicate reads it instead of
+	// materialising a value per row. Nil otherwise.
+	nums []float64
+	dict *dictionary
 }
 
 // value materialises row ri, through the dictionary when the column is
@@ -336,6 +360,15 @@ func buildColumn(vals []value.Value) *column {
 		// materialise through the dictionary from here on.
 		c.vals = nil
 		c.keys = nil
+	} else if zSeeded {
+		c.nums = make([]float64, len(vals))
+		for ri, v := range vals {
+			if f, ok := v.Float(); ok {
+				c.nums[ri] = f
+			} else {
+				c.nums[ri] = math.NaN()
+			}
+		}
 	}
 	return c
 }
@@ -537,14 +570,6 @@ type boundPred struct {
 	ci  int
 }
 
-// selection is the post-push-down row set of one base table: the surviving
-// row ids in ascending order plus a bitmap for O(1) membership tests
-// during index probes. A nil *selection means "all rows".
-type selection struct {
-	ids []int32
-	bm  *rowset.Bitmap
-}
-
 // boundJoin is a plan join edge resolved against the column stores once,
 // at bind time: the tables as indexes into execState.tabs plus the two
 // columns. Level planning and residual checks read these instead of
@@ -596,6 +621,10 @@ type predCheck struct {
 	verdict []bool
 	exact   bool
 	lo, hi  float64
+	// nums is the column's dense numeric view, which an exact check reads
+	// when the column has one: NaN, the no-view marker, fails both
+	// comparisons.
+	nums []float64
 }
 
 // blockExcluded reports whether the check proves block b of its column
@@ -616,8 +645,11 @@ func (c *predCheck) blockExcluded(b int) bool {
 type execState struct {
 	interrupt exec.InterruptChecker
 
-	tabs   []*table
-	sels   []*selection
+	tabs []*table
+	// sels holds the post-push-down row set of every plan table, nil for
+	// "all rows": pooled scratch (selArena) or, read-only, a selection owned
+	// by the round's memo.
+	sels   []*exec.Selection
 	preds  []boundPred
 	joins  []boundJoin
 	slotOf []int
@@ -629,7 +661,7 @@ type execState struct {
 	residuals []boundJoin
 	row       []int32
 
-	selArena []selection
+	selArena []exec.Selection
 	selUsed  int
 	bitmaps  []*rowset.Bitmap
 	bmUsed   int
@@ -742,14 +774,14 @@ func truncate[T any](s []T) []T {
 	return s[:0]
 }
 
-func (st *execState) getSelection() *selection {
+func (st *execState) getSelection() *exec.Selection {
 	if st.selUsed == len(st.selArena) {
-		st.selArena = append(st.selArena, selection{})
+		st.selArena = append(st.selArena, exec.Selection{})
 	}
 	s := &st.selArena[st.selUsed]
 	st.selUsed++
-	s.ids = nil
-	s.bm = nil
+	s.IDs = nil
+	s.Rows = nil
 	return s
 }
 
@@ -921,7 +953,7 @@ func (st *execState) selCount(ti int) int {
 	if st.sels[ti] == nil {
 		return st.tabs[ti].numRows
 	}
-	return len(st.sels[ti].ids)
+	return len(st.sels[ti].IDs)
 }
 
 // run executes the plan, calling yield with a shared scratch tuple for
@@ -937,7 +969,7 @@ func (e *Executor) run(st *execState, p exec.Plan, opts exec.ExecOptions, yield 
 		return stats, err
 	}
 	st.interrupt.Reset(opts.Interrupt)
-	if aborted := e.pushDown(st, &stats.ExecStats); aborted {
+	if aborted := e.pushDown(st, opts.Selections, &stats.ExecStats); aborted {
 		stats.hasPartial = true
 		return stats, exec.ErrInterrupted
 	}
@@ -952,12 +984,13 @@ func (e *Executor) run(st *execState, p exec.Plan, opts exec.ExecOptions, yield 
 }
 
 // pushDown installs the selection of every table that carries a
-// pushed-down predicate. It reports whether execution was interrupted.
-func (e *Executor) pushDown(st *execState, stats *exec.ExecStats) (aborted bool) {
+// pushed-down predicate, through the round's memo when there is one. It
+// reports whether execution was interrupted.
+func (e *Executor) pushDown(st *execState, memo *exec.SelectionMemo, stats *exec.ExecStats) (aborted bool) {
 	for ti := range st.tabs {
 		for i := range st.preds {
 			if st.preds[i].tab == ti {
-				if e.selectRows(st, ti, stats) {
+				if e.selectRows(st, ti, memo, stats) {
 					return true
 				}
 				break
@@ -984,7 +1017,7 @@ func (e *Executor) planLevels(st *execState, p exec.Plan) error {
 	}))
 	ids := e.identity[:st.tabs[start].numRows]
 	if sel := st.sels[start]; sel != nil {
-		ids = sel.ids
+		ids = sel.IDs
 	}
 	st.levels = append(st.levels[:0], joinLevel{tab: start, list: ids})
 	st.residuals = st.residuals[:0]
@@ -1011,7 +1044,7 @@ func (e *Executor) planLevels(st *execState, p exec.Plan) error {
 		}
 		l := joinLevel{tab: j.rt, probeLvl: st.slotOf[j.lt], probeCol: j.lc, buildCol: j.rc, resLo: len(st.residuals)}
 		if sel := st.sels[j.rt]; sel != nil {
-			l.bm = sel.bm
+			l.bm = sel.Rows
 		}
 		st.slotOf[j.rt] = len(st.levels)
 		placed |= 1 << uint(j.rt)
@@ -1139,14 +1172,16 @@ func (st *execState) residualsHold(l *joinLevel) bool {
 //     index hits are filtered out. On dictionary-encoded columns the
 //     predicate is evaluated once per distinct value and candidates are
 //     checked against the verdict table by code.
-func (e *Executor) selectRows(st *execState, ti int, stats *exec.ExecStats) (aborted bool) {
+//
+// A selection no keyword seeds costs a scan of the table. When the round
+// has a memo and every predicate on the table is identified
+// (exec.ColumnPredicate.ID), that scan is taken once per predicate and
+// round (selectMemoised) instead of once per execution.
+func (e *Executor) selectRows(st *execState, ti int, memo *exec.SelectionMemo, stats *exec.ExecStats) (aborted bool) {
 	t := st.tabs[ti]
-	sel := st.getSelection()
-	st.sels[ti] = sel
-	sel.bm = st.getBitmap(t.numRows)
-	idSlot, ids := st.getIDs()
 
 	// Phase 1: zone-map pruning.
+	seeded, identified := false, memo != nil
 	for i := range st.preds {
 		bp := &st.preds[i]
 		if bp.tab != ti {
@@ -1156,21 +1191,32 @@ func (e *Executor) selectRows(st *execState, ti int, stats *exec.ExecStats) (abo
 		// Keyword and bounded predicates reject NULL by contract, so an
 		// all-NULL column cannot satisfy them.
 		rejectsNull := bp.cp.Bounds != nil || len(bp.cp.Keywords) > 0
-		if rejectsNull && z.rows == z.nulls {
+		pruned := rejectsNull && z.rows == z.nulls
+		if b := bp.cp.Bounds; b != nil && z.numeric && z.rows > z.nulls {
+			pruned = pruned || (b.HasLo && z.maxF < b.Lo) || (b.HasHi && z.minF > b.Hi)
+		}
+		if pruned {
 			stats.ZonesPruned++
+			sel := st.getSelection()
+			sel.Rows = st.getBitmap(t.numRows)
+			st.sels[ti] = sel
 			return false
 		}
-		if b := bp.cp.Bounds; b != nil && z.numeric && z.rows > z.nulls {
-			if (b.HasLo && z.maxF < b.Lo) || (b.HasHi && z.minF > b.Hi) {
-				stats.ZonesPruned++
-				return false
-			}
-		}
+		seeded = seeded || len(bp.cp.Keywords) > 0
+		identified = identified && bp.cp.ID != 0
 	}
+	if identified && !seeded {
+		return st.selectMemoised(ti, memo, stats)
+	}
+
+	sel := st.getSelection()
+	st.sels[ti] = sel
+	sel.Rows = st.getBitmap(t.numRows)
+	idSlot, ids := st.getIDs()
 
 	// Phase 2: seed candidates from the keyword index.
 	var candidates []int32
-	seeded := false
+	first := true
 	scratchSlot := -1
 	var scratch []int32
 	for i := range st.preds {
@@ -1183,9 +1229,9 @@ func (e *Executor) selectRows(st *execState, ti int, stats *exec.ExecStats) (abo
 		for _, kw := range bp.cp.Keywords {
 			addKeywordHits(col, kw, hitsBM)
 		}
-		if !seeded {
+		if first {
 			candidates = hitsBM.AppendTo(ids)
-			seeded = true
+			first = false
 			continue
 		}
 		if scratchSlot < 0 {
@@ -1210,9 +1256,7 @@ func (e *Executor) selectRows(st *execState, ti int, stats *exec.ExecStats) (abo
 		if bp.tab != ti {
 			continue
 		}
-		col := t.cols[bp.ci]
-		c := newPredCheck(&bp.cp, col, toCheck, st)
-		st.checks = append(st.checks, c)
+		st.checks = append(st.checks, newPredCheck(&bp.cp, t.cols[bp.ci], toCheck, st))
 	}
 
 	if seeded {
@@ -1221,23 +1265,34 @@ func (e *Executor) selectRows(st *execState, ti int, stats *exec.ExecStats) (abo
 		ids = candidates[:0]
 		for _, id := range candidates {
 			if st.interrupt.Hit() {
-				st.keepIDs(idSlot, ids)
-				return true
+				aborted = true
+				break
 			}
 			if st.verifyRow(id, stats) {
 				ids = append(ids, id)
-				sel.bm.Add(id)
+				sel.Rows.Add(id)
 			}
 		}
-	} else if rle := st.rleCheck(); rle != nil {
+	} else {
+		ids, aborted = st.scan(t, ids, sel.Rows, stats)
+	}
+	sel.IDs = ids
+	st.keepIDs(idSlot, ids)
+	return aborted
+}
+
+// scan runs st.checks over every row of t, appending the ids of the rows
+// that pass all of them to ids and adding them to rows. It reports whether
+// execution was interrupted, with the rows found so far.
+func (st *execState) scan(t *table, ids []int32, rows *rowset.Bitmap, stats *exec.ExecStats) (_ []int32, aborted bool) {
+	if rle := st.rleCheck(); rle != nil {
 		// RLE fast path: a single dictionary-verdict predicate over a
 		// running column is answered once per run. Counters match the
 		// row loop exactly — every row is accounted scanned, failing runs
 		// are filtered wholesale.
 		for _, run := range rle.col.dict.runs {
 			if st.interrupt.Hit() {
-				st.keepIDs(idSlot, ids)
-				return true
+				return ids, true
 			}
 			n := int(run.end - run.start)
 			stats.RowsScanned += n
@@ -1247,31 +1302,86 @@ func (e *Executor) selectRows(st *execState, ti int, stats *exec.ExecStats) (abo
 			}
 			for id := run.start; id < run.end; id++ {
 				ids = append(ids, id)
-				sel.bm.Add(id)
+				rows.Add(id)
 			}
 		}
-	} else {
-		for b0 := 0; b0 < t.numRows; b0 += blockRows {
-			if st.blockPruned(b0/blockRows, 0, len(st.checks)) {
-				stats.BlocksPruned++
-				continue
+		return ids, false
+	}
+	for b0 := 0; b0 < t.numRows; b0 += blockRows {
+		if st.blockPruned(b0/blockRows, 0, len(st.checks)) {
+			stats.BlocksPruned++
+			continue
+		}
+		end := int32(min(b0+blockRows, t.numRows))
+		for id := int32(b0); id < end; id++ {
+			if st.interrupt.Hit() {
+				return ids, true
 			}
-			end := int32(min(b0+blockRows, t.numRows))
-			for id := int32(b0); id < end; id++ {
-				if st.interrupt.Hit() {
-					st.keepIDs(idSlot, ids)
-					return true
-				}
-				if st.verifyRow(id, stats) {
-					ids = append(ids, id)
-					sel.bm.Add(id)
-				}
+			if st.verifyRow(id, stats) {
+				ids = append(ids, id)
+				rows.Add(id)
 			}
 		}
 	}
-	sel.ids = ids
-	st.keepIDs(idSlot, ids)
+	return ids, false
+}
+
+// selectMemoised installs the selection of a table whose predicates are all
+// identified and unseeded: each predicate's rows are read from the round's
+// memo, or scanned for — once per (column, predicate) and round, whichever
+// worker gets there first — and left in it. One predicate installs the
+// memo's own selection, read-only; several are intersected into pooled
+// scratch. A predicate is scanned over the whole column even when an earlier
+// one on the same table has already turned rows down: what the memo holds
+// must not depend on which filter asked first.
+func (st *execState) selectMemoised(ti int, memo *exec.SelectionMemo, stats *exec.ExecStats) (aborted bool) {
+	t := st.tabs[ti]
+	var sel *exec.Selection
+	for i := range st.preds {
+		bp := &st.preds[i]
+		if bp.tab != ti {
+			continue
+		}
+		key := exec.SelectionKey{Ref: schema.ColumnRef{Table: t.name, Column: t.sch.Columns[bp.ci].Name}, ID: bp.cp.ID}
+		one := memo.Acquire(key)
+		if one != nil {
+			stats.SelectionsReused++
+		} else if one = st.fillSelection(memo, key, bp, t, stats); one == nil {
+			return true
+		}
+		if sel == nil {
+			sel = one
+			continue
+		}
+		both := st.getSelection()
+		slot, ids := st.getIDs()
+		both.IDs = rowset.IntersectSorted(ids, sel.IDs, one.IDs)
+		st.keepIDs(slot, both.IDs)
+		both.Rows = st.getBitmap(t.numRows)
+		both.Rows.Or(sel.Rows)
+		both.Rows.And(one.Rows)
+		sel = both
+	}
+	st.sels[ti] = sel
 	return false
+}
+
+// fillSelection scans t for the rows predicate bp keeps and settles the fill
+// the memo handed this execution, on every path out: with the selection —
+// freshly allocated, the memo's from here on — or, interrupted (nil is
+// returned) or panicking in the caller's predicate, with nothing, so that no
+// other execution waits on or reads a fill that did not finish.
+func (st *execState) fillSelection(memo *exec.SelectionMemo, key exec.SelectionKey, bp *boundPred, t *table, stats *exec.ExecStats) (sel *exec.Selection) {
+	defer func() { memo.Settle(key, sel) }()
+	st.checks = append(st.checks[:0], newPredCheck(&bp.cp, t.cols[bp.ci], t.numRows, st))
+	rows := rowset.New(t.numRows)
+	slot, ids := st.getIDs()
+	ids, aborted := st.scan(t, ids, rows, stats)
+	st.keepIDs(slot, ids)
+	if aborted {
+		return nil
+	}
+	return &exec.Selection{IDs: slices.Clone(ids), Rows: rows}
 }
 
 // rleCheck returns the single pending check when the whole selection is
@@ -1316,6 +1426,7 @@ func newPredCheck(cp *exec.ColumnPredicate, col *column, toCheck int, st *execSt
 	if cp.BoundsExact && cp.Bounds != nil && cp.Bounds.HasLo && cp.Bounds.HasHi {
 		c.exact = true
 		c.lo, c.hi = cp.Bounds.Lo, cp.Bounds.Hi
+		c.nums = col.nums
 	}
 	return c
 }
@@ -1336,6 +1447,9 @@ func (st *execState) checkRange(id int32, lo, hi int, stats *exec.ExecStats) boo
 		var pass bool
 		if c.verdict != nil {
 			pass = c.verdict[c.col.dict.code(id)]
+		} else if c.nums != nil {
+			f := c.nums[id]
+			pass = f >= c.lo && f <= c.hi
 		} else if c.exact {
 			f, ok := c.col.value(id).Float()
 			pass = ok && f >= c.lo && f <= c.hi

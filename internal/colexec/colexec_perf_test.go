@@ -4,12 +4,20 @@ package colexec
 // dictionary verdicts, and the zero-allocation warm validation path.
 
 import (
+	"context"
 	"testing"
 
+	"prism/internal/bayes"
+	"prism/internal/constraint"
 	"prism/internal/dataset"
+	"prism/internal/difftest"
 	"prism/internal/exec"
+	"prism/internal/filter"
+	"prism/internal/graphx"
+	"prism/internal/sched"
 	"prism/internal/schema"
 	"prism/internal/value"
+	"prism/internal/workload"
 )
 
 // TestZoneMapPruning checks that a range predicate whose interval cover
@@ -431,6 +439,118 @@ func BenchmarkExistsFirstTuple(b *testing.B) {
 				formed = stats.IntermediateRows
 			}
 			b.ReportMetric(float64(formed), "intermediate-rows/op")
+		})
+	}
+}
+
+// withoutMemo hands every single execution to the executor with the
+// round's selection memo taken out of the options: the executor as it runs
+// for a caller that has none.
+type withoutMemo struct{ exec.Executor }
+
+func (w withoutMemo) Exists(p exec.Plan, opts exec.ExecOptions) (bool, exec.ExecStats, error) {
+	opts.Selections = nil
+	return w.Executor.Exists(p, opts)
+}
+
+func (w withoutMemo) ExecuteWith(p exec.Plan, opts exec.ExecOptions) (*exec.Result, error) {
+	opts.Selections = nil
+	return w.Executor.ExecuteWith(p, opts)
+}
+
+// BenchmarkRangeRound is the validation phase of the rounds that are
+// round_p90_ms on the benchmark's oneshot_scale workload: the 230k-row
+// Mondial and the pool's value-range specifications (generated the way
+// benchmark/workloads.go generates them, after the exact and disjunction
+// recipes on the same generator), of which it keeps the heavy ones — those
+// whose schedule, every probe scanning for itself, reads more rows than the
+// database holds. A round is sched.Runner.RunContext at parallelism 1 with a
+// fresh Bayes estimator over the round's filter set, so the executor's
+// selections and the estimator's match sets are both in it. memo is the
+// round as the library runs it; no-memo takes the round's selection memo
+// away, which leaves the dense numeric view and the estimator's sorted
+// dictionary.
+func BenchmarkRangeRound(b *testing.B) {
+	if testing.Short() {
+		b.Skip("builds the 230k-row database")
+	}
+	db, err := dataset.Mondial(dataset.MondialConfig{Seed: 1, Countries: 60, ProvincesPerCountry: 20, CitiesPerProvince: 40,
+		Lakes: 30000, Rivers: 20000, Mountains: 15000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	db.Analyze()
+	col := build(b, db)
+	model := bayes.Train(db)
+	gen, err := workload.NewGenerator(db, 1, workload.MondialGroundTruths())
+	if err != nil {
+		b.Fatal(err)
+	}
+	totalRows := 0
+	for _, t := range db.Schema().Tables() {
+		totalRows += db.NumRows(t.Name)
+	}
+	type round struct {
+		spec *constraint.Spec
+		set  *filter.Set
+	}
+	runRound := func(ex exec.Executor, r round) sched.Result {
+		runner := &sched.Runner{DB: ex, Spec: r.spec, Set: r.set,
+			Estimator: &sched.BayesEstimator{Model: model, Spec: r.spec},
+			Options:   sched.Options{Parallelism: 1}}
+		res, err := runner.RunContext(context.Background())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return res
+	}
+	var heavy []round
+	g := graphx.New(db.Schema())
+	for _, level := range []workload.Level{workload.LevelExact, workload.LevelDisjunction, workload.LevelRange} {
+		cases, err := gen.Generate(level, 10, workload.Config{SamplesPerCase: 2, LoosenFraction: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if level != workload.LevelRange {
+			continue
+		}
+		for _, tc := range cases {
+			related, ok := difftest.Related(db, tc.Spec)
+			if !ok {
+				b.Fatalf("%s: a target column has no related source column", tc.Name)
+			}
+			cands, err := graphx.Enumerate(g, related, graphx.EnumerateOptions{RequireUsefulLeaves: true})
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := round{spec: tc.Spec, set: filter.Decompose(cands)}
+			if runRound(withoutMemo{col}, r).Cost.RowsScanned > totalRows {
+				heavy = append(heavy, r)
+			}
+		}
+	}
+	if len(heavy) == 0 {
+		b.Fatal("no heavy range round in the pool")
+	}
+	for _, bc := range []struct {
+		name string
+		ex   exec.Executor
+	}{{"memo", col}, {"no-memo", withoutMemo{col}}} {
+		bc := bc
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			var cost exec.ExecStats
+			for i := 0; i < b.N; i++ {
+				cost = exec.ExecStats{}
+				for _, r := range heavy {
+					cost.Add(runRound(bc.ex, r).Cost)
+				}
+			}
+			rounds := float64(len(heavy))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e6/float64(b.N)/rounds, "ms/round")
+			b.ReportMetric(float64(cost.RowsScanned)/rounds, "rows-scanned/round")
+			b.ReportMetric(float64(cost.SelectionsReused)/rounds, "selections-reused/round")
+			b.ReportMetric(rounds, "rounds")
 		})
 	}
 }

@@ -1,0 +1,590 @@
+package colexec
+
+// Tests of the round's selection memo (exec.ExecOptions.Selections) and of
+// the dense numeric view: neither may change a verdict, a row or the order
+// of rows; the memo computes every (column, predicate) selection once per
+// round whichever worker asks first, never publishes a fill that did not
+// finish, and takes only selections that cost a scan.
+
+import (
+	"errors"
+	"fmt"
+	"math"
+	"math/rand"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"prism/internal/difftest"
+	"prism/internal/exec"
+	"prism/internal/filter"
+	"prism/internal/graphx"
+	"prism/internal/mem"
+	"prism/internal/schema"
+	"prism/internal/value"
+)
+
+// identified returns the predicates with an identity each, counted on from
+// *next: what filter.Validator does for the cells of a specification.
+func identified(preds []exec.ColumnPredicate, next *uint32) []exec.ColumnPredicate {
+	out := append([]exec.ColumnPredicate(nil), preds...)
+	for i := range out {
+		*next++
+		out[i].ID = *next
+	}
+	return out
+}
+
+// exactRange is the predicate of a pure numeric range cell, as
+// filter.Validator hands it down, with identity id.
+func exactRange(r schema.ColumnRef, lo, hi float64, id uint32) exec.ColumnPredicate {
+	return exec.ColumnPredicate{
+		Ref:         r,
+		Pred:        func(v value.Value) bool { f, ok := v.Float(); return ok && f >= lo && f <= hi },
+		Bounds:      &exec.NumericBounds{Lo: lo, Hi: hi, HasLo: true, HasHi: true},
+		BoundsExact: true,
+		ID:          id,
+	}
+}
+
+// absent reports whether the memo holds nothing, finished or in progress,
+// under (column, id) — by taking the fill and giving it up.
+func absent(memo *exec.SelectionMemo, r schema.ColumnRef, id uint32) bool {
+	key := exec.SelectionKey{Ref: r, ID: id}
+	if memo.Acquire(key) != nil {
+		return false
+	}
+	memo.Settle(key, nil)
+	return true
+}
+
+// TestMemoChangesNoResult is the random sweep: every validation-shaped plan
+// of every bundled database under random identified predicate sets, each
+// set also put to every other plan (which ignores the predicates on tables
+// it lacks, and finds the others in the memo). With the database's memo,
+// without one and on the reference engine the verdict, the rows — unlimited
+// and limited — and their order are the same.
+func TestMemoChangesNoResult(t *testing.T) {
+	for name, db := range difftest.Databases(t) {
+		col := buildColumnar(t, db)
+		rng := rand.New(rand.NewSource(23))
+		var memo exec.SelectionMemo
+		var ids uint32
+		var with, without exec.ExecStats
+		plans := difftest.Plans(db.Schema())
+		for pi, plan := range plans {
+			for round := 0; round < 3; round++ {
+				set := difftest.RandomSet(rng, db, plan)
+				preds := identified(set.ColumnPredicates, &ids)
+				for _, target := range []exec.Plan{plan, plans[(pi+1)%len(plans)], plans[(pi+len(plans)/2)%len(plans)]} {
+					label := fmt.Sprintf("%s set of plan %d round %d on %v", name, pi, round, target.Tables)
+					for _, limit := range []int{0, 2} {
+						bare := exec.ExecOptions{ColumnPredicates: preds, TuplePredicate: set.TuplePredicate, Limit: limit}
+						memoised := bare
+						memoised.Selections = &memo
+						want, err := db.ExecuteWith(target, bare)
+						if err != nil {
+							t.Fatalf("%s: mem: %v", label, err)
+						}
+						plain, err := col.ExecuteWith(target, bare)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						got, err := col.ExecuteWith(target, memoised)
+						if err != nil {
+							t.Fatalf("%s: with memo: %v", label, err)
+						}
+						sameRows(t, label+" without memo vs mem", plain.Rows, want.Rows)
+						sameRows(t, label+" with memo vs mem", got.Rows, want.Rows)
+						without.Add(plain.Stats)
+						with.Add(got.Stats)
+					}
+					bare := exec.ExecOptions{ColumnPredicates: preds, TuplePredicate: set.TuplePredicate}
+					memoised := bare
+					memoised.Selections = &memo
+					want, _, err := db.Exists(target, bare)
+					if err != nil {
+						t.Fatalf("%s: mem: %v", label, err)
+					}
+					if got, _, err := col.Exists(target, bare); err != nil || got != want {
+						t.Fatalf("%s: Exists = %v, %v; mem says %v", label, got, err, want)
+					}
+					got, stats, err := col.Exists(target, memoised)
+					if err != nil || got != want {
+						t.Fatalf("%s: Exists with memo = %v, %v; mem says %v", label, got, err, want)
+					}
+					with.Add(stats)
+				}
+			}
+		}
+		if with.SelectionsReused == 0 || without.SelectionsReused != 0 {
+			t.Fatalf("%s: %d selections reused with the memo, %d without — the sweep does not exercise it",
+				name, with.SelectionsReused, without.SelectionsReused)
+		}
+		if with.RowsScanned >= without.RowsScanned {
+			t.Fatalf("%s: %d rows scanned with the memo (one probe more per set), %d without", name, with.RowsScanned, without.RowsScanned)
+		}
+	}
+}
+
+// poolFilters returns, per generated round over db, the specification and
+// the first filters of its decomposition: the probes a discovery round
+// issues.
+func poolFilters(t testing.TB, db *mem.Database) (rounds []difftest.Round, filters [][]*filter.Filter) {
+	t.Helper()
+	g := graphx.New(db.Schema())
+	for _, round := range difftest.Rounds(t, db, 1) {
+		cands, err := graphx.Enumerate(g, round.Related, graphx.EnumerateOptions{MaxCandidates: 150, RequireUsefulLeaves: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := filter.Decompose(cands).Filters
+		rounds = append(rounds, round)
+		filters = append(filters, fs[:min(len(fs), 120)])
+	}
+	return rounds, filters
+}
+
+// TestMemoOnGeneratorPools validates the filters of the workload
+// generator's pools through filter.Validator, which owns the memo and
+// issues the identities: the verdicts of a validator on the columnar
+// executor, of one whose memo is taken away and of one on the reference
+// engine are the same, and the memo only ever saves rows.
+func TestMemoOnGeneratorPools(t *testing.T) {
+	reused := 0
+	for name, db := range difftest.Databases(t) {
+		col := buildColumnar(t, db)
+		var with, without exec.ExecStats
+		rounds, filters := poolFilters(t, db)
+		for ri, round := range rounds {
+			memoised := &filter.Validator{DB: col, Spec: round.Spec}
+			plain := &filter.Validator{DB: withoutMemo{col}, Spec: round.Spec}
+			reference := &filter.Validator{DB: db, Spec: round.Spec}
+			for _, f := range filters[ri] {
+				want, err := reference.Validate(f)
+				if err != nil {
+					t.Fatalf("%s %s %s: mem: %v", name, round.Name, f, err)
+				}
+				got, err := memoised.Validate(f)
+				if err != nil || got.Passed != want.Passed {
+					t.Fatalf("%s %s %s: passed = %v, %v; mem says %v", name, round.Name, f, got.Passed, err, want.Passed)
+				}
+				bare, err := plain.Validate(f)
+				if err != nil || bare.Passed != want.Passed {
+					t.Fatalf("%s %s %s: without memo passed = %v, %v; mem says %v", name, round.Name, f, bare.Passed, err, want.Passed)
+				}
+				if got.Cost.RowsScanned > bare.Cost.RowsScanned {
+					t.Fatalf("%s %s %s: %d rows scanned with the memo, %d without", name, round.Name, f, got.Cost.RowsScanned, bare.Cost.RowsScanned)
+				}
+				with.Add(got.Cost)
+				without.Add(bare.Cost)
+			}
+		}
+		if without.SelectionsReused != 0 {
+			t.Fatalf("%s: %d selections reused without a memo", name, without.SelectionsReused)
+		}
+		reused += with.SelectionsReused
+		t.Logf("%s: %d rows scanned without the memo, %d with it (%d selections reused)",
+			name, without.RowsScanned, with.RowsScanned, with.SelectionsReused)
+	}
+	if reused == 0 {
+		t.Fatal("no pool reuses a selection: the test does not exercise the memo")
+	}
+}
+
+// TestMemoComputesEachKeyOnce shares one memo between eight goroutines. In
+// the first half they all issue the same few scan-shaped probes at once:
+// each key is scanned for exactly once, and every other probe reads it. In
+// the second they split a pool round's filters between them through one
+// filter.Validator: the rows scanned, summed over the workers, are the rows
+// one worker scans validating the same filters alone.
+func TestMemoComputesEachKeyOnce(t *testing.T) {
+	const workers = 8
+	db, plan := fanDB(t, 3000, 2)
+	col := buildColumnar(t, db)
+	probes := []exec.ColumnPredicate{
+		exactRange(ref("C", "m"), 100, 4000, 1),
+		exactRange(ref("C", "m"), 3000, 5000, 2),
+		exactRange(ref("B", "m"), 0, 2500, 3),
+		{Ref: ref("B", "k"), Pred: func(v value.Value) bool { return v.Int()%3 == 0 }, ID: 4},
+	}
+	// One worker, a memo of its own: what every key costs to scan for once
+	// (less than the table where block zone maps skip part of it).
+	var alone exec.SelectionMemo
+	var wantScanned int64
+	for _, p := range probes {
+		_, stats, err := col.Exists(plan, exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{p}, Selections: &alone})
+		if err != nil || stats.RowsScanned == 0 {
+			t.Fatalf("probe %d alone: %+v, %v", p.ID, stats, err)
+		}
+		wantScanned += int64(stats.RowsScanned)
+	}
+
+	var memo exec.SelectionMemo
+	var scanned, reused atomic.Int64
+	var wg sync.WaitGroup
+	const rounds = 25
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < rounds*len(probes); i++ {
+				p := probes[(i+w)%len(probes)]
+				ok, stats, err := col.Exists(plan, exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{p}, Selections: &memo})
+				if err != nil || !ok {
+					t.Errorf("probe %d: Exists = %v, %v", p.ID, ok, err)
+					return
+				}
+				scanned.Add(int64(stats.RowsScanned))
+				reused.Add(int64(stats.SelectionsReused))
+			}
+		}(w)
+	}
+	wg.Wait()
+	if scanned.Load() != wantScanned {
+		t.Errorf("%d rows scanned for %d keys, want one scan each: %d", scanned.Load(), len(probes), wantScanned)
+	}
+	if want := int64(workers*rounds*len(probes) - len(probes)); reused.Load() != want {
+		t.Errorf("%d selections reused, want every probe but the %d that filled: %d", reused.Load(), len(probes), want)
+	}
+
+	mondial := difftest.Databases(t)["mondial"]
+	mcol := buildColumnar(t, mondial)
+	poolRounds, filters := poolFilters(t, mondial)
+	for ri, round := range poolRounds {
+		alone := &filter.Validator{DB: mcol, Spec: round.Spec}
+		var want exec.ExecStats
+		verdicts := make([]bool, len(filters[ri]))
+		for i, f := range filters[ri] {
+			res, err := alone.Validate(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			verdicts[i] = res.Passed
+			want.Add(res.Cost)
+		}
+		shared := &filter.Validator{DB: mcol, Spec: round.Spec}
+		var next atomic.Int64
+		var got exec.ExecStats
+		var mu sync.Mutex
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				var mine exec.ExecStats
+				for i := int(next.Add(1)) - 1; i < len(filters[ri]); i = int(next.Add(1)) - 1 {
+					res, err := shared.Validate(filters[ri][i])
+					if err != nil || res.Passed != verdicts[i] {
+						t.Errorf("%s %s: passed = %v, %v; alone %v", round.Name, filters[ri][i], res.Passed, err, verdicts[i])
+					}
+					mine.Add(res.Cost)
+				}
+				mu.Lock()
+				got.Add(mine)
+				mu.Unlock()
+			}()
+		}
+		wg.Wait()
+		if got.RowsScanned != want.RowsScanned || got.SelectionsReused != want.SelectionsReused {
+			t.Errorf("%s: %d workers scanned %d rows and reused %d selections, one worker %d and %d",
+				round.Name, workers, got.RowsScanned, got.SelectionsReused, want.RowsScanned, want.SelectionsReused)
+		}
+	}
+}
+
+// TestInterruptedFillIsNotPublished interrupts the probe that is filling a
+// key: the key stays absent, the next probe scans for it and answers as the
+// reference engine does, and the one after reads it.
+func TestInterruptedFillIsNotPublished(t *testing.T) {
+	db, plan := fanDB(t, 2*exec.InterruptEvery, 1)
+	col := buildColumnar(t, db)
+	pred := exactRange(ref("C", "m"), 10, 1500, 7)
+	var memo exec.SelectionMemo
+	opts := exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{pred}, Selections: &memo}
+
+	interrupted := opts
+	interrupted.Interrupt = func() bool { return true }
+	if _, stats, err := col.Exists(plan, interrupted); !errors.Is(err, exec.ErrInterrupted) {
+		t.Fatalf("interrupted fill: err = %v, stats %+v", err, stats)
+	} else if stats.RowsScanned == 0 || stats.RowsScanned >= db.NumRows("C") {
+		t.Fatalf("the interrupt fell outside the scan: %d of %d rows scanned", stats.RowsScanned, db.NumRows("C"))
+	}
+	if !absent(&memo, ref("C", "m"), pred.ID) {
+		t.Fatal("an interrupted fill was left in the memo")
+	}
+
+	want, err := db.ExecuteWith(plan, exec.ExecOptions{ColumnPredicates: opts.ColumnPredicates})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for pass, wantStats := range []exec.ExecStats{{RowsScanned: db.NumRows("C")}, {SelectionsReused: 1}} {
+		got, err := col.ExecuteWith(plan, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameRows(t, fmt.Sprintf("pass %d after the interrupt", pass), got.Rows, want.Rows)
+		if got.Stats.RowsScanned != wantStats.RowsScanned || got.Stats.SelectionsReused != wantStats.SelectionsReused {
+			t.Fatalf("pass %d: %d rows scanned, %d selections reused, want %d and %d",
+				pass, got.Stats.RowsScanned, got.Stats.SelectionsReused, wantStats.RowsScanned, wantStats.SelectionsReused)
+		}
+	}
+}
+
+// TestPanickingFillIsNotPublished: a predicate that panics during a fill
+// must not leave the key claimed — the next probe would wait on it forever.
+func TestPanickingFillIsNotPublished(t *testing.T) {
+	db, plan := fanDB(t, 50, 1)
+	col := buildColumnar(t, db)
+	var memo exec.SelectionMemo
+	bad := exec.ColumnPredicate{Ref: ref("C", "m"), Pred: func(value.Value) bool { panic("predicate bug") }, ID: 3}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the predicate's panic was swallowed")
+			}
+		}()
+		_, _, _ = col.Exists(plan, exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{bad}, Selections: &memo})
+	}()
+	if !absent(&memo, ref("C", "m"), bad.ID) {
+		t.Fatal("a fill that panicked was left in the memo")
+	}
+}
+
+// TestWhatTheMemoTakes: only a selection that costs a scan, and only for
+// predicates that say who they are. Anonymous predicates, keyword-seeded
+// selections (also of identified predicates sharing the table with the
+// keyword) and zone-pruned ones execute exactly as without a memo and leave
+// nothing in it; two identified scan predicates on one table are two
+// entries, intersected.
+func TestWhatTheMemoTakes(t *testing.T) {
+	db := mondial(t)
+	col := buildColumnar(t, db)
+	lakes := db.NumRows("Lake")
+	area, name := ref("Lake", "Area"), ref("Lake", "Name")
+	keyword := exec.ColumnPredicate{
+		Ref:      name,
+		Pred:     func(v value.Value) bool { return v.MatchesKeyword("lake tahoe") },
+		Keywords: []string{"lake tahoe"},
+		ID:       2,
+	}
+	anonymous := exactRange(area, 100, 600, 0)
+	outside := exactRange(area, 1e12, 2e12, 3)
+	notNull := exec.ColumnPredicate{Ref: name, Pred: func(v value.Value) bool { return !v.IsNull() }, ID: 4}
+	for _, tc := range []struct {
+		name  string
+		preds []exec.ColumnPredicate
+		// stored: every predicate ends up in the memo; none does otherwise.
+		stored bool
+	}{
+		{"anonymous", []exec.ColumnPredicate{anonymous}, false},
+		{"keyword-seeded", []exec.ColumnPredicate{keyword}, false},
+		{"identified beside a keyword", []exec.ColumnPredicate{keyword, exactRange(area, 100, 600, 1)}, false},
+		{"identified beside an anonymous one", []exec.ColumnPredicate{exactRange(area, 100, 600, 1), anonymous}, false},
+		{"zone-pruned", []exec.ColumnPredicate{outside}, false},
+		{"identified", []exec.ColumnPredicate{exactRange(area, 100, 600, 1)}, true},
+		{"two identified on one table", []exec.ColumnPredicate{exactRange(area, 100, 600, 1), notNull}, true},
+	} {
+		var memo exec.SelectionMemo
+		bare := exec.ExecOptions{ColumnPredicates: tc.preds}
+		want, err := db.ExecuteWith(lakePlan(), bare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plain, err := col.ExecuteWith(lakePlan(), bare)
+		if err != nil {
+			t.Fatal(err)
+		}
+		memoised := bare
+		memoised.Selections = &memo
+		for pass := 0; pass < 2; pass++ {
+			got, err := col.ExecuteWith(lakePlan(), memoised)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameRows(t, fmt.Sprintf("%s pass %d", tc.name, pass), got.Rows, want.Rows)
+			switch {
+			case !tc.stored:
+				if got.Stats != plain.Stats {
+					t.Errorf("%s pass %d: stats %+v, without a memo %+v", tc.name, pass, got.Stats, plain.Stats)
+				}
+			case pass == 0:
+				if got.Stats.RowsScanned != len(tc.preds)*lakes || got.Stats.SelectionsReused != 0 {
+					t.Errorf("%s: the fill scanned %d rows and reused %d selections, want one scan of %d rows per predicate",
+						tc.name, got.Stats.RowsScanned, got.Stats.SelectionsReused, lakes)
+				}
+			default:
+				if got.Stats.RowsScanned != 0 || got.Stats.PredicateFiltered != 0 || got.Stats.SelectionsReused != len(tc.preds) {
+					t.Errorf("%s: the second execution scanned %d rows, filtered %d and reused %d selections, want 0, 0 and %d",
+						tc.name, got.Stats.RowsScanned, got.Stats.PredicateFiltered, got.Stats.SelectionsReused, len(tc.preds))
+				}
+			}
+		}
+		for _, p := range tc.preds {
+			if absent(&memo, p.Ref, p.ID) == tc.stored {
+				t.Errorf("%s: predicate %d on %s stored = %v, want %v", tc.name, p.ID, p.Ref, !tc.stored, tc.stored)
+			}
+		}
+	}
+}
+
+// TestResetDropsTheMemo: a pooled execution state keeps no reference into
+// the round's memo — neither the selections it installed nor the cursors
+// planned over them — so an idle pool pins no round.
+func TestResetDropsTheMemo(t *testing.T) {
+	db := mondial(t)
+	col := buildColumnar(t, db)
+	var memo exec.SelectionMemo
+	opts := exec.ExecOptions{
+		ColumnPredicates: []exec.ColumnPredicate{exactRange(ref("Lake", "Area"), 100, 600, 1)},
+		Selections:       &memo,
+	}
+	st := &execState{}
+	for pass := 0; pass < 2; pass++ { // a fill, then a hit
+		rows := 0
+		if _, err := col.run(st, lakePlan(), opts, func(value.Tuple) bool { rows++; return true }); err != nil || rows == 0 {
+			t.Fatalf("pass %d: %d rows, %v", pass, rows, err)
+		}
+		installed := false
+		for _, sel := range st.sels {
+			installed = installed || sel != nil
+		}
+		if !installed {
+			t.Fatalf("pass %d: no selection installed", pass)
+		}
+		st.reset()
+		for i, sel := range st.sels[:cap(st.sels)] {
+			if sel != nil {
+				t.Fatalf("pass %d: selection slot %d survives reset", pass, i)
+			}
+		}
+		for i, l := range st.levels[:cap(st.levels)] {
+			if l.list != nil || l.bm != nil {
+				t.Fatalf("pass %d: level %d keeps its cursor over the selection", pass, i)
+			}
+		}
+	}
+}
+
+// TestMemoAllocations pins what the memo costs a warm probe: nothing on a
+// hit, and on a miss the selection it keeps — the id vector, the bitmap
+// and the entry — whatever the size of the table.
+func TestMemoAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops pooled state on purpose; allocation counts are meaningless")
+	}
+	db, plan := fanDB(t, 3000, 1)
+	col := build(t, db)
+	pred := exactRange(ref("C", "m"), 100, 2000, 1)
+	var memo exec.SelectionMemo
+	hit := exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{pred}, Selections: &memo}
+	probe := func(opts exec.ExecOptions) {
+		if ok, _, err := col.Exists(plan, opts); err != nil || !ok {
+			t.Fatalf("Exists = %v, %v", ok, err)
+		}
+	}
+	probe(hit)
+	probe(hit)
+	if allocs := testing.AllocsPerRun(200, func() { probe(hit) }); allocs != 0 {
+		t.Errorf("a memo hit allocates %.2f times per probe, want 0", allocs)
+	}
+	// Every run below is a miss under a fresh identity in the same memo.
+	miss := hit
+	miss.ColumnPredicates = []exec.ColumnPredicate{pred}
+	allocs := testing.AllocsPerRun(200, func() {
+		miss.ColumnPredicates[0].ID++
+		probe(miss)
+	})
+	// The Selection, its id vector, its bitmap (header and words), and the
+	// memo's map growing by an entry.
+	if allocs < 4 || allocs > 6 {
+		t.Errorf("a memo miss allocates %.2f times per probe, want the memo-owned selection only (4 to 6)", allocs)
+	}
+}
+
+// TestDenseNumericView compares the dense view with the values it stands
+// for, on every row of every column of the bundled databases and of the
+// corner-case chain: a column stored row by row in which some row has a
+// numeric view keeps one, entry for entry the row's Float() — NaN where the
+// row has none, or a NaN one — and no other column does.
+func TestDenseNumericView(t *testing.T) {
+	dbs := difftest.Databases(t)
+	quirks := difftest.Quirks(t)
+	quirks.Analyze()
+	dbs[quirks.Name] = quirks
+	dbs["edge"] = edgeDB(t)
+	withView := 0
+	for name, db := range dbs {
+		col := buildColumnar(t, db)
+		for _, tab := range col.tables {
+			for ci, c := range tab.cols {
+				label := fmt.Sprintf("%s %s.%s", name, tab.name, tab.sch.Columns[ci].Name)
+				views := 0
+				for ri := 0; ri < tab.numRows; ri++ {
+					f, ok := c.value(int32(ri)).Float()
+					if !ok || math.IsNaN(f) {
+						f = math.NaN()
+					} else {
+						views++
+					}
+					if c.nums == nil {
+						continue
+					}
+					if got := c.nums[ri]; got != f && !(math.IsNaN(got) && math.IsNaN(f)) {
+						t.Fatalf("%s row %d: view %v, value %v has %v", label, ri, got, c.value(int32(ri)), f)
+					}
+				}
+				if want := c.dict == nil && views > 0; (c.nums != nil) != want {
+					t.Errorf("%s: dense view present = %v, want %v (dictionary %v, %d rows with a view)", label, c.nums != nil, want, c.dict != nil, views)
+				}
+				if c.nums != nil {
+					withView++
+					if len(c.nums) != tab.numRows {
+						t.Errorf("%s: view of %d rows over %d", label, len(c.nums), tab.numRows)
+					}
+				}
+			}
+		}
+	}
+	if withView == 0 {
+		t.Fatal("no column keeps a dense view")
+	}
+
+	// NaN-viewed and mixed text keeps the marker apart from real views.
+	c := buildColumn(append([]value.Value{
+		value.NewText("nan"), value.NewText("3"), value.NewText(" 2.5 "), value.NewText("x"), value.NullValue, value.NewText("-0"),
+	}, manyTexts(dictMaxCardinality)...))
+	want := []float64{math.NaN(), 3, 2.5, math.NaN(), math.NaN(), math.Copysign(0, -1)}
+	for ri, w := range want {
+		if got := c.nums[ri]; got != w && !(math.IsNaN(got) && math.IsNaN(w)) {
+			t.Errorf("row %d: view %v, want %v", ri, got, w)
+		}
+	}
+}
+
+// manyTexts returns more distinct non-numeric texts than a dictionary holds.
+func manyTexts(n int) []value.Value {
+	out := make([]value.Value, 0, n+1)
+	for i := 0; i <= n; i++ {
+		out = append(out, value.NewText(fmt.Sprintf("word-%d", i)))
+	}
+	return out
+}
+
+// TestExactBoundsReadTheView runs pure numeric ranges — bounds on stored
+// values, between them, the wrong way round — over columns with a dense
+// view through every entry point, against the reference engine, which
+// evaluates the closure on every row.
+func TestExactBoundsReadTheView(t *testing.T) {
+	db, plan := fanDB(t, 1500, 2)
+	col := buildColumnar(t, db)
+	if c := col.byName["c"].cols[0]; c.nums == nil {
+		t.Fatal("C.m keeps no dense view; the test would not reach it")
+	}
+	for i, b := range [][2]float64{{10, 10}, {10, 11}, {9.5, 10.5}, {2999, 1e9}, {-5, 0}, {20, 10}, {math.Copysign(0, -1), 0}} {
+		pred := exactRange(ref("C", "m"), b[0], b[1], 0)
+		label := fmt.Sprintf("range %d [%v, %v]", i, b[0], b[1])
+		checkAgainstOracle(t, label, col, db, plan, func() exec.ExecOptions {
+			return exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{pred}}
+		})
+	}
+}

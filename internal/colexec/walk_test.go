@@ -36,7 +36,7 @@ func (e *Executor) runMaterialised(p exec.Plan, opts exec.ExecOptions) ([]value.
 		return nil, stats.ExecStats, err
 	}
 	st.interrupt.Reset(opts.Interrupt)
-	if e.pushDown(st, &stats.ExecStats) {
+	if e.pushDown(st, opts.Selections, &stats.ExecStats) {
 		return nil, stats.ExecStats, exec.ErrInterrupted
 	}
 	if err := e.planLevels(st, p); err != nil {

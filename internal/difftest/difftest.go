@@ -1,9 +1,10 @@
 // Package difftest builds the inputs shared by the differential tests of a
-// round's front half (graphx, filter, sched) and of the executors (colexec,
-// batchdiff): the bundled databases, over each a pool of
-// workload-generator specifications with their related columns, the way a
-// discovery round finds them, and a random generator of validation-shaped
-// plans and predicate sets. It is imported by tests only.
+// round's front half (graphx, filter, sched, bayes) and of the executors
+// (colexec, batchdiff): the bundled databases and a small one of corner
+// cases, over each a pool of workload-generator specifications with their
+// related columns, the way a discovery round finds them, and a random
+// generator of validation-shaped plans and predicate sets. It is imported by
+// tests only.
 package difftest
 
 import (
@@ -42,6 +43,78 @@ func Databases(t testing.TB) map[string]*mem.Database {
 		out[name] = db
 	}
 	return out
+}
+
+// Quirks returns a three-table chain, not yet analysed, built to hold what
+// the bundled data sets lack: NULLs in constrained and in join columns,
+// dangling and many-to-many keys, and text values that share a key without
+// being equal ("ABC"/"abc", "3"/"3.0").
+func Quirks(t testing.TB) *mem.Database {
+	t.Helper()
+	s := schema.New()
+	for _, tab := range []*schema.Table{
+		schema.MustTable("Parent",
+			schema.Column{Name: "Tag", Type: value.Text},
+			schema.Column{Name: "Score", Type: value.Decimal},
+			schema.Column{Name: "Id", Type: value.Int}),
+		schema.MustTable("Child",
+			schema.Column{Name: "Label", Type: value.Text},
+			schema.Column{Name: "Parent", Type: value.Int},
+			schema.Column{Name: "Day", Type: value.Date}),
+		schema.MustTable("Grand",
+			schema.Column{Name: "Label", Type: value.Text},
+			schema.Column{Name: "Weight", Type: value.Int}),
+	} {
+		if err := s.AddTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, fk := range []schema.ForeignKey{
+		{From: schema.ColumnRef{Table: "Child", Column: "Parent"}, To: schema.ColumnRef{Table: "Parent", Column: "Id"}},
+		{From: schema.ColumnRef{Table: "Grand", Column: "Label"}, To: schema.ColumnRef{Table: "Child", Column: "Label"}},
+	} {
+		if err := s.AddForeignKey(fk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := mem.NewDatabase("quirks", s)
+	null := value.NullValue
+	insert := func(table string, vs ...value.Value) {
+		if err := db.Insert(table, vs); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tags := []string{"ABC", "abc", "3", "3.0", "Abc", "", "x y", "3.00", "7"}
+	for i := 0; i < 40; i++ {
+		tag, score := value.NewText(tags[i%len(tags)]), value.NewDecimal(float64(i%7)*1.5)
+		if tags[i%len(tags)] == "" {
+			tag = null
+		}
+		if i%5 == 0 {
+			score = null
+		}
+		insert("Parent", tag, score, value.NewInt(int64(i%30))) // ids 0..9 appear twice
+	}
+	labels := []string{"red", "RED", "green", "blue", "Blue"}
+	for i := 0; i < 90; i++ {
+		parent := value.NewInt(int64(i % 35)) // 30..34 dangle
+		if i%11 == 0 {
+			parent = null
+		}
+		label := value.NewText(labels[i%len(labels)])
+		if i%13 == 0 {
+			label = null
+		}
+		insert("Child", label, parent, value.NewDateYMD(2020, 1, 1+i%20))
+	}
+	for i := 0; i < 25; i++ {
+		label := value.NewText(labels[(i*2)%len(labels)])
+		if i%6 == 0 {
+			label = null
+		}
+		insert("Grand", label, value.NewInt(int64(i%4)))
+	}
+	return db
 }
 
 // Rounds generates the pool over db: perLevel specifications at every
@@ -218,8 +291,9 @@ func eqFold(a, b string) bool {
 
 // RandomSet builds one random predicate set over the plan's tables:
 // keyword-equality predicates seeded from stored values (mostly
-// satisfiable), nonsense keywords (unsatisfiable), numeric bounds, and
-// bare scan-shaped predicates, optionally with a tuple predicate.
+// satisfiable), nonsense keywords (unsatisfiable), numeric bounds (exact or
+// merely covering), and bare scan-shaped predicates, optionally with a
+// tuple predicate.
 func RandomSet(rng *rand.Rand, db *mem.Database, p exec.Plan) exec.PredicateSet {
 	var set exec.PredicateSet
 	nPreds := rng.Intn(4)
@@ -267,6 +341,9 @@ func RandomSet(rng *rand.Rand, db *mem.Database, p exec.Plan) exec.PredicateSet 
 					return ok && cf >= lo && cf <= hi
 				},
 				Bounds: &exec.NumericBounds{Lo: lo, Hi: hi, HasLo: true, HasHi: true},
+				// The interval is the predicate: half the time say so, and
+				// the executor answers from numeric views, not from Pred.
+				BoundsExact: rng.Intn(2) == 0,
 			})
 		default: // scan-shaped: no keyword or bounds cover
 			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{

@@ -442,6 +442,7 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 		if trace != nil {
 			trace.SetAttr("validations", report.Validations)
 			trace.SetAttr("rowsScanned", report.Cost.RowsScanned)
+			trace.SetAttr("selectionsReused", report.Cost.SelectionsReused)
 			trace.SetAttr("peakIntermediateBytes", report.Cost.PeakIntermediateBytes)
 			trace.SetAttr("scratchBytes", report.Cost.ScratchBytes)
 			if report.TimedOut {
@@ -674,6 +675,7 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 		spSchedule.SetAttr("cacheStores", res.CacheStores)
 	}
 	spSchedule.SetAttr("rowsScanned", res.Cost.RowsScanned)
+	spSchedule.SetAttr("selectionsReused", res.Cost.SelectionsReused)
 	spSchedule.SetAttr("blocksPruned", res.Cost.BlocksPruned)
 	spSchedule.SetAttr("zonesPruned", res.Cost.ZonesPruned)
 	spSchedule.SetAttr("peakIntermediateBytes", res.Cost.PeakIntermediateBytes)

@@ -32,6 +32,8 @@ var (
 		"Filter outcomes written back to a session cache.")
 	metricRowsScanned = obs.Default.Counter("prism_rows_scanned_total",
 		"Base-table rows read by validation and preview executions.")
+	metricSelectionsReused = obs.Default.Counter("prism_selections_reused_total",
+		"Predicate selections validations read from their round's selection memo instead of scanning for them.")
 	metricBlocksPruned = obs.Default.Counter("prism_blocks_pruned_total",
 		"Column-store blocks skipped by per-block zone maps.")
 	metricZonesPruned = obs.Default.Counter("prism_zones_pruned_total",
@@ -58,6 +60,7 @@ func recordRound(r *Report) {
 	metricCacheMisses.Add(int64(r.Cache.Misses))
 	metricCacheStores.Add(int64(r.Cache.Stores))
 	metricRowsScanned.Add(int64(r.Cost.RowsScanned))
+	metricSelectionsReused.Add(int64(r.Cost.SelectionsReused))
 	metricBlocksPruned.Add(int64(r.Cost.BlocksPruned))
 	metricZonesPruned.Add(int64(r.Cost.ZonesPruned))
 	metricPeakIntermediate.SetMax(int64(r.Cost.PeakIntermediateBytes))

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"testing"
 
+	"prism/internal/constraint"
 	"prism/internal/obs"
 )
 
@@ -72,6 +73,11 @@ func TestDiscoverTrace(t *testing.T) {
 	}
 	if rows != report.Cost.RowsScanned {
 		t.Errorf("validate spans sum rowsScanned=%d, report says %d", rows, report.Cost.RowsScanned)
+	}
+	for _, sp := range []*obs.Span{trace, sched} {
+		if got := sp.Attr("selectionsReused"); got != report.Cost.SelectionsReused {
+			t.Errorf("%s selectionsReused attr = %v, report says %d", sp.Name, got, report.Cost.SelectionsReused)
+		}
 	}
 
 	// One estimate span per round (not per filter): a cold round estimates
@@ -189,5 +195,60 @@ func TestTraceDoesNotChangeMappings(t *testing.T) {
 		if plain.Mappings[i].SQL != traced.Mappings[i].SQL {
 			t.Fatalf("mapping %d changed under tracing:\n%s\nvs\n%s", i, plain.Mappings[i].SQL, traced.Mappings[i].SQL)
 		}
+	}
+}
+
+// TestSelectionMemoReachesTheRound: a round with a value-range cell scans
+// each (source column, cell) pair once and reads it back for the other
+// filters that carry it — the validate spans say which — the mapping set is
+// the reference engine's, and at Parallelism 1 the schedule and cost
+// counters are the same on every run.
+func TestSelectionMemoReachesTheRound(t *testing.T) {
+	db := smallMondial(t)
+	e := NewEngine(db)
+	spec, err := constraint.ParseGrid(3, [][]string{{"California || Nevada", "", "[100, 600]"}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{Parallelism: 1, Trace: true}
+	first, err := e.Discover(context.Background(), spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Cost.SelectionsReused == 0 {
+		t.Fatalf("no selection reused over %d validations: %+v", first.Validations, first.Cost)
+	}
+	reused := 0
+	for _, c := range first.Trace.Find("schedule").Children {
+		if n, ok := c.Attr("selectionsReused").(int); ok && c.Name == "validate" {
+			reused += n
+		}
+	}
+	if reused != first.Cost.SelectionsReused {
+		t.Errorf("validate spans sum selectionsReused=%d, report says %d", reused, first.Cost.SelectionsReused)
+	}
+	again, err := e.Discover(context.Background(), spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Validations != first.Validations || again.Implied != first.Implied ||
+		again.Cost.RowsScanned != first.Cost.RowsScanned || again.Cost.SelectionsReused != first.Cost.SelectionsReused {
+		t.Errorf("second run: %d validations, %d implied, cost %+v; first %d, %d, %+v",
+			again.Validations, again.Implied, again.Cost, first.Validations, first.Implied, first.Cost)
+	}
+	ref, err := e.Discover(context.Background(), spec, Options{Parallelism: 1, Executor: "mem"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(first.Mappings) == 0 || len(first.Mappings) != len(ref.Mappings) {
+		t.Fatalf("%d mappings with the memo, %d on the reference engine", len(first.Mappings), len(ref.Mappings))
+	}
+	for i := range ref.Mappings {
+		if first.Mappings[i].SQL != ref.Mappings[i].SQL {
+			t.Errorf("mapping %d with the memo:\n%s\nreference engine:\n%s", i, first.Mappings[i].SQL, ref.Mappings[i].SQL)
+		}
+	}
+	if ref.Cost.SelectionsReused != 0 {
+		t.Errorf("the reference engine reports %d selections reused", ref.Cost.SelectionsReused)
 	}
 }

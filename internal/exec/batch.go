@@ -31,9 +31,9 @@ type Verdict struct {
 // (if unoptimised) implementation for backends without a shared-scan path.
 //
 // Per the ExistsBatch contract, only the execution controls of opts
-// (MaxIntermediate, Interrupt) are honoured; each set supplies its own
-// predicates. On error the verdict slice is nil and the stats cover the
-// work done up to the failing set.
+// (MaxIntermediate, Interrupt, Selections) are honoured; each set supplies
+// its own predicates. On error the verdict slice is nil and the stats cover
+// the work done up to the failing set.
 func SequentialExistsBatch(ex Executor, p Plan, sets []PredicateSet, opts ExecOptions) ([]Verdict, ExecStats, error) {
 	verdicts := make([]Verdict, len(sets))
 	var total ExecStats
@@ -43,6 +43,7 @@ func SequentialExistsBatch(ex Executor, p Plan, sets []PredicateSet, opts ExecOp
 			TuplePredicate:   sets[i].TuplePredicate,
 			MaxIntermediate:  opts.MaxIntermediate,
 			Interrupt:        opts.Interrupt,
+			Selections:       opts.Selections,
 		})
 		total.Add(stats)
 		if err != nil {

@@ -89,7 +89,8 @@ type Executor interface {
 	// reports what Exists would return for sets[i]'s predicates, but the
 	// backend may (and the columnar engine does) answer the whole batch in
 	// one scan/join pipeline over the column data. Only the execution
-	// controls of opts are honoured (MaxIntermediate, Interrupt); its
+	// controls of opts are honoured (MaxIntermediate, Interrupt, and
+	// Selections where the backend falls back to one Exists per set); its
 	// ColumnPredicates, TuplePredicate and Limit are ignored — each set
 	// carries its own predicates. An empty batch returns an empty verdict
 	// slice, zero stats and no error. On error the verdict slice may be nil

@@ -128,10 +128,10 @@ func TestInterruptChecker(t *testing.T) {
 }
 
 func TestExecStatsAdd(t *testing.T) {
-	a := ExecStats{RowsScanned: 1, JoinsExecuted: 1, TerminatedEarly: true}
-	b := ExecStats{RowsScanned: 2, IntermediateRows: 5, AbortedTooLarge: true}
+	a := ExecStats{RowsScanned: 1, JoinsExecuted: 1, TerminatedEarly: true, SelectionsReused: 2}
+	b := ExecStats{RowsScanned: 2, IntermediateRows: 5, AbortedTooLarge: true, SelectionsReused: 3}
 	a.Add(b)
-	if a.RowsScanned != 3 || a.IntermediateRows != 5 || a.JoinsExecuted != 1 {
+	if a.RowsScanned != 3 || a.IntermediateRows != 5 || a.JoinsExecuted != 1 || a.SelectionsReused != 5 {
 		t.Errorf("bad accumulation: %+v", a)
 	}
 	if !a.TerminatedEarly || !a.AbortedTooLarge {

@@ -216,6 +216,15 @@ type ColumnPredicate struct {
 	// fast path the shared batch scan leans on. lang.ExactRangeBounds
 	// derives exact bounds from pure numeric range expressions.
 	BoundsExact bool
+	// ID, when non-zero, names the predicate within the round's
+	// SelectionMemo (ExecOptions.Selections): two predicates handed to one
+	// memo with equal Ref and equal non-zero ID must have the same Pred,
+	// Keywords, Bounds and BoundsExact, so the rows one of them selects are
+	// the rows the other would. Zero is anonymous: the predicate is evaluated
+	// by every execution that carries it and never memoised, which is what
+	// every hand-built predicate gets. filter.Validator issues the ids, one
+	// per (sample, target column) cell of its specification.
+	ID uint32
 }
 
 // NumericBounds is a closed numeric interval cover [Lo, Hi] for a
@@ -247,6 +256,16 @@ type ExecOptions struct {
 	// cancellation reaches the row-processing loops without executors
 	// depending on context directly.
 	Interrupt func() bool
+	// Selections, when non-nil, is the memo the executions of one round
+	// share: an executor that has paid a scan for the rows an identified
+	// predicate (ColumnPredicate.ID) selects may leave them there, and read
+	// them back on every later execution that carries the same predicate.
+	// It changes no result, only the work: nil (the zero value) and
+	// anonymous predicates execute exactly as without it, and an executor
+	// may ignore it altogether (mem does; so does the columnar shared batch
+	// scan). The owner hands it to one executor only and drops it with the
+	// round.
+	Selections *SelectionMemo
 }
 
 // ErrInterrupted is returned by Executor.ExecuteWith when
@@ -296,7 +315,11 @@ func (c *InterruptChecker) Hit() bool {
 // executor but not across executors (an indexed executor scans fewer rows
 // for the same answer).
 type ExecStats struct {
-	RowsScanned int // base-table rows read
+	// RowsScanned counts the base-table rows read. A selection read back
+	// from ExecOptions.Selections adds nothing here or to PredicateFiltered
+	// — the execution that filled it counted those rows — and one to
+	// SelectionsReused.
+	RowsScanned int
 	// IntermediateRows counts the partial join tuples formed across all
 	// join steps, before residual-edge filters. An engine that builds each
 	// step whole reports the whole join; the columnar walk reports what it
@@ -310,7 +333,10 @@ type ExecStats struct {
 	ResultRows        int
 	TerminatedEarly   bool // stopped due to Limit
 	AbortedTooLarge   bool // stopped due to MaxIntermediate
-	PredicateFiltered int  // base rows removed by pushed-down predicates
+	PredicateFiltered int  // base rows removed by pushed-down predicates (see RowsScanned)
+	// SelectionsReused counts the predicate selections this execution read
+	// from ExecOptions.Selections instead of scanning for them.
+	SelectionsReused int
 
 	// Pruning counters (columnar executor): work skipped without being
 	// scanned. ZonesPruned counts whole-table zone-map vetoes,
@@ -341,6 +367,7 @@ func (s *ExecStats) Add(o ExecStats) {
 	s.JoinsExecuted += o.JoinsExecuted
 	s.ResultRows += o.ResultRows
 	s.PredicateFiltered += o.PredicateFiltered
+	s.SelectionsReused += o.SelectionsReused
 	s.BlocksPruned += o.BlocksPruned
 	s.ZonesPruned += o.ZonesPruned
 	s.TerminatedEarly = s.TerminatedEarly || o.TerminatedEarly

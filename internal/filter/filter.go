@@ -580,6 +580,12 @@ type Validator struct {
 	// validation re-derived the cover and re-normalised the keywords.
 	tmplOnce sync.Once
 	tmpls    [][]predTemplate
+
+	// selections is the round's selection memo: a Validator lives for one
+	// scheduling run, and every probe of the run hands the executor this
+	// memo, so the filters that constrain one source column by one cell
+	// share one scan of it (exec.ExecOptions.Selections).
+	selections exec.SelectionMemo
 }
 
 // predTemplate is the reusable pushed-down form of one constrained cell.
@@ -589,6 +595,9 @@ type predTemplate struct {
 	bounds   *exec.NumericBounds
 	exact    bool // bounds characterise pred exactly (lang.ExactRangeBounds)
 	ok       bool // cell present and non-nil
+	// id is the cell's exec.ColumnPredicate.ID: its rank, from 1, among the
+	// constrained cells of the specification.
+	id uint32
 }
 
 // templates builds the per-cell predicate templates once; safe for
@@ -597,13 +606,15 @@ func (v *Validator) templates() [][]predTemplate {
 	v.tmplOnce.Do(func() {
 		samples := v.Spec.Samples
 		v.tmpls = make([][]predTemplate, len(samples))
+		cells := uint32(0)
 		for si, sample := range samples {
 			row := make([]predTemplate, len(sample.Cells))
 			for ci, expr := range sample.Cells {
 				if expr == nil {
 					continue
 				}
-				t := predTemplate{pred: expr.Eval, ok: true}
+				cells++
+				t := predTemplate{pred: expr.Eval, ok: true, id: cells}
 				if kws, ok := lang.EqualityKeywords(expr); ok {
 					// Normalise once: keyword-index lookups are
 					// case-insensitive anyway, and pre-lowered keywords keep
@@ -631,6 +642,36 @@ func (v *Validator) templates() [][]predTemplate {
 	return v.tmpls
 }
 
+// predicates returns the pushed-down predicates of filter f under sample
+// si, from the per-cell templates: equality-shaped cells carry their keyword
+// cover (point lookups on indexed executors), range shapes their numeric
+// bounds (zone-map pruning). Each carries the identity of its cell, which
+// is what lets the executor recognise the same cell on the same source
+// column in another filter's probe.
+func (v *Validator) predicates(f *Filter, si int) []exec.ColumnPredicate {
+	tmpls := v.templates()
+	if si >= len(tmpls) {
+		return nil
+	}
+	row := tmpls[si]
+	var preds []exec.ColumnPredicate
+	for i, tc := range f.TargetCols {
+		if tc >= len(row) || !row[tc].ok {
+			continue
+		}
+		t := &row[tc]
+		preds = append(preds, exec.ColumnPredicate{
+			Ref:         f.Sources[i],
+			Pred:        t.pred,
+			Keywords:    t.keywords,
+			Bounds:      t.bounds,
+			BoundsExact: t.exact,
+			ID:          t.id,
+		})
+	}
+	return preds
+}
+
 // Validate executes the filter without cancellation; it is shorthand for
 // ValidateContext with a background context.
 func (v *Validator) Validate(f *Filter) (ValidationResult, error) {
@@ -648,7 +689,6 @@ func (v *Validator) Validate(f *Filter) (ValidationResult, error) {
 func (v *Validator) ValidateContext(ctx context.Context, f *Filter) (ValidationResult, error) {
 	plan := f.Plan()
 	var total exec.ExecStats
-	tmpls := v.templates()
 	samples := v.Spec.Samples
 	if len(samples) == 0 {
 		samples = []constraint.SampleConstraint{{Cells: make([]lang.ValueExpr, v.Spec.NumColumns)}}
@@ -658,29 +698,10 @@ func (v *Validator) ValidateContext(ctx context.Context, f *Filter) (ValidationR
 			return ValidationResult{Cost: total}, err
 		}
 		opts := exec.ExecOptions{
-			MaxIntermediate: v.MaxIntermediate,
-			Interrupt:       func() bool { return ctx.Err() != nil },
-		}
-		// Push single-column predicates down to base scans, from the
-		// per-cell templates: equality-shaped cells carry their keyword
-		// cover (point lookups on indexed executors), range shapes their
-		// numeric bounds (zone-map pruning).
-		var row []predTemplate
-		if si < len(tmpls) {
-			row = tmpls[si]
-		}
-		for i, tc := range f.TargetCols {
-			if tc >= len(row) || !row[tc].ok {
-				continue
-			}
-			t := &row[tc]
-			opts.ColumnPredicates = append(opts.ColumnPredicates, exec.ColumnPredicate{
-				Ref:         f.Sources[i],
-				Pred:        t.pred,
-				Keywords:    t.keywords,
-				Bounds:      t.bounds,
-				BoundsExact: t.exact,
-			})
+			ColumnPredicates: v.predicates(f, si),
+			MaxIntermediate:  v.MaxIntermediate,
+			Interrupt:        func() bool { return ctx.Err() != nil },
+			Selections:       &v.selections,
 		}
 		// The pushed-down predicates already enforce every covered cell, but
 		// keep a tuple predicate as a defence in depth for shared source
@@ -726,7 +747,6 @@ func (v *Validator) ValidateBatchContext(ctx context.Context, fs []*Filter) ([]b
 			return nil, exec.ExecStats{}, fmt.Errorf("filter: batch mixes plans (%s vs %s)", fs[0], f)
 		}
 	}
-	tmpls := v.templates()
 	samples := v.Spec.Samples
 	if len(samples) == 0 {
 		samples = []constraint.SampleConstraint{{Cells: make([]lang.ValueExpr, v.Spec.NumColumns)}}
@@ -734,24 +754,7 @@ func (v *Validator) ValidateBatchContext(ctx context.Context, fs []*Filter) ([]b
 	sets := make([]exec.PredicateSet, 0, len(fs)*len(samples))
 	for _, f := range fs {
 		for si := range samples {
-			var set exec.PredicateSet
-			var row []predTemplate
-			if si < len(tmpls) {
-				row = tmpls[si]
-			}
-			for i, tc := range f.TargetCols {
-				if tc >= len(row) || !row[tc].ok {
-					continue
-				}
-				t := &row[tc]
-				set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
-					Ref:         f.Sources[i],
-					Pred:        t.pred,
-					Keywords:    t.keywords,
-					Bounds:      t.bounds,
-					BoundsExact: t.exact,
-				})
-			}
+			set := exec.PredicateSet{ColumnPredicates: v.predicates(f, si)}
 			cols := f.TargetCols
 			sample := samples[si]
 			set.TuplePredicate = func(t value.Tuple) bool {
@@ -766,6 +769,7 @@ func (v *Validator) ValidateBatchContext(ctx context.Context, fs []*Filter) ([]b
 	verdicts, stats, err := v.DB.ExistsBatch(plan, sets, exec.ExecOptions{
 		MaxIntermediate: v.MaxIntermediate,
 		Interrupt:       func() bool { return ctx.Err() != nil },
+		Selections:      &v.selections,
 	})
 	if err != nil {
 		if errors.Is(err, exec.ErrInterrupted) && ctx.Err() != nil {

@@ -1,0 +1,115 @@
+package filter
+
+import (
+	"context"
+	"testing"
+
+	"prism/internal/constraint"
+	"prism/internal/exec"
+)
+
+// recordingExecutor notes what the validator hands the backend and answers
+// through the reference engine.
+type recordingExecutor struct {
+	exec.Executor
+	probes  [][]exec.ColumnPredicate // one entry per Exists call or batch member
+	options []exec.ExecOptions       // one entry per call
+}
+
+func (r *recordingExecutor) Exists(p exec.Plan, opts exec.ExecOptions) (bool, exec.ExecStats, error) {
+	r.probes = append(r.probes, opts.ColumnPredicates)
+	r.options = append(r.options, opts)
+	return r.Executor.Exists(p, opts)
+}
+
+func (r *recordingExecutor) ExistsBatch(p exec.Plan, sets []exec.PredicateSet, opts exec.ExecOptions) ([]exec.Verdict, exec.ExecStats, error) {
+	for _, set := range sets {
+		r.probes = append(r.probes, set.ColumnPredicates)
+	}
+	r.options = append(r.options, opts)
+	return exec.SequentialExistsBatch(r.Executor, p, sets, opts)
+}
+
+// TestPredicateIdentities pins what the executor's selection memo relies
+// on: single and batched validation push down the same predicates for the
+// same (filter, sample), every constrained cell has one non-zero identity
+// of its own, equal (column, identity) means the same template — the very
+// same bounds and keyword slices — and every probe of one Validator carries
+// that Validator's memo, which no other Validator shares.
+func TestPredicateIdentities(t *testing.T) {
+	fx := newFixture(t)
+	spec, err := constraint.ParseGrid(3, [][]string{
+		{"California || Nevada", "Lake Tahoe", "[400, 600]"},
+		{"Oregon", "", "[50, 60]"},
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := Decompose(fx.candidates)
+	single := &recordingExecutor{Executor: fx.db}
+	batched := &recordingExecutor{Executor: fx.db}
+	vs := &Validator{DB: single, Spec: spec}
+	vb := &Validator{DB: batched, Spec: spec}
+	for _, f := range set.Filters {
+		// Validate stops at the first failing sample; ask for each sample's
+		// predicates directly as well, so both rows are always compared.
+		if _, err := vs.Validate(f); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := vb.ValidateBatchContext(context.Background(), []*Filter{f}); err != nil {
+			t.Fatal(err)
+		}
+		for si := range spec.Samples {
+			a, b := vs.predicates(f, si), vb.predicates(f, si)
+			if len(a) != len(b) {
+				t.Fatalf("%s sample %d: %d predicates, then %d", f, si, len(a), len(b))
+			}
+			for i := range a {
+				if a[i].Ref != b[i].Ref || a[i].ID != b[i].ID || a[i].BoundsExact != b[i].BoundsExact {
+					t.Errorf("%s sample %d predicate %d differs between validators: %+v vs %+v", f, si, i, a[i], b[i])
+				}
+			}
+		}
+	}
+
+	for _, rec := range []*recordingExecutor{single, batched} {
+		// The contract holds within one memo, that is within one Validator.
+		templates := make(map[exec.SelectionKey]exec.ColumnPredicate)
+		ids := make(map[uint32]bool)
+		for _, preds := range rec.probes {
+			for _, p := range preds {
+				if p.ID == 0 {
+					t.Fatalf("anonymous predicate on %s from the validator", p.Ref)
+				}
+				ids[p.ID] = true
+				key := exec.SelectionKey{Ref: p.Ref, ID: p.ID}
+				first, seen := templates[key]
+				if !seen {
+					templates[key] = p
+					continue
+				}
+				sameKeywords := len(first.Keywords) == len(p.Keywords) && (len(p.Keywords) == 0 || &first.Keywords[0] == &p.Keywords[0])
+				if first.Bounds != p.Bounds || first.BoundsExact != p.BoundsExact || !sameKeywords {
+					t.Errorf("(%s, %d) names two predicates: %+v and %+v", p.Ref, p.ID, first, p)
+				}
+			}
+		}
+		if want := 5; len(ids) != want { // the constrained cells of the two sample rows
+			t.Errorf("%d identities issued, want one per constrained cell: %d", len(ids), want)
+		}
+	}
+
+	for name, rec := range map[string]*recordingExecutor{"single": single, "batched": batched} {
+		if len(rec.options) == 0 {
+			t.Fatalf("%s: no call recorded", name)
+		}
+		for _, o := range rec.options {
+			if o.Selections == nil || o.Selections != rec.options[0].Selections {
+				t.Fatalf("%s: a probe carries memo %p, the first one %p", name, o.Selections, rec.options[0].Selections)
+			}
+		}
+	}
+	if single.options[0].Selections == batched.options[0].Selections {
+		t.Error("two validators share one memo")
+	}
+}

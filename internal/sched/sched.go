@@ -627,6 +627,9 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 					}
 					sp.SetAttr("passed", passedCount)
 					sp.SetAttr("rowsScanned", cost.RowsScanned)
+					if cost.SelectionsReused > 0 {
+						sp.SetAttr("selectionsReused", cost.SelectionsReused)
+					}
 					sp.SetAttr("intermediateRows", cost.IntermediateRows)
 					if cost.BlocksPruned > 0 {
 						sp.SetAttr("blocksPruned", cost.BlocksPruned)
