@@ -24,9 +24,7 @@ import (
 	"time"
 
 	"prism/internal/dataset"
-	"prism/internal/exec"
 	"prism/internal/mem"
-	"prism/internal/sched"
 )
 
 // executorRound is one record of BENCH_executors.json.
@@ -38,18 +36,6 @@ type executorRound struct {
 	ElapsedUS   int64  `json:"elapsedUs"`
 	Validations int    `json:"validations"`
 	Mappings    int    `json:"mappings"`
-}
-
-// batchRound is one record of the batched-validation section of
-// BENCH_executors.json: a warm validation-phase scheduling run over the
-// shared-plan fixture of one dataset (validationPhaseFixtures), either
-// probe-at-a-time ("columnar") or with plan-fingerprint batching
-// ("columnar-batched", one shared scan per group via exec.ExistsBatch).
-type batchRound struct {
-	Dataset     string `json:"dataset"`
-	Variant     string `json:"variant"` // columnar | columnar-batched
-	ElapsedUS   int64  `json:"elapsedUs"`
-	Validations int    `json:"validations"`
 }
 
 // coldStartRound is one record of the cold-start section of
@@ -75,15 +61,6 @@ type executorTrajectory struct {
 	// headline, and the machine-portable ratio the CI regression check
 	// compares against the checked-in baseline.
 	Speedups map[string]float64 `json:"speedups"`
-	// BatchRounds records the batched-validation benchmark
-	// (BenchmarkExecutorValidationPhase) on the same grid discipline.
-	BatchRounds []batchRound `json:"batchRounds"`
-	// BatchSpeedups is, per dataset, the sequential columnar warm
-	// validation-phase time divided by the batched one — above 1 where the
-	// shared scan pays (range-heavy, multi-sample workloads), honestly
-	// below 1 where it does not (point-lookup workloads whose per-probe
-	// selections are already tiny).
-	BatchSpeedups map[string]float64 `json:"batchSpeedups"`
 	// ColdStarts records the database cold-start comparison
 	// (BenchmarkExecutors emits it alongside the round grid).
 	ColdStarts []coldStartRound `json:"coldStarts"`
@@ -160,45 +137,6 @@ func buildExecutorTrajectory(tb testing.TB) *executorTrajectory {
 		}
 		if c := warmP1[tc.name]["columnar"]; c > 0 {
 			traj.Speedups[tc.name] = float64(warmP1[tc.name]["mem"]) / float64(c)
-		}
-	}
-
-	// Batched-validation section: per dataset, warm sequential vs batched
-	// scheduling over the shared-plan fixture (best of three, same
-	// discipline as the main grid).
-	traj.BatchSpeedups = map[string]float64{}
-	for _, fx := range validationPhaseFixtures(tb) {
-		ex, err := exec.New("columnar", fx.eng.Database())
-		if err != nil {
-			tb.Fatalf("%s: building columnar executor: %v", fx.name, err)
-		}
-		warmUS := map[bool]int64{}
-		for _, batching := range []bool{false, true} {
-			if _, err := runValidationPhase(ex, fx, batching); err != nil { // warm-up
-				tb.Fatalf("%s batching=%v warm-up: %v", fx.name, batching, err)
-			}
-			best := int64(0)
-			var res sched.Result
-			for i := 0; i < 3; i++ {
-				start := time.Now()
-				r, err := runValidationPhase(ex, fx, batching)
-				us := time.Since(start).Microseconds()
-				if err != nil {
-					tb.Fatalf("%s batching=%v: %v", fx.name, batching, err)
-				}
-				if best == 0 || us < best {
-					best, res = us, r
-				}
-			}
-			variant := "columnar"
-			if batching {
-				variant = "columnar-batched"
-			}
-			warmUS[batching] = best
-			traj.BatchRounds = append(traj.BatchRounds, batchRound{fx.name, variant, best, res.Validations})
-		}
-		if warmUS[true] > 0 {
-			traj.BatchSpeedups[fx.name] = float64(warmUS[false]) / float64(warmUS[true])
 		}
 	}
 
@@ -336,58 +274,6 @@ func TestExecutorTrajectoryGuard(t *testing.T) {
 	}
 	if len(index) != wantRounds {
 		t.Errorf("artefact has %d rounds, want %d — stale grid", len(index), wantRounds)
-	}
-
-	// Batched-validation section: grid completeness, sane timings, and the
-	// deterministic validation counts of both scheduling modes (parallelism
-	// is 1 in runValidationPhase; the batched count legitimately differs
-	// from the sequential one — a batch may execute a group-mate that
-	// sequential scheduling resolves by implication — so each variant is
-	// pinned against its own live run).
-	batchIndex := map[string]batchRound{}
-	for _, r := range traj.BatchRounds {
-		key := r.Dataset + "/" + r.Variant
-		if _, dup := batchIndex[key]; dup {
-			t.Errorf("duplicate batch round %s", key)
-		}
-		batchIndex[key] = r
-		if r.ElapsedUS <= 0 || r.Validations <= 0 {
-			t.Errorf("batch round %s: empty or non-positive (%dµs, %d validations)", key, r.ElapsedUS, r.Validations)
-		}
-	}
-	wantBatch := 0
-	for _, fx := range validationPhaseFixtures(t) {
-		ex, err := exec.New("columnar", fx.eng.Database())
-		if err != nil {
-			t.Fatalf("%s: building columnar executor: %v", fx.name, err)
-		}
-		for _, variant := range []struct {
-			name     string
-			batching bool
-		}{{"columnar", false}, {"columnar-batched", true}} {
-			wantBatch++
-			key := fx.name + "/" + variant.name
-			r, ok := batchIndex[key]
-			if !ok {
-				t.Errorf("batch round %s missing — regenerate BENCH_executors.json", key)
-				continue
-			}
-			live, err := runValidationPhase(ex, fx, variant.batching)
-			if err != nil {
-				t.Fatalf("%s live run: %v", key, err)
-			}
-			if r.Validations != live.Validations {
-				t.Errorf("%s: %d validations recorded, current code executes %d — artefact out of sync",
-					key, r.Validations, live.Validations)
-			}
-		}
-		sp, ok := traj.BatchSpeedups[fx.name]
-		if !ok || sp <= 0 {
-			t.Errorf("batch speedup for %s missing or non-positive: %v", fx.name, sp)
-		}
-	}
-	if len(batchIndex) != wantBatch {
-		t.Errorf("artefact has %d batch rounds, want %d — stale grid", len(batchIndex), wantBatch)
 	}
 
 	// Cold-start section: both phases recorded per bundled dataset, the

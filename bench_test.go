@@ -458,10 +458,7 @@ func BenchmarkExecutors(b *testing.B) {
 // validationPhaseFixtures builds, per bundled dataset, a filter set whose
 // specification maps several target columns onto the same source columns
 // (two province-shaped columns on mondial, two person-shaped columns on
-// imdb and nba). Those are the specs where distinct filters share a
-// canonical plan, so the batched variant actually forms multi-probe groups
-// — the demo walkthrough specs happen to produce only singleton groups and
-// would benchmark the batching bookkeeping, not the shared scans.
+// imdb and nba), so distinct filters share a canonical plan.
 func validationPhaseFixtures(tb testing.TB) []*schedulingFixture {
 	tb.Helper()
 	build := func(name string, opts []OpenOption, cols int, rows [][]string) *schedulingFixture {
@@ -489,9 +486,7 @@ func validationPhaseFixtures(tb testing.TB) []*schedulingFixture {
 	return []*schedulingFixture{
 		// Mondial gets a larger feature population and a range-only
 		// multi-sample grid: numeric interval cells decompose into
-		// scan-shaped predicates (no keyword index to seed from), so every
-		// sequential probe pays a full column scan — the workload the
-		// shared batch scan amortises across a group's probes.
+		// scan-shaped predicates (no keyword index to seed from).
 		build("mondial", []OpenOption{WithMondialConfig(MondialConfig{
 			Seed: 1, Countries: 5, ProvincesPerCountry: 3, CitiesPerProvince: 2,
 			Lakes: 1500, Rivers: 1000, Mountains: 800,
@@ -519,47 +514,34 @@ func validationPhaseFixtures(tb testing.TB) []*schedulingFixture {
 
 // runValidationPhase executes one scheduling run over a validation-phase
 // fixture. The path-length policy keeps estimation out of the measurement:
-// picking order is identical across variants and costs nothing, so the
-// timing isolates probe execution — the thing batching changes. Shared by
-// BenchmarkExecutorValidationPhase and the BENCH_executors.json batch
-// trajectory (bench_executors_test.go).
-func runValidationPhase(ex exec.Executor, fx *schedulingFixture, batching bool) (sched.Result, error) {
+// picking order is identical across backends and costs nothing, so the
+// timing isolates probe execution.
+func runValidationPhase(ex exec.Executor, fx *schedulingFixture) (sched.Result, error) {
 	runner := &sched.Runner{
 		DB: ex, Spec: fx.spec, Set: fx.set,
 		Estimator: &sched.PathLengthEstimator{},
-		Options:   sched.Options{TimeLimit: 60 * time.Second, Batching: batching},
+		Options:   sched.Options{TimeLimit: 60 * time.Second},
 	}
 	return runner.Run()
 }
 
 // BenchmarkExecutorValidationPhase isolates the validation phase — the hot
 // path the columnar engine targets — on one shared filter set per dataset
-// and backend variant. The columnar-batched variant runs the same scheduler
-// with plan-fingerprint batching, answering each group of probes with one
-// shared scan (exec.ExistsBatch):
+// and backend:
 //
 //	go test -run xxx -bench BenchmarkExecutorValidationPhase .
 func BenchmarkExecutorValidationPhase(b *testing.B) {
 	for _, fx := range validationPhaseFixtures(b) {
 		fx := fx
-		for _, variant := range []struct {
-			name     string
-			executor string
-			batching bool
-		}{
-			{"mem", "mem", false},
-			{"columnar", "columnar", false},
-			{"columnar-batched", "columnar", true},
-		} {
-			variant := variant
-			ex, err := exec.New(variant.executor, fx.eng.Database())
+		for _, executor := range []string{"mem", "columnar"} {
+			ex, err := exec.New(executor, fx.eng.Database())
 			if err != nil {
 				b.Fatal(err)
 			}
-			b.Run(fx.name+"/"+variant.name, func(b *testing.B) {
+			b.Run(fx.name+"/"+executor, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
-					if _, err := runValidationPhase(ex, fx, variant.batching); err != nil {
+					if _, err := runValidationPhase(ex, fx); err != nil {
 						b.Fatal(err)
 					}
 				}

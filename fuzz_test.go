@@ -304,31 +304,6 @@ func FuzzEquivalence(f *testing.F) {
 				spec, mappingsDigest(memReport), got)
 		}
 
-		// Batched-scheduler arm: grouping probes by plan fingerprint and
-		// answering each group with one shared scan (exec.ExistsBatch) must
-		// leave the candidate partition and the mapping set untouched. The
-		// validation counter legitimately differs — a batch may execute a
-		// group-mate that sequential scheduling would have resolved by
-		// implication — so the comparison is the resolution outcome, not the
-		// schedule length.
-		batchOpts := opts
-		batchOpts.Executor = "columnar"
-		batchOpts.BatchValidation = true
-		batchReport, batchErr := eng.Discover(ctx, spec, batchOpts)
-		if batchErr != nil {
-			t.Fatalf("batched round failed where sequential succeeded: %v\nspec:\n%s", batchErr, spec)
-		}
-		if batchReport.CandidatesConfirmed != memReport.CandidatesConfirmed ||
-			batchReport.CandidatesPruned != memReport.CandidatesPruned {
-			t.Fatalf("batched round resolves differently: confirmed %d/pruned %d, mem %d/%d\nspec:\n%s",
-				batchReport.CandidatesConfirmed, batchReport.CandidatesPruned,
-				memReport.CandidatesConfirmed, memReport.CandidatesPruned, spec)
-		}
-		if got := mappingsDigest(batchReport); got != mappingsDigest(memReport) {
-			t.Fatalf("batched round diverges from mem:\nspec:\n%s--- mem ---\n%s--- batched ---\n%s",
-				spec, mappingsDigest(memReport), got)
-		}
-
 		// Snapshot arm: an engine cold-started from a snapshot of the same
 		// database must be indistinguishable — identical mapping SQL set and
 		// order, previews, and the full validation schedule.

@@ -23,7 +23,6 @@ import (
 // docs/robustness.md and the sweep space cannot drift silently: adding
 // a point means updating the doc and this list together.
 var catalog = []string{
-	"colexec.batch",
 	"colexec.exec",
 	"colexec.scan",
 	"dataset.csv.read",
@@ -172,7 +171,6 @@ var panicPoints = []struct {
 	{"sched.validate", true},
 	{"colexec.exec", false},
 	{"colexec.scan", false},
-	{"colexec.batch", false},
 }
 
 // TestPanicModeSweep arms each request-path point to panic once: the

@@ -35,8 +35,7 @@
 // reference executor produces (both start from the smallest filtered
 // table, extend the join by scanning plan edges in declaration order, and
 // probe in base-row order); the cross-executor equivalence tests rely on
-// it. Only ExistsBatch's shared scan materialises, column-at-a-time, one
-// int32 row-id vector per joined table (batch.go).
+// it.
 //
 // The probes of one discovery round put the same few cells on the same few
 // source columns over and over. A selection that costs a scan of the table
@@ -555,6 +554,14 @@ func (e *Executor) Exists(p exec.Plan, opts exec.ExecOptions) (bool, exec.ExecSt
 	return found, stats.ExecStats, err
 }
 
+// ExistsBatch implements exec.Executor.
+//
+// Deprecated: ROADMAP item 0 removes it together with
+// timedExecutor.ExistsBatch.
+func (e *Executor) ExistsBatch(p exec.Plan, sets []exec.PredicateSet, opts exec.ExecOptions) ([]exec.Verdict, exec.ExecStats, error) {
+	return exec.SequentialExistsBatch(e, p, sets, opts)
+}
+
 // runStats carries execution statistics plus whether an error left
 // meaningful partial stats behind (interrupts and intermediate-size
 // aborts do; binding errors do not).
@@ -583,8 +590,7 @@ type boundJoin struct {
 // table's selection; level i > 0 places table tab by probing buildCol's
 // prebuilt join index with the key probeCol holds on the row already
 // placed at level probeLvl, keeping only rows of the table's selection bm
-// (nil = all rows). A table's level is also its slot in the batched
-// pipeline's slot vectors (execState.slotOf).
+// (nil = all rows). execState.slotOf maps a table to its level.
 type joinLevel struct {
 	tab                int
 	probeLvl           int
@@ -639,8 +645,8 @@ func (c *predCheck) blockExcluded(b int) bool {
 	return !z.hasNum || z.maxF < c.lo || z.minF > c.hi
 }
 
-// execState is the pooled per-execution scratch: bound plan state, slot
-// vectors, bitmaps, id buffers and the projection tuple. Nothing in it
+// execState is the pooled per-execution scratch: bound plan state,
+// bitmaps, id buffers and the projection tuple. Nothing in it
 // survives an execution; pooling exists so the warm path never allocates.
 type execState struct {
 	interrupt exec.InterruptChecker
@@ -667,30 +673,11 @@ type execState struct {
 	bmUsed   int
 	idBufs   [][]int32
 	idUsed   int
-	vecBufs  [][]int32
-	vecUsed  int
 	verdicts [][]bool
 	vdUsed   int
 
 	gathers []gather
 	scratch value.Tuple
-
-	// Batch-only scratch (ExistsBatch): per-set bound predicates, the flat
-	// nSets×nTabs verdict-bitmap grid, per-set liveness/satisfaction, the
-	// shared-scan worklists, and the materialising pipeline's slot vectors
-	// with their per-row membership masks (see joinPipeline).
-	batchPreds []batchPred
-	setBMs     []*rowset.Bitmap
-	setLive    []bool
-	setSat     []bool
-	scanSets   []int
-	scanRanges [][2]int
-	scanHits   []int
-	scanActive []bool
-	cur        [][]int32 // current slot vectors
-	next       [][]int32
-	maskCur    []uint64
-	maskNext   []uint64
 }
 
 func (e *Executor) getState() *execState {
@@ -719,29 +706,16 @@ func (st *execState) reset() {
 	st.residuals = truncate(st.residuals)
 	st.checks = truncate(st.checks)
 	st.gathers = truncate(st.gathers)
-	st.cur = truncate(st.cur)
-	st.next = truncate(st.next)
-	st.batchPreds = truncate(st.batchPreds)
-	st.setBMs = truncate(st.setBMs)
 	clear(st.scratch)
 	st.slotOf = st.slotOf[:0]
 	st.row = st.row[:0]
-	st.setLive = st.setLive[:0]
-	st.setSat = st.setSat[:0]
-	st.scanSets = st.scanSets[:0]
-	st.scanRanges = st.scanRanges[:0]
-	st.scanHits = st.scanHits[:0]
-	st.scanActive = st.scanActive[:0]
-	st.maskCur = st.maskCur[:0]
-	st.maskNext = st.maskNext[:0]
-	st.selUsed, st.bmUsed, st.idUsed, st.vecUsed, st.vdUsed = 0, 0, 0, 0, 0
+	st.selUsed, st.bmUsed, st.idUsed, st.vdUsed = 0, 0, 0, 0
 }
 
 // scratchFootprint reports the bytes of pooled scratch this execution
-// drew, by length in use: the bitmaps, id buffers, slot vectors and
-// verdict tables it took from the arenas, the planned levels with the
-// walk's row vector, the batched pipeline's membership masks, and the
-// projection tuple. Capacity a larger, earlier execution left behind in
+// drew, by length in use: the bitmaps, id buffers and verdict tables it
+// took from the arenas, the planned levels with the walk's row vector, and
+// the projection tuple. Capacity a larger, earlier execution left behind in
 // the same pooled state is not counted, so the figure is a function of
 // the execution and not of which state the pool handed out. It is
 // recorded as ExecStats.ScratchBytes; computing it touches only slice
@@ -754,14 +728,10 @@ func (st *execState) scratchFootprint() int {
 	for _, b := range st.idBufs[:st.idUsed] {
 		n += len(b) * 4
 	}
-	for _, b := range st.vecBufs[:st.vecUsed] {
-		n += len(b) * 4
-	}
 	for _, v := range st.verdicts[:st.vdUsed] {
 		n += len(v)
 	}
 	n += len(st.levels)*int(unsafe.Sizeof(joinLevel{})) + len(st.row)*4
-	n += (len(st.maskCur) + len(st.maskNext)) * 8
 	n += len(st.gathers) * int(unsafe.Sizeof(value.Value{}))
 	return n
 }
@@ -809,18 +779,6 @@ func (st *execState) getIDs() (int, []int32) {
 }
 
 func (st *execState) keepIDs(slot int, buf []int32) { st.idBufs[slot] = buf }
-
-func (st *execState) getVec() (int, []int32) {
-	if st.vecUsed == len(st.vecBufs) {
-		st.vecBufs = append(st.vecBufs, nil)
-	}
-	slot := st.vecUsed
-	st.vecUsed++
-	st.vecBufs[slot] = st.vecBufs[slot][:0]
-	return slot, st.vecBufs[slot]
-}
-
-func (st *execState) keepVec(slot int, buf []int32) { st.vecBufs[slot] = buf }
 
 func (st *execState) getVerdict(n int) []bool {
 	if st.vdUsed == len(st.verdicts) {
@@ -961,8 +919,7 @@ func (st *execState) selCount(ti int) int {
 // until yield returns false. The caller owns result assembly and
 // Distinct/Limit bookkeeping around yield. Every single execution —
 // Exists, Execute, limited previews — goes through here: bind, push the
-// predicates down, plan the levels, walk. Nothing is materialised, so
-// PeakIntermediateBytes stays 0.
+// predicates down, plan the levels, walk.
 func (e *Executor) run(st *execState, p exec.Plan, opts exec.ExecOptions, yield func(value.Tuple) bool) (runStats, error) {
 	var stats runStats
 	if err := e.bind(st, p, opts); err != nil {
@@ -1009,8 +966,6 @@ func (e *Executor) pushDown(st *execState, memo *exec.SelectionMemo, stats *exec
 // remaining edge whose endpoints are then both placed becomes a residual
 // equality check of that level. Edges left at the end are the
 // self-conditions of a single-table plan; they close on the last level.
-// The walk (run) and the batched materialising pipeline (runBatch) both
-// execute this plan.
 func (e *Executor) planLevels(st *execState, p exec.Plan) error {
 	start := st.tabIndex(exec.StartTable(p, func(tbl string) int {
 		return st.selCount(st.tabIndex(tbl))
@@ -1079,7 +1034,7 @@ func (e *Executor) planLevels(st *execState, p exec.Plan) error {
 // probe level, filtered by the table's selection bitmap. A row that joins
 // forms a partial tuple at its level (counted, and bounded by
 // opts.MaxIntermediate per level — on exhaustion exactly the per-step
-// output the materialising pipeline would have built); one that also
+// output a materialising join would have built); one that also
 // passes the level's residual edges is visited: the interrupt is polled
 // and the walk descends, or at full depth gathers the projection, applies
 // the tuple predicate and yields. It returns when yield says stop, so an
@@ -1308,7 +1263,7 @@ func (st *execState) scan(t *table, ids []int32, rows *rowset.Bitmap, stats *exe
 		return ids, false
 	}
 	for b0 := 0; b0 < t.numRows; b0 += blockRows {
-		if st.blockPruned(b0/blockRows, 0, len(st.checks)) {
+		if st.blockPruned(b0 / blockRows) {
 			stats.BlocksPruned++
 			continue
 		}
@@ -1398,10 +1353,10 @@ func (st *execState) rleCheck() *predCheck {
 	return c
 }
 
-// blockPruned reports whether any of st.checks[lo:hi] proves block b
-// empty (per-block zone maps; see predCheck.blockExcluded).
-func (st *execState) blockPruned(b, lo, hi int) bool {
-	for i := lo; i < hi; i++ {
+// blockPruned reports whether any of st.checks proves block b empty
+// (per-block zone maps; see predCheck.blockExcluded).
+func (st *execState) blockPruned(b int) bool {
+	for i := range st.checks {
 		if st.checks[i].blockExcluded(b) {
 			return true
 		}
@@ -1432,17 +1387,10 @@ func newPredCheck(cp *exec.ColumnPredicate, col *column, toCheck int, st *execSt
 }
 
 // verifyRow re-applies every pushed-down predicate of the current
-// selectRows call to one row.
+// selectRows call (st.checks) to one row.
 func (st *execState) verifyRow(id int32, stats *exec.ExecStats) bool {
 	stats.RowsScanned++
-	return st.checkRange(id, 0, len(st.checks), stats)
-}
-
-// checkRange applies the checks in st.checks[lo:hi] to one row. The batched
-// path packs several predicate sets' checks into st.checks and addresses
-// each set by range, so one shared row scan answers all of them.
-func (st *execState) checkRange(id int32, lo, hi int, stats *exec.ExecStats) bool {
-	for i := lo; i < hi; i++ {
+	for i := range st.checks {
 		c := &st.checks[i]
 		var pass bool
 		if c.verdict != nil {

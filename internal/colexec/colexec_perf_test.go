@@ -320,8 +320,8 @@ func TestWarmValidationPathAllocations(t *testing.T) {
 
 // TestScratchBytesDependsOnTheExecutionOnly pins ExecStats.ScratchBytes as
 // a function of the execution: the same probe reports the same bytes on a
-// fresh execution state and on one whose arenas a far larger plan and a
-// batch have already grown.
+// fresh execution state and on one whose arenas a far larger plan has
+// already grown.
 func TestScratchBytesDependsOnTheExecutionOnly(t *testing.T) {
 	db := mondial(t)
 	col := buildColumnar(t, db)
@@ -357,10 +357,6 @@ func TestScratchBytesDependsOnTheExecutionOnly(t *testing.T) {
 		t.Fatal(err)
 	}
 	big := warm.scratchFootprint()
-	warm.reset()
-	if _, _, err := col.runBatch(warm, lakePlan(), batchSets(), exec.ExecOptions{}); err != nil {
-		t.Fatal(err)
-	}
 	warm.reset()
 	if big <= fresh {
 		t.Fatalf("the warming plan drew %d bytes, the probe %d — it does not outgrow the probe", big, fresh)

@@ -12,6 +12,4 @@ var (
 	faultExec = fault.Register("colexec.exec")
 	// faultScan fires at Exists entry — the validation probe path.
 	faultScan = fault.Register("colexec.scan")
-	// faultBatch fires at ExistsBatch entry — the PR 7 shared-scan path.
-	faultBatch = fault.Register("colexec.batch")
 )

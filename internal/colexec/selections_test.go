@@ -74,7 +74,7 @@ func TestMemoChangesNoResult(t *testing.T) {
 		plans := difftest.Plans(db.Schema())
 		for pi, plan := range plans {
 			for round := 0; round < 3; round++ {
-				set := difftest.RandomSet(rng, db, plan)
+				set := difftest.RandomPredicates(rng, db, plan)
 				preds := identified(set.ColumnPredicates, &ids)
 				for _, target := range []exec.Plan{plan, plans[(pi+1)%len(plans)], plans[(pi+len(plans)/2)%len(plans)]} {
 					label := fmt.Sprintf("%s set of plan %d round %d on %v", name, pi, round, target.Tables)

@@ -1,10 +1,9 @@
 // Package difftest builds the inputs shared by the differential tests of a
 // round's front half (graphx, filter, sched, bayes) and of the executors
-// (colexec, batchdiff): the bundled databases and a small one of corner
-// cases, over each a pool of workload-generator specifications with their
-// related columns, the way a discovery round finds them, and a random
-// generator of validation-shaped plans and predicate sets. It is imported by
-// tests only.
+// (colexec): the bundled databases and a small one of corner cases, over
+// each a pool of workload-generator specifications with their related
+// columns, the way a discovery round finds them, and a random generator of
+// validation-shaped plans and predicates. It is imported by tests only.
 package difftest
 
 import (
@@ -289,13 +288,13 @@ func eqFold(a, b string) bool {
 	return value.Normalize(a) == value.Normalize(b)
 }
 
-// RandomSet builds one random predicate set over the plan's tables:
-// keyword-equality predicates seeded from stored values (mostly
-// satisfiable), nonsense keywords (unsatisfiable), numeric bounds (exact or
-// merely covering), and bare scan-shaped predicates, optionally with a
-// tuple predicate.
-func RandomSet(rng *rand.Rand, db *mem.Database, p exec.Plan) exec.PredicateSet {
-	var set exec.PredicateSet
+// RandomPredicates builds execution options carrying random predicates over
+// the plan's tables: keyword-equality predicates seeded from stored values
+// (mostly satisfiable), nonsense keywords (unsatisfiable), numeric bounds
+// (exact or merely covering), and bare scan-shaped predicates, optionally
+// with a tuple predicate.
+func RandomPredicates(rng *rand.Rand, db *mem.Database, p exec.Plan) exec.ExecOptions {
+	var opts exec.ExecOptions
 	nPreds := rng.Intn(4)
 	for k := 0; k < nPreds; k++ {
 		tbl := p.Tables[rng.Intn(len(p.Tables))]
@@ -316,14 +315,14 @@ func RandomSet(rng *rand.Rand, db *mem.Database, p exec.Plan) exec.PredicateSet 
 				continue
 			}
 			kw := v.String()
-			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
+			opts.ColumnPredicates = append(opts.ColumnPredicates, exec.ColumnPredicate{
 				Ref:      ref,
 				Pred:     func(c value.Value) bool { return c.MatchesKeyword(kw) },
 				Keywords: []string{kw},
 			})
 		case 1: // nonsense keyword: provably unsatisfiable
 			kw := fmt.Sprintf("zz-no-such-value-%d", rng.Intn(1000))
-			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
+			opts.ColumnPredicates = append(opts.ColumnPredicates, exec.ColumnPredicate{
 				Ref:      ref,
 				Pred:     func(c value.Value) bool { return c.MatchesKeyword(kw) },
 				Keywords: []string{kw},
@@ -334,7 +333,7 @@ func RandomSet(rng *rand.Rand, db *mem.Database, p exec.Plan) exec.PredicateSet 
 				continue
 			}
 			lo, hi := f-1, f+1
-			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
+			opts.ColumnPredicates = append(opts.ColumnPredicates, exec.ColumnPredicate{
 				Ref: ref,
 				Pred: func(c value.Value) bool {
 					cf, ok := c.Float()
@@ -346,18 +345,18 @@ func RandomSet(rng *rand.Rand, db *mem.Database, p exec.Plan) exec.PredicateSet 
 				BoundsExact: rng.Intn(2) == 0,
 			})
 		default: // scan-shaped: no keyword or bounds cover
-			set.ColumnPredicates = append(set.ColumnPredicates, exec.ColumnPredicate{
+			opts.ColumnPredicates = append(opts.ColumnPredicates, exec.ColumnPredicate{
 				Ref:  ref,
 				Pred: func(c value.Value) bool { return !c.IsNull() },
 			})
 		}
 	}
 	if rng.Intn(3) == 0 {
-		set.TuplePredicate = func(t value.Tuple) bool {
+		opts.TuplePredicate = func(t value.Tuple) bool {
 			return len(t) > 0 && len(t[0].String())%2 == 0
 		}
 	}
-	return set
+	return opts
 }
 
 func pickNonNull(rng *rand.Rand, vals []value.Value) (value.Value, bool) {

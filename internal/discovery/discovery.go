@@ -90,15 +90,9 @@ type Options struct {
 	// (normally exec.DefaultName). The mapping set is identical for every
 	// backend — executors differ only in how fast they answer.
 	Executor string
-	// BatchValidation groups pending validations by candidate-plan
-	// fingerprint and dispatches each group as one shared-scan batch
-	// (sched.Options.Batching). The mapping set is identical with or
-	// without batching — it only changes how many probes the backend runs.
-	// Default off.
-	BatchValidation bool
 	// Trace records a span tree for the round — one span per pipeline
 	// phase (related → enumerate → decompose → schedule → assemble) with
-	// per-validation-batch child spans under the scheduler — and attaches
+	// per-validation child spans under the scheduler — and attaches
 	// it as Report.Trace. Default off; untraced rounds carry a nil span
 	// everywhere and pay nothing.
 	Trace bool
@@ -184,8 +178,8 @@ type Report struct {
 	// Elapsed is the wall-clock duration of the round.
 	Elapsed time.Duration
 	// Trace is the round's span tree when Options.Trace was set: phase
-	// durations, validation batches with their ExecStats, cache activity
-	// and memory peaks as span attributes. Nil on untraced rounds.
+	// durations, validations with their ExecStats, cache activity and the
+	// scratch peak as span attributes. Nil on untraced rounds.
 	Trace *obs.Span
 }
 
@@ -443,7 +437,6 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 			trace.SetAttr("validations", report.Validations)
 			trace.SetAttr("rowsScanned", report.Cost.RowsScanned)
 			trace.SetAttr("selectionsReused", report.Cost.SelectionsReused)
-			trace.SetAttr("peakIntermediateBytes", report.Cost.PeakIntermediateBytes)
 			trace.SetAttr("scratchBytes", report.Cost.ScratchBytes)
 			if report.TimedOut {
 				trace.SetAttr("timedOut", true)
@@ -614,7 +607,6 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 		WatchdogGrace: opts.WatchdogGrace,
 		Now:           opts.Now,
 		Parallelism:   opts.Parallelism,
-		Batching:      opts.BatchValidation,
 	}
 	if sess != nil {
 		// Keys bind each filter to the round's constraints and the current
@@ -654,7 +646,7 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 		Options:   schedOpts,
 	}
 	// The schedule span rides the context so the scheduler's worker pool
-	// can hang one child span per validation batch under it.
+	// can hang one child span per validation under it.
 	spSchedule := trace.Child("schedule")
 	res, err := runner.RunContext(obs.ContextWithSpan(ctx, spSchedule))
 	if be, ok := estimator.(*sched.BayesEstimator); ok {
@@ -678,7 +670,6 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 	spSchedule.SetAttr("selectionsReused", res.Cost.SelectionsReused)
 	spSchedule.SetAttr("blocksPruned", res.Cost.BlocksPruned)
 	spSchedule.SetAttr("zonesPruned", res.Cost.ZonesPruned)
-	spSchedule.SetAttr("peakIntermediateBytes", res.Cost.PeakIntermediateBytes)
 	spSchedule.SetAttr("scratchBytes", res.Cost.ScratchBytes)
 	spSchedule.End()
 	report.Validations = res.Validations

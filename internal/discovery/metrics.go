@@ -38,8 +38,6 @@ var (
 		"Column-store blocks skipped by per-block zone maps.")
 	metricZonesPruned = obs.Default.Counter("prism_zones_pruned_total",
 		"Whole-table selections vetoed by column zone maps.")
-	metricPeakIntermediate = obs.Default.Gauge("prism_memory_peak_intermediate_bytes",
-		"Process high-water mark of a single join step's materialised intermediate row set, in bytes.")
 	metricPeakScratch = obs.Default.Gauge("prism_memory_peak_scratch_bytes",
 		"Process high-water mark of one execution state's pooled scratch arenas, in bytes.")
 )
@@ -63,6 +61,5 @@ func recordRound(r *Report) {
 	metricSelectionsReused.Add(int64(r.Cost.SelectionsReused))
 	metricBlocksPruned.Add(int64(r.Cost.BlocksPruned))
 	metricZonesPruned.Add(int64(r.Cost.ZonesPruned))
-	metricPeakIntermediate.SetMax(int64(r.Cost.PeakIntermediateBytes))
 	metricPeakScratch.SetMax(int64(r.Cost.ScratchBytes))
 }

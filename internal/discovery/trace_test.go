@@ -51,8 +51,8 @@ func TestDiscoverTrace(t *testing.T) {
 		t.Errorf("root rowsScanned attr = %v, report says %d", got, report.Cost.RowsScanned)
 	}
 
-	// The schedule span fans out into per-batch validate children carrying
-	// executor stats.
+	// The schedule span fans out into one validate child per validation,
+	// carrying executor stats.
 	sched := trace.Find("schedule")
 	validates := 0
 	rows := 0
@@ -61,15 +61,15 @@ func TestDiscoverTrace(t *testing.T) {
 			continue
 		}
 		validates++
-		if n, ok := c.Attr("filters").(int); !ok || n <= 0 {
-			t.Fatalf("validate span without a filters attr: %v", c.Attrs)
+		if plan, ok := c.Attr("plan").(string); !ok || plan == "" {
+			t.Fatalf("validate span without a plan attr: %v", c.Attrs)
 		}
 		if n, ok := c.Attr("rowsScanned").(int); ok {
 			rows += n
 		}
 	}
-	if validates == 0 {
-		t.Fatal("schedule span has no validate children")
+	if validates == 0 || validates != report.Validations {
+		t.Fatalf("schedule span has %d validate children, the report %d validations", validates, report.Validations)
 	}
 	if rows != report.Cost.RowsScanned {
 		t.Errorf("validate spans sum rowsScanned=%d, report says %d", rows, report.Cost.RowsScanned)

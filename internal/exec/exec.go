@@ -80,24 +80,14 @@ type Executor interface {
 	// It returns the execution stats as the validation cost. The default
 	// backend is required to stop at the first accepted tuple without
 	// building the join: its IntermediateRows then counts only the partial
-	// tuples formed on the way there, PeakIntermediateBytes is 0, and
-	// MaxIntermediate can only abort a probe that has not found its tuple
-	// yet. The reference engine computes the whole join and reads one row
-	// of it — same verdict, its own cost.
+	// tuples formed on the way there, and MaxIntermediate can only abort a
+	// probe that has not found its tuple yet. The reference engine computes
+	// the whole join and reads one row of it — same verdict, its own cost.
 	Exists(p Plan, opts ExecOptions) (bool, ExecStats, error)
-	// ExistsBatch answers many existence questions over one plan: verdict i
-	// reports what Exists would return for sets[i]'s predicates, but the
-	// backend may (and the columnar engine does) answer the whole batch in
-	// one scan/join pipeline over the column data. Only the execution
-	// controls of opts are honoured (MaxIntermediate, Interrupt, and
-	// Selections where the backend falls back to one Exists per set); its
-	// ColumnPredicates, TuplePredicate and Limit are ignored — each set
-	// carries its own predicates. An empty batch returns an empty verdict
-	// slice, zero stats and no error. On error the verdict slice may be nil
-	// and the stats partial. Stats count the work actually done, so a
-	// shared scan legitimately reports less work than the equivalent
-	// sequence of Exists calls; the verdicts must be identical
-	// (SequentialExistsBatch is the reference semantics).
+	// ExistsBatch is SequentialExistsBatch over the backend.
+	//
+	// Deprecated: ROADMAP item 0 removes it together with
+	// timedExecutor.ExistsBatch.
 	ExistsBatch(p Plan, sets []PredicateSet, opts ExecOptions) ([]Verdict, ExecStats, error)
 	// SampleRows returns up to limit rows of the named table in storage
 	// order (limit <= 0 means all rows); the demo surfaces use it for

@@ -344,23 +344,23 @@ type ExecStats struct {
 	BlocksPruned int
 	ZonesPruned  int
 
-	// Memory accounting (columnar executor). PeakIntermediateBytes is the
-	// largest materialised intermediate row set of any single join step:
-	// 0 for Exists, Execute and ExecuteWith, which walk the join without
-	// building it, non-zero only for ExistsBatch's shared scan.
-	// ScratchBytes is the pooled scratch the execution drew, counted by
-	// length in use — selection bitmaps and id vectors, verdict tables,
-	// level cursors, the batched scan's slot vectors and masks, the
-	// projection tuple — so it is a function of the execution, not of
-	// which pooled state served it. Both are high-water marks, so Add
-	// takes the max rather than the sum — accumulated over a round they
-	// report the round's peak, not a meaningless total.
+	// ScratchBytes (columnar executor) is the pooled scratch the execution
+	// drew, counted by length in use — selection bitmaps and id vectors,
+	// verdict tables, level cursors, the projection tuple — so it is a
+	// function of the execution, not of which pooled state served it. It is
+	// a high-water mark, so Add takes the max rather than the sum —
+	// accumulated over a round it reports the round's peak, not a
+	// meaningless total.
+	ScratchBytes int
+	// PeakIntermediateBytes is always 0: no executor sets it.
+	//
+	// Deprecated: ROADMAP item 0 removes it together with
+	// timedExecutor.ExistsBatch.
 	PeakIntermediateBytes int
-	ScratchBytes          int
 }
 
 // Add accumulates another execution's stats into s. Work counters sum;
-// the memory fields are peaks and take the max.
+// ScratchBytes is a peak and takes the max.
 func (s *ExecStats) Add(o ExecStats) {
 	s.RowsScanned += o.RowsScanned
 	s.IntermediateRows += o.IntermediateRows
@@ -372,9 +372,6 @@ func (s *ExecStats) Add(o ExecStats) {
 	s.ZonesPruned += o.ZonesPruned
 	s.TerminatedEarly = s.TerminatedEarly || o.TerminatedEarly
 	s.AbortedTooLarge = s.AbortedTooLarge || o.AbortedTooLarge
-	if o.PeakIntermediateBytes > s.PeakIntermediateBytes {
-		s.PeakIntermediateBytes = o.PeakIntermediateBytes
-	}
 	if o.ScratchBytes > s.ScratchBytes {
 		s.ScratchBytes = o.ScratchBytes
 	}

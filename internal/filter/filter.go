@@ -28,7 +28,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 
 	"prism/internal/constraint"
 	"prism/internal/exec"
@@ -112,27 +111,11 @@ func (f *Filter) Plan() exec.Plan {
 	return f.plan
 }
 
-// planFingerprintComputations counts how many times a Filter actually
-// canonicalised and hashed its plan (as opposed to serving the memo). It
-// exists for the test pinning that batch grouping and cache keying cost one
-// fingerprint computation per filter, not one per probe.
-var planFingerprintComputations atomic.Int64
-
-// PlanFingerprintComputations returns the process-wide count of plan
-// fingerprints computed (not served from a Filter's memo).
-func PlanFingerprintComputations() int64 { return planFingerprintComputations.Load() }
-
 // PlanFingerprint returns the fingerprint of the filter's plan, memoised
-// next to the plan itself. It is the batch grouping key: filters sharing it
-// have identical canonical plans, so one shared scan/join pipeline can
-// answer all their validations. The scheduler consults it every round and
-// the outcome cache keys on it, so it must not re-canonicalise and re-hash
-// the plan per probe.
+// next to the plan itself: the outcome cache keys on it every round, so it
+// must not re-canonicalise and re-hash the plan per probe.
 func (f *Filter) PlanFingerprint() string {
-	f.fpOnce.Do(func() {
-		f.fp = f.Plan().Fingerprint()
-		planFingerprintComputations.Add(1)
-	})
+	f.fpOnce.Do(func() { f.fp = f.Plan().Fingerprint() })
 	return f.fp
 }
 
@@ -723,73 +706,6 @@ func (v *Validator) ValidateContext(ctx context.Context, f *Filter) (ValidationR
 		}
 	}
 	return ValidationResult{Passed: true, Cost: total}, nil
-}
-
-// ValidateBatchContext validates several filters sharing one plan
-// fingerprint with a single ExistsBatch call: one PredicateSet per
-// filter × sample, answered by the backend in (at best) one shared
-// scan/join pipeline. passed[i] reports what ValidateContext would report
-// for fs[i]; the returned stats cover the whole batch (the per-filter
-// attribution of shared work is the caller's policy). Filters with
-// different plan fingerprints are an error — the caller groups before
-// batching.
-//
-// Cancelling ctx aborts the batch mid-execution and returns ctx.Err(); no
-// partial verdicts are reported.
-func (v *Validator) ValidateBatchContext(ctx context.Context, fs []*Filter) ([]bool, exec.ExecStats, error) {
-	if len(fs) == 0 {
-		return nil, exec.ExecStats{}, nil
-	}
-	plan := fs[0].Plan()
-	fp := fs[0].PlanFingerprint()
-	for _, f := range fs[1:] {
-		if f.PlanFingerprint() != fp {
-			return nil, exec.ExecStats{}, fmt.Errorf("filter: batch mixes plans (%s vs %s)", fs[0], f)
-		}
-	}
-	samples := v.Spec.Samples
-	if len(samples) == 0 {
-		samples = []constraint.SampleConstraint{{Cells: make([]lang.ValueExpr, v.Spec.NumColumns)}}
-	}
-	sets := make([]exec.PredicateSet, 0, len(fs)*len(samples))
-	for _, f := range fs {
-		for si := range samples {
-			set := exec.PredicateSet{ColumnPredicates: v.predicates(f, si)}
-			cols := f.TargetCols
-			sample := samples[si]
-			set.TuplePredicate = func(t value.Tuple) bool {
-				return sample.MatchesProjection(cols, t)
-			}
-			sets = append(sets, set)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, exec.ExecStats{}, err
-	}
-	verdicts, stats, err := v.DB.ExistsBatch(plan, sets, exec.ExecOptions{
-		MaxIntermediate: v.MaxIntermediate,
-		Interrupt:       func() bool { return ctx.Err() != nil },
-		Selections:      &v.selections,
-	})
-	if err != nil {
-		if errors.Is(err, exec.ErrInterrupted) && ctx.Err() != nil {
-			return nil, stats, ctx.Err()
-		}
-		return nil, stats, fmt.Errorf("filter: batch-validating %d filters over plan %s: %w", len(fs), fp, err)
-	}
-	passed := make([]bool, len(fs))
-	k := 0
-	for fi := range fs {
-		ok := true
-		for range samples {
-			if !verdicts[k].Satisfied {
-				ok = false
-			}
-			k++
-		}
-		passed[fi] = ok
-	}
-	return passed, stats, nil
 }
 
 // CandidateStatus is the resolution state of a candidate during scheduling.

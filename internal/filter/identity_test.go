@@ -1,7 +1,6 @@
 package filter
 
 import (
-	"context"
 	"testing"
 
 	"prism/internal/constraint"
@@ -12,8 +11,8 @@ import (
 // through the reference engine.
 type recordingExecutor struct {
 	exec.Executor
-	probes  [][]exec.ColumnPredicate // one entry per Exists call or batch member
-	options []exec.ExecOptions       // one entry per call
+	probes  [][]exec.ColumnPredicate // one entry per Exists call
+	options []exec.ExecOptions       // one entry per Exists call
 }
 
 func (r *recordingExecutor) Exists(p exec.Plan, opts exec.ExecOptions) (bool, exec.ExecStats, error) {
@@ -22,17 +21,9 @@ func (r *recordingExecutor) Exists(p exec.Plan, opts exec.ExecOptions) (bool, ex
 	return r.Executor.Exists(p, opts)
 }
 
-func (r *recordingExecutor) ExistsBatch(p exec.Plan, sets []exec.PredicateSet, opts exec.ExecOptions) ([]exec.Verdict, exec.ExecStats, error) {
-	for _, set := range sets {
-		r.probes = append(r.probes, set.ColumnPredicates)
-	}
-	r.options = append(r.options, opts)
-	return exec.SequentialExistsBatch(r.Executor, p, sets, opts)
-}
-
 // TestPredicateIdentities pins what the executor's selection memo relies
-// on: single and batched validation push down the same predicates for the
-// same (filter, sample), every constrained cell has one non-zero identity
+// on: two validators of one specification push down the same predicates for
+// the same (filter, sample), every constrained cell has one non-zero identity
 // of its own, equal (column, identity) means the same template — the very
 // same bounds and keyword slices — and every probe of one Validator carries
 // that Validator's memo, which no other Validator shares.
@@ -46,21 +37,20 @@ func TestPredicateIdentities(t *testing.T) {
 		t.Fatal(err)
 	}
 	set := Decompose(fx.candidates)
-	single := &recordingExecutor{Executor: fx.db}
-	batched := &recordingExecutor{Executor: fx.db}
-	vs := &Validator{DB: single, Spec: spec}
-	vb := &Validator{DB: batched, Spec: spec}
+	one := &recordingExecutor{Executor: fx.db}
+	other := &recordingExecutor{Executor: fx.db}
+	v1 := &Validator{DB: one, Spec: spec}
+	v2 := &Validator{DB: other, Spec: spec}
 	for _, f := range set.Filters {
 		// Validate stops at the first failing sample; ask for each sample's
 		// predicates directly as well, so both rows are always compared.
-		if _, err := vs.Validate(f); err != nil {
-			t.Fatal(err)
-		}
-		if _, _, err := vb.ValidateBatchContext(context.Background(), []*Filter{f}); err != nil {
-			t.Fatal(err)
+		for _, v := range []*Validator{v1, v2} {
+			if _, err := v.Validate(f); err != nil {
+				t.Fatal(err)
+			}
 		}
 		for si := range spec.Samples {
-			a, b := vs.predicates(f, si), vb.predicates(f, si)
+			a, b := v1.predicates(f, si), v2.predicates(f, si)
 			if len(a) != len(b) {
 				t.Fatalf("%s sample %d: %d predicates, then %d", f, si, len(a), len(b))
 			}
@@ -72,7 +62,7 @@ func TestPredicateIdentities(t *testing.T) {
 		}
 	}
 
-	for _, rec := range []*recordingExecutor{single, batched} {
+	for _, rec := range []*recordingExecutor{one, other} {
 		// The contract holds within one memo, that is within one Validator.
 		templates := make(map[exec.SelectionKey]exec.ColumnPredicate)
 		ids := make(map[uint32]bool)
@@ -99,7 +89,7 @@ func TestPredicateIdentities(t *testing.T) {
 		}
 	}
 
-	for name, rec := range map[string]*recordingExecutor{"single": single, "batched": batched} {
+	for name, rec := range map[string]*recordingExecutor{"one": one, "other": other} {
 		if len(rec.options) == 0 {
 			t.Fatalf("%s: no call recorded", name)
 		}
@@ -109,7 +99,7 @@ func TestPredicateIdentities(t *testing.T) {
 			}
 		}
 	}
-	if single.options[0].Selections == batched.options[0].Selections {
+	if one.options[0].Selections == other.options[0].Selections {
 		t.Error("two validators share one memo")
 	}
 }

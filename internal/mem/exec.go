@@ -336,11 +336,10 @@ func (db *Database) ExecuteWith(p Plan, opts ExecOptions) (*Result, error) {
 	return res, nil
 }
 
-// ExistsBatch implements exec.Executor as a loop of single Exists calls
-// (exec.SequentialExistsBatch). The reference engine stays row-at-a-time on
-// purpose: its batch answers are definitionally the sequential semantics,
-// which makes it the oracle the batched columnar path is differentially
-// tested against.
+// ExistsBatch implements exec.Executor.
+//
+// Deprecated: ROADMAP item 0 removes it together with
+// timedExecutor.ExistsBatch.
 func (db *Database) ExistsBatch(p Plan, sets []exec.PredicateSet, opts ExecOptions) ([]exec.Verdict, ExecStats, error) {
 	return exec.SequentialExistsBatch(db, p, sets, opts)
 }

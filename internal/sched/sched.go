@@ -308,18 +308,10 @@ type Options struct {
 	// already in flight whenever a worker frees up — so parallelism only
 	// overlaps validation executions; it never reorders selections.
 	Parallelism int
-	// Batching groups pending validations by candidate-plan fingerprint:
-	// when the picked filter has undetermined group-mates (same memoised
-	// filter.PlanFingerprint — identical canonical plan), the whole group is
-	// dispatched as one Validator.ValidateBatchContext call, which the
-	// backend answers with one shared scan/join pipeline (exec.ExistsBatch)
-	// instead of one probe per filter. Cached and implied outcomes are
-	// excluded from batches (they are already determined when the batch
-	// forms), implication propagation applies per member verdict, and
-	// because filter outcomes are ground truths of the database the
-	// confirmed/pruned candidate sets are identical with batching on or off
-	// — only validation counts and wall-clock change. Default off (the
-	// paper's per-probe loop).
+	// Batching is accepted and ignored: filters are validated one at a time.
+	//
+	// Deprecated: ROADMAP item 0 removes it together with
+	// timedExecutor.ExistsBatch.
 	Batching bool
 	// OnResolved, when non-nil, is invoked from the scheduling goroutine
 	// each time a candidate becomes confirmed or pruned, with a progress
@@ -447,21 +439,6 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	res := Result{Policy: r.Estimator.Name()}
 	start := opts.Now()
 
-	// Batch grouping: the group key is the memoised per-filter plan
-	// fingerprint, and membership is computed once per run — never re-sorted
-	// or re-fingerprinted per probe (a fingerprint-computation counter test
-	// in package filter pins this). Group member lists are ascending by
-	// filter index, so batch composition is deterministic at any
-	// parallelism.
-	var groups map[string][]int
-	if opts.Batching {
-		groups = make(map[string][]int, r.Set.NumFilters())
-		for i, f := range r.Set.Filters {
-			fp := f.PlanFingerprint()
-			groups[fp] = append(groups[fp], i)
-		}
-	}
-
 	rank := newRanking(r.Set, sess)
 	snapshot := func() Snapshot {
 		s := Snapshot{
@@ -527,7 +504,7 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	}
 
 	// On traced rounds the estimates hang one "estimate" span, and each
-	// dispatched batch a "validate" span, under the round's schedule span;
+	// validation a "validate" span, under the round's schedule span;
 	// untraced rounds carry a nil parent and every span call is a no-op.
 	traceParent := obs.SpanFromContext(ctx)
 
@@ -547,37 +524,29 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	}
 
 	type outcome struct {
-		idxs []int
-		vrs  []filter.ValidationResult
-		err  error
+		idx int
+		vr  filter.ValidationResult
+		err error
 	}
 	// Workers never block sending: at most `parallelism` sends are
 	// outstanding and the channel buffers them all. The pool is persistent
-	// — `parallelism` goroutines spawned once per run, fed batches of filter
-	// indexes through jobs (singletons unless Batching groups them) —
-	// instead of one goroutine per validation.
+	// — `parallelism` goroutines spawned once per run, fed filter indexes
+	// through jobs — instead of one goroutine per validation.
 	results := make(chan outcome, parallelism)
-	jobs := make(chan []int, parallelism)
+	jobs := make(chan int, parallelism)
 	defer close(jobs)
-	// With batching on, a multi-sample spec sends even singleton groups
-	// through the batch path: ValidateBatchContext turns the per-sample
-	// probe loop into one shared pipeline (one PredicateSet per sample),
-	// which is where most of the shared-scan saving comes from. Single-sample
-	// singletons keep the plain ValidateContext path — the batch call would
-	// add bookkeeping for an identical single probe.
-	batchSingletons := opts.Batching && len(r.Spec.Samples) > 1
 	for w := 0; w < parallelism; w++ {
 		go func() {
 			pool.liveWorkers.Add(1)
 			defer pool.liveWorkers.Add(-1)
-			for batch := range jobs {
+			for idx := range jobs {
 				pool.active.Add(1)
+				f := r.Set.Filters[idx]
 				sp := traceParent.Child("validate")
 				if sp != nil {
-					sp.SetAttr("filters", len(batch))
-					sp.SetAttr("plan", r.Set.Filters[batch[0]].PlanFingerprint())
+					sp.SetAttr("plan", f.PlanFingerprint())
 				}
-				out := outcome{idxs: batch}
+				out := outcome{idx: idx}
 				// A panic below — an executor bug, or an injected one —
 				// must kill only this round, not the process: recover it
 				// into an ErrInternal-wrapped outcome and keep the worker
@@ -589,43 +558,14 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 							out.err = fmt.Errorf("validation panic: %v: %w", rec, fault.ErrInternal)
 						}
 					}()
-					if err := faultValidate.Hit(); err != nil {
-						out.err = err
+					if out.err = faultValidate.Hit(); out.err != nil {
 						return
 					}
-					if len(batch) == 1 && !batchSingletons {
-						vr, err := validator.ValidateContext(runCtx, r.Set.Filters[batch[0]])
-						out.vrs = []filter.ValidationResult{vr}
-						out.err = err
-					} else {
-						fs := make([]*filter.Filter, len(batch))
-						for k, idx := range batch {
-							fs[k] = r.Set.Filters[idx]
-						}
-						passed, stats, err := validator.ValidateBatchContext(runCtx, fs)
-						if err == nil {
-							out.vrs = make([]filter.ValidationResult, len(batch))
-							for k := range batch {
-								out.vrs[k].Passed = passed[k]
-							}
-							// The shared scan's cost is attributed to the batch's
-							// first member; splitting it would double-count work
-							// the backend did once.
-							out.vrs[0].Cost = stats
-						}
-						out.err = err
-					}
+					out.vr, out.err = validator.ValidateContext(runCtx, f)
 				}()
 				if sp != nil {
-					passedCount := 0
-					var cost exec.ExecStats
-					for _, vr := range out.vrs {
-						if vr.Passed {
-							passedCount++
-						}
-						cost.Add(vr.Cost)
-					}
-					sp.SetAttr("passed", passedCount)
+					cost := out.vr.Cost
+					sp.SetAttr("passed", out.vr.Passed)
 					sp.SetAttr("rowsScanned", cost.RowsScanned)
 					if cost.SelectionsReused > 0 {
 						sp.SetAttr("selectionsReused", cost.SelectionsReused)
@@ -636,9 +576,6 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 					}
 					if cost.ZonesPruned > 0 {
 						sp.SetAttr("zonesPruned", cost.ZonesPruned)
-					}
-					if cost.PeakIntermediateBytes > 0 {
-						sp.SetAttr("peakIntermediateBytes", cost.PeakIntermediateBytes)
 					}
 					sp.End()
 				}
@@ -652,13 +589,6 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	// and contiguous; a map would pay a hash per pick-loop probe).
 	inFlight := rowset.New(r.Set.NumFilters())
 	inFlightCount := 0
-	launch := func(batch []int) {
-		for _, idx := range batch {
-			inFlight.Add(int32(idx))
-		}
-		inFlightCount++
-		jobs <- batch
-	}
 
 	// The watchdog is the last line of defence for executors that wedge
 	// without polling their context: once the time budget plus a grace
@@ -707,21 +637,9 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 				if !ok {
 					break
 				}
-				batch := []int{next}
-				if opts.Batching {
-					// Ride every still-relevant group-mate along with the
-					// picked filter: undetermined, not in flight, and still
-					// able to resolve a candidate. Determined covers cached
-					// and implied outcomes, so the batch never re-executes
-					// what the session already knows.
-					for _, j := range groups[r.Set.Filters[next].PlanFingerprint()] {
-						if j == next || sess.Determined(j) || inFlight.Contains(int32(j)) || rank.reach[j] == 0 {
-							continue
-						}
-						batch = append(batch, j)
-					}
-				}
-				launch(batch)
+				inFlight.Add(int32(next))
+				inFlightCount++
+				jobs <- next
 			}
 		}
 		if inFlightCount == 0 {
@@ -742,21 +660,14 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 			stop()
 			goto finish
 		}
-		for _, idx := range d.idxs {
-			inFlight.Remove(int32(idx))
-		}
+		inFlight.Remove(int32(d.idx))
 		inFlightCount--
 		switch {
 		case d.err == nil:
-			// Outcomes are applied in batch-member order on this goroutine,
-			// propagating implications per verdict.
-			for k, idx := range d.idxs {
-				applyOutcome(idx, d.vrs[k])
-			}
+			applyOutcome(d.idx, d.vr)
 		case errors.Is(d.err, context.Canceled) || errors.Is(d.err, context.DeadlineExceeded) || errors.Is(d.err, exec.ErrInterrupted):
-			// The validation (or whole batch) was interrupted by cancellation
-			// or the time budget; its outcomes are unknown and are simply
-			// discarded.
+			// The validation was interrupted by cancellation or the time
+			// budget; its outcome is unknown and is simply discarded.
 		default:
 			if runErr == nil {
 				runErr = fmt.Errorf("sched: %w", d.err)

@@ -102,9 +102,6 @@ func (s *Server) recordRoundMetrics(ctx context.Context, report *prism.Report) {
 		"Filter validations executed, by tenant.", l).Add(int64(report.Validations))
 	s.obsReg.Counter("prism_tenant_rows_scanned_total",
 		"Base-table rows read by validations, by tenant.", l).Add(int64(report.Cost.RowsScanned))
-	s.obsReg.Gauge("prism_tenant_memory_peak_intermediate_bytes",
-		"High-water mark of a join step's materialised intermediate rows, by tenant.", l).
-		SetMax(int64(report.Cost.PeakIntermediateBytes))
 	s.obsReg.Gauge("prism_tenant_memory_peak_scratch_bytes",
 		"High-water mark of one execution state's pooled scratch arenas, by tenant.", l).
 		SetMax(int64(report.Cost.ScratchBytes))
