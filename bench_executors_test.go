@@ -75,7 +75,16 @@ type executorTrajectory struct {
 // re-analyzing the same dataset by at least this factor, or snapshots are
 // not pulling their architectural weight. Regenerate BENCH_executors.json
 // on an unloaded machine if the guard trips on a noisy measurement.
-const wantColdStartSpeedup = 5.0
+//
+// The floor was 5 while the analysis was one sequential pass that also built
+// a global postings index. With that index gone and the columns analyzed in
+// parallel the rebuild of the demo Mondial fell from 3.7 to 1.2–1.3 ms and
+// its snapshot load from 0.55 to 0.26 ms on the same two cores: both paths
+// are faster, the rebuild by more, and the ratio reads 4.7–5.0 (imdb 5.2–7.6,
+// nba 5.4–6.1). A faster rebuild is not a snapshot regression, so the floor
+// is restated instead of the rebuild slowed; docs/storage.md has the times
+// side by side.
+const wantColdStartSpeedup = 4.0
 
 // coldStartBuilders pairs each bundled dataset with its default-sized
 // database builder; the cold-start section measures these.

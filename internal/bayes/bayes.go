@@ -22,6 +22,7 @@ import (
 
 	"prism/internal/lang"
 	"prism/internal/mem"
+	"prism/internal/par"
 	"prism/internal/rowset"
 	"prism/internal/schema"
 	"prism/internal/value"
@@ -101,9 +102,10 @@ type columnModel struct {
 	numericCnt int
 }
 
-// trainColumn builds the model of column ci of rel; rowID is len(rel.Rows) scratch.
-func trainColumn(ref schema.ColumnRef, rel *mem.Relation, ci int, rowID []int32) *columnModel {
+// trainColumn builds the model of column ci of rel.
+func trainColumn(ref schema.ColumnRef, rel *mem.Relation, ci int) *columnModel {
 	c := &columnModel{ref: ref, total: len(rel.Rows), ids: make(map[string]int32)}
+	rowID := make([]int32, len(rel.Rows)) // row -> value id, the NULL list's id for NULL
 	for row, tuple := range rel.Rows {
 		v := tuple[ci]
 		if v.IsNull() {
@@ -363,23 +365,42 @@ func Train(db *mem.Database) *Model {
 	}
 	m.sets = m
 	sch := db.Schema()
+	// Every column model is independent of every other, and so is every join
+	// once the column models exist: both are trained over the cores there are
+	// and installed in schema order afterwards.
+	type columnJob struct {
+		ref schema.ColumnRef
+		rel *mem.Relation
+		ci  int
+		rm  *relationModel
+	}
+	var jobs []columnJob
 	for _, t := range sch.Tables() {
 		rel, _ := db.Relation(t.Name)
 		rm := &relationModel{rows: rel.NumRows(), columns: make(map[string]*columnModel)}
-		rowID := make([]int32, rel.NumRows())
-		for ci, col := range t.Columns {
-			cm := trainColumn(schema.ColumnRef{Table: t.Name, Column: col.Name}, rel, ci, rowID)
-			rm.columns[strings.ToLower(col.Name)] = cm
-			rm.columns[col.Name] = cm
-			m.columns = append(m.columns, cm)
-		}
 		m.relations[strings.ToLower(t.Name)] = rm
 		m.relations[t.Name] = rm
+		for ci, col := range t.Columns {
+			jobs = append(jobs, columnJob{schema.ColumnRef{Table: t.Name, Column: col.Name}, rel, ci, rm})
+		}
+	}
+	m.columns = make([]*columnModel, len(jobs))
+	par.Do(len(jobs), func(i int) {
+		m.columns[i] = trainColumn(jobs[i].ref, jobs[i].rel, jobs[i].ci)
+	})
+	for i, cm := range m.columns {
+		jobs[i].rm.columns[strings.ToLower(cm.ref.Column)] = cm
+		jobs[i].rm.columns[cm.ref.Column] = cm
 	}
 	// For FK edge R.a -> S.b the join indicator J_RS is 1 for an (r, s) pair
 	// when r.a = s.b.
-	for _, fk := range sch.ForeignKeys() {
-		m.joins[fk] = trainJoin(m.column(fk.From), m.column(fk.To))
+	fks := sch.ForeignKeys()
+	joins := make([]*joinStats, len(fks))
+	par.Do(len(fks), func(i int) {
+		joins[i] = trainJoin(m.column(fks[i].From), m.column(fks[i].To))
+	})
+	for i, fk := range fks {
+		m.joins[fk] = joins[i]
 	}
 	return m
 }

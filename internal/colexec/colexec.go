@@ -66,6 +66,7 @@ import (
 	"unsafe"
 
 	"prism/internal/exec"
+	"prism/internal/par"
 	"prism/internal/rowset"
 	"prism/internal/schema"
 	"prism/internal/value"
@@ -250,22 +251,40 @@ type Executor struct {
 // they agree exactly with the reference engine's preprocessing.
 func New(src exec.Source) (exec.Executor, error) {
 	e := &Executor{src: src, byName: make(map[string]*table)}
-	maxRows := 0
+	// Every column is loaded and indexed independently of every other: one
+	// job per column over the cores there are, installed in schema order.
+	type columnJob struct {
+		t   *table
+		ref schema.ColumnRef
+		col *column
+		err error
+	}
+	var jobs []columnJob
 	for _, ts := range src.Schema().Tables() {
 		t := &table{name: ts.Name, sch: ts}
 		for _, col := range ts.Columns {
-			vals, err := src.ColumnValues(schema.ColumnRef{Table: ts.Name, Column: col.Name})
-			if err != nil {
-				return nil, fmt.Errorf("colexec: loading %s.%s: %w", ts.Name, col.Name, err)
-			}
-			t.cols = append(t.cols, buildColumn(vals))
-			t.numRows = len(vals)
+			jobs = append(jobs, columnJob{t: t, ref: schema.ColumnRef{Table: ts.Name, Column: col.Name}})
 		}
 		e.tables = append(e.tables, t)
 		e.byName[strings.ToLower(ts.Name)] = t
-		if t.numRows > maxRows {
-			maxRows = t.numRows
+	}
+	par.Do(len(jobs), func(i int) {
+		j := &jobs[i]
+		vals, err := src.ColumnValues(j.ref)
+		if err != nil {
+			j.err = fmt.Errorf("colexec: loading %s: %w", j.ref, err)
+			return
 		}
+		j.col = buildColumn(vals)
+	})
+	maxRows := 0
+	for _, j := range jobs {
+		if j.err != nil {
+			return nil, j.err
+		}
+		j.t.cols = append(j.t.cols, j.col)
+		j.t.numRows = j.col.zone.rows
+		maxRows = max(maxRows, j.t.numRows)
 	}
 	e.identity = make([]int32, maxRows)
 	for i := range e.identity {
@@ -458,7 +477,8 @@ func (e *Executor) Stats(ref schema.ColumnRef) (schema.Stats, bool) { return e.s
 func (e *Executor) AllStats() []schema.Stats { return e.src.AllStats() }
 
 // ColumnHasKeyword implements exec.Metadata by delegating to the source's
-// inverted index.
+// per-column keyword sets (membership only; the postings that seed a
+// keyword selection are this package's own column.kwText).
 func (e *Executor) ColumnHasKeyword(ref schema.ColumnRef, keyword string) bool {
 	return e.src.ColumnHasKeyword(ref, keyword)
 }

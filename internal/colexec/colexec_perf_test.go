@@ -14,6 +14,7 @@ import (
 	"prism/internal/exec"
 	"prism/internal/filter"
 	"prism/internal/graphx"
+	"prism/internal/mem"
 	"prism/internal/sched"
 	"prism/internal/schema"
 	"prism/internal/value"
@@ -402,8 +403,7 @@ func TestFirstTupleCost(t *testing.T) {
 // by the first row that joins through; empty-answer, whose tuple predicate
 // turns every tuple down, walks the whole join.
 func BenchmarkExistsFirstTuple(b *testing.B) {
-	db, err := dataset.Mondial(dataset.MondialConfig{Seed: 1, Countries: 20, ProvincesPerCountry: 8, CitiesPerProvince: 8,
-		Lakes: 1500, Rivers: 1000, Mountains: 800})
+	db, err := dataset.Mondial(difftest.LowresMondialConfig())
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -437,6 +437,49 @@ func BenchmarkExistsFirstTuple(b *testing.B) {
 			b.ReportMetric(float64(formed), "intermediate-rows/op")
 		})
 	}
+}
+
+// BenchmarkSetup is what an engine pays before its first round, builder by
+// builder, on the 10.7k-row Mondial of the benchmark's oneshot_lowres
+// workload: mem.Analyze (on a fresh copy of the rows each time — an analyzed
+// database answers a second Analyze at once), bayes.Train and this package's
+// New. Each runs its columns over GOMAXPROCS workers; -cpu 1 is the direct
+// loop.
+func BenchmarkSetup(b *testing.B) {
+	db, err := dataset.Mondial(difftest.LowresMondialConfig())
+	if err != nil {
+		b.Fatal(err)
+	}
+	db.Analyze()
+	b.Run("Analyze", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			fresh := mem.NewDatabase(db.Name, db.Schema())
+			for _, t := range db.Schema().Tables() {
+				rel, _ := db.Relation(t.Name)
+				if err := fresh.BulkInsert(t.Name, rel.Rows); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StartTimer()
+			fresh.Analyze()
+		}
+	})
+	b.Run("Train", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if bayes.Train(db) == nil {
+				b.Fatal("no model")
+			}
+		}
+	})
+	b.Run("colexec.New", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			build(b, db)
+		}
+	})
 }
 
 // withoutMemo hands every single execution to the executor with the

@@ -215,8 +215,8 @@ func (sp *Spec) ColumnValueExprs(col int) []lang.ValueExpr {
 }
 
 // ColumnKeywords returns every exact keyword mentioned for target column
-// col, across all samples; related-column search probes the inverted index
-// with these.
+// col, across all samples; related-column search probes the per-column
+// keyword sets with these.
 func (sp *Spec) ColumnKeywords(col int) []string {
 	var out []string
 	seen := make(map[string]struct{})

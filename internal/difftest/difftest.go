@@ -44,6 +44,14 @@ func Databases(t testing.TB) map[string]*mem.Database {
 	return out
 }
 
+// LowresMondialConfig is the 10.7k-row Mondial of the benchmark's
+// oneshot_lowres workload: large enough that every builder has real columns
+// to split over cores, small enough for a unit test under the race detector.
+func LowresMondialConfig() dataset.MondialConfig {
+	return dataset.MondialConfig{Seed: 1, Countries: 20, ProvincesPerCountry: 8, CitiesPerProvince: 8,
+		Lakes: 1500, Rivers: 1000, Mountains: 800}
+}
+
 // Quirks returns a three-table chain, not yet analysed, built to hold what
 // the bundled data sets lack: NULLs in constrained and in join columns,
 // dangling and many-to-many keys, and text values that share a key without

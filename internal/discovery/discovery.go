@@ -1,6 +1,9 @@
 // Package discovery wires the whole Prism pipeline together (Figure 2):
-// related-column search over the preprocessed column metadata and inverted
-// index, candidate generation over the schema graph, filter decomposition,
+// related-column search over the preprocessed column metadata and
+// per-column keyword sets (which columns hold a keyword — the part of the
+// paper's inverted index this step needs; the postings, which rows, are the
+// columnar executor's kwText index), candidate generation over the schema
+// graph, filter decomposition,
 // scheduled filter validation under a time budget, and assembly of the
 // final schema mapping queries with their SQL text.
 package discovery
@@ -216,9 +219,9 @@ func (r *Report) Failure() string {
 
 // Engine runs discovery rounds over one source database. Creating an engine
 // performs the preprocessing the paper assumes: column statistics, the
-// inverted index, and the Bayesian models. Plan execution goes through a
-// pluggable exec.Executor; backends are built lazily per engine, cached,
-// and selected per round with Options.Executor.
+// per-column keyword sets, and the Bayesian models. Plan execution goes
+// through a pluggable exec.Executor; backends are built lazily per engine,
+// cached, and selected per round with Options.Executor.
 type Engine struct {
 	db    *mem.Database
 	model *bayes.Model
@@ -297,7 +300,8 @@ func (e *Engine) Model() *bayes.Model { return e.model }
 // RelatedColumns finds, for every target column, the source columns that
 // could be mapped to it: columns satisfying the column's metadata
 // constraint whose contents make at least one value constraint feasible
-// (checked against the inverted index and column statistics, §2.3 step #1).
+// (checked against the per-column keyword sets and column statistics, §2.3
+// step #1).
 func (e *Engine) RelatedColumns(spec *constraint.Spec) ([][]schema.ColumnRef, error) {
 	if spec == nil {
 		return nil, fmt.Errorf("discovery: nil specification")

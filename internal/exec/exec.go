@@ -46,7 +46,7 @@ type Metadata interface {
 	// reference.
 	AllStats() []schema.Stats
 	// ColumnHasKeyword reports whether the column contains the exact
-	// keyword (case-insensitive), via the inverted index.
+	// keyword (case-insensitive), via the source's per-column keyword sets.
 	ColumnHasKeyword(ref schema.ColumnRef, keyword string) bool
 }
 

@@ -328,8 +328,8 @@ func quoteConst(v value.Value) string {
 // ---------------------------------------------------------------------------
 
 // Keywords returns every exact constant mentioned by equality predicates and
-// keywords inside the expression. Related-column search probes the inverted
-// index with these.
+// keywords inside the expression. Related-column search probes the
+// per-column keyword sets with these.
 func Keywords(e ValueExpr) []string {
 	var out []string
 	var walk func(ValueExpr)
@@ -409,9 +409,9 @@ func EqualityKeywords(e ValueExpr) (keywords []string, ok bool) {
 
 // ColumnFeasible conservatively reports whether some value stored in a
 // column with the given statistics could satisfy the constraint. hasKeyword
-// answers whether the column contains an exact keyword (via the inverted
-// index). False negatives are not allowed (a false "infeasible" would prune
-// a valid mapping); false positives merely cost extra validation work.
+// answers whether the column contains an exact keyword (via the per-column
+// keyword sets). False negatives are not allowed (a false "infeasible" would
+// prune a valid mapping); false positives merely cost extra validation work.
 func ColumnFeasible(e ValueExpr, st schema.Stats, hasKeyword func(string) bool) bool {
 	if e == nil {
 		return true

@@ -215,7 +215,7 @@ func (p *parser) parseValuePrimary() (ValueExpr, error) {
 		}
 		if op == OpEq {
 			// "= keyword" is the same as a bare keyword; keep Keyword so the
-			// inverted index can be used uniformly.
+			// keyword indexes can be used uniformly.
 			return Keyword{Word: constVal.String()}, nil
 		}
 		return Compare{Op: op, Const: constVal}, nil

@@ -2,11 +2,12 @@
 // the paper runs on top of a conventional DBMS.
 //
 // It provides typed row storage, per-column statistics (the "metadata
-// collected during preprocessing" of §2.3), a keyword inverted index (the
-// DBMS inverted index the paper leverages for value-constraint matching),
-// and execution of Project-Join query plans with selection push-down and
-// early termination — everything the discovery and filter-validation layers
-// need.
+// collected during preprocessing" of §2.3), per-column keyword sets (the
+// membership half of the DBMS inverted index the paper leverages for
+// value-constraint matching: which columns hold a keyword; the postings —
+// which rows — live in the columnar executor's per-column kwText index), and
+// execution of Project-Join query plans with selection push-down and early
+// termination — everything the discovery and filter-validation layers need.
 package mem
 
 import (
@@ -15,6 +16,7 @@ import (
 	"strings"
 	"sync"
 
+	"prism/internal/par"
 	"prism/internal/schema"
 	"prism/internal/value"
 )
@@ -27,12 +29,6 @@ type Relation struct {
 
 // NumRows returns the row count.
 func (r *Relation) NumRows() int { return len(r.Rows) }
-
-// Posting locates one keyword occurrence in the database.
-type Posting struct {
-	Ref schema.ColumnRef
-	Row int
-}
 
 // Database is an in-memory relational database instance.
 //
@@ -49,9 +45,8 @@ type Database struct {
 	// version counts data mutations; session filter-outcome caches key on
 	// it so entries computed against older contents can never be served
 	// against newer ones.
-	version  uint64
-	stats    map[string]schema.Stats // key: lower(Table.Column)
-	inverted map[string][]Posting    // key: normalised keyword
+	version uint64
+	stats   map[string]schema.Stats // key: lower(Table.Column)
 	// columnKeywords maps lower(Table.Column) -> set of normalised keywords
 	// occurring in that column; used for per-column membership tests.
 	columnKeywords map[string]map[string]struct{}
@@ -176,42 +171,54 @@ func statsKey(ref schema.ColumnRef) string {
 	return strings.ToLower(ref.Table) + "." + strings.ToLower(ref.Column)
 }
 
-// Analyze (re)builds column statistics and the keyword inverted index. It
-// corresponds to the paper's preprocessing step and must be called before
+// Analyze (re)builds the column statistics and the per-column keyword sets.
+// It corresponds to the paper's preprocessing step and must be called before
 // the lookup methods below. Calling it repeatedly is cheap when nothing has
-// changed.
+// changed. Columns are independent of one another and are analyzed in
+// parallel; the result is a function of the data alone.
 func (db *Database) Analyze() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.analyzed {
 		return
 	}
-	db.stats = make(map[string]schema.Stats)
-	db.inverted = make(map[string][]Posting)
-	db.columnKeywords = make(map[string]map[string]struct{})
+	type column struct {
+		ref      schema.ColumnRef
+		typ      value.Kind
+		rows     []value.Tuple
+		ci       int
+		stats    schema.Stats
+		keywords map[string]struct{}
+	}
+	var cols []column
 	for _, t := range db.sch.Tables() {
 		rel := db.relations[strings.ToLower(t.Name)]
-		for ci, col := range t.Columns {
-			ref := schema.ColumnRef{Table: t.Name, Column: col.Name}
-			collector := schema.NewStatsCollector(ref, col.Type)
-			key := statsKey(ref)
-			kwset := make(map[string]struct{})
-			for ri, row := range rel.Rows {
-				v := row[ci]
-				collector.Add(v)
-				if v.IsNull() {
-					continue
-				}
-				kw := value.Normalize(v.String())
-				if kw == "" {
-					continue
-				}
-				db.inverted[kw] = append(db.inverted[kw], Posting{Ref: ref, Row: ri})
-				kwset[kw] = struct{}{}
-			}
-			db.stats[key] = collector.Stats()
-			db.columnKeywords[key] = kwset
+		for ci, c := range t.Columns {
+			cols = append(cols, column{ref: schema.ColumnRef{Table: t.Name, Column: c.Name}, typ: c.Type, rows: rel.Rows, ci: ci})
 		}
+	}
+	par.Do(len(cols), func(i int) {
+		c := &cols[i]
+		collector := schema.NewStatsCollector(c.ref, c.typ)
+		keywords := make(map[string]struct{})
+		for _, row := range c.rows {
+			v := row[c.ci]
+			collector.Add(v)
+			if v.IsNull() {
+				continue
+			}
+			if kw := value.Normalize(v.String()); kw != "" {
+				keywords[kw] = struct{}{}
+			}
+		}
+		c.stats, c.keywords = collector.Stats(), keywords
+	})
+	db.stats = make(map[string]schema.Stats, len(cols))
+	db.columnKeywords = make(map[string]map[string]struct{}, len(cols))
+	for i := range cols {
+		key := statsKey(cols[i].ref)
+		db.stats[key] = cols[i].stats
+		db.columnKeywords[key] = cols[i].keywords
 	}
 	db.analyzed = true
 }
@@ -250,33 +257,6 @@ func (db *Database) AllStats() []schema.Stats {
 		out = append(out, st)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Ref.Less(out[j].Ref) })
-	return out
-}
-
-// LookupKeyword returns the postings of an exact (case-insensitive) keyword
-// across all columns, using the inverted index.
-func (db *Database) LookupKeyword(keyword string) []Posting {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.inverted == nil {
-		return nil
-	}
-	return db.inverted[value.Normalize(keyword)]
-}
-
-// ColumnsWithKeyword returns the set of columns whose values include the
-// exact keyword (case-insensitive), sorted.
-func (db *Database) ColumnsWithKeyword(keyword string) []schema.ColumnRef {
-	postings := db.LookupKeyword(keyword)
-	seen := make(map[string]schema.ColumnRef)
-	for _, p := range postings {
-		seen[statsKey(p.Ref)] = p.Ref
-	}
-	out := make([]schema.ColumnRef, 0, len(seen))
-	for _, ref := range seen {
-		out = append(out, ref)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
 	return out
 }
 
@@ -321,17 +301,4 @@ func (db *Database) DistinctFraction(ref schema.ColumnRef) float64 {
 		return 0
 	}
 	return float64(st.Distinct) / float64(st.NonNullCount())
-}
-
-// KeywordFrequency returns the number of rows of ref whose value equals the
-// keyword, using the inverted index.
-func (db *Database) KeywordFrequency(ref schema.ColumnRef, keyword string) int {
-	postings := db.LookupKeyword(keyword)
-	n := 0
-	for _, p := range postings {
-		if strings.EqualFold(p.Ref.Table, ref.Table) && strings.EqualFold(p.Ref.Column, ref.Column) {
-			n++
-		}
-	}
-	return n
 }

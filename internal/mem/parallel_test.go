@@ -1,0 +1,72 @@
+package mem_test
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"runtime"
+	"testing"
+
+	"prism/internal/dataset"
+	"prism/internal/difftest"
+	"prism/internal/mem"
+)
+
+// lowresMondial is the 10.7k-row Mondial of the benchmark's oneshot_lowres
+// workload, generated but with its analysis thrown away: a copy of the rows
+// in a fresh database, so Analyze runs under the caller's GOMAXPROCS.
+func lowresMondial(t testing.TB) *mem.Database {
+	t.Helper()
+	src, err := dataset.Mondial(difftest.LowresMondialConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := mem.NewDatabase(src.Name, src.Schema())
+	for _, table := range src.Schema().Tables() {
+		rel, _ := src.Relation(table.Name)
+		if err := db.BulkInsert(table.Name, rel.Rows); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// TestAnalyzeIndependentOfCoreCount: the statistics, the per-column keyword
+// sets and the snapshot bytes are a function of the data alone — equal at
+// GOMAXPROCS 1 (the direct loop), 2 and 8 (more workers than this host may
+// have cores).
+func TestAnalyzeIndependentOfCoreCount(t *testing.T) {
+	type built struct {
+		stats    any
+		keywords map[string]map[string]struct{}
+		snapshot []byte
+	}
+	build := func(procs int) built {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		db := lowresMondial(t)
+		db.Analyze()
+		var snap bytes.Buffer
+		if err := db.WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return built{db.AllStats(), db.ColumnKeywords(), snap.Bytes()}
+	}
+	want := build(1)
+	if len(want.keywords) == 0 || len(want.snapshot) == 0 {
+		t.Fatal("nothing built")
+	}
+	for _, procs := range []int{2, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			got := build(procs)
+			if !reflect.DeepEqual(got.stats, want.stats) {
+				t.Error("AllStats differ from the one-core build")
+			}
+			if !reflect.DeepEqual(got.keywords, want.keywords) {
+				t.Error("per-column keyword sets differ from the one-core build")
+			}
+			if !bytes.Equal(got.snapshot, want.snapshot) {
+				t.Error("snapshot bytes differ from the one-core build")
+			}
+		})
+	}
+}

@@ -2,11 +2,13 @@ package mem
 
 // Engine snapshots: a compact, checksummed binary serialization of one
 // analyzed Database — schema, rows (column-major), per-column statistics
-// and the keyword inverted index — so a serving process can cold-start by
+// and the per-column keyword sets — so a serving process can cold-start by
 // decoding a file instead of re-running a generator, re-coercing every
-// cell and re-analyzing. The format is versioned (formatVersion) and the
-// payload is guarded by a CRC; every decode failure, from a bad magic to
-// a truncated posting list, fails closed with ErrSnapshotCorrupt.
+// cell and re-analyzing. The format is versioned (the last two bytes of
+// snapshotMagic) and the payload is guarded by a CRC; a file of another
+// version fails with ErrSnapshotVersion, and every other decode failure,
+// from a bad magic to a truncated keyword set, fails closed with
+// ErrSnapshotCorrupt.
 //
 // The data version (Database.Version) is stored verbatim: filter-outcome
 // caches key on it, so a snapshot round trip keeps cached session state
@@ -29,12 +31,12 @@ import (
 	"prism/internal/value"
 )
 
-// snapshotMagic opens every snapshot file. The trailing byte is the
-// format version; bumping snapshotFormatVersion invalidates old files
-// explicitly rather than misreading them.
-var snapshotMagic = [8]byte{'P', 'R', 'S', 'N', 'A', 'P', '0', '1'}
-
-const snapshotFormatVersion = 1
+// snapshotMagic opens every snapshot file. The trailing two bytes are the
+// format version; bumping them invalidates old files explicitly rather than
+// misreading them. Version 01 carried a global keyword → (column, row)
+// postings section where 02 carries the per-column keyword sets; there is no
+// reader for it — rebuild the snapshot from its source.
+var snapshotMagic = [8]byte{'P', 'R', 'S', 'N', 'A', 'P', '0', '2'}
 
 var (
 	// ErrSnapshotCorrupt reports a snapshot that failed structural
@@ -49,8 +51,8 @@ var (
 
 // WriteSnapshot serializes the database to w. The database is analyzed
 // first (a no-op when already current) so the snapshot always carries
-// statistics and the inverted index: a ReadSnapshot of the result is
-// query-ready without further preprocessing.
+// statistics and keyword sets: a ReadSnapshot of the result is query-ready
+// without further preprocessing.
 func (db *Database) WriteSnapshot(w io.Writer) error {
 	if err := faultSnapshotEncode.Hit(); err != nil {
 		return fmt.Errorf("mem: writing snapshot: %w", err)
@@ -94,8 +96,8 @@ func (db *Database) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot decodes a snapshot written by WriteSnapshot. The returned
-// database is analyzed (statistics and indexes restored, not recomputed)
-// and carries the original data version.
+// database is analyzed (statistics and keyword sets restored, not
+// recomputed) and carries the original data version.
 func ReadSnapshot(r io.Reader) (*Database, error) {
 	if err := faultSnapshotDecode.Hit(); err != nil {
 		if errors.Is(err, fault.ErrInjected) {
@@ -122,8 +124,8 @@ func ReadSnapshot(r io.Reader) (*Database, error) {
 	if bodyLen > maxSnapshotBytes {
 		return nil, fmt.Errorf("%w: implausible body length %d", ErrSnapshotCorrupt, bodyLen)
 	}
-	body := make([]byte, bodyLen)
-	if _, err := io.ReadFull(r, body); err != nil {
+	body, err := readBody(r, bodyLen)
+	if err != nil {
 		return nil, fmt.Errorf("%w: truncated body: %v", ErrSnapshotCorrupt, err)
 	}
 	if crc32.ChecksumIEEE(body) != wantCRC {
@@ -139,6 +141,28 @@ func ReadSnapshot(r io.Reader) (*Database, error) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(dec.buf)-dec.pos)
 	}
 	return db, nil
+}
+
+// readBody reads the n bytes the header declares without trusting n with an
+// allocation: the buffer starts at no more than 1 MiB and doubles only once
+// it is full of bytes that actually arrived, so a header that lies about the
+// length costs at most twice what the reader really holds.
+func readBody(r io.Reader, n uint64) ([]byte, error) {
+	body := make([]byte, min(n, 1<<20))
+	read := 0
+	for {
+		m, err := io.ReadFull(r, body[read:])
+		read += m
+		if err != nil {
+			return nil, err
+		}
+		if uint64(read) == n {
+			return body, nil
+		}
+		grown := make([]byte, min(n, 2*uint64(read)))
+		copy(grown, body)
+		body = grown
+	}
 }
 
 // ---------------------------------------------------------------------
@@ -253,22 +277,15 @@ func (e snapshotEncoder) schema(s *schema.Schema) {
 }
 
 // analyzedState writes the preprocessing products: per-column statistics
-// and the keyword inverted index. Postings are encoded against a column
-// ordinal table (schema declaration order) with delta-compressed row
-// ids; keywords are sorted so identical databases produce identical
-// bytes. The per-column keyword sets are not stored — they are exactly
-// the posting refs per keyword and are rebuilt during decode.
+// and per-column keyword sets, both against a column ordinal table (schema
+// declaration order). Map keys are sorted so identical databases produce
+// identical bytes.
 func (e snapshotEncoder) analyzedState(db *Database) {
 	ordinals := columnOrdinals(db.sch)
 	e.uvarint(uint64(len(db.stats)))
-	statKeys := make([]string, 0, len(db.stats))
-	for k := range db.stats {
-		statKeys = append(statKeys, k)
-	}
-	sort.Strings(statKeys)
-	for _, k := range statKeys {
+	for _, k := range sortedKeys(db.stats) {
 		st := db.stats[k]
-		e.uvarint(uint64(ordinals[statsKey(st.Ref)]))
+		e.uvarint(uint64(ordinals[k]))
 		e.w.WriteByte(byte(st.Type))
 		e.value(st.Min)
 		e.value(st.Max)
@@ -278,30 +295,30 @@ func (e snapshotEncoder) analyzedState(db *Database) {
 		e.uvarint(uint64(st.Distinct))
 	}
 
-	e.uvarint(uint64(len(db.inverted)))
-	keywords := make([]string, 0, len(db.inverted))
-	for kw := range db.inverted {
-		keywords = append(keywords, kw)
-	}
-	sort.Strings(keywords)
-	for _, kw := range keywords {
-		postings := db.inverted[kw]
-		e.string(kw)
-		e.uvarint(uint64(len(postings)))
-		prevRow := 0
-		prevCol := 0
-		for _, p := range postings {
-			col := ordinals[statsKey(p.Ref)]
-			e.varint(int64(col - prevCol))
-			e.varint(int64(p.Row - prevRow))
-			prevCol, prevRow = col, p.Row
+	refs := columnRefs(db.sch)
+	e.uvarint(uint64(len(refs)))
+	for ord, ref := range refs {
+		set := db.columnKeywords[statsKey(ref)]
+		e.uvarint(uint64(ord))
+		e.uvarint(uint64(len(set)))
+		for _, kw := range sortedKeys(set) {
+			e.string(kw)
 		}
 	}
 }
 
+func sortedKeys[V any](m map[string]V) []string {
+	keys := make([]string, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // columnOrdinals numbers every column in schema declaration order; the
 // snapshot refers to columns by these ordinals instead of repeating
-// table/column strings per posting.
+// table/column strings.
 func columnOrdinals(s *schema.Schema) map[string]int {
 	out := make(map[string]int)
 	n := 0
@@ -531,6 +548,12 @@ func (d *snapshotDecoder) database() (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
+		// Every cell costs at least one byte of what follows (a kind tag or a
+		// dictionary code), so the row count is bounded before the cells are
+		// allocated; rows of no columns would cost nothing and are refused.
+		if numRows > 0 && (len(t.Columns) == 0 || numRows > (len(d.buf)-d.pos)/len(t.Columns)) {
+			return nil, d.fail("table %s: %d rows of %d columns exceed remaining payload", t.Name, numRows, len(t.Columns))
+		}
 		rows := make([]value.Tuple, numRows)
 		cells := make(value.Tuple, numRows*len(t.Columns))
 		for ri := range rows {
@@ -612,19 +635,9 @@ func (d *snapshotDecoder) column(t *schema.Table, ci int, rows []value.Tuple) er
 
 func (d *snapshotDecoder) analyzedState(db *Database) error {
 	refs := columnRefs(db.sch)
-	// Ordinal-indexed key and keyword-set tables: the posting loop below
-	// runs once per posting, and computing statsKey (two ToLower calls
-	// plus a concatenation) or re-resolving the columnKeywords map there
-	// dominates cold-start decode time on keyword-dense databases.
 	keys := make([]string, len(refs))
-	sets := make([]map[string]struct{}, len(refs))
-	rowCounts := make([]int, len(refs))
-	db.columnKeywords = make(map[string]map[string]struct{}, len(refs))
 	for i, ref := range refs {
 		keys[i] = statsKey(ref)
-		sets[i] = make(map[string]struct{})
-		db.columnKeywords[keys[i]] = sets[i]
-		rowCounts[i] = len(db.relations[strings.ToLower(ref.Table)].Rows)
 	}
 	numStats, err := d.count()
 	if err != nil {
@@ -632,12 +645,9 @@ func (d *snapshotDecoder) analyzedState(db *Database) error {
 	}
 	db.stats = make(map[string]schema.Stats, numStats)
 	for i := 0; i < numStats; i++ {
-		ord, err := d.uvarint()
+		ord, err := d.ordinal(len(refs))
 		if err != nil {
 			return err
-		}
-		if ord >= uint64(len(refs)) {
-			return d.fail("stats column ordinal %d out of range", ord)
 		}
 		st := schema.Stats{Ref: refs[ord]}
 		kind, err := d.byte()
@@ -662,48 +672,47 @@ func (d *snapshotDecoder) analyzedState(db *Database) error {
 		db.stats[keys[ord]] = st
 	}
 
-	numKeywords, err := d.count()
+	numSets, err := d.count()
 	if err != nil {
 		return err
 	}
-	db.inverted = make(map[string][]Posting, numKeywords)
-	for i := 0; i < numKeywords; i++ {
-		kw, err := d.string()
+	db.columnKeywords = make(map[string]map[string]struct{}, numSets)
+	for i := 0; i < numSets; i++ {
+		ord, err := d.ordinal(len(refs))
 		if err != nil {
 			return err
 		}
-		numPostings, err := d.count()
+		if _, dup := db.columnKeywords[keys[ord]]; dup {
+			return d.fail("two keyword sets for column ordinal %d", ord)
+		}
+		// Every keyword costs at least its length byte, so count bounds the
+		// set's size by the payload that is left.
+		numKeywords, err := d.count()
 		if err != nil {
 			return err
 		}
-		postings := make([]Posting, numPostings)
-		col, row := 0, 0
-		marked := -1 // last column marked for kw; postings cluster by column
-		for pi := range postings {
-			dc, err := d.varint()
+		set := make(map[string]struct{}, numKeywords)
+		for k := 0; k < numKeywords; k++ {
+			kw, err := d.string()
 			if err != nil {
 				return err
 			}
-			dr, err := d.varint()
-			if err != nil {
-				return err
-			}
-			col += int(dc)
-			row += int(dr)
-			// Bound row by the referenced table's decoded row count, not
-			// just zero: an index past the relation would otherwise defer
-			// the failure to a panic at query time.
-			if col < 0 || col >= len(refs) || row < 0 || row >= rowCounts[col] {
-				return d.fail("posting out of range (col %d, row %d)", col, row)
-			}
-			postings[pi] = Posting{Ref: refs[col], Row: row}
-			if col != marked {
-				sets[col][kw] = struct{}{}
-				marked = col
-			}
+			set[kw] = struct{}{}
 		}
-		db.inverted[kw] = postings
+		db.columnKeywords[keys[ord]] = set
 	}
 	db.analyzed = true
 	return nil
+}
+
+// ordinal decodes a column ordinal and bounds it by the schema's column count.
+func (d *snapshotDecoder) ordinal(numColumns int) (int, error) {
+	ord, err := d.uvarint()
+	if err != nil {
+		return 0, err
+	}
+	if ord >= uint64(numColumns) {
+		return 0, d.fail("column ordinal %d out of range", ord)
+	}
+	return int(ord), nil
 }

@@ -64,8 +64,8 @@ func snapshotFixture(t *testing.T) *Database {
 }
 
 // TestSnapshotRoundTrip pins losslessness: schema, rows, data version,
-// statistics, inverted index and per-column keyword sets all survive a
-// write/read cycle, and the decoded database is immediately query-ready.
+// statistics and per-column keyword sets all survive a write/read cycle,
+// and the decoded database is immediately query-ready.
 func TestSnapshotRoundTrip(t *testing.T) {
 	db := snapshotFixture(t)
 	var buf bytes.Buffer
@@ -114,13 +114,16 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.AllStats(), db.AllStats()) {
 		t.Errorf("stats diverge:\nwant %v\ngot  %v", db.AllStats(), got.AllStats())
 	}
-	if !reflect.DeepEqual(got.inverted, db.inverted) {
-		t.Errorf("inverted index diverges:\nwant %v\ngot  %v", db.inverted, got.inverted)
+	if !reflect.DeepEqual(got.columnKeywords, db.columnKeywords) {
+		t.Errorf("column keyword sets diverge:\nwant %v\ngot  %v", db.columnKeywords, got.columnKeywords)
 	}
-	for key, want := range db.columnKeywords {
-		if !reflect.DeepEqual(got.columnKeywords[key], want) {
-			t.Errorf("column keywords for %s = %v, want %v", key, got.columnKeywords[key], want)
-		}
+	// Decoded state re-encodes to the bytes it came from.
+	var again bytes.Buffer
+	if err := got.WriteSnapshot(&again); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(again.Bytes(), buf.Bytes()) {
+		t.Error("write → read → write is not byte-identical")
 	}
 }
 
@@ -189,6 +192,17 @@ func TestSnapshotFailsClosed(t *testing.T) {
 		}
 	})
 
+	t.Run("previous format version", func(t *testing.T) {
+		// PRSNAP01 carried the global postings section; there is no reader
+		// for it, and it must say so instead of misreading the body.
+		bad := append([]byte(nil), good...)
+		copy(bad, "PRSNAP01")
+		db, err := ReadSnapshot(bytes.NewReader(bad))
+		if !errors.Is(err, ErrSnapshotVersion) || db != nil {
+			t.Fatalf("err = %v (db %v), want ErrSnapshotVersion", err, db)
+		}
+	})
+
 	t.Run("trailing garbage", func(t *testing.T) {
 		bad := append(append([]byte(nil), good...), "extra"...)
 		// Extra bytes past the declared body are ignored by design (the
@@ -232,24 +246,34 @@ func TestSnapshotEmptyDatabase(t *testing.T) {
 	}
 }
 
-// TestSnapshotRejectsOutOfRangePostingRow pins the decoder's bounds
-// check: a posting whose Row points past its table's rows (a buggy
-// encoder, or a tampered file with a recomputed CRC) fails the load with
-// ErrSnapshotCorrupt instead of deferring to a panic at query time.
-func TestSnapshotRejectsOutOfRangePostingRow(t *testing.T) {
+// TestSnapshotRejectsOutOfRangeKeywordSetColumn pins the decoder's bounds
+// check: a keyword set naming a column ordinal the schema does not have (a
+// buggy encoder, or a tampered file with a recomputed CRC) fails the load
+// with ErrSnapshotCorrupt — never a panic, never a set filed under nothing.
+func TestSnapshotRejectsOutOfRangeKeywordSetColumn(t *testing.T) {
 	db := snapshotFixture(t)
-	// Tamper after Analyze so WriteSnapshot serializes the bad posting
-	// verbatim under a valid checksum; only the decoder can catch it.
-	for kw, postings := range db.inverted {
-		db.inverted[kw] = append(postings, Posting{Ref: postings[0].Ref, Row: 999})
-		break
-	}
 	var buf bytes.Buffer
 	if err := db.WriteSnapshot(&buf); err != nil {
 		t.Fatal(err)
 	}
-	_, err := ReadSnapshot(bytes.NewReader(buf.Bytes()))
-	if !errors.Is(err, ErrSnapshotCorrupt) {
-		t.Fatalf("err = %v, want ErrSnapshotCorrupt", err)
+	snap := buf.Bytes()
+	// The body ends with the keyword set of the last column, City.Curfew
+	// (ordinal 6): ordinal, one keyword, its length, "22:30:00".
+	tail := []byte("\x06\x01\x0822:30:00")
+	if !bytes.HasSuffix(snap, tail) {
+		t.Fatalf("fixture snapshot does not end with City.Curfew's keyword set: % x", snap[len(snap)-len(tail):])
+	}
+	snap[len(snap)-len(tail)] = 7 // one past the last column
+	RestampSnapshot(snap)
+	got, err := ReadSnapshot(bytes.NewReader(snap))
+	if !errors.Is(err, ErrSnapshotCorrupt) || got != nil {
+		t.Fatalf("err = %v (db %v), want ErrSnapshotCorrupt", err, got)
+	}
+
+	// Naming an existing column twice is corrupt too.
+	snap[len(snap)-len(tail)] = 5
+	RestampSnapshot(snap)
+	if _, err := ReadSnapshot(bytes.NewReader(snap)); !errors.Is(err, ErrSnapshotCorrupt) {
+		t.Fatalf("duplicate keyword set: err = %v, want ErrSnapshotCorrupt", err)
 	}
 }

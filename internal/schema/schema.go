@@ -151,6 +151,12 @@ func (s *Schema) AddTable(t *Table) error {
 	if _, dup := s.tables[key]; dup {
 		return fmt.Errorf("schema: duplicate table %q", t.Name)
 	}
+	if t.byName == nil {
+		// A table built as a literal indexes its columns lazily; do it here,
+		// so that ColumnIndex on a registered table never writes and the
+		// parallel set-up builders may call it from several goroutines.
+		t.rebuildIndex()
+	}
 	s.tables[key] = t
 	s.order = append(s.order, t.Name)
 	return nil
@@ -315,8 +321,9 @@ func (c *StatsCollector) Add(v value.Value) {
 		c.st.NullCount++
 		return
 	}
-	if _, dup := c.seen[v.Key()]; !dup {
-		c.seen[v.Key()] = struct{}{}
+	key := v.Key()
+	if _, dup := c.seen[key]; !dup {
+		c.seen[key] = struct{}{}
 		c.st.Distinct++
 	}
 	if l := v.TextLength(); l > c.st.MaxLength {

@@ -13,6 +13,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode"
+	"unicode/utf8"
 )
 
 // Kind identifies the dynamic type of a Value. The set mirrors the data
@@ -319,7 +321,7 @@ func (v Value) SQLLiteral() string {
 
 // Equal reports whether two values are equal. Numeric values compare across
 // Int/Decimal; Text comparison is case-insensitive to match the keyword
-// semantics of the inverted index used for value constraints.
+// semantics of value constraints.
 func (v Value) Equal(o Value) bool {
 	return v.Compare(o) == 0
 }
@@ -368,9 +370,11 @@ func (v Value) Compare(o Value) int {
 		}
 	}
 	// Numeric cross-kind comparison (including numeric-looking text).
-	if vn, ok := v.Float(); ok && (v.kind.Numeric() || o.kind.Numeric()) {
-		if on, ok2 := o.Float(); ok2 {
-			return compareFloat(vn, on)
+	if v.kind.Numeric() || o.kind.Numeric() {
+		if vn, ok := v.Float(); ok {
+			if on, ok2 := o.Float(); ok2 {
+				return compareFloat(vn, on)
+			}
 		}
 	}
 	if v.kind != o.kind {
@@ -386,18 +390,40 @@ func (v Value) Compare(o Value) int {
 	case Decimal:
 		return compareFloat(v.f, o.f)
 	case Text:
-		a, b := strings.ToLower(v.s), strings.ToLower(o.s)
-		if a < b {
-			return -1
-		}
-		if a > b {
-			return 1
-		}
-		return 0
+		return compareFold(v.s, o.s)
 	case Date, Time:
 		return compareInt(v.i, o.i)
 	}
 	return 0
+}
+
+// compareFold orders a and b as strings.ToLower(a) and strings.ToLower(b)
+// compare byte-wise, without building either: rune by rune, each lowered with
+// unicode.ToLower, an invalid byte standing for U+FFFD (what ToLower writes
+// for it). UTF-8 sorts by code point, so the first differing lowered rune
+// decides, and a proper prefix sorts first.
+func compareFold(a, b string) int {
+	for a != "" && b != "" {
+		ra, rb := rune(a[0]), rune(b[0])
+		wa, wb := 1, 1
+		if ra < utf8.RuneSelf && rb < utf8.RuneSelf {
+			if 'A' <= ra && ra <= 'Z' {
+				ra += 'a' - 'A'
+			}
+			if 'A' <= rb && rb <= 'Z' {
+				rb += 'a' - 'A'
+			}
+		} else {
+			ra, wa = utf8.DecodeRuneInString(a)
+			rb, wb = utf8.DecodeRuneInString(b)
+			ra, rb = unicode.ToLower(ra), unicode.ToLower(rb)
+		}
+		if ra != rb {
+			return compareInt(int64(ra), int64(rb))
+		}
+		a, b = a[wa:], b[wb:]
+	}
+	return compareInt(int64(len(a)), int64(len(b)))
 }
 
 // Less reports whether v sorts before o.
@@ -464,8 +490,8 @@ func (v Value) Key() string {
 	}
 }
 
-// Normalize returns the canonical case-insensitive keyword form of a value
-// for inverted-index lookups.
+// Normalize returns the canonical case-insensitive keyword form of a value:
+// the key of the per-column keyword sets and of the executor's postings.
 func Normalize(s string) string {
 	return strings.ToLower(strings.TrimSpace(s))
 }

@@ -2,7 +2,9 @@ package value
 
 import (
 	"math"
+	"math/rand"
 	"strconv"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -494,6 +496,62 @@ func TestCompareProperties(t *testing.T) {
 	}
 	if err := quick.Check(keyConsistent, nil); err != nil {
 		t.Errorf("key consistency violated: %v", err)
+	}
+}
+
+// Property: two Text values order exactly as their strings.ToLower forms
+// compare byte-wise — the form Compare used before it stopped allocating.
+// The alphabet holds what makes the two differ if either is wrong: letters
+// whose lower case is ASCII (the Kelvin sign, İ), whose lower case changes
+// length (Ⱥ), multi-byte and astral runes, U+FFFD itself, and bytes that are
+// not UTF-8 (stray continuation and lead bytes, an encoded surrogate).
+func TestCompareTextMatchesToLower(t *testing.T) {
+	oracle := func(a, b string) int {
+		return strings.Compare(strings.ToLower(a), strings.ToLower(b))
+	}
+	alphabet := []string{"a", "A", "z", "Z", "k", "K", "i", "I", "0", " ", "_", "[", "`", "{", "\x7f",
+		"\u212a", "\u0130", "\u023a", "\u2c65", "é", "É", "ß", "ẞ", "σ", "Σ", "ς", "ǅ", "日", "\ufffd", "\U0001f600", "\U00010400", "\U00010428",
+		"\x80", "\xbf", "\xc3", "\xe2\x82", "\xed\xa0\x80", "\xff"}
+	rng := rand.New(rand.NewSource(1))
+	word := func() string {
+		var sb strings.Builder
+		for n := rng.Intn(6); n > 0; n-- {
+			sb.WriteString(alphabet[rng.Intn(len(alphabet))])
+		}
+		return sb.String()
+	}
+	check := func(a, b string) {
+		t.Helper()
+		if got, want := NewText(a).Compare(NewText(b)), oracle(a, b); got != want {
+			t.Fatalf("Compare(%q, %q) = %d, strings.ToLower form gives %d", a, b, got, want)
+		}
+	}
+	for _, a := range alphabet {
+		for _, b := range alphabet {
+			check(a, b)
+			check("x"+a, "X"+b)
+		}
+	}
+	for i := 0; i < 20000; i++ {
+		a, b := word(), word()
+		check(a, b)
+		check(a, a+b) // shared prefix
+		check(strings.ToUpper(a), a)
+	}
+	if err := quick.Check(func(a, b string) bool {
+		return NewText(a).Compare(NewText(b)) == oracle(a, b)
+	}, &quick.Config{MaxCount: 5000}); err != nil {
+		t.Error(err)
+	}
+}
+
+func BenchmarkCompareText(b *testing.B) {
+	x, y := NewText("Lake Tahoe"), NewText("lake Tanganyika")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if x.Compare(y) >= 0 {
+			b.Fatal("order")
+		}
 	}
 }
 
