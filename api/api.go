@@ -16,8 +16,7 @@
 //     codes back to the library's sentinel errors (see errors.go).
 //
 // Version v1 is append-only: fields may be added, existing fields and
-// codes keep their meaning. The unversioned /api/* routes serve the same
-// payloads and remain as deprecated aliases of /api/v1/*.
+// codes keep their meaning.
 //
 // One endpoint is deliberately not JSON: GET /api/v1/metrics (MetricsPath)
 // serves the Prometheus text exposition format so standard scrapers can
@@ -28,13 +27,9 @@ package api
 // Version names the wire format this package defines.
 const Version = "v1"
 
-// PathPrefix is the canonical mount point of the versioned JSON API; the
-// endpoint constants below are relative to it. LegacyPathPrefix is the
-// deprecated unversioned mount kept for pre-v1 clients.
-const (
-	PathPrefix       = "/api/v1"
-	LegacyPathPrefix = "/api"
-)
+// PathPrefix is the mount point of the versioned JSON API; the endpoint
+// constants below are relative to it.
+const PathPrefix = "/api/v1"
 
 // DiscoverRequest is the JSON body of POST /api/v1/discover and
 // POST /api/v1/discover/stream. The constraint specification is given

@@ -367,94 +367,6 @@ func BenchmarkDiscoverParallelism(b *testing.B) {
 	}
 }
 
-// benchExecutorCases pairs each bundled data set with its walkthrough
-// constraints; the executor-comparison benchmarks and the executor
-// trajectory artefact sweep them.
-func benchExecutorCases(b testing.TB) []struct {
-	name string
-	eng  *Engine
-	spec *Spec
-} {
-	b.Helper()
-	build := func(name string, opts []OpenOption, rows [][]string, meta []string) struct {
-		name string
-		eng  *Engine
-		spec *Spec
-	} {
-		eng, err := Open(name, opts...)
-		if err != nil {
-			b.Fatal(err)
-		}
-		spec, err := ParseConstraints(3, rows, meta)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return struct {
-			name string
-			eng  *Engine
-			spec *Spec
-		}{name, eng, spec}
-	}
-	return []struct {
-		name string
-		eng  *Engine
-		spec *Spec
-	}{
-		build("mondial", []OpenOption{WithMondialConfig(benchMondialConfig())},
-			[][]string{{"California || Nevada", "Lake Tahoe", ""}},
-			[]string{"", "", "DataType=='decimal' AND MinValue>='0'"}),
-		build("imdb", nil,
-			[][]string{{"Inception", "Leonardo DiCaprio || Tim Robbins", "[8, 10]"}},
-			[]string{"", "", "DataType=='decimal' AND MinValue>='0' AND MaxValue<='10'"}),
-		build("nba", nil,
-			[][]string{{"Los Angeles", "Lakers", "[80, 140]"}},
-			[]string{"", "", "DataType=='int' AND MinValue>='0'"}),
-	}
-}
-
-// BenchmarkExecutors compares the execution backends end to end: one full
-// discovery round per iteration, for every bundled data set at several
-// validation parallelism levels. The README's benchmark table is read
-// straight off this benchmark's output, and after the timed runs the
-// cold/warm trajectory is written to BENCH_executors.json (see
-// bench_executors_test.go) for the CI bench-smoke regression check:
-//
-//	go test -bench 'BenchmarkExecutors/' -benchmem .
-func BenchmarkExecutors(b *testing.B) {
-	for _, tc := range benchExecutorCases(b) {
-		tc := tc
-		for _, executor := range []string{"mem", "columnar"} {
-			executor := executor
-			for _, p := range []int{1, 4} {
-				p := p
-				b.Run(fmt.Sprintf("%s/%s/p%d", tc.name, executor, p), func(b *testing.B) {
-					opts := Options{Executor: executor, Parallelism: p}
-					// Warm-up builds the executor (column stores and hash
-					// indexes) outside the timed loop, matching the engine's
-					// open-once usage.
-					if _, err := tc.eng.Discover(context.Background(), tc.spec, opts); err != nil {
-						b.Fatal(err)
-					}
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						report, err := tc.eng.Discover(context.Background(), tc.spec, opts)
-						if err != nil {
-							b.Fatal(err)
-						}
-						if len(report.Mappings) == 0 {
-							b.Fatal("no mappings discovered")
-						}
-					}
-				})
-			}
-		}
-	}
-	// Emit the cold/warm trajectory artefact for the CI smoke-run and the
-	// docs.
-	writeExecutorTrajectory(b)
-}
-
 // validationPhaseFixtures builds, per bundled dataset, a filter set whose
 // specification maps several target columns onto the same source columns
 // (two province-shaped columns on mondial, two person-shaped columns on

@@ -178,8 +178,8 @@ func reportKey(r *prism.Report) string {
 }
 
 // TestThreeWayEquivalence is the acceptance check of the versioned API:
-// for the same specification, an in-process Engine.Discover round, a
-// legacy unversioned /api/discover round, and a v1 remote round through
+// for the same specification, an in-process Engine.Discover round, a raw
+// HTTP round sending the demo's string grids, and a remote round through
 // the client (using the structured spec codec) must return byte-identical
 // mapping sets, SQL order and result previews.
 func TestThreeWayEquivalence(t *testing.T) {
@@ -199,28 +199,25 @@ func TestThreeWayEquivalence(t *testing.T) {
 		t.Fatal("in-process round found nothing")
 	}
 
-	// Path 2: the legacy unversioned route, raw HTTP with string grids.
+	// Path 2: raw HTTP with string grids, no client SDK.
 	body, _ := json.Marshal(paperGridRequest())
-	httpResp, err := http.Post(ts.srv.URL+"/api/discover", "application/json", bytes.NewReader(body))
+	httpResp, err := http.Post(ts.srv.URL+api.PathPrefix+"/discover", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer httpResp.Body.Close()
 	if httpResp.StatusCode != http.StatusOK {
-		t.Fatalf("legacy route status = %d", httpResp.StatusCode)
+		t.Fatalf("raw route status = %d", httpResp.StatusCode)
 	}
-	if httpResp.Header.Get("Deprecation") != "true" {
-		t.Error("legacy route should carry a Deprecation header")
-	}
-	var legacy api.DiscoverResponse
-	if err := json.NewDecoder(httpResp.Body).Decode(&legacy); err != nil {
+	var raw api.DiscoverResponse
+	if err := json.NewDecoder(httpResp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
-	if got := mappingsKey(legacy.Mappings); got != want {
-		t.Errorf("legacy route diverges from in-process:\nwant:\n%s\ngot:\n%s", want, got)
+	if got := mappingsKey(raw.Mappings); got != want {
+		t.Errorf("raw route diverges from in-process:\nwant:\n%s\ngot:\n%s", want, got)
 	}
 
-	// Path 3: the v1 client with the structured spec codec.
+	// Path 3: the client with the structured spec codec.
 	req := api.DiscoverRequest{Database: "mondial", Spec: paperWireSpec(t), Parallelism: 1}
 	resp, err := ts.c.Discover(ctx, req)
 	if err != nil {
@@ -232,12 +229,6 @@ func TestThreeWayEquivalence(t *testing.T) {
 	if resp.Candidates != report.CandidatesEnumerated || resp.Validations != report.Validations {
 		t.Errorf("statistics diverge: remote %d/%d, local %d/%d",
 			resp.Candidates, resp.Validations, report.CandidatesEnumerated, report.Validations)
-	}
-
-	// The v1 and legacy routes serve the very same handler: identical
-	// payload shape for identical requests.
-	if legacy.Database != resp.Database || len(legacy.Mappings) != len(resp.Mappings) {
-		t.Errorf("legacy and v1 payloads diverge: %+v vs %+v", legacy, resp)
 	}
 }
 
@@ -523,43 +514,6 @@ func TestSessionMatchesInProcessSession(t *testing.T) {
 	}
 	if remoteWarm.Cache.Hits != localWarm.Cache.Hits {
 		t.Errorf("cache hits diverge: remote %d, local %d", remoteWarm.Cache.Hits, localWarm.Cache.Hits)
-	}
-}
-
-// TestLegacyAndV1PayloadsIdentical fetches the same endpoint through both
-// prefixes and compares raw payloads.
-func TestLegacyAndV1PayloadsIdentical(t *testing.T) {
-	ts := newTestSetup(t)
-	get := func(path string) (http.Header, []byte) {
-		resp, err := http.Get(ts.srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var buf bytes.Buffer
-		if _, err := buf.ReadFrom(resp.Body); err != nil {
-			t.Fatal(err)
-		}
-		return resp.Header, buf.Bytes()
-	}
-	for _, pair := range [][2]string{
-		{"/api/v1/datasets", "/api/datasets"},
-		{"/api/v1/sample?db=mondial&table=Lake&limit=3", "/api/sample?db=mondial&table=Lake&limit=3"},
-	} {
-		v1Header, v1Body := get(pair[0])
-		legacyHeader, legacyBody := get(pair[1])
-		if !bytes.Equal(v1Body, legacyBody) {
-			t.Errorf("%s and %s payloads differ:\n%s\nvs\n%s", pair[0], pair[1], v1Body, legacyBody)
-		}
-		if v1Header.Get("Deprecation") != "" {
-			t.Errorf("%s must not be marked deprecated", pair[0])
-		}
-		if legacyHeader.Get("Deprecation") != "true" {
-			t.Errorf("%s should be marked deprecated", pair[1])
-		}
-		if link := legacyHeader.Get("Link"); !strings.Contains(link, api.PathPrefix) {
-			t.Errorf("legacy Link header = %q", link)
-		}
 	}
 }
 

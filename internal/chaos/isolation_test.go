@@ -110,9 +110,8 @@ func TestWatchdogFreesWedgedRound(t *testing.T) {
 
 	start := time.Now()
 	report, err := eng.Discover(context.Background(), spec, prism.Options{
-		TimeLimit:     200 * time.Millisecond,
-		WatchdogGrace: 100 * time.Millisecond,
-		Parallelism:   2,
+		TimeLimit:   200 * time.Millisecond,
+		Parallelism: 2,
 	})
 	elapsed := time.Since(start)
 	if err != nil {

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"testing"
 
-	"prism/internal/mem"
+	"prism/internal/exec"
 	"prism/internal/schema"
 	"prism/internal/value"
 )
@@ -61,9 +61,9 @@ func TestMondialCuratedRows(t *testing.T) {
 		t.Error("lake areas should be non-negative (MinValue >= 0 must hold)")
 	}
 	// The desired Table 1 query must be executable.
-	plan := mem.Plan{
+	plan := exec.Plan{
 		Tables: []string{"Lake", "geo_lake"},
-		Joins: []mem.JoinEdge{{
+		Joins: []exec.JoinEdge{{
 			Left:  schema.ColumnRef{Table: "Lake", Column: "Name"},
 			Right: schema.ColumnRef{Table: "geo_lake", Column: "Lake"},
 		}},

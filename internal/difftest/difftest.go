@@ -199,13 +199,13 @@ func DerivedMappings(sch *schema.Schema) []workload.GroundTruthMapping {
 		}
 		return out
 	}
-	join := func(fk schema.ForeignKey) mem.JoinEdge { return mem.JoinEdge{Left: fk.From, Right: fk.To} }
+	join := func(fk schema.ForeignKey) exec.JoinEdge { return exec.JoinEdge{Left: fk.From, Right: fk.To} }
 	var out []workload.GroundTruthMapping
 	fks := sch.ForeignKeys()
 	for i, a := range fks {
 		out = append(out, workload.GroundTruthMapping{
 			Name: fmt.Sprintf("fk%d", i),
-			Plan: mem.Plan{Tables: []string{a.From.Table, a.To.Table}, Joins: []mem.JoinEdge{join(a)}, Project: project(a.From.Table, a.To.Table)},
+			Plan: exec.Plan{Tables: []string{a.From.Table, a.To.Table}, Joins: []exec.JoinEdge{join(a)}, Project: project(a.From.Table, a.To.Table)},
 		})
 		for j := i + 1; j < len(fks); j++ {
 			b := fks[j]
@@ -222,7 +222,7 @@ func DerivedMappings(sch *schema.Schema) []workload.GroundTruthMapping {
 			}
 			out = append(out, workload.GroundTruthMapping{
 				Name: fmt.Sprintf("fk%d-fk%d", i, j),
-				Plan: mem.Plan{Tables: names, Joins: []mem.JoinEdge{join(a), join(b)}, Project: project(names...)},
+				Plan: exec.Plan{Tables: names, Joins: []exec.JoinEdge{join(a), join(b)}, Project: project(names...)},
 			})
 		}
 	}

@@ -62,18 +62,10 @@ type Options struct {
 	// seconds per round (the default here as well). Zero keeps the default;
 	// use a negative value for "no limit".
 	TimeLimit time.Duration
-	// WatchdogGrace is how long past TimeLimit the round waits for a
-	// wedged validation — one that ignores context cancellation — before
-	// abandoning it and returning the partial report as timed out
-	// (sched.Options.WatchdogGrace). 0 picks TimeLimit/10 clamped to
-	// [100ms, 5s].
-	WatchdogGrace time.Duration
 	// Now injects a clock for tests.
 	Now func() time.Time
 	// Policy selects the scheduling policy (default PolicyBayes).
 	Policy Policy
-	// RandomSeed seeds PolicyRandom.
-	RandomSeed int64
 	// IncludeResults executes each final mapping and attaches up to
 	// ResultLimit result rows to the report.
 	IncludeResults bool
@@ -607,10 +599,9 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 		}
 	}
 	schedOpts := sched.Options{
-		TimeLimit:     opts.TimeLimit,
-		WatchdogGrace: opts.WatchdogGrace,
-		Now:           opts.Now,
-		Parallelism:   opts.Parallelism,
+		TimeLimit:   opts.TimeLimit,
+		Now:         opts.Now,
+		Parallelism: opts.Parallelism,
 	}
 	if sess != nil {
 		// Keys bind each filter to the round's constraints and the current
@@ -735,7 +726,7 @@ func (e *Engine) estimator(ctx context.Context, opts Options, executor exec.Exec
 	case PolicyPathLength:
 		return &sched.PathLengthEstimator{}, nil
 	case PolicyRandom:
-		return &sched.RandomEstimator{Seed: opts.RandomSeed}, nil
+		return &sched.RandomEstimator{}, nil
 	case PolicyOracle:
 		truth, err := sched.GroundTruthContext(ctx, executor, spec, set)
 		if err != nil {

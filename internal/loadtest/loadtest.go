@@ -263,7 +263,7 @@ func newStatsClient(baseURL string) (*client.Client, error) {
 }
 
 // quantile is the exact nearest-rank quantile (ceil convention, matching
-// the server's sketch) of a sorted sample.
+// the server's histograms) of a sorted sample.
 func quantile(sorted []float64, q float64) float64 {
 	if len(sorted) == 0 {
 		return 0

@@ -1,7 +1,6 @@
 package loadtest
 
-// The BENCH_load.json trajectory document: the serving-tier counterpart
-// of BENCH_executors.json / BENCH_sessions.json. cmd/prism-loadtest
+// The BENCH_load.json trajectory document. cmd/prism-loadtest
 // writes it, TestLoadTrajectoryGuard (trajectory_test.go) keeps the
 // checked-in copy structurally honest, and the CI loadtest-smoke leg
 // regenerates it and fails on a >20% p99/throughput regression.

@@ -10,33 +10,6 @@ import (
 	"prism/internal/value"
 )
 
-// The plan language and execution contract live in package exec so that
-// every backend shares them; these aliases keep mem's historical names
-// working and mark mem as one implementation among several.
-type (
-	// JoinEdge is one equi-join condition between two tables.
-	JoinEdge = exec.JoinEdge
-	// Plan is a backend-neutral Project-Join query plan.
-	Plan = exec.Plan
-	// ColumnPredicate is a single-column selection predicate pushed below
-	// the joins.
-	ColumnPredicate = exec.ColumnPredicate
-	// ExecOptions tune plan execution.
-	ExecOptions = exec.ExecOptions
-	// ExecStats reports work performed by one execution.
-	ExecStats = exec.ExecStats
-	// Result is the output of a plan execution.
-	Result = exec.Result
-)
-
-// ErrInterrupted is returned by ExecuteWith when ExecOptions.Interrupt
-// reports that execution should stop (typically a cancelled context).
-var ErrInterrupted = exec.ErrInterrupted
-
-// interruptEvery mirrors the shared polling cadence for the tests that
-// size their fixtures around it.
-const interruptEvery = exec.InterruptEvery
-
 // Database implements exec.Executor (the row-at-a-time reference engine)
 // and exec.Source (the substrate other executors are built from).
 var (
@@ -104,20 +77,20 @@ func (im *intermediate) columnOffset(ref schema.ColumnRef) (int, error) {
 }
 
 // Execute runs the plan and returns all matching projected tuples.
-func (db *Database) Execute(p Plan) (*Result, error) {
-	return db.ExecuteWith(p, ExecOptions{})
+func (db *Database) Execute(p exec.Plan) (*exec.Result, error) {
+	return db.ExecuteWith(p, exec.ExecOptions{})
 }
 
 // ExecuteWith runs the plan under the given options.
-func (db *Database) ExecuteWith(p Plan, opts ExecOptions) (*Result, error) {
+func (db *Database) ExecuteWith(p exec.Plan, opts exec.ExecOptions) (*exec.Result, error) {
 	if err := p.Validate(db.sch); err != nil {
 		return nil, err
 	}
-	var stats ExecStats
+	var stats exec.ExecStats
 	interrupt := exec.NewInterruptChecker(opts.Interrupt)
 
 	// Group pushed-down predicates by table.
-	predsByTable := make(map[string][]ColumnPredicate)
+	predsByTable := make(map[string][]exec.ColumnPredicate)
 	for _, cp := range opts.ColumnPredicates {
 		predsByTable[strings.ToLower(cp.Ref.Table)] = append(predsByTable[strings.ToLower(cp.Ref.Table)], cp)
 	}
@@ -131,7 +104,7 @@ func (db *Database) ExecuteWith(p Plan, opts ExecOptions) (*Result, error) {
 		rows := make([]value.Tuple, 0, len(rel.Rows))
 		for _, row := range rel.Rows {
 			if interrupt.Hit() {
-				return &Result{Columns: p.Project, Stats: stats}, ErrInterrupted
+				return &exec.Result{Columns: p.Project, Stats: stats}, exec.ErrInterrupted
 			}
 			stats.RowsScanned++
 			keep := true
@@ -171,7 +144,7 @@ func (db *Database) ExecuteWith(p Plan, opts ExecOptions) (*Result, error) {
 	im.width = firstRel.Schema.Arity()
 
 	joined := map[string]bool{first: true}
-	remainingJoins := append([]JoinEdge(nil), p.Joins...)
+	remainingJoins := append([]exec.JoinEdge(nil), p.Joins...)
 
 	for len(joined) < len(p.Tables) {
 		// Find a join edge connecting the joined set to a new table.
@@ -221,7 +194,7 @@ func (db *Database) ExecuteWith(p Plan, opts ExecOptions) (*Result, error) {
 		var out []value.Tuple
 		for _, left := range im.rows {
 			if interrupt.Hit() {
-				return &Result{Columns: p.Project, Stats: stats}, ErrInterrupted
+				return &exec.Result{Columns: p.Project, Stats: stats}, exec.ErrInterrupted
 			}
 			v := left[off]
 			if v.IsNull() {
@@ -234,7 +207,7 @@ func (db *Database) ExecuteWith(p Plan, opts ExecOptions) (*Result, error) {
 				out = append(out, combined)
 				if opts.MaxIntermediate > 0 && len(out) > opts.MaxIntermediate {
 					stats.AbortedTooLarge = true
-					return &Result{Columns: p.Project, Stats: stats}, fmt.Errorf("mem: intermediate result exceeded %d tuples", opts.MaxIntermediate)
+					return &exec.Result{Columns: p.Project, Stats: stats}, fmt.Errorf("mem: intermediate result exceeded %d tuples", opts.MaxIntermediate)
 				}
 			}
 		}
@@ -304,7 +277,7 @@ func (db *Database) ExecuteWith(p Plan, opts ExecOptions) (*Result, error) {
 		}
 		offsets[i] = off
 	}
-	res := &Result{Columns: append([]schema.ColumnRef(nil), p.Project...)}
+	res := &exec.Result{Columns: append([]schema.ColumnRef(nil), p.Project...)}
 	// DISTINCT dedup runs through the fingerprint-keyed deduper shared
 	// with the columnar engine, so both backends drop the same duplicates.
 	var dedup *exec.TupleDeduper
@@ -313,7 +286,7 @@ func (db *Database) ExecuteWith(p Plan, opts ExecOptions) (*Result, error) {
 	}
 	for _, row := range im.rows {
 		if interrupt.Hit() {
-			return &Result{Columns: p.Project, Stats: stats}, ErrInterrupted
+			return &exec.Result{Columns: p.Project, Stats: stats}, exec.ErrInterrupted
 		}
 		proj := make(value.Tuple, len(offsets))
 		for i, off := range offsets {
@@ -340,21 +313,21 @@ func (db *Database) ExecuteWith(p Plan, opts ExecOptions) (*Result, error) {
 //
 // Deprecated: ROADMAP item 0 removes it together with
 // timedExecutor.ExistsBatch.
-func (db *Database) ExistsBatch(p Plan, sets []exec.PredicateSet, opts ExecOptions) ([]exec.Verdict, ExecStats, error) {
+func (db *Database) ExistsBatch(p exec.Plan, sets []exec.PredicateSet, opts exec.ExecOptions) ([]exec.Verdict, exec.ExecStats, error) {
 	return exec.SequentialExistsBatch(db, p, sets, opts)
 }
 
 // Exists reports whether the plan produces at least one tuple satisfying
 // the options' predicates, terminating as early as possible. It returns the
 // execution stats as the validation cost.
-func (db *Database) Exists(p Plan, opts ExecOptions) (bool, ExecStats, error) {
+func (db *Database) Exists(p exec.Plan, opts exec.ExecOptions) (bool, exec.ExecStats, error) {
 	opts.Limit = 1
 	res, err := db.ExecuteWith(p, opts)
 	if err != nil {
 		if res != nil {
 			return false, res.Stats, err
 		}
-		return false, ExecStats{}, err
+		return false, exec.ExecStats{}, err
 	}
 	return res.NumRows() > 0, res.Stats, nil
 }

@@ -5,12 +5,13 @@ import (
 	"fmt"
 	"testing"
 
+	"prism/internal/exec"
 	"prism/internal/schema"
 	"prism/internal/value"
 )
 
 // bigJoinDB builds a two-table database large enough that a join scans more
-// than interruptEvery rows, so the Interrupt poll is guaranteed to fire.
+// than exec.InterruptEvery rows, so the Interrupt poll is guaranteed to fire.
 func bigJoinDB(t testing.TB) *Database {
 	t.Helper()
 	s := schema.New()
@@ -35,7 +36,7 @@ func bigJoinDB(t testing.TB) *Database {
 		t.Fatal(err)
 	}
 	db := NewDatabase("big", s)
-	for i := 0; i < 3*interruptEvery; i++ {
+	for i := 0; i < 3*exec.InterruptEvery; i++ {
 		k := fmt.Sprintf("k%d", i)
 		if err := db.InsertStrings("L", k, fmt.Sprint(i)); err != nil {
 			t.Fatal(err)
@@ -48,10 +49,10 @@ func bigJoinDB(t testing.TB) *Database {
 	return db
 }
 
-func bigJoinPlan() Plan {
-	return Plan{
+func bigJoinPlan() exec.Plan {
+	return exec.Plan{
 		Tables: []string{"L", "R"},
-		Joins: []JoinEdge{{
+		Joins: []exec.JoinEdge{{
 			Left:  schema.ColumnRef{Table: "L", Column: "K"},
 			Right: schema.ColumnRef{Table: "R", Column: "K"},
 		}},
@@ -66,11 +67,11 @@ func TestExecuteInterrupt(t *testing.T) {
 	// An armed interrupt aborts mid-scan with ErrInterrupted and partial
 	// stats instead of completing the join.
 	polls := 0
-	res, err := db.ExecuteWith(plan, ExecOptions{Interrupt: func() bool {
+	res, err := db.ExecuteWith(plan, exec.ExecOptions{Interrupt: func() bool {
 		polls++
 		return true
 	}})
-	if !errors.Is(err, ErrInterrupted) {
+	if !errors.Is(err, exec.ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
 	}
 	if polls == 0 {
@@ -79,28 +80,28 @@ func TestExecuteInterrupt(t *testing.T) {
 	if res == nil {
 		t.Fatal("interrupted execution should return partial stats")
 	}
-	if res.Stats.RowsScanned == 0 || res.Stats.RowsScanned >= 6*interruptEvery {
+	if res.Stats.RowsScanned == 0 || res.Stats.RowsScanned >= 6*exec.InterruptEvery {
 		t.Errorf("interrupted scan read %d rows; expected a prompt partial stop", res.Stats.RowsScanned)
 	}
 
 	// A disarmed interrupt changes nothing.
-	full, err := db.ExecuteWith(plan, ExecOptions{Interrupt: func() bool { return false }})
+	full, err := db.ExecuteWith(plan, exec.ExecOptions{Interrupt: func() bool { return false }})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.NumRows() != 3*interruptEvery {
+	if full.NumRows() != 3*exec.InterruptEvery {
 		t.Errorf("join lost rows under a passive interrupt: %d", full.NumRows())
 	}
 }
 
 func TestExistsInterrupt(t *testing.T) {
 	db := bigJoinDB(t)
-	ok, _, err := db.Exists(bigJoinPlan(), ExecOptions{
+	ok, _, err := db.Exists(bigJoinPlan(), exec.ExecOptions{
 		// Never match, so the scan cannot finish before the poll fires.
 		TuplePredicate: func(value.Tuple) bool { return false },
 		Interrupt:      func() bool { return true },
 	})
-	if !errors.Is(err, ErrInterrupted) {
+	if !errors.Is(err, exec.ErrInterrupted) {
 		t.Fatalf("want ErrInterrupted, got %v", err)
 	}
 	if ok {

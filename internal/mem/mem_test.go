@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"prism/internal/exec"
 	"prism/internal/schema"
 	"prism/internal/value"
 )
@@ -243,10 +244,10 @@ func TestColumnValues(t *testing.T) {
 	}
 }
 
-func lakePlan() Plan {
-	return Plan{
+func lakePlan() exec.Plan {
+	return exec.Plan{
 		Tables: []string{"Lake", "geo_lake"},
-		Joins: []JoinEdge{
+		Joins: []exec.JoinEdge{
 			{Left: ref("Lake", "Name"), Right: ref("geo_lake", "Lake")},
 		},
 		Project: []schema.ColumnRef{
@@ -260,13 +261,13 @@ func lakePlan() Plan {
 func TestPlanValidate(t *testing.T) {
 	db := testDB(t)
 	sch := db.Schema()
-	if err := (Plan{}).Validate(sch); err == nil {
+	if err := (exec.Plan{}).Validate(sch); err == nil {
 		t.Error("empty plan should be invalid")
 	}
-	if err := (Plan{Tables: []string{"nope"}}).Validate(sch); err == nil {
+	if err := (exec.Plan{Tables: []string{"nope"}}).Validate(sch); err == nil {
 		t.Error("unknown table should be invalid")
 	}
-	if err := (Plan{Tables: []string{"Lake", "lake"}}).Validate(sch); err == nil {
+	if err := (exec.Plan{Tables: []string{"Lake", "lake"}}).Validate(sch); err == nil {
 		t.Error("duplicate table should be invalid")
 	}
 	p := lakePlan()
@@ -329,9 +330,9 @@ func TestExecuteLakeJoin(t *testing.T) {
 
 func TestExecuteThreeWayJoin(t *testing.T) {
 	db := testDB(t)
-	p := Plan{
+	p := exec.Plan{
 		Tables: []string{"Lake", "geo_lake", "Province", "Country"},
-		Joins: []JoinEdge{
+		Joins: []exec.JoinEdge{
 			{Left: ref("Lake", "Name"), Right: ref("geo_lake", "Lake")},
 			{Left: ref("geo_lake", "Province"), Right: ref("Province", "Name")},
 			{Left: ref("Province", "Country"), Right: ref("Country", "Name")},
@@ -355,7 +356,7 @@ func TestExecuteThreeWayJoin(t *testing.T) {
 
 func TestExecuteSingleTable(t *testing.T) {
 	db := testDB(t)
-	p := Plan{
+	p := exec.Plan{
 		Tables:  []string{"Lake"},
 		Project: []schema.ColumnRef{ref("Lake", "Name")},
 	}
@@ -370,9 +371,9 @@ func TestExecuteSingleTable(t *testing.T) {
 
 func TestExecuteDistinct(t *testing.T) {
 	db := testDB(t)
-	p := Plan{
+	p := exec.Plan{
 		Tables: []string{"Lake", "geo_lake"},
-		Joins: []JoinEdge{
+		Joins: []exec.JoinEdge{
 			{Left: ref("Lake", "Name"), Right: ref("geo_lake", "Lake")},
 		},
 		Project:  []schema.ColumnRef{ref("Lake", "Name")},
@@ -394,8 +395,8 @@ func TestExecuteDistinct(t *testing.T) {
 
 func TestExecutePushdownAndPredicates(t *testing.T) {
 	db := testDB(t)
-	opts := ExecOptions{
-		ColumnPredicates: []ColumnPredicate{
+	opts := exec.ExecOptions{
+		ColumnPredicates: []exec.ColumnPredicate{
 			{Ref: ref("geo_lake", "Province"), Pred: func(v value.Value) bool {
 				return v.MatchesKeyword("California") || v.MatchesKeyword("Nevada")
 			}},
@@ -420,7 +421,7 @@ func TestExecutePushdownAndPredicates(t *testing.T) {
 	if res.NumRows() != 1 {
 		t.Errorf("tuple predicate rows = %d", res.NumRows())
 	}
-	badOpts := ExecOptions{ColumnPredicates: []ColumnPredicate{{Ref: ref("geo_lake", "Nope"), Pred: func(value.Value) bool { return true }}}}
+	badOpts := exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{{Ref: ref("geo_lake", "Nope"), Pred: func(value.Value) bool { return true }}}}
 	if _, err := db.ExecuteWith(lakePlan(), badOpts); err == nil {
 		t.Error("predicate on unknown column should fail")
 	}
@@ -428,14 +429,14 @@ func TestExecutePushdownAndPredicates(t *testing.T) {
 
 func TestExecuteLimitAndExists(t *testing.T) {
 	db := testDB(t)
-	res, err := db.ExecuteWith(lakePlan(), ExecOptions{Limit: 2})
+	res, err := db.ExecuteWith(lakePlan(), exec.ExecOptions{Limit: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.NumRows() != 2 || !res.Stats.TerminatedEarly {
 		t.Errorf("limit execution: rows=%d stats=%+v", res.NumRows(), res.Stats)
 	}
-	ok, st, err := db.Exists(lakePlan(), ExecOptions{})
+	ok, st, err := db.Exists(lakePlan(), exec.ExecOptions{})
 	if err != nil || !ok {
 		t.Fatalf("Exists: %v %v", ok, err)
 	}
@@ -443,19 +444,19 @@ func TestExecuteLimitAndExists(t *testing.T) {
 		t.Errorf("Exists should stop at first row, stats=%+v", st)
 	}
 	// Exists with impossible predicate.
-	ok, _, err = db.Exists(lakePlan(), ExecOptions{TuplePredicate: func(value.Tuple) bool { return false }})
+	ok, _, err = db.Exists(lakePlan(), exec.ExecOptions{TuplePredicate: func(value.Tuple) bool { return false }})
 	if err != nil || ok {
 		t.Errorf("Exists impossible: %v %v", ok, err)
 	}
 	// Exists on invalid plan returns an error.
-	if _, _, err := db.Exists(Plan{}, ExecOptions{}); err == nil {
+	if _, _, err := db.Exists(exec.Plan{}, exec.ExecOptions{}); err == nil {
 		t.Error("Exists on invalid plan should fail")
 	}
 }
 
 func TestExecuteMaxIntermediate(t *testing.T) {
 	db := testDB(t)
-	_, err := db.ExecuteWith(lakePlan(), ExecOptions{MaxIntermediate: 2})
+	_, err := db.ExecuteWith(lakePlan(), exec.ExecOptions{MaxIntermediate: 2})
 	if err == nil {
 		t.Error("expected abort when intermediate exceeds cap")
 	}
@@ -477,8 +478,8 @@ func TestExecuteNullJoinKeys(t *testing.T) {
 }
 
 func TestExecStatsAdd(t *testing.T) {
-	a := ExecStats{RowsScanned: 1, IntermediateRows: 2, JoinsExecuted: 3, ResultRows: 4, PredicateFiltered: 5}
-	b := ExecStats{RowsScanned: 10, TerminatedEarly: true, AbortedTooLarge: true}
+	a := exec.ExecStats{RowsScanned: 1, IntermediateRows: 2, JoinsExecuted: 3, ResultRows: 4, PredicateFiltered: 5}
+	b := exec.ExecStats{RowsScanned: 10, TerminatedEarly: true, AbortedTooLarge: true}
 	a.Add(b)
 	if a.RowsScanned != 11 || !a.TerminatedEarly || !a.AbortedTooLarge || a.ResultRows != 4 {
 		t.Errorf("Add: %+v", a)
@@ -486,7 +487,7 @@ func TestExecStatsAdd(t *testing.T) {
 }
 
 func TestJoinEdgeString(t *testing.T) {
-	e := JoinEdge{Left: ref("Lake", "Name"), Right: ref("geo_lake", "Lake")}
+	e := exec.JoinEdge{Left: ref("Lake", "Name"), Right: ref("geo_lake", "Lake")}
 	if e.String() != "Lake.Name = geo_lake.Lake" {
 		t.Errorf("JoinEdge.String = %q", e.String())
 	}

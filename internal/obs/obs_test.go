@@ -198,6 +198,49 @@ func TestHistogramQuantiles(t *testing.T) {
 	if got := h.Count(); got != 200 {
 		t.Fatalf("lifetime count = %d, want 200", got)
 	}
+	// And it forgets entirely: 100 small values push every 1000 out.
+	for i := 0; i < 100; i++ {
+		h.Observe(1)
+	}
+	if got := h.Quantile(0.99); got != 1 {
+		t.Fatalf("p99 after the second roll = %v, want 1", got)
+	}
+
+	// Nearest rank rounds up: the p99 of two samples is the larger one.
+	// Quantile 0 and 1 are the window's minimum and maximum.
+	two := r.Histogram("prism_two_ms", "", 16)
+	two.Observe(20)
+	two.Observe(10)
+	if p50, p99 := two.Quantile(0.5), two.Quantile(0.99); p50 != 10 || p99 != 20 {
+		t.Fatalf("two samples: p50 = %v, p99 = %v, want 10 and 20", p50, p99)
+	}
+	if lo, hi := two.Quantile(0), two.Quantile(1); lo != 10 || hi != 20 {
+		t.Fatalf("two samples: q0 = %v, q1 = %v, want 10 and 20", lo, hi)
+	}
+}
+
+// TestHistogramConcurrentObserve has eight goroutines observe into one
+// small window while quantiles are read: no observation is lost (and,
+// under -race, no access is unsynchronised).
+func TestHistogramConcurrentObserve(t *testing.T) {
+	h := NewRegistry().Histogram("prism_concurrent_ms", "", 256)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 1000; i++ {
+				h.Observe(float64(i))
+				if i%100 == 0 {
+					h.Quantile(0.99)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := h.Count(); got != 8000 {
+		t.Errorf("count = %d, want 8000", got)
+	}
 }
 
 func TestWritePrometheus(t *testing.T) {

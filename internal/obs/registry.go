@@ -1,6 +1,6 @@
 // Package obs is prism's zero-dependency observability subsystem: a
 // process-wide metrics registry (atomic counters, gauges, and
-// fixed-memory histograms in the style of the serve quantile sketch), a
+// fixed-memory sliding-window histograms), a
 // span tree for tracing discovery rounds, and a Prometheus text
 // exposition encoder behind GET /api/v1/metrics.
 //
@@ -272,16 +272,16 @@ func (g *Gauge) samples(name string, labels []Label) []Sample {
 }
 
 // DefaultWindow is the observation window of a Histogram when the
-// registration does not pick one. It matches the serving tier's latency
-// sketches: recent-window quantiles in fixed memory.
+// registration does not pick one.
 const DefaultWindow = 1024
 
 // histQuantiles are the quantile series a Histogram exports.
 var histQuantiles = []float64{0.5, 0.9, 0.99}
 
-// Histogram estimates quantiles over a sliding window of observations
-// in fixed memory — the serve.Sketch design — and keeps lifetime count
-// and sum. The nil Histogram is a valid no-op.
+// Histogram answers quantile queries exactly over a sliding window of
+// the most recent observations — old traffic ages out and memory is
+// fixed however many values it has seen — and keeps lifetime count and
+// sum. The nil Histogram is a valid no-op.
 type Histogram struct {
 	enabled *atomic.Bool
 	labels  []Label

@@ -29,11 +29,10 @@ var (
 		"Rounds force-finished by the watchdog after a validation wedged past the time budget.")
 )
 
-// defaultWatchdogGrace bounds how long past Options.TimeLimit a round
-// may run before the watchdog abandons its in-flight validations, when
-// Options.WatchdogGrace is unset: a tenth of the budget, clamped to
-// [100ms, 5s].
-func defaultWatchdogGrace(limit time.Duration) time.Duration {
+// watchdogGrace bounds how long past Options.TimeLimit a round may run
+// before the watchdog abandons its in-flight validations: a tenth of the
+// budget, clamped to [100ms, 5s].
+func watchdogGrace(limit time.Duration) time.Duration {
 	g := limit / 10
 	if g < 100*time.Millisecond {
 		g = 100 * time.Millisecond

@@ -293,14 +293,6 @@ type Options struct {
 	// the count can overshoot by up to P−1, since validations already in
 	// flight when the cap is reached still complete and are recorded.
 	MaxValidations int
-	// WatchdogGrace is how long past TimeLimit the run waits for
-	// in-flight validations before abandoning them and returning the
-	// partial result as timed out. Context cancellation already
-	// interrupts well-behaved executors at the deadline; the watchdog
-	// exists for the ones that wedge without polling their context.
-	// 0 picks a default of TimeLimit/10 clamped to [100ms, 5s];
-	// effective only with a TimeLimit under the real clock.
-	WatchdogGrace time.Duration
 	// Parallelism is the number of filter validations kept in flight at
 	// once (default 1, the paper's sequential greedy loop). With P > 1 the
 	// scheduler still selects filters in exactly the policy's priority
@@ -599,11 +591,7 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	// on their own once the wedged call returns.
 	var watchdogC <-chan time.Time
 	if realClock && opts.TimeLimit > 0 {
-		grace := opts.WatchdogGrace
-		if grace <= 0 {
-			grace = defaultWatchdogGrace(opts.TimeLimit)
-		}
-		watchdog := time.NewTimer(opts.TimeLimit + grace)
+		watchdog := time.NewTimer(opts.TimeLimit + watchdogGrace(opts.TimeLimit))
 		defer watchdog.Stop()
 		watchdogC = watchdog.C
 	}

@@ -15,11 +15,11 @@
 //     deadline, so a slow or stalled consumer stalls (and cancels, via the
 //     caller's OnStall hook) only its own round instead of pinning the
 //     round's memory for as long as the socket stays open.
-//   - Sketch / Latencies — a fixed-memory sliding-window quantile sketch
-//     and its per-priority aggregation, feeding the p50/p99 round
-//     latencies of the /api/v1/stats endpoint.
+//   - Health — the readiness tracker behind /api/v1/readyz: draining,
+//     repeated failures of a named source, or a sustained shed rate mark
+//     the server not ready.
 //
 // The HTTP wiring (tenant and priority headers, the 429 + Retry-After
-// envelope, the stats endpoint) lives in prism/internal/server; the wire
-// contract in prism/api.
+// envelope, the stats endpoint and its per-class latency histograms)
+// lives in prism/internal/server; the wire contract in prism/api.
 package serve

@@ -30,7 +30,6 @@ func (s *Server) init() {
 			s.sessions = newSessionStore(s.SessionTTL, s.MaxSessions)
 		}
 		s.admission = serve.NewController(s.Admission)
-		s.latencies = serve.NewLatencies(0)
 		s.health = serve.NewHealth(s.Health)
 		s.started = time.Now()
 		s.initMetrics()
@@ -52,7 +51,7 @@ func (s *Server) maxParallelism() int {
 // when absent; an unknown value is a structured 400). Shed requests get
 // 429 with a Retry-After hint; during shutdown the answer is an immediate
 // 503 so a restarting fleet fails fast. Admitted rounds are timed into the
-// per-class latency sketches on completion.
+// per-class latency histograms on completion.
 func (s *Server) admitted(def serve.Priority, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		tenant := r.Header.Get(api.TenantHeader)
@@ -82,7 +81,7 @@ func (s *Server) admitted(def serve.Priority, h http.HandlerFunc) http.HandlerFu
 		r = r.WithContext(context.WithValue(r.Context(), tenantKey{}, tenant))
 		start := time.Now()
 		h(w, r)
-		s.latencies.Observe(pri, time.Since(start))
+		s.latency[pri].Observe(float64(time.Since(start)) / float64(time.Millisecond))
 	}
 }
 
@@ -138,13 +137,13 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			Queued:   t.Queued,
 		})
 	}
-	for _, l := range s.latencies.Snapshot() {
-		resp.Latency = append(resp.Latency, api.LatencyStats{
-			Priority: l.Priority.String(),
-			Count:    l.Count,
-			P50Ms:    l.P50Ms,
-			P99Ms:    l.P99Ms,
-		})
+	for _, pri := range serve.Priorities() {
+		h := s.latency[pri]
+		l := api.LatencyStats{Priority: pri.String(), Count: h.Count()}
+		if l.Count > 0 { // an empty window has no quantiles (NaN); the JSON reads 0
+			l.P50Ms, l.P99Ms = h.Quantile(0.5), h.Quantile(0.99)
+		}
+		resp.Latency = append(resp.Latency, l)
 	}
 	pool := sched.PoolSnapshot()
 	resp.Pool = api.PoolStats{

@@ -16,7 +16,7 @@ import (
 	"prism/internal/serve"
 )
 
-func postDiscover(t *testing.T, h http.Handler, req DiscoverRequest, headers map[string]string) *httptest.ResponseRecorder {
+func postDiscover(t *testing.T, h http.Handler, req api.DiscoverRequest, headers map[string]string) *httptest.ResponseRecorder {
 	t.Helper()
 	body, err := json.Marshal(req)
 	if err != nil {
@@ -167,7 +167,7 @@ func TestParallelismValidation(t *testing.T) {
 	if rec.Code != http.StatusBadRequest {
 		t.Fatalf("status = %d, want 400 (body %s)", rec.Code, rec.Body.String())
 	}
-	var resp DiscoverResponse
+	var resp api.DiscoverResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -226,14 +226,18 @@ func TestStatsEndpoint(t *testing.T) {
 	if len(stats.Latency) != 3 {
 		t.Fatalf("latency entries = %d, want 3", len(stats.Latency))
 	}
-	var normal api.LatencyStats
-	for _, l := range stats.Latency {
-		if l.Priority == api.PriorityNormal {
-			normal = l
+	// One entry per class in dispatch order; the one round ran in the
+	// normal class, and a class without traffic reads zeros.
+	for i, want := range []string{api.PriorityInteractive, api.PriorityNormal, api.PriorityBatch} {
+		l := stats.Latency[i]
+		switch {
+		case l.Priority != want:
+			t.Errorf("latency[%d] = %+v, want class %q", i, l, want)
+		case want == api.PriorityNormal && (l.Count != 1 || l.P50Ms <= 0 || l.P99Ms != l.P50Ms):
+			t.Errorf("normal-class latency = %+v, want count 1 and p99 = p50 > 0", l)
+		case want != api.PriorityNormal && l != (api.LatencyStats{Priority: want}):
+			t.Errorf("idle class latency = %+v, want zeros", l)
 		}
-	}
-	if normal.Count < 1 || normal.P50Ms <= 0 {
-		t.Errorf("normal-class latency = %+v, want count >= 1 and p50 > 0", normal)
 	}
 	if stats.Pool.CompletedValidations < 1 {
 		t.Errorf("pool completed validations = %d, want >= 1", stats.Pool.CompletedValidations)

@@ -9,7 +9,7 @@ import (
 )
 
 // TestStructuredAPIErrors is the contract of the JSON API's failure mode:
-// every bad request to /api/sample, /api/discover and /api/discover/stream
+// every bad request to /api/v1/sample, /api/v1/discover and /api/v1/discover/stream
 // comes back as a JSON body carrying both a human-readable "error" and a
 // machine-readable "code" — never a bare non-JSON status page.
 func TestStructuredAPIErrors(t *testing.T) {
@@ -24,30 +24,30 @@ func TestStructuredAPIErrors(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"sample unknown dataset", http.MethodGet, "/api/sample?db=atlantis&table=Lake", "", http.StatusBadRequest, "unknown_database"},
-		{"sample unknown table", http.MethodGet, "/api/sample?db=mondial&table=Spaceship", "", http.StatusBadRequest, "unknown_table"},
-		{"sample wrong method", http.MethodPost, "/api/sample?db=mondial&table=Lake", "", http.StatusMethodNotAllowed, "method_not_allowed"},
-		{"discover unknown dataset", http.MethodPost, "/api/discover",
+		{"sample unknown dataset", http.MethodGet, "/api/v1/sample?db=atlantis&table=Lake", "", http.StatusBadRequest, "unknown_database"},
+		{"sample unknown table", http.MethodGet, "/api/v1/sample?db=mondial&table=Spaceship", "", http.StatusBadRequest, "unknown_table"},
+		{"sample wrong method", http.MethodPost, "/api/v1/sample?db=mondial&table=Lake", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"discover unknown dataset", http.MethodPost, "/api/v1/discover",
 			`{"database":"atlantis","numColumns":1,"samples":[["x"]]}`, http.StatusBadRequest, "unknown_database"},
-		{"discover unknown executor", http.MethodPost, "/api/discover",
+		{"discover unknown executor", http.MethodPost, "/api/v1/discover",
 			`{"database":"mondial","numColumns":1,"samples":[["x"]],"executor":"gpu"}`, http.StatusBadRequest, "unknown_executor"},
-		{"discover invalid json", http.MethodPost, "/api/discover", `{not json`, http.StatusBadRequest, "bad_request"},
-		{"discover bad constraints", http.MethodPost, "/api/discover",
+		{"discover invalid json", http.MethodPost, "/api/v1/discover", `{not json`, http.StatusBadRequest, "bad_request"},
+		{"discover bad constraints", http.MethodPost, "/api/v1/discover",
 			`{"database":"mondial","numColumns":0,"samples":[]}`, http.StatusBadRequest, "bad_request"},
-		{"discover wrong method", http.MethodGet, "/api/discover", "", http.StatusMethodNotAllowed, "method_not_allowed"},
-		{"stream unknown dataset", http.MethodPost, "/api/discover/stream",
+		{"discover wrong method", http.MethodGet, "/api/v1/discover", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"stream unknown dataset", http.MethodPost, "/api/v1/discover/stream",
 			`{"database":"atlantis","numColumns":1,"samples":[["x"]]}`, http.StatusBadRequest, "unknown_database"},
-		{"stream unknown executor", http.MethodPost, "/api/discover/stream",
+		{"stream unknown executor", http.MethodPost, "/api/v1/discover/stream",
 			`{"database":"mondial","numColumns":1,"samples":[["x"]],"executor":"gpu"}`, http.StatusBadRequest, "unknown_executor"},
-		{"stream invalid json", http.MethodPost, "/api/discover/stream", `{not json`, http.StatusBadRequest, "bad_request"},
-		{"stream wrong method", http.MethodGet, "/api/discover/stream", "", http.StatusMethodNotAllowed, "method_not_allowed"},
-		{"datasets wrong method", http.MethodPost, "/api/datasets", "", http.StatusMethodNotAllowed, "method_not_allowed"},
-		{"session unknown dataset", http.MethodPost, "/api/session", `{"database":"atlantis"}`, http.StatusBadRequest, "unknown_database"},
-		{"session unknown id", http.MethodGet, "/api/session/deadbeef", "", http.StatusNotFound, "unknown_session"},
-		{"session refine unknown id", http.MethodPost, "/api/session/deadbeef/refine", `{}`, http.StatusNotFound, "unknown_session"},
-		{"session wrong method", http.MethodGet, "/api/session", "", http.StatusMethodNotAllowed, "method_not_allowed"},
-		{"session id wrong method", http.MethodPut, "/api/session/deadbeef", "", http.StatusMethodNotAllowed, "method_not_allowed"},
-		{"session refine wrong method", http.MethodGet, "/api/session/deadbeef/refine", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"stream invalid json", http.MethodPost, "/api/v1/discover/stream", `{not json`, http.StatusBadRequest, "bad_request"},
+		{"stream wrong method", http.MethodGet, "/api/v1/discover/stream", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"datasets wrong method", http.MethodPost, "/api/v1/datasets", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"session unknown dataset", http.MethodPost, "/api/v1/session", `{"database":"atlantis"}`, http.StatusBadRequest, "unknown_database"},
+		{"session unknown id", http.MethodGet, "/api/v1/session/deadbeef", "", http.StatusNotFound, "unknown_session"},
+		{"session refine unknown id", http.MethodPost, "/api/v1/session/deadbeef/refine", `{}`, http.StatusNotFound, "unknown_session"},
+		{"session wrong method", http.MethodGet, "/api/v1/session", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"session id wrong method", http.MethodPut, "/api/v1/session/deadbeef", "", http.StatusMethodNotAllowed, "method_not_allowed"},
+		{"session refine wrong method", http.MethodGet, "/api/v1/session/deadbeef/refine", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -82,7 +82,7 @@ func TestStructuredAPIErrors(t *testing.T) {
 	}
 }
 
-// TestSampleLimitValidation audits the /api/sample limit parameter: zero,
+// TestSampleLimitValidation audits the /api/v1/sample limit parameter: zero,
 // negative and non-numeric sample sizes must come back as a structured
 // invalid_request error — pre-fix the handler silently substituted the
 // default and returned 200, hiding caller bugs. Valid limits (and the
@@ -107,7 +107,7 @@ func TestSampleLimitValidation(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			url := "/api/sample?db=mondial&table=Lake"
+			url := "/api/v1/sample?db=mondial&table=Lake"
 			if tc.limit != "" {
 				url += "&limit=" + tc.limit
 			}

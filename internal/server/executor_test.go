@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"testing"
+
+	"prism/api"
 )
 
 // TestDiscoverAPIExecutorSelection checks that the JSON API threads the
@@ -17,11 +19,11 @@ func TestDiscoverAPIExecutorSelection(t *testing.T) {
 		req.Executor = executor
 		body, _ := json.Marshal(req)
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/discover", bytes.NewReader(body)))
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/discover", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			t.Fatalf("executor %q: status = %d body = %s", executor, rec.Code, rec.Body)
 		}
-		var resp DiscoverResponse
+		var resp api.DiscoverResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 			t.Fatal(err)
 		}
@@ -42,7 +44,7 @@ func TestDiscoverAPIExecutorSelection(t *testing.T) {
 	req.Executor = "gpu"
 	body, _ := json.Marshal(req)
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/discover", bytes.NewReader(body)))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/discover", bytes.NewReader(body)))
 	if rec.Code == http.StatusOK {
 		t.Errorf("unknown executor should not return 200: %s", rec.Body)
 	}
@@ -52,7 +54,7 @@ func TestDiscoverAPIExecutorSelection(t *testing.T) {
 func TestHandleSample(t *testing.T) {
 	s := testServer(t)
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/sample?db=mondial&table=Lake&limit=4", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/sample?db=mondial&table=Lake&limit=4", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body = %s", rec.Code, rec.Body)
 	}
@@ -70,15 +72,15 @@ func TestHandleSample(t *testing.T) {
 	// Unknown table and database are client errors.
 	for _, q := range []string{"db=mondial&table=NoSuch", "db=nosuch&table=Lake"} {
 		rec := httptest.NewRecorder()
-		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/sample?"+q, nil))
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/sample?"+q, nil))
 		if rec.Code != http.StatusBadRequest {
 			t.Errorf("%s: status = %d", q, rec.Code)
 		}
 	}
 	// Wrong method.
 	rec = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/sample", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/sample", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("POST /api/sample = %d", rec.Code)
+		t.Errorf("POST /api/v1/sample = %d", rec.Code)
 	}
 }

@@ -2,11 +2,12 @@ package server
 
 // GET /api/v1/metrics: the Prometheus text exposition of the serving
 // tier. Serve-tier values that already back /api/v1/stats (admission
-// counters, latency quantiles, pool gauges, stream stalls) are exported
-// through scrape-time collectors reading the same live sources, so the
-// two endpoints cannot disagree; library round metrics (prism_rounds_*,
-// validation and memory counters) come from the process-default obs
-// registry populated by internal/discovery.
+// counters, pool gauges, stream stalls) are exported through a scrape-time
+// collector reading the same live sources, and the per-class latency
+// histograms are instruments of the server's registry that handleStats
+// reads too, so the two endpoints cannot disagree; library round metrics
+// (prism_rounds_*, validation and memory counters) come from the
+// process-default obs registry populated by internal/discovery.
 
 import (
 	"context"
@@ -17,6 +18,7 @@ import (
 	"prism/api"
 	"prism/internal/obs"
 	"prism/internal/sched"
+	"prism/internal/serve"
 )
 
 // tenantKey carries the admitted tenant through the request context so
@@ -39,8 +41,19 @@ func tenantFrom(ctx context.Context) string {
 func (s *Server) initMetrics() {
 	s.obsReg = obs.NewRegistry()
 	s.obsReg.RegisterCollector(s.collectServe)
+	s.latency = make([]*obs.Histogram, len(serve.Priorities()))
+	for _, pri := range serve.Priorities() {
+		s.latency[pri] = s.obsReg.Histogram("prism_serve_latency_ms",
+			"Round latency over the sliding window, by priority class, in milliseconds.",
+			latencyWindow, obs.Label{Key: "priority", Value: pri.String()})
+	}
 	s.tenantSeen = make(map[string]struct{})
 }
+
+// latencyWindow is how many recent rounds per priority class the latency
+// quantiles cover: a p99 needs at least 100 samples to mean anything, and
+// every scrape sorts a copy of the window.
+const latencyWindow = 2048
 
 // maxTenantSeries caps how many distinct tenant label values the
 // per-tenant round series may use. Registry series are memoized for the
@@ -108,8 +121,8 @@ func (s *Server) recordRoundMetrics(ctx context.Context, report *prism.Report) {
 }
 
 // collectServe is the scrape-time collector mirroring handleStats: it
-// reads the admission controller snapshot, the latency sketches, the
-// scheduler pool gauge and the stream-stall counter at scrape time.
+// reads the admission controller snapshot, the scheduler pool gauge and
+// the stream-stall counter at scrape time.
 func (s *Server) collectServe() []obs.Sample {
 	snap := s.admission.Snapshot()
 	counter := func(name, help string, v int64, labels ...obs.Label) obs.Sample {
@@ -148,19 +161,6 @@ func (s *Server) collectServe() []obs.Sample {
 			gauge("prism_serve_tenant_inflight", "Rounds running, by tenant.", float64(t.InFlight), l),
 			gauge("prism_serve_tenant_queued", "Rounds queued, by tenant.", float64(t.Queued), l),
 		)
-	}
-	for _, lat := range s.latencies.Snapshot() {
-		pl := obs.Label{Key: "priority", Value: lat.Priority.String()}
-		q := func(quant string, v float64) obs.Sample {
-			return obs.Sample{
-				Name: "prism_serve_latency_ms", Type: obs.TypeSummary,
-				Help:   "Round latency quantiles over the sliding window, by priority class, in milliseconds.",
-				Labels: []obs.Label{pl, {Key: "quantile", Value: quant}}, Value: v,
-			}
-		}
-		out = append(out, q("0.5", lat.P50Ms), q("0.99", lat.P99Ms),
-			obs.Sample{Name: "prism_serve_latency_ms_count", Type: obs.TypeSummary,
-				Labels: []obs.Label{pl}, Value: float64(lat.Count)})
 	}
 	pool := sched.PoolSnapshot()
 	out = append(out,

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -70,7 +71,7 @@ func TestMetricsStatsCrossCheck(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("discover: status=%d body=%s", rec.Code, rec.Body)
 	}
-	var resp DiscoverResponse
+	var resp api.DiscoverResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -121,6 +122,17 @@ func TestMetricsStatsCrossCheck(t *testing.T) {
 		if got := metrics[key]; got != float64(l.Count) {
 			t.Errorf("%s = %v, want %v", key, got, l.Count)
 		}
+		// The exposition prints six decimals; an idle class has no
+		// quantiles there (NaN) and zeros in the JSON.
+		for quantile, want := range map[string]float64{"0.5": l.P50Ms, "0.99": l.P99Ms} {
+			key := fmt.Sprintf("prism_serve_latency_ms{priority=%q,quantile=%q}", l.Priority, quantile)
+			got, ok := metrics[key]
+			if !ok {
+				t.Errorf("series %s missing from /api/v1/metrics", key)
+			} else if l.Count == 0 && !math.IsNaN(got) || l.Count > 0 && math.Abs(got-want) > 1e-6 {
+				t.Errorf("%s = %v, stats reports %v over %d rounds", key, got, want, l.Count)
+			}
+		}
 	}
 
 	// The per-tenant round aggregates account the round we just ran.
@@ -153,23 +165,23 @@ func TestMetricsCacheCountersMatchSession(t *testing.T) {
 	sr := createSession(t, h)
 	refinePath := "/api/v1/session/" + sr.SessionID + "/refine"
 
-	seed := SessionRefineRequest{
+	seed := api.RefineRequest{
 		NumColumns:  3,
 		Samples:     [][]string{{"California || Nevada", "Lake Tahoe", ""}},
 		Metadata:    []string{"", "", "DataType=='decimal' AND MinValue>='0'"},
 		Parallelism: 1,
 	}
-	var cold DiscoverResponse
+	var cold api.DiscoverResponse
 	if rec := doJSON(t, h, http.MethodPost, refinePath, seed, &cold); rec.Code != http.StatusOK {
 		t.Fatalf("seed round: status=%d body=%s", rec.Code, rec.Body)
 	}
 
 	before, _ := scrapeMetrics(t, h, "/api/v1/metrics")
-	refine := SessionRefineRequest{
-		Delta:       &DeltaRequest{UpdateCells: []CellUpdateRequest{{Row: 0, Col: 2, Cell: "[400, 600]"}}},
+	refine := api.RefineRequest{
+		Delta:       &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: "[400, 600]"}}},
 		Parallelism: 1,
 	}
-	var warm DiscoverResponse
+	var warm api.DiscoverResponse
 	if rec := doJSON(t, h, http.MethodPost, refinePath, refine, &warm); rec.Code != http.StatusOK {
 		t.Fatalf("refine round: status=%d body=%s", rec.Code, rec.Body)
 	}
@@ -226,23 +238,6 @@ func TestMetricsTenantCardinalityCap(t *testing.T) {
 	}
 	if _, ok := metrics[fmt.Sprintf(`prism_tenant_rounds_total{tenant="tenant-%03d"}`, maxTenantSeries+5)]; ok {
 		t.Error("post-cap tenant minted its own series")
-	}
-}
-
-// TestMetricsLegacyAlias pins that /api/metrics is the same handler as
-// /api/v1/metrics behind the standard deprecation headers.
-func TestMetricsLegacyAlias(t *testing.T) {
-	s := testServer(t)
-	h := s.Handler()
-	_, rec := scrapeMetrics(t, h, "/api/metrics")
-	if rec.Header().Get("Deprecation") != "true" {
-		t.Errorf("Deprecation header = %q, want \"true\"", rec.Header().Get("Deprecation"))
-	}
-	if link := rec.Header().Get("Link"); !strings.Contains(link, api.PathPrefix) {
-		t.Errorf("Link header = %q, want a pointer at %s", link, api.PathPrefix)
-	}
-	if got := rec.Header().Get("Content-Type"); got != obs.ContentType {
-		t.Errorf("Content-Type = %q, want %q", got, obs.ContentType)
 	}
 }
 

@@ -6,10 +6,8 @@
 // explanation.
 //
 // It exposes server-rendered HTML (GET /, POST /discover) and the
-// versioned JSON API of the prism/api package, mounted canonically under
-// /api/v1/* with the historical unversioned /api/* routes kept as
-// deprecated aliases of the same handlers (marked with a Deprecation
-// header). Engines are served from a prism.Registry, so concurrent
+// versioned JSON API of the prism/api package, mounted under /api/v1/*.
+// Engines are served from a prism.Registry, so concurrent
 // requests share preprocessed engines, every round runs under the
 // request's context (an abandoned connection cancels its round
 // mid-validation), and POST /api/v1/discover/stream pushes mappings and
@@ -78,7 +76,7 @@ type Server struct {
 
 	initOnce     sync.Once
 	admission    *serve.Controller
-	latencies    *serve.Latencies
+	latency      []*obs.Histogram // round latency in ms, indexed by serve.Priority
 	health       *serve.Health
 	panics       atomic.Int64
 	streamStalls atomic.Int64
@@ -128,9 +126,7 @@ func (s *Server) engine(name string) (*prism.Engine, error) {
 }
 
 // Handler returns the HTTP handler of the demo. The JSON API is mounted
-// canonically under api.PathPrefix (/api/v1) and aliased — handler for
-// handler — under the deprecated unversioned /api prefix, whose responses
-// carry a Deprecation header pointing at the successor.
+// under api.PathPrefix (/api/v1).
 func (s *Server) Handler() http.Handler {
 	s.init()
 	mux := http.NewServeMux()
@@ -143,43 +139,31 @@ func (s *Server) Handler() http.Handler {
 			writeAPIError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "use "+allowed)
 		}
 	}
-	mount := func(prefix string, wrap func(http.HandlerFunc) http.HandlerFunc) {
-		mux.HandleFunc(prefix+api.HealthzPath, wrap(s.handleHealthz))
-		mux.HandleFunc(prefix+api.ReadyzPath, wrap(s.handleReadyz))
-		mux.HandleFunc(prefix+"/datasets", wrap(s.handleDatasets))
-		mux.HandleFunc(prefix+"/sample", wrap(s.handleSample))
-		mux.HandleFunc(prefix+"/stats", wrap(s.handleStats))
-		mux.HandleFunc(prefix+"/metrics", wrap(s.handleMetrics))
-		// Round-running endpoints pass the admission controller; one-shot
-		// discovers default to the normal class, session refine rounds (a
-		// human waiting) to interactive. The priority header can override.
-		mux.HandleFunc(prefix+"/discover", wrap(s.admitted(serve.PriorityNormal, s.handleDiscoverAPI)))
-		mux.HandleFunc(prefix+"/discover/stream", wrap(s.admitted(serve.PriorityNormal, s.handleDiscoverStream)))
-		mux.HandleFunc("POST "+prefix+"/session", wrap(s.handleSessionCreate))
-		mux.HandleFunc("GET "+prefix+"/session/{id}", wrap(s.handleSessionInfo))
-		mux.HandleFunc("DELETE "+prefix+"/session/{id}", wrap(s.handleSessionDelete))
-		mux.HandleFunc("POST "+prefix+"/session/{id}/refine", wrap(s.admitted(serve.PriorityInteractive, s.handleSessionRefine)))
-		mux.HandleFunc(prefix+"/session", wrap(methodNotAllowed("POST")))
-		mux.HandleFunc(prefix+"/session/{id}", wrap(methodNotAllowed("GET or DELETE")))
-		mux.HandleFunc(prefix+"/session/{id}/refine", wrap(methodNotAllowed("POST")))
+	// Every API route sits behind the panic barrier: a panicking handler
+	// answers a structured 500 and the process keeps serving. method is
+	// empty or a ServeMux method prefix such as "POST ".
+	route := func(method, path string, h http.HandlerFunc) {
+		mux.HandleFunc(method+api.PathPrefix+path, s.recovered(h))
 	}
-	// Every route sits behind the panic barrier: a panicking handler
-	// answers a structured 500 and the process keeps serving.
-	mount(api.PathPrefix, s.recovered)
-	mount(api.LegacyPathPrefix, func(h http.HandlerFunc) http.HandlerFunc {
-		return deprecatedRoute(s.recovered(h))
-	})
+	route("", api.HealthzPath, s.handleHealthz)
+	route("", api.ReadyzPath, s.handleReadyz)
+	route("", "/datasets", s.handleDatasets)
+	route("", "/sample", s.handleSample)
+	route("", "/stats", s.handleStats)
+	route("", "/metrics", s.handleMetrics)
+	// Round-running endpoints pass the admission controller; one-shot
+	// discovers default to the normal class, session refine rounds (a
+	// human waiting) to interactive. The priority header can override.
+	route("", "/discover", s.admitted(serve.PriorityNormal, s.handleDiscoverAPI))
+	route("", "/discover/stream", s.admitted(serve.PriorityNormal, s.handleDiscoverStream))
+	route("POST ", "/session", s.handleSessionCreate)
+	route("GET ", "/session/{id}", s.handleSessionInfo)
+	route("DELETE ", "/session/{id}", s.handleSessionDelete)
+	route("POST ", "/session/{id}/refine", s.admitted(serve.PriorityInteractive, s.handleSessionRefine))
+	route("", "/session", methodNotAllowed("POST"))
+	route("", "/session/{id}", methodNotAllowed("GET or DELETE"))
+	route("", "/session/{id}/refine", methodNotAllowed("POST"))
 	return mux
-}
-
-// deprecatedRoute marks a legacy unversioned /api/* response as deprecated
-// (RFC 8594-style headers); the payloads are byte-identical to /api/v1/*.
-func deprecatedRoute(h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", "<"+api.PathPrefix+">; rel=\"successor-version\"")
-		h(w, r)
-	}
 }
 
 // ListenAndServe starts the demo on the given address and blocks until the
@@ -226,37 +210,15 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 }
 
 // ---------------------------------------------------------------------------
-// Request/response types of the JSON API
+// JSON API handlers (the wire types live in prism/api)
 // ---------------------------------------------------------------------------
-
-// The wire types are defined once, in the prism/api package (the versioned
-// v1 wire format shared with the prism/client SDK); the aliases below keep
-// this package's historical names working.
-type (
-	// DiscoverRequest is the JSON body of POST /api/v1/discover and
-	// POST /api/v1/discover/stream.
-	DiscoverRequest = api.DiscoverRequest
-	// MappingResponse describes one discovered schema mapping query.
-	MappingResponse = api.Mapping
-	// CacheResponse reports a session round's filter-outcome cache counters.
-	CacheResponse = api.CacheStats
-	// DiscoverResponse is the JSON answer of POST /api/v1/discover and of
-	// session refine rounds.
-	DiscoverResponse = api.DiscoverResponse
-	// StreamEventResponse is one NDJSON line (or SSE data payload) of
-	// POST /api/v1/discover/stream.
-	StreamEventResponse = api.StreamEvent
-	// apiError is the uniform structured error body of the JSON API: every
-	// failure is {"error": ..., "code": ...}, never a bare non-JSON status.
-	apiError = api.Error
-)
 
 // errorCode classifies an error for the structured JSON error responses;
 // the table lives in prism/api so clients can map codes back to sentinels.
 func errorCode(err error) string { return api.CodeForError(err) }
 
 func writeAPIError(w http.ResponseWriter, status int, code, msg string) {
-	writeJSON(w, status, apiError{Message: msg, Code: code})
+	writeJSON(w, status, api.Error{Message: msg, Code: code})
 }
 
 // checkExecutor validates an executor name before a round starts, so the
@@ -282,7 +244,7 @@ func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.DatasetsResponse{Datasets: s.Registry.Names()})
 }
 
-// handleSample serves GET /api/sample?db=NAME&table=NAME&limit=N: a
+// handleSample serves GET /api/v1/sample?db=NAME&table=NAME&limit=N: a
 // preview of the named source table, for exploring a database before
 // writing constraints against it. Unknown dataset and table names come
 // back as structured JSON errors with a classifying code, not bare
@@ -329,9 +291,9 @@ func (s *Server) handleDiscoverAPI(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "use POST")
 		return
 	}
-	var req DiscoverRequest
+	var req api.DiscoverRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, DiscoverResponse{Error: "invalid JSON: " + err.Error(), Code: api.CodeBadRequest})
+		writeJSON(w, http.StatusBadRequest, api.DiscoverResponse{Error: "invalid JSON: " + err.Error(), Code: api.CodeBadRequest})
 		return
 	}
 	resp, status := s.discover(r.Context(), req, false)
@@ -362,7 +324,7 @@ func specFromRequest(structured *api.Spec, numColumns int, samples [][]string, m
 
 // prepare resolves the engine, decodes the constraint specification and
 // assembles the discovery options for a request.
-func (s *Server) prepare(req DiscoverRequest) (*round, error) {
+func (s *Server) prepare(req api.DiscoverRequest) (*round, error) {
 	eng, err := s.engine(req.Database)
 	if err != nil {
 		return nil, err
@@ -380,7 +342,7 @@ func (s *Server) prepare(req DiscoverRequest) (*round, error) {
 
 // roundOptions assembles (and validates) the discovery options shared by
 // the discover and session handlers.
-func (s *Server) roundOptions(req DiscoverRequest) (discovery.Options, error) {
+func (s *Server) roundOptions(req api.DiscoverRequest) (discovery.Options, error) {
 	if err := checkExecutor(req.Executor); err != nil {
 		return discovery.Options{}, err
 	}
@@ -428,8 +390,8 @@ func (rd *round) requestContext(parent context.Context) (context.Context, contex
 }
 
 // mappingResponse converts one discovered mapping for JSON transport.
-func mappingResponse(m discovery.Mapping) MappingResponse {
-	mr := MappingResponse{SQL: m.SQL, Tables: m.Candidate.Tree.Tables}
+func mappingResponse(m discovery.Mapping) api.Mapping {
+	mr := api.Mapping{SQL: m.SQL, Tables: m.Candidate.Tree.Tables}
 	for _, ref := range m.Plan.Project {
 		mr.Columns = append(mr.Columns, ref.String())
 	}
@@ -446,8 +408,8 @@ func mappingResponse(m discovery.Mapping) MappingResponse {
 }
 
 // discoverResponse converts a report for JSON transport.
-func (s *Server) discoverResponse(req DiscoverRequest, report *discovery.Report, err error, spec *prism.Spec, withGraphs bool) DiscoverResponse {
-	resp := DiscoverResponse{Database: req.Database}
+func (s *Server) discoverResponse(req api.DiscoverRequest, report *discovery.Report, err error, spec *prism.Spec, withGraphs bool) api.DiscoverResponse {
+	resp := api.DiscoverResponse{Database: req.Database}
 	if report != nil {
 		resp.Executor = report.Executor
 		resp.Candidates = report.CandidatesEnumerated
@@ -457,7 +419,7 @@ func (s *Server) discoverResponse(req DiscoverRequest, report *discovery.Report,
 		resp.TimedOut = report.TimedOut
 		resp.Failure = report.Failure()
 		if !report.Cache.IsZero() {
-			resp.Cache = &CacheResponse{
+			resp.Cache = &api.CacheStats{
 				Hits:   report.Cache.Hits,
 				Misses: report.Cache.Misses,
 				Stores: report.Cache.Stores,
@@ -482,10 +444,10 @@ func (s *Server) discoverResponse(req DiscoverRequest, report *discovery.Report,
 
 // discover executes a blocking discovery round for the JSON and HTML
 // handlers.
-func (s *Server) discover(ctx context.Context, req DiscoverRequest, withGraphs bool) (DiscoverResponse, int) {
+func (s *Server) discover(ctx context.Context, req api.DiscoverRequest, withGraphs bool) (api.DiscoverResponse, int) {
 	rd, err := s.prepare(req)
 	if err != nil {
-		return DiscoverResponse{Database: req.Database, Error: err.Error(), Code: errorCode(err)}, http.StatusBadRequest
+		return api.DiscoverResponse{Database: req.Database, Error: err.Error(), Code: errorCode(err)}, http.StatusBadRequest
 	}
 	ctx, cancel := rd.requestContext(ctx)
 	defer cancel()
@@ -499,7 +461,7 @@ func (s *Server) discover(ctx context.Context, req DiscoverRequest, withGraphs b
 }
 
 // handleDiscoverStream streams a discovery round incrementally. The
-// response is NDJSON (application/x-ndjson), one StreamEventResponse per
+// response is NDJSON (application/x-ndjson), one api.StreamEvent per
 // line, unless the client asks for Server-Sent Events with
 // Accept: text/event-stream. Mappings are pushed as soon as the scheduler
 // confirms them; the final event carries the full report.
@@ -513,16 +475,16 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "use POST")
 		return
 	}
-	var req DiscoverRequest
+	var req api.DiscoverRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, DiscoverResponse{Error: "invalid JSON: " + err.Error(), Code: api.CodeBadRequest})
+		writeJSON(w, http.StatusBadRequest, api.DiscoverResponse{Error: "invalid JSON: " + err.Error(), Code: api.CodeBadRequest})
 		return
 	}
 	// Bad inputs (unknown dataset or executor, malformed constraints) fail
 	// as a structured 400 here, before the 200 streaming header goes out.
 	rd, err := s.prepare(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, DiscoverResponse{Database: req.Database, Error: err.Error(), Code: errorCode(err)})
+		writeJSON(w, http.StatusBadRequest, api.DiscoverResponse{Database: req.Database, Error: err.Error(), Code: errorCode(err)})
 		return
 	}
 	ctx, cancel := rd.requestContext(r.Context())
@@ -559,7 +521,7 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 	// cannot race Send.
 	defer sink.Close()
 
-	write := func(ev StreamEventResponse) {
+	write := func(ev api.StreamEvent) {
 		payload, err := json.Marshal(ev)
 		if err != nil {
 			return
@@ -580,7 +542,7 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 			// goroutine and the deferred Close drains the sink.
 			return
 		}
-		out := StreamEventResponse{
+		out := api.StreamEvent{
 			Event:       string(ev.Kind),
 			Candidates:  ev.Progress.CandidatesEnumerated,
 			Filters:     ev.Progress.FiltersGenerated,
@@ -611,11 +573,11 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 // pageData feeds the HTML template.
 type pageData struct {
 	Datasets []string
-	Request  DiscoverRequest
+	Request  api.DiscoverRequest
 	// Raw form text (one sample row per line, cells separated by '|').
 	SamplesText  string
 	MetadataText string
-	Response     *DiscoverResponse
+	Response     *api.DiscoverResponse
 	Graphs       []template.HTML
 }
 
@@ -626,7 +588,7 @@ func (s *Server) handleIndex(w http.ResponseWriter, r *http.Request) {
 	}
 	data := &pageData{
 		Datasets:     s.Registry.Names(),
-		Request:      DiscoverRequest{Database: "mondial", NumColumns: 3},
+		Request:      api.DiscoverRequest{Database: "mondial", NumColumns: 3},
 		SamplesText:  "California || Nevada | Lake Tahoe | ",
 		MetadataText: " |  | DataType=='decimal' AND MinValue>='0'",
 	}
@@ -645,7 +607,7 @@ func (s *Server) handleDiscoverForm(w http.ResponseWriter, r *http.Request) {
 	numColumns, _ := strconv.Atoi(r.FormValue("columns"))
 	samplesText := r.FormValue("samples")
 	metadataText := r.FormValue("metadata")
-	req := DiscoverRequest{
+	req := api.DiscoverRequest{
 		Database:   r.FormValue("database"),
 		NumColumns: numColumns,
 		Samples:    parseGridText(samplesText, numColumns),

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"prism/api"
 	"prism/internal/dataset"
 )
 
@@ -30,8 +31,8 @@ func testServer(t testing.TB) *Server {
 	return s
 }
 
-func paperRequest() DiscoverRequest {
-	return DiscoverRequest{
+func paperRequest() api.DiscoverRequest {
+	return api.DiscoverRequest{
 		Database:   "mondial",
 		NumColumns: 3,
 		Samples:    [][]string{{"California || Nevada", "Lake Tahoe", ""}},
@@ -42,7 +43,7 @@ func paperRequest() DiscoverRequest {
 func TestHandleDatasets(t *testing.T) {
 	s := testServer(t)
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/datasets", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/datasets", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d", rec.Code)
 	}
@@ -55,9 +56,9 @@ func TestHandleDatasets(t *testing.T) {
 	}
 	// Wrong method.
 	rec = httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/datasets", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/datasets", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("POST /api/datasets = %d", rec.Code)
+		t.Errorf("POST /api/v1/datasets = %d", rec.Code)
 	}
 }
 
@@ -65,11 +66,11 @@ func TestDiscoverAPIPaperExample(t *testing.T) {
 	s := testServer(t)
 	body, _ := json.Marshal(paperRequest())
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/discover", bytes.NewReader(body)))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/discover", bytes.NewReader(body)))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d body = %s", rec.Code, rec.Body)
 	}
-	var resp DiscoverResponse
+	var resp api.DiscoverResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +103,7 @@ func TestDiscoverAPIErrors(t *testing.T) {
 
 	post := func(body string) *httptest.ResponseRecorder {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/discover", strings.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/discover", strings.NewReader(body)))
 		return rec
 	}
 	if rec := post("{not json"); rec.Code != http.StatusBadRequest {
@@ -120,9 +121,17 @@ func TestDiscoverAPIErrors(t *testing.T) {
 	}
 	// GET is not allowed.
 	rec := httptest.NewRecorder()
-	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/discover", nil))
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/discover", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
-		t.Errorf("GET /api/discover = %d", rec.Code)
+		t.Errorf("GET /api/v1/discover = %d", rec.Code)
+	}
+	// The API is mounted under /api/v1 only: a valid body at the
+	// unversioned path is not found.
+	body, _ := json.Marshal(paperRequest())
+	rec = httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/discover", bytes.NewReader(body)))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("POST /api/discover = %d, want 404", rec.Code)
 	}
 }
 
@@ -225,7 +234,7 @@ func BenchmarkDiscoverAPI(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/discover", bytes.NewReader(body)))
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/discover", bytes.NewReader(body)))
 		if rec.Code != http.StatusOK {
 			b.Fatalf("status = %d", rec.Code)
 		}

@@ -135,25 +135,8 @@ func newSessionID() string {
 // Session JSON API
 // ---------------------------------------------------------------------------
 
-// The session wire types are defined in prism/api (shared with the Go
-// client); the aliases keep this package's historical names working.
-type (
-	// SessionCreateRequest is the body of POST /api/v1/session.
-	SessionCreateRequest = api.SessionCreateRequest
-	// SessionResponse describes one refinement session.
-	SessionResponse = api.SessionResponse
-	// CellUpdateRequest rewrites one sample cell.
-	CellUpdateRequest = api.CellUpdate
-	// MetadataUpdateRequest rewrites one metadata cell.
-	MetadataUpdateRequest = api.MetadataUpdate
-	// DeltaRequest names the constraint cells a refine round changes.
-	DeltaRequest = api.Delta
-	// SessionRefineRequest is the body of POST /api/v1/session/{id}/refine.
-	SessionRefineRequest = api.RefineRequest
-)
-
 // requestDelta converts the transport form into the engine's delta type.
-func requestDelta(d *DeltaRequest) prism.Delta {
+func requestDelta(d *api.Delta) prism.Delta {
 	out := prism.Delta{
 		RemoveSamples: d.RemoveSamples,
 		AddSamples:    d.AddSamples,
@@ -167,23 +150,23 @@ func requestDelta(d *DeltaRequest) prism.Delta {
 	return out
 }
 
-func (s *Server) sessionResponse(ss *serverSession) SessionResponse {
+func (s *Server) sessionResponse(ss *serverSession) api.SessionResponse {
 	st := ss.sess.CacheStats()
-	return SessionResponse{
+	return api.SessionResponse{
 		SessionID: ss.id,
 		Database:  ss.database,
 		Rounds:    ss.sess.Rounds(),
 		TTLMs:     s.sessions.ttl.Milliseconds(),
-		Cache:     CacheResponse{Hits: st.Hits, Misses: st.Misses, Stores: st.Stores},
+		Cache:     api.CacheStats{Hits: st.Hits, Misses: st.Misses, Stores: st.Stores},
 	}
 }
 
-// handleSessionCreate serves POST /api/session: it opens a refinement
+// handleSessionCreate serves POST /api/v1/session: it opens a refinement
 // session over the named database and returns its id. Rounds then go to
-// POST /api/session/{id}/refine; idle sessions are evicted after
+// POST /api/v1/session/{id}/refine; idle sessions are evicted after
 // Server.SessionTTL.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
-	var req SessionCreateRequest
+	var req api.SessionCreateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, "invalid JSON: "+err.Error())
 		return
@@ -199,7 +182,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.sessionResponse(ss))
 }
 
-// handleSessionInfo serves GET /api/session/{id}.
+// handleSessionInfo serves GET /api/v1/session/{id}.
 func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	ss, ok := s.sessions.get(r.PathValue("id"))
 	if !ok {
@@ -209,7 +192,7 @@ func (s *Server) handleSessionInfo(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.sessionResponse(ss))
 }
 
-// handleSessionDelete serves DELETE /api/session/{id}.
+// handleSessionDelete serves DELETE /api/v1/session/{id}.
 func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	if !s.sessions.remove(r.PathValue("id")) {
 		writeAPIError(w, http.StatusNotFound, api.CodeUnknownSession, "unknown or expired session "+r.PathValue("id"))
@@ -218,10 +201,10 @@ func (s *Server) handleSessionDelete(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, api.SessionCloseResponse{Closed: true})
 }
 
-// handleSessionRefine serves POST /api/session/{id}/refine: one discovery
+// handleSessionRefine serves POST /api/v1/session/{id}/refine: one discovery
 // round of the session, either over a full specification or over a delta
-// against the session's current constraints. The response is a
-// DiscoverResponse whose cache counters report how many validations the
+// against the session's current constraints. The response is an
+// api.DiscoverResponse whose cache counters report how many validations the
 // session's filter-outcome cache saved.
 func (s *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 	ss, ok := s.sessions.get(r.PathValue("id"))
@@ -229,12 +212,12 @@ func (s *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusNotFound, api.CodeUnknownSession, "unknown or expired session "+r.PathValue("id"))
 		return
 	}
-	var req SessionRefineRequest
+	var req api.RefineRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
-	base := DiscoverRequest{
+	base := api.DiscoverRequest{
 		Database:    ss.database,
 		Policy:      req.Policy,
 		MaxResults:  req.MaxResults,

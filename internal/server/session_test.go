@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"testing"
 	"time"
+
+	"prism/api"
 )
 
 // doJSON posts a JSON body and decodes the response into out.
@@ -30,10 +32,10 @@ func doJSON(t *testing.T, h http.Handler, method, path string, body any, out any
 	return rec
 }
 
-func createSession(t *testing.T, h http.Handler) SessionResponse {
+func createSession(t *testing.T, h http.Handler) api.SessionResponse {
 	t.Helper()
-	var sr SessionResponse
-	rec := doJSON(t, h, http.MethodPost, "/api/session", SessionCreateRequest{Database: "mondial"}, &sr)
+	var sr api.SessionResponse
+	rec := doJSON(t, h, http.MethodPost, "/api/v1/session", api.SessionCreateRequest{Database: "mondial"}, &sr)
 	if rec.Code != http.StatusOK || sr.SessionID == "" {
 		t.Fatalf("create session: status=%d body=%s", rec.Code, rec.Body)
 	}
@@ -44,16 +46,16 @@ func TestSessionCreateRefineLoop(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
 	sr := createSession(t, h)
-	refinePath := "/api/session/" + sr.SessionID + "/refine"
+	refinePath := "/api/v1/session/" + sr.SessionID + "/refine"
 
 	// Round 1: seed with the full paper specification.
-	seed := SessionRefineRequest{
+	seed := api.RefineRequest{
 		NumColumns:  3,
 		Samples:     [][]string{{"California || Nevada", "Lake Tahoe", ""}},
 		Metadata:    []string{"", "", "DataType=='decimal' AND MinValue>='0'"},
 		Parallelism: 1,
 	}
-	var cold DiscoverResponse
+	var cold api.DiscoverResponse
 	if rec := doJSON(t, h, http.MethodPost, refinePath, seed, &cold); rec.Code != http.StatusOK {
 		t.Fatalf("seed round: status=%d body=%s", rec.Code, rec.Body)
 	}
@@ -69,11 +71,11 @@ func TestSessionCreateRefineLoop(t *testing.T) {
 
 	// Round 2: a delta refining the Area column must reuse the cached text
 	// outcomes — strictly fewer validations, hits > 0.
-	refine := SessionRefineRequest{
-		Delta:       &DeltaRequest{UpdateCells: []CellUpdateRequest{{Row: 0, Col: 2, Cell: "[400, 600]"}}},
+	refine := api.RefineRequest{
+		Delta:       &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: "[400, 600]"}}},
 		Parallelism: 1,
 	}
-	var warm DiscoverResponse
+	var warm api.DiscoverResponse
 	if rec := doJSON(t, h, http.MethodPost, refinePath, refine, &warm); rec.Code != http.StatusOK {
 		t.Fatalf("refine round: status=%d body=%s", rec.Code, rec.Body)
 	}
@@ -89,11 +91,11 @@ func TestSessionCreateRefineLoop(t *testing.T) {
 
 	// Round 3: clearing the refinement returns to known constraints — a
 	// fully warm round with zero validations and the cold mapping set.
-	back := SessionRefineRequest{
-		Delta:       &DeltaRequest{UpdateCells: []CellUpdateRequest{{Row: 0, Col: 2, Cell: ""}}},
+	back := api.RefineRequest{
+		Delta:       &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: ""}}},
 		Parallelism: 1,
 	}
-	var again DiscoverResponse
+	var again api.DiscoverResponse
 	if rec := doJSON(t, h, http.MethodPost, refinePath, back, &again); rec.Code != http.StatusOK {
 		t.Fatalf("third round: status=%d body=%s", rec.Code, rec.Body)
 	}
@@ -110,8 +112,8 @@ func TestSessionCreateRefineLoop(t *testing.T) {
 	}
 
 	// Session info reflects the rounds and lifetime cache stats.
-	var info SessionResponse
-	if rec := doJSON(t, h, http.MethodGet, "/api/session/"+sr.SessionID, nil, &info); rec.Code != http.StatusOK {
+	var info api.SessionResponse
+	if rec := doJSON(t, h, http.MethodGet, "/api/v1/session/"+sr.SessionID, nil, &info); rec.Code != http.StatusOK {
 		t.Fatalf("info: status=%d", rec.Code)
 	}
 	if info.Rounds != 3 || info.Cache.Hits == 0 {
@@ -119,10 +121,10 @@ func TestSessionCreateRefineLoop(t *testing.T) {
 	}
 
 	// Delete ends the session; refines then 404 with a structured code.
-	if rec := doJSON(t, h, http.MethodDelete, "/api/session/"+sr.SessionID, nil, nil); rec.Code != http.StatusOK {
+	if rec := doJSON(t, h, http.MethodDelete, "/api/v1/session/"+sr.SessionID, nil, nil); rec.Code != http.StatusOK {
 		t.Fatalf("delete: status=%d", rec.Code)
 	}
-	var apiErr apiError
+	var apiErr api.Error
 	if rec := doJSON(t, h, http.MethodPost, refinePath, refine, &apiErr); rec.Code != http.StatusNotFound || apiErr.Code != "unknown_session" {
 		t.Errorf("refine after delete: status=%d body=%+v", rec.Code, apiErr)
 	}
@@ -132,7 +134,7 @@ func TestSessionRefineInputErrors(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
 	sr := createSession(t, h)
-	refinePath := "/api/session/" + sr.SessionID + "/refine"
+	refinePath := "/api/v1/session/" + sr.SessionID + "/refine"
 
 	cases := []struct {
 		name   string
@@ -140,18 +142,18 @@ func TestSessionRefineInputErrors(t *testing.T) {
 		status int
 		code   string
 	}{
-		{"delta before seeding", SessionRefineRequest{Delta: &DeltaRequest{RemoveSamples: []int{0}}}, http.StatusBadRequest, "bad_request"},
-		{"neither spec nor delta", SessionRefineRequest{}, http.StatusBadRequest, "bad_request"},
-		{"both spec and delta", SessionRefineRequest{
+		{"delta before seeding", api.RefineRequest{Delta: &api.Delta{RemoveSamples: []int{0}}}, http.StatusBadRequest, "bad_request"},
+		{"neither spec nor delta", api.RefineRequest{}, http.StatusBadRequest, "bad_request"},
+		{"both spec and delta", api.RefineRequest{
 			NumColumns: 1, Samples: [][]string{{"x"}},
-			Delta: &DeltaRequest{RemoveSamples: []int{0}},
+			Delta: &api.Delta{RemoveSamples: []int{0}},
 		}, http.StatusBadRequest, "bad_request"},
-		{"unknown executor", SessionRefineRequest{Executor: "gpu", NumColumns: 1, Samples: [][]string{{"x"}}}, http.StatusBadRequest, "unknown_executor"},
-		{"bad constraints", SessionRefineRequest{NumColumns: 2, Samples: [][]string{{">=", "x"}}}, http.StatusBadRequest, "bad_request"},
+		{"unknown executor", api.RefineRequest{Executor: "gpu", NumColumns: 1, Samples: [][]string{{"x"}}}, http.StatusBadRequest, "unknown_executor"},
+		{"bad constraints", api.RefineRequest{NumColumns: 2, Samples: [][]string{{">=", "x"}}}, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			var apiErr apiError
+			var apiErr api.Error
 			rec := doJSON(t, h, http.MethodPost, refinePath, tc.body, &apiErr)
 			if rec.Code != tc.status {
 				t.Fatalf("status = %d, want %d (body %s)", rec.Code, tc.status, rec.Body)
@@ -164,14 +166,14 @@ func TestSessionRefineInputErrors(t *testing.T) {
 
 	// An out-of-range delta against a seeded session is rejected without
 	// running a round (400, not 422).
-	seed := SessionRefineRequest{NumColumns: 3,
+	seed := api.RefineRequest{NumColumns: 3,
 		Samples:  [][]string{{"California || Nevada", "Lake Tahoe", ""}},
 		Metadata: []string{"", "", "DataType=='decimal' AND MinValue>='0'"}}
 	if rec := doJSON(t, h, http.MethodPost, refinePath, seed, nil); rec.Code != http.StatusOK {
 		t.Fatalf("seed: %d", rec.Code)
 	}
-	bad := SessionRefineRequest{Delta: &DeltaRequest{RemoveSamples: []int{9}}}
-	var resp DiscoverResponse
+	bad := api.RefineRequest{Delta: &api.Delta{RemoveSamples: []int{9}}}
+	var resp api.DiscoverResponse
 	if rec := doJSON(t, h, http.MethodPost, refinePath, bad, &resp); rec.Code != http.StatusBadRequest || resp.Error == "" {
 		t.Errorf("bad delta: status=%d body=%+v", rec.Code, resp)
 	}
@@ -179,8 +181,8 @@ func TestSessionRefineInputErrors(t *testing.T) {
 
 func TestSessionCreateUnknownDatabase(t *testing.T) {
 	s := testServer(t)
-	var apiErr apiError
-	rec := doJSON(t, s.Handler(), http.MethodPost, "/api/session", SessionCreateRequest{Database: "nope"}, &apiErr)
+	var apiErr api.Error
+	rec := doJSON(t, s.Handler(), http.MethodPost, "/api/v1/session", api.SessionCreateRequest{Database: "nope"}, &apiErr)
 	if rec.Code != http.StatusBadRequest || apiErr.Code != "unknown_database" {
 		t.Errorf("status=%d body=%+v", rec.Code, apiErr)
 	}
@@ -202,7 +204,7 @@ func TestSessionStoreTTLAndLRUEviction(t *testing.T) {
 	// Touch a so b is least recently used, then exceed the capacity: the
 	// third session must evict b, keep a.
 	clock = clock.Add(10 * time.Second)
-	if rec := doJSON(t, h, http.MethodGet, "/api/session/"+a.SessionID, nil, nil); rec.Code != http.StatusOK {
+	if rec := doJSON(t, h, http.MethodGet, "/api/v1/session/"+a.SessionID, nil, nil); rec.Code != http.StatusOK {
 		t.Fatalf("touch a: %d", rec.Code)
 	}
 	clock = clock.Add(10 * time.Second)
@@ -210,17 +212,17 @@ func TestSessionStoreTTLAndLRUEviction(t *testing.T) {
 	if s.sessions.len() != 2 {
 		t.Fatalf("store holds %d sessions, want 2", s.sessions.len())
 	}
-	if rec := doJSON(t, h, http.MethodGet, "/api/session/"+b.SessionID, nil, nil); rec.Code != http.StatusNotFound {
+	if rec := doJSON(t, h, http.MethodGet, "/api/v1/session/"+b.SessionID, nil, nil); rec.Code != http.StatusNotFound {
 		t.Errorf("b should have been LRU-evicted, got %d", rec.Code)
 	}
-	if rec := doJSON(t, h, http.MethodGet, "/api/session/"+a.SessionID, nil, nil); rec.Code != http.StatusOK {
+	if rec := doJSON(t, h, http.MethodGet, "/api/v1/session/"+a.SessionID, nil, nil); rec.Code != http.StatusOK {
 		t.Errorf("a should have survived, got %d", rec.Code)
 	}
 
 	// Idle past the TTL: everything is gone, with the structured code.
 	clock = clock.Add(2 * time.Minute)
-	var apiErr apiError
-	if rec := doJSON(t, h, http.MethodGet, "/api/session/"+c.SessionID, nil, &apiErr); rec.Code != http.StatusNotFound || apiErr.Code != "unknown_session" {
+	var apiErr api.Error
+	if rec := doJSON(t, h, http.MethodGet, "/api/v1/session/"+c.SessionID, nil, &apiErr); rec.Code != http.StatusNotFound || apiErr.Code != "unknown_session" {
 		t.Errorf("c after TTL: status=%d body=%+v", rec.Code, apiErr)
 	}
 	if s.sessions.len() != 0 {

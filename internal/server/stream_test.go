@@ -7,11 +7,13 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"prism/api"
 )
 
 func postStream(t *testing.T, s *Server, body []byte, accept string) *httptest.ResponseRecorder {
 	t.Helper()
-	req := httptest.NewRequest(http.MethodPost, "/api/discover/stream", bytes.NewReader(body))
+	req := httptest.NewRequest(http.MethodPost, "/api/v1/discover/stream", bytes.NewReader(body))
 	if accept != "" {
 		req.Header.Set("Accept", accept)
 	}
@@ -31,9 +33,9 @@ func TestDiscoverStreamNDJSON(t *testing.T) {
 		t.Errorf("Content-Type = %q", ct)
 	}
 
-	var events []StreamEventResponse
+	var events []api.StreamEvent
 	for _, line := range strings.Split(strings.TrimSpace(rec.Body.String()), "\n") {
-		var ev StreamEventResponse
+		var ev api.StreamEvent
 		if err := json.Unmarshal([]byte(line), &ev); err != nil {
 			t.Fatalf("bad NDJSON line %q: %v", line, err)
 		}
@@ -97,21 +99,21 @@ func TestDiscoverStreamErrors(t *testing.T) {
 	if rec := postStream(t, s, []byte("{not json"), ""); rec.Code != http.StatusBadRequest {
 		t.Errorf("invalid JSON status = %d", rec.Code)
 	}
-	body, _ := json.Marshal(DiscoverRequest{Database: "unknown-db", NumColumns: 1, Samples: [][]string{{"x"}}})
+	body, _ := json.Marshal(api.DiscoverRequest{Database: "unknown-db", NumColumns: 1, Samples: [][]string{{"x"}}})
 	if rec := postStream(t, s, body, ""); rec.Code != http.StatusBadRequest {
 		t.Errorf("unknown database status = %d", rec.Code)
 	}
 	rec := httptest.NewRecorder()
-	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/discover/stream", nil))
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/discover/stream", nil))
 	if rec.Code != http.StatusMethodNotAllowed {
 		t.Errorf("GET status = %d", rec.Code)
 	}
 	// An unmatchable constraint still streams, ending in a done event whose
 	// result carries the error (headers are already committed by then).
-	body, _ = json.Marshal(DiscoverRequest{Database: "mondial", NumColumns: 1, Samples: [][]string{{"Unobtainium Atlantis"}}})
+	body, _ = json.Marshal(api.DiscoverRequest{Database: "mondial", NumColumns: 1, Samples: [][]string{{"Unobtainium Atlantis"}}})
 	rec = postStream(t, s, body, "")
 	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
-	var last StreamEventResponse
+	var last api.StreamEvent
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
 		t.Fatal(err)
 	}
@@ -132,7 +134,7 @@ func TestDiscoverStreamRequestOptions(t *testing.T) {
 		t.Fatalf("status = %d", rec.Code)
 	}
 	lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
-	var last StreamEventResponse
+	var last api.StreamEvent
 	if err := json.Unmarshal([]byte(lines[len(lines)-1]), &last); err != nil {
 		t.Fatal(err)
 	}

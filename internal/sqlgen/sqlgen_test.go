@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"prism/internal/exec"
 	"prism/internal/mem"
 	"prism/internal/schema"
 	"prism/internal/value"
@@ -11,10 +12,10 @@ import (
 
 func ref(t, c string) schema.ColumnRef { return schema.ColumnRef{Table: t, Column: c} }
 
-func lakePlan() mem.Plan {
-	return mem.Plan{
+func lakePlan() exec.Plan {
+	return exec.Plan{
 		Tables: []string{"Lake", "geo_lake"},
-		Joins: []mem.JoinEdge{
+		Joins: []exec.JoinEdge{
 			{Left: ref("Lake", "Name"), Right: ref("geo_lake", "Lake")},
 		},
 		Project: []schema.ColumnRef{
@@ -57,7 +58,7 @@ func TestGeneratePaperQuery(t *testing.T) {
 }
 
 func TestGenerateDistinctAndSingleTable(t *testing.T) {
-	p := mem.Plan{
+	p := exec.Plan{
 		Tables:   []string{"Lake"},
 		Project:  []schema.ColumnRef{ref("Lake", "Name")},
 		Distinct: true,
@@ -72,7 +73,7 @@ func TestGenerateDistinctAndSingleTable(t *testing.T) {
 }
 
 func TestGenerateQuoting(t *testing.T) {
-	p := mem.Plan{
+	p := exec.Plan{
 		Tables:  []string{"geo lake"},
 		Project: []schema.ColumnRef{{Table: "geo lake", Column: "Pro\"vince"}},
 	}
@@ -142,7 +143,7 @@ func TestParseQuotedIdentifiers(t *testing.T) {
 	if err := s.AddTable(schema.MustTable("geo lake", schema.Column{Name: "Pro vince", Type: value.Text})); err != nil {
 		t.Fatal(err)
 	}
-	p := mem.Plan{Tables: []string{"geo lake"}, Project: []schema.ColumnRef{{Table: "geo lake", Column: "Pro vince"}}}
+	p := exec.Plan{Tables: []string{"geo lake"}, Project: []schema.ColumnRef{{Table: "geo lake", Column: "Pro vince"}}}
 	sql := Generate(p)
 	back, err := Parse(sql, s)
 	if err != nil {

@@ -12,6 +12,7 @@ import (
 	"strings"
 
 	"prism/internal/constraint"
+	"prism/internal/exec"
 	"prism/internal/lang"
 	"prism/internal/mem"
 	"prism/internal/schema"
@@ -57,13 +58,13 @@ type TestCase struct {
 	Spec *constraint.Spec
 	// GroundTruth is the Project-Join plan the constraints were derived
 	// from; discovery is expected to rediscover it (possibly among others).
-	GroundTruth mem.Plan
+	GroundTruth exec.Plan
 }
 
 // GroundTruthMapping is a named PJ query used as the basis of test cases.
 type GroundTruthMapping struct {
 	Name string
-	Plan mem.Plan
+	Plan exec.Plan
 }
 
 // MondialGroundTruths returns the library of ground-truth mappings over the
@@ -73,9 +74,9 @@ func MondialGroundTruths() []GroundTruthMapping {
 	return []GroundTruthMapping{
 		{
 			Name: "lake-province-area",
-			Plan: mem.Plan{
+			Plan: exec.Plan{
 				Tables: []string{"Lake", "geo_lake"},
-				Joins:  []mem.JoinEdge{{Left: ref("geo_lake", "Lake"), Right: ref("Lake", "Name")}},
+				Joins:  []exec.JoinEdge{{Left: ref("geo_lake", "Lake"), Right: ref("Lake", "Name")}},
 				Project: []schema.ColumnRef{
 					ref("geo_lake", "Province"), ref("Lake", "Name"), ref("Lake", "Area"),
 				},
@@ -83,9 +84,9 @@ func MondialGroundTruths() []GroundTruthMapping {
 		},
 		{
 			Name: "river-province-length",
-			Plan: mem.Plan{
+			Plan: exec.Plan{
 				Tables: []string{"River", "geo_river"},
-				Joins:  []mem.JoinEdge{{Left: ref("geo_river", "River"), Right: ref("River", "Name")}},
+				Joins:  []exec.JoinEdge{{Left: ref("geo_river", "River"), Right: ref("River", "Name")}},
 				Project: []schema.ColumnRef{
 					ref("geo_river", "Province"), ref("River", "Name"), ref("River", "Length"),
 				},
@@ -93,9 +94,9 @@ func MondialGroundTruths() []GroundTruthMapping {
 		},
 		{
 			Name: "city-province-country",
-			Plan: mem.Plan{
+			Plan: exec.Plan{
 				Tables: []string{"City", "Province"},
-				Joins:  []mem.JoinEdge{{Left: ref("City", "Province"), Right: ref("Province", "Name")}},
+				Joins:  []exec.JoinEdge{{Left: ref("City", "Province"), Right: ref("Province", "Name")}},
 				Project: []schema.ColumnRef{
 					ref("City", "Name"), ref("Province", "Name"), ref("Province", "Country"),
 				},
@@ -103,9 +104,9 @@ func MondialGroundTruths() []GroundTruthMapping {
 		},
 		{
 			Name: "mountain-province-height",
-			Plan: mem.Plan{
+			Plan: exec.Plan{
 				Tables: []string{"Mountain", "geo_mountain"},
-				Joins:  []mem.JoinEdge{{Left: ref("geo_mountain", "Mountain"), Right: ref("Mountain", "Name")}},
+				Joins:  []exec.JoinEdge{{Left: ref("geo_mountain", "Mountain"), Right: ref("Mountain", "Name")}},
 				Project: []schema.ColumnRef{
 					ref("geo_mountain", "Province"), ref("Mountain", "Name"), ref("Mountain", "Height"),
 				},
@@ -113,9 +114,9 @@ func MondialGroundTruths() []GroundTruthMapping {
 		},
 		{
 			Name: "province-country-population",
-			Plan: mem.Plan{
+			Plan: exec.Plan{
 				Tables: []string{"Province", "Country"},
-				Joins:  []mem.JoinEdge{{Left: ref("Province", "Country"), Right: ref("Country", "Name")}},
+				Joins:  []exec.JoinEdge{{Left: ref("Province", "Country"), Right: ref("Country", "Name")}},
 				Project: []schema.ColumnRef{
 					ref("Province", "Name"), ref("Country", "Code"), ref("Province", "Population"),
 				},
@@ -129,7 +130,7 @@ type Generator struct {
 	db        *mem.Database
 	rng       *rand.Rand
 	mappings  []GroundTruthMapping
-	resultSet map[string]*mem.Result // mapping name -> executed result
+	resultSet map[string]*exec.Result // mapping name -> executed result
 }
 
 // NewGenerator builds a generator for the database using the ground-truth
@@ -139,7 +140,7 @@ func NewGenerator(db *mem.Database, seed int64, mappings []GroundTruthMapping) (
 	g := &Generator{
 		db:        db,
 		rng:       rand.New(rand.NewSource(seed)),
-		resultSet: make(map[string]*mem.Result),
+		resultSet: make(map[string]*exec.Result),
 	}
 	for _, m := range mappings {
 		if err := m.Plan.Validate(db.Schema()); err != nil {

@@ -31,7 +31,28 @@ func paperSpec(t testing.TB) *Spec {
 	return spec
 }
 
+// TestOpenBundledDatasets opens every bundled data set at its default
+// size and runs its walkthrough constraints sequentially. The validation
+// and mapping counts are literals: sequential scheduling is deterministic
+// and the mapping set does not depend on the backend, so a change to a
+// generator, the enumeration or the scheduler shows up here as a number
+// to restate. (Mondial is counted at the benchmarks' reduced size.)
 func TestOpenBundledDatasets(t *testing.T) {
+	walkthroughs := map[string]struct {
+		sized                 []OpenOption
+		row, metadata         []string
+		validations, mappings int
+	}{
+		"mondial": {[]OpenOption{WithMondialConfig(benchMondialConfig())},
+			[]string{"California || Nevada", "Lake Tahoe", ""},
+			[]string{"", "", "DataType=='decimal' AND MinValue>='0'"}, 83, 76},
+		"imdb": {nil,
+			[]string{"Inception", "Leonardo DiCaprio || Tim Robbins", "[8, 10]"},
+			[]string{"", "", "DataType=='decimal' AND MinValue>='0' AND MaxValue<='10'"}, 26, 13},
+		"nba": {nil,
+			[]string{"Los Angeles", "Lakers", "[80, 140]"},
+			[]string{"", "", "DataType=='int' AND MinValue>='0'"}, 16, 12},
+	}
 	for _, name := range DatasetNames() {
 		eng, err := Open(name)
 		if err != nil {
@@ -40,6 +61,28 @@ func TestOpenBundledDatasets(t *testing.T) {
 		}
 		if eng.Database().TotalRows() == 0 {
 			t.Errorf("%s: empty database", name)
+		}
+		w, ok := walkthroughs[name]
+		if !ok {
+			t.Errorf("%s: bundled data set without a walkthrough", name)
+			continue
+		}
+		if w.sized != nil {
+			if eng, err = Open(name, w.sized...); err != nil {
+				t.Fatal(err)
+			}
+		}
+		spec, err := ParseConstraints(3, [][]string{w.row}, w.metadata)
+		if err != nil {
+			t.Fatal(err)
+		}
+		report, err := eng.Discover(context.Background(), spec, Options{Parallelism: 1})
+		if err != nil {
+			t.Fatalf("%s walkthrough: %v", name, err)
+		}
+		if report.Validations != w.validations || len(report.Mappings) != w.mappings {
+			t.Errorf("%s walkthrough: %d validations, %d mappings, want %d and %d",
+				name, report.Validations, len(report.Mappings), w.validations, w.mappings)
 		}
 	}
 	if _, err := Open("nope"); err == nil {

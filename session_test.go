@@ -88,8 +88,27 @@ func TestSessionRefineLoop(t *testing.T) {
 			t.Fatalf("mapping %d differs: %q vs %q", i, coldSQL[i], backSQL[i])
 		}
 	}
-	if sess.Rounds() != 3 {
-		t.Errorf("Rounds() = %d, want 3", sess.Rounds())
+	// Replaying the cold specification on the warm session is pure cache.
+	replay, err := sess.Discover(context.Background(), sessionSpec(t), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replay.Validations != 0 {
+		t.Errorf("replay executed %d validations, want 0", replay.Validations)
+	}
+	// Over the warm rounds the cache absorbs at least half of the
+	// validations the rounds would otherwise have run.
+	hits, misses := 0, 0
+	for _, r := range []*Report{warm, back, replay} {
+		hits += r.Cache.Hits
+		misses += r.Cache.Misses
+	}
+	if saved := float64(hits) / float64(hits+misses); saved < 0.5 {
+		t.Errorf("cache absorbed %.0f%% of warm-round validations (%d hits, %d misses), want >= 50%%",
+			saved*100, hits, misses)
+	}
+	if sess.Rounds() != 4 {
+		t.Errorf("Rounds() = %d, want 4", sess.Rounds())
 	}
 	if st := sess.CacheStats(); st.Hits == 0 || st.Stores == 0 {
 		t.Errorf("lifetime cache stats = %+v", st)

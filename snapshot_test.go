@@ -7,6 +7,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"prism/internal/dataset"
+	"prism/internal/mem"
 )
 
 // snapshotSpec is a small high-resolution specification every bundled
@@ -155,5 +158,44 @@ func TestSnapshotOptionValidation(t *testing.T) {
 	spec := snapshotSpecFor(t, "nba")
 	if got, want := discoverDigest(t, loaded, spec), discoverDigest(t, eng, spec); got != want {
 		t.Errorf("mem-executor snapshot engine diverges:\n--- fresh ---\n%s--- loaded ---\n%s", want, got)
+	}
+}
+
+// BenchmarkColdStart measures what a snapshot saves at start-up: per
+// bundled data set, generating and analyzing the database against decoding
+// a snapshot of it. Engine construction on top (Bayesian training, the
+// executor build) is the same on both paths, so the pair isolates the
+// phase the CLIs' -snapshot flags skip.
+//
+//	go test -run xxx -bench ColdStart .
+func BenchmarkColdStart(b *testing.B) {
+	for _, name := range DatasetNames() {
+		db, err := dataset.ByName(name)
+		if err != nil {
+			b.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := db.WriteSnapshot(&snap); err != nil {
+			b.Fatal(err)
+		}
+		b.Run(name+"/rebuild", func(b *testing.B) {
+			for b.Loop() {
+				if _, err := dataset.ByName(name); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run(name+"/snapshot", func(b *testing.B) {
+			b.SetBytes(int64(snap.Len()))
+			for b.Loop() {
+				loaded, err := mem.ReadSnapshot(bytes.NewReader(snap.Bytes()))
+				if err != nil {
+					b.Fatal(err)
+				}
+				if loaded.TotalRows() != db.TotalRows() {
+					b.Fatalf("snapshot round trip lost rows: %d != %d", loaded.TotalRows(), db.TotalRows())
+				}
+			}
+		})
 	}
 }

@@ -207,7 +207,6 @@ func TestDiscoverDeterministicAcrossParallelism(t *testing.T) {
 			report, err := eng.Discover(context.Background(), spec, Options{
 				Policy:      policy,
 				Parallelism: parallelism,
-				RandomSeed:  7,
 			})
 			if err != nil {
 				t.Fatalf("%s/p%d: %v", policy, parallelism, err)
