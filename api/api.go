@@ -49,9 +49,6 @@ type DiscoverRequest struct {
 	// TimeoutMs shortens the round's time budget below the server's
 	// limit (values above it are clamped).
 	TimeoutMs int `json:"timeoutMs,omitempty"`
-	// Parallelism overrides the validation worker-pool size (0 = server
-	// default, i.e. GOMAXPROCS).
-	Parallelism int `json:"parallelism,omitempty"`
 	// Executor selects the execution backend for the round ("columnar",
 	// "mem"; empty = the engine default, columnar).
 	Executor string `json:"executor,omitempty"`
@@ -187,11 +184,10 @@ type RefineRequest struct {
 	Spec       *Spec      `json:"spec,omitempty"`
 	Delta      *Delta     `json:"delta,omitempty"`
 
-	Policy      string `json:"policy,omitempty"`
-	MaxResults  int    `json:"maxResults,omitempty"`
-	TimeoutMs   int    `json:"timeoutMs,omitempty"`
-	Parallelism int    `json:"parallelism,omitempty"`
-	Executor    string `json:"executor,omitempty"`
+	Policy     string `json:"policy,omitempty"`
+	MaxResults int    `json:"maxResults,omitempty"`
+	TimeoutMs  int    `json:"timeoutMs,omitempty"`
+	Executor   string `json:"executor,omitempty"`
 }
 
 // SessionCloseResponse is the body of DELETE /api/v1/session/{id}.

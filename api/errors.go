@@ -27,7 +27,7 @@ var (
 	// (wire code "unknown_session").
 	ErrUnknownSession = errors.New("prism: unknown or expired session")
 	// ErrInvalidRequest reports a request that parsed but failed
-	// validation — e.g. a negative parallelism (wire code
+	// validation — e.g. a non-positive sample limit (wire code
 	// "invalid_request").
 	ErrInvalidRequest = errors.New("prism: invalid request")
 	// ErrOverloaded re-exports the admission controller's shed sentinel:

@@ -306,67 +306,6 @@ func BenchmarkSchedulerAblation(b *testing.B) {
 	})
 }
 
-// BenchmarkParallelValidation measures the validation phase — the hot path
-// of a discovery round — at increasing worker-pool sizes over one shared
-// filter set. On a multi-core runner the parallel rows should be measurably
-// faster than p1; the confirmed candidate set is asserted identical at
-// every level (filter outcomes are ground truths, independent of order).
-func BenchmarkParallelValidation(b *testing.B) {
-	fx := newSchedulingFixture(b)
-	var reference []int
-	for _, p := range []int{1, 2, 4, 8} {
-		p := p
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				runner := &sched.Runner{
-					DB: fx.eng.Database(), Spec: fx.spec, Set: fx.set,
-					Estimator: &sched.BayesEstimator{Model: fx.model, Spec: fx.spec},
-					Options:   sched.Options{Parallelism: p},
-				}
-				res, err := runner.RunContext(context.Background())
-				if err != nil {
-					b.Fatal(err)
-				}
-				if reference == nil {
-					reference = res.Confirmed
-				} else if len(res.Confirmed) != len(reference) {
-					b.Fatalf("p=%d confirmed %d candidates, want %d", p, len(res.Confirmed), len(reference))
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkDiscoverParallelism measures whole rounds end to end per
-// Options.Parallelism, asserting the mapping sets stay identical.
-func BenchmarkDiscoverParallelism(b *testing.B) {
-	eng := benchEngine(b)
-	spec := benchPaperSpec(b)
-	var reference []string
-	for _, p := range []int{1, 4} {
-		p := p
-		b.Run(fmt.Sprintf("p%d", p), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				report, err := eng.Discover(context.Background(), spec, Options{Parallelism: p})
-				if err != nil {
-					b.Fatal(err)
-				}
-				var got []string
-				for _, m := range report.Mappings {
-					got = append(got, m.SQL)
-				}
-				if reference == nil {
-					reference = got
-				} else if len(got) != len(reference) {
-					b.Fatalf("p=%d found %d mappings, want %d", p, len(got), len(reference))
-				}
-			}
-		})
-	}
-}
-
 // validationPhaseFixtures builds, per bundled dataset, a filter set whose
 // specification maps several target columns onto the same source columns
 // (two province-shaped columns on mondial, two person-shaped columns on

@@ -25,7 +25,7 @@ func TestSpecBuilderMatchesParsedGrid(t *testing.T) {
 
 	eng := mondialEngine(t)
 	ctx := context.Background()
-	opts := Options{Parallelism: 1, IncludeResults: true, ResultLimit: 5}
+	opts := Options{IncludeResults: true, ResultLimit: 5}
 	fromBuilt, err := eng.Discover(ctx, built, opts)
 	if err != nil {
 		t.Fatal(err)

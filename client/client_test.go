@@ -77,11 +77,10 @@ func paperWireSpec(t testing.TB) *api.Spec {
 
 func paperGridRequest() api.DiscoverRequest {
 	return api.DiscoverRequest{
-		Database:    "mondial",
-		NumColumns:  3,
-		Samples:     [][]string{{"California || Nevada", "Lake Tahoe", ""}},
-		Metadata:    []string{"", "", "DataType=='decimal' AND MinValue>='0'"},
-		Parallelism: 1,
+		Database:   "mondial",
+		NumColumns: 3,
+		Samples:    [][]string{{"California || Nevada", "Lake Tahoe", ""}},
+		Metadata:   []string{"", "", "DataType=='decimal' AND MinValue>='0'"},
 	}
 }
 
@@ -189,7 +188,7 @@ func TestThreeWayEquivalence(t *testing.T) {
 	// Path 1: in-process.
 	spec := ts.paperSpec(t)
 	report, err := ts.eng.Discover(ctx, spec, prism.Options{
-		Parallelism: 1, IncludeResults: true, ResultLimit: 10,
+		IncludeResults: true, ResultLimit: 10,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,7 +217,7 @@ func TestThreeWayEquivalence(t *testing.T) {
 	}
 
 	// Path 3: the client with the structured spec codec.
-	req := api.DiscoverRequest{Database: "mondial", Spec: paperWireSpec(t), Parallelism: 1}
+	req := api.DiscoverRequest{Database: "mondial", Spec: paperWireSpec(t)}
 	resp, err := ts.c.Discover(ctx, req)
 	if err != nil {
 		t.Fatal(err)
@@ -251,7 +250,7 @@ func TestDiscoverGridAndSpecAgree(t *testing.T) {
 		t.Fatal(err)
 	}
 	fromSpec, err := ts.c.Discover(ctx, api.DiscoverRequest{
-		Database: "mondial", Spec: paperWireSpec(t), Parallelism: 1,
+		Database: "mondial", Spec: paperWireSpec(t),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -292,7 +291,7 @@ func TestDiscoverErrors(t *testing.T) {
 	// still reports its statistics.
 	resp, err := ts.c.Discover(ctx, api.DiscoverRequest{
 		Database: "mondial", NumColumns: 1,
-		Samples: [][]string{{"Unobtainium Atlantis"}}, Parallelism: 1,
+		Samples: [][]string{{"Unobtainium Atlantis"}},
 	})
 	if err == nil {
 		t.Fatal("unmatchable constraint should fail")
@@ -381,7 +380,7 @@ func TestSessionLifecycleRoundTrip(t *testing.T) {
 	}
 
 	// Round 1: seed with the structured spec.
-	cold, err := sess.Refine(ctx, api.RefineRequest{Spec: paperWireSpec(t), Parallelism: 1})
+	cold, err := sess.Refine(ctx, api.RefineRequest{Spec: paperWireSpec(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,8 +393,7 @@ func TestSessionLifecycleRoundTrip(t *testing.T) {
 
 	// Round 2: a delta refine reuses cached outcomes.
 	warm, err := sess.Refine(ctx, api.RefineRequest{
-		Delta:       &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: "[400, 600]"}}},
-		Parallelism: 1,
+		Delta: &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: "[400, 600]"}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -409,8 +407,7 @@ func TestSessionLifecycleRoundTrip(t *testing.T) {
 
 	// Round 3: clearing the refinement replays the cold round from cache.
 	back, err := sess.Refine(ctx, api.RefineRequest{
-		Delta:       &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: ""}}},
-		Parallelism: 1,
+		Delta: &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: ""}}},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -442,8 +439,7 @@ func TestSessionLifecycleRoundTrip(t *testing.T) {
 	// round count and session id so clients can resync instead of
 	// re-applying their delta.
 	failResp, err := sess.Refine(ctx, api.RefineRequest{
-		Delta:       &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 1, Cell: "Unobtainium Atlantis"}}},
-		Parallelism: 1,
+		Delta: &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 1, Cell: "Unobtainium Atlantis"}}},
 	})
 	if err == nil {
 		t.Error("unmatchable refine should fail")
@@ -475,7 +471,7 @@ func TestSessionLifecycleRoundTrip(t *testing.T) {
 func TestSessionMatchesInProcessSession(t *testing.T) {
 	ts := newTestSetup(t)
 	ctx := context.Background()
-	opts := prism.Options{Parallelism: 1, IncludeResults: true, ResultLimit: 10}
+	opts := prism.Options{IncludeResults: true, ResultLimit: 10}
 
 	local := ts.eng.NewSession(ctx)
 	defer local.Close()
@@ -494,13 +490,12 @@ func TestSessionMatchesInProcessSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	remoteCold, err := remote.Refine(ctx, api.RefineRequest{Spec: paperWireSpec(t), Parallelism: 1})
+	remoteCold, err := remote.Refine(ctx, api.RefineRequest{Spec: paperWireSpec(t)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	remoteWarm, err := remote.Refine(ctx, api.RefineRequest{
-		Delta:       &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: "[400, 600]"}}},
-		Parallelism: 1,
+		Delta: &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: "[400, 600]"}}},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,6 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 	metadata := fs.String("metadata", "", "metadata-constraint row, cells separated by '|'")
 	policy := fs.String("policy", string(prism.PolicyBayes), "scheduling policy: bayes, pathlength, random, oracle")
 	timeLimit := fs.Duration("timeout", 60*time.Second, "discovery time limit per round, enforced as a context deadline")
-	parallelism := fs.Int("parallelism", 0, "concurrent filter validations (0 = GOMAXPROCS)")
 	executor := fs.String("executor", "", "execution backend: columnar (default) or mem")
 	maxResults := fs.Int("max-results", 0, "cap on returned mapping queries (0 = all)")
 	showResults := fs.Bool("results", false, "execute each mapping and print a result preview")
@@ -121,7 +120,6 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 	opts := prism.Options{
 		Policy:         prism.Policy(*policy),
 		TimeLimit:      *timeLimit,
-		Parallelism:    *parallelism,
 		Executor:       *executor,
 		MaxResults:     *maxResults,
 		IncludeResults: *showResults,
@@ -142,11 +140,10 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 			rr := &remoteRunner{
 				sess: sess,
 				base: api.RefineRequest{
-					Policy:      *policy,
-					MaxResults:  *maxResults,
-					TimeoutMs:   timeoutMs(*timeLimit),
-					Parallelism: *parallelism,
-					Executor:    *executor,
+					Policy:     *policy,
+					MaxResults: *maxResults,
+					TimeoutMs:  timeoutMs(*timeLimit),
+					Executor:   *executor,
 				},
 			}
 			label := fmt.Sprintf("%s at %s", *dbName, *remote)
@@ -157,13 +154,12 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 			return err
 		}
 		req := api.DiscoverRequest{
-			Database:    *dbName,
-			Spec:        wireSpec,
-			Policy:      *policy,
-			MaxResults:  *maxResults,
-			TimeoutMs:   timeoutMs(*timeLimit),
-			Parallelism: *parallelism,
-			Executor:    *executor,
+			Database:   *dbName,
+			Spec:       wireSpec,
+			Policy:     *policy,
+			MaxResults: *maxResults,
+			TimeoutMs:  timeoutMs(*timeLimit),
+			Executor:   *executor,
 		}
 		if *stream {
 			return remoteStreamRound(ctx, out, c, req, *showResults)

@@ -95,7 +95,6 @@ func TestSessionModeRefineLoop(t *testing.T) {
 		"-columns", "3",
 		"-sample", "California || Nevada | Lake Tahoe | ",
 		"-metadata", " |  | DataType=='decimal' AND MinValue>='0'",
-		"-parallelism", "1",
 		"-session",
 	}, strings.NewReader(script), &out)
 	if err != nil {
@@ -128,7 +127,7 @@ func TestSessionModeStartsEmpty(t *testing.T) {
 	}, "\n") + "\n"
 	var out bytes.Buffer
 	err := run(context.Background(), []string{
-		"-db", "mondial", "-columns", "3", "-parallelism", "1", "-session",
+		"-db", "mondial", "-columns", "3", "-session",
 	}, strings.NewReader(script), &out)
 	if err != nil {
 		t.Fatalf("run: %v\n%s", err, out.String())

@@ -39,7 +39,6 @@ func TestRemoteOneShotRound(t *testing.T) {
 		"-db", "mondial", "-columns", "3",
 		"-sample", "California || Nevada | Lake Tahoe | ",
 		"-metadata", " |  | DataType=='decimal' AND MinValue>='0'",
-		"-parallelism", "1",
 		"-results",
 	}, strings.NewReader(""), &out)
 	if err != nil {
@@ -60,7 +59,6 @@ func TestRemoteStreamRound(t *testing.T) {
 		"-remote", srv.URL,
 		"-db", "mondial", "-columns", "3",
 		"-sample", "California || Nevada | Lake Tahoe | ",
-		"-parallelism", "1",
 		"-stream",
 	}, strings.NewReader(""), &out)
 	if err != nil {
@@ -89,7 +87,6 @@ func TestRemoteSessionLoop(t *testing.T) {
 		"-db", "mondial", "-columns", "3",
 		"-sample", "California || Nevada | Lake Tahoe | ",
 		"-metadata", " |  | DataType=='decimal' AND MinValue>='0'",
-		"-parallelism", "1",
 		"-session",
 	}, strings.NewReader(script), &out)
 	if err != nil {

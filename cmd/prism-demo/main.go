@@ -50,7 +50,6 @@ func main() {
 	maxPerTenant := flag.Int("max-per-tenant", 0, "admission: max concurrent rounds per tenant (0 = max-concurrent)")
 	maxQueue := flag.Int("max-queue", 0, "admission: max requests queued for admission (0 = 8×max-concurrent)")
 	queueTimeout := flag.Duration("queue-timeout", 0, "admission: max wait in the queue before shedding (0 = 5s)")
-	maxParallelism := flag.Int("max-parallelism", 0, "cap on per-round validation parallelism requests (0 = 4×GOMAXPROCS)")
 	snapshotDir := flag.String("snapshot", "", "engine snapshot directory: <dir>/<db>.snap is loaded instead of regenerating; snapshots missing there are written after the first build (delete stale files when changing -big)")
 	strictSnapshot := flag.Bool("strict-snapshot", false, "treat a corrupt snapshot as a fatal startup error instead of rebuilding from the generator and rewriting it")
 	big := flag.Bool("big", false, "serve the million-row scaled variants of the bundled datasets")
@@ -71,7 +70,6 @@ func main() {
 		MaxQueue:      *maxQueue,
 		QueueTimeout:  *queueTimeout,
 	}
-	s.MaxParallelism = *maxParallelism
 	if *big || *snapshotDir != "" {
 		for _, name := range prism.DatasetNames() {
 			s.Registry.RegisterOpener(name, func() (*prism.Engine, error) {

@@ -36,8 +36,7 @@ func main() {
 	for _, policy := range []prism.Policy{
 		prism.PolicyOracle, prism.PolicyBayes, prism.PolicyPathLength, prism.PolicyRandom,
 	} {
-		// Parallelism 1 keeps validation counts comparable across policies.
-		report, err := eng.Discover(context.Background(), spec, prism.Options{Policy: policy, Parallelism: 1})
+		report, err := eng.Discover(context.Background(), spec, prism.Options{Policy: policy})
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -241,7 +241,6 @@ func FuzzEquivalence(f *testing.F) {
 
 		eng := fuzzEngines()[v.name]
 		opts := Options{
-			Parallelism:    1,
 			MaxTables:      3,
 			MaxCandidates:  200,
 			IncludeResults: true,

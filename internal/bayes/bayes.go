@@ -20,7 +20,6 @@ import (
 	"sort"
 	"strings"
 
-	"prism/internal/lang"
 	"prism/internal/mem"
 	"prism/internal/par"
 	"prism/internal/rowset"
@@ -29,15 +28,13 @@ import (
 )
 
 const (
-	// numericBuckets is the resolution of the per-column equi-width
-	// histograms used for range selectivity.
-	numericBuckets = 32
-	// defaultTextCompareSelectivity is used for order comparisons over
-	// non-numeric columns, where a histogram gives little signal.
-	defaultTextCompareSelectivity = 1.0 / 3
 	// maxJoinPairSample caps the joined row pairs sampled per foreign-key
 	// edge; larger joins are subsampled uniformly so the model stays compact.
 	maxJoinPairSample = 100_000
+	// unknownFactor is the pessimistic probability an estimate gives a
+	// constraint the model cannot evaluate: one on a column it lacks, or on
+	// a table outside the filter.
+	unknownFactor = 0.01
 )
 
 // csr is a sequence of int32 lists stored flat, list i at
@@ -71,8 +68,7 @@ func groupCSR(n int, keys, vals []int32) csr {
 // columnModel is the per-column distribution: a dictionary of the column's
 // distinct values with the rows holding each one (so the per-relation model
 // can answer single-relation selectivities exactly, capturing intra-row
-// correlation — the "Bayesian model in a single relation" of §2.3), plus an
-// equi-width numeric histogram.
+// correlation — the "Bayesian model in a single relation" of §2.3).
 type columnModel struct {
 	ref   schema.ColumnRef
 	total int
@@ -91,15 +87,9 @@ type columnModel struct {
 	// vals[byView[i]]. A pure numeric range holds for exactly the values with
 	// a view inside it (lang.ExactRangeBounds), so its match set is the
 	// postings between two binary searches. The views are taken from the
-	// values themselves, not from the numeric flag below, which looks at
-	// kinds and passes over numeric-looking text.
+	// values themselves, whatever their kind: numeric-looking text has one.
 	byView []int32
 	views  []float64
-
-	numeric    bool
-	lo, hi     float64
-	buckets    []int
-	numericCnt int
 }
 
 // trainColumn builds the model of column ci of rel.
@@ -111,16 +101,6 @@ func trainColumn(ref schema.ColumnRef, rel *mem.Relation, ci int) *columnModel {
 		if v.IsNull() {
 			rowID[row] = -1
 			continue
-		}
-		if v.Kind().Numeric() || v.Kind().Temporal() {
-			f, _ := v.Float()
-			if c.numericCnt == 0 || f < c.lo {
-				c.lo = f
-			}
-			if c.numericCnt == 0 || f > c.hi {
-				c.hi = f
-			}
-			c.numericCnt++
 		}
 		key := v.Key()
 		id, seen := c.ids[key]
@@ -140,7 +120,6 @@ func trainColumn(ref schema.ColumnRef, rel *mem.Relation, ci int) *columnModel {
 		}
 	}
 	c.post = groupCSR(len(c.vals)+1, rowID, nil)
-	c.buildHistogram()
 	c.sortViews()
 	return c
 }
@@ -180,25 +159,6 @@ func (c *columnModel) addRangeRows(bits *rowset.Bitmap, lo, hi float64) {
 
 func (c *columnModel) nullRows() []int32 { return c.post.at(int32(len(c.vals))) }
 
-// buildHistogram fills the equi-width histogram once min and max are known,
-// per distinct value: values sharing a key share their numeric view.
-func (c *columnModel) buildHistogram() {
-	c.numeric = c.numericCnt > 0
-	if c.numericCnt < 2 || c.hi <= c.lo {
-		return
-	}
-	c.buckets = make([]int, numericBuckets)
-	width := (c.hi - c.lo) / float64(numericBuckets)
-	for id, v := range c.vals {
-		f, ok := v.Float()
-		if !ok {
-			continue
-		}
-		idx := min(max(int((f-c.lo)/width), 0), numericBuckets-1)
-		c.buckets[idx] += len(c.post.at(int32(id)))
-	}
-}
-
 // rowsOf returns the ascending rows whose value has the key, if any.
 func (c *columnModel) rowsOf(key string) []int32 {
 	id, ok := c.ids[key]
@@ -206,119 +166,6 @@ func (c *columnModel) rowsOf(key string) []int32 {
 		return nil
 	}
 	return c.post.at(id)
-}
-
-// equalitySelectivity estimates P(column = keyword).
-func (c *columnModel) equalitySelectivity(keyword string) float64 {
-	if len(c.vals) == 0 {
-		return 0
-	}
-	if n := len(c.rowsOf(value.Parse(keyword).Key())); n > 0 {
-		return float64(n) / float64(c.total)
-	}
-	// Unseen value: Laplace-style smoothing well below one occurrence.
-	return 0.5 / float64(c.total+1)
-}
-
-// rangeSelectivity estimates P(lo <= column <= hi) for numeric columns,
-// falling back to a constant for text.
-func (c *columnModel) rangeSelectivity(lo, hi float64) float64 {
-	if len(c.vals) == 0 {
-		return 0
-	}
-	if !c.numeric {
-		return defaultTextCompareSelectivity
-	}
-	if hi < c.lo || lo > c.hi {
-		return 0.5 / float64(c.total+1)
-	}
-	if c.buckets == nil {
-		// Single-point numeric column.
-		if lo <= c.lo && c.lo <= hi {
-			return float64(c.total-len(c.nullRows())) / float64(c.total)
-		}
-		return 0.5 / float64(c.total+1)
-	}
-	width := (c.hi - c.lo) / float64(len(c.buckets))
-	covered := 0.0
-	for i, count := range c.buckets {
-		bLo := c.lo + float64(i)*width
-		bHi := bLo + width
-		overlapLo := math.Max(bLo, lo)
-		overlapHi := math.Min(bHi, hi)
-		if overlapHi <= overlapLo {
-			continue
-		}
-		frac := (overlapHi - overlapLo) / width
-		if frac > 1 {
-			frac = 1
-		}
-		covered += frac * float64(count)
-	}
-	sel := covered / float64(c.total)
-	if sel <= 0 {
-		sel = 0.5 / float64(c.total+1)
-	}
-	if sel > 1 {
-		sel = 1
-	}
-	return sel
-}
-
-// Selectivity estimates the fraction of the column's rows satisfying the
-// value constraint under the naive-Bayes independence assumption.
-func (c *columnModel) selectivity(e lang.ValueExpr) float64 {
-	if e == nil {
-		return 1
-	}
-	switch n := e.(type) {
-	case lang.Keyword:
-		return c.equalitySelectivity(n.Word)
-	case lang.Compare:
-		constF, isNum := n.Const.Float()
-		switch n.Op {
-		case lang.OpEq:
-			return c.equalitySelectivity(n.Const.String())
-		case lang.OpNe:
-			return min(max(1-c.equalitySelectivity(n.Const.String()), 0), 1)
-		case lang.OpLt, lang.OpLe:
-			if isNum {
-				return c.rangeSelectivity(math.Inf(-1), constF)
-			}
-			return defaultTextCompareSelectivity
-		case lang.OpGt, lang.OpGe:
-			if isNum {
-				return c.rangeSelectivity(constF, math.Inf(1))
-			}
-			return defaultTextCompareSelectivity
-		default:
-			return defaultTextCompareSelectivity
-		}
-	case lang.Range:
-		loF, ok1 := n.Lo.Float()
-		hiF, ok2 := n.Hi.Float()
-		if ok1 && ok2 {
-			return c.rangeSelectivity(loF, hiF)
-		}
-		return defaultTextCompareSelectivity
-	case lang.And:
-		sel := 1.0
-		for _, t := range n.Terms {
-			sel *= c.selectivity(t)
-		}
-		return sel
-	case lang.Or:
-		// Inclusion bound: 1 - ∏(1 - sel_i).
-		miss := 1.0
-		for _, t := range n.Terms {
-			miss *= 1 - c.selectivity(t)
-		}
-		return min(max(1-miss, 0), 1)
-	case lang.Not:
-		return min(max(1-c.selectivity(n.Term), 0), 1)
-	default:
-		return defaultTextCompareSelectivity
-	}
 }
 
 // relationModel is the per-relation Bayesian model: the column distributions
@@ -356,7 +203,7 @@ type Model struct {
 
 // Train fits the model to the current contents of the database. The
 // database must have been analyzed (for stats); Train performs its own
-// scan for histograms and join indicators. This corresponds to the paper's
+// scan for value postings and join indicators. This corresponds to the paper's
 // "Bayesian models trained a priori for the source database".
 func Train(db *mem.Database) *Model {
 	m := &Model{
@@ -494,20 +341,6 @@ func (m *Model) RelationSize(table string) int {
 	return 0
 }
 
-// Selectivity estimates the fraction of rows of ref's relation whose ref
-// value satisfies the constraint. It returns 1 for nil constraints and a
-// pessimistic small value for unknown columns.
-func (m *Model) Selectivity(ref schema.ColumnRef, e lang.ValueExpr) float64 {
-	if e == nil {
-		return 1
-	}
-	cm := m.column(ref)
-	if cm == nil {
-		return 0.01
-	}
-	return cm.selectivity(e)
-}
-
 // JoinProbability returns the trained join-indicator probability for a
 // foreign key edge (0 when unknown).
 func (m *Model) JoinProbability(fk schema.ForeignKey) float64 {
@@ -523,7 +356,6 @@ type ColumnSummary struct {
 	Rows     int
 	NonNull  int
 	Distinct int
-	Numeric  bool
 	TopValue string
 	TopCount int
 }
@@ -538,7 +370,6 @@ func (m *Model) Summaries() []ColumnSummary {
 			Rows:     cm.total,
 			NonNull:  cm.total - len(cm.nullRows()),
 			Distinct: len(cm.vals),
-			Numeric:  cm.numeric,
 		}
 		for id, v := range cm.vals {
 			n := len(cm.post.at(int32(id)))

@@ -3,7 +3,6 @@ package bayes
 import (
 	"math"
 	"testing"
-	"testing/quick"
 
 	"prism/internal/lang"
 	"prism/internal/mem"
@@ -80,80 +79,58 @@ func TestRelationSize(t *testing.T) {
 	}
 }
 
+// matching counts the rows of ref's relation the model says satisfy the
+// constraint; the estimator reads selectivities off these exact sets.
+func matching(t *testing.T, m *Model, ref schema.ColumnRef, expr lang.ValueExpr) int {
+	t.Helper()
+	n, ok := m.ExactMatchingRows(ref.Table, []ColumnConstraint{{Ref: ref, Expr: expr}})
+	if !ok {
+		t.Fatalf("the model does not know %s", ref)
+	}
+	return n
+}
+
 func TestEqualitySelectivity(t *testing.T) {
 	m, _ := trainedModel(t)
-	selCal := m.Selectivity(ref("geo_lake", "Province"), lang.Keyword{Word: "California"})
-	selNev := m.Selectivity(ref("geo_lake", "Province"), lang.Keyword{Word: "Nevada"})
-	selMissing := m.Selectivity(ref("geo_lake", "Province"), lang.Keyword{Word: "Atlantis"})
-	if selCal <= selNev {
-		t.Errorf("California (%v) should be more selective than Nevada (%v)", selCal, selNev)
+	prov := ref("geo_lake", "Province")
+	for word, want := range map[string]int{"California": 10, "Nevada": 1, "Atlantis": 0} {
+		if got := matching(t, m, prov, lang.Keyword{Word: word}); got != want {
+			t.Errorf("%s matches %d of 12 geo_lake rows, want %d", word, got, want)
+		}
 	}
-	if selNev <= selMissing {
-		t.Errorf("Nevada (%v) should be more likely than an unseen value (%v)", selNev, selMissing)
+	if got := matching(t, m, prov, nil); got != 12 {
+		t.Errorf("a nil constraint matches %d rows, want all 12", got)
 	}
-	if selMissing <= 0 {
-		t.Error("unseen values keep a small nonzero probability")
-	}
-	if got := m.Selectivity(ref("geo_lake", "Province"), nil); got != 1 {
-		t.Errorf("nil constraint selectivity = %v", got)
-	}
-	if got := m.Selectivity(ref("nope", "x"), lang.Keyword{Word: "y"}); got != 0.01 {
-		t.Errorf("unknown column selectivity = %v", got)
-	}
-	// Exact frequency check: 10 of 12 geo_lake rows are California.
-	if math.Abs(selCal-10.0/12.0) > 1e-9 {
-		t.Errorf("California selectivity = %v, want %v", selCal, 10.0/12.0)
+	if _, ok := m.ExactMatchingRows("nope", []ColumnConstraint{{Ref: ref("nope", "x"), Expr: lang.Keyword{Word: "y"}}}); ok {
+		t.Error("an unknown column should not be answered")
 	}
 }
 
 func TestRangeAndComparisonSelectivity(t *testing.T) {
 	m, _ := trainedModel(t)
-	areaRef := ref("Lake", "Area")
-	all := m.Selectivity(areaRef, lang.MustParseValueConstraint(">= 0"))
-	if all < 0.9 {
-		t.Errorf(">= 0 should cover nearly everything, got %v", all)
+	area := ref("Lake", "Area")
+	for expr, want := range map[string]int{
+		">= 0": 10, ">= 1000000": 0, "[0, 100]": 7, "[0, 100000]": 10, "< 100": 7, "> 100": 3,
+	} {
+		if got := matching(t, m, area, lang.MustParseValueConstraint(expr)); got != want {
+			t.Errorf("Area %s matches %d of 10 lakes, want %d", expr, got, want)
+		}
 	}
-	none := m.Selectivity(areaRef, lang.MustParseValueConstraint(">= 1000000"))
-	if none >= all || none <= 0 {
-		t.Errorf("selectivity above max should be tiny but positive: %v", none)
-	}
-	small := m.Selectivity(areaRef, lang.MustParseValueConstraint("[0, 100]"))
-	big := m.Selectivity(areaRef, lang.MustParseValueConstraint("[0, 100000]"))
-	if small >= big {
-		t.Errorf("wider range should not be less selective: %v vs %v", small, big)
-	}
-	lt := m.Selectivity(areaRef, lang.MustParseValueConstraint("< 100"))
-	gt := m.Selectivity(areaRef, lang.MustParseValueConstraint("> 100"))
-	if lt <= 0 || gt <= 0 || lt+gt > 1.5 {
-		t.Errorf("one-sided selectivities look wrong: %v %v", lt, gt)
-	}
-	// Text comparisons fall back to a constant.
-	nameSel := m.Selectivity(ref("Lake", "Name"), lang.Compare{Op: lang.OpGe, Const: value.NewText("M")})
-	if nameSel != defaultTextCompareSelectivity {
-		t.Errorf("text comparison selectivity = %v", nameSel)
+	// Text orders without case: no lake name sorts at or after "M".
+	if got := matching(t, m, ref("Lake", "Name"), lang.Compare{Op: lang.OpGe, Const: value.NewText("M")}); got != 0 {
+		t.Errorf("Name >= M matches %d lakes, want 0", got)
 	}
 }
 
 func TestBooleanSelectivity(t *testing.T) {
 	m, _ := trainedModel(t)
-	provRef := ref("geo_lake", "Province")
-	or := m.Selectivity(provRef, lang.MustParseValueConstraint("California || Nevada"))
-	cal := m.Selectivity(provRef, lang.MustParseValueConstraint("California"))
-	nev := m.Selectivity(provRef, lang.MustParseValueConstraint("Nevada"))
-	if or < cal || or < nev || or > 1 {
-		t.Errorf("or-selectivity out of bounds: %v (cal=%v nev=%v)", or, cal, nev)
-	}
-	and := m.Selectivity(provRef, lang.MustParseValueConstraint("California && Nevada"))
-	if and > cal || and > nev {
-		t.Errorf("and-selectivity should not exceed its terms: %v", and)
-	}
-	not := m.Selectivity(provRef, lang.MustParseValueConstraint("NOT California"))
-	if math.Abs(not-(1-cal)) > 1e-9 {
-		t.Errorf("not-selectivity = %v, want %v", not, 1-cal)
-	}
-	ne := m.Selectivity(provRef, lang.MustParseValueConstraint("!= California"))
-	if math.Abs(ne-(1-cal)) > 1e-9 {
-		t.Errorf("!=-selectivity = %v, want %v", ne, 1-cal)
+	prov := ref("geo_lake", "Province")
+	for expr, want := range map[string]int{
+		"California || Nevada": 11, "California && Nevada": 0, "NOT California": 2, "!= California": 2,
+	} {
+		if got := matching(t, m, prov, lang.MustParseValueConstraint(expr)); got != want {
+			t.Errorf("Province %s matches %d of 12 rows, want %d", expr, got, want)
+		}
 	}
 }
 
@@ -296,15 +273,6 @@ func TestSummaries(t *testing.T) {
 	if prov.Rows != 12 || prov.Distinct != 3 || prov.TopCount != 10 {
 		t.Errorf("province summary = %+v", prov)
 	}
-	var area ColumnSummary
-	for _, s := range sums {
-		if s.Ref.String() == "Lake.Area" {
-			area = s
-		}
-	}
-	if !area.Numeric {
-		t.Error("area should be numeric")
-	}
 }
 
 func TestEmptyRelationModel(t *testing.T) {
@@ -318,33 +286,8 @@ func TestEmptyRelationModel(t *testing.T) {
 	if m.RelationSize("Empty") != 0 {
 		t.Error("empty relation size")
 	}
-	if m.Selectivity(ref("Empty", "X"), lang.Keyword{Word: "1"}) != 0 {
-		t.Error("selectivity over empty column should be 0")
-	}
 	if m.ExpectedMatches([]string{"Empty"}, nil, nil) != 0 {
 		t.Error("expected matches over empty relation should be 0")
-	}
-}
-
-func TestSelectivityBoundsProperty(t *testing.T) {
-	m, _ := trainedModel(t)
-	areaRef := ref("Lake", "Area")
-	provRef := ref("geo_lake", "Province")
-	f := func(lo, hi int16, pick uint8) bool {
-		l, h := float64(lo), float64(hi)
-		if l > h {
-			l, h = h, l
-		}
-		sel := m.Selectivity(areaRef, lang.Range{Lo: value.NewDecimal(l), Hi: value.NewDecimal(h)})
-		if sel < 0 || sel > 1 {
-			return false
-		}
-		kw := []string{"California", "Nevada", "Oregon", "Atlantis", "497"}[int(pick)%5]
-		s2 := m.Selectivity(provRef, lang.Keyword{Word: kw})
-		return s2 >= 0 && s2 <= 1
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

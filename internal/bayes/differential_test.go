@@ -28,8 +28,7 @@ type diffFixture struct {
 func newDiffFixture(t *testing.T, db *mem.Database) *diffFixture {
 	t.Helper()
 	db.Analyze()
-	live := Train(db)
-	return &diffFixture{t: t, db: db, live: live, ref: trainReference(db, live)}
+	return &diffFixture{t: t, db: db, live: Train(db), ref: trainReference(db)}
 }
 
 // rememberingSets is a Sets that asks the model once per distinct question,

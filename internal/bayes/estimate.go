@@ -77,8 +77,7 @@ func (m *Model) ExpectedMatches(tables []string, edges []schema.ForeignKey, cons
 		set, known := m.relationRows(t, constraints)
 		switch {
 		case !known:
-			// Unknown column: keep a pessimistic small probability.
-			part.p = 0.01
+			part.p = unknownFactor
 			e *= part.p
 		case set != nil:
 			part.set = set
@@ -90,11 +89,10 @@ func (m *Model) ExpectedMatches(tables []string, edges []schema.ForeignKey, cons
 		}
 		parts = append(parts, part)
 	}
-	// Defensive: constraints on tables outside the filter contribute their
-	// independent selectivities.
+	// Defensive: filters are minted with their own tables' columns only.
 	for _, c := range constraints {
 		if findPart(parts, c.Ref.Table) < 0 {
-			e *= m.Selectivity(c.Ref, c.Expr)
+			e *= unknownFactor
 		}
 	}
 	// Edge factors: P(J=1) and the conditional pair probability, which

@@ -20,7 +20,6 @@ import (
 // different sample on every Train; the oracle enumerates in from-row order,
 // which is the order the compact model defines.
 type refModel struct {
-	live      *Model // supplies Selectivity for constraints outside the filter
 	relations map[string]*refRelation
 	joins     map[string]*refJoin
 }
@@ -50,8 +49,8 @@ func refKey(fk schema.ForeignKey) string {
 	return a + "|" + b
 }
 
-func trainReference(db *mem.Database, live *Model) *refModel {
-	m := &refModel{live: live, relations: make(map[string]*refRelation), joins: make(map[string]*refJoin)}
+func trainReference(db *mem.Database) *refModel {
+	m := &refModel{relations: make(map[string]*refRelation), joins: make(map[string]*refJoin)}
 	sch := db.Schema()
 	for _, t := range sch.Tables() {
 		rel, _ := db.Relation(t.Name)
@@ -162,7 +161,7 @@ func (m *refModel) ExpectedMatches(tables []string, edges []schema.ForeignKey, c
 	// product for one outside table and the only deterministic one for more.
 	for _, c := range constraints {
 		if _, inFilter := probs[strings.ToLower(c.Ref.Table)]; !inFilter {
-			e *= m.live.Selectivity(c.Ref, c.Expr)
+			e *= unknownFactor
 		}
 	}
 	for _, fk := range edges {

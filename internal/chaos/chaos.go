@@ -75,11 +75,10 @@ func (s *Stack) NewClient(t testing.TB, opts ...client.Option) *client.Client {
 // Request is the standard paper-grid discovery round the suite poisons.
 func Request() api.DiscoverRequest {
 	return api.DiscoverRequest{
-		Database:    "mondial",
-		NumColumns:  3,
-		Samples:     [][]string{{"California || Nevada", "Lake Tahoe", ""}},
-		Metadata:    []string{"", "", "DataType=='decimal' AND MinValue>='0'"},
-		Parallelism: 2,
+		Database:   "mondial",
+		NumColumns: 3,
+		Samples:    [][]string{{"California || Nevada", "Lake Tahoe", ""}},
+		Metadata:   []string{"", "", "DataType=='decimal' AND MinValue>='0'"},
 	}
 }
 

@@ -110,8 +110,7 @@ func TestWatchdogFreesWedgedRound(t *testing.T) {
 
 	start := time.Now()
 	report, err := eng.Discover(context.Background(), spec, prism.Options{
-		TimeLimit:   200 * time.Millisecond,
-		Parallelism: 2,
+		TimeLimit: 200 * time.Millisecond,
 	})
 	elapsed := time.Since(start)
 	if err != nil {

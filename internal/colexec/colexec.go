@@ -113,12 +113,6 @@ type blockZone struct {
 	hasNum bool
 }
 
-// codeRun is one run of the dictionary's RLE index: rows
-// [start, end) all carry code.
-type codeRun struct {
-	start, end, code int32
-}
-
 // dictionary is the low-cardinality encoding of one column: the distinct
 // stored values (by strict identity, so predicate evaluation per code is
 // exactly predicate evaluation per row) and one bit-packed code per row.
@@ -139,10 +133,6 @@ type dictionary struct {
 	// within each word, padded with one spare word so a straddling read
 	// never bounds-checks.
 	bits []uint64
-	// runs is the RLE index over the codes, present only when the column
-	// actually runs (few runs relative to rows): a scan-shaped predicate
-	// is then answered once per run instead of once per row.
-	runs []codeRun
 }
 
 // code unpacks row ri's dictionary code.
@@ -295,8 +285,8 @@ func New(src exec.Source) (exec.Executor, error) {
 
 // buildColumn computes the storage, indexes, zone maps and (when the column
 // is low-cardinality) dictionary of one column. Dictionary-encoded columns
-// are stored compressed: bit-packed codes plus an RLE run index when the
-// column runs, with the per-row value and key slices dropped.
+// are stored compressed: bit-packed codes, with the per-row value and key
+// slices dropped.
 func buildColumn(vals []value.Value) *column {
 	c := &column{
 		vals:   vals,
@@ -392,8 +382,7 @@ func buildColumn(vals []value.Value) *column {
 }
 
 // compress finalises a dictionary from the raw per-row codes: the
-// per-distinct key table, the bit-packed code lanes, and — when the
-// column actually runs — the RLE run index.
+// per-distinct key table and the bit-packed code lanes.
 func (d *dictionary) compress(codes []int32) {
 	d.keys = make([]string, len(d.vals))
 	for code, v := range d.vals {
@@ -412,20 +401,6 @@ func (d *dictionary) compress(codes []int32) {
 				d.bits[bit>>6+1] |= uint64(code) >> (64 - off)
 			}
 		}
-	}
-	var runs []codeRun
-	for ri := 0; ri < len(codes); {
-		end := ri + 1
-		for end < len(codes) && codes[end] == codes[ri] {
-			end++
-		}
-		runs = append(runs, codeRun{start: int32(ri), end: int32(end), code: codes[ri]})
-		ri = end
-	}
-	// Keep the run index only when the column genuinely runs; a
-	// run-per-row index would cost more to walk than the rows.
-	if len(runs)*4 <= len(codes) {
-		d.runs = runs
 	}
 }
 
@@ -1260,28 +1235,6 @@ func (e *Executor) selectRows(st *execState, ti int, memo *exec.SelectionMemo, s
 // that pass all of them to ids and adding them to rows. It reports whether
 // execution was interrupted, with the rows found so far.
 func (st *execState) scan(t *table, ids []int32, rows *rowset.Bitmap, stats *exec.ExecStats) (_ []int32, aborted bool) {
-	if rle := st.rleCheck(); rle != nil {
-		// RLE fast path: a single dictionary-verdict predicate over a
-		// running column is answered once per run. Counters match the
-		// row loop exactly — every row is accounted scanned, failing runs
-		// are filtered wholesale.
-		for _, run := range rle.col.dict.runs {
-			if st.interrupt.Hit() {
-				return ids, true
-			}
-			n := int(run.end - run.start)
-			stats.RowsScanned += n
-			if !rle.verdict[run.code] {
-				stats.PredicateFiltered += n
-				continue
-			}
-			for id := run.start; id < run.end; id++ {
-				ids = append(ids, id)
-				rows.Add(id)
-			}
-		}
-		return ids, false
-	}
 	for b0 := 0; b0 < t.numRows; b0 += blockRows {
 		if st.blockPruned(b0 / blockRows) {
 			stats.BlocksPruned++
@@ -1357,20 +1310,6 @@ func (st *execState) fillSelection(memo *exec.SelectionMemo, key exec.SelectionK
 		return nil
 	}
 	return &exec.Selection{IDs: slices.Clone(ids), Rows: rows}
-}
-
-// rleCheck returns the single pending check when the whole selection is
-// one dictionary-verdict predicate over a column with an RLE run index —
-// the shape the run-at-a-time fast path answers — and nil otherwise.
-func (st *execState) rleCheck() *predCheck {
-	if len(st.checks) != 1 {
-		return nil
-	}
-	c := &st.checks[0]
-	if c.verdict == nil || c.col.dict.runs == nil {
-		return nil
-	}
-	return c
 }
 
 // blockPruned reports whether any of st.checks proves block b empty

@@ -154,43 +154,6 @@ func TestPackedCodesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestRunLengthIndex checks the RLE construction: a running column gets
-// a run index whose runs tile the rows exactly; a non-running column
-// does not pay for one.
-func TestRunLengthIndex(t *testing.T) {
-	var runny []value.Value
-	for i := 0; i < 4000; i++ {
-		runny = append(runny, value.NewText([]string{"A", "B", "C"}[i/500%3]))
-	}
-	c := buildColumn(runny)
-	if c.dict == nil || c.dict.runs == nil {
-		t.Fatal("a long-running column should get an RLE index")
-	}
-	var next int32
-	for _, run := range c.dict.runs {
-		if run.start != next || run.end <= run.start {
-			t.Fatalf("runs do not tile the rows: %+v at expected offset %d", run, next)
-		}
-		for ri := run.start; ri < run.end; ri++ {
-			if code := c.dict.code(ri); code != run.code {
-				t.Fatalf("row %d: code %d, run says %d", ri, code, run.code)
-			}
-		}
-		next = run.end
-	}
-	if next != int32(len(runny)) {
-		t.Fatalf("runs cover %d of %d rows", next, len(runny))
-	}
-
-	var choppy []value.Value
-	for i := 0; i < 4000; i++ {
-		choppy = append(choppy, value.NewInt(int64(i%5)))
-	}
-	if cc := buildColumn(choppy); cc.dict == nil || cc.dict.runs != nil {
-		t.Error("an alternating column should not keep a run index")
-	}
-}
-
 // TestBlockZoneMaps checks the per-block zone maps: block extrema track
 // their own rows, and a block-pruned scan still returns exactly the
 // rows a full scan would.
@@ -503,7 +466,7 @@ func (w withoutMemo) ExecuteWith(p exec.Plan, opts exec.ExecOptions) (*exec.Resu
 // benchmark/workloads.go generates them, after the exact and disjunction
 // recipes on the same generator), of which it keeps the heavy ones — those
 // whose schedule, every probe scanning for itself, reads more rows than the
-// database holds. A round is sched.Runner.RunContext at parallelism 1 with a
+// database holds. A round is sched.Runner.RunContext with a
 // fresh Bayes estimator over the round's filter set, so the executor's
 // selections and the estimator's match sets are both in it. memo is the
 // round as the library runs it; no-memo takes the round's selection memo
@@ -535,8 +498,7 @@ func BenchmarkRangeRound(b *testing.B) {
 	}
 	runRound := func(ex exec.Executor, r round) sched.Result {
 		runner := &sched.Runner{DB: ex, Spec: r.spec, Set: r.set,
-			Estimator: &sched.BayesEstimator{Model: model, Spec: r.spec},
-			Options:   sched.Options{Parallelism: 1}}
+			Estimator: &sched.BayesEstimator{Model: model, Spec: r.spec}}
 		res, err := runner.RunContext(context.Background())
 		if err != nil {
 			b.Fatal(err)

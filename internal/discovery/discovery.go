@@ -12,7 +12,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -73,12 +72,11 @@ type Options struct {
 	ResultLimit int
 	// MaxResults caps the number of final mappings returned (0 = all).
 	MaxResults int
-	// Parallelism bounds the number of filter validations kept in flight
-	// concurrently during the validation phase — the hot path of a round.
-	// The default is runtime.GOMAXPROCS(0); 1 reproduces the paper's
-	// sequential greedy loop exactly. The final mapping set is identical at
-	// every parallelism level because filter outcomes are ground truths of
-	// the database, independent of validation order.
+	// Parallelism is accepted and ignored: a round validates one filter at a
+	// time, the paper's sequential greedy loop.
+	//
+	// Deprecated: ROADMAP item 0e removes it; the files under benchmark/
+	// still set it.
 	Parallelism int
 	// Executor selects the execution backend for this round by registry
 	// name ("columnar", "mem", ...). Empty selects the engine's default
@@ -111,9 +109,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.ResultLimit <= 0 {
 		o.ResultLimit = 20
-	}
-	if o.Parallelism <= 0 {
-		o.Parallelism = runtime.GOMAXPROCS(0)
 	}
 	return o
 }
@@ -161,8 +156,6 @@ type Report struct {
 	Policy string
 	// Executor names the execution backend the round ran on.
 	Executor string
-	// Parallelism is the validation parallelism the round ran with.
-	Parallelism int
 	// TimedOut reports whether the round hit the time limit before
 	// resolving every candidate (the paper reports this as a failure).
 	TimedOut bool
@@ -391,9 +384,10 @@ var errTimeBudget = errors.New("discovery: time budget exhausted")
 // run is the shared implementation of Discover, DiscoverStream and session
 // rounds; emit is nil for the non-streaming path, sess is nil outside a
 // session. It is the round-level panic barrier: a panic anywhere in the
-// pipeline outside the validation workers (which recover on their own
-// goroutines) aborts this round with an ErrInternal-wrapped error and a
-// partial report, leaving the engine and other rounds untouched.
+// pipeline outside a validation (which the scheduler recovers itself; what
+// else panics on its loop it re-raises here) aborts this round with an
+// ErrInternal-wrapped error and a partial report, leaving the engine and
+// other rounds untouched.
 func (e *Engine) run(ctx context.Context, spec *constraint.Spec, opts Options, emit func(Event), sess *Session) (report *Report, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
@@ -415,7 +409,7 @@ func (e *Engine) run(ctx context.Context, spec *constraint.Spec, opts Options, e
 // before run's recover converts the panic to an error.
 func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Options, emit func(Event), sess *Session) (*Report, error) {
 	opts = opts.withDefaults()
-	report := &Report{Spec: spec, Policy: string(opts.Policy), Parallelism: opts.Parallelism}
+	report := &Report{Spec: spec, Policy: string(opts.Policy)}
 	start := time.Now()
 	// The round trace is opt-in: every span below hangs off this root,
 	// and with Trace unset the nil root makes each Child/SetAttr/End a
@@ -424,7 +418,6 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 	if opts.Trace {
 		trace = obs.NewSpan("round")
 		trace.SetAttr("policy", string(opts.Policy))
-		trace.SetAttr("parallelism", opts.Parallelism)
 		report.Trace = trace
 	}
 	defer func() {
@@ -599,9 +592,8 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 		}
 	}
 	schedOpts := sched.Options{
-		TimeLimit:   opts.TimeLimit,
-		Now:         opts.Now,
-		Parallelism: opts.Parallelism,
+		TimeLimit: opts.TimeLimit,
+		Now:       opts.Now,
 	}
 	if sess != nil {
 		// Keys bind each filter to the round's constraints and the current
@@ -640,8 +632,8 @@ func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Opti
 		Estimator: estimator,
 		Options:   schedOpts,
 	}
-	// The schedule span rides the context so the scheduler's worker pool
-	// can hang one child span per validation under it.
+	// The schedule span rides the context so the scheduler can hang one
+	// child span per validation under it.
 	spSchedule := trace.Child("schedule")
 	res, err := runner.RunContext(obs.ContextWithSpan(ctx, spSchedule))
 	if be, ok := estimator.(*sched.BayesEstimator); ok {
@@ -749,9 +741,6 @@ func (r *Report) Summary() string {
 		r.CandidatesEnumerated, r.FiltersGenerated, r.Validations, r.Implied, len(r.Mappings), r.Elapsed.Round(time.Millisecond))
 	if !r.Cache.IsZero() {
 		fmt.Fprintf(&b, " cache=%d/%d hits (validations saved)", r.Cache.Hits, r.Cache.Hits+r.Cache.Misses)
-	}
-	if r.Parallelism > 1 {
-		fmt.Fprintf(&b, " parallelism=%d", r.Parallelism)
 	}
 	if r.Cancelled {
 		b.WriteString(" CANCELLED")

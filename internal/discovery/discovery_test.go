@@ -2,12 +2,14 @@ package discovery
 
 import (
 	"context"
+	"errors"
 	"strings"
 	"testing"
 	"time"
 
 	"prism/internal/constraint"
 	"prism/internal/dataset"
+	"prism/internal/fault"
 	"prism/internal/mem"
 )
 
@@ -302,5 +304,33 @@ func BenchmarkNewEngine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_ = NewEngine(db)
+	}
+}
+
+// TestCallbackPanicEndsOnlyItsRound: the scheduler calls OnResolved on its
+// loop's goroutine; a panic in it — here the sink of a streamed round — must
+// reach the round barrier and come back as ErrInternal with a partial report,
+// and the engine must serve the next round.
+func TestCallbackPanicEndsOnlyItsRound(t *testing.T) {
+	e := NewEngine(smallMondial(t))
+	recovered := metricRoundPanics.Value()
+	sink := func(ev Event) {
+		if ev.Kind == EventMapping {
+			panic("sink bug")
+		}
+	}
+	report, err := e.run(context.Background(), paperSpec(t), Options{}, sink, nil)
+	if !errors.Is(err, fault.ErrInternal) || !strings.Contains(err.Error(), "sink bug") {
+		t.Fatalf("round with a panicking callback returned %v, want ErrInternal naming the panic", err)
+	}
+	if report == nil {
+		t.Fatal("no partial report")
+	}
+	if got := metricRoundPanics.Value() - recovered; got != 1 {
+		t.Errorf("round panic counter moved by %d, want 1", got)
+	}
+	next, err := e.Discover(context.Background(), paperSpec(t), Options{})
+	if err != nil || len(next.Mappings) == 0 {
+		t.Fatalf("round after the panic: %d mappings, %v", len(next.Mappings), err)
 	}
 }

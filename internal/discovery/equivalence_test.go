@@ -72,8 +72,7 @@ func discoverWith(t *testing.T, db *mem.Database, spec *constraint.Spec, opts Op
 // columnar engine: on every bundled data set, every registered backend must
 // produce the identical mapping set, result previews, and validation
 // schedule as the mem reference. The digest includes the validation and
-// implication counters, which depend on goroutine timing above one worker
-// (see TestExecutorEquivalenceParallel), so the rounds pin Parallelism 1.
+// implication counters.
 func TestExecutorEquivalenceAcrossDatasets(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -124,7 +123,7 @@ func TestExecutorEquivalenceAcrossDatasets(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := Options{IncludeResults: true, ResultLimit: 5, Parallelism: 1}
+			opts := Options{IncludeResults: true, ResultLimit: 5}
 			reference := discoverWith(t, db, spec, opts, "mem")
 			if len(reference.Mappings) == 0 {
 				t.Fatalf("reference round found no mappings — the fixture is too weak to test equivalence")
@@ -144,8 +143,8 @@ func TestExecutorEquivalenceAcrossDatasets(t *testing.T) {
 }
 
 // TestExecutorEquivalencePolicies checks that backend choice is orthogonal
-// to the scheduling policy: for each policy, all backends agree. Counters
-// are digested, so the rounds pin Parallelism 1.
+// to the scheduling policy: for each policy, all backends agree, counters
+// included.
 func TestExecutorEquivalencePolicies(t *testing.T) {
 	db := smallMondial(t)
 	spec := paperSpec(t)
@@ -154,7 +153,7 @@ func TestExecutorEquivalencePolicies(t *testing.T) {
 		t.Run(string(policy), func(t *testing.T) {
 			var want string
 			for _, name := range executors(t) {
-				digest := reportDigest(t, discoverWith(t, db, spec, Options{Policy: policy, Parallelism: 1}, name))
+				digest := reportDigest(t, discoverWith(t, db, spec, Options{Policy: policy}, name))
 				if want == "" {
 					want = digest
 				} else if digest != want {
@@ -165,27 +164,35 @@ func TestExecutorEquivalencePolicies(t *testing.T) {
 	}
 }
 
-// TestExecutorEquivalenceParallel checks that the columnar backend's
-// mapping set stays deterministic under concurrent validation. Validation
-// counts may legitimately grow with the worker-pool size (in-flight
-// validations complete even when an implication lands first), so only the
-// resolved outcome is compared.
-func TestExecutorEquivalenceParallel(t *testing.T) {
+// TestRoundsRepeatExactly pins that a round is a function of (spec, data,
+// options): under every policy, on every backend, twenty rounds at default
+// options end with the same validation and implication counts, the same
+// cost counters and the same mappings.
+func TestRoundsRepeatExactly(t *testing.T) {
 	db := smallMondial(t)
 	spec := paperSpec(t)
 	digest := func(r *Report) string {
-		var b []byte
-		b = fmt.Appendf(b, "confirmed=%d pruned=%d\n", r.CandidatesConfirmed, r.CandidatesPruned)
+		b := fmt.Appendf(nil, "validations=%d implied=%d cost=%+v\n", r.Validations, r.Implied, r.Cost)
 		for _, m := range r.Mappings {
 			b = fmt.Appendf(b, "mapping %s\n", m.SQL)
 		}
 		return string(b)
 	}
-	want := digest(discoverWith(t, db, spec, Options{Parallelism: 1}, "columnar"))
-	for _, p := range []int{2, 8} {
-		got := digest(discoverWith(t, db, spec, Options{Parallelism: p}, "columnar"))
-		if got != want {
-			t.Errorf("columnar executor diverges at parallelism %d", p)
+	for _, policy := range []Policy{PolicyBayes, PolicyPathLength, PolicyRandom, PolicyOracle} {
+		for _, name := range executors(t) {
+			e := NewEngineWithExecutor(db, name)
+			var want string
+			for round := 0; round < 20; round++ {
+				report, err := e.Discover(context.Background(), spec, Options{Policy: policy})
+				if err != nil {
+					t.Fatalf("%s on %s, round %d: %v", policy, name, round, err)
+				}
+				if got := digest(report); want == "" {
+					want = got
+				} else if got != want {
+					t.Fatalf("%s on %s: round %d differs from round 0:\n%s--- round 0 ---\n%s", policy, name, round, got, want)
+				}
+			}
 		}
 	}
 }

@@ -12,7 +12,7 @@ import (
 // validation so executed-validation counts are exact, result previews on so
 // mapping equivalence covers rows too.
 func sessionOpts() Options {
-	return Options{Parallelism: 1, IncludeResults: true, ResultLimit: 5}
+	return Options{IncludeResults: true, ResultLimit: 5}
 }
 
 // mappingDigest reduces a report to what refined rounds must reproduce

@@ -139,7 +139,7 @@ func TestDiscoverTrace(t *testing.T) {
 func TestReplayTraceEstimatesNothing(t *testing.T) {
 	e := NewEngine(smallMondial(t))
 	sess := e.NewSession(0)
-	opts := Options{Trace: true, Parallelism: 1}
+	opts := Options{Trace: true}
 	if _, err := sess.Discover(context.Background(), paperSpec(t), opts); err != nil {
 		t.Fatal(err)
 	}
@@ -201,8 +201,8 @@ func TestTraceDoesNotChangeMappings(t *testing.T) {
 // TestSelectionMemoReachesTheRound: a round with a value-range cell scans
 // each (source column, cell) pair once and reads it back for the other
 // filters that carry it — the validate spans say which — the mapping set is
-// the reference engine's, and at Parallelism 1 the schedule and cost
-// counters are the same on every run.
+// the reference engine's, and the schedule and cost counters are the same
+// on every run.
 func TestSelectionMemoReachesTheRound(t *testing.T) {
 	db := smallMondial(t)
 	e := NewEngine(db)
@@ -210,7 +210,7 @@ func TestSelectionMemoReachesTheRound(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opts := Options{Parallelism: 1, Trace: true}
+	opts := Options{Trace: true}
 	first, err := e.Discover(context.Background(), spec, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -236,7 +236,7 @@ func TestSelectionMemoReachesTheRound(t *testing.T) {
 		t.Errorf("second run: %d validations, %d implied, cost %+v; first %d, %d, %+v",
 			again.Validations, again.Implied, again.Cost, first.Validations, first.Implied, first.Cost)
 	}
-	ref, err := e.Discover(context.Background(), spec, Options{Parallelism: 1, Executor: "mem"})
+	ref, err := e.Discover(context.Background(), spec, Options{Executor: "mem"})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -111,10 +111,6 @@ type Config struct {
 	// MaxTables bounds candidate join trees (default 3 to keep the
 	// experiment suite fast; the library default is 4).
 	MaxTables int
-	// Parallelism bounds concurrent filter validations per round (default
-	// 1, the sequential loop, so validation counts stay exactly
-	// reproducible across machines).
-	Parallelism int
 	// Executor selects the execution backend for every round and ground
 	// truth computation ("" = the engine default, columnar). Validation
 	// counts are identical across backends; wall-clock times are not.
@@ -155,11 +151,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxTables <= 0 {
 		c.MaxTables = 3
-	}
-	if c.Parallelism <= 0 {
-		// Sequential by default so validation counts stay exactly
-		// reproducible across machines.
-		c.Parallelism = 1
 	}
 	return c
 }
@@ -233,11 +224,10 @@ func (r *Runner) sweepLevel(ctx context.Context, level workload.Level) (levelMet
 		}
 		m.cases++
 		report, err := r.Engine.Discover(ctx, tc.Spec, discovery.Options{
-			TimeLimit:   r.Config.TimeLimit,
-			MaxTables:   r.Config.MaxTables,
-			Parallelism: r.Config.Parallelism,
-			Executor:    r.Config.Executor,
-			Trace:       r.Config.Trace,
+			TimeLimit: r.Config.TimeLimit,
+			MaxTables: r.Config.MaxTables,
+			Executor:  r.Config.Executor,
+			Trace:     r.Config.Trace,
 		})
 		if report != nil && report.Trace != nil {
 			r.LastTrace = report.Trace
@@ -416,8 +406,7 @@ func (r *Runner) scheduleCase(ctx context.Context, tc workload.TestCase) ([]stri
 	run := func(est sched.Estimator) (int, error) {
 		runner := &sched.Runner{DB: r.Exec, Spec: tc.Spec, Set: set, Estimator: est,
 			Options: sched.Options{
-				TimeLimit:   r.Config.TimeLimit,
-				Parallelism: r.Config.Parallelism,
+				TimeLimit: r.Config.TimeLimit,
 			}}
 		res, err := runner.RunContext(ctx)
 		if err != nil {
@@ -463,7 +452,6 @@ func (r *Runner) RunTable1(ctx context.Context) (*Table, error) {
 	report, err := r.Engine.Discover(ctx, spec, discovery.Options{
 		TimeLimit:      r.Config.TimeLimit,
 		MaxTables:      r.Config.MaxTables,
-		Parallelism:    r.Config.Parallelism,
 		Executor:       r.Config.Executor,
 		IncludeResults: true,
 		ResultLimit:    5,

@@ -13,7 +13,7 @@ import (
 
 // TestBatchingOptionChangesNothing pins the deprecated Options.Batching as
 // inert until it is deleted: over the generator pools of the three bundled
-// databases, at parallelism 1 and with a fresh outcome cache, a run with the
+// databases, with a fresh outcome cache, a run with the
 // field set ends with the Result of a run without it — counters, cost and
 // candidate sets. The benchmark's traced run still divides the time of one
 // by the time of the other.
@@ -31,9 +31,8 @@ func TestBatchingOptionChangesNothing(t *testing.T) {
 					DB: db, Spec: round.spec, Set: round.set,
 					Estimator: &BayesEstimator{Model: model, Spec: round.spec},
 					Options: Options{
-						Parallelism: 1,
-						Batching:    batching,
-						Cache:       filter.NewOutcomeCache(0),
+						Batching: batching,
+						Cache:    filter.NewOutcomeCache(0),
 						CacheKey: func(i int) string {
 							return filter.ValidationKey(round.set.Filters[i], round.spec, mdb.Version())
 						},

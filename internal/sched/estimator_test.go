@@ -148,7 +148,7 @@ func TestBayesEstimatorMatchesUnmemoised(t *testing.T) {
 			}
 		}
 		run := func(est Estimator) Result {
-			res, err := (&Runner{DB: db, Spec: round.spec, Set: round.set, Estimator: est, Options: Options{Parallelism: 1}}).Run()
+			res, err := (&Runner{DB: db, Spec: round.spec, Set: round.set, Estimator: est}).Run()
 			if err != nil {
 				t.Fatalf("%s: %v", round.name, err)
 			}

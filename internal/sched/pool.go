@@ -2,11 +2,11 @@ package sched
 
 import "sync/atomic"
 
-// Process-wide validation worker-pool gauge. Every RunContext spawns a
-// bounded pool of validation workers; the gauge aggregates them across
-// all concurrently running rounds so the serving tier can sample
-// utilization (active validations vs. live workers) for its stats
-// endpoint without reaching into individual runs.
+// Process-wide validation gauge. Every RunContext has one worker, its
+// greedy loop; the gauge aggregates the loops of all concurrently running
+// rounds so the serving tier can sample utilization (active validations
+// vs. live workers) for its stats endpoint without reaching into
+// individual runs.
 var pool struct {
 	liveWorkers atomic.Int64
 	active      atomic.Int64
@@ -14,10 +14,10 @@ var pool struct {
 }
 
 // PoolStats is a point-in-time sample of the process-wide validation
-// worker pools.
+// workers.
 type PoolStats struct {
-	// LiveWorkers is the number of validation worker goroutines currently
-	// spawned across all running rounds.
+	// LiveWorkers is the number of scheduling loops currently running,
+	// one per round.
 	LiveWorkers int64
 	// ActiveValidations is how many workers are executing a validation at
 	// the sampling instant.

@@ -5,9 +5,9 @@ import (
 	"time"
 )
 
-// TestPoolGaugeTracksRuns pins the worker-pool gauge: a scheduling run
+// TestPoolGaugeTracksRuns pins the validation gauge: a scheduling run
 // must raise the completed-validation counter, and after it returns no
-// workers may remain live (each run reclaims its pool).
+// worker may remain live (each run's loop has ended).
 func TestPoolGaugeTracksRuns(t *testing.T) {
 	before := PoolSnapshot()
 	fx := newFixture(t)
@@ -16,7 +16,6 @@ func TestPoolGaugeTracksRuns(t *testing.T) {
 		Spec:      fx.spec,
 		Set:       fx.set,
 		Estimator: &PathLengthEstimator{},
-		Options:   Options{Parallelism: 4},
 	}
 	if _, err := runner.Run(); err != nil {
 		t.Fatalf("run: %v", err)
@@ -26,20 +25,25 @@ func TestPoolGaugeTracksRuns(t *testing.T) {
 		t.Errorf("completed validations did not advance: %d -> %d",
 			before.CompletedValidations, after.CompletedValidations)
 	}
-	// Run returns once all results are collected; workers may still be
-	// between delivering their last result and their deferred gauge
-	// decrement, so poll briefly rather than asserting instantly.
-	deadline := time.Now().Add(2 * time.Second)
-	for PoolSnapshot().LiveWorkers != 0 {
-		if time.Now().After(deadline) {
-			t.Fatalf("live workers did not drain: %d", PoolSnapshot().LiveWorkers)
-		}
-		time.Sleep(time.Millisecond)
-	}
+	waitForNoLiveWorkers(t)
 	if got := (PoolStats{LiveWorkers: 4, ActiveValidations: 2}).Utilization(); got != 0.5 {
 		t.Errorf("utilization = %v, want 0.5", got)
 	}
 	if got := (PoolStats{}).Utilization(); got != 0 {
 		t.Errorf("empty utilization = %v, want 0", got)
+	}
+}
+
+// waitForNoLiveWorkers polls the gauge down to zero. A loop leaves the gauge
+// before its RunContext returns, but one the watchdog abandoned lives on
+// until its wedged validation comes back.
+func waitForNoLiveWorkers(t *testing.T) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for PoolSnapshot().LiveWorkers != 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("live workers did not drain: %d", PoolSnapshot().LiveWorkers)
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

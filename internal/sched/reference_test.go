@@ -13,7 +13,6 @@ import (
 	"prism/internal/filter"
 	"prism/internal/graphx"
 	"prism/internal/mem"
-	"prism/internal/rowset"
 )
 
 // This file keeps filter selection as it was before the scheduler kept
@@ -41,10 +40,10 @@ func pruningReach(sess *filter.Session, i int) int {
 	return n
 }
 
-func referencePick(set *filter.Set, sess *filter.Session, failProb []float64, isTop []bool, costModel func(*filter.Filter) float64, inFlight *rowset.Bitmap) (int, bool) {
+func referencePick(set *filter.Set, sess *filter.Session, failProb []float64, isTop []bool, costModel func(*filter.Filter) float64) (int, bool) {
 	best := referenceEntry{idx: -1}
 	for i := range set.Filters {
-		if sess.Determined(i) || inFlight.Contains(int32(i)) {
+		if sess.Determined(i) {
 			continue
 		}
 		reach := pruningReach(sess, i)
@@ -133,10 +132,9 @@ func runReference(t *testing.T, db exec.Executor, spec *constraint.Spec, set *fi
 		}
 		return cost
 	}
-	inFlight := rowset.New(set.NumFilters())
 	var run referenceRun
 	for sess.UnresolvedCandidates() > 0 {
-		next, ok := referencePick(set, sess, failProb, isTop, costModel, inFlight)
+		next, ok := referencePick(set, sess, failProb, isTop, costModel)
 		if !ok {
 			break
 		}
@@ -195,9 +193,9 @@ func policies(model *bayes.Model, spec *constraint.Spec) map[string]func() Estim
 // TestPickMatchesReference drives the ranking and the reference pick in
 // lock-step over the generator pools of the three bundled databases, under
 // each policy: the same filter at every step, and counters that equal a
-// fresh scan. It then requires a whole RunContext at parallelism 1 to issue
-// the reference's probes in the reference's order and to end with its
-// counters and candidate sets.
+// fresh scan. It then requires a whole RunContext to issue the reference's
+// probes in the reference's order and to end with its counters and candidate
+// sets.
 func TestPickMatchesReference(t *testing.T) {
 	picks := 0
 	for name, mdb := range difftest.Databases(t) {
@@ -220,9 +218,8 @@ func TestPickMatchesReference(t *testing.T) {
 				rank := newRanking(round.set, sess)
 				rank.estimate(newEstimator(), tableSizeCost(db))
 				validator := &filter.Validator{DB: db, Spec: round.spec}
-				inFlight := rowset.New(round.set.NumFilters())
 				for step, wantIdx := range want.picks {
-					got, ok := rank.pick(inFlight)
+					got, ok := rank.pick()
 					if !ok || got != wantIdx {
 						t.Fatalf("%s step %d: picked %d (ok=%v), reference %d", label, step, got, ok, wantIdx)
 					}
@@ -242,14 +239,14 @@ func TestPickMatchesReference(t *testing.T) {
 					}
 				}
 				if sess.UnresolvedCandidates() > 0 {
-					if got, ok := rank.pick(inFlight); ok {
+					if got, ok := rank.pick(); ok {
 						t.Errorf("%s: picked %d after the reference stopped", label, got)
 					}
 				}
 
 				// The whole run.
 				runLog := &probeLog{Executor: db}
-				res, err := (&Runner{DB: runLog, Spec: round.spec, Set: round.set, Estimator: newEstimator(), Options: Options{Parallelism: 1}}).Run()
+				res, err := (&Runner{DB: runLog, Spec: round.spec, Set: round.set, Estimator: newEstimator()}).Run()
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -318,9 +315,8 @@ func TestPickDoesNotAllocate(t *testing.T) {
 	sess := filter.NewSession(round.set)
 	rank := newRanking(round.set, sess)
 	rank.estimate(&PathLengthEstimator{}, tableSizeCost(db))
-	inFlight := rowset.New(round.set.NumFilters())
 	if allocs := testing.AllocsPerRun(50, func() {
-		if _, ok := rank.pick(inFlight); !ok {
+		if _, ok := rank.pick(); !ok {
 			t.Fatal("nothing to pick")
 		}
 	}); allocs != 0 {
@@ -337,10 +333,9 @@ func BenchmarkPick(b *testing.B) {
 	sess := filter.NewSession(round.set)
 	rank := newRanking(round.set, sess)
 	rank.estimate(&PathLengthEstimator{}, tableSizeCost(db))
-	inFlight := rowset.New(round.set.NumFilters())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sinkPick, _ = rank.pick(inFlight)
+		sinkPick, _ = rank.pick()
 	}
 }

@@ -3,8 +3,8 @@ package sched
 // Robustness seams of the scheduling loop: the validation fault point,
 // the panic counter, and the watchdog counter. A panicking validator
 // (an executor bug, an injected fault) must abort only the round that
-// hit it — the worker recovers, reports a fault.ErrInternal-wrapped
-// outcome, and the pool and process stay healthy. The watchdog bounds
+// hit it — the loop recovers it into a fault.ErrInternal-wrapped error
+// and the process stays healthy. The watchdog bounds
 // a round whose executor wedges past the time budget without honoring
 // context cancellation.
 
@@ -16,10 +16,10 @@ import (
 )
 
 var (
-	// faultValidate fires inside a validation worker, before the
-	// backend runs. Armed with ModePanic it exercises the worker's
-	// panic isolation; with ModeDelay it wedges a validation under the
-	// round watchdog.
+	// faultValidate fires inside a validation, before the backend
+	// runs. Armed with ModePanic it exercises the loop's panic
+	// isolation; with ModeDelay it wedges a validation under the round
+	// watchdog.
 	faultValidate = fault.Register("sched.validate")
 
 	metricPanics = obs.Default.Counter("prism_panics_recovered_total",
@@ -30,7 +30,7 @@ var (
 )
 
 // watchdogGrace bounds how long past Options.TimeLimit a round may run
-// before the watchdog abandons its in-flight validations: a tenth of the
+// before the watchdog abandons its wedged validation: a tenth of the
 // budget, clamped to [100ms, 5s].
 func watchdogGrace(limit time.Duration) time.Duration {
 	g := limit / 10

@@ -3,50 +3,12 @@ package sched
 import (
 	"context"
 	"errors"
-	"sort"
+	"sync/atomic"
 	"testing"
 	"time"
-)
 
-func TestRunContextParallelMatchesSequential(t *testing.T) {
-	fx := newFixture(t)
-	truth, err := GroundTruth(fx.db, fx.spec, fx.set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for key, est := range estimators(fx, truth) {
-		var reference []int
-		for _, p := range []int{1, 2, 4, 8} {
-			runner := &Runner{
-				DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: est,
-				Options: Options{Parallelism: p},
-			}
-			res, err := runner.RunContext(context.Background())
-			if err != nil {
-				t.Fatalf("%s/p%d: %v", key, p, err)
-			}
-			if len(res.Confirmed)+len(res.Pruned) != fx.set.NumCandidates() {
-				t.Errorf("%s/p%d: resolved %d+%d of %d candidates",
-					key, p, len(res.Confirmed), len(res.Pruned), fx.set.NumCandidates())
-			}
-			confirmed := append([]int(nil), res.Confirmed...)
-			sort.Ints(confirmed)
-			if reference == nil {
-				reference = confirmed
-				continue
-			}
-			if len(confirmed) != len(reference) {
-				t.Fatalf("%s/p%d: %d confirmed, want %d", key, p, len(confirmed), len(reference))
-			}
-			for i := range confirmed {
-				if confirmed[i] != reference[i] {
-					t.Errorf("%s/p%d: confirmed set diverged", key, p)
-					break
-				}
-			}
-		}
-	}
-}
+	"prism/internal/exec"
+)
 
 func TestRunContextCancellation(t *testing.T) {
 	fx := newFixture(t)
@@ -65,7 +27,7 @@ func TestRunContextCancellation(t *testing.T) {
 	runner := &Runner{
 		DB: fx.db, Spec: fx.spec, Set: fx.set,
 		Estimator: &PathLengthEstimator{},
-		Options:   Options{Now: now, TimeLimit: time.Hour, Parallelism: 2},
+		Options:   Options{Now: now, TimeLimit: time.Hour},
 	}
 	res, err := runner.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
@@ -163,5 +125,69 @@ func TestSnapshotRemainingBudget(t *testing.T) {
 		if rem <= 0 || rem > time.Hour {
 			t.Errorf("remaining budget %s out of range", rem)
 		}
+	}
+}
+
+// wedgingExecutor answers its first `free` probes and then blocks every
+// probe, deaf to its context, until release is closed.
+type wedgingExecutor struct {
+	exec.Executor
+	free    int
+	probes  atomic.Int64
+	release chan struct{}
+}
+
+func (w *wedgingExecutor) Exists(plan exec.Plan, opts exec.ExecOptions) (bool, exec.ExecStats, error) {
+	if int(w.probes.Add(1)) > w.free {
+		<-w.release
+	}
+	return w.Executor.Exists(plan, opts)
+}
+
+// TestWatchdogSilencesAbandonedLoop wedges the third validation of a run
+// past the time budget: RunContext must come back timed out with the two
+// outcomes it applied, the watchdog counter must move, and once the wedged
+// probe is let go the abandoned loop must end without another callback.
+func TestWatchdogSilencesAbandonedLoop(t *testing.T) {
+	fx := newFixture(t)
+	db := &wedgingExecutor{Executor: fx.db, free: 2, release: make(chan struct{})}
+	var returned atomic.Bool
+	var early, late atomic.Int64
+	count := func() {
+		if returned.Load() {
+			late.Add(1)
+		} else {
+			early.Add(1)
+		}
+	}
+	runner := &Runner{
+		DB: db, Spec: fx.spec, Set: fx.set,
+		Estimator: &PathLengthEstimator{},
+		Options: Options{
+			TimeLimit:  50 * time.Millisecond,
+			OnResolved: func(int, bool, Snapshot) { count() },
+			OnProgress: func(Snapshot) { count() },
+		},
+	}
+	fired := metricWatchdog.Value()
+	res, err := runner.RunContext(context.Background())
+	returned.Store(true)
+	if err != nil {
+		t.Fatalf("abandoned run returned %v, want the partial result", err)
+	}
+	if !res.TimedOut || res.Validations != 2 {
+		t.Errorf("result = %+v, want timed out after 2 validations", res)
+	}
+	if early.Load() < 2 {
+		t.Errorf("%d callbacks before the return, want one per applied outcome at least", early.Load())
+	}
+	if got := metricWatchdog.Value() - fired; got != 1 {
+		t.Errorf("watchdog counter moved by %d, want 1", got)
+	}
+
+	close(db.release)
+	waitForNoLiveWorkers(t)
+	if late.Load() != 0 {
+		t.Errorf("%d callbacks fired after RunContext had returned", late.Load())
 	}
 }

@@ -24,6 +24,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"time"
 
 	"prism/internal/bayes"
@@ -288,29 +289,24 @@ type Options struct {
 	// equal pruning power, cheaper first. It is evaluated at most once per
 	// filter per run.
 	CostModel func(f *filter.Filter) float64
-	// MaxValidations bounds the number of validations (0 = unlimited); a
-	// safety valve for experiments. Exact at Parallelism 1; with P workers
-	// the count can overshoot by up to P−1, since validations already in
-	// flight when the cap is reached still complete and are recorded.
-	MaxValidations int
-	// Parallelism is the number of filter validations kept in flight at
-	// once (default 1, the paper's sequential greedy loop). With P > 1 the
-	// scheduler still selects filters in exactly the policy's priority
-	// order — it launches the highest-scoring undetermined filter not
-	// already in flight whenever a worker frees up — so parallelism only
-	// overlaps validation executions; it never reorders selections.
+	// Parallelism is accepted and ignored: the loop validates one filter at a
+	// time.
+	//
+	// Deprecated: ROADMAP item 0e removes it together with Batching; the
+	// files under benchmark/ still set it.
 	Parallelism int
 	// Batching is accepted and ignored: filters are validated one at a time.
 	//
-	// Deprecated: ROADMAP item 0 removes it together with
+	// Deprecated: ROADMAP item 0e removes it together with
 	// timedExecutor.ExistsBatch.
 	Batching bool
-	// OnResolved, when non-nil, is invoked from the scheduling goroutine
-	// each time a candidate becomes confirmed or pruned, with a progress
-	// snapshot taken at that moment. Discovery streaming hangs off it.
+	// OnResolved, when non-nil, is invoked each time a candidate becomes
+	// confirmed or pruned, with a progress snapshot taken at that moment.
+	// Discovery streaming hangs off it. The callbacks are called one at a
+	// time while RunContext is blocked, and never after it has returned.
 	OnResolved func(candidate int, confirmed bool, s Snapshot)
-	// OnProgress, when non-nil, is invoked from the scheduling goroutine
-	// after every applied validation outcome.
+	// OnProgress, when non-nil, is invoked after every applied validation
+	// outcome.
 	OnProgress func(s Snapshot)
 	// Cache, when non-nil, is an interactive session's cross-round
 	// filter-outcome cache. Before any validation runs, every filter with a
@@ -387,19 +383,24 @@ type Runner struct {
 	Options   Options
 }
 
-// Run executes validations until every candidate is confirmed or pruned,
-// the time limit expires, or the validation cap is reached. It is shorthand
-// for RunContext with a background context.
+// Run executes validations until every candidate is confirmed or pruned or
+// the time limit expires. It is shorthand for RunContext with a background
+// context.
 func (r *Runner) Run() (Result, error) {
 	return r.RunContext(context.Background())
 }
 
-// RunContext executes the scheduling loop under a context. Validations run
-// on a bounded worker pool of Options.Parallelism goroutines; outcomes are
-// applied (and implications propagated) on this goroutine as workers finish,
-// so the session state and the callbacks never need locking. Cancelling ctx
-// interrupts in-flight validations, marks the result Cancelled, and returns
-// ctx.Err() alongside the partial result.
+// RunContext executes the scheduling loop under a context: stop checks, pick
+// the best undetermined filter, validate it, apply the outcome and propagate
+// its implications, deliver the callbacks — one validation at a time, the
+// paper's sequential greedy loop. Cancelling ctx interrupts the validation in
+// flight, marks the result Cancelled, and returns ctx.Err() alongside the
+// partial result.
+//
+// The loop runs on a goroutine of its own so that RunContext can return when
+// the watchdog fires on a validation that wedged without polling its context
+// (see run). A panic on that goroutine outside a validation — a callback's,
+// say — is re-raised here, on the caller.
 func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	opts := r.Options
 	realClock := opts.Now == nil
@@ -409,269 +410,286 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	if opts.CostModel == nil {
 		opts.CostModel = tableSizeCost(r.DB)
 	}
-	parallelism := opts.Parallelism
-	if parallelism <= 0 {
-		parallelism = 1
+	if opts.Cache != nil && opts.CacheKey == nil {
+		return Result{Policy: r.Estimator.Name()}, errors.New("sched: Options.Cache requires Options.CacheKey")
 	}
 
-	// runCtx interrupts in-flight validations: on caller cancellation always,
-	// and on the time budget too when running against the real clock (an
-	// injected test clock cannot drive a context deadline).
-	var runCtx context.Context
+	// validateCtx interrupts the validation in flight: on caller cancellation
+	// always, and on the time budget too when running against the real clock
+	// (an injected test clock cannot drive a context deadline).
+	var validateCtx context.Context
 	var cancel context.CancelFunc
 	if realClock && opts.TimeLimit > 0 {
-		runCtx, cancel = context.WithTimeout(ctx, opts.TimeLimit)
+		validateCtx, cancel = context.WithTimeout(ctx, opts.TimeLimit)
 	} else {
-		runCtx, cancel = context.WithCancel(ctx)
+		validateCtx, cancel = context.WithCancel(ctx)
 	}
 	defer cancel()
 
-	validator := &filter.Validator{DB: r.DB, Spec: r.Spec}
 	sess := filter.NewSession(r.Set)
-	res := Result{Policy: r.Estimator.Name()}
-	start := opts.Now()
-
-	rank := newRanking(r.Set, sess)
-	snapshot := func() Snapshot {
-		s := Snapshot{
-			Validations: sess.Executed,
-			Implied:     sess.Implied,
-			Confirmed:   rank.confirmed,
-			Pruned:      rank.pruned,
-			Unresolved:  sess.UnresolvedCandidates(),
-			Elapsed:     opts.Now().Sub(start),
-		}
-		if opts.TimeLimit > 0 {
-			if rem := opts.TimeLimit - s.Elapsed; rem > 0 {
-				s.Remaining = rem
-			}
-		}
-		return s
+	s := &run{
+		set: r.Set, opts: opts, ctx: ctx, validateCtx: validateCtx,
+		validator: &filter.Validator{DB: r.DB, Spec: r.Spec},
+		sess:      sess,
+		rank:      newRanking(r.Set, sess),
+		res:       Result{Policy: r.Estimator.Name()},
+		start:     opts.Now(),
+		// On traced rounds the estimates hang one "estimate" span, and each
+		// validation a "validate" span, under the round's schedule span;
+		// untraced rounds carry a nil parent and every span call is a no-op.
+		trace: obs.SpanFromContext(ctx),
 	}
-	// notifyOutcome brings the ranking up to date and delivers the
-	// callbacks after any applied outcome — executed, or served from the
-	// session cache. Candidates one outcome resolved together are reported
-	// in index order.
-	var fresh []int
-	notifyOutcome := func() {
-		resolved := rank.sync()
-		if opts.OnResolved != nil && len(resolved) > 0 {
-			fresh = append(fresh[:0], resolved...)
-			slices.Sort(fresh)
-			snap := snapshot()
-			for _, ci := range fresh {
-				opts.OnResolved(ci, sess.Status[ci] == filter.CandidateConfirmed, snap)
-			}
-		}
-		if opts.OnProgress != nil {
-			opts.OnProgress(snapshot())
-		}
-	}
+	s.preloadCache()
 
-	// Session cache: resolve every filter with a known outcome before any
-	// validation executes. Hits propagate implications exactly like
-	// executed validations, so one cached failure can still prune many
-	// candidates; the remaining loop then only pays for what the cache
-	// does not know.
-	var cacheKeys []string
-	if opts.Cache != nil {
-		if opts.CacheKey == nil {
-			return res, errors.New("sched: Options.Cache requires Options.CacheKey")
-		}
-		cacheKeys = make([]string, r.Set.NumFilters())
-		for i := range cacheKeys {
-			cacheKeys[i] = opts.CacheKey(i)
-		}
-		for i := range cacheKeys {
-			if sess.Determined(i) {
-				// Already implied by an earlier cached outcome.
-				continue
-			}
-			if passed, ok := opts.Cache.Lookup(cacheKeys[i]); ok {
-				sess.RecordCached(i, passed)
-				res.CacheHits++
-				notifyOutcome()
-			}
-		}
-	}
-
-	// On traced rounds the estimates hang one "estimate" span, and each
-	// validation a "validate" span, under the round's schedule span;
-	// untraced rounds carry a nil parent and every span call is a no-op.
-	traceParent := obs.SpanFromContext(ctx)
-
-	spEstimate := traceParent.Child("estimate")
-	estimates := rank.estimate(r.Estimator, opts.CostModel)
+	spEstimate := s.trace.Child("estimate")
+	estimates := s.rank.estimate(r.Estimator, opts.CostModel)
 	spEstimate.SetAttr("calls", estimates)
 	spEstimate.End()
 
-	applyOutcome := func(idx int, vr filter.ValidationResult) {
-		sess.RecordExecution(idx, vr)
-		if opts.Cache != nil {
-			opts.Cache.Store(cacheKeys[idx], vr.Passed)
-			res.CacheStores++
-			res.CacheMisses++
-		}
-		notifyOutcome()
-	}
-
-	type outcome struct {
-		idx int
-		vr  filter.ValidationResult
-		err error
-	}
-	// Workers never block sending: at most `parallelism` sends are
-	// outstanding and the channel buffers them all. The pool is persistent
-	// — `parallelism` goroutines spawned once per run, fed filter indexes
-	// through jobs — instead of one goroutine per validation.
-	results := make(chan outcome, parallelism)
-	jobs := make(chan int, parallelism)
-	defer close(jobs)
-	for w := 0; w < parallelism; w++ {
-		go func() {
-			pool.liveWorkers.Add(1)
-			defer pool.liveWorkers.Add(-1)
-			for idx := range jobs {
-				pool.active.Add(1)
-				f := r.Set.Filters[idx]
-				sp := traceParent.Child("validate")
-				if sp != nil {
-					sp.SetAttr("plan", f.PlanFingerprint())
-				}
-				out := outcome{idx: idx}
-				// A panic below — an executor bug, or an injected one —
-				// must kill only this round, not the process: recover it
-				// into an ErrInternal-wrapped outcome and keep the worker
-				// alive for the pool accounting and channel protocol.
-				func() {
-					defer func() {
-						if rec := recover(); rec != nil {
-							metricPanics.Inc()
-							out.err = fmt.Errorf("validation panic: %v: %w", rec, fault.ErrInternal)
-						}
-					}()
-					if out.err = faultValidate.Hit(); out.err != nil {
-						return
-					}
-					out.vr, out.err = validator.ValidateContext(runCtx, f)
-				}()
-				if sp != nil {
-					cost := out.vr.Cost
-					sp.SetAttr("passed", out.vr.Passed)
-					sp.SetAttr("rowsScanned", cost.RowsScanned)
-					if cost.SelectionsReused > 0 {
-						sp.SetAttr("selectionsReused", cost.SelectionsReused)
-					}
-					sp.SetAttr("intermediateRows", cost.IntermediateRows)
-					if cost.BlocksPruned > 0 {
-						sp.SetAttr("blocksPruned", cost.BlocksPruned)
-					}
-					if cost.ZonesPruned > 0 {
-						sp.SetAttr("zonesPruned", cost.ZonesPruned)
-					}
-					sp.End()
-				}
-				pool.active.Add(-1)
-				pool.completed.Add(1)
-				results <- out
-			}
-		}()
-	}
-	// inFlight is a dense filter-indexed bitset (filter indexes are small
-	// and contiguous; a map would pay a hash per pick-loop probe).
-	inFlight := rowset.New(r.Set.NumFilters())
-	inFlightCount := 0
-
 	// The watchdog is the last line of defence for executors that wedge
 	// without polling their context: once the time budget plus a grace
-	// window has passed, the round returns its partial result as timed
-	// out and abandons the in-flight validations. Abandoned workers
-	// cannot block forever — the results channel buffers one outcome per
-	// worker and the closed jobs channel ends their loop — so they drain
-	// on their own once the wedged call returns.
+	// window has passed, the round returns its partial result as timed out
+	// and abandons the loop, which ends on its own once the wedged call
+	// returns (the deferred cancel above has killed its context by then).
 	var watchdogC <-chan time.Time
 	if realClock && opts.TimeLimit > 0 {
 		watchdog := time.NewTimer(opts.TimeLimit + watchdogGrace(opts.TimeLimit))
 		defer watchdog.Stop()
 		watchdogC = watchdog.C
 	}
-
-	stopping := false
-	var runErr error
-	stop := func() {
-		stopping = true
-		cancel()
-	}
-	for {
-		if !stopping {
-			switch {
-			case ctx.Err() != nil:
-				res.Cancelled = true
-				runErr = ctx.Err()
-				stop()
-			case opts.TimeLimit > 0 && opts.Now().Sub(start) >= opts.TimeLimit:
-				res.TimedOut = true
-				stop()
-			case opts.MaxValidations > 0 && sess.Executed >= opts.MaxValidations:
-				res.TimedOut = true
-				stop()
-			case sess.UnresolvedCandidates() == 0:
-				stop()
-			}
-		}
-		if !stopping {
-			for inFlightCount < parallelism {
-				next, ok := rank.pick(inFlight)
-				if !ok {
-					break
-				}
-				inFlight.Add(int32(next))
-				inFlightCount++
-				jobs <- next
-			}
-		}
-		if inFlightCount == 0 {
-			// Either the run is stopping, or nothing undetermined can make
-			// progress (top filters always remain available for unresolved
-			// candidates, so the latter should not happen).
-			break
-		}
-		var d outcome
-		select {
-		case d = <-results:
-		case <-watchdogC:
-			// A validation wedged past TimeLimit+grace. Return the
-			// partial result as timed out; the outcomes of abandoned
-			// validations are unknown and discarded.
+	done := make(chan struct{})
+	go s.loop(done)
+	select {
+	case <-done:
+	case <-watchdogC:
+		if s.abandon() {
 			metricWatchdog.Inc()
-			res.TimedOut = true
-			stop()
-			goto finish
+			return s.result()
 		}
-		inFlight.Remove(int32(d.idx))
-		inFlightCount--
-		switch {
-		case d.err == nil:
-			applyOutcome(d.idx, d.vr)
-		case errors.Is(d.err, context.Canceled) || errors.Is(d.err, context.DeadlineExceeded) || errors.Is(d.err, exec.ErrInterrupted):
-			// The validation was interrupted by cancellation or the time
-			// budget; its outcome is unknown and is simply discarded.
-		default:
-			if runErr == nil {
-				runErr = fmt.Errorf("sched: %w", d.err)
-			}
-			stop()
+		<-done // the loop had already returned; its close follows at once
+	}
+	if s.panicked != nil {
+		panic(s.panicked)
+	}
+	return s.result()
+}
+
+// run is the state of one RunContext call. The loop goroutine holds mu
+// whenever it reads or writes any of it or calls a callback — everywhere
+// except inside a validation — so the watchdog path, which takes mu to mark
+// the run abandoned, never returns in the middle of an applied outcome, and a
+// loop that un-wedges afterwards sees the mark before it touches anything.
+type run struct {
+	set         *filter.Set
+	opts        Options // Now and CostModel defaulted
+	ctx         context.Context
+	validateCtx context.Context
+	validator   *filter.Validator
+	sess        *filter.Session
+	rank        *ranking
+	cacheKeys   []string // per filter, when opts.Cache is set
+	start       time.Time
+	trace       *obs.Span
+	fresh       []int // scratch of notifyOutcome
+
+	mu        sync.Mutex
+	res       Result
+	err       error
+	exited    bool // the loop has returned
+	abandoned bool // the watchdog gave up on the loop
+	panicked  any  // what the loop panicked with; read after done closes
+}
+
+func (s *run) snapshot() Snapshot {
+	snap := Snapshot{
+		Validations: s.sess.Executed,
+		Implied:     s.sess.Implied,
+		Confirmed:   s.rank.confirmed,
+		Pruned:      s.rank.pruned,
+		Unresolved:  s.sess.UnresolvedCandidates(),
+		Elapsed:     s.opts.Now().Sub(s.start),
+	}
+	if s.opts.TimeLimit > 0 {
+		if rem := s.opts.TimeLimit - snap.Elapsed; rem > 0 {
+			snap.Remaining = rem
 		}
 	}
+	return snap
+}
 
-finish:
-	res.Validations = sess.Executed
-	res.Implied = sess.Implied
-	res.Cost = sess.Cost
-	res.Confirmed = sess.Confirmed()
-	res.Pruned = sess.Pruned()
-	res.Elapsed = opts.Now().Sub(start)
-	return res, runErr
+// notifyOutcome brings the ranking up to date and delivers the callbacks
+// after any applied outcome — executed, or served from the session cache.
+// Candidates one outcome resolved together are reported in index order.
+func (s *run) notifyOutcome() {
+	resolved := s.rank.sync()
+	if s.opts.OnResolved != nil && len(resolved) > 0 {
+		s.fresh = append(s.fresh[:0], resolved...)
+		slices.Sort(s.fresh)
+		snap := s.snapshot()
+		for _, ci := range s.fresh {
+			s.opts.OnResolved(ci, s.sess.Status[ci] == filter.CandidateConfirmed, snap)
+		}
+	}
+	if s.opts.OnProgress != nil {
+		s.opts.OnProgress(s.snapshot())
+	}
+}
+
+// preloadCache resolves every filter with a known outcome in the session
+// cache before any validation executes. Hits propagate implications exactly
+// like executed validations, so one cached failure can still prune many
+// candidates; the loop then only pays for what the cache does not know.
+func (s *run) preloadCache() {
+	cache := s.opts.Cache
+	if cache == nil {
+		return
+	}
+	s.cacheKeys = make([]string, s.set.NumFilters())
+	for i := range s.cacheKeys {
+		s.cacheKeys[i] = s.opts.CacheKey(i)
+	}
+	for i, key := range s.cacheKeys {
+		if s.sess.Determined(i) {
+			// Already implied by an earlier cached outcome.
+			continue
+		}
+		if passed, ok := cache.Lookup(key); ok {
+			s.sess.RecordCached(i, passed)
+			s.res.CacheHits++
+			s.notifyOutcome()
+		}
+	}
+}
+
+// loop is the greedy loop. It is the run's one worker in the pool gauge.
+func (s *run) loop(done chan<- struct{}) {
+	defer close(done)
+	defer func() {
+		if rec := recover(); rec != nil {
+			s.panicked = rec
+		}
+	}()
+	pool.liveWorkers.Add(1)
+	defer pool.liveWorkers.Add(-1)
+	s.mu.Lock()
+	defer func() {
+		s.exited = true
+		s.mu.Unlock()
+	}()
+	for s.step() {
+	}
+}
+
+// step runs one iteration of the loop and reports whether to go on.
+func (s *run) step() bool {
+	switch {
+	case s.ctx.Err() != nil:
+		s.res.Cancelled = true
+		s.err = s.ctx.Err()
+		return false
+	case s.opts.TimeLimit > 0 && s.opts.Now().Sub(s.start) >= s.opts.TimeLimit:
+		s.res.TimedOut = true
+		return false
+	case s.sess.UnresolvedCandidates() == 0:
+		return false
+	}
+	idx, ok := s.rank.pick()
+	if !ok {
+		// Nothing undetermined can make progress (top filters always remain
+		// available for unresolved candidates, so this should not happen).
+		return false
+	}
+	vr, err := s.validate(idx)
+	switch {
+	case s.abandoned:
+		// The watchdog returned the partial result while the validation was
+		// wedged; the outcome is discarded and nothing may be touched.
+		return false
+	case err == nil:
+		s.sess.RecordExecution(idx, vr)
+		if s.opts.Cache != nil {
+			s.opts.Cache.Store(s.cacheKeys[idx], vr.Passed)
+			s.res.CacheStores++
+			s.res.CacheMisses++
+		}
+		s.notifyOutcome()
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, exec.ErrInterrupted):
+		// The validation was interrupted by cancellation or the time budget;
+		// its outcome is unknown and discarded, and the stop checks of the
+		// next step say which it was.
+	default:
+		s.err = fmt.Errorf("sched: %w", err)
+		return false
+	}
+	return true
+}
+
+// validate executes one filter's validation, with mu released. A panic in it
+// — an executor bug, or an injected one — must kill only this round, not the
+// process: it comes back as an ErrInternal-wrapped error.
+func (s *run) validate(idx int) (vr filter.ValidationResult, err error) {
+	s.mu.Unlock()
+	defer s.mu.Lock()
+	pool.active.Add(1)
+	f := s.set.Filters[idx]
+	sp := s.trace.Child("validate")
+	if sp != nil {
+		sp.SetAttr("plan", f.PlanFingerprint())
+	}
+	defer func() {
+		if rec := recover(); rec != nil {
+			metricPanics.Inc()
+			vr, err = filter.ValidationResult{}, fmt.Errorf("validation panic: %v: %w", rec, fault.ErrInternal)
+		}
+		if sp != nil {
+			cost := vr.Cost
+			sp.SetAttr("passed", vr.Passed)
+			sp.SetAttr("rowsScanned", cost.RowsScanned)
+			if cost.SelectionsReused > 0 {
+				sp.SetAttr("selectionsReused", cost.SelectionsReused)
+			}
+			sp.SetAttr("intermediateRows", cost.IntermediateRows)
+			if cost.BlocksPruned > 0 {
+				sp.SetAttr("blocksPruned", cost.BlocksPruned)
+			}
+			if cost.ZonesPruned > 0 {
+				sp.SetAttr("zonesPruned", cost.ZonesPruned)
+			}
+			sp.End()
+		}
+		pool.active.Add(-1)
+		pool.completed.Add(1)
+	}()
+	if err = faultValidate.Hit(); err != nil {
+		return vr, err
+	}
+	return s.validator.ValidateContext(s.validateCtx, f)
+}
+
+// abandon marks the run abandoned and timed out, unless the loop has already
+// returned; it reports whether it did.
+func (s *run) abandon() bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.exited {
+		return false
+	}
+	s.abandoned = true
+	s.res.TimedOut = true
+	return true
+}
+
+// result reads the run's Result once the loop has returned or been abandoned;
+// either way nothing writes the state any more.
+func (s *run) result() (Result, error) {
+	res := s.res
+	res.Validations = s.sess.Executed
+	res.Implied = s.sess.Implied
+	res.Cost = s.sess.Cost
+	res.Confirmed = s.sess.Confirmed()
+	res.Pruned = s.sess.Pruned()
+	res.Elapsed = s.opts.Now().Sub(s.start)
+	return res, s.err
 }
 
 // ranking is what pick reads: per filter, the two terms of its score that
@@ -771,12 +789,12 @@ func (k *ranking) sync() []int {
 // favour of top filters, then higher reach, then lower estimated cost, then
 // index for determinism. Minimising validations is the paper's §2.4 metric;
 // the cost model only arbitrates ties, keeping validation time low at equal
-// pruning power. Filters already being validated (inFlight) are skipped.
+// pruning power.
 //
 // Only the maximum is needed and every term is an array read, so the
 // selection is a single allocation-free argmax pass (this runs once per
-// launched validation).
-func (k *ranking) pick(inFlight *rowset.Bitmap) (int, bool) {
+// validation).
+func (k *ranking) pick() (int, bool) {
 	best := -1
 	var bestScore float64
 	live, outcomes := k.live[:0], k.sess.Outcomes
@@ -786,9 +804,6 @@ func (k *ranking) pick(inFlight *rowset.Bitmap) (int, bool) {
 			continue
 		}
 		live = append(live, fi)
-		if inFlight.Contains(fi) {
-			continue
-		}
 		topResolve := 0.0
 		if k.tops[i] > 0 {
 			topResolve = 1

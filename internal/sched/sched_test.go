@@ -385,25 +385,6 @@ func TestRunTimeLimit(t *testing.T) {
 	}
 }
 
-func TestRunMaxValidations(t *testing.T) {
-	fx := newFixture(t)
-	runner := &Runner{
-		DB: fx.db, Spec: fx.spec, Set: fx.set,
-		Estimator: &RandomEstimator{Seed: 1},
-		Options:   Options{MaxValidations: 2},
-	}
-	res, err := runner.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Validations > 2 {
-		t.Errorf("validation cap not respected: %d", res.Validations)
-	}
-	if !res.TimedOut {
-		t.Error("hitting the cap should be reported as truncation")
-	}
-}
-
 func TestGapReduction(t *testing.T) {
 	if got := GapReduction(10, 7, 5); got != 0.6 {
 		t.Errorf("GapReduction(10,7,5) = %v", got)
@@ -560,27 +541,5 @@ func TestRunCacheRequiresKeyFunc(t *testing.T) {
 	}
 	if _, err := runner.Run(); err == nil {
 		t.Fatal("Cache without CacheKey should be rejected")
-	}
-}
-
-func TestRunCacheAcrossParallelism(t *testing.T) {
-	fx := newFixture(t)
-	cache := filter.NewOutcomeCache(0)
-	r1 := cachedRunner(fx, cache)
-	if _, err := r1.Run(); err != nil {
-		t.Fatal(err)
-	}
-	// Warm runs resolve everything in the preload sweep, before the worker
-	// pool starts — at every parallelism level.
-	for _, p := range []int{1, 4} {
-		r := cachedRunner(fx, cache)
-		r.Options.Parallelism = p
-		res, err := r.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Validations != 0 {
-			t.Errorf("p=%d: warm run executed %d validations", p, res.Validations)
-		}
 	}
 }

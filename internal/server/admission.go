@@ -12,7 +12,6 @@ import (
 	"errors"
 	"math"
 	"net/http"
-	"runtime"
 	"strconv"
 	"time"
 
@@ -34,15 +33,6 @@ func (s *Server) init() {
 		s.started = time.Now()
 		s.initMetrics()
 	})
-}
-
-// maxParallelism is the server-side cap on req.Parallelism (the scheduler
-// would otherwise spawn an unbounded validation pool per round).
-func (s *Server) maxParallelism() int {
-	if s.MaxParallelism > 0 {
-		return s.MaxParallelism
-	}
-	return 4 * runtime.GOMAXPROCS(0)
 }
 
 // admitted gates a round-running handler behind the admission controller.

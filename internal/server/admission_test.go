@@ -153,43 +153,35 @@ func TestPriorityHeaderValidation(t *testing.T) {
 	}
 }
 
-// TestParallelismValidation pins the API-boundary handling of
-// req.Parallelism: negative values are a structured invalid_request, and
-// oversized values are clamped to the server cap instead of spawning an
-// unbounded validation pool.
-func TestParallelismValidation(t *testing.T) {
-	s := testServer(t)
-	h := s.Handler()
-
-	req := paperRequest()
-	req.Parallelism = -2
-	rec := postDiscover(t, h, req, nil)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400 (body %s)", rec.Code, rec.Body.String())
+// TestRetiredWireFieldIgnored: the wire field "parallelism" is gone,
+// and a body from a client that still sends it — any value — is answered
+// like the same body without it.
+func TestRetiredWireFieldIgnored(t *testing.T) {
+	h := testServer(t).Handler()
+	post := func(body string) api.DiscoverResponse {
+		t.Helper()
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/discover", strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("status = %d, want 200 (body %s)", rec.Code, rec.Body.String())
+		}
+		var resp api.DiscoverResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatal(err)
+		}
+		return resp
 	}
-	var resp api.DiscoverResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-		t.Fatal(err)
-	}
-	if resp.Code != api.CodeInvalidRequest {
-		t.Errorf("code = %q, want %q", resp.Code, api.CodeInvalidRequest)
-	}
-
-	// The wire code round-trips to the sentinel, like every other code.
-	if api.SentinelForCode(resp.Code) != api.ErrInvalidRequest {
-		t.Errorf("SentinelForCode(%q) != ErrInvalidRequest", resp.Code)
-	}
-
-	// Oversized parallelism is clamped, not rejected.
-	s.MaxParallelism = 3
-	big := paperRequest()
-	big.Parallelism = 4096
-	opts, err := s.roundOptions(big)
+	body, err := json.Marshal(paperRequest())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if opts.Parallelism != 3 {
-		t.Errorf("clamped parallelism = %d, want 3", opts.Parallelism)
+	want := post(string(body))
+	for _, value := range []string{"4", "-2"} {
+		got := post(`{"parallelism":` + value + "," + string(body[1:]))
+		if got.Validations != want.Validations || len(got.Mappings) != len(want.Mappings) || len(got.Mappings) == 0 {
+			t.Errorf("parallelism %s: %d validations, %d mappings; without the field %d and %d",
+				value, got.Validations, len(got.Mappings), want.Validations, len(want.Mappings))
+		}
 	}
 }
 

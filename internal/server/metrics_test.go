@@ -66,7 +66,6 @@ func TestMetricsStatsCrossCheck(t *testing.T) {
 	h := s.Handler()
 
 	req := paperRequest()
-	req.Parallelism = 1
 	rec := postDiscover(t, h, req, map[string]string{api.TenantHeader: "acme-metrics"})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("discover: status=%d body=%s", rec.Code, rec.Body)
@@ -166,10 +165,9 @@ func TestMetricsCacheCountersMatchSession(t *testing.T) {
 	refinePath := "/api/v1/session/" + sr.SessionID + "/refine"
 
 	seed := api.RefineRequest{
-		NumColumns:  3,
-		Samples:     [][]string{{"California || Nevada", "Lake Tahoe", ""}},
-		Metadata:    []string{"", "", "DataType=='decimal' AND MinValue>='0'"},
-		Parallelism: 1,
+		NumColumns: 3,
+		Samples:    [][]string{{"California || Nevada", "Lake Tahoe", ""}},
+		Metadata:   []string{"", "", "DataType=='decimal' AND MinValue>='0'"},
 	}
 	var cold api.DiscoverResponse
 	if rec := doJSON(t, h, http.MethodPost, refinePath, seed, &cold); rec.Code != http.StatusOK {
@@ -178,8 +176,7 @@ func TestMetricsCacheCountersMatchSession(t *testing.T) {
 
 	before, _ := scrapeMetrics(t, h, "/api/v1/metrics")
 	refine := api.RefineRequest{
-		Delta:       &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: "[400, 600]"}}},
-		Parallelism: 1,
+		Delta: &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: "[400, 600]"}}},
 	}
 	var warm api.DiscoverResponse
 	if rec := doJSON(t, h, http.MethodPost, refinePath, refine, &warm); rec.Code != http.StatusOK {

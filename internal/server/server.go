@@ -60,10 +60,6 @@ type Server struct {
 	// Admission tunes the multi-tenant admission controller gating every
 	// discovery round (zero fields take the serve package defaults).
 	Admission serve.Config
-	// MaxParallelism caps the per-round validation parallelism a request
-	// may ask for (default 4×GOMAXPROCS); negative requests are rejected
-	// with a structured invalid_request error.
-	MaxParallelism int
 	// StreamBuffer and StreamWriteTimeout tune the backpressure of
 	// streaming responses: a consumer that can neither drain StreamBuffer
 	// pending events nor complete a write within StreamWriteTimeout has its
@@ -346,17 +342,6 @@ func (s *Server) roundOptions(req api.DiscoverRequest) (discovery.Options, error
 	if err := checkExecutor(req.Executor); err != nil {
 		return discovery.Options{}, err
 	}
-	// Validate parallelism at the boundary: a negative value is a client
-	// bug (structured invalid_request, not a silent default), and the
-	// server caps the pool size a request may demand.
-	parallelism := req.Parallelism
-	if parallelism < 0 {
-		return discovery.Options{}, fmt.Errorf("%w: parallelism must be >= 0, got %d",
-			api.ErrInvalidRequest, parallelism)
-	}
-	if limit := s.maxParallelism(); parallelism > limit {
-		parallelism = limit
-	}
 	policy := discovery.PolicyBayes
 	if req.Policy != "" {
 		policy = discovery.Policy(req.Policy)
@@ -370,7 +355,6 @@ func (s *Server) roundOptions(req api.DiscoverRequest) (discovery.Options, error
 	return discovery.Options{
 		TimeLimit:      timeLimit,
 		Policy:         policy,
-		Parallelism:    parallelism,
 		Executor:       req.Executor,
 		IncludeResults: true,
 		ResultLimit:    10,

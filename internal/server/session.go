@@ -218,12 +218,11 @@ func (s *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	base := api.DiscoverRequest{
-		Database:    ss.database,
-		Policy:      req.Policy,
-		MaxResults:  req.MaxResults,
-		TimeoutMs:   req.TimeoutMs,
-		Parallelism: req.Parallelism,
-		Executor:    req.Executor,
+		Database:   ss.database,
+		Policy:     req.Policy,
+		MaxResults: req.MaxResults,
+		TimeoutMs:  req.TimeoutMs,
+		Executor:   req.Executor,
 	}
 	opts, err := s.roundOptions(base)
 	if err != nil {

@@ -50,10 +50,9 @@ func TestSessionCreateRefineLoop(t *testing.T) {
 
 	// Round 1: seed with the full paper specification.
 	seed := api.RefineRequest{
-		NumColumns:  3,
-		Samples:     [][]string{{"California || Nevada", "Lake Tahoe", ""}},
-		Metadata:    []string{"", "", "DataType=='decimal' AND MinValue>='0'"},
-		Parallelism: 1,
+		NumColumns: 3,
+		Samples:    [][]string{{"California || Nevada", "Lake Tahoe", ""}},
+		Metadata:   []string{"", "", "DataType=='decimal' AND MinValue>='0'"},
 	}
 	var cold api.DiscoverResponse
 	if rec := doJSON(t, h, http.MethodPost, refinePath, seed, &cold); rec.Code != http.StatusOK {
@@ -72,8 +71,7 @@ func TestSessionCreateRefineLoop(t *testing.T) {
 	// Round 2: a delta refining the Area column must reuse the cached text
 	// outcomes — strictly fewer validations, hits > 0.
 	refine := api.RefineRequest{
-		Delta:       &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: "[400, 600]"}}},
-		Parallelism: 1,
+		Delta: &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: "[400, 600]"}}},
 	}
 	var warm api.DiscoverResponse
 	if rec := doJSON(t, h, http.MethodPost, refinePath, refine, &warm); rec.Code != http.StatusOK {
@@ -92,8 +90,7 @@ func TestSessionCreateRefineLoop(t *testing.T) {
 	// Round 3: clearing the refinement returns to known constraints — a
 	// fully warm round with zero validations and the cold mapping set.
 	back := api.RefineRequest{
-		Delta:       &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: ""}}},
-		Parallelism: 1,
+		Delta: &api.Delta{UpdateCells: []api.CellUpdate{{Row: 0, Col: 2, Cell: ""}}},
 	}
 	var again api.DiscoverResponse
 	if rec := doJSON(t, h, http.MethodPost, refinePath, back, &again); rec.Code != http.StatusOK {

@@ -127,7 +127,6 @@ func TestDiscoverStreamRequestOptions(t *testing.T) {
 	req := paperRequest()
 	req.MaxResults = 1
 	req.TimeoutMs = 20_000
-	req.Parallelism = 2
 	body, _ := json.Marshal(req)
 	rec := postStream(t, s, body, "")
 	if rec.Code != http.StatusOK {

@@ -320,8 +320,6 @@ func (e *Engine) Database() *Database { return e.inner.Database() }
 //
 // Cancelling ctx aborts the round mid-validation: Discover then returns
 // promptly with the partial Report accumulated so far and ctx.Err().
-// Validation runs on a bounded worker pool (Options.Parallelism, default
-// GOMAXPROCS); the mapping set is identical at every parallelism level.
 func (e *Engine) Discover(ctx context.Context, spec *Spec, opts Options) (*Report, error) {
 	return e.inner.Discover(ctx, spec, opts)
 }

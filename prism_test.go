@@ -32,9 +32,9 @@ func paperSpec(t testing.TB) *Spec {
 }
 
 // TestOpenBundledDatasets opens every bundled data set at its default
-// size and runs its walkthrough constraints sequentially. The validation
-// and mapping counts are literals: sequential scheduling is deterministic
-// and the mapping set does not depend on the backend, so a change to a
+// size and runs its walkthrough constraints. The validation and mapping
+// counts are literals: scheduling is deterministic and the mapping set
+// does not depend on the backend, so a change to a
 // generator, the enumeration or the scheduler shows up here as a number
 // to restate. (Mondial is counted at the benchmarks' reduced size.)
 func TestOpenBundledDatasets(t *testing.T) {
@@ -76,7 +76,7 @@ func TestOpenBundledDatasets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		report, err := eng.Discover(context.Background(), spec, Options{Parallelism: 1})
+		report, err := eng.Discover(context.Background(), spec, Options{})
 		if err != nil {
 			t.Fatalf("%s walkthrough: %v", name, err)
 		}

@@ -29,8 +29,8 @@ var (
 	// id is unknown or expired on the server.
 	ErrUnknownSession = api.ErrUnknownSession
 	// ErrInvalidRequest is returned by the client when the server rejected
-	// a request that parsed but failed validation (e.g. a negative
-	// parallelism).
+	// a request that parsed but failed validation (e.g. a non-positive
+	// sample limit).
 	ErrInvalidRequest = api.ErrInvalidRequest
 	// ErrOverloaded is returned by the client when the server shed the
 	// request under load (HTTP 429); back off — honouring the Retry-After

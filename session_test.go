@@ -50,7 +50,7 @@ func TestSessionRefineLoop(t *testing.T) {
 	sess := eng.NewSession(context.Background())
 	defer sess.Close()
 
-	opts := Options{Parallelism: 1, IncludeResults: true, ResultLimit: 5}
+	opts := Options{IncludeResults: true, ResultLimit: 5}
 	cold, err := sess.Discover(context.Background(), sessionSpec(t), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -161,7 +161,6 @@ func TestRegistryConcurrentOpenAndSessionRounds(t *testing.T) {
 	})
 
 	const getters, sessions = 16, 4
-	opts := Options{Parallelism: 1}
 	var wg sync.WaitGroup
 	engines := make([]*Engine, getters)
 	for g := 0; g < getters; g++ {
@@ -188,7 +187,7 @@ func TestRegistryConcurrentOpenAndSessionRounds(t *testing.T) {
 			}
 			sess := eng.NewSession(context.Background())
 			defer sess.Close()
-			cold, err := sess.Discover(context.Background(), sessionSpec(t), opts)
+			cold, err := sess.Discover(context.Background(), sessionSpec(t), Options{})
 			if err != nil {
 				t.Errorf("session %d cold round: %v", s, err)
 				return
@@ -198,7 +197,7 @@ func TestRegistryConcurrentOpenAndSessionRounds(t *testing.T) {
 			if cold.Cache.Hits != 0 {
 				t.Errorf("session %d cold round had %d hits — cache cross-talk between sessions", s, cold.Cache.Hits)
 			}
-			warm, err := sess.Discover(context.Background(), sessionSpec(t), opts)
+			warm, err := sess.Discover(context.Background(), sessionSpec(t), Options{})
 			if err != nil {
 				t.Errorf("session %d warm round: %v", s, err)
 				return

@@ -32,7 +32,7 @@ func snapshotSpecFor(t *testing.T, name string) *Spec {
 func discoverDigest(t *testing.T, eng *Engine, spec *Spec) string {
 	t.Helper()
 	report, err := eng.Discover(context.Background(), spec, Options{
-		Parallelism: 1, MaxTables: 3, IncludeResults: true, ResultLimit: 5,
+		MaxTables: 3, IncludeResults: true, ResultLimit: 5,
 	})
 	if err != nil {
 		t.Fatal(err)
