@@ -208,16 +208,7 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 		}
 		fmt.Fprintf(out, "trace written to %s\n", *traceFile)
 	}
-	fmt.Fprintln(out, report.Summary())
-	if msg := report.Failure(); msg != "" {
-		fmt.Fprintln(out, "FAILURE:", msg)
-	}
-	for i, m := range report.Mappings {
-		fmt.Fprintf(out, "\n-- query %d --\n%s\n", i+1, m.SQL)
-		if *showResults && m.Result != nil {
-			fmt.Fprint(out, m.Result.String())
-		}
-	}
+	printRound(out, viewFromReport(report), "", "\n", *showResults)
 	if *explainMode != "" && len(report.Mappings) > 0 {
 		g := prism.Explain(report.Mappings[0], spec, prism.AllConstraints())
 		fmt.Fprintln(out)
@@ -278,30 +269,13 @@ func remoteSummary(resp *api.DiscoverResponse) string {
 	return b.String()
 }
 
-// printRemoteMappings lists the discovered queries (with previews when
-// requested; the server attaches up to 10 rows per mapping).
-func printRemoteMappings(out io.Writer, resp *api.DiscoverResponse, showResults bool) {
-	for i, m := range resp.Mappings {
-		fmt.Fprintf(out, "\n-- query %d --\n%s\n", i+1, m.SQL)
-		if showResults {
-			for _, row := range m.ResultRows {
-				fmt.Fprintf(out, "  (%s)\n", strings.Join(row, ", "))
-			}
-		}
-	}
-}
-
 // remoteRound runs one blocking discovery round through the client.
 func remoteRound(ctx context.Context, out io.Writer, c *client.Client, req api.DiscoverRequest, showResults bool) error {
 	resp, err := c.Discover(ctx, req)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintln(out, remoteSummary(resp))
-	if resp.Failure != "" {
-		fmt.Fprintln(out, "FAILURE:", resp.Failure)
-	}
-	printRemoteMappings(out, resp, showResults)
+	printRound(out, viewFromResponse(resp), "", "\n", showResults)
 	return nil
 }
 
@@ -324,11 +298,7 @@ func remoteStreamRound(ctx context.Context, out io.Writer, c *client.Client, req
 			fmt.Fprintf(out, "<- mapping %d (after %d validations): %s\n", n, ev.Progress.Validations, ev.Mapping.SQL)
 		case prism.EventDone:
 			if ev.Result != nil {
-				fmt.Fprintln(out, remoteSummary(ev.Result))
-				if ev.Result.Failure != "" {
-					fmt.Fprintln(out, "FAILURE:", ev.Result.Failure)
-				}
-				printRemoteMappings(out, ev.Result, showResults)
+				printRound(out, viewFromResponse(ev.Result), "", "\n", showResults)
 			}
 			// A failed round exits nonzero like the local path; client-side
 			// cancellation still prints whatever arrived and exits clean.
@@ -351,11 +321,28 @@ type queryView struct {
 	result string
 }
 
-// roundView is the printable outcome of one session round.
+// roundView is the printable outcome of one round, local or remote.
 type roundView struct {
 	summary string
 	failure string
 	queries []queryView
+}
+
+// printRound writes a round for every mode: the summary under its heading,
+// the failure, then each query after sep, with its result preview (the server
+// attaches up to 10 rows per mapping) when results is set. One-shot rounds
+// pass no heading and a blank line; the REPL numbers the round and packs it.
+func printRound(out io.Writer, v *roundView, heading, sep string, results bool) {
+	fmt.Fprintf(out, "%s%s\n", heading, v.summary)
+	if v.failure != "" {
+		fmt.Fprintln(out, "FAILURE:", v.failure)
+	}
+	for i, q := range v.queries {
+		fmt.Fprintf(out, "%s-- query %d --\n%s\n", sep, i+1, q.sql)
+		if results {
+			fmt.Fprint(out, q.result)
+		}
+	}
 }
 
 // roundRunner abstracts where a session round executes: in-process
@@ -436,23 +423,27 @@ type remoteRunner struct {
 	lastRounds int
 }
 
-// viewFromResponse resyncs the round counter from the response and keeps
+// commit resyncs the round counter from the response and keeps
 // every round the server actually committed — including failed ones,
 // which still applied the delta server-side (mirroring the local runner,
 // where a partial report clears the queued edits). Responses that did not
 // consume a round (rejected deltas, envelope errors) yield nil so the
 // REPL keeps the pending edits.
-func (r *remoteRunner) viewFromResponse(resp *api.DiscoverResponse) *roundView {
+func (r *remoteRunner) commit(resp *api.DiscoverResponse) *roundView {
 	if resp == nil {
 		return nil
 	}
 	committed := resp.Round > r.lastRounds
-	if resp.Round > r.lastRounds {
+	if committed {
 		r.lastRounds = resp.Round
 	}
 	if resp.Error != "" && !committed {
 		return nil
 	}
+	return viewFromResponse(resp)
+}
+
+func viewFromResponse(resp *api.DiscoverResponse) *roundView {
 	v := &roundView{summary: remoteSummary(resp), failure: resp.Failure}
 	for _, m := range resp.Mappings {
 		q := queryView{sql: m.SQL}
@@ -484,7 +475,7 @@ func (r *remoteRunner) refine(ctx context.Context, delta prism.Delta) (*roundVie
 
 func (r *remoteRunner) runRound(ctx context.Context, req api.RefineRequest) (*roundView, error) {
 	resp, err := r.sess.Refine(ctx, req)
-	view := r.viewFromResponse(resp)
+	view := r.commit(resp)
 	if err != nil && resp == nil {
 		// Transport-level failure (deadline, dropped connection): the
 		// server may still have committed the round — its session applies
@@ -559,18 +550,6 @@ func sessionLoop(ctx context.Context, in io.Reader, out io.Writer, rr roundRunne
 	var pending prism.Delta
 	round := 0
 
-	printView := func(v *roundView) {
-		fmt.Fprintf(out, "round %d: %s\n", round, v.summary)
-		if v.failure != "" {
-			fmt.Fprintln(out, "FAILURE:", v.failure)
-		}
-		for i, q := range v.queries {
-			fmt.Fprintf(out, "-- query %d --\n%s\n", i+1, q.sql)
-			if q.result != "" {
-				fmt.Fprint(out, q.result)
-			}
-		}
-	}
 	runRound := func() {
 		// The per-round deadline: the session context stays untimed (the
 		// user may think between rounds for as long as they like), each
@@ -599,7 +578,7 @@ func sessionLoop(ctx context.Context, in io.Reader, out io.Writer, rr roundRunne
 			}
 		}
 		pending = prism.Delta{}
-		printView(view)
+		printRound(out, view, fmt.Sprintf("round %d: ", round), "", true)
 	}
 
 	fmt.Fprintf(out, "session over %s (%d target columns) — type 'help' for commands\n", label, columns)

@@ -9,8 +9,8 @@
 package discovery
 
 import (
+	"cmp"
 	"context"
-	"errors"
 	"fmt"
 	"slices"
 	"strings"
@@ -57,12 +57,12 @@ type Options struct {
 	MaxTables int
 	// MaxCandidates bounds candidate enumeration (default 5000).
 	MaxCandidates int
-	// TimeLimit bounds the validation phase; the paper's demo uses 60
-	// seconds per round (the default here as well). Zero keeps the default;
-	// use a negative value for "no limit".
+	// TimeLimit bounds the whole round, from related-column search to
+	// assembly, as one deadline counted from the round's start; the paper's
+	// demo uses 60 seconds per round (the default here as well). A round that
+	// exhausts it ends with Report.TimedOut, the partial report and a nil
+	// error. Zero keeps the default; use a negative value for "no limit".
 	TimeLimit time.Duration
-	// Now injects a clock for tests.
-	Now func() time.Time
 	// Policy selects the scheduling policy (default PolicyBayes).
 	Policy Policy
 	// IncludeResults executes each final mapping and attaches up to
@@ -100,9 +100,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TimeLimit == 0 {
 		o.TimeLimit = 60 * time.Second
-	}
-	if o.TimeLimit < 0 {
-		o.TimeLimit = 0
 	}
 	if o.Policy == "" {
 		o.Policy = PolicyBayes
@@ -169,6 +166,9 @@ type Report struct {
 	// durations, validations with their ExecStats, cache activity and the
 	// scratch peak as span attributes. Nil on untraced rounds.
 	Trace *obs.Span
+
+	// What progress measures against; deadline is zero when there is none.
+	start, deadline time.Time
 }
 
 // CacheCounters summarises what a session's filter-outcome cache did for
@@ -361,10 +361,11 @@ func (e *Engine) DiscoverStream(ctx context.Context, spec *constraint.Spec, opts
 	return ch
 }
 
-// progress summarises a report as a Progress snapshot (used for events
-// emitted outside the scheduler, where no live Snapshot exists).
+// progress is the one place a Progress is built, for every event of a round,
+// EventDone included: the report's counters as they stand, the time since the
+// round started and the time left to its deadline.
 func (r *Report) progress() Progress {
-	return Progress{
+	p := Progress{
 		CandidatesEnumerated: r.CandidatesEnumerated,
 		FiltersGenerated:     r.FiltersGenerated,
 		Validations:          r.Validations,
@@ -372,362 +373,347 @@ func (r *Report) progress() Progress {
 		Confirmed:            r.CandidatesConfirmed,
 		Pruned:               r.CandidatesPruned,
 		Unresolved:           r.CandidatesEnumerated - r.CandidatesConfirmed - r.CandidatesPruned,
-		Elapsed:              r.Elapsed,
+		Elapsed:              time.Since(r.start),
 	}
+	if !r.deadline.IsZero() {
+		p.TimeRemaining = max(0, time.Until(r.deadline))
+	}
+	return p
 }
 
-// errTimeBudget is the cancellation cause installed on the round context
-// when Options.TimeLimit expires; it distinguishes budget exhaustion (a
-// clean paper-style timeout) from caller cancellation.
-var errTimeBudget = errors.New("discovery: time budget exhausted")
+// round is the state of one discovery round: what the caller handed in, the
+// report being filled, and what each stage leaves for the next.
+type round struct {
+	eng  *Engine
+	ctx  context.Context // the caller's, under the round's time budget
+	spec *constraint.Spec
+	opts Options     // defaulted
+	emit func(Event) // nil outside a stream
+	sess *Session    // nil outside a session
+
+	report *Report
+	// trace is the root of the opt-in round trace: every stage span hangs
+	// off it, and with Options.Trace unset the nil root makes each
+	// Child/SetAttr/End a no-op, so untraced rounds pay nothing.
+	trace *obs.Span
+
+	executor   exec.Executor
+	candidates []graphx.Candidate // enumerate
+	set        *filter.Set        // decompose
+	estimator  sched.Estimator    // estimate
+	res        *sched.Result      // schedule; nil until the scheduler has run
+	// built holds the mappings assembled so far, by candidate, so the
+	// streaming path and the final report share one execution of each
+	// confirmed candidate; buildErr is the first preview that failed.
+	built    map[int]*Mapping
+	buildErr error
+}
 
 // run is the shared implementation of Discover, DiscoverStream and session
 // rounds; emit is nil for the non-streaming path, sess is nil outside a
-// session. It is the round-level panic barrier: a panic anywhere in the
-// pipeline outside a validation (which the scheduler recovers itself; what
-// else panics on its loop it re-raises here) aborts this round with an
-// ErrInternal-wrapped error and a partial report, leaving the engine and
-// other rounds untouched.
+// session. It drives the stages (Figure 2) under the round's one time budget
+// and owns the only exit: a stage returns its own error, and what a dead
+// context means is decided once, by settle. It is also the round-level panic
+// barrier: a panic anywhere in the pipeline outside a validation (which the
+// scheduler recovers itself; what else panics on its loop it re-raises here)
+// aborts this round with an ErrInternal-wrapped error and a partial report —
+// finish has closed the trace and folded it into metrics by then — leaving
+// the engine and other rounds untouched.
 func (e *Engine) run(ctx context.Context, spec *constraint.Spec, opts Options, emit func(Event), sess *Session) (report *Report, err error) {
+	opts = opts.withDefaults()
+	report = &Report{Spec: spec, Policy: string(opts.Policy), start: time.Now()}
 	defer func() {
 		if rec := recover(); rec != nil {
 			metricRoundPanics.Inc()
-			if report == nil {
-				report = &Report{Spec: spec, Policy: string(opts.Policy)}
-			}
 			err = fmt.Errorf("discovery: round panic: %v: %w", rec, fault.ErrInternal)
 		}
 	}()
 	if ferr := faultRound.Hit(); ferr != nil {
-		return &Report{Spec: spec, Policy: string(opts.Policy)}, fmt.Errorf("discovery: %w", ferr)
+		return report, fmt.Errorf("discovery: %w", ferr)
 	}
-	return e.roundBody(ctx, spec, opts, emit, sess)
+	// The time budget bounds the whole round — enumeration, decomposition and
+	// the estimator as much as the validation loop — as one context deadline
+	// counted from the round's start; the scheduler runs under it and issues
+	// none of its own.
+	ctx, cancel := sched.WithBudget(ctx, report.start, opts.TimeLimit)
+	defer cancel()
+	report.deadline, _ = ctx.Deadline()
+	r := &round{eng: e, ctx: ctx, spec: spec, opts: opts, emit: emit, sess: sess, report: report, built: make(map[int]*Mapping)}
+	if opts.Trace {
+		r.trace = obs.NewSpan("round")
+		r.trace.SetAttr("policy", report.Policy)
+		report.Trace = r.trace
+	}
+	defer r.finish()
+
+	if r.executor, err = e.Executor(opts.Executor); err != nil {
+		return report, fmt.Errorf("discovery: %w", err)
+	}
+	report.Executor = r.executor.ExecutorName()
+	r.trace.SetAttr("executor", report.Executor)
+
+	stages := []func() error{r.relate, r.enumerate, r.decompose, r.estimate, r.schedule}
+	stop, err := r.settle(nil) // a round handed a dead context runs no stage
+	for i := 0; !stop && i < len(stages); i++ {
+		stop, err = r.settle(stages[i]())
+	}
+	// Whatever stopped the round, what the scheduler confirmed is assembled:
+	// interrupted rounds report partial results.
+	if r.res != nil {
+		err = cmp.Or(err, r.assemble())
+	}
+	return report, err
 }
 
-// roundBody is the round pipeline proper. On panic its defers still run
-// (the trace is closed and the partial report is folded into metrics)
-// before run's recover converts the panic to an error.
-func (e *Engine) roundBody(ctx context.Context, spec *constraint.Spec, opts Options, emit func(Event), sess *Session) (*Report, error) {
-	opts = opts.withDefaults()
-	report := &Report{Spec: spec, Policy: string(opts.Policy)}
-	start := time.Now()
-	// The round trace is opt-in: every span below hangs off this root,
-	// and with Trace unset the nil root makes each Child/SetAttr/End a
-	// no-op, so untraced rounds pay nothing.
-	var trace *obs.Span
-	if opts.Trace {
-		trace = obs.NewSpan("round")
-		trace.SetAttr("policy", string(opts.Policy))
-		report.Trace = trace
+// settle decides, after each stage, whether the round goes on. A dead
+// context outranks what the stage returned — it is what the stage tripped
+// over: an expired budget is a clean paper-style timeout (nil error, partial
+// report), anything else the caller's cancellation and surfaces ctx's error.
+// Under a live context a stage's error is the round's.
+func (r *round) settle(stageErr error) (stop bool, err error) {
+	r.report.TimedOut, r.report.Cancelled, err = sched.Interruption(r.ctx)
+	if r.report.TimedOut || r.report.Cancelled {
+		return true, err
 	}
-	defer func() {
-		report.Elapsed = time.Since(start)
-		if trace != nil {
-			trace.SetAttr("validations", report.Validations)
-			trace.SetAttr("rowsScanned", report.Cost.RowsScanned)
-			trace.SetAttr("selectionsReused", report.Cost.SelectionsReused)
-			trace.SetAttr("scratchBytes", report.Cost.ScratchBytes)
-			if report.TimedOut {
-				trace.SetAttr("timedOut", true)
-			}
-			if report.Cancelled {
-				trace.SetAttr("cancelled", true)
-			}
-			trace.End()
-		}
-		recordRound(report)
-	}()
+	return stageErr != nil, stageErr
+}
 
-	executor, err := e.Executor(opts.Executor)
+// finish closes the round: duration, the root span's totals, metrics.
+func (r *round) finish() {
+	report := r.report
+	report.Elapsed = time.Since(report.start)
+	if r.trace != nil {
+		r.trace.SetAttr("validations", report.Validations)
+		sched.SetCostAttrs(r.trace, report.Cost)
+		if report.TimedOut {
+			r.trace.SetAttr("timedOut", true)
+		}
+		if report.Cancelled {
+			r.trace.SetAttr("cancelled", true)
+		}
+		r.trace.End()
+	}
+	recordRound(report)
+}
+
+// send delivers one stream event stamped with the round's progress so far.
+func (r *round) send(ev Event) {
+	if r.emit != nil {
+		ev.Progress = r.report.progress()
+		r.emit(ev)
+	}
+}
+
+// relate finds every target column's related source columns (§2.3 step #1).
+func (r *round) relate() error {
+	sp := r.trace.Child("related")
+	related, err := r.eng.RelatedColumns(r.spec)
+	sp.End()
+	r.report.Related = related
 	if err != nil {
-		return report, fmt.Errorf("discovery: %w", err)
+		return err
 	}
-	report.Executor = executor.ExecutorName()
-	trace.SetAttr("executor", report.Executor)
+	r.send(Event{Kind: EventRelated, Related: related})
+	return nil
+}
 
-	// The time budget bounds the whole round — including candidate
-	// enumeration and filter decomposition, not just the validation loop —
-	// via a context deadline. Skipped when a test clock is injected, since
-	// a synthetic clock cannot drive a real deadline.
-	if opts.TimeLimit > 0 && opts.Now == nil {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithDeadlineCause(ctx, start.Add(opts.TimeLimit), errTimeBudget)
-		defer cancel()
-	}
-	// interrupted classifies a dead round context: budget exhaustion ends
-	// the round cleanly as a timeout (nil error, partial report); anything
-	// else is caller cancellation and surfaces ctx's error.
-	interrupted := func() (error, bool) {
-		if ctx.Err() == nil {
-			return nil, false
-		}
-		if errors.Is(context.Cause(ctx), errTimeBudget) {
-			report.TimedOut = true
-			return nil, true
-		}
-		report.Cancelled = true
-		return ctx.Err(), true
-	}
-
-	if err2, dead := interrupted(); dead {
-		return report, err2
-	}
-	spRelated := trace.Child("related")
-	related, err := e.RelatedColumns(spec)
-	spRelated.End()
-	report.Related = related
-	if err != nil {
-		return report, err
-	}
-	if emit != nil {
-		emit(Event{Kind: EventRelated, Related: related})
-	}
-
-	spEnum := trace.Child("enumerate")
-	candidates, err := graphx.Enumerate(e.graph, related, graphx.EnumerateOptions{
-		MaxTables:           opts.MaxTables,
-		MaxCandidates:       opts.MaxCandidates,
+// enumerate builds the candidate queries connecting the related columns.
+func (r *round) enumerate() error {
+	sp := r.trace.Child("enumerate")
+	candidates, err := graphx.EnumerateContext(r.ctx, r.eng.graph, r.report.Related, graphx.EnumerateOptions{
+		MaxTables:           r.opts.MaxTables,
+		MaxCandidates:       r.opts.MaxCandidates,
 		RequireUsefulLeaves: true,
 	})
-	spEnum.SetAttr("candidates", len(candidates))
-	spEnum.End()
+	sp.SetAttr("candidates", len(candidates))
+	sp.End()
 	if err != nil {
-		return report, fmt.Errorf("discovery: %w", err)
+		return fmt.Errorf("discovery: %w", err)
 	}
-	report.CandidatesEnumerated = len(candidates)
+	r.candidates = candidates
+	r.report.CandidatesEnumerated = len(candidates)
 	if len(candidates) == 0 {
-		return report, fmt.Errorf("discovery: no candidate schema mapping queries connect the related columns")
+		return fmt.Errorf("discovery: no candidate schema mapping queries connect the related columns")
 	}
-	if emit != nil {
-		emit(Event{Kind: EventCandidates, Progress: Progress{
-			CandidatesEnumerated: len(candidates),
-			Unresolved:           len(candidates),
-		}})
-	}
+	r.send(Event{Kind: EventCandidates})
+	return nil
+}
 
-	// Sessions also reuse the filter decomposition across rounds: the Set
-	// depends only on the candidate list (which refinement deltas usually
-	// leave unchanged) and is read-only during scheduling, and its filters
-	// carry what rounds memoise on them (plan and plan fingerprint).
-	spDecompose := trace.Child("decompose")
-	var set *filter.Set
-	if sess != nil {
-		set = sess.lookupSet(candidates)
+// decompose splits the candidates into filters. Sessions reuse the
+// decomposition across rounds: the Set depends only on the candidate list
+// (which refinement deltas usually leave unchanged) and is read-only during
+// scheduling, and its filters carry what rounds memoise on them (plan and
+// plan fingerprint).
+func (r *round) decompose() error {
+	sp := r.trace.Child("decompose")
+	if r.sess != nil {
+		r.set = r.sess.lookupSet(r.candidates)
 	}
-	if set == nil {
-		set, err = filter.DecomposeContext(ctx, candidates)
-		if err != nil {
-			spDecompose.End()
-			err, _ := interrupted()
-			return report, err
-		}
-		if sess != nil {
-			sess.storeSet(candidates, set)
-		}
+	if r.set != nil {
+		sp.SetAttr("cachedSet", true)
 	} else {
-		spDecompose.SetAttr("cachedSet", true)
+		set, err := filter.DecomposeContext(r.ctx, r.candidates)
+		if err != nil {
+			sp.End()
+			return fmt.Errorf("discovery: %w", err)
+		}
+		r.set = set
+		if r.sess != nil {
+			r.sess.storeSet(r.candidates, set)
+		}
 	}
-	spDecompose.SetAttr("filters", set.NumFilters())
-	spDecompose.End()
-	report.FiltersGenerated = set.NumFilters()
-	if emit != nil {
-		emit(Event{Kind: EventFilters, Progress: Progress{
-			CandidatesEnumerated: len(candidates),
-			FiltersGenerated:     set.NumFilters(),
-			Unresolved:           len(candidates),
-		}})
-	}
+	sp.SetAttr("filters", r.set.NumFilters())
+	sp.End()
+	r.report.FiltersGenerated = r.set.NumFilters()
+	r.send(Event{Kind: EventFilters})
+	return nil
+}
 
-	spEstimator := trace.Child("estimator")
-	estimator, err := e.estimator(ctx, opts, executor, spec, set)
-	spEstimator.End()
-	if err != nil {
-		if err2, dead := interrupted(); dead {
-			return report, err2
+// estimate builds the scheduling estimator named by the options.
+func (r *round) estimate() error {
+	sp := r.trace.Child("estimator")
+	defer sp.End()
+	switch r.opts.Policy {
+	case PolicyBayes:
+		r.estimator = &sched.BayesEstimator{Model: r.eng.model, Spec: r.spec}
+	case PolicyPathLength:
+		r.estimator = &sched.PathLengthEstimator{}
+	case PolicyRandom:
+		r.estimator = &sched.RandomEstimator{}
+	case PolicyOracle:
+		truth, err := sched.GroundTruthContext(r.ctx, r.executor, r.spec, r.set)
+		if err != nil {
+			return fmt.Errorf("discovery: computing oracle ground truth: %w", err)
 		}
-		return report, err
+		r.estimator = sched.NewOracle(r.set, truth)
+	default:
+		return fmt.Errorf("discovery: unknown scheduling policy %q", r.opts.Policy)
 	}
+	return nil
+}
 
-	// Mappings are assembled lazily and cached so the streaming path and the
-	// final report share one execution of each confirmed candidate. Once the
-	// round context is dead, result previews are no longer executed — the
-	// partial report keeps every confirmed mapping's SQL (plus any previews
-	// already built), and cancellation latency stays bounded by the
-	// in-flight work, not by MaxResults preview queries.
-	built := make(map[int]*Mapping)
-	var buildErr error
-	buildMapping := func(ci int) *Mapping {
-		if m, ok := built[ci]; ok {
-			return m
-		}
-		cand := set.Candidates[ci]
-		plan := cand.Plan()
-		plan.Distinct = true
-		m := &Mapping{Candidate: cand, Plan: plan, SQL: sqlgen.Generate(plan)}
-		if opts.IncludeResults && ctx.Err() == nil {
-			result, err := executor.ExecuteWith(plan, exec.ExecOptions{Limit: opts.ResultLimit})
-			if err != nil {
-				if buildErr == nil {
-					buildErr = fmt.Errorf("discovery: executing final mapping %s: %w", m.SQL, err)
-				}
-				return nil
-			}
-			m.Result = result
-		}
-		built[ci] = m
-		return m
-	}
-
-	progressOf := func(s sched.Snapshot) Progress {
-		return Progress{
-			CandidatesEnumerated: len(candidates),
-			FiltersGenerated:     set.NumFilters(),
-			Validations:          s.Validations,
-			Implied:              s.Implied,
-			Confirmed:            s.Confirmed,
-			Pruned:               s.Pruned,
-			Unresolved:           s.Unresolved,
-			Elapsed:              s.Elapsed,
-			TimeRemaining:        s.Remaining,
-		}
-	}
-	schedOpts := sched.Options{
-		TimeLimit: opts.TimeLimit,
-		Now:       opts.Now,
-	}
-	if sess != nil {
-		// Keys bind each filter to the round's constraints and the current
-		// data version, so a refined round reuses exactly the outcomes its
-		// delta left intact and a data mutation invalidates everything.
-		version := e.db.Version()
-		schedOpts.Cache = sess.cache
-		schedOpts.CacheKey = func(i int) string {
-			return filter.ValidationKey(set.Filters[i], spec, version)
-		}
-	}
-	if emit != nil {
-		streamed := 0
-		schedOpts.OnResolved = func(ci int, confirmed bool, s sched.Snapshot) {
-			if !confirmed || buildErr != nil {
-				return
-			}
-			if opts.MaxResults > 0 && streamed >= opts.MaxResults {
-				return
-			}
-			m := buildMapping(ci)
-			if m == nil {
-				return
-			}
-			streamed++
-			emit(Event{Kind: EventMapping, Mapping: m, Progress: progressOf(s)})
-		}
-		schedOpts.OnProgress = func(s sched.Snapshot) {
-			emit(Event{Kind: EventProgress, Progress: progressOf(s)})
-		}
-	}
-	runner := &sched.Runner{
-		DB:        executor,
-		Spec:      spec,
-		Set:       set,
-		Estimator: estimator,
-		Options:   schedOpts,
-	}
+// schedule runs the validation loop and folds its result into the report.
+func (r *round) schedule() error {
+	runner := &sched.Runner{DB: r.executor, Spec: r.spec, Set: r.set, Estimator: r.estimator, Options: r.schedOptions()}
 	// The schedule span rides the context so the scheduler can hang one
 	// child span per validation under it.
-	spSchedule := trace.Child("schedule")
-	res, err := runner.RunContext(obs.ContextWithSpan(ctx, spSchedule))
-	if be, ok := estimator.(*sched.BayesEstimator); ok {
-		// The scheduler's estimate span counts the calls; what the calls
-		// shared is the Bayes estimator's to report.
-		cellSets, memoHits := be.MemoStats()
-		spEstimate := spSchedule.Find("estimate")
-		spEstimate.SetAttr("cell_sets", cellSets)
-		spEstimate.SetAttr("memo_hits", memoHits)
-	}
-	spSchedule.SetAttr("validations", res.Validations)
-	spSchedule.SetAttr("implied", res.Implied)
-	spSchedule.SetAttr("confirmed", len(res.Confirmed))
-	spSchedule.SetAttr("pruned", len(res.Pruned))
+	sp := r.trace.Child("schedule")
+	res, err := runner.RunContext(obs.ContextWithSpan(r.ctx, sp))
+	r.res = &res
+	sp.SetAttr("validations", res.Validations)
+	sp.SetAttr("implied", res.Implied)
+	sp.SetAttr("confirmed", len(res.Confirmed))
+	sp.SetAttr("pruned", len(res.Pruned))
 	if res.CacheHits+res.CacheMisses+res.CacheStores > 0 {
-		spSchedule.SetAttr("cacheHits", res.CacheHits)
-		spSchedule.SetAttr("cacheMisses", res.CacheMisses)
-		spSchedule.SetAttr("cacheStores", res.CacheStores)
+		sp.SetAttr("cacheHits", res.CacheHits)
+		sp.SetAttr("cacheMisses", res.CacheMisses)
+		sp.SetAttr("cacheStores", res.CacheStores)
 	}
-	spSchedule.SetAttr("rowsScanned", res.Cost.RowsScanned)
-	spSchedule.SetAttr("selectionsReused", res.Cost.SelectionsReused)
-	spSchedule.SetAttr("blocksPruned", res.Cost.BlocksPruned)
-	spSchedule.SetAttr("zonesPruned", res.Cost.ZonesPruned)
-	spSchedule.SetAttr("scratchBytes", res.Cost.ScratchBytes)
-	spSchedule.End()
+	sched.SetCostAttrs(sp, res.Cost)
+	sp.End()
+
+	report := r.report
 	report.Validations = res.Validations
 	report.Implied = res.Implied
 	report.Cost = res.Cost
 	report.Cache = CacheCounters{Hits: res.CacheHits, Misses: res.CacheMisses, Stores: res.CacheStores}
 	report.CandidatesConfirmed = len(res.Confirmed)
 	report.CandidatesPruned = len(res.Pruned)
-	report.TimedOut = report.TimedOut || res.TimedOut
 	if err != nil {
-		if res.Cancelled {
-			// Classify: our own budget deadline ends the round as a clean
-			// timeout; caller cancellation surfaces ctx's error.
-			err, _ = interrupted()
-		} else {
-			err = fmt.Errorf("discovery: %w", err)
+		return fmt.Errorf("discovery: %w", err)
+	}
+	return nil
+}
+
+// schedOptions wires the scheduler to the session's outcome cache and to the
+// stream. It sets no time limit: the loop runs under the round's budget.
+func (r *round) schedOptions() sched.Options {
+	var o sched.Options
+	if r.sess != nil {
+		// Keys bind each filter to the round's constraints and the current
+		// data version, so a refined round reuses exactly the outcomes its
+		// delta left intact and a data mutation invalidates everything.
+		version := r.eng.db.Version()
+		o.Cache = r.sess.cache
+		o.CacheKey = func(i int) string {
+			return filter.ValidationKey(r.set.Filters[i], r.spec, version)
 		}
 	}
+	if r.emit == nil {
+		return o
+	}
+	// Events read their progress off the report, so its counters are brought
+	// up to the snapshot first; the scheduler's result ends on the same numbers.
+	stream := func(ev Event, s sched.Snapshot) {
+		r.report.Validations, r.report.Implied = s.Validations, s.Implied
+		r.report.CandidatesConfirmed, r.report.CandidatesPruned = s.Confirmed, s.Pruned
+		r.send(ev)
+	}
+	streamed := 0
+	o.OnResolved = func(ci int, confirmed bool, s sched.Snapshot) {
+		if !confirmed || r.buildErr != nil || (r.opts.MaxResults > 0 && streamed >= r.opts.MaxResults) {
+			return
+		}
+		if m := r.mapping(ci); m != nil {
+			streamed++
+			stream(Event{Kind: EventMapping, Mapping: m}, s)
+		}
+	}
+	o.OnProgress = func(s sched.Snapshot) { stream(Event{Kind: EventProgress}, s) }
+	return o
+}
 
-	// Assemble final mappings, simplest (fewest tables) first — also after
-	// cancellation or timeout, so interrupted rounds report partial results.
-	spAssemble := trace.Child("assemble")
-	defer func() {
-		spAssemble.SetAttr("mappings", len(report.Mappings))
-		spAssemble.End()
-	}()
-	confirmed := append([]int(nil), res.Confirmed...)
+// mapping assembles the mapping of one confirmed candidate, once. Once the
+// round context is dead, result previews are no longer executed — the
+// partial report keeps every confirmed mapping's SQL (plus any previews
+// already built), and cancellation latency stays bounded by the in-flight
+// work, not by MaxResults preview queries.
+func (r *round) mapping(ci int) *Mapping {
+	if m, ok := r.built[ci]; ok {
+		return m
+	}
+	cand := r.set.Candidates[ci]
+	plan := cand.Plan()
+	plan.Distinct = true
+	m := &Mapping{Candidate: cand, Plan: plan, SQL: sqlgen.Generate(plan)}
+	if r.opts.IncludeResults && r.ctx.Err() == nil {
+		result, err := r.executor.ExecuteWith(plan, exec.ExecOptions{Limit: r.opts.ResultLimit})
+		if err != nil {
+			if r.buildErr == nil {
+				r.buildErr = fmt.Errorf("discovery: executing final mapping %s: %w", m.SQL, err)
+			}
+			return nil
+		}
+		m.Result = result
+	}
+	r.built[ci] = m
+	return m
+}
+
+// assemble lists the confirmed mappings, simplest (fewest tables) first.
+func (r *round) assemble() error {
+	sp := r.trace.Child("assemble")
+	confirmed := r.res.Confirmed // the round's own; sorted in place
 	slices.SortFunc(confirmed, func(i, j int) int {
-		a, b := set.Candidates[i], set.Candidates[j]
+		a, b := r.set.Candidates[i], r.set.Candidates[j]
 		if c := a.Tree.Size() - b.Tree.Size(); c != 0 {
 			return c
 		}
 		return strings.Compare(a.Canonical(), b.Canonical())
 	})
 	for _, ci := range confirmed {
-		if opts.MaxResults > 0 && len(report.Mappings) >= opts.MaxResults {
+		if r.opts.MaxResults > 0 && len(r.report.Mappings) >= r.opts.MaxResults {
 			break
 		}
-		m := buildMapping(ci)
+		m := r.mapping(ci)
 		if m == nil {
 			break
 		}
-		report.Mappings = append(report.Mappings, *m)
+		r.report.Mappings = append(r.report.Mappings, *m)
 	}
-	if err != nil {
-		return report, err
-	}
-	if buildErr != nil {
-		return report, buildErr
-	}
-	return report, nil
-}
-
-// estimator builds the scheduling estimator named by the options.
-func (e *Engine) estimator(ctx context.Context, opts Options, executor exec.Executor, spec *constraint.Spec, set *filter.Set) (sched.Estimator, error) {
-	switch opts.Policy {
-	case PolicyBayes:
-		return &sched.BayesEstimator{Model: e.model, Spec: spec}, nil
-	case PolicyPathLength:
-		return &sched.PathLengthEstimator{}, nil
-	case PolicyRandom:
-		return &sched.RandomEstimator{}, nil
-	case PolicyOracle:
-		truth, err := sched.GroundTruthContext(ctx, executor, spec, set)
-		if err != nil {
-			return nil, fmt.Errorf("discovery: computing oracle ground truth: %w", err)
-		}
-		return sched.NewOracle(set, truth), nil
-	default:
-		return nil, fmt.Errorf("discovery: unknown scheduling policy %q", opts.Policy)
-	}
+	sp.SetAttr("mappings", len(r.report.Mappings))
+	sp.End()
+	return r.buildErr
 }
 
 // Summary renders a short human-readable description of the report.

@@ -42,8 +42,8 @@ type Progress struct {
 	Confirmed  int `json:"confirmed"`
 	Pruned     int `json:"pruned"`
 	Unresolved int `json:"unresolved"`
-	// Elapsed is the time spent in the validation phase; TimeRemaining is
-	// the budget left (0 when the round has no time limit).
+	// Elapsed counts from the round's start and TimeRemaining to the round's
+	// deadline (0 when it has none), the same on every event of the round.
 	Elapsed       time.Duration `json:"elapsed"`
 	TimeRemaining time.Duration `json:"timeRemaining"`
 }

@@ -1,0 +1,115 @@
+package discovery
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"prism/internal/sched"
+)
+
+// TestRoundStopsAtEveryStageBoundary kills the round's context from a
+// synchronous emit at each stage boundary, once as the caller's cancellation
+// and once with the budget's cause, and checks what Engine.run's one exit
+// makes of it: the classification, and a report that carries exactly what
+// the completed stages produced.
+func TestRoundStopsAtEveryStageBoundary(t *testing.T) {
+	e := NewEngine(smallMondial(t))
+	spec := paperSpec(t)
+	full, err := e.Discover(context.Background(), spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Per boundary: which counters of the full round the partial report
+	// must already carry.
+	boundaries := []struct {
+		at                  EventKind
+		candidates, filters int
+		validating          bool
+	}{
+		{at: EventRelated},
+		{at: EventCandidates, candidates: full.CandidatesEnumerated},
+		{at: EventFilters, candidates: full.CandidatesEnumerated, filters: full.FiltersGenerated},
+		{at: EventProgress, candidates: full.CandidatesEnumerated, filters: full.FiltersGenerated, validating: true},
+		{at: EventMapping, candidates: full.CandidatesEnumerated, filters: full.FiltersGenerated, validating: true},
+	}
+	causes := []struct {
+		name  string
+		cause error
+	}{{"cancel", context.Canceled}, {"budget", sched.ErrBudget}}
+
+	var reached []string
+	defer func() {
+		if t.Failed() {
+			t.Logf("boundaries reached: %v", reached)
+		}
+	}()
+	for _, b := range boundaries {
+		for _, c := range causes {
+			name := fmt.Sprintf("%s/%s", b.at, c.name)
+			ctx, cancel := context.WithCancelCause(context.Background())
+			fired, streamed := false, 0
+			report, err := e.run(ctx, spec, Options{}, func(ev Event) {
+				// One outcome's callbacks run to their end: a mapping event may
+				// be followed by the rest of its outcome's, nothing else by any.
+				if fired && b.at != EventMapping {
+					t.Errorf("%s: %s event after the context died", name, ev.Kind)
+				}
+				if ev.Kind == EventMapping {
+					streamed++
+				}
+				if ev.Kind == b.at {
+					fired = true
+					cancel(c.cause)
+				}
+			}, nil)
+			cancel(nil)
+			if !fired {
+				t.Errorf("%s: the round never reached the boundary", name)
+				continue
+			}
+			reached = append(reached, name)
+
+			if c.cause == sched.ErrBudget {
+				if err != nil || !report.TimedOut || report.Cancelled {
+					t.Errorf("%s: err=%v TimedOut=%v Cancelled=%v, want a clean timeout", name, err, report.TimedOut, report.Cancelled)
+				}
+			} else if !errors.Is(err, context.Canceled) || !report.Cancelled || report.TimedOut {
+				t.Errorf("%s: err=%v TimedOut=%v Cancelled=%v, want a cancellation", name, err, report.TimedOut, report.Cancelled)
+			}
+			if len(report.Related) != len(full.Related) || report.CandidatesEnumerated != b.candidates || report.FiltersGenerated != b.filters {
+				t.Errorf("%s: related=%d candidates=%d filters=%d, want %d, %d, %d", name,
+					len(report.Related), report.CandidatesEnumerated, report.FiltersGenerated, len(full.Related), b.candidates, b.filters)
+			}
+			if !b.validating {
+				if report.Validations != 0 || len(report.Mappings) != 0 {
+					t.Errorf("%s: %d validations, %d mappings before the scheduler ran", name, report.Validations, len(report.Mappings))
+				}
+				continue
+			}
+			// From the first outcome on, the partial report holds the
+			// mappings confirmed so far — the ones the stream delivered.
+			if report.Validations == 0 || report.Validations >= full.Validations {
+				t.Errorf("%s: %d validations, want some but fewer than the full round's %d", name, report.Validations, full.Validations)
+			}
+			if len(report.Mappings) != streamed || len(report.Mappings) != report.CandidatesConfirmed {
+				t.Errorf("%s: %d mappings in the report, %d streamed, %d candidates confirmed", name, len(report.Mappings), streamed, report.CandidatesConfirmed)
+			}
+			if b.at == EventMapping && len(report.Mappings) == 0 {
+				t.Errorf("%s: stopped on a mapping event, the report has none", name)
+			}
+		}
+	}
+
+	// A stage that fails under a live context is the round's failure: the
+	// exit must hand the error on, not read it as a finished round.
+	r := &round{ctx: context.Background(), report: &Report{}}
+	boom := errors.New("stage failed")
+	if stop, err := r.settle(boom); !stop || err != boom || r.report.TimedOut || r.report.Cancelled {
+		t.Errorf("stage error under a live context: stop=%v err=%v report=%+v", stop, err, r.report)
+	}
+	if stop, err := r.settle(nil); stop || err != nil {
+		t.Errorf("no error under a live context: stop=%v err=%v", stop, err)
+	}
+}

@@ -7,6 +7,7 @@
 package graphx
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -264,11 +265,17 @@ func (o EnumerateOptions) withDefaults() EnumerateOptions {
 	return o
 }
 
-// Enumerate produces candidate schema mapping queries from the per-target-
-// column sets of related source columns. related[i] lists the feasible
-// source columns for target column i; every target column must have at
-// least one.
+// Enumerate is EnumerateContext under a background context.
 func Enumerate(g *Graph, related [][]schema.ColumnRef, opts EnumerateOptions) ([]Candidate, error) {
+	return EnumerateContext(context.Background(), g, related, opts)
+}
+
+// EnumerateContext produces candidate schema mapping queries from the
+// per-target-column sets of related source columns. related[i] lists the
+// feasible source columns for target column i; every target column must have
+// at least one. It polls ctx once per seed table and once per join tree and
+// returns ctx.Err() with no candidates when the context has died.
+func EnumerateContext(ctx context.Context, g *Graph, related [][]schema.ColumnRef, opts EnumerateOptions) ([]Candidate, error) {
 	opts = opts.withDefaults()
 	if len(related) == 0 {
 		return nil, fmt.Errorf("graphx: no target columns")
@@ -296,6 +303,9 @@ func Enumerate(g *Graph, related [][]schema.ColumnRef, opts EnumerateOptions) ([
 	treeSeen := make(map[string]struct{})
 	var trees []Tree
 	for _, seed := range seeds {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		for _, t := range g.ConnectedTrees(seed, opts.MaxTables) {
 			key := t.Canonical()
 			if _, dup := treeSeen[key]; dup {
@@ -317,6 +327,9 @@ func Enumerate(g *Graph, related [][]schema.ColumnRef, opts EnumerateOptions) ([
 	candSeen := make(map[string]struct{})
 	var out []Candidate
 	for _, tree := range trees {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		// Related columns available inside this tree, per target column.
 		choices := make([][]schema.ColumnRef, len(related))
 		feasible := true

@@ -1,8 +1,11 @@
 package graphx
 
 import (
+	"context"
+	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"prism/internal/schema"
 	"prism/internal/value"
@@ -368,6 +371,15 @@ func TestEnumerateErrorsAndCaps(t *testing.T) {
 	}
 	if len(uncapped) <= 3 {
 		t.Errorf("expected more candidates without cap, got %d", len(uncapped))
+	}
+	// A context whose budget is already gone: the error is the context's and
+	// not one candidate has been built.
+	budget := errors.New("time budget exhausted")
+	ctx, cancel := context.WithDeadlineCause(context.Background(), time.Now().Add(-time.Second), budget)
+	defer cancel()
+	expired, err := EnumerateContext(ctx, g, related, EnumerateOptions{MaxTables: 4})
+	if !errors.Is(err, context.DeadlineExceeded) || len(expired) != 0 {
+		t.Errorf("expired context: %d candidates, err %v; want none and the context's error", len(expired), err)
 	}
 }
 

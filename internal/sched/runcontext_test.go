@@ -13,21 +13,17 @@ import (
 func TestRunContextCancellation(t *testing.T) {
 	fx := newFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
-	// Cancel from the scheduler's own clock so the run is guaranteed to be
-	// inside the validation loop when the context dies (the clock is
-	// consulted once per iteration while a time limit is armed).
-	calls := 0
-	now := func() time.Time {
-		calls++
-		if calls == 3 {
-			cancel()
-		}
-		return time.Now()
-	}
+	// OnProgress runs on the loop, between two validations: cancelling from
+	// it guarantees the run is inside the loop when the context dies.
+	outcomes := 0
 	runner := &Runner{
 		DB: fx.db, Spec: fx.spec, Set: fx.set,
 		Estimator: &PathLengthEstimator{},
-		Options:   Options{Now: now, TimeLimit: time.Hour},
+		Options: Options{TimeLimit: time.Hour, OnProgress: func(Snapshot) {
+			if outcomes++; outcomes == 2 {
+				cancel()
+			}
+		}},
 	}
 	res, err := runner.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
@@ -39,8 +35,8 @@ func TestRunContextCancellation(t *testing.T) {
 	if res.TimedOut {
 		t.Error("cancellation is not a timeout")
 	}
-	if len(res.Confirmed)+len(res.Pruned) == fx.set.NumCandidates() && res.Validations == 0 {
-		t.Error("result should reflect a partial run")
+	if res.Validations != 2 {
+		t.Errorf("%d validations, want the 2 applied before the cancel", res.Validations)
 	}
 }
 

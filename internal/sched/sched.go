@@ -278,12 +278,10 @@ func (e *RandomEstimator) FailureProbability(f *filter.Filter) float64 {
 
 // Options configure a scheduling run.
 type Options struct {
-	// TimeLimit aborts the run when exceeded (0 = unlimited). The paper's
-	// demo uses a 60-second limit per discovery round.
+	// TimeLimit aborts the run when exceeded (0 = unlimited). Discovery, whose
+	// budget covers the whole round and already rides the context, leaves it
+	// zero. The paper's demo uses a 60-second limit per discovery round.
 	TimeLimit time.Duration
-	// Now is the clock used for the time limit (defaults to time.Now);
-	// injected for testability.
-	Now func() time.Time
 	// CostModel estimates the execution cost of a filter; the default is
 	// the sum of its base-table sizes. Cost arbitrates between filters of
 	// equal pruning power, cheaper first. It is evaluated at most once per
@@ -332,9 +330,8 @@ type Snapshot struct {
 	Confirmed  int
 	Pruned     int
 	Unresolved int
-	// Elapsed is the time spent so far; Remaining is the budget left
-	// (0 when the run has no time limit).
-	Elapsed   time.Duration
+	// Remaining is the time left before the run's context expires (0 when
+	// it has no deadline).
 	Remaining time.Duration
 }
 
@@ -365,8 +362,6 @@ type Result struct {
 	// Cancelled reports whether the caller's context was cancelled before
 	// resolving all candidates.
 	Cancelled bool
-	// Elapsed is the wall-clock duration of the run.
-	Elapsed time.Duration
 }
 
 // Runner executes the shared greedy scheduling loop with a given estimator.
@@ -390,12 +385,13 @@ func (r *Runner) Run() (Result, error) {
 	return r.RunContext(context.Background())
 }
 
-// RunContext executes the scheduling loop under a context: stop checks, pick
+// RunContext executes the scheduling loop under a context: stop check, pick
 // the best undetermined filter, validate it, apply the outcome and propagate
 // its implications, deliver the callbacks — one validation at a time, the
-// paper's sequential greedy loop. Cancelling ctx interrupts the validation in
-// flight, marks the result Cancelled, and returns ctx.Err() alongside the
-// partial result.
+// paper's sequential greedy loop. A context that dies interrupts the
+// validation in flight and ends the run with the partial result, classified
+// by Interruption: TimedOut and a nil error when a budget expired, Cancelled
+// and ctx.Err() otherwise.
 //
 // The loop runs on a goroutine of its own so that RunContext can return when
 // the watchdog fires on a validation that wedged without polling its context
@@ -403,37 +399,23 @@ func (r *Runner) Run() (Result, error) {
 // say — is re-raised here, on the caller.
 func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	opts := r.Options
-	realClock := opts.Now == nil
-	if realClock {
-		opts.Now = time.Now
-	}
 	if opts.CostModel == nil {
 		opts.CostModel = tableSizeCost(r.DB)
 	}
 	if opts.Cache != nil && opts.CacheKey == nil {
 		return Result{Policy: r.Estimator.Name()}, errors.New("sched: Options.Cache requires Options.CacheKey")
 	}
-
-	// validateCtx interrupts the validation in flight: on caller cancellation
-	// always, and on the time budget too when running against the real clock
-	// (an injected test clock cannot drive a context deadline).
-	var validateCtx context.Context
-	var cancel context.CancelFunc
-	if realClock && opts.TimeLimit > 0 {
-		validateCtx, cancel = context.WithTimeout(ctx, opts.TimeLimit)
-	} else {
-		validateCtx, cancel = context.WithCancel(ctx)
-	}
+	start := time.Now()
+	ctx, cancel := WithBudget(ctx, start, opts.TimeLimit)
 	defer cancel()
 
 	sess := filter.NewSession(r.Set)
 	s := &run{
-		set: r.Set, opts: opts, ctx: ctx, validateCtx: validateCtx,
+		set: r.Set, opts: opts, ctx: ctx,
 		validator: &filter.Validator{DB: r.DB, Spec: r.Spec},
 		sess:      sess,
 		rank:      newRanking(r.Set, sess),
 		res:       Result{Policy: r.Estimator.Name()},
-		start:     opts.Now(),
 		// On traced rounds the estimates hang one "estimate" span, and each
 		// validation a "validate" span, under the round's schedule span;
 		// untraced rounds carry a nil parent and every span call is a no-op.
@@ -444,16 +426,23 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	spEstimate := s.trace.Child("estimate")
 	estimates := s.rank.estimate(r.Estimator, opts.CostModel)
 	spEstimate.SetAttr("calls", estimates)
+	if be, ok := r.Estimator.(*BayesEstimator); ok {
+		// The span counts the calls; what the calls shared is the Bayes
+		// estimator's to report.
+		cellSets, memoHits := be.MemoStats()
+		spEstimate.SetAttr("cell_sets", cellSets)
+		spEstimate.SetAttr("memo_hits", memoHits)
+	}
 	spEstimate.End()
 
 	// The watchdog is the last line of defence for executors that wedge
-	// without polling their context: once the time budget plus a grace
-	// window has passed, the round returns its partial result as timed out
-	// and abandons the loop, which ends on its own once the wedged call
-	// returns (the deferred cancel above has killed its context by then).
+	// without polling their context: once the context's deadline plus a grace
+	// window has passed, the round returns its partial result and abandons
+	// the loop, which ends on its own once the wedged call returns (the
+	// deferred cancel above has killed its context by then).
 	var watchdogC <-chan time.Time
-	if realClock && opts.TimeLimit > 0 {
-		watchdog := time.NewTimer(opts.TimeLimit + watchdogGrace(opts.TimeLimit))
+	if deadline, ok := ctx.Deadline(); ok {
+		watchdog := time.NewTimer(time.Until(deadline) + watchdogGrace(deadline.Sub(start)))
 		defer watchdog.Stop()
 		watchdogC = watchdog.C
 	}
@@ -480,17 +469,15 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 // the run abandoned, never returns in the middle of an applied outcome, and a
 // loop that un-wedges afterwards sees the mark before it touches anything.
 type run struct {
-	set         *filter.Set
-	opts        Options // Now and CostModel defaulted
-	ctx         context.Context
-	validateCtx context.Context
-	validator   *filter.Validator
-	sess        *filter.Session
-	rank        *ranking
-	cacheKeys   []string // per filter, when opts.Cache is set
-	start       time.Time
-	trace       *obs.Span
-	fresh       []int // scratch of notifyOutcome
+	set       *filter.Set
+	opts      Options         // CostModel defaulted
+	ctx       context.Context // carries the budget; validations run under it
+	validator *filter.Validator
+	sess      *filter.Session
+	rank      *ranking
+	cacheKeys []string // per filter, when opts.Cache is set
+	trace     *obs.Span
+	fresh     []int // scratch of notifyOutcome
 
 	mu        sync.Mutex
 	res       Result
@@ -507,12 +494,9 @@ func (s *run) snapshot() Snapshot {
 		Confirmed:   s.rank.confirmed,
 		Pruned:      s.rank.pruned,
 		Unresolved:  s.sess.UnresolvedCandidates(),
-		Elapsed:     s.opts.Now().Sub(s.start),
 	}
-	if s.opts.TimeLimit > 0 {
-		if rem := s.opts.TimeLimit - snap.Elapsed; rem > 0 {
-			snap.Remaining = rem
-		}
+	if deadline, ok := s.ctx.Deadline(); ok {
+		snap.Remaining = max(0, time.Until(deadline))
 	}
 	return snap
 }
@@ -582,15 +566,7 @@ func (s *run) loop(done chan<- struct{}) {
 
 // step runs one iteration of the loop and reports whether to go on.
 func (s *run) step() bool {
-	switch {
-	case s.ctx.Err() != nil:
-		s.res.Cancelled = true
-		s.err = s.ctx.Err()
-		return false
-	case s.opts.TimeLimit > 0 && s.opts.Now().Sub(s.start) >= s.opts.TimeLimit:
-		s.res.TimedOut = true
-		return false
-	case s.sess.UnresolvedCandidates() == 0:
+	if s.interrupted() || s.sess.UnresolvedCandidates() == 0 {
 		return false
 	}
 	idx, ok := s.rank.pick()
@@ -615,8 +591,8 @@ func (s *run) step() bool {
 		s.notifyOutcome()
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, exec.ErrInterrupted):
 		// The validation was interrupted by cancellation or the time budget;
-		// its outcome is unknown and discarded, and the stop checks of the
-		// next step say which it was.
+		// its outcome is unknown and discarded, and the stop check of the
+		// next step says which it was.
 	default:
 		s.err = fmt.Errorf("sched: %w", err)
 		return false
@@ -642,19 +618,8 @@ func (s *run) validate(idx int) (vr filter.ValidationResult, err error) {
 			vr, err = filter.ValidationResult{}, fmt.Errorf("validation panic: %v: %w", rec, fault.ErrInternal)
 		}
 		if sp != nil {
-			cost := vr.Cost
 			sp.SetAttr("passed", vr.Passed)
-			sp.SetAttr("rowsScanned", cost.RowsScanned)
-			if cost.SelectionsReused > 0 {
-				sp.SetAttr("selectionsReused", cost.SelectionsReused)
-			}
-			sp.SetAttr("intermediateRows", cost.IntermediateRows)
-			if cost.BlocksPruned > 0 {
-				sp.SetAttr("blocksPruned", cost.BlocksPruned)
-			}
-			if cost.ZonesPruned > 0 {
-				sp.SetAttr("zonesPruned", cost.ZonesPruned)
-			}
+			SetCostAttrs(sp, vr.Cost)
 			sp.End()
 		}
 		pool.active.Add(-1)
@@ -663,11 +628,29 @@ func (s *run) validate(idx int) (vr filter.ValidationResult, err error) {
 	if err = faultValidate.Hit(); err != nil {
 		return vr, err
 	}
-	return s.validator.ValidateContext(s.validateCtx, f)
+	return s.validator.ValidateContext(s.ctx, f)
 }
 
-// abandon marks the run abandoned and timed out, unless the loop has already
-// returned; it reports whether it did.
+// SetCostAttrs records what executions cost on a span: the round's root, its
+// schedule span and every validate span carry the same six attributes.
+func SetCostAttrs(sp *obs.Span, cost exec.ExecStats) {
+	sp.SetAttr("rowsScanned", cost.RowsScanned)
+	sp.SetAttr("selectionsReused", cost.SelectionsReused)
+	sp.SetAttr("intermediateRows", cost.IntermediateRows)
+	sp.SetAttr("blocksPruned", cost.BlocksPruned)
+	sp.SetAttr("zonesPruned", cost.ZonesPruned)
+	sp.SetAttr("scratchBytes", cost.ScratchBytes)
+}
+
+// interrupted is the run's one stop check: a dead context ends it, timed out
+// when the budget expired and cancelled with the context's error otherwise.
+func (s *run) interrupted() bool {
+	s.res.TimedOut, s.res.Cancelled, s.err = Interruption(s.ctx)
+	return s.res.TimedOut || s.res.Cancelled
+}
+
+// abandon marks the run abandoned and says why its context is dead, unless
+// the loop has already returned; it reports whether it did.
 func (s *run) abandon() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -675,7 +658,7 @@ func (s *run) abandon() bool {
 		return false
 	}
 	s.abandoned = true
-	s.res.TimedOut = true
+	s.interrupted()
 	return true
 }
 
@@ -688,7 +671,6 @@ func (s *run) result() (Result, error) {
 	res.Cost = s.sess.Cost
 	res.Confirmed = s.sess.Confirmed()
 	res.Pruned = s.sess.Pruned()
-	res.Elapsed = s.opts.Now().Sub(s.start)
 	return res, s.err
 }
 

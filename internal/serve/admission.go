@@ -84,8 +84,8 @@ var (
 // sensible default.
 type Config struct {
 	// MaxConcurrent bounds rounds running at once across all tenants
-	// (default 2×GOMAXPROCS — rounds are validation-bound, and the
-	// scheduler parallelises inside a round too).
+	// (default 2×GOMAXPROCS: a round validates one filter at a time on one
+	// goroutine, so that is two rounds per core).
 	MaxConcurrent int
 	// MaxPerTenant bounds rounds running at once for one tenant (default
 	// MaxConcurrent, i.e. a single tenant may fill the server when it is

@@ -6,8 +6,11 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"prism/internal/exec"
 )
 
 // collectKinds drains a stream and indexes events by kind, preserving the
@@ -99,6 +102,16 @@ func TestDiscoverStreamYieldsMappingsBeforeDone(t *testing.T) {
 	if !(order[EventRelated] < order[EventCandidates] && order[EventCandidates] < order[EventFilters] && order[EventFilters] < doneIdx) {
 		t.Errorf("phase events out of order: %v", order)
 	}
+	// Every event measures against the round's start and the round's one
+	// deadline: Elapsed never runs backwards and TimeRemaining never grows,
+	// the done event included.
+	for i := 1; i < len(events); i++ {
+		prev, cur := events[i-1].Progress, events[i].Progress
+		if cur.Elapsed < prev.Elapsed || cur.TimeRemaining > prev.TimeRemaining || cur.TimeRemaining <= 0 {
+			t.Errorf("%s then %s: elapsed %s -> %s, remaining %s -> %s", events[i-1].Kind, events[i].Kind,
+				prev.Elapsed, cur.Elapsed, prev.TimeRemaining, cur.TimeRemaining)
+		}
+	}
 }
 
 // stableGoroutines polls until the goroutine count settles back to at most
@@ -116,6 +129,21 @@ func stableGoroutines(t *testing.T, base int) {
 	t.Errorf("goroutines leaked: %d running, baseline %d", n, base)
 }
 
+// probeHook is the default backend with a hook on its k-th probe.
+type probeHook struct {
+	exec.Executor
+	probes atomic.Int64
+	at     int64
+	hook   func()
+}
+
+func (p *probeHook) Exists(plan exec.Plan, opts exec.ExecOptions) (bool, exec.ExecStats, error) {
+	if p.probes.Add(1) == p.at {
+		p.hook()
+	}
+	return p.Executor.Exists(plan, opts)
+}
+
 func TestDiscoverCancelledMidValidationReturnsPartialReport(t *testing.T) {
 	eng := mondialEngine(t)
 	spec := paperSpec(t)
@@ -123,20 +151,18 @@ func TestDiscoverCancelledMidValidationReturnsPartialReport(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	// The scheduler consults the injected clock at least once per
-	// validation; cancelling from inside it guarantees the round dies
-	// mid-validation-phase regardless of machine speed.
-	calls := 0
+	// Every validation is one probe of the backend; cancelling from inside
+	// the fourth guarantees the round dies mid-validation-phase regardless
+	// of machine speed.
 	var cancelled time.Time
-	now := func() time.Time {
-		calls++
-		if calls == 4 {
+	exec.Register("cancel-on-probe", func(src exec.Source) (exec.Executor, error) {
+		inner, err := exec.New("", src)
+		return &probeHook{Executor: inner, at: 4, hook: func() {
 			cancelled = time.Now()
 			cancel()
-		}
-		return time.Now()
-	}
-	report, err := eng.Discover(ctx, spec, Options{Now: now})
+		}}, err
+	})
+	report, err := eng.Discover(ctx, spec, Options{Executor: "cancel-on-probe"})
 	returned := time.Now()
 
 	if !errors.Is(err, context.Canceled) {
@@ -155,7 +181,7 @@ func TestDiscoverCancelledMidValidationReturnsPartialReport(t *testing.T) {
 		t.Errorf("partial report should cover the completed phases: %s", report.Summary())
 	}
 	if cancelled.IsZero() {
-		t.Fatal("the round finished before the clock hook fired")
+		t.Fatal("the round finished before the probe hook fired")
 	}
 	if d := returned.Sub(cancelled); d > time.Second {
 		t.Errorf("cancellation took %s to take effect (want < 1s)", d)
