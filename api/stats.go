@@ -77,18 +77,19 @@ type LatencyStats struct {
 	P99Ms    float64 `json:"p99Ms"`
 }
 
-// PoolStats samples the validation worker pools across all running
-// rounds (prism/internal/sched).
+// PoolStats samples the scheduling loops of all running rounds
+// (prism/internal/sched): a round validates one filter at a time, on one
+// loop.
 type PoolStats struct {
-	// LiveWorkers is the number of validation workers currently spawned;
-	// ActiveValidations how many of them are executing a validation at
-	// the sampling instant.
+	// LiveWorkers is the number of scheduling loops currently running, one
+	// per round in its validation phase; ActiveValidations how many of
+	// them are executing a validation at the sampling instant.
 	LiveWorkers       int64 `json:"liveWorkers"`
 	ActiveValidations int64 `json:"activeValidations"`
 	// CompletedValidations is the lifetime validation count of the
 	// process.
 	CompletedValidations int64 `json:"completedValidations"`
-	// Utilization is ActiveValidations/LiveWorkers (0 with no workers).
+	// Utilization is ActiveValidations/LiveWorkers (0 with no loop running).
 	Utilization float64 `json:"utilization"`
 }
 

@@ -3,6 +3,7 @@ package prism
 import (
 	"context"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -82,6 +83,41 @@ func TestOpenWithExecutor(t *testing.T) {
 	}
 	if _, err := eng.Discover(context.Background(), spec, Options{}); err == nil {
 		t.Error("a round on an unknown executor should fail")
+	}
+}
+
+// TestNumericKeywordSpellings: related-column search accepts every spelling
+// of a number the executors accept. On the bundled Mondial the grid
+// {"Lake Tahoe", "497"} and its respellings "497.0", "4.97e2" and "0497"
+// find the same mappings, on both executors — the respellings used to fail
+// with "no source column matches the constraints of target column 2".
+func TestNumericKeywordSpellings(t *testing.T) {
+	eng, err := Open("mondial")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want []string
+	for _, area := range []string{"497", "497.0", "4.97e2", "0497", " 497 "} {
+		spec, err := ParseConstraints(2, [][]string{{"Lake Tahoe", area}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, executor := range []string{"columnar", "mem"} {
+			report, err := eng.Discover(context.Background(), spec, Options{Executor: executor})
+			if err != nil {
+				t.Fatalf("area %q on %s: %v", area, executor, err)
+			}
+			var got []string
+			for _, m := range report.Mappings {
+				got = append(got, m.SQL)
+			}
+			if want == nil {
+				want = got
+			}
+			if len(got) != 2 || !slices.Equal(got, want) {
+				t.Errorf("area %q on %s: mappings %q, want the two of %q", area, executor, got, want)
+			}
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"prism/internal/difftest"
 	"prism/internal/lang"
 	"prism/internal/mem"
 	"prism/internal/schema"
@@ -155,7 +156,7 @@ func TestJoinProbability(t *testing.T) {
 // of a key with more joined pairs than the sampling budget is a function of
 // the data: two models trained on the same database estimate alike.
 func TestTrainSamplesJoinDeterministically(t *testing.T) {
-	db := bigJoinDatabase(t)
+	db := difftest.BigJoin(t)
 	db.Analyze()
 	fk := db.Schema().ForeignKeys()[0]
 	tables := []string{"Many", "One"}
@@ -250,28 +251,6 @@ func TestLongerJoinPathFailsMore(t *testing.T) {
 	}
 	if twoTables < oneTable-1e-9 {
 		t.Errorf("joining should not make failure less likely here: %v vs %v", twoTables, oneTable)
-	}
-}
-
-func TestSummaries(t *testing.T) {
-	m, _ := trainedModel(t)
-	sums := m.Summaries()
-	if len(sums) != 4 {
-		t.Fatalf("Summaries len = %d", len(sums))
-	}
-	for i := 1; i < len(sums); i++ {
-		if sums[i].Ref.Less(sums[i-1].Ref) {
-			t.Error("summaries not sorted")
-		}
-	}
-	var prov ColumnSummary
-	for _, s := range sums {
-		if s.Ref.String() == "geo_lake.Province" {
-			prov = s
-		}
-	}
-	if prov.Rows != 12 || prov.Distinct != 3 || prov.TopCount != 10 {
-		t.Errorf("province summary = %+v", prov)
 	}
 }
 

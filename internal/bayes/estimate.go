@@ -161,26 +161,28 @@ func (m *Model) MatchRows(c ColumnConstraint) (*RowSet, bool) {
 	if cm == nil || c.Expr == nil {
 		return nil, cm != nil
 	}
-	bits := rowset.New(cm.total)
+	bits := rowset.New(cm.NumRows())
 	if !cm.addEqualityRows(bits, c.Expr) {
-		bits.Reset(cm.total) // a disjunction may have added rows before giving up
+		bits.Reset(cm.NumRows()) // a disjunction may have added rows before giving up
 		if b, exact := lang.ExactRangeBounds(c.Expr); exact {
-			cm.addRangeRows(bits, b.Lo, b.Hi)
+			for _, id := range cm.ViewRange(b.Lo, b.Hi) {
+				bits.AddSorted(cm.Post.At(id))
+			}
 		} else {
-			for id, v := range cm.vals {
+			for id, v := range cm.Vals {
 				if c.Expr.Eval(v) {
-					bits.AddSorted(cm.post.at(int32(id)))
+					bits.AddSorted(cm.Post.At(int32(id)))
 				}
 			}
 		}
-		for i, row := range cm.variantRows {
+		for i, row := range cm.VariantRows {
 			bits.Remove(row)
-			if c.Expr.Eval(cm.variantVals[i]) {
+			if c.Expr.Eval(cm.VariantVals[i]) {
 				bits.Add(row)
 			}
 		}
 		if c.Expr.Eval(value.NullValue) {
-			bits.AddSorted(cm.nullRows())
+			bits.AddSorted(cm.NullRows())
 		}
 	}
 	return &RowSet{bits: bits, count: bits.Popcount()}, true
@@ -191,12 +193,12 @@ func (m *Model) MatchRows(c ColumnConstraint) (*RowSet, bool) {
 func (c *columnModel) addEqualityRows(bits *rowset.Bitmap, e lang.ValueExpr) bool {
 	switch n := e.(type) {
 	case lang.Keyword:
-		bits.AddSorted(c.rowsOf(value.Parse(n.Word).Key()))
+		bits.AddSorted(c.RowsOf(value.Parse(n.Word).Key()))
 	case lang.Compare:
 		if n.Op != lang.OpEq {
 			return false
 		}
-		bits.AddSorted(c.rowsOf(n.Const.Key()))
+		bits.AddSorted(c.RowsOf(n.Const.Key()))
 	case lang.Or:
 		for _, t := range n.Terms {
 			if !c.addEqualityRows(bits, t) {
@@ -230,7 +232,7 @@ func (m *Model) PairHits(fk schema.ForeignKey, from, to *RowSet) int {
 	}
 	n := 0
 	walk.bits.ForEach(func(r int32) bool {
-		for _, p := range partners.at(r) {
+		for _, p := range partners.At(r) {
 			if other == nil || other.bits.Contains(p) {
 				n++
 			}

@@ -24,7 +24,7 @@ func TestTrainIndependentOfCoreCount(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, db := range []*mem.Database{mondial, bigJoinDatabase(t)} {
+	for _, db := range []*mem.Database{mondial, difftest.BigJoin(t)} {
 		db.Analyze()
 		train := func(procs int) *Model {
 			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))

@@ -4,15 +4,16 @@
 // read-only database per discovery round.
 //
 // At build time it converts the source into column-oriented storage and
-// precomputes, per column:
+// holds, per column:
 //
-//   - a join index (canonical value key -> ascending row ids), so hash
-//     joins probe a prebuilt table instead of re-hashing the inner relation
-//     on every execution, plus the per-row canonical keys themselves, so
-//     probing never re-renders a key;
-//   - a keyword index (split into a text map and a numeric map), so
-//     equality-shaped pushed-down predicates select matching rows by point
-//     lookup instead of scanning the column;
+//   - the source's key dictionary (exec.ColumnIndex: the canonical key of
+//     every row and the ascending row ids of every key — built once by the
+//     source and shared with the Bayesian model), so hash joins probe a
+//     prebuilt table instead of re-hashing the inner relation on every
+//     execution and never render a key;
+//   - a keyword index (a text map of its own, and the dictionary's sorted
+//     numeric views), so equality-shaped pushed-down predicates select
+//     matching rows by point lookup instead of scanning the column;
 //   - a zone map (numeric min/max view plus null/row counts), so
 //     range-shaped predicates whose interval cover
 //     (exec.ColumnPredicate.Bounds) falls outside the column's value range
@@ -44,10 +45,10 @@
 // (exec.ExecOptions.Selections) and says which predicate is which
 // (exec.ColumnPredicate.ID): the first execution to need a (column,
 // predicate) pair scans for it and publishes an immutable id vector and
-// bitmap, every later one — on any worker — installs that selection as it
-// is. The memo belongs to the caller and dies with its round; the executor
-// keeps nothing. Without a memo, and for anonymous predicates, every
-// execution selects for itself into pooled scratch.
+// bitmap, every later one installs that selection as it is. The memo
+// belongs to the caller and dies with its round; the executor keeps
+// nothing. Without a memo, and for anonymous predicates, every execution
+// selects for itself into pooled scratch.
 //
 // All per-execution scratch (level cursors, bitmaps, id buffers, the
 // projection tuple) comes from a sync.Pool of execution states, so a warm
@@ -117,15 +118,11 @@ type blockZone struct {
 // stored values (by strict identity, so predicate evaluation per code is
 // exactly predicate evaluation per row) and one bit-packed code per row.
 // NULL is a dictionary entry like any other, so Pred(NULL) semantics are
-// preserved. Dictionary-encoded columns drop their per-row value and key
-// slices entirely — rows are materialised through the dictionary — so a
-// 256-way column costs at most one byte per row instead of a boxed value
-// plus a key string.
+// preserved. Dictionary-encoded columns drop their per-row value slice
+// entirely — rows are materialised through the dictionary — so a 256-way
+// column costs at most one byte per row instead of a boxed value.
 type dictionary struct {
 	vals []value.Value
-	// keys holds Value.Key() per distinct value ("" for NULL), so join
-	// probes on dictionary columns still never render a key.
-	keys []string
 	// width is the number of bits per packed code: ⌈log2(len(vals))⌉,
 	// zero when the column holds a single distinct value.
 	width uint
@@ -150,26 +147,21 @@ func (d *dictionary) code(ri int32) int32 {
 }
 
 // column is the columnar storage of one table column plus its indexes.
-// For dictionary-encoded columns vals and keys are nil: per-row storage
-// is the packed dict codes, and values/keys materialise through the
-// value/key accessors.
+// For dictionary-encoded columns vals is nil: per-row storage is the
+// packed dict codes, and values materialise through the value accessor.
 type column struct {
 	vals []value.Value
-	// keys holds Value.Key() per row ("" for NULL), precomputed so join
-	// probes never render a key on the hot path.
-	keys []string
-	// join maps Value.Key() -> ascending row ids of non-null rows; probed
-	// by hash joins.
-	join map[string][]int32
-	// kwText / kwNum are the keyword-equality index, split by comparison
-	// path exactly mirroring Value.MatchesKeyword: the normalised text
-	// rendering, and the numeric view for values that have one. Hits are
-	// re-checked with the predicate, so false positives are harmless; a
-	// false negative would wrongly prune a mapping and is excluded by
-	// construction (see keywordKeys / keywordLookupKeys and their
-	// consistency test).
+	// idx is the source's key dictionary of the column: the join index
+	// (key of a row, rows of a key) and the sorted numeric views.
+	idx *exec.ColumnIndex
+	// kwText and idx's numeric views are the keyword-equality index, split
+	// by comparison path exactly mirroring Value.MatchesKeyword: the
+	// normalised text rendering, and the numeric view for values that have
+	// one. Hits are re-checked with the predicate, so false positives are
+	// harmless; a false negative would wrongly prune a mapping and is
+	// excluded by construction (see keywordKeys / keywordLookupKeys and
+	// their consistency test).
 	kwText map[string][]int32
-	kwNum  map[float64][]int32
 	zone   zone
 	// blocks is the per-block zone map, one entry per blockRows rows.
 	blocks []blockZone
@@ -193,14 +185,15 @@ func (c *column) value(ri int32) value.Value {
 	return d.vals[d.code(ri)]
 }
 
-// key returns row ri's canonical join key ("" for NULL), through the
-// dictionary when the column is compressed.
-func (c *column) key(ri int32) string {
-	if c.keys != nil {
-		return c.keys[ri]
+// joinRows returns the ascending rows of c that join row ri of probe: the
+// rows holding the key row ri holds, through the two key dictionaries. NULL
+// never joins.
+func (c *column) joinRows(probe *column, ri int32) []int32 {
+	id := probe.idx.RowID[ri]
+	if int(id) == len(probe.idx.Keys) {
+		return nil
 	}
-	d := c.dict
-	return d.keys[d.code(ri)]
+	return c.idx.RowsOf(probe.idx.Keys[id])
 }
 
 // table is the columnar image of one relation.
@@ -235,10 +228,11 @@ type Executor struct {
 	states   sync.Pool // *execState
 }
 
-// New builds the columnar executor over a source: column stores, hash and
-// keyword indexes, zone maps and dictionaries for every column. Catalog
-// queries (statistics, keyword membership) are delegated to the source, so
-// they agree exactly with the reference engine's preprocessing.
+// New builds the columnar executor over a source: column stores, keyword
+// indexes, zone maps and dictionaries for every column, over the source's
+// key dictionaries. Catalog queries (statistics, keyword membership) are
+// delegated to the source, so they agree exactly with the reference engine's
+// preprocessing.
 func New(src exec.Source) (exec.Executor, error) {
 	e := &Executor{src: src, byName: make(map[string]*table)}
 	// Every column is loaded and indexed independently of every other: one
@@ -246,6 +240,7 @@ func New(src exec.Source) (exec.Executor, error) {
 	type columnJob struct {
 		t   *table
 		ref schema.ColumnRef
+		idx *exec.ColumnIndex
 		col *column
 		err error
 	}
@@ -253,7 +248,14 @@ func New(src exec.Source) (exec.Executor, error) {
 	for _, ts := range src.Schema().Tables() {
 		t := &table{name: ts.Name, sch: ts}
 		for _, col := range ts.Columns {
-			jobs = append(jobs, columnJob{t: t, ref: schema.ColumnRef{Table: ts.Name, Column: col.Name}})
+			ref := schema.ColumnRef{Table: ts.Name, Column: col.Name}
+			// The first call has the source index every column, if it has
+			// not yet; the rest are look-ups.
+			idx, err := src.ColumnIndex(ref)
+			if err != nil {
+				return nil, fmt.Errorf("colexec: indexing %s: %w", ref, err)
+			}
+			jobs = append(jobs, columnJob{t: t, ref: ref, idx: idx})
 		}
 		e.tables = append(e.tables, t)
 		e.byName[strings.ToLower(ts.Name)] = t
@@ -266,6 +268,7 @@ func New(src exec.Source) (exec.Executor, error) {
 			return
 		}
 		j.col = buildColumn(vals)
+		j.col.idx = j.idx
 	})
 	maxRows := 0
 	for _, j := range jobs {
@@ -283,17 +286,14 @@ func New(src exec.Source) (exec.Executor, error) {
 	return e, nil
 }
 
-// buildColumn computes the storage, indexes, zone maps and (when the column
-// is low-cardinality) dictionary of one column. Dictionary-encoded columns
-// are stored compressed: bit-packed codes, with the per-row value and key
-// slices dropped.
+// buildColumn computes the storage, text keyword index, zone maps and (when
+// the column is low-cardinality) dictionary of one column; New attaches the
+// source's key dictionary. Dictionary-encoded columns are stored compressed:
+// bit-packed codes, with the per-row value slice dropped.
 func buildColumn(vals []value.Value) *column {
 	c := &column{
 		vals:   vals,
-		keys:   make([]string, len(vals)),
-		join:   make(map[string][]int32),
 		kwText: make(map[string][]int32),
-		kwNum:  make(map[float64][]int32),
 		blocks: make([]blockZone, (len(vals)+blockRows-1)/blockRows),
 	}
 	z := &c.zone
@@ -306,18 +306,11 @@ func buildColumn(vals []value.Value) *column {
 	dict := &dictionary{}
 	for ri, v := range vals {
 		if !v.IsNull() {
-			key := v.Key()
-			c.keys[ri] = key
-			c.join[key] = append(c.join[key], int32(ri))
 			norm := value.Normalize(v.String())
 			c.kwText[norm] = append(c.kwText[norm], int32(ri))
 
 			f, fok := v.Float()
 			if fok && !math.IsNaN(f) {
-				if f == 0 {
-					f = 0 // fold -0 into +0; MatchesKeyword compares them equal
-				}
-				c.kwNum[f] = append(c.kwNum[f], int32(ri))
 				if !zSeeded {
 					z.minF, z.maxF, zSeeded = f, f, true
 				} else {
@@ -364,10 +357,9 @@ func buildColumn(vals []value.Value) *column {
 	if dict != nil && len(vals) > 0 {
 		dict.compress(codes)
 		c.dict = dict
-		// Per-row storage becomes the packed codes; values and keys
-		// materialise through the dictionary from here on.
+		// Per-row storage becomes the packed codes; values materialise
+		// through the dictionary from here on.
 		c.vals = nil
-		c.keys = nil
 	} else if zSeeded {
 		c.nums = make([]float64, len(vals))
 		for ri, v := range vals {
@@ -382,14 +374,8 @@ func buildColumn(vals []value.Value) *column {
 }
 
 // compress finalises a dictionary from the raw per-row codes: the
-// per-distinct key table and the bit-packed code lanes.
+// bit-packed code lanes.
 func (d *dictionary) compress(codes []int32) {
-	d.keys = make([]string, len(d.vals))
-	for code, v := range d.vals {
-		if !v.IsNull() {
-			d.keys[code] = v.Key()
-		}
-	}
 	d.width = uint(bits.Len(uint(len(d.vals) - 1)))
 	if d.width > 0 {
 		d.bits = make([]uint64, (uint64(len(codes))*uint64(d.width)+63)/64+1)
@@ -452,8 +438,9 @@ func (e *Executor) Stats(ref schema.ColumnRef) (schema.Stats, bool) { return e.s
 func (e *Executor) AllStats() []schema.Stats { return e.src.AllStats() }
 
 // ColumnHasKeyword implements exec.Metadata by delegating to the source's
-// per-column keyword sets (membership only; the postings that seed a
-// keyword selection are this package's own column.kwText).
+// per-column keyword sets and numeric views (membership only; the postings
+// that seed a keyword selection are this package's own column.kwText and the
+// same numeric views).
 func (e *Executor) ColumnHasKeyword(ref schema.ColumnRef, keyword string) bool {
 	return e.src.ColumnHasKeyword(ref, keyword)
 }
@@ -1070,11 +1057,7 @@ func (st *execState) walk(opts exec.ExecOptions, stats *runStats, yield func(val
 			if d+1 > stats.JoinsExecuted {
 				stats.JoinsExecuted = d + 1
 			}
-			k := next.probeCol.key(st.row[next.probeLvl])
-			if k == "" {
-				continue // NULL never joins
-			}
-			next.list, next.pos = next.buildCol.join[k], 0
+			next.list, next.pos = next.buildCol.joinRows(next.probeCol, st.row[next.probeLvl]), 0
 			d++
 			continue
 		}
@@ -1256,8 +1239,8 @@ func (st *execState) scan(t *table, ids []int32, rows *rowset.Bitmap, stats *exe
 
 // selectMemoised installs the selection of a table whose predicates are all
 // identified and unseeded: each predicate's rows are read from the round's
-// memo, or scanned for — once per (column, predicate) and round, whichever
-// worker gets there first — and left in it. One predicate installs the
+// memo, or scanned for — once per (column, predicate) and round, by whichever
+// execution gets there first — and left in it. One predicate installs the
 // memo's own selection, read-only; several are intersected into pooled
 // scratch. A predicate is scanned over the whole column even when an earlier
 // one on the same table has already turned rows down: what the memo holds
@@ -1373,51 +1356,19 @@ func (st *execState) verifyRow(id int32, stats *exec.ExecStats) bool {
 
 // addKeywordHits unions the posting lists matching a keyword constant into
 // the bitmap: the normalised text rendering's list and, when the keyword
-// parses as a number, the numeric view's list — mirroring
-// Value.MatchesKeyword's two comparison paths.
+// parses as a number, the lists of the values whose numeric view equals it —
+// mirroring Value.MatchesKeyword's two comparison paths.
 func addKeywordHits(c *column, kw string, bm *rowset.Bitmap) {
-	kw = strings.TrimSpace(kw)
+	kw = value.Normalize(kw)
 	if kw == "" {
 		return
 	}
-	if post := c.kwText[strings.ToLower(kw)]; len(post) > 0 {
-		bm.AddSorted(post)
-	}
-	if f, ok := parseNumericKeyword(kw); ok {
-		if post := c.kwNum[f]; len(post) > 0 {
-			bm.AddSorted(post)
+	bm.AddSorted(c.kwText[kw])
+	if f, ok := exec.NumericKeyword(kw); ok {
+		for _, id := range c.idx.ViewRange(f, f) {
+			bm.AddSorted(c.idx.Post.At(id))
 		}
 	}
-}
-
-// parseNumericKeyword parses a keyword as a float like MatchesKeyword
-// does, with a cheap shape pre-check so clearly non-numeric keywords skip
-// strconv.ParseFloat (whose error path allocates).
-func parseNumericKeyword(kw string) (float64, bool) {
-	if kw == "" {
-		return 0, false
-	}
-	switch c := kw[0]; {
-	case c >= '0' && c <= '9', c == '+', c == '-', c == '.':
-	default:
-		// ParseFloat also accepts the spelled-out specials.
-		if !strings.EqualFold(kw, "inf") && !strings.EqualFold(kw, "infinity") && !strings.EqualFold(kw, "nan") {
-			return 0, false
-		}
-	}
-	f, err := strconv.ParseFloat(kw, 64)
-	if err != nil {
-		return 0, false
-	}
-	if math.IsNaN(f) {
-		// NaN never equals a stored numeric view (the text rendering path
-		// covers textual "NaN" matches), and NaN map keys are unreachable.
-		return 0, false
-	}
-	if f == 0 {
-		f = 0 // fold -0 into +0
-	}
-	return f, true
 }
 
 // ---------------------------------------------------------------------------
@@ -1433,10 +1384,10 @@ func parseNumericKeyword(kw string) (float64, bool) {
 // under both their text form and, when numeric, their numeric form, exactly
 // mirroring MatchesKeyword's two comparison paths.
 //
-// The executor stores these keys in two typed maps (kwText holds the text
-// keys without the "t:" prefix, kwNum is keyed by the float itself so
-// numeric lookups never format a string); these functions remain the
-// specification the consistency test checks that construction against.
+// The executor stores the text keys in kwText (without the "t:" prefix) and
+// reads the numeric ones off the key dictionary's sorted views, by the float
+// itself, so numeric lookups never format a string; these functions remain
+// the specification the consistency test checks that construction against.
 func keywordKeys(v value.Value) []string {
 	keys := []string{"t:" + value.Normalize(v.String())}
 	if f, ok := v.Float(); ok && !math.IsNaN(f) {
@@ -1451,7 +1402,7 @@ func keywordLookupKeys(kw string) []string {
 		return nil
 	}
 	keys := []string{"t:" + strings.ToLower(kw)}
-	if f, ok := parseNumericKeyword(kw); ok {
+	if f, ok := exec.NumericKeyword(kw); ok {
 		keys = append(keys, floatKey(f))
 	}
 	return keys

@@ -5,7 +5,9 @@ package colexec
 
 import (
 	"context"
+	"runtime"
 	"testing"
+	"time"
 
 	"prism/internal/bayes"
 	"prism/internal/constraint"
@@ -98,8 +100,8 @@ func TestDictionaryEncoding(t *testing.T) {
 	if c.dict == nil {
 		t.Fatal("low-cardinality column should be dictionary-encoded")
 	}
-	if c.vals != nil || c.keys != nil {
-		t.Error("dictionary-encoded column should drop its per-row value/key storage")
+	if c.vals != nil {
+		t.Error("dictionary-encoded column should drop its per-row value storage")
 	}
 	if len(c.dict.vals) != 6 {
 		t.Fatalf("expected 6 distinct strict values, got %d: %v", len(c.dict.vals), c.dict.vals)
@@ -112,13 +114,6 @@ func TestDictionaryEncoding(t *testing.T) {
 		if !dv.EqualStrict(v) {
 			t.Errorf("row %d decodes to %v (kind %v), want %v (kind %v)", ri, dv, dv.Kind(), v, v.Kind())
 		}
-		wantKey := ""
-		if !v.IsNull() {
-			wantKey = v.Key()
-		}
-		if got := c.key(int32(ri)); got != wantKey {
-			t.Errorf("row %d key = %q, want %q", ri, got, wantKey)
-		}
 	}
 
 	var wide []value.Value
@@ -127,7 +122,7 @@ func TestDictionaryEncoding(t *testing.T) {
 	}
 	if w := buildColumn(wide); w.dict != nil {
 		t.Error("high-cardinality column should not be dictionary-encoded")
-	} else if w.vals == nil || w.keys == nil {
+	} else if w.vals == nil {
 		t.Error("undictionaried column must keep its per-row storage")
 	}
 }
@@ -402,47 +397,140 @@ func BenchmarkExistsFirstTuple(b *testing.B) {
 	}
 }
 
-// BenchmarkSetup is what an engine pays before its first round, builder by
-// builder, on the 10.7k-row Mondial of the benchmark's oneshot_lowres
-// workload: mem.Analyze (on a fresh copy of the rows each time — an analyzed
-// database answers a second Analyze at once), bayes.Train and this package's
-// New. Each runs its columns over GOMAXPROCS workers; -cpu 1 is the direct
-// loop.
-func BenchmarkSetup(b *testing.B) {
-	db, err := dataset.Mondial(difftest.LowresMondialConfig())
-	if err != nil {
-		b.Fatal(err)
+// scaleMondialConfig is the 230k-row Mondial of the benchmark's
+// oneshot_scale workload.
+var scaleMondialConfig = dataset.MondialConfig{Seed: 1, Countries: 60, ProvincesPerCountry: 20, CitiesPerProvince: 40,
+	Lakes: 30000, Rivers: 20000, Mountains: 15000}
+
+// setUp is one run of the set-up pipeline on a fresh copy of src's rows:
+// mem.Analyze, bayes.Train and this package's New, in the order an engine
+// runs them, each timed and its mallocs counted. retained is what the heap
+// holds afterwards beyond what it held before the copy existed — the row
+// store and everything the three builders keep — measured after two
+// collections on either side with database, model and executor still
+// referenced.
+type setUp struct {
+	stage    [3]time.Duration // Analyze, Train, New
+	mallocs  [3]uint64
+	rows     int
+	retained uint64
+}
+
+func runSetUp(tb testing.TB, src *mem.Database) setUp {
+	var out setUp
+	var ms runtime.MemStats
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
 	}
-	db.Analyze()
-	b.Run("Analyze", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			fresh := mem.NewDatabase(db.Name, db.Schema())
-			for _, t := range db.Schema().Tables() {
-				rel, _ := db.Relation(t.Name)
-				if err := fresh.BulkInsert(t.Name, rel.Rows); err != nil {
-					b.Fatal(err)
+	before := heap()
+	fresh := mem.NewDatabase(src.Name, src.Schema())
+	for _, t := range src.Schema().Tables() {
+		rel, _ := src.Relation(t.Name)
+		if err := fresh.BulkInsert(t.Name, rel.Rows); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	out.rows = fresh.TotalRows()
+	var model *bayes.Model
+	var ex exec.Executor
+	b, timed := tb.(*testing.B) // a benchmark's ns/op and allocs/op are the stages, and nothing else
+	if timed {
+		b.StartTimer()
+	}
+	for i, stage := range []func(){
+		fresh.Analyze,
+		func() { model = bayes.Train(fresh) },
+		func() { ex = build(tb, fresh) },
+	} {
+		runtime.ReadMemStats(&ms)
+		mallocs, start := ms.Mallocs, time.Now()
+		stage()
+		out.stage[i] = time.Since(start)
+		runtime.ReadMemStats(&ms)
+		out.mallocs[i] = ms.Mallocs - mallocs
+	}
+	if timed {
+		b.StopTimer()
+	}
+	out.retained = heap() - before
+	runtime.KeepAlive(src) // counted before, so it must be counted after
+	setUpSink = []any{fresh, model, ex}
+	return out
+}
+
+// setUpSink keeps the last set-up of BenchmarkSetup reachable until the test
+// binary exits, so that a -memprofile of it (written at exit) shows who
+// holds what: docs/performance.md "Set-up" has the recipe.
+var setUpSink []any
+
+// BenchmarkSetup is what an engine pays before its first round, on the
+// 10.7k-row Mondial of the benchmark's oneshot_lowres workload and on the
+// 230k-row one of oneshot_scale: every iteration copies the rows into a
+// fresh database and runs mem.Analyze, bayes.Train and this package's New on
+// it — on a database that is already indexed the later two would not be
+// measuring set-up. ns/op, B/op and allocs/op are the three stages together
+// (the copy is outside the timer); the per-stage metrics say where they
+// went. Each builder runs its columns over GOMAXPROCS workers; -cpu 1 is
+// the direct loop.
+func BenchmarkSetup(b *testing.B) {
+	for _, size := range []struct {
+		name string
+		cfg  dataset.MondialConfig
+	}{
+		{"rows=10k", difftest.LowresMondialConfig()},
+		{"rows=230k", scaleMondialConfig},
+	} {
+		b.Run(size.name, func(b *testing.B) {
+			if testing.Short() && size.cfg == scaleMondialConfig {
+				b.Skip("builds the 230k-row database")
+			}
+			src, err := dataset.Mondial(size.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var sum setUp
+			b.StopTimer() // runSetUp starts it around the three stages
+			for i := 0; i < b.N; i++ {
+				one := runSetUp(b, src)
+				for s := range one.stage {
+					sum.stage[s] += one.stage[s]
+					sum.mallocs[s] += one.mallocs[s]
 				}
+				sum.rows, sum.retained = one.rows, sum.retained+one.retained
 			}
-			b.StartTimer()
-			fresh.Analyze()
-		}
-	})
-	b.Run("Train", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if bayes.Train(db) == nil {
-				b.Fatal("no model")
+			n := float64(b.N)
+			for s, name := range []string{"analyze", "train", "colexec-new"} {
+				b.ReportMetric(float64(sum.stage[s].Microseconds())/1e3/n, name+"-ms/op")
+				b.ReportMetric(float64(sum.mallocs[s])/n, name+"-allocs/op")
 			}
-		}
-	})
-	b.Run("colexec.New", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			build(b, db)
-		}
-	})
+			b.ReportMetric(float64(sum.retained)/n/float64(sum.rows), "retained-B/row")
+		})
+	}
+}
+
+// TestSetupRetainedBytes puts a ceiling on what set-up leaves on the heap
+// per row of the 10.7k-row Mondial: row store, key dictionaries, statistics,
+// keyword sets, model and executor together. Bytes do not depend on the
+// machine's speed or core count. The parent of the PR that made the three
+// builders share one key dictionary per column read 942 B/row through this
+// measurement and that PR 726; the ceiling is halfway, so giving a builder
+// back a private copy of the key → rows relation fails here.
+func TestSetupRetainedBytes(t *testing.T) {
+	src, err := dataset.Mondial(difftest.LowresMondialConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const ceiling = 834 // B/row
+	one := runSetUp(t, src)
+	perRow := float64(one.retained) / float64(one.rows)
+	t.Logf("set-up retains %.0f B/row over %d rows", perRow, one.rows)
+	if perRow > ceiling {
+		t.Errorf("set-up retains %.0f B/row, ceiling %d", perRow, ceiling)
+	}
 }
 
 // withoutMemo hands every single execution to the executor with the
@@ -476,8 +564,7 @@ func BenchmarkRangeRound(b *testing.B) {
 	if testing.Short() {
 		b.Skip("builds the 230k-row database")
 	}
-	db, err := dataset.Mondial(dataset.MondialConfig{Seed: 1, Countries: 60, ProvincesPerCountry: 20, CitiesPerProvince: 40,
-		Lakes: 30000, Rivers: 20000, Mountains: 15000})
+	db, err := dataset.Mondial(scaleMondialConfig)
 	if err != nil {
 		b.Fatal(err)
 	}

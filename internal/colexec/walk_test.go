@@ -76,11 +76,7 @@ func (st *execState) joinPipeline(opts exec.ExecOptions, stats *runStats) ([][]i
 			if st.interrupt.Hit() {
 				return nil, exec.ErrInterrupted
 			}
-			k := l.probeCol.key(probe)
-			if k == "" {
-				continue // NULL never joins
-			}
-			for _, rid := range l.buildCol.join[k] {
+			for _, rid := range l.buildCol.joinRows(l.probeCol, probe) {
 				if l.bm != nil && !l.bm.Contains(rid) {
 					continue
 				}

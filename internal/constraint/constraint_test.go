@@ -202,10 +202,14 @@ func TestSpecResolutionLevels(t *testing.T) {
 
 func stats(ref schema.ColumnRef, typ value.Kind, vals ...value.Value) schema.Stats {
 	c := schema.NewStatsCollector(ref, typ)
+	distinct := make(map[string]bool)
 	for _, v := range vals {
 		c.Add(v)
+		if !v.IsNull() {
+			distinct[v.Key()] = true
+		}
 	}
-	return c.Stats()
+	return c.Stats(len(distinct))
 }
 
 func TestColumnFeasible(t *testing.T) {

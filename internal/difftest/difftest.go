@@ -8,8 +8,10 @@ package difftest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"prism/internal/constraint"
 	"prism/internal/dataset"
@@ -384,4 +386,112 @@ func pickNumeric(rng *rand.Rand, vals []value.Value) (float64, bool) {
 		}
 	}
 	return 0, false
+}
+
+// BigJoin holds one foreign key with 631 × 201 = 126831 joined
+// pairs, above the sampling budget of the Bayesian model
+// (bayes.maxJoinPairSample), so its join statistics keep every second
+// pair. A key's pair count is odd for one key and even for the others, and
+// the non-key columns follow the parity of a row's position within its key,
+// so the order in which pairs are enumerated decides which ones are kept and
+// shows in the estimates.
+func BigJoin(t testing.TB) *mem.Database {
+	t.Helper()
+	s := schema.New()
+	for _, tab := range []*schema.Table{
+		schema.MustTable("Many",
+			schema.Column{Name: "Key", Type: value.Text},
+			schema.Column{Name: "Shade", Type: value.Int}),
+		schema.MustTable("One",
+			schema.Column{Name: "Key", Type: value.Text},
+			schema.Column{Name: "Size", Type: value.Int}),
+	} {
+		if err := s.AddTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddForeignKey(schema.ForeignKey{
+		From: schema.ColumnRef{Table: "Many", Column: "Key"},
+		To:   schema.ColumnRef{Table: "One", Column: "Key"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db := mem.NewDatabase("bigjoin", s)
+	keys := []string{"north", "south", "east"}
+	for i := 0; i < 631; i++ {
+		if err := db.Insert("Many", value.Tuple{value.NewText(keys[i%3]), value.NewInt(int64(i / 3 % 4))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 603; i++ {
+		if err := db.Insert("One", value.Tuple{value.NewText(keys[i%3]), value.NewInt(int64(i / 3 % 4))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
+}
+
+// Ranges holds what a pure numeric range can meet in a column and
+// the bundled data lacks: text that looks numeric beside text that does not
+// ("3", "3.0" and " 3" share a key and a view; "nan" has a view no range
+// accepts; "inf" one only the whole line does), the two zeros as decimals
+// and as text, NaN and the infinities stored as decimals, integers too large
+// for a float to tell apart, dates and times (their view is a count of
+// seconds), and a column that is NULL in every row.
+func Ranges(t testing.TB) *mem.Database {
+	t.Helper()
+	s := schema.New()
+	for _, tab := range []*schema.Table{
+		schema.MustTable("Reading",
+			schema.Column{Name: "Txt", Type: value.Text},
+			schema.Column{Name: "Dec", Type: value.Decimal},
+			schema.Column{Name: "Num", Type: value.Int},
+			schema.Column{Name: "Day", Type: value.Date},
+			schema.Column{Name: "At", Type: value.Time},
+			schema.Column{Name: "Void", Type: value.Int},
+			schema.Column{Name: "Station", Type: value.Int}),
+		schema.MustTable("Station",
+			schema.Column{Name: "Id", Type: value.Int},
+			schema.Column{Name: "Height", Type: value.Decimal}),
+	} {
+		if err := s.AddTable(tab); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.AddForeignKey(schema.ForeignKey{
+		From: schema.ColumnRef{Table: "Reading", Column: "Station"},
+		To:   schema.ColumnRef{Table: "Station", Column: "Id"},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	db := mem.NewDatabase("ranges", s)
+	null := value.NullValue
+	texts := []string{"3", "3.0", " 3", "3.00", "nan", "NaN", "inf", "-Inf", "-0", "0", "+0", "0.0", "abc", "1e2", "7", "2.5", "", "0x10", "-2.5"}
+	decs := []float64{math.Copysign(0, -1), 0, 1.5, 3, 2.5, math.NaN(), math.Inf(1), math.Inf(-1), -2.5, 3, 1e300, -1e300}
+	nums := []int64{0, 1, 2, 3, 3, 5, 8, -4, 1 << 53, 1<<53 + 1, math.MaxInt64, math.MinInt64}
+	for i := 0; i < 95; i++ {
+		txt := value.NewText(texts[i%len(texts)])
+		if texts[i%len(texts)] == "" {
+			txt = null
+		}
+		dec := value.NewDecimal(decs[i%len(decs)])
+		if i%9 == 0 {
+			dec = null
+		}
+		station := value.NewInt(int64(i % 6)) // 5 dangles
+		if i%10 == 0 {
+			station = null
+		}
+		if err := db.Insert("Reading", value.Tuple{txt, dec, value.NewInt(nums[i%len(nums)]),
+			value.NewDateYMD(2019+i%3, 1+time.Month(i%12), 1+i%28), value.NewTimeHMS(i%24, i%60, (i*7)%60),
+			null, station}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 5; i++ {
+		if err := db.Insert("Station", value.Tuple{value.NewInt(int64(i)), value.NewDecimal(float64(i) * 250.5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return db
 }

@@ -50,14 +50,19 @@ type Metadata interface {
 	ColumnHasKeyword(ref schema.ColumnRef, keyword string) bool
 }
 
-// Source is what an executor implementation is built from: catalog access
-// plus bulk column reads. *mem.Database satisfies it; a future backend over
-// an external DBMS would adapt its catalog the same way.
+// Source is what an executor implementation is built from: catalog access,
+// bulk column reads and per-column key dictionaries. *mem.Database satisfies
+// it; a future backend over an external DBMS would adapt its catalog alike.
 type Source interface {
 	Metadata
 	// ColumnValues returns all values stored in the given column, in row
 	// order.
 	ColumnValues(ref schema.ColumnRef) ([]value.Value, error)
+	// ColumnIndex returns the key dictionary of the given column over the
+	// source's current rows. The source builds it once — every column's, the
+	// first time any is asked for — and hands the same immutable index to
+	// every caller until its data changes.
+	ColumnIndex(ref schema.ColumnRef) (*ColumnIndex, error)
 }
 
 // Executor evaluates Project-Join plans against one source database. All

@@ -33,8 +33,8 @@ type SelectionKey struct {
 // value is an empty memo; it is safe for concurrent use and must not be
 // copied after first use.
 //
-// Every key is computed once, whichever worker meets it first: Acquire hands
-// the fill to exactly one caller and holds the others until that caller
+// Every key is computed once, by whichever execution meets it first: Acquire
+// hands the fill to exactly one caller and holds any other until that caller
 // settles it.
 type SelectionMemo struct {
 	mu sync.Mutex

@@ -276,10 +276,14 @@ func TestParseMetadataRow(t *testing.T) {
 func statsFor(t *testing.T, typ value.Kind, vals ...value.Value) schema.Stats {
 	t.Helper()
 	c := schema.NewStatsCollector(schema.ColumnRef{Table: "Lake", Column: "Area"}, typ)
+	distinct := make(map[string]bool)
 	for _, v := range vals {
 		c.Add(v)
+		if !v.IsNull() {
+			distinct[v.Key()] = true
+		}
 	}
-	return c.Stats()
+	return c.Stats(len(distinct))
 }
 
 func TestMetadataPredicateEval(t *testing.T) {

@@ -1,13 +1,13 @@
 // Package mem implements Prism's in-memory relational engine: the substrate
 // the paper runs on top of a conventional DBMS.
 //
-// It provides typed row storage, per-column statistics (the "metadata
-// collected during preprocessing" of §2.3), per-column keyword sets (the
-// membership half of the DBMS inverted index the paper leverages for
-// value-constraint matching: which columns hold a keyword; the postings —
-// which rows — live in the columnar executor's per-column kwText index), and
-// execution of Project-Join query plans with selection push-down and early
-// termination — everything the discovery and filter-validation layers need.
+// It provides typed row storage, one key dictionary per column (which rows
+// hold which value: exec.ColumnIndex, read by the statistics, the Bayesian
+// model and the columnar executor alike), per-column statistics (the
+// "metadata collected during preprocessing" of §2.3) and keyword sets (the
+// membership half of the DBMS inverted index the paper leverages: which
+// columns hold a keyword), and execution of Project-Join query plans with
+// selection push-down and early termination.
 package mem
 
 import (
@@ -16,6 +16,7 @@ import (
 	"strings"
 	"sync"
 
+	"prism/internal/exec"
 	"prism/internal/par"
 	"prism/internal/schema"
 	"prism/internal/value"
@@ -50,6 +51,11 @@ type Database struct {
 	// columnKeywords maps lower(Table.Column) -> set of normalised keywords
 	// occurring in that column; used for per-column membership tests.
 	columnKeywords map[string]map[string]struct{}
+	// index maps lower(Table.Column) -> the column's key dictionary over the
+	// current rows: every column's or none (nil). Analyze builds it, a
+	// mutation drops it, a snapshot does not carry it — a restored database
+	// builds it when it is first asked for (ColumnIndex).
+	index map[string]*exec.ColumnIndex
 }
 
 // NewDatabase creates an empty database over the given schema.
@@ -120,7 +126,7 @@ func (db *Database) Insert(table string, tuple value.Tuple) error {
 	// keys tagged with a Version never describe newer contents.
 	db.mu.Lock()
 	rel.Rows = append(rel.Rows, row)
-	db.analyzed = false
+	db.analyzed, db.index = false, nil
 	db.version++
 	db.mu.Unlock()
 	return nil
@@ -171,56 +177,92 @@ func statsKey(ref schema.ColumnRef) string {
 	return strings.ToLower(ref.Table) + "." + strings.ToLower(ref.Column)
 }
 
-// Analyze (re)builds the column statistics and the per-column keyword sets.
-// It corresponds to the paper's preprocessing step and must be called before
-// the lookup methods below. Calling it repeatedly is cheap when nothing has
-// changed. Columns are independent of one another and are analyzed in
-// parallel; the result is a function of the data alone.
+// indexColumns builds the key dictionary of every column over the current
+// rows and installs them as db.index; the statistics ride the same pass and
+// are returned in schema order. Columns are independent of one another and
+// are indexed in parallel; the result is a function of the data alone. The
+// caller holds db.mu for writing.
+func (db *Database) indexColumns() ([]*exec.ColumnIndex, []schema.Stats) {
+	type column struct {
+		ref  schema.ColumnRef
+		typ  value.Kind
+		rows []value.Tuple
+		ci   int
+	}
+	var cols []column
+	for _, t := range db.sch.Tables() {
+		rel := db.relations[strings.ToLower(t.Name)]
+		for ci, c := range t.Columns {
+			cols = append(cols, column{schema.ColumnRef{Table: t.Name, Column: c.Name}, c.Type, rel.Rows, ci})
+		}
+	}
+	index, stats := make([]*exec.ColumnIndex, len(cols)), make([]schema.Stats, len(cols))
+	par.Do(len(cols), func(i int) {
+		c := cols[i]
+		index[i], stats[i] = exec.NewColumnIndex(c.ref, c.typ, c.rows, c.ci)
+	})
+	db.index = make(map[string]*exec.ColumnIndex, len(cols))
+	for i, x := range index {
+		db.index[statsKey(stats[i].Ref)] = x
+	}
+	return index, stats
+}
+
+// Analyze (re)builds the key dictionaries, the column statistics and the
+// per-column keyword sets. It corresponds to the paper's preprocessing step
+// and must be called before the lookup methods below. Calling it repeatedly
+// is cheap when nothing has changed.
 func (db *Database) Analyze() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.analyzed {
 		return
 	}
-	type column struct {
-		ref      schema.ColumnRef
-		typ      value.Kind
-		rows     []value.Tuple
-		ci       int
-		stats    schema.Stats
-		keywords map[string]struct{}
-	}
-	var cols []column
-	for _, t := range db.sch.Tables() {
-		rel := db.relations[strings.ToLower(t.Name)]
-		for ci, c := range t.Columns {
-			cols = append(cols, column{ref: schema.ColumnRef{Table: t.Name, Column: c.Name}, typ: c.Type, rows: rel.Rows, ci: ci})
-		}
-	}
-	par.Do(len(cols), func(i int) {
-		c := &cols[i]
-		collector := schema.NewStatsCollector(c.ref, c.typ)
-		keywords := make(map[string]struct{})
-		for _, row := range c.rows {
-			v := row[c.ci]
-			collector.Add(v)
-			if v.IsNull() {
-				continue
-			}
-			if kw := value.Normalize(v.String()); kw != "" {
-				keywords[kw] = struct{}{}
+	index, stats := db.indexColumns()
+	// A value renders one keyword however many rows hold it: the sets are
+	// read off the dictionaries' distinct values and their variants.
+	keywords := make([]map[string]struct{}, len(index))
+	par.Do(len(index), func(i int) {
+		set := make(map[string]struct{})
+		for _, vals := range [][]value.Value{index[i].Vals, index[i].VariantVals} {
+			for _, v := range vals {
+				if kw := value.Normalize(v.String()); kw != "" {
+					set[kw] = struct{}{}
+				}
 			}
 		}
-		c.stats, c.keywords = collector.Stats(), keywords
+		keywords[i] = set
 	})
-	db.stats = make(map[string]schema.Stats, len(cols))
-	db.columnKeywords = make(map[string]map[string]struct{}, len(cols))
-	for i := range cols {
-		key := statsKey(cols[i].ref)
-		db.stats[key] = cols[i].stats
-		db.columnKeywords[key] = cols[i].keywords
+	db.stats = make(map[string]schema.Stats, len(stats))
+	db.columnKeywords = make(map[string]map[string]struct{}, len(stats))
+	for i, st := range stats {
+		db.stats[statsKey(st.Ref)] = st
+		db.columnKeywords[statsKey(st.Ref)] = keywords[i]
 	}
 	db.analyzed = true
+}
+
+// ColumnIndex implements exec.Source. The dictionaries Analyze built are
+// kept until the next mutation; when there are none — after a mutation, or
+// on a database restored from a snapshot — every column is indexed here,
+// through the code Analyze uses.
+func (db *Database) ColumnIndex(ref schema.ColumnRef) (*exec.ColumnIndex, error) {
+	key := statsKey(ref)
+	db.mu.RLock()
+	x, built := db.index[key], db.index != nil
+	db.mu.RUnlock()
+	if !built {
+		db.mu.Lock()
+		if db.index == nil {
+			db.indexColumns()
+		}
+		x = db.index[key]
+		db.mu.Unlock()
+	}
+	if x == nil {
+		return nil, fmt.Errorf("mem: unknown column %s", ref)
+	}
+	return x, nil
 }
 
 // Analyzed reports whether statistics and indexes are current.
@@ -260,20 +302,29 @@ func (db *Database) AllStats() []schema.Stats {
 	return out
 }
 
-// ColumnHasKeyword reports whether the given column contains the exact
-// keyword (case-insensitive).
+// ColumnHasKeyword reports whether some value of the given column matches
+// the keyword as Value.MatchesKeyword does: its normalised rendering is in
+// the column's keyword set, or the keyword is a number and some value's
+// numeric view equals it — the lookup the columnar executor seeds a keyword
+// selection with, so related-column search accepts every spelling of a
+// number the executor accepts.
 func (db *Database) ColumnHasKeyword(ref schema.ColumnRef, keyword string) bool {
+	key := statsKey(ref)
 	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if db.columnKeywords == nil {
-		return false
-	}
-	set, ok := db.columnKeywords[statsKey(ref)]
+	set, ok := db.columnKeywords[key]
+	x := db.index[key]
+	db.mu.RUnlock()
 	if !ok {
 		return false
 	}
-	_, hit := set[value.Normalize(keyword)]
-	return hit
+	if _, hit := set[value.Normalize(keyword)]; hit {
+		return true
+	}
+	f, numeric := exec.NumericKeyword(keyword)
+	if numeric && x == nil { // a restored database has no dictionaries yet
+		x, _ = db.ColumnIndex(ref)
+	}
+	return numeric && x != nil && len(x.ViewRange(f, f)) > 0
 }
 
 // ColumnValues returns all values stored in the given column, in row order.

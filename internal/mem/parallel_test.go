@@ -9,7 +9,9 @@ import (
 
 	"prism/internal/dataset"
 	"prism/internal/difftest"
+	"prism/internal/exec"
 	"prism/internal/mem"
+	"prism/internal/schema"
 )
 
 // lowresMondial is the 10.7k-row Mondial of the benchmark's oneshot_lowres
@@ -32,13 +34,15 @@ func lowresMondial(t testing.TB) *mem.Database {
 }
 
 // TestAnalyzeIndependentOfCoreCount: the statistics, the per-column keyword
-// sets and the snapshot bytes are a function of the data alone — equal at
+// sets, the key dictionaries and the snapshot bytes are a function of the
+// data alone — equal at
 // GOMAXPROCS 1 (the direct loop), 2 and 8 (more workers than this host may
 // have cores).
 func TestAnalyzeIndependentOfCoreCount(t *testing.T) {
 	type built struct {
 		stats    any
 		keywords map[string]map[string]struct{}
+		index    map[schema.ColumnRef]*exec.ColumnIndex
 		snapshot []byte
 	}
 	build := func(procs int) built {
@@ -49,7 +53,7 @@ func TestAnalyzeIndependentOfCoreCount(t *testing.T) {
 		if err := db.WriteSnapshot(&snap); err != nil {
 			t.Fatal(err)
 		}
-		return built{db.AllStats(), db.ColumnKeywords(), snap.Bytes()}
+		return built{db.AllStats(), db.ColumnKeywords(), allIndexes(t, db), snap.Bytes()}
 	}
 	want := build(1)
 	if len(want.keywords) == 0 || len(want.snapshot) == 0 {
@@ -63,6 +67,9 @@ func TestAnalyzeIndependentOfCoreCount(t *testing.T) {
 			}
 			if !reflect.DeepEqual(got.keywords, want.keywords) {
 				t.Error("per-column keyword sets differ from the one-core build")
+			}
+			if !reflect.DeepEqual(got.index, want.index) {
+				t.Error("key dictionaries differ from the one-core build")
 			}
 			if !bytes.Equal(got.snapshot, want.snapshot) {
 				t.Error("snapshot bytes differ from the one-core build")

@@ -300,18 +300,14 @@ func (st Stats) String() string {
 		st.Ref, st.Type, st.Min, st.Max, st.MaxLength, st.RowCount, st.NullCount, st.Distinct)
 }
 
-// StatsCollector incrementally accumulates Stats for one column.
-type StatsCollector struct {
-	st   Stats
-	seen map[string]struct{}
-}
+// StatsCollector incrementally accumulates Stats for one column: everything
+// but the distinct count, which takes a dictionary of the values seen — the
+// column's key dictionary (exec.ColumnIndex), whose pass the collector rides.
+type StatsCollector struct{ st Stats }
 
 // NewStatsCollector creates a collector for the given column.
 func NewStatsCollector(ref ColumnRef, typ value.Kind) *StatsCollector {
-	return &StatsCollector{
-		st:   Stats{Ref: ref, Type: typ, Min: value.NullValue, Max: value.NullValue},
-		seen: make(map[string]struct{}),
-	}
+	return &StatsCollector{Stats{Ref: ref, Type: typ, Min: value.NullValue, Max: value.NullValue}}
 }
 
 // Add accumulates one cell value.
@@ -320,11 +316,6 @@ func (c *StatsCollector) Add(v value.Value) {
 	if v.IsNull() {
 		c.st.NullCount++
 		return
-	}
-	key := v.Key()
-	if _, dup := c.seen[key]; !dup {
-		c.seen[key] = struct{}{}
-		c.st.Distinct++
 	}
 	if l := v.TextLength(); l > c.st.MaxLength {
 		c.st.MaxLength = l
@@ -337,5 +328,9 @@ func (c *StatsCollector) Add(v value.Value) {
 	}
 }
 
-// Stats returns the accumulated statistics.
-func (c *StatsCollector) Stats() Stats { return c.st }
+// Stats returns the accumulated statistics; distinct is the number of
+// distinct non-null values (by Value.Key) among the cells added.
+func (c *StatsCollector) Stats(distinct int) Stats {
+	c.st.Distinct = distinct
+	return c.st
+}

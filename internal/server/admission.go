@@ -4,7 +4,7 @@ package server
 // admission controller (prism/internal/serve) before it may start, so a
 // multi-tenant deployment degrades by shedding load with 429 + Retry-After
 // instead of queueing unboundedly, and GET /api/v1/stats exposes the
-// controller, per-class latency quantiles and the validation worker pools
+// controller, per-class latency quantiles and the scheduling-loop gauges
 // for scrapers (prism-loadtest, dashboards, the CI regression leg).
 
 import (

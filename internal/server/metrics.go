@@ -164,11 +164,11 @@ func (s *Server) collectServe() []obs.Sample {
 	}
 	pool := sched.PoolSnapshot()
 	out = append(out,
-		gauge("prism_sched_live_workers", "Validation workers currently alive.", float64(pool.LiveWorkers)),
+		gauge("prism_sched_live_workers", "Scheduling loops currently running, one per round in its validation phase.", float64(pool.LiveWorkers)),
 		gauge("prism_sched_active_validations", "Validations executing right now.", float64(pool.ActiveValidations)),
-		counter("prism_sched_completed_validations_total", "Validations completed by the worker pools.",
+		counter("prism_sched_completed_validations_total", "Validations completed by the scheduling loops.",
 			pool.CompletedValidations),
-		gauge("prism_sched_utilization", "Active validations over live workers (0..1).", pool.Utilization()),
+		gauge("prism_sched_utilization", "Active validations over running scheduling loops (0..1).", pool.Utilization()),
 	)
 	return out
 }
