@@ -210,3 +210,80 @@ func TestEncodeSpecRejectsForeignNodes(t *testing.T) {
 		t.Error("EncodeSpec should reject unknown node types")
 	}
 }
+
+// FuzzSpecCodec feeds the wire codec bytes from outside the program: JSON is
+// unmarshalled into a Spec and decoded. Whatever decodes must survive the
+// round trip — EncodeSpec, JSON and Decode again — as the same
+// specification, String for String; everything else must be an error, never
+// a panic. The seeds are the three bundled walkthrough grids and range,
+// date, negation and metadata shapes, encoded.
+func FuzzSpecCodec(f *testing.F) {
+	seeds := []*constraint.Spec{}
+	for _, g := range []struct {
+		row, metadata []string
+	}{
+		{[]string{"California || Nevada", "Lake Tahoe", ""}, []string{"", "", "DataType=='decimal' AND MinValue>='0'"}},
+		{[]string{"Inception", "Leonardo DiCaprio || Tim Robbins", "[8, 10]"}, []string{"", "", "DataType=='decimal' AND MinValue>='0' AND MaxValue<='10'"}},
+		{[]string{"Los Angeles", "Lakers", "[80, 140]"}, []string{"", "", "DataType=='int' AND MinValue>='0'"}},
+		{[]string{"[100, 600]", ">= 10 && <= 20", "!= 0"}, nil},
+		{[]string{"= 'Lake Tahoe'", "NOT (x || y)", "[-2.5, 1000]"}, []string{"ColumnName='Area' OR ColumnName='Size'", "MaxLength<=30", ""}},
+		{nil, []string{"TableName='Lake'", "DataType=='int'", "MinValue>='0' AND MaxValue<='10'"}},
+	} {
+		var samples [][]string
+		if g.row != nil {
+			samples = [][]string{g.row}
+		}
+		sp, err := constraint.ParseGrid(3, samples, g.metadata)
+		if err != nil {
+			f.Fatal(err)
+		}
+		seeds = append(seeds, sp)
+	}
+	dated, err := constraint.NewSpec(2, []constraint.SampleConstraint{{Cells: []lang.ValueExpr{
+		lang.Compare{Op: lang.OpGe, Const: value.NewDateYMD(2020, 1, 2)},
+		lang.Not{Term: lang.Range{Lo: value.NewTimeHMS(8, 30, 0), Hi: value.NewTimeHMS(17, 0, 0)}},
+	}}}, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, sp := range append(seeds, dated) {
+		enc, err := EncodeSpec(sp)
+		if err != nil {
+			f.Fatal(err)
+		}
+		payload, err := json.Marshal(enc)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var wire Spec
+		if err := json.Unmarshal(payload, &wire); err != nil {
+			return
+		}
+		sp, err := wire.Decode()
+		if err != nil {
+			return
+		}
+		enc, err := EncodeSpec(sp)
+		if err != nil {
+			t.Fatalf("EncodeSpec of a decoded spec: %v\n%s", err, sp)
+		}
+		again, err := json.Marshal(enc)
+		if err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+		var back Spec
+		if err := json.Unmarshal(again, &back); err != nil {
+			t.Fatalf("Unmarshal of %s: %v", again, err)
+		}
+		dec, err := back.Decode()
+		if err != nil {
+			t.Fatalf("Decode of the re-encoded spec: %v\nwire: %s", err, again)
+		}
+		if got, want := dec.String(), sp.String(); got != want {
+			t.Fatalf("round trip diverges:\nwant:\n%s\ngot:\n%s", want, got)
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 
+	"prism/internal/exec"
 	"prism/internal/lang"
 	"prism/internal/rowset"
 	"prism/internal/schema"
@@ -152,10 +153,11 @@ func (m *Model) relationRows(table string, constraints []ColumnConstraint) (set 
 	return set, true
 }
 
-// MatchRows implements Sets. Equality-shaped constraints read their postings
-// and a pure numeric range the postings its bounds enclose in the sorted
-// views; anything else is evaluated once per distinct value. Either way the
-// rows that hold a variant of their value, and NULL, are evaluated one by one.
+// MatchRows implements Sets. Equality-shaped constraints read their
+// postings; anything else is the rows the column's key dictionary selects for
+// it (exec.ColumnIndex.Select, which the executor's selections use too): a
+// pure numeric range the postings its bounds enclose in the sorted views, any
+// other expression evaluated once per distinct value, variant and NULL.
 func (m *Model) MatchRows(c ColumnConstraint) (*RowSet, bool) {
 	cm := m.column(c.Ref)
 	if cm == nil || c.Expr == nil {
@@ -164,26 +166,11 @@ func (m *Model) MatchRows(c ColumnConstraint) (*RowSet, bool) {
 	bits := rowset.New(cm.NumRows())
 	if !cm.addEqualityRows(bits, c.Expr) {
 		bits.Reset(cm.NumRows()) // a disjunction may have added rows before giving up
+		p := exec.ColumnPredicate{Ref: c.Ref, Pred: c.Expr.Eval}
 		if b, exact := lang.ExactRangeBounds(c.Expr); exact {
-			for _, id := range cm.ViewRange(b.Lo, b.Hi) {
-				bits.AddSorted(cm.Post.At(id))
-			}
-		} else {
-			for id, v := range cm.Vals {
-				if c.Expr.Eval(v) {
-					bits.AddSorted(cm.Post.At(int32(id)))
-				}
-			}
+			p.Bounds, p.BoundsExact = &exec.NumericBounds{Lo: b.Lo, Hi: b.Hi, HasLo: true, HasHi: true}, true
 		}
-		for i, row := range cm.VariantRows {
-			bits.Remove(row)
-			if c.Expr.Eval(cm.VariantVals[i]) {
-				bits.Add(row)
-			}
-		}
-		if c.Expr.Eval(value.NullValue) {
-			bits.AddSorted(cm.NullRows())
-		}
+		cm.Select(&p, bits, nil)
 	}
 	return &RowSet{bits: bits, count: bits.Popcount()}, true
 }

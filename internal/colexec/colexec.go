@@ -7,23 +7,22 @@
 // holds, per column:
 //
 //   - the source's key dictionary (exec.ColumnIndex: the canonical key of
-//     every row and the ascending row ids of every key — built once by the
-//     source and shared with the Bayesian model), so hash joins probe a
-//     prebuilt table instead of re-hashing the inner relation on every
-//     execution and never render a key;
+//     every row and the ascending row ids of every key, the distinct values
+//     sorted by numeric view — built once by the source and shared with the
+//     Bayesian model), so hash joins probe a prebuilt table instead of
+//     re-hashing the inner relation on every execution and never render a
+//     key, and a predicate no keyword seeds is answered per distinct value
+//     (a pure numeric range by two binary searches) instead of per row;
 //   - a keyword index (a text map of its own, and the dictionary's sorted
 //     numeric views), so equality-shaped pushed-down predicates select
-//     matching rows by point lookup instead of scanning the column;
+//     matching rows by point lookup;
 //   - a zone map (numeric min/max view plus null/row counts), so
 //     range-shaped predicates whose interval cover
 //     (exec.ColumnPredicate.Bounds) falls outside the column's value range
-//     skip the scan without touching a row;
+//     are proved empty without touching a row;
 //   - a dictionary for low-cardinality columns (distinct stored values and
-//     one code per row), so scan-shaped predicates are evaluated once per
-//     distinct value instead of once per row;
-//   - a dense numeric view for the other columns that hold numbers (one
-//     float64 per row, NaN where the row has none), so a pure numeric range
-//     is two float comparisons per row, with no value materialised.
+//     one code per row), so verifying candidates against a predicate costs
+//     one evaluation per distinct value instead of one per row.
 //
 // A single execution (Execute, ExecuteWith, Exists) never builds the join:
 // after the pushed-down predicates have reduced every base table to a
@@ -39,16 +38,15 @@
 // it.
 //
 // The probes of one discovery round put the same few cells on the same few
-// source columns over and over. A selection that costs a scan of the table
-// — no keyword seeds it, no zone map proves it empty — is therefore taken
-// from the round's exec.SelectionMemo when the caller brings one
-// (exec.ExecOptions.Selections) and says which predicate is which
-// (exec.ColumnPredicate.ID): the first execution to need a (column,
-// predicate) pair scans for it and publishes an immutable id vector and
-// bitmap, every later one installs that selection as it is. The memo
-// belongs to the caller and dies with its round; the executor keeps
-// nothing. Without a memo, and for anonymous predicates, every execution
-// selects for itself into pooled scratch.
+// source columns over and over. A selection no keyword seeds and no zone map
+// proves empty is therefore taken from the round's exec.SelectionMemo when
+// the caller brings one (exec.ExecOptions.Selections) and says which
+// predicate is which (exec.ColumnPredicate.ID): the first execution to need
+// a (column, predicate) pair selects it from the key dictionary and
+// publishes an immutable id vector and bitmap, every later one installs
+// that selection as it is. The memo belongs to the caller and dies with its
+// round; the executor keeps nothing. Without a memo, and for anonymous
+// predicates, every execution selects for itself into pooled scratch.
 //
 // All per-execution scratch (level cursors, bitmaps, id buffers, the
 // projection tuple) comes from a sync.Pool of execution states, so a warm
@@ -60,7 +58,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -95,23 +92,6 @@ type zone struct {
 	numeric bool
 	rows    int
 	nulls   int
-}
-
-// blockRows is the granularity of the per-block zone maps: every column
-// keeps one blockZone per blockRows stored rows, so range predicates can
-// skip provably-empty stretches of a scan without touching them.
-const blockRows = 1024
-
-// blockZone is the zone map of one blockRows-sized stretch of a column:
-// the extrema of the rows' numeric views. An exact-bounds predicate
-// (predCheck.exact) passes only rows with a numeric view inside
-// [lo, hi], so a block with no numeric rows — or whose extrema miss the
-// interval — provably contributes nothing and is skipped whole.
-type blockZone struct {
-	minF, maxF float64
-	// hasNum reports that at least one row in the block has a numeric
-	// view; minF/maxF are valid only when set.
-	hasNum bool
 }
 
 // dictionary is the low-cardinality encoding of one column: the distinct
@@ -152,7 +132,8 @@ func (d *dictionary) code(ri int32) int32 {
 type column struct {
 	vals []value.Value
 	// idx is the source's key dictionary of the column: the join index
-	// (key of a row, rows of a key) and the sorted numeric views.
+	// (key of a row, rows of a key), the sorted numeric views, and the rows
+	// of a predicate no keyword seeds (exec.ColumnIndex.Select).
 	idx *exec.ColumnIndex
 	// kwText and idx's numeric views are the keyword-equality index, split
 	// by comparison path exactly mirroring Value.MatchesKeyword: the
@@ -163,16 +144,7 @@ type column struct {
 	// their consistency test).
 	kwText map[string][]int32
 	zone   zone
-	// blocks is the per-block zone map, one entry per blockRows rows.
-	blocks []blockZone
-	// nums is the dense numeric view of a column stored row by row (no
-	// dictionary) in which some row has one: nums[ri] is the row's
-	// Value.Float(), and NaN where the row has no numeric view to compare —
-	// NULL, non-numeric text, or a view that is itself NaN, none of which an
-	// exact-bounds predicate accepts. Such a predicate reads it instead of
-	// materialising a value per row. Nil otherwise.
-	nums []float64
-	dict *dictionary
+	dict   *dictionary
 }
 
 // value materialises row ri, through the dictionary when the column is
@@ -286,7 +258,7 @@ func New(src exec.Source) (exec.Executor, error) {
 	return e, nil
 }
 
-// buildColumn computes the storage, text keyword index, zone maps and (when
+// buildColumn computes the storage, text keyword index, zone map and (when
 // the column is low-cardinality) dictionary of one column; New attaches the
 // source's key dictionary. Dictionary-encoded columns are stored compressed:
 // bit-packed codes, with the per-row value slice dropped.
@@ -294,7 +266,6 @@ func buildColumn(vals []value.Value) *column {
 	c := &column{
 		vals:   vals,
 		kwText: make(map[string][]int32),
-		blocks: make([]blockZone, (len(vals)+blockRows-1)/blockRows),
 	}
 	z := &c.zone
 	z.rows = len(vals)
@@ -319,17 +290,6 @@ func buildColumn(vals []value.Value) *column {
 					}
 					if f > z.maxF {
 						z.maxF = f
-					}
-				}
-				b := &c.blocks[ri/blockRows]
-				if !b.hasNum {
-					b.minF, b.maxF, b.hasNum = f, f, true
-				} else {
-					if f < b.minF {
-						b.minF = f
-					}
-					if f > b.maxF {
-						b.maxF = f
 					}
 				}
 			} else {
@@ -360,15 +320,6 @@ func buildColumn(vals []value.Value) *column {
 		// Per-row storage becomes the packed codes; values materialise
 		// through the dictionary from here on.
 		c.vals = nil
-	} else if zSeeded {
-		c.nums = make([]float64, len(vals))
-		for ri, v := range vals {
-			if f, ok := v.Float(); ok {
-				c.nums[ri] = f
-			} else {
-				c.nums[ri] = math.NaN()
-			}
-		}
 	}
 	return c
 }
@@ -598,33 +549,11 @@ type gather struct {
 
 // predCheck is the per-predicate verification state of one selectRows
 // call; when verdict is non-nil the predicate was pre-evaluated per
-// dictionary code, and when exact is set the predicate is answered from
-// the value's numeric view with two float comparisons
-// (exec.ColumnPredicate.BoundsExact) — no closure call per row. Exact
-// checks additionally drive per-block zone-map pruning: a block whose
-// numeric extrema miss [lo, hi] is skipped without touching a row.
+// dictionary code.
 type predCheck struct {
 	pred    func(value.Value) bool
 	col     *column
 	verdict []bool
-	exact   bool
-	lo, hi  float64
-	// nums is the column's dense numeric view, which an exact check reads
-	// when the column has one: NaN, the no-view marker, fails both
-	// comparisons.
-	nums []float64
-}
-
-// blockExcluded reports whether the check proves block b of its column
-// empty: an exact-bounds check passes only rows whose numeric view lies
-// in [lo, hi], so a block with no numeric rows or with extrema outside
-// the interval cannot contribute a row.
-func (c *predCheck) blockExcluded(b int) bool {
-	if !c.exact {
-		return false
-	}
-	z := &c.col.blocks[b]
-	return !z.hasNum || z.maxF < c.lo || z.minF > c.hi
 }
 
 // execState is the pooled per-execution scratch: bound plan state,
@@ -1094,27 +1023,29 @@ func (st *execState) residualsHold(l *joinLevel) bool {
 // selectRows applies table ti's pushed-down predicates and installs the
 // surviving row set. It reports whether execution was interrupted.
 //
-//  1. Zone maps veto whole scans: a predicate whose numeric interval cover
-//     lies outside the column's value range — or any indexed/bounded
+//  1. Zone maps veto whole selections: a predicate whose numeric interval
+//     cover lies outside the column's value range — or any indexed/bounded
 //     predicate over an all-NULL column — proves the selection empty
 //     before any row is touched.
-//  2. Keyword-equality predicates seed the candidate set by index point
-//     lookups; with several such predicates the candidate set is the
-//     intersection of their sorted hit lists.
-//  3. Every candidate is verified against every predicate — near-miss
+//  2. Candidates come from an index. Keyword-equality predicates seed them
+//     by point lookups; with several such predicates the candidate set is
+//     the intersection of their sorted hit lists. A table no keyword seeds
+//     takes its first predicate's rows from the column's key dictionary
+//     (exec.ColumnIndex.Select), which answers that predicate exactly.
+//  3. Every candidate is verified against every other predicate, and
+//     keyword-seeded ones against the keyword predicates too — near-miss
 //     index hits are filtered out. On dictionary-encoded columns the
 //     predicate is evaluated once per distinct value and candidates are
 //     checked against the verdict table by code.
 //
-// A selection no keyword seeds costs a scan of the table. When the round
-// has a memo and every predicate on the table is identified
-// (exec.ColumnPredicate.ID), that scan is taken once per predicate and
-// round (selectMemoised) instead of once per execution.
+// When the round has a memo and every predicate on a table no keyword
+// seeds is identified (exec.ColumnPredicate.ID), each predicate's rows are
+// selected once per round (selectMemoised) instead of once per execution.
 func (e *Executor) selectRows(st *execState, ti int, memo *exec.SelectionMemo, stats *exec.ExecStats) (aborted bool) {
 	t := st.tabs[ti]
 
 	// Phase 1: zone-map pruning.
-	seeded, identified := false, memo != nil
+	seeded, identified, firstPred := false, memo != nil, -1
 	for i := range st.preds {
 		bp := &st.preds[i]
 		if bp.tab != ti {
@@ -1137,6 +1068,9 @@ func (e *Executor) selectRows(st *execState, ti int, memo *exec.SelectionMemo, s
 		}
 		seeded = seeded || len(bp.cp.Keywords) > 0
 		identified = identified && bp.cp.ID != 0
+		if firstPred < 0 {
+			firstPred = i
+		}
 	}
 	if identified && !seeded {
 		return st.selectMemoised(ti, memo, stats)
@@ -1147,8 +1081,15 @@ func (e *Executor) selectRows(st *execState, ti int, memo *exec.SelectionMemo, s
 	sel.Rows = st.getBitmap(t.numRows)
 	idSlot, ids := st.getIDs()
 
-	// Phase 2: seed candidates from the keyword index.
+	// Phase 2: seed candidates from the keyword index, or else from the key
+	// dictionary. sel.Rows holds the dictionary's candidates, or nothing.
 	var candidates []int32
+	if !seeded {
+		bp := &st.preds[firstPred]
+		aborted = t.cols[bp.ci].idx.Select(&bp.cp, sel.Rows, &st.interrupt)
+		candidates = sel.Rows.AppendTo(ids)
+		stats.RowsScanned += len(candidates)
+	}
 	first := true
 	scratchSlot := -1
 	var scratch []int32
@@ -1178,23 +1119,22 @@ func (e *Executor) selectRows(st *execState, ti int, memo *exec.SelectionMemo, s
 		}
 	}
 
-	// Phase 3: verify every candidate with every predicate.
-	toCheck := t.numRows
-	if seeded {
-		toCheck = len(candidates)
-	}
+	// Phase 3: verify every candidate with every predicate the seed does not
+	// answer exactly.
 	st.checks = st.checks[:0]
 	for i := range st.preds {
 		bp := &st.preds[i]
-		if bp.tab != ti {
+		if bp.tab != ti || i == firstPred && !seeded {
 			continue
 		}
-		st.checks = append(st.checks, newPredCheck(&bp.cp, t.cols[bp.ci], toCheck, st))
+		st.checks = append(st.checks, newPredCheck(&bp.cp, t.cols[bp.ci], len(candidates), st))
 	}
-
-	if seeded {
+	ids = candidates
+	if len(st.checks) > 0 && !aborted {
 		// In-place filter: survivors are appended into the same buffer the
 		// candidates occupy; the write index never overtakes the read index.
+		// A survivor is added to sel.Rows and a candidate turned down removed,
+		// so it ends up holding the survivors whichever way it started.
 		ids = candidates[:0]
 		for _, id := range candidates {
 			if st.interrupt.Hit() {
@@ -1204,47 +1144,25 @@ func (e *Executor) selectRows(st *execState, ti int, memo *exec.SelectionMemo, s
 			if st.verifyRow(id, stats) {
 				ids = append(ids, id)
 				sel.Rows.Add(id)
+			} else {
+				sel.Rows.Remove(id)
 			}
 		}
-	} else {
-		ids, aborted = st.scan(t, ids, sel.Rows, stats)
 	}
 	sel.IDs = ids
 	st.keepIDs(idSlot, ids)
 	return aborted
 }
 
-// scan runs st.checks over every row of t, appending the ids of the rows
-// that pass all of them to ids and adding them to rows. It reports whether
-// execution was interrupted, with the rows found so far.
-func (st *execState) scan(t *table, ids []int32, rows *rowset.Bitmap, stats *exec.ExecStats) (_ []int32, aborted bool) {
-	for b0 := 0; b0 < t.numRows; b0 += blockRows {
-		if st.blockPruned(b0 / blockRows) {
-			stats.BlocksPruned++
-			continue
-		}
-		end := int32(min(b0+blockRows, t.numRows))
-		for id := int32(b0); id < end; id++ {
-			if st.interrupt.Hit() {
-				return ids, true
-			}
-			if st.verifyRow(id, stats) {
-				ids = append(ids, id)
-				rows.Add(id)
-			}
-		}
-	}
-	return ids, false
-}
-
 // selectMemoised installs the selection of a table whose predicates are all
 // identified and unseeded: each predicate's rows are read from the round's
-// memo, or scanned for — once per (column, predicate) and round, by whichever
-// execution gets there first — and left in it. One predicate installs the
-// memo's own selection, read-only; several are intersected into pooled
-// scratch. A predicate is scanned over the whole column even when an earlier
-// one on the same table has already turned rows down: what the memo holds
-// must not depend on which filter asked first.
+// memo, or selected from the column's key dictionary — once per (column,
+// predicate) and round, by whichever execution gets there first — and left
+// in it. One predicate installs the memo's own selection, read-only; several
+// are intersected into pooled scratch. A predicate is selected over the
+// whole column even when an earlier one on the same table has already turned
+// rows down: what the memo holds must not depend on which filter asked
+// first.
 func (st *execState) selectMemoised(ti int, memo *exec.SelectionMemo, stats *exec.ExecStats) (aborted bool) {
 	t := st.tabs[ti]
 	var sel *exec.Selection
@@ -1277,39 +1195,27 @@ func (st *execState) selectMemoised(ti int, memo *exec.SelectionMemo, stats *exe
 	return false
 }
 
-// fillSelection scans t for the rows predicate bp keeps and settles the fill
-// the memo handed this execution, on every path out: with the selection —
-// freshly allocated, the memo's from here on — or, interrupted (nil is
-// returned) or panicking in the caller's predicate, with nothing, so that no
-// other execution waits on or reads a fill that did not finish.
+// fillSelection selects the rows predicate bp keeps from the column's key
+// dictionary and settles the fill the memo handed this execution, on every
+// path out: with the selection — freshly allocated, the memo's from here on
+// — or, interrupted (nil is returned) or panicking in the caller's
+// predicate, with nothing, so that no other execution waits on or reads a
+// fill that did not finish.
 func (st *execState) fillSelection(memo *exec.SelectionMemo, key exec.SelectionKey, bp *boundPred, t *table, stats *exec.ExecStats) (sel *exec.Selection) {
 	defer func() { memo.Settle(key, sel) }()
-	st.checks = append(st.checks[:0], newPredCheck(&bp.cp, t.cols[bp.ci], t.numRows, st))
 	rows := rowset.New(t.numRows)
-	slot, ids := st.getIDs()
-	ids, aborted := st.scan(t, ids, rows, stats)
-	st.keepIDs(slot, ids)
+	aborted := t.cols[bp.ci].idx.Select(&bp.cp, rows, &st.interrupt)
+	n := rows.Popcount()
+	stats.RowsScanned += n
 	if aborted {
 		return nil
 	}
-	return &exec.Selection{IDs: slices.Clone(ids), Rows: rows}
-}
-
-// blockPruned reports whether any of st.checks proves block b empty
-// (per-block zone maps; see predCheck.blockExcluded).
-func (st *execState) blockPruned(b int) bool {
-	for i := range st.checks {
-		if st.checks[i].blockExcluded(b) {
-			return true
-		}
-	}
-	return false
+	return &exec.Selection{IDs: rows.AppendTo(make([]int32, 0, n)), Rows: rows}
 }
 
 // newPredCheck builds the per-row verification state of one pushed-down
 // predicate: a dictionary verdict table when the column's dictionary is
-// smaller than the number of rows to check, the closure-free float fast
-// path when the predicate's bounds are exact, the predicate closure
+// smaller than the number of rows to check, the predicate closure
 // otherwise.
 func newPredCheck(cp *exec.ColumnPredicate, col *column, toCheck int, st *execState) predCheck {
 	c := predCheck{pred: cp.Pred, col: col}
@@ -1318,12 +1224,6 @@ func newPredCheck(cp *exec.ColumnPredicate, col *column, toCheck int, st *execSt
 		for code, dv := range d.vals {
 			c.verdict[code] = cp.Pred(dv)
 		}
-		return c
-	}
-	if cp.BoundsExact && cp.Bounds != nil && cp.Bounds.HasLo && cp.Bounds.HasHi {
-		c.exact = true
-		c.lo, c.hi = cp.Bounds.Lo, cp.Bounds.Hi
-		c.nums = col.nums
 	}
 	return c
 }
@@ -1337,12 +1237,6 @@ func (st *execState) verifyRow(id int32, stats *exec.ExecStats) bool {
 		var pass bool
 		if c.verdict != nil {
 			pass = c.verdict[c.col.dict.code(id)]
-		} else if c.nums != nil {
-			f := c.nums[id]
-			pass = f >= c.lo && f <= c.hi
-		} else if c.exact {
-			f, ok := c.col.value(id).Float()
-			pass = ok && f >= c.lo && f <= c.hi
 		} else {
 			pass = c.pred(c.col.value(id))
 		}
@@ -1356,8 +1250,8 @@ func (st *execState) verifyRow(id int32, stats *exec.ExecStats) bool {
 
 // addKeywordHits unions the posting lists matching a keyword constant into
 // the bitmap: the normalised text rendering's list and, when the keyword
-// parses as a number, the lists of the values whose numeric view equals it —
-// mirroring Value.MatchesKeyword's two comparison paths.
+// parses as a number, the rows whose numeric view equals it — mirroring
+// Value.MatchesKeyword's two comparison paths.
 func addKeywordHits(c *column, kw string, bm *rowset.Bitmap) {
 	kw = value.Normalize(kw)
 	if kw == "" {
@@ -1365,9 +1259,11 @@ func addKeywordHits(c *column, kw string, bm *rowset.Bitmap) {
 	}
 	bm.AddSorted(c.kwText[kw])
 	if f, ok := exec.NumericKeyword(kw); ok {
-		for _, id := range c.idx.ViewRange(f, f) {
-			bm.AddSorted(c.idx.Post.At(id))
-		}
+		c.idx.Select(&exec.ColumnPredicate{
+			Pred:        func(v value.Value) bool { g, ok := v.Float(); return ok && g == f },
+			Bounds:      &exec.NumericBounds{Lo: f, Hi: f, HasLo: true, HasHi: true},
+			BoundsExact: true,
+		}, bm, nil)
 	}
 }
 

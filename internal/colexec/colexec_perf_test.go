@@ -16,6 +16,7 @@ import (
 	"prism/internal/exec"
 	"prism/internal/filter"
 	"prism/internal/graphx"
+	"prism/internal/lang"
 	"prism/internal/mem"
 	"prism/internal/sched"
 	"prism/internal/schema"
@@ -149,51 +150,20 @@ func TestPackedCodesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBlockZoneMaps checks the per-block zone maps: block extrema track
-// their own rows, and a block-pruned scan still returns exactly the
-// rows a full scan would.
-func TestBlockZoneMaps(t *testing.T) {
-	var vals []value.Value
-	for i := 0; i < 3*blockRows; i++ {
-		// Block 0 holds [0, 1000), block 1 [100000, 101000), block 2 NULLs.
-		switch i / blockRows {
-		case 0:
-			vals = append(vals, value.NewInt(int64(i%1000)))
-		case 1:
-			vals = append(vals, value.NewInt(int64(100000+i%1000)))
-		default:
-			vals = append(vals, value.NullValue)
-		}
-	}
-	c := buildColumn(vals)
-	if len(c.blocks) != 3 {
-		t.Fatalf("blocks = %d, want 3", len(c.blocks))
-	}
-	if b := c.blocks[0]; !b.hasNum || b.minF != 0 || b.maxF != 999 {
-		t.Errorf("block 0 zone = %+v", b)
-	}
-	if b := c.blocks[1]; !b.hasNum || b.minF != 100000 || b.maxF != 100999 {
-		t.Errorf("block 1 zone = %+v", b)
-	}
-	if c.blocks[2].hasNum {
-		t.Errorf("all-NULL block claims numeric rows: %+v", c.blocks[2])
-	}
-	check := predCheck{col: c, exact: true, lo: 100100, hi: 100200}
-	if !check.blockExcluded(0) || check.blockExcluded(1) || !check.blockExcluded(2) {
-		t.Errorf("block exclusion verdicts wrong: %v %v %v",
-			check.blockExcluded(0), check.blockExcluded(1), check.blockExcluded(2))
-	}
-}
-
-// TestDictionaryScanMatchesReference runs a scan-shaped predicate (no
-// keyword cover) over a dictionary-encoded column and checks the verdict
-// table produces exactly the reference engine's rows.
+// TestDictionaryScanMatchesReference runs a predicate with no keyword cover
+// over a dictionary-encoded column and checks that the selection produces
+// exactly the reference engine's rows.
 func TestDictionaryScanMatchesReference(t *testing.T) {
 	db := mondial(t)
 	col := build(t, db)
-	// geo_lake.Province is low-cardinality; a non-equality-shaped textual
-	// predicate forces the scan path with a per-code verdict table.
+	// geo_lake.Province is low-cardinality. Behind a first predicate on the
+	// same table, whose rows the key dictionary selects, a non-equality-shaped
+	// textual predicate verifies those candidates through a per-code verdict
+	// table.
 	opts := exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{{
+		Ref:  ref("geo_lake", "Lake"),
+		Pred: func(v value.Value) bool { return !v.IsNull() },
+	}, {
 		Ref:  ref("geo_lake", "Province"),
 		Pred: func(v value.Value) bool { return !v.IsNull() && len(v.String()) >= 6 },
 	}}}
@@ -218,8 +188,9 @@ func TestDictionaryScanMatchesReference(t *testing.T) {
 // TestWarmValidationPathAllocations is the tentpole's executor-level
 // guarantee: once the executor and its pooled execution state are warm, an
 // existence-style validation probe — the unit of work the scheduler issues
-// thousands of times per round — performs zero heap allocations, for both
-// the keyword-index path and the zone-map/range scan path.
+// thousands of times per round — performs zero heap allocations, on the
+// keyword-index paths (text and numeric) and on the zone-mapped range
+// selections the key dictionary answers.
 func TestWarmValidationPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops pooled state on purpose; allocation counts are meaningless")
@@ -239,8 +210,19 @@ func TestWarmValidationPathAllocations(t *testing.T) {
 		}},
 		TuplePredicate: func(value.Tuple) bool { return true },
 	}
-	// Range scan probe with a numeric cover (zone-mapped, dictionary
-	// verdicts where available).
+	// The same probe with a numeric keyword, which reads the sorted views.
+	areas, err := db.ColumnValues(ref("Lake", "Area"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	area := areas[0].String()
+	numOpts := exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{{
+		Ref:      ref("Lake", "Area"),
+		Pred:     func(v value.Value) bool { return v.MatchesKeyword(area) },
+		Keywords: []string{area},
+	}}}
+	// Range probe with a numeric cover (zone-mapped, evaluated per distinct
+	// value), and the same range as a pure numeric one.
 	rangeOpts := exec.ExecOptions{
 		ColumnPredicates: []exec.ColumnPredicate{{
 			Ref:    ref("Lake", "Area"),
@@ -248,6 +230,7 @@ func TestWarmValidationPathAllocations(t *testing.T) {
 			Bounds: &exec.NumericBounds{Lo: 100, Hi: 600, HasLo: true, HasHi: true},
 		}},
 	}
+	exactOpts := exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{exactRange(ref("Lake", "Area"), 100, 600, 0)}}
 	// A three-table chain, and (on the corner-case database) a plan whose
 	// third edge closes a cycle: the level cursors and the residual list
 	// come from the pooled state too. The residual edge compares integers;
@@ -265,7 +248,9 @@ func TestWarmValidationPathAllocations(t *testing.T) {
 	always := func(value.Tuple) bool { return true }
 	for name, fn := range map[string]func(){
 		"keyword-probe":       probe(col, plan, kwOpts),
+		"numeric-kw-probe":    probe(col, plan, numOpts),
 		"range-probe":         probe(col, plan, rangeOpts),
+		"exact-range-probe":   probe(col, plan, exactOpts),
 		"three-table-probe":   probe(col, threeWayPlan(), exec.ExecOptions{TuplePredicate: always}),
 		"residual-edge-probe": probe(edge, cyclic, exec.ExecOptions{TuplePredicate: always}),
 	} {
@@ -553,13 +538,13 @@ func (w withoutMemo) ExecuteWith(p exec.Plan, opts exec.ExecOptions) (*exec.Resu
 // Mondial and the pool's value-range specifications (generated the way
 // benchmark/workloads.go generates them, after the exact and disjunction
 // recipes on the same generator), of which it keeps the heavy ones — those
-// whose schedule, every probe scanning for itself, reads more rows than the
-// database holds. A round is sched.Runner.RunContext with a
-// fresh Bayes estimator over the round's filter set, so the executor's
-// selections and the estimator's match sets are both in it. memo is the
-// round as the library runs it; no-memo takes the round's selection memo
-// away, which leaves the dense numeric view and the estimator's sorted
-// dictionary.
+// with a pure numeric range cell that one of its related source columns
+// puts on a table of 10k rows or more. A round is sched.Runner.RunContext
+// with a fresh Bayes estimator over the round's filter set, so the
+// executor's selections and the estimator's match sets are both in it. memo
+// is the round as the library runs it; no-memo takes the round's selection
+// memo away, so that every probe selects its rows from the key dictionary
+// for itself.
 func BenchmarkRangeRound(b *testing.B) {
 	if testing.Short() {
 		b.Skip("builds the 230k-row database")
@@ -575,9 +560,20 @@ func BenchmarkRangeRound(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	totalRows := 0
-	for _, t := range db.Schema().Tables() {
-		totalRows += db.NumRows(t.Name)
+	heavyRange := func(spec *constraint.Spec, related [][]schema.ColumnRef) bool {
+		for _, sample := range spec.Samples {
+			for ti, cell := range sample.Cells {
+				if _, exact := lang.ExactRangeBounds(cell); !exact {
+					continue
+				}
+				for _, ref := range related[ti] {
+					if db.NumRows(ref.Table) >= 10_000 {
+						return true
+					}
+				}
+			}
+		}
+		return false
 	}
 	type round struct {
 		spec *constraint.Spec
@@ -607,14 +603,14 @@ func BenchmarkRangeRound(b *testing.B) {
 			if !ok {
 				b.Fatalf("%s: a target column has no related source column", tc.Name)
 			}
+			if !heavyRange(tc.Spec, related) {
+				continue
+			}
 			cands, err := graphx.Enumerate(g, related, graphx.EnumerateOptions{RequireUsefulLeaves: true})
 			if err != nil {
 				b.Fatal(err)
 			}
-			r := round{spec: tc.Spec, set: filter.Decompose(cands)}
-			if runRound(withoutMemo{col}, r).Cost.RowsScanned > totalRows {
-				heavy = append(heavy, r)
-			}
+			heavy = append(heavy, round{spec: tc.Spec, set: filter.Decompose(cands)})
 		}
 	}
 	if len(heavy) == 0 {

@@ -208,8 +208,9 @@ func TestInterrupt(t *testing.T) {
 	col := build(t, mondial(t))
 	fire := false
 	_, err := col.ExecuteWith(lakePlan(), exec.ExecOptions{
-		// Keep at least one full-scan predicate so the row loops run long
-		// enough for the poll to fire.
+		// Keep at least one predicate no keyword seeds, which is evaluated
+		// over the whole column, so the loops run long enough for the poll
+		// to fire.
 		ColumnPredicates: []exec.ColumnPredicate{{
 			Ref:  ref("Lake", "Area"),
 			Pred: func(v value.Value) bool { fire = true; return true },

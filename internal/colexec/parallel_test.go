@@ -2,27 +2,14 @@ package colexec
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"runtime"
-	"slices"
 	"testing"
 
 	"prism/internal/dataset"
 	"prism/internal/difftest"
 )
-
-// sameColumn reports whether two built columns hold the same storage and
-// indexes. The dense numeric view is compared bit by bit: it holds NaN where a
-// row has no view, which DeepEqual would call unequal to itself.
-func sameColumn(a, b *column) bool {
-	ac, bc := *a, *b
-	ac.nums, bc.nums = nil, nil
-	return reflect.DeepEqual(&ac, &bc) && slices.EqualFunc(a.nums, b.nums, func(x, y float64) bool {
-		return math.Float64bits(x) == math.Float64bits(y)
-	})
-}
 
 // TestBuildIndependentOfCoreCount: the column stores are a function of the
 // data alone. The 10.7k-row Mondial of the benchmark's oneshot_lowres
@@ -56,7 +43,7 @@ func TestBuildIndependentOfCoreCount(t *testing.T) {
 						ti, gt.name, gt.numRows, len(gt.cols), wt.name, wt.numRows, len(wt.cols))
 				}
 				for ci := range wt.cols {
-					if !sameColumn(gt.cols[ci], wt.cols[ci]) {
+					if !reflect.DeepEqual(gt.cols[ci], wt.cols[ci]) {
 						t.Errorf("%s.%s differs from the one-core build", wt.name, wt.sch.Columns[ci].Name)
 					}
 				}

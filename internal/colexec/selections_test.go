@@ -1,10 +1,10 @@
 package colexec
 
 // Tests of the round's selection memo (exec.ExecOptions.Selections) and of
-// the dense numeric view: neither may change a verdict, a row or the order
-// of rows; the memo computes every (column, predicate) selection once per
-// round whichever worker asks first, never publishes a fill that did not
-// finish, and takes only selections that cost a scan.
+// the selections the key dictionary answers: neither may change a verdict, a
+// row or the order of rows; the memo computes every (column, predicate)
+// selection once per round whichever worker asks first, never publishes a
+// fill that did not finish, and takes only selections no keyword seeds.
 
 import (
 	"errors"
@@ -193,9 +193,9 @@ func TestMemoOnGeneratorPools(t *testing.T) {
 }
 
 // TestMemoComputesEachKeyOnce shares one memo between eight goroutines. In
-// the first half they all issue the same few scan-shaped probes at once:
-// each key is scanned for exactly once, and every other probe reads it. In
-// the second they split a pool round's filters between them through one
+// the first half they all issue the same few unseeded probes at once: each
+// key is selected exactly once, and every other probe reads it. In the
+// second they split a pool round's filters between them through one
 // filter.Validator: the rows scanned, summed over the workers, are the rows
 // one worker scans validating the same filters alone.
 func TestMemoComputesEachKeyOnce(t *testing.T) {
@@ -208,8 +208,8 @@ func TestMemoComputesEachKeyOnce(t *testing.T) {
 		exactRange(ref("B", "m"), 0, 2500, 3),
 		{Ref: ref("B", "k"), Pred: func(v value.Value) bool { return v.Int()%3 == 0 }, ID: 4},
 	}
-	// One worker, a memo of its own: what every key costs to scan for once
-	// (less than the table where block zone maps skip part of it).
+	// One worker, a memo of its own: what every key costs to select once
+	// (the rows it selects).
 	var alone exec.SelectionMemo
 	var wantScanned int64
 	for _, p := range probes {
@@ -242,7 +242,7 @@ func TestMemoComputesEachKeyOnce(t *testing.T) {
 	}
 	wg.Wait()
 	if scanned.Load() != wantScanned {
-		t.Errorf("%d rows scanned for %d keys, want one scan each: %d", scanned.Load(), len(probes), wantScanned)
+		t.Errorf("%d rows scanned for %d keys, want one selection each: %d", scanned.Load(), len(probes), wantScanned)
 	}
 	if want := int64(workers*rounds*len(probes) - len(probes)); reused.Load() != want {
 		t.Errorf("%d selections reused, want every probe but the %d that filled: %d", reused.Load(), len(probes), want)
@@ -293,12 +293,13 @@ func TestMemoComputesEachKeyOnce(t *testing.T) {
 }
 
 // TestInterruptedFillIsNotPublished interrupts the probe that is filling a
-// key: the key stays absent, the next probe scans for it and answers as the
+// key: the key stays absent, the next probe selects it and answers as the
 // reference engine does, and the one after reads it.
 func TestInterruptedFillIsNotPublished(t *testing.T) {
 	db, plan := fanDB(t, 2*exec.InterruptEvery, 1)
 	col := buildColumnar(t, db)
 	pred := exactRange(ref("C", "m"), 10, 1500, 7)
+	const selected = 1500 - 10 + 1 // C.m holds 0, 1, 2, … once each
 	var memo exec.SelectionMemo
 	opts := exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{pred}, Selections: &memo}
 
@@ -306,8 +307,8 @@ func TestInterruptedFillIsNotPublished(t *testing.T) {
 	interrupted.Interrupt = func() bool { return true }
 	if _, stats, err := col.Exists(plan, interrupted); !errors.Is(err, exec.ErrInterrupted) {
 		t.Fatalf("interrupted fill: err = %v, stats %+v", err, stats)
-	} else if stats.RowsScanned == 0 || stats.RowsScanned >= db.NumRows("C") {
-		t.Fatalf("the interrupt fell outside the scan: %d of %d rows scanned", stats.RowsScanned, db.NumRows("C"))
+	} else if stats.RowsScanned == 0 || stats.RowsScanned >= selected {
+		t.Fatalf("the interrupt fell outside the fill: %d of %d rows selected", stats.RowsScanned, selected)
 	}
 	if !absent(&memo, ref("C", "m"), pred.ID) {
 		t.Fatal("an interrupted fill was left in the memo")
@@ -317,7 +318,7 @@ func TestInterruptedFillIsNotPublished(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for pass, wantStats := range []exec.ExecStats{{RowsScanned: db.NumRows("C")}, {SelectionsReused: 1}} {
+	for pass, wantStats := range []exec.ExecStats{{RowsScanned: selected}, {SelectionsReused: 1}} {
 		got, err := col.ExecuteWith(plan, opts)
 		if err != nil {
 			t.Fatal(err)
@@ -350,16 +351,30 @@ func TestPanickingFillIsNotPublished(t *testing.T) {
 	}
 }
 
-// TestWhatTheMemoTakes: only a selection that costs a scan, and only for
+// TestWhatTheMemoTakes: only a selection no keyword seeds, and only for
 // predicates that say who they are. Anonymous predicates, keyword-seeded
 // selections (also of identified predicates sharing the table with the
 // keyword) and zone-pruned ones execute exactly as without a memo and leave
-// nothing in it; two identified scan predicates on one table are two
+// nothing in it; two identified unseeded predicates on one table are two
 // entries, intersected.
 func TestWhatTheMemoTakes(t *testing.T) {
 	db := mondial(t)
 	col := buildColumnar(t, db)
-	lakes := db.NumRows("Lake")
+	// selected counts the rows of Lake a predicate keeps: what filling it
+	// reads.
+	selected := func(p exec.ColumnPredicate) int {
+		vals, err := db.ColumnValues(p.Ref)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := 0
+		for _, v := range vals {
+			if p.Pred(v) {
+				n++
+			}
+		}
+		return n
+	}
 	area, name := ref("Lake", "Area"), ref("Lake", "Name")
 	keyword := exec.ColumnPredicate{
 		Ref:      name,
@@ -408,9 +423,13 @@ func TestWhatTheMemoTakes(t *testing.T) {
 					t.Errorf("%s pass %d: stats %+v, without a memo %+v", tc.name, pass, got.Stats, plain.Stats)
 				}
 			case pass == 0:
-				if got.Stats.RowsScanned != len(tc.preds)*lakes || got.Stats.SelectionsReused != 0 {
-					t.Errorf("%s: the fill scanned %d rows and reused %d selections, want one scan of %d rows per predicate",
-						tc.name, got.Stats.RowsScanned, got.Stats.SelectionsReused, lakes)
+				fills := 0
+				for _, p := range tc.preds {
+					fills += selected(p)
+				}
+				if got.Stats.RowsScanned != fills || got.Stats.SelectionsReused != 0 {
+					t.Errorf("%s: the fill scanned %d rows and reused %d selections, want one fill per predicate, %d rows",
+						tc.name, got.Stats.RowsScanned, got.Stats.SelectionsReused, fills)
 				}
 			default:
 				if got.Stats.RowsScanned != 0 || got.Stats.PredicateFiltered != 0 || got.Stats.SelectionsReused != len(tc.preds) {
@@ -501,85 +520,14 @@ func TestMemoAllocations(t *testing.T) {
 	}
 }
 
-// TestDenseNumericView compares the dense view with the values it stands
-// for, on every row of every column of the bundled databases and of the
-// corner-case chain: a column stored row by row in which some row has a
-// numeric view keeps one, entry for entry the row's Float() — NaN where the
-// row has none, or a NaN one — and no other column does.
-func TestDenseNumericView(t *testing.T) {
-	dbs := difftest.Databases(t)
-	quirks := difftest.Quirks(t)
-	quirks.Analyze()
-	dbs[quirks.Name] = quirks
-	dbs["edge"] = edgeDB(t)
-	withView := 0
-	for name, db := range dbs {
-		col := buildColumnar(t, db)
-		for _, tab := range col.tables {
-			for ci, c := range tab.cols {
-				label := fmt.Sprintf("%s %s.%s", name, tab.name, tab.sch.Columns[ci].Name)
-				views := 0
-				for ri := 0; ri < tab.numRows; ri++ {
-					f, ok := c.value(int32(ri)).Float()
-					if !ok || math.IsNaN(f) {
-						f = math.NaN()
-					} else {
-						views++
-					}
-					if c.nums == nil {
-						continue
-					}
-					if got := c.nums[ri]; got != f && !(math.IsNaN(got) && math.IsNaN(f)) {
-						t.Fatalf("%s row %d: view %v, value %v has %v", label, ri, got, c.value(int32(ri)), f)
-					}
-				}
-				if want := c.dict == nil && views > 0; (c.nums != nil) != want {
-					t.Errorf("%s: dense view present = %v, want %v (dictionary %v, %d rows with a view)", label, c.nums != nil, want, c.dict != nil, views)
-				}
-				if c.nums != nil {
-					withView++
-					if len(c.nums) != tab.numRows {
-						t.Errorf("%s: view of %d rows over %d", label, len(c.nums), tab.numRows)
-					}
-				}
-			}
-		}
-	}
-	if withView == 0 {
-		t.Fatal("no column keeps a dense view")
-	}
-
-	// NaN-viewed and mixed text keeps the marker apart from real views.
-	c := buildColumn(append([]value.Value{
-		value.NewText("nan"), value.NewText("3"), value.NewText(" 2.5 "), value.NewText("x"), value.NullValue, value.NewText("-0"),
-	}, manyTexts(dictMaxCardinality)...))
-	want := []float64{math.NaN(), 3, 2.5, math.NaN(), math.NaN(), math.Copysign(0, -1)}
-	for ri, w := range want {
-		if got := c.nums[ri]; got != w && !(math.IsNaN(got) && math.IsNaN(w)) {
-			t.Errorf("row %d: view %v, want %v", ri, got, w)
-		}
-	}
-}
-
-// manyTexts returns more distinct non-numeric texts than a dictionary holds.
-func manyTexts(n int) []value.Value {
-	out := make([]value.Value, 0, n+1)
-	for i := 0; i <= n; i++ {
-		out = append(out, value.NewText(fmt.Sprintf("word-%d", i)))
-	}
-	return out
-}
-
 // TestExactBoundsReadTheView runs pure numeric ranges — bounds on stored
-// values, between them, the wrong way round — over columns with a dense
-// view through every entry point, against the reference engine, which
-// evaluates the closure on every row.
+// values, between them, the wrong way round, the two zeros, beyond the
+// maximum — through every entry point, against the reference engine, which
+// evaluates the closure on every row: the key dictionary's sorted views
+// answer them.
 func TestExactBoundsReadTheView(t *testing.T) {
 	db, plan := fanDB(t, 1500, 2)
 	col := buildColumnar(t, db)
-	if c := col.byName["c"].cols[0]; c.nums == nil {
-		t.Fatal("C.m keeps no dense view; the test would not reach it")
-	}
 	for i, b := range [][2]float64{{10, 10}, {10, 11}, {9.5, 10.5}, {2999, 1e9}, {-5, 0}, {20, 10}, {math.Copysign(0, -1), 0}} {
 		pred := exactRange(ref("C", "m"), b[0], b[1], 0)
 		label := fmt.Sprintf("range %d [%v, %v]", i, b[0], b[1])

@@ -33,9 +33,7 @@ var (
 	metricRowsScanned = obs.Default.Counter("prism_rows_scanned_total",
 		"Base-table rows read by validation and preview executions.")
 	metricSelectionsReused = obs.Default.Counter("prism_selections_reused_total",
-		"Predicate selections validations read from their round's selection memo instead of scanning for them.")
-	metricBlocksPruned = obs.Default.Counter("prism_blocks_pruned_total",
-		"Column-store blocks skipped by per-block zone maps.")
+		"Predicate selections validations read from their round's selection memo instead of selecting them again.")
 	metricZonesPruned = obs.Default.Counter("prism_zones_pruned_total",
 		"Whole-table selections vetoed by column zone maps.")
 	metricPeakScratch = obs.Default.Gauge("prism_memory_peak_scratch_bytes",
@@ -59,7 +57,6 @@ func recordRound(r *Report) {
 	metricCacheStores.Add(int64(r.Cache.Stores))
 	metricRowsScanned.Add(int64(r.Cost.RowsScanned))
 	metricSelectionsReused.Add(int64(r.Cost.SelectionsReused))
-	metricBlocksPruned.Add(int64(r.Cost.BlocksPruned))
 	metricZonesPruned.Add(int64(r.Cost.ZonesPruned))
 	metricPeakScratch.SetMax(int64(r.Cost.ScratchBytes))
 }

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"sort"
 
+	"prism/internal/rowset"
 	"prism/internal/schema"
 	"prism/internal/value"
 )
@@ -42,9 +43,10 @@ func GroupCSR(n int, keys, vals []int32) CSR {
 // ColumnIndex is the key dictionary of one column: how its values are keyed
 // (Value.Key, under which values that Compare equal collide) and which rows
 // hold each key. It is the one place set-up renders a key per cell; the
-// column statistics, the Bayesian model's postings and the columnar
-// executor's join probes all read it. Value ids are dense and handed out in
-// first-seen row order, so an index is a function of the column's rows alone.
+// column statistics, the Bayesian model's match sets and the columnar
+// executor's join probes and selections all read it. Value ids are dense and
+// handed out in first-seen row order, so an index is a function of the
+// column's rows alone.
 // It is immutable once built and describes the rows it was built from: a
 // Source drops its indexes when its data changes, and whoever still holds one
 // keeps answering about the old rows.
@@ -153,6 +155,50 @@ func (x *ColumnIndex) ViewRange(lo, hi float64) []int32 {
 	from := sort.SearchFloat64s(x.Views, lo)
 	to := sort.Search(len(x.Views), func(i int) bool { return x.Views[i] > hi })
 	return x.ByView[from:max(from, to)]
+}
+
+// Select adds to rows the rows whose value satisfies cp — the rows of the
+// predicate, as a set over the column — without reading a row it does not
+// keep. A BoundsExact predicate holds for exactly the values whose numeric
+// view lies in its bounds, so its rows are the postings of ViewRange: values
+// that share a key share their view, and NULL has none. Any other predicate
+// is evaluated once per value id, once per variant row (VariantRows: it need
+// not agree across values that share a key) and, if the column holds NULL,
+// once for NULL. Rows already in the bitmap stay, except variant rows, which
+// their own verdict decides. Select polls interrupt (nil never fires) once
+// per value id it takes or evaluates and once per variant row, and reports a
+// hit with the rows it has added so far.
+func (x *ColumnIndex) Select(cp *ColumnPredicate, rows *rowset.Bitmap, interrupt *InterruptChecker) (aborted bool) {
+	if b := cp.Bounds; cp.BoundsExact && b != nil && b.HasLo && b.HasHi {
+		for _, id := range x.ViewRange(b.Lo, b.Hi) {
+			if interrupt.Hit() {
+				return true
+			}
+			rows.AddSorted(x.Post.At(id))
+		}
+		return false
+	}
+	for id, v := range x.Vals {
+		if interrupt.Hit() {
+			return true
+		}
+		if cp.Pred(v) {
+			rows.AddSorted(x.Post.At(int32(id)))
+		}
+	}
+	for i, row := range x.VariantRows {
+		if interrupt.Hit() {
+			return true
+		}
+		rows.Remove(row)
+		if cp.Pred(x.VariantVals[i]) {
+			rows.Add(row)
+		}
+	}
+	if nulls := x.NullRows(); len(nulls) > 0 && cp.Pred(value.NullValue) {
+		rows.AddSorted(nulls)
+	}
+	return false
 }
 
 // NumericKeyword returns the number a keyword is compared as, if

@@ -211,10 +211,10 @@ type ColumnPredicate struct {
 	// BoundsExact, when set (requires non-nil Bounds with both sides
 	// present), strengthens the cover to a characterisation: Pred(v) holds
 	// iff v has a numeric view f (value.Value.Float) with Lo <= f <= Hi.
-	// Executors may then answer the predicate from the numeric view with
-	// two float comparisons instead of invoking Pred — the closure-free
-	// fast path the shared batch scan leans on. lang.ExactRangeBounds
-	// derives exact bounds from pure numeric range expressions.
+	// Executors may then answer the predicate from the column's sorted
+	// numeric views (ColumnIndex.Select) instead of invoking Pred.
+	// lang.ExactRangeBounds derives exact bounds from pure numeric range
+	// expressions.
 	BoundsExact bool
 	// ID, when non-zero, names the predicate within the round's
 	// SelectionMemo (ExecOptions.Selections): two predicates handed to one
@@ -257,14 +257,13 @@ type ExecOptions struct {
 	// depending on context directly.
 	Interrupt func() bool
 	// Selections, when non-nil, is the memo the executions of one round
-	// share: an executor that has paid a scan for the rows an identified
-	// predicate (ColumnPredicate.ID) selects may leave them there, and read
-	// them back on every later execution that carries the same predicate.
-	// It changes no result, only the work: nil (the zero value) and
-	// anonymous predicates execute exactly as without it, and an executor
-	// may ignore it altogether (mem does; so does the columnar shared batch
-	// scan). The owner hands it to one executor only and drops it with the
-	// round.
+	// share: an executor that has computed the rows an identified predicate
+	// (ColumnPredicate.ID) selects may leave them there, and read them back
+	// on every later execution that carries the same predicate. It changes
+	// no result, only the work: nil (the zero value) and anonymous predicates
+	// execute exactly as without it, and an executor may ignore it
+	// altogether (mem does). The owner hands it to one executor only and
+	// drops it with the round.
 	Selections *SelectionMemo
 }
 
@@ -300,9 +299,9 @@ func (c *InterruptChecker) Reset(fn func() bool) {
 }
 
 // Hit reports whether execution should abort; it polls the underlying
-// function once every interruptEvery calls.
+// function once every interruptEvery calls. A nil checker never fires.
 func (c *InterruptChecker) Hit() bool {
-	if c.fn == nil {
+	if c == nil || c.fn == nil {
 		return false
 	}
 	c.steps++
@@ -315,9 +314,13 @@ func (c *InterruptChecker) Hit() bool {
 // executor but not across executors (an indexed executor scans fewer rows
 // for the same answer).
 type ExecStats struct {
-	// RowsScanned counts the base-table rows read. A selection read back
-	// from ExecOptions.Selections adds nothing here or to PredicateFiltered
-	// — the execution that filled it counted those rows — and one to
+	// RowsScanned counts the base-table rows read: every row a scan or a
+	// verification of candidates tests against a predicate and, for an
+	// index selection — the rows of a predicate read off the column's key
+	// dictionary (ColumnIndex.Select), which touches no row it does not
+	// keep — the rows it selects. A selection read back from
+	// ExecOptions.Selections adds nothing here or to PredicateFiltered — the
+	// execution that filled it counted those rows — and one to
 	// SelectionsReused.
 	RowsScanned int
 	// IntermediateRows counts the partial join tuples formed across all
@@ -335,14 +338,16 @@ type ExecStats struct {
 	AbortedTooLarge   bool // stopped due to MaxIntermediate
 	PredicateFiltered int  // base rows removed by pushed-down predicates (see RowsScanned)
 	// SelectionsReused counts the predicate selections this execution read
-	// from ExecOptions.Selections instead of scanning for them.
+	// from ExecOptions.Selections instead of selecting them again.
 	SelectionsReused int
 
-	// Pruning counters (columnar executor): work skipped without being
-	// scanned. ZonesPruned counts whole-table zone-map vetoes,
-	// BlocksPruned individual blocks excluded by their zone maps.
+	// BlocksPruned is always 0: no executor keeps block zone maps.
+	//
+	// Deprecated: ROADMAP item 0e removes it.
 	BlocksPruned int
-	ZonesPruned  int
+	// ZonesPruned (columnar executor) counts whole-table zone-map vetoes:
+	// selections proved empty without touching a row.
+	ZonesPruned int
 
 	// ScratchBytes (columnar executor) is the pooled scratch the execution
 	// drew, counted by length in use — selection bitmaps and id vectors,

@@ -25,8 +25,8 @@ type SelectionKey struct {
 }
 
 // SelectionMemo holds the selections the executions of one discovery round
-// have scanned for, so that the probes that share a (source column, cell)
-// pair pay one scan between them. Its owner (filter.Validator) creates it
+// have computed, so that the probes that share a (source column, cell) pair
+// pay for one selection between them. Its owner (filter.Validator) creates it
 // with the round, hands it to one executor through ExecOptions.Selections
 // and drops it with the round: nothing bounds it but the number of distinct
 // keys a round asks for, and nothing in it outlives the round. The zero
@@ -49,7 +49,7 @@ type SelectionMemo struct {
 // no fill is in progress it returns nil, and the caller owns the fill: it
 // must call Settle for the key exactly once, on every path out. While
 // another execution owns the fill Acquire waits for it — the length of one
-// column scan, which that execution's own interrupt cuts short — and then
+// selection, which that execution's own interrupt cuts short — and then
 // answers as above, so a fill that was given up passes to the next caller.
 func (m *SelectionMemo) Acquire(key SelectionKey) *Selection {
 	m.mu.Lock()

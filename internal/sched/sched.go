@@ -632,12 +632,11 @@ func (s *run) validate(idx int) (vr filter.ValidationResult, err error) {
 }
 
 // SetCostAttrs records what executions cost on a span: the round's root, its
-// schedule span and every validate span carry the same six attributes.
+// schedule span and every validate span carry the same five attributes.
 func SetCostAttrs(sp *obs.Span, cost exec.ExecStats) {
 	sp.SetAttr("rowsScanned", cost.RowsScanned)
 	sp.SetAttr("selectionsReused", cost.SelectionsReused)
 	sp.SetAttr("intermediateRows", cost.IntermediateRows)
-	sp.SetAttr("blocksPruned", cost.BlocksPruned)
 	sp.SetAttr("zonesPruned", cost.ZonesPruned)
 	sp.SetAttr("scratchBytes", cost.ScratchBytes)
 }
