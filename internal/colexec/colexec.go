@@ -3,26 +3,24 @@
 // (§2.3), where thousands of small Project-Join probes run against one
 // read-only database per discovery round.
 //
-// At build time it converts the source into column-oriented storage and
-// holds, per column:
+// A column is the source's key dictionary of it (exec.ColumnIndex, built
+// once by the source and shared with the statistics and the Bayesian
+// model), and nothing else: building the executor reads no cell. The
+// dictionary holds every stored value (the value of a row's id, a variant's
+// own, NULL), and from it:
 //
-//   - the source's key dictionary (exec.ColumnIndex: the canonical key of
-//     every row and the ascending row ids of every key, the distinct values
-//     sorted by numeric view — built once by the source and shared with the
-//     Bayesian model), so hash joins probe a prebuilt table instead of
-//     re-hashing the inner relation on every execution and never render a
-//     key, and a predicate no keyword seeds is answered per distinct value
-//     (a pure numeric range by two binary searches) instead of per row;
-//   - a keyword index (a text map of its own, and the dictionary's sorted
-//     numeric views), so equality-shaped pushed-down predicates select
-//     matching rows by point lookup;
-//   - a zone map (numeric min/max view plus null/row counts), so
-//     range-shaped predicates whose interval cover
-//     (exec.ColumnPredicate.Bounds) falls outside the column's value range
-//     are proved empty without touching a row;
-//   - a dictionary for low-cardinality columns (distinct stored values and
-//     one code per row), so verifying candidates against a predicate costs
-//     one evaluation per distinct value instead of one per row.
+//   - hash joins probe the prebuilt key → rows table instead of re-hashing
+//     the inner relation on every execution, and never render a key;
+//   - equality-shaped pushed-down predicates select candidate rows by point
+//     lookup, through the keyword → value ids table and the sorted numeric
+//     views;
+//   - a predicate whose numeric interval cover (exec.ColumnPredicate.Bounds)
+//     lies outside the views' range, or that rejects NULL on an all-NULL
+//     column, is proved empty without touching a row;
+//   - a predicate no keyword seeds is answered once per value id (a pure
+//     numeric range by two binary searches) instead of once per row, and
+//     verifying more candidates than the column has ids evaluates the
+//     predicate once per id and reads each candidate's verdict by its id.
 //
 // A single execution (Execute, ExecuteWith, Exists) never builds the join:
 // after the pushed-down predicates have reduced every base table to a
@@ -38,13 +36,13 @@
 // it.
 //
 // The probes of one discovery round put the same few cells on the same few
-// source columns over and over. A selection no keyword seeds and no zone map
-// proves empty is therefore taken from the round's exec.SelectionMemo when
-// the caller brings one (exec.ExecOptions.Selections) and says which
-// predicate is which (exec.ColumnPredicate.ID): the first execution to need
-// a (column, predicate) pair selects it from the key dictionary and
-// publishes an immutable id vector and bitmap, every later one installs
-// that selection as it is. The memo belongs to the caller and dies with its
+// source columns over and over. A selection no keyword seeds and the
+// dictionary does not prove empty is therefore taken from the round's
+// exec.SelectionMemo when the caller brings one (exec.ExecOptions.Selections)
+// and says which predicate is which (exec.ColumnPredicate.ID): the first
+// execution to need a (column, predicate) pair selects it from the key
+// dictionary and publishes an immutable id vector and bitmap, every later
+// one installs that selection as it is. The memo belongs to the caller and dies with its
 // round; the executor keeps nothing. Without a memo, and for anonymous
 // predicates, every execution selects for itself into pooled scratch.
 //
@@ -56,15 +54,11 @@ package colexec
 
 import (
 	"fmt"
-	"math"
-	"math/bits"
-	"strconv"
 	"strings"
 	"sync"
 	"unsafe"
 
 	"prism/internal/exec"
-	"prism/internal/par"
 	"prism/internal/rowset"
 	"prism/internal/schema"
 	"prism/internal/value"
@@ -74,98 +68,37 @@ func init() {
 	exec.Register("columnar", New)
 }
 
-// dictMaxCardinality bounds the distinct-value count (including NULL) up
-// to which a column gets a dictionary. Beyond it, per-distinct predicate
-// evaluation stops paying for itself.
-const dictMaxCardinality = 256
+// column is one table column: the source's key dictionary of it, which
+// stores its values, joins it, seeds and answers its selections.
+type column = exec.ColumnIndex
 
-// zone is the per-column zone map consulted before any row is touched.
-type zone struct {
-	// minF/maxF are the extrema of the numeric views; valid only when
-	// numeric is set.
-	minF, maxF float64
-	// numeric reports that every non-null value has a numeric view
-	// (Value.Float) and none is NaN — the precondition for pruning against
-	// a predicate's numeric interval cover (see the soundness argument on
-	// exec.ColumnPredicate.Bounds: for such columns and Int/Decimal bound
-	// constants, Value.Compare coincides with float comparison).
-	numeric bool
-	rows    int
-	nulls   int
-}
-
-// dictionary is the low-cardinality encoding of one column: the distinct
-// stored values (by strict identity, so predicate evaluation per code is
-// exactly predicate evaluation per row) and one bit-packed code per row.
-// NULL is a dictionary entry like any other, so Pred(NULL) semantics are
-// preserved. Dictionary-encoded columns drop their per-row value slice
-// entirely — rows are materialised through the dictionary — so a 256-way
-// column costs at most one byte per row instead of a boxed value.
-type dictionary struct {
-	vals []value.Value
-	// width is the number of bits per packed code: ⌈log2(len(vals))⌉,
-	// zero when the column holds a single distinct value.
-	width uint
-	// bits holds the packed codes, width bits per row, little-endian
-	// within each word, padded with one spare word so a straddling read
-	// never bounds-checks.
-	bits []uint64
-}
-
-// code unpacks row ri's dictionary code.
-func (d *dictionary) code(ri int32) int32 {
-	if d.width == 0 {
-		return 0
-	}
-	bit := uint64(ri) * uint64(d.width)
-	off := bit & 63
-	v := d.bits[bit>>6] >> off
-	if off+uint64(d.width) > 64 {
-		v |= d.bits[bit>>6+1] << (64 - off)
-	}
-	return int32(v & (1<<d.width - 1))
-}
-
-// column is the columnar storage of one table column plus its indexes.
-// For dictionary-encoded columns vals is nil: per-row storage is the
-// packed dict codes, and values materialise through the value accessor.
-type column struct {
-	vals []value.Value
-	// idx is the source's key dictionary of the column: the join index
-	// (key of a row, rows of a key), the sorted numeric views, and the rows
-	// of a predicate no keyword seeds (exec.ColumnIndex.Select).
-	idx *exec.ColumnIndex
-	// kwText and idx's numeric views are the keyword-equality index, split
-	// by comparison path exactly mirroring Value.MatchesKeyword: the
-	// normalised text rendering, and the numeric view for values that have
-	// one. Hits are re-checked with the predicate, so false positives are
-	// harmless; a false negative would wrongly prune a mapping and is
-	// excluded by construction (see keywordKeys / keywordLookupKeys and
-	// their consistency test).
-	kwText map[string][]int32
-	zone   zone
-	dict   *dictionary
-}
-
-// value materialises row ri, through the dictionary when the column is
-// compressed.
-func (c *column) value(ri int32) value.Value {
-	if c.vals != nil {
-		return c.vals[ri]
-	}
-	d := c.dict
-	return d.vals[d.code(ri)]
-}
-
-// joinRows returns the ascending rows of c that join row ri of probe: the
-// rows holding the key row ri holds, through the two key dictionaries. NULL
-// never joins.
-func (c *column) joinRows(probe *column, ri int32) []int32 {
-	id := probe.idx.RowID[ri]
-	if int(id) == len(probe.idx.Keys) {
+// joinRows returns the ascending rows of build that join row ri of probe:
+// the rows holding the key row ri holds, through the two key dictionaries.
+// NULL never joins.
+func joinRows(build, probe *column, ri int32) []int32 {
+	id := probe.RowID[ri]
+	if int(id) == len(probe.Keys) {
 		return nil
 	}
-	return c.idx.RowsOf(probe.idx.Keys[id])
+	return build.RowsOf(probe.Keys[id])
+}
+
+// provesEmpty reports whether the column's dictionary proves that no row
+// satisfies cp before any row is read. Keyword and bounded predicates
+// reject NULL by contract, so an all-NULL column satisfies neither. A
+// bounded predicate is empty on a column every value of which has a numeric
+// view (the precondition of exec.ColumnPredicate.Bounds' soundness argument:
+// there Value.Compare coincides with float comparison) when its interval
+// cover lies outside the views' range.
+func provesEmpty(c *column, cp *exec.ColumnPredicate) bool {
+	if c.NumRows() == len(c.NullRows()) {
+		return cp.Bounds != nil || len(cp.Keywords) > 0
+	}
+	b := cp.Bounds
+	if b == nil || len(c.ByView) != len(c.Vals) {
+		return false
+	}
+	return (b.HasLo && c.Views[len(c.Views)-1] < b.Lo) || (b.HasHi && c.Views[0] > b.Hi)
 }
 
 // table is the columnar image of one relation.
@@ -200,23 +133,13 @@ type Executor struct {
 	states   sync.Pool // *execState
 }
 
-// New builds the columnar executor over a source: column stores, keyword
-// indexes, zone maps and dictionaries for every column, over the source's
-// key dictionaries. Catalog queries (statistics, keyword membership) are
-// delegated to the source, so they agree exactly with the reference engine's
-// preprocessing.
+// New builds the columnar executor over a source: its tables, each column
+// being the source's key dictionary of it. Catalog queries (statistics,
+// keyword membership) are delegated to the source, so they agree exactly
+// with the reference engine's preprocessing.
 func New(src exec.Source) (exec.Executor, error) {
 	e := &Executor{src: src, byName: make(map[string]*table)}
-	// Every column is loaded and indexed independently of every other: one
-	// job per column over the cores there are, installed in schema order.
-	type columnJob struct {
-		t   *table
-		ref schema.ColumnRef
-		idx *exec.ColumnIndex
-		col *column
-		err error
-	}
-	var jobs []columnJob
+	maxRows := 0
 	for _, ts := range src.Schema().Tables() {
 		t := &table{name: ts.Name, sch: ts}
 		for _, col := range ts.Columns {
@@ -227,141 +150,18 @@ func New(src exec.Source) (exec.Executor, error) {
 			if err != nil {
 				return nil, fmt.Errorf("colexec: indexing %s: %w", ref, err)
 			}
-			jobs = append(jobs, columnJob{t: t, ref: ref, idx: idx})
+			t.cols = append(t.cols, idx)
+			t.numRows = idx.NumRows()
 		}
+		maxRows = max(maxRows, t.numRows)
 		e.tables = append(e.tables, t)
 		e.byName[strings.ToLower(ts.Name)] = t
-	}
-	par.Do(len(jobs), func(i int) {
-		j := &jobs[i]
-		vals, err := src.ColumnValues(j.ref)
-		if err != nil {
-			j.err = fmt.Errorf("colexec: loading %s: %w", j.ref, err)
-			return
-		}
-		j.col = buildColumn(vals)
-		j.col.idx = j.idx
-	})
-	maxRows := 0
-	for _, j := range jobs {
-		if j.err != nil {
-			return nil, j.err
-		}
-		j.t.cols = append(j.t.cols, j.col)
-		j.t.numRows = j.col.zone.rows
-		maxRows = max(maxRows, j.t.numRows)
 	}
 	e.identity = make([]int32, maxRows)
 	for i := range e.identity {
 		e.identity[i] = int32(i)
 	}
 	return e, nil
-}
-
-// buildColumn computes the storage, text keyword index, zone map and (when
-// the column is low-cardinality) dictionary of one column; New attaches the
-// source's key dictionary. Dictionary-encoded columns are stored compressed:
-// bit-packed codes, with the per-row value slice dropped.
-func buildColumn(vals []value.Value) *column {
-	c := &column{
-		vals:   vals,
-		kwText: make(map[string][]int32),
-	}
-	z := &c.zone
-	z.rows = len(vals)
-	z.numeric = true
-	zSeeded := false
-
-	strict := make(map[string]int32, 64) // strict identity -> dict code
-	var codes []int32
-	dict := &dictionary{}
-	for ri, v := range vals {
-		if !v.IsNull() {
-			norm := value.Normalize(v.String())
-			c.kwText[norm] = append(c.kwText[norm], int32(ri))
-
-			f, fok := v.Float()
-			if fok && !math.IsNaN(f) {
-				if !zSeeded {
-					z.minF, z.maxF, zSeeded = f, f, true
-				} else {
-					if f < z.minF {
-						z.minF = f
-					}
-					if f > z.maxF {
-						z.maxF = f
-					}
-				}
-			} else {
-				z.numeric = false
-			}
-		} else {
-			z.nulls++
-		}
-
-		if dict != nil {
-			sk := strictKey(v)
-			code, ok := strict[sk]
-			if !ok {
-				if len(dict.vals) >= dictMaxCardinality {
-					dict, strict, codes = nil, nil, nil
-					continue
-				}
-				code = int32(len(dict.vals))
-				strict[sk] = code
-				dict.vals = append(dict.vals, v)
-			}
-			codes = append(codes, code)
-		}
-	}
-	if dict != nil && len(vals) > 0 {
-		dict.compress(codes)
-		c.dict = dict
-		// Per-row storage becomes the packed codes; values materialise
-		// through the dictionary from here on.
-		c.vals = nil
-	}
-	return c
-}
-
-// compress finalises a dictionary from the raw per-row codes: the
-// bit-packed code lanes.
-func (d *dictionary) compress(codes []int32) {
-	d.width = uint(bits.Len(uint(len(d.vals) - 1)))
-	if d.width > 0 {
-		d.bits = make([]uint64, (uint64(len(codes))*uint64(d.width)+63)/64+1)
-		for ri, code := range codes {
-			bit := uint64(ri) * uint64(d.width)
-			off := bit & 63
-			d.bits[bit>>6] |= uint64(code) << off
-			if off+uint64(d.width) > 64 {
-				d.bits[bit>>6+1] |= uint64(code) >> (64 - off)
-			}
-		}
-	}
-}
-
-// strictKey identifies a stored value by exact kind and payload —
-// case-sensitive for text, no cross-kind folding — so that predicate
-// evaluation on a dictionary entry is exactly predicate evaluation on
-// every row carrying that code.
-func strictKey(v value.Value) string {
-	switch v.Kind() {
-	case value.Null:
-		return "\x00"
-	case value.Int:
-		return "i" + strconv.FormatInt(v.Int(), 10)
-	case value.Decimal:
-		return "f" + strconv.FormatFloat(v.Decimal(), 'x', -1, 64)
-	case value.Text:
-		return "t" + v.Text()
-	case value.Date:
-		return "d" + strconv.FormatInt(v.TimeValue().Unix(), 10)
-	case value.Time:
-		return "c" + strconv.FormatInt(v.TimeValue().Unix(), 10)
-	default:
-		return "?"
-	}
 }
 
 // ExecutorName implements exec.Executor.
@@ -388,10 +188,9 @@ func (e *Executor) Stats(ref schema.ColumnRef) (schema.Stats, bool) { return e.s
 // preprocessing.
 func (e *Executor) AllStats() []schema.Stats { return e.src.AllStats() }
 
-// ColumnHasKeyword implements exec.Metadata by delegating to the source's
-// per-column keyword sets and numeric views (membership only; the postings
-// that seed a keyword selection are this package's own column.kwText and the
-// same numeric views).
+// ColumnHasKeyword implements exec.Metadata by delegating to the source,
+// which answers from the key dictionaries that seed this package's keyword
+// selections.
 func (e *Executor) ColumnHasKeyword(ref schema.ColumnRef, keyword string) bool {
 	return e.src.ColumnHasKeyword(ref, keyword)
 }
@@ -411,7 +210,7 @@ func (e *Executor) SampleRows(tbl string, limit int) ([]value.Tuple, error) {
 	for ri := 0; ri < n; ri++ {
 		row := make(value.Tuple, len(t.cols))
 		for ci, c := range t.cols {
-			row[ci] = c.value(int32(ri))
+			row[ci] = c.Value(int32(ri))
 		}
 		out[ri] = row
 	}
@@ -548,8 +347,8 @@ type gather struct {
 }
 
 // predCheck is the per-predicate verification state of one selectRows
-// call; when verdict is non-nil the predicate was pre-evaluated per
-// dictionary code.
+// call; when verdict is non-nil the predicate was pre-evaluated per value
+// id, NULL's included.
 type predCheck struct {
 	pred    func(value.Value) bool
 	col     *column
@@ -986,13 +785,13 @@ func (st *execState) walk(opts exec.ExecOptions, stats *runStats, yield func(val
 			if d+1 > stats.JoinsExecuted {
 				stats.JoinsExecuted = d + 1
 			}
-			next.list, next.pos = next.buildCol.joinRows(next.probeCol, st.row[next.probeLvl]), 0
+			next.list, next.pos = joinRows(next.buildCol, next.probeCol, st.row[next.probeLvl]), 0
 			d++
 			continue
 		}
 		for gi := range st.gathers {
 			g := &st.gathers[gi]
-			proj[gi] = g.col.value(st.row[g.slot])
+			proj[gi] = g.col.Value(st.row[g.slot])
 		}
 		if opts.TuplePredicate != nil && !opts.TuplePredicate(proj) {
 			continue
@@ -1012,8 +811,8 @@ func (st *execState) walk(opts exec.ExecOptions, stats *runStats, yield func(val
 func (st *execState) residualsHold(l *joinLevel) bool {
 	for i := l.resLo; i < l.resHi; i++ {
 		re := &st.residuals[i]
-		lv := re.lc.value(st.row[st.slotOf[re.lt]])
-		if lv.IsNull() || !lv.Equal(re.rc.value(st.row[st.slotOf[re.rt]])) {
+		lv := re.lc.Value(st.row[st.slotOf[re.lt]])
+		if lv.IsNull() || !lv.Equal(re.rc.Value(st.row[st.slotOf[re.rt]])) {
 			return false
 		}
 	}
@@ -1023,10 +822,10 @@ func (st *execState) residualsHold(l *joinLevel) bool {
 // selectRows applies table ti's pushed-down predicates and installs the
 // surviving row set. It reports whether execution was interrupted.
 //
-//  1. Zone maps veto whole selections: a predicate whose numeric interval
-//     cover lies outside the column's value range — or any indexed/bounded
-//     predicate over an all-NULL column — proves the selection empty
-//     before any row is touched.
+//  1. The key dictionary vetoes whole selections (provesEmpty): a predicate
+//     whose numeric interval cover lies outside the column's views — or any
+//     keyword or bounded predicate over an all-NULL column — proves the
+//     selection empty before any row is touched (counted as ZonesPruned).
 //  2. Candidates come from an index. Keyword-equality predicates seed them
 //     by point lookups; with several such predicates the candidate set is
 //     the intersection of their sorted hit lists. A table no keyword seeds
@@ -1034,9 +833,9 @@ func (st *execState) residualsHold(l *joinLevel) bool {
 //     (exec.ColumnIndex.Select), which answers that predicate exactly.
 //  3. Every candidate is verified against every other predicate, and
 //     keyword-seeded ones against the keyword predicates too — near-miss
-//     index hits are filtered out. On dictionary-encoded columns the
-//     predicate is evaluated once per distinct value and candidates are
-//     checked against the verdict table by code.
+//     index hits are filtered out. When there are more candidates than the
+//     column has value ids, the predicate is evaluated once per id and
+//     candidates are checked against the verdict table by id.
 //
 // When the round has a memo and every predicate on a table no keyword
 // seeds is identified (exec.ColumnPredicate.ID), each predicate's rows are
@@ -1044,22 +843,14 @@ func (st *execState) residualsHold(l *joinLevel) bool {
 func (e *Executor) selectRows(st *execState, ti int, memo *exec.SelectionMemo, stats *exec.ExecStats) (aborted bool) {
 	t := st.tabs[ti]
 
-	// Phase 1: zone-map pruning.
+	// Phase 1: pruning off the dictionary.
 	seeded, identified, firstPred := false, memo != nil, -1
 	for i := range st.preds {
 		bp := &st.preds[i]
 		if bp.tab != ti {
 			continue
 		}
-		z := &t.cols[bp.ci].zone
-		// Keyword and bounded predicates reject NULL by contract, so an
-		// all-NULL column cannot satisfy them.
-		rejectsNull := bp.cp.Bounds != nil || len(bp.cp.Keywords) > 0
-		pruned := rejectsNull && z.rows == z.nulls
-		if b := bp.cp.Bounds; b != nil && z.numeric && z.rows > z.nulls {
-			pruned = pruned || (b.HasLo && z.maxF < b.Lo) || (b.HasHi && z.minF > b.Hi)
-		}
-		if pruned {
+		if provesEmpty(t.cols[bp.ci], &bp.cp) {
 			stats.ZonesPruned++
 			sel := st.getSelection()
 			sel.Rows = st.getBitmap(t.numRows)
@@ -1086,7 +877,7 @@ func (e *Executor) selectRows(st *execState, ti int, memo *exec.SelectionMemo, s
 	var candidates []int32
 	if !seeded {
 		bp := &st.preds[firstPred]
-		aborted = t.cols[bp.ci].idx.Select(&bp.cp, sel.Rows, &st.interrupt)
+		aborted = t.cols[bp.ci].Select(&bp.cp, sel.Rows, &st.interrupt)
 		candidates = sel.Rows.AppendTo(ids)
 		stats.RowsScanned += len(candidates)
 	}
@@ -1204,7 +995,7 @@ func (st *execState) selectMemoised(ti int, memo *exec.SelectionMemo, stats *exe
 func (st *execState) fillSelection(memo *exec.SelectionMemo, key exec.SelectionKey, bp *boundPred, t *table, stats *exec.ExecStats) (sel *exec.Selection) {
 	defer func() { memo.Settle(key, sel) }()
 	rows := rowset.New(t.numRows)
-	aborted := t.cols[bp.ci].idx.Select(&bp.cp, rows, &st.interrupt)
+	aborted := t.cols[bp.ci].Select(&bp.cp, rows, &st.interrupt)
 	n := rows.Popcount()
 	stats.RowsScanned += n
 	if aborted {
@@ -1214,31 +1005,34 @@ func (st *execState) fillSelection(memo *exec.SelectionMemo, key exec.SelectionK
 }
 
 // newPredCheck builds the per-row verification state of one pushed-down
-// predicate: a dictionary verdict table when the column's dictionary is
-// smaller than the number of rows to check, the predicate closure
-// otherwise.
+// predicate: a verdict per value id when the column has fewer ids (NULL's
+// counted) than there are rows to check, the predicate closure otherwise.
 func newPredCheck(cp *exec.ColumnPredicate, col *column, toCheck int, st *execState) predCheck {
 	c := predCheck{pred: cp.Pred, col: col}
-	if d := col.dict; d != nil && len(d.vals) < toCheck {
-		c.verdict = st.getVerdict(len(d.vals))
-		for code, dv := range d.vals {
-			c.verdict[code] = cp.Pred(dv)
+	if len(col.Vals)+1 < toCheck {
+		c.verdict = st.getVerdict(len(col.Vals) + 1)
+		for id, v := range col.Vals {
+			c.verdict[id] = cp.Pred(v)
 		}
+		c.verdict[len(col.Vals)] = len(col.NullRows()) > 0 && cp.Pred(value.NullValue)
 	}
 	return c
 }
 
 // verifyRow re-applies every pushed-down predicate of the current
-// selectRows call (st.checks) to one row.
-func (st *execState) verifyRow(id int32, stats *exec.ExecStats) bool {
+// selectRows call (st.checks) to one row. A variant row is checked on its
+// own value: a predicate need not agree across values that share an id.
+func (st *execState) verifyRow(row int32, stats *exec.ExecStats) bool {
 	stats.RowsScanned++
 	for i := range st.checks {
 		c := &st.checks[i]
 		var pass bool
-		if c.verdict != nil {
-			pass = c.verdict[c.col.dict.code(id)]
+		if v, variant := c.col.Variant(row); variant {
+			pass = c.pred(v)
+		} else if c.verdict != nil {
+			pass = c.verdict[c.col.RowID[row]]
 		} else {
-			pass = c.pred(c.col.value(id))
+			pass = c.pred(c.col.Value(row))
 		}
 		if !pass {
 			stats.PredicateFiltered++
@@ -1248,65 +1042,24 @@ func (st *execState) verifyRow(id int32, stats *exec.ExecStats) bool {
 	return true
 }
 
-// addKeywordHits unions the posting lists matching a keyword constant into
-// the bitmap: the normalised text rendering's list and, when the keyword
-// parses as a number, the rows whose numeric view equals it — mirroring
-// Value.MatchesKeyword's two comparison paths.
+// addKeywordHits unions the rows that may match a keyword constant into the
+// bitmap, mirroring Value.MatchesKeyword's two comparison paths: the rows of
+// the value ids that render as the normalised keyword (a superset of the
+// rows that do: candidates are re-checked) and, when the keyword parses as
+// a number, the rows whose numeric view equals it.
 func addKeywordHits(c *column, kw string, bm *rowset.Bitmap) {
 	kw = value.Normalize(kw)
 	if kw == "" {
 		return
 	}
-	bm.AddSorted(c.kwText[kw])
+	for _, id := range c.IDsOfKeyword(kw) {
+		bm.AddSorted(c.Post.At(id))
+	}
 	if f, ok := exec.NumericKeyword(kw); ok {
-		c.idx.Select(&exec.ColumnPredicate{
+		c.Select(&exec.ColumnPredicate{
 			Pred:        func(v value.Value) bool { g, ok := v.Float(); return ok && g == f },
 			Bounds:      &exec.NumericBounds{Lo: f, Hi: f, HasLo: true, HasHi: true},
 			BoundsExact: true,
 		}, bm, nil)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Keyword index keys (specification + consistency-test surface)
-// ---------------------------------------------------------------------------
-
-// keywordKeys returns the canonical keys a stored value is indexed under
-// for keyword-equality lookups, and keywordLookupKeys the keys probed for a
-// keyword constant. They are constructed so that v.MatchesKeyword(kw)
-// implies keywordKeys(v) ∩ keywordLookupKeys(kw) ≠ ∅ (no false negatives —
-// a miss would wrongly prune a mapping); false positives are harmless
-// because index hits are re-checked with the predicate. Values are indexed
-// under both their text form and, when numeric, their numeric form, exactly
-// mirroring MatchesKeyword's two comparison paths.
-//
-// The executor stores the text keys in kwText (without the "t:" prefix) and
-// reads the numeric ones off the key dictionary's sorted views, by the float
-// itself, so numeric lookups never format a string; these functions remain
-// the specification the consistency test checks that construction against.
-func keywordKeys(v value.Value) []string {
-	keys := []string{"t:" + value.Normalize(v.String())}
-	if f, ok := v.Float(); ok && !math.IsNaN(f) {
-		keys = append(keys, floatKey(f))
-	}
-	return keys
-}
-
-func keywordLookupKeys(kw string) []string {
-	kw = strings.TrimSpace(kw)
-	if kw == "" {
-		return nil
-	}
-	keys := []string{"t:" + strings.ToLower(kw)}
-	if f, ok := exec.NumericKeyword(kw); ok {
-		keys = append(keys, floatKey(f))
-	}
-	return keys
-}
-
-func floatKey(f float64) string {
-	if f == 0 {
-		f = 0 // fold -0 into +0; MatchesKeyword compares them equal
-	}
-	return "f:" + strconv.FormatFloat(f, 'g', -1, 64)
 }

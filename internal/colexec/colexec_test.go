@@ -9,6 +9,7 @@ import (
 	"prism/internal/dataset"
 	"prism/internal/exec"
 	"prism/internal/mem"
+	"prism/internal/rowset"
 	"prism/internal/schema"
 	"prism/internal/value"
 )
@@ -273,9 +274,11 @@ func TestSampleRowsAndMetadata(t *testing.T) {
 	}
 }
 
-// TestKeywordKeyConsistency is the property the keyword index relies on:
-// whenever MatchesKeyword(v, kw) holds, the stored keys of v must intersect
-// the lookup keys of kw (no false negatives).
+// TestKeywordKeyConsistency is the property keyword selections rely on:
+// whenever MatchesKeyword(v, kw) holds, the rows the key dictionary seeds
+// for kw (its keyword table and its numeric views) hold v's row — no false
+// negatives. The values share one column, so "497", "497.0", 497 and 497.0
+// are one value id and its variants.
 func TestKeywordKeyConsistency(t *testing.T) {
 	values := []value.Value{
 		value.NewText("Lake Tahoe"),
@@ -287,28 +290,24 @@ func TestKeywordKeyConsistency(t *testing.T) {
 		value.NewDecimal(497.5),
 		value.Parse("2020-01-31"),
 		value.NewText("O'Higgins"),
+		value.NewText("-0"),
+		value.NewDecimal(0),
 	}
 	keywords := []string{
 		"Lake Tahoe", "LAKE TAHOE", " lake tahoe ", "497", "497.0", "497.5",
-		"2020-01-31", "O'Higgins", "tahoe", "498",
+		"2020-01-31", "O'Higgins", "tahoe", "498", "0", "-0", "+0",
 	}
-	intersects := func(a, b []string) bool {
-		set := make(map[string]struct{}, len(a))
-		for _, k := range a {
-			set[k] = struct{}{}
-		}
-		for _, k := range b {
-			if _, ok := set[k]; ok {
-				return true
-			}
-		}
-		return false
+	rows := make([]value.Tuple, len(values))
+	for i, v := range values {
+		rows[i] = value.Tuple{v}
 	}
-	for _, v := range values {
-		for _, kw := range keywords {
-			if v.MatchesKeyword(kw) && !intersects(keywordKeys(v), keywordLookupKeys(kw)) {
-				t.Errorf("false negative: %q matches keyword %q but index keys %v miss lookup keys %v",
-					v, kw, keywordKeys(v), keywordLookupKeys(kw))
+	x, _ := exec.NewColumnIndex(ref("T", "v"), value.Text, rows, 0)
+	for _, kw := range keywords {
+		hits := rowset.New(len(values))
+		addKeywordHits(x, kw, hits)
+		for row, v := range values {
+			if v.MatchesKeyword(kw) && !hits.Contains(int32(row)) {
+				t.Errorf("false negative: %q matches keyword %q, which seeds rows %v", v, kw, hits.AppendTo(nil))
 			}
 		}
 	}

@@ -50,7 +50,7 @@ func (e *Executor) runMaterialised(p exec.Plan, opts exec.ExecOptions) ([]value.
 	for r := range cur[0] {
 		for gi := range st.gathers {
 			g := &st.gathers[gi]
-			proj[gi] = g.col.value(cur[g.slot][r])
+			proj[gi] = g.col.Value(cur[g.slot][r])
 		}
 		if opts.TuplePredicate != nil && !opts.TuplePredicate(proj) {
 			continue
@@ -76,7 +76,7 @@ func (st *execState) joinPipeline(opts exec.ExecOptions, stats *runStats) ([][]i
 			if st.interrupt.Hit() {
 				return nil, exec.ErrInterrupted
 			}
-			for _, rid := range l.buildCol.joinRows(l.probeCol, probe) {
+			for _, rid := range joinRows(l.buildCol, l.probeCol, probe) {
 				if l.bm != nil && !l.bm.Contains(rid) {
 					continue
 				}
@@ -107,8 +107,8 @@ func (st *execState) filterResiduals(cur [][]int32, l *joinLevel) [][]int32 {
 		lvec, rvec := cur[st.slotOf[re.lt]], cur[st.slotOf[re.rt]]
 		next := make([][]int32, len(cur))
 		for r := range lvec {
-			lv := re.lc.value(lvec[r])
-			if lv.IsNull() || !lv.Equal(re.rc.value(rvec[r])) {
+			lv := re.lc.Value(lvec[r])
+			if lv.IsNull() || !lv.Equal(re.rc.Value(rvec[r])) {
 				continue
 			}
 			for s := range cur {

@@ -80,7 +80,12 @@ func readCSVFile(path string) (*csvTable, error) {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
 	defer f.Close()
-	reader := csv.NewReader(f)
+	return readCSV(path, f)
+}
+
+// readCSV parses one CSV table from r; path names it, and its errors.
+func readCSV(path string, r io.Reader) (*csvTable, error) {
+	reader := csv.NewReader(r)
 	reader.TrimLeadingSpace = true
 	header, err := reader.Read()
 	if err != nil {

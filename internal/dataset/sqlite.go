@@ -11,9 +11,16 @@ package dataset
 // misread): WAL-mode files, WITHOUT ROWID tables, non-UTF8 text
 // encodings, virtual tables. Indexes, triggers and views are skipped —
 // prism builds its own indexes.
+//
+// The bytes are untrusted: every page number, offset, length and count is
+// checked against the file before it is used, and what the reader
+// allocates is bounded by a fixed multiple of the file's size (no page is
+// walked twice, the payloads add up to less than the file, and the tables
+// hold fewer cells than the file has bytes).
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -24,6 +31,15 @@ import (
 	"prism/internal/schema"
 	"prism/internal/value"
 )
+
+// ErrSQLiteCorrupt is wrapped by every LoadSQLite failure that comes from
+// bytes contradicting the file format: a page, cell, varint or record out
+// of range, a b-tree cycle, payloads longer than the file.
+var ErrSQLiteCorrupt = errors.New("corrupt SQLite file")
+
+func corrupt(format string, args ...any) error {
+	return fmt.Errorf("%w: %s", ErrSQLiteCorrupt, fmt.Sprintf(format, args...))
+}
 
 // LoadSQLite reads a SQLite database file into a mem.Database: every
 // ordinary table becomes a relation (declared types mapped through
@@ -42,13 +58,22 @@ func LoadSQLite(path string) (*mem.Database, error) {
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %w", err)
 	}
-	f, err := newSQLiteFile(data)
+	db, err := decodeSQLite(datasetNameForPath(path), data)
 	if err != nil {
 		return nil, fmt.Errorf("dataset: %s: %w", path, err)
 	}
+	return db, nil
+}
+
+// decodeSQLite is LoadSQLite over the file's bytes.
+func decodeSQLite(name string, data []byte) (*mem.Database, error) {
+	f, err := newSQLiteFile(data)
+	if err != nil {
+		return nil, err
+	}
 	masters, err := f.masterRows()
 	if err != nil {
-		return nil, fmt.Errorf("dataset: %s: %w", path, err)
+		return nil, err
 	}
 
 	// Phase one: parse definitions and collect every table's raw cells,
@@ -59,16 +84,23 @@ func LoadSQLite(path string) (*mem.Database, error) {
 		rows [][]sqliteValue // record cells, rowid alias already applied
 	}
 	var tables []*tableLoad
+	cells := 0
 	for _, m := range masters {
 		if m.typ != "table" || strings.HasPrefix(m.name, "sqlite_") {
 			continue
 		}
 		def, err := parseCreateTable(m.sql)
 		if err != nil {
-			return nil, fmt.Errorf("dataset: %s: table %s: %w", path, m.name, err)
+			return nil, fmt.Errorf("table %s: %w", m.name, err)
 		}
 		tl := &tableLoad{def: def}
 		err = f.walkTable(m.rootPage, func(rowid int64, record []sqliteValue) error {
+			// A stored cell costs at least the byte of its serial type; a
+			// table of more cells than the file has bytes is made of cells
+			// its records do not store.
+			if cells += len(def.columns); cells > len(data) {
+				return corrupt("%d cells exceed the file's %d bytes", cells, len(data))
+			}
 			row := make([]sqliteValue, len(def.columns))
 			for ci := range def.columns {
 				if ci < len(record) {
@@ -85,12 +117,12 @@ func LoadSQLite(path string) (*mem.Database, error) {
 			return nil
 		})
 		if err != nil {
-			return nil, fmt.Errorf("dataset: %s: table %s: %w", path, def.name, err)
+			return nil, fmt.Errorf("table %s: %w", def.name, err)
 		}
 		tables = append(tables, tl)
 	}
 	if len(tables) == 0 {
-		return nil, fmt.Errorf("dataset: %s: no ordinary tables", path)
+		return nil, errors.New("no ordinary tables")
 	}
 
 	sch := schema.New()
@@ -101,13 +133,13 @@ func LoadSQLite(path string) (*mem.Database, error) {
 		}
 		t, err := schema.NewTable(tl.def.name, cols...)
 		if err != nil {
-			return nil, fmt.Errorf("dataset: %s: %w", path, err)
+			return nil, err
 		}
 		if tl.def.primaryKey != "" {
 			t.PrimaryKey = []string{tl.def.primaryKey}
 		}
 		if err := sch.AddTable(t); err != nil {
-			return nil, fmt.Errorf("dataset: %s: %w", path, err)
+			return nil, err
 		}
 	}
 	// Foreign keys second, once every referenced table exists. Edges
@@ -128,12 +160,12 @@ func LoadSQLite(path string) (*mem.Database, error) {
 				}
 			}
 			if err := sch.AddForeignKey(edge); err != nil {
-				return nil, fmt.Errorf("dataset: %s: %w", path, err)
+				return nil, err
 			}
 		}
 	}
 
-	db := mem.NewDatabase(datasetNameForPath(path), sch)
+	db := mem.NewDatabase(name, sch)
 	for _, tl := range tables {
 		t, _ := sch.Table(tl.def.name)
 		for _, row := range tl.rows {
@@ -142,7 +174,7 @@ func LoadSQLite(path string) (*mem.Database, error) {
 				tuple[ci] = cell.toValue(t.Columns[ci].Type)
 			}
 			if err := db.Insert(tl.def.name, tuple); err != nil {
-				return nil, fmt.Errorf("dataset: %s: table %s: %w", path, tl.def.name, err)
+				return nil, fmt.Errorf("table %s: %w", tl.def.name, err)
 			}
 		}
 	}
@@ -171,6 +203,11 @@ type sqliteFile struct {
 	data     []byte
 	pageSize int
 	usable   int // pageSize minus the per-page reserved region
+	// visited are the pages walked so far, by any b-tree: a page belongs to
+	// one tree, once. decoded counts the payload bytes read so far, which
+	// the file stores once each.
+	visited map[int]bool
+	decoded int
 }
 
 func newSQLiteFile(data []byte) (*sqliteFile, error) {
@@ -182,7 +219,7 @@ func newSQLiteFile(data []byte) (*sqliteFile, error) {
 		pageSize = 65536
 	}
 	if pageSize < 512 || pageSize&(pageSize-1) != 0 {
-		return nil, fmt.Errorf("invalid page size %d", pageSize)
+		return nil, corrupt("invalid page size %d", pageSize)
 	}
 	if data[19] > 1 { // file format read version: 2 = WAL
 		return nil, fmt.Errorf("WAL-mode databases are not supported; run PRAGMA journal_mode=DELETE and retry")
@@ -192,15 +229,16 @@ func newSQLiteFile(data []byte) (*sqliteFile, error) {
 	}
 	reserved := int(data[20])
 	if len(data)%pageSize != 0 || len(data)/pageSize == 0 {
-		return nil, fmt.Errorf("truncated database file (%d bytes, page size %d)", len(data), pageSize)
+		return nil, corrupt("truncated database file (%d bytes, page size %d)", len(data), pageSize)
 	}
 	return &sqliteFile{data: data, pageSize: pageSize, usable: pageSize - reserved}, nil
 }
 
-// page returns the raw bytes of the 1-based page number.
+// page returns the raw bytes of the 1-based page number. The bound is a
+// page count, so a page number of any size cannot overflow it.
 func (f *sqliteFile) page(n int) ([]byte, error) {
-	if n < 1 || n*f.pageSize > len(f.data) {
-		return nil, fmt.Errorf("page %d out of range", n)
+	if n < 1 || n > len(f.data)/f.pageSize {
+		return nil, corrupt("page %d out of range", n)
 	}
 	return f.data[(n-1)*f.pageSize : n*f.pageSize], nil
 }
@@ -218,7 +256,7 @@ func (f *sqliteFile) masterRows(
 	var out []sqliteMasterRow
 	err := f.walkTable(1, func(rowid int64, record []sqliteValue) error {
 		if len(record) < 5 {
-			return fmt.Errorf("sqlite_master row %d has %d columns", rowid, len(record))
+			return corrupt("sqlite_master row %d has %d columns", rowid, len(record))
 		}
 		out = append(out, sqliteMasterRow{
 			typ:      record[0].text(),
@@ -235,17 +273,21 @@ func (f *sqliteFile) masterRows(
 // walkTable traverses the table b-tree rooted at root, invoking fn for
 // every row in rowid order.
 func (f *sqliteFile) walkTable(root int, fn func(rowid int64, record []sqliteValue) error) error {
-	return f.walkTablePages(root, fn, make(map[int]bool))
+	if f.visited == nil {
+		f.visited = make(map[int]bool)
+	}
+	return f.walkTablePages(root, fn)
 }
 
 // walkTablePages is walkTable's recursion. visited fails a corrupt file
-// whose interior pages cycle (a page referencing itself or an ancestor)
-// with a clear error instead of recursing without bound.
-func (f *sqliteFile) walkTablePages(root int, fn func(rowid int64, record []sqliteValue) error, visited map[int]bool) error {
-	if visited[root] {
-		return fmt.Errorf("page %d revisited: b-tree cycle", root)
+// whose interior pages cycle (a page referencing itself or an ancestor) or
+// whose trees share a page with a clear error instead of recursing without
+// bound or reading a page twice.
+func (f *sqliteFile) walkTablePages(root int, fn func(rowid int64, record []sqliteValue) error) error {
+	if f.visited[root] {
+		return corrupt("page %d revisited: b-tree cycle", root)
 	}
-	visited[root] = true
+	f.visited[root] = true
 	page, err := f.page(root)
 	if err != nil {
 		return err
@@ -257,27 +299,32 @@ func (f *sqliteFile) walkTablePages(root int, fn func(rowid int64, record []sqli
 	}
 	pageType := page[hdr]
 	cellCount := int(binary.BigEndian.Uint16(page[hdr+3 : hdr+5]))
+	ptrArray := hdr + 8 // the leaf's; an interior page header is 4 bytes longer
+	if pageType == 0x05 {
+		ptrArray += 4
+	}
+	if ptrArray+2*cellCount > len(page) {
+		return corrupt("page %d: %d cell pointers overflow the page", root, cellCount)
+	}
 	switch pageType {
 	case 0x05: // interior table page
-		ptrArray := hdr + 12
 		for i := 0; i < cellCount; i++ {
 			off := int(binary.BigEndian.Uint16(page[ptrArray+2*i:]))
 			if off+4 > len(page) {
-				return fmt.Errorf("interior cell %d out of range", i)
+				return corrupt("interior cell %d out of range", i)
 			}
 			child := int(binary.BigEndian.Uint32(page[off:]))
-			if err := f.walkTablePages(child, fn, visited); err != nil {
+			if err := f.walkTablePages(child, fn); err != nil {
 				return err
 			}
 		}
 		right := int(binary.BigEndian.Uint32(page[hdr+8 : hdr+12]))
-		return f.walkTablePages(right, fn, visited)
+		return f.walkTablePages(right, fn)
 	case 0x0D: // leaf table page
-		ptrArray := hdr + 8
 		for i := 0; i < cellCount; i++ {
 			off := int(binary.BigEndian.Uint16(page[ptrArray+2*i:]))
 			if off >= len(page) {
-				return fmt.Errorf("leaf cell %d out of range", i)
+				return corrupt("leaf cell %d out of range", i)
 			}
 			payload, rowid, err := f.leafCell(page, off)
 			if err != nil {
@@ -301,50 +348,58 @@ func (f *sqliteFile) walkTablePages(root int, fn func(rowid int64, record []sqli
 
 // leafCell decodes one table-leaf cell at off: payload length varint,
 // rowid varint, then the record — possibly continued on overflow pages.
+// The file stores every payload byte once, so the payloads of a file add up
+// to less than its size: a longer one is corrupt, and is refused before
+// anything is allocated for it.
 func (f *sqliteFile) leafCell(page []byte, off int) (payload []byte, rowid int64, err error) {
-	total, n := sqliteUvarint(page[off:])
+	length, n := sqliteUvarint(page[off:])
 	if n == 0 {
-		return nil, 0, fmt.Errorf("bad payload-length varint")
+		return nil, 0, corrupt("bad payload-length varint")
 	}
+	if left := len(f.data) - f.decoded; length > uint64(left) {
+		return nil, 0, corrupt("cell payload of %d bytes exceeds the %d the file has left", length, left)
+	}
+	total := int(length)
+	f.decoded += total
 	off += n
 	key, n := sqliteUvarint(page[off:])
 	if n == 0 {
-		return nil, 0, fmt.Errorf("bad rowid varint")
+		return nil, 0, corrupt("bad rowid varint")
 	}
 	off += n
 	rowid = int64(key)
 
 	u := f.usable
 	maxLocal := u - 35
-	if int(total) <= maxLocal {
-		if off+int(total) > len(page) {
-			return nil, 0, fmt.Errorf("cell payload out of range")
+	if total <= maxLocal {
+		if off+total > len(page) {
+			return nil, 0, corrupt("cell payload out of range")
 		}
-		return page[off : off+int(total)], rowid, nil
+		return page[off : off+total], rowid, nil
 	}
 	// Overflowing payload: K bytes stay local, the rest chains through
 	// 4-byte-linked overflow pages.
 	minLocal := (u-12)*32/255 - 23
-	local := minLocal + (int(total)-minLocal)%(u-4)
+	local := minLocal + (total-minLocal)%(u-4)
 	if local > maxLocal {
 		local = minLocal
 	}
 	if off+local+4 > len(page) {
-		return nil, 0, fmt.Errorf("overflow cell out of range")
+		return nil, 0, corrupt("overflow cell out of range")
 	}
 	out := make([]byte, 0, total)
 	out = append(out, page[off:off+local]...)
 	next := int(binary.BigEndian.Uint32(page[off+local:]))
-	for len(out) < int(total) {
+	for len(out) < total {
 		if next == 0 {
-			return nil, 0, fmt.Errorf("overflow chain ended %d bytes short", int(total)-len(out))
+			return nil, 0, corrupt("overflow chain ended %d bytes short", total-len(out))
 		}
 		op, err := f.page(next)
 		if err != nil {
 			return nil, 0, err
 		}
 		chunk := op[4:f.usable]
-		if remaining := int(total) - len(out); remaining < len(chunk) {
+		if remaining := total - len(out); remaining < len(chunk) {
 			chunk = chunk[:remaining]
 		}
 		out = append(out, chunk...)
@@ -431,14 +486,14 @@ func (v sqliteValue) toValue(declared value.Kind) value.Value {
 func decodeRecord(payload []byte) ([]sqliteValue, error) {
 	headerLen, n := sqliteUvarint(payload)
 	if n == 0 || int(headerLen) > len(payload) || int(headerLen) < n {
-		return nil, fmt.Errorf("bad record header length")
+		return nil, corrupt("bad record header length")
 	}
 	var serials []uint64
 	pos := n
 	for pos < int(headerLen) {
 		s, sn := sqliteUvarint(payload[pos:])
 		if sn == 0 {
-			return nil, fmt.Errorf("bad serial type varint")
+			return nil, corrupt("bad serial type varint")
 		}
 		serials = append(serials, s)
 		pos += sn
@@ -459,7 +514,7 @@ func decodeRecord(payload []byte) ([]sqliteValue, error) {
 func decodeSerial(serial uint64, body []byte) (sqliteValue, int, error) {
 	intOf := func(size int) (int64, error) {
 		if len(body) < size {
-			return 0, fmt.Errorf("truncated %d-byte integer", size)
+			return 0, corrupt("truncated %d-byte integer", size)
 		}
 		v := int64(0)
 		for _, b := range body[:size] {
@@ -483,7 +538,7 @@ func decodeSerial(serial uint64, body []byte) (sqliteValue, int, error) {
 		return sqliteValue{kind: sqliteInt, i: i}, 8, err
 	case 7:
 		if len(body) < 8 {
-			return sqliteValue{}, 0, fmt.Errorf("truncated float")
+			return sqliteValue{}, 0, corrupt("truncated float")
 		}
 		f := math.Float64frombits(binary.BigEndian.Uint64(body))
 		return sqliteValue{kind: sqliteFloat, f: f}, 8, nil
@@ -492,12 +547,12 @@ func decodeSerial(serial uint64, body []byte) (sqliteValue, int, error) {
 	case 9:
 		return sqliteValue{kind: sqliteInt, i: 1}, 0, nil
 	case 10, 11:
-		return sqliteValue{}, 0, fmt.Errorf("reserved serial type %d", serial)
+		return sqliteValue{}, 0, corrupt("reserved serial type %d", serial)
 	default:
-		size := int(serial-12) / 2
-		if len(body) < size {
-			return sqliteValue{}, 0, fmt.Errorf("truncated %d-byte payload", size)
+		if (serial-12)/2 > uint64(len(body)) {
+			return sqliteValue{}, 0, corrupt("truncated %d-byte payload", (serial-12)/2)
 		}
+		size := int(serial-12) / 2
 		if serial%2 == 0 {
 			return sqliteValue{kind: sqliteBlob}, size, nil
 		}

@@ -1,7 +1,9 @@
 package dataset
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"os"
@@ -209,13 +211,25 @@ func (b *sqliteFixtureBuilder) addTable(rows []fixtureRow) int {
 	return num
 }
 
-// writeSQLiteFixture assembles the full file: page 1 hosts the header
-// and the sqlite_master leaf.
-func writeSQLiteFixture(t *testing.T, path string, tables []struct {
+// writeSQLiteFixture writes the file sqliteFixture assembles.
+func writeSQLiteFixture(t *testing.T, path string, tables []fixtureTable) {
+	t.Helper()
+	if err := os.WriteFile(path, sqliteFixture(t, tables), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fixtureTable is one table of a fixture file: its CREATE TABLE statement
+// and its rows.
+type fixtureTable = struct {
 	name string
 	sql  string
 	rows []fixtureRow
-}) {
+}
+
+// sqliteFixture assembles the full file: page 1 hosts the header and the
+// sqlite_master leaf.
+func sqliteFixture(t testing.TB, tables []fixtureTable) []byte {
 	t.Helper()
 	b := &sqliteFixtureBuilder{}
 	b.newPage() // reserve page 1
@@ -267,9 +281,7 @@ func writeSQLiteFixture(t *testing.T, path string, tables []struct {
 	for _, p := range b.pages {
 		out = append(out, p...)
 	}
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		t.Fatal(err)
-	}
+	return out
 }
 
 // ---------------------------------------------------------------------
@@ -411,6 +423,71 @@ func TestLoadSQLiteRejects(t *testing.T) {
 			t.Fatal("want an error for WITHOUT ROWID")
 		}
 	})
+	for name, corrupt := range map[string]func(testing.TB, []byte) []byte{
+		"root page past any page count": hugeRootPage,
+		"payload longer than the file":  hugePayloadLength,
+		"cell pointers past the page": func(_ testing.TB, file []byte) []byte {
+			file = bytes.Clone(file)
+			binary.BigEndian.PutUint16(file[100+3:], 0xffff) // sqlite_master's cell count
+			return file
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := filepath.Join(dir, "corrupt.db")
+			if err := os.WriteFile(p, corrupt(t, sqliteFixture(t, fixtureTables())), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if db, err := LoadSQLite(p); !errors.Is(err, ErrSQLiteCorrupt) || db != nil {
+				t.Fatalf("err = %v (db %v), want ErrSQLiteCorrupt", err, db)
+			}
+		})
+	}
+}
+
+// hugeRootPage gives the fixture's first table the sqlite_master root page
+// 0x00ff000000000002, whose byte offset overflows an int.
+func hugeRootPage(t testing.TB, file []byte) []byte {
+	t.Helper()
+	file = bytes.Clone(file)
+	at := bytes.Index(file, []byte("tableTeamTeam"))
+	if at < 0 {
+		t.Fatal("fixture: no sqlite_master row for Team")
+	}
+	binary.BigEndian.PutUint64(file[at+len("tableTeamTeam"):], 0x00ff000000000002)
+	return file
+}
+
+// hugePayloadLength rewrites the payload length of the fixture's one
+// overflowing cell, Player row 7, to 2^53 overflow pages' worth more: the
+// same local share of the cell, in a nine-byte varint that ends where the
+// old one did.
+func hugePayloadLength(t testing.TB, file []byte) []byte {
+	t.Helper()
+	file = bytes.Clone(file)
+	for start := 0; start+fixturePageSize <= len(file); start += fixturePageSize {
+		page := file[start : start+fixturePageSize]
+		if page[0] != 0x0D {
+			continue
+		}
+		for i := 0; i < int(binary.BigEndian.Uint16(page[3:])); i++ {
+			ptr := page[8+2*i:]
+			off := int(binary.BigEndian.Uint16(ptr))
+			total, n := sqliteUvarint(page[off:])
+			if rowid, _ := sqliteUvarint(page[off+n:]); rowid != 7 || total < fixturePageSize {
+				continue
+			}
+			total += (fixturePageSize - 4) << 53
+			off += n - 9
+			for b := 0; b < 8; b++ {
+				page[off+b] = 0x80 | byte(total>>(8+7*(7-b)))&0x7f
+			}
+			page[off+8] = byte(total)
+			binary.BigEndian.PutUint16(ptr, uint16(off))
+			return file
+		}
+	}
+	t.Fatal("fixture: no overflowing cell for Player row 7")
+	return nil
 }
 
 // TestParseCreateTable covers the statement-parsing corners: quoting

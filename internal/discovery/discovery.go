@@ -1,9 +1,9 @@
 // Package discovery wires the whole Prism pipeline together (Figure 2):
-// related-column search over the preprocessed column metadata and
-// per-column keyword sets (which columns hold a keyword — the part of the
-// paper's inverted index this step needs; the postings, which rows, are the
-// columnar executor's kwText index), candidate generation over the schema
-// graph, filter decomposition,
+// related-column search over the preprocessed column metadata and the
+// per-column key dictionaries (which columns hold a keyword — the part of
+// the paper's inverted index this step needs; the same dictionaries say
+// which rows, for the columnar executor), candidate generation over the
+// schema graph, filter decomposition,
 // scheduled filter validation under a time budget, and assembly of the
 // final schema mapping queries with their SQL text.
 package discovery
@@ -203,8 +203,8 @@ func (r *Report) Failure() string {
 }
 
 // Engine runs discovery rounds over one source database. Creating an engine
-// performs the preprocessing the paper assumes: column statistics, the
-// per-column keyword sets, and the Bayesian models. Plan execution goes
+// performs the preprocessing the paper assumes: the per-column key
+// dictionaries, column statistics, and the Bayesian models. Plan execution goes
 // through a pluggable exec.Executor; backends are built lazily per engine,
 // cached, and selected per round with Options.Executor.
 type Engine struct {

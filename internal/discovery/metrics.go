@@ -35,7 +35,7 @@ var (
 	metricSelectionsReused = obs.Default.Counter("prism_selections_reused_total",
 		"Predicate selections validations read from their round's selection memo instead of selecting them again.")
 	metricZonesPruned = obs.Default.Counter("prism_zones_pruned_total",
-		"Whole-table selections vetoed by column zone maps.")
+		"Whole-table selections a column's key dictionary proved empty.")
 	metricPeakScratch = obs.Default.Gauge("prism_memory_peak_scratch_bytes",
 		"Process high-water mark of one execution state's pooled scratch arenas, in bytes.")
 )

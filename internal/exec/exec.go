@@ -45,19 +45,17 @@ type Metadata interface {
 	// AllStats returns statistics for every column, sorted by column
 	// reference.
 	AllStats() []schema.Stats
-	// ColumnHasKeyword reports whether the column contains the exact
-	// keyword (case-insensitive), via the source's per-column keyword sets.
+	// ColumnHasKeyword reports whether some value of the column matches the
+	// keyword as Value.MatchesKeyword does, via the column's key dictionary.
 	ColumnHasKeyword(ref schema.ColumnRef, keyword string) bool
 }
 
-// Source is what an executor implementation is built from: catalog access,
-// bulk column reads and per-column key dictionaries. *mem.Database satisfies
-// it; a future backend over an external DBMS would adapt its catalog alike.
+// Source is what an executor implementation is built from: catalog access
+// and per-column key dictionaries, which hold every stored value
+// (ColumnIndex.Value). *mem.Database satisfies it; a future backend over an
+// external DBMS would adapt its catalog alike.
 type Source interface {
 	Metadata
-	// ColumnValues returns all values stored in the given column, in row
-	// order.
-	ColumnValues(ref schema.ColumnRef) ([]value.Value, error)
 	// ColumnIndex returns the key dictionary of the given column over the
 	// source's current rows. The source builds it once — every column's, the
 	// first time any is asked for — and hands the same immutable index to

@@ -41,12 +41,13 @@ func GroupCSR(n int, keys, vals []int32) CSR {
 }
 
 // ColumnIndex is the key dictionary of one column: how its values are keyed
-// (Value.Key, under which values that Compare equal collide) and which rows
-// hold each key. It is the one place set-up renders a key per cell; the
-// column statistics, the Bayesian model's match sets and the columnar
-// executor's join probes and selections all read it. Value ids are dense and
-// handed out in first-seen row order, so an index is a function of the
-// column's rows alone.
+// (Value.Key, under which values that Compare equal collide), which rows
+// hold each key, and how each value renders as a keyword. It is the one
+// place set-up renders a key per cell; the column statistics, the Bayesian
+// model, related-column search and the columnar executor — which stores no
+// other copy of the column — all read it. Value ids are dense and handed out
+// in first-seen row order, so an index is a function of the column's rows
+// alone.
 // It is immutable once built and describes the rows it was built from: a
 // Source drops its indexes when its data changes, and whoever still holds one
 // keeps answering about the old rows.
@@ -72,6 +73,17 @@ type ColumnIndex struct {
 	// whatever their kind: numeric-looking text has one.
 	ByView []int32
 	Views  []float64
+	// Text maps the keyword a value or variant renders as
+	// (value.Normalize(v.String()), never empty) to the entry of TextIDs that
+	// lists, ascending, the value ids holding such a value or variant. The
+	// rows of those ids hold every row that renders the keyword, and may hold
+	// rows of the same id that render otherwise ("3" beside a variant "3.0"):
+	// whoever seeds candidates from it re-checks them.
+	Text    map[string]int32
+	TextIDs CSR
+	// plain is len(Vals) when the column has no variant rows, 0 when it
+	// has: a row whose id is below it stores Vals[id] (Value).
+	plain int
 }
 
 // NewColumnIndex indexes column ci of rows in one pass, and returns the
@@ -105,8 +117,52 @@ func NewColumnIndex(ref schema.ColumnRef, typ value.Kind, rows []value.Tuple, ci
 		}
 	}
 	x.Post = GroupCSR(len(x.Vals)+1, x.RowID, nil)
+	if len(x.VariantRows) == 0 {
+		x.plain = len(x.Vals)
+	}
 	x.sortViews()
+	x.indexText()
 	return x, stats.Stats(len(x.Vals))
+}
+
+// indexText fills Text and TextIDs with one Normalize per value id and per
+// variant row. A keyword that is the tail of its id's key (the key of a
+// number or of trimmed text is a two-byte class prefix and the rendering)
+// shares the key's bytes.
+func (x *ColumnIndex) indexText() {
+	x.Text = make(map[string]int32, len(x.Vals))
+	var pairs [][2]int32 // (entry, id)
+	add := func(v value.Value, id int32) {
+		kw := value.Normalize(v.String())
+		if kw == "" {
+			return
+		}
+		if k := x.Keys[id]; len(k) > 2 && k[2:] == kw {
+			kw = k[2:]
+		}
+		entry, seen := x.Text[kw]
+		if !seen {
+			entry = int32(len(x.Text))
+			x.Text[kw] = entry
+		}
+		pairs = append(pairs, [2]int32{entry, id})
+	}
+	for id, v := range x.Vals {
+		add(v, int32(id))
+	}
+	if len(x.VariantRows) > 0 {
+		for i, row := range x.VariantRows {
+			add(x.VariantVals[i], x.RowID[row])
+		}
+		// A variant mostly renders as its id's value does ("Lake"/"lake").
+		slices.SortFunc(pairs, func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
+		pairs = slices.Compact(pairs)
+	}
+	entries, ids := make([]int32, len(pairs)), make([]int32, len(pairs))
+	for i, p := range pairs {
+		entries[i], ids[i] = p[0], p[1]
+	}
+	x.TextIDs = GroupCSR(len(x.Text), entries, ids)
 }
 
 // sortViews fills ByView and Views. The sort runs on a scratch slice of
@@ -145,6 +201,54 @@ func (x *ColumnIndex) RowsOf(key string) []int32 {
 		return nil
 	}
 	return x.Post.At(id)
+}
+
+// IDsOfKeyword returns the value ids some value or variant of which renders
+// as the normalised keyword kw (Text), ascending.
+func (x *ColumnIndex) IDsOfKeyword(kw string) []int32 {
+	entry, ok := x.Text[kw]
+	if !ok {
+		return nil
+	}
+	return x.TextIDs.At(entry)
+}
+
+// Value returns the value stored in row: NULL for a NULL row, the row's own
+// value for a variant row, and the value of its id otherwise. It is on the
+// executor's per-tuple path and small enough to inline there: one compare
+// reads a non-NULL row of a column without variants.
+func (x *ColumnIndex) Value(row int32) value.Value {
+	if id := x.RowID[row]; int(id) < x.plain {
+		return x.Vals[id]
+	}
+	return x.storedValue(row)
+}
+
+func (x *ColumnIndex) storedValue(row int32) value.Value {
+	if v, ok := x.Variant(row); ok {
+		return v
+	}
+	if id := x.RowID[row]; int(id) < len(x.Vals) {
+		return x.Vals[id]
+	}
+	return value.NullValue
+}
+
+// Variant returns row's own value if it is a variant row (VariantRows). It
+// inlines to one compare on a column without variants.
+func (x *ColumnIndex) Variant(row int32) (value.Value, bool) {
+	if x.VariantRows == nil {
+		return value.Value{}, false
+	}
+	return x.variant(row)
+}
+
+func (x *ColumnIndex) variant(row int32) (value.Value, bool) {
+	i, ok := slices.BinarySearch(x.VariantRows, row)
+	if !ok {
+		return value.NullValue, false
+	}
+	return x.VariantVals[i], true
 }
 
 // ViewRange returns the stretch of ByView whose numeric views lie in

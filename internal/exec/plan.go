@@ -201,11 +201,11 @@ type ColumnPredicate struct {
 	// the text "nan") are OUTSIDE the contract — value.Compare orders NaN
 	// below every number, so they can satisfy ordering predicates while
 	// escaping any finite interval; consumers must not prune columns that
-	// may contain them (colexec's zone maps clear their `numeric` flag on
-	// NaN). Executors with per-column zone maps compare the interval
-	// against the column's min/max to skip whole scans; the cover may be
-	// loose (a scan is merely not skipped) but must never be tight in the
-	// wrong direction (a wrong skip would prune a valid mapping).
+	// may contain them (colexec prunes only a column every value of which
+	// has a non-NaN view). Executors compare the interval against the
+	// range of a column's views to skip whole selections; the cover may be
+	// loose (a selection is merely not skipped) but must never be tight in
+	// the wrong direction (a wrong skip would prune a valid mapping).
 	// lang.NumericBounds derives covers from constraint expressions.
 	Bounds *NumericBounds
 	// BoundsExact, when set (requires non-nil Bounds with both sides
@@ -345,8 +345,9 @@ type ExecStats struct {
 	//
 	// Deprecated: ROADMAP item 0e removes it.
 	BlocksPruned int
-	// ZonesPruned (columnar executor) counts whole-table zone-map vetoes:
-	// selections proved empty without touching a row.
+	// ZonesPruned (columnar executor) counts whole-table vetoes: selections
+	// the column's key dictionary (its views' range, its NULL rows) proved
+	// empty without touching a row.
 	ZonesPruned int
 
 	// ScratchBytes (columnar executor) is the pooled scratch the execution

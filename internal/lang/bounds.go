@@ -13,10 +13,10 @@ import (
 // (e.g. the text "nan") sit outside the contract: value.Compare orders NaN
 // below every number, so such a value can satisfy an ordering predicate
 // while lying outside every finite interval — consumers must exclude
-// columns that may contain them (colexec's zone maps clear `numeric` on
-// NaN) before pruning. An executor whose zone map proves a column's
-// numeric values all fall outside the interval may then skip the column
-// scan entirely.
+// columns that may contain them (colexec prunes only a column every value
+// of which has a non-NaN view) before pruning. An executor that knows a
+// column's numeric values all fall outside the interval may then skip the
+// column entirely.
 //
 // The cover is intentionally conservative:
 //

@@ -2,12 +2,12 @@
 // the paper runs on top of a conventional DBMS.
 //
 // It provides typed row storage, one key dictionary per column (which rows
-// hold which value: exec.ColumnIndex, read by the statistics, the Bayesian
-// model and the columnar executor alike), per-column statistics (the
-// "metadata collected during preprocessing" of §2.3) and keyword sets (the
-// membership half of the DBMS inverted index the paper leverages: which
-// columns hold a keyword), and execution of Project-Join query plans with
-// selection push-down and early termination.
+// hold which value and which keyword: exec.ColumnIndex, read by the
+// statistics, the Bayesian model, related-column search and the columnar
+// executor alike — the DBMS inverted index the paper leverages),
+// per-column statistics (the "metadata collected during preprocessing" of
+// §2.3), and execution of Project-Join query plans with selection push-down
+// and early termination.
 package mem
 
 import (
@@ -48,9 +48,6 @@ type Database struct {
 	// against newer ones.
 	version uint64
 	stats   map[string]schema.Stats // key: lower(Table.Column)
-	// columnKeywords maps lower(Table.Column) -> set of normalised keywords
-	// occurring in that column; used for per-column membership tests.
-	columnKeywords map[string]map[string]struct{}
 	// index maps lower(Table.Column) -> the column's key dictionary over the
 	// current rows: every column's or none (nil). Analyze builds it, a
 	// mutation drops it, a snapshot does not carry it — a restored database
@@ -182,7 +179,7 @@ func statsKey(ref schema.ColumnRef) string {
 // are returned in schema order. Columns are independent of one another and
 // are indexed in parallel; the result is a function of the data alone. The
 // caller holds db.mu for writing.
-func (db *Database) indexColumns() ([]*exec.ColumnIndex, []schema.Stats) {
+func (db *Database) indexColumns() []schema.Stats {
 	type column struct {
 		ref  schema.ColumnRef
 		typ  value.Kind
@@ -205,39 +202,23 @@ func (db *Database) indexColumns() ([]*exec.ColumnIndex, []schema.Stats) {
 	for i, x := range index {
 		db.index[statsKey(stats[i].Ref)] = x
 	}
-	return index, stats
+	return stats
 }
 
-// Analyze (re)builds the key dictionaries, the column statistics and the
-// per-column keyword sets. It corresponds to the paper's preprocessing step
-// and must be called before the lookup methods below. Calling it repeatedly
-// is cheap when nothing has changed.
+// Analyze (re)builds the key dictionaries and the column statistics. It
+// corresponds to the paper's preprocessing step and must be called before
+// the lookup methods below. Calling it repeatedly is cheap when nothing has
+// changed.
 func (db *Database) Analyze() {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.analyzed {
 		return
 	}
-	index, stats := db.indexColumns()
-	// A value renders one keyword however many rows hold it: the sets are
-	// read off the dictionaries' distinct values and their variants.
-	keywords := make([]map[string]struct{}, len(index))
-	par.Do(len(index), func(i int) {
-		set := make(map[string]struct{})
-		for _, vals := range [][]value.Value{index[i].Vals, index[i].VariantVals} {
-			for _, v := range vals {
-				if kw := value.Normalize(v.String()); kw != "" {
-					set[kw] = struct{}{}
-				}
-			}
-		}
-		keywords[i] = set
-	})
+	stats := db.indexColumns()
 	db.stats = make(map[string]schema.Stats, len(stats))
-	db.columnKeywords = make(map[string]map[string]struct{}, len(stats))
-	for i, st := range stats {
+	for _, st := range stats {
 		db.stats[statsKey(st.Ref)] = st
-		db.columnKeywords[statsKey(st.Ref)] = keywords[i]
 	}
 	db.analyzed = true
 }
@@ -303,28 +284,28 @@ func (db *Database) AllStats() []schema.Stats {
 }
 
 // ColumnHasKeyword reports whether some value of the given column matches
-// the keyword as Value.MatchesKeyword does: its normalised rendering is in
-// the column's keyword set, or the keyword is a number and some value's
-// numeric view equals it — the lookup the columnar executor seeds a keyword
-// selection with, so related-column search accepts every spelling of a
-// number the executor accepts.
+// the keyword as Value.MatchesKeyword does: a value of the column renders as
+// the normalised keyword (the key dictionary's Text), or the keyword is a
+// number and some value's numeric view equals it — the lookups the columnar
+// executor seeds a keyword selection with, so related-column search accepts
+// every spelling the executor accepts. It answers false until the database
+// is first analysed; a restored database builds its dictionaries here.
 func (db *Database) ColumnHasKeyword(ref schema.ColumnRef, keyword string) bool {
-	key := statsKey(ref)
 	db.mu.RLock()
-	set, ok := db.columnKeywords[key]
-	x := db.index[key]
+	analysed := db.stats != nil
 	db.mu.RUnlock()
-	if !ok {
+	if !analysed {
 		return false
 	}
-	if _, hit := set[value.Normalize(keyword)]; hit {
+	x, err := db.ColumnIndex(ref)
+	if err != nil {
+		return false
+	}
+	if len(x.IDsOfKeyword(value.Normalize(keyword))) > 0 {
 		return true
 	}
 	f, numeric := exec.NumericKeyword(keyword)
-	if numeric && x == nil { // a restored database has no dictionaries yet
-		x, _ = db.ColumnIndex(ref)
-	}
-	return numeric && x != nil && len(x.ViewRange(f, f)) > 0
+	return numeric && len(x.ViewRange(f, f)) > 0
 }
 
 // ColumnValues returns all values stored in the given column, in row order.

@@ -5,13 +5,22 @@ import (
 	"hash/crc32"
 )
 
-// ColumnKeywords exposes the per-column keyword sets (lower(Table.Column) ->
-// set) to the external tests of this package, which can import the dataset
-// generators where the internal ones cannot.
+// ColumnKeywords returns every column's keyword set (lower(Table.Column) ->
+// set), read off the key dictionaries' keyword tables, to the external
+// tests of this package, which can import the dataset generators where the
+// internal ones cannot.
 func (db *Database) ColumnKeywords() map[string]map[string]struct{} {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	return db.columnKeywords
+	out := make(map[string]map[string]struct{}, len(db.index))
+	for col, x := range db.index {
+		set := make(map[string]struct{}, len(x.Text))
+		for kw := range x.Text {
+			set[kw] = struct{}{}
+		}
+		out[col] = set
+	}
+	return out
 }
 
 // SnapshotHeaderLen is the size of the magic, body length and CRC that open

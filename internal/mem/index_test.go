@@ -137,6 +137,72 @@ func TestColumnIndexMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// TestColumnIndexKeywordsAndValues: on every column of the bundled
+// databases, the corner-case chain, the sampled join and the numeric-view
+// menagerie, the key dictionary's keyword table is the brute-force one —
+// its keywords are {Normalize(v.String()) : v non-NULL} (the empty
+// rendering excepted), each listing, ascending, exactly the ids of the rows
+// that render it, so its rows cover them — and the value it stores for
+// every row is the row's own. One rendering is left to the numeric views: a
+// decimal zero of the other sign than its id's value (-0 beside 0) is no
+// variant, since EqualStrict does not tell the two apart, so the table
+// lists the id's rendering only; the keyword of the other is a number, and
+// the views hold the id under it.
+func TestColumnIndexKeywordsAndValues(t *testing.T) {
+	dbs := difftest.Databases(t)
+	for _, db := range []*mem.Database{difftest.Quirks(t), difftest.BigJoin(t), difftest.Ranges(t)} {
+		dbs[db.Name] = db
+	}
+	variants := 0
+	for name, db := range dbs {
+		db.Analyze()
+		for _, ref := range db.Schema().AllColumns() {
+			label := name + " " + ref.String()
+			x, err := db.ColumnIndex(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			vals, err := db.ColumnValues(ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ids := make(map[string][]int32) // keyword -> ids of the rows rendering it
+			for row, v := range vals {
+				if got := x.Value(int32(row)); !identical(got, v) {
+					t.Errorf("%s: row %d stores %v (%s), want %v (%s)", label, row, got, got.Kind(), v, v.Kind())
+				}
+				if v.IsNull() {
+					continue
+				}
+				kw, id := value.Normalize(v.String()), x.RowID[row]
+				if _, variant := x.Variant(int32(row)); !variant && kw != value.Normalize(x.Vals[id].String()) {
+					if f, ok := exec.NumericKeyword(kw); !ok || !slices.Contains(x.ViewRange(f, f), id) {
+						t.Errorf("%s: row %d renders %q, which neither the keyword table nor the views hold", label, row, kw)
+					}
+					continue
+				}
+				if kw != "" {
+					ids[kw] = append(ids[kw], id)
+				}
+			}
+			if len(x.Text) != len(ids) {
+				t.Errorf("%s: %d keywords, want %d", label, len(x.Text), len(ids))
+			}
+			for kw, want := range ids {
+				slices.Sort(want)
+				want = slices.Compact(want)
+				if got := x.IDsOfKeyword(kw); !slices.Equal(got, want) {
+					t.Errorf("%s: keyword %q lists ids %v, want %v", label, kw, got, want)
+				}
+			}
+			variants += len(x.VariantRows)
+		}
+	}
+	if variants == 0 {
+		t.Fatal("no column has variant rows: the check does not reach them")
+	}
+}
+
 // selectBattery builds the predicates ColumnIndex.Select is put to on one
 // column, around up to eight of its stored values: pure numeric ranges with
 // bounds on stored views, between them, the wrong way round and beyond them;

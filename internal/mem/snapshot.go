@@ -1,14 +1,15 @@
 package mem
 
 // Engine snapshots: a compact, checksummed binary serialization of one
-// analyzed Database — schema, rows (column-major), per-column statistics
-// and the per-column keyword sets — so a serving process can cold-start by
-// decoding a file instead of re-running a generator, re-coercing every
-// cell and re-analyzing. The format is versioned (the last two bytes of
-// snapshotMagic) and the payload is guarded by a CRC; a file of another
-// version fails with ErrSnapshotVersion, and every other decode failure,
-// from a bad magic to a truncated keyword set, fails closed with
-// ErrSnapshotCorrupt.
+// analyzed Database — schema, rows (column-major) and per-column
+// statistics — so a serving process can cold-start by decoding a file
+// instead of re-running a generator and re-coercing every cell. The key
+// dictionaries are not carried: the restored database builds them when
+// first asked (Database.ColumnIndex). The format is versioned (the last two
+// bytes of snapshotMagic) and the payload is guarded by a CRC; a file of
+// another version fails with ErrSnapshotVersion, and every other decode
+// failure, from a bad magic to a truncated statistics entry, fails closed
+// with ErrSnapshotCorrupt.
 //
 // The data version (Database.Version) is stored verbatim: filter-outcome
 // caches key on it, so a snapshot round trip keeps cached session state
@@ -33,10 +34,11 @@ import (
 
 // snapshotMagic opens every snapshot file. The trailing two bytes are the
 // format version; bumping them invalidates old files explicitly rather than
-// misreading them. Version 01 carried a global keyword → (column, row)
-// postings section where 02 carries the per-column keyword sets; there is no
-// reader for it — rebuild the snapshot from its source.
-var snapshotMagic = [8]byte{'P', 'R', 'S', 'N', 'A', 'P', '0', '2'}
+// misreading them. Version 01 closed with a global keyword → (column, row)
+// postings section and 02 with per-column keyword sets; 03 closes with the
+// statistics, the keywords being the key dictionaries' own. There is no
+// reader for an older version — rebuild the snapshot from its source.
+var snapshotMagic = [8]byte{'P', 'R', 'S', 'N', 'A', 'P', '0', '3'}
 
 var (
 	// ErrSnapshotCorrupt reports a snapshot that failed structural
@@ -51,8 +53,8 @@ var (
 
 // WriteSnapshot serializes the database to w. The database is analyzed
 // first (a no-op when already current) so the snapshot always carries
-// statistics and keyword sets: a ReadSnapshot of the result is query-ready
-// without further preprocessing.
+// statistics: a ReadSnapshot of the result is query-ready without further
+// preprocessing.
 func (db *Database) WriteSnapshot(w io.Writer) error {
 	if err := faultSnapshotEncode.Hit(); err != nil {
 		return fmt.Errorf("mem: writing snapshot: %w", err)
@@ -96,8 +98,8 @@ func (db *Database) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot decodes a snapshot written by WriteSnapshot. The returned
-// database is analyzed (statistics and keyword sets restored, not
-// recomputed) and carries the original data version.
+// database is analyzed (statistics restored, not recomputed) and carries
+// the original data version.
 func ReadSnapshot(r io.Reader) (*Database, error) {
 	if err := faultSnapshotDecode.Hit(); err != nil {
 		if errors.Is(err, fault.ErrInjected) {
@@ -276,14 +278,18 @@ func (e snapshotEncoder) schema(s *schema.Schema) {
 	}
 }
 
-// analyzedState writes the preprocessing products: per-column statistics
-// and per-column keyword sets, both against a column ordinal table (schema
-// declaration order). Map keys are sorted so identical databases produce
-// identical bytes.
+// analyzedState writes the preprocessing product: per-column statistics
+// against a column ordinal table (schema declaration order). Map keys are
+// sorted so identical databases produce identical bytes.
 func (e snapshotEncoder) analyzedState(db *Database) {
 	ordinals := columnOrdinals(db.sch)
+	keys := make([]string, 0, len(db.stats))
+	for k := range db.stats {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
 	e.uvarint(uint64(len(db.stats)))
-	for _, k := range sortedKeys(db.stats) {
+	for _, k := range keys {
 		st := db.stats[k]
 		e.uvarint(uint64(ordinals[k]))
 		e.w.WriteByte(byte(st.Type))
@@ -294,26 +300,6 @@ func (e snapshotEncoder) analyzedState(db *Database) {
 		e.uvarint(uint64(st.NullCount))
 		e.uvarint(uint64(st.Distinct))
 	}
-
-	refs := columnRefs(db.sch)
-	e.uvarint(uint64(len(refs)))
-	for ord, ref := range refs {
-		set := db.columnKeywords[statsKey(ref)]
-		e.uvarint(uint64(ord))
-		e.uvarint(uint64(len(set)))
-		for _, kw := range sortedKeys(set) {
-			e.string(kw)
-		}
-	}
-}
-
-func sortedKeys[V any](m map[string]V) []string {
-	keys := make([]string, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }
 
 // columnOrdinals numbers every column in schema declaration order; the
@@ -670,36 +656,6 @@ func (d *snapshotDecoder) analyzedState(db *Database) error {
 			*f = int(v)
 		}
 		db.stats[keys[ord]] = st
-	}
-
-	numSets, err := d.count()
-	if err != nil {
-		return err
-	}
-	db.columnKeywords = make(map[string]map[string]struct{}, numSets)
-	for i := 0; i < numSets; i++ {
-		ord, err := d.ordinal(len(refs))
-		if err != nil {
-			return err
-		}
-		if _, dup := db.columnKeywords[keys[ord]]; dup {
-			return d.fail("two keyword sets for column ordinal %d", ord)
-		}
-		// Every keyword costs at least its length byte, so count bounds the
-		// set's size by the payload that is left.
-		numKeywords, err := d.count()
-		if err != nil {
-			return err
-		}
-		set := make(map[string]struct{}, numKeywords)
-		for k := 0; k < numKeywords; k++ {
-			kw, err := d.string()
-			if err != nil {
-				return err
-			}
-			set[kw] = struct{}{}
-		}
-		db.columnKeywords[keys[ord]] = set
 	}
 	db.analyzed = true
 	return nil

@@ -491,7 +491,7 @@ func (v Value) Key() string {
 }
 
 // Normalize returns the canonical case-insensitive keyword form of a value:
-// the key of the per-column keyword sets and of the executor's postings.
+// the key of the key dictionary's keyword table (exec.ColumnIndex.Text).
 func Normalize(s string) string {
 	return strings.ToLower(strings.TrimSpace(s))
 }

@@ -141,8 +141,9 @@ const (
 	EventDone = discovery.EventDone
 )
 
-// Engine preprocesses one source database (column statistics, per-column
-// keyword sets, Bayesian models) and answers discovery requests over it.
+// Engine preprocesses one source database (per-column key dictionaries,
+// column statistics, Bayesian models) and answers discovery requests over
+// it.
 type Engine struct {
 	inner *discovery.Engine
 	// sessionCacheCapacity bounds the filter-outcome cache of sessions

@@ -98,8 +98,8 @@ func (r *Registry) Register(name string, eng *Engine) {
 }
 
 // RegisterDatabase installs (or replaces) a custom database under the
-// name; preprocessing (statistics, per-column keyword sets, Bayesian
-// models) runs lazily on first Get.
+// name; preprocessing (key dictionaries, statistics, Bayesian models) runs
+// lazily on first Get.
 func (r *Registry) RegisterDatabase(name string, db *Database) {
 	r.RegisterOpener(name, func() (*Engine, error) { return NewEngine(db), nil })
 }

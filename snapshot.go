@@ -37,9 +37,8 @@ var (
 	ErrSnapshotVersion = mem.ErrSnapshotVersion
 )
 
-// Snapshot serializes the engine's source database — rows, schema,
-// statistics and per-column keyword sets, keyed by the database's data
-// version — to w. A later OpenSnapshot/ReadSnapshot of those bytes yields
+// Snapshot serializes the engine's source database — rows, schema and
+// statistics, keyed by the database's data version — to w. A later OpenSnapshot/ReadSnapshot of those bytes yields
 // an engine that produces byte-identical mapping sets.
 func (e *Engine) Snapshot(w io.Writer) error {
 	return e.Database().WriteSnapshot(w)
