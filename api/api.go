@@ -16,7 +16,9 @@
 //     codes back to the library's sentinel errors (see errors.go).
 //
 // Version v1 is append-only: fields may be added, existing fields and
-// codes keep their meaning.
+// codes keep their meaning. A retired request field ("parallelism",
+// "executor") is ignored by the decoders, so an old body is answered as if
+// it did not carry it; a retired response field or code is never reused.
 //
 // One endpoint is deliberately not JSON: GET /api/v1/metrics (MetricsPath)
 // serves the Prometheus text exposition format so standard scrapers can
@@ -49,9 +51,6 @@ type DiscoverRequest struct {
 	// TimeoutMs shortens the round's time budget below the server's
 	// limit (values above it are clamped).
 	TimeoutMs int `json:"timeoutMs,omitempty"`
-	// Executor selects the execution backend for the round ("columnar",
-	// "mem"; empty = the engine default, columnar).
-	Executor string `json:"executor,omitempty"`
 }
 
 // Mapping describes one discovered schema mapping query.
@@ -75,7 +74,6 @@ type CacheStats struct {
 // session refine rounds (which additionally carry the session fields).
 type DiscoverResponse struct {
 	Database    string    `json:"database"`
-	Executor    string    `json:"executor,omitempty"`
 	Mappings    []Mapping `json:"mappings"`
 	Candidates  int       `json:"candidates"`
 	Filters     int       `json:"filters"`
@@ -85,7 +83,7 @@ type DiscoverResponse struct {
 	Failure     string    `json:"failure,omitempty"`
 	Error       string    `json:"error,omitempty"`
 	// Code classifies Error for programmatic clients ("unknown_database",
-	// "unknown_executor", "bad_request", ...); see errors.go for the table.
+	// "invalid_request", "bad_request", ...); see errors.go for the table.
 	Code string `json:"code,omitempty"`
 	// SessionID, Round and Cache are set on session refine rounds.
 	SessionID string      `json:"sessionId,omitempty"`
@@ -187,7 +185,6 @@ type RefineRequest struct {
 	Policy     string `json:"policy,omitempty"`
 	MaxResults int    `json:"maxResults,omitempty"`
 	TimeoutMs  int    `json:"timeoutMs,omitempty"`
-	Executor   string `json:"executor,omitempty"`
 }
 
 // SessionCloseResponse is the body of DELETE /api/v1/session/{id}.

@@ -15,10 +15,10 @@ import (
 )
 
 // Sentinel errors of the wire API. ErrUnknownDatabase is the canonical
-// definition re-exported as prism.ErrUnknownDatabase; the table and
-// executor sentinels live in the exec package and are re-exported as
-// prism.ErrUnknownTable / prism.ErrUnknownExecutor; the admission
-// sentinels (ErrOverloaded, ErrDraining) live in the serve package.
+// definition re-exported as prism.ErrUnknownDatabase; the table sentinel
+// lives in the exec package and is re-exported as prism.ErrUnknownTable;
+// the admission sentinels (ErrOverloaded, ErrDraining) live in the serve
+// package.
 var (
 	// ErrUnknownDatabase reports a database name no engine is registered
 	// under (wire code "unknown_database").
@@ -45,13 +45,13 @@ var (
 	ErrInternal = fault.ErrInternal
 )
 
-// Wire error codes. The set is append-only within a version.
+// Wire error codes. The set is append-only within a version; a retired code
+// ("unknown_executor") is never reused.
 const (
 	CodeBadRequest       = "bad_request"
 	CodeInvalidRequest   = "invalid_request"
 	CodeUnknownDatabase  = "unknown_database"
 	CodeUnknownTable     = "unknown_table"
-	CodeUnknownExecutor  = "unknown_executor"
 	CodeUnknownSession   = "unknown_session"
 	CodeMethodNotAllowed = "method_not_allowed"
 	CodeOverloaded       = "overloaded"
@@ -83,8 +83,8 @@ func (e *Error) Error() string {
 }
 
 // Unwrap maps the wire code back to its sentinel, making errors.Is against
-// prism.ErrUnknownDatabase, prism.ErrUnknownTable, prism.ErrUnknownExecutor
-// and prism.ErrUnknownSession work on client-side errors. Codes without a
+// prism.ErrUnknownDatabase, prism.ErrUnknownTable and
+// prism.ErrUnknownSession work on client-side errors. Codes without a
 // sentinel (bad_request, ...) unwrap to nil.
 func (e *Error) Unwrap() error { return SentinelForCode(e.Code) }
 
@@ -98,8 +98,6 @@ func CodeForError(err error) string {
 		return CodeUnknownDatabase
 	case errors.Is(err, exec.ErrUnknownTable):
 		return CodeUnknownTable
-	case errors.Is(err, exec.ErrUnknownExecutor):
-		return CodeUnknownExecutor
 	case errors.Is(err, ErrUnknownSession):
 		return CodeUnknownSession
 	case errors.Is(err, ErrInvalidRequest):
@@ -123,8 +121,6 @@ func SentinelForCode(code string) error {
 		return ErrUnknownDatabase
 	case CodeUnknownTable:
 		return exec.ErrUnknownTable
-	case CodeUnknownExecutor:
-		return exec.ErrUnknownExecutor
 	case CodeUnknownSession:
 		return ErrUnknownSession
 	case CodeInvalidRequest:

@@ -12,7 +12,6 @@ func TestCodeSentinelRoundTrip(t *testing.T) {
 	sentinels := map[string]error{
 		CodeUnknownDatabase: ErrUnknownDatabase,
 		CodeUnknownTable:    exec.ErrUnknownTable,
-		CodeUnknownExecutor: exec.ErrUnknownExecutor,
 		CodeUnknownSession:  ErrUnknownSession,
 	}
 	for code, sentinel := range sentinels {

@@ -77,22 +77,6 @@ type LatencyStats struct {
 	P99Ms    float64 `json:"p99Ms"`
 }
 
-// PoolStats samples the scheduling loops of all running rounds
-// (prism/internal/sched): a round validates one filter at a time, on one
-// loop.
-type PoolStats struct {
-	// LiveWorkers is the number of scheduling loops currently running, one
-	// per round in its validation phase; ActiveValidations how many of
-	// them are executing a validation at the sampling instant.
-	LiveWorkers       int64 `json:"liveWorkers"`
-	ActiveValidations int64 `json:"activeValidations"`
-	// CompletedValidations is the lifetime validation count of the
-	// process.
-	CompletedValidations int64 `json:"completedValidations"`
-	// Utilization is ActiveValidations/LiveWorkers (0 with no loop running).
-	Utilization float64 `json:"utilization"`
-}
-
 // StatsResponse is the body of GET /api/v1/stats.
 type StatsResponse struct {
 	// UptimeMs is the time since the server started serving.
@@ -103,7 +87,6 @@ type StatsResponse struct {
 	// Latency has one entry per priority class in dispatch order, p50/p99
 	// in milliseconds over the sliding window.
 	Latency []LatencyStats `json:"latency"`
-	Pool    PoolStats      `json:"pool"`
 	// StreamStalls counts streaming rounds cancelled because their
 	// consumer could not keep up (backpressure).
 	StreamStalls int64 `json:"streamStalls"`

@@ -24,6 +24,7 @@ import (
 	"time"
 
 	"prism/internal/bayes"
+	"prism/internal/colexec"
 	"prism/internal/dataset"
 	"prism/internal/discovery"
 	"prism/internal/exec"
@@ -384,12 +385,17 @@ func runValidationPhase(ex exec.Executor, fx *schedulingFixture) (sched.Result, 
 func BenchmarkExecutorValidationPhase(b *testing.B) {
 	for _, fx := range validationPhaseFixtures(b) {
 		fx := fx
-		for _, executor := range []string{"mem", "columnar"} {
-			ex, err := exec.New(executor, fx.eng.Database())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.Run(fx.name+"/"+executor, func(b *testing.B) {
+		db := fx.eng.Database()
+		col, err := colexec.New(db)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, backend := range []struct {
+			name string
+			ex   exec.Executor
+		}{{"mem", db}, {"columnar", col}} {
+			ex := backend.ex
+			b.Run(fx.name+"/"+backend.name, func(b *testing.B) {
 				b.ReportAllocs()
 				for i := 0; i < b.N; i++ {
 					if _, err := runValidationPhase(ex, fx); err != nil {
@@ -413,7 +419,7 @@ func BenchmarkExecutorBuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := exec.New("columnar", db); err != nil {
+		if _, err := colexec.New(db); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -282,9 +282,35 @@ func TestDiscoverErrors(t *testing.T) {
 	}
 
 	req = paperGridRequest()
-	req.Executor = "gpu"
-	if _, err := ts.c.Discover(ctx, req); !errors.Is(err, prism.ErrUnknownExecutor) {
-		t.Errorf("unknown executor = %v", err)
+	req.Policy = "nonsense"
+	if _, err := ts.c.Discover(ctx, req); !errors.Is(err, prism.ErrInvalidRequest) {
+		t.Errorf("unknown policy = %v", err)
+	}
+
+	// An old client's body with the retired "executor" field is answered as
+	// if it did not carry it.
+	want, err := ts.c.Discover(ctx, paperGridRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(paperGridRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := append([]byte(`{"executor":"gpu",`), body[1:]...)
+	httpResp, err := http.Post(ts.srv.URL+api.PathPrefix+"/discover", "application/json", bytes.NewReader(old))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got api.DiscoverResponse
+	err = json.NewDecoder(httpResp.Body).Decode(&got)
+	httpResp.Body.Close()
+	if err != nil || httpResp.StatusCode != http.StatusOK {
+		t.Fatalf("retired executor field: status %d, %v", httpResp.StatusCode, err)
+	}
+	if got.Validations != want.Validations || len(got.Mappings) != len(want.Mappings) {
+		t.Errorf("retired executor field: %d validations, %d mappings; without it %d and %d",
+			got.Validations, len(got.Mappings), want.Validations, len(want.Mappings))
 	}
 
 	// A round that finds nothing fails with 422 and a bad_request code but

@@ -59,7 +59,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 	snapshot := fs.String("snapshot", "", "engine snapshot path: load the experiment database from it when present, else build normally and write it there; must match the run's -big/-scale/-seed")
 	markdown := fs.Bool("markdown", false, "emit markdown tables instead of plain text")
 	timeout := fs.Duration("timeout", 60*time.Second, "per-round discovery time limit, enforced as a context deadline")
-	executor := fs.String("executor", "", "execution backend: columnar (default) or mem")
 	remote := fs.String("remote", "", "base URL of a prism-demo server; the Table 1 walkthrough then runs remotely through the /api/v1 client (-exp t1 only)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the experiment run to this file (go tool pprof)")
 	memprofile := fs.String("memprofile", "", "write a heap profile taken after the experiment run to this file (go tool pprof)")
@@ -104,7 +103,7 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		default:
 			return fmt.Errorf("-remote runs the walkthrough only (use -exp t1); E1-E3 need local ground truth")
 		}
-		t, err := remoteTable1(ctx, *remote, *timeout, *executor)
+		t, err := remoteTable1(ctx, *remote, *timeout)
 		if err != nil {
 			return err
 		}
@@ -134,7 +133,6 @@ func run(ctx context.Context, args []string, out io.Writer) error {
 		CasesPerLevel:   *cases,
 		SchedulingCases: *schedCases,
 		TimeLimit:       *timeout,
-		Executor:        *executor,
 		Trace:           *traceFile != "",
 	}
 	// Cold start from a snapshot when one is on disk; otherwise build the
@@ -280,7 +278,7 @@ func writeSnapshotDatabase(path string, db *mem.Database) error {
 // paper's constraints are built with the typed Spec builder, encoded
 // structurally, and discovered over the server's "mondial" through the v1
 // client.
-func remoteTable1(ctx context.Context, baseURL string, timeout time.Duration, executor string) (*experiment.Table, error) {
+func remoteTable1(ctx context.Context, baseURL string, timeout time.Duration) (*experiment.Table, error) {
 	// Bench traffic declares itself batch-priority so it never competes
 	// with interactive rounds on a shared server, and retries through
 	// transient shedding (429) honouring the server's Retry-After hint.
@@ -309,7 +307,6 @@ func remoteTable1(ctx context.Context, baseURL string, timeout time.Duration, ex
 		Database:  "mondial",
 		Spec:      wireSpec,
 		TimeoutMs: timeoutMs,
-		Executor:  executor,
 	})
 	if err != nil {
 		return nil, err

@@ -72,7 +72,6 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 	metadata := fs.String("metadata", "", "metadata-constraint row, cells separated by '|'")
 	policy := fs.String("policy", string(prism.PolicyBayes), "scheduling policy: bayes, pathlength, random, oracle")
 	timeLimit := fs.Duration("timeout", 60*time.Second, "discovery time limit per round, enforced as a context deadline")
-	executor := fs.String("executor", "", "execution backend: columnar (default) or mem")
 	maxResults := fs.Int("max-results", 0, "cap on returned mapping queries (0 = all)")
 	showResults := fs.Bool("results", false, "execute each mapping and print a result preview")
 	stream := fs.Bool("stream", false, "stream mappings and progress as they are found instead of waiting for the round to finish")
@@ -120,7 +119,6 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 	opts := prism.Options{
 		Policy:         prism.Policy(*policy),
 		TimeLimit:      *timeLimit,
-		Executor:       *executor,
 		MaxResults:     *maxResults,
 		IncludeResults: *showResults,
 		ResultLimit:    10,
@@ -143,7 +141,6 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 					Policy:     *policy,
 					MaxResults: *maxResults,
 					TimeoutMs:  timeoutMs(*timeLimit),
-					Executor:   *executor,
 				},
 			}
 			label := fmt.Sprintf("%s at %s", *dbName, *remote)
@@ -159,7 +156,6 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 			Policy:     *policy,
 			MaxResults: *maxResults,
 			TimeoutMs:  timeoutMs(*timeLimit),
-			Executor:   *executor,
 		}
 		if *stream {
 			return remoteStreamRound(ctx, out, c, req, *showResults)
@@ -254,9 +250,6 @@ func timeoutMs(d time.Duration) int {
 // Report.Summary, so local and remote output read alike.
 func remoteSummary(resp *api.DiscoverResponse) string {
 	var b strings.Builder
-	if resp.Executor != "" {
-		fmt.Fprintf(&b, "executor=%s ", resp.Executor)
-	}
 	fmt.Fprintf(&b, "candidates=%d filters=%d validations=%d mappings=%d elapsed=%s",
 		resp.Candidates, resp.Filters, resp.Validations, len(resp.Mappings),
 		(time.Duration(resp.ElapsedMS) * time.Millisecond).String())

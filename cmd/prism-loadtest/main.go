@@ -154,9 +154,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "prism-loadtest: stats scrape failed: %v\n", err)
 	} else {
 		traj.ServerStats = stats
-		fmt.Printf("server: admitted=%d shed=%d streamStalls=%d pool-completed=%d\n",
-			stats.Admission.Admitted, stats.Admission.Shed, stats.StreamStalls,
-			stats.Pool.CompletedValidations)
+		fmt.Printf("server: admitted=%d shed=%d streamStalls=%d\n",
+			stats.Admission.Admitted, stats.Admission.Shed, stats.StreamStalls)
 	}
 
 	if *out != "" {

@@ -18,10 +18,8 @@ import (
 
 func main() {
 	// 1. Configuration: pick the Mondial source database (built
-	//    synthetically, with the rows the walkthrough relies on). Rounds run
-	//    on the columnar executor by default; prism.WithExecutor("mem")
-	//    would select the row-at-a-time reference engine instead — the
-	//    mapping sets are identical either way.
+	//    synthetically, with the rows the walkthrough relies on). Every
+	//    round runs on the engine's columnar executor.
 	eng, err := prism.Open("mondial")
 	if err != nil {
 		log.Fatal(err)

@@ -5,85 +5,16 @@ import (
 	"errors"
 	"slices"
 	"testing"
+
+	"prism/internal/discovery"
+	"prism/internal/exec"
 )
 
-// TestExecutorNames checks that both bundled backends are registered and
-// selectable through the public API.
-func TestExecutorNames(t *testing.T) {
-	names := ExecutorNames()
-	got := map[string]bool{}
-	for _, n := range names {
-		got[n] = true
-	}
-	if !got["mem"] || !got["columnar"] {
-		t.Fatalf("ExecutorNames = %v, want both mem and columnar", names)
-	}
-}
-
-// TestOpenWithExecutor checks the engine-default and per-round selection
-// paths and that they agree on the walkthrough mapping set.
-func TestOpenWithExecutor(t *testing.T) {
-	cfg := MondialConfig{
-		Seed: 11, Countries: 4, ProvincesPerCountry: 3, CitiesPerProvince: 2,
-		Lakes: 30, Rivers: 15, Mountains: 10,
-	}
-	spec, err := ParseConstraints(3,
-		[][]string{{"California || Nevada", "Lake Tahoe", ""}},
-		[]string{"", "", "DataType=='decimal' AND MinValue>='0'"})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sqls := func(executorOption, perRound string) []string {
-		opts := []OpenOption{WithMondialConfig(cfg)}
-		if executorOption != "" {
-			opts = append(opts, WithExecutor(executorOption))
-		}
-		eng, err := Open("mondial", opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		report, err := eng.Discover(context.Background(), spec, Options{Executor: perRound})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out []string
-		for _, m := range report.Mappings {
-			out = append(out, m.SQL)
-		}
-		if len(out) == 0 {
-			t.Fatal("no mappings")
-		}
-		return out
-	}
-
-	reference := sqls("mem", "")
-	for _, variant := range [][2]string{{"columnar", ""}, {"", ""}, {"mem", "columnar"}, {"", "mem"}} {
-		got := sqls(variant[0], variant[1])
-		if len(got) != len(reference) {
-			t.Fatalf("WithExecutor(%q)/Options.Executor(%q): %d mappings, want %d",
-				variant[0], variant[1], len(got), len(reference))
-		}
-		for i := range got {
-			if got[i] != reference[i] {
-				t.Fatalf("WithExecutor(%q)/Options.Executor(%q): mapping %d = %q, want %q",
-					variant[0], variant[1], i, got[i], reference[i])
-			}
-		}
-	}
-
-	if _, err := Open("mondial", WithMondialConfig(cfg), WithExecutor("gpu")); err != nil {
-		// Open builds lazily; the unknown name must surface on the first
-		// round instead.
-		t.Fatalf("Open should not fail eagerly on an unknown executor: %v", err)
-	}
-	eng, err := Open("mondial", WithMondialConfig(cfg), WithExecutor("gpu"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Discover(context.Background(), spec, Options{}); err == nil {
-		t.Error("a round on an unknown executor should fail")
-	}
+// engineOn is an engine over db that runs every plan on ex: the mem
+// reference engine (engineOn(db, db)) or a wrapped executor. The product
+// builds its own columnar executor; only tests hand one in.
+func engineOn(db *Database, ex exec.Executor) *Engine {
+	return &Engine{inner: discovery.NewEngineOn(db, ex)}
 }
 
 // TestNumericKeywordSpellings: related-column search accepts every spelling
@@ -96,6 +27,7 @@ func TestNumericKeywordSpellings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	engines := map[string]*Engine{"columnar": eng, "mem": engineOn(eng.Database(), eng.Database())}
 	var want []string
 	for _, area := range []string{"497", "497.0", "4.97e2", "0497", " 497 "} {
 		spec, err := ParseConstraints(2, [][]string{{"Lake Tahoe", area}}, nil)
@@ -103,7 +35,7 @@ func TestNumericKeywordSpellings(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, executor := range []string{"columnar", "mem"} {
-			report, err := eng.Discover(context.Background(), spec, Options{Executor: executor})
+			report, err := engines[executor].Discover(context.Background(), spec, Options{})
 			if err != nil {
 				t.Fatalf("area %q on %s: %v", area, executor, err)
 			}

@@ -84,6 +84,16 @@ var fuzzEngines = sync.OnceValue(func() map[string]*Engine {
 	return out
 })
 
+// fuzzReferenceEngines runs the mem reference engine over each fuzz
+// engine's database.
+var fuzzReferenceEngines = sync.OnceValue(func() map[string]*Engine {
+	out := make(map[string]*Engine, 3)
+	for name, eng := range fuzzEngines() {
+		out[name] = engineOn(eng.Database(), eng.Database())
+	}
+	return out
+})
+
 // fuzzSnapshotEngines round-trips every fuzz engine through the snapshot
 // codec once per process: the snapshot-loaded twin must behave
 // byte-identically to its freshly built original on every specification.
@@ -248,12 +258,8 @@ func FuzzEquivalence(f *testing.F) {
 		}
 
 		ctx := context.Background()
-		memOpts := opts
-		memOpts.Executor = "mem"
-		memReport, memErr := eng.Discover(ctx, spec, memOpts)
-		colOpts := opts
-		colOpts.Executor = "columnar"
-		colReport, colErr := eng.Discover(ctx, spec, colOpts)
+		memReport, memErr := fuzzReferenceEngines()[v.name].Discover(ctx, spec, opts)
+		colReport, colErr := eng.Discover(ctx, spec, opts)
 
 		// Both executors must agree on whether the round succeeds (errors
 		// here are spec-shaped: infeasible columns, no connecting
@@ -281,7 +287,7 @@ func FuzzEquivalence(f *testing.F) {
 			t.Fatalf("columnar diverges from mem:\nspec:\n%s--- mem ---\n%s--- columnar ---\n%s",
 				spec, want, got)
 		}
-		// The cold session round runs the default executor with a cache;
+		// The cold session round runs the columnar executor with a cache;
 		// its full digest (including the validation schedule) must match.
 		if got := fuzzDigest(coldReport); got != want {
 			t.Fatalf("cold session round diverges from mem:\nspec:\n%s--- mem ---\n%s--- session ---\n%s",
@@ -307,7 +313,7 @@ func FuzzEquivalence(f *testing.F) {
 		// database must be indistinguishable — identical mapping SQL set and
 		// order, previews, and the full validation schedule.
 		snapEng := fuzzSnapshotEngines()[v.name]
-		snapReport, snapErr := snapEng.Discover(ctx, spec, memOpts)
+		snapReport, snapErr := snapEng.Discover(ctx, spec, opts)
 		if snapErr != nil {
 			t.Fatalf("snapshot-loaded round failed where fresh succeeded: %v\nspec:\n%s", snapErr, spec)
 		}

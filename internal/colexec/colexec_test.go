@@ -313,27 +313,6 @@ func TestKeywordKeyConsistency(t *testing.T) {
 	}
 }
 
-// TestRegisteredFactory checks the exec registry wiring.
-func TestRegisteredFactory(t *testing.T) {
-	db := mondial(t)
-	ex, err := exec.New("columnar", db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.ExecutorName() != "columnar" {
-		t.Errorf("ExecutorName = %q", ex.ExecutorName())
-	}
-	found := false
-	for _, name := range exec.Names() {
-		if name == "columnar" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("columnar missing from registry: %v", exec.Names())
-	}
-}
-
 // BenchmarkValidationProbe measures the executor on the validation-shaped
 // workload (Exists with an equality push-down), columnar vs mem.
 func BenchmarkValidationProbe(b *testing.B) {

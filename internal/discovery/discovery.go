@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"prism/internal/bayes"
+	"prism/internal/colexec"
 	"prism/internal/constraint"
 	"prism/internal/exec"
 	"prism/internal/fault"
@@ -29,10 +30,6 @@ import (
 	"prism/internal/schema"
 	"prism/internal/sqlgen"
 	"prism/internal/value"
-
-	// Register the bundled execution backends so Options.Executor can name
-	// them ("mem" registers through the mem import above).
-	_ "prism/internal/colexec"
 )
 
 // Policy selects the filter-scheduling policy.
@@ -46,10 +43,21 @@ const (
 	PolicyPathLength Policy = "pathlength"
 	// PolicyRandom schedules filters in pseudo-random order.
 	PolicyRandom Policy = "random"
-	// PolicyOracle uses ground-truth outcomes; it is the optimum reference
-	// and is only available when ComputeGroundTruth is set.
+	// PolicyOracle uses ground-truth outcomes, computed by the round before
+	// it schedules; it is the optimum reference.
 	PolicyOracle Policy = "oracle"
 )
+
+// Validate reports whether p names a scheduling policy; the empty policy is
+// the default, PolicyBayes.
+func (p Policy) Validate() error {
+	switch p {
+	case "", PolicyBayes, PolicyPathLength, PolicyRandom, PolicyOracle:
+		return nil
+	}
+	return fmt.Errorf("discovery: unknown scheduling policy %q (known: %s, %s, %s, %s)",
+		string(p), PolicyBayes, PolicyPathLength, PolicyRandom, PolicyOracle)
+}
 
 // Options tune a discovery round.
 type Options struct {
@@ -78,10 +86,12 @@ type Options struct {
 	// Deprecated: ROADMAP item 0e removes it; the files under benchmark/
 	// still set it.
 	Parallelism int
-	// Executor selects the execution backend for this round by registry
-	// name ("columnar", "mem", ...). Empty selects the engine's default
-	// (normally exec.DefaultName). The mapping set is identical for every
-	// backend — executors differ only in how fast they answer.
+	// Executor is "" or "columnar" for the engine's executor and "mem" for
+	// the reference engine over the engine's database; any other name fails
+	// the round with exec.ErrUnknownExecutor.
+	//
+	// Deprecated: ROADMAP item 0e removes it; the files under benchmark/
+	// still set it. Reach the reference engine with NewEngineOn(db, db).
 	Executor string
 	// Trace records a span tree for the round — one span per pipeline
 	// phase (related → enumerate → decompose → schedule → assemble) with
@@ -151,8 +161,6 @@ type Report struct {
 	CandidatesPruned    int
 	// Policy names the scheduling policy used.
 	Policy string
-	// Executor names the execution backend the round ran on.
-	Executor string
 	// TimedOut reports whether the round hit the time limit before
 	// resolving every candidate (the paper reports this as a failure).
 	TimedOut bool
@@ -204,75 +212,63 @@ func (r *Report) Failure() string {
 
 // Engine runs discovery rounds over one source database. Creating an engine
 // performs the preprocessing the paper assumes: the per-column key
-// dictionaries, column statistics, and the Bayesian models. Plan execution goes
-// through a pluggable exec.Executor; backends are built lazily per engine,
-// cached, and selected per round with Options.Executor.
+// dictionaries, column statistics, and the Bayesian models. Every plan
+// execution goes through the engine's one exec.Executor.
 type Engine struct {
 	db    *mem.Database
 	model *bayes.Model
 	graph *graphx.Graph
 
-	defaultExecutor string
-	mu              sync.Mutex
-	executors       map[string]*executorEntry
+	// exOnce builds the columnar executor on first use, unless the engine
+	// was handed one (NewEngineOn); ex and exErr are what it left.
+	exOnce sync.Once
+	ex     exec.Executor
+	exErr  error
 }
 
-// executorEntry builds one named backend exactly once; concurrent rounds
-// wait on the build without holding the engine mutex, so cache hits on
-// already-built backends never stall behind another backend's build.
-type executorEntry struct {
-	once sync.Once
-	ex   exec.Executor
-	err  error
-}
-
-// NewEngine preprocesses the database and returns an engine whose default
-// execution backend is exec.DefaultName (the columnar engine).
+// NewEngine preprocesses the database and returns an engine over it. Its
+// executor is the columnar engine, built on the first round.
 func NewEngine(db *mem.Database) *Engine {
-	return NewEngineWithExecutor(db, "")
+	db.Analyze()
+	return &Engine{db: db, model: bayes.Train(db), graph: graphx.New(db.Schema())}
 }
 
-// NewEngineWithExecutor is NewEngine with an explicit default execution
-// backend ("" selects exec.DefaultName). The backend is built lazily on
-// first use; an unknown name surfaces as an error from the first round.
-func NewEngineWithExecutor(db *mem.Database, executor string) *Engine {
-	db.Analyze()
-	return &Engine{
-		db:              db,
-		model:           bayes.Train(db),
-		graph:           graphx.New(db.Schema()),
-		defaultExecutor: executor,
-		executors:       make(map[string]*executorEntry),
-	}
+// NewEngineOn is NewEngine with the executor given as a value: the reference
+// engine (NewEngineOn(db, db)) in the equivalence tests, or a wrapped
+// executor in tests that hook its probes.
+func NewEngineOn(db *mem.Database, ex exec.Executor) *Engine {
+	e := NewEngine(db)
+	e.exOnce.Do(func() { e.ex = ex })
+	return e
 }
 
 // Database returns the underlying database.
 func (e *Engine) Database() *mem.Database { return e.db }
 
-// Executor returns the named execution backend over the engine's database,
-// building and caching it on first use. The empty name selects the
-// engine's default backend.
-func (e *Engine) Executor(name string) (exec.Executor, error) {
-	if name == "" {
-		name = e.defaultExecutor
+// Executor returns the engine's executor, building the columnar engine over
+// the database on first use.
+func (e *Engine) Executor() (exec.Executor, error) {
+	e.exOnce.Do(func() { e.ex, e.exErr = colexec.New(e.db) })
+	return e.ex, e.exErr
+}
+
+// executorFor answers the deprecated Options.Executor with the engine's own
+// two engines.
+func (e *Engine) executorFor(name string) (exec.Executor, error) {
+	switch name {
+	case "", exec.DefaultName:
+		return e.Executor()
+	case "mem":
+		return e.db, nil
 	}
-	key := exec.CanonicalName(name)
-	e.mu.Lock()
-	entry, ok := e.executors[key]
-	if !ok {
-		entry = &executorEntry{}
-		e.executors[key] = entry
-	}
-	e.mu.Unlock()
-	entry.once.Do(func() { entry.ex, entry.err = exec.New(name, e.db) })
-	return entry.ex, entry.err
+	return nil, fmt.Errorf("%w %q", exec.ErrUnknownExecutor, name)
 }
 
 // SampleRows returns up to limit rows of the named source table (limit <= 0
 // returns all rows); demo surfaces use it for dataset previews. The fetch
-// goes through the engine's default execution backend.
+// goes through the engine's executor.
 func (e *Engine) SampleRows(table string, limit int) ([]value.Tuple, error) {
-	ex, err := e.Executor("")
+	ex, err := e.Executor()
 	if err != nil {
 		return nil, err
 	}
@@ -446,11 +442,12 @@ func (e *Engine) run(ctx context.Context, spec *constraint.Spec, opts Options, e
 	}
 	defer r.finish()
 
-	if r.executor, err = e.Executor(opts.Executor); err != nil {
+	if err := opts.Policy.Validate(); err != nil {
+		return report, err
+	}
+	if r.executor, err = e.executorFor(opts.Executor); err != nil {
 		return report, fmt.Errorf("discovery: %w", err)
 	}
-	report.Executor = r.executor.ExecutorName()
-	r.trace.SetAttr("executor", report.Executor)
 
 	stages := []func() error{r.relate, r.enumerate, r.decompose, r.estimate, r.schedule}
 	stop, err := r.settle(nil) // a round handed a dead context runs no stage
@@ -586,8 +583,6 @@ func (r *round) estimate() error {
 			return fmt.Errorf("discovery: computing oracle ground truth: %w", err)
 		}
 		r.estimator = sched.NewOracle(r.set, truth)
-	default:
-		return fmt.Errorf("discovery: unknown scheduling policy %q", r.opts.Policy)
 	}
 	return nil
 }
@@ -719,12 +714,8 @@ func (r *round) assemble() error {
 // Summary renders a short human-readable description of the report.
 func (r *Report) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "policy=%s", r.Policy)
-	if r.Executor != "" {
-		fmt.Fprintf(&b, " executor=%s", r.Executor)
-	}
-	fmt.Fprintf(&b, " candidates=%d filters=%d validations=%d (+%d implied) mappings=%d elapsed=%s",
-		r.CandidatesEnumerated, r.FiltersGenerated, r.Validations, r.Implied, len(r.Mappings), r.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(&b, "policy=%s candidates=%d filters=%d validations=%d (+%d implied) mappings=%d elapsed=%s",
+		r.Policy, r.CandidatesEnumerated, r.FiltersGenerated, r.Validations, r.Implied, len(r.Mappings), r.Elapsed.Round(time.Millisecond))
 	if !r.Cache.IsZero() {
 		fmt.Fprintf(&b, " cache=%d/%d hits (validations saved)", r.Cache.Hits, r.Cache.Hits+r.Cache.Misses)
 	}

@@ -175,8 +175,14 @@ func TestDiscoverPolicies(t *testing.T) {
 
 func TestDiscoverUnknownPolicy(t *testing.T) {
 	e := NewEngine(smallMondial(t))
-	if _, err := e.Discover(context.Background(), paperSpec(t), Options{Policy: Policy("nonsense")}); err == nil {
-		t.Error("unknown policy should fail")
+	report, err := e.Discover(context.Background(), paperSpec(t), Options{Policy: Policy("nonsense")})
+	if err == nil {
+		t.Fatal("unknown policy should fail")
+	}
+	// It fails before related-column search, not after enumeration.
+	if report.Related != nil || report.CandidatesEnumerated != 0 {
+		t.Errorf("an unknown policy ran the round's front half: %d related columns, %d candidates",
+			len(report.Related), report.CandidatesEnumerated)
 	}
 }
 

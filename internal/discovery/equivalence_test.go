@@ -3,25 +3,27 @@ package discovery
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"testing"
 
+	"prism/internal/colexec"
 	"prism/internal/constraint"
 	"prism/internal/dataset"
 	"prism/internal/exec"
 	"prism/internal/mem"
 )
 
-// executors lists every registered execution backend; the equivalence tests
-// below sweep all of them so a new backend is covered the moment it
-// registers.
-func executors(t *testing.T) []string {
-	t.Helper()
-	names := exec.Names()
-	if len(names) < 2 {
-		t.Fatalf("expected at least the mem and columnar executors, got %v", names)
-	}
-	return names
+// backend is one executor under test: the columnar engine every product
+// round runs on, or the mem reference engine reached as a value.
+type backend struct {
+	name   string
+	engine func(db *mem.Database) *Engine
+}
+
+// backends lists the executors the equivalence tests sweep; a new executor
+// is covered by adding it here.
+var backends = []backend{
+	{"mem", func(db *mem.Database) *Engine { return NewEngineOn(db, db) }},
+	{"columnar", NewEngine},
 }
 
 // reportDigest reduces a report to the executor-independent facts two
@@ -54,22 +56,17 @@ func reportDigest(t *testing.T, r *Report) string {
 
 // discoverWith runs one round on the given backend and fails the test on a
 // round error.
-func discoverWith(t *testing.T, db *mem.Database, spec *constraint.Spec, opts Options, executor string) *Report {
+func discoverWith(t *testing.T, db *mem.Database, spec *constraint.Spec, opts Options, b backend) *Report {
 	t.Helper()
-	e := NewEngine(db)
-	opts.Executor = executor
-	report, err := e.Discover(context.Background(), spec, opts)
+	report, err := b.engine(db).Discover(context.Background(), spec, opts)
 	if err != nil {
-		t.Fatalf("Discover(executor=%q): %v", executor, err)
-	}
-	if report.Executor != executor {
-		t.Fatalf("report.Executor = %q, want %q", report.Executor, executor)
+		t.Fatalf("Discover on %s: %v", b.name, err)
 	}
 	return report
 }
 
 // TestExecutorEquivalenceAcrossDatasets is the acceptance gate of the
-// columnar engine: on every bundled data set, every registered backend must
+// columnar engine: on every bundled data set, every backend must
 // produce the identical mapping set, result previews, and validation
 // schedule as the mem reference. The digest includes the validation and
 // implication counters.
@@ -124,18 +121,15 @@ func TestExecutorEquivalenceAcrossDatasets(t *testing.T) {
 				t.Fatal(err)
 			}
 			opts := Options{IncludeResults: true, ResultLimit: 5}
-			reference := discoverWith(t, db, spec, opts, "mem")
+			reference := discoverWith(t, db, spec, opts, backends[0])
 			if len(reference.Mappings) == 0 {
 				t.Fatalf("reference round found no mappings — the fixture is too weak to test equivalence")
 			}
 			want := reportDigest(t, reference)
-			for _, name := range executors(t) {
-				if name == "mem" {
-					continue
-				}
-				got := reportDigest(t, discoverWith(t, db, spec, opts, name))
+			for _, b := range backends[1:] {
+				got := reportDigest(t, discoverWith(t, db, spec, opts, b))
 				if got != want {
-					t.Errorf("executor %q diverges from mem reference:\n--- mem ---\n%s--- %s ---\n%s", name, want, name, got)
+					t.Errorf("executor %q diverges from mem reference:\n--- mem ---\n%s--- %s ---\n%s", b.name, want, b.name, got)
 				}
 			}
 		})
@@ -152,12 +146,12 @@ func TestExecutorEquivalencePolicies(t *testing.T) {
 		policy := policy
 		t.Run(string(policy), func(t *testing.T) {
 			var want string
-			for _, name := range executors(t) {
-				digest := reportDigest(t, discoverWith(t, db, spec, Options{Policy: policy}, name))
+			for _, b := range backends {
+				digest := reportDigest(t, discoverWith(t, db, spec, Options{Policy: policy}, b))
 				if want == "" {
 					want = digest
 				} else if digest != want {
-					t.Errorf("executor %q diverges under policy %s", name, policy)
+					t.Errorf("executor %q diverges under policy %s", b.name, policy)
 				}
 			}
 		})
@@ -179,8 +173,8 @@ func TestRoundsRepeatExactly(t *testing.T) {
 		return string(b)
 	}
 	for _, policy := range []Policy{PolicyBayes, PolicyPathLength, PolicyRandom, PolicyOracle} {
-		for _, name := range executors(t) {
-			e := NewEngineWithExecutor(db, name)
+		for _, b := range backends {
+			name, e := b.name, b.engine(db)
 			var want string
 			for round := 0; round < 20; round++ {
 				report, err := e.Discover(context.Background(), spec, Options{Policy: policy})
@@ -197,40 +191,31 @@ func TestRoundsRepeatExactly(t *testing.T) {
 	}
 }
 
-// TestDiscoverUnknownExecutor verifies the error path for a bad backend
-// name.
-func TestDiscoverUnknownExecutor(t *testing.T) {
-	e := NewEngine(smallMondial(t))
-	_, err := e.Discover(context.Background(), paperSpec(t), Options{Executor: "gpu"})
-	if err == nil {
-		t.Fatal("unknown executor should fail the round")
-	}
-}
-
-// TestEngineExecutorCaching verifies that repeated selections share one
-// built executor per name.
+// TestEngineExecutorCaching verifies that an engine builds its columnar
+// executor once and that NewEngineOn runs on the executor it was handed.
 func TestEngineExecutorCaching(t *testing.T) {
-	e := NewEngine(smallMondial(t))
-	a, err := e.Executor("columnar")
+	db := smallMondial(t)
+	e := NewEngine(db)
+	a, err := e.Executor()
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := e.Executor("")
+	b, err := e.Executor()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a != b {
-		t.Error("default executor should be the cached columnar instance")
+		t.Error("the engine should build its executor once")
 	}
-	m, err := e.Executor("mem")
+	if _, ok := a.(*colexec.Executor); !ok {
+		t.Errorf("NewEngine runs on %T, want the columnar engine", a)
+	}
+	m, err := NewEngineOn(db, db).Executor()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.ExecutorName() != "mem" {
-		t.Errorf("ExecutorName = %q, want mem", m.ExecutorName())
-	}
-	if reflect.TypeOf(m) == reflect.TypeOf(a) {
-		t.Error("mem and columnar should be distinct implementations")
+	if m != exec.Executor(db) {
+		t.Errorf("NewEngineOn(db, db) runs on %T, want the database itself", m)
 	}
 }
 

@@ -22,9 +22,9 @@ import (
 //
 // A session is safe for concurrent use: rounds may overlap (they share the
 // cache, which only ever stores ground truths) and the constraint state is
-// updated atomically per round. Outcomes are independent of the execution
-// backend and scheduling policy, so rounds of one session may switch
-// Options.Executor or Options.Policy freely and keep hitting the cache.
+// updated atomically per round. Outcomes are independent of the executor
+// and the scheduling policy, so rounds of one session may switch
+// Options.Policy freely and keep hitting the cache.
 type Session struct {
 	eng   *Engine
 	cache *filter.OutcomeCache

@@ -114,23 +114,20 @@ func TestSessionRefineValidatesOnlyTheDelta(t *testing.T) {
 }
 
 func TestSessionCacheIsExecutorIndependent(t *testing.T) {
-	eng := NewEngine(smallMondial(t))
-	sess := eng.NewSession(0)
+	db := smallMondial(t)
+	sess := NewEngineOn(db, db).NewSession(0)
 	spec := paperSpec(t)
 
-	optsMem := sessionOpts()
-	optsMem.Executor = "mem"
-	cold, err := sess.Discover(context.Background(), spec, optsMem)
+	cold, err := sess.Discover(context.Background(), spec, sessionOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	// Outcomes are ground truths of the database, not of the backend: a
-	// warm round on the columnar engine reuses everything the mem round
-	// established.
-	optsCol := sessionOpts()
-	optsCol.Executor = "columnar"
-	warm, err := sess.Discover(context.Background(), spec, optsCol)
+	// Outcomes are ground truths of the database, not of the backend: the
+	// session moved onto a columnar engine over the same database reuses
+	// everything the reference engine established.
+	sess.eng = NewEngine(db)
+	warm, err := sess.Discover(context.Background(), spec, sessionOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -236,7 +236,7 @@ func TestSelectionMemoReachesTheRound(t *testing.T) {
 		t.Errorf("second run: %d validations, %d implied, cost %+v; first %d, %d, %+v",
 			again.Validations, again.Implied, again.Cost, first.Validations, first.Implied, first.Cost)
 	}
-	ref, err := e.Discover(context.Background(), spec, Options{Executor: "mem"})
+	ref, err := NewEngineOn(db, db).Discover(context.Background(), spec, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

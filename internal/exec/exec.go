@@ -6,16 +6,15 @@
 // The paper runs Prism "on top of a conventional DBMS"; this package is the
 // seam that keeps the pipeline independent of which engine that is. Two
 // implementations ship with the repository: the row-at-a-time reference
-// engine (package mem, which also owns row storage and preprocessing) and a
-// columnar engine with prebuilt hash indexes (package colexec). New
-// backends register a Factory under a name and become selectable through
-// prism.Options.Executor — see docs/executors.md for the recipe.
+// engine (package mem, which also owns row storage and preprocessing) and
+// the columnar engine every product round runs on (package colexec). An
+// executor is handed to the discovery engine as a value; docs/executors.md
+// has the recipe for adding one.
 package exec
 
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 
 	"prism/internal/schema"
@@ -23,7 +22,9 @@ import (
 )
 
 // ErrUnknownExecutor is wrapped by New when no factory is registered under
-// the requested name; servers use it to classify the failure for clients.
+// the requested name.
+//
+// Deprecated: ROADMAP item 0e deletes it with the registry.
 var ErrUnknownExecutor = errors.New("exec: unknown executor")
 
 // ErrUnknownTable is wrapped by executor implementations when a request
@@ -71,11 +72,9 @@ type Source interface {
 // every executor returns the same result rows in the same order (execution
 // statistics may differ, since they count the work the backend actually
 // did). The cross-executor equivalence tests in package discovery enforce
-// this for each registered backend.
+// this for both backends.
 type Executor interface {
 	Metadata
-	// ExecutorName identifies the backend ("mem", "columnar", ...).
-	ExecutorName() string
 	// ExecuteWith runs the plan under the given options.
 	ExecuteWith(p Plan, opts ExecOptions) (*Result, error)
 	// Exists reports whether the plan produces at least one tuple
@@ -98,14 +97,15 @@ type Executor interface {
 	SampleRows(table string, limit int) ([]value.Tuple, error)
 }
 
-// DefaultName is the executor used when none is selected explicitly. The
-// columnar engine is the default; the row-at-a-time mem engine remains the
-// reference implementation that tests cross-check against.
+// DefaultName is the registry name of the columnar executor.
+//
+// Deprecated: ROADMAP item 0e deletes it with the registry; the files under
+// benchmark/ still call New(DefaultName, db).
 const DefaultName = "columnar"
 
-// Factory builds an executor over a source. Factories should do all
-// one-time work (column stores, hash indexes) up front so the executor is
-// read-only and concurrency-safe afterwards.
+// Factory builds an executor over a source.
+//
+// Deprecated: ROADMAP item 0e deletes it with the registry.
 type Factory func(src Source) (Executor, error)
 
 var (
@@ -113,63 +113,27 @@ var (
 	registry   = make(map[string]Factory)
 )
 
-// Register installs (or replaces) a named executor factory. Backends call
-// it from an init function; selecting a backend by name then only requires
-// importing its package for side effects.
+// Register installs (or replaces) a named executor factory. Only colexec
+// registers, under DefaultName.
+//
+// Deprecated: ROADMAP item 0e deletes it with the registry.
 func Register(name string, f Factory) {
 	registryMu.Lock()
 	defer registryMu.Unlock()
-	registry[normalize(name)] = f
+	registry[name] = f
 }
 
-// CanonicalName reduces an executor name to its registry key (lower-case,
-// whitespace stripped; the empty name maps to DefaultName). Callers that
-// cache executors by name should key on it so every spelling of one
-// backend shares an instance.
-func CanonicalName(name string) string {
-	key := normalize(name)
-	if key == "" {
-		key = DefaultName
-	}
-	return key
-}
-
-// New builds the named executor over src. The empty name selects
-// DefaultName.
+// New builds the named executor over src. Product code builds its executor
+// by value (colexec.New) and never calls it.
+//
+// Deprecated: ROADMAP item 0e deletes it with the registry; the files under
+// benchmark/ still call it.
 func New(name string, src Source) (Executor, error) {
-	key := CanonicalName(name)
 	registryMu.RLock()
-	f, ok := registry[key]
+	f, ok := registry[name]
 	registryMu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w %q (registered: %v)", ErrUnknownExecutor, name, Names())
+		return nil, fmt.Errorf("%w %q", ErrUnknownExecutor, name)
 	}
 	return f(src)
-}
-
-// Names lists the registered executor names, sorted.
-func Names() []string {
-	registryMu.RLock()
-	defer registryMu.RUnlock()
-	names := make([]string, 0, len(registry))
-	for name := range registry {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-func normalize(name string) string {
-	out := make([]byte, 0, len(name))
-	for i := 0; i < len(name); i++ {
-		c := name[i]
-		if c == ' ' || c == '\t' {
-			continue
-		}
-		if 'A' <= c && c <= 'Z' {
-			c += 'a' - 'A'
-		}
-		out = append(out, c)
-	}
-	return string(out)
 }

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"errors"
 	"testing"
 
 	"prism/internal/schema"
@@ -89,21 +90,12 @@ func TestStartTableSmallestFirst(t *testing.T) {
 }
 
 func TestRegistry(t *testing.T) {
-	if _, err := New("definitely-not-registered", nil); err == nil {
-		t.Error("unknown executor should error")
+	if _, err := New("definitely-not-registered", nil); !errors.Is(err, ErrUnknownExecutor) {
+		t.Errorf("unknown executor: err = %v, want ErrUnknownExecutor", err)
 	}
-	Register("Test Backend", func(src Source) (Executor, error) { return nil, nil })
-	found := false
-	for _, name := range Names() {
-		if name == "testbackend" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("normalized name missing from %v", Names())
-	}
-	if _, err := New("  TEST backend ", nil); err != nil {
-		t.Errorf("case/space-insensitive lookup failed: %v", err)
+	Register("test-backend", func(src Source) (Executor, error) { return nil, nil })
+	if _, err := New("test-backend", nil); err != nil {
+		t.Errorf("registered factory not found: %v", err)
 	}
 }
 

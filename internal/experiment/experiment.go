@@ -111,10 +111,6 @@ type Config struct {
 	// MaxTables bounds candidate join trees (default 3 to keep the
 	// experiment suite fast; the library default is 4).
 	MaxTables int
-	// Executor selects the execution backend for every round and ground
-	// truth computation ("" = the engine default, columnar). Validation
-	// counts are identical across backends; wall-clock times are not.
-	Executor string
 	// Trace enables round tracing (discovery.Options.Trace) for every
 	// discovery round of the suite; the Runner keeps the last round's span
 	// tree in LastTrace for the caller to dump.
@@ -159,8 +155,8 @@ func (c Config) withDefaults() Config {
 type Runner struct {
 	Config Config
 	DB     *mem.Database
-	// Exec is the execution backend named by Config.Executor, shared by the
-	// scheduling comparison and the discovery rounds.
+	// Exec is the engine's executor, shared by the scheduling comparison and
+	// the discovery rounds.
 	Exec   exec.Executor
 	Engine *discovery.Engine
 	Gen    *workload.Generator
@@ -187,13 +183,12 @@ func NewRunner(cfg Config) (*Runner, error) {
 	r := &Runner{
 		Config: cfg,
 		DB:     db,
-		Engine: discovery.NewEngineWithExecutor(db, cfg.Executor),
+		Engine: discovery.NewEngine(db),
 		Gen:    gen,
 	}
-	// Resolve the backend once so a bad name fails at construction, and so
-	// the scheduling comparison probes the same executor instance the
-	// discovery rounds use.
-	ex, err := r.Engine.Executor(cfg.Executor)
+	// Build the executor once, so the scheduling comparison probes the same
+	// instance the discovery rounds use.
+	ex, err := r.Engine.Executor()
 	if err != nil {
 		return nil, fmt.Errorf("experiment: %w", err)
 	}
@@ -226,7 +221,6 @@ func (r *Runner) sweepLevel(ctx context.Context, level workload.Level) (levelMet
 		report, err := r.Engine.Discover(ctx, tc.Spec, discovery.Options{
 			TimeLimit: r.Config.TimeLimit,
 			MaxTables: r.Config.MaxTables,
-			Executor:  r.Config.Executor,
 			Trace:     r.Config.Trace,
 		})
 		if report != nil && report.Trace != nil {
@@ -452,7 +446,6 @@ func (r *Runner) RunTable1(ctx context.Context) (*Table, error) {
 	report, err := r.Engine.Discover(ctx, spec, discovery.Options{
 		TimeLimit:      r.Config.TimeLimit,
 		MaxTables:      r.Config.MaxTables,
-		Executor:       r.Config.Executor,
 		IncludeResults: true,
 		ResultLimit:    5,
 		Trace:          r.Config.Trace,

@@ -17,22 +17,6 @@ var (
 	_ exec.Source   = (*Database)(nil)
 )
 
-// init registers the reference executor. The factory requires the source to
-// be a *mem.Database because this executor scans mem's row storage
-// directly.
-func init() {
-	exec.Register("mem", func(src exec.Source) (exec.Executor, error) {
-		db, ok := src.(*Database)
-		if !ok {
-			return nil, fmt.Errorf("mem: executor requires a *mem.Database source, got %T", src)
-		}
-		return db, nil
-	})
-}
-
-// ExecutorName implements exec.Executor.
-func (db *Database) ExecutorName() string { return "mem" }
-
 // SampleRows implements exec.Executor: the first limit rows of the table in
 // storage order (limit <= 0 returns all rows). Rows are copied, so callers
 // may mutate them freely.

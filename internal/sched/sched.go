@@ -545,7 +545,7 @@ func (s *run) preloadCache() {
 	}
 }
 
-// loop is the greedy loop. It is the run's one worker in the pool gauge.
+// loop is the greedy loop.
 func (s *run) loop(done chan<- struct{}) {
 	defer close(done)
 	defer func() {
@@ -553,8 +553,6 @@ func (s *run) loop(done chan<- struct{}) {
 			s.panicked = rec
 		}
 	}()
-	pool.liveWorkers.Add(1)
-	defer pool.liveWorkers.Add(-1)
 	s.mu.Lock()
 	defer func() {
 		s.exited = true
@@ -606,7 +604,6 @@ func (s *run) step() bool {
 func (s *run) validate(idx int) (vr filter.ValidationResult, err error) {
 	s.mu.Unlock()
 	defer s.mu.Lock()
-	pool.active.Add(1)
 	f := s.set.Filters[idx]
 	sp := s.trace.Child("validate")
 	if sp != nil {
@@ -622,8 +619,6 @@ func (s *run) validate(idx int) (vr filter.ValidationResult, err error) {
 			SetCostAttrs(sp, vr.Cost)
 			sp.End()
 		}
-		pool.active.Add(-1)
-		pool.completed.Add(1)
 	}()
 	if err = faultValidate.Hit(); err != nil {
 		return vr, err

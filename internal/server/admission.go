@@ -4,8 +4,8 @@ package server
 // admission controller (prism/internal/serve) before it may start, so a
 // multi-tenant deployment degrades by shedding load with 429 + Retry-After
 // instead of queueing unboundedly, and GET /api/v1/stats exposes the
-// controller, per-class latency quantiles and the scheduling-loop gauges
-// for scrapers (prism-loadtest, dashboards, the CI regression leg).
+// controller and per-class latency quantiles for scrapers (prism-loadtest,
+// dashboards, the CI regression leg).
 
 import (
 	"context"
@@ -16,7 +16,6 @@ import (
 	"time"
 
 	"prism/api"
-	"prism/internal/sched"
 	"prism/internal/serve"
 )
 
@@ -93,8 +92,8 @@ func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
 }
 
 // handleStats serves GET /api/v1/stats: admission counters (global and
-// per-tenant), per-class latency quantiles over the sliding window, the
-// validation worker-pool gauge and the stream-stall counter.
+// per-tenant), per-class latency quantiles over the sliding window and the
+// stream-stall counter.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeAPIError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "use GET")
@@ -134,13 +133,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 			l.P50Ms, l.P99Ms = h.Quantile(0.5), h.Quantile(0.99)
 		}
 		resp.Latency = append(resp.Latency, l)
-	}
-	pool := sched.PoolSnapshot()
-	resp.Pool = api.PoolStats{
-		LiveWorkers:          pool.LiveWorkers,
-		ActiveValidations:    pool.ActiveValidations,
-		CompletedValidations: pool.CompletedValidations,
-		Utilization:          pool.Utilization(),
 	}
 	writeJSON(w, http.StatusOK, resp)
 }

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -153,42 +154,74 @@ func TestPriorityHeaderValidation(t *testing.T) {
 	}
 }
 
-// TestRetiredWireFieldIgnored: the wire field "parallelism" is gone,
-// and a body from a client that still sends it — any value — is answered
-// like the same body without it.
+// TestRetiredWireFieldIgnored: the wire fields "parallelism" and "executor"
+// are gone, and a body from a client that still sends one — any value — is
+// answered like the same body without it, on the unary, stream and session
+// refine endpoints.
 func TestRetiredWireFieldIgnored(t *testing.T) {
 	h := testServer(t).Handler()
-	post := func(body string) api.DiscoverResponse {
+	// round answers one body on one endpoint: the response of the unary and
+	// refine endpoints, the done event's result of the stream. Each refine
+	// opens a fresh session, so every round is cold.
+	round := func(endpoint, body string) api.DiscoverResponse {
 		t.Helper()
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/discover", strings.NewReader(body)))
-		if rec.Code != http.StatusOK {
-			t.Fatalf("status = %d, want 200 (body %s)", rec.Code, rec.Body.String())
+		path := "/api/v1" + endpoint
+		if endpoint == "/session/refine" {
+			path = "/api/v1/session/" + createSession(t, h).SessionID + "/refine"
 		}
-		var resp api.DiscoverResponse
-		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status = %d, want 200 (body %s)", endpoint, rec.Code, rec.Body.String())
+		}
+		if endpoint != "/discover/stream" {
+			var resp api.DiscoverResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Fatal(err)
+			}
+			return resp
+		}
+		lines := strings.Split(strings.TrimSpace(rec.Body.String()), "\n")
+		var done api.StreamEvent
+		if err := json.Unmarshal([]byte(lines[len(lines)-1]), &done); err != nil || done.Result == nil {
+			t.Fatalf("stream: last line %q is no done event (%v)", lines[len(lines)-1], err)
+		}
+		return *done.Result
+	}
+	sqls := func(resp api.DiscoverResponse) []string {
+		var out []string
+		for _, m := range resp.Mappings {
+			out = append(out, m.SQL)
+		}
+		return out
+	}
+	req := paperRequest()
+	for endpoint, v := range map[string]any{
+		"/discover":        req,
+		"/discover/stream": req,
+		"/session/refine":  api.RefineRequest{NumColumns: req.NumColumns, Samples: req.Samples, Metadata: req.Metadata},
+	} {
+		body, err := json.Marshal(v)
+		if err != nil {
 			t.Fatal(err)
 		}
-		return resp
-	}
-	body, err := json.Marshal(paperRequest())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := post(string(body))
-	for _, value := range []string{"4", "-2"} {
-		got := post(`{"parallelism":` + value + "," + string(body[1:]))
-		if got.Validations != want.Validations || len(got.Mappings) != len(want.Mappings) || len(got.Mappings) == 0 {
-			t.Errorf("parallelism %s: %d validations, %d mappings; without the field %d and %d",
-				value, got.Validations, len(got.Mappings), want.Validations, len(want.Mappings))
+		want := round(endpoint, string(body))
+		if len(want.Mappings) == 0 {
+			t.Fatalf("%s: the plain body found no mappings", endpoint)
+		}
+		for _, field := range []string{`"parallelism":4`, `"parallelism":-2`, `"executor":"gpu"`, `"executor":"mem"`} {
+			got := round(endpoint, "{"+field+","+string(body[1:]))
+			if got.Validations != want.Validations || !slices.Equal(sqls(got), sqls(want)) {
+				t.Errorf("%s with %s: %d validations, mappings %q; without the field %d and %q",
+					endpoint, field, got.Validations, sqls(got), want.Validations, sqls(want))
+			}
 		}
 	}
 }
 
 // TestStatsEndpoint pins the observability surface: after one admitted
 // round, GET /api/v1/stats reports the admission counters, the tenant
-// breakdown, one latency entry per priority class, and the worker-pool
-// gauge.
+// breakdown and one latency entry per priority class.
 func TestStatsEndpoint(t *testing.T) {
 	s := testServer(t)
 	h := s.Handler()
@@ -230,9 +263,6 @@ func TestStatsEndpoint(t *testing.T) {
 		case want != api.PriorityNormal && l != (api.LatencyStats{Priority: want}):
 			t.Errorf("idle class latency = %+v, want zeros", l)
 		}
-	}
-	if stats.Pool.CompletedValidations < 1 {
-		t.Errorf("pool completed validations = %d, want >= 1", stats.Pool.CompletedValidations)
 	}
 
 	// Wrong method gets the structured 405.

@@ -8,6 +8,11 @@ import (
 	"testing"
 )
 
+// unknownPolicyBody is the paper walkthrough, which finds mappings, under a
+// policy that does not exist: it is refused before the round starts.
+const unknownPolicyBody = `{"database":"mondial","numColumns":3,"samples":[["California || Nevada","Lake Tahoe",""]],` +
+	`"metadata":["","","DataType=='decimal' AND MinValue>='0'"],"policy":"nonsense"}`
+
 // TestStructuredAPIErrors is the contract of the JSON API's failure mode:
 // every bad request to /api/v1/sample, /api/v1/discover and /api/v1/discover/stream
 // comes back as a JSON body carrying both a human-readable "error" and a
@@ -29,16 +34,14 @@ func TestStructuredAPIErrors(t *testing.T) {
 		{"sample wrong method", http.MethodPost, "/api/v1/sample?db=mondial&table=Lake", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"discover unknown dataset", http.MethodPost, "/api/v1/discover",
 			`{"database":"atlantis","numColumns":1,"samples":[["x"]]}`, http.StatusBadRequest, "unknown_database"},
-		{"discover unknown executor", http.MethodPost, "/api/v1/discover",
-			`{"database":"mondial","numColumns":1,"samples":[["x"]],"executor":"gpu"}`, http.StatusBadRequest, "unknown_executor"},
+		{"discover unknown policy", http.MethodPost, "/api/v1/discover", unknownPolicyBody, http.StatusBadRequest, "invalid_request"},
 		{"discover invalid json", http.MethodPost, "/api/v1/discover", `{not json`, http.StatusBadRequest, "bad_request"},
 		{"discover bad constraints", http.MethodPost, "/api/v1/discover",
 			`{"database":"mondial","numColumns":0,"samples":[]}`, http.StatusBadRequest, "bad_request"},
 		{"discover wrong method", http.MethodGet, "/api/v1/discover", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"stream unknown dataset", http.MethodPost, "/api/v1/discover/stream",
 			`{"database":"atlantis","numColumns":1,"samples":[["x"]]}`, http.StatusBadRequest, "unknown_database"},
-		{"stream unknown executor", http.MethodPost, "/api/v1/discover/stream",
-			`{"database":"mondial","numColumns":1,"samples":[["x"]],"executor":"gpu"}`, http.StatusBadRequest, "unknown_executor"},
+		{"stream unknown policy", http.MethodPost, "/api/v1/discover/stream", unknownPolicyBody, http.StatusBadRequest, "invalid_request"},
 		{"stream invalid json", http.MethodPost, "/api/v1/discover/stream", `{not json`, http.StatusBadRequest, "bad_request"},
 		{"stream wrong method", http.MethodGet, "/api/v1/discover/stream", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"datasets wrong method", http.MethodPost, "/api/v1/datasets", "", http.StatusMethodNotAllowed, "method_not_allowed"},
@@ -66,8 +69,9 @@ func TestStructuredAPIErrors(t *testing.T) {
 				t.Fatalf("Content-Type = %q — errors must be JSON, not bare statuses", ct)
 			}
 			var payload struct {
-				Error string `json:"error"`
-				Code  string `json:"code"`
+				Error      string `json:"error"`
+				Code       string `json:"code"`
+				Candidates int    `json:"candidates"`
 			}
 			if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
 				t.Fatalf("body is not JSON: %q (%v)", rec.Body.String(), err)
@@ -77,6 +81,9 @@ func TestStructuredAPIErrors(t *testing.T) {
 			}
 			if payload.Code != tc.code {
 				t.Errorf("code = %q, want %q (error: %s)", payload.Code, tc.code, payload.Error)
+			}
+			if payload.Candidates != 0 {
+				t.Errorf("a refused request enumerated %d candidates", payload.Candidates)
 			}
 		})
 	}

@@ -2,7 +2,7 @@ package server
 
 // GET /api/v1/metrics: the Prometheus text exposition of the serving
 // tier. Serve-tier values that already back /api/v1/stats (admission
-// counters, pool gauges, stream stalls) are exported through a scrape-time
+// counters, stream stalls) are exported through a scrape-time
 // collector reading the same live sources, and the per-class latency
 // histograms are instruments of the server's registry that handleStats
 // reads too, so the two endpoints cannot disagree; library round metrics
@@ -17,7 +17,6 @@ import (
 	"prism"
 	"prism/api"
 	"prism/internal/obs"
-	"prism/internal/sched"
 	"prism/internal/serve"
 )
 
@@ -121,8 +120,8 @@ func (s *Server) recordRoundMetrics(ctx context.Context, report *prism.Report) {
 }
 
 // collectServe is the scrape-time collector mirroring handleStats: it
-// reads the admission controller snapshot, the scheduler pool gauge and
-// the stream-stall counter at scrape time.
+// reads the admission controller snapshot and the stream-stall counter at
+// scrape time.
 func (s *Server) collectServe() []obs.Sample {
 	snap := s.admission.Snapshot()
 	counter := func(name, help string, v int64, labels ...obs.Label) obs.Sample {
@@ -162,13 +161,5 @@ func (s *Server) collectServe() []obs.Sample {
 			gauge("prism_serve_tenant_queued", "Rounds queued, by tenant.", float64(t.Queued), l),
 		)
 	}
-	pool := sched.PoolSnapshot()
-	out = append(out,
-		gauge("prism_sched_live_workers", "Scheduling loops currently running, one per round in its validation phase.", float64(pool.LiveWorkers)),
-		gauge("prism_sched_active_validations", "Validations executing right now.", float64(pool.ActiveValidations)),
-		counter("prism_sched_completed_validations_total", "Validations completed by the scheduling loops.",
-			pool.CompletedValidations),
-		gauge("prism_sched_utilization", "Active validations over running scheduling loops (0..1).", pool.Utilization()),
-	)
 	return out
 }

@@ -59,7 +59,7 @@ func getStats(t *testing.T, h http.Handler) api.StatsResponse {
 
 // TestMetricsStatsCrossCheck pins the no-drift contract: /api/v1/metrics
 // and /api/v1/stats read the same live sources, so after a quiesced round
-// the admission, pool, latency and stall values must be identical, and
+// the admission, latency and stall values must be identical, and
 // the per-tenant aggregates must account the round to its tenant.
 func TestMetricsStatsCrossCheck(t *testing.T) {
 	s := testServer(t)
@@ -96,9 +96,6 @@ func TestMetricsStatsCrossCheck(t *testing.T) {
 		{"prism_serve_inflight", float64(stats.Admission.InFlight)},
 		{"prism_serve_queue_depth", float64(stats.Admission.QueueDepth)},
 		{"prism_serve_stream_stalls_total", float64(stats.StreamStalls)},
-		{"prism_sched_completed_validations_total", float64(stats.Pool.CompletedValidations)},
-		{"prism_sched_live_workers", float64(stats.Pool.LiveWorkers)},
-		{"prism_sched_active_validations", float64(stats.Pool.ActiveValidations)},
 	}
 	for _, c := range same {
 		got, ok := metrics[c.series]

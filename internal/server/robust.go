@@ -26,8 +26,8 @@ var (
 
 // recovered is the panic barrier wrapping every route: a panic below it
 // is counted, converted to a structured 500 {"error","code":"internal"}
-// (when the response header is still writable) and the process, pool
-// and other requests stay healthy.
+// (when the response header is still writable) and the process and
+// other requests stay healthy.
 func (s *Server) recovered(h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		defer func() {

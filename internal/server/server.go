@@ -31,7 +31,6 @@ import (
 	"prism"
 	"prism/api"
 	"prism/internal/discovery"
-	"prism/internal/exec"
 	"prism/internal/explain"
 	"prism/internal/mem"
 	"prism/internal/obs"
@@ -217,21 +216,6 @@ func writeAPIError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, api.Error{Message: msg, Code: code})
 }
 
-// checkExecutor validates an executor name before a round starts, so the
-// failure surfaces as a structured 4xx instead of a mid-round error.
-func checkExecutor(name string) error {
-	if name == "" {
-		return nil
-	}
-	key := exec.CanonicalName(name)
-	for _, n := range exec.Names() {
-		if n == key {
-			return nil
-		}
-	}
-	return fmt.Errorf("%w %q (registered: %v)", exec.ErrUnknownExecutor, name, exec.Names())
-}
-
 func (s *Server) handleDatasets(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeAPIError(w, http.StatusMethodNotAllowed, api.CodeMethodNotAllowed, "use GET")
@@ -337,14 +321,12 @@ func (s *Server) prepare(req api.DiscoverRequest) (*round, error) {
 }
 
 // roundOptions assembles (and validates) the discovery options shared by
-// the discover and session handlers.
+// the discover and session handlers. An unknown policy is a structured 400
+// before the round starts, not a round failure.
 func (s *Server) roundOptions(req api.DiscoverRequest) (discovery.Options, error) {
-	if err := checkExecutor(req.Executor); err != nil {
-		return discovery.Options{}, err
-	}
-	policy := discovery.PolicyBayes
-	if req.Policy != "" {
-		policy = discovery.Policy(req.Policy)
+	policy := discovery.Policy(req.Policy)
+	if err := policy.Validate(); err != nil {
+		return discovery.Options{}, fmt.Errorf("%w: %v", api.ErrInvalidRequest, err)
 	}
 	timeLimit := s.TimeLimit
 	if req.TimeoutMs > 0 {
@@ -355,7 +337,6 @@ func (s *Server) roundOptions(req api.DiscoverRequest) (discovery.Options, error
 	return discovery.Options{
 		TimeLimit:      timeLimit,
 		Policy:         policy,
-		Executor:       req.Executor,
 		IncludeResults: true,
 		ResultLimit:    10,
 		MaxResults:     req.MaxResults,
@@ -395,7 +376,6 @@ func mappingResponse(m discovery.Mapping) api.Mapping {
 func (s *Server) discoverResponse(req api.DiscoverRequest, report *discovery.Report, err error, spec *prism.Spec, withGraphs bool) api.DiscoverResponse {
 	resp := api.DiscoverResponse{Database: req.Database}
 	if report != nil {
-		resp.Executor = report.Executor
 		resp.Candidates = report.CandidatesEnumerated
 		resp.Filters = report.FiltersGenerated
 		resp.Validations = report.Validations
@@ -464,7 +444,7 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, api.DiscoverResponse{Error: "invalid JSON: " + err.Error(), Code: api.CodeBadRequest})
 		return
 	}
-	// Bad inputs (unknown dataset or executor, malformed constraints) fail
+	// Bad inputs (unknown dataset or policy, malformed constraints) fail
 	// as a structured 400 here, before the 200 streaming header goes out.
 	rd, err := s.prepare(req)
 	if err != nil {

@@ -62,6 +62,41 @@ func TestHandleDatasets(t *testing.T) {
 	}
 }
 
+// TestHandleSample checks the table-preview endpoint.
+func TestHandleSample(t *testing.T) {
+	s := testServer(t)
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/sample?db=mondial&table=Lake&limit=4", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d body = %s", rec.Code, rec.Body)
+	}
+	var body struct {
+		Table string     `json:"table"`
+		Rows  [][]string `json:"rows"`
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), &body); err != nil {
+		t.Fatal(err)
+	}
+	if body.Table != "Lake" || len(body.Rows) != 4 {
+		t.Errorf("sample = %+v", body)
+	}
+
+	// Unknown table and database are client errors.
+	for _, q := range []string{"db=mondial&table=NoSuch", "db=nosuch&table=Lake"} {
+		rec := httptest.NewRecorder()
+		s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/api/v1/sample?"+q, nil))
+		if rec.Code != http.StatusBadRequest {
+			t.Errorf("%s: status = %d", q, rec.Code)
+		}
+	}
+	// Wrong method.
+	rec = httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/api/v1/sample", nil))
+	if rec.Code != http.StatusMethodNotAllowed {
+		t.Errorf("POST /api/v1/sample = %d", rec.Code)
+	}
+}
+
 func TestDiscoverAPIPaperExample(t *testing.T) {
 	s := testServer(t)
 	body, _ := json.Marshal(paperRequest())

@@ -222,7 +222,6 @@ func (s *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 		Policy:     req.Policy,
 		MaxResults: req.MaxResults,
 		TimeoutMs:  req.TimeoutMs,
-		Executor:   req.Executor,
 	}
 	opts, err := s.roundOptions(base)
 	if err != nil {

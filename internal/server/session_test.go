@@ -145,7 +145,7 @@ func TestSessionRefineInputErrors(t *testing.T) {
 			NumColumns: 1, Samples: [][]string{{"x"}},
 			Delta: &api.Delta{RemoveSamples: []int{0}},
 		}, http.StatusBadRequest, "bad_request"},
-		{"unknown executor", api.RefineRequest{Executor: "gpu", NumColumns: 1, Samples: [][]string{{"x"}}}, http.StatusBadRequest, "unknown_executor"},
+		{"unknown policy", api.RefineRequest{Policy: "nonsense", NumColumns: 1, Samples: [][]string{{"x"}}}, http.StatusBadRequest, "invalid_request"},
 		{"bad constraints", api.RefineRequest{NumColumns: 2, Samples: [][]string{{">=", "x"}}}, http.StatusBadRequest, "bad_request"},
 	}
 	for _, tc := range cases {

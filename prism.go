@@ -151,23 +151,17 @@ type Engine struct {
 	sessionCacheCapacity int
 }
 
-// NewEngine preprocesses db and returns an engine bound to it, using the
-// default execution backend (see WithExecutor for the alternatives).
+// NewEngine preprocesses db and returns an engine bound to it.
 func NewEngine(db *Database) *Engine {
-	return newEngine(db, "", 0)
+	return newEngine(db, 0)
 }
 
-func newEngine(db *Database, executor string, sessionCacheCapacity int) *Engine {
+func newEngine(db *Database, sessionCacheCapacity int) *Engine {
 	return &Engine{
-		inner:                discovery.NewEngineWithExecutor(db, executor),
+		inner:                discovery.NewEngine(db),
 		sessionCacheCapacity: sessionCacheCapacity,
 	}
 }
-
-// ExecutorNames lists the registered execution backends ("columnar",
-// "mem", ...), sorted. Any of them can be passed to WithExecutor or set as
-// Options.Executor.
-func ExecutorNames() []string { return exec.Names() }
 
 // openConfig collects the effect of OpenOptions.
 type openConfig struct {
@@ -175,7 +169,6 @@ type openConfig struct {
 	imdb         *IMDBConfig
 	nba          *NBAConfig
 	db           *Database
-	executor     string
 	sessionCache int
 }
 
@@ -202,16 +195,6 @@ func WithNBAConfig(cfg NBAConfig) OpenOption {
 // bundled data set; the name is then only a label.
 func WithDatabase(db *Database) OpenOption {
 	return func(c *openConfig) { c.db = db }
-}
-
-// WithExecutor selects the engine's default execution backend by name. The
-// bundled backends are "columnar" (the default: column stores with
-// prebuilt hash indexes, fastest for validation-heavy rounds) and "mem"
-// (the row-at-a-time reference engine). Options.Executor overrides the
-// choice per round; ExecutorNames lists what is registered. Every backend
-// returns identical mapping sets — they differ only in speed.
-func WithExecutor(name string) OpenOption {
-	return func(c *openConfig) { c.executor = name }
 }
 
 // WithSessionCacheCapacity bounds the filter-outcome cache of every
@@ -242,7 +225,7 @@ func Open(name string, options ...OpenOption) (*Engine, error) {
 		o(&cfg)
 	}
 	if cfg.db != nil {
-		return newEngine(cfg.db, cfg.executor, cfg.sessionCache), nil
+		return newEngine(cfg.db, cfg.sessionCache), nil
 	}
 	// A sizing option for a data set other than the one being opened is a
 	// caller bug; report it instead of silently building the default size.
@@ -284,7 +267,7 @@ func Open(name string, options ...OpenOption) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(db, cfg.executor, cfg.sessionCache), nil
+	return newEngine(db, cfg.sessionCache), nil
 }
 
 // cutFileScheme splits a "file:PATH" Open name, preserving the path's

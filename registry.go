@@ -22,9 +22,6 @@ var (
 	// ErrUnknownTable is wrapped by SampleRows and plan execution when a
 	// table name does not exist in the source schema.
 	ErrUnknownTable = exec.ErrUnknownTable
-	// ErrUnknownExecutor is wrapped when an execution-backend name is not
-	// registered (see ExecutorNames).
-	ErrUnknownExecutor = exec.ErrUnknownExecutor
 	// ErrUnknownSession is returned by the client when a refinement-session
 	// id is unknown or expired on the server.
 	ErrUnknownSession = api.ErrUnknownSession

@@ -98,8 +98,8 @@ func (e *Engine) SnapshotFile(path string) error {
 }
 
 // ReadSnapshot decodes a snapshot stream written by Engine.Snapshot and
-// returns an engine over the restored database. Executor and
-// session-cache options apply as with Open; dataset-sizing options do
+// returns an engine over the restored database. The session-cache option
+// applies as with Open; dataset-sizing options do
 // not (the data comes from the snapshot) and are rejected as caller
 // bugs.
 func ReadSnapshot(r io.Reader, options ...OpenOption) (*Engine, error) {
@@ -111,7 +111,7 @@ func ReadSnapshot(r io.Reader, options ...OpenOption) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(db, cfg.executor, cfg.sessionCache), nil
+	return newEngine(db, cfg.sessionCache), nil
 }
 
 // OpenSnapshot is ReadSnapshot over a file path.

@@ -132,8 +132,9 @@ func TestOpenSnapshotFailsClosed(t *testing.T) {
 }
 
 // TestSnapshotOptionValidation pins that dataset-sizing options — which
-// cannot apply to a snapshot load — are rejected as caller bugs, while
-// executor selection works.
+// cannot apply to a snapshot load — are rejected as caller bugs — and that
+// the reference engine over the restored database agrees with the fresh
+// columnar engine.
 func TestSnapshotOptionValidation(t *testing.T) {
 	eng, err := Open("nba")
 	if err != nil {
@@ -151,13 +152,14 @@ func TestSnapshotOptionValidation(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader(snap), WithDatabase(eng.Database())); err == nil {
 		t.Error("WithDatabase on a snapshot load should be rejected")
 	}
-	loaded, err := ReadSnapshot(bytes.NewReader(snap), WithExecutor("mem"))
+	loaded, err := ReadSnapshot(bytes.NewReader(snap), WithSessionCacheCapacity(16))
 	if err != nil {
 		t.Fatal(err)
 	}
+	loaded = engineOn(loaded.Database(), loaded.Database())
 	spec := snapshotSpecFor(t, "nba")
 	if got, want := discoverDigest(t, loaded, spec), discoverDigest(t, eng, spec); got != want {
-		t.Errorf("mem-executor snapshot engine diverges:\n--- fresh ---\n%s--- loaded ---\n%s", want, got)
+		t.Errorf("reference engine over the snapshot diverges:\n--- fresh ---\n%s--- loaded ---\n%s", want, got)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"prism/internal/colexec"
 	"prism/internal/exec"
 )
 
@@ -129,7 +130,7 @@ func stableGoroutines(t *testing.T, base int) {
 	t.Errorf("goroutines leaked: %d running, baseline %d", n, base)
 }
 
-// probeHook is the default backend with a hook on its k-th probe.
+// probeHook is an executor with a hook on its k-th probe.
 type probeHook struct {
 	exec.Executor
 	probes atomic.Int64
@@ -145,7 +146,7 @@ func (p *probeHook) Exists(plan exec.Plan, opts exec.ExecOptions) (bool, exec.Ex
 }
 
 func TestDiscoverCancelledMidValidationReturnsPartialReport(t *testing.T) {
-	eng := mondialEngine(t)
+	db := mondialEngine(t).Database()
 	spec := paperSpec(t)
 	baseline := runtime.NumGoroutine()
 
@@ -155,14 +156,15 @@ func TestDiscoverCancelledMidValidationReturnsPartialReport(t *testing.T) {
 	// the fourth guarantees the round dies mid-validation-phase regardless
 	// of machine speed.
 	var cancelled time.Time
-	exec.Register("cancel-on-probe", func(src exec.Source) (exec.Executor, error) {
-		inner, err := exec.New("", src)
-		return &probeHook{Executor: inner, at: 4, hook: func() {
-			cancelled = time.Now()
-			cancel()
-		}}, err
-	})
-	report, err := eng.Discover(ctx, spec, Options{Executor: "cancel-on-probe"})
+	inner, err := colexec.New(db)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engineOn(db, &probeHook{Executor: inner, at: 4, hook: func() {
+		cancelled = time.Now()
+		cancel()
+	}})
+	report, err := eng.Discover(ctx, spec, Options{})
 	returned := time.Now()
 
 	if !errors.Is(err, context.Canceled) {
