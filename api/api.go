@@ -26,6 +26,8 @@
 // structured Error envelope.
 package api
 
+import "time"
+
 // Version names the wire format this package defines.
 const Version = "v1"
 
@@ -78,6 +80,7 @@ type DiscoverResponse struct {
 	Candidates  int       `json:"candidates"`
 	Filters     int       `json:"filters"`
 	Validations int       `json:"validations"`
+	Implied     int       `json:"implied,omitempty"`
 	ElapsedMS   int64     `json:"elapsedMs"`
 	TimedOut    bool      `json:"timedOut"`
 	Failure     string    `json:"failure,omitempty"`
@@ -101,6 +104,52 @@ func (r *DiscoverResponse) Err() error {
 	return &Error{Message: r.Error, Code: r.Code}
 }
 
+// EventKind names the kind of a streaming discovery event: the in-process
+// stream (prism.StreamEvent) and the remote one (client.StreamEvent) carry
+// it, and StreamEvent.Event is its wire form.
+type EventKind string
+
+const (
+	// EventRelated reports the related-column search result (step #1).
+	EventRelated EventKind = "related"
+	// EventCandidates reports that candidate enumeration finished.
+	EventCandidates EventKind = "candidates"
+	// EventFilters reports that filter decomposition finished and the
+	// validation phase is about to start.
+	EventFilters EventKind = "filters"
+	// EventProgress reports validation-phase progress (one event per
+	// applied validation outcome; consumers may throttle display).
+	EventProgress EventKind = "progress"
+	// EventMapping delivers one confirmed schema mapping query, as soon as
+	// the scheduler resolves its candidate — before the round completes.
+	EventMapping EventKind = "mapping"
+	// EventDone is the final event of every stream: it carries the full
+	// (or, after cancellation/timeout, partial) report and the round error.
+	EventDone EventKind = "done"
+)
+
+// Progress describes how far a discovery round has advanced. The wire
+// carries its counts as StreamEvent fields; Elapsed and TimeRemaining travel
+// as whole milliseconds.
+type Progress struct {
+	// CandidatesEnumerated and FiltersGenerated describe the search space
+	// (0 until the corresponding phase has run).
+	CandidatesEnumerated int `json:"candidates"`
+	FiltersGenerated     int `json:"filters"`
+	// Validations and Implied count executed and propagated filter
+	// outcomes in the validation phase.
+	Validations int `json:"validations"`
+	Implied     int `json:"implied"`
+	// Confirmed, Pruned and Unresolved partition the candidates.
+	Confirmed  int `json:"confirmed"`
+	Pruned     int `json:"pruned"`
+	Unresolved int `json:"unresolved"`
+	// Elapsed counts from the round's start and TimeRemaining to the round's
+	// deadline (0 when it has none), the same on every event of the round.
+	Elapsed       time.Duration `json:"elapsed"`
+	TimeRemaining time.Duration `json:"timeRemaining"`
+}
+
 // StreamEvent is one NDJSON line (or SSE data payload) of
 // POST /api/v1/discover/stream. Event is the discovery event kind
 // ("related", "candidates", "filters", "progress", "mapping", "done");
@@ -110,6 +159,7 @@ type StreamEvent struct {
 	Candidates  int               `json:"candidates,omitempty"`
 	Filters     int               `json:"filters,omitempty"`
 	Validations int               `json:"validations,omitempty"`
+	Implied     int               `json:"implied,omitempty"`
 	Confirmed   int               `json:"confirmed,omitempty"`
 	Pruned      int               `json:"pruned,omitempty"`
 	Unresolved  int               `json:"unresolved,omitempty"`

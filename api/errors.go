@@ -9,16 +9,12 @@ package api
 import (
 	"errors"
 
-	"prism/internal/exec"
-	"prism/internal/fault"
-	"prism/internal/serve"
+	"prism/internal/sentinel"
 )
 
-// Sentinel errors of the wire API. ErrUnknownDatabase is the canonical
-// definition re-exported as prism.ErrUnknownDatabase; the table sentinel
-// lives in the exec package and is re-exported as prism.ErrUnknownTable;
-// the admission sentinels (ErrOverloaded, ErrDraining) live in the serve
-// package.
+// Sentinel errors of the wire API; prism re-exports them. The ones the
+// engine and the admission tier raise are defined in internal/sentinel, a
+// leaf, so naming them here links neither the engine nor the server tier.
 var (
 	// ErrUnknownDatabase reports a database name no engine is registered
 	// under (wire code "unknown_database").
@@ -30,19 +26,18 @@ var (
 	// validation — e.g. a non-positive sample limit (wire code
 	// "invalid_request").
 	ErrInvalidRequest = errors.New("prism: invalid request")
-	// ErrOverloaded re-exports the admission controller's shed sentinel:
-	// the server is over its concurrency budget and rejected the request
+	// ErrOverloaded is the admission controller's shed sentinel: the
+	// server is over its concurrency budget and rejected the request
 	// (HTTP 429 with a Retry-After hint, wire code "overloaded").
-	ErrOverloaded = serve.ErrOverloaded
-	// ErrDraining re-exports the admission controller's shutdown
-	// sentinel: the server is draining and admits no new rounds (HTTP
-	// 503, wire code "draining").
-	ErrDraining = serve.ErrDraining
-	// ErrInternal re-exports the sentinel for a bug caught inside
-	// prism — typically a recovered panic — that aborted one round
-	// while leaving the process healthy (HTTP 500, wire code
-	// "internal").
-	ErrInternal = fault.ErrInternal
+	ErrOverloaded = sentinel.ErrOverloaded
+	// ErrDraining is the admission controller's shutdown sentinel: the
+	// server is draining and admits no new rounds (HTTP 503, wire code
+	// "draining").
+	ErrDraining = sentinel.ErrDraining
+	// ErrInternal is the sentinel for a bug caught inside prism —
+	// typically a recovered panic — that aborted one round while leaving
+	// the process healthy (HTTP 500, wire code "internal").
+	ErrInternal = sentinel.ErrInternal
 )
 
 // Wire error codes. The set is append-only within a version; a retired code
@@ -88,50 +83,41 @@ func (e *Error) Error() string {
 // sentinel (bad_request, ...) unwrap to nil.
 func (e *Error) Unwrap() error { return SentinelForCode(e.Code) }
 
+// codeSentinels is the one table between wire codes and sentinel errors, in
+// the order CodeForError tries them.
+var codeSentinels = []struct {
+	code string
+	err  error
+}{
+	{CodeUnknownDatabase, ErrUnknownDatabase},
+	{CodeUnknownTable, sentinel.ErrUnknownTable},
+	{CodeUnknownSession, ErrUnknownSession},
+	{CodeInvalidRequest, ErrInvalidRequest},
+	{CodeOverloaded, sentinel.ErrOverloaded},
+	{CodeDraining, sentinel.ErrDraining},
+	{CodeInternal, sentinel.ErrInternal},
+}
+
 // CodeForError classifies an error for the structured JSON error
 // responses: unknown names are told apart from malformed requests so
 // clients can react (retry with a listed dataset, drop a stale session id,
 // ...) instead of parsing error prose.
 func CodeForError(err error) string {
-	switch {
-	case errors.Is(err, ErrUnknownDatabase):
-		return CodeUnknownDatabase
-	case errors.Is(err, exec.ErrUnknownTable):
-		return CodeUnknownTable
-	case errors.Is(err, ErrUnknownSession):
-		return CodeUnknownSession
-	case errors.Is(err, ErrInvalidRequest):
-		return CodeInvalidRequest
-	case errors.Is(err, serve.ErrOverloaded):
-		return CodeOverloaded
-	case errors.Is(err, serve.ErrDraining):
-		return CodeDraining
-	case errors.Is(err, fault.ErrInternal):
-		return CodeInternal
-	default:
-		return CodeBadRequest
+	for _, cs := range codeSentinels {
+		if errors.Is(err, cs.err) {
+			return cs.code
+		}
 	}
+	return CodeBadRequest
 }
 
 // SentinelForCode returns the sentinel error a wire code stands for, or
 // nil for codes without one.
 func SentinelForCode(code string) error {
-	switch code {
-	case CodeUnknownDatabase:
-		return ErrUnknownDatabase
-	case CodeUnknownTable:
-		return exec.ErrUnknownTable
-	case CodeUnknownSession:
-		return ErrUnknownSession
-	case CodeInvalidRequest:
-		return ErrInvalidRequest
-	case CodeOverloaded:
-		return serve.ErrOverloaded
-	case CodeDraining:
-		return serve.ErrDraining
-	case CodeInternal:
-		return fault.ErrInternal
-	default:
-		return nil
+	for _, cs := range codeSentinels {
+		if cs.code == code {
+			return cs.err
+		}
 	}
+	return nil
 }

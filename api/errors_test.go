@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"testing"
 
-	"prism/internal/exec"
+	"prism/internal/sentinel"
 )
 
 func TestCodeSentinelRoundTrip(t *testing.T) {
 	sentinels := map[string]error{
 		CodeUnknownDatabase: ErrUnknownDatabase,
-		CodeUnknownTable:    exec.ErrUnknownTable,
+		CodeUnknownTable:    sentinel.ErrUnknownTable,
 		CodeUnknownSession:  ErrUnknownSession,
 	}
 	for code, sentinel := range sentinels {

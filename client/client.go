@@ -33,7 +33,6 @@ import (
 	"strings"
 	"time"
 
-	"prism"
 	"prism/api"
 )
 
@@ -261,11 +260,11 @@ func (c *Client) discoverExchange(ctx context.Context, path string, req any) (*a
 
 // StreamEvent is one element of a remote DiscoverStream, mirroring
 // prism.StreamEvent over the wire: a phase marker, a progress update, an
-// incrementally delivered mapping, or the final result. Kind uses the
-// library's event kinds (prism.EventMapping, prism.EventDone, ...).
+// incrementally delivered mapping, or the final result. Kind and Progress
+// are the api types that prism.EventKind and prism.Progress name.
 type StreamEvent struct {
-	Kind     prism.EventKind
-	Progress prism.Progress
+	Kind     api.EventKind
+	Progress api.Progress
 	// Mapping is set on EventMapping.
 	Mapping *api.Mapping
 	// Result and Err are set on EventDone. After a failed round Result is
@@ -332,12 +331,12 @@ func (c *Client) DiscoverStream(ctx context.Context, req api.DiscoverRequest) (<
 			}
 			var wire api.StreamEvent
 			if err := json.Unmarshal(line, &wire); err != nil {
-				emit(ctx, out, StreamEvent{Kind: prism.EventDone,
+				emit(ctx, out, StreamEvent{Kind: api.EventDone,
 					Err: fmt.Errorf("client: decoding stream event: %w", err)})
 				return
 			}
 			ev := decodeStreamEvent(wire)
-			if ev.Kind == prism.EventDone {
+			if ev.Kind == api.EventDone {
 				sawDone = true
 			}
 			if !emit(ctx, out, ev) {
@@ -360,7 +359,7 @@ func (c *Client) DiscoverStream(ctx context.Context, req api.DiscoverRequest) (<
 		} else {
 			err = fmt.Errorf("%w: %v", ErrStreamTruncated, err)
 		}
-		emit(ctx, out, StreamEvent{Kind: prism.EventDone,
+		emit(ctx, out, StreamEvent{Kind: api.EventDone,
 			Err: fmt.Errorf("client: stream ended early: %w", err)})
 	}()
 	return out, nil
@@ -379,11 +378,12 @@ func emit(ctx context.Context, out chan<- StreamEvent, ev StreamEvent) bool {
 // decodeStreamEvent converts a wire event into the library-shaped form.
 func decodeStreamEvent(wire api.StreamEvent) StreamEvent {
 	ev := StreamEvent{
-		Kind: prism.EventKind(wire.Event),
-		Progress: prism.Progress{
+		Kind: api.EventKind(wire.Event),
+		Progress: api.Progress{
 			CandidatesEnumerated: wire.Candidates,
 			FiltersGenerated:     wire.Filters,
 			Validations:          wire.Validations,
+			Implied:              wire.Implied,
 			Confirmed:            wire.Confirmed,
 			Pruned:               wire.Pruned,
 			Unresolved:           wire.Unresolved,
@@ -393,7 +393,7 @@ func decodeStreamEvent(wire api.StreamEvent) StreamEvent {
 		Mapping: wire.Mapping,
 		Result:  wire.Result,
 	}
-	if ev.Kind == prism.EventDone && wire.Result != nil {
+	if ev.Kind == api.EventDone && wire.Result != nil {
 		ev.Err = wire.Result.Err()
 	}
 	return ev

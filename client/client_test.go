@@ -393,6 +393,55 @@ func TestDiscoverStreamRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStreamCountsMatchInProcess checks the remote stream event by event
+// against the in-process stream of the same walkthrough spec: same kinds in
+// the same order, and every count of Progress equal — Implied included.
+// Only the clocks (Elapsed, TimeRemaining) may differ.
+func TestStreamCountsMatchInProcess(t *testing.T) {
+	ts := newTestSetup(t)
+	ctx := context.Background()
+	counts := func(p prism.Progress) prism.Progress {
+		p.Elapsed, p.TimeRemaining = 0, 0
+		return p
+	}
+
+	var local []prism.StreamEvent
+	for ev := range ts.eng.DiscoverStream(ctx, ts.paperSpec(t), prism.Options{}) {
+		local = append(local, ev)
+	}
+	remote, err := ts.c.DiscoverStream(ctx, paperGridRequest())
+	if err != nil {
+		t.Fatal(err)
+	}
+	i, implied := 0, 0
+	for ev := range remote {
+		if i >= len(local) {
+			t.Fatalf("remote stream has more than the %d in-process events", len(local))
+		}
+		want := local[i]
+		if ev.Kind != want.Kind || counts(ev.Progress) != counts(want.Progress) {
+			t.Errorf("event %d: remote %s %+v, in-process %s %+v",
+				i, ev.Kind, counts(ev.Progress), want.Kind, counts(want.Progress))
+		}
+		implied = max(implied, want.Progress.Implied)
+		if ev.Kind == prism.EventDone {
+			if ev.Result == nil {
+				t.Fatalf("done event without a result: %v", ev.Err)
+			}
+			if ev.Result.Implied != want.Report.Implied {
+				t.Errorf("done result implied = %d, in-process report %d", ev.Result.Implied, want.Report.Implied)
+			}
+		}
+		i++
+	}
+	if i != len(local) {
+		t.Errorf("remote stream has %d events, in-process %d", i, len(local))
+	}
+	if implied == 0 {
+		t.Fatal("the walkthrough implied no outcome; the comparison proves nothing about Implied")
+	}
+}
+
 func TestSessionLifecycleRoundTrip(t *testing.T) {
 	ts := newTestSetup(t)
 	ctx := context.Background()
@@ -564,12 +613,12 @@ func TestStreamCancellation(t *testing.T) {
 func TestProgressDecoding(t *testing.T) {
 	// decodeStreamEvent maps every wire field onto prism.Progress.
 	wire := api.StreamEvent{
-		Event: "progress", Candidates: 7, Filters: 5, Validations: 3,
+		Event: "progress", Candidates: 7, Filters: 5, Validations: 3, Implied: 6,
 		Confirmed: 2, Pruned: 1, Unresolved: 4, ElapsedMS: 1500, RemainingMS: 500,
 	}
 	ev := decodeStreamEvent(wire)
 	want := prism.Progress{
-		CandidatesEnumerated: 7, FiltersGenerated: 5, Validations: 3,
+		CandidatesEnumerated: 7, FiltersGenerated: 5, Validations: 3, Implied: 6,
 		Confirmed: 2, Pruned: 1, Unresolved: 4,
 		Elapsed: 1500 * time.Millisecond, TimeRemaining: 500 * time.Millisecond,
 	}

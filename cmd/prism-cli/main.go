@@ -64,133 +64,154 @@ func main() {
 }
 
 func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error {
-	fs := flag.NewFlagSet("prism-cli", flag.ContinueOnError)
-	dbName := fs.String("db", "mondial", "source database: mondial, imdb or nba")
-	columns := fs.Int("columns", 3, "number of columns in the target schema")
-	var samples sampleFlags
-	fs.Var(&samples, "sample", "sample-constraint row, cells separated by '|' (repeatable)")
-	metadata := fs.String("metadata", "", "metadata-constraint row, cells separated by '|'")
-	policy := fs.String("policy", string(prism.PolicyBayes), "scheduling policy: bayes, pathlength, random, oracle")
-	timeLimit := fs.Duration("timeout", 60*time.Second, "discovery time limit per round, enforced as a context deadline")
-	maxResults := fs.Int("max-results", 0, "cap on returned mapping queries (0 = all)")
-	showResults := fs.Bool("results", false, "execute each mapping and print a result preview")
-	stream := fs.Bool("stream", false, "stream mappings and progress as they are found instead of waiting for the round to finish")
-	session := fs.Bool("session", false, "interactive refinement session: edit constraints between rounds at a REPL prompt; refined rounds reuse cached filter outcomes")
-	remote := fs.String("remote", "", "base URL of a prism-demo server; rounds then run remotely through the /api/v1 client instead of in-process")
-	explainMode := fs.String("explain", "", "render the first mapping's query graph: ascii, dot or svg")
-	traceFile := fs.String("trace", "", "write the round's span trace as NDJSON to FILE (one-shot local rounds)")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	switch strings.ToLower(*explainMode) {
-	case "", "ascii", "dot", "svg":
-	default:
-		return fmt.Errorf("unknown -explain mode %q (want ascii, dot or svg)", *explainMode)
-	}
-	if *remote != "" && *explainMode != "" {
-		return fmt.Errorf("-explain needs the in-process engine; it is not available with -remote")
-	}
-	if *traceFile != "" && *remote != "" {
-		return fmt.Errorf("-trace needs the in-process engine; it is not available with -remote")
-	}
-	if *traceFile != "" && *session {
-		return fmt.Errorf("-trace covers one round; it is not available with -session")
-	}
-
-	sampleRows := make([][]string, 0, len(samples))
-	for _, s := range samples {
-		sampleRows = append(sampleRows, splitCells(s, *columns))
-	}
-	var metadataRow []string
-	if strings.TrimSpace(*metadata) != "" {
-		metadataRow = splitCells(*metadata, *columns)
-	}
-	// A session may start with an empty Description and build it at the
-	// prompt; every other mode needs constraints up front.
-	var spec *prism.Spec
-	if !*session || len(sampleRows) > 0 || metadataRow != nil {
-		var err error
-		spec, err = prism.ParseConstraints(*columns, sampleRows, metadataRow)
-		if err != nil {
-			return err
-		}
-	}
-
-	opts := prism.Options{
-		Policy:         prism.Policy(*policy),
-		TimeLimit:      *timeLimit,
-		MaxResults:     *maxResults,
-		IncludeResults: *showResults,
-		ResultLimit:    10,
-		Trace:          *traceFile != "",
-	}
-
-	if *remote != "" {
-		c, err := client.New(*remote)
-		if err != nil {
-			return err
-		}
-		if *session {
-			sess, err := c.CreateSession(ctx, *dbName)
-			if err != nil {
-				return err
-			}
-			rr := &remoteRunner{
-				sess: sess,
-				base: api.RefineRequest{
-					Policy:     *policy,
-					MaxResults: *maxResults,
-					TimeoutMs:  timeoutMs(*timeLimit),
-				},
-			}
-			label := fmt.Sprintf("%s at %s", *dbName, *remote)
-			return sessionLoop(ctx, in, out, rr, label, *columns, sampleRows, metadataRow, *timeLimit)
-		}
-		wireSpec, err := api.EncodeSpec(spec)
-		if err != nil {
-			return err
-		}
-		req := api.DiscoverRequest{
-			Database:   *dbName,
-			Spec:       wireSpec,
-			Policy:     *policy,
-			MaxResults: *maxResults,
-			TimeoutMs:  timeoutMs(*timeLimit),
-		}
-		if *stream {
-			return remoteStreamRound(ctx, out, c, req, *showResults)
-		}
-		return remoteRound(ctx, out, c, req, *showResults)
-	}
-
-	eng, err := prism.Open(*dbName)
+	f, err := parseFlags(args)
 	if err != nil {
 		return err
 	}
+	if f.remote != "" {
+		return runRemote(ctx, f, in, out)
+	}
+	return runLocal(ctx, f, in, out)
+}
 
+// cliFlags are the parsed and checked command line: the flags, the
+// constraint grids split into cells and the specification they parse to.
+type cliFlags struct {
+	db, policy, remote, explain, trace string
+	columns, maxResults                int
+	timeLimit                          time.Duration
+	results, stream, session           bool
+	rows                               [][]string
+	meta                               []string
+	// spec is nil only for a session that starts with no constraints.
+	spec *prism.Spec
+}
+
+// parseFlags reads the flags, refuses the combinations no mode supports and
+// parses the constraint grids.
+func parseFlags(args []string) (*cliFlags, error) {
+	f := &cliFlags{}
+	fs := flag.NewFlagSet("prism-cli", flag.ContinueOnError)
+	fs.StringVar(&f.db, "db", "mondial", "source database: mondial, imdb or nba")
+	fs.IntVar(&f.columns, "columns", 3, "number of columns in the target schema")
+	var samples sampleFlags
+	fs.Var(&samples, "sample", "sample-constraint row, cells separated by '|' (repeatable)")
+	metadata := fs.String("metadata", "", "metadata-constraint row, cells separated by '|'")
+	fs.StringVar(&f.policy, "policy", string(prism.PolicyBayes), "scheduling policy: bayes, pathlength, random, oracle")
+	fs.DurationVar(&f.timeLimit, "timeout", 60*time.Second, "discovery time limit per round, enforced as a context deadline")
+	fs.IntVar(&f.maxResults, "max-results", 0, "cap on returned mapping queries (0 = all)")
+	fs.BoolVar(&f.results, "results", false, "execute each mapping and print a result preview")
+	fs.BoolVar(&f.stream, "stream", false, "stream mappings and progress as they are found instead of waiting for the round to finish")
+	fs.BoolVar(&f.session, "session", false, "interactive refinement session: edit constraints between rounds at a REPL prompt; refined rounds reuse cached filter outcomes")
+	fs.StringVar(&f.remote, "remote", "", "base URL of a prism-demo server; rounds then run remotely through the /api/v1 client instead of in-process")
+	explain := fs.String("explain", "", "render the first mapping's query graph: ascii, dot or svg")
+	fs.StringVar(&f.trace, "trace", "", "write the round's span trace as NDJSON to FILE (one-shot local rounds)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	f.explain = strings.ToLower(*explain)
+	switch {
+	case f.explain != "" && f.explain != "ascii" && f.explain != "dot" && f.explain != "svg":
+		return nil, fmt.Errorf("unknown -explain mode %q (want ascii, dot or svg)", *explain)
+	case f.remote != "" && f.explain != "":
+		return nil, fmt.Errorf("-explain needs the in-process engine; it is not available with -remote")
+	case f.trace != "" && f.remote != "":
+		return nil, fmt.Errorf("-trace needs the in-process engine; it is not available with -remote")
+	case f.trace != "" && f.session:
+		return nil, fmt.Errorf("-trace covers one round; it is not available with -session")
+	}
+
+	for _, s := range samples {
+		f.rows = append(f.rows, splitCells(s, f.columns))
+	}
+	if strings.TrimSpace(*metadata) != "" {
+		f.meta = splitCells(*metadata, f.columns)
+	}
+	// A session may start with an empty Description and build it at the
+	// prompt; every other mode needs constraints up front.
+	if !f.session || len(f.rows) > 0 || f.meta != nil {
+		var err error
+		if f.spec, err = prism.ParseConstraints(f.columns, f.rows, f.meta); err != nil {
+			return nil, err
+		}
+	}
+	return f, nil
+}
+
+// runRemote runs every mode through the client against a prism-demo server.
+func runRemote(ctx context.Context, f *cliFlags, in io.Reader, out io.Writer) error {
+	c, err := client.New(f.remote)
+	if err != nil {
+		return err
+	}
+	if f.session {
+		sess, err := c.CreateSession(ctx, f.db)
+		if err != nil {
+			return err
+		}
+		rr := &remoteRunner{
+			sess: sess,
+			base: api.RefineRequest{
+				Policy:     f.policy,
+				MaxResults: f.maxResults,
+				TimeoutMs:  timeoutMs(f.timeLimit),
+			},
+		}
+		label := fmt.Sprintf("%s at %s", f.db, f.remote)
+		return sessionLoop(ctx, in, out, rr, label, f.columns, f.rows, f.meta, f.timeLimit)
+	}
+	wireSpec, err := api.EncodeSpec(f.spec)
+	if err != nil {
+		return err
+	}
+	req := api.DiscoverRequest{
+		Database:   f.db,
+		Spec:       wireSpec,
+		Policy:     f.policy,
+		MaxResults: f.maxResults,
+		TimeoutMs:  timeoutMs(f.timeLimit),
+	}
+	if f.stream {
+		return remoteStreamRound(ctx, out, c, req, f.results)
+	}
+	return remoteRound(ctx, out, c, req, f.results)
+}
+
+// runLocal runs every mode on an in-process engine.
+func runLocal(ctx context.Context, f *cliFlags, in io.Reader, out io.Writer) error {
+	eng, err := prism.Open(f.db)
+	if err != nil {
+		return err
+	}
+	opts := prism.Options{
+		Policy:         prism.Policy(f.policy),
+		TimeLimit:      f.timeLimit,
+		MaxResults:     f.maxResults,
+		IncludeResults: f.results,
+		ResultLimit:    10,
+		Trace:          f.trace != "",
+	}
+	if f.session {
+		// The REPL bounds each round, and may sit idle between rounds.
+		rr := &localRunner{sess: eng.NewSession(ctx), opts: opts}
+		return sessionLoop(ctx, in, out, rr, eng.Database().Name, f.columns, f.rows, f.meta, f.timeLimit)
+	}
 	// The timeout is enforced as a context deadline so the whole round is
 	// bounded even if it wedges outside discovery. The grace keeps the
 	// engine's own budget (Options.TimeLimit, which covers every phase)
 	// firing first, so an overrun is reported as a clean paper-style
-	// timeout rather than a cancellation. Session mode applies the
-	// deadline per round instead — the REPL itself must be allowed to sit
-	// idle between rounds indefinitely.
-	if *timeLimit > 0 && !*session {
+	// timeout rather than a cancellation.
+	if f.timeLimit > 0 {
 		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeLimit+2*time.Second)
+		ctx, cancel = context.WithTimeout(ctx, f.timeLimit+2*time.Second)
 		defer cancel()
 	}
 
-	if *session {
-		rr := &localRunner{sess: eng.NewSession(ctx), opts: opts}
-		return sessionLoop(ctx, in, out, rr, eng.Database().Name, *columns, sampleRows, metadataRow, *timeLimit)
-	}
-
 	var report *prism.Report
-	if *stream {
-		report, err = streamRound(ctx, out, eng, spec, opts)
+	if f.stream {
+		report, err = streamRound(ctx, out, eng, f.spec, opts)
 	} else {
-		report, err = eng.Discover(ctx, spec, opts)
+		report, err = eng.Discover(ctx, f.spec, opts)
 	}
 	if err != nil && !errors.Is(err, context.Canceled) && !errors.Is(err, context.DeadlineExceeded) {
 		return err
@@ -198,17 +219,17 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 	if report == nil {
 		return err
 	}
-	if *traceFile != "" && report.Trace != nil {
-		if werr := writeTrace(*traceFile, report.Trace); werr != nil {
+	if f.trace != "" && report.Trace != nil {
+		if werr := writeTrace(f.trace, report.Trace); werr != nil {
 			return werr
 		}
-		fmt.Fprintf(out, "trace written to %s\n", *traceFile)
+		fmt.Fprintf(out, "trace written to %s\n", f.trace)
 	}
-	printRound(out, viewFromReport(report), "", "\n", *showResults)
-	if *explainMode != "" && len(report.Mappings) > 0 {
-		g := prism.Explain(report.Mappings[0], spec, prism.AllConstraints())
+	printRound(out, viewFromReport(report), "", "\n", f.results)
+	if f.explain != "" && len(report.Mappings) > 0 {
+		g := prism.Explain(report.Mappings[0], f.spec, prism.AllConstraints())
 		fmt.Fprintln(out)
-		switch strings.ToLower(*explainMode) {
+		switch f.explain {
 		case "ascii":
 			fmt.Fprint(out, g.ASCII())
 		case "dot":

@@ -61,6 +61,7 @@ import (
 	"prism/internal/exec"
 	"prism/internal/rowset"
 	"prism/internal/schema"
+	"prism/internal/sentinel"
 	"prism/internal/value"
 )
 
@@ -202,7 +203,7 @@ func (e *Executor) ColumnHasKeyword(ref schema.ColumnRef, keyword string) bool {
 func (e *Executor) SampleRows(tbl string, limit int) ([]value.Tuple, error) {
 	t, ok := e.byName[strings.ToLower(tbl)]
 	if !ok {
-		return nil, fmt.Errorf("%w %q (columnar)", exec.ErrUnknownTable, tbl)
+		return nil, fmt.Errorf("%w %q (columnar)", sentinel.ErrUnknownTable, tbl)
 	}
 	n := t.numRows
 	if limit > 0 && limit < n {

@@ -1,0 +1,41 @@
+package discovery
+
+import (
+	"context"
+	"runtime"
+	"testing"
+)
+
+// TestRoundAllocatedBytes bounds the bytes one warm walkthrough round
+// allocates (runtime.MemStats.TotalAlloc across the round). A round
+// validates one filter at a time, so the figure does not depend on the
+// host or the core count: 1 008 512 B under GOMAXPROCS 1 and 8 alike (the
+// race detector adds up to 8 %). The ceiling is that reading plus 10 %. It
+// guards the allocation work on a round: lower it when a change takes
+// bytes out, never raise it to make room.
+func TestRoundAllocatedBytes(t *testing.T) {
+	const ceiling = 1_109_363 // bytes
+	e := NewEngine(smallMondial(t))
+	spec := paperSpec(t)
+	ctx := context.Background()
+	// The first round builds what the engine keeps across rounds.
+	if _, err := e.Discover(ctx, spec, Options{}); err != nil {
+		t.Fatal(err)
+	}
+	// The least of three rounds: whatever else the process allocates while
+	// a round runs can only add to a reading.
+	least := uint64(1<<63 - 1)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := e.Discover(ctx, spec, Options{}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		least = min(least, after.TotalAlloc-before.TotalAlloc)
+	}
+	t.Logf("a warm walkthrough round allocates %d B (GOMAXPROCS %d)", least, runtime.GOMAXPROCS(0))
+	if least > ceiling {
+		t.Errorf("a warm walkthrough round allocates %d B, ceiling %d", least, ceiling)
+	}
+}

@@ -17,17 +17,18 @@ import (
 	"sync"
 	"time"
 
+	"prism/api"
 	"prism/internal/bayes"
 	"prism/internal/colexec"
 	"prism/internal/constraint"
 	"prism/internal/exec"
-	"prism/internal/fault"
 	"prism/internal/filter"
 	"prism/internal/graphx"
 	"prism/internal/mem"
 	"prism/internal/obs"
 	"prism/internal/sched"
 	"prism/internal/schema"
+	"prism/internal/sentinel"
 	"prism/internal/sqlgen"
 	"prism/internal/value"
 )
@@ -131,6 +132,22 @@ type Mapping struct {
 	// Result holds up to Options.ResultLimit result rows when
 	// Options.IncludeResults is set, nil otherwise.
 	Result *exec.Result
+}
+
+// Event is one element of a DiscoverStream: a phase marker, a progress
+// update, an incrementally delivered mapping, or the final report.
+type Event struct {
+	Kind api.EventKind
+	// Related is set on api.EventRelated.
+	Related [][]schema.ColumnRef
+	// Progress is populated on every event kind once known.
+	Progress api.Progress
+	// Mapping is set on api.EventMapping.
+	Mapping *Mapping
+	// Report and Err are set on api.EventDone. After cancellation or timeout
+	// Report is the partial report and Err the terminating error.
+	Report *Report
+	Err    error
 }
 
 // Report is the outcome of one discovery round.
@@ -320,7 +337,7 @@ const streamBuffer = 64
 // DiscoverStream runs one discovery round incrementally: it returns a
 // channel that yields phase events, validation progress, and every
 // confirmed Mapping as soon as the scheduler resolves its candidate —
-// before the round completes. The stream always ends with one EventDone
+// before the round completes. The stream always ends with one api.EventDone
 // carrying the final (or partial) Report and the round error, after which
 // the channel is closed.
 //
@@ -328,14 +345,14 @@ const streamBuffer = 64
 // the round promptly; the producing goroutine never leaks: once ctx is
 // done, pending event sends are abandoned and the channel is closed. A
 // consumer that keeps draining after cancelling still receives the final
-// EventDone with the partial report in all but pathological cases (it is
+// api.EventDone with the partial report in all but pathological cases (it is
 // delivered without blocking whenever buffer space remains).
 //
 // Mappings are streamed in confirmation order, while the final report
 // sorts them simplest-first — so when MaxResults truncates a round, the
 // streamed subset and Report.Mappings may select different mappings.
 // Consumers that care about the canonical result set should read it from
-// the EventDone report.
+// the api.EventDone report.
 func (e *Engine) DiscoverStream(ctx context.Context, spec *constraint.Spec, opts Options) <-chan Event {
 	ch := make(chan Event, streamBuffer)
 	go func() {
@@ -347,7 +364,7 @@ func (e *Engine) DiscoverStream(ctx context.Context, spec *constraint.Spec, opts
 			}
 		}
 		report, err := e.run(ctx, spec, opts, emit, nil)
-		done := Event{Kind: EventDone, Report: report, Err: err, Progress: report.progress()}
+		done := Event{Kind: api.EventDone, Report: report, Err: err, Progress: report.progress()}
 		select {
 		case ch <- done:
 		default:
@@ -360,8 +377,8 @@ func (e *Engine) DiscoverStream(ctx context.Context, spec *constraint.Spec, opts
 // progress is the one place a Progress is built, for every event of a round,
 // EventDone included: the report's counters as they stand, the time since the
 // round started and the time left to its deadline.
-func (r *Report) progress() Progress {
-	p := Progress{
+func (r *Report) progress() api.Progress {
+	p := api.Progress{
 		CandidatesEnumerated: r.CandidatesEnumerated,
 		FiltersGenerated:     r.FiltersGenerated,
 		Validations:          r.Validations,
@@ -421,7 +438,7 @@ func (e *Engine) run(ctx context.Context, spec *constraint.Spec, opts Options, e
 	defer func() {
 		if rec := recover(); rec != nil {
 			metricRoundPanics.Inc()
-			err = fmt.Errorf("discovery: round panic: %v: %w", rec, fault.ErrInternal)
+			err = fmt.Errorf("discovery: round panic: %v: %w", rec, sentinel.ErrInternal)
 		}
 	}()
 	if ferr := faultRound.Hit(); ferr != nil {
@@ -510,7 +527,7 @@ func (r *round) relate() error {
 	if err != nil {
 		return err
 	}
-	r.send(Event{Kind: EventRelated, Related: related})
+	r.send(Event{Kind: api.EventRelated, Related: related})
 	return nil
 }
 
@@ -532,7 +549,7 @@ func (r *round) enumerate() error {
 	if len(candidates) == 0 {
 		return fmt.Errorf("discovery: no candidate schema mapping queries connect the related columns")
 	}
-	r.send(Event{Kind: EventCandidates})
+	r.send(Event{Kind: api.EventCandidates})
 	return nil
 }
 
@@ -562,7 +579,7 @@ func (r *round) decompose() error {
 	sp.SetAttr("filters", r.set.NumFilters())
 	sp.End()
 	r.report.FiltersGenerated = r.set.NumFilters()
-	r.send(Event{Kind: EventFilters})
+	r.send(Event{Kind: api.EventFilters})
 	return nil
 }
 
@@ -651,10 +668,10 @@ func (r *round) schedOptions() sched.Options {
 		}
 		if m := r.mapping(ci); m != nil {
 			streamed++
-			stream(Event{Kind: EventMapping, Mapping: m}, s)
+			stream(Event{Kind: api.EventMapping, Mapping: m}, s)
 		}
 	}
-	o.OnProgress = func(s sched.Snapshot) { stream(Event{Kind: EventProgress}, s) }
+	o.OnProgress = func(s sched.Snapshot) { stream(Event{Kind: api.EventProgress}, s) }
 	return o
 }
 

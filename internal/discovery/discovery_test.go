@@ -7,10 +7,11 @@ import (
 	"testing"
 	"time"
 
+	"prism/api"
 	"prism/internal/constraint"
 	"prism/internal/dataset"
-	"prism/internal/fault"
 	"prism/internal/mem"
+	"prism/internal/sentinel"
 )
 
 // smallMondial builds a reduced Mondial instance so the tests stay fast.
@@ -320,12 +321,12 @@ func TestCallbackPanicEndsOnlyItsRound(t *testing.T) {
 	e := NewEngine(smallMondial(t))
 	recovered := metricRoundPanics.Value()
 	sink := func(ev Event) {
-		if ev.Kind == EventMapping {
+		if ev.Kind == api.EventMapping {
 			panic("sink bug")
 		}
 	}
 	report, err := e.run(context.Background(), paperSpec(t), Options{}, sink, nil)
-	if !errors.Is(err, fault.ErrInternal) || !strings.Contains(err.Error(), "sink bug") {
+	if !errors.Is(err, sentinel.ErrInternal) || !strings.Contains(err.Error(), "sink bug") {
 		t.Fatalf("round with a panicking callback returned %v, want ErrInternal naming the panic", err)
 	}
 	if report == nil {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"testing"
 
+	"prism/api"
 	"prism/internal/sched"
 )
 
@@ -24,15 +25,15 @@ func TestRoundStopsAtEveryStageBoundary(t *testing.T) {
 	// Per boundary: which counters of the full round the partial report
 	// must already carry.
 	boundaries := []struct {
-		at                  EventKind
+		at                  api.EventKind
 		candidates, filters int
 		validating          bool
 	}{
-		{at: EventRelated},
-		{at: EventCandidates, candidates: full.CandidatesEnumerated},
-		{at: EventFilters, candidates: full.CandidatesEnumerated, filters: full.FiltersGenerated},
-		{at: EventProgress, candidates: full.CandidatesEnumerated, filters: full.FiltersGenerated, validating: true},
-		{at: EventMapping, candidates: full.CandidatesEnumerated, filters: full.FiltersGenerated, validating: true},
+		{at: api.EventRelated},
+		{at: api.EventCandidates, candidates: full.CandidatesEnumerated},
+		{at: api.EventFilters, candidates: full.CandidatesEnumerated, filters: full.FiltersGenerated},
+		{at: api.EventProgress, candidates: full.CandidatesEnumerated, filters: full.FiltersGenerated, validating: true},
+		{at: api.EventMapping, candidates: full.CandidatesEnumerated, filters: full.FiltersGenerated, validating: true},
 	}
 	causes := []struct {
 		name  string
@@ -53,10 +54,10 @@ func TestRoundStopsAtEveryStageBoundary(t *testing.T) {
 			report, err := e.run(ctx, spec, Options{}, func(ev Event) {
 				// One outcome's callbacks run to their end: a mapping event may
 				// be followed by the rest of its outcome's, nothing else by any.
-				if fired && b.at != EventMapping {
+				if fired && b.at != api.EventMapping {
 					t.Errorf("%s: %s event after the context died", name, ev.Kind)
 				}
-				if ev.Kind == EventMapping {
+				if ev.Kind == api.EventMapping {
 					streamed++
 				}
 				if ev.Kind == b.at {
@@ -96,7 +97,7 @@ func TestRoundStopsAtEveryStageBoundary(t *testing.T) {
 			if len(report.Mappings) != streamed || len(report.Mappings) != report.CandidatesConfirmed {
 				t.Errorf("%s: %d mappings in the report, %d streamed, %d candidates confirmed", name, len(report.Mappings), streamed, report.CandidatesConfirmed)
 			}
-			if b.at == EventMapping && len(report.Mappings) == 0 {
+			if b.at == api.EventMapping && len(report.Mappings) == 0 {
 				t.Errorf("%s: stopped on a mapping event, the report has none", name)
 			}
 		}

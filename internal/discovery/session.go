@@ -95,9 +95,6 @@ func (e *Engine) NewSession(cacheCapacity int) *Session {
 	return &Session{eng: e, cache: filter.NewOutcomeCache(cacheCapacity)}
 }
 
-// Engine returns the engine the session runs over.
-func (s *Session) Engine() *Engine { return s.eng }
-
 // Spec returns the session's current constraint specification (nil before
 // the first Discover). The returned specification must be treated as
 // read-only; Refine derives new specifications instead of mutating it.

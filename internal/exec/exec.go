@@ -27,11 +27,6 @@ import (
 // Deprecated: ROADMAP item 0e deletes it with the registry.
 var ErrUnknownExecutor = errors.New("exec: unknown executor")
 
-// ErrUnknownTable is wrapped by executor implementations when a request
-// names a table the source database does not have; servers use it to
-// classify the failure for clients.
-var ErrUnknownTable = errors.New("exec: unknown table")
-
 // Metadata is the read-only catalog surface shared by every backend: the
 // schema plus the per-column statistics and keyword membership collected
 // during preprocessing (§2.3). Related-column search and the scheduling

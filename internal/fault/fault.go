@@ -8,12 +8,6 @@
 // deterministic Injection plan (error, panic, latency, short write)
 // keyed by hit count and an optional seeded probability, exercise the
 // failure edge, and disarm.
-//
-// The package also owns ErrInternal, the sentinel for "a bug inside
-// prism was caught and isolated" (a recovered panic, an invariant
-// violation). It lives here — the one package everything may import —
-// so both the engine layers and the wire layer can share it without an
-// import cycle.
 package fault
 
 import (
@@ -25,12 +19,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// ErrInternal reports that prism caught a bug in itself — typically a
-// recovered panic — and aborted the round that hit it. The process,
-// worker pool, and other rounds stay healthy. On the wire it maps to
-// HTTP 500 with code "internal".
-var ErrInternal = errors.New("prism: internal error")
 
 // ErrInjected is the default error returned by an armed fault point
 // whose Injection does not set Err.

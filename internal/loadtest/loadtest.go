@@ -256,12 +256,6 @@ func Run(ctx context.Context, cfg Config) (*Profile, error) {
 	return p, nil
 }
 
-// newStatsClient returns a plain client (no tenant, priority or retry)
-// for scraping the server's stats endpoint after a run.
-func newStatsClient(baseURL string) (*client.Client, error) {
-	return client.New(baseURL)
-}
-
 // quantile is the exact nearest-rank quantile (ceil convention, matching
 // the server's histograms) of a sorted sample.
 func quantile(sorted []float64, q float64) float64 {

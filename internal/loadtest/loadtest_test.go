@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"prism/api"
+	"prism/client"
 	"prism/internal/dataset"
 	"prism/internal/serve"
 	"prism/internal/server"
@@ -146,7 +147,7 @@ func TestOverloadShedsAndIsolates(t *testing.T) {
 	}
 
 	// The server's own accounting agrees with the client-observed counts.
-	c, err := newStatsClient(srv.URL)
+	c, err := client.New(srv.URL)
 	if err != nil {
 		t.Fatal(err)
 	}

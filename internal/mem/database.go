@@ -253,13 +253,6 @@ func (db *Database) Analyzed() bool {
 	return db.analyzed
 }
 
-func (db *Database) requireAnalyzed() error {
-	if !db.Analyzed() {
-		return fmt.Errorf("mem: database %q has not been analyzed; call Analyze first", db.Name)
-	}
-	return nil
-}
-
 // Stats returns the preprocessed statistics for a column.
 func (db *Database) Stats(ref schema.ColumnRef) (schema.Stats, bool) {
 	db.mu.RLock()

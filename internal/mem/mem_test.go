@@ -216,8 +216,8 @@ func TestUnanalyzedLookups(t *testing.T) {
 	if _, ok := db.Stats(ref("Lake", "Name")); ok {
 		t.Error("Stats before Analyze should be absent")
 	}
-	if err := db.requireAnalyzed(); err == nil {
-		t.Error("requireAnalyzed should fail before Analyze")
+	if db.Analyzed() {
+		t.Error("Analyzed before Analyze should be false")
 	}
 }
 

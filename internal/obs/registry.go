@@ -98,9 +98,6 @@ func (r *Registry) Enable() { r.enabled.Store(true) }
 // accumulated while enabled.
 func (r *Registry) Disable() { r.enabled.Store(false) }
 
-// Enabled reports whether instrument updates are applied.
-func (r *Registry) Enabled() bool { return r.enabled.Load() }
-
 // labelKey serializes a label set into a map key. Labels are sorted so
 // the same set in a different order names the same series, and each
 // component is quoted so delimiter characters inside a key or value

@@ -3,7 +3,7 @@ package sched
 // Robustness seams of the scheduling loop: the time budget, the validation
 // fault point, the panic counter and the watchdog counter. A panicking
 // validator (an executor bug, an injected fault) must abort only the round
-// that hit it — the loop recovers it into a fault.ErrInternal-wrapped error
+// that hit it — the loop recovers it into a sentinel.ErrInternal-wrapped error
 // and the process stays healthy. The watchdog bounds a round whose executor
 // wedges past the time budget without honoring context cancellation.
 

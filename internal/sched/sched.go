@@ -30,11 +30,11 @@ import (
 	"prism/internal/bayes"
 	"prism/internal/constraint"
 	"prism/internal/exec"
-	"prism/internal/fault"
 	"prism/internal/filter"
 	"prism/internal/obs"
 	"prism/internal/rowset"
 	"prism/internal/schema"
+	"prism/internal/sentinel"
 )
 
 // Estimator predicts the probability that validating a filter fails.
@@ -612,7 +612,7 @@ func (s *run) validate(idx int) (vr filter.ValidationResult, err error) {
 	defer func() {
 		if rec := recover(); rec != nil {
 			metricPanics.Inc()
-			vr, err = filter.ValidationResult{}, fmt.Errorf("validation panic: %v: %w", rec, fault.ErrInternal)
+			vr, err = filter.ValidationResult{}, fmt.Errorf("validation panic: %v: %w", rec, sentinel.ErrInternal)
 		}
 		if sp != nil {
 			sp.SetAttr("passed", vr.Passed)

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"prism/internal/sentinel"
 )
 
 // Priority classes of a request, in descending order of urgency. The
@@ -66,19 +68,6 @@ func ParsePriority(s string) (Priority, error) {
 func Priorities() []Priority {
 	return []Priority{PriorityInteractive, PriorityNormal, PriorityBatch}
 }
-
-// Sentinel errors of the admission controller.
-var (
-	// ErrOverloaded reports that the server shed the request: every slot
-	// is busy and the queue is beyond its deadline-aware depth (or the
-	// request waited out its queue budget). Clients should back off and
-	// retry; over HTTP this is 429 with a Retry-After hint.
-	ErrOverloaded = errors.New("serve: overloaded, retry later")
-	// ErrDraining reports that the server is shutting down and no longer
-	// admits new rounds; queued requests are flushed with it so a
-	// restarting fleet fails fast (503) instead of timing out.
-	ErrDraining = errors.New("serve: draining, not admitting new rounds")
-)
 
 // Config tunes a Controller. The zero value of every field selects a
 // sensible default.
@@ -301,16 +290,16 @@ func (c *Controller) shedLocked(tenant string) {
 
 // Admit blocks until the request is admitted, shed, or abandoned, and
 // returns the release function of the admitted slot (call it exactly once,
-// when the round finishes). It sheds with ErrOverloaded when the queue is
+// when the round finishes). It sheds with sentinel.ErrOverloaded when the queue is
 // already beyond its deadline-aware depth or the request waits out
-// QueueTimeout, with ErrDraining when the controller is draining, and with
+// QueueTimeout, with sentinel.ErrDraining when the controller is draining, and with
 // ctx.Err() when the caller gives up first.
 func (c *Controller) Admit(ctx context.Context, tenant string, pri Priority) (release func(), err error) {
 	if err := faultAdmit.Hit(); err != nil {
 		// Injected before any counter moves: an injected admission
 		// failure reads as a shed to the caller without skewing the
 		// admitted/shed accounting the stats tests pin.
-		return nil, fmt.Errorf("%w: %v", ErrOverloaded, err)
+		return nil, fmt.Errorf("%w: %v", sentinel.ErrOverloaded, err)
 	}
 	if pri < 0 || pri >= numPriorities {
 		pri = PriorityNormal
@@ -319,7 +308,7 @@ func (c *Controller) Admit(ctx context.Context, tenant string, pri Priority) (re
 	if c.draining {
 		c.drained++
 		c.mu.Unlock()
-		return nil, ErrDraining
+		return nil, sentinel.ErrDraining
 	}
 	// Fast path: a free slot and nobody queued ahead.
 	if c.queued == 0 && c.hasCapacityLocked(tenant) {
@@ -342,7 +331,7 @@ func (c *Controller) Admit(ctx context.Context, tenant string, pri Priority) (re
 	if shed {
 		c.shedLocked(tenant)
 		c.mu.Unlock()
-		return nil, fmt.Errorf("%w (queue depth %d)", ErrOverloaded, c.queued)
+		return nil, fmt.Errorf("%w (queue depth %d)", sentinel.ErrOverloaded, c.queued)
 	}
 	w := &waiter{tenant: tenant, pri: pri, ready: make(chan error, 1)}
 	c.classes[pri].push(w)
@@ -365,7 +354,7 @@ func (c *Controller) Admit(ctx context.Context, tenant string, pri Priority) (re
 	case <-ctx.Done():
 		return c.abandon(w, ctx.Err())
 	case <-timer.C:
-		return c.abandon(w, fmt.Errorf("%w (queued longer than %v)", ErrOverloaded, c.cfg.QueueTimeout))
+		return c.abandon(w, fmt.Errorf("%w (queued longer than %v)", sentinel.ErrOverloaded, c.cfg.QueueTimeout))
 	}
 }
 
@@ -389,7 +378,7 @@ func (c *Controller) abandon(w *waiter, cause error) (func(), error) {
 	if c.classes[w.pri].remove(w) {
 		c.queued--
 		c.tenant(w.tenant).queued--
-		if errors.Is(cause, ErrOverloaded) {
+		if errors.Is(cause, sentinel.ErrOverloaded) {
 			c.shedLocked(w.tenant)
 		}
 		c.mu.Unlock()
@@ -470,7 +459,7 @@ func (c *Controller) dispatchLocked() {
 // strideUnit is the stride-scheduling numerator; weights divide it.
 const strideUnit = int64(1 << 20)
 
-// Drain flushes every queued waiter with ErrDraining and makes all future
+// Drain flushes every queued waiter with sentinel.ErrDraining and makes all future
 // Admit calls fail fast with it. Rounds already admitted are unaffected —
 // the caller lets them finish (graceful shutdown) or cancels their
 // contexts (hard stop). Drain is idempotent.
@@ -491,7 +480,7 @@ func (c *Controller) Drain() {
 			c.queued--
 			c.tenant(w.tenant).queued--
 			c.drained++
-			w.ready <- ErrDraining
+			w.ready <- sentinel.ErrDraining
 		}
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"prism/internal/sentinel"
 )
 
 func mustAdmit(t *testing.T, c *Controller, tenant string, pri Priority) func() {
@@ -49,8 +51,8 @@ func TestShedImmediatelyWhenQueueFull(t *testing.T) {
 	// The next is beyond MaxQueue: shed without waiting.
 	start := time.Now()
 	_, err := c.Admit(context.Background(), "a", PriorityNormal)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded", err)
+	if !errors.Is(err, sentinel.ErrOverloaded) {
+		t.Fatalf("err = %v, want sentinel.ErrOverloaded", err)
 	}
 	if time.Since(start) > 2*time.Second {
 		t.Fatalf("immediate shed took %v", time.Since(start))
@@ -69,8 +71,8 @@ func TestQueueTimeoutSheds(t *testing.T) {
 	release := mustAdmit(t, c, "a", PriorityNormal)
 	defer release()
 	_, err := c.Admit(context.Background(), "b", PriorityNormal)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded after queue timeout", err)
+	if !errors.Is(err, sentinel.ErrOverloaded) {
+		t.Fatalf("err = %v, want sentinel.ErrOverloaded after queue timeout", err)
 	}
 	snap := c.Snapshot()
 	if snap.Shed != 1 || snap.QueueDepth != 0 {
@@ -105,8 +107,8 @@ func TestDeadlineAwareShedding(t *testing.T) {
 	defer cancel()
 	start := time.Now()
 	_, err := c.Admit(ctx, "a", PriorityNormal)
-	if !errors.Is(err, ErrOverloaded) {
-		t.Fatalf("err = %v, want ErrOverloaded for doomed deadline", err)
+	if !errors.Is(err, sentinel.ErrOverloaded) {
+		t.Fatalf("err = %v, want sentinel.ErrOverloaded for doomed deadline", err)
 	}
 	if time.Since(start) > time.Second {
 		t.Fatalf("deadline-aware shed waited %v", time.Since(start))
@@ -287,11 +289,11 @@ func TestDrainFlushesQueueAndRejectsNew(t *testing.T) {
 	waitFor(t, func() bool { return c.Snapshot().QueueDepth == 1 })
 
 	c.Drain()
-	if err := <-errc; !errors.Is(err, ErrDraining) {
-		t.Fatalf("queued waiter on drain: %v, want ErrDraining", err)
+	if err := <-errc; !errors.Is(err, sentinel.ErrDraining) {
+		t.Fatalf("queued waiter on drain: %v, want sentinel.ErrDraining", err)
 	}
-	if _, err := c.Admit(context.Background(), "c", PriorityNormal); !errors.Is(err, ErrDraining) {
-		t.Fatalf("new admit while draining: %v, want ErrDraining", err)
+	if _, err := c.Admit(context.Background(), "c", PriorityNormal); !errors.Is(err, sentinel.ErrDraining) {
+		t.Fatalf("new admit while draining: %v, want sentinel.ErrDraining", err)
 	}
 	// In-flight rounds are unaffected and can still release cleanly.
 	release()

@@ -9,7 +9,7 @@
 //     request priorities (interactive session rounds over one-shot
 //     discovers over bench/batch traffic), and load shedding: once the
 //     queue exceeds a deadline-aware depth a request is rejected
-//     immediately with ErrOverloaded rather than queued to time out.
+//     immediately with sentinel.ErrOverloaded rather than queued to time out.
 //   - Sink — a backpressure-aware writer for streaming responses: events
 //     are pumped to the consumer through a bounded buffer under a write
 //     deadline, so a slow or stalled consumer stalls (and cancels, via the

@@ -79,11 +79,11 @@ func (s *Server) admitted(def serve.Priority, h http.HandlerFunc) http.HandlerFu
 // 503 (the client is usually gone by then).
 func (s *Server) writeAdmissionError(w http.ResponseWriter, err error) {
 	switch {
-	case errors.Is(err, serve.ErrOverloaded):
+	case errors.Is(err, api.ErrOverloaded):
 		secs := int(math.Ceil(s.admission.RetryAfter().Seconds()))
 		w.Header().Set("Retry-After", strconv.Itoa(secs))
 		writeAPIError(w, http.StatusTooManyRequests, api.CodeOverloaded, err.Error())
-	case errors.Is(err, serve.ErrDraining):
+	case errors.Is(err, api.ErrDraining):
 		writeAPIError(w, http.StatusServiceUnavailable, api.CodeDraining, err.Error())
 	default:
 		writeAPIError(w, http.StatusServiceUnavailable, api.CodeOverloaded,

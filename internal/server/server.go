@@ -208,10 +208,6 @@ func (s *Server) ListenAndServe(ctx context.Context, addr string) error {
 // JSON API handlers (the wire types live in prism/api)
 // ---------------------------------------------------------------------------
 
-// errorCode classifies an error for the structured JSON error responses;
-// the table lives in prism/api so clients can map codes back to sentinels.
-func errorCode(err error) string { return api.CodeForError(err) }
-
 func writeAPIError(w http.ResponseWriter, status int, code, msg string) {
 	writeJSON(w, status, api.Error{Message: msg, Code: code})
 }
@@ -236,7 +232,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	}
 	eng, err := s.engine(r.URL.Query().Get("db"))
 	if err != nil {
-		writeAPIError(w, http.StatusBadRequest, errorCode(err), err.Error())
+		writeAPIError(w, http.StatusBadRequest, api.CodeForError(err), err.Error())
 		return
 	}
 	table := r.URL.Query().Get("table")
@@ -252,7 +248,7 @@ func (s *Server) handleSample(w http.ResponseWriter, r *http.Request) {
 	}
 	rows, err := eng.SampleRows(table, limit)
 	if err != nil {
-		writeAPIError(w, http.StatusBadRequest, errorCode(err), err.Error())
+		writeAPIError(w, http.StatusBadRequest, api.CodeForError(err), err.Error())
 		return
 	}
 	out := make([][]string, len(rows))
@@ -379,6 +375,7 @@ func (s *Server) discoverResponse(req api.DiscoverRequest, report *discovery.Rep
 		resp.Candidates = report.CandidatesEnumerated
 		resp.Filters = report.FiltersGenerated
 		resp.Validations = report.Validations
+		resp.Implied = report.Implied
 		resp.ElapsedMS = report.Elapsed.Milliseconds()
 		resp.TimedOut = report.TimedOut
 		resp.Failure = report.Failure()
@@ -392,7 +389,7 @@ func (s *Server) discoverResponse(req api.DiscoverRequest, report *discovery.Rep
 	}
 	if err != nil {
 		resp.Error = err.Error()
-		resp.Code = errorCode(err)
+		resp.Code = api.CodeForError(err)
 		return resp
 	}
 	for i, m := range report.Mappings {
@@ -411,7 +408,7 @@ func (s *Server) discoverResponse(req api.DiscoverRequest, report *discovery.Rep
 func (s *Server) discover(ctx context.Context, req api.DiscoverRequest, withGraphs bool) (api.DiscoverResponse, int) {
 	rd, err := s.prepare(req)
 	if err != nil {
-		return api.DiscoverResponse{Database: req.Database, Error: err.Error(), Code: errorCode(err)}, http.StatusBadRequest
+		return api.DiscoverResponse{Database: req.Database, Error: err.Error(), Code: api.CodeForError(err)}, http.StatusBadRequest
 	}
 	ctx, cancel := rd.requestContext(ctx)
 	defer cancel()
@@ -448,7 +445,7 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 	// as a structured 400 here, before the 200 streaming header goes out.
 	rd, err := s.prepare(req)
 	if err != nil {
-		writeJSON(w, http.StatusBadRequest, api.DiscoverResponse{Database: req.Database, Error: err.Error(), Code: errorCode(err)})
+		writeJSON(w, http.StatusBadRequest, api.DiscoverResponse{Database: req.Database, Error: err.Error(), Code: api.CodeForError(err)})
 		return
 	}
 	ctx, cancel := rd.requestContext(r.Context())
@@ -511,6 +508,7 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 			Candidates:  ev.Progress.CandidatesEnumerated,
 			Filters:     ev.Progress.FiltersGenerated,
 			Validations: ev.Progress.Validations,
+			Implied:     ev.Progress.Implied,
 			Confirmed:   ev.Progress.Confirmed,
 			Pruned:      ev.Progress.Pruned,
 			Unresolved:  ev.Progress.Unresolved,
@@ -518,10 +516,10 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 			RemainingMS: ev.Progress.TimeRemaining.Milliseconds(),
 		}
 		switch ev.Kind {
-		case discovery.EventMapping:
+		case api.EventMapping:
 			mr := mappingResponse(*ev.Mapping)
 			out.Mapping = &mr
-		case discovery.EventDone:
+		case api.EventDone:
 			s.recordRoundMetrics(ctx, ev.Report)
 			resp := s.discoverResponse(req, ev.Report, ev.Err, rd.spec, false)
 			out.Result = &resp

@@ -173,7 +173,7 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	}
 	eng, err := s.engine(req.Database)
 	if err != nil {
-		writeAPIError(w, http.StatusBadRequest, errorCode(err), err.Error())
+		writeAPIError(w, http.StatusBadRequest, api.CodeForError(err), err.Error())
 		return
 	}
 	// The session must outlive this request — its lifetime is the store's
@@ -225,7 +225,7 @@ func (s *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 	}
 	opts, err := s.roundOptions(base)
 	if err != nil {
-		writeAPIError(w, http.StatusBadRequest, errorCode(err), err.Error())
+		writeAPIError(w, http.StatusBadRequest, api.CodeForError(err), err.Error())
 		return
 	}
 	rd := &round{opts: opts}

@@ -93,9 +93,9 @@ type (
 	// report.
 	StreamEvent = discovery.Event
 	// EventKind names the kind of a StreamEvent.
-	EventKind = discovery.EventKind
+	EventKind = api.EventKind
 	// Progress describes how far a discovery round has advanced.
-	Progress = discovery.Progress
+	Progress = api.Progress
 	// ExplainGraph is the query-graph explanation of a mapping.
 	ExplainGraph = explain.Graph
 	// ConstraintSelection selects which constraints to overlay on an
@@ -128,17 +128,17 @@ const (
 // Streaming event kinds (see DiscoverStream).
 const (
 	// EventRelated reports the related-column search result.
-	EventRelated = discovery.EventRelated
+	EventRelated = api.EventRelated
 	// EventCandidates reports that candidate enumeration finished.
-	EventCandidates = discovery.EventCandidates
+	EventCandidates = api.EventCandidates
 	// EventFilters reports that the validation phase is about to start.
-	EventFilters = discovery.EventFilters
+	EventFilters = api.EventFilters
 	// EventProgress reports validation-phase progress.
-	EventProgress = discovery.EventProgress
+	EventProgress = api.EventProgress
 	// EventMapping delivers one confirmed mapping as soon as it resolves.
-	EventMapping = discovery.EventMapping
+	EventMapping = api.EventMapping
 	// EventDone is the final event, carrying the Report and round error.
-	EventDone = discovery.EventDone
+	EventDone = api.EventDone
 )
 
 // Engine preprocesses one source database (per-column key dictionaries,

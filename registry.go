@@ -7,11 +7,11 @@ import (
 	"sync"
 
 	"prism/api"
-	"prism/internal/exec"
+	"prism/internal/sentinel"
 )
 
 // Sentinel errors of the serving surface. They are shared with the wire
-// layer: the canonical definitions live in prism/api (and internal/exec),
+// layer: the canonical definitions live in prism/api (and internal/sentinel),
 // the server maps them to structured JSON error codes, and the client maps
 // the codes back — so errors.Is against these names works identically for
 // in-process and remote callers.
@@ -21,7 +21,7 @@ var (
 	ErrUnknownDatabase = api.ErrUnknownDatabase
 	// ErrUnknownTable is wrapped by SampleRows and plan execution when a
 	// table name does not exist in the source schema.
-	ErrUnknownTable = exec.ErrUnknownTable
+	ErrUnknownTable = sentinel.ErrUnknownTable
 	// ErrUnknownSession is returned by the client when a refinement-session
 	// id is unknown or expired on the server.
 	ErrUnknownSession = api.ErrUnknownSession
