@@ -196,6 +196,16 @@ func (m *Model) column(ref schema.ColumnRef) *columnModel {
 	return rm.column(ref.Column)
 }
 
+// ColumnIndex returns the key dictionary the model holds for a column, nil
+// when it lacks the column: the index a round's selections of the column's
+// cells are made from.
+func (m *Model) ColumnIndex(ref schema.ColumnRef) *exec.ColumnIndex {
+	if cm := m.column(ref); cm != nil {
+		return cm.ColumnIndex
+	}
+	return nil
+}
+
 // RelationSize returns the trained row count of a table (0 when unknown).
 func (m *Model) RelationSize(table string) int {
 	if rm := m.relation(table); rm != nil {

@@ -7,6 +7,7 @@ import (
 
 	"prism/internal/dataset"
 	"prism/internal/difftest"
+	"prism/internal/exec"
 	"prism/internal/lang"
 	"prism/internal/mem"
 	"prism/internal/schema"
@@ -34,8 +35,8 @@ func newDiffFixture(t *testing.T, db *mem.Database) *diffFixture {
 // as a round's estimator does.
 type rememberingSets struct {
 	model *Model
-	cells map[cellQuestion]*RowSet
-	both  map[[2]*RowSet]*RowSet
+	cells map[cellQuestion]*exec.Selection
+	both  map[[2]*exec.Selection]*exec.Selection
 	pairs map[pairQuestion]int
 }
 
@@ -46,20 +47,20 @@ type cellQuestion struct {
 
 type pairQuestion struct {
 	fk       schema.ForeignKey
-	from, to *RowSet
+	from, to *exec.Selection
 }
 
 // remembering returns the model estimating through a fresh rememberingSets.
 func remembering(m *Model) *Model {
 	return m.Sharing(&rememberingSets{
 		model: m,
-		cells: make(map[cellQuestion]*RowSet),
-		both:  make(map[[2]*RowSet]*RowSet),
+		cells: make(map[cellQuestion]*exec.Selection),
+		both:  make(map[[2]*exec.Selection]*exec.Selection),
 		pairs: make(map[pairQuestion]int),
 	})
 }
 
-func (r *rememberingSets) MatchRows(c ColumnConstraint) (*RowSet, bool) {
+func (r *rememberingSets) MatchRows(c ColumnConstraint) (*exec.Selection, bool) {
 	q := cellQuestion{c.Sample, c.Target, c.Ref}
 	if rows, ok := r.cells[q]; ok {
 		return rows, true
@@ -71,15 +72,15 @@ func (r *rememberingSets) MatchRows(c ColumnConstraint) (*RowSet, bool) {
 	return rows, known
 }
 
-func (r *rememberingSets) Intersect(a, b *RowSet) *RowSet {
-	q := [2]*RowSet{a, b}
+func (r *rememberingSets) Intersect(a, b *exec.Selection) *exec.Selection {
+	q := [2]*exec.Selection{a, b}
 	if _, ok := r.both[q]; !ok {
 		r.both[q] = r.model.Intersect(a, b)
 	}
 	return r.both[q]
 }
 
-func (r *rememberingSets) PairHits(fk schema.ForeignKey, from, to *RowSet) int {
+func (r *rememberingSets) PairHits(fk schema.ForeignKey, from, to *exec.Selection) int {
 	q := pairQuestion{fk, from, to}
 	if _, ok := r.pairs[q]; !ok {
 		r.pairs[q] = r.model.PairHits(fk, from, to)

@@ -9,7 +9,6 @@ import (
 	"prism/internal/lang"
 	"prism/internal/rowset"
 	"prism/internal/schema"
-	"prism/internal/value"
 )
 
 // ColumnConstraint binds a value constraint to a source column; the
@@ -19,29 +18,25 @@ type ColumnConstraint struct {
 	Ref  schema.ColumnRef
 	Expr lang.ValueExpr
 	// Sample and Target locate Expr in its specification. The model ignores
-	// them; a Sets that remembers match sets keys on them, because an
-	// expression tree cannot be hashed.
+	// them; a Sets that remembers match sets finds the cell by them, because
+	// an expression tree cannot be hashed.
 	Sample, Target int
 }
 
-// RowSet is an exact, immutable set of rows of one relation with its size.
-type RowSet struct {
-	bits  *rowset.Bitmap
-	count int
-}
-
 // Sets are the three quantities an estimate reads off the model's storage,
-// each a pure function of its arguments. The filters of a round ask for the
-// same few over and over: Sharing takes a Sets that remembers the answers.
+// each a pure function of its arguments. A set of rows of one relation is
+// an exec.Selection, which the estimate never writes; nil is every row. The
+// filters of a round ask for the same few over and over: Sharing takes a
+// Sets that remembers the answers.
 type Sets interface {
 	// MatchRows returns the rows of c.Ref's relation whose value satisfies
 	// c.Expr (nil: every row); known is false when the model lacks the column.
-	MatchRows(c ColumnConstraint) (rows *RowSet, known bool)
+	MatchRows(c ColumnConstraint) (rows *exec.Selection, known bool)
 	// Intersect returns the rows in both sets of one relation.
-	Intersect(a, b *RowSet) *RowSet
+	Intersect(a, b *exec.Selection) *exec.Selection
 	// PairHits counts the sampled joined pairs of a trained edge with their
 	// from-row in from and their to-row in to; a nil set is every row.
-	PairHits(fk schema.ForeignKey, from, to *RowSet) int
+	PairHits(fk schema.ForeignKey, from, to *exec.Selection) int
 }
 
 // Sharing returns a view of the model that estimates through s: the same
@@ -82,7 +77,7 @@ func (m *Model) ExpectedMatches(tables []string, edges []schema.ForeignKey, cons
 			e *= part.p
 		case set != nil:
 			part.set = set
-			part.p = float64(set.count) / float64(rm.rows)
+			part.p = float64(len(set.IDs)) / float64(rm.rows)
 			if part.p == 0 {
 				return 0
 			}
@@ -123,7 +118,7 @@ func (m *Model) ExpectedMatches(tables []string, edges []schema.ForeignKey, cons
 // tablePart is one relation of an estimate: match set (nil: all rows) and p_i.
 type tablePart struct {
 	table string
-	set   *RowSet
+	set   *exec.Selection
 	p     float64
 }
 
@@ -135,7 +130,7 @@ func findPart(parts []tablePart, table string) int {
 // relationRows returns the rows of a relation satisfying every constraint
 // that names it (nil: all rows); known is false when one names a column the
 // model lacks.
-func (m *Model) relationRows(table string, constraints []ColumnConstraint) (set *RowSet, known bool) {
+func (m *Model) relationRows(table string, constraints []ColumnConstraint) (set *exec.Selection, known bool) {
 	for _, c := range constraints {
 		if !strings.EqualFold(c.Ref.Table, table) {
 			continue
@@ -153,79 +148,52 @@ func (m *Model) relationRows(table string, constraints []ColumnConstraint) (set 
 	return set, true
 }
 
-// MatchRows implements Sets. Equality-shaped constraints read their
-// postings; anything else is the rows the column's key dictionary selects for
-// it (exec.ColumnIndex.Select, which the executor's selections use too): a
-// pure numeric range the postings its bounds enclose in the sorted views, any
-// other expression evaluated once per distinct value, variant and NULL.
-func (m *Model) MatchRows(c ColumnConstraint) (*RowSet, bool) {
+// MatchRows implements Sets: the rows the column's key dictionary selects
+// for the constraint (exec.ColumnIndex.Select, the executor's selection
+// too) — a pure numeric range the postings its bounds enclose in the sorted
+// views, any other expression evaluated once per distinct value, variant
+// and NULL.
+func (m *Model) MatchRows(c ColumnConstraint) (*exec.Selection, bool) {
 	cm := m.column(c.Ref)
 	if cm == nil || c.Expr == nil {
 		return nil, cm != nil
 	}
-	bits := rowset.New(cm.NumRows())
-	if !cm.addEqualityRows(bits, c.Expr) {
-		bits.Reset(cm.NumRows()) // a disjunction may have added rows before giving up
-		p := exec.ColumnPredicate{Ref: c.Ref, Pred: c.Expr.Eval}
-		if b, exact := lang.ExactRangeBounds(c.Expr); exact {
-			p.Bounds, p.BoundsExact = &exec.NumericBounds{Lo: b.Lo, Hi: b.Hi, HasLo: true, HasHi: true}, true
-		}
-		cm.Select(&p, bits, nil)
+	p := exec.ColumnPredicate{Ref: c.Ref, Pred: c.Expr.Eval}
+	if b, exact := lang.ExactRangeBounds(c.Expr); exact {
+		p.Bounds, p.BoundsExact = &exec.NumericBounds{Lo: b.Lo, Hi: b.Hi, HasLo: true, HasHi: true}, true
 	}
-	return &RowSet{bits: bits, count: bits.Popcount()}, true
-}
-
-// addEqualityRows adds the postings of an equality-shaped constraint (a
-// keyword, "= const", a disjunction of those); it reports false for any other.
-func (c *columnModel) addEqualityRows(bits *rowset.Bitmap, e lang.ValueExpr) bool {
-	switch n := e.(type) {
-	case lang.Keyword:
-		bits.AddSorted(c.RowsOfValue(value.Parse(n.Word)))
-	case lang.Compare:
-		if n.Op != lang.OpEq {
-			return false
-		}
-		bits.AddSorted(c.RowsOfValue(n.Const))
-	case lang.Or:
-		for _, t := range n.Terms {
-			if !c.addEqualityRows(bits, t) {
-				return false
-			}
-		}
-	default:
-		return false
-	}
-	return true
+	rows := rowset.New(cm.NumRows())
+	cm.Select(&p, rows, nil)
+	return exec.NewSelection(rows), true
 }
 
 // Intersect implements Sets.
-func (m *Model) Intersect(a, b *RowSet) *RowSet {
-	bits := rowset.New(a.bits.Len())
-	bits.Or(a.bits)
-	bits.And(b.bits)
-	return &RowSet{bits: bits, count: bits.Popcount()}
+func (m *Model) Intersect(a, b *exec.Selection) *exec.Selection {
+	rows := rowset.New(a.Rows.Len())
+	rows.Or(a.Rows)
+	rows.And(b.Rows)
+	return exec.NewSelection(rows)
 }
 
 // PairHits implements Sets: it walks the rows of the smaller constrained set
 // and tests each one's sampled partners against the other set.
-func (m *Model) PairHits(fk schema.ForeignKey, from, to *RowSet) int {
+func (m *Model) PairHits(fk schema.ForeignKey, from, to *exec.Selection) int {
 	js := m.joinFor(fk)
 	walk, partners, other := from, js.byFrom, to
-	if from == nil || (to != nil && to.count < from.count) {
+	if from == nil || (to != nil && len(to.IDs) < len(from.IDs)) {
 		walk, partners, other = to, js.byTo, from
 	}
 	if walk == nil {
 		return js.sampled
 	}
 	n := 0
-	walk.bits.ForEach(func(r int32) bool {
+	for _, r := range walk.IDs {
 		for _, p := range partners.At(r) {
-			if other == nil || other.bits.Contains(p) {
+			if other == nil || other.Rows.Contains(p) {
 				n++
 			}
 		}
-		return true
-	})
+	}
 	return n
 }
 
@@ -259,5 +227,5 @@ func (m *Model) ExactMatchingRows(table string, cons []ColumnConstraint) (int, b
 	if set == nil {
 		return rm.rows, true
 	}
-	return set.count, true
+	return len(set.IDs), true
 }

@@ -14,11 +14,15 @@ import (
 // per-row value copies, map[string][]int postings, map[int]struct{} match
 // sets and a [][2]int pair list walked once per edge. It is kept verbatim as
 // the oracle of the differential tests — every probability the compact model
-// returns must be == to the one this code computes. The only deliberate
-// departure is the order in which trainJoin enumerates joined pairs: the old
-// code ranged over a Go map, so joins above the sampling budget drew a
-// different sample on every Train; the oracle enumerates in from-row order,
-// which is the order the compact model defines.
+// returns must be == to the one this code computes. There are two
+// deliberate departures. The order in which trainJoin enumerates joined
+// pairs: the old code ranged over a Go map, so joins above the sampling
+// budget drew a different sample on every Train; the oracle enumerates in
+// from-row order, which is the order the compact model defines. And a match
+// set is the rows whose value satisfies the expression, evaluated on every
+// row: the old code answered a keyword or "= const" from the postings of the
+// parsed constant, which disagreed with the expression on a padded keyword,
+// on "NaN" over text and on integers beyond 2^53.
 type refModel struct {
 	relations map[string]*refRelation
 	joins     map[string]*refJoin
@@ -243,32 +247,6 @@ func (m *refModel) relationMatchRows(table string, cons []ColumnConstraint) (map
 	return acc, true
 }
 
-func (c *refColumn) rowsMatching(e lang.ValueExpr) (map[int]struct{}, bool) {
-	switch n := e.(type) {
-	case lang.Keyword:
-		return refToSet(c.postings[value.Parse(n.Word).Key()]), true
-	case lang.Compare:
-		if n.Op == lang.OpEq {
-			return refToSet(c.postings[n.Const.Key()]), true
-		}
-		return nil, false
-	case lang.Or:
-		out := make(map[int]struct{})
-		for _, t := range n.Terms {
-			rows, ok := c.rowsMatching(t)
-			if !ok {
-				return nil, false
-			}
-			for r := range rows {
-				out[r] = struct{}{}
-			}
-		}
-		return out, true
-	default:
-		return nil, false
-	}
-}
-
 func (c *refColumn) rowsSatisfying(e lang.ValueExpr) map[int]struct{} {
 	if e == nil {
 		out := make(map[int]struct{}, len(c.values))
@@ -276,9 +254,6 @@ func (c *refColumn) rowsSatisfying(e lang.ValueExpr) map[int]struct{} {
 			out[i] = struct{}{}
 		}
 		return out
-	}
-	if rows, ok := c.rowsMatching(e); ok {
-		return rows
 	}
 	out := make(map[int]struct{})
 	for row, v := range c.values {

@@ -11,16 +11,13 @@
 //
 //   - hash joins probe the prebuilt key → rows table instead of re-hashing
 //     the inner relation on every execution, and never render a key;
-//   - equality-shaped pushed-down predicates select candidate rows by point
-//     lookup, through the keyword → value ids table and the sorted numeric
-//     views;
+//   - a pushed-down predicate is selected by exec.ColumnIndex.Select, once
+//     per value id instead of once per row — an equality-shaped one only on
+//     the ids its keywords list, a pure numeric range by two binary searches
+//     in the sorted views — and several on one table are intersected;
 //   - a predicate whose numeric interval cover (exec.ColumnPredicate.Bounds)
 //     lies outside the views' range, or that rejects NULL on an all-NULL
-//     column, is proved empty without touching a row;
-//   - a predicate no keyword seeds is answered once per value id (a pure
-//     numeric range by two binary searches) instead of once per row, and
-//     verifying more candidates than the column has ids evaluates the
-//     predicate once per id and reads each candidate's verdict by its id.
+//     column, is proved empty without touching a row.
 //
 // A single execution (Execute, ExecuteWith, Exists) never builds the join:
 // after the pushed-down predicates have reduced every base table to a
@@ -36,19 +33,19 @@
 // it.
 //
 // The probes of one discovery round put the same few cells on the same few
-// source columns over and over. A selection no keyword seeds and the
-// dictionary does not prove empty is therefore taken from the round's
-// exec.SelectionMemo when the caller brings one (exec.ExecOptions.Selections)
-// and says which predicate is which (exec.ColumnPredicate.ID): the first
-// execution to need a (column, predicate) pair selects it from the key
-// dictionary and publishes an immutable id vector and bitmap, every later
-// one installs that selection as it is. The memo belongs to the caller and dies with its
-// round; the executor keeps nothing. Without a memo, and for anonymous
+// source columns over and over. A selection the dictionary does not prove
+// empty is therefore taken from the round's table (exec.SelectionMemo) when
+// the caller brings one (exec.ExecOptions.Selections) and says which
+// predicate is which (exec.ColumnPredicate.ID): the first to need a (column,
+// cell) pair — the round's failure estimator, or an execution — selects it
+// and the table keeps an immutable id vector and bitmap, which every later
+// execution installs as it is. The table belongs to the caller and dies with
+// its round; the executor keeps nothing. Without a table, and for anonymous
 // predicates, every execution selects for itself into pooled scratch.
 //
 // All per-execution scratch (level cursors, bitmaps, id buffers, the
 // projection tuple) comes from a sync.Pool of execution states, so a warm
-// existence-style validation probe runs without allocating, with a memo
+// existence-style validation probe runs without allocating, with a table
 // (a hit) or without one (guarded by AllocsPerRun tests).
 package colexec
 
@@ -72,7 +69,7 @@ func init() {
 }
 
 // column is one table column: the source's key dictionary of it, which
-// stores its values, joins it, seeds and answers its selections.
+// stores its values, joins it and answers its selections.
 type column = exec.ColumnIndex
 
 // joinRows returns the ascending rows of build that join row ri of probe:
@@ -192,8 +189,7 @@ func (e *Executor) Stats(ref schema.ColumnRef) (schema.Stats, bool) { return e.s
 func (e *Executor) AllStats() []schema.Stats { return e.src.AllStats() }
 
 // ColumnHasKeyword implements exec.Metadata by delegating to the source,
-// which answers from the key dictionaries that seed this package's keyword
-// selections.
+// which answers from the key dictionaries this package's selections read.
 func (e *Executor) ColumnHasKeyword(ref schema.ColumnRef, keyword string) bool {
 	return e.src.ColumnHasKeyword(ref, keyword)
 }
@@ -349,15 +345,6 @@ type gather struct {
 	col       *column
 }
 
-// predCheck is the per-predicate verification state of one selectRows
-// call; when verdict is non-nil the predicate was pre-evaluated per value
-// id, NULL's included.
-type predCheck struct {
-	pred    func(value.Value) bool
-	col     *column
-	verdict []bool
-}
-
 // execState is the pooled per-execution scratch: bound plan state,
 // bitmaps, id buffers and the projection tuple. Nothing in it
 // survives an execution; pooling exists so the warm path never allocates.
@@ -367,12 +354,11 @@ type execState struct {
 	tabs []*table
 	// sels holds the post-push-down row set of every plan table, nil for
 	// "all rows": pooled scratch (selArena) or, read-only, a selection owned
-	// by the round's memo.
+	// by the round's table.
 	sels   []*exec.Selection
 	preds  []boundPred
 	joins  []boundJoin
 	slotOf []int
-	checks []predCheck
 
 	// The planned join (planLevels) and the walk's current row id per
 	// level.
@@ -386,8 +372,6 @@ type execState struct {
 	bmUsed   int
 	idBufs   [][]int32
 	idUsed   int
-	verdicts [][]bool
-	vdUsed   int
 
 	gathers []gather
 	scratch value.Tuple
@@ -417,17 +401,16 @@ func (st *execState) reset() {
 	st.joins = truncate(st.joins)
 	st.levels = truncate(st.levels)
 	st.residuals = truncate(st.residuals)
-	st.checks = truncate(st.checks)
 	st.gathers = truncate(st.gathers)
 	clear(st.scratch)
 	st.slotOf = st.slotOf[:0]
 	st.row = st.row[:0]
-	st.selUsed, st.bmUsed, st.idUsed, st.vdUsed = 0, 0, 0, 0
+	st.selUsed, st.bmUsed, st.idUsed = 0, 0, 0
 }
 
 // scratchFootprint reports the bytes of pooled scratch this execution
-// drew, by length in use: the bitmaps, id buffers and verdict tables it
-// took from the arenas, the planned levels with the walk's row vector, and
+// drew, by length in use: the bitmaps and id buffers it took from the
+// arenas, the planned levels with the walk's row vector, and
 // the projection tuple. Capacity a larger, earlier execution left behind in
 // the same pooled state is not counted, so the figure is a function of
 // the execution and not of which state the pool handed out. It is
@@ -440,9 +423,6 @@ func (st *execState) scratchFootprint() int {
 	}
 	for _, b := range st.idBufs[:st.idUsed] {
 		n += len(b) * 4
-	}
-	for _, v := range st.verdicts[:st.vdUsed] {
-		n += len(v)
 	}
 	n += len(st.levels)*int(unsafe.Sizeof(joinLevel{})) + len(st.row)*4
 	n += len(st.gathers) * int(unsafe.Sizeof(value.Value{}))
@@ -492,19 +472,6 @@ func (st *execState) getIDs() (int, []int32) {
 }
 
 func (st *execState) keepIDs(slot int, buf []int32) { st.idBufs[slot] = buf }
-
-func (st *execState) getVerdict(n int) []bool {
-	if st.vdUsed == len(st.verdicts) {
-		st.verdicts = append(st.verdicts, nil)
-	}
-	v := st.verdicts[st.vdUsed]
-	if cap(v) < n {
-		v = make([]bool, n)
-	}
-	st.verdicts[st.vdUsed] = v[:n]
-	st.vdUsed++
-	return v[:n]
-}
 
 // bind resolves the plan against the column stores: tables, pushed-down
 // predicates, joins and the projection. It performs the structural
@@ -654,7 +621,7 @@ func (e *Executor) run(st *execState, p exec.Plan, opts exec.ExecOptions, yield 
 }
 
 // pushDown installs the selection of every table that carries a
-// pushed-down predicate, through the round's memo when there is one. It
+// pushed-down predicate, through the round's table when there is one. It
 // reports whether execution was interrupted.
 func (e *Executor) pushDown(st *execState, memo *exec.SelectionMemo, stats *exec.ExecStats) (aborted bool) {
 	for ti := range st.tabs {
@@ -822,154 +789,34 @@ func (st *execState) residualsHold(l *joinLevel) bool {
 	return true
 }
 
-// selectRows applies table ti's pushed-down predicates and installs the
-// surviving row set. It reports whether execution was interrupted.
+// selectRows installs the row set table ti's pushed-down predicates keep.
+// It reports whether execution was interrupted.
 //
-//  1. The key dictionary vetoes whole selections (provesEmpty): a predicate
-//     whose numeric interval cover lies outside the column's views — or any
-//     keyword or bounded predicate over an all-NULL column — proves the
-//     selection empty before any row is touched (counted as ZonesPruned).
-//  2. Candidates come from an index. Keyword-equality predicates seed them
-//     by point lookups; with several such predicates the candidate set is
-//     the intersection of their sorted hit lists. A table no keyword seeds
-//     takes its first predicate's rows from the column's key dictionary
-//     (exec.ColumnIndex.Select), which answers that predicate exactly.
-//  3. Every candidate is verified against every other predicate, and
-//     keyword-seeded ones against the keyword predicates too — near-miss
-//     index hits are filtered out. When there are more candidates than the
-//     column has value ids, the predicate is evaluated once per id and
-//     candidates are checked against the verdict table by id.
-//
-// When the round has a memo and every predicate on a table no keyword
-// seeds is identified (exec.ColumnPredicate.ID), each predicate's rows are
-// selected once per round (selectMemoised) instead of once per execution.
+// The key dictionary first vetoes whole selections (provesEmpty): a
+// predicate whose numeric interval cover lies outside the column's views —
+// or any keyword or bounded predicate over an all-NULL column — proves the
+// selection empty before any row is touched (counted as ZonesPruned).
+// Otherwise every predicate takes one path: its rows are read from the
+// round's table or selected (selection), and intersected with the others'.
 func (e *Executor) selectRows(st *execState, ti int, memo *exec.SelectionMemo, stats *exec.ExecStats) (aborted bool) {
 	t := st.tabs[ti]
-
-	// Phase 1: pruning off the dictionary.
-	seeded, identified, firstPred := false, memo != nil, -1
 	for i := range st.preds {
-		bp := &st.preds[i]
-		if bp.tab != ti {
-			continue
-		}
-		if provesEmpty(t.cols[bp.ci], &bp.cp) {
+		if bp := &st.preds[i]; bp.tab == ti && provesEmpty(t.cols[bp.ci], &bp.cp) {
 			stats.ZonesPruned++
 			sel := st.getSelection()
 			sel.Rows = st.getBitmap(t.numRows)
 			st.sels[ti] = sel
 			return false
 		}
-		seeded = seeded || len(bp.cp.Keywords) > 0
-		identified = identified && bp.cp.ID != 0
-		if firstPred < 0 {
-			firstPred = i
-		}
 	}
-	if identified && !seeded {
-		return st.selectMemoised(ti, memo, stats)
-	}
-
-	sel := st.getSelection()
-	st.sels[ti] = sel
-	sel.Rows = st.getBitmap(t.numRows)
-	idSlot, ids := st.getIDs()
-
-	// Phase 2: seed candidates from the keyword index, or else from the key
-	// dictionary. sel.Rows holds the dictionary's candidates, or nothing.
-	var candidates []int32
-	if !seeded {
-		bp := &st.preds[firstPred]
-		aborted = t.cols[bp.ci].Select(&bp.cp, sel.Rows, &st.interrupt)
-		candidates = sel.Rows.AppendTo(ids)
-		stats.RowsScanned += len(candidates)
-	}
-	first := true
-	scratchSlot := -1
-	var scratch []int32
-	for i := range st.preds {
-		bp := &st.preds[i]
-		if bp.tab != ti || len(bp.cp.Keywords) == 0 {
-			continue
-		}
-		col := t.cols[bp.ci]
-		hitsBM := st.getBitmap(t.numRows)
-		for _, kw := range bp.cp.Keywords {
-			addKeywordHits(col, kw, hitsBM)
-		}
-		if first {
-			candidates = hitsBM.AppendTo(ids)
-			first = false
-			continue
-		}
-		if scratchSlot < 0 {
-			scratchSlot, scratch = st.getIDs()
-		}
-		scratch = hitsBM.AppendTo(scratch[:0])
-		st.keepIDs(scratchSlot, scratch)
-		candidates = rowset.IntersectSorted(candidates[:0], candidates, scratch)
-		if len(candidates) == 0 {
-			break
-		}
-	}
-
-	// Phase 3: verify every candidate with every predicate the seed does not
-	// answer exactly.
-	st.checks = st.checks[:0]
-	for i := range st.preds {
-		bp := &st.preds[i]
-		if bp.tab != ti || i == firstPred && !seeded {
-			continue
-		}
-		st.checks = append(st.checks, newPredCheck(&bp.cp, t.cols[bp.ci], len(candidates), st))
-	}
-	ids = candidates
-	if len(st.checks) > 0 && !aborted {
-		// In-place filter: survivors are appended into the same buffer the
-		// candidates occupy; the write index never overtakes the read index.
-		// A survivor is added to sel.Rows and a candidate turned down removed,
-		// so it ends up holding the survivors whichever way it started.
-		ids = candidates[:0]
-		for _, id := range candidates {
-			if st.interrupt.Hit() {
-				aborted = true
-				break
-			}
-			if st.verifyRow(id, stats) {
-				ids = append(ids, id)
-				sel.Rows.Add(id)
-			} else {
-				sel.Rows.Remove(id)
-			}
-		}
-	}
-	sel.IDs = ids
-	st.keepIDs(idSlot, ids)
-	return aborted
-}
-
-// selectMemoised installs the selection of a table whose predicates are all
-// identified and unseeded: each predicate's rows are read from the round's
-// memo, or selected from the column's key dictionary — once per (column,
-// predicate) and round, by whichever execution gets there first — and left
-// in it. One predicate installs the memo's own selection, read-only; several
-// are intersected into pooled scratch. A predicate is selected over the
-// whole column even when an earlier one on the same table has already turned
-// rows down: what the memo holds must not depend on which filter asked
-// first.
-func (st *execState) selectMemoised(ti int, memo *exec.SelectionMemo, stats *exec.ExecStats) (aborted bool) {
-	t := st.tabs[ti]
 	var sel *exec.Selection
 	for i := range st.preds {
 		bp := &st.preds[i]
 		if bp.tab != ti {
 			continue
 		}
-		key := exec.SelectionKey{Ref: schema.ColumnRef{Table: t.name, Column: t.sch.Columns[bp.ci].Name}, ID: bp.cp.ID}
-		one := memo.Acquire(key)
-		if one != nil {
-			stats.SelectionsReused++
-		} else if one = st.fillSelection(memo, key, bp, t, stats); one == nil {
+		one, aborted := st.selection(t.cols[bp.ci], &bp.cp, memo, stats)
+		if aborted {
 			return true
 		}
 		if sel == nil {
@@ -989,67 +836,27 @@ func (st *execState) selectMemoised(ti int, memo *exec.SelectionMemo, stats *exe
 	return false
 }
 
-// fillSelection selects the rows predicate bp keeps from the column's key
-// dictionary and settles the fill the memo handed this execution, on every
-// path out: with the selection — freshly allocated, the memo's from here on
-// — or, interrupted (nil is returned) or panicking in the caller's
-// predicate, with nothing, so that no other execution waits on or reads a
-// fill that did not finish.
-func (st *execState) fillSelection(memo *exec.SelectionMemo, key exec.SelectionKey, bp *boundPred, t *table, stats *exec.ExecStats) (sel *exec.Selection) {
-	defer func() { memo.Settle(key, sel) }()
-	rows := rowset.New(t.numRows)
-	aborted := t.cols[bp.ci].Select(&bp.cp, rows, &st.interrupt)
-	n := rows.Popcount()
-	stats.RowsScanned += n
-	if aborted {
-		return nil
-	}
-	return &exec.Selection{IDs: rows.AppendTo(make([]int32, 0, n)), Rows: rows}
-}
-
-// newPredCheck builds the per-row verification state of one pushed-down
-// predicate: a verdict per value id when the column has fewer ids (NULL's
-// counted) than there are rows to check, the predicate closure otherwise.
-func newPredCheck(cp *exec.ColumnPredicate, col *column, toCheck int, st *execState) predCheck {
-	c := predCheck{pred: cp.Pred, col: col}
-	if len(col.Vals)+1 < toCheck {
-		c.verdict = st.getVerdict(len(col.Vals) + 1)
-		for id, v := range col.Vals {
-			c.verdict[id] = cp.Pred(v)
-		}
-		c.verdict[len(col.Vals)] = len(col.NullRows()) > 0 && cp.Pred(value.NullValue)
-	}
-	return c
-}
-
-// verifyRow re-applies every pushed-down predicate of the current
-// selectRows call (st.checks) to one row. A variant row is checked on its
-// own value: a predicate need not agree across values that share an id.
-func (st *execState) verifyRow(row int32, stats *exec.ExecStats) bool {
-	stats.RowsScanned++
-	for i := range st.checks {
-		c := &st.checks[i]
-		var pass bool
-		if v, variant := c.col.Variant(row); variant {
-			pass = c.pred(v)
-		} else if c.verdict != nil {
-			pass = c.verdict[c.col.RowID[row]]
+// selection returns the rows of column c that cp keeps. An identified
+// predicate (exec.ColumnPredicate.ID) takes them from the round's table,
+// which selects them the first time anyone asks and holds them, read-only,
+// for the rest of the round; without a table, and for an anonymous
+// predicate, the execution selects them into pooled scratch.
+func (st *execState) selection(c *column, cp *exec.ColumnPredicate, memo *exec.SelectionMemo, stats *exec.ExecStats) (sel *exec.Selection, aborted bool) {
+	if memo != nil && cp.ID != 0 {
+		sel, reused, aborted := memo.Select(c, cp, &st.interrupt)
+		if reused {
+			stats.SelectionsReused++
 		} else {
-			pass = c.pred(c.col.Value(row))
+			stats.RowsScanned += len(sel.IDs)
 		}
-		if !pass {
-			stats.PredicateFiltered++
-			return false
-		}
+		return sel, aborted
 	}
-	return true
-}
-
-// addKeywordHits unions the rows that may match a keyword constant into the
-// bitmap: the rows of the value ids the key dictionary lists for it
-// (KeywordIDs, a superset of the rows that match: candidates are re-checked).
-func addKeywordHits(c *column, kw string, bm *rowset.Bitmap) {
-	for _, id := range c.KeywordIDs(kw) {
-		bm.AddSorted(c.Post.At(id))
-	}
+	sel = st.getSelection()
+	sel.Rows = st.getBitmap(c.NumRows())
+	aborted = c.Select(cp, sel.Rows, &st.interrupt)
+	slot, ids := st.getIDs()
+	sel.IDs = sel.Rows.AppendTo(ids)
+	st.keepIDs(slot, sel.IDs)
+	stats.RowsScanned += len(sel.IDs)
+	return sel, aborted
 }

@@ -275,10 +275,12 @@ func TestSampleRowsAndMetadata(t *testing.T) {
 }
 
 // TestKeywordKeyConsistency is the property keyword selections rely on:
-// whenever MatchesKeyword(v, kw) holds, the rows the key dictionary seeds
-// for kw (its keyword table and its numeric views) hold v's row — no false
-// negatives. The values share one column, so "497", "497.0", 497 and 497.0
-// are one value id and its variants.
+// whenever MatchesKeyword(v, kw) holds, the rows of the ids the key
+// dictionary lists for kw (its keyword table and its numeric views) hold
+// v's row — no false negatives — and the selection of a keyword predicate,
+// which evaluates it on those ids only, keeps exactly the matching rows. The
+// values share one column, so "497", "497.0", 497 and 497.0 are one value id
+// and its variants.
 func TestKeywordKeyConsistency(t *testing.T) {
 	values := []value.Value{
 		value.NewText("Lake Tahoe"),
@@ -304,10 +306,17 @@ func TestKeywordKeyConsistency(t *testing.T) {
 	x, _ := exec.NewColumnIndex(ref("T", "v"), value.Text, rows, 0)
 	for _, kw := range keywords {
 		hits := rowset.New(len(values))
-		addKeywordHits(x, kw, hits)
+		for _, id := range x.KeywordIDs(kw) {
+			hits.AddSorted(x.Post.At(id))
+		}
+		kept := rowset.New(len(values))
+		x.Select(&exec.ColumnPredicate{Pred: func(v value.Value) bool { return v.MatchesKeyword(kw) }, Keywords: []string{kw}}, kept, nil)
 		for row, v := range values {
 			if v.MatchesKeyword(kw) && !hits.Contains(int32(row)) {
-				t.Errorf("false negative: %q matches keyword %q, which seeds rows %v", v, kw, hits.AppendTo(nil))
+				t.Errorf("false negative: %q matches keyword %q, which lists rows %v", v, kw, hits.AppendTo(nil))
+			}
+			if v.MatchesKeyword(kw) != kept.Contains(int32(row)) {
+				t.Errorf("keyword %q: the selection keeps %q = %v, MatchesKeyword says %v", kw, v, kept.Contains(int32(row)), v.MatchesKeyword(kw))
 			}
 		}
 	}

@@ -1,10 +1,10 @@
 package colexec
 
-// Tests of the round's selection memo (exec.ExecOptions.Selections) and of
-// the selections the key dictionary answers: neither may change a verdict, a
-// row or the order of rows; the memo computes every (column, predicate)
-// selection once per round whichever worker asks first, never publishes a
-// fill that did not finish, and takes only selections no keyword seeds.
+// Tests of the round's table of selections (exec.ExecOptions.Selections) and
+// of the selections the key dictionary answers: neither may change a verdict,
+// a row or the order of rows; the table holds every (column, predicate)
+// selection once per round whichever caller asks first, never keeps a fill
+// that did not finish, and takes every identified predicate, keyword or not.
 
 import (
 	"errors"
@@ -45,17 +45,6 @@ func exactRange(r schema.ColumnRef, lo, hi float64, id uint32) exec.ColumnPredic
 		BoundsExact: true,
 		ID:          id,
 	}
-}
-
-// absent reports whether the memo holds nothing, finished or in progress,
-// under (column, id) — by taking the fill and giving it up.
-func absent(memo *exec.SelectionMemo, r schema.ColumnRef, id uint32) bool {
-	key := exec.SelectionKey{Ref: r, ID: id}
-	if memo.Acquire(key) != nil {
-		return false
-	}
-	memo.Settle(key, nil)
-	return true
 }
 
 // TestMemoChangesNoResult is the random sweep: every validation-shaped plan
@@ -157,9 +146,9 @@ func TestMemoOnGeneratorPools(t *testing.T) {
 		var with, without exec.ExecStats
 		rounds, filters := poolFilters(t, db)
 		for ri, round := range rounds {
-			memoised := &filter.Validator{DB: col, Spec: round.Spec}
-			plain := &filter.Validator{DB: withoutMemo{col}, Spec: round.Spec}
-			reference := &filter.Validator{DB: db, Spec: round.Spec}
+			memoised := &filter.Validator{DB: col, Cells: filter.NewCells(round.Spec)}
+			plain := &filter.Validator{DB: withoutMemo{col}, Cells: filter.NewCells(round.Spec)}
+			reference := &filter.Validator{DB: db, Cells: filter.NewCells(round.Spec)}
 			for _, f := range filters[ri] {
 				want, err := reference.Validate(f)
 				if err != nil {
@@ -193,11 +182,13 @@ func TestMemoOnGeneratorPools(t *testing.T) {
 }
 
 // TestMemoComputesEachKeyOnce shares one memo between eight goroutines. In
-// the first half they all issue the same few unseeded probes at once: each
-// key is selected exactly once, and every other probe reads it. In the
+// the first half they all issue the same few probes at once: exactly one
+// probe per key accounts for selecting it, and every other reads it. In the
 // second they split a pool round's filters between them through one
-// filter.Validator: the rows scanned, summed over the workers, are the rows
-// one worker scans validating the same filters alone.
+// filter.Validator: every verdict is the reference engine's, the rows
+// scanned, summed over the workers, are the rows one worker scans validating
+// the same filters alone, and the round table ends with one entry per
+// (column, cell) pair, as it does for the one worker.
 func TestMemoComputesEachKeyOnce(t *testing.T) {
 	const workers = 8
 	db, plan := fanDB(t, 3000, 2)
@@ -252,7 +243,8 @@ func TestMemoComputesEachKeyOnce(t *testing.T) {
 	mcol := buildColumnar(t, mondial)
 	poolRounds, filters := poolFilters(t, mondial)
 	for ri, round := range poolRounds {
-		alone := &filter.Validator{DB: mcol, Spec: round.Spec}
+		alone := &filter.Validator{DB: mcol, Cells: filter.NewCells(round.Spec)}
+		reference := &filter.Validator{DB: mondial, Cells: filter.NewCells(round.Spec)}
 		var want exec.ExecStats
 		verdicts := make([]bool, len(filters[ri]))
 		for i, f := range filters[ri] {
@@ -260,10 +252,13 @@ func TestMemoComputesEachKeyOnce(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			if ref, err := reference.Validate(f); err != nil || ref.Passed != res.Passed {
+				t.Fatalf("%s %s: passed = %v; mem says %v, %v", round.Name, f, res.Passed, ref.Passed, err)
+			}
 			verdicts[i] = res.Passed
 			want.Add(res.Cost)
 		}
-		shared := &filter.Validator{DB: mcol, Spec: round.Spec}
+		shared := &filter.Validator{DB: mcol, Cells: filter.NewCells(round.Spec)}
 		var next atomic.Int64
 		var got exec.ExecStats
 		var mu sync.Mutex
@@ -289,6 +284,9 @@ func TestMemoComputesEachKeyOnce(t *testing.T) {
 			t.Errorf("%s: %d workers scanned %d rows and reused %d selections, one worker %d and %d",
 				round.Name, workers, got.RowsScanned, got.SelectionsReused, want.RowsScanned, want.SelectionsReused)
 		}
+		if n, want := shared.Cells.Selections().Len(), alone.Cells.Selections().Len(); n != want {
+			t.Errorf("%s: %d workers left %d selections, one worker %d", round.Name, workers, n, want)
+		}
 	}
 }
 
@@ -310,7 +308,7 @@ func TestInterruptedFillIsNotPublished(t *testing.T) {
 	} else if stats.RowsScanned == 0 || stats.RowsScanned >= selected {
 		t.Fatalf("the interrupt fell outside the fill: %d of %d rows selected", stats.RowsScanned, selected)
 	}
-	if !absent(&memo, ref("C", "m"), pred.ID) {
+	if memo.Len() != 0 {
 		t.Fatal("an interrupted fill was left in the memo")
 	}
 
@@ -332,7 +330,8 @@ func TestInterruptedFillIsNotPublished(t *testing.T) {
 }
 
 // TestPanickingFillIsNotPublished: a predicate that panics during a fill
-// must not leave the key claimed — the next probe would wait on it forever.
+// leaves nothing in the memo and does not leave it locked — the next probe
+// would wait on it forever — and the next probe of the key selects it.
 func TestPanickingFillIsNotPublished(t *testing.T) {
 	db, plan := fanDB(t, 50, 1)
 	col := buildColumnar(t, db)
@@ -346,31 +345,43 @@ func TestPanickingFillIsNotPublished(t *testing.T) {
 		}()
 		_, _, _ = col.Exists(plan, exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{bad}, Selections: &memo})
 	}()
-	if !absent(&memo, ref("C", "m"), bad.ID) {
+	if memo.Len() != 0 {
 		t.Fatal("a fill that panicked was left in the memo")
+	}
+	good := exactRange(ref("C", "m"), 10, 20, bad.ID)
+	if ok, stats, err := col.Exists(plan, exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{good}, Selections: &memo}); err != nil || !ok || stats.RowsScanned != 11 {
+		t.Fatalf("after the panic: Exists = %v, %v, %d rows selected", ok, err, stats.RowsScanned)
+	}
+	if memo.Len() != 1 {
+		t.Fatalf("%d selections kept, want the one that finished", memo.Len())
 	}
 }
 
-// TestWhatTheMemoTakes: only a selection no keyword seeds, and only for
-// predicates that say who they are. Anonymous predicates, keyword-seeded
-// selections (also of identified predicates sharing the table with the
-// keyword) and zone-pruned ones execute exactly as without a memo and leave
-// nothing in it; two identified unseeded predicates on one table are two
-// entries, intersected.
+// TestWhatTheMemoTakes: every predicate that says who it is, keyword or
+// not, and nothing else. Anonymous predicates are selected by every
+// execution, and zone-pruned selections execute exactly as without a memo
+// and leave nothing in it; every identified predicate a table carries is an
+// entry of its own — filled by the first execution, read by the second —
+// and the entries are intersected.
 func TestWhatTheMemoTakes(t *testing.T) {
 	db := mondial(t)
 	col := buildColumnar(t, db)
-	// selected counts the rows of Lake a predicate keeps: what filling it
+	// selected counts the rows of Lake a predicate keeps: what selecting it
 	// reads.
-	selected := func(p exec.ColumnPredicate) int {
-		vals, err := db.ColumnValues(p.Ref)
-		if err != nil {
-			t.Fatal(err)
-		}
+	selected := func(preds []exec.ColumnPredicate, identified bool) int {
 		n := 0
-		for _, v := range vals {
-			if p.Pred(v) {
-				n++
+		for _, p := range preds {
+			if (p.ID != 0) != identified {
+				continue
+			}
+			vals, err := db.ColumnValues(p.Ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, v := range vals {
+				if p.Pred(v) {
+					n++
+				}
 			}
 		}
 		return n
@@ -388,16 +399,16 @@ func TestWhatTheMemoTakes(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		preds []exec.ColumnPredicate
-		// stored: every predicate ends up in the memo; none does otherwise.
-		stored bool
+		// stored counts the memo's entries after the executions.
+		stored int
 	}{
-		{"anonymous", []exec.ColumnPredicate{anonymous}, false},
-		{"keyword-seeded", []exec.ColumnPredicate{keyword}, false},
-		{"identified beside a keyword", []exec.ColumnPredicate{keyword, exactRange(area, 100, 600, 1)}, false},
-		{"identified beside an anonymous one", []exec.ColumnPredicate{exactRange(area, 100, 600, 1), anonymous}, false},
-		{"zone-pruned", []exec.ColumnPredicate{outside}, false},
-		{"identified", []exec.ColumnPredicate{exactRange(area, 100, 600, 1)}, true},
-		{"two identified on one table", []exec.ColumnPredicate{exactRange(area, 100, 600, 1), notNull}, true},
+		{"anonymous", []exec.ColumnPredicate{anonymous}, 0},
+		{"keyword", []exec.ColumnPredicate{keyword}, 1},
+		{"identified beside a keyword", []exec.ColumnPredicate{keyword, exactRange(area, 100, 600, 1)}, 2},
+		{"identified beside an anonymous one", []exec.ColumnPredicate{exactRange(area, 100, 600, 1), anonymous}, 1},
+		{"zone-pruned", []exec.ColumnPredicate{outside}, 0},
+		{"identified", []exec.ColumnPredicate{exactRange(area, 100, 600, 1)}, 1},
+		{"two identified on one table", []exec.ColumnPredicate{exactRange(area, 100, 600, 1), notNull}, 2},
 	} {
 		var memo exec.SelectionMemo
 		bare := exec.ExecOptions{ColumnPredicates: tc.preds}
@@ -417,31 +428,24 @@ func TestWhatTheMemoTakes(t *testing.T) {
 				t.Fatal(err)
 			}
 			sameRows(t, fmt.Sprintf("%s pass %d", tc.name, pass), got.Rows, want.Rows)
+			scanned, reused := selected(tc.preds, false), 0
+			if pass == 0 {
+				scanned += selected(tc.preds, true)
+			} else {
+				reused = tc.stored
+			}
 			switch {
-			case !tc.stored:
+			case got.Stats.ZonesPruned > 0:
 				if got.Stats != plain.Stats {
 					t.Errorf("%s pass %d: stats %+v, without a memo %+v", tc.name, pass, got.Stats, plain.Stats)
 				}
-			case pass == 0:
-				fills := 0
-				for _, p := range tc.preds {
-					fills += selected(p)
-				}
-				if got.Stats.RowsScanned != fills || got.Stats.SelectionsReused != 0 {
-					t.Errorf("%s: the fill scanned %d rows and reused %d selections, want one fill per predicate, %d rows",
-						tc.name, got.Stats.RowsScanned, got.Stats.SelectionsReused, fills)
-				}
-			default:
-				if got.Stats.RowsScanned != 0 || got.Stats.PredicateFiltered != 0 || got.Stats.SelectionsReused != len(tc.preds) {
-					t.Errorf("%s: the second execution scanned %d rows, filtered %d and reused %d selections, want 0, 0 and %d",
-						tc.name, got.Stats.RowsScanned, got.Stats.PredicateFiltered, got.Stats.SelectionsReused, len(tc.preds))
-				}
+			case got.Stats.RowsScanned != scanned || got.Stats.SelectionsReused != reused || got.Stats.PredicateFiltered != 0:
+				t.Errorf("%s pass %d: %d rows scanned, %d selections reused, %d filtered; want %d, %d and 0",
+					tc.name, pass, got.Stats.RowsScanned, got.Stats.SelectionsReused, got.Stats.PredicateFiltered, scanned, reused)
 			}
 		}
-		for _, p := range tc.preds {
-			if absent(&memo, p.Ref, p.ID) == tc.stored {
-				t.Errorf("%s: predicate %d on %s stored = %v, want %v", tc.name, p.ID, p.Ref, !tc.stored, tc.stored)
-			}
+		if memo.Len() != tc.stored || memo.Fills() != tc.stored {
+			t.Errorf("%s: %d selections stored after %d fills, want %d of each", tc.name, memo.Len(), memo.Fills(), tc.stored)
 		}
 	}
 }

@@ -294,7 +294,7 @@ func TestWalkOnGeneratorPools(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			v := &filter.Validator{DB: ex, Spec: round.Spec}
+			v := &filter.Validator{DB: ex, Cells: filter.NewCells(round.Spec)}
 			for i, f := range filter.Decompose(cands).Filters {
 				if i == 120 {
 					break

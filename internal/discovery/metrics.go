@@ -31,9 +31,9 @@ var (
 	metricCacheStores = obs.Default.Counter("prism_filter_cache_stores_total",
 		"Filter outcomes written back to a session cache.")
 	metricRowsScanned = obs.Default.Counter("prism_rows_scanned_total",
-		"Base-table rows read by validation and preview executions.")
+		"Base-table rows read by validations; a selection counts once per round, on the first validation to install it.")
 	metricSelectionsReused = obs.Default.Counter("prism_selections_reused_total",
-		"Predicate selections validations read from their round's selection memo instead of selecting them again.")
+		"Predicate selections validations read from their round's table after an earlier validation of the round installed them.")
 	metricZonesPruned = obs.Default.Counter("prism_zones_pruned_total",
 		"Whole-table selections a column's key dictionary proved empty.")
 	metricPeakScratch = obs.Default.Gauge("prism_memory_peak_scratch_bytes",

@@ -78,10 +78,10 @@ type ColumnIndex struct {
 	// as a number, to the entry of TextIDs that lists, ascending, the value
 	// ids holding such a value or variant. The rows of those ids hold every
 	// row that renders the keyword, and may hold rows of the same id that
-	// render otherwise ("Lake" beside a variant " lake"): whoever seeds
-	// candidates from it re-checks them. A keyword that parses as a number is
-	// compared by its numeric view (Value.MatchesKeyword), so the views
-	// answer it (KeywordIDs), and no number has an entry.
+	// render otherwise ("Lake" beside a variant " lake"): Select evaluates
+	// its predicate on each id and variant row. A keyword that parses as a
+	// number is compared by its numeric view (Value.MatchesKeyword), so the
+	// views answer it (KeywordIDs), and no number has an entry.
 	Text    map[string]int32
 	TextIDs CSR
 	// nums[c] maps the bits of a key of class c (Value.NumKey) to its value
@@ -306,8 +306,9 @@ func (x *ColumnIndex) JoinID(probe *ColumnIndex, id int32) (int32, bool) {
 // matches keyword kw (Value.MatchesKeyword): for a keyword that parses as a
 // number — its numeric view as a text, which MatchesKeyword compares it
 // by — the ids whose numeric view equals it (none for NaN), in view order;
-// for any other, the ids Text lists under its normalised form, ascending,
-// whose rows whoever seeds candidates from them re-checks.
+// for any other, the ids Text lists under its normalised form, ascending.
+// Either list may hold ids whose values do not match: Select evaluates the
+// predicate on each.
 func (x *ColumnIndex) KeywordIDs(kw string) []int32 {
 	if f, ok := value.NewText(kw).Float(); ok {
 		return x.ViewRange(f, f)
@@ -370,15 +371,19 @@ func (x *ColumnIndex) ViewRange(lo, hi float64) []int32 {
 
 // Select adds to rows the rows whose value satisfies cp — the rows of the
 // predicate, as a set over the column — without reading a row it does not
-// keep. A BoundsExact predicate holds for exactly the values whose numeric
-// view lies in its bounds, so its rows are the postings of ViewRange: values
-// that share a key share their view, and NULL has none. Any other predicate
-// is evaluated once per value id, once per variant row (VariantRows: it need
-// not agree across values that share a key) and, if the column holds NULL,
-// once for NULL. Rows already in the bitmap stay, except variant rows, which
-// their own verdict decides. Select polls interrupt (nil never fires) once
-// per value id it takes or evaluates and once per variant row, and reports a
-// hit with the rows it has added so far.
+// keep. It is the one function that computes the rows of a cell: the
+// executor's selections and the failure estimator's match sets are its
+// answers. A BoundsExact predicate holds for exactly the values whose
+// numeric view lies in its bounds, so its rows are the postings of
+// ViewRange: values that share a key share their view, and NULL has none.
+// Any other predicate is evaluated once per value id — only the ids
+// KeywordIDs lists for its keywords when it has some, which hold every row
+// it can keep (ColumnPredicate.Keywords) — once per variant row
+// (VariantRows: it need not agree across values that share a key) and, if
+// the column holds NULL, once for NULL. Rows already in the bitmap stay,
+// except variant rows, which their own verdict decides. Select polls
+// interrupt (nil never fires) once per value id it takes or evaluates and
+// once per variant row, and reports a hit with the rows it has added so far.
 func (x *ColumnIndex) Select(cp *ColumnPredicate, rows *rowset.Bitmap, interrupt *InterruptChecker) (aborted bool) {
 	if b := cp.Bounds; cp.BoundsExact && b != nil && b.HasLo && b.HasHi {
 		for _, id := range x.ViewRange(b.Lo, b.Hi) {
@@ -389,12 +394,25 @@ func (x *ColumnIndex) Select(cp *ColumnPredicate, rows *rowset.Bitmap, interrupt
 		}
 		return false
 	}
-	for id, v := range x.Vals {
-		if interrupt.Hit() {
-			return true
+	if len(cp.Keywords) > 0 {
+		for _, kw := range cp.Keywords {
+			for _, id := range x.KeywordIDs(kw) {
+				if interrupt.Hit() {
+					return true
+				}
+				if cp.Pred(x.Vals[id]) {
+					rows.AddSorted(x.Post.At(id))
+				}
+			}
 		}
-		if cp.Pred(v) {
-			rows.AddSorted(x.Post.At(int32(id)))
+	} else {
+		for id, v := range x.Vals {
+			if interrupt.Hit() {
+				return true
+			}
+			if cp.Pred(v) {
+				rows.AddSorted(x.Post.At(int32(id)))
+			}
 		}
 	}
 	for i, row := range x.VariantRows {

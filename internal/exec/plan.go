@@ -190,10 +190,9 @@ type ColumnPredicate struct {
 	// Keywords, when non-empty, asserts that every value satisfying Pred
 	// matches at least one of these keywords under Value.MatchesKeyword —
 	// i.e. the predicate is equality-shaped (a sample cell or a disjunction
-	// of sample cells). Indexed executors use the keywords for point lookups
-	// instead of scanning the column; rows found that way are still
-	// re-checked with Pred, so an over-complete keyword list is safe while
-	// an incomplete one is not.
+	// of sample cells). ColumnIndex.Select evaluates Pred only on the value
+	// ids the column's key dictionary lists for these keywords, so an
+	// over-complete keyword list is safe while an incomplete one is not.
 	Keywords []string
 	// Bounds, when non-nil, is a numeric interval cover of the predicate:
 	// every value v with a non-NaN v.Float() view that satisfies Pred lies
@@ -218,12 +217,12 @@ type ColumnPredicate struct {
 	BoundsExact bool
 	// ID, when non-zero, names the predicate within the round's
 	// SelectionMemo (ExecOptions.Selections): two predicates handed to one
-	// memo with equal Ref and equal non-zero ID must have the same Pred,
-	// Keywords, Bounds and BoundsExact, so the rows one of them selects are
-	// the rows the other would. Zero is anonymous: the predicate is evaluated
-	// by every execution that carries it and never memoised, which is what
-	// every hand-built predicate gets. filter.Validator issues the ids, one
-	// per (sample, target column) cell of its specification.
+	// table with equal non-zero ID must have the same Pred, Keywords, Bounds
+	// and BoundsExact, so the rows one of them selects on a column are the
+	// rows the other would. Zero is anonymous: the predicate is evaluated by
+	// every execution that carries it and never kept, which is what every
+	// hand-built predicate gets. filter.Cells issues the ids, one per
+	// constrained (sample, target column) cell of its specification.
 	ID uint32
 }
 
@@ -256,14 +255,14 @@ type ExecOptions struct {
 	// cancellation reaches the row-processing loops without executors
 	// depending on context directly.
 	Interrupt func() bool
-	// Selections, when non-nil, is the memo the executions of one round
-	// share: an executor that has computed the rows an identified predicate
-	// (ColumnPredicate.ID) selects may leave them there, and read them back
-	// on every later execution that carries the same predicate. It changes
-	// no result, only the work: nil (the zero value) and anonymous predicates
-	// execute exactly as without it, and an executor may ignore it
-	// altogether (mem does). The owner hands it to one executor only and
-	// drops it with the round.
+	// Selections, when non-nil, is the round's table of selections, which
+	// the executions and the failure estimator of one round share: an
+	// executor takes the rows of an identified predicate
+	// (ColumnPredicate.ID) from it (SelectionMemo.Select), which selects
+	// them the first time anyone asks. It changes no result, only the work:
+	// nil (the zero value) and anonymous predicates execute exactly as
+	// without it, and an executor may ignore it altogether (mem does). The
+	// owner hands it to one executor only and drops it with the round.
 	Selections *SelectionMemo
 }
 
@@ -314,14 +313,14 @@ func (c *InterruptChecker) Hit() bool {
 // executor but not across executors (an indexed executor scans fewer rows
 // for the same answer).
 type ExecStats struct {
-	// RowsScanned counts the base-table rows read: every row a scan or a
-	// verification of candidates tests against a predicate and, for an
-	// index selection — the rows of a predicate read off the column's key
-	// dictionary (ColumnIndex.Select), which touches no row it does not
-	// keep — the rows it selects. A selection read back from
-	// ExecOptions.Selections adds nothing here or to PredicateFiltered — the
-	// execution that filled it counted those rows — and one to
-	// SelectionsReused.
+	// RowsScanned counts the base-table rows read: every row a scan tests
+	// against a predicate and, for an index selection — the rows of a
+	// predicate read off the column's key dictionary (ColumnIndex.Select),
+	// which touches no row it does not keep — the rows it selects. A
+	// selection of ExecOptions.Selections counts once per round: the first
+	// execution of the round to install it adds its rows here, whether it
+	// selected them or the round's estimator had, and every later one adds
+	// one to SelectionsReused instead.
 	RowsScanned int
 	// IntermediateRows counts the partial join tuples formed across all
 	// join steps, before residual-edge filters. An engine that builds each
@@ -336,9 +335,10 @@ type ExecStats struct {
 	ResultRows        int
 	TerminatedEarly   bool // stopped due to Limit
 	AbortedTooLarge   bool // stopped due to MaxIntermediate
-	PredicateFiltered int  // base rows removed by pushed-down predicates (see RowsScanned)
+	PredicateFiltered int  // base rows a scan tested and removed (mem; the columnar executor selects, it removes none)
 	// SelectionsReused counts the predicate selections this execution read
-	// from ExecOptions.Selections instead of selecting them again.
+	// from ExecOptions.Selections that an earlier execution of the round had
+	// installed (see RowsScanned).
 	SelectionsReused int
 
 	// BlocksPruned is always 0: no executor keeps block zone maps.
@@ -352,7 +352,7 @@ type ExecStats struct {
 
 	// ScratchBytes (columnar executor) is the pooled scratch the execution
 	// drew, counted by length in use — selection bitmaps and id vectors,
-	// verdict tables, level cursors, the projection tuple — so it is a
+	// level cursors, the projection tuple — so it is a
 	// function of the execution, not of which pooled state served it. It is
 	// a high-water mark, so Add takes the max rather than the sum —
 	// accumulated over a round it reports the round's peak, not a

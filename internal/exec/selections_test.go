@@ -1,59 +1,113 @@
 package exec
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
 
-	"prism/internal/rowset"
 	"prism/internal/schema"
+	"prism/internal/value"
 )
 
-func memoKey(column string, id uint32) SelectionKey {
-	return SelectionKey{Ref: schema.ColumnRef{Table: "T", Column: column}, ID: id}
+// intColumn indexes a column holding 0, 1, …, n-1 once each.
+func intColumn(name string, n int) *ColumnIndex {
+	rows := make([]value.Tuple, n)
+	for i := range rows {
+		rows[i] = value.Tuple{value.NewInt(int64(i))}
+	}
+	x, _ := NewColumnIndex(schema.ColumnRef{Table: "T", Column: name}, value.Int, rows, 0)
+	return x
+}
+
+// below is the predicate "v < n" under identity id.
+func below(n int64, id uint32) *ColumnPredicate {
+	return &ColumnPredicate{Pred: func(v value.Value) bool { return !v.IsNull() && v.Int() < n }, ID: id}
 }
 
 // TestSelectionMemoFillProtocol walks one key through the states a fill can
-// take: absent (the caller is handed the fill), given up (absent again, the
-// next caller is handed it), published (every caller reads it), while other
-// keys stay independent.
+// take: absent (the caller selects it), interrupted (handed back partial and
+// not kept: the next caller selects it again), panicking (not kept, and the
+// table not left locked), kept (every caller reads the same selection),
+// while the same identity on another column is a key of its own; and a
+// selection the estimator made is reused by the second execution to take it.
 func TestSelectionMemoFillProtocol(t *testing.T) {
+	x := intColumn("a", 3*InterruptEvery)
 	var m SelectionMemo
-	k := memoKey("a", 1)
-	if sel := m.Acquire(k); sel != nil {
-		t.Fatalf("empty memo answered %+v", sel)
+
+	var fire InterruptChecker
+	fire.Reset(func() bool { return true })
+	sel, reused, aborted := m.Select(x, below(2*InterruptEvery, 1), &fire)
+	if reused || !aborted || len(sel.IDs) == 0 || len(sel.IDs) >= 2*InterruptEvery {
+		t.Fatalf("interrupted fill: %d rows, reused %v, aborted %v", len(sel.IDs), reused, aborted)
 	}
-	m.Settle(k, nil)
-	if sel := m.Acquire(k); sel != nil {
-		t.Fatalf("a fill that was given up left %+v behind", sel)
+	if m.Len() != 0 {
+		t.Fatal("an interrupted fill was kept")
 	}
-	want := &Selection{IDs: []int32{1, 4}, Rows: rowset.New(8)}
-	m.Settle(k, want)
+
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("the predicate's panic was swallowed")
+			}
+		}()
+		m.Select(x, &ColumnPredicate{Pred: func(value.Value) bool { panic("predicate bug") }, ID: 1}, nil)
+	}()
+	if m.Len() != 0 {
+		t.Fatal("a fill that panicked was kept")
+	}
+
+	want, reused, aborted := m.Select(x, below(5, 1), nil)
+	if reused || aborted || !slices.Equal(want.IDs, []int32{0, 1, 2, 3, 4}) || want.Rows.Popcount() != 5 {
+		t.Fatalf("fill: %v, reused %v, aborted %v", want.IDs, reused, aborted)
+	}
 	for i := 0; i < 2; i++ {
-		if sel := m.Acquire(k); sel != want {
-			t.Fatalf("read %d: got %p, published %p", i, sel, want)
+		if sel, reused, aborted := m.Select(x, below(5, 1), nil); sel != want || !reused || aborted {
+			t.Fatalf("read %d: got %p (reused %v, aborted %v), kept %p", i, sel, reused, aborted, want)
 		}
 	}
-	for _, other := range []SelectionKey{memoKey("a", 2), memoKey("b", 1)} {
-		if sel := m.Acquire(other); sel != nil {
-			t.Fatalf("%+v answered with another key's selection", other)
+	other := intColumn("b", 10)
+	if sel, reused, _ := m.Select(other, below(5, 1), nil); sel == want || reused {
+		t.Fatal("the identity on another column answered with the first column's selection")
+	}
+	if sel, reused, _ := m.Select(x, below(3, 2), nil); sel == want || reused || len(sel.IDs) != 3 {
+		t.Fatal("another identity on the column answered with the first one's selection")
+	}
+
+	// The estimator's reads: the first fills, the second reads; the first
+	// execution to take the selection is not reusing an execution's.
+	est, filled := m.Rows(x, below(7, 3))
+	if again, refilled := m.Rows(x, below(7, 3)); !filled || refilled || again != est || len(est.IDs) != 7 {
+		t.Fatalf("estimator reads: filled %v then %v, %d rows", filled, refilled, len(est.IDs))
+	}
+	for i, wantReused := range []bool{false, true} {
+		if sel, reused, _ := m.Select(x, below(7, 3), nil); sel != est || reused != wantReused {
+			t.Fatalf("execution %d after the estimator: same selection %v, reused %v", i, sel == est, reused)
 		}
-		m.Settle(other, nil)
+	}
+	if m.Len() != 4 || m.Fills() != 6 {
+		t.Fatalf("%d selections kept after %d fills, want 4 after 6", m.Len(), m.Fills())
 	}
 }
 
-// TestSelectionMemoFillsOncePerKey hammers a few keys from many goroutines:
-// every key is filled by exactly one of them, the others wait for it and
-// read the selection it published; a first filler that gives up passes the
-// fill on instead of leaving the waiters stranded.
-func TestSelectionMemoFillsOncePerKey(t *testing.T) {
+// TestSelectionMemoKeepsOneSelectionPerKey hammers a few keys from many
+// goroutines, as executions: whoever selects a key, every caller reads the
+// one selection the table kept, with the key's rows; exactly one caller per
+// key takes it first (not reused), and a first fill that is interrupted
+// keeps nothing and passes the key on.
+func TestSelectionMemoKeepsOneSelectionPerKey(t *testing.T) {
 	const workers, keys = 8, 5
+	x := intColumn("c", 2*InterruptEvery)
 	var m SelectionMemo
-	var fills, abandoned [keys]atomic.Int32
-	published := make([]*Selection, keys)
-	for i := range published {
-		published[i] = &Selection{IDs: []int32{int32(i)}}
+	var interrupted [keys]atomic.Bool
+	var firstTakers [keys]atomic.Int32
+	preds := make([]*ColumnPredicate, keys)
+	for i := range preds {
+		preds[i] = &ColumnPredicate{Pred: func(v value.Value) bool {
+			return !v.IsNull() && v.Int()%keys == int64(i)
+		}, ID: uint32(i + 1)}
 	}
+	kept := make([]atomic.Pointer[Selection], keys)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -62,29 +116,35 @@ func TestSelectionMemoFillsOncePerKey(t *testing.T) {
 			for round := 0; round < 50; round++ {
 				for i := 0; i < keys; i++ {
 					ki := (i + w) % keys
-					k := memoKey("c", uint32(ki+1))
-					sel := m.Acquire(k)
-					if sel == nil {
-						// The first filler of every odd key gives up once.
-						if ki%2 == 1 && abandoned[ki].CompareAndSwap(0, 1) {
-							m.Settle(k, nil)
-							continue
-						}
-						fills[ki].Add(1)
-						m.Settle(k, published[ki])
+					var interrupt InterruptChecker
+					if ki%2 == 1 {
+						// The first fill of every odd key is interrupted.
+						interrupt.Reset(func() bool { return interrupted[ki].CompareAndSwap(false, true) })
+					}
+					sel, reused, aborted := m.Select(x, preds[ki], &interrupt)
+					if aborted {
 						continue
 					}
-					if sel != published[ki] {
-						t.Errorf("key %d read %p, published %p", ki, sel, published[ki])
+					if !reused {
+						firstTakers[ki].Add(1)
+					}
+					if first := kept[ki].Swap(sel); first != nil && first != sel {
+						t.Errorf("key %d read %p, then %p", ki, sel, first)
+					}
+					if len(sel.IDs) != (x.NumRows()+keys-1-ki)/keys {
+						t.Errorf("key %d holds %d rows", ki, len(sel.IDs))
 					}
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
-	for i := range fills {
-		if n := fills[i].Load(); n != 1 {
-			t.Errorf("key %d was filled %d times", i, n)
+	if m.Len() != keys || m.Fills() < keys+keys/2 {
+		t.Errorf("%d selections kept after %d fills, want %d after at least %d", m.Len(), m.Fills(), keys, keys+keys/2)
+	}
+	for i := range firstTakers {
+		if n := firstTakers[i].Load(); n != 1 {
+			t.Errorf("key %d: %d callers took it first", i, n)
 		}
 	}
 }

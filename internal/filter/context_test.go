@@ -9,7 +9,7 @@ import (
 func TestValidateContextCancellation(t *testing.T) {
 	fx := newFixture(t)
 	set := Decompose(fx.candidates)
-	v := &Validator{DB: fx.db, Spec: fx.spec}
+	v := &Validator{DB: fx.db, Cells: NewCells(fx.spec)}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()

@@ -543,114 +543,103 @@ type ValidationResult struct {
 	Cost   exec.ExecStats
 }
 
-// Validator executes filter validations against an execution backend for a
-// given constraint specification.
+// Validator executes filter validations against an execution backend for
+// the specification of its round table. It keeps no state of its own, so it
+// is safe for concurrent use.
 type Validator struct {
 	// DB is the execution backend probed by validations: any exec.Executor
 	// (the in-memory reference engine or the columnar engine).
-	DB   exec.Executor
-	Spec *constraint.Spec
+	DB exec.Executor
+	// Cells is the round table the validations read: the specification,
+	// its cells' pushed-down predicates and the selections they make, which
+	// every probe hands the executor (exec.ExecOptions.Selections) — so the
+	// filters that constrain one source column by one cell share one
+	// selection of it, with each other and with the round's estimator.
+	Cells *Cells
 	// MaxIntermediate guards runaway joins during validation: a probe is
 	// aborted once a join step has formed more than this many partial
 	// tuples (exec.ExecOptions.MaxIntermediate). 0 means unbounded — there
 	// is no default.
 	MaxIntermediate int
-
-	// tmpls caches, per sample × target column, the pushed-down predicate
-	// derived from the cell (Eval closure, normalised keyword cover,
-	// numeric bounds). One scheduling run validates hundreds of filters
-	// against the same handful of cells; without the cache every
-	// validation re-derived the cover and re-normalised the keywords.
-	tmplOnce sync.Once
-	tmpls    [][]predTemplate
-
-	// selections is the round's selection memo: a Validator lives for one
-	// scheduling run, and every probe of the run hands the executor this
-	// memo, so the filters that constrain one source column by one cell
-	// share one scan of it (exec.ExecOptions.Selections).
-	selections exec.SelectionMemo
 }
 
-// predTemplate is the reusable pushed-down form of one constrained cell.
-type predTemplate struct {
-	pred     func(value.Value) bool
-	keywords []string
-	bounds   *exec.NumericBounds
-	exact    bool // bounds characterise pred exactly (lang.ExactRangeBounds)
-	ok       bool // cell present and non-nil
-	// id is the cell's exec.ColumnPredicate.ID: its rank, from 1, among the
-	// constrained cells of the specification.
-	id uint32
+// Cells is the round table of one specification: the pushed-down predicate
+// of every constrained cell, identified by its rank, and the rows each
+// selects on every source column it meets (exec.SelectionMemo), selected by
+// whichever of the round's failure estimator and its validations asks first
+// and read by both after. A scheduling run creates one and drops it with the
+// run. It is safe for concurrent use.
+type Cells struct {
+	spec *constraint.Spec
+	// preds[sample][target] is the predicate of that cell with its Ref
+	// unset, or — Pred nil — nothing, where the cell is unconstrained.
+	preds [][]exec.ColumnPredicate
+	sels  exec.SelectionMemo
 }
 
-// templates builds the per-cell predicate templates once; safe for
-// concurrent use (validations run on a worker pool).
-func (v *Validator) templates() [][]predTemplate {
-	v.tmplOnce.Do(func() {
-		samples := v.Spec.Samples
-		v.tmpls = make([][]predTemplate, len(samples))
-		cells := uint32(0)
-		for si, sample := range samples {
-			row := make([]predTemplate, len(sample.Cells))
-			for ci, expr := range sample.Cells {
-				if expr == nil {
-					continue
-				}
-				cells++
-				t := predTemplate{pred: expr.Eval, ok: true, id: cells}
-				if kws, ok := lang.EqualityKeywords(expr); ok {
-					// Normalise once: keyword-index lookups are
-					// case-insensitive anyway, and pre-lowered keywords keep
-					// the executor's per-probe path allocation-free.
-					for i, kw := range kws {
-						kws[i] = strings.ToLower(strings.TrimSpace(kw))
-					}
-					t.keywords = kws
-				}
-				// Range/ordering shapes additionally carry a numeric
-				// interval cover, which zone-mapped executors compare
-				// against column min/max to skip scans outright.
-				if b, ok := lang.NumericBounds(expr); ok {
-					t.bounds = &exec.NumericBounds{Lo: b.Lo, Hi: b.Hi, HasLo: b.HasLo, HasHi: b.HasHi}
-					// A pure numeric range is characterised, not merely
-					// covered, by its interval: executors answer it with two
-					// float comparisons instead of a closure call per row.
-					_, t.exact = lang.ExactRangeBounds(expr)
-				}
-				row[ci] = t
+// NewCells derives the pushed-down predicate of every constrained cell of
+// spec: its Eval closure; the keyword cover of an equality-shaped cell,
+// normalised once (exec.ColumnIndex.Select evaluates the cell on the value
+// ids those keywords list); the numeric interval cover of a range or
+// ordering shape, which the columnar executor compares against a column's
+// views to prove a selection empty, exact for a pure numeric range (the
+// selection is then read off the sorted views); and the cell's identity
+// (exec.ColumnPredicate.ID), its rank, from 1, among the constrained cells.
+func NewCells(spec *constraint.Spec) *Cells {
+	c := &Cells{spec: spec, preds: make([][]exec.ColumnPredicate, len(spec.Samples))}
+	id := uint32(0)
+	for si, sample := range spec.Samples {
+		row := make([]exec.ColumnPredicate, len(sample.Cells))
+		for ti, expr := range sample.Cells {
+			if expr == nil {
+				continue
 			}
-			v.tmpls[si] = row
+			id++
+			p := exec.ColumnPredicate{Pred: expr.Eval, ID: id}
+			if kws, ok := lang.EqualityKeywords(expr); ok {
+				for i, kw := range kws {
+					kws[i] = value.Normalize(kw)
+				}
+				p.Keywords = kws
+			}
+			if b, ok := lang.NumericBounds(expr); ok {
+				p.Bounds = &exec.NumericBounds{Lo: b.Lo, Hi: b.Hi, HasLo: b.HasLo, HasHi: b.HasHi}
+				_, p.BoundsExact = lang.ExactRangeBounds(expr)
+			}
+			row[ti] = p
 		}
-	})
-	return v.tmpls
+		c.preds[si] = row
+	}
+	return c
 }
+
+// Rows returns the rows of column x that the constrained cell (sample,
+// target) keeps, for the failure estimator, and whether this call selected
+// them (exec.SelectionMemo.Rows).
+func (c *Cells) Rows(sample, target int, x *exec.ColumnIndex) (sel *exec.Selection, filled bool) {
+	return c.sels.Rows(x, &c.preds[sample][target])
+}
+
+// Selections returns the table's selections, which the executions of the
+// round read through exec.ExecOptions.Selections.
+func (c *Cells) Selections() *exec.SelectionMemo { return &c.sels }
 
 // predicates returns the pushed-down predicates of filter f under sample
-// si, from the per-cell templates: equality-shaped cells carry their keyword
-// cover (point lookups on indexed executors), range shapes their numeric
-// bounds (zone-map pruning). Each carries the identity of its cell, which
-// is what lets the executor recognise the same cell on the same source
-// column in another filter's probe.
-func (v *Validator) predicates(f *Filter, si int) []exec.ColumnPredicate {
-	tmpls := v.templates()
-	if si >= len(tmpls) {
+// si, one per constrained cell f projects, each on the source column f
+// maps the cell's target column to.
+func (c *Cells) predicates(f *Filter, si int) []exec.ColumnPredicate {
+	if si >= len(c.preds) {
 		return nil
 	}
-	row := tmpls[si]
+	row := c.preds[si]
 	var preds []exec.ColumnPredicate
 	for i, tc := range f.TargetCols {
-		if tc >= len(row) || !row[tc].ok {
+		if tc >= len(row) || row[tc].Pred == nil {
 			continue
 		}
-		t := &row[tc]
-		preds = append(preds, exec.ColumnPredicate{
-			Ref:         f.Sources[i],
-			Pred:        t.pred,
-			Keywords:    t.keywords,
-			Bounds:      t.bounds,
-			BoundsExact: t.exact,
-			ID:          t.id,
-		})
+		p := row[tc]
+		p.Ref = f.Sources[i]
+		preds = append(preds, p)
 	}
 	return preds
 }
@@ -672,19 +661,20 @@ func (v *Validator) Validate(f *Filter) (ValidationResult, error) {
 func (v *Validator) ValidateContext(ctx context.Context, f *Filter) (ValidationResult, error) {
 	plan := f.Plan()
 	var total exec.ExecStats
-	samples := v.Spec.Samples
+	spec := v.Cells.spec
+	samples := spec.Samples
 	if len(samples) == 0 {
-		samples = []constraint.SampleConstraint{{Cells: make([]lang.ValueExpr, v.Spec.NumColumns)}}
+		samples = []constraint.SampleConstraint{{Cells: make([]lang.ValueExpr, spec.NumColumns)}}
 	}
 	for si, sample := range samples {
 		if err := ctx.Err(); err != nil {
 			return ValidationResult{Cost: total}, err
 		}
 		opts := exec.ExecOptions{
-			ColumnPredicates: v.predicates(f, si),
+			ColumnPredicates: v.Cells.predicates(f, si),
 			MaxIntermediate:  v.MaxIntermediate,
 			Interrupt:        func() bool { return ctx.Err() != nil },
-			Selections:       &v.selections,
+			Selections:       v.Cells.Selections(),
 		}
 		// The pushed-down predicates already enforce every covered cell, but
 		// keep a tuple predicate as a defence in depth for shared source

@@ -178,7 +178,7 @@ func TestFilterPlanAndString(t *testing.T) {
 func TestValidateSingleTableFilters(t *testing.T) {
 	fx := newFixture(t)
 	set := Decompose(fx.candidates)
-	v := &Validator{DB: fx.db, Spec: fx.spec}
+	v := &Validator{DB: fx.db, Cells: NewCells(fx.spec)}
 
 	// Find a single-table filter over Lake binding target column 1 (the
 	// "Lake Tahoe" cell) to Lake.Name; it must validate.
@@ -219,7 +219,7 @@ func TestValidateSingleTableFilters(t *testing.T) {
 func TestValidateFailingFilter(t *testing.T) {
 	fx := newFixture(t)
 	set := Decompose(fx.candidates)
-	v := &Validator{DB: fx.db, Spec: fx.spec}
+	v := &Validator{DB: fx.db, Cells: NewCells(fx.spec)}
 	// The filter binding target column 1 (California || Nevada) to
 	// Province.Name trivially passes; the one binding target column 2
 	// (Lake Tahoe) to geo_lake.Province must fail.
@@ -252,7 +252,7 @@ func TestValidateFailingFilter(t *testing.T) {
 func TestValidateFullCandidates(t *testing.T) {
 	fx := newFixture(t)
 	set := Decompose(fx.candidates)
-	v := &Validator{DB: fx.db, Spec: fx.spec}
+	v := &Validator{DB: fx.db, Cells: NewCells(fx.spec)}
 	confirmed := 0
 	desiredConfirmed := false
 	for ci, cand := range set.Candidates {
@@ -289,7 +289,7 @@ func TestValidateMultipleSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := &Validator{DB: fx.db, Spec: spec}
+	v := &Validator{DB: fx.db, Cells: NewCells(spec)}
 	good := &Filter{
 		Key:        "good",
 		Tree:       graphx.Tree{Tables: []string{"Lake", "geo_lake"}, Edges: []schema.ForeignKey{fx.db.Schema().ForeignKeys()[0]}},
@@ -314,7 +314,7 @@ func TestValidateMultipleSamples(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := &Validator{DB: fx.db, Spec: spec2}
+	v2 := &Validator{DB: fx.db, Cells: NewCells(spec2)}
 	res, err = v2.Validate(good)
 	if err != nil {
 		t.Fatal(err)
@@ -326,7 +326,7 @@ func TestValidateMultipleSamples(t *testing.T) {
 
 func TestValidateErrorPropagation(t *testing.T) {
 	fx := newFixture(t)
-	v := &Validator{DB: fx.db, Spec: fx.spec}
+	v := &Validator{DB: fx.db, Cells: NewCells(fx.spec)}
 	bad := &Filter{
 		Key:        "bad",
 		Tree:       graphx.Tree{Tables: []string{"NoSuchTable"}},
@@ -444,7 +444,7 @@ func TestValidateEmptySampleSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v := &Validator{DB: fx.db, Spec: spec}
+	v := &Validator{DB: fx.db, Cells: NewCells(spec)}
 	f := &Filter{
 		Key:        "area-only",
 		Tree:       graphx.Tree{Tables: []string{"Lake"}},
@@ -513,7 +513,7 @@ func BenchmarkDecompose(b *testing.B) {
 func BenchmarkValidateTopFilter(b *testing.B) {
 	fx := newFixture(b)
 	set := Decompose(fx.candidates)
-	v := &Validator{DB: fx.db, Spec: fx.spec}
+	v := &Validator{DB: fx.db, Cells: NewCells(fx.spec)}
 	top := set.Filters[set.Top[0]]
 	b.ReportAllocs()
 	b.ResetTimer()

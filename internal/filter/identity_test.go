@@ -21,12 +21,12 @@ func (r *recordingExecutor) Exists(p exec.Plan, opts exec.ExecOptions) (bool, ex
 	return r.Executor.Exists(p, opts)
 }
 
-// TestPredicateIdentities pins what the executor's selection memo relies
-// on: two validators of one specification push down the same predicates for
+// TestPredicateIdentities pins what the round table's selections rely on:
+// two round tables of one specification push down the same predicates for
 // the same (filter, sample), every constrained cell has one non-zero identity
-// of its own, equal (column, identity) means the same template — the very
-// same bounds and keyword slices — and every probe of one Validator carries
-// that Validator's memo, which no other Validator shares.
+// of its own, equal identity means the same predicate on whichever column —
+// the very same bounds and keyword slices — and every probe of one Validator
+// carries its table's selections, which no other table shares.
 func TestPredicateIdentities(t *testing.T) {
 	fx := newFixture(t)
 	spec, err := constraint.ParseGrid(3, [][]string{
@@ -39,8 +39,8 @@ func TestPredicateIdentities(t *testing.T) {
 	set := Decompose(fx.candidates)
 	one := &recordingExecutor{Executor: fx.db}
 	other := &recordingExecutor{Executor: fx.db}
-	v1 := &Validator{DB: one, Spec: spec}
-	v2 := &Validator{DB: other, Spec: spec}
+	v1 := &Validator{DB: one, Cells: NewCells(spec)}
+	v2 := &Validator{DB: other, Cells: NewCells(spec)}
 	for _, f := range set.Filters {
 		// Validate stops at the first failing sample; ask for each sample's
 		// predicates directly as well, so both rows are always compared.
@@ -50,7 +50,7 @@ func TestPredicateIdentities(t *testing.T) {
 			}
 		}
 		for si := range spec.Samples {
-			a, b := v1.predicates(f, si), v2.predicates(f, si)
+			a, b := v1.Cells.predicates(f, si), v2.Cells.predicates(f, si)
 			if len(a) != len(b) {
 				t.Fatalf("%s sample %d: %d predicates, then %d", f, si, len(a), len(b))
 			}
@@ -64,7 +64,7 @@ func TestPredicateIdentities(t *testing.T) {
 
 	for _, rec := range []*recordingExecutor{one, other} {
 		// The contract holds within one memo, that is within one Validator.
-		templates := make(map[exec.SelectionKey]exec.ColumnPredicate)
+		templates := make(map[uint32]exec.ColumnPredicate)
 		ids := make(map[uint32]bool)
 		for _, preds := range rec.probes {
 			for _, p := range preds {
@@ -72,15 +72,14 @@ func TestPredicateIdentities(t *testing.T) {
 					t.Fatalf("anonymous predicate on %s from the validator", p.Ref)
 				}
 				ids[p.ID] = true
-				key := exec.SelectionKey{Ref: p.Ref, ID: p.ID}
-				first, seen := templates[key]
+				first, seen := templates[p.ID]
 				if !seen {
-					templates[key] = p
+					templates[p.ID] = p
 					continue
 				}
 				sameKeywords := len(first.Keywords) == len(p.Keywords) && (len(p.Keywords) == 0 || &first.Keywords[0] == &p.Keywords[0])
 				if first.Bounds != p.Bounds || first.BoundsExact != p.BoundsExact || !sameKeywords {
-					t.Errorf("(%s, %d) names two predicates: %+v and %+v", p.Ref, p.ID, first, p)
+					t.Errorf("identity %d names two predicates: %+v and %+v", p.ID, first, p)
 				}
 			}
 		}

@@ -2,6 +2,7 @@ package lang
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"prism/internal/schema"
@@ -377,6 +378,11 @@ func EqualityKeywords(e ValueExpr) (keywords []string, ok bool) {
 			// (unix seconds) under Compare, which MatchesKeyword cannot
 			// express with a finite keyword list; leave those to a scan.
 			if k := n.Const.Kind(); k == value.Date || k == value.Time {
+				return nil, false
+			}
+			// A NaN constant equals every NaN-viewed value under Compare,
+			// "nan" text included, but matches no value as a keyword.
+			if f, ok := n.Const.Float(); ok && math.IsNaN(f) {
 				return nil, false
 			}
 			return []string{n.Const.String()}, true

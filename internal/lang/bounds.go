@@ -7,7 +7,8 @@ import (
 )
 
 // NumericBounds derives a closed numeric interval cover [lo, hi] of a value
-// constraint, the analysis zone-map pruning consumes: whenever ok, every
+// constraint, which the columnar executor compares against the range of a
+// column's numeric views to prove a selection empty: whenever ok, every
 // value v with a defined, non-NaN numeric view (v.Float()) that satisfies
 // Eval lies inside the interval, and Eval rejects NULL. NaN-viewed values
 // (e.g. the text "nan") sit outside the contract: value.Compare orders NaN
@@ -24,7 +25,7 @@ import (
 //     excluded because Value.Compare orders non-numeric text against them
 //     by kind, not by magnitude, so a numeric interval would not be a
 //     cover. Keywords are excluded too (their equality semantics are served
-//     better by the keyword index).
+//     better by the key dictionary's keyword table).
 //   - A conjunction may take each side of the interval from any of its
 //     terms (Eval implies every term, hence every term's cover).
 //   - A disjunction is covered only when every branch is; the interval is

@@ -38,6 +38,12 @@ func TestEqualityKeywords(t *testing.T) {
 	if _, ok := EqualityKeywords(Compare{Op: OpEq, Const: value.Parse("2020-01-31")}); ok {
 		t.Error("a Date equality constant must not claim a keyword cover")
 	}
+	// Nor may a NaN constant: it equals every NaN-viewed value under
+	// Compare, "nan" text included, and the keyword "NaN" matches none.
+	nan := Compare{Op: OpEq, Const: value.Parse("NaN")}
+	if _, ok := EqualityKeywords(Or{Terms: []ValueExpr{Keyword{Word: "Nevada"}, nan}}); ok {
+		t.Error("a NaN equality constant must not claim a keyword cover")
+	}
 
 	for _, tc := range cases {
 		got, ok := EqualityKeywords(parse(tc.cell))

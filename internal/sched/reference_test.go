@@ -113,7 +113,7 @@ type referenceRun struct {
 func runReference(t *testing.T, db exec.Executor, spec *constraint.Spec, set *filter.Set, est Estimator) referenceRun {
 	t.Helper()
 	sess := filter.NewSession(set)
-	validator := &filter.Validator{DB: db, Spec: spec}
+	validator := &filter.Validator{DB: db, Cells: filter.NewCells(spec)}
 	isTop := make([]bool, set.NumFilters())
 	for _, ti := range set.Top {
 		isTop[ti] = true
@@ -217,7 +217,7 @@ func TestPickMatchesReference(t *testing.T) {
 				sess := filter.NewSession(round.set)
 				rank := newRanking(round.set, sess)
 				rank.estimate(newEstimator(), tableSizeCost(db))
-				validator := &filter.Validator{DB: db, Spec: round.spec}
+				validator := &filter.Validator{DB: db, Cells: filter.NewCells(round.spec)}
 				for step, wantIdx := range want.picks {
 					got, ok := rank.pick()
 					if !ok || got != wantIdx {

@@ -75,58 +75,70 @@ func (e *PathLengthEstimator) FailureProbability(f *filter.Filter) float64 {
 // of the specification.
 //
 // The filters of a round share a handful of spec cells and join edges, so an
-// estimator remembers the match sets and pair counts the model computed for
-// it and every later filter that meets one reads the answer. The memo is
-// scoped to the estimator — build one per round, as discovery does — and an
-// estimator serves one goroutine (the scheduling loop); it takes no lock.
+// estimator remembers the pair counts and intersections the model computed
+// for it, and reads the match set of a cell on a source column from the
+// round table (filter.Cells), where the round's validations find it too. A
+// scheduling run hands its table to the BayesEstimator it ranks with; one
+// used on its own, wrapped in another Estimator or over another
+// specification builds a table of its own on its first estimate.
+// Either way the memo is scoped to the estimator — build one per round, as
+// discovery does — and an estimator serves one goroutine (the scheduling
+// loop).
 type BayesEstimator struct {
 	Model *bayes.Model
 	Spec  *constraint.Spec
 
-	memo   *estimateMemo            // created by the first estimate
+	memo   *estimateMemo            // created by the first estimate or the run
 	shared *bayes.Model             // Model, estimating through memo
 	cons   []bayes.ColumnConstraint // scratch, reused across estimates
 }
 
-// estimateMemo implements bayes.Sets by asking the model once: per cell of
-// the specification on a source column, per pair of intersected sets, per
-// join edge between two sets.
+// estimateMemo implements bayes.Sets by asking once: per cell of the
+// specification on a source column (the round table's selection), per pair
+// of intersected sets, per join edge between two sets.
 type estimateMemo struct {
 	model *bayes.Model
-	cells map[cellKey]*bayes.RowSet
-	both  map[[2]*bayes.RowSet]*bayes.RowSet
+	cells *filter.Cells
+	both  map[[2]*exec.Selection]*exec.Selection
 	pairs map[pairsKey]int
-	// cellSets counts the distinct cell sets computed, hits the answers
-	// given from memory.
+	// cellSets counts the cell selections this estimator made in the round
+	// table, hits the answers given from memory — a cell selection someone
+	// made before, an intersection or a pair count.
 	cellSets, hits int
-}
-
-type cellKey struct {
-	sample, target int
-	source         schema.ColumnRef
 }
 
 type pairsKey struct {
 	edge     schema.ForeignKey
-	from, to *bayes.RowSet
+	from, to *exec.Selection
 }
 
-func (m *estimateMemo) MatchRows(c bayes.ColumnConstraint) (*bayes.RowSet, bool) {
-	key := cellKey{sample: c.Sample, target: c.Target, source: c.Ref}
-	if rows, ok := m.cells[key]; ok {
-		m.hits++
-		return rows, true
+// use has e estimate through the round table cells from here on.
+func (e *BayesEstimator) use(cells *filter.Cells) {
+	e.memo = &estimateMemo{
+		model: e.Model,
+		cells: cells,
+		both:  make(map[[2]*exec.Selection]*exec.Selection),
+		pairs: make(map[pairsKey]int),
 	}
-	rows, known := m.model.MatchRows(c)
-	if known {
-		m.cells[key] = rows
+	e.shared = e.Model.Sharing(e.memo)
+}
+
+func (m *estimateMemo) MatchRows(c bayes.ColumnConstraint) (*exec.Selection, bool) {
+	x := m.model.ColumnIndex(c.Ref)
+	if x == nil || c.Expr == nil {
+		return nil, x != nil
+	}
+	rows, filled := m.cells.Rows(c.Sample, c.Target, x)
+	if filled {
 		m.cellSets++
+	} else {
+		m.hits++
 	}
-	return rows, known
+	return rows, true
 }
 
-func (m *estimateMemo) Intersect(a, b *bayes.RowSet) *bayes.RowSet {
-	key := [2]*bayes.RowSet{a, b}
+func (m *estimateMemo) Intersect(a, b *exec.Selection) *exec.Selection {
+	key := [2]*exec.Selection{a, b}
 	if rows, ok := m.both[key]; ok {
 		m.hits++
 		return rows
@@ -136,7 +148,7 @@ func (m *estimateMemo) Intersect(a, b *bayes.RowSet) *bayes.RowSet {
 	return rows
 }
 
-func (m *estimateMemo) PairHits(fk schema.ForeignKey, from, to *bayes.RowSet) int {
+func (m *estimateMemo) PairHits(fk schema.ForeignKey, from, to *exec.Selection) int {
 	key := pairsKey{edge: fk, from: from, to: to}
 	if n, ok := m.pairs[key]; ok {
 		m.hits++
@@ -157,13 +169,7 @@ func (e *BayesEstimator) FailureProbability(f *filter.Filter) float64 {
 		return 0
 	}
 	if e.memo == nil {
-		e.memo = &estimateMemo{
-			model: e.Model,
-			cells: make(map[cellKey]*bayes.RowSet),
-			both:  make(map[[2]*bayes.RowSet]*bayes.RowSet),
-			pairs: make(map[pairsKey]int),
-		}
-		e.shared = e.Model.Sharing(e.memo)
+		e.use(filter.NewCells(e.Spec))
 	}
 	allMatch := 1.0
 	for si, sample := range e.Spec.Samples {
@@ -208,8 +214,9 @@ func (e *BayesEstimator) sampleFailure(f *filter.Filter, cons []bayes.ColumnCons
 	return e.shared.FailureProbability(f.Tree.Tables, f.Tree.Edges, cons)
 }
 
-// MemoStats reports how many distinct cell match sets the estimator has
-// had computed and how many answers its memo gave, for the round trace.
+// MemoStats reports how many cell selections the estimator has made in the
+// round table and how many answers it read from memory, for the round
+// trace.
 func (e *BayesEstimator) MemoStats() (cellSets, memoHits int) {
 	if e.memo == nil {
 		return 0, 0
@@ -409,10 +416,17 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	ctx, cancel := WithBudget(ctx, start, opts.TimeLimit)
 	defer cancel()
 
+	// One round table serves the run: the validations select a cell's rows
+	// on a source column through it, and so does the estimator, whichever
+	// asks first.
+	cells := filter.NewCells(r.Spec)
+	if be, ok := r.Estimator.(*BayesEstimator); ok && be.Spec == r.Spec {
+		be.use(cells)
+	}
 	sess := filter.NewSession(r.Set)
 	s := &run{
 		set: r.Set, opts: opts, ctx: ctx,
-		validator: &filter.Validator{DB: r.DB, Spec: r.Spec},
+		validator: &filter.Validator{DB: r.DB, Cells: cells},
 		sess:      sess,
 		rank:      newRanking(r.Set, sess),
 		res:       Result{Policy: r.Estimator.Name()},
@@ -854,7 +868,7 @@ func GroundTruth(db exec.Executor, spec *constraint.Spec, set *filter.Set) ([]fi
 // GroundTruthContext is GroundTruth under a context; cancelling ctx aborts
 // the exhaustive validation sweep.
 func GroundTruthContext(ctx context.Context, db exec.Executor, spec *constraint.Spec, set *filter.Set) ([]filter.Outcome, error) {
-	v := &filter.Validator{DB: db, Spec: spec}
+	v := &filter.Validator{DB: db, Cells: filter.NewCells(spec)}
 	out := make([]filter.Outcome, set.NumFilters())
 	for i, f := range set.Filters {
 		res, err := v.ValidateContext(ctx, f)

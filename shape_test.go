@@ -57,7 +57,7 @@ var allowedImports = map[string]string{
 	"internal/discovery": "api internal/bayes internal/colexec internal/constraint internal/exec internal/fault internal/filter internal/graphx internal/mem internal/obs internal/sched internal/schema internal/sentinel internal/sqlgen internal/value",
 	"internal/sched":     "internal/bayes internal/constraint internal/exec internal/fault internal/filter internal/obs internal/rowset internal/schema internal/sentinel",
 	"internal/filter":    "internal/constraint internal/exec internal/graphx internal/lang internal/rowset internal/schema internal/value",
-	"internal/bayes":     "internal/exec internal/lang internal/par internal/rowset internal/schema internal/value",
+	"internal/bayes":     "internal/exec internal/lang internal/par internal/rowset internal/schema",
 	"internal/graphx":    "internal/exec internal/schema",
 	"internal/sqlgen":    "internal/exec internal/schema",
 	"internal/explain":   "internal/constraint internal/graphx",
@@ -102,16 +102,15 @@ var allowedImports = map[string]string{
 // It may only shrink: an entry that is gone, or no longer over the
 // ceiling, fails until it is deleted. Never add one.
 var longFuncs = map[string]int{
-	"cmd/prism-bench.run":                  188,
-	"internal/lang.Lex":                    142,
-	"cmd/prism-loadtest.main":              133,
-	"internal/dataset.Mondial":             132,
-	"benchmark.tracer.layerValues":         126,
-	"internal/dataset.decodeSQLite":        115,
-	"internal/graphx.EnumerateContext":     106,
-	"internal/loadtest.Run":                104,
-	"internal/colexec.Executor.selectRows": 104,
-	"benchmark.stager.round":               102,
+	"cmd/prism-bench.run":              188,
+	"internal/lang.Lex":                142,
+	"cmd/prism-loadtest.main":          133,
+	"internal/dataset.Mondial":         132,
+	"benchmark.tracer.layerValues":     126,
+	"internal/dataset.decodeSQLite":    115,
+	"internal/graphx.EnumerateContext": 106,
+	"internal/loadtest.Run":            104,
+	"benchmark.stager.round":           102,
 }
 
 // shapePackage is one package as the shape check sees it: its path
