@@ -193,12 +193,12 @@ func (fx *diffFixture) checkBattery() {
 	fx.t.Helper()
 	sch := fx.db.Schema()
 	pick := func(table string, ci int) (a, b value.Value) {
-		rel, _ := fx.db.Relation(table)
-		for _, at := range []int{0, len(rel.Rows) / 2, len(rel.Rows) - 1} {
-			if at < 0 || at >= len(rel.Rows) {
+		rows, _ := fx.db.SampleRows(table, 0)
+		for _, at := range []int{0, len(rows) / 2, len(rows) - 1} {
+			if at < 0 || at >= len(rows) {
 				continue
 			}
-			if v := rel.Rows[at][ci]; !v.IsNull() {
+			if v := rows[at][ci]; !v.IsNull() {
 				a, b = b, v
 			}
 		}
@@ -290,12 +290,12 @@ func (fx *diffFixture) checkRanges() {
 	fx.t.Helper()
 	sch := fx.db.Schema()
 	for _, t := range sch.Tables() {
-		rel, _ := fx.db.Relation(t.Name)
+		rows, _ := fx.db.SampleRows(t.Name, 0)
 		for ci, col := range t.Columns {
 			var views []float64
-			step := max(1, len(rel.Rows)/8)
-			for at := 0; at < len(rel.Rows); at += step {
-				if f, ok := rel.Rows[at][ci].Float(); ok && !math.IsNaN(f) && !math.IsInf(f, 0) {
+			step := max(1, len(rows)/8)
+			for at := 0; at < len(rows); at += step {
+				if f, ok := rows[at][ci].Float(); ok && !math.IsNaN(f) && !math.IsInf(f, 0) {
 					views = append(views, f)
 				}
 			}

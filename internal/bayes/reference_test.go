@@ -57,11 +57,11 @@ func trainReference(db *mem.Database) *refModel {
 	m := &refModel{relations: make(map[string]*refRelation), joins: make(map[string]*refJoin)}
 	sch := db.Schema()
 	for _, t := range sch.Tables() {
-		rel, _ := db.Relation(t.Name)
-		rm := &refRelation{rows: rel.NumRows(), columns: make(map[string]*refColumn)}
+		rows, _ := db.SampleRows(t.Name, 0)
+		rm := &refRelation{rows: len(rows), columns: make(map[string]*refColumn)}
 		for ci, col := range t.Columns {
 			cm := &refColumn{postings: make(map[string][]int)}
-			for row, tuple := range rel.Rows {
+			for row, tuple := range rows {
 				v := tuple[ci]
 				cm.values = append(cm.values, v)
 				if !v.IsNull() {

@@ -147,8 +147,6 @@ func New(src exec.Source) (exec.Executor, error) {
 		t := &table{name: ts.Name, sch: ts}
 		for _, col := range ts.Columns {
 			ref := schema.ColumnRef{Table: ts.Name, Column: col.Name}
-			// The first call has the source index every column, if it has
-			// not yet; the rest are look-ups.
 			idx, err := src.ColumnIndex(ref)
 			if err != nil {
 				return nil, fmt.Errorf("colexec: indexing %s: %w", ref, err)

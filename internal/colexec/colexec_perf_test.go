@@ -420,8 +420,8 @@ func runSetUp(tb testing.TB, src *mem.Database) setUp {
 	before := heap()
 	fresh := mem.NewDatabase(src.Name, src.Schema())
 	for _, t := range src.Schema().Tables() {
-		rel, _ := src.Relation(t.Name)
-		if err := fresh.BulkInsert(t.Name, rel.Rows); err != nil {
+		rows, _ := src.SampleRows(t.Name, 0)
+		if err := fresh.BulkInsert(t.Name, rows); err != nil {
 			tb.Fatal(err)
 		}
 	}
@@ -505,23 +505,25 @@ func BenchmarkSetup(b *testing.B) {
 }
 
 // TestSetupRetainedBytes puts a ceiling on what set-up leaves on the heap
-// per row of the 10.7k-row Mondial: row store, key dictionaries (keyword
-// tables included), statistics, model and executor together. Bytes do not
+// per row of the 10.7k-row Mondial: key dictionaries (keyword tables
+// included), statistics, model and executor together. Bytes do not
 // depend on the machine's speed or core count. Before the three builders
 // shared one key dictionary per column this measurement read 942 B/row, and
 // 726 after; the executor's own value copy, text postings and dictionaries
 // and the catalogue's keyword sets held 720 − 460 B/row more until the
 // dictionary became the only per-column structure, and a key string per
 // value id, a string-keyed dictionary and a keyword per number 460 − 406
-// more until the dictionary keyed values by class and bits. The ceiling was
-// halfway between 720 and 460, and is halfway again between it and 406, so
-// giving a builder back a private copy of a column fails here.
+// more until the dictionary keyed values by class and bits; the row store
+// held 407 − 280 B/row more until the analysis dropped it, leaving the
+// dictionaries the only copy of a cell. The ceiling is 280 B/row plus 10 %,
+// so keeping the rows, or giving a builder back a private copy of a column,
+// fails here.
 func TestSetupRetainedBytes(t *testing.T) {
 	src, err := dataset.Mondial(difftest.LowresMondialConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const ceiling = 498 // B/row
+	const ceiling = 308 // B/row
 	one := runSetUp(t, src)
 	perRow := float64(one.retained) / float64(one.rows)
 	t.Logf("set-up retains %.0f B/row over %d rows", perRow, one.rows)

@@ -2,10 +2,13 @@ package dataset
 
 import (
 	"bytes"
+	"math"
 	"runtime"
 	"testing"
 
 	"prism/internal/mem"
+	"prism/internal/schema"
+	"prism/internal/value"
 )
 
 // FuzzLoadSQLite feeds the SQLite reader bytes it did not write. The answer
@@ -27,25 +30,63 @@ func FuzzLoadSQLite(f *testing.F) {
 }
 
 // FuzzLoadCSV is FuzzLoadSQLite for CSV inference: one CSV table's bytes
-// become an error, or an analyzed database.
+// become an error, or an analyzed database whose every cell, read off its
+// key dictionary, is the raw CSV cell parsed as its column's declared type.
 func FuzzLoadCSV(f *testing.F) {
 	for _, seed := range []string{
 		"Name,Area,Depth,Discovered,State\nLake Tahoe,496.2,501,1844-02-14,California\nMystery Lake,12.5,,,\n",
 		"ID,team_id,Score\nG1,Lakers,102\n",
 		"a,b\n3,3.0\n\" 3\",NaN\nnull,12:30:00\n",
 		"a,,c\n1,2,3\n",
+		"Tag,Score\nLake,0.5\nlake,-0.0\nLAKE,0.0\n",
 	} {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkUntrusted(t, data, func() (*mem.Database, error) {
-			table, err := readCSV("fuzz.csv", bytes.NewReader(data))
-			if err != nil {
+		var table *csvTable
+		db := checkUntrusted(t, data, func() (*mem.Database, error) {
+			var err error
+			if table, err = readCSV("fuzz.csv", bytes.NewReader(data)); err != nil {
 				return nil, err
 			}
 			return assemble("fuzz", []csvTable{*table})
 		})
+		if db != nil {
+			checkCellsKept(t, db, table)
+		}
 	})
+}
+
+// checkCellsKept holds every cell of the database assembled from table, as
+// its key dictionary stores it, to the raw cell parsed as the column's
+// declared type: the dictionaries are the database's only copy of a cell.
+func checkCellsKept(t *testing.T, db *mem.Database, table *csvTable) {
+	t.Helper()
+	sch, _ := db.Schema().Table(table.name)
+	for ci, col := range sch.Columns {
+		x, err := db.ColumnIndex(schema.ColumnRef{Table: sch.Name, Column: col.Name})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for row, cells := range table.rows {
+			want, err := value.ParseAs(cells[ci], col.Type)
+			if err != nil {
+				t.Fatalf("%s row %d: %v", col.Name, row, err)
+			}
+			if got := x.Value(int32(row)); !identical(got, want) {
+				t.Fatalf("%s row %d stores %v (%s), loaded from %q as %v (%s)", col.Name, row, got, got.Kind(), cells[ci], want, want.Kind())
+			}
+		}
+	}
+}
+
+// identical reports whether two cells are the same: two decimals of the
+// same bits (-0 is not 0, and a NaN is itself), else EqualStrict.
+func identical(a, b value.Value) bool {
+	if a.Kind() == value.Decimal && b.Kind() == value.Decimal {
+		return math.Float64bits(a.Decimal()) == math.Float64bits(b.Decimal())
+	}
+	return a.EqualStrict(b)
 }
 
 // checkUntrusted loads data and holds the result to the contract of the
@@ -53,7 +94,7 @@ func FuzzLoadCSV(f *testing.F) {
 // for every column, and at most 4 MiB plus 2 KiB per input byte allocated
 // on the way (a cell of one byte becomes a 40-byte value several times
 // over: raw, row, key dictionary).
-func checkUntrusted(t *testing.T, data []byte, load func() (*mem.Database, error)) {
+func checkUntrusted(t *testing.T, data []byte, load func() (*mem.Database, error)) *mem.Database {
 	t.Helper()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
@@ -66,7 +107,7 @@ func checkUntrusted(t *testing.T, data []byte, load func() (*mem.Database, error
 		if db != nil {
 			t.Fatalf("error %v came with a database", err)
 		}
-		return
+		return nil
 	}
 	if !db.Analyzed() {
 		t.Fatal("loaded database is not analyzed")
@@ -80,4 +121,5 @@ func checkUntrusted(t *testing.T, data []byte, load func() (*mem.Database, error
 		}
 		db.ColumnHasKeyword(ref, "x")
 	}
+	return db
 }

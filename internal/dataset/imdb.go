@@ -105,8 +105,11 @@ var curatedMovies = []struct {
 	{"Spirited Away", 2001, 8.6, 125, "Fantasy", "Rumi Hiiragi"},
 }
 
-// IMDB builds the synthetic movie database.
-func IMDB(cfg IMDBConfig) (*mem.Database, error) {
+// IMDB builds the synthetic movie database, analysed.
+func IMDB(cfg IMDBConfig) (*mem.Database, error) { return analysed(loadIMDB(cfg)) }
+
+// loadIMDB fills the synthetic movie database.
+func loadIMDB(cfg IMDBConfig) (*mem.Database, error) {
 	cfg = cfg.withDefaults()
 	sch, err := imdbSchema()
 	if err != nil {
@@ -193,6 +196,5 @@ func IMDB(cfg IMDBConfig) (*mem.Database, error) {
 		}
 	}
 
-	db.Analyze()
 	return db, nil
 }

@@ -185,8 +185,12 @@ var (
 	}
 )
 
-// Mondial builds the synthetic Mondial database.
-func Mondial(cfg MondialConfig) (*mem.Database, error) {
+// Mondial builds the synthetic Mondial database, analysed.
+func Mondial(cfg MondialConfig) (*mem.Database, error) { return analysed(loadMondial(cfg)) }
+
+// loadMondial fills the synthetic Mondial database: countries, provinces and
+// cities here, lakes, rivers and mountains in mondialFeatures.
+func loadMondial(cfg MondialConfig) (*mem.Database, error) {
 	cfg = cfg.withDefaults()
 	sch, err := mondialSchema()
 	if err != nil {
@@ -195,15 +199,11 @@ func Mondial(cfg MondialConfig) (*mem.Database, error) {
 	db := mem.NewDatabase("mondial", sch)
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	insert := func(table string, vals ...value.Value) error {
-		return db.Insert(table, value.Tuple(vals))
-	}
-
 	// Countries: curated + generated.
 	var countries []string
 	for _, c := range curatedCountries {
 		countries = append(countries, c.name)
-		if err := insert("Country",
+		if err := insert(db, "Country",
 			value.NewText(c.name), value.NewText(c.code), value.NewText(c.capital),
 			value.NewInt(c.population), value.NewDecimal(c.area)); err != nil {
 			return nil, err
@@ -212,7 +212,7 @@ func Mondial(cfg MondialConfig) (*mem.Database, error) {
 	for i := len(countries); i < cfg.Countries; i++ {
 		name := fmt.Sprintf("Country %s", spellIndex(i))
 		countries = append(countries, name)
-		if err := insert("Country",
+		if err := insert(db, "Country",
 			value.NewText(name),
 			value.NewText(fmt.Sprintf("C%02d", i)),
 			value.NewText(name+" City"),
@@ -226,7 +226,7 @@ func Mondial(cfg MondialConfig) (*mem.Database, error) {
 	var provinces []string
 	for _, p := range curatedProvinces {
 		provinces = append(provinces, p.name)
-		if err := insert("Province",
+		if err := insert(db, "Province",
 			value.NewText(p.name), value.NewText(p.country),
 			value.NewInt(p.population), value.NewDecimal(p.area)); err != nil {
 			return nil, err
@@ -236,7 +236,7 @@ func Mondial(cfg MondialConfig) (*mem.Database, error) {
 		for j := 0; j < cfg.ProvincesPerCountry; j++ {
 			name := fmt.Sprintf("%s Province %s", country, spellIndex(j))
 			provinces = append(provinces, name)
-			if err := insert("Province",
+			if err := insert(db, "Province",
 				value.NewText(name), value.NewText(country),
 				value.NewInt(int64(50_000+rng.Intn(20_000_000))),
 				value.NewDecimal(float64(1_000+rng.Intn(500_000)))); err != nil {
@@ -249,7 +249,7 @@ func Mondial(cfg MondialConfig) (*mem.Database, error) {
 	for _, prov := range provinces {
 		for j := 0; j < cfg.CitiesPerProvince; j++ {
 			name := fmt.Sprintf("%s City %s", prov, spellIndex(j))
-			if err := insert("City",
+			if err := insert(db, "City",
 				value.NewText(name), value.NewText(prov),
 				value.NewInt(int64(5_000+rng.Intn(5_000_000))),
 				value.NewDecimal(float64(rng.Intn(3_000)))); err != nil {
@@ -258,6 +258,15 @@ func Mondial(cfg MondialConfig) (*mem.Database, error) {
 		}
 	}
 
+	if err := mondialFeatures(db, rng, cfg, provinces); err != nil {
+		return nil, err
+	}
+	return db, nil
+}
+
+// mondialFeatures fills the lakes, rivers and mountains of loadMondial, each
+// linked to provinces.
+func mondialFeatures(db *mem.Database, rng *rand.Rand, cfg MondialConfig, provinces []string) error {
 	// Lakes: curated + generated, each linked to 1-2 provinces.
 	type feature struct {
 		table, link, column string
@@ -266,29 +275,29 @@ func Mondial(cfg MondialConfig) (*mem.Database, error) {
 	lakeNames := make([]string, 0, cfg.Lakes)
 	for _, l := range curatedLakes {
 		lakeNames = append(lakeNames, l.name)
-		if err := insert("Lake", value.NewText(l.name), value.NewDecimal(l.area), value.NewDecimal(l.depth)); err != nil {
-			return nil, err
+		if err := insert(db, "Lake", value.NewText(l.name), value.NewDecimal(l.area), value.NewDecimal(l.depth)); err != nil {
+			return err
 		}
 		for _, p := range l.provinces {
-			if err := insert("geo_lake", value.NewText(l.name), value.NewText(p)); err != nil {
-				return nil, err
+			if err := insert(db, "geo_lake", value.NewText(l.name), value.NewText(p)); err != nil {
+				return err
 			}
 		}
 	}
 	for i := len(lakeNames); i < cfg.Lakes; i++ {
 		name := fmt.Sprintf("Lake %s", spellIndex(i))
 		lakeNames = append(lakeNames, name)
-		if err := insert("Lake",
+		if err := insert(db, "Lake",
 			value.NewText(name),
 			value.NewDecimal(1+rng.Float64()*5_000),
 			value.NewDecimal(1+rng.Float64()*500)); err != nil {
-			return nil, err
+			return err
 		}
 		links := 1 + rng.Intn(2)
 		for l := 0; l < links; l++ {
 			prov := provinces[skewedIndex(rng, len(provinces))]
-			if err := insert("geo_lake", value.NewText(name), value.NewText(prov)); err != nil {
-				return nil, err
+			if err := insert(db, "geo_lake", value.NewText(name), value.NewText(prov)); err != nil {
+				return err
 			}
 		}
 	}
@@ -302,21 +311,26 @@ func Mondial(cfg MondialConfig) (*mem.Database, error) {
 		for i := 0; i < f.count; i++ {
 			name := fmt.Sprintf("%s %s", f.table, spellIndex(i))
 			metric := value.NewDecimal(10 + rng.Float64()*6_000)
-			if err := insert(f.table, value.NewText(name), metric); err != nil {
-				return nil, err
+			if err := insert(db, f.table, value.NewText(name), metric); err != nil {
+				return err
 			}
 			links := 1 + rng.Intn(3)
 			for l := 0; l < links; l++ {
 				prov := provinces[skewedIndex(rng, len(provinces))]
-				if err := insert(f.link, value.NewText(name), value.NewText(prov)); err != nil {
-					return nil, err
+				if err := insert(db, f.link, value.NewText(name), value.NewText(prov)); err != nil {
+					return err
 				}
 			}
 		}
 	}
 
-	db.Analyze()
-	return db, nil
+	return nil
+}
+
+// insert adds a row of vals to the table. A direct call, unlike a closure
+// handed from loadMondial to mondialFeatures, keeps vals on the stack.
+func insert(db *mem.Database, table string, vals ...value.Value) error {
+	return db.Insert(table, value.Tuple(vals))
 }
 
 // spellIndex turns 0, 1, 2, … into short pronounceable names (Alpha, Bravo,

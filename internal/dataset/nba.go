@@ -95,8 +95,11 @@ var curatedTeams = []struct {
 
 var nbaPositions = []string{"PG", "SG", "SF", "PF", "C"}
 
-// NBA builds the synthetic basketball database.
-func NBA(cfg NBAConfig) (*mem.Database, error) {
+// NBA builds the synthetic basketball database, analysed.
+func NBA(cfg NBAConfig) (*mem.Database, error) { return analysed(loadNBA(cfg)) }
+
+// loadNBA fills the synthetic basketball database.
+func loadNBA(cfg NBAConfig) (*mem.Database, error) {
 	cfg = cfg.withDefaults()
 	sch, err := nbaSchema()
 	if err != nil {
@@ -165,24 +168,35 @@ func NBA(cfg NBAConfig) (*mem.Database, error) {
 		}
 	}
 
-	db.Analyze()
 	return db, nil
 }
 
 // ByName builds one of the three demo databases ("mondial", "imdb", "nba")
-// with its default configuration; the demo server's Configuration section
-// uses it to switch source databases.
-func ByName(name string) (*mem.Database, error) {
+// with its default configuration, analysed; the demo server's Configuration
+// section uses it to switch source databases.
+func ByName(name string) (*mem.Database, error) { return analysed(load(name)) }
+
+// load fills the named demo database; ByName analyses it.
+func load(name string) (*mem.Database, error) {
 	switch strings.ToLower(strings.TrimSpace(name)) {
 	case "mondial":
-		return Mondial(DefaultMondialConfig())
+		return loadMondial(DefaultMondialConfig())
 	case "imdb":
-		return IMDB(DefaultIMDBConfig())
+		return loadIMDB(DefaultIMDBConfig())
 	case "nba":
-		return NBA(DefaultNBAConfig())
+		return loadNBA(DefaultNBAConfig())
 	default:
 		return nil, fmt.Errorf("dataset: unknown database %q (want mondial, imdb or nba)", name)
 	}
+}
+
+// analysed freezes a database a generator has filled (mem.Database.Analyze).
+func analysed(db *mem.Database, err error) (*mem.Database, error) {
+	if err != nil {
+		return nil, err
+	}
+	db.Analyze()
+	return db, nil
 }
 
 // Names lists the available demo databases.

@@ -71,9 +71,9 @@ Mystery Lake,12.5,,,
 	if got := db.NumRows("Lakes"); got != 3 {
 		t.Fatalf("rows = %d, want 3", got)
 	}
-	rel, _ := db.Relation("Lakes")
-	if !rel.Rows[2][2].IsNull() || !rel.Rows[2][3].IsNull() {
-		t.Errorf("empty cells should load as NULL, got %v", rel.Rows[2])
+	rows, _ := db.SampleRows("Lakes", 0)
+	if !rows[2][2].IsNull() || !rows[2][3].IsNull() {
+		t.Errorf("empty cells should load as NULL, got %v", rows[2])
 	}
 	if !db.Analyzed() {
 		t.Error("loaded database is not analyzed")

@@ -358,17 +358,17 @@ func TestLoadSQLite(t *testing.T) {
 	}
 
 	// Rowid aliasing: the INTEGER PRIMARY KEY column gets the b-tree key.
-	rel, _ := db.Relation("Player")
-	if got := rel.Rows[6][0]; got.Kind() != value.Int || got.Int() != 7 {
+	rows, _ := db.SampleRows("Player", 0)
+	if got := rows[6][0]; got.Kind() != value.Int || got.Int() != 7 {
 		t.Errorf("Player row 7 id = %v, want 7", got)
 	}
 	// Overflow payload round-trips intact.
-	if bio := rel.Rows[6][4].Text(); len(bio) < 1000 || !strings.HasPrefix(bio, "An exceedingly long") {
+	if bio := rows[6][4].Text(); len(bio) < 1000 || !strings.HasPrefix(bio, "An exceedingly long") {
 		t.Errorf("overflowed bio = %d bytes %q...", len(bio), bio[:min(len(bio), 40)])
 	}
 	// NULL survives.
-	if !rel.Rows[12][3].IsNull() {
-		t.Errorf("Player 13 Height = %v, want NULL", rel.Rows[12][3])
+	if !rows[12][3].IsNull() {
+		t.Errorf("Player 13 Height = %v, want NULL", rows[12][3])
 	}
 	// Column-level REFERENCES becomes a schema foreign key.
 	fks := db.Schema().ForeignKeys()
@@ -573,11 +573,11 @@ func TestLoadSQLiteFlexibleTyping(t *testing.T) {
 	if c, _ := event.Column("seen"); c.Type != value.Time {
 		t.Errorf("seen type = %v, want time", c.Type)
 	}
-	rel, _ := db.Relation("Event")
-	if got := rel.Rows[0][1]; got.Kind() != value.Time {
+	rows, _ := db.SampleRows("Event", 0)
+	if got := rows[0][1]; got.Kind() != value.Time {
 		t.Errorf("created value = %v (%s), want a time", got, got.Kind())
 	}
-	if got := rel.Rows[0][2]; got.Kind() != value.Time || got.TimeValue().Unix() != 1600000000 {
+	if got := rows[0][2]; got.Kind() != value.Time || got.TimeValue().Unix() != 1600000000 {
 		t.Errorf("seen value = %v (%s), want epoch 1600000000", got, got.Kind())
 	}
 	// Mixed columns fall back to Text, every original value preserved.
@@ -587,10 +587,10 @@ func TestLoadSQLiteFlexibleTyping(t *testing.T) {
 	if c, _ := event.Column("n"); c.Type != value.Text {
 		t.Errorf("n type = %v, want text (mixed int/text cells)", c.Type)
 	}
-	if got := rel.Rows[0][4]; got.Kind() != value.Text || got.Text() != "5" {
+	if got := rows[0][4]; got.Kind() != value.Text || got.Text() != "5" {
 		t.Errorf("n row 1 = %v, want \"5\"", got)
 	}
-	if got := rel.Rows[1][4]; got.Kind() != value.Text || got.Text() != "five" {
+	if got := rows[1][4]; got.Kind() != value.Text || got.Text() != "five" {
 		t.Errorf("n row 2 = %v, want \"five\"", got)
 	}
 }
@@ -630,9 +630,9 @@ func TestLoadSQLiteIntPrimaryKeyIsNotRowid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rel, _ := db.Relation("T")
-	if !rel.Rows[0][0].IsNull() {
-		t.Errorf("id = %v, want NULL (INT PRIMARY KEY is not the rowid)", rel.Rows[0][0])
+	rows, _ := db.SampleRows("T", 0)
+	if !rows[0][0].IsNull() {
+		t.Errorf("id = %v, want NULL (INT PRIMARY KEY is not the rowid)", rows[0][0])
 	}
 
 	// Same rule for table-level PRIMARY KEY(col) constraints.

@@ -52,10 +52,10 @@ type Metadata interface {
 // external DBMS would adapt its catalog alike.
 type Source interface {
 	Metadata
-	// ColumnIndex returns the key dictionary of the given column over the
-	// source's current rows. The source builds it once — every column's, the
-	// first time any is asked for — and hands the same immutable index to
-	// every caller until its data changes.
+	// ColumnIndex returns the key dictionary of the given column, which
+	// stores it: the source builds every column's once, when it is analysed,
+	// and hands the same immutable index to every caller from then on — its
+	// data does not change after that.
 	ColumnIndex(ref schema.ColumnRef) (*ColumnIndex, error)
 }
 

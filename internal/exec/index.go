@@ -50,9 +50,9 @@ func GroupCSR(n int, keys, vals []int32) CSR {
 // related-column search and the columnar executor — which stores no other
 // copy of the column — all read it. Value ids are dense and handed out in
 // first-seen row order, so an index is a function of the column's rows alone.
-// It is immutable once built and describes the rows it was built from: a
-// Source drops its indexes when its data changes, and whoever still holds one
-// keeps answering about the old rows.
+// It is immutable once built, and it stores the column: Value(row) returns
+// every cell as it was loaded, and a Source whose data is its indexes (a
+// frozen mem.Database) keeps no other copy.
 type ColumnIndex struct {
 	Vals []value.Value // value id -> the first value seen with that key
 	// RowID is the value id of every row, len(Vals) for a NULL row.
@@ -61,9 +61,9 @@ type ColumnIndex struct {
 	// Post.At(len(Vals)), are the NULL rows.
 	Post CSR
 	// VariantRows hold a value that shares its key with Vals[id] without
-	// being identical to it ("Lake"/"lake", "3"/"3.0"): a predicate need not
-	// agree across those, so whoever evaluates one per value id evaluates
-	// these rows one by one (VariantVals), ascending.
+	// being identical to it ("Lake"/"lake", "3"/"3.0", -0/0): a predicate
+	// need not agree across those, so whoever evaluates one per value id
+	// evaluates these rows one by one (VariantVals), ascending.
 	VariantRows []int32
 	VariantVals []value.Value
 	// ByView lists the value ids whose value has a numeric view (Value.Float)
@@ -73,12 +73,11 @@ type ColumnIndex struct {
 	// whatever their kind: numeric-looking text has one.
 	ByView []int32
 	Views  []float64
-	// Text maps the keyword a value or variant renders as
-	// (value.Normalize(v.String()), never empty), unless the keyword parses
-	// as a number, to the entry of TextIDs that lists, ascending, the value
-	// ids holding such a value or variant. The rows of those ids hold every
-	// row that renders the keyword, and may hold rows of the same id that
-	// render otherwise ("Lake" beside a variant " lake"): Select evaluates
+	// Text maps the keyword a value renders as (value.Normalize(v.String()),
+	// never empty), unless the keyword parses as a number, to the entry of
+	// TextIDs that lists, ascending, the value ids holding such a value. A
+	// variant renders as its id's value does ("Lake"/"LAKE"), so the rows of
+	// those ids are the rows that render the keyword; Select still evaluates
 	// its predicate on each id and variant row. A keyword that parses as a
 	// number is compared by its numeric view (Value.MatchesKeyword), so the
 	// views answer it (KeywordIDs), and no number has an entry.
@@ -123,7 +122,7 @@ func NewColumnIndex(ref schema.ColumnRef, typ value.Kind, rows []value.Tuple, ci
 		}
 		id, seen := x.intern(v, &fold)
 		x.RowID[row] = id
-		if seen && v.EqualStrict(rows[first[id]][ci]) {
+		if seen && identical(v, rows[first[id]][ci]) {
 			continue
 		}
 		if seen {
@@ -152,6 +151,17 @@ func NewColumnIndex(ref schema.ColumnRef, typ value.Kind, rows []value.Tuple, ci
 	st := stats.Stats(len(x.Vals))
 	st.RowCount, st.NullCount = x.NumRows(), len(x.NullRows())
 	return x, st
+}
+
+// identical reports whether v is the very cell w is: two decimals of the
+// same bits (so -0 is not 0, and a NaN is the NaN it copies), else
+// EqualStrict. A row not identical to its id's first value is a variant
+// row, so Value returns every cell as it was loaded.
+func identical(v, w value.Value) bool {
+	if v.Kind() == value.Decimal && w.Kind() == value.Decimal {
+		return math.Float64bits(v.Decimal()) == math.Float64bits(w.Decimal())
+	}
+	return v.EqualStrict(w)
 }
 
 // intern returns the value id of v's key, handing out the next one to a key
@@ -185,47 +195,35 @@ func (x *ColumnIndex) intern(v value.Value, fold *[]byte) (id int32, seen bool) 
 	return id, seen
 }
 
-// indexText fills Text and TextIDs with the keyword of every value id and
-// of every variant row.
+// indexText fills Text and TextIDs with the keyword of every value id. A
+// variant row needs none of its own: text that shares a key with its id's
+// value has the same folded form, so the same keyword (Normalize trims and
+// lower-cases), and a number renders none.
 func (x *ColumnIndex) indexText() {
 	x.Text = make(map[string]int32, len(x.folded))
-	var pairs [][2]int32 // (entry, id)
-	add := func(v value.Value, id int32) {
-		kw := x.keyword(v, id)
+	var entries, ids []int32
+	for id := range x.Vals {
+		kw := x.keyword(int32(id))
 		if kw == "" {
-			return
+			continue
 		}
 		entry, seen := x.Text[kw]
 		if !seen {
 			entry = int32(len(x.Text))
 			x.Text[kw] = entry
 		}
-		pairs = append(pairs, [2]int32{entry, id})
-	}
-	for id, v := range x.Vals {
-		add(v, int32(id))
-	}
-	if len(x.VariantRows) > 0 {
-		for i, row := range x.VariantRows {
-			add(x.VariantVals[i], x.RowID[row])
-		}
-		// A variant mostly renders as its id's value does ("Lake"/"lake").
-		slices.SortFunc(pairs, func(a, b [2]int32) int { return cmp.Or(cmp.Compare(a[0], b[0]), cmp.Compare(a[1], b[1])) })
-		pairs = slices.Compact(pairs)
-	}
-	entries, ids := make([]int32, len(pairs)), make([]int32, len(pairs))
-	for i, p := range pairs {
-		entries[i], ids[i] = p[0], p[1]
+		entries, ids = append(entries, entry), append(ids, int32(id))
 	}
 	x.TextIDs = GroupCSR(len(x.Text), entries, ids)
 }
 
-// keyword returns what v, the value or a variant of value id, is listed
-// under in Text: value.Normalize(v.String()), or "" when that parses as a
-// number — which a number's rendering and numeric text's do. Text keyed by
-// its folded self renders as its folded key unless blanks surround it, so
-// only a date, a time and such text render here.
-func (x *ColumnIndex) keyword(v value.Value, id int32) string {
+// keyword returns what the value v of id is listed under in Text:
+// value.Normalize(v.String()), or "" when that parses as a number — which a
+// number's rendering and numeric text's do. Text keyed by its folded self
+// renders as its folded key unless blanks surround it, so only a date, a
+// time and such text render here.
+func (x *ColumnIndex) keyword(id int32) string {
+	v := x.Vals[id]
 	switch v.Kind() {
 	case value.Int, value.Decimal:
 		return ""

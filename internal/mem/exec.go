@@ -20,22 +20,18 @@ var (
 )
 
 // SampleRows implements exec.Executor: the first limit rows of the table in
-// storage order (limit <= 0 returns all rows). Rows are copied, so callers
-// may mutate them freely.
+// storage order (limit <= 0 returns all rows), as fresh tuples that callers
+// may mutate freely.
 func (db *Database) SampleRows(table string, limit int) ([]value.Tuple, error) {
-	rel, ok := db.Relation(table)
+	t, ok := db.table(table)
 	if !ok {
 		return nil, fmt.Errorf("%w %q (mem)", sentinel.ErrUnknownTable, table)
 	}
-	n := len(rel.Rows)
+	n := t.n
 	if limit > 0 && limit < n {
 		n = limit
 	}
-	out := make([]value.Tuple, n)
-	for i := 0; i < n; i++ {
-		out[i] = append(value.Tuple(nil), rel.Rows[i]...)
-	}
-	return out, nil
+	return t.tuples(n), nil
 }
 
 // Execute runs the plan and returns all matching projected tuples.
@@ -81,7 +77,8 @@ func (o *oracle) run() (*exec.Result, error) {
 	return o.project(im)
 }
 
-// scan reads every plan table once, keeping the rows that pass the
+// scan reads every plan table once, its cells off the key dictionaries once
+// the database is frozen (table.tuples), keeping the rows that pass the
 // predicates pushed down to that table. Rows are keyed by lower-cased name.
 func (o *oracle) scan() (map[string][]value.Tuple, error) {
 	predsByTable := make(map[string][]exec.ColumnPredicate)
@@ -91,17 +88,17 @@ func (o *oracle) scan() (map[string][]value.Tuple, error) {
 	}
 	base := make(map[string][]value.Tuple, len(o.p.Tables))
 	for _, tname := range o.p.Tables {
-		rel, _ := o.db.Relation(tname)
+		t, _ := o.db.table(tname)
 		key := strings.ToLower(tname)
-		rows := make([]value.Tuple, 0, len(rel.Rows))
+		rows := make([]value.Tuple, 0, t.n)
 	row:
-		for _, row := range rel.Rows {
+		for _, row := range t.tuples(t.n) {
 			if o.interrupt.Hit() {
 				return nil, exec.ErrInterrupted
 			}
 			o.stats.RowsScanned++
 			for _, cp := range predsByTable[key] {
-				ci := rel.Schema.ColumnIndex(cp.Ref.Column)
+				ci := t.schema.ColumnIndex(cp.Ref.Column)
 				if ci < 0 {
 					return nil, fmt.Errorf("mem: predicate column %s not in table %s", cp.Ref, tname)
 				}
@@ -127,8 +124,8 @@ func (o *oracle) join(base map[string][]value.Tuple) (*intermediate, error) {
 		return len(base[strings.ToLower(table)])
 	})
 	im := &intermediate{offsets: map[string]int{}, schemas: map[string]*schema.Table{}}
-	rel, _ := o.db.Relation(start)
-	im.add(start, rel.Schema, base[strings.ToLower(start)])
+	t, _ := o.db.table(start)
+	im.add(start, t.schema, base[strings.ToLower(start)])
 
 	remaining := append([]exec.JoinEdge(nil), o.p.Joins...)
 	for len(im.offsets) < len(o.p.Tables) {
@@ -159,8 +156,8 @@ func (o *oracle) hashJoin(im *intermediate, edge exec.JoinEdge, base map[string]
 	if !im.has(edge.Left.Table) {
 		joinedRef, newRef = edge.Right, edge.Left
 	}
-	newRel, _ := o.db.Relation(newRef.Table)
-	nci := newRel.Schema.ColumnIndex(newRef.Column)
+	newTable, _ := o.db.table(newRef.Table)
+	nci := newTable.schema.ColumnIndex(newRef.Column)
 	if nci < 0 {
 		return fmt.Errorf("mem: unknown join column %s", newRef)
 	}
@@ -194,7 +191,7 @@ func (o *oracle) hashJoin(im *intermediate, edge exec.JoinEdge, base map[string]
 			}
 		}
 	}
-	im.add(newRef.Table, newRel.Schema, out)
+	im.add(newRef.Table, newTable.schema, out)
 	o.stats.JoinsExecuted++
 	o.stats.IntermediateRows += len(out)
 	return nil

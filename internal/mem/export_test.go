@@ -10,15 +10,15 @@ import (
 // tests of this package, which can import the dataset generators where the
 // internal ones cannot.
 func (db *Database) ColumnKeywords() map[string]map[string]struct{} {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	out := make(map[string]map[string]struct{}, len(db.index))
-	for col, x := range db.index {
-		set := make(map[string]struct{}, len(x.Text))
-		for kw := range x.Text {
-			set[kw] = struct{}{}
+	out := make(map[string]map[string]struct{})
+	for _, t := range db.tables {
+		for ci, x := range t.cols {
+			set := make(map[string]struct{}, len(x.Text))
+			for kw := range x.Text {
+				set[kw] = struct{}{}
+			}
+			out[statsKey(t.stats[ci].Ref)] = set
 		}
-		out[col] = set
 	}
 	return out
 }

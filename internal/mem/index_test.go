@@ -7,11 +7,8 @@ import (
 	"reflect"
 	"slices"
 	"strings"
-	"sync"
 	"testing"
 
-	"prism/internal/bayes"
-	"prism/internal/colexec"
 	"prism/internal/difftest"
 	"prism/internal/exec"
 	"prism/internal/lang"
@@ -20,204 +17,6 @@ import (
 	"prism/internal/schema"
 	"prism/internal/value"
 )
-
-// identical is EqualStrict, with a NaN decimal identical to itself.
-func identical(a, b value.Value) bool {
-	return a.EqualStrict(b) || a.Kind() == value.Decimal && b.Kind() == value.Decimal && math.IsNaN(a.Decimal()) && math.IsNaN(b.Decimal())
-}
-
-// checkIndexAgainstRows compares one column's key dictionary with a
-// brute-force grouping of the column's rows by Value.Key.
-func checkIndexAgainstRows(t *testing.T, label string, x *exec.ColumnIndex, vals []value.Value) {
-	t.Helper()
-	var order []string // keys in first-seen row order
-	groups := make(map[string][]int32)
-	var nulls []int32
-	for row, v := range vals {
-		if v.IsNull() {
-			nulls = append(nulls, int32(row))
-			continue
-		}
-		k := v.Key()
-		if _, seen := groups[k]; !seen {
-			order = append(order, k)
-		}
-		groups[k] = append(groups[k], int32(row))
-	}
-	if x.NumRows() != len(vals) || len(x.Vals) != len(order) {
-		t.Fatalf("%s: %d rows, %d values; want %d rows and %d keys", label, x.NumRows(), len(x.Vals), len(vals), len(order))
-	}
-	idOf := make(map[string]int32, len(order))
-	for id, k := range order {
-		idOf[k] = int32(id)
-		rows := groups[k]
-		if !identical(x.Vals[id], vals[rows[0]]) {
-			t.Errorf("%s: id %d holds %v, want the first value seen, %v", label, id, x.Vals[id], vals[rows[0]])
-		}
-		if !slices.Equal(x.Post.At(int32(id)), rows) || !slices.Equal(x.RowsOfValue(vals[rows[0]]), rows) {
-			t.Errorf("%s: key %q is held by rows %v, want %v", label, k, x.Post.At(int32(id)), rows)
-		}
-		if self, ok := x.JoinID(x, int32(id)); !ok || self != int32(id) {
-			t.Errorf("%s: id %d joins id %d of its own column (found %v)", label, id, self, ok)
-		}
-	}
-	if !slices.Equal(x.NullRows(), nulls) {
-		t.Errorf("%s: NULL rows %v, want %v", label, x.NullRows(), nulls)
-	}
-	if _, ok := x.IDOf(value.NullValue); ok {
-		t.Errorf("%s: NULL has a value id", label)
-	}
-	var variants []int32
-	for row, v := range vals {
-		want := int32(len(order))
-		if !v.IsNull() {
-			want = idOf[v.Key()]
-			if id, ok := x.IDOf(v); !ok || id != want {
-				t.Fatalf("%s: row %d holds %v, which IDOf finds at id %d (%v), want %d", label, row, v, id, ok, want)
-			}
-			// NaN is not EqualStrict to itself: every NaN row but the one
-			// that introduced the id is a variant.
-			if !v.EqualStrict(x.Vals[want]) && int32(row) != groups[v.Key()][0] {
-				variants = append(variants, int32(row))
-			}
-		}
-		if x.RowID[row] != want {
-			t.Fatalf("%s: row %d has id %d, want %d", label, row, x.RowID[row], want)
-		}
-	}
-	if !slices.Equal(x.VariantRows, variants) || len(x.VariantVals) != len(variants) {
-		t.Fatalf("%s: variant rows %v with %d values, want %v", label, x.VariantRows, len(x.VariantVals), variants)
-	}
-	for i, row := range variants {
-		if !identical(x.VariantVals[i], vals[row]) {
-			t.Errorf("%s: variant row %d holds %v, want %v", label, row, x.VariantVals[i], vals[row])
-		}
-	}
-	viewed := 0
-	for _, v := range x.Vals {
-		if f, ok := v.Float(); ok && !math.IsNaN(f) {
-			viewed++
-		}
-	}
-	if len(x.Views) != viewed || len(x.ByView) != viewed {
-		t.Fatalf("%s: %d views over %d ids, want %d", label, len(x.Views), len(x.ByView), viewed)
-	}
-	seen := make(map[int32]bool)
-	for i, id := range x.ByView {
-		f, ok := x.Vals[id].Float()
-		if !ok || math.IsNaN(f) || f != x.Views[i] || seen[id] || (i > 0 && x.Views[i-1] > f) {
-			t.Errorf("%s: view %d is %v for id %d (%v), after %v", label, i, x.Views[i], id, x.Vals[id], x.Views[max(i, 1)-1])
-		}
-		seen[id] = true
-	}
-}
-
-// TestColumnIndexMatchesBruteForce: on every column of the bundled
-// databases, the corner-case chain, the sampled join and the numeric-view
-// menagerie, the key dictionary is the grouping of the rows by Value.Key —
-// ids in first-seen order, ascending postings, the NULL list, variants
-// exactly the rows not identical to their id's first value, views sorted and
-// NaN-free — and the statistics carry its counts.
-func TestColumnIndexMatchesBruteForce(t *testing.T) {
-	dbs := difftest.Databases(t)
-	for _, db := range []*mem.Database{difftest.Quirks(t), difftest.BigJoin(t), difftest.Ranges(t)} {
-		dbs[db.Name] = db
-	}
-	for name, db := range dbs {
-		db.Analyze()
-		for _, ref := range db.Schema().AllColumns() {
-			label := name + " " + ref.String()
-			x, err := db.ColumnIndex(ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vals, err := db.ColumnValues(ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			checkIndexAgainstRows(t, label, x, vals)
-			st, _ := db.Stats(ref)
-			if st.RowCount != x.NumRows() || st.NullCount != len(x.NullRows()) || st.Distinct != len(x.Vals) {
-				t.Errorf("%s: statistics count %d rows, %d nulls, %d distinct; the index %d, %d, %d",
-					label, st.RowCount, st.NullCount, st.Distinct, x.NumRows(), len(x.NullRows()), len(x.Vals))
-			}
-			// The statistics ride only the rows that introduce an id or are
-			// variants; a collector fed every row must agree.
-			c := schema.NewStatsCollector(st.Ref, st.Type)
-			for _, v := range vals {
-				c.Add(v)
-			}
-			want := c.Stats(len(x.Vals))
-			if !identical(st.Min, want.Min) || !identical(st.Max, want.Max) || st.MaxLength != want.MaxLength ||
-				st.RowCount != want.RowCount || st.NullCount != want.NullCount {
-				t.Errorf("%s: statistics %v, a collector fed every row %v", label, st, want)
-			}
-		}
-	}
-}
-
-// TestColumnIndexKeywordsAndValues: on every column of the bundled
-// databases, the corner-case chain, the sampled join and the numeric-view
-// menagerie, the key dictionary's keyword table is the brute-force one —
-// its keywords are {Normalize(v.String()) : v non-NULL} but the empty
-// rendering and those that parse as a number, each listing, ascending,
-// exactly the ids of the rows that render it, so its rows cover them; the
-// views hold every row's id under a rendering that parses as a number
-// other than NaN — and the value it stores for every row is the row's own.
-func TestColumnIndexKeywordsAndValues(t *testing.T) {
-	dbs := difftest.Databases(t)
-	for _, db := range []*mem.Database{difftest.Quirks(t), difftest.BigJoin(t), difftest.Ranges(t)} {
-		dbs[db.Name] = db
-	}
-	variants := 0
-	for name, db := range dbs {
-		db.Analyze()
-		for _, ref := range db.Schema().AllColumns() {
-			label := name + " " + ref.String()
-			x, err := db.ColumnIndex(ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			vals, err := db.ColumnValues(ref)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ids := make(map[string][]int32) // keyword -> ids of the rows rendering it
-			for row, v := range vals {
-				if got := x.Value(int32(row)); !identical(got, v) {
-					t.Errorf("%s: row %d stores %v (%s), want %v (%s)", label, row, got, got.Kind(), v, v.Kind())
-				}
-				if v.IsNull() {
-					continue
-				}
-				kw, id := value.Normalize(v.String()), x.RowID[row]
-				if f, numeric := value.NewText(kw).Float(); numeric {
-					if !math.IsNaN(f) && !slices.Contains(x.ViewRange(f, f), id) {
-						t.Errorf("%s: row %d renders %q, which the views do not hold", label, row, kw)
-					}
-					continue
-				}
-				if kw != "" {
-					ids[kw] = append(ids[kw], id)
-				}
-			}
-			if len(x.Text) != len(ids) {
-				t.Errorf("%s: %d keywords, want %d", label, len(x.Text), len(ids))
-			}
-			for kw, want := range ids {
-				slices.Sort(want)
-				want = slices.Compact(want)
-				if got := x.KeywordIDs(kw); !slices.Equal(got, want) {
-					t.Errorf("%s: keyword %q lists ids %v, want %v", label, kw, got, want)
-				}
-			}
-			variants += len(x.VariantRows)
-		}
-	}
-	if variants == 0 {
-		t.Fatal("no column has variant rows: the check does not reach them")
-	}
-}
 
 // selectBattery builds the predicates ColumnIndex.Select is put to on one
 // column, around up to eight of its stored values: pure numeric ranges with
@@ -335,80 +134,9 @@ func allIndexes(t *testing.T, db *mem.Database) map[schema.ColumnRef]*exec.Colum
 	return out
 }
 
-// TestColumnIndexFollowsMutation: an Insert drops the dictionaries and the
-// next Analyze builds new ones over the new rows, while the dictionaries
-// handed out before — and the model and the executor built on them — keep
-// describing the rows they were built from.
-func TestColumnIndexFollowsMutation(t *testing.T) {
-	db := difftest.Databases(t)["mondial"]
-	name := schema.ColumnRef{Table: "Lake", Column: "Name"}
-	old, err := db.ColumnIndex(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if again, _ := db.ColumnIndex(name); again != old {
-		t.Fatal("two look-ups of an unchanged database returned two dictionaries")
-	}
-	model := bayes.Train(db)
-	ex, err := colexec.New(db)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rows := old.NumRows()
-	lake, _ := db.Relation("Lake")
-	fresh, nowhere := lake.Rows[0].Clone(), value.NewText("Lake Nowhere")
-	fresh[lake.Schema.ColumnIndex("Name")] = nowhere
-	if err := db.Insert("Lake", fresh); err != nil {
-		t.Fatal(err)
-	}
-	db.Analyze()
-	rebuilt, err := db.ColumnIndex(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rebuilt == old || rebuilt.NumRows() != rows+1 || len(rebuilt.RowsOfValue(nowhere)) != 1 {
-		t.Errorf("after Insert and Analyze the dictionary has %d rows, want a new one with %d", rebuilt.NumRows(), rows+1)
-	}
-	if old.NumRows() != rows || old.RowsOfValue(nowhere) != nil {
-		t.Error("the dictionary handed out before the Insert changed")
-	}
-	isNew := []bayes.ColumnConstraint{{Ref: name, Expr: lang.Keyword{Word: "Lake Nowhere"}}}
-	plan := exec.Plan{Tables: []string{"Lake"}, Project: []schema.ColumnRef{name}}
-	for _, c := range []struct {
-		label string
-		model *bayes.Model
-		ex    exec.Executor
-		want  int
-	}{
-		{"built before the Insert", model, ex, 0},
-		{"built after it", bayes.Train(db), must(colexec.New(db)), 1},
-	} {
-		if n, ok := c.model.ExactMatchingRows("Lake", isNew); !ok || n != c.want {
-			t.Errorf("model %s counts %d rows named Lake Nowhere (known %v), want %d", c.label, n, ok, c.want)
-		}
-		if n := c.model.RelationSize("Lake"); n != rows+c.want {
-			t.Errorf("model %s has %d lakes, want %d", c.label, n, rows+c.want)
-		}
-		res, err := c.ex.ExecuteWith(plan, exec.ExecOptions{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.NumRows() != rows+c.want {
-			t.Errorf("executor %s returns %d lakes, want %d", c.label, res.NumRows(), rows+c.want)
-		}
-	}
-}
-
-func must[T any](v T, err error) T {
-	if err != nil {
-		panic(err)
-	}
-	return v
-}
-
 // TestColumnIndexAfterRestore: a snapshot carries no dictionary; the
-// restored database builds, when first asked — here by eight goroutines at
-// once, which must all be handed the same ones — those the writer holds.
+// database ReadSnapshot returns is frozen into the dictionaries the writer
+// holds.
 func TestColumnIndexAfterRestore(t *testing.T) {
 	for name, db := range difftest.Databases(t) {
 		var snap bytes.Buffer
@@ -419,33 +147,52 @@ func TestColumnIndexAfterRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		askers := make([]map[schema.ColumnRef]*exec.ColumnIndex, 8)
-		var wg sync.WaitGroup
-		for i := range askers {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				askers[i] = make(map[schema.ColumnRef]*exec.ColumnIndex)
-				for _, ref := range restored.Schema().AllColumns() {
-					restored.ColumnHasKeyword(ref, "497.0") // the numeric half reads the dictionary too
-					askers[i][ref], _ = restored.ColumnIndex(ref)
-				}
-			}()
+		if !restored.Analyzed() {
+			t.Fatalf("%s: the restored database is not frozen", name)
 		}
-		wg.Wait()
-		want := allIndexes(t, db)
-		for ref, x := range askers[0] {
-			if x == nil || !reflect.DeepEqual(x, want[ref]) {
+		got, want := allIndexes(t, restored), allIndexes(t, db)
+		if len(got) == 0 || len(got) != len(want) {
+			t.Fatalf("%s: %d columns indexed, want %d", name, len(got), len(want))
+		}
+		for ref, x := range got {
+			if !reflect.DeepEqual(x, want[ref]) {
 				t.Errorf("%s: restored dictionary of %s differs from the writer's", name, ref)
 			}
-			for _, other := range askers[1:] {
-				if other[ref] != x {
-					t.Errorf("%s: two goroutines were handed two dictionaries of %s", name, ref)
+		}
+	}
+}
+
+// TestSnapshotKeepsEveryCell: a snapshot reads every cell off the key
+// dictionaries, and the database it restores holds, bit for bit, the cells
+// loaded before the freeze — variant rows ("ABC"/"abc", "3"/"3.0"), NaN and
+// -0 beside 0 included.
+func TestSnapshotKeepsEveryCell(t *testing.T) {
+	for _, db := range []*mem.Database{difftest.Quirks(t), difftest.BigJoin(t), difftest.Ranges(t)} {
+		loaded := make(map[string][]value.Tuple)
+		for _, table := range db.Schema().TableNames() {
+			loaded[table], _ = db.SampleRows(table, 0)
+		}
+		var snap bytes.Buffer
+		if err := db.WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		restored, err := mem.ReadSnapshot(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for table, want := range loaded {
+			got, err := restored.SampleRows(table, 0)
+			if err != nil || len(got) != len(want) {
+				t.Fatalf("%s %s: %d rows restored, want %d (%v)", db.Name, table, len(got), len(want), err)
+			}
+			for row := range want {
+				for ci, v := range want[row] {
+					if w := got[row][ci]; w.Kind() != v.Kind() || w.String() != v.String() ||
+						v.Kind() == value.Decimal && math.Float64bits(w.Decimal()) != math.Float64bits(v.Decimal()) {
+						t.Errorf("%s %s row %d column %d: %v (%s) restored, %v (%s) loaded", db.Name, table, row, ci, w, w.Kind(), v, v.Kind())
+					}
 				}
 			}
-		}
-		if len(askers[0]) == 0 || len(askers[0]) != len(want) {
-			t.Fatalf("%s: %d columns indexed, want %d", name, len(askers[0]), len(want))
 		}
 	}
 }

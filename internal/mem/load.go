@@ -18,7 +18,10 @@ import (
 // It returns the number of rows inserted. Loading stops at the first
 // malformed record so partial loads are visible to the caller.
 func (db *Database) LoadCSV(table string, r io.Reader, hasHeader bool) (int, error) {
-	rel, ok := db.Relation(table)
+	if err := db.writable(table); err != nil {
+		return 0, err
+	}
+	t, ok := db.table(table)
 	if !ok {
 		return 0, fmt.Errorf("mem: unknown table %q", table)
 	}
@@ -36,7 +39,7 @@ func (db *Database) LoadCSV(table string, r io.Reader, hasHeader bool) (int, err
 		mapping = make([]int, len(header))
 		seen := make(map[int]bool)
 		for i, name := range header {
-			ci := rel.Schema.ColumnIndex(strings.TrimSpace(name))
+			ci := t.schema.ColumnIndex(strings.TrimSpace(name))
 			if ci < 0 {
 				return 0, fmt.Errorf("mem: CSV header column %q does not exist in table %s", name, table)
 			}
@@ -47,7 +50,7 @@ func (db *Database) LoadCSV(table string, r io.Reader, hasHeader bool) (int, err
 			mapping[i] = ci
 		}
 	} else {
-		mapping = make([]int, rel.Schema.Arity())
+		mapping = make([]int, t.schema.Arity())
 		for i := range mapping {
 			mapping[i] = i
 		}
@@ -67,15 +70,15 @@ func (db *Database) LoadCSV(table string, r io.Reader, hasHeader bool) (int, err
 		if len(record) != len(mapping) {
 			return inserted, fmt.Errorf("mem: CSV record %d for %s has %d fields, want %d", line, table, len(record), len(mapping))
 		}
-		tuple := make(value.Tuple, rel.Schema.Arity())
+		tuple := make(value.Tuple, t.schema.Arity())
 		for i := range tuple {
 			tuple[i] = value.NullValue
 		}
 		for i, cell := range record {
 			ci := mapping[i]
-			v, err := value.ParseAs(cell, rel.Schema.Columns[ci].Type)
+			v, err := value.ParseAs(cell, t.schema.Columns[ci].Type)
 			if err != nil {
-				return inserted, fmt.Errorf("mem: CSV record %d for %s, column %s: %w", line, table, rel.Schema.Columns[ci].Name, err)
+				return inserted, fmt.Errorf("mem: CSV record %d for %s, column %s: %w", line, table, t.schema.Columns[ci].Name, err)
 			}
 			tuple[ci] = v
 		}
@@ -90,16 +93,16 @@ func (db *Database) LoadCSV(table string, r io.Reader, hasHeader bool) (int, err
 // DumpCSV writes the named table as CSV with a header row, the inverse of
 // LoadCSV. NULL cells are written as empty fields.
 func (db *Database) DumpCSV(table string, w io.Writer) error {
-	rel, ok := db.Relation(table)
+	t, ok := db.table(table)
 	if !ok {
 		return fmt.Errorf("mem: unknown table %q", table)
 	}
 	writer := csv.NewWriter(w)
-	if err := writer.Write(rel.Schema.ColumnNames()); err != nil {
+	if err := writer.Write(t.schema.ColumnNames()); err != nil {
 		return err
 	}
-	record := make([]string, rel.Schema.Arity())
-	for _, row := range rel.Rows {
+	record := make([]string, t.schema.Arity())
+	for _, row := range t.tuples(t.n) {
 		for i, v := range row {
 			if v.IsNull() {
 				record[i] = ""

@@ -21,12 +21,12 @@ func TestLoadCSVWithHeader(t *testing.T) {
 	if n != 3 || db.NumRows("Lake") != 3 {
 		t.Fatalf("inserted %d rows", n)
 	}
-	rel, _ := db.Relation("Lake")
-	if !rel.Rows[2][1].IsNull() {
+	rows, _ := db.SampleRows("Lake", 0)
+	if !rows[2][1].IsNull() {
 		t.Error("empty cell should load as NULL")
 	}
-	if rel.Rows[0][0].Text() != "Lake Tahoe" || rel.Rows[1][1].Decimal() != 53.2 {
-		t.Errorf("rows = %v", rel.Rows)
+	if rows[0][0].Text() != "Lake Tahoe" || rows[1][1].Decimal() != 53.2 {
+		t.Errorf("rows = %v", rows)
 	}
 }
 
@@ -36,9 +36,9 @@ func TestLoadCSVHeaderReordered(t *testing.T) {
 	if _, err := db.LoadCSV("Lake", strings.NewReader(data), true); err != nil {
 		t.Fatal(err)
 	}
-	rel, _ := db.Relation("Lake")
-	if rel.Rows[0][0].Text() != "Lake Tahoe" || rel.Rows[0][1].Decimal() != 497 {
-		t.Errorf("header mapping wrong: %v", rel.Rows[0])
+	rows, _ := db.SampleRows("Lake", 0)
+	if rows[0][0].Text() != "Lake Tahoe" || rows[0][1].Decimal() != 497 {
+		t.Errorf("header mapping wrong: %v", rows[0])
 	}
 }
 

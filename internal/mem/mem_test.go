@@ -1,6 +1,8 @@
 package mem
 
 import (
+	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -54,8 +56,17 @@ func testSchema(t testing.TB) *schema.Schema {
 	return s
 }
 
-// testDB populates the schema with the paper's Table 1 data.
+// testDB populates the schema with the paper's Table 1 data and analyses
+// it.
 func testDB(t testing.TB) *Database {
+	t.Helper()
+	db := loadTestDB(t)
+	db.Analyze()
+	return db
+}
+
+// loadTestDB is testDB before the freeze.
+func loadTestDB(t testing.TB) *Database {
 	t.Helper()
 	db := NewDatabase("mondial-mini", testSchema(t))
 	rows := []struct {
@@ -83,7 +94,6 @@ func testDB(t testing.TB) *Database {
 			t.Fatalf("insert %v: %v", r, err)
 		}
 	}
-	db.Analyze()
 	return db
 }
 
@@ -166,22 +176,74 @@ func TestAnalyzeStats(t *testing.T) {
 	}
 }
 
-func TestAnalyzeIdempotentAndInvalidation(t *testing.T) {
+// TestAnalyzeIsIdempotent: analysing a frozen database again changes
+// nothing — the same dictionaries, statistics and data version.
+func TestAnalyzeIsIdempotent(t *testing.T) {
 	db := testDB(t)
 	if !db.Analyzed() {
 		t.Fatal("expected analyzed")
 	}
-	db.Analyze() // no-op
-	if err := db.InsertStrings("Country", "Canada", "CAN"); err != nil {
+	x, err := db.ColumnIndex(ref("Country", "Name"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if db.Analyzed() {
-		t.Error("insert should invalidate analysis")
-	}
+	stats, version := db.AllStats(), db.Version()
 	db.Analyze()
-	st, _ := db.Stats(ref("Country", "Name"))
-	if st.RowCount != 2 {
-		t.Errorf("stats not refreshed: %+v", st)
+	if again, _ := db.ColumnIndex(ref("Country", "Name")); again != x {
+		t.Error("a second Analyze rebuilt the dictionaries")
+	}
+	if !reflect.DeepEqual(db.AllStats(), stats) || db.Version() != version {
+		t.Error("a second Analyze changed the statistics or the data version")
+	}
+	if st, _ := db.Stats(ref("Country", "Name")); st.RowCount != 1 {
+		t.Errorf("stats: %+v", st)
+	}
+}
+
+// TestFrozenDatabaseRefusesWrites: once analysed, every write entry point
+// answers ErrFrozen and changes nothing — not the data version, the row
+// counts, the dictionaries (the same pointers) or the statistics.
+func TestFrozenDatabaseRefusesWrites(t *testing.T) {
+	db := testDB(t)
+	indexes := make(map[schema.ColumnRef]*exec.ColumnIndex)
+	for _, r := range db.Schema().AllColumns() {
+		x, err := db.ColumnIndex(r)
+		if err != nil {
+			t.Fatal(err)
+		}
+		indexes[r] = x
+	}
+	version, lakes, total, stats := db.Version(), db.NumRows("Lake"), db.TotalRows(), db.AllStats()
+	nowhere := value.Tuple{value.NewText("Lake Nowhere"), value.NewDecimal(1)}
+	for _, w := range []struct {
+		name  string
+		write func() error
+	}{
+		{"Insert", func() error { return db.Insert("Lake", nowhere) }},
+		{"InsertStrings", func() error { return db.InsertStrings("Lake", "Lake Nowhere", "1") }},
+		{"BulkInsert", func() error { return db.BulkInsert("Lake", []value.Tuple{nowhere}) }},
+		{"LoadCSV", func() error {
+			_, err := db.LoadCSV("Lake", strings.NewReader(lakeCSVWithHeader), true)
+			return err
+		}},
+	} {
+		if err := w.write(); !errors.Is(err, ErrFrozen) {
+			t.Errorf("%s on a frozen database: err = %v, want ErrFrozen", w.name, err)
+		}
+		if db.Version() != version || db.NumRows("Lake") != lakes || db.TotalRows() != total {
+			t.Errorf("%s changed the version or the row counts", w.name)
+		}
+		for r, x := range indexes {
+			if got, _ := db.ColumnIndex(r); got != x {
+				t.Errorf("%s replaced the dictionary of %s", w.name, r)
+			}
+		}
+		if !reflect.DeepEqual(db.AllStats(), stats) {
+			t.Errorf("%s changed the statistics", w.name)
+		}
+		if db.ColumnHasKeyword(ref("Lake", "Name"), "Lake Nowhere") {
+			t.Errorf("%s reached the dictionaries", w.name)
+		}
 	}
 }
 
@@ -219,6 +281,9 @@ func TestUnanalyzedLookups(t *testing.T) {
 	if db.Analyzed() {
 		t.Error("Analyzed before Analyze should be false")
 	}
+	if _, err := db.ColumnIndex(ref("Lake", "Name")); err == nil {
+		t.Error("ColumnIndex before Analyze should fail")
+	}
 }
 
 func TestColumnValues(t *testing.T) {
@@ -235,12 +300,6 @@ func TestColumnValues(t *testing.T) {
 	}
 	if _, err := db.ColumnValues(ref("Lake", "nope")); err == nil {
 		t.Error("unknown column should fail")
-	}
-	if f := db.DistinctFraction(ref("Lake", "Name")); f != 1.0 {
-		t.Errorf("DistinctFraction = %v", f)
-	}
-	if f := db.DistinctFraction(ref("nope", "x")); f != 0 {
-		t.Errorf("DistinctFraction unknown = %v", f)
 	}
 }
 
@@ -463,7 +522,7 @@ func TestExecuteMaxIntermediate(t *testing.T) {
 }
 
 func TestExecuteNullJoinKeys(t *testing.T) {
-	db := testDB(t)
+	db := loadTestDB(t)
 	if err := db.Insert("geo_lake", value.Tuple{value.NullValue, value.NewText("Nowhere")}); err != nil {
 		t.Fatal(err)
 	}
@@ -543,12 +602,21 @@ func lakeName(id uint8) string {
 }
 
 func BenchmarkAnalyze(b *testing.B) {
-	db := testDB(b)
+	src := testDB(b)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		db.mu.Lock()
-		db.analyzed = false
-		db.mu.Unlock()
+		b.StopTimer()
+		db := NewDatabase(src.Name, src.Schema())
+		for _, t := range src.Schema().Tables() {
+			rows, err := src.SampleRows(t.Name, 0)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if err := db.BulkInsert(t.Name, rows); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.StartTimer()
 		db.Analyze()
 	}
 }

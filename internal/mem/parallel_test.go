@@ -25,8 +25,8 @@ func lowresMondial(t testing.TB) *mem.Database {
 	}
 	db := mem.NewDatabase(src.Name, src.Schema())
 	for _, table := range src.Schema().Tables() {
-		rel, _ := src.Relation(table.Name)
-		if err := db.BulkInsert(table.Name, rel.Rows); err != nil {
+		rows, _ := src.SampleRows(table.Name, 0)
+		if err := db.BulkInsert(table.Name, rows); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -75,5 +75,28 @@ func TestAnalyzeIndependentOfCoreCount(t *testing.T) {
 				t.Error("snapshot bytes differ from the one-core build")
 			}
 		})
+	}
+}
+
+// TestSnapshotIndependentOfCoreCount: the snapshot of every bundled
+// database, generated and analysed at GOMAXPROCS 1 and at 8, is the same
+// bytes.
+func TestSnapshotIndependentOfCoreCount(t *testing.T) {
+	write := func(name string, procs int) []byte {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		db, err := dataset.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap bytes.Buffer
+		if err := db.WriteSnapshot(&snap); err != nil {
+			t.Fatal(err)
+		}
+		return snap.Bytes()
+	}
+	for _, name := range dataset.Names() {
+		if one, eight := write(name, 1), write(name, 8); len(one) == 0 || !bytes.Equal(one, eight) {
+			t.Errorf("%s: the snapshots written at GOMAXPROCS 1 and 8 differ (%d and %d bytes)", name, len(one), len(eight))
+		}
 	}
 }

@@ -1,15 +1,16 @@
 package mem
 
 // Engine snapshots: a compact, checksummed binary serialization of one
-// analyzed Database — schema, rows (column-major) and per-column
+// analyzed Database — schema, cells (column-major) and per-column
 // statistics — so a serving process can cold-start by decoding a file
-// instead of re-running a generator and re-coercing every cell. The key
-// dictionaries are not carried: the restored database builds them when
-// first asked (Database.ColumnIndex). The format is versioned (the last two
-// bytes of snapshotMagic) and the payload is guarded by a CRC; a file of
-// another version fails with ErrSnapshotVersion, and every other decode
-// failure, from a bad magic to a truncated statistics entry, fails closed
-// with ErrSnapshotCorrupt.
+// instead of re-running a generator and re-coercing every cell. The cells
+// are read off the key dictionaries, which are not carried: ReadSnapshot
+// freezes the decoded rows into them (Analyze) before it returns, so a
+// restored database is analysed like any other and builds nothing later.
+// The format is versioned (the last two bytes of snapshotMagic) and the
+// payload is guarded by a CRC; a file of another version fails with
+// ErrSnapshotVersion, and every other decode failure, from a bad magic to a
+// truncated statistics entry, fails closed with ErrSnapshotCorrupt.
 //
 // The data version (Database.Version) is stored verbatim: filter-outcome
 // caches key on it, so a snapshot round trip keeps cached session state
@@ -51,38 +52,35 @@ var (
 	ErrSnapshotVersion = errors.New("mem: unsupported snapshot format version")
 )
 
-// WriteSnapshot serializes the database to w. The database is analyzed
-// first (a no-op when already current) so the snapshot always carries
-// statistics: a ReadSnapshot of the result is query-ready without further
-// preprocessing.
+// WriteSnapshot serializes the database to w. It freezes the database
+// first (Analyze; a no-op on a frozen one) and reads every cell off the key
+// dictionaries.
 func (db *Database) WriteSnapshot(w io.Writer) error {
 	if err := faultSnapshotEncode.Hit(); err != nil {
 		return fmt.Errorf("mem: writing snapshot: %w", err)
 	}
 	w = faultSnapshotEncode.Writer(w)
 	db.Analyze()
-	db.mu.RLock()
-	defer db.mu.RUnlock()
 
 	var body bytes.Buffer
 	enc := snapshotEncoder{w: &body}
 	enc.string(db.Name)
 	enc.uvarint(db.version)
 	enc.schema(db.sch)
-	for _, t := range db.sch.Tables() {
-		rel := db.relations[strings.ToLower(t.Name)]
-		enc.uvarint(uint64(len(rel.Rows)))
+	for _, ts := range db.sch.Tables() {
+		t := db.tables[strings.ToLower(ts.Name)]
+		enc.uvarint(uint64(t.n))
 		// Column-major with a per-column encoding tag: text columns are
 		// dictionary-encoded (each distinct string stored once, rows as
 		// codes), everything else is a plain kind-tagged value stream.
 		// Cold-start decode speed is the point — a dictionary column
 		// costs one string allocation per distinct value instead of one
 		// per row.
-		for ci := range t.Columns {
-			enc.column(t.Columns[ci].Type, rel.Rows, ci)
+		for ci, c := range ts.Columns {
+			enc.column(c.Type, t.column(ci, t.n))
 		}
 	}
-	enc.analyzedState(db)
+	enc.statistics(db)
 
 	header := make([]byte, 0, len(snapshotMagic)+2+12)
 	header = append(header, snapshotMagic[:]...)
@@ -98,8 +96,8 @@ func (db *Database) WriteSnapshot(w io.Writer) error {
 }
 
 // ReadSnapshot decodes a snapshot written by WriteSnapshot. The returned
-// database is analyzed (statistics restored, not recomputed) and carries
-// the original data version.
+// database is frozen into its key dictionaries and statistics (Analyze) and
+// carries the original data version.
 func ReadSnapshot(r io.Reader) (*Database, error) {
 	if err := faultSnapshotDecode.Hit(); err != nil {
 		if errors.Is(err, fault.ErrInjected) {
@@ -142,6 +140,7 @@ func ReadSnapshot(r io.Reader) (*Database, error) {
 	if dec.pos != len(dec.buf) {
 		return nil, fmt.Errorf("%w: %d trailing bytes", ErrSnapshotCorrupt, len(dec.buf)-dec.pos)
 	}
+	db.Analyze()
 	return db, nil
 }
 
@@ -209,27 +208,26 @@ const (
 // column writes one table column. Text columns get the dictionary
 // encoding; any other declared type — and, defensively, a text column
 // holding a mistyped non-null cell — gets the plain stream.
-func (e snapshotEncoder) column(declared value.Kind, rows []value.Tuple, ci int) {
+func (e snapshotEncoder) column(declared value.Kind, cells []value.Value) {
 	plain := declared != value.Text
-	for _, row := range rows {
-		if v := row[ci]; !v.IsNull() && v.Kind() != declared {
+	for _, v := range cells {
+		if !v.IsNull() && v.Kind() != declared {
 			plain = true
 			break
 		}
 	}
 	if plain {
 		e.w.WriteByte(colPlain)
-		for _, row := range rows {
-			e.value(row[ci])
+		for _, v := range cells {
+			e.value(v)
 		}
 		return
 	}
 	e.w.WriteByte(colDictText)
 	codes := make(map[string]uint64) // string -> code; 0 is NULL, so codes start at 1
 	dict := make([]string, 0, 16)    // first-seen order keeps the bytes deterministic
-	rowCodes := make([]uint64, len(rows))
-	for ri, row := range rows {
-		v := row[ci]
+	rowCodes := make([]uint64, len(cells))
+	for ri, v := range cells {
 		if v.IsNull() {
 			continue
 		}
@@ -278,20 +276,26 @@ func (e snapshotEncoder) schema(s *schema.Schema) {
 	}
 }
 
-// analyzedState writes the preprocessing product: per-column statistics
-// against a column ordinal table (schema declaration order). Map keys are
-// sorted so identical databases produce identical bytes.
-func (e snapshotEncoder) analyzedState(db *Database) {
-	ordinals := columnOrdinals(db.sch)
-	keys := make([]string, 0, len(db.stats))
-	for k := range db.stats {
-		keys = append(keys, k)
+// statistics writes the preprocessing product: every column's statistics
+// against its ordinal in schema declaration order, sorted by
+// lower(Table.Column) so identical databases produce identical bytes.
+func (e snapshotEncoder) statistics(db *Database) {
+	type entry struct {
+		key string
+		ord int
+		st  schema.Stats
 	}
-	sort.Strings(keys)
-	e.uvarint(uint64(len(db.stats)))
-	for _, k := range keys {
-		st := db.stats[k]
-		e.uvarint(uint64(ordinals[k]))
+	var all []entry
+	for _, ts := range db.sch.Tables() {
+		for _, st := range db.tables[strings.ToLower(ts.Name)].stats {
+			all = append(all, entry{statsKey(st.Ref), len(all), st})
+		}
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
+	e.uvarint(uint64(len(all)))
+	for _, en := range all {
+		st := en.st
+		e.uvarint(uint64(en.ord))
 		e.w.WriteByte(byte(st.Type))
 		e.value(st.Min)
 		e.value(st.Max)
@@ -300,32 +304,6 @@ func (e snapshotEncoder) analyzedState(db *Database) {
 		e.uvarint(uint64(st.NullCount))
 		e.uvarint(uint64(st.Distinct))
 	}
-}
-
-// columnOrdinals numbers every column in schema declaration order; the
-// snapshot refers to columns by these ordinals instead of repeating
-// table/column strings.
-func columnOrdinals(s *schema.Schema) map[string]int {
-	out := make(map[string]int)
-	n := 0
-	for _, t := range s.Tables() {
-		for _, c := range t.Columns {
-			out[statsKey(schema.ColumnRef{Table: t.Name, Column: c.Name})] = n
-			n++
-		}
-	}
-	return out
-}
-
-// columnRefs is the inverse of columnOrdinals: ordinal -> canonical ref.
-func columnRefs(s *schema.Schema) []schema.ColumnRef {
-	var out []schema.ColumnRef
-	for _, t := range s.Tables() {
-		for _, c := range t.Columns {
-			out = append(out, schema.ColumnRef{Table: t.Name, Column: c.Name})
-		}
-	}
-	return out
 }
 
 // ---------------------------------------------------------------------
@@ -550,10 +528,11 @@ func (d *snapshotDecoder) database() (*Database, error) {
 				return nil, err
 			}
 		}
-		db.relations[strings.ToLower(t.Name)].Rows = rows
+		tab := db.tables[strings.ToLower(t.Name)]
+		tab.rows, tab.n = rows, numRows
 	}
 
-	if err := d.analyzedState(db); err != nil {
+	if err := d.statistics(len(sch.AllColumns())); err != nil {
 		return nil, err
 	}
 	return db, nil
@@ -619,45 +598,32 @@ func (d *snapshotDecoder) column(t *schema.Table, ci int, rows []value.Tuple) er
 	return nil
 }
 
-func (d *snapshotDecoder) analyzedState(db *Database) error {
-	refs := columnRefs(db.sch)
-	keys := make([]string, len(refs))
-	for i, ref := range refs {
-		keys[i] = statsKey(ref)
-	}
+// statistics reads the statistics section, which the freeze at the end of
+// ReadSnapshot computes again with the key dictionaries: it is checked for
+// form, and not kept.
+func (d *snapshotDecoder) statistics(numColumns int) error {
 	numStats, err := d.count()
 	if err != nil {
 		return err
 	}
-	db.stats = make(map[string]schema.Stats, numStats)
 	for i := 0; i < numStats; i++ {
-		ord, err := d.ordinal(len(refs))
-		if err != nil {
+		if _, err := d.ordinal(numColumns); err != nil {
 			return err
 		}
-		st := schema.Stats{Ref: refs[ord]}
-		kind, err := d.byte()
-		if err != nil {
+		if _, err := d.byte(); err != nil {
 			return err
 		}
-		st.Type = value.Kind(kind)
-		if st.Min, err = d.value(); err != nil {
-			return err
-		}
-		if st.Max, err = d.value(); err != nil {
-			return err
-		}
-		fields := []*int{&st.MaxLength, &st.RowCount, &st.NullCount, &st.Distinct}
-		for _, f := range fields {
-			v, err := d.uvarint()
-			if err != nil {
+		for j := 0; j < 2; j++ {
+			if _, err := d.value(); err != nil {
 				return err
 			}
-			*f = int(v)
 		}
-		db.stats[keys[ord]] = st
+		for j := 0; j < 4; j++ {
+			if _, err := d.uvarint(); err != nil {
+				return err
+			}
+		}
 	}
-	db.analyzed = true
 	return nil
 }
 

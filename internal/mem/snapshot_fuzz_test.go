@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 
 	"prism/internal/dataset"
 	"prism/internal/mem"
 	"prism/internal/schema"
+	"prism/internal/value"
 )
 
 // FuzzReadSnapshot feeds ReadSnapshot bytes it did not write. Each input is
@@ -21,8 +23,9 @@ import (
 // decoded cell is a 40-byte value for at least one byte of payload).
 //
 // The corpus is seeded with the snapshots of the three bundled datasets and
-// truncations of each.
+// truncations of each, and with longVariants.
 func FuzzReadSnapshot(f *testing.F) {
+	f.Add(longVariants(f))
 	for _, name := range dataset.Names() {
 		db, err := dataset.ByName(name)
 		if err != nil {
@@ -46,6 +49,29 @@ func FuzzReadSnapshot(f *testing.F) {
 			readUntrusted(t, stamped)
 		}
 	})
+}
+
+// longVariants is the snapshot of one text column whose rows alternate
+// between two spellings of a long text that blanks surround: every second
+// row is a variant row of one byte of payload, whose keyword decoding must
+// not render row by row.
+func longVariants(f *testing.F) []byte {
+	sch := schema.New()
+	if err := sch.AddTable(schema.MustTable("T", schema.Column{Name: "A", Type: value.Text})); err != nil {
+		f.Fatal(err)
+	}
+	db := mem.NewDatabase("variants", sch)
+	spellings := []string{" " + strings.Repeat("a", 1000) + " ", " " + strings.Repeat("A", 1000) + " "}
+	for i := 0; i < 20000; i++ {
+		if err := db.Insert("T", value.Tuple{value.NewText(spellings[i%2])}); err != nil {
+			f.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := db.WriteSnapshot(&buf); err != nil {
+		f.Fatal(err)
+	}
+	return buf.Bytes()
 }
 
 func readUntrusted(t *testing.T, data []byte) {

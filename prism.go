@@ -369,7 +369,9 @@ func ParseSQL(sql string, sch *Schema) (Plan, error) { return sqlgen.Parse(sql, 
 func Execute(db *Database, p Plan) (*Result, error) { return db.Execute(p) }
 
 // NewDatabase creates an empty in-memory database over a schema; use it to
-// load your own source data instead of the bundled synthetic sets:
+// load your own source data instead of the bundled synthetic sets. Analyze
+// (which NewEngine calls) freezes it into its per-column key dictionaries:
+// load every row first, as writes after it fail with ErrFrozen.
 //
 //	sch := prism.NewSchema()
 //	... add tables and foreign keys ...
@@ -378,6 +380,10 @@ func Execute(db *Database, p Plan) (*Result, error) { return db.Execute(p) }
 //	db.Analyze()
 //	eng := prism.NewEngine(db)
 func NewDatabase(name string, sch *Schema) *Database { return mem.NewDatabase(name, sch) }
+
+// ErrFrozen is returned by every write (Insert, InsertStrings, BulkInsert,
+// LoadCSV) to a Database that Analyze has frozen; the write changes nothing.
+var ErrFrozen = mem.ErrFrozen
 
 // NewSchema creates an empty schema.
 func NewSchema() *Schema { return schema.New() }

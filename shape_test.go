@@ -105,7 +105,6 @@ var longFuncs = map[string]int{
 	"cmd/prism-bench.run":              188,
 	"internal/lang.Lex":                142,
 	"cmd/prism-loadtest.main":          133,
-	"internal/dataset.Mondial":         132,
 	"benchmark.tracer.layerValues":     126,
 	"internal/dataset.decodeSQLite":    115,
 	"internal/graphx.EnumerateContext": 106,
