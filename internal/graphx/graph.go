@@ -285,8 +285,24 @@ func EnumerateContext(ctx context.Context, g *Graph, related [][]schema.ColumnRe
 			return nil, fmt.Errorf("graphx: target column %d has no related source columns", i+1)
 		}
 	}
+	trees, err := g.seedTrees(ctx, related, opts.MaxTables)
+	if err != nil {
+		return nil, err
+	}
+	return newEmitter(related, opts).candidates(ctx, trees)
+}
 
-	// Seed tables: every table hosting at least one related column.
+// keyedTree is a join tree with its signature, rendered once by the dedup.
+type keyedTree struct {
+	Tree
+	sig string
+}
+
+// seedTrees is the per-seed stage of enumeration: every connected tree of
+// at most maxTables tables around a table hosting a related column,
+// deduplicated, smaller trees first (cheaper candidates are preferred and
+// validated earlier), then by signature.
+func (g *Graph) seedTrees(ctx context.Context, related [][]schema.ColumnRef, maxTables int) ([]keyedTree, error) {
 	seedSet := make(map[string]string) // lower -> canonical
 	for _, cols := range related {
 		for _, ref := range cols {
@@ -299,103 +315,194 @@ func EnumerateContext(ctx context.Context, g *Graph, related [][]schema.ColumnRe
 	}
 	sort.Strings(seeds)
 
-	// Enumerate candidate trees from every seed, deduplicated.
 	treeSeen := make(map[string]struct{})
-	var trees []Tree
+	var trees []keyedTree
 	for _, seed := range seeds {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		for _, t := range g.ConnectedTrees(seed, opts.MaxTables) {
+		for _, t := range g.ConnectedTrees(seed, maxTables) {
 			key := t.Canonical()
 			if _, dup := treeSeen[key]; dup {
 				continue
 			}
 			treeSeen[key] = struct{}{}
-			trees = append(trees, t)
+			trees = append(trees, keyedTree{Tree: t, sig: key})
 		}
 	}
-	// Deterministic order: smaller trees first (cheaper candidates are
-	// preferred and validated earlier), then by signature.
 	sort.Slice(trees, func(i, j int) bool {
 		if trees[i].Size() != trees[j].Size() {
 			return trees[i].Size() < trees[j].Size()
 		}
 		return trees[i].Canonical() < trees[j].Canonical()
 	})
+	return trees, nil
+}
 
-	candSeen := make(map[string]struct{})
-	var out []Candidate
+// emitter is the candidate stage of enumeration: the cartesian product of
+// the related columns each join tree hosts. What is fixed per round (each
+// related column's table and signature part) is folded once, what is fixed
+// per tree once per tree, so a candidate costs its projection, its
+// signature and one map probe.
+type emitter struct {
+	opts    EnumerateOptions
+	related [][]schema.ColumnRef
+	// tables lists the distinct table spellings of the related columns;
+	// table[c][k] indexes the table of related[c][k] in it, and part[c][k]
+	// is that column's part of a candidate signature.
+	tables []string
+	table  [][]int32
+	part   [][]string
+
+	// The current tree: pos[ti] is tables[ti]'s position in it (-1 when it
+	// is not in the tree), choices[c] the indexes into related[c] of the
+	// columns it hosts, and leaves its leaf positions when useful leaves
+	// are required. count[p] is how many columns of the assignment
+	// position p hosts; emit adds and takes back, so it is all zeros
+	// between trees.
+	tree    keyedTree
+	pos     []int32
+	choices [][]int32
+	leaves  []int32
+	count   []int32
+
+	pick []int32 // per target column, the index into related[c] assigned
+	buf  []byte  // the signature being built
+	seen map[string]struct{}
+	out  []Candidate
+}
+
+func newEmitter(related [][]schema.ColumnRef, opts EnumerateOptions) *emitter {
+	e := &emitter{
+		opts: opts, related: related,
+		table: make([][]int32, len(related)), part: make([][]string, len(related)),
+		choices: make([][]int32, len(related)), pick: make([]int32, len(related)),
+		seen: make(map[string]struct{}),
+	}
+	index := make(map[string]int32)
+	for c, cols := range related {
+		e.table[c], e.part[c] = make([]int32, len(cols)), make([]string, len(cols))
+		for k, ref := range cols {
+			ti, ok := index[ref.Table]
+			if !ok {
+				ti = int32(len(e.tables))
+				index[ref.Table] = ti
+				e.tables = append(e.tables, ref.Table)
+			}
+			e.table[c][k], e.part[c][k] = ti, "#"+strings.ToLower(ref.String())
+		}
+	}
+	e.pos, e.count = make([]int32, len(e.tables)), make([]int32, opts.MaxTables)
+	return e
+}
+
+// candidates emits the candidates of every tree, in tree order, until
+// MaxCandidates are out.
+func (e *emitter) candidates(ctx context.Context, trees []keyedTree) ([]Candidate, error) {
 	for _, tree := range trees {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		// Related columns available inside this tree, per target column.
-		choices := make([][]schema.ColumnRef, len(related))
-		feasible := true
-		for i, cols := range related {
-			for _, ref := range cols {
-				if tree.Contains(ref.Table) {
-					choices[i] = append(choices[i], ref)
-				}
-			}
-			if len(choices[i]) == 0 {
-				feasible = false
-				break
-			}
-		}
-		if !feasible {
-			continue
-		}
-		// Cartesian product of per-column choices.
-		assignment := make([]schema.ColumnRef, len(related))
-		var emit func(col int) bool
-		emit = func(col int) bool {
-			if len(out) >= opts.MaxCandidates {
-				return false
-			}
-			if col == len(related) {
-				cand := Candidate{Tree: tree, Projection: append([]schema.ColumnRef(nil), assignment...)}
-				if opts.RequireUsefulLeaves && !leavesUseful(tree, cand.Projection) {
-					return true
-				}
-				cand.sig = cand.Canonical()
-				if _, dup := candSeen[cand.sig]; dup {
-					return true
-				}
-				candSeen[cand.sig] = struct{}{}
-				out = append(out, cand)
-				return true
-			}
-			for _, ref := range choices[col] {
-				assignment[col] = ref
-				if !emit(col + 1) {
-					return false
-				}
-			}
-			return true
-		}
-		if !emit(0) {
+		if len(e.out) >= e.opts.MaxCandidates {
 			break
 		}
+		if e.useTree(tree) {
+			e.emit(0)
+		}
 	}
-	return out, nil
+	return e.out, nil
 }
 
-// leavesUseful reports whether every leaf table of the tree hosts at least
-// one projected column.
-func leavesUseful(tree Tree, projection []schema.ColumnRef) bool {
-	if tree.Size() <= 1 {
+// useTree computes the per-tree facts and reports whether the tree hosts a
+// related column of every target column. A related column is in the tree
+// when its table is, by Tree.Contains's case-insensitive comparison.
+func (e *emitter) useTree(t keyedTree) bool {
+	for ti, name := range e.tables {
+		e.pos[ti] = tablePosition(t.Tables, name)
+	}
+	for c, tables := range e.table {
+		e.choices[c] = e.choices[c][:0]
+		for k, ti := range tables {
+			if e.pos[ti] >= 0 {
+				e.choices[c] = append(e.choices[c], int32(k))
+			}
+		}
+		if len(e.choices[c]) == 0 {
+			return false
+		}
+	}
+	e.tree, e.leaves = t, e.leaves[:0]
+	if e.opts.RequireUsefulLeaves && t.Size() > 1 {
+		// The leaves are the tables of degree <= 1, as in Tree.Leaves.
+		for p, name := range t.Tables {
+			degree := 0
+			for _, fk := range t.Edges {
+				if strings.EqualFold(fk.From.Table, name) || strings.EqualFold(fk.To.Table, name) {
+					degree++
+				}
+			}
+			if degree <= 1 {
+				e.leaves = append(e.leaves, int32(p))
+			}
+		}
+	}
+	return true
+}
+
+// emit assigns target column col and the ones after it in every way the
+// tree allows, and reports false once MaxCandidates are out.
+func (e *emitter) emit(col int) bool {
+	if len(e.out) >= e.opts.MaxCandidates {
+		return false
+	}
+	if col == len(e.related) {
+		e.add()
 		return true
 	}
-	used := make(map[string]bool)
-	for _, ref := range projection {
-		used[strings.ToLower(ref.Table)] = true
-	}
-	for _, leaf := range tree.Leaves() {
-		if !used[strings.ToLower(leaf)] {
+	for _, k := range e.choices[col] {
+		p := e.pos[e.table[col][k]]
+		e.pick[col] = k
+		e.count[p]++
+		more := e.emit(col + 1)
+		e.count[p]--
+		if !more {
 			return false
 		}
 	}
 	return true
+}
+
+// add emits the current assignment unless a leaf of the tree hosts no
+// projected column (with RequireUsefulLeaves) or its signature was seen.
+func (e *emitter) add() {
+	for _, p := range e.leaves {
+		if e.count[p] == 0 {
+			return
+		}
+	}
+	e.buf = append(e.buf[:0], e.tree.sig...)
+	for c, k := range e.pick {
+		e.buf = append(e.buf, e.part[c][k]...)
+	}
+	if _, dup := e.seen[string(e.buf)]; dup {
+		return
+	}
+	sig := string(e.buf)
+	e.seen[sig] = struct{}{}
+	projection := make([]schema.ColumnRef, len(e.pick))
+	for c, k := range e.pick {
+		projection[c] = e.related[c][k]
+	}
+	e.out = append(e.out, Candidate{Tree: e.tree.Tree, Projection: projection, sig: sig})
+}
+
+// tablePosition returns the position of a table in tables, compared as
+// Tree.Contains compares, or -1.
+func tablePosition(tables []string, table string) int32 {
+	for p, name := range tables {
+		if strings.EqualFold(name, table) {
+			return int32(p)
+		}
+	}
+	return -1
 }

@@ -41,20 +41,12 @@ func (t Tree) Subtrees() []Subtree {
 	for p, name := range t.Tables {
 		lower[p] = strings.ToLower(name)
 	}
-	position := func(table string) int32 {
-		for p, name := range t.Tables {
-			if strings.EqualFold(name, table) {
-				return int32(p)
-			}
-		}
-		return -1
-	}
 	// ends[e] holds the positions of edge e's endpoints, keys[e] its
 	// canonical text.
 	ends := make([][2]int32, len(t.Edges))
 	keys := make([]string, len(t.Edges))
 	for e, fk := range t.Edges {
-		ends[e] = [2]int32{position(fk.From.Table), position(fk.To.Table)}
+		ends[e] = [2]int32{tablePosition(t.Tables, fk.From.Table), tablePosition(t.Tables, fk.To.Table)}
 		keys[e] = edgeSignature(fk)
 	}
 

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"testing"
 
@@ -90,15 +91,32 @@ func (e *referenceEntry) better(best *referenceEntry, set *filter.Set, costModel
 		return e.reach > best.reach
 	}
 	if e.cost == 0 {
-		e.cost = clampCost(costModel(set.Filters[e.idx]))
+		e.cost = referenceCost(costModel(set.Filters[e.idx]))
 	}
 	if best.cost == 0 {
-		best.cost = clampCost(costModel(set.Filters[best.idx]))
+		best.cost = referenceCost(costModel(set.Filters[best.idx]))
 	}
 	if e.cost != best.cost {
 		return e.cost < best.cost
 	}
 	return e.idx < best.idx
+}
+
+// referenceProbability and referenceCost are the ranking's clamps: an
+// estimate outside [0, 1] counts as the nearer bound and a NaN one as 0.5,
+// a non-positive or NaN cost as 1.
+func referenceProbability(p float64) float64 {
+	if math.IsNaN(p) {
+		return 0.5
+	}
+	return min(max(p, 0), 1)
+}
+
+func referenceCost(c float64) float64 {
+	if c > 0 {
+		return c
+	}
+	return 1
 }
 
 // referenceRun is the sequential greedy loop over referencePick.
@@ -110,7 +128,9 @@ type referenceRun struct {
 	pruned      []int
 }
 
-func runReference(t *testing.T, db exec.Executor, spec *constraint.Spec, set *filter.Set, est Estimator) referenceRun {
+// runReference runs the loop with the table-size cost model, or with the
+// given one when it is not nil.
+func runReference(t *testing.T, db exec.Executor, spec *constraint.Spec, set *filter.Set, est Estimator, costModel func(*filter.Filter) float64) referenceRun {
 	t.Helper()
 	sess := filter.NewSession(set)
 	validator := &filter.Validator{DB: db, Cells: filter.NewCells(spec)}
@@ -120,17 +140,16 @@ func runReference(t *testing.T, db exec.Executor, spec *constraint.Spec, set *fi
 	}
 	failProb := make([]float64, set.NumFilters())
 	for i, f := range set.Filters {
-		failProb[i] = clamp01(est.FailureProbability(f))
+		failProb[i] = referenceProbability(est.FailureProbability(f))
 	}
-	costModel := func(f *filter.Filter) float64 {
-		cost := 0.0
-		for _, t := range f.Tree.Tables {
-			cost += float64(db.NumRows(t))
+	if costModel == nil {
+		costModel = func(f *filter.Filter) float64 {
+			cost := 0.0
+			for _, t := range f.Tree.Tables {
+				cost += float64(db.NumRows(t))
+			}
+			return cost
 		}
-		if cost <= 0 {
-			cost = 1
-		}
-		return cost
 	}
 	var run referenceRun
 	for sess.UnresolvedCandidates() > 0 {
@@ -182,11 +201,42 @@ func referenceRounds(t *testing.T, db *mem.Database) []generatedRound {
 	return out
 }
 
-func policies(model *bayes.Model, spec *constraint.Spec) map[string]func() Estimator {
-	return map[string]func() Estimator{
-		"bayes":      func() Estimator { return &BayesEstimator{Model: model, Spec: spec} },
-		"pathlength": func() Estimator { return &PathLengthEstimator{} },
-		"random":     func() Estimator { return &RandomEstimator{Seed: 7} },
+// policy is an estimator and, when cost is not nil, a cost model in place
+// of the table-size default.
+type policy struct {
+	estimator func() Estimator
+	cost      func(db exec.Executor) func(*filter.Filter) float64
+}
+
+func policies(model *bayes.Model, spec *constraint.Spec) map[string]policy {
+	return map[string]policy{
+		"bayes":      {estimator: func() Estimator { return &BayesEstimator{Model: model, Spec: spec} }},
+		"pathlength": {estimator: func() Estimator { return &PathLengthEstimator{} }},
+		"random":     {estimator: func() Estimator { return &RandomEstimator{Seed: 7} }},
+		"nan":        {estimator: func() Estimator { return &nanEstimator{} }, cost: nanCost},
+	}
+}
+
+// nanEstimator answers NaN for a third of the filters and the path-length
+// estimate for the rest.
+type nanEstimator struct{ PathLengthEstimator }
+
+func (e *nanEstimator) FailureProbability(f *filter.Filter) float64 {
+	if len(f.Key)%3 == 0 {
+		return math.NaN()
+	}
+	return e.PathLengthEstimator.FailureProbability(f)
+}
+
+// nanCost is the table-size cost model answering NaN for a quarter of the
+// filters.
+func nanCost(db exec.Executor) func(*filter.Filter) float64 {
+	sizes := tableSizeCost(db)
+	return func(f *filter.Filter) float64 {
+		if len(f.Key)%4 == 1 {
+			return math.NaN()
+		}
+		return sizes(f)
 	}
 }
 
@@ -207,16 +257,21 @@ func TestPickMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, round := range referenceRounds(t, mdb) {
-			for policy, newEstimator := range policies(model, round.spec) {
-				label := fmt.Sprintf("%s %s %s", name, round.name, policy)
+			for pname, policy := range policies(model, round.spec) {
+				label := fmt.Sprintf("%s %s %s", name, round.name, pname)
+				newEstimator, costModel := policy.estimator, tableSizeCost(db)
+				var refCost func(*filter.Filter) float64
+				if policy.cost != nil {
+					costModel, refCost = policy.cost(db), policy.cost(db)
+				}
 				refLog := &probeLog{Executor: db}
-				want := runReference(t, refLog, round.spec, round.set, newEstimator())
+				want := runReference(t, refLog, round.spec, round.set, newEstimator(), refCost)
 				picks += len(want.picks)
 
 				// Lock-step: the ranking against the reference's pick sequence.
 				sess := filter.NewSession(round.set)
 				rank := newRanking(round.set, sess)
-				rank.estimate(newEstimator(), tableSizeCost(db))
+				rank.estimate(newEstimator(), costModel)
 				validator := &filter.Validator{DB: db, Cells: filter.NewCells(round.spec)}
 				for step, wantIdx := range want.picks {
 					got, ok := rank.pick()
@@ -246,7 +301,11 @@ func TestPickMatchesReference(t *testing.T) {
 
 				// The whole run.
 				runLog := &probeLog{Executor: db}
-				res, err := (&Runner{DB: runLog, Spec: round.spec, Set: round.set, Estimator: newEstimator()}).Run()
+				var opts Options
+				if policy.cost != nil {
+					opts.CostModel = policy.cost(runLog)
+				}
+				res, err := (&Runner{DB: runLog, Spec: round.spec, Set: round.set, Estimator: newEstimator(), Options: opts}).Run()
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -337,5 +396,31 @@ func BenchmarkPick(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sinkPick, _ = rank.pick()
+	}
+}
+
+// BenchmarkPickRound measures the scheduler's own work over a whole round:
+// ranking, estimates and every pick and resolution of the greedy loop over
+// the widest round of the Mondial pool, each outcome read from the ground
+// truth instead of validated.
+func BenchmarkPickRound(b *testing.B) {
+	db, round := widestRound(b)
+	truth, err := GroundTruth(db, round.spec, round.set)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for b.Loop() {
+		sess := filter.NewSession(round.set)
+		rank := newRanking(round.set, sess)
+		rank.estimate(&PathLengthEstimator{}, tableSizeCost(db))
+		for sess.UnresolvedCandidates() > 0 {
+			i, ok := rank.pick()
+			if !ok {
+				b.Fatal("nothing to pick")
+			}
+			sess.RecordExecution(i, filter.ValidationResult{Passed: truth[i] == filter.Passed})
+			rank.sync()
+		}
 	}
 }

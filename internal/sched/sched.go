@@ -684,8 +684,8 @@ func (s *run) result() (Result, error) {
 
 // ranking is what pick reads: per filter, the two terms of its score that
 // are fixed for the run and the two counts that fall as candidates resolve.
-// The counts are kept current from the session's resolution log (sync), so
-// a pick is one pass over flat arrays.
+// The counts are kept current from the session's resolution log (sync); the
+// heap orders the filters a pick may still choose.
 type ranking struct {
 	set  *filter.Set
 	sess *filter.Session
@@ -698,14 +698,23 @@ type ranking struct {
 	// confirmed if it passes.
 	reach []int32
 	tops  []int32
-	// live lists, ascending, the filters a pick may still choose. A filter
-	// leaves when it is determined or its reach falls to zero, and neither
-	// is ever undone, so pick drops the dead ones as it passes them.
-	live []int32
+	// heap is a max-heap, in pick order, of the filters estimate ranked and
+	// pick has not yet found dead, each under the counts its entry was last
+	// computed from.
+	heap []rankEntry
 	// seen is how much of the resolution log the counts reflect;
 	// confirmed and pruned count the candidates in that part.
 	seen              int
 	confirmed, pruned int
+}
+
+// rankEntry is one filter's place in the pick order as last computed: its
+// score and the counts the score was computed from.
+type rankEntry struct {
+	score float64
+	idx   int32
+	reach int32
+	top   bool
 }
 
 func newRanking(set *filter.Set, sess *filter.Session) *ranking {
@@ -713,10 +722,7 @@ func newRanking(set *filter.Set, sess *filter.Session) *ranking {
 	k := &ranking{
 		set: set, sess: sess,
 		failProb: make([]float64, n), cost: make([]float64, n),
-		reach: make([]int32, n), tops: make([]int32, n), live: make([]int32, n),
-	}
-	for i := range k.live {
-		k.live[i] = int32(i)
+		reach: make([]int32, n), tops: make([]int32, n),
 	}
 	for ci, filters := range set.CandidateFilters {
 		for _, fi := range filters {
@@ -731,20 +737,24 @@ func newRanking(set *filter.Set, sess *filter.Session) *ranking {
 }
 
 // estimate fills in the static terms — failure probability and cost, both
-// fixed per filter — and returns how many filters it estimated: only those
-// pick can still reach. A filter the session cache already determined, or
-// whose candidates it all resolved, is never ranked.
+// fixed per filter — builds the heap pick reads, and returns how many
+// filters it estimated: only those pick can still reach. A filter the
+// session cache already determined, or whose candidates it all resolved, is
+// never ranked.
 func (k *ranking) estimate(est Estimator, costModel func(*filter.Filter) float64) int {
-	estimates := 0
+	k.heap = make([]rankEntry, 0, len(k.set.Filters))
 	for i, f := range k.set.Filters {
 		if k.reach[i] == 0 || k.sess.Determined(i) {
 			continue
 		}
 		k.failProb[i] = clamp01(est.FailureProbability(f))
 		k.cost[i] = clampCost(costModel(f))
-		estimates++
+		k.heap = append(k.heap, k.entry(int32(i)))
 	}
-	return estimates
+	for h := len(k.heap)/2 - 1; h >= 0; h-- {
+		k.down(h)
+	}
+	return len(k.heap)
 }
 
 // sync folds the candidates resolved since the last call into the counts
@@ -777,49 +787,83 @@ func (k *ranking) sync() []int {
 // (all pruned if it fails) and topResolve is 1 when the filter is the top
 // filter of an unresolved candidate (confirmed if it passes). Ties break in
 // favour of top filters, then higher reach, then lower estimated cost, then
-// index for determinism. Minimising validations is the paper's §2.4 metric;
-// the cost model only arbitrates ties, keeping validation time low at equal
-// pruning power.
+// lower index for determinism. Minimising validations is the paper's §2.4
+// metric; the cost model only arbitrates ties, keeping validation time low
+// at equal pruning power.
 //
-// Only the maximum is needed and every term is an array read, so the
-// selection is a single allocation-free argmax pass (this runs once per
-// validation).
+// The heap is lazy (Minoux's accelerated greedy): pick drops a dead top
+// entry and refreshes a stale one until the top entry's stored key is
+// current, and returns that filter without removing it. This is exactly the
+// argmax of a scan over every live filter. P(fail) and cost are fixed for
+// the run, and reach and the top-of-an-unresolved-candidate flag only fall
+// as candidates resolve, so a filter's key (score, top, reach, −cost,
+// −index) never rises: every stored key is at least its filter's current
+// key. A top entry whose stored key is current is therefore at least every
+// other filter's current key, and the key order is total, so it is today's
+// argmax with today's tie-breaks. A dead filter — determined, or with no
+// unresolved candidate left — never comes back. Every step is array reads
+// and swaps within the heap estimate built, so a pick does not allocate.
 func (k *ranking) pick() (int, bool) {
-	best := -1
-	var bestScore float64
-	live, outcomes := k.live[:0], k.sess.Outcomes
-	for _, fi := range k.live {
-		i, reach := int(fi), k.reach[fi]
-		if reach == 0 || outcomes[i] != filter.Unknown {
-			continue
+	for len(k.heap) > 0 {
+		i := k.heap[0].idx
+		switch {
+		case k.reach[i] == 0 || k.sess.Outcomes[i] != filter.Unknown:
+			last := len(k.heap) - 1
+			k.heap[0] = k.heap[last]
+			k.heap = k.heap[:last]
+		case k.heap[0].reach != k.reach[i] || k.heap[0].top != (k.tops[i] > 0):
+			k.heap[0] = k.entry(i)
+		default:
+			return int(i), true
 		}
-		live = append(live, fi)
-		topResolve := 0.0
-		if k.tops[i] > 0 {
-			topResolve = 1
-		}
-		score := k.failProb[i]*float64(reach) + (1-k.failProb[i])*topResolve
-		if best < 0 || k.better(i, score, best, bestScore) {
-			best, bestScore = i, score
-		}
+		k.down(0)
 	}
-	k.live = live
-	return best, best >= 0
+	return -1, false
 }
 
-// better reports whether filter i (with its score) precedes best in the
-// pick order. pick scans in index order, so an all-equal tie keeps best.
-func (k *ranking) better(i int, score float64, best int, bestScore float64) bool {
-	if score != bestScore {
-		return score > bestScore
+// entry computes filter i's rank entry from the current counts.
+func (k *ranking) entry(i int32) rankEntry {
+	e := rankEntry{idx: i, reach: k.reach[i], top: k.tops[i] > 0}
+	topResolve := 0.0
+	if e.top {
+		topResolve = 1
 	}
-	if top, bestTop := k.tops[i] > 0, k.tops[best] > 0; top != bestTop {
-		return top
+	e.score = k.failProb[i]*float64(e.reach) + (1-k.failProb[i])*topResolve
+	return e
+}
+
+// before reports whether entry a precedes entry b in the pick order.
+func (k *ranking) before(a, b rankEntry) bool {
+	if a.score != b.score {
+		return a.score > b.score
 	}
-	if k.reach[i] != k.reach[best] {
-		return k.reach[i] > k.reach[best]
+	if a.top != b.top {
+		return a.top
 	}
-	return k.cost[i] < k.cost[best]
+	if a.reach != b.reach {
+		return a.reach > b.reach
+	}
+	if ca, cb := k.cost[a.idx], k.cost[b.idx]; ca != cb {
+		return ca < cb
+	}
+	return a.idx < b.idx
+}
+
+// down restores the heap order below position h.
+func (k *ranking) down(h int) {
+	for {
+		first := h
+		for _, c := range [2]int{2*h + 1, 2*h + 2} {
+			if c < len(k.heap) && k.before(k.heap[c], k.heap[first]) {
+				first = c
+			}
+		}
+		if first == h {
+			return
+		}
+		k.heap[h], k.heap[first] = k.heap[first], k.heap[h]
+		h = first
+	}
 }
 
 // tableSizeCost returns the default cost model of one run: the sum of the
@@ -841,18 +885,25 @@ func tableSizeCost(db exec.Executor) func(*filter.Filter) float64 {
 	}
 }
 
+// clampCost maps a cost-model value to a positive cost: a non-positive or
+// NaN value counts as 1.
 func clampCost(c float64) float64 {
-	if c <= 0 {
+	if c <= 0 || math.IsNaN(c) {
 		return 1
 	}
 	return c
 }
 
+// clamp01 maps an estimate to a probability: out-of-range values to the
+// nearer bound, NaN to 0.5 (a NaN would make the pick order depend on
+// which filter is compared first).
 func clamp01(f float64) float64 {
-	if f < 0 {
+	switch {
+	case math.IsNaN(f):
+		return 0.5
+	case f < 0:
 		return 0
-	}
-	if f > 1 {
+	case f > 1:
 		return 1
 	}
 	return f

@@ -21,7 +21,20 @@ import (
 //	FROM Lake, geo_lake
 //	WHERE Lake.Name = geo_lake.Lake
 func Generate(p exec.Plan) string {
+	// Room for the keywords, and per identifier its bytes, two quotes and a
+	// separator; only an identifier with '"' in it can outgrow this.
+	size := len("SELECT DISTINCT  FROM  WHERE ")
+	for _, c := range p.Project {
+		size += len(c.Table) + len(c.Column) + 7
+	}
+	for _, t := range p.Tables {
+		size += len(t) + 4
+	}
+	for _, j := range p.Joins {
+		size += len(j.Left.Table) + len(j.Left.Column) + len(j.Right.Table) + len(j.Right.Column) + 18
+	}
 	var b strings.Builder
+	b.Grow(size)
 	b.WriteString("SELECT ")
 	if p.Distinct {
 		b.WriteString("DISTINCT ")
@@ -30,15 +43,14 @@ func Generate(p exec.Plan) string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(quoteRef(c))
+		writeRef(&b, c)
 	}
 	b.WriteString(" FROM ")
-	tables := append([]string(nil), p.Tables...)
-	for i, t := range tables {
+	for i, t := range p.Tables {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(quoteIdent(t))
+		writeIdent(&b, t)
 	}
 	if len(p.Joins) > 0 {
 		b.WriteString(" WHERE ")
@@ -46,9 +58,9 @@ func Generate(p exec.Plan) string {
 			if i > 0 {
 				b.WriteString(" AND ")
 			}
-			b.WriteString(quoteRef(j.Left))
+			writeRef(&b, j.Left)
 			b.WriteString(" = ")
-			b.WriteString(quoteRef(j.Right))
+			writeRef(&b, j.Right)
 		}
 	}
 	return b.String()
@@ -63,24 +75,23 @@ func GenerateMultiline(p exec.Plan) string {
 	return oneLine
 }
 
-func quoteRef(r schema.ColumnRef) string {
-	return quoteIdent(r.Table) + "." + quoteIdent(r.Column)
+func writeRef(b *strings.Builder, r schema.ColumnRef) {
+	writeIdent(b, r.Table)
+	b.WriteByte('.')
+	writeIdent(b, r.Column)
 }
 
-// quoteIdent quotes an identifier only when necessary (spaces or reserved
-// characters), keeping generated SQL close to the paper's examples.
-func quoteIdent(s string) string {
-	needs := false
-	for _, r := range s {
-		if !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' {
-			needs = true
-			break
-		}
+// writeIdent writes an identifier, quoted only when necessary (a character
+// other than a letter, a digit or '_'), keeping generated SQL close to the
+// paper's examples. A quote inside a quoted identifier is doubled.
+func writeIdent(b *strings.Builder, s string) {
+	if !strings.ContainsFunc(s, func(r rune) bool { return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' }) {
+		b.WriteString(s)
+		return
 	}
-	if !needs {
-		return s
-	}
-	return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
+	b.WriteByte('"')
+	b.WriteString(strings.ReplaceAll(s, `"`, `""`))
+	b.WriteByte('"')
 }
 
 // ---------------------------------------------------------------------------
