@@ -17,7 +17,7 @@
 //
 // Version v1 is append-only: fields may be added, existing fields and
 // codes keep their meaning. A retired request field ("parallelism",
-// "executor") is ignored by the decoders, so an old body is answered as if
+// "executor", "policy") is ignored by the decoders, so an old body is answered as if
 // it did not carry it; a retired response field or code is never reused.
 //
 // One endpoint is deliberately not JSON: GET /api/v1/metrics (MetricsPath)
@@ -48,8 +48,7 @@ type DiscoverRequest struct {
 	// Spec is the structured alternative to the string grids.
 	Spec *Spec `json:"spec,omitempty"`
 
-	Policy     string `json:"policy,omitempty"`
-	MaxResults int    `json:"maxResults,omitempty"`
+	MaxResults int `json:"maxResults,omitempty"`
 	// TimeoutMs shortens the round's time budget below the server's
 	// limit (values above it are clamped).
 	TimeoutMs int `json:"timeoutMs,omitempty"`
@@ -232,9 +231,8 @@ type RefineRequest struct {
 	Spec       *Spec      `json:"spec,omitempty"`
 	Delta      *Delta     `json:"delta,omitempty"`
 
-	Policy     string `json:"policy,omitempty"`
-	MaxResults int    `json:"maxResults,omitempty"`
-	TimeoutMs  int    `json:"timeoutMs,omitempty"`
+	MaxResults int `json:"maxResults,omitempty"`
+	TimeoutMs  int `json:"timeoutMs,omitempty"`
 }
 
 // SessionCloseResponse is the body of DELETE /api/v1/session/{id}.

@@ -2,7 +2,8 @@ package prism
 
 // This file holds the benchmark harness that regenerates the paper's
 // evaluation artefacts — one testing.B benchmark per table / figure /
-// claimed series (see DESIGN.md §4 and EXPERIMENTS.md):
+// claimed series (see docs/performance.md; `go run ./cmd/prism-bench -exp e3`
+// prints E3's table):
 //
 //	BenchmarkTable1LakeDiscovery      — Table 1 / the §3 walkthrough
 //	BenchmarkConstraintParse          — Figure 1 (the constraint language)
@@ -10,8 +11,8 @@ package prism
 //	BenchmarkExplainGraph             — Figures 3–4 (query explanation)
 //	BenchmarkDiscoveryResolution/*    — E1: discovery effort per resolution level
 //	BenchmarkResultSetSize/*          — E2: result-set size per resolution level
-//	BenchmarkFilterScheduling/*       — E3: validations per scheduling policy
-//	BenchmarkSchedulerAblation/*      — ablation of the design choices
+//	BenchmarkFilterScheduling/*       — E3: validations per scheduling estimator
+//	BenchmarkSchedulerAblation/*      — ablation of the candidate-space depth
 //
 // Run with:
 //
@@ -236,8 +237,9 @@ func newSchedulingFixture(b *testing.B) *schedulingFixture {
 }
 
 // BenchmarkFilterScheduling regenerates E3: filter validations needed per
-// scheduling policy; validations/op is reported as a custom metric so the
-// table in EXPERIMENTS.md can be read straight off the benchmark output.
+// scheduling estimator; validations/op is reported as a custom metric so
+// the table `go run ./cmd/prism-bench -exp e3` prints can be read straight
+// off the benchmark output.
 func BenchmarkFilterScheduling(b *testing.B) {
 	fx := newSchedulingFixture(b)
 	estimators := []struct {
@@ -271,10 +273,10 @@ func BenchmarkFilterScheduling(b *testing.B) {
 	}
 }
 
-// BenchmarkSchedulerAblation isolates the design choices DESIGN.md calls
-// out: the Bayesian estimator with and without join-indicator statistics
-// (approximated by the path-length estimator), and with a shallower
-// candidate space.
+// BenchmarkSchedulerAblation measures whole Bayes rounds over a shallower
+// and shallower candidate space. The estimator without join-indicator
+// statistics (approximated by the path-length estimator) over the same spec
+// at four tables is BenchmarkFilterScheduling/filter-pathlength.
 func BenchmarkSchedulerAblation(b *testing.B) {
 	eng, gen := benchWorkload(b)
 	cases, err := gen.Generate(workload.LevelPaper, 1, workload.Config{})
@@ -295,16 +297,6 @@ func BenchmarkSchedulerAblation(b *testing.B) {
 			}
 		})
 	}
-	b.Run("pathlength-maxtables-4", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			report, err := eng.Discover(context.Background(), spec, Options{MaxTables: 4, Policy: PolicyPathLength})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportMetric(float64(report.Validations), "validations/op")
-		}
-	})
 }
 
 // validationPhaseFixtures builds, per bundled dataset, a filter set whose
@@ -365,7 +357,7 @@ func validationPhaseFixtures(tb testing.TB) []*schedulingFixture {
 }
 
 // runValidationPhase executes one scheduling run over a validation-phase
-// fixture. The path-length policy keeps estimation out of the measurement:
+// fixture. The path-length estimator keeps estimation out of the measurement:
 // picking order is identical across backends and costs nothing, so the
 // timing isolates probe execution.
 func runValidationPhase(ex exec.Executor, fx *schedulingFixture) (sched.Result, error) {

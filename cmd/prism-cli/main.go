@@ -77,12 +77,12 @@ func run(ctx context.Context, args []string, in io.Reader, out io.Writer) error 
 // cliFlags are the parsed and checked command line: the flags, the
 // constraint grids split into cells and the specification they parse to.
 type cliFlags struct {
-	db, policy, remote, explain, trace string
-	columns, maxResults                int
-	timeLimit                          time.Duration
-	results, stream, session           bool
-	rows                               [][]string
-	meta                               []string
+	db, remote, explain, trace string
+	columns, maxResults        int
+	timeLimit                  time.Duration
+	results, stream, session   bool
+	rows                       [][]string
+	meta                       []string
 	// spec is nil only for a session that starts with no constraints.
 	spec *prism.Spec
 }
@@ -97,7 +97,6 @@ func parseFlags(args []string) (*cliFlags, error) {
 	var samples sampleFlags
 	fs.Var(&samples, "sample", "sample-constraint row, cells separated by '|' (repeatable)")
 	metadata := fs.String("metadata", "", "metadata-constraint row, cells separated by '|'")
-	fs.StringVar(&f.policy, "policy", string(prism.PolicyBayes), "scheduling policy: bayes, pathlength, random, oracle")
 	fs.DurationVar(&f.timeLimit, "timeout", 60*time.Second, "discovery time limit per round, enforced as a context deadline")
 	fs.IntVar(&f.maxResults, "max-results", 0, "cap on returned mapping queries (0 = all)")
 	fs.BoolVar(&f.results, "results", false, "execute each mapping and print a result preview")
@@ -152,7 +151,6 @@ func runRemote(ctx context.Context, f *cliFlags, in io.Reader, out io.Writer) er
 		rr := &remoteRunner{
 			sess: sess,
 			base: api.RefineRequest{
-				Policy:     f.policy,
 				MaxResults: f.maxResults,
 				TimeoutMs:  timeoutMs(f.timeLimit),
 			},
@@ -167,7 +165,6 @@ func runRemote(ctx context.Context, f *cliFlags, in io.Reader, out io.Writer) er
 	req := api.DiscoverRequest{
 		Database:   f.db,
 		Spec:       wireSpec,
-		Policy:     f.policy,
 		MaxResults: f.maxResults,
 		TimeoutMs:  timeoutMs(f.timeLimit),
 	}
@@ -184,7 +181,6 @@ func runLocal(ctx context.Context, f *cliFlags, in io.Reader, out io.Writer) err
 		return err
 	}
 	opts := prism.Options{
-		Policy:         prism.Policy(f.policy),
 		TimeLimit:      f.timeLimit,
 		MaxResults:     f.maxResults,
 		IncludeResults: f.results,

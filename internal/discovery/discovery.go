@@ -33,33 +33,6 @@ import (
 	"prism/internal/value"
 )
 
-// Policy selects the filter-scheduling policy.
-type Policy string
-
-const (
-	// PolicyBayes is Prism's Bayesian-model-based scheduling (default).
-	PolicyBayes Policy = "bayes"
-	// PolicyPathLength is the Filter baseline (failure probability
-	// proportional to join-path length).
-	PolicyPathLength Policy = "pathlength"
-	// PolicyRandom schedules filters in pseudo-random order.
-	PolicyRandom Policy = "random"
-	// PolicyOracle uses ground-truth outcomes, computed by the round before
-	// it schedules; it is the optimum reference.
-	PolicyOracle Policy = "oracle"
-)
-
-// Validate reports whether p names a scheduling policy; the empty policy is
-// the default, PolicyBayes.
-func (p Policy) Validate() error {
-	switch p {
-	case "", PolicyBayes, PolicyPathLength, PolicyRandom, PolicyOracle:
-		return nil
-	}
-	return fmt.Errorf("discovery: unknown scheduling policy %q (known: %s, %s, %s, %s)",
-		string(p), PolicyBayes, PolicyPathLength, PolicyRandom, PolicyOracle)
-}
-
 // Options tune a discovery round.
 type Options struct {
 	// MaxTables bounds the join-tree size of candidates (default 4).
@@ -72,8 +45,6 @@ type Options struct {
 	// exhausts it ends with Report.TimedOut, the partial report and a nil
 	// error. Zero keeps the default; use a negative value for "no limit".
 	TimeLimit time.Duration
-	// Policy selects the scheduling policy (default PolicyBayes).
-	Policy Policy
 	// IncludeResults executes each final mapping and attaches up to
 	// ResultLimit result rows to the report.
 	IncludeResults bool
@@ -94,6 +65,9 @@ type Options struct {
 	// Deprecated: ROADMAP item 0e removes it; the files under benchmark/
 	// still set it. Reach the reference engine with NewEngineOn(db, db).
 	Executor string
+	// estimator, when set, builds the round's scheduling estimator in place
+	// of the Bayes model; tests sweep the paper's E3 baselines through it.
+	estimator func(ctx context.Context, ex exec.Executor, spec *constraint.Spec, set *filter.Set) (sched.Estimator, error)
 	// Trace records a span tree for the round — one span per pipeline
 	// phase (related → enumerate → decompose → schedule → assemble) with
 	// per-validation child spans under the scheduler — and attaches
@@ -111,9 +85,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.TimeLimit == 0 {
 		o.TimeLimit = 60 * time.Second
-	}
-	if o.Policy == "" {
-		o.Policy = PolicyBayes
 	}
 	if o.ResultLimit <= 0 {
 		o.ResultLimit = 20
@@ -176,8 +147,6 @@ type Report struct {
 	// the report.
 	CandidatesConfirmed int
 	CandidatesPruned    int
-	// Policy names the scheduling policy used.
-	Policy string
 	// TimedOut reports whether the round hit the time limit before
 	// resolving every candidate (the paper reports this as a failure).
 	TimedOut bool
@@ -434,7 +403,7 @@ type round struct {
 // the engine and other rounds untouched.
 func (e *Engine) run(ctx context.Context, spec *constraint.Spec, opts Options, emit func(Event), sess *Session) (report *Report, err error) {
 	opts = opts.withDefaults()
-	report = &Report{Spec: spec, Policy: string(opts.Policy), start: time.Now()}
+	report = &Report{Spec: spec, start: time.Now()}
 	defer func() {
 		if rec := recover(); rec != nil {
 			metricRoundPanics.Inc()
@@ -454,14 +423,10 @@ func (e *Engine) run(ctx context.Context, spec *constraint.Spec, opts Options, e
 	r := &round{eng: e, ctx: ctx, spec: spec, opts: opts, emit: emit, sess: sess, report: report, built: make(map[int]*Mapping)}
 	if opts.Trace {
 		r.trace = obs.NewSpan("round")
-		r.trace.SetAttr("policy", report.Policy)
 		report.Trace = r.trace
 	}
 	defer r.finish()
 
-	if err := opts.Policy.Validate(); err != nil {
-		return report, err
-	}
 	if r.executor, err = e.executorFor(opts.Executor); err != nil {
 		return report, fmt.Errorf("discovery: %w", err)
 	}
@@ -583,24 +548,20 @@ func (r *round) decompose() error {
 	return nil
 }
 
-// estimate builds the scheduling estimator named by the options.
+// estimate builds the scheduling estimator: the paper's Bayes model, unless
+// a test sets Options.estimator.
 func (r *round) estimate() error {
 	sp := r.trace.Child("estimator")
 	defer sp.End()
-	switch r.opts.Policy {
-	case PolicyBayes:
+	if r.opts.estimator == nil {
 		r.estimator = &sched.BayesEstimator{Model: r.eng.model, Spec: r.spec}
-	case PolicyPathLength:
-		r.estimator = &sched.PathLengthEstimator{}
-	case PolicyRandom:
-		r.estimator = &sched.RandomEstimator{}
-	case PolicyOracle:
-		truth, err := sched.GroundTruthContext(r.ctx, r.executor, r.spec, r.set)
-		if err != nil {
-			return fmt.Errorf("discovery: computing oracle ground truth: %w", err)
-		}
-		r.estimator = sched.NewOracle(r.set, truth)
+		return nil
 	}
+	est, err := r.opts.estimator(r.ctx, r.executor, r.spec, r.set)
+	if err != nil {
+		return fmt.Errorf("discovery: building the estimator: %w", err)
+	}
+	r.estimator = est
 	return nil
 }
 
@@ -731,8 +692,8 @@ func (r *round) assemble() error {
 // Summary renders a short human-readable description of the report.
 func (r *Report) Summary() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "policy=%s candidates=%d filters=%d validations=%d (+%d implied) mappings=%d elapsed=%s",
-		r.Policy, r.CandidatesEnumerated, r.FiltersGenerated, r.Validations, r.Implied, len(r.Mappings), r.Elapsed.Round(time.Millisecond))
+	fmt.Fprintf(&b, "candidates=%d filters=%d validations=%d (+%d implied) mappings=%d elapsed=%s",
+		r.CandidatesEnumerated, r.FiltersGenerated, r.Validations, r.Implied, len(r.Mappings), r.Elapsed.Round(time.Millisecond))
 	if !r.Cache.IsZero() {
 		fmt.Fprintf(&b, " cache=%d/%d hits (validations saved)", r.Cache.Hits, r.Cache.Hits+r.Cache.Misses)
 	}

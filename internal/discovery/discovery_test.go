@@ -3,6 +3,7 @@ package discovery
 import (
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -153,37 +154,31 @@ func TestDiscoverEveryMappingSatisfiesSpec(t *testing.T) {
 	}
 }
 
+// TestDiscoverPolicies checks that the scheduler changes only the order of
+// the validations: every estimator finds the mapping SQL Bayes finds.
 func TestDiscoverPolicies(t *testing.T) {
 	e := NewEngine(smallMondial(t))
 	spec := paperSpec(t)
-	var counts []int
-	for _, policy := range []Policy{PolicyBayes, PolicyPathLength, PolicyRandom, PolicyOracle} {
-		report, err := e.Discover(context.Background(), spec, Options{Policy: policy})
+	var want []string
+	for _, est := range estimators {
+		report, err := e.Discover(context.Background(), spec, Options{estimator: est.build})
 		if err != nil {
-			t.Fatalf("%s: %v", policy, err)
+			t.Fatalf("%s: %v", est.name, err)
 		}
-		if report.Policy == "" {
-			t.Errorf("%s: policy missing from report", policy)
+		var sqls []string
+		for _, m := range report.Mappings {
+			sqls = append(sqls, m.SQL)
 		}
-		counts = append(counts, len(report.Mappings))
-	}
-	for i := 1; i < len(counts); i++ {
-		if counts[i] != counts[0] {
-			t.Errorf("different policies must find the same mappings: %v", counts)
+		slices.Sort(sqls)
+		if want == nil {
+			want = sqls
+		} else if !slices.Equal(sqls, want) {
+			t.Errorf("%s finds other mappings than bayes:\n%s\n--- bayes ---\n%s",
+				est.name, strings.Join(sqls, "\n"), strings.Join(want, "\n"))
 		}
 	}
-}
-
-func TestDiscoverUnknownPolicy(t *testing.T) {
-	e := NewEngine(smallMondial(t))
-	report, err := e.Discover(context.Background(), paperSpec(t), Options{Policy: Policy("nonsense")})
-	if err == nil {
-		t.Fatal("unknown policy should fail")
-	}
-	// It fails before related-column search, not after enumeration.
-	if report.Related != nil || report.CandidatesEnumerated != 0 {
-		t.Errorf("an unknown policy ran the round's front half: %d related columns, %d candidates",
-			len(report.Related), report.CandidatesEnumerated)
+	if len(want) == 0 {
+		t.Fatal("the walkthrough found no mapping")
 	}
 }
 

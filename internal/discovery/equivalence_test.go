@@ -9,7 +9,9 @@ import (
 	"prism/internal/constraint"
 	"prism/internal/dataset"
 	"prism/internal/exec"
+	"prism/internal/filter"
 	"prism/internal/mem"
+	"prism/internal/sched"
 )
 
 // backend is one executor under test: the columnar engine every product
@@ -24,6 +26,30 @@ type backend struct {
 var backends = []backend{
 	{"mem", func(db *mem.Database) *Engine { return NewEngineOn(db, db) }},
 	{"columnar", NewEngine},
+}
+
+// estimators are the paper's E3 schedulers, which the tests sweep through
+// Options.estimator: Bayes (a nil hook, the round's own estimator), the
+// path-length and random baselines, and the optimum, which validates every
+// filter on the round's executor before the schedule starts.
+var estimators = []struct {
+	name  string
+	build func(ctx context.Context, ex exec.Executor, spec *constraint.Spec, set *filter.Set) (sched.Estimator, error)
+}{
+	{"bayes", nil},
+	{"pathlength", func(context.Context, exec.Executor, *constraint.Spec, *filter.Set) (sched.Estimator, error) {
+		return &sched.PathLengthEstimator{}, nil
+	}},
+	{"random", func(context.Context, exec.Executor, *constraint.Spec, *filter.Set) (sched.Estimator, error) {
+		return &sched.RandomEstimator{}, nil
+	}},
+	{"oracle", func(ctx context.Context, ex exec.Executor, spec *constraint.Spec, set *filter.Set) (sched.Estimator, error) {
+		truth, err := sched.GroundTruthContext(ctx, ex, spec, set)
+		if err != nil {
+			return nil, err
+		}
+		return sched.NewOracle(set, truth), nil
+	}},
 }
 
 // reportDigest reduces a report to the executor-independent facts two
@@ -137,21 +163,20 @@ func TestExecutorEquivalenceAcrossDatasets(t *testing.T) {
 }
 
 // TestExecutorEquivalencePolicies checks that backend choice is orthogonal
-// to the scheduling policy: for each policy, all backends agree, counters
+// to the scheduler: for each estimator, all backends agree, counters
 // included.
 func TestExecutorEquivalencePolicies(t *testing.T) {
 	db := smallMondial(t)
 	spec := paperSpec(t)
-	for _, policy := range []Policy{PolicyBayes, PolicyPathLength, PolicyRandom, PolicyOracle} {
-		policy := policy
-		t.Run(string(policy), func(t *testing.T) {
+	for _, est := range estimators {
+		t.Run(est.name, func(t *testing.T) {
 			var want string
 			for _, b := range backends {
-				digest := reportDigest(t, discoverWith(t, db, spec, Options{Policy: policy}, b))
+				digest := reportDigest(t, discoverWith(t, db, spec, Options{estimator: est.build}, b))
 				if want == "" {
 					want = digest
 				} else if digest != want {
-					t.Errorf("executor %q diverges under policy %s", b.name, policy)
+					t.Errorf("executor %q diverges under estimator %s", b.name, est.name)
 				}
 			}
 		})
@@ -159,9 +184,9 @@ func TestExecutorEquivalencePolicies(t *testing.T) {
 }
 
 // TestRoundsRepeatExactly pins that a round is a function of (spec, data,
-// options): under every policy, on every backend, twenty rounds at default
-// options end with the same validation and implication counts, the same
-// cost counters and the same mappings.
+// options): under every estimator, on every backend, twenty rounds at
+// default options end with the same validation and implication counts, the
+// same cost counters and the same mappings.
 func TestRoundsRepeatExactly(t *testing.T) {
 	db := smallMondial(t)
 	spec := paperSpec(t)
@@ -172,19 +197,19 @@ func TestRoundsRepeatExactly(t *testing.T) {
 		}
 		return string(b)
 	}
-	for _, policy := range []Policy{PolicyBayes, PolicyPathLength, PolicyRandom, PolicyOracle} {
+	for _, est := range estimators {
 		for _, b := range backends {
 			name, e := b.name, b.engine(db)
 			var want string
 			for round := 0; round < 20; round++ {
-				report, err := e.Discover(context.Background(), spec, Options{Policy: policy})
+				report, err := e.Discover(context.Background(), spec, Options{estimator: est.build})
 				if err != nil {
-					t.Fatalf("%s on %s, round %d: %v", policy, name, round, err)
+					t.Fatalf("%s on %s, round %d: %v", est.name, name, round, err)
 				}
 				if got := digest(report); want == "" {
 					want = got
 				} else if got != want {
-					t.Fatalf("%s on %s: round %d differs from round 0:\n%s--- round 0 ---\n%s", policy, name, round, got, want)
+					t.Fatalf("%s on %s: round %d differs from round 0:\n%s--- round 0 ---\n%s", est.name, name, round, got, want)
 				}
 			}
 		}

@@ -48,10 +48,12 @@ func (r *tableRecorder) Exists(p exec.Plan, opts exec.ExecOptions) (bool, exec.E
 
 // TestEachPairIsSelectedOnce runs the walkthrough and a value-range round
 // under the Bayes estimator, which ranks every filter before the first
-// validation, and under the path-length baseline, which selects no rows:
-// every distinct (source column, cell) pair the round meets is selected
-// exactly once — by the estimator when it ranks with one, else by the first
-// validation that carries it — keyword cells as much as the range.
+// validation, and under the path-length and random baselines, which select
+// no rows: every distinct (source column, cell) pair the round meets is
+// selected exactly once — by the estimator when it ranks with one, else by
+// the first validation that carries it — keyword cells as much as the range.
+// The oracle is left out: it validates every filter before the schedule, on
+// a table of its own.
 func TestEachPairIsSelectedOnce(t *testing.T) {
 	db := smallMondial(t)
 	col, err := colexec.New(db)
@@ -63,13 +65,16 @@ func TestEachPairIsSelectedOnce(t *testing.T) {
 		t.Fatal(err)
 	}
 	for name, spec := range map[string]*constraint.Spec{"walkthrough": paperSpec(t), "range": rangeSpec} {
-		for _, policy := range []Policy{PolicyBayes, PolicyPathLength} {
+		for _, est := range estimators {
+			if est.name == "oracle" {
+				continue
+			}
 			rec := &tableRecorder{Executor: col, carried: map[pair]bool{}, unpruned: map[pair]bool{}}
-			report, err := NewEngineOn(db, rec).Discover(context.Background(), spec, Options{Policy: policy, Trace: true})
+			report, err := NewEngineOn(db, rec).Discover(context.Background(), spec, Options{estimator: est.build, Trace: true})
 			if err != nil {
 				t.Fatal(err)
 			}
-			label := name + " " + string(policy)
+			label := name + " " + est.name
 			if rec.probes == 0 || rec.shared != rec.probes || rec.table == nil {
 				t.Fatalf("%s: %d of %d probes carry the round's table", label, rec.shared, rec.probes)
 			}
@@ -77,21 +82,19 @@ func TestEachPairIsSelectedOnce(t *testing.T) {
 			if fills != kept {
 				t.Errorf("%s: %d selections for %d pairs: a pair was selected twice", label, fills, kept)
 			}
-			if kept < len(rec.unpruned) || kept > len(rec.carried) && policy == PolicyPathLength {
+			bayes := est.build == nil
+			if kept < len(rec.unpruned) || kept > len(rec.carried) && !bayes {
 				t.Errorf("%s: %d pairs selected, the validations carried %d (%d on tables not proved empty)",
 					label, kept, len(rec.carried), len(rec.unpruned))
 			}
 			cellSets, _ := report.Trace.Find("estimate").Attr("cell_sets").(int)
-			switch policy {
-			case PolicyBayes:
+			if bayes {
 				if cellSets != kept || kept < len(rec.carried) {
 					t.Errorf("%s: the estimator selected %d pairs, the table holds %d, the validations carried %d",
 						label, cellSets, kept, len(rec.carried))
 				}
-			case PolicyPathLength:
-				if cellSets != 0 {
-					t.Errorf("%s: the path-length estimator selected %d pairs", label, cellSets)
-				}
+			} else if cellSets != 0 {
+				t.Errorf("%s: the %s estimator selected %d pairs", label, est.name, cellSets)
 			}
 			t.Logf("%s: %d pairs selected once each; %d probes, %d selections reused", label, kept, rec.probes, report.Cost.SelectionsReused)
 		}

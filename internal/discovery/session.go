@@ -22,9 +22,9 @@ import (
 //
 // A session is safe for concurrent use: rounds may overlap (they share the
 // cache, which only ever stores ground truths) and the constraint state is
-// updated atomically per round. Outcomes are independent of the executor
-// and the scheduling policy, so rounds of one session may switch
-// Options.Policy freely and keep hitting the cache.
+// updated atomically per round. Outcomes are independent of the order the
+// scheduler validates filters in, so a round hits whatever an earlier round
+// established, whichever filters that round picked.
 type Session struct {
 	eng   *Engine
 	cache *filter.OutcomeCache

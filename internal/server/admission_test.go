@@ -137,25 +137,48 @@ func TestAdmissionDrainingReturns503(t *testing.T) {
 
 // TestPriorityHeaderValidation pins that an unknown X-Prism-Priority value
 // is a structured 400 with the invalid_request code, before any round
-// work starts.
+// work starts, on every admitted endpoint: the stream refuses before its
+// 200 header goes out, so the answer is one JSON error, not NDJSON.
 func TestPriorityHeaderValidation(t *testing.T) {
-	s := testServer(t)
-	h := s.Handler()
-	rec := postDiscover(t, h, paperRequest(), map[string]string{api.PriorityHeader: "urgent"})
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", rec.Code)
-	}
-	var apiErr api.Error
-	if err := json.Unmarshal(rec.Body.Bytes(), &apiErr); err != nil {
+	h := testServer(t).Handler()
+	body, err := json.Marshal(paperRequest())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if apiErr.Code != api.CodeInvalidRequest {
-		t.Errorf("code = %q, want %q", apiErr.Code, api.CodeInvalidRequest)
+	for _, endpoint := range []string{"/discover", "/discover/stream", "/session/refine"} {
+		path := "/api/v1" + endpoint
+		if endpoint == "/session/refine" {
+			path = "/api/v1/session/" + createSession(t, h).SessionID + "/refine"
+		}
+		r := httptest.NewRequest(http.MethodPost, path, strings.NewReader(string(body)))
+		r.Header.Set(api.PriorityHeader, "urgent")
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, r)
+		if rec.Code != http.StatusBadRequest {
+			t.Fatalf("%s: status = %d, want 400 (body %s)", endpoint, rec.Code, rec.Body)
+		}
+		if lines := strings.Count(strings.TrimSpace(rec.Body.String()), "\n"); lines != 0 {
+			t.Errorf("%s: %d lines after the first: a refused request streamed (body %s)", endpoint, lines, rec.Body)
+		}
+		var payload struct {
+			Code       string `json:"code"`
+			Event      string `json:"event"`
+			Candidates int    `json:"candidates"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &payload); err != nil {
+			t.Fatalf("%s: body is not JSON: %q (%v)", endpoint, rec.Body, err)
+		}
+		if payload.Code != api.CodeInvalidRequest {
+			t.Errorf("%s: code = %q, want %q", endpoint, payload.Code, api.CodeInvalidRequest)
+		}
+		if payload.Event != "" || payload.Candidates != 0 {
+			t.Errorf("%s: a refused request ran a round (body %s)", endpoint, rec.Body)
+		}
 	}
 }
 
-// TestRetiredWireFieldIgnored: the wire fields "parallelism" and "executor"
-// are gone, and a body from a client that still sends one — any value — is
+// TestRetiredWireFieldIgnored: the wire fields "parallelism", "executor"
+// and "policy" are gone, and a body from a client that still sends one — any value — is
 // answered like the same body without it, on the unary, stream and session
 // refine endpoints.
 func TestRetiredWireFieldIgnored(t *testing.T) {
@@ -209,7 +232,8 @@ func TestRetiredWireFieldIgnored(t *testing.T) {
 		if len(want.Mappings) == 0 {
 			t.Fatalf("%s: the plain body found no mappings", endpoint)
 		}
-		for _, field := range []string{`"parallelism":4`, `"parallelism":-2`, `"executor":"gpu"`, `"executor":"mem"`} {
+		for _, field := range []string{`"parallelism":4`, `"parallelism":-2`, `"executor":"gpu"`, `"executor":"mem"`,
+			`"policy":"oracle"`, `"policy":"nonsense"`} {
 			got := round(endpoint, "{"+field+","+string(body[1:]))
 			if got.Validations != want.Validations || !slices.Equal(sqls(got), sqls(want)) {
 				t.Errorf("%s with %s: %d validations, mappings %q; without the field %d and %q",

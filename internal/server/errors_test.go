@@ -8,11 +8,6 @@ import (
 	"testing"
 )
 
-// unknownPolicyBody is the paper walkthrough, which finds mappings, under a
-// policy that does not exist: it is refused before the round starts.
-const unknownPolicyBody = `{"database":"mondial","numColumns":3,"samples":[["California || Nevada","Lake Tahoe",""]],` +
-	`"metadata":["","","DataType=='decimal' AND MinValue>='0'"],"policy":"nonsense"}`
-
 // TestStructuredAPIErrors is the contract of the JSON API's failure mode:
 // every bad request to /api/v1/sample, /api/v1/discover and /api/v1/discover/stream
 // comes back as a JSON body carrying both a human-readable "error" and a
@@ -34,14 +29,12 @@ func TestStructuredAPIErrors(t *testing.T) {
 		{"sample wrong method", http.MethodPost, "/api/v1/sample?db=mondial&table=Lake", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"discover unknown dataset", http.MethodPost, "/api/v1/discover",
 			`{"database":"atlantis","numColumns":1,"samples":[["x"]]}`, http.StatusBadRequest, "unknown_database"},
-		{"discover unknown policy", http.MethodPost, "/api/v1/discover", unknownPolicyBody, http.StatusBadRequest, "invalid_request"},
 		{"discover invalid json", http.MethodPost, "/api/v1/discover", `{not json`, http.StatusBadRequest, "bad_request"},
 		{"discover bad constraints", http.MethodPost, "/api/v1/discover",
 			`{"database":"mondial","numColumns":0,"samples":[]}`, http.StatusBadRequest, "bad_request"},
 		{"discover wrong method", http.MethodGet, "/api/v1/discover", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"stream unknown dataset", http.MethodPost, "/api/v1/discover/stream",
 			`{"database":"atlantis","numColumns":1,"samples":[["x"]]}`, http.StatusBadRequest, "unknown_database"},
-		{"stream unknown policy", http.MethodPost, "/api/v1/discover/stream", unknownPolicyBody, http.StatusBadRequest, "invalid_request"},
 		{"stream invalid json", http.MethodPost, "/api/v1/discover/stream", `{not json`, http.StatusBadRequest, "bad_request"},
 		{"stream wrong method", http.MethodGet, "/api/v1/discover/stream", "", http.StatusMethodNotAllowed, "method_not_allowed"},
 		{"datasets wrong method", http.MethodPost, "/api/v1/datasets", "", http.StatusMethodNotAllowed, "method_not_allowed"},

@@ -309,34 +309,24 @@ func (s *Server) prepare(req api.DiscoverRequest) (*round, error) {
 	if err != nil {
 		return nil, err
 	}
-	opts, err := s.roundOptions(req)
-	if err != nil {
-		return nil, err
-	}
-	return &round{eng: eng, spec: spec, opts: opts}, nil
+	return &round{eng: eng, spec: spec, opts: s.roundOptions(req.MaxResults, req.TimeoutMs)}, nil
 }
 
-// roundOptions assembles (and validates) the discovery options shared by
-// the discover and session handlers. An unknown policy is a structured 400
-// before the round starts, not a round failure.
-func (s *Server) roundOptions(req api.DiscoverRequest) (discovery.Options, error) {
-	policy := discovery.Policy(req.Policy)
-	if err := policy.Validate(); err != nil {
-		return discovery.Options{}, fmt.Errorf("%w: %v", api.ErrInvalidRequest, err)
-	}
+// roundOptions assembles the discovery options shared by the discover and
+// session handlers: a request's timeoutMs shortens the server's budget.
+func (s *Server) roundOptions(maxResults, timeoutMs int) discovery.Options {
 	timeLimit := s.TimeLimit
-	if req.TimeoutMs > 0 {
-		if d := time.Duration(req.TimeoutMs) * time.Millisecond; timeLimit <= 0 || d < timeLimit {
+	if timeoutMs > 0 {
+		if d := time.Duration(timeoutMs) * time.Millisecond; timeLimit <= 0 || d < timeLimit {
 			timeLimit = d
 		}
 	}
 	return discovery.Options{
 		TimeLimit:      timeLimit,
-		Policy:         policy,
 		IncludeResults: true,
 		ResultLimit:    10,
-		MaxResults:     req.MaxResults,
-	}, nil
+		MaxResults:     maxResults,
+	}
 }
 
 // requestContext derives the per-round context: the request's context (so
@@ -369,8 +359,8 @@ func mappingResponse(m discovery.Mapping) api.Mapping {
 }
 
 // discoverResponse converts a report for JSON transport.
-func (s *Server) discoverResponse(req api.DiscoverRequest, report *discovery.Report, err error, spec *prism.Spec, withGraphs bool) api.DiscoverResponse {
-	resp := api.DiscoverResponse{Database: req.Database}
+func (s *Server) discoverResponse(database string, report *discovery.Report, err error, spec *prism.Spec, withGraphs bool) api.DiscoverResponse {
+	resp := api.DiscoverResponse{Database: database}
 	if report != nil {
 		resp.Candidates = report.CandidatesEnumerated
 		resp.Filters = report.FiltersGenerated
@@ -414,7 +404,7 @@ func (s *Server) discover(ctx context.Context, req api.DiscoverRequest, withGrap
 	defer cancel()
 	report, err := rd.eng.Discover(ctx, rd.spec, rd.opts)
 	s.recordRoundMetrics(ctx, report)
-	resp := s.discoverResponse(req, report, err, rd.spec, withGraphs)
+	resp := s.discoverResponse(req.Database, report, err, rd.spec, withGraphs)
 	if err != nil {
 		return resp, http.StatusUnprocessableEntity
 	}
@@ -441,7 +431,7 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, api.DiscoverResponse{Error: "invalid JSON: " + err.Error(), Code: api.CodeBadRequest})
 		return
 	}
-	// Bad inputs (unknown dataset or policy, malformed constraints) fail
+	// Bad inputs (unknown dataset, malformed constraints) fail
 	// as a structured 400 here, before the 200 streaming header goes out.
 	rd, err := s.prepare(req)
 	if err != nil {
@@ -521,7 +511,7 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 			out.Mapping = &mr
 		case api.EventDone:
 			s.recordRoundMetrics(ctx, ev.Report)
-			resp := s.discoverResponse(req, ev.Report, ev.Err, rd.spec, false)
+			resp := s.discoverResponse(req.Database, ev.Report, ev.Err, rd.spec, false)
 			out.Result = &resp
 		}
 		write(out)
@@ -573,7 +563,6 @@ func (s *Server) handleDiscoverForm(w http.ResponseWriter, r *http.Request) {
 		Database:   r.FormValue("database"),
 		NumColumns: numColumns,
 		Samples:    parseGridText(samplesText, numColumns),
-		Policy:     r.FormValue("policy"),
 	}
 	if strings.TrimSpace(metadataText) != "" {
 		req.Metadata = padRow(splitCells(metadataText), numColumns)
@@ -677,12 +666,6 @@ pre.sql { background: #f4f4f4; padding: 0.5rem; overflow-x: auto; }
 </select></label>
 <label>Number of columns in the target schema:
 <input type="number" name="columns" value="{{.Request.NumColumns}}" min="1" max="8"></label>
-<label>Scheduling policy:
-<select name="policy">
-<option value="bayes">bayes (Prism)</option>
-<option value="pathlength">pathlength (Filter baseline)</option>
-<option value="random">random</option>
-</select></label>
 </section>
 
 <section>

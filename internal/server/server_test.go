@@ -196,7 +196,6 @@ func TestDiscoverFormRendersResultSection(t *testing.T) {
 	form := url.Values{
 		"database": {"mondial"},
 		"columns":  {"3"},
-		"policy":   {"bayes"},
 		"samples":  {"California || Nevada | Lake Tahoe | "},
 		"metadata": {" |  | DataType=='decimal' AND MinValue>='0'"},
 	}
@@ -212,6 +211,11 @@ func TestDiscoverFormRendersResultSection(t *testing.T) {
 		if !strings.Contains(html, want) {
 			t.Errorf("result page missing %q", want)
 		}
+	}
+	// Every round schedules with the Bayes estimator: the form offers no
+	// other.
+	if strings.Contains(html, `name="policy"`) {
+		t.Error("the form still offers a scheduling policy")
 	}
 	// GET on /discover is rejected.
 	rec = httptest.NewRecorder()

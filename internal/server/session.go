@@ -217,18 +217,7 @@ func (s *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, "invalid JSON: "+err.Error())
 		return
 	}
-	base := api.DiscoverRequest{
-		Database:   ss.database,
-		Policy:     req.Policy,
-		MaxResults: req.MaxResults,
-		TimeoutMs:  req.TimeoutMs,
-	}
-	opts, err := s.roundOptions(base)
-	if err != nil {
-		writeAPIError(w, http.StatusBadRequest, api.CodeForError(err), err.Error())
-		return
-	}
-	rd := &round{opts: opts}
+	rd := &round{opts: s.roundOptions(req.MaxResults, req.TimeoutMs)}
 	ctx, cancel := rd.requestContext(r.Context())
 	defer cancel()
 
@@ -238,13 +227,16 @@ func (s *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 	// remote clients resync on them instead of re-applying their delta.
 	writeRoundError := func(status int, report *prism.Report, err error, spec *prism.Spec) {
 		s.recordRoundMetrics(ctx, report)
-		resp := s.discoverResponse(base, report, err, spec, false)
+		resp := s.discoverResponse(ss.database, report, err, spec, false)
 		resp.SessionID = ss.id
 		resp.Round = ss.sess.Rounds()
 		writeJSON(w, status, resp)
 	}
 
-	var report *prism.Report
+	var (
+		report *prism.Report
+		err    error
+	)
 	hasFullSpec := req.Spec != nil || len(req.Samples) > 0 || req.NumColumns > 0
 	switch {
 	case hasFullSpec && req.Delta != nil:
@@ -259,13 +251,13 @@ func (s *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 			writeAPIError(w, http.StatusBadRequest, api.CodeBadRequest, err.Error())
 			return
 		}
-		report, err = ss.sess.Discover(ctx, spec, opts)
+		report, err = ss.sess.Discover(ctx, spec, rd.opts)
 		if err != nil {
 			writeRoundError(http.StatusUnprocessableEntity, report, err, spec)
 			return
 		}
 	case req.Delta != nil:
-		report, err = ss.sess.Refine(ctx, requestDelta(req.Delta), opts)
+		report, err = ss.sess.Refine(ctx, requestDelta(req.Delta), rd.opts)
 		if err != nil {
 			status := http.StatusUnprocessableEntity
 			if report == nil {
@@ -282,7 +274,7 @@ func (s *Server) handleSessionRefine(w http.ResponseWriter, r *http.Request) {
 	}
 
 	s.recordRoundMetrics(ctx, report)
-	resp := s.discoverResponse(base, report, nil, ss.sess.Spec(), false)
+	resp := s.discoverResponse(ss.database, report, nil, ss.sess.Spec(), false)
 	resp.SessionID = ss.id
 	resp.Round = ss.sess.Rounds()
 	writeJSON(w, http.StatusOK, resp)

@@ -86,8 +86,6 @@ type (
 	Span = obs.Span
 	// Mapping is one discovered schema mapping query.
 	Mapping = discovery.Mapping
-	// Policy selects the filter-scheduling policy.
-	Policy = discovery.Policy
 	// StreamEvent is one element of a DiscoverStream: a phase marker, a
 	// progress update, an incrementally delivered mapping, or the final
 	// report.
@@ -111,18 +109,6 @@ type (
 	IMDBConfig = dataset.IMDBConfig
 	// NBAConfig sizes the synthetic NBA data set.
 	NBAConfig = dataset.NBAConfig
-)
-
-// Scheduling policies (see the paper's §2.3/§2.4 and package sched).
-const (
-	// PolicyBayes is Prism's Bayesian-model-based filter scheduling.
-	PolicyBayes = discovery.PolicyBayes
-	// PolicyPathLength is the "Filter" baseline from the literature.
-	PolicyPathLength = discovery.PolicyPathLength
-	// PolicyRandom validates filters in pseudo-random order.
-	PolicyRandom = discovery.PolicyRandom
-	// PolicyOracle schedules with ground-truth outcomes (the optimum).
-	PolicyOracle = discovery.PolicyOracle
 )
 
 // Streaming event kinds (see DiscoverStream).

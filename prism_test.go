@@ -164,16 +164,6 @@ func sqls(r *Report) []string {
 	return out
 }
 
-func TestDiscoverPolicyConstants(t *testing.T) {
-	eng := mondialEngine(t)
-	spec := paperSpec(t)
-	for _, p := range []Policy{PolicyBayes, PolicyPathLength, PolicyRandom, PolicyOracle} {
-		if _, err := eng.Discover(context.Background(), spec, Options{Policy: p}); err != nil {
-			t.Errorf("policy %s: %v", p, err)
-		}
-	}
-}
-
 func TestParseConstraintHelpers(t *testing.T) {
 	v, err := ParseValueConstraint(">= 100 && <= 600")
 	if err != nil || v == nil {

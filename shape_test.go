@@ -85,16 +85,15 @@ var allowedImports = map[string]string{
 	"benchmark":           "prism api client internal/bayes internal/constraint internal/dataset internal/exec internal/filter internal/graphx internal/lang internal/mem internal/obs internal/sched internal/serve internal/server internal/sqlgen internal/workload",
 
 	// Commands and examples.
-	"cmd/prism-bench":               "prism api client internal/dataset internal/experiment internal/mem",
-	"cmd/prism-cli":                 "prism api client",
-	"cmd/prism-demo":                "prism internal/dataset internal/obs internal/serve internal/server",
-	"cmd/prism-loadtest":            "prism api client internal/loadtest internal/serve internal/server",
-	"examples/custom_database":      "prism",
-	"examples/imdb_actors":          "prism",
-	"examples/nba_scores":           "prism",
-	"examples/quickstart":           "prism",
-	"examples/scheduler_comparison": "prism",
-	"examples/streaming":            "prism",
+	"cmd/prism-bench":          "prism api client internal/dataset internal/experiment internal/mem",
+	"cmd/prism-cli":            "prism api client",
+	"cmd/prism-demo":           "prism internal/dataset internal/obs internal/serve internal/server",
+	"cmd/prism-loadtest":       "prism api client internal/loadtest internal/serve internal/server",
+	"examples/custom_database": "prism",
+	"examples/imdb_actors":     "prism",
+	"examples/nba_scores":      "prism",
+	"examples/quickstart":      "prism",
+	"examples/streaming":       "prism",
 }
 
 // longFuncs lists the non-test functions longer than maxFuncLines, keyed
