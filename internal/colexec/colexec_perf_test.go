@@ -389,11 +389,6 @@ func BenchmarkExistsFirstTuple(b *testing.B) {
 	}
 }
 
-// scaleMondialConfig is the 230k-row Mondial of the benchmark's
-// oneshot_scale workload.
-var scaleMondialConfig = dataset.MondialConfig{Seed: 1, Countries: 60, ProvincesPerCountry: 20, CitiesPerProvince: 40,
-	Lakes: 30000, Rivers: 20000, Mountains: 15000}
-
 // setUp is one run of the set-up pipeline on a fresh copy of src's rows:
 // mem.Analyze, bayes.Train and this package's New, in the order an engine
 // runs them, each timed and its mallocs counted. retained is what the heap
@@ -473,10 +468,10 @@ func BenchmarkSetup(b *testing.B) {
 		cfg  dataset.MondialConfig
 	}{
 		{"rows=10k", difftest.LowresMondialConfig()},
-		{"rows=230k", scaleMondialConfig},
+		{"rows=230k", difftest.ScaleMondialConfig()},
 	} {
 		b.Run(size.name, func(b *testing.B) {
-			if testing.Short() && size.cfg == scaleMondialConfig {
+			if testing.Short() && size.cfg == difftest.ScaleMondialConfig() {
 				b.Skip("builds the 230k-row database")
 			}
 			src, err := dataset.Mondial(size.cfg)
@@ -563,7 +558,7 @@ func BenchmarkRangeRound(b *testing.B) {
 	if testing.Short() {
 		b.Skip("builds the 230k-row database")
 	}
-	db, err := dataset.Mondial(scaleMondialConfig)
+	db, err := dataset.Mondial(difftest.ScaleMondialConfig())
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -12,6 +12,6 @@ var (
 	faultCSV = fault.Register("dataset.csv.read")
 	// faultSQLite fires at SQLite ingestion entry.
 	faultSQLite = fault.Register("dataset.sqlite.read")
-	// faultOpen fires in FromFile, before format sniffing.
+	// faultOpen fires in Open, before format sniffing.
 	faultOpen = fault.Register("dataset.open")
 )

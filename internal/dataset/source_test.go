@@ -3,6 +3,7 @@ package dataset
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"prism/internal/value"
@@ -12,30 +13,6 @@ func writeFile(t *testing.T, path, content string) {
 	t.Helper()
 	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestGeneratorSources pins that the three embedded generators are
-// exposed as sources and build their databases.
-func TestGeneratorSources(t *testing.T) {
-	srcs := Sources()
-	if len(srcs) != len(Names()) {
-		t.Fatalf("sources = %d, want %d", len(srcs), len(Names()))
-	}
-	for _, s := range srcs {
-		if s.Name() != "nba" {
-			continue // building every generator here would be slow for no coverage
-		}
-		db, err := s.Open()
-		if err != nil {
-			t.Fatalf("%s: %v", s.Name(), err)
-		}
-		if db.TotalRows() == 0 {
-			t.Errorf("%s: empty database", s.Name())
-		}
-	}
-	if _, err := Generator("postgres"); err == nil {
-		t.Error("unknown generator should error")
 	}
 }
 
@@ -135,8 +112,9 @@ func TestLoadCSVErrors(t *testing.T) {
 	})
 }
 
-// TestFromFileSniffing pins the dispatch: directory, .csv, SQLite magic,
-// snapshot magic, unknown.
+// TestFromFileSniffing pins Open's dispatch — directory, .csv, SQLite
+// magic, snapshot magic, unknown — and the name each format gives the
+// database.
 func TestFromFileSniffing(t *testing.T) {
 	dir := t.TempDir()
 
@@ -146,30 +124,23 @@ func TestFromFileSniffing(t *testing.T) {
 			t.Fatal(err)
 		}
 		writeFile(t, filepath.Join(sub, "T.csv"), "A\n1\n")
-		src, err := FromFile(sub)
+		db, err := Open(sub)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if src.Name() != "set" {
-			t.Errorf("name = %q, want set", src.Name())
-		}
-		if _, err := src.Open(); err != nil {
-			t.Fatal(err)
+		if db.Name != "set" {
+			t.Errorf("name = %q, want set", db.Name)
 		}
 	})
 	t.Run("csv file", func(t *testing.T) {
 		p := filepath.Join(dir, "Solo.csv")
 		writeFile(t, p, "A,B\n1,x\n")
-		src, err := FromFile(p)
+		db, err := Open(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if src.Name() != "solo" {
-			t.Errorf("name = %q, want solo", src.Name())
-		}
-		db, err := src.Open()
-		if err != nil {
-			t.Fatal(err)
+		if db.Name != "solo" {
+			t.Errorf("name = %q, want solo", db.Name)
 		}
 		if db.NumRows("Solo") != 1 {
 			t.Errorf("rows = %d, want 1", db.NumRows("Solo"))
@@ -178,13 +149,12 @@ func TestFromFileSniffing(t *testing.T) {
 	t.Run("sqlite file", func(t *testing.T) {
 		p := filepath.Join(dir, "mini.db")
 		writeSQLiteFixture(t, p, fixtureTables())
-		src, err := FromFile(p)
+		db, err := Open(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := src.Open()
-		if err != nil {
-			t.Fatal(err)
+		if db.Name != "mini" {
+			t.Errorf("name = %q, want mini", db.Name)
 		}
 		if db.NumRows("Team") != 3 {
 			t.Errorf("Team rows = %d, want 3", db.NumRows("Team"))
@@ -195,7 +165,7 @@ func TestFromFileSniffing(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		p := filepath.Join(dir, "nba.snap")
+		p := filepath.Join(dir, "Games.snap")
 		f, err := os.Create(p)
 		if err != nil {
 			t.Fatal(err)
@@ -204,13 +174,12 @@ func TestFromFileSniffing(t *testing.T) {
 			t.Fatal(err)
 		}
 		f.Close()
-		src, err := FromFile(p)
+		db, err := Open(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		db, err := src.Open()
-		if err != nil {
-			t.Fatal(err)
+		if db.Name != nba.Name {
+			t.Errorf("name = %q, want the written %q", db.Name, nba.Name)
 		}
 		if db.TotalRows() != nba.TotalRows() {
 			t.Errorf("snapshot rows = %d, want %d", db.TotalRows(), nba.TotalRows())
@@ -219,12 +188,12 @@ func TestFromFileSniffing(t *testing.T) {
 	t.Run("unknown format", func(t *testing.T) {
 		p := filepath.Join(dir, "mystery.bin")
 		writeFile(t, p, "???\x00???")
-		if _, err := FromFile(p); err == nil {
-			t.Fatal("want an error for an unrecognised file")
+		if _, err := Open(p); err == nil || !strings.Contains(err.Error(), "cannot determine the format") {
+			t.Fatalf("err = %v, want the unrecognised-format error", err)
 		}
 	})
 	t.Run("missing path", func(t *testing.T) {
-		if _, err := FromFile(filepath.Join(dir, "nope")); err == nil {
+		if _, err := Open(filepath.Join(dir, "nope")); err == nil {
 			t.Fatal("want an error for a missing path")
 		}
 	})

@@ -54,6 +54,13 @@ func LowresMondialConfig() dataset.MondialConfig {
 		Lakes: 1500, Rivers: 1000, Mountains: 800}
 }
 
+// ScaleMondialConfig is the 230k-row Mondial of the benchmark's
+// oneshot_scale workload.
+func ScaleMondialConfig() dataset.MondialConfig {
+	return dataset.MondialConfig{Seed: 1, Countries: 60, ProvincesPerCountry: 20, CitiesPerProvince: 40,
+		Lakes: 30000, Rivers: 20000, Mountains: 15000}
+}
+
 // Quirks returns a three-table chain, not yet analysed, built to hold what
 // the bundled data sets lack: NULLs in constrained and in join columns,
 // dangling and many-to-many keys, and text values that share a key without

@@ -10,7 +10,7 @@ import (
 // bumped once per round from the finished report — never inside the
 // validation hot path — so the instrumented pipeline costs a handful of
 // atomic adds per round. GET /api/v1/metrics on the demo server scrapes
-// these; disabling obs.Default turns every bump into a no-op.
+// these.
 var (
 	metricRounds = obs.Default.Counter("prism_rounds_total",
 		"Discovery rounds completed (including failed and interrupted rounds).")

@@ -182,8 +182,6 @@ func TestTraceDoesNotChangeMappings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	obs.Default.Disable()
-	defer obs.Default.Enable()
 	traced, err := e.Discover(context.Background(), paperSpec(t), Options{Trace: true})
 	if err != nil {
 		t.Fatal(err)

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // TokenKind classifies lexer tokens.
@@ -112,148 +113,100 @@ func errorf(input string, pos int, format string, args ...any) error {
 // Lex tokenises a constraint expression. Quoted strings may use single,
 // double or typographic quotes (the paper's examples use ‘…’). Runs of
 // unquoted words are emitted as individual word tokens; the parser merges
-// adjacent words into multi-word keywords such as "Lake Tahoe".
+// adjacent words into multi-word keywords such as "Lake Tahoe". A token's
+// Pos is the byte offset of its first character in input.
 func Lex(input string) ([]Token, error) {
 	var toks []Token
-	runes := []rune(input)
-	i := 0
-	n := len(runes)
-	byteOffset := func(ri int) int {
-		return len(string(runes[:ri]))
-	}
-	for i < n {
-		r := runes[i]
+	for i := 0; i < len(input); {
+		if op, ok := operatorAt(input[i:]); ok {
+			toks = append(toks, Token{Kind: op.kind, Text: op.text, Pos: i})
+			i += len(op.spell)
+			continue
+		}
+		r, size := utf8.DecodeRuneInString(input[i:])
 		switch {
 		case unicode.IsSpace(r):
-			i++
-		case r == '(':
-			toks = append(toks, Token{Kind: TokenLParen, Text: "(", Pos: byteOffset(i)})
-			i++
-		case r == ')':
-			toks = append(toks, Token{Kind: TokenRParen, Text: ")", Pos: byteOffset(i)})
-			i++
-		case r == '[':
-			toks = append(toks, Token{Kind: TokenLBracket, Text: "[", Pos: byteOffset(i)})
-			i++
-		case r == ']':
-			toks = append(toks, Token{Kind: TokenRBracket, Text: "]", Pos: byteOffset(i)})
-			i++
-		case r == ',':
-			toks = append(toks, Token{Kind: TokenComma, Text: ",", Pos: byteOffset(i)})
-			i++
+			i += size
 		case r == '&':
-			if i+1 < n && runes[i+1] == '&' {
-				toks = append(toks, Token{Kind: TokenAnd, Text: "&&", Pos: byteOffset(i)})
-				i += 2
-			} else {
-				return nil, errorf(input, byteOffset(i), "unexpected '&' (use '&&' or AND)")
-			}
+			return nil, errorf(input, i, "unexpected '&' (use '&&' or AND)")
 		case r == '|':
-			if i+1 < n && runes[i+1] == '|' {
-				toks = append(toks, Token{Kind: TokenOr, Text: "||", Pos: byteOffset(i)})
-				i += 2
-			} else {
-				return nil, errorf(input, byteOffset(i), "unexpected '|' (use '||' or OR)")
+			return nil, errorf(input, i, "unexpected '|' (use '||' or OR)")
+		case quoteClosers[r] != "":
+			body := input[i+size:]
+			end := strings.IndexAny(body, quoteClosers[r])
+			if end < 0 {
+				return nil, errorf(input, i, "unterminated string literal")
 			}
-		case r == '!':
-			if i+1 < n && runes[i+1] == '=' {
-				toks = append(toks, Token{Kind: TokenOp, Text: "!=", Pos: byteOffset(i)})
-				i += 2
-			} else {
-				toks = append(toks, Token{Kind: TokenNot, Text: "!", Pos: byteOffset(i)})
-				i++
-			}
-		case r == '=':
-			if i+1 < n && runes[i+1] == '=' {
-				toks = append(toks, Token{Kind: TokenOp, Text: "==", Pos: byteOffset(i)})
-				i += 2
-			} else {
-				toks = append(toks, Token{Kind: TokenOp, Text: "=", Pos: byteOffset(i)})
-				i++
-			}
-		case r == '<':
-			switch {
-			case i+1 < n && runes[i+1] == '=':
-				toks = append(toks, Token{Kind: TokenOp, Text: "<=", Pos: byteOffset(i)})
-				i += 2
-			case i+1 < n && runes[i+1] == '>':
-				toks = append(toks, Token{Kind: TokenOp, Text: "!=", Pos: byteOffset(i)})
-				i += 2
-			default:
-				toks = append(toks, Token{Kind: TokenOp, Text: "<", Pos: byteOffset(i)})
-				i++
-			}
-		case r == '>':
-			if i+1 < n && runes[i+1] == '=' {
-				toks = append(toks, Token{Kind: TokenOp, Text: ">=", Pos: byteOffset(i)})
-				i += 2
-			} else {
-				toks = append(toks, Token{Kind: TokenOp, Text: ">", Pos: byteOffset(i)})
-				i++
-			}
-		case r == '\'' || r == '"' || r == '‘' || r == '“':
-			closer := map[rune][]rune{
-				'\'': {'\''},
-				'"':  {'"'},
-				'‘':  {'’', '\''},
-				'“':  {'”', '"'},
-			}[r]
-			start := i
-			i++
-			var sb strings.Builder
-			closed := false
-			for i < n {
-				c := runes[i]
-				isCloser := false
-				for _, cl := range closer {
-					if c == cl {
-						isCloser = true
-						break
-					}
-				}
-				if isCloser {
-					closed = true
-					i++
-					break
-				}
-				sb.WriteRune(c)
-				i++
-			}
-			if !closed {
-				return nil, errorf(input, byteOffset(start), "unterminated string literal")
-			}
-			toks = append(toks, Token{Kind: TokenString, Text: sb.String(), Pos: byteOffset(start)})
-		case unicode.IsDigit(r) || (r == '-' && i+1 < n && unicode.IsDigit(runes[i+1]) && startsValue(toks)):
-			start := i
-			i++
-			for i < n && (unicode.IsDigit(runes[i]) || runes[i] == '.') {
-				i++
-			}
-			toks = append(toks, Token{Kind: TokenNumber, Text: string(runes[start:i]), Pos: byteOffset(start)})
+			// Each byte that is not UTF-8 reads as one U+FFFD.
+			toks = append(toks, Token{Kind: TokenString, Text: string([]rune(body[:end])), Pos: i})
+			_, closer := utf8.DecodeRuneInString(body[end:])
+			i += size + end + closer
+		case unicode.IsDigit(r) || r == '-' && startsValue(toks) && runeRun(input[i+size:], unicode.IsDigit) > 0:
+			end := i + size + runeRun(input[i+size:], func(c rune) bool { return unicode.IsDigit(c) || c == '.' })
+			toks = append(toks, Token{Kind: TokenNumber, Text: input[i:end], Pos: i})
+			i = end
 		default:
 			// Bare word: letters, digits, and a few safe punctuation marks.
-			start := i
-			for i < n && isWordRune(runes[i]) {
-				i++
+			end := i + runeRun(input[i:], isWordRune)
+			if end == i {
+				return nil, errorf(input, i, "unexpected character %q", string(r))
 			}
-			if i == start {
-				return nil, errorf(input, byteOffset(i), "unexpected character %q", string(r))
-			}
-			word := string(runes[start:i])
+			word := input[i:end]
+			kind := TokenWord
 			switch strings.ToUpper(word) {
 			case "AND":
-				toks = append(toks, Token{Kind: TokenAnd, Text: word, Pos: byteOffset(start)})
+				kind = TokenAnd
 			case "OR":
-				toks = append(toks, Token{Kind: TokenOr, Text: word, Pos: byteOffset(start)})
+				kind = TokenOr
 			case "NOT":
-				toks = append(toks, Token{Kind: TokenNot, Text: word, Pos: byteOffset(start)})
-			default:
-				toks = append(toks, Token{Kind: TokenWord, Text: word, Pos: byteOffset(start)})
+				kind = TokenNot
 			}
+			toks = append(toks, Token{Kind: kind, Text: word, Pos: i})
+			i = end
 		}
 	}
 	toks = append(toks, Token{Kind: TokenEOF, Pos: len(input)})
 	return toks, nil
+}
+
+// operator is one operator or punctuation mark: spell is how the input
+// writes it, text how its token does ("<>" is "!=").
+type operator struct {
+	spell, text string
+	kind        TokenKind
+}
+
+// operators lists them all, a two-character spelling before its
+// one-character prefix.
+var operators = []operator{
+	{"&&", "&&", TokenAnd}, {"||", "||", TokenOr},
+	{"!=", "!=", TokenOp}, {"==", "==", TokenOp}, {"<=", "<=", TokenOp}, {"<>", "!=", TokenOp}, {">=", ">=", TokenOp},
+	{"!", "!", TokenNot}, {"=", "=", TokenOp}, {"<", "<", TokenOp}, {">", ">", TokenOp},
+	{"(", "(", TokenLParen}, {")", ")", TokenRParen}, {"[", "[", TokenLBracket}, {"]", "]", TokenRBracket}, {",", ",", TokenComma},
+}
+
+// operatorAt returns the operator s starts with, if any.
+func operatorAt(s string) (operator, bool) {
+	for _, op := range operators {
+		if strings.HasPrefix(s, op.spell) {
+			return op, true
+		}
+	}
+	return operator{}, false
+}
+
+// quoteClosers maps each opening quote to the quotes that close it.
+var quoteClosers = map[rune]string{'\'': "'", '"': `"`, '‘': "’'", '“': "”\""}
+
+// runeRun returns the length in bytes of the longest prefix of s whose runes
+// all satisfy ok.
+func runeRun(s string, ok func(rune) bool) int {
+	for i, r := range s {
+		if !ok(r) {
+			return i
+		}
+	}
+	return len(s)
 }
 
 // startsValue reports whether the next token can begin a value, which is

@@ -254,10 +254,6 @@ func (db *Database) BulkInsert(table string, tuples []value.Tuple) error {
 	return nil
 }
 
-func statsKey(ref schema.ColumnRef) string {
-	return strings.ToLower(ref.Table) + "." + strings.ToLower(ref.Column)
-}
-
 // Analyze freezes the database. It builds the key dictionary and the
 // statistics of every column — the paper's preprocessing step, which the
 // lookup methods below need — and drops the rows: the dictionaries store

@@ -3,6 +3,7 @@ package mem
 import (
 	"encoding/binary"
 	"hash/crc32"
+	"strings"
 )
 
 // ColumnKeywords returns every column's keyword set (lower(Table.Column) ->
@@ -17,7 +18,8 @@ func (db *Database) ColumnKeywords() map[string]map[string]struct{} {
 			for kw := range x.Text {
 				set[kw] = struct{}{}
 			}
-			out[statsKey(t.stats[ci].Ref)] = set
+			ref := t.stats[ci].Ref
+			out[strings.ToLower(ref.Table)+"."+strings.ToLower(ref.Column)] = set
 		}
 	}
 	return out

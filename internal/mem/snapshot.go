@@ -1,16 +1,20 @@
 package mem
 
 // Engine snapshots: a compact, checksummed binary serialization of one
-// analyzed Database — schema, cells (column-major) and per-column
-// statistics — so a serving process can cold-start by decoding a file
-// instead of re-running a generator and re-coercing every cell. The cells
-// are read off the key dictionaries, which are not carried: ReadSnapshot
-// freezes the decoded rows into them (Analyze) before it returns, so a
-// restored database is analysed like any other and builds nothing later.
-// The format is versioned (the last two bytes of snapshotMagic) and the
-// payload is guarded by a CRC; a file of another version fails with
-// ErrSnapshotVersion, and every other decode failure, from a bad magic to a
-// truncated statistics entry, fails closed with ErrSnapshotCorrupt.
+// analyzed Database — its schema and, column by column, its key
+// dictionaries' own codes — so a serving process can cold-start by decoding
+// a file instead of re-running a generator and re-coercing every cell. A
+// column is one code per row, read off the column's key dictionary
+// (exec.ColumnIndex): NULL, the dictionary's next value, a variant row's own
+// value, or a value id seen before; a value is its payload alone, the schema
+// declaring its kind. Nothing derived from the cells is stored: ReadSnapshot
+// freezes the decoded rows into the key dictionaries and statistics
+// (Analyze) before it returns, so a restored database is analysed like any
+// other and builds nothing later. The format is versioned (the last two
+// bytes of snapshotMagic) and the payload is guarded by a CRC; a file of
+// another version fails with ErrSnapshotVersion, and every other decode
+// failure, from a bad magic to a value id never seen, fails closed with
+// ErrSnapshotCorrupt.
 //
 // The data version (Database.Version) is stored verbatim: filter-outcome
 // caches key on it, so a snapshot round trip keeps cached session state
@@ -24,10 +28,10 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"time"
 
+	"prism/internal/exec"
 	"prism/internal/fault"
 	"prism/internal/schema"
 	"prism/internal/value"
@@ -35,11 +39,20 @@ import (
 
 // snapshotMagic opens every snapshot file. The trailing two bytes are the
 // format version; bumping them invalidates old files explicitly rather than
-// misreading them. Version 01 closed with a global keyword → (column, row)
-// postings section and 02 with per-column keyword sets; 03 closes with the
-// statistics, the keywords being the key dictionaries' own. There is no
-// reader for an older version — rebuild the snapshot from its source.
-var snapshotMagic = [8]byte{'P', 'R', 'S', 'N', 'A', 'P', '0', '3'}
+// misreading them. There is no reader for an older version
+// (docs/storage.md says what each held) — rebuild the snapshot from its
+// source.
+var snapshotMagic = [8]byte{'P', 'R', 'S', 'N', 'A', 'P', '0', '4'}
+
+// The code of one row of a column: NULL, the column's next dictionary value
+// (its payload follows), a variant row's own value (its payload follows), or
+// codeID+id for dictionary value id, one introduced by an earlier row.
+const (
+	codeNull = iota
+	codeNext
+	codeVariant
+	codeID
+)
 
 var (
 	// ErrSnapshotCorrupt reports a snapshot that failed structural
@@ -53,8 +66,8 @@ var (
 )
 
 // WriteSnapshot serializes the database to w. It freezes the database
-// first (Analyze; a no-op on a frozen one) and reads every cell off the key
-// dictionaries.
+// first (Analyze; a no-op on a frozen one) and writes every column off its
+// key dictionary.
 func (db *Database) WriteSnapshot(w io.Writer) error {
 	if err := faultSnapshotEncode.Hit(); err != nil {
 		return fmt.Errorf("mem: writing snapshot: %w", err)
@@ -70,17 +83,10 @@ func (db *Database) WriteSnapshot(w io.Writer) error {
 	for _, ts := range db.sch.Tables() {
 		t := db.tables[strings.ToLower(ts.Name)]
 		enc.uvarint(uint64(t.n))
-		// Column-major with a per-column encoding tag: text columns are
-		// dictionary-encoded (each distinct string stored once, rows as
-		// codes), everything else is a plain kind-tagged value stream.
-		// Cold-start decode speed is the point — a dictionary column
-		// costs one string allocation per distinct value instead of one
-		// per row.
-		for ci, c := range ts.Columns {
-			enc.column(c.Type, t.column(ci, t.n))
+		for _, x := range t.cols {
+			enc.column(x)
 		}
 	}
-	enc.statistics(db)
 
 	header := make([]byte, 0, len(snapshotMagic)+2+12)
 	header = append(header, snapshotMagic[:]...)
@@ -181,16 +187,13 @@ func (e snapshotEncoder) string(s string) {
 	e.w.WriteString(s)
 }
 
-func (e snapshotEncoder) value(v value.Value) {
-	e.w.WriteByte(byte(v.Kind()))
+// payload writes v, a value of the column's declared kind, without the kind.
+func (e snapshotEncoder) payload(v value.Value) {
 	switch v.Kind() {
-	case value.Null:
 	case value.Int:
 		e.varint(v.Int())
 	case value.Decimal:
-		var b [8]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(v.Decimal()))
-		e.w.Write(b[:])
+		e.w.Write(binary.LittleEndian.AppendUint64(nil, math.Float64bits(v.Decimal())))
 	case value.Text:
 		e.string(v.Text())
 	case value.Date, value.Time:
@@ -198,54 +201,26 @@ func (e snapshotEncoder) value(v value.Value) {
 	}
 }
 
-// Column encoding tags. The trailing-garbage and bit-flip tests cover
-// both branches via the fixture's mixed schema.
-const (
-	colPlain    = 0 // kind-tagged value per row
-	colDictText = 1 // string dictionary, then one code per row (0 = NULL)
-)
-
-// column writes one table column. Text columns get the dictionary
-// encoding; any other declared type — and, defensively, a text column
-// holding a mistyped non-null cell — gets the plain stream.
-func (e snapshotEncoder) column(declared value.Kind, cells []value.Value) {
-	plain := declared != value.Text
-	for _, v := range cells {
-		if !v.IsNull() && v.Kind() != declared {
-			plain = true
-			break
+// column writes one column as one code per row, read off its key dictionary:
+// value ids are handed out in first-seen row order, so the row that
+// introduces an id is the one whose id is the count of ids seen so far.
+func (e snapshotEncoder) column(x *exec.ColumnIndex) {
+	seen, variant := 0, 0
+	for row, id := range x.RowID {
+		switch {
+		case int(id) == len(x.Vals):
+			e.uvarint(codeNull)
+		case variant < len(x.VariantRows) && int(x.VariantRows[variant]) == row:
+			e.uvarint(codeVariant)
+			e.payload(x.VariantVals[variant])
+			variant++
+		case int(id) == seen:
+			e.uvarint(codeNext)
+			e.payload(x.Vals[id])
+			seen++
+		default:
+			e.uvarint(codeID + uint64(id))
 		}
-	}
-	if plain {
-		e.w.WriteByte(colPlain)
-		for _, v := range cells {
-			e.value(v)
-		}
-		return
-	}
-	e.w.WriteByte(colDictText)
-	codes := make(map[string]uint64) // string -> code; 0 is NULL, so codes start at 1
-	dict := make([]string, 0, 16)    // first-seen order keeps the bytes deterministic
-	rowCodes := make([]uint64, len(cells))
-	for ri, v := range cells {
-		if v.IsNull() {
-			continue
-		}
-		s := v.Text()
-		code, ok := codes[s]
-		if !ok {
-			dict = append(dict, s)
-			code = uint64(len(dict))
-			codes[s] = code
-		}
-		rowCodes[ri] = code
-	}
-	e.uvarint(uint64(len(dict)))
-	for _, s := range dict {
-		e.string(s)
-	}
-	for _, code := range rowCodes {
-		e.uvarint(code)
 	}
 }
 
@@ -273,36 +248,6 @@ func (e snapshotEncoder) schema(s *schema.Schema) {
 		e.string(fk.From.Column)
 		e.string(fk.To.Table)
 		e.string(fk.To.Column)
-	}
-}
-
-// statistics writes the preprocessing product: every column's statistics
-// against its ordinal in schema declaration order, sorted by
-// lower(Table.Column) so identical databases produce identical bytes.
-func (e snapshotEncoder) statistics(db *Database) {
-	type entry struct {
-		key string
-		ord int
-		st  schema.Stats
-	}
-	var all []entry
-	for _, ts := range db.sch.Tables() {
-		for _, st := range db.tables[strings.ToLower(ts.Name)].stats {
-			all = append(all, entry{statsKey(st.Ref), len(all), st})
-		}
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].key < all[j].key })
-	e.uvarint(uint64(len(all)))
-	for _, en := range all {
-		st := en.st
-		e.uvarint(uint64(en.ord))
-		e.w.WriteByte(byte(st.Type))
-		e.value(st.Min)
-		e.value(st.Max)
-		e.uvarint(uint64(st.MaxLength))
-		e.uvarint(uint64(st.RowCount))
-		e.uvarint(uint64(st.NullCount))
-		e.uvarint(uint64(st.Distinct))
 	}
 }
 
@@ -369,20 +314,12 @@ func (d *snapshotDecoder) byte() (byte, error) {
 	return b, nil
 }
 
-func (d *snapshotDecoder) value() (value.Value, error) {
-	kind, err := d.byte()
-	if err != nil {
-		return value.NullValue, err
-	}
-	switch value.Kind(kind) {
-	case value.Null:
-		return value.NullValue, nil
+// payload decodes a value of the given kind, written without it.
+func (d *snapshotDecoder) payload(kind value.Kind) (value.Value, error) {
+	switch kind {
 	case value.Int:
 		i, err := d.varint()
-		if err != nil {
-			return value.NullValue, err
-		}
-		return value.NewInt(i), nil
+		return value.NewInt(i), err
 	case value.Decimal:
 		if d.pos+8 > len(d.buf) {
 			return value.NullValue, d.fail("truncated decimal")
@@ -392,24 +329,16 @@ func (d *snapshotDecoder) value() (value.Value, error) {
 		return value.NewDecimal(f), nil
 	case value.Text:
 		s, err := d.string()
-		if err != nil {
-			return value.NullValue, err
-		}
-		return value.NewText(s), nil
-	case value.Date:
+		return value.NewText(s), err
+	case value.Date, value.Time:
 		secs, err := d.varint()
-		if err != nil {
-			return value.NullValue, err
+		t := time.Unix(secs, 0).UTC()
+		if kind == value.Date {
+			return value.NewDate(t), err
 		}
-		return value.NewDate(time.Unix(secs, 0).UTC()), nil
-	case value.Time:
-		secs, err := d.varint()
-		if err != nil {
-			return value.NullValue, err
-		}
-		return value.NewTime(time.Unix(secs, 0).UTC()), nil
+		return value.NewTime(t), err
 	default:
-		return value.NullValue, d.fail("unknown value kind %d", kind)
+		return value.NullValue, d.fail("a value in a column of kind %d, which holds none", kind)
 	}
 }
 
@@ -512,9 +441,9 @@ func (d *snapshotDecoder) database() (*Database, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Every cell costs at least one byte of what follows (a kind tag or a
-		// dictionary code), so the row count is bounded before the cells are
-		// allocated; rows of no columns would cost nothing and are refused.
+		// Every cell costs at least one byte of what follows (its code), so
+		// the row count is bounded before the cells are allocated; rows of
+		// no columns would cost nothing and are refused.
 		if numRows > 0 && (len(t.Columns) == 0 || numRows > (len(d.buf)-d.pos)/len(t.Columns)) {
 			return nil, d.fail("table %s: %d rows of %d columns exceed remaining payload", t.Name, numRows, len(t.Columns))
 		}
@@ -532,109 +461,34 @@ func (d *snapshotDecoder) database() (*Database, error) {
 		tab.rows, tab.n = rows, numRows
 	}
 
-	if err := d.statistics(len(sch.AllColumns())); err != nil {
-		return nil, err
-	}
 	return db, nil
 }
 
-// column decodes one table column into rows[*][ci] according to its
-// encoding tag.
+// column decodes the codes of one table column into rows[*][ci]. A value id
+// must be one of the values the column has introduced so far.
 func (d *snapshotDecoder) column(t *schema.Table, ci int, rows []value.Tuple) error {
-	declared := t.Columns[ci].Type
-	tag, err := d.byte()
-	if err != nil {
-		return err
-	}
-	switch tag {
-	case colPlain:
-		for ri := range rows {
-			v, err := d.value()
-			if err != nil {
-				return err
-			}
-			// Cells were coerced to the declared type before the
-			// snapshot was written; a mismatch means the payload was
-			// tampered with in a CRC-preserving way or written by a
-			// buggy encoder. Either way: fail closed.
-			if !v.IsNull() && v.Kind() != declared {
-				return d.fail("table %s column %s: %s cell in a %s column",
-					t.Name, t.Columns[ci].Name, v.Kind(), declared)
-			}
-			rows[ri][ci] = v
-		}
-	case colDictText:
-		if declared != value.Text {
-			return d.fail("table %s column %s: dictionary encoding on a %s column",
-				t.Name, t.Columns[ci].Name, declared)
-		}
-		numDistinct, err := d.count()
+	kind := t.Columns[ci].Type
+	var first []int32 // value id -> the row that introduced it
+	for ri, row := range rows {
+		code, err := d.uvarint()
 		if err != nil {
 			return err
 		}
-		dict := make([]value.Value, numDistinct+1) // dict[0] stays NULL
-		for i := 1; i <= numDistinct; i++ {
-			s, err := d.string()
-			if err != nil {
+		switch {
+		case code == codeNull:
+		case code == codeNext || code == codeVariant:
+			if row[ci], err = d.payload(kind); err != nil {
 				return err
 			}
-			dict[i] = value.NewText(s)
-		}
-		for ri := range rows {
-			code, err := d.uvarint()
-			if err != nil {
-				return err
+			if code == codeNext {
+				first = append(first, int32(ri))
 			}
-			if code > uint64(numDistinct) {
-				return d.fail("table %s column %s: dictionary code %d out of range",
-					t.Name, t.Columns[ci].Name, code)
-			}
-			rows[ri][ci] = dict[code]
-		}
-	default:
-		return d.fail("table %s column %s: unknown column encoding %d",
-			t.Name, t.Columns[ci].Name, tag)
-	}
-	return nil
-}
-
-// statistics reads the statistics section, which the freeze at the end of
-// ReadSnapshot computes again with the key dictionaries: it is checked for
-// form, and not kept.
-func (d *snapshotDecoder) statistics(numColumns int) error {
-	numStats, err := d.count()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < numStats; i++ {
-		if _, err := d.ordinal(numColumns); err != nil {
-			return err
-		}
-		if _, err := d.byte(); err != nil {
-			return err
-		}
-		for j := 0; j < 2; j++ {
-			if _, err := d.value(); err != nil {
-				return err
-			}
-		}
-		for j := 0; j < 4; j++ {
-			if _, err := d.uvarint(); err != nil {
-				return err
-			}
+		case code-codeID < uint64(len(first)):
+			row[ci] = rows[first[code-codeID]][ci]
+		default:
+			return d.fail("table %s column %s: value id %d of %d values seen",
+				t.Name, t.Columns[ci].Name, code-codeID, len(first))
 		}
 	}
 	return nil
-}
-
-// ordinal decodes a column ordinal and bounds it by the schema's column count.
-func (d *snapshotDecoder) ordinal(numColumns int) (int, error) {
-	ord, err := d.uvarint()
-	if err != nil {
-		return 0, err
-	}
-	if ord >= uint64(numColumns) {
-		return 0, d.fail("column ordinal %d out of range", ord)
-	}
-	return int(ord), nil
 }

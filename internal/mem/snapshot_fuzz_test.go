@@ -53,8 +53,8 @@ func FuzzReadSnapshot(f *testing.F) {
 
 // longVariants is the snapshot of one text column whose rows alternate
 // between two spellings of a long text that blanks surround: every second
-// row is a variant row of one byte of payload, whose keyword decoding must
-// not render row by row.
+// row is a variant row, which carries its own spelling, and whose keyword
+// the dictionary build must not render row by row.
 func longVariants(f *testing.F) []byte {
 	sch := schema.New()
 	if err := sch.AddTable(schema.MustTable("T", schema.Column{Name: "A", Type: value.Text})); err != nil {

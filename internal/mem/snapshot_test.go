@@ -191,10 +191,11 @@ func TestSnapshotFailsClosed(t *testing.T) {
 	})
 
 	t.Run("previous format version", func(t *testing.T) {
-		// PRSNAP01 carried the global postings section and PRSNAP02 the
-		// per-column keyword sets; there is no reader for either, and each
-		// must say so instead of misreading the body.
-		for _, magic := range []string{"PRSNAP01", "PRSNAP02"} {
+		// PRSNAP01 carried the global postings section, PRSNAP02 the
+		// per-column keyword sets and PRSNAP03 the statistics; there is no
+		// reader for any of them, and each must say so instead of
+		// misreading the body.
+		for _, magic := range []string{"PRSNAP01", "PRSNAP02", "PRSNAP03"} {
 			bad := append([]byte(nil), good...)
 			copy(bad, magic)
 			db, err := ReadSnapshot(bytes.NewReader(bad))
@@ -244,5 +245,34 @@ func TestSnapshotEmptyDatabase(t *testing.T) {
 	}
 	if !got.Analyzed() {
 		t.Error("decoded empty database is not analyzed")
+	}
+}
+
+// TestSnapshotRefusesUnseenValueIDs: a row may name only a value id its
+// column has introduced. The body ends with the last row's code, here the id
+// of the value the first row introduced; one more is an id never seen.
+func TestSnapshotRefusesUnseenValueIDs(t *testing.T) {
+	sch := schema.New()
+	if err := sch.AddTable(schema.MustTable("T", schema.Column{Name: "X", Type: value.Int})); err != nil {
+		t.Fatal(err)
+	}
+	db := NewDatabase("ids", sch)
+	for range 2 {
+		if err := db.Insert("T", value.Tuple{value.NewInt(5)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var buf bytes.Buffer
+	if err := db.WriteSnapshot(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap := buf.Bytes()
+	if last := snap[len(snap)-1]; last != codeID {
+		t.Fatalf("last code = %d, want %d (value id 0)", last, codeID)
+	}
+	snap[len(snap)-1] = codeID + 1
+	RestampSnapshot(snap)
+	if got, err := ReadSnapshot(bytes.NewReader(snap)); !errors.Is(err, ErrSnapshotCorrupt) || got != nil {
+		t.Fatalf("value id 1 of 1 seen: err = %v (db %v), want ErrSnapshotCorrupt", err, got)
 	}
 }

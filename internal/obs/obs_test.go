@@ -114,29 +114,8 @@ func TestGatherConcurrentRegister(t *testing.T) {
 	wg.Wait()
 }
 
-func TestDisabledIsNoOp(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("prism_disabled_total", "")
-	g := r.Gauge("prism_disabled_gauge", "")
-	h := r.Histogram("prism_disabled_ms", "", 8)
-	r.Disable()
-	c.Inc()
-	g.Set(42)
-	g.SetMax(42)
-	h.Observe(1.5)
-	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 {
-		t.Fatal("disabled registry still recorded updates")
-	}
-	r.Enable()
-	c.Inc()
-	if c.Value() != 1 {
-		t.Fatal("re-enabled counter did not record")
-	}
-}
-
 // TestHotPathAllocs is the instrumentation cost guard: counter and
-// gauge updates allocate nothing whether the registry is enabled or
-// disabled, and the nil instruments (untraced spans, unregistered
+// gauge updates allocate nothing, and the nil instruments (untraced spans, unregistered
 // counters) are equally free. This is what keeps the warm Exists probe
 // at 0 allocs/op with observability threaded through the stack.
 func TestHotPathAllocs(t *testing.T) {
@@ -149,11 +128,8 @@ func TestHotPathAllocs(t *testing.T) {
 			t.Errorf("%s: %v allocs/op, want 0", name, n)
 		}
 	}
-	check("counter enabled", func() { c.Add(1) })
-	check("gauge enabled", func() { g.SetMax(5) })
-	r.Disable()
-	check("counter disabled", func() { c.Add(1) })
-	check("gauge disabled", func() { g.Set(1) })
+	check("counter", func() { c.Add(1) })
+	check("gauge", func() { g.SetMax(5) })
 	var nilC *Counter
 	var nilG *Gauge
 	var nilS *Span
@@ -521,8 +497,8 @@ func TestSpanFind(t *testing.T) {
 }
 
 // TestNoGoroutineLeak pins the registry's shutdown story: the registry
-// and encoder own no goroutines, so heavy concurrent use followed by
-// disable leaves the goroutine count where it started.
+// and encoder own no goroutines, so heavy concurrent use leaves the
+// goroutine count where it started.
 func TestNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	r := NewRegistry()
@@ -542,7 +518,6 @@ func TestNoGoroutineLeak(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	r.Disable()
 	deadline := time.Now().Add(2 * time.Second)
 	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
 		runtime.Gosched()

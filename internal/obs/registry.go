@@ -5,9 +5,7 @@
 // exposition encoder behind GET /api/v1/metrics.
 //
 // The registry is built for near-zero hot-path cost: a counter bump is
-// one atomic load (the enabled flag) plus one atomic add, with no
-// allocation; when the registry is disabled every instrument becomes a
-// no-op after the single load. Instruments are registered once (keyed
+// one atomic add, with no allocation. Instruments are registered once (keyed
 // by name + label set) and held by the instrumented package, so the
 // scrape path — which locks, sorts, and formats — never touches the
 // round pipeline.
@@ -45,8 +43,6 @@ const (
 // Registry holds named metric families and scrape-time collectors. The
 // zero value is not usable; call NewRegistry. Most code uses Default.
 type Registry struct {
-	enabled atomic.Bool
-
 	mu         sync.Mutex
 	families   map[string]*family
 	order      []string // registration order of family names
@@ -78,25 +74,15 @@ type Sample struct {
 	Value  float64
 }
 
-// NewRegistry returns an enabled, empty registry.
+// NewRegistry returns an empty registry.
 func NewRegistry() *Registry {
-	r := &Registry{families: make(map[string]*family)}
-	r.enabled.Store(true)
-	return r
+	return &Registry{families: make(map[string]*family)}
 }
 
 // Default is the process-wide registry. Library instrumentation
 // (discovery round counters, memory accounting) registers here; the
 // demo server additionally scrapes it from /api/v1/metrics.
 var Default = NewRegistry()
-
-// Enable turns instrument updates on. Registries start enabled.
-func (r *Registry) Enable() { r.enabled.Store(true) }
-
-// Disable turns every instrument of this registry into a no-op (one
-// atomic load per call). Scraping still works and reports the values
-// accumulated while enabled.
-func (r *Registry) Disable() { r.enabled.Store(false) }
 
 // labelKey serializes a label set into a map key. Labels are sorted so
 // the same set in a different order names the same series, and each
@@ -143,7 +129,7 @@ func (r *Registry) register(name, help, typ string, labels []Label, mk func() in
 // name with the given label set, creating it on first use.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 	return r.register(name, help, TypeCounter, labels, func() instrument {
-		return &Counter{enabled: &r.enabled, labels: append([]Label(nil), labels...)}
+		return &Counter{labels: append([]Label(nil), labels...)}
 	}).(*Counter)
 }
 
@@ -151,7 +137,7 @@ func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
 // set, creating it on first use.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
 	return r.register(name, help, TypeGauge, labels, func() instrument {
-		return &Gauge{enabled: &r.enabled, labels: append([]Label(nil), labels...)}
+		return &Gauge{labels: append([]Label(nil), labels...)}
 	}).(*Gauge)
 }
 
@@ -165,10 +151,9 @@ func (r *Registry) Histogram(name, help string, window int, labels ...Label) *Hi
 			window = DefaultWindow
 		}
 		return &Histogram{
-			enabled: &r.enabled,
-			labels:  append([]Label(nil), labels...),
-			window:  make([]float64, 0, window),
-			cap:     window,
+			labels: append([]Label(nil), labels...),
+			window: make([]float64, 0, window),
+			cap:    window,
 		}
 	}).(*Histogram)
 }
@@ -190,14 +175,13 @@ func (r *Registry) RegisterCollector(f func() []Sample) {
 // Counter is a monotonically increasing int64. The nil Counter is a
 // valid no-op, so optional instrumentation needs no nil checks.
 type Counter struct {
-	enabled *atomic.Bool
-	labels  []Label
-	v       atomic.Int64
+	labels []Label
+	v      atomic.Int64
 }
 
 // Add increments the counter by n (negative n is ignored).
 func (c *Counter) Add(n int64) {
-	if c == nil || n <= 0 || !c.enabled.Load() {
+	if c == nil || n <= 0 {
 		return
 	}
 	c.v.Add(n)
@@ -221,14 +205,13 @@ func (c *Counter) samples(name string, labels []Label) []Sample {
 // Gauge is a settable int64 with an atomic ratchet for peak tracking.
 // The nil Gauge is a valid no-op.
 type Gauge struct {
-	enabled *atomic.Bool
-	labels  []Label
-	v       atomic.Int64
+	labels []Label
+	v      atomic.Int64
 }
 
 // Set replaces the gauge value.
 func (g *Gauge) Set(v int64) {
-	if g == nil || !g.enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.v.Store(v)
@@ -236,7 +219,7 @@ func (g *Gauge) Set(v int64) {
 
 // Add moves the gauge by delta.
 func (g *Gauge) Add(delta int64) {
-	if g == nil || !g.enabled.Load() {
+	if g == nil {
 		return
 	}
 	g.v.Add(delta)
@@ -245,7 +228,7 @@ func (g *Gauge) Add(delta int64) {
 // SetMax ratchets the gauge up to v if v exceeds the current value —
 // the primitive behind the peak-memory gauges.
 func (g *Gauge) SetMax(v int64) {
-	if g == nil || !g.enabled.Load() {
+	if g == nil {
 		return
 	}
 	for {
@@ -280,8 +263,7 @@ var histQuantiles = []float64{0.5, 0.9, 0.99}
 // fixed however many values it has seen — and keeps lifetime count and
 // sum. The nil Histogram is a valid no-op.
 type Histogram struct {
-	enabled *atomic.Bool
-	labels  []Label
+	labels []Label
 
 	mu     sync.Mutex
 	window []float64
@@ -293,7 +275,7 @@ type Histogram struct {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !h.enabled.Load() || math.IsNaN(v) {
+	if h == nil || math.IsNaN(v) {
 		return
 	}
 	h.mu.Lock()

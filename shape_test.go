@@ -102,7 +102,6 @@ var allowedImports = map[string]string{
 // ceiling, fails until it is deleted. Never add one.
 var longFuncs = map[string]int{
 	"cmd/prism-bench.run":           188,
-	"internal/lang.Lex":             142,
 	"cmd/prism-loadtest.main":       133,
 	"benchmark.tracer.layerValues":  126,
 	"internal/dataset.decodeSQLite": 115,

@@ -186,17 +186,31 @@ func TestSnapshotOptionValidation(t *testing.T) {
 }
 
 // BenchmarkColdStart measures what a snapshot saves at start-up: per
-// bundled data set, generating and analyzing the database against decoding
-// a snapshot of it — a snapshot carries no key dictionary, so decoding
-// builds every column's, as the analysis did, before ReadSnapshot returns.
-// Engine construction on top (Bayesian training, the executor build) is the
-// same on both paths, so the pair isolates the phase the CLIs' -snapshot
-// flags skip.
+// bundled data set, and for the 230k-row Mondial of the benchmark's
+// oneshot_scale workload (skipped under -short), generating and analyzing
+// the database against decoding a snapshot of it. A snapshot carries every
+// column's dictionary codes but not the dictionary, so decoding builds
+// every column's from the decoded rows, as the analysis did, before
+// ReadSnapshot returns. Engine construction on top (Bayesian training, the
+// executor build) is the same on both paths, so the pair isolates the phase
+// the CLIs' -snapshot flags skip.
 //
 //	go test -run xxx -bench ColdStart .
 func BenchmarkColdStart(b *testing.B) {
+	type dataSet struct {
+		name  string
+		build func() (*mem.Database, error)
+	}
+	var sets []dataSet
 	for _, name := range DatasetNames() {
-		db, err := dataset.ByName(name)
+		sets = append(sets, dataSet{name, func() (*mem.Database, error) { return dataset.ByName(name) }})
+	}
+	sets = append(sets, dataSet{"mondial-230k", func() (*mem.Database, error) { return dataset.Mondial(difftest.ScaleMondialConfig()) }})
+	for _, bench := range sets {
+		if testing.Short() && bench.name == "mondial-230k" {
+			continue
+		}
+		db, err := bench.build()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -204,14 +218,14 @@ func BenchmarkColdStart(b *testing.B) {
 		if err := db.WriteSnapshot(&snap); err != nil {
 			b.Fatal(err)
 		}
-		b.Run(name+"/rebuild", func(b *testing.B) {
+		b.Run(bench.name+"/rebuild", func(b *testing.B) {
 			for b.Loop() {
-				if _, err := dataset.ByName(name); err != nil {
+				if _, err := bench.build(); err != nil {
 					b.Fatal(err)
 				}
 			}
 		})
-		b.Run(name+"/snapshot", func(b *testing.B) {
+		b.Run(bench.name+"/snapshot", func(b *testing.B) {
 			b.SetBytes(int64(snap.Len()))
 			for b.Loop() {
 				loaded, err := mem.ReadSnapshot(bytes.NewReader(snap.Bytes()))
