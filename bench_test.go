@@ -1,9 +1,9 @@
 package prism
 
-// This file holds the benchmark harness that regenerates the paper's
-// evaluation artefacts — one testing.B benchmark per table / figure /
-// claimed series (see docs/performance.md; `go run ./cmd/prism-bench -exp e3`
-// prints E3's table):
+// This file holds the benchmarks that time the paper's evaluation
+// artefacts — one testing.B benchmark per table / figure / claimed series.
+// Their counts are pinned by the tests in internal/experiment
+// (`go test -v ./internal/experiment` prints the tables):
 //
 //	BenchmarkTable1LakeDiscovery      — Table 1 / the §3 walkthrough
 //	BenchmarkConstraintParse          — Figure 1 (the constraint language)
@@ -35,8 +35,8 @@ import (
 	"prism/internal/workload"
 )
 
-// benchMondialConfig keeps the benchmark database at the reduced scale the
-// experiment suite uses, so a full -bench=. run stays in seconds.
+// benchMondialConfig keeps the benchmark database at a reduced scale, so a
+// full -bench=. run stays in seconds.
 func benchMondialConfig() MondialConfig {
 	return MondialConfig{
 		Seed: 1, Countries: 5, ProvincesPerCountry: 3, CitiesPerProvince: 2,
@@ -237,9 +237,8 @@ func newSchedulingFixture(b *testing.B) *schedulingFixture {
 }
 
 // BenchmarkFilterScheduling regenerates E3: filter validations needed per
-// scheduling estimator; validations/op is reported as a custom metric so
-// the table `go run ./cmd/prism-bench -exp e3` prints can be read straight
-// off the benchmark output.
+// scheduling estimator, reported as a custom validations/op metric, on one
+// paper-style case (TestRunE3ShapeMatchesPaper pins E3's counts over eight).
 func BenchmarkFilterScheduling(b *testing.B) {
 	fx := newSchedulingFixture(b)
 	estimators := []struct {

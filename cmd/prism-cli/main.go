@@ -92,7 +92,7 @@ type cliFlags struct {
 func parseFlags(args []string) (*cliFlags, error) {
 	f := &cliFlags{}
 	fs := flag.NewFlagSet("prism-cli", flag.ContinueOnError)
-	fs.StringVar(&f.db, "db", "mondial", "source database: mondial, imdb or nba")
+	fs.StringVar(&f.db, "db", "mondial", "source database: mondial, imdb, nba, or file:PATH (a CSV, SQLite or snapshot file)")
 	fs.IntVar(&f.columns, "columns", 3, "number of columns in the target schema")
 	var samples sampleFlags
 	fs.Var(&samples, "sample", "sample-constraint row, cells separated by '|' (repeatable)")
@@ -792,13 +792,15 @@ func streamRound(ctx context.Context, out io.Writer, eng *prism.Engine, spec *pr
 }
 
 // splitCells splits a row on '|' while keeping '||' disjunctions intact and
-// pads it to n cells.
+// pads it to n cells. A '||' is a disjunction only between two non-blank
+// sides; otherwise it separates empty cells.
 func splitCells(line string, n int) []string {
 	parts := strings.Split(line, "|")
 	var cells []string
 	for i := 0; i < len(parts); i++ {
 		cell := parts[i]
-		for i+2 <= len(parts)-1 && parts[i+1] == "" {
+		for i+2 < len(parts) && parts[i+1] == "" &&
+			strings.TrimSpace(cell) != "" && strings.TrimSpace(parts[i+2]) != "" {
 			cell = cell + "||" + parts[i+2]
 			i += 2
 		}

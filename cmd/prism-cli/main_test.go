@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"context"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -53,13 +54,19 @@ func TestRunErrors(t *testing.T) {
 }
 
 func TestSplitCells(t *testing.T) {
-	cells := splitCells("California || Nevada | Lake Tahoe | ", 3)
-	if len(cells) != 3 || cells[0] != "California || Nevada" || cells[1] != "Lake Tahoe" || cells[2] != "" {
-		t.Errorf("splitCells = %#v", cells)
-	}
-	cells = splitCells("a", 3)
-	if len(cells) != 3 || cells[0] != "a" || cells[2] != "" {
-		t.Errorf("padded splitCells = %#v", cells)
+	for _, tc := range []struct {
+		line string
+		want []string
+	}{
+		{"California || Nevada | Lake Tahoe | ", []string{"California || Nevada", "Lake Tahoe", ""}},
+		{"a", []string{"a", "", ""}},
+		// A '||' with a blank side separates empty cells.
+		{"||X", []string{"", "", "X"}},
+		{"A||B|C", []string{"A||B", "C"}},
+	} {
+		if got := splitCells(tc.line, len(tc.want)); !slices.Equal(got, tc.want) {
+			t.Errorf("splitCells(%q, %d) = %#v, want %#v", tc.line, len(tc.want), got, tc.want)
+		}
 	}
 }
 

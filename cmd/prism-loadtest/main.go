@@ -62,8 +62,8 @@ func main() {
 
 	ctx := context.Background()
 
-	// Profiling hooks, the prism-bench pattern: CPU profile over the whole
-	// run, heap profile after a final GC so it shows retained memory.
+	// Profiling hooks: CPU profile over the whole run, heap profile after a
+	// final GC so it shows retained memory.
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
 		if err != nil {

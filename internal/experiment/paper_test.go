@@ -1,0 +1,444 @@
+// Package experiment holds the paper's evaluation (§2.4) and its Table 1
+// walkthrough as tests over the seed-1 default synthetic Mondial: the
+// resolution sweep (discovery effort and result-set size as constraints
+// become looser, E1 and E2) and the filter-scheduling comparison between
+// the path-length baseline, Prism's Bayesian scheduling, a random order and
+// the optimum (E3).
+//
+// The evaluation runs once per test binary (T1, then one sweep that both E1
+// and E2 read, then E3's cases from the same generator); each test pins its
+// part. Every count is a function of (spec, data, options), so the tests
+// pin them as literals, and TestRunAll checks that a second run reproduces
+// them. A deliberate schedule change edits them. Run with -v to see the
+// tables:
+//
+//	go test -v ./internal/experiment
+package experiment
+
+import (
+	"context"
+	"fmt"
+	"reflect"
+	"slices"
+	"strings"
+	"sync"
+	"testing"
+	"text/tabwriter"
+	"time"
+
+	"prism/internal/constraint"
+	"prism/internal/dataset"
+	"prism/internal/discovery"
+	"prism/internal/exec"
+	"prism/internal/filter"
+	"prism/internal/graphx"
+	"prism/internal/sched"
+	"prism/internal/workload"
+)
+
+const (
+	seed = 1
+	// casesPerLevel cases per resolution level make the sweep.
+	casesPerLevel = 6
+	// schedulingCases is half paper-style, half disjunction cases.
+	schedulingCases = 8
+	// maxTables bounds the rounds' join trees; E3 enumerates one hop deeper,
+	// so that candidates share filters and validation order matters.
+	maxTables = 3
+	timeLimit = 60 * time.Second
+	// table1SQL is the paper's §1 query, the mapping of Table 1.
+	table1SQL = "SELECT DISTINCT geo_lake.Province, Lake.Name, Lake.Area FROM Lake, geo_lake WHERE geo_lake.Lake = Lake.Name"
+)
+
+// evaluation is one run of the whole evaluation. Its timings (elapsed, each
+// sweep level's total round time, and the elapsed time in T1's summary) are
+// the only parts that are not a function of (spec, data, options).
+type evaluation struct {
+	table1  table1Round
+	levels  []levelCounts
+	elapsed []time.Duration
+	cases   []scheduleCounts
+}
+
+// table1Round is the walkthrough round: the Table 1 mapping's rows (nil if
+// it was not discovered) and the round's candidates, filters, validations,
+// implied outcomes and mappings.
+type table1Round struct {
+	rows     [][]string
+	counts   [5]int
+	timedOut bool
+	summary  string
+}
+
+// levelCounts totals one resolution level of the sweep.
+type levelCounts struct {
+	level                          workload.Level
+	cases, validations, candidates int
+	mappings, timeouts, failures   int
+}
+
+// scheduleCounts is one E3 case: its filters, and the validations the
+// optimum and each estimator need.
+type scheduleCounts struct {
+	name                                  string
+	filters, optimum, path, bayes, random int
+}
+
+var (
+	sharedOnce sync.Once
+	shared     *evaluation
+	sharedErr  error
+)
+
+// paperEvaluation returns the evaluation every test reads, run once.
+func paperEvaluation(t *testing.T) *evaluation {
+	t.Helper()
+	sharedOnce.Do(func() { shared, sharedErr = evaluate(context.Background()) })
+	if sharedErr != nil {
+		t.Fatal(sharedErr)
+	}
+	return shared
+}
+
+// evaluate runs T1, the sweep and E3 in that order over a freshly built
+// dataset and generator.
+func evaluate(ctx context.Context) (*evaluation, error) {
+	db, err := dataset.Mondial(dataset.DefaultMondialConfig())
+	if err != nil {
+		return nil, err
+	}
+	if got := db.TotalRows(); got != 1135 {
+		return nil, fmt.Errorf("synthetic Mondial has %d rows, want 1135", got)
+	}
+	gen, err := workload.NewGenerator(db, seed, workload.MondialGroundTruths())
+	if err != nil {
+		return nil, err
+	}
+	eng := discovery.NewEngine(db)
+	var ev evaluation
+	if ev.table1, err = runTable1(ctx, eng); err != nil {
+		return nil, fmt.Errorf("T1: %w", err)
+	}
+	if ev.levels, ev.elapsed, err = sweep(ctx, eng, gen); err != nil {
+		return nil, fmt.Errorf("sweep: %w", err)
+	}
+	// E3's cases come from the same generator, after the sweep's: a change
+	// to the sweep's draws changes them.
+	if ev.cases, err = scheduleCases(ctx, eng, gen); err != nil {
+		return nil, fmt.Errorf("E3: %w", err)
+	}
+	return &ev, nil
+}
+
+// TestRunTable1 pins the paper's running example: the §3 constraints over
+// Mondial, the discovered SQL (the paper's §1 query) and the Table 1 rows.
+func TestRunTable1(t *testing.T) {
+	r := paperEvaluation(t).table1
+	if r.rows == nil {
+		t.Fatalf("the Table 1 mapping was not discovered (%s)", r.summary)
+	}
+	t.Logf("T1: %s (%s)\n%s", table1SQL, r.summary, formatRows([]string{"State", "Lake Name", "Area (km2)"}, r.rows))
+	if !slices.ContainsFunc(r.rows, func(row []string) bool {
+		return row[0] == "California" && row[1] == "Lake Tahoe" && row[2] == "497"
+	}) {
+		t.Errorf("Table 1's California / Lake Tahoe / 497 row is missing: %v", r.rows)
+	}
+	wantRows := [][]string{
+		{"California", "Lake Tahoe", "497"},
+		{"Nevada", "Lake Tahoe", "497"},
+		{"Oregon", "Crater Lake", "53.2"},
+		{"Florida", "Fort Peck Lake", "981"},
+		{"Michigan", "Lake Michigan", "58000"},
+	}
+	if !slices.EqualFunc(r.rows, wantRows, slices.Equal) {
+		t.Errorf("Table 1 rows = %v, want %v", r.rows, wantRows)
+	}
+	if want := [5]int{32, 86, 32, 54, 32}; r.counts != want || r.timedOut {
+		t.Errorf("Table 1 round: candidates, filters, validations, implied, mappings = %v, want %v (%s)", r.counts, want, r.summary)
+	}
+}
+
+// TestRunE1ShapeMatchesPaper pins the sweep's effort per resolution level
+// and asserts the paper's §2.4 claim that execution time does not grow
+// significantly as constraints become loose (with a generous bound, since
+// timings are noisy).
+func TestRunE1ShapeMatchesPaper(t *testing.T) {
+	ev := paperEvaluation(t)
+	var got, rows [][]string
+	for i, m := range ev.levels {
+		got = append(got, []string{string(m.level), fmt.Sprint(m.cases), fmt.Sprint(m.validations),
+			fmt.Sprint(m.candidates), fmt.Sprint(m.timeouts), fmt.Sprint(m.failures)})
+		n := float64(max(m.cases-m.failures, 1))
+		rows = append(rows, []string{string(m.level), fmt.Sprint(m.cases),
+			fmt.Sprintf("%.1f", float64(ev.elapsed[i].Microseconds())/1000/n),
+			fmt.Sprintf("%.1f", float64(m.validations)/n), fmt.Sprintf("%.1f", float64(m.candidates)/n),
+			fmt.Sprint(m.timeouts), fmt.Sprint(m.failures)})
+	}
+	t.Logf("E1: discovery effort as constraints become looser\n%s", formatRows(
+		[]string{"resolution level", "cases", "avg time (ms)", "avg validations", "avg candidates", "timeouts", "failures"}, rows))
+	want := [][]string{
+		// level, cases, and totals of validations and candidates, timeouts
+		// and failures
+		{"exact", "6", "27", "26", "0", "0"},
+		{"disjunction", "6", "30", "28", "0", "0"},
+		{"range", "6", "46", "51", "0", "0"},
+		{"metadata", "6", "347", "345", "0", "0"},
+		{"missing", "6", "221", "209", "0", "0"},
+	}
+	if !slices.EqualFunc(got, want, slices.Equal) {
+		t.Errorf("sweep effort:\n got %v\nwant %v", got, want)
+	}
+	exactTime := ev.elapsed[0] / casesPerLevel
+	if exactTime <= 0 {
+		exactTime = time.Millisecond
+	}
+	for i, m := range ev.levels {
+		if avg := ev.elapsed[i] / casesPerLevel; avg > 25*exactTime+50*time.Millisecond {
+			t.Errorf("E1: level %s averages %v a round, disproportionate to exact's %v", m.level, avg, exactTime)
+		}
+	}
+}
+
+// TestRunE2ShapeMatchesPaper pins the satisfying mappings per resolution
+// level, read from the same sweep as E1, and asserts the paper's §2.4 claim
+// that their number does not increase much except when cells are missing.
+func TestRunE2ShapeMatchesPaper(t *testing.T) {
+	ev := paperEvaluation(t)
+	var got []int
+	var rows [][]string
+	for _, m := range ev.levels {
+		got = append(got, m.mappings)
+		n := float64(max(m.cases-m.failures, 1))
+		rows = append(rows, []string{string(m.level), fmt.Sprint(m.cases),
+			fmt.Sprintf("%.2f", float64(m.mappings)/n), fmt.Sprintf("%.1f", float64(m.candidates)/n),
+			fmt.Sprint(m.failures)})
+	}
+	t.Logf("E2: satisfying schema mapping queries as constraints become looser\n%s", formatRows(
+		[]string{"resolution level", "cases", "avg mappings", "avg candidates", "failures"}, rows))
+	// Total mappings over the level's six cases: exact, disjunction, range,
+	// metadata, missing.
+	if want := []int{26, 27, 34, 343, 205}; !slices.Equal(got, want) {
+		t.Errorf("sweep mappings = %v, want %v", got, want)
+	}
+	exactMappings := ev.levels[0].mappings
+	for _, m := range ev.levels {
+		if (m.level == workload.LevelDisjunction || m.level == workload.LevelRange) && m.mappings > 20*exactMappings {
+			t.Errorf("E2: level %s finds %d mappings, more than 20× exact's %d", m.level, m.mappings, exactMappings)
+		}
+	}
+}
+
+// TestRunE3ShapeMatchesPaper pins the validations each scheduler needs per
+// case and asserts E3's shape — the optimum is a lower bound and Bayesian
+// scheduling needs no more validations than the path-length baseline — and
+// the gap reduction (gap(pathlength) − gap(bayes)) / gap(pathlength), which
+// the paper reports up to ~70 %, ~30 % on average.
+func TestRunE3ShapeMatchesPaper(t *testing.T) {
+	cases := paperEvaluation(t).cases
+	want := []scheduleCounts{
+		// case, filters, and validations by the optimum, path-length, Bayes
+		// and random
+		{"lake-province-area/paper-01", 102, 34, 50, 37, 56},
+		{"river-province-length/paper-02", 86, 24, 33, 28, 42},
+		{"city-province-country/paper-03", 38, 10, 12, 12, 15},
+		{"mountain-province-height/paper-04", 75, 18, 23, 20, 36},
+		{"lake-province-area/disjunction-01", 35, 10, 12, 10, 15},
+		{"river-province-length/disjunction-02", 35, 10, 12, 10, 14},
+		{"city-province-country/disjunction-03", 31, 8, 11, 8, 13},
+		{"mountain-province-height/disjunction-04", 35, 10, 12, 10, 15},
+	}
+	if !slices.Equal(cases, want) {
+		t.Errorf("scheduling cases:\n got %v\nwant %v", cases, want)
+	}
+	var rows [][]string
+	var sum, best float64
+	for _, c := range cases {
+		if !(c.optimum <= c.bayes && c.bayes <= c.path) {
+			t.Errorf("%s: want optimum ≤ bayes ≤ path-length, got %d, %d, %d", c.name, c.optimum, c.bayes, c.path)
+		}
+		r := sched.GapReduction(c.path, c.bayes, c.optimum)
+		sum += r
+		best = max(best, r)
+		rows = append(rows, []string{c.name, fmt.Sprint(c.filters), fmt.Sprint(c.optimum), fmt.Sprint(c.path),
+			fmt.Sprint(c.bayes), fmt.Sprint(c.random), fmt.Sprintf("%.0f%%", 100*r)})
+	}
+	avg := fmt.Sprintf("%.0f%%", 100*sum/float64(len(cases)))
+	maxR := fmt.Sprintf("%.0f%%", 100*best)
+	rows = append(rows, []string{"AVERAGE", "", "", "", "", "", avg}, []string{"MAX", "", "", "", "", "", maxR})
+	t.Logf("E3: filter validations per scheduler\n%s", formatRows(
+		[]string{"test case", "filters", "optimum", "path-length", "bayes", "random", "gap reduction"}, rows))
+	if avg != "75%" || maxR != "100%" {
+		t.Errorf("gap reduction: average %s, max %s; want 75%%, 100%%", avg, maxR)
+	}
+}
+
+// TestRunAll runs the whole evaluation a second time, from a freshly built
+// dataset, engine and generator, and requires every count to equal the
+// first run's: the premise of pinning them as literals.
+func TestRunAll(t *testing.T) {
+	first := paperEvaluation(t)
+	second, err := evaluate(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	a, b := first.table1, second.table1
+	a.summary, b.summary = "", ""
+	if !reflect.DeepEqual(a, b) {
+		t.Errorf("T1 differs between runs:\n%+v\n%+v", a, b)
+	}
+	if !slices.Equal(first.levels, second.levels) {
+		t.Errorf("sweep differs between runs:\n%v\n%v", first.levels, second.levels)
+	}
+	if !slices.Equal(first.cases, second.cases) {
+		t.Errorf("E3 differs between runs:\n%v\n%v", first.cases, second.cases)
+	}
+}
+
+// runTable1 runs the walkthrough round and reads the Table 1 mapping.
+func runTable1(ctx context.Context, eng *discovery.Engine) (table1Round, error) {
+	spec, err := constraint.ParseGrid(3,
+		[][]string{{"California || Nevada", "Lake Tahoe", ""}},
+		[]string{"", "", "DataType=='decimal' AND MinValue>='0'"},
+	)
+	if err != nil {
+		return table1Round{}, err
+	}
+	report, err := eng.Discover(ctx, spec, discovery.Options{
+		TimeLimit:      timeLimit,
+		MaxTables:      maxTables,
+		IncludeResults: true,
+		ResultLimit:    5,
+	})
+	if err != nil {
+		return table1Round{}, err
+	}
+	r := table1Round{
+		counts:   [5]int{report.CandidatesEnumerated, report.FiltersGenerated, report.Validations, report.Implied, len(report.Mappings)},
+		timedOut: report.TimedOut,
+		summary:  report.Summary(),
+	}
+	i := slices.IndexFunc(report.Mappings, func(m discovery.Mapping) bool { return m.SQL == table1SQL })
+	if i < 0 {
+		return r, nil
+	}
+	r.rows = [][]string{}
+	for _, row := range report.Mappings[i].Result.Rows {
+		cells := make([]string, len(row))
+		for j, v := range row {
+			cells[j] = v.String()
+		}
+		r.rows = append(r.rows, cells)
+	}
+	return r, nil
+}
+
+// sweep runs casesPerLevel generated cases per resolution level once; E1
+// (effort) and E2 (result-set size) are two readings of it. elapsed is each
+// level's total round time. A round that errors counts as a failure.
+func sweep(ctx context.Context, eng *discovery.Engine, gen *workload.Generator) ([]levelCounts, []time.Duration, error) {
+	var levels []levelCounts
+	var elapsed []time.Duration
+	for _, level := range workload.Levels() {
+		tcs, err := gen.Generate(level, casesPerLevel, workload.Config{})
+		if err != nil {
+			return nil, nil, err
+		}
+		m := levelCounts{level: level}
+		var d time.Duration
+		for _, tc := range tcs {
+			m.cases++
+			report, err := eng.Discover(ctx, tc.Spec, discovery.Options{TimeLimit: timeLimit, MaxTables: maxTables})
+			if err != nil {
+				m.failures++
+				continue
+			}
+			if report.TimedOut {
+				m.timeouts++
+			}
+			d += report.Elapsed
+			m.validations += report.Validations
+			m.candidates += report.CandidatesEnumerated
+			m.mappings += len(report.Mappings)
+		}
+		levels = append(levels, m)
+		elapsed = append(elapsed, d)
+	}
+	return levels, elapsed, nil
+}
+
+// scheduleCases draws the scheduling cases — the paper-style mixed
+// resolution §2.4 targets (disjunctions on text columns, metadata-only
+// numeric columns), where the candidate space is wide and scheduling
+// matters, plus plain disjunction cases for contrast — and counts the
+// validations each needs per scheduler. A case that errors fails the run,
+// named.
+func scheduleCases(ctx context.Context, eng *discovery.Engine, gen *workload.Generator) ([]scheduleCounts, error) {
+	paper, err := gen.Generate(workload.LevelPaper, schedulingCases/2, workload.Config{})
+	if err != nil {
+		return nil, err
+	}
+	dis, err := gen.Generate(workload.LevelDisjunction, schedulingCases/2, workload.Config{LoosenFraction: 1})
+	if err != nil {
+		return nil, err
+	}
+	ex, err := eng.Executor()
+	if err != nil {
+		return nil, err
+	}
+	var out []scheduleCounts
+	for _, tc := range append(paper, dis...) {
+		c, err := scheduleCase(ctx, eng, ex, tc)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", tc.Name, err)
+		}
+		out = append(out, c)
+	}
+	return out, nil
+}
+
+func scheduleCase(ctx context.Context, eng *discovery.Engine, ex exec.Executor, tc workload.TestCase) (scheduleCounts, error) {
+	related, err := eng.RelatedColumns(tc.Spec)
+	if err != nil {
+		return scheduleCounts{}, err
+	}
+	cands, err := graphx.Enumerate(graphx.New(eng.Database().Schema()), related, graphx.EnumerateOptions{
+		MaxTables:           maxTables + 1,
+		RequireUsefulLeaves: true,
+	})
+	if err != nil {
+		return scheduleCounts{}, err
+	}
+	set := filter.Decompose(cands)
+	truth, err := sched.GroundTruthContext(ctx, ex, tc.Spec, set)
+	if err != nil {
+		return scheduleCounts{}, err
+	}
+	c := scheduleCounts{name: tc.Name, filters: set.NumFilters(), optimum: sched.OptimalValidationCount(set, truth)}
+	for _, run := range []struct {
+		est sched.Estimator
+		out *int
+	}{
+		{&sched.PathLengthEstimator{}, &c.path},
+		{&sched.BayesEstimator{Model: eng.Model(), Spec: tc.Spec}, &c.bayes},
+		{&sched.RandomEstimator{Seed: seed}, &c.random},
+	} {
+		r := &sched.Runner{DB: ex, Spec: tc.Spec, Set: set, Estimator: run.est, Options: sched.Options{TimeLimit: timeLimit}}
+		res, err := r.RunContext(ctx)
+		if err != nil {
+			return scheduleCounts{}, err
+		}
+		*run.out = res.Validations
+	}
+	return c, nil
+}
+
+// formatRows aligns a header and rows into columns for the test log.
+func formatRows(header []string, rows [][]string) string {
+	var b strings.Builder
+	w := tabwriter.NewWriter(&b, 0, 0, 2, ' ', 0)
+	for _, r := range append([][]string{header}, rows...) {
+		fmt.Fprintln(w, strings.Join(r, "\t"))
+	}
+	w.Flush()
+	return b.String()
+}

@@ -145,8 +145,7 @@ type ndjsonSpan struct {
 
 // WriteNDJSON flattens the tree rooted at s into newline-delimited JSON,
 // one span per line in depth-first order with parent ids (the root has
-// none). This is the -trace FILE format of prism-cli, prism-bench and
-// prism-loadtest.
+// none). This is the -trace FILE format of prism-cli and prism-loadtest.
 func (s *Span) WriteNDJSON(w io.Writer) error {
 	if s == nil {
 		return nil

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"maps"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"prism/internal/dataset"
@@ -61,9 +63,18 @@ func TestSnapshotLosslessAcrossDatasets(t *testing.T) {
 			checkSnapshotLossless(t, fresh, []*Spec{snapshotSpecFor(t, name)})
 		})
 	}
-	for _, build := range []func(testing.TB) *mem.Database{difftest.Quirks, difftest.Ranges} {
-		db := build(t)
-		t.Run(db.Name, func(t *testing.T) {
+	// The generated pool: Quirks' variant rows, Ranges' NaN and -0, and
+	// the bundled demo-size databases.
+	pools := map[string]*mem.Database{}
+	for _, db := range []*mem.Database{difftest.Quirks(t), difftest.Ranges(t)} {
+		pools[db.Name] = db
+	}
+	for name, db := range difftest.Databases(t) {
+		pools[name+"-rounds"] = db
+	}
+	for _, name := range slices.Sorted(maps.Keys(pools)) {
+		db := pools[name]
+		t.Run(name, func(t *testing.T) {
 			fresh := NewEngine(db)
 			var specs []*Spec
 			for _, r := range difftest.Rounds(t, db, 1) {
