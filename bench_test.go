@@ -29,6 +29,7 @@ import (
 	"prism/internal/dataset"
 	"prism/internal/discovery"
 	"prism/internal/exec"
+	"prism/internal/experiment"
 	"prism/internal/filter"
 	"prism/internal/graphx"
 	"prism/internal/sched"
@@ -229,7 +230,7 @@ func newSchedulingFixture(b *testing.B) *schedulingFixture {
 		b.Fatal(err)
 	}
 	set := filter.Decompose(cands)
-	truth, err := sched.GroundTruth(eng.Database(), spec, set)
+	truth, err := experiment.GroundTruth(context.Background(), eng.Database(), spec, set)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -245,10 +246,10 @@ func BenchmarkFilterScheduling(b *testing.B) {
 		name string
 		make func() sched.Estimator
 	}{
-		{"oracle-optimum", func() sched.Estimator { return sched.NewOracle(fx.set, fx.truth) }},
+		{"oracle-optimum", func() sched.Estimator { return experiment.NewOracle(fx.set, fx.truth) }},
 		{"prism-bayes", func() sched.Estimator { return &sched.BayesEstimator{Model: fx.model, Spec: fx.spec} }},
-		{"filter-pathlength", func() sched.Estimator { return &sched.PathLengthEstimator{} }},
-		{"random", func() sched.Estimator { return &sched.RandomEstimator{Seed: 1} }},
+		{"filter-pathlength", func() sched.Estimator { return &experiment.PathLengthEstimator{} }},
+		{"random", func() sched.Estimator { return &experiment.RandomEstimator{Seed: 1} }},
 	}
 	for _, e := range estimators {
 		e := e
@@ -362,7 +363,7 @@ func validationPhaseFixtures(tb testing.TB) []*schedulingFixture {
 func runValidationPhase(ex exec.Executor, fx *schedulingFixture) (sched.Result, error) {
 	runner := &sched.Runner{
 		DB: ex, Spec: fx.spec, Set: fx.set,
-		Estimator: &sched.PathLengthEstimator{},
+		Estimator: &experiment.PathLengthEstimator{},
 		Options:   sched.Options{TimeLimit: 60 * time.Second},
 	}
 	return runner.Run()

@@ -9,6 +9,7 @@ import (
 	"prism/internal/constraint"
 	"prism/internal/dataset"
 	"prism/internal/exec"
+	"prism/internal/experiment"
 	"prism/internal/filter"
 	"prism/internal/mem"
 	"prism/internal/sched"
@@ -38,17 +39,17 @@ var estimators = []struct {
 }{
 	{"bayes", nil},
 	{"pathlength", func(context.Context, exec.Executor, *constraint.Spec, *filter.Set) (sched.Estimator, error) {
-		return &sched.PathLengthEstimator{}, nil
+		return &experiment.PathLengthEstimator{}, nil
 	}},
 	{"random", func(context.Context, exec.Executor, *constraint.Spec, *filter.Set) (sched.Estimator, error) {
-		return &sched.RandomEstimator{}, nil
+		return &experiment.RandomEstimator{}, nil
 	}},
 	{"oracle", func(ctx context.Context, ex exec.Executor, spec *constraint.Spec, set *filter.Set) (sched.Estimator, error) {
-		truth, err := sched.GroundTruthContext(ctx, ex, spec, set)
+		truth, err := experiment.GroundTruth(ctx, ex, spec, set)
 		if err != nil {
 			return nil, err
 		}
-		return sched.NewOracle(set, truth), nil
+		return experiment.NewOracle(set, truth), nil
 	}},
 }
 

@@ -1,18 +1,3 @@
-// Package experiment holds the paper's evaluation (§2.4) and its Table 1
-// walkthrough as tests over the seed-1 default synthetic Mondial: the
-// resolution sweep (discovery effort and result-set size as constraints
-// become looser, E1 and E2) and the filter-scheduling comparison between
-// the path-length baseline, Prism's Bayesian scheduling, a random order and
-// the optimum (E3).
-//
-// The evaluation runs once per test binary (T1, then one sweep that both E1
-// and E2 read, then E3's cases from the same generator); each test pins its
-// part. Every count is a function of (spec, data, options), so the tests
-// pin them as literals, and TestRunAll checks that a second run reproduces
-// them. A deliberate schedule change edits them. Run with -v to see the
-// tables:
-//
-//	go test -v ./internal/experiment
 package experiment
 
 import (
@@ -229,8 +214,9 @@ func TestRunE2ShapeMatchesPaper(t *testing.T) {
 }
 
 // TestRunE3ShapeMatchesPaper pins the validations each scheduler needs per
-// case and asserts E3's shape — the optimum is a lower bound and Bayesian
-// scheduling needs no more validations than the path-length baseline — and
+// case and asserts E3's shape — on these cases the optimum needs no more
+// validations than Bayesian scheduling, which needs no more than the
+// path-length baseline — and
 // the gap reduction (gap(pathlength) − gap(bayes)) / gap(pathlength), which
 // the paper reports up to ~70 %, ~30 % on average.
 func TestRunE3ShapeMatchesPaper(t *testing.T) {
@@ -253,10 +239,12 @@ func TestRunE3ShapeMatchesPaper(t *testing.T) {
 	var rows [][]string
 	var sum, best float64
 	for _, c := range cases {
+		// optimum ≤ bayes holds on these eight cases, not in general: the
+		// greedy optimum is no lower bound (OptimalValidationCount).
 		if !(c.optimum <= c.bayes && c.bayes <= c.path) {
 			t.Errorf("%s: want optimum ≤ bayes ≤ path-length, got %d, %d, %d", c.name, c.optimum, c.bayes, c.path)
 		}
-		r := sched.GapReduction(c.path, c.bayes, c.optimum)
+		r := GapReduction(c.path, c.bayes, c.optimum)
 		sum += r
 		best = max(best, r)
 		rows = append(rows, []string{c.name, fmt.Sprint(c.filters), fmt.Sprint(c.optimum), fmt.Sprint(c.path),
@@ -294,12 +282,17 @@ func TestRunAll(t *testing.T) {
 	}
 }
 
-// runTable1 runs the walkthrough round and reads the Table 1 mapping.
-func runTable1(ctx context.Context, eng *discovery.Engine) (table1Round, error) {
-	spec, err := constraint.ParseGrid(3,
+// table1Spec is the walkthrough's specification: the §3 constraints.
+func table1Spec() (*constraint.Spec, error) {
+	return constraint.ParseGrid(3,
 		[][]string{{"California || Nevada", "Lake Tahoe", ""}},
 		[]string{"", "", "DataType=='decimal' AND MinValue>='0'"},
 	)
+}
+
+// runTable1 runs the walkthrough round and reads the Table 1 mapping.
+func runTable1(ctx context.Context, eng *discovery.Engine) (table1Round, error) {
+	spec, err := table1Spec()
 	if err != nil {
 		return table1Round{}, err
 	}
@@ -397,30 +390,22 @@ func scheduleCases(ctx context.Context, eng *discovery.Engine, gen *workload.Gen
 }
 
 func scheduleCase(ctx context.Context, eng *discovery.Engine, ex exec.Executor, tc workload.TestCase) (scheduleCounts, error) {
-	related, err := eng.RelatedColumns(tc.Spec)
+	set, err := scheduleSet(eng, tc.Spec)
 	if err != nil {
 		return scheduleCounts{}, err
 	}
-	cands, err := graphx.Enumerate(graphx.New(eng.Database().Schema()), related, graphx.EnumerateOptions{
-		MaxTables:           maxTables + 1,
-		RequireUsefulLeaves: true,
-	})
+	truth, err := GroundTruth(ctx, ex, tc.Spec, set)
 	if err != nil {
 		return scheduleCounts{}, err
 	}
-	set := filter.Decompose(cands)
-	truth, err := sched.GroundTruthContext(ctx, ex, tc.Spec, set)
-	if err != nil {
-		return scheduleCounts{}, err
-	}
-	c := scheduleCounts{name: tc.Name, filters: set.NumFilters(), optimum: sched.OptimalValidationCount(set, truth)}
+	c := scheduleCounts{name: tc.Name, filters: set.NumFilters(), optimum: OptimalValidationCount(set, truth)}
 	for _, run := range []struct {
 		est sched.Estimator
 		out *int
 	}{
-		{&sched.PathLengthEstimator{}, &c.path},
+		{&PathLengthEstimator{}, &c.path},
 		{&sched.BayesEstimator{Model: eng.Model(), Spec: tc.Spec}, &c.bayes},
-		{&sched.RandomEstimator{Seed: seed}, &c.random},
+		{&RandomEstimator{Seed: seed}, &c.random},
 	} {
 		r := &sched.Runner{DB: ex, Spec: tc.Spec, Set: set, Estimator: run.est, Options: sched.Options{TimeLimit: timeLimit}}
 		res, err := r.RunContext(ctx)
@@ -430,6 +415,23 @@ func scheduleCase(ctx context.Context, eng *discovery.Engine, ex exec.Executor, 
 		*run.out = res.Validations
 	}
 	return c, nil
+}
+
+// scheduleSet is the filter set E3 schedules for a spec: its candidates
+// enumerated one hop deeper than a round's.
+func scheduleSet(eng *discovery.Engine, spec *constraint.Spec) (*filter.Set, error) {
+	related, err := eng.RelatedColumns(spec)
+	if err != nil {
+		return nil, err
+	}
+	cands, err := graphx.Enumerate(graphx.New(eng.Database().Schema()), related, graphx.EnumerateOptions{
+		MaxTables:           maxTables + 1,
+		RequireUsefulLeaves: true,
+	})
+	if err != nil {
+		return nil, err
+	}
+	return filter.Decompose(cands), nil
 }
 
 // formatRows aligns a header and rows into columns for the test log.

@@ -279,14 +279,6 @@ func Arm(name string, inj Injection) error {
 	return nil
 }
 
-// Disarm removes any plan from the named point. Unknown names are a
-// no-op: disarming is used in cleanup paths that must not fail.
-func Disarm(name string) {
-	if s := Lookup(name); s != nil {
-		s.arm.Store(nil)
-	}
-}
-
 // DisarmAll removes the plans from every registered point. Chaos tests
 // defer this so a failed assertion cannot leak an armed fault into the
 // rest of the test binary.

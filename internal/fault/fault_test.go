@@ -35,7 +35,7 @@ func TestDisarmedHitZeroAllocs(t *testing.T) {
 // ModeError fires the configured error, default ErrInjected.
 func TestArmError(t *testing.T) {
 	s := Register("test.error")
-	defer Disarm(s.Name())
+	defer DisarmAll()
 	if err := Arm(s.Name(), Injection{}); err != nil {
 		t.Fatal(err)
 	}
@@ -49,16 +49,16 @@ func TestArmError(t *testing.T) {
 	if err := s.Hit(); !errors.Is(err, custom) {
 		t.Fatalf("Hit = %v, want custom error", err)
 	}
-	Disarm(s.Name())
+	DisarmAll()
 	if err := s.Hit(); err != nil {
-		t.Fatalf("Hit after Disarm = %v, want nil", err)
+		t.Fatalf("Hit after DisarmAll = %v, want nil", err)
 	}
 }
 
 // Skip suppresses the first hits, Count caps the firings.
 func TestSkipAndCount(t *testing.T) {
 	s := Register("test.skipcount")
-	defer Disarm(s.Name())
+	defer DisarmAll()
 	if err := Arm(s.Name(), Injection{Skip: 2, Count: 3}); err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestSkipAndCount(t *testing.T) {
 // Prob with a fixed Seed yields the same firing pattern on every run.
 func TestProbDeterministic(t *testing.T) {
 	s := Register("test.prob")
-	defer Disarm(s.Name())
+	defer DisarmAll()
 	pattern := func() string {
 		if err := Arm(s.Name(), Injection{Prob: 0.5, Seed: 42}); err != nil {
 			t.Fatal(err)
@@ -109,7 +109,7 @@ func TestProbDeterministic(t *testing.T) {
 // ModePanic panics with a value naming the site.
 func TestPanicMode(t *testing.T) {
 	s := Register("test.panic")
-	defer Disarm(s.Name())
+	defer DisarmAll()
 	if err := Arm(s.Name(), Injection{Mode: ModePanic}); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestPanicMode(t *testing.T) {
 // ModeDelay sleeps for the configured duration.
 func TestDelayMode(t *testing.T) {
 	s := Register("test.delay")
-	defer Disarm(s.Name())
+	defer DisarmAll()
 	if err := Arm(s.Name(), Injection{Mode: ModeDelay, Delay: 30 * time.Millisecond}); err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestDelayMode(t *testing.T) {
 // otherwise.
 func TestShortWrite(t *testing.T) {
 	s := Register("test.shortwrite")
-	defer Disarm(s.Name())
+	defer DisarmAll()
 	var buf bytes.Buffer
 	w := s.Writer(&buf)
 	if n, err := w.Write([]byte("hello")); err != nil || n != 5 {
@@ -174,12 +174,11 @@ func TestShortWrite(t *testing.T) {
 	}
 }
 
-// Arm rejects unknown names; Disarm tolerates them.
+// Arm rejects unknown names and invents no site for them.
 func TestUnknownNames(t *testing.T) {
 	if err := Arm("no.such.point", Injection{}); err == nil {
 		t.Fatal("Arm of unknown point succeeded")
 	}
-	Disarm("no.such.point") // must not panic
 	if Lookup("no.such.point") != nil {
 		t.Fatal("Lookup invented a site")
 	}
@@ -224,7 +223,7 @@ func TestRegistryEnumeration(t *testing.T) {
 // Concurrent hits on an armed point race-cleanly and honor Count.
 func TestConcurrentHits(t *testing.T) {
 	s := Register("test.concurrent")
-	defer Disarm(s.Name())
+	defer DisarmAll()
 	if err := Arm(s.Name(), Injection{Count: 100}); err != nil {
 		t.Fatal(err)
 	}

@@ -39,8 +39,8 @@ func ParseValueConstraint(input string) (ValueExpr, error) {
 	return expr, nil
 }
 
-// MustParseValueConstraint is ParseValueConstraint that panics on error; it
-// is intended for tests and static workload definitions.
+// MustParseValueConstraint is ParseValueConstraint that panics on error,
+// for tests that write their constraints as literals.
 func MustParseValueConstraint(input string) ValueExpr {
 	e, err := ParseValueConstraint(input)
 	if err != nil {
@@ -74,16 +74,6 @@ func ParseMetadataConstraint(input string) (MetaExpr, error) {
 		return nil, errorf(input, p.peek().Pos, "unexpected %s", p.peek())
 	}
 	return expr, nil
-}
-
-// MustParseMetadataConstraint is ParseMetadataConstraint that panics on
-// error.
-func MustParseMetadataConstraint(input string) MetaExpr {
-	e, err := ParseMetadataConstraint(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
 }
 
 // ParseSampleRow parses one row of the sample-constraint grid: one cell per

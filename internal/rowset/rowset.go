@@ -19,9 +19,9 @@
 // Representation choice: a bitmap costs O(universe/64) to iterate or
 // clear regardless of how few bits are set, so very sparse sets (a
 // keyword-index posting list of a handful of rows) are better kept as
-// sorted []int32 vectors and combined with the merge kernels
-// (IntersectSorted, UnionSorted, DiffSorted), which cost O(len(a)+len(b))
-// and write into caller-provided storage. The executor seeds candidate
+// sorted []int32 vectors and combined with the merge kernel
+// IntersectSorted, which costs O(len(a)+len(b)) and writes into
+// caller-provided storage. The executor seeds candidate
 // sets sparsely and switches to bitmaps where O(1) membership pays
 // (join-probe filtering).
 package rowset
@@ -181,62 +181,4 @@ func IntersectSorted(dst, a, b []int32) []int32 {
 		}
 	}
 	return dst
-}
-
-// UnionSorted writes the sorted union of two ascending id vectors into dst
-// (truncated first) and returns it. dst must not alias a or b; with
-// sufficient capacity the kernel does not allocate.
-func UnionSorted(dst, a, b []int32) []int32 {
-	dst = dst[:0]
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		av, bv := a[i], b[j]
-		switch {
-		case av < bv:
-			dst = append(dst, av)
-			i++
-		case av > bv:
-			dst = append(dst, bv)
-			j++
-		default:
-			dst = append(dst, av)
-			i++
-			j++
-		}
-	}
-	dst = append(dst, a[i:]...)
-	return append(dst, b[j:]...)
-}
-
-// DiffSorted writes a minus b (both ascending) into dst (truncated first)
-// and returns it. dst may alias a; with sufficient capacity the kernel
-// does not allocate.
-func DiffSorted(dst, a, b []int32) []int32 {
-	dst = dst[:0]
-	j := 0
-	for _, av := range a {
-		for j < len(b) && b[j] < av {
-			j++
-		}
-		if j < len(b) && b[j] == av {
-			continue
-		}
-		dst = append(dst, av)
-	}
-	return dst
-}
-
-// ContainsSorted reports membership in an ascending id vector by binary
-// search.
-func ContainsSorted(s []int32, id int32) bool {
-	lo, hi := 0, len(s)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if s[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo < len(s) && s[lo] == id
 }

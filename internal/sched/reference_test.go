@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"slices"
@@ -11,6 +12,7 @@ import (
 	"prism/internal/constraint"
 	"prism/internal/difftest"
 	"prism/internal/exec"
+	"prism/internal/experiment"
 	"prism/internal/filter"
 	"prism/internal/graphx"
 	"prism/internal/mem"
@@ -211,15 +213,15 @@ type policy struct {
 func policies(model *bayes.Model, spec *constraint.Spec) map[string]policy {
 	return map[string]policy{
 		"bayes":      {estimator: func() Estimator { return &BayesEstimator{Model: model, Spec: spec} }},
-		"pathlength": {estimator: func() Estimator { return &PathLengthEstimator{} }},
-		"random":     {estimator: func() Estimator { return &RandomEstimator{Seed: 7} }},
+		"pathlength": {estimator: func() Estimator { return &experiment.PathLengthEstimator{} }},
+		"random":     {estimator: func() Estimator { return &experiment.RandomEstimator{Seed: 7} }},
 		"nan":        {estimator: func() Estimator { return &nanEstimator{} }, cost: nanCost},
 	}
 }
 
 // nanEstimator answers NaN for a third of the filters and the path-length
 // estimate for the rest.
-type nanEstimator struct{ PathLengthEstimator }
+type nanEstimator struct{ experiment.PathLengthEstimator }
 
 func (e *nanEstimator) FailureProbability(f *filter.Filter) float64 {
 	if len(f.Key)%3 == 0 {
@@ -301,11 +303,11 @@ func TestPickMatchesReference(t *testing.T) {
 
 				// The whole run.
 				runLog := &probeLog{Executor: db}
-				var opts Options
+				runner := &Runner{DB: runLog, Spec: round.spec, Set: round.set, Estimator: newEstimator()}
 				if policy.cost != nil {
-					opts.CostModel = policy.cost(runLog)
+					runner.costModel = policy.cost(runLog)
 				}
-				res, err := (&Runner{DB: runLog, Spec: round.spec, Set: round.set, Estimator: newEstimator(), Options: opts}).Run()
+				res, err := runner.Run()
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -326,17 +328,17 @@ func TestPickMatchesReference(t *testing.T) {
 	}
 }
 
-// TestCostModelCalledOncePerFilter pins the contract of Options.CostModel:
-// a caller's model is honoured and asked at most once per filter per run.
+// TestCostModelCalledOncePerFilter pins the run's contract with its cost
+// model: the model is honoured and asked at most once per filter per run.
 func TestCostModelCalledOncePerFilter(t *testing.T) {
 	fx := newFixture(t)
 	calls := make(map[*filter.Filter]int)
-	r := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: &PathLengthEstimator{}, Options: Options{
-		CostModel: func(f *filter.Filter) float64 {
+	r := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: &experiment.PathLengthEstimator{},
+		costModel: func(f *filter.Filter) float64 {
 			calls[f]++
 			return float64(len(f.Key))
 		},
-	}}
+	}
 	if _, err := r.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -373,7 +375,7 @@ func TestPickDoesNotAllocate(t *testing.T) {
 	db, round := widestRound(t)
 	sess := filter.NewSession(round.set)
 	rank := newRanking(round.set, sess)
-	rank.estimate(&PathLengthEstimator{}, tableSizeCost(db))
+	rank.estimate(&experiment.PathLengthEstimator{}, tableSizeCost(db))
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, ok := rank.pick(); !ok {
 			t.Fatal("nothing to pick")
@@ -391,7 +393,7 @@ func BenchmarkPick(b *testing.B) {
 	db, round := widestRound(b)
 	sess := filter.NewSession(round.set)
 	rank := newRanking(round.set, sess)
-	rank.estimate(&PathLengthEstimator{}, tableSizeCost(db))
+	rank.estimate(&experiment.PathLengthEstimator{}, tableSizeCost(db))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -405,7 +407,7 @@ func BenchmarkPick(b *testing.B) {
 // truth instead of validated.
 func BenchmarkPickRound(b *testing.B) {
 	db, round := widestRound(b)
-	truth, err := GroundTruth(db, round.spec, round.set)
+	truth, err := experiment.GroundTruth(context.Background(), db, round.spec, round.set)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -413,7 +415,7 @@ func BenchmarkPickRound(b *testing.B) {
 	for b.Loop() {
 		sess := filter.NewSession(round.set)
 		rank := newRanking(round.set, sess)
-		rank.estimate(&PathLengthEstimator{}, tableSizeCost(db))
+		rank.estimate(&experiment.PathLengthEstimator{}, tableSizeCost(db))
 		for sess.UnresolvedCandidates() > 0 {
 			i, ok := rank.pick()
 			if !ok {

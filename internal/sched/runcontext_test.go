@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"prism/internal/exec"
+	"prism/internal/experiment"
 )
 
 func TestRunContextCancellation(t *testing.T) {
@@ -19,7 +20,7 @@ func TestRunContextCancellation(t *testing.T) {
 	outcomes := 0
 	runner := &Runner{
 		DB: fx.db, Spec: fx.spec, Set: fx.set,
-		Estimator: &PathLengthEstimator{},
+		Estimator: &experiment.PathLengthEstimator{},
 		Options: Options{TimeLimit: time.Hour, OnProgress: func(Snapshot) {
 			if outcomes++; outcomes == 2 {
 				cancel()
@@ -45,7 +46,7 @@ func TestRunContextPreCancelled(t *testing.T) {
 	fx := newFixture(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	runner := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: &PathLengthEstimator{}}
+	runner := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: &experiment.PathLengthEstimator{}}
 	res, err := runner.RunContext(ctx)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("want context.Canceled, got %v", err)
@@ -63,7 +64,7 @@ func TestRunContextCallbacks(t *testing.T) {
 	var lastSnap Snapshot
 	runner := &Runner{
 		DB: fx.db, Spec: fx.spec, Set: fx.set,
-		Estimator: &PathLengthEstimator{},
+		Estimator: &experiment.PathLengthEstimator{},
 		Options: Options{
 			OnResolved: func(ci int, confirmed bool, s Snapshot) {
 				if resolved[ci] {
@@ -106,7 +107,7 @@ func TestSnapshotRemainingBudget(t *testing.T) {
 	var remanings []time.Duration
 	runner := &Runner{
 		DB: fx.db, Spec: fx.spec, Set: fx.set,
-		Estimator: &PathLengthEstimator{},
+		Estimator: &experiment.PathLengthEstimator{},
 		Options: Options{
 			TimeLimit:  time.Hour,
 			OnProgress: func(s Snapshot) { remanings = append(remanings, s.Remaining) },
@@ -159,7 +160,7 @@ func TestWatchdogSilencesAbandonedLoop(t *testing.T) {
 	}
 	runner := &Runner{
 		DB: db, Spec: fx.spec, Set: fx.set,
-		Estimator: &PathLengthEstimator{},
+		Estimator: &experiment.PathLengthEstimator{},
 		Options: Options{
 			TimeLimit:  50 * time.Millisecond,
 			OnResolved: func(int, bool, Snapshot) { count() },

@@ -3,18 +3,13 @@
 // fewest (and cheapest) validations resolve every candidate schema mapping
 // query (§2.3).
 //
-// A single greedy scheduling loop is shared by every policy; policies differ
-// only in how they estimate a filter's failure probability, exactly as in
-// the paper:
-//
-//   - PathLength — the "Filter" baseline (Shen et al., SIGMOD'14): failure
-//     probability proportional to the filter's join-path length.
-//   - Bayes — Prism's approach: failure probability from Bayesian models
-//     trained on the source database plus join indicators and relation
-//     sizes (package bayes).
-//   - Oracle — ground-truth outcomes; yields the (greedy) optimum the
-//     evaluation compares against.
-//   - Random — a sanity-check baseline.
+// One greedy loop ranks the filters by the expected number of candidates a
+// validation resolves, from each filter's failure probability. Every round
+// estimates that probability with BayesEstimator, Prism's approach: Bayesian
+// models trained on the source database plus join indicators and relation
+// sizes (package bayes). The loop takes any Estimator, so that the paper's
+// evaluation (package experiment) can run the same loop with its baselines
+// and its oracle.
 package sched
 
 import (
@@ -22,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"slices"
 	"sync"
 	"time"
@@ -32,42 +26,15 @@ import (
 	"prism/internal/exec"
 	"prism/internal/filter"
 	"prism/internal/obs"
-	"prism/internal/rowset"
 	"prism/internal/schema"
 	"prism/internal/sentinel"
 )
 
 // Estimator predicts the probability that validating a filter fails.
 type Estimator interface {
-	// Name identifies the policy in experiment output.
-	Name() string
 	// FailureProbability returns the estimated probability in [0, 1] that
 	// the filter produces no tuple matching the sample constraints.
 	FailureProbability(f *filter.Filter) float64
-}
-
-// PathLengthEstimator is the Filter baseline: failure probability grows
-// linearly with the number of join edges.
-type PathLengthEstimator struct {
-	// Slope controls how quickly the probability grows per edge; the
-	// scheduler only uses relative order, so the default of 0.2 is fine.
-	Slope float64
-}
-
-// Name implements Estimator.
-func (e *PathLengthEstimator) Name() string { return "filter-pathlength" }
-
-// FailureProbability implements Estimator.
-func (e *PathLengthEstimator) FailureProbability(f *filter.Filter) float64 {
-	slope := e.Slope
-	if slope <= 0 {
-		slope = 0.2
-	}
-	p := slope * float64(f.JoinPathLength()+1)
-	if p > 1 {
-		p = 1
-	}
-	return p
 }
 
 // BayesEstimator is Prism's estimator: per-relation Bayesian models plus
@@ -159,9 +126,6 @@ func (m *estimateMemo) PairHits(fk schema.ForeignKey, from, to *exec.Selection) 
 	return n
 }
 
-// Name implements Estimator.
-func (e *BayesEstimator) Name() string { return "prism-bayes" }
-
 // FailureProbability implements Estimator. A filter fails if any sample
 // constraint cannot be matched; samples are treated as independent.
 func (e *BayesEstimator) FailureProbability(f *filter.Filter) float64 {
@@ -224,76 +188,12 @@ func (e *BayesEstimator) MemoStats() (cellSets, memoHits int) {
 	return e.memo.cellSets, e.memo.hits
 }
 
-// OracleEstimator knows the true outcome of every filter; scheduling with it
-// yields the optimum the paper's evaluation measures the gap against.
-type OracleEstimator struct {
-	// Truth maps filter index -> true outcome (Passed/Failed).
-	Truth []filter.Outcome
-	// Index maps filter pointer identity to index; set by NewOracle.
-	index map[*filter.Filter]int
-}
-
-// NewOracle builds an oracle estimator from ground-truth outcomes aligned
-// with the filter set.
-func NewOracle(set *filter.Set, truth []filter.Outcome) *OracleEstimator {
-	idx := make(map[*filter.Filter]int, len(set.Filters))
-	for i, f := range set.Filters {
-		idx[f] = i
-	}
-	return &OracleEstimator{Truth: truth, index: idx}
-}
-
-// Name implements Estimator.
-func (e *OracleEstimator) Name() string { return "oracle-optimum" }
-
-// FailureProbability implements Estimator.
-func (e *OracleEstimator) FailureProbability(f *filter.Filter) float64 {
-	i, ok := e.index[f]
-	if !ok || i >= len(e.Truth) {
-		return 0
-	}
-	if e.Truth[i] == filter.Failed {
-		return 1
-	}
-	return 0
-}
-
-// RandomEstimator assigns each filter a deterministic pseudo-random failure
-// probability; it is the sanity-check lower bound for scheduling quality.
-type RandomEstimator struct {
-	Seed int64
-	rng  *rand.Rand
-	memo map[string]float64
-}
-
-// Name implements Estimator.
-func (e *RandomEstimator) Name() string { return "random" }
-
-// FailureProbability implements Estimator.
-func (e *RandomEstimator) FailureProbability(f *filter.Filter) float64 {
-	if e.rng == nil {
-		e.rng = rand.New(rand.NewSource(e.Seed))
-		e.memo = make(map[string]float64)
-	}
-	if p, ok := e.memo[f.Key]; ok {
-		return p
-	}
-	p := e.rng.Float64()
-	e.memo[f.Key] = p
-	return p
-}
-
 // Options configure a scheduling run.
 type Options struct {
 	// TimeLimit aborts the run when exceeded (0 = unlimited). Discovery, whose
 	// budget covers the whole round and already rides the context, leaves it
 	// zero. The paper's demo uses a 60-second limit per discovery round.
 	TimeLimit time.Duration
-	// CostModel estimates the execution cost of a filter; the default is
-	// the sum of its base-table sizes. Cost arbitrates between filters of
-	// equal pruning power, cheaper first. It is evaluated at most once per
-	// filter per run.
-	CostModel func(f *filter.Filter) float64
 	// Parallelism is accepted and ignored: the loop validates one filter at a
 	// time.
 	//
@@ -344,7 +244,6 @@ type Snapshot struct {
 
 // Result summarises one scheduling run.
 type Result struct {
-	Policy string
 	// Validations is the number of filter validations actually executed —
 	// the metric of the paper's §2.4 comparison.
 	Validations int
@@ -375,14 +274,17 @@ type Result struct {
 type Runner struct {
 	// DB is the execution backend validations run against: any
 	// exec.Executor. The scheduling decisions themselves only consult the
-	// backend's catalog (NumRows, once per table per run, for the default
-	// cost model), so the validation order — and therefore the validation
+	// backend's catalog (NumRows, once per table per run, for the cost
+	// model), so the validation order — and therefore the validation
 	// count, the paper's §2.4 metric — is identical across backends.
 	DB        exec.Executor
 	Spec      *constraint.Spec
 	Set       *filter.Set
 	Estimator Estimator
 	Options   Options
+	// costModel, when not nil, replaces tableSizeCost; this package's
+	// reference tests price filters their own way through it.
+	costModel func(*filter.Filter) float64
 }
 
 // Run executes validations until every candidate is confirmed or pruned or
@@ -406,11 +308,12 @@ func (r *Runner) Run() (Result, error) {
 // say — is re-raised here, on the caller.
 func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	opts := r.Options
-	if opts.CostModel == nil {
-		opts.CostModel = tableSizeCost(r.DB)
-	}
 	if opts.Cache != nil && opts.CacheKey == nil {
-		return Result{Policy: r.Estimator.Name()}, errors.New("sched: Options.Cache requires Options.CacheKey")
+		return Result{}, errors.New("sched: Options.Cache requires Options.CacheKey")
+	}
+	cost := r.costModel
+	if cost == nil {
+		cost = tableSizeCost(r.DB)
 	}
 	start := time.Now()
 	ctx, cancel := WithBudget(ctx, start, opts.TimeLimit)
@@ -429,7 +332,6 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 		validator: &filter.Validator{DB: r.DB, Cells: cells},
 		sess:      sess,
 		rank:      newRanking(r.Set, sess),
-		res:       Result{Policy: r.Estimator.Name()},
 		// On traced rounds the estimates hang one "estimate" span, and each
 		// validation a "validate" span, under the round's schedule span;
 		// untraced rounds carry a nil parent and every span call is a no-op.
@@ -438,7 +340,7 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	s.preloadCache()
 
 	spEstimate := s.trace.Child("estimate")
-	estimates := s.rank.estimate(r.Estimator, opts.CostModel)
+	estimates := s.rank.estimate(r.Estimator, cost)
 	spEstimate.SetAttr("calls", estimates)
 	if be, ok := r.Estimator.(*BayesEstimator); ok {
 		// The span counts the calls; what the calls shared is the Bayes
@@ -484,7 +386,7 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 // loop that un-wedges afterwards sees the mark before it touches anything.
 type run struct {
 	set       *filter.Set
-	opts      Options         // CostModel defaulted
+	opts      Options
 	ctx       context.Context // carries the budget; validations run under it
 	validator *filter.Validator
 	sess      *filter.Session
@@ -866,9 +768,10 @@ func (k *ranking) down(h int) {
 	}
 }
 
-// tableSizeCost returns the default cost model of one run: the sum of the
-// filter's base-table sizes, each table's row count asked of the backend
-// once.
+// tableSizeCost returns the cost model of one run: the sum of the filter's
+// base-table sizes, each table's row count asked of the backend once. Cost
+// arbitrates between filters of equal pruning power, cheaper first, and the
+// ranking asks it at most once per filter.
 func tableSizeCost(db exec.Executor) func(*filter.Filter) float64 {
 	rows := make(map[string]float64)
 	return func(f *filter.Filter) float64 {
@@ -907,114 +810,4 @@ func clamp01(f float64) float64 {
 		return 1
 	}
 	return f
-}
-
-// GroundTruth exhaustively validates every filter in the set and returns the
-// true outcomes plus the total number of filters. It is used to build the
-// oracle and to compute the optimum validation count.
-func GroundTruth(db exec.Executor, spec *constraint.Spec, set *filter.Set) ([]filter.Outcome, error) {
-	return GroundTruthContext(context.Background(), db, spec, set)
-}
-
-// GroundTruthContext is GroundTruth under a context; cancelling ctx aborts
-// the exhaustive validation sweep.
-func GroundTruthContext(ctx context.Context, db exec.Executor, spec *constraint.Spec, set *filter.Set) ([]filter.Outcome, error) {
-	v := &filter.Validator{DB: db, Cells: filter.NewCells(spec)}
-	out := make([]filter.Outcome, set.NumFilters())
-	for i, f := range set.Filters {
-		res, err := v.ValidateContext(ctx, f)
-		if err != nil {
-			return nil, err
-		}
-		if res.Passed {
-			out[i] = filter.Passed
-		} else {
-			out[i] = filter.Failed
-		}
-	}
-	return out, nil
-}
-
-// OptimalValidationCount computes (a greedy approximation of) the minimum
-// number of filter validations needed to resolve every candidate, given
-// ground-truth outcomes:
-//
-//   - every candidate whose top filter passes must have that top filter
-//     validated (distinct top filters are counted once);
-//   - the failing candidates must be covered by failing filters — a minimum
-//     set cover, approximated greedily.
-func OptimalValidationCount(set *filter.Set, truth []filter.Outcome) int {
-	count := 0
-	// Distinct top filters of passing candidates, and the failing
-	// candidates still to cover — both dense index sets, kept as bitsets.
-	neededTops := rowset.New(set.NumFilters())
-	failing := rowset.New(set.NumCandidates())
-	remaining := 0
-	for ci := range set.Candidates {
-		top := set.Top[ci]
-		if truth[top] == filter.Passed {
-			neededTops.Add(int32(top))
-		} else {
-			failing.Add(int32(ci))
-			remaining++
-		}
-	}
-	count += neededTops.Popcount()
-
-	// Greedy set cover of failing candidates by failing filters.
-	for remaining > 0 {
-		bestFilter := -1
-		bestCover := 0
-		for fi := range set.Filters {
-			if truth[fi] != filter.Failed {
-				continue
-			}
-			cover := 0
-			for _, ci := range set.CandidatesOf(fi) {
-				if failing.Contains(int32(ci)) {
-					cover++
-				}
-			}
-			if cover > bestCover || (cover == bestCover && cover > 0 && fi < bestFilter) {
-				bestCover = cover
-				bestFilter = fi
-			}
-		}
-		if bestFilter < 0 || bestCover == 0 {
-			// Shouldn't happen: a failing candidate always has at least its
-			// failing top filter. Count one validation per remaining
-			// candidate to stay safe.
-			count += remaining
-			break
-		}
-		count++
-		for _, ci := range set.CandidatesOf(bestFilter) {
-			if failing.Contains(int32(ci)) {
-				failing.Remove(int32(ci))
-				remaining--
-			}
-		}
-	}
-	return count
-}
-
-// GapReduction quantifies how much closer a policy gets to the optimum than
-// the baseline, the paper's headline metric:
-//
-//	gap(policy)   = validations(policy) − optimum
-//	reduction     = (gap(baseline) − gap(policy)) / gap(baseline)
-//
-// It returns 0 when the baseline already matches the optimum, 1 when the
-// policy matches (or beats) the optimum, and a negative value when the
-// policy is worse than the baseline.
-func GapReduction(baselineValidations, policyValidations, optimum int) float64 {
-	baseGap := baselineValidations - optimum
-	if baseGap <= 0 {
-		return 0
-	}
-	polGap := policyValidations - optimum
-	if polGap < 0 {
-		polGap = 0
-	}
-	return float64(baseGap-polGap) / float64(baseGap)
 }

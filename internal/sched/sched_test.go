@@ -1,12 +1,13 @@
 package sched
 
 import (
-	"strings"
+	"context"
 	"testing"
 	"time"
 
 	"prism/internal/bayes"
 	"prism/internal/constraint"
+	"prism/internal/experiment"
 	"prism/internal/filter"
 	"prism/internal/graphx"
 	"prism/internal/mem"
@@ -124,50 +125,35 @@ func newFixture(t testing.TB) *fixture {
 	}
 }
 
-func estimators(fx *fixture, truth []filter.Outcome) map[string]Estimator {
-	return map[string]Estimator{
-		"pathlength": &PathLengthEstimator{},
-		"bayes":      &BayesEstimator{Model: fx.model, Spec: fx.spec},
-		"oracle":     NewOracle(fx.set, truth),
-		"random":     &RandomEstimator{Seed: 42},
-	}
-}
-
-func TestEstimatorNamesAndBounds(t *testing.T) {
-	fx := newFixture(t)
-	truth, err := GroundTruth(fx.db, fx.spec, fx.set)
+// truth validates every filter of the fixture's set.
+func (fx *fixture) truth(t testing.TB) []filter.Outcome {
+	t.Helper()
+	truth, err := experiment.GroundTruth(context.Background(), fx.db, fx.spec, fx.set)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for key, est := range estimators(fx, truth) {
-		if est.Name() == "" {
-			t.Errorf("%s: empty name", key)
-		}
+	return truth
+}
+
+// estimators are Prism's estimator and the evaluation's three others.
+func estimators(fx *fixture, truth []filter.Outcome) map[string]Estimator {
+	return map[string]Estimator{
+		"pathlength": &experiment.PathLengthEstimator{},
+		"bayes":      &BayesEstimator{Model: fx.model, Spec: fx.spec},
+		"oracle":     experiment.NewOracle(fx.set, truth),
+		"random":     &experiment.RandomEstimator{Seed: 42},
+	}
+}
+
+func TestEstimatorBounds(t *testing.T) {
+	fx := newFixture(t)
+	for key, est := range estimators(fx, fx.truth(t)) {
 		for _, f := range fx.set.Filters {
 			p := est.FailureProbability(f)
 			if p < 0 || p > 1 {
 				t.Errorf("%s: probability %v out of range for %s", key, p, f)
 			}
 		}
-	}
-}
-
-func TestPathLengthEstimatorMonotone(t *testing.T) {
-	e := &PathLengthEstimator{}
-	short := &filter.Filter{Tree: graphx.Tree{Tables: []string{"A"}}}
-	long := &filter.Filter{Tree: graphx.Tree{
-		Tables: []string{"A", "B", "C"},
-		Edges: []schema.ForeignKey{
-			{From: schema.ColumnRef{Table: "A", Column: "x"}, To: schema.ColumnRef{Table: "B", Column: "x"}},
-			{From: schema.ColumnRef{Table: "B", Column: "y"}, To: schema.ColumnRef{Table: "C", Column: "y"}},
-		},
-	}}
-	if e.FailureProbability(short) >= e.FailureProbability(long) {
-		t.Error("longer join paths must have higher estimated failure probability")
-	}
-	steep := &PathLengthEstimator{Slope: 0.9}
-	if steep.FailureProbability(long) != 1 {
-		t.Error("probability should clamp at 1")
 	}
 }
 
@@ -206,50 +192,9 @@ func TestBayesEstimatorDiscriminates(t *testing.T) {
 	}
 }
 
-func TestRandomEstimatorDeterministic(t *testing.T) {
-	fx := newFixture(t)
-	a := &RandomEstimator{Seed: 7}
-	b := &RandomEstimator{Seed: 7}
-	for _, f := range fx.set.Filters {
-		if a.FailureProbability(f) != b.FailureProbability(f) {
-			t.Fatal("same seed should give identical probabilities")
-		}
-	}
-	// Memoised per filter key.
-	f := fx.set.Filters[0]
-	if a.FailureProbability(f) != a.FailureProbability(f) {
-		t.Error("estimator should memoise per filter")
-	}
-}
-
-func TestOracleEstimator(t *testing.T) {
-	fx := newFixture(t)
-	truth, err := GroundTruth(fx.db, fx.spec, fx.set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	oracle := NewOracle(fx.set, truth)
-	for i, f := range fx.set.Filters {
-		p := oracle.FailureProbability(f)
-		if truth[i] == filter.Failed && p != 1 {
-			t.Errorf("failing filter %d should have probability 1", i)
-		}
-		if truth[i] == filter.Passed && p != 0 {
-			t.Errorf("passing filter %d should have probability 0", i)
-		}
-	}
-	unknown := &filter.Filter{Key: "unknown"}
-	if oracle.FailureProbability(unknown) != 0 {
-		t.Error("unknown filters default to 0")
-	}
-}
-
 func TestRunResolvesAllCandidates(t *testing.T) {
 	fx := newFixture(t)
-	truth, err := GroundTruth(fx.db, fx.spec, fx.set)
-	if err != nil {
-		t.Fatal(err)
-	}
+	truth := fx.truth(t)
 	for key, est := range estimators(fx, truth) {
 		runner := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: est}
 		res, err := runner.Run()
@@ -265,9 +210,6 @@ func TestRunResolvesAllCandidates(t *testing.T) {
 		if res.Validations <= 0 || res.Validations > fx.set.NumFilters() {
 			t.Errorf("%s: validations = %d (filters = %d)", key, res.Validations, fx.set.NumFilters())
 		}
-		if res.Policy != est.Name() {
-			t.Errorf("%s: policy name mismatch", key)
-		}
 		if res.Cost.RowsScanned == 0 {
 			t.Errorf("%s: cost should be accounted", key)
 		}
@@ -276,10 +218,7 @@ func TestRunResolvesAllCandidates(t *testing.T) {
 
 func TestSchedulersAgreeOnConfirmedSet(t *testing.T) {
 	fx := newFixture(t)
-	truth, err := GroundTruth(fx.db, fx.spec, fx.set)
-	if err != nil {
-		t.Fatal(err)
-	}
+	truth := fx.truth(t)
 	var reference []int
 	for key, est := range estimators(fx, truth) {
 		runner := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: est}
@@ -307,10 +246,7 @@ func TestSchedulersAgreeOnConfirmedSet(t *testing.T) {
 
 func TestOracleBeatsOrMatchesOthers(t *testing.T) {
 	fx := newFixture(t)
-	truth, err := GroundTruth(fx.db, fx.spec, fx.set)
-	if err != nil {
-		t.Fatal(err)
-	}
+	truth := fx.truth(t)
 	counts := make(map[string]int)
 	for key, est := range estimators(fx, truth) {
 		runner := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: est}
@@ -327,7 +263,7 @@ func TestOracleBeatsOrMatchesOthers(t *testing.T) {
 		t.Logf("note: bayes (%d) worse than random (%d) on this tiny instance", counts["bayes"], counts["random"])
 	}
 	// The optimum count derived analytically must not exceed the oracle run.
-	opt := OptimalValidationCount(fx.set, truth)
+	opt := experiment.OptimalValidationCount(fx.set, truth)
 	if opt > counts["oracle"] {
 		t.Errorf("analytic optimum %d exceeds oracle-run count %d", opt, counts["oracle"])
 	}
@@ -338,10 +274,7 @@ func TestOracleBeatsOrMatchesOthers(t *testing.T) {
 
 func TestGroundTruthConsistentWithTops(t *testing.T) {
 	fx := newFixture(t)
-	truth, err := GroundTruth(fx.db, fx.spec, fx.set)
-	if err != nil {
-		t.Fatal(err)
-	}
+	truth := fx.truth(t)
 	// If a top filter passes, all its sub-filters must pass too (downward
 	// closure of success) — a consistency check on the decomposition and
 	// the validator.
@@ -364,7 +297,7 @@ func TestRunTimeLimit(t *testing.T) {
 	// any machine.
 	runner := &Runner{
 		DB: fx.db, Spec: fx.spec, Set: fx.set,
-		Estimator: &PathLengthEstimator{},
+		Estimator: &experiment.PathLengthEstimator{},
 		Options:   Options{TimeLimit: time.Nanosecond},
 	}
 	res, err := runner.Run()
@@ -379,35 +312,9 @@ func TestRunTimeLimit(t *testing.T) {
 	}
 }
 
-func TestGapReduction(t *testing.T) {
-	if got := GapReduction(10, 7, 5); got != 0.6 {
-		t.Errorf("GapReduction(10,7,5) = %v", got)
-	}
-	if got := GapReduction(10, 12, 5); got != -0.4 {
-		t.Errorf("a policy worse than the baseline should report a negative reduction, got %v", got)
-	}
-	if got := GapReduction(5, 5, 5); got != 0 {
-		t.Errorf("no gap means no reduction, got %v", got)
-	}
-	if got := GapReduction(10, 4, 5); got != 1 {
-		t.Errorf("beating the optimum clamps at full reduction, got %v", got)
-	}
-}
-
-func TestGapReductionNegativePolicy(t *testing.T) {
-	// Baseline below optimum (can happen when the greedy optimum
-	// approximation is loose): reduction must be 0, not negative/NaN.
-	if got := GapReduction(3, 4, 5); got != 0 {
-		t.Errorf("GapReduction(3,4,5) = %v", got)
-	}
-}
-
 func TestValidationsNeverExceedGroundTruthCount(t *testing.T) {
 	fx := newFixture(t)
-	truth, err := GroundTruth(fx.db, fx.spec, fx.set)
-	if err != nil {
-		t.Fatal(err)
-	}
+	truth := fx.truth(t)
 	for key, est := range estimators(fx, truth) {
 		runner := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: est}
 		res, err := runner.Run()
@@ -417,9 +324,6 @@ func TestValidationsNeverExceedGroundTruthCount(t *testing.T) {
 		if res.Validations > fx.set.NumFilters() {
 			t.Errorf("%s: executed more validations (%d) than filters exist (%d)", key, res.Validations, fx.set.NumFilters())
 		}
-		if !strings.Contains(res.Policy, est.Name()) {
-			t.Errorf("%s: policy label mismatch", key)
-		}
 	}
 }
 
@@ -428,7 +332,7 @@ func BenchmarkRunPathLength(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		runner := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: &PathLengthEstimator{}}
+		runner := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: &experiment.PathLengthEstimator{}}
 		if _, err := runner.Run(); err != nil {
 			b.Fatal(err)
 		}
@@ -442,17 +346,6 @@ func BenchmarkRunBayes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		runner := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: &BayesEstimator{Model: fx.model, Spec: fx.spec}}
 		if _, err := runner.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkGroundTruth(b *testing.B) {
-	fx := newFixture(b)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := GroundTruth(fx.db, fx.spec, fx.set); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -530,7 +423,7 @@ func TestRunCacheRequiresKeyFunc(t *testing.T) {
 	fx := newFixture(t)
 	runner := &Runner{
 		DB: fx.db, Spec: fx.spec, Set: fx.set,
-		Estimator: &PathLengthEstimator{},
+		Estimator: &experiment.PathLengthEstimator{},
 		Options:   Options{Cache: filter.NewOutcomeCache(0)},
 	}
 	if _, err := runner.Run(); err == nil {

@@ -66,15 +66,6 @@ func Generate(p exec.Plan) string {
 	return b.String()
 }
 
-// GenerateMultiline renders the plan with one clause per line, which the
-// Result section uses for readability.
-func GenerateMultiline(p exec.Plan) string {
-	oneLine := Generate(p)
-	oneLine = strings.Replace(oneLine, " FROM ", "\nFROM ", 1)
-	oneLine = strings.Replace(oneLine, " WHERE ", "\nWHERE ", 1)
-	return oneLine
-}
-
 func writeRef(b *strings.Builder, r schema.ColumnRef) {
 	writeIdent(b, r.Table)
 	b.WriteByte('.')

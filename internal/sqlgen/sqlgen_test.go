@@ -83,14 +83,6 @@ func TestGenerateQuoting(t *testing.T) {
 	}
 }
 
-func TestGenerateMultiline(t *testing.T) {
-	got := GenerateMultiline(lakePlan())
-	lines := strings.Split(got, "\n")
-	if len(lines) != 3 || !strings.HasPrefix(lines[0], "SELECT") || !strings.HasPrefix(lines[1], "FROM") || !strings.HasPrefix(lines[2], "WHERE") {
-		t.Errorf("GenerateMultiline =\n%s", got)
-	}
-}
-
 func TestParseRoundTrip(t *testing.T) {
 	sch := testSchema(t)
 	sql := Generate(lakePlan())

@@ -1,15 +1,19 @@
 package prism
 
-// The shape of the code is a tier-1 test. Two facts about the tree are
+// The shape of the code is a tier-1 test. Three facts about the tree are
 // pinned here, read straight from the source with go/parser (no go list,
 // no dependency):
 //
 //   - which prism packages each package may import (allowedImports);
 //   - that no non-test function is longer than maxFuncLines, except the
-//     ones on longFuncs, a list that may only shrink.
+//     ones on longFuncs, a list that may only shrink;
+//   - that every exported package-level name of an internal package is
+//     named by some non-test file, except the ones on testOnlyExports, a
+//     list that may only shrink.
 //
-// A change that adds an import edge, drops one, adds a package or grows a
-// function past the ceiling fails here and has to say so in this file.
+// A change that adds an import edge, drops one, adds a package, grows a
+// function past the ceiling or exports a name only tests use fails here and
+// has to say so in this file.
 
 import (
 	"fmt"
@@ -55,7 +59,7 @@ var allowedImports = map[string]string{
 
 	// The round and its stages.
 	"internal/discovery": "api internal/bayes internal/colexec internal/constraint internal/exec internal/fault internal/filter internal/graphx internal/mem internal/obs internal/sched internal/schema internal/sentinel internal/sqlgen internal/value",
-	"internal/sched":     "internal/bayes internal/constraint internal/exec internal/fault internal/filter internal/obs internal/rowset internal/schema internal/sentinel",
+	"internal/sched":     "internal/bayes internal/constraint internal/exec internal/fault internal/filter internal/obs internal/schema internal/sentinel",
 	"internal/filter":    "internal/constraint internal/exec internal/graphx internal/lang internal/rowset internal/schema internal/value",
 	"internal/bayes":     "internal/exec internal/lang internal/par internal/rowset internal/schema",
 	"internal/graphx":    "internal/exec internal/schema",
@@ -79,9 +83,10 @@ var allowedImports = map[string]string{
 	"internal/fault":      "",
 
 	// Evaluation and test support.
-	"internal/workload": "internal/constraint internal/exec internal/lang internal/mem internal/schema internal/value",
-	"internal/difftest": "internal/constraint internal/dataset internal/exec internal/mem internal/schema internal/value internal/workload",
-	"benchmark":         "prism api client internal/bayes internal/constraint internal/dataset internal/exec internal/filter internal/graphx internal/lang internal/mem internal/obs internal/sched internal/serve internal/server internal/sqlgen internal/workload",
+	"internal/experiment": "internal/constraint internal/exec internal/filter internal/rowset",
+	"internal/workload":   "internal/constraint internal/exec internal/lang internal/mem internal/schema internal/value",
+	"internal/difftest":   "internal/constraint internal/dataset internal/exec internal/mem internal/schema internal/value internal/workload",
+	"benchmark":           "prism api client internal/bayes internal/constraint internal/dataset internal/exec internal/filter internal/graphx internal/lang internal/mem internal/obs internal/sched internal/serve internal/server internal/sqlgen internal/workload",
 
 	// Commands and examples.
 	"cmd/prism-cli":            "prism api client",
@@ -106,6 +111,27 @@ var longFuncs = map[string]int{
 	"benchmark.stager.round":        102,
 }
 
+// testSupport lists the internal packages that exist for tests: the
+// evaluation and the generators, databases and harnesses tests share. Their
+// exports are not checked.
+var testSupport = []string{"internal/chaos", "internal/difftest", "internal/experiment", "internal/workload"}
+
+// testOnlyExports lists the exported package-level funcs, types, vars and
+// consts of internal packages that no non-test file names outside their own
+// declaration and methods, keyed package.Name. It may only shrink: an entry
+// that a non-test file names, or whose declaration is gone, fails until it
+// is deleted. Never add one.
+var testOnlyExports = []string{
+	"internal/discovery.NewEngineOn",
+	"internal/fault.Arm",
+	"internal/fault.Armed",
+	"internal/fault.DisarmAll",
+	"internal/fault.Names",
+	"internal/filter.Decompose",
+	"internal/lang.MustParseValueConstraint",
+	"internal/loadtest.ReadTrajectory",
+}
+
 // shapePackage is one package as the shape check sees it: its path
 // relative to the module ("prism" for the root) and its parsed non-test
 // files.
@@ -114,10 +140,10 @@ type shapePackage struct {
 	files []*ast.File
 }
 
-// checkShape returns one line per violation of the import table and the
-// length ceiling, sorted.
-func checkShape(fset *token.FileSet, pkgs []shapePackage, imports map[string]string, long map[string]int) []string {
-	var bad []string
+// checkShape returns one line per violation of the import table, the
+// length ceiling and the export check, sorted.
+func checkShape(fset *token.FileSet, pkgs []shapePackage, imports map[string]string, long map[string]int, testOnly []string) []string {
+	bad := checkExports(pkgs, testOnly)
 	seen := map[string]bool{}
 	funcs := map[string]int{}
 	for _, pkg := range pkgs {
@@ -196,6 +222,158 @@ func funcLengths(fset *token.FileSet, rel string, f *ast.File) map[string]int {
 	return out
 }
 
+// checkExports returns one line per exported package-level func, type, var
+// or const of a checked internal package that no non-test file names
+// outside its own declaration and methods and testOnly does not list, and
+// one per testOnly entry that is named or gone. A name counts as named by
+// an identifier in its own package or a selector on an import of it in
+// another; without type information, a struct literal's field key counts
+// too.
+func checkExports(pkgs []shapePackage, testOnly []string) []string {
+	pkgName := map[string]string{} // rel -> package clause name
+	for _, pkg := range pkgs {
+		pkgName[pkg.rel] = pkg.files[0].Name.Name
+	}
+	declared := map[string]bool{}
+	named := map[string]bool{}
+	for _, pkg := range pkgs {
+		checked := strings.HasPrefix(pkg.rel, "internal/") && !slices.Contains(testSupport, pkg.rel)
+		for _, f := range pkg.files {
+			imports := map[string]string{} // local name -> rel
+			for _, spec := range f.Imports {
+				imp := strings.Trim(spec.Path.Value, `"`)
+				if imp != modulePath && !strings.HasPrefix(imp, modulePath+"/") {
+					continue
+				}
+				rel := strings.TrimPrefix(imp, modulePath+"/")
+				local, ok := pkgName[rel]
+				if !ok {
+					local = path.Base(rel)
+				}
+				if spec.Name != nil {
+					local = spec.Name.Name
+				}
+				imports[local] = rel
+			}
+			for _, decl := range f.Decls {
+				for _, unit := range declUnits(decl) {
+					own := map[string]bool{}
+					for _, name := range unit.owns {
+						own[pkg.rel+"."+name] = true
+						if checked && ast.IsExported(name) && !unit.method {
+							declared[pkg.rel+"."+name] = true
+						}
+					}
+					for _, n := range unit.nodes {
+						for ref := range references(n, pkg.rel, imports) {
+							if !own[ref] { // not its own declaration or method
+								named[ref] = true
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	var bad []string
+	for name := range declared {
+		if !named[name] && !slices.Contains(testOnly, name) {
+			bad = append(bad, fmt.Sprintf("%s is named by no non-test file: use it, unexport it or delete it", name))
+		}
+	}
+	for _, name := range testOnly {
+		switch {
+		case !declared[name]:
+			bad = append(bad, fmt.Sprintf("%s no longer exists: delete it from testOnlyExports", name))
+		case named[name]:
+			bad = append(bad, fmt.Sprintf("%s is named by a non-test file now: delete it from testOnlyExports", name))
+		}
+	}
+	return bad
+}
+
+// declUnit is a part of a top-level declaration that declares names: a
+// function, a method (owned by its receiver type), a type spec or a value
+// spec. Its nodes are where it may name other declarations.
+type declUnit struct {
+	owns   []string
+	method bool
+	nodes  []ast.Node
+}
+
+// declUnits splits a top-level declaration into its units.
+func declUnits(decl ast.Decl) []declUnit {
+	switch d := decl.(type) {
+	case *ast.FuncDecl:
+		u := declUnit{owns: []string{d.Name.Name}, nodes: []ast.Node{d.Type}}
+		if d.Recv != nil && len(d.Recv.List) == 1 {
+			u = declUnit{owns: []string{receiverName(d.Recv.List[0].Type)}, method: true, nodes: []ast.Node{d.Recv, d.Type}}
+		}
+		if d.Body != nil {
+			u.nodes = append(u.nodes, d.Body)
+		}
+		return []declUnit{u}
+	case *ast.GenDecl:
+		var units []declUnit
+		for _, spec := range d.Specs {
+			switch sp := spec.(type) {
+			case *ast.TypeSpec:
+				u := declUnit{owns: []string{sp.Name.Name}, nodes: []ast.Node{sp.Type}}
+				if sp.TypeParams != nil {
+					u.nodes = append(u.nodes, sp.TypeParams)
+				}
+				units = append(units, u)
+			case *ast.ValueSpec:
+				u := declUnit{}
+				for _, n := range sp.Names {
+					u.owns = append(u.owns, n.Name)
+				}
+				if sp.Type != nil {
+					u.nodes = append(u.nodes, sp.Type)
+				}
+				for _, v := range sp.Values {
+					u.nodes = append(u.nodes, v)
+				}
+				units = append(units, u)
+			}
+		}
+		return units
+	}
+	return nil
+}
+
+// references returns the names n, in package rel, refers to, keyed
+// package.Name: a selector on an import names the imported package's Name,
+// and any other identifier that is not a selector's field or method or the
+// name of a field, parameter or result names rel's.
+func references(n ast.Node, rel string, imports map[string]string) map[string]bool {
+	refs := map[string]bool{}
+	var visit func(ast.Node) bool
+	visit = func(n ast.Node) bool {
+		switch x := n.(type) {
+		case *ast.SelectorExpr:
+			if id, ok := x.X.(*ast.Ident); ok {
+				if imp, ok := imports[id.Name]; ok {
+					refs[imp+"."+x.Sel.Name] = true
+					return false
+				}
+			}
+			ast.Inspect(x.X, visit)
+			return false
+		case *ast.Field:
+			if x.Type != nil {
+				ast.Inspect(x.Type, visit)
+			}
+			return false
+		case *ast.Ident:
+			refs[rel+"."+x.Name] = true
+		}
+		return true
+	}
+	ast.Inspect(n, visit)
+	return refs
+}
+
 // receiverName is the type name of a method receiver, without the pointer
 // or type parameters.
 func receiverName(t ast.Expr) string {
@@ -269,7 +447,7 @@ func TestShape(t *testing.T) {
 		t.Fatal(err)
 	}
 	fset := token.NewFileSet()
-	for _, v := range checkShape(fset, parseTree(t, fset, root), allowedImports, longFuncs) {
+	for _, v := range checkShape(fset, parseTree(t, fset, root), allowedImports, longFuncs, testOnlyExports) {
 		t.Error(v)
 	}
 }
@@ -297,12 +475,22 @@ func TestShapeChecker(t *testing.T) {
 		"api":    "package api\n" + body(maxFuncLines),
 		"client": "package client\nimport _ \"prism/api\"\n",
 	}
+	// An internal package whose exports a command names through an aliased
+	// import (Generate) and the package itself names (Multiline), plus src.
+	exports := func(src string) map[string]string {
+		return map[string]string{
+			"internal/sqlgen": "package sqlgen\nfunc Generate() {}\nfunc Multiline() {}\nfunc multiline() { Multiline() }\n" + src,
+			"cmd/x":           "package main\nimport q \"prism/internal/sqlgen\"\nfunc main() { q.Generate() }\n",
+		}
+	}
+	exportImports := map[string]string{"internal/sqlgen": "", "cmd/x": "internal/sqlgen"}
 	cases := []struct {
-		name    string
-		files   map[string]string
-		imports map[string]string
-		long    map[string]int
-		want    string
+		name     string
+		files    map[string]string
+		imports  map[string]string
+		long     map[string]int
+		testOnly []string
+		want     string
 	}{
 		{name: "clean", files: clean, imports: imports},
 		{
@@ -350,11 +538,38 @@ func TestShapeChecker(t *testing.T) {
 			long:    map[string]int{"api.F": 120},
 			want:    "api.F is 100 lines now",
 		},
+		{name: "exports named", files: exports(""), imports: exportImports},
+		{
+			name:    "unnamed export",
+			files:   exports("func Unused() { Unused() }\n"),
+			imports: exportImports,
+			want:    "internal/sqlgen.Unused is named by no non-test file",
+		},
+		{
+			name:    "type named only by its methods",
+			files:   exports("type T struct{ next *T }\nfunc (t T) M() T { return T{} }\n"),
+			imports: exportImports,
+			want:    "internal/sqlgen.T is named by no non-test file",
+		},
+		{
+			name:     "test-only export named",
+			files:    exports(""),
+			imports:  exportImports,
+			testOnly: []string{"internal/sqlgen.Multiline"},
+			want:     "internal/sqlgen.Multiline is named by a non-test file now",
+		},
+		{
+			name:     "stale test-only entry",
+			files:    exports(""),
+			imports:  exportImports,
+			testOnly: []string{"internal/sqlgen.Gone"},
+			want:     "internal/sqlgen.Gone no longer exists: delete it from testOnlyExports",
+		},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			fset, pkgs := tree(tc.files)
-			got := checkShape(fset, pkgs, tc.imports, tc.long)
+			got := checkShape(fset, pkgs, tc.imports, tc.long, tc.testOnly)
 			if tc.want == "" {
 				if len(got) != 0 {
 					t.Fatalf("clean tree reported %q", got)
