@@ -8,7 +8,8 @@
 // two can never drift apart. It has three parts:
 //
 //   - the endpoint bodies (DiscoverRequest, DiscoverResponse, StreamEvent,
-//     the session types, SampleResponse, DatasetsResponse);
+//     the session types, SampleResponse, DatasetsResponse), and SplitCells,
+//     which cuts one '|'-separated row of grid text into its cells;
 //   - the structured constraint-specification codec (Spec, ValueExpr,
 //     MetaExpr — see spec.go), which lets programs send typed constraint
 //     trees instead of the demo's string grids;
@@ -26,7 +27,10 @@
 // structured Error envelope.
 package api
 
-import "time"
+import (
+	"strings"
+	"time"
+)
 
 // Version names the wire format this package defines.
 const Version = "v1"
@@ -52,6 +56,27 @@ type DiscoverRequest struct {
 	// TimeoutMs shortens the round's time budget below the server's
 	// limit (values above it are clamped).
 	TimeoutMs int `json:"timeoutMs,omitempty"`
+}
+
+// SplitCells splits a row of grid text on '|' while keeping '||'
+// disjunctions intact and pads or cuts it to n cells. A '||' is a
+// disjunction only between two non-blank sides; otherwise it separates
+// empty cells.
+func SplitCells(line string, n int) []string {
+	parts := strings.Split(line, "|")
+	var cells []string
+	for i := 0; i < len(parts); i++ {
+		cell := parts[i]
+		for i+2 < len(parts) && parts[i+1] == "" &&
+			strings.TrimSpace(cell) != "" && strings.TrimSpace(parts[i+2]) != "" {
+			cell = cell + "||" + parts[i+2]
+			i += 2
+		}
+		cells = append(cells, strings.TrimSpace(cell))
+	}
+	out := make([]string, max(n, 0))
+	copy(out, cells)
+	return out
 }
 
 // Mapping describes one discovered schema mapping query.

@@ -121,10 +121,10 @@ func parseFlags(args []string) (*cliFlags, error) {
 	}
 
 	for _, s := range samples {
-		f.rows = append(f.rows, splitCells(s, f.columns))
+		f.rows = append(f.rows, api.SplitCells(s, f.columns))
 	}
 	if strings.TrimSpace(*metadata) != "" {
-		f.meta = splitCells(*metadata, f.columns)
+		f.meta = api.SplitCells(*metadata, f.columns)
 	}
 	// A session may start with an empty Description and build it at the
 	// prompt; every other mode needs constraints up front.
@@ -632,7 +632,7 @@ func sessionLoop(ctx context.Context, in io.Reader, out io.Writer, rr roundRunne
 			pending = prism.Delta{}
 			fmt.Fprintln(out, "ok")
 		case "sample":
-			cells := splitCells(rest, columns)
+			cells := api.SplitCells(rest, columns)
 			if err := validateCells(cells); err != nil {
 				fmt.Fprintln(out, "error:", err)
 				continue
@@ -789,26 +789,4 @@ func streamRound(ctx context.Context, out io.Writer, eng *prism.Engine, spec *pr
 	// The stream closed without a done event: only possible when ctx was
 	// cancelled while the final event was pending.
 	return nil, ctx.Err()
-}
-
-// splitCells splits a row on '|' while keeping '||' disjunctions intact and
-// pads it to n cells. A '||' is a disjunction only between two non-blank
-// sides; otherwise it separates empty cells.
-func splitCells(line string, n int) []string {
-	parts := strings.Split(line, "|")
-	var cells []string
-	for i := 0; i < len(parts); i++ {
-		cell := parts[i]
-		for i+2 < len(parts) && parts[i+1] == "" &&
-			strings.TrimSpace(cell) != "" && strings.TrimSpace(parts[i+2]) != "" {
-			cell = cell + "||" + parts[i+2]
-			i += 2
-		}
-		cells = append(cells, strings.TrimSpace(cell))
-	}
-	out := make([]string, n)
-	for i := 0; i < n && i < len(cells); i++ {
-		out[i] = cells[i]
-	}
-	return out
 }

@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"context"
-	"slices"
 	"strings"
 	"testing"
 )
@@ -50,23 +49,6 @@ func TestRunErrors(t *testing.T) {
 		"-explain", "nonsense",
 	}, strings.NewReader(""), &out); err == nil {
 		t.Error("unknown explain mode should fail")
-	}
-}
-
-func TestSplitCells(t *testing.T) {
-	for _, tc := range []struct {
-		line string
-		want []string
-	}{
-		{"California || Nevada | Lake Tahoe | ", []string{"California || Nevada", "Lake Tahoe", ""}},
-		{"a", []string{"a", "", ""}},
-		// A '||' with a blank side separates empty cells.
-		{"||X", []string{"", "", "X"}},
-		{"A||B|C", []string{"A||B", "C"}},
-	} {
-		if got := splitCells(tc.line, len(tc.want)); !slices.Equal(got, tc.want) {
-			t.Errorf("splitCells(%q, %d) = %#v, want %#v", tc.line, len(tc.want), got, tc.want)
-		}
 	}
 }
 

@@ -205,20 +205,3 @@ func (m *Model) ColumnIndex(ref schema.ColumnRef) *exec.ColumnIndex {
 	}
 	return nil
 }
-
-// RelationSize returns the trained row count of a table (0 when unknown).
-func (m *Model) RelationSize(table string) int {
-	if rm := m.relation(table); rm != nil {
-		return rm.rows
-	}
-	return 0
-}
-
-// JoinProbability returns the trained join-indicator probability for a
-// foreign key edge (0 when unknown).
-func (m *Model) JoinProbability(fk schema.ForeignKey) float64 {
-	if js := m.joinFor(fk); js != nil {
-		return js.prob
-	}
-	return 0
-}

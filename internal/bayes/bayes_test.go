@@ -67,16 +67,25 @@ func trainedModel(t testing.TB) (*Model, *mem.Database) {
 
 func ref(t, c string) schema.ColumnRef { return schema.ColumnRef{Table: t, Column: c} }
 
+func mustParseValue(t testing.TB, input string) lang.ValueExpr {
+	t.Helper()
+	e, err := lang.ParseValueConstraint(input)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return e
+}
+
 func TestRelationSize(t *testing.T) {
 	m, _ := trainedModel(t)
-	if m.RelationSize("Lake") != 10 {
-		t.Errorf("RelationSize(Lake) = %d", m.RelationSize("Lake"))
+	if rm := m.relation("Lake"); rm == nil || rm.rows != 10 {
+		t.Errorf("relation(Lake) = %+v", rm)
 	}
-	if m.RelationSize("geo_lake") != 12 {
-		t.Errorf("RelationSize(geo_lake) = %d", m.RelationSize("geo_lake"))
+	if rm := m.relation("geo_lake"); rm == nil || rm.rows != 12 {
+		t.Errorf("relation(geo_lake) = %+v", rm)
 	}
-	if m.RelationSize("missing") != 0 {
-		t.Error("unknown relation size should be 0")
+	if m.relation("missing") != nil {
+		t.Error("unknown relation should have no model")
 	}
 }
 
@@ -113,7 +122,7 @@ func TestRangeAndComparisonSelectivity(t *testing.T) {
 	for expr, want := range map[string]int{
 		">= 0": 10, ">= 1000000": 0, "[0, 100]": 7, "[0, 100000]": 10, "< 100": 7, "> 100": 3,
 	} {
-		if got := matching(t, m, area, lang.MustParseValueConstraint(expr)); got != want {
+		if got := matching(t, m, area, mustParseValue(t, expr)); got != want {
 			t.Errorf("Area %s matches %d of 10 lakes, want %d", expr, got, want)
 		}
 	}
@@ -129,7 +138,7 @@ func TestBooleanSelectivity(t *testing.T) {
 	for expr, want := range map[string]int{
 		"California || Nevada": 11, "California && Nevada": 0, "NOT California": 2, "!= California": 2,
 	} {
-		if got := matching(t, m, prov, lang.MustParseValueConstraint(expr)); got != want {
+		if got := matching(t, m, prov, mustParseValue(t, expr)); got != want {
 			t.Errorf("Province %s matches %d of 12 rows, want %d", expr, got, want)
 		}
 	}
@@ -138,17 +147,14 @@ func TestBooleanSelectivity(t *testing.T) {
 func TestJoinProbability(t *testing.T) {
 	m, db := trainedModel(t)
 	fk := db.Schema().ForeignKeys()[0]
-	p := m.JoinProbability(fk)
+	js := m.joinFor(fk)
 	// Every geo_lake row matches exactly one lake: matches = 12, pairs = 10*12.
 	want := 12.0 / (10.0 * 12.0)
-	if math.Abs(p-want) > 1e-9 {
-		t.Errorf("JoinProbability = %v, want %v", p, want)
+	if js == nil || math.Abs(js.prob-want) > 1e-9 {
+		t.Errorf("joinFor(%s) = %+v, want probability %v", fk, js, want)
 	}
-	// Unknown FK has probability 0.
-	if m.JoinProbability(schema.ForeignKey{
-		From: ref("a", "b"), To: ref("c", "d"),
-	}) != 0 {
-		t.Error("unknown join probability should be 0")
+	if m.joinFor(schema.ForeignKey{From: ref("a", "b"), To: ref("c", "d")}) != nil {
+		t.Error("an unknown foreign key should have no join statistics")
 	}
 }
 
@@ -163,17 +169,17 @@ func TestTrainSamplesJoinDeterministically(t *testing.T) {
 	edges := []schema.ForeignKey{fk}
 	constraintSets := [][]ColumnConstraint{
 		{
-			{Ref: ref("Many", "Shade"), Expr: lang.MustParseValueConstraint("0")},
-			{Ref: ref("One", "Size"), Expr: lang.MustParseValueConstraint("0 || 2")},
+			{Ref: ref("Many", "Shade"), Expr: mustParseValue(t, "0")},
+			{Ref: ref("One", "Size"), Expr: mustParseValue(t, "0 || 2")},
 		},
 		{
-			{Ref: ref("Many", "Shade"), Expr: lang.MustParseValueConstraint("<= 1")},
-			{Ref: ref("One", "Size"), Expr: lang.MustParseValueConstraint("[1, 2]")},
+			{Ref: ref("Many", "Shade"), Expr: mustParseValue(t, "<= 1")},
+			{Ref: ref("One", "Size"), Expr: mustParseValue(t, "[1, 2]")},
 		},
 		{
-			{Ref: ref("Many", "Key"), Expr: lang.MustParseValueConstraint("south")},
-			{Ref: ref("Many", "Shade"), Expr: lang.MustParseValueConstraint("!= 3")},
-			{Ref: ref("One", "Size"), Expr: lang.MustParseValueConstraint("3")},
+			{Ref: ref("Many", "Key"), Expr: mustParseValue(t, "south")},
+			{Ref: ref("Many", "Shade"), Expr: mustParseValue(t, "!= 3")},
+			{Ref: ref("One", "Size"), Expr: mustParseValue(t, "3")},
 		},
 	}
 	first := Train(db)
@@ -262,8 +268,8 @@ func TestEmptyRelationModel(t *testing.T) {
 	db := mem.NewDatabase("empty", s)
 	db.Analyze()
 	m := Train(db)
-	if m.RelationSize("Empty") != 0 {
-		t.Error("empty relation size")
+	if rm := m.relation("Empty"); rm == nil || rm.rows != 0 {
+		t.Errorf("relation(Empty) = %+v", rm)
 	}
 	if m.ExpectedMatches([]string{"Empty"}, nil, nil) != 0 {
 		t.Error("expected matches over empty relation should be 0")
@@ -283,7 +289,7 @@ func TestFailureProbabilityMonotoneInConstraints(t *testing.T) {
 	})
 	withTwo := m.FailureProbability(tables, edges, []ColumnConstraint{
 		{Ref: ref("geo_lake", "Province"), Expr: lang.Keyword{Word: "Nevada"}},
-		{Ref: ref("Lake", "Area"), Expr: lang.MustParseValueConstraint("[400, 600]")},
+		{Ref: ref("Lake", "Area"), Expr: mustParseValue(t, "[400, 600]")},
 	})
 	if withOne < base-1e-12 || withTwo < withOne-1e-12 {
 		t.Errorf("failure probability should be monotone: %v %v %v", base, withOne, withTwo)
@@ -303,8 +309,8 @@ func BenchmarkFailureProbability(b *testing.B) {
 	m, db := trainedModel(b)
 	fk := db.Schema().ForeignKeys()[0]
 	cons := []ColumnConstraint{
-		{Ref: ref("geo_lake", "Province"), Expr: lang.MustParseValueConstraint("California || Nevada")},
-		{Ref: ref("Lake", "Area"), Expr: lang.MustParseValueConstraint(">= 100 && <= 600")},
+		{Ref: ref("geo_lake", "Province"), Expr: mustParseValue(b, "California || Nevada")},
+		{Ref: ref("Lake", "Area"), Expr: mustParseValue(b, ">= 100 && <= 600")},
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -190,7 +190,7 @@ func TestPanicModeSweep(t *testing.T) {
 			defer fault.DisarmAll()
 
 			_, err := stack.C.Discover(ctx, Request())
-			fired, _ := fault.Lookup(pp.name).Fired()
+			fired := fault.Lookup(pp.name).Fired()
 			if pp.mustFire && fired == 0 {
 				t.Fatalf("point %s never fired during a discover round", pp.name)
 			}

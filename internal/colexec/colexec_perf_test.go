@@ -419,8 +419,8 @@ func runSetUp(tb testing.TB, src *mem.Database) setUp {
 		if err := fresh.BulkInsert(t.Name, rows); err != nil {
 			tb.Fatal(err)
 		}
+		out.rows += fresh.NumRows(t.Name)
 	}
-	out.rows = fresh.TotalRows()
 	var model *bayes.Model
 	var ex exec.Executor
 	b, timed := tb.(*testing.B) // a benchmark's ns/op and allocs/op are the stages, and nothing else

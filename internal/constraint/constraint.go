@@ -214,25 +214,6 @@ func (sp *Spec) ColumnValueExprs(col int) []lang.ValueExpr {
 	return out
 }
 
-// ColumnKeywords returns every exact keyword mentioned for target column
-// col, across all samples; related-column search probes the per-column
-// keyword sets with these.
-func (sp *Spec) ColumnKeywords(col int) []string {
-	var out []string
-	seen := make(map[string]struct{})
-	for _, e := range sp.ColumnValueExprs(col) {
-		for _, kw := range lang.Keywords(e) {
-			k := strings.ToLower(kw)
-			if _, dup := seen[k]; dup {
-				continue
-			}
-			seen[k] = struct{}{}
-			out = append(out, kw)
-		}
-	}
-	return out
-}
-
 // Resolution classifies the whole specification: high if every constrained
 // sample cell is exact, low if only metadata constraints are present,
 // medium otherwise.
@@ -254,25 +235,6 @@ func (sp *Spec) Resolution() lang.Resolution {
 		return lang.ResolutionLow
 	}
 	return res
-}
-
-// MissingCellFraction returns the fraction of sample cells that carry no
-// constraint; the paper's evaluation calls these "missing values".
-func (sp *Spec) MissingCellFraction() float64 {
-	total := 0
-	missing := 0
-	for _, s := range sp.Samples {
-		for _, c := range s.Cells {
-			total++
-			if c == nil {
-				missing++
-			}
-		}
-	}
-	if total == 0 {
-		return 1
-	}
-	return float64(missing) / float64(total)
 }
 
 // ColumnFeasible reports whether a source column with the given statistics

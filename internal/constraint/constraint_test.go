@@ -161,18 +161,11 @@ func TestColumnKeywordsAndExprs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kws := sp.ColumnKeywords(0)
-	if len(kws) != 2 { // California deduplicated
-		t.Errorf("ColumnKeywords(0) = %v", kws)
-	}
-	if len(sp.ColumnKeywords(1)) != 1 {
-		t.Errorf("ColumnKeywords(1) = %v", sp.ColumnKeywords(1))
-	}
 	if len(sp.ColumnValueExprs(0)) != 2 || len(sp.ColumnValueExprs(1)) != 2 {
 		t.Error("ColumnValueExprs counts wrong")
 	}
-	if sp.ColumnKeywords(5) != nil {
-		t.Error("out-of-range column has no keywords")
+	if sp.ColumnValueExprs(5) != nil {
+		t.Error("out-of-range column has no value constraints")
 	}
 }
 
@@ -191,12 +184,8 @@ func TestSpecResolutionLevels(t *testing.T) {
 	if low.Resolution() != lang.ResolutionLow {
 		t.Error("metadata-only spec is low resolution")
 	}
-	if low.MissingCellFraction() != 1 {
-		t.Error("no sample cells means fully missing")
-	}
-	med := paperSpec(t)
-	if med.MissingCellFraction() <= 0.3 || med.MissingCellFraction() >= 0.4 {
-		t.Errorf("MissingCellFraction = %v, want 1/3", med.MissingCellFraction())
+	if paperSpec(t).Resolution() != lang.ResolutionMedium {
+		t.Error("a disjunction cell is medium resolution")
 	}
 }
 

@@ -1,11 +1,13 @@
 package dataset
 
 import (
+	"errors"
 	"math/rand"
 	"strings"
 	"testing"
 
 	"prism/internal/exec"
+	"prism/internal/mem"
 	"prism/internal/schema"
 	"prism/internal/value"
 )
@@ -15,7 +17,7 @@ func TestMondialDefaults(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !db.Analyzed() {
+	if !frozen(db) {
 		t.Error("generated database should be analyzed")
 	}
 	cfg := DefaultMondialConfig()
@@ -93,7 +95,8 @@ func TestMondialDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, table := range a.Schema().TableNames() {
+	for _, tab := range a.Schema().Tables() {
+		table := tab.Name
 		ra, _ := a.SampleRows(table, 0)
 		rb, _ := b.SampleRows(table, 0)
 		if len(ra) != len(rb) {
@@ -133,8 +136,8 @@ func TestMondialScaling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if small.TotalRows() >= big.TotalRows() {
-		t.Errorf("bigger config should give more rows: %d vs %d", small.TotalRows(), big.TotalRows())
+	if totalRows(small) >= totalRows(big) {
+		t.Errorf("bigger config should give more rows: %d vs %d", totalRows(small), totalRows(big))
 	}
 }
 
@@ -211,7 +214,7 @@ func TestByName(t *testing.T) {
 			t.Errorf("ByName(%q): %v", name, err)
 			continue
 		}
-		if db.TotalRows() == 0 {
+		if totalRows(db) == 0 {
 			t.Errorf("ByName(%q) produced an empty database", name)
 		}
 	}
@@ -288,4 +291,18 @@ func BenchmarkIMDBGeneration(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
+}
+
+// totalRows returns the number of rows across db's tables.
+func totalRows(db *mem.Database) int {
+	n := 0
+	for _, t := range db.Schema().Tables() {
+		n += db.NumRows(t.Name)
+	}
+	return n
+}
+
+// frozen reports whether db is analysed: whether it refuses writes.
+func frozen(db *mem.Database) bool {
+	return errors.Is(db.Insert("", nil), mem.ErrFrozen)
 }

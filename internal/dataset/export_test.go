@@ -7,3 +7,6 @@ var Load = load
 // Identical reports whether two cells are the same: two decimals of the same
 // bits, else EqualStrict.
 var Identical = identical
+
+// Frozen reports whether a database is analysed: whether it refuses writes.
+var Frozen = frozen

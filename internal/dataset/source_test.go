@@ -52,7 +52,7 @@ Mystery Lake,12.5,,,
 	if !rows[2][2].IsNull() || !rows[2][3].IsNull() {
 		t.Errorf("empty cells should load as NULL, got %v", rows[2])
 	}
-	if !db.Analyzed() {
+	if !frozen(db) {
 		t.Error("loaded database is not analyzed")
 	}
 }
@@ -78,7 +78,7 @@ G1,Lakers,102
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := db.Schema().NumTables(); got != 3 {
+	if got := len(db.Schema().Tables()); got != 3 {
 		t.Fatalf("tables = %d, want 3; schema:\n%s", got, db.Schema())
 	}
 	fkSet := map[string]bool{}
@@ -181,8 +181,8 @@ func TestFromFileSniffing(t *testing.T) {
 		if db.Name != nba.Name {
 			t.Errorf("name = %q, want the written %q", db.Name, nba.Name)
 		}
-		if db.TotalRows() != nba.TotalRows() {
-			t.Errorf("snapshot rows = %d, want %d", db.TotalRows(), nba.TotalRows())
+		if totalRows(db) != totalRows(nba) {
+			t.Errorf("snapshot rows = %d, want %d", totalRows(db), totalRows(nba))
 		}
 	})
 	t.Run("unknown format", func(t *testing.T) {

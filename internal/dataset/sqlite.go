@@ -71,19 +71,47 @@ func decodeSQLite(name string, data []byte) (*mem.Database, error) {
 	if err != nil {
 		return nil, err
 	}
+	tables, err := readSQLiteTables(f, len(data))
+	if err != nil {
+		return nil, err
+	}
+	sch, err := sqliteSchema(tables)
+	if err != nil {
+		return nil, err
+	}
+	db := mem.NewDatabase(name, sch)
+	for _, tl := range tables {
+		t, _ := sch.Table(tl.def.name)
+		for _, row := range tl.rows {
+			tuple := make(value.Tuple, len(row))
+			for ci, cell := range row {
+				tuple[ci] = cell.toValue(t.Columns[ci].Type)
+			}
+			if err := db.Insert(tl.def.name, tuple); err != nil {
+				return nil, fmt.Errorf("table %s: %w", tl.def.name, err)
+			}
+		}
+	}
+	db.Analyze()
+	return db, nil
+}
+
+// sqliteTableLoad is one ordinary table of a file: its definition and its
+// raw cells, the rowid alias already applied.
+type sqliteTableLoad struct {
+	def  *sqliteTableDef
+	rows [][]sqliteValue
+}
+
+// readSQLiteTables parses every ordinary table's definition and collects
+// its raw cells, so column kinds can be settled against the actual data
+// before the schema is built. size is the file's length in bytes.
+func readSQLiteTables(f *sqliteFile, size int) ([]*sqliteTableLoad, error) {
 	masters, err := f.masterRows()
 	if err != nil {
 		return nil, err
 	}
-
-	// Phase one: parse definitions and collect every table's raw cells,
-	// so column kinds can be settled against the actual data before the
-	// schema is built.
-	type tableLoad struct {
-		def  *sqliteTableDef
-		rows [][]sqliteValue // record cells, rowid alias already applied
-	}
-	var tables []*tableLoad
+	var tables []*sqliteTableLoad
 	cells := 0
 	for _, m := range masters {
 		if m.typ != "table" || strings.HasPrefix(m.name, "sqlite_") {
@@ -93,13 +121,13 @@ func decodeSQLite(name string, data []byte) (*mem.Database, error) {
 		if err != nil {
 			return nil, fmt.Errorf("table %s: %w", m.name, err)
 		}
-		tl := &tableLoad{def: def}
+		tl := &sqliteTableLoad{def: def}
 		err = f.walkTable(m.rootPage, func(rowid int64, record []sqliteValue) error {
 			// A stored cell costs at least the byte of its serial type; a
 			// table of more cells than the file has bytes is made of cells
 			// its records do not store.
-			if cells += len(def.columns); cells > len(data) {
-				return corrupt("%d cells exceed the file's %d bytes", cells, len(data))
+			if cells += len(def.columns); cells > size {
+				return corrupt("%d cells exceed the file's %d bytes", cells, size)
 			}
 			row := make([]sqliteValue, len(def.columns))
 			for ci := range def.columns {
@@ -124,7 +152,12 @@ func decodeSQLite(name string, data []byte) (*mem.Database, error) {
 	if len(tables) == 0 {
 		return nil, errors.New("no ordinary tables")
 	}
+	return tables, nil
+}
 
+// sqliteSchema builds the schema of the tables: every table first, with
+// column kinds settled against its cells, then the foreign keys.
+func sqliteSchema(tables []*sqliteTableLoad) (*schema.Schema, error) {
 	sch := schema.New()
 	for _, tl := range tables {
 		cols := make([]schema.Column, len(tl.def.columns))
@@ -164,22 +197,7 @@ func decodeSQLite(name string, data []byte) (*mem.Database, error) {
 			}
 		}
 	}
-
-	db := mem.NewDatabase(name, sch)
-	for _, tl := range tables {
-		t, _ := sch.Table(tl.def.name)
-		for _, row := range tl.rows {
-			tuple := make(value.Tuple, len(row))
-			for ci, cell := range row {
-				tuple[ci] = cell.toValue(t.Columns[ci].Type)
-			}
-			if err := db.Insert(tl.def.name, tuple); err != nil {
-				return nil, fmt.Errorf("table %s: %w", tl.def.name, err)
-			}
-		}
-	}
-	db.Analyze()
-	return db, nil
+	return sch, nil
 }
 
 // effectiveKind returns declared when every cell in the column can be

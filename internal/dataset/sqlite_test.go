@@ -384,7 +384,7 @@ func TestLoadSQLite(t *testing.T) {
 	if c, _ := player.Column("Height"); c.Type != value.Decimal {
 		t.Errorf("Height type = %v, want decimal", c.Type)
 	}
-	if !db.Analyzed() {
+	if !frozen(db) {
 		t.Error("loaded database is not analyzed")
 	}
 }

@@ -87,7 +87,7 @@ func TestEachPairIsSelectedOnce(t *testing.T) {
 				t.Errorf("%s: %d pairs selected, the validations carried %d (%d on tables not proved empty)",
 					label, kept, len(rec.carried), len(rec.unpruned))
 			}
-			cellSets, _ := report.Trace.Find("estimate").Attr("cell_sets").(int)
+			cellSets, _ := report.Trace.Find("estimate").Attrs["cell_sets"].(int)
 			if bayes {
 				if cellSets != kept || kept < len(rec.carried) {
 					t.Errorf("%s: the estimator selected %d pairs, the table holds %d, the validations carried %d",

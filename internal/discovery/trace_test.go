@@ -41,13 +41,13 @@ func TestDiscoverTrace(t *testing.T) {
 			t.Errorf("phase span %q has no duration", phase)
 		}
 	}
-	if got := trace.Find("enumerate").Attr("candidates"); got != report.CandidatesEnumerated {
+	if got := trace.Find("enumerate").Attrs["candidates"]; got != report.CandidatesEnumerated {
 		t.Errorf("enumerate candidates attr = %v, report says %d", got, report.CandidatesEnumerated)
 	}
-	if got := trace.Attr("validations"); got != report.Validations {
+	if got := trace.Attrs["validations"]; got != report.Validations {
 		t.Errorf("root validations attr = %v, report says %d", got, report.Validations)
 	}
-	if got := trace.Attr("rowsScanned"); got != report.Cost.RowsScanned {
+	if got := trace.Attrs["rowsScanned"]; got != report.Cost.RowsScanned {
 		t.Errorf("root rowsScanned attr = %v, report says %d", got, report.Cost.RowsScanned)
 	}
 
@@ -61,10 +61,10 @@ func TestDiscoverTrace(t *testing.T) {
 			continue
 		}
 		validates++
-		if plan, ok := c.Attr("plan").(string); !ok || plan == "" {
+		if plan, ok := c.Attrs["plan"].(string); !ok || plan == "" {
 			t.Fatalf("validate span without a plan attr: %v", c.Attrs)
 		}
-		if n, ok := c.Attr("rowsScanned").(int); ok {
+		if n, ok := c.Attrs["rowsScanned"].(int); ok {
 			rows += n
 		}
 	}
@@ -75,7 +75,7 @@ func TestDiscoverTrace(t *testing.T) {
 		t.Errorf("validate spans sum rowsScanned=%d, report says %d", rows, report.Cost.RowsScanned)
 	}
 	for _, sp := range []*obs.Span{trace, sched} {
-		if got := sp.Attr("selectionsReused"); got != report.Cost.SelectionsReused {
+		if got := sp.Attrs["selectionsReused"]; got != report.Cost.SelectionsReused {
 			t.Errorf("%s selectionsReused attr = %v, report says %d", sp.Name, got, report.Cost.SelectionsReused)
 		}
 	}
@@ -92,19 +92,19 @@ func TestDiscoverTrace(t *testing.T) {
 		t.Fatalf("schedule span has %d estimate children, want 1", estimates)
 	}
 	estimate := sched.Find("estimate")
-	if got := estimate.Attr("calls"); got != report.FiltersGenerated {
+	if got := estimate.Attrs["calls"]; got != report.FiltersGenerated {
 		t.Errorf("estimate calls attr = %v, report says %d filters", got, report.FiltersGenerated)
 	}
-	cellSets, _ := estimate.Attr("cell_sets").(int)
-	memoHits, _ := estimate.Attr("memo_hits").(int)
+	cellSets, _ := estimate.Attrs["cell_sets"].(int)
+	memoHits, _ := estimate.Attrs["memo_hits"].(int)
 	if cellSets <= 0 || cellSets >= report.FiltersGenerated || memoHits <= 0 {
 		t.Errorf("estimate cell_sets=%d memo_hits=%d over %d filters: the memo shared nothing", cellSets, memoHits, report.FiltersGenerated)
 	}
 
 	// Memory accounting reached the trace (the columnar executor always
 	// uses some scratch).
-	if v, ok := trace.Attr("scratchBytes").(int); !ok || v <= 0 {
-		t.Errorf("root scratchBytes attr = %v, want > 0", trace.Attr("scratchBytes"))
+	if v, ok := trace.Attrs["scratchBytes"].(int); !ok || v <= 0 {
+		t.Errorf("root scratchBytes attr = %v, want > 0", trace.Attrs["scratchBytes"])
 	}
 
 	// The NDJSON dump is one valid JSON object per line with parent links.
@@ -155,7 +155,7 @@ func TestReplayTraceEstimatesNothing(t *testing.T) {
 		t.Fatal("replay trace has no estimate span")
 	}
 	for _, attr := range []string{"calls", "cell_sets", "memo_hits"} {
-		if got := estimate.Attr(attr); got != 0 {
+		if got := estimate.Attrs[attr]; got != 0 {
 			t.Errorf("replay estimate %s = %v, want 0", attr, got)
 		}
 	}
@@ -218,7 +218,7 @@ func TestSelectionMemoReachesTheRound(t *testing.T) {
 	}
 	reused := 0
 	for _, c := range first.Trace.Find("schedule").Children {
-		if n, ok := c.Attr("selectionsReused").(int); ok && c.Name == "validate" {
+		if n, ok := c.Attrs["selectionsReused"].(int); ok && c.Name == "validate" {
 			reused += n
 		}
 	}

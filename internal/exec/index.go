@@ -268,26 +268,6 @@ func (x *ColumnIndex) NumRows() int { return len(x.RowID) }
 // NullRows returns the ascending NULL rows.
 func (x *ColumnIndex) NullRows() []int32 { return x.Post.At(int32(len(x.Vals))) }
 
-// IDOf returns the value id of v's key, if the column holds it.
-func (x *ColumnIndex) IDOf(v value.Value) (int32, bool) {
-	class, bits := v.NumKey()
-	if class == value.ClassText {
-		var buf [64]byte
-		id, ok := x.texts[string(value.AppendFold(buf[:0], v.Text()))]
-		return id, ok
-	}
-	id, ok := x.nums[class][bits] // NULL's class has no map
-	return id, ok
-}
-
-// RowsOfValue returns the ascending rows whose value has v's key, if any.
-func (x *ColumnIndex) RowsOfValue(v value.Value) []int32 {
-	if id, ok := x.IDOf(v); ok {
-		return x.Post.At(id)
-	}
-	return nil
-}
-
 // JoinID returns the value id of x whose key is that of value id of probe:
 // the id a row holding id joins. It renders, folds and parses nothing.
 func (x *ColumnIndex) JoinID(probe *ColumnIndex, id int32) (int32, bool) {

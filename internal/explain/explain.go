@@ -3,12 +3,11 @@
 // projected-attribute nodes, join edges, and — when the user selects them —
 // blue constraint nodes attached where the constraints are satisfied.
 //
-// The graph can be rendered as Graphviz DOT, indented ASCII, JSON (for the
-// web demo), or a self-contained SVG.
+// The graph can be rendered as Graphviz DOT, indented ASCII or a
+// self-contained SVG, and encoded as JSON through its field tags.
 package explain
 
 import (
-	"encoding/json"
 	"fmt"
 	"sort"
 	"strings"
@@ -251,11 +250,6 @@ func (g *Graph) ASCII() string {
 		}
 	}
 	return b.String()
-}
-
-// JSON renders the graph for the web demo.
-func (g *Graph) JSON() ([]byte, error) {
-	return json.MarshalIndent(g, "", "  ")
 }
 
 // SVG renders a simple layered drawing: relations on the top row, projected

@@ -150,7 +150,7 @@ func TestASCIIRendering(t *testing.T) {
 
 func TestJSONRendering(t *testing.T) {
 	g := Build(demoCandidate(), demoSpec(t), demoSQL, AllConstraints())
-	data, err := g.JSON()
+	data, err := json.Marshal(g)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -96,7 +96,6 @@ type armed struct {
 type Site struct {
 	name string
 	arm  atomic.Pointer[armed]
-	hits atomic.Uint64 // lifetime hits, armed or not
 }
 
 // Name returns the registered name of the point.
@@ -112,7 +111,6 @@ func (s *Site) Hit() error {
 	if a == nil {
 		return nil
 	}
-	s.hits.Add(1)
 	if !a.fire() {
 		return nil
 	}
@@ -179,12 +177,12 @@ func (a *armed) nextRand() uint64 {
 }
 
 // Fired returns how many times this site has injected since it was
-// last armed, and how many hits it has observed over its lifetime.
-func (s *Site) Fired() (fired, hits uint64) {
+// last armed.
+func (s *Site) Fired() uint64 {
 	if a := s.arm.Load(); a != nil {
-		fired = a.fired.Load()
+		return a.fired.Load()
 	}
-	return fired, s.hits.Load()
+	return 0
 }
 
 // shortWriter truncates the first eligible write and returns the
@@ -200,7 +198,6 @@ func (sw shortWriter) Write(p []byte) (int, error) {
 	if a == nil || a.inj.Mode != ModeShortWrite {
 		return sw.w.Write(p)
 	}
-	sw.site.hits.Add(1)
 	if !a.fire() {
 		return sw.w.Write(p)
 	}

@@ -74,7 +74,7 @@ func TestSkipAndCount(t *testing.T) {
 	if fired != 3 {
 		t.Fatalf("fired %d times, want 3 (Count)", fired)
 	}
-	if f, _ := s.Fired(); f != 3 {
+	if f := s.Fired(); f != 3 {
 		t.Fatalf("Fired() = %d, want 3", f)
 	}
 }

@@ -85,12 +85,6 @@ type Filter struct {
 	fp       string
 }
 
-// IsTopOf reports whether the filter covers the full candidate (same tree
-// size and all target columns).
-func (f *Filter) IsTopOf(c graphx.Candidate) bool {
-	return f.Tree.Size() == c.Tree.Size() && len(f.TargetCols) == len(c.Projection)
-}
-
 // Plan returns the executable Project-Join plan of the filter. The plan is
 // built once and memoised — a filter is validated once per sample per
 // round, and the hot validation path must not re-allocate the slices every
@@ -760,9 +754,6 @@ func NewSession(set *Set) *Session {
 
 // Determined reports whether filter i already has a known outcome.
 func (s *Session) Determined(i int) bool { return s.Outcomes[i] != Unknown }
-
-// Resolved reports whether candidate c is confirmed or pruned.
-func (s *Session) Resolved(c int) bool { return s.Status[c] != CandidateUnresolved }
 
 // UnresolvedCandidates returns the number of candidates still unresolved.
 func (s *Session) UnresolvedCandidates() int { return len(s.Status) - len(s.resolved) }

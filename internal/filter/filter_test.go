@@ -114,7 +114,7 @@ func TestDecomposeStructure(t *testing.T) {
 	// Every candidate has a top filter covering all target columns.
 	for ci, cand := range set.Candidates {
 		top := set.Filters[set.Top[ci]]
-		if !top.IsTopOf(cand) {
+		if top.Tree.Size() != cand.Tree.Size() || len(top.TargetCols) != len(cand.Projection) {
 			t.Errorf("candidate %d: top filter %s does not cover candidate %s", ci, top, cand)
 		}
 		if len(set.CandidateFilters[ci]) == 0 {
@@ -386,7 +386,7 @@ func TestSessionPropagation(t *testing.T) {
 	// Passing a top filter confirms its candidate and implies its children.
 	var unresolvedCand int = -1
 	for ci := range set.Candidates {
-		if !sess.Resolved(ci) {
+		if sess.Status[ci] == CandidateUnresolved {
 			unresolvedCand = ci
 			break
 		}

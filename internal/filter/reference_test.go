@@ -219,7 +219,7 @@ func enumerateSubtrees(t graphx.Tree) []graphx.Tree {
 func (s *Session) PruningReach(i int) int {
 	n := 0
 	for _, ci := range s.Set.CandidatesOf(i) {
-		if !s.Resolved(ci) {
+		if s.Status[ci] == CandidateUnresolved {
 			n++
 		}
 	}

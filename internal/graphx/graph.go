@@ -42,26 +42,6 @@ func (g *Graph) Edges(table string) []schema.ForeignKey {
 	return g.adj[strings.ToLower(table)]
 }
 
-// Neighbors returns the tables adjacent to a table in the schema graph.
-func (g *Graph) Neighbors(table string) []string {
-	var out []string
-	seen := make(map[string]struct{})
-	for _, fk := range g.Edges(table) {
-		other := fk.To.Table
-		if strings.EqualFold(other, table) {
-			other = fk.From.Table
-		}
-		key := strings.ToLower(other)
-		if _, dup := seen[key]; dup {
-			continue
-		}
-		seen[key] = struct{}{}
-		out = append(out, other)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Tree is a connected, acyclic set of schema-graph edges: the join skeleton
 // of a candidate Project-Join query. A single-table tree has no edges.
 type Tree struct {
@@ -80,26 +60,6 @@ func (t Tree) Contains(table string) bool {
 		}
 	}
 	return false
-}
-
-// Leaves returns the tables of degree <= 1 within the tree.
-func (t Tree) Leaves() []string {
-	if len(t.Tables) == 1 {
-		return append([]string(nil), t.Tables...)
-	}
-	degree := make(map[string]int)
-	for _, e := range t.Edges {
-		degree[strings.ToLower(e.From.Table)]++
-		degree[strings.ToLower(e.To.Table)]++
-	}
-	var out []string
-	for _, tb := range t.Tables {
-		if degree[strings.ToLower(tb)] <= 1 {
-			out = append(out, tb)
-		}
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Canonical returns a deterministic signature of the tree (sorted edge

@@ -61,14 +61,14 @@ func ref(t, c string) schema.ColumnRef { return schema.ColumnRef{Table: t, Colum
 
 func TestNeighborsAndEdges(t *testing.T) {
 	g := New(mondialMiniSchema(t))
-	if got := g.Neighbors("Province"); len(got) != 3 {
-		t.Errorf("Neighbors(Province) = %v", got)
+	if got := g.Edges("Province"); len(got) != 3 {
+		t.Errorf("Edges(Province) = %v", got)
 	}
-	if got := g.Neighbors("Lake"); len(got) != 1 || got[0] != "geo_lake" {
-		t.Errorf("Neighbors(Lake) = %v", got)
+	if got := g.Edges("Lake"); len(got) != 1 || got[0].From.Table != "geo_lake" {
+		t.Errorf("Edges(Lake) = %v", got)
 	}
-	if got := g.Neighbors("Unknown"); got != nil {
-		t.Errorf("Neighbors(Unknown) = %v", got)
+	if got := g.Edges("Unknown"); got != nil {
+		t.Errorf("Edges(Unknown) = %v", got)
 	}
 	if len(g.Edges("geo_lake")) != 2 {
 		t.Errorf("Edges(geo_lake) = %v", g.Edges("geo_lake"))
@@ -124,14 +124,7 @@ func TestTreeHelpers(t *testing.T) {
 	if threeTable.Size() != 3 {
 		t.Fatal("expected a 3-table tree")
 	}
-	leaves := threeTable.Leaves()
-	if len(leaves) != 2 || leaves[0] != "Lake" || leaves[1] != "Province" {
-		t.Errorf("Leaves = %v", leaves)
-	}
 	single := Tree{Tables: []string{"Lake"}}
-	if got := single.Leaves(); len(got) != 1 || got[0] != "Lake" {
-		t.Errorf("single-table leaves = %v", got)
-	}
 	if single.Canonical() != "lake" {
 		t.Errorf("single canonical = %q", single.Canonical())
 	}

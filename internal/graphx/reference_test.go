@@ -16,7 +16,7 @@ import (
 
 // This file keeps candidate enumeration as it was before the candidate
 // stage folded per-round and per-tree facts once: every assignment copied
-// into a projection, checked against Tree.Leaves through a map of lower-cased
+// into a projection, its leaf tables checked through a map of lower-cased
 // table names and rendered through Candidate.Canonical. It is the oracle the
 // enumeration must agree with, candidate for candidate.
 
@@ -142,8 +142,13 @@ func referenceLeavesUseful(tree Tree, projection []schema.ColumnRef) bool {
 	for _, ref := range projection {
 		used[strings.ToLower(ref.Table)] = true
 	}
-	for _, leaf := range tree.Leaves() {
-		if !used[strings.ToLower(leaf)] {
+	degree := make(map[string]int)
+	for _, e := range tree.Edges {
+		degree[strings.ToLower(e.From.Table)]++
+		degree[strings.ToLower(e.To.Table)]++
+	}
+	for _, tb := range tree.Tables {
+		if degree[strings.ToLower(tb)] <= 1 && !used[strings.ToLower(tb)] {
 			return false
 		}
 	}

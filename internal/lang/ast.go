@@ -328,38 +328,6 @@ func quoteConst(v value.Value) string {
 // Value-constraint analysis helpers
 // ---------------------------------------------------------------------------
 
-// Keywords returns every exact constant mentioned by equality predicates and
-// keywords inside the expression. Related-column search probes the
-// per-column keyword sets with these.
-func Keywords(e ValueExpr) []string {
-	var out []string
-	var walk func(ValueExpr)
-	walk = func(e ValueExpr) {
-		switch n := e.(type) {
-		case Keyword:
-			out = append(out, n.Word)
-		case Compare:
-			if n.Op == OpEq {
-				out = append(out, n.Const.String())
-			}
-		case And:
-			for _, t := range n.Terms {
-				walk(t)
-			}
-		case Or:
-			for _, t := range n.Terms {
-				walk(t)
-			}
-		case Not:
-			walk(n.Term)
-		}
-	}
-	if e != nil {
-		walk(e)
-	}
-	return out
-}
-
 // EqualityKeywords analyses whether the expression is equality-shaped: a
 // keyword, an equality comparison, a disjunction of such terms, or a
 // conjunction containing at least one equality-shaped term. When ok, the

@@ -39,16 +39,6 @@ func ParseValueConstraint(input string) (ValueExpr, error) {
 	return expr, nil
 }
 
-// MustParseValueConstraint is ParseValueConstraint that panics on error,
-// for tests that write their constraints as literals.
-func MustParseValueConstraint(input string) ValueExpr {
-	e, err := ParseValueConstraint(input)
-	if err != nil {
-		panic(err)
-	}
-	return e
-}
-
 // ParseMetadataConstraint parses one cell of the Metadata Constraints grid,
 // e.g.
 //

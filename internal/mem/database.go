@@ -27,8 +27,8 @@ import (
 	"prism/internal/value"
 )
 
-// ErrFrozen is returned by every write (Insert, InsertStrings, BulkInsert,
-// LoadCSV) to a database that Analyze has frozen; the write changes nothing.
+// ErrFrozen is returned by every write (Insert, InsertStrings, BulkInsert)
+// to a database that Analyze has frozen; the write changes nothing.
 var ErrFrozen = errors.New("mem: database is analysed and refuses writes")
 
 // Relation is a copy of one table's rows.
@@ -154,15 +154,6 @@ func (db *Database) NumRows(table string) int {
 		return t.n
 	}
 	return 0
-}
-
-// TotalRows returns the number of rows across all tables.
-func (db *Database) TotalRows() int {
-	n := 0
-	for _, t := range db.tables {
-		n += t.n
-	}
-	return n
 }
 
 // writable returns ErrFrozen once the database is frozen.
@@ -302,9 +293,6 @@ func (db *Database) ColumnIndex(ref schema.ColumnRef) (*exec.ColumnIndex, error)
 	}
 	return t.cols[ci], nil
 }
-
-// Analyzed reports whether Analyze has frozen the database.
-func (db *Database) Analyzed() bool { return db.frozen.Load() }
 
 // Stats returns the preprocessed statistics for a column.
 func (db *Database) Stats(ref schema.ColumnRef) (schema.Stats, bool) {

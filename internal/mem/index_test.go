@@ -2,6 +2,7 @@ package mem_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
@@ -81,7 +82,8 @@ func TestSelectMatchesBruteForce(t *testing.T) {
 	exactOnVariants := 0
 	for name, db := range dbs {
 		db.Analyze()
-		for _, ref := range db.Schema().AllColumns() {
+		for _, st := range db.AllStats() {
+			ref := st.Ref
 			x, err := db.ColumnIndex(ref)
 			if err != nil {
 				t.Fatal(err)
@@ -124,12 +126,12 @@ func TestSelectMatchesBruteForce(t *testing.T) {
 func allIndexes(t *testing.T, db *mem.Database) map[schema.ColumnRef]*exec.ColumnIndex {
 	t.Helper()
 	out := make(map[schema.ColumnRef]*exec.ColumnIndex)
-	for _, ref := range db.Schema().AllColumns() {
-		x, err := db.ColumnIndex(ref)
+	for _, st := range db.AllStats() {
+		x, err := db.ColumnIndex(st.Ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out[ref] = x
+		out[st.Ref] = x
 	}
 	return out
 }
@@ -147,7 +149,7 @@ func TestColumnIndexAfterRestore(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !restored.Analyzed() {
+		if !frozen(restored) {
 			t.Fatalf("%s: the restored database is not frozen", name)
 		}
 		got, want := allIndexes(t, restored), allIndexes(t, db)
@@ -169,8 +171,8 @@ func TestColumnIndexAfterRestore(t *testing.T) {
 func TestSnapshotKeepsEveryCell(t *testing.T) {
 	for _, db := range []*mem.Database{difftest.Quirks(t), difftest.BigJoin(t), difftest.Ranges(t)} {
 		loaded := make(map[string][]value.Tuple)
-		for _, table := range db.Schema().TableNames() {
-			loaded[table], _ = db.SampleRows(table, 0)
+		for _, table := range db.Schema().Tables() {
+			loaded[table.Name], _ = db.SampleRows(table.Name, 0)
 		}
 		var snap bytes.Buffer
 		if err := db.WriteSnapshot(&snap); err != nil {
@@ -212,7 +214,8 @@ func TestColumnHasKeywordCoversMatchesKeyword(t *testing.T) {
 	}
 	for name, db := range dbs {
 		reported, refused := 0, 0
-		for _, ref := range db.Schema().AllColumns() {
+		for _, st := range db.AllStats() {
+			ref := st.Ref
 			vals, err := db.ColumnValues(ref)
 			if err != nil {
 				t.Fatal(err)
@@ -250,4 +253,9 @@ func TestColumnHasKeywordCoversMatchesKeyword(t *testing.T) {
 			t.Errorf("%s: %d keywords reported, %d refused; the check needs both", name, reported, refused)
 		}
 	}
+}
+
+// frozen reports whether db is analysed: whether it refuses writes.
+func frozen(db *mem.Database) bool {
+	return errors.Is(db.Insert("", nil), mem.ErrFrozen)
 }

@@ -142,8 +142,8 @@ func TestBulkInsertAndTotals(t *testing.T) {
 	if err := db.BulkInsert("Lake", tuples); err != nil {
 		t.Fatal(err)
 	}
-	if db.TotalRows() != 2 {
-		t.Errorf("TotalRows = %d", db.TotalRows())
+	if db.NumRows("Lake") != 2 {
+		t.Errorf("NumRows = %d", db.NumRows("Lake"))
 	}
 	if err := db.BulkInsert("Lake", []value.Tuple{{value.NewText("x")}}); err == nil {
 		t.Error("bulk insert with bad tuple should fail")
@@ -180,7 +180,7 @@ func TestAnalyzeStats(t *testing.T) {
 // nothing — the same dictionaries, statistics and data version.
 func TestAnalyzeIsIdempotent(t *testing.T) {
 	db := testDB(t)
-	if !db.Analyzed() {
+	if !db.frozen.Load() {
 		t.Fatal("expected analyzed")
 	}
 	x, err := db.ColumnIndex(ref("Country", "Name"))
@@ -206,14 +206,14 @@ func TestAnalyzeIsIdempotent(t *testing.T) {
 func TestFrozenDatabaseRefusesWrites(t *testing.T) {
 	db := testDB(t)
 	indexes := make(map[schema.ColumnRef]*exec.ColumnIndex)
-	for _, r := range db.Schema().AllColumns() {
-		x, err := db.ColumnIndex(r)
+	for _, st := range db.AllStats() {
+		x, err := db.ColumnIndex(st.Ref)
 		if err != nil {
 			t.Fatal(err)
 		}
-		indexes[r] = x
+		indexes[st.Ref] = x
 	}
-	version, lakes, total, stats := db.Version(), db.NumRows("Lake"), db.TotalRows(), db.AllStats()
+	version, lakes, stats := db.Version(), db.NumRows("Lake"), db.AllStats()
 	nowhere := value.Tuple{value.NewText("Lake Nowhere"), value.NewDecimal(1)}
 	for _, w := range []struct {
 		name  string
@@ -222,15 +222,11 @@ func TestFrozenDatabaseRefusesWrites(t *testing.T) {
 		{"Insert", func() error { return db.Insert("Lake", nowhere) }},
 		{"InsertStrings", func() error { return db.InsertStrings("Lake", "Lake Nowhere", "1") }},
 		{"BulkInsert", func() error { return db.BulkInsert("Lake", []value.Tuple{nowhere}) }},
-		{"LoadCSV", func() error {
-			_, err := db.LoadCSV("Lake", strings.NewReader(lakeCSVWithHeader), true)
-			return err
-		}},
 	} {
 		if err := w.write(); !errors.Is(err, ErrFrozen) {
 			t.Errorf("%s on a frozen database: err = %v, want ErrFrozen", w.name, err)
 		}
-		if db.Version() != version || db.NumRows("Lake") != lakes || db.TotalRows() != total {
+		if db.Version() != version || db.NumRows("Lake") != lakes {
 			t.Errorf("%s changed the version or the row counts", w.name)
 		}
 		for r, x := range indexes {
@@ -278,7 +274,7 @@ func TestUnanalyzedLookups(t *testing.T) {
 	if _, ok := db.Stats(ref("Lake", "Name")); ok {
 		t.Error("Stats before Analyze should be absent")
 	}
-	if db.Analyzed() {
+	if db.frozen.Load() {
 		t.Error("Analyzed before Analyze should be false")
 	}
 	if _, err := db.ColumnIndex(ref("Lake", "Name")); err == nil {

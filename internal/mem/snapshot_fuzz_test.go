@@ -92,7 +92,7 @@ func readUntrusted(t *testing.T, data []byte) {
 		}
 		return
 	}
-	if !db.Analyzed() {
+	if !frozen(db) {
 		t.Fatal("decoded database is not analyzed")
 	}
 	for _, table := range db.Schema().Tables() {

@@ -83,7 +83,7 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if got.Version() != db.Version() {
 		t.Errorf("version = %d, want %d", got.Version(), db.Version())
 	}
-	if !got.Analyzed() {
+	if !got.frozen.Load() {
 		t.Error("decoded database is not analyzed")
 	}
 	if got.Schema().String() != db.Schema().String() {
@@ -243,7 +243,7 @@ func TestSnapshotEmptyDatabase(t *testing.T) {
 	if got.NumRows("Empty") != 0 {
 		t.Errorf("rows = %d, want 0", got.NumRows("Empty"))
 	}
-	if !got.Analyzed() {
+	if !got.frozen.Load() {
 		t.Error("decoded empty database is not analyzed")
 	}
 }

@@ -83,16 +83,6 @@ func (s *Span) SetAttr(key string, value any) {
 	s.mu.Unlock()
 }
 
-// Attr returns one attribute value (nil when absent or on a nil span).
-func (s *Span) Attr(key string) any {
-	if s == nil {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.Attrs[key]
-}
-
 // Find returns the first span named name in a depth-first walk of the
 // tree rooted at s, or nil.
 func (s *Span) Find(name string) *Span {

@@ -9,7 +9,7 @@
 // sets. Before this package those sets were []bool masks, map[int32]
 // membership sets and per-row []int32 slices — every probe paid map hashes
 // and fresh allocations. A Bitmap packs the same information into
-// numRows/64 words: And/Or/AndNot are word-wise loops the compiler
+// numRows/64 words: And and Or are word-wise loops the compiler
 // vectorises, Popcount is math/bits.OnesCount64, membership is one shift
 // and mask, and ordered iteration recovers ascending row ids with
 // TrailingZeros64. All kernels are zero-allocation once the set is sized
@@ -101,15 +101,6 @@ func (b *Bitmap) Or(o *Bitmap) {
 	}
 }
 
-// AndNot removes every element of o from b in place. The universes must
-// have equal length.
-func (b *Bitmap) AndNot(o *Bitmap) {
-	bw, ow := b.words, o.words
-	for i := range bw {
-		bw[i] &^= ow[i]
-	}
-}
-
 // Popcount returns the number of elements in the set.
 func (b *Bitmap) Popcount() int {
 	n := 0
@@ -117,16 +108,6 @@ func (b *Bitmap) Popcount() int {
 		n += bits.OnesCount64(w)
 	}
 	return n
-}
-
-// Any reports whether the set is non-empty.
-func (b *Bitmap) Any() bool {
-	for _, w := range b.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // ForEach calls yield for every element in ascending order until yield

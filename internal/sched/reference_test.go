@@ -36,7 +36,7 @@ type referenceEntry struct {
 func pruningReach(sess *filter.Session, i int) int {
 	n := 0
 	for _, ci := range sess.Set.CandidatesOf(i) {
-		if !sess.Resolved(ci) {
+		if sess.Status[ci] == filter.CandidateUnresolved {
 			n++
 		}
 	}
@@ -56,7 +56,7 @@ func referencePick(set *filter.Set, sess *filter.Session, failProb []float64, is
 		topOfUnresolved := false
 		if isTop[i] {
 			for _, ci := range set.CandidatesOf(i) {
-				if set.Top[ci] == i && !sess.Resolved(ci) {
+				if set.Top[ci] == i && sess.Status[ci] == filter.CandidateUnresolved {
 					topOfUnresolved = true
 					break
 				}

@@ -6,7 +6,6 @@ package schema
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"prism/internal/value"
@@ -110,15 +109,6 @@ func (t *Table) Column(name string) (Column, bool) {
 	return t.Columns[i], true
 }
 
-// ColumnNames returns the column names in declaration order.
-func (t *Table) ColumnNames() []string {
-	names := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		names[i] = c.Name
-	}
-	return names
-}
-
 // Arity returns the number of columns.
 func (t *Table) Arity() int { return len(t.Columns) }
 
@@ -177,14 +167,6 @@ func (s *Schema) Tables() []*Table {
 	return out
 }
 
-// TableNames returns table names in registration order.
-func (s *Schema) TableNames() []string {
-	return append([]string(nil), s.order...)
-}
-
-// NumTables returns the number of registered tables.
-func (s *Schema) NumTables() int { return len(s.order) }
-
 // Resolve validates a column reference against the schema and returns the
 // canonical casing of the table and column names.
 func (s *Schema) Resolve(ref ColumnRef) (ColumnRef, error) {
@@ -219,29 +201,6 @@ func (s *Schema) AddForeignKey(fk ForeignKey) error {
 // ForeignKeys returns the registered join edges.
 func (s *Schema) ForeignKeys() []ForeignKey {
 	return append([]ForeignKey(nil), s.foreignKeys...)
-}
-
-// EdgesOf returns every foreign key incident to the named table.
-func (s *Schema) EdgesOf(table string) []ForeignKey {
-	var out []ForeignKey
-	for _, fk := range s.foreignKeys {
-		if strings.EqualFold(fk.From.Table, table) || strings.EqualFold(fk.To.Table, table) {
-			out = append(out, fk)
-		}
-	}
-	return out
-}
-
-// AllColumns returns every column reference in the schema, sorted.
-func (s *Schema) AllColumns() []ColumnRef {
-	var out []ColumnRef
-	for _, t := range s.Tables() {
-		for _, c := range t.Columns {
-			out = append(out, ColumnRef{Table: t.Name, Column: c.Name})
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Less(out[j]) })
-	return out
 }
 
 // String renders a compact textual description of the schema, one table per
@@ -285,14 +244,6 @@ type Stats struct {
 
 // NonNullCount returns the number of non-null entries.
 func (st Stats) NonNullCount() int { return st.RowCount - st.NullCount }
-
-// NullFraction returns the fraction of NULL entries (0 for empty columns).
-func (st Stats) NullFraction() float64 {
-	if st.RowCount == 0 {
-		return 0
-	}
-	return float64(st.NullCount) / float64(st.RowCount)
-}
 
 // String renders the stats compactly.
 func (st Stats) String() string {

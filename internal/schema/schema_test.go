@@ -57,9 +57,8 @@ func TestTableLookups(t *testing.T) {
 	if _, ok := tab.Column("nope"); ok {
 		t.Error("Column(nope) should be absent")
 	}
-	names := tab.ColumnNames()
-	if len(names) != 3 || names[0] != "Name" || names[2] != "Depth" {
-		t.Errorf("ColumnNames = %v", names)
+	if tab.Arity() != 3 || tab.Columns[0].Name != "Name" || tab.Columns[2].Name != "Depth" {
+		t.Errorf("Columns = %v", tab.Columns)
 	}
 }
 
@@ -126,21 +125,14 @@ func buildMiniSchema(t *testing.T) *Schema {
 
 func TestSchemaTables(t *testing.T) {
 	s := buildMiniSchema(t)
-	if s.NumTables() != 3 {
-		t.Errorf("NumTables = %d", s.NumTables())
-	}
 	if _, ok := s.Table("LAKE"); !ok {
 		t.Error("case-insensitive table lookup failed")
 	}
 	if _, ok := s.Table("nope"); ok {
 		t.Error("unknown table should be absent")
 	}
-	names := s.TableNames()
-	if len(names) != 3 || names[0] != "Lake" || names[1] != "geo_lake" {
-		t.Errorf("TableNames = %v", names)
-	}
-	if got := len(s.Tables()); got != 3 {
-		t.Errorf("Tables() len = %d", got)
+	if tables := s.Tables(); len(tables) != 3 || tables[0].Name != "Lake" || tables[1].Name != "geo_lake" {
+		t.Errorf("Tables() = %v", tables)
 	}
 	if err := s.AddTable(lakeTable(t)); err == nil {
 		t.Error("duplicate table should fail")
@@ -188,29 +180,8 @@ func TestForeignKeys(t *testing.T) {
 	}); err == nil {
 		t.Error("FK with unknown endpoint should fail")
 	}
-	edges := s.EdgesOf("Lake")
-	if len(edges) != 1 {
-		t.Errorf("EdgesOf(Lake) = %v", edges)
-	}
-	edges = s.EdgesOf("geo_lake")
-	if len(edges) != 2 {
-		t.Errorf("EdgesOf(geo_lake) = %v", edges)
-	}
-	if len(s.EdgesOf("Province")) != 1 {
-		t.Error("EdgesOf(Province) should have 1 edge")
-	}
-}
-
-func TestAllColumnsSorted(t *testing.T) {
-	s := buildMiniSchema(t)
-	cols := s.AllColumns()
-	if len(cols) != 9 {
-		t.Fatalf("AllColumns len = %d", len(cols))
-	}
-	for i := 1; i < len(cols); i++ {
-		if cols[i].Less(cols[i-1]) {
-			t.Errorf("AllColumns not sorted at %d: %v after %v", i, cols[i], cols[i-1])
-		}
+	if fks := s.ForeignKeys(); len(fks) != 2 {
+		t.Errorf("ForeignKeys = %v", fks)
 	}
 }
 
@@ -250,9 +221,6 @@ func TestStatsCollector(t *testing.T) {
 	if st.MaxLength != 4 { // "53.2" and "497" -> 4
 		t.Errorf("MaxLength = %d", st.MaxLength)
 	}
-	if st.NullFraction() != 0.2 {
-		t.Errorf("NullFraction = %v", st.NullFraction())
-	}
 	if !strings.Contains(st.String(), "Lake.Area") {
 		t.Errorf("Stats.String() = %q", st.String())
 	}
@@ -264,8 +232,8 @@ func TestStatsEmptyColumn(t *testing.T) {
 	if st.RowCount != 0 || !st.Min.IsNull() || !st.Max.IsNull() {
 		t.Errorf("empty stats: %+v", st)
 	}
-	if st.NullFraction() != 0 {
-		t.Errorf("NullFraction of empty column should be 0")
+	if st.NullCount != 0 || st.NonNullCount() != 0 {
+		t.Errorf("empty column counts: %+v", st)
 	}
 }
 

@@ -147,16 +147,6 @@ func (s *Sink) Send(payload []byte) bool {
 	}
 }
 
-// Stalled reports whether the sink has stalled.
-func (s *Sink) Stalled() bool {
-	select {
-	case <-s.stalled:
-		return true
-	default:
-		return false
-	}
-}
-
 // Close stops accepting events, waits for the pump to drain what was
 // already buffered, and returns the first write error (nil for a clean
 // stream). Close must not race Send: the producing goroutine closes the

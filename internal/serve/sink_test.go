@@ -92,8 +92,10 @@ func TestSinkStallsSlowConsumerAndCancelsOnlyItsRound(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("OnStall not called")
 	}
-	if !s.Stalled() {
-		t.Fatal("Stalled() = false after stall")
+	select {
+	case <-s.stalled:
+	default:
+		t.Fatal("the stalled channel is open after a stall")
 	}
 	// After the stall, sends are cheap rejections — the producer can
 	// drain its source without blocking.
@@ -127,7 +129,9 @@ func TestSinkReportsWriteError(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "broken pipe") {
 		t.Fatalf("Close err = %v, want broken pipe", err)
 	}
-	if !s.Stalled() {
+	select {
+	case <-s.stalled:
+	default:
 		t.Fatal("write error must stall the sink")
 	}
 }

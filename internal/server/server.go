@@ -565,7 +565,7 @@ func (s *Server) handleDiscoverForm(w http.ResponseWriter, r *http.Request) {
 		Samples:    parseGridText(samplesText, numColumns),
 	}
 	if strings.TrimSpace(metadataText) != "" {
-		req.Metadata = padRow(splitCells(metadataText), numColumns)
+		req.Metadata = api.SplitCells(metadataText, numColumns)
 	}
 	resp, _ := s.discover(r.Context(), req, true)
 	data := &pageData{
@@ -598,37 +598,9 @@ func parseGridText(text string, numColumns int) [][]string {
 		if strings.TrimSpace(line) == "" {
 			continue
 		}
-		rows = append(rows, padRow(splitCells(line), numColumns))
+		rows = append(rows, api.SplitCells(line, numColumns))
 	}
 	return rows
-}
-
-func splitCells(line string) []string {
-	parts := strings.Split(line, "|")
-	// The constraint language uses "||" for disjunction; re-join cells that
-	// were split apart by it (an empty part between two non-empty parts).
-	var cells []string
-	for i := 0; i < len(parts); i++ {
-		cell := parts[i]
-		for i+2 <= len(parts)-1 && parts[i+1] == "" {
-			// "a || b" splits into ["a ", "", " b"]; merge back.
-			cell = cell + "||" + parts[i+2]
-			i += 2
-		}
-		cells = append(cells, strings.TrimSpace(cell))
-	}
-	return cells
-}
-
-func padRow(cells []string, n int) []string {
-	if n <= 0 {
-		return cells
-	}
-	out := make([]string, n)
-	for i := 0; i < n && i < len(cells); i++ {
-		out[i] = cells[i]
-	}
-	return out
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

@@ -226,24 +226,39 @@ func TestDiscoverFormRendersResultSection(t *testing.T) {
 }
 
 func TestSplitCellsAndGridParsing(t *testing.T) {
-	cells := splitCells("California || Nevada | Lake Tahoe | ")
-	if len(cells) != 3 || cells[0] != "California || Nevada" || cells[1] != "Lake Tahoe" || cells[2] != "" {
-		t.Errorf("splitCells = %#v", cells)
-	}
-	cells = splitCells("a | b | c")
-	if len(cells) != 3 || cells[1] != "b" {
-		t.Errorf("splitCells simple = %#v", cells)
-	}
 	rows := parseGridText("a | b\n\nc | d\n", 2)
 	if len(rows) != 2 || rows[1][0] != "c" {
 		t.Errorf("parseGridText = %#v", rows)
 	}
-	padded := padRow([]string{"x"}, 3)
-	if len(padded) != 3 || padded[0] != "x" || padded[2] != "" {
-		t.Errorf("padRow = %#v", padded)
+	rows = parseGridText("California || Nevada | Lake Tahoe\nx", 3)
+	if len(rows) != 2 || rows[0][0] != "California || Nevada" || rows[0][2] != "" || rows[1][1] != "" {
+		t.Errorf("parseGridText pads to the column count: %#v", rows)
 	}
-	if got := padRow([]string{"x", "y"}, 0); len(got) != 2 {
-		t.Errorf("padRow with n=0 should keep cells: %#v", got)
+}
+
+// TestDiscoverFormBlankLeadingCells: a '||' with blank sides separates empty
+// cells, so the walkthrough's metadata written as "||X" constrains the
+// third column, and the form finds the walkthrough's mapping.
+func TestDiscoverFormBlankLeadingCells(t *testing.T) {
+	s := testServer(t)
+	form := url.Values{
+		"database": {"mondial"},
+		"columns":  {"3"},
+		"samples":  {"California || Nevada | Lake Tahoe | "},
+		"metadata": {"||DataType=='decimal' AND MinValue>='0'"},
+	}
+	req := httptest.NewRequest(http.MethodPost, "/discover", strings.NewReader(form.Encode()))
+	req.Header.Set("Content-Type", "application/x-www-form-urlencoded")
+	rec := httptest.NewRecorder()
+	s.Handler().ServeHTTP(rec, req)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("status = %d", rec.Code)
+	}
+	html := rec.Body.String()
+	for _, want := range []string{"SELECT", "geo_lake", "Area"} {
+		if !strings.Contains(html, want) {
+			t.Errorf("result page missing %q", want)
+		}
 	}
 }
 

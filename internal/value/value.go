@@ -85,9 +85,6 @@ func ParseKind(s string) (Kind, error) {
 // Numeric reports whether the kind holds numbers (Int or Decimal).
 func (k Kind) Numeric() bool { return k == Int || k == Decimal }
 
-// Temporal reports whether the kind holds dates or times.
-func (k Kind) Temporal() bool { return k == Date || k == Time }
-
 // Value is an immutable typed scalar. The zero Value is NULL.
 type Value struct {
 	kind Kind
@@ -299,23 +296,6 @@ func (v Value) String() string {
 		return v.TimeValue().Format("15:04:05")
 	default:
 		return "<invalid>"
-	}
-}
-
-// SQLLiteral renders v as a SQL literal suitable for embedding in generated
-// Project-Join queries.
-func (v Value) SQLLiteral() string {
-	switch v.kind {
-	case Null:
-		return "NULL"
-	case Int, Decimal:
-		return v.String()
-	case Text:
-		return "'" + strings.ReplaceAll(v.s, "'", "''") + "'"
-	case Date, Time:
-		return "'" + v.String() + "'"
-	default:
-		return "NULL"
 	}
 }
 
@@ -572,20 +552,6 @@ func AppendFold(dst []byte, s string) []byte {
 // the key of the key dictionary's keyword table (exec.ColumnIndex.Text).
 func Normalize(s string) string {
 	return strings.ToLower(strings.TrimSpace(s))
-}
-
-// ContainsKeyword reports whether v, rendered as text, contains the keyword
-// (case-insensitive). Exact equality of the full rendering also matches.
-// This models the keyword-containment semantics of value constraints.
-func (v Value) ContainsKeyword(keyword string) bool {
-	if v.kind == Null {
-		return false
-	}
-	k := Normalize(keyword)
-	if k == "" {
-		return false
-	}
-	return strings.Contains(strings.ToLower(v.String()), k)
 }
 
 // MatchesKeyword reports whether v equals the keyword under Prism's

@@ -77,12 +77,6 @@ func TestKindPredicates(t *testing.T) {
 	if Text.Numeric() || Null.Numeric() || Date.Numeric() {
 		t.Error("Text/Null/Date should not be numeric")
 	}
-	if !Date.Temporal() || !Time.Temporal() {
-		t.Error("Date and Time should be temporal")
-	}
-	if Int.Temporal() {
-		t.Error("Int should not be temporal")
-	}
 }
 
 func TestConstructorsAndAccessors(t *testing.T) {
@@ -153,25 +147,21 @@ func TestFloat(t *testing.T) {
 	}
 }
 
-func TestStringAndSQLLiteral(t *testing.T) {
+func TestString(t *testing.T) {
 	cases := []struct {
-		v       Value
-		str     string
-		literal string
+		v   Value
+		str string
 	}{
-		{NullValue, "NULL", "NULL"},
-		{NewInt(-3), "-3", "-3"},
-		{NewDecimal(497), "497", "497"},
-		{NewText("O'Brien"), "O'Brien", "'O''Brien'"},
-		{NewDateYMD(2018, time.December, 18), "2018-12-18", "'2018-12-18'"},
-		{NewTimeHMS(23, 1, 2), "23:01:02", "'23:01:02'"},
+		{NullValue, "NULL"},
+		{NewInt(-3), "-3"},
+		{NewDecimal(497), "497"},
+		{NewText("O'Brien"), "O'Brien"},
+		{NewDateYMD(2018, time.December, 18), "2018-12-18"},
+		{NewTimeHMS(23, 1, 2), "23:01:02"},
 	}
 	for _, c := range cases {
 		if got := c.v.String(); got != c.str {
 			t.Errorf("String() = %q, want %q", got, c.str)
-		}
-		if got := c.v.SQLLiteral(); got != c.literal {
-			t.Errorf("SQLLiteral() = %q, want %q", got, c.literal)
 		}
 	}
 }
@@ -274,18 +264,6 @@ func TestKeyCollisions(t *testing.T) {
 }
 
 func TestKeywordMatching(t *testing.T) {
-	if !NewText("Lake Tahoe").ContainsKeyword("tahoe") {
-		t.Error("ContainsKeyword should be case-insensitive substring")
-	}
-	if NewText("Lake Tahoe").ContainsKeyword("") {
-		t.Error("empty keyword should not match")
-	}
-	if NullValue.ContainsKeyword("x") {
-		t.Error("NULL should not contain keywords")
-	}
-	if !NewInt(497).ContainsKeyword("497") {
-		t.Error("int should match its textual rendering")
-	}
 	if !NewText("California").MatchesKeyword("california") {
 		t.Error("MatchesKeyword should be case-insensitive")
 	}

@@ -85,7 +85,7 @@ func TestOpenFileSchemeSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := eng.Database().TotalRows(), src.Database().TotalRows(); got != want {
+	if got, want := totalRows(eng.Database()), totalRows(src.Database()); got != want {
 		t.Errorf("snapshot-opened rows = %d, want %d", got, want)
 	}
 }

@@ -367,8 +367,8 @@ func Execute(db *Database, p Plan) (*Result, error) { return db.Execute(p) }
 //	eng := prism.NewEngine(db)
 func NewDatabase(name string, sch *Schema) *Database { return mem.NewDatabase(name, sch) }
 
-// ErrFrozen is returned by every write (Insert, InsertStrings, BulkInsert,
-// LoadCSV) to a Database that Analyze has frozen; the write changes nothing.
+// ErrFrozen is returned by every write (Insert, InsertStrings, BulkInsert)
+// to a Database that Analyze has frozen; the write changes nothing.
 var ErrFrozen = mem.ErrFrozen
 
 // NewSchema creates an empty schema.

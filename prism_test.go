@@ -19,6 +19,15 @@ func mondialEngine(t testing.TB) *Engine {
 	return eng
 }
 
+// totalRows returns the number of rows across db's tables.
+func totalRows(db *Database) int {
+	n := 0
+	for _, t := range db.Schema().Tables() {
+		n += db.NumRows(t.Name)
+	}
+	return n
+}
+
 func paperSpec(t testing.TB) *Spec {
 	t.Helper()
 	spec, err := ParseConstraints(3,
@@ -59,7 +68,7 @@ func TestOpenBundledDatasets(t *testing.T) {
 			t.Errorf("Open(%q): %v", name, err)
 			continue
 		}
-		if eng.Database().TotalRows() == 0 {
+		if totalRows(eng.Database()) == 0 {
 			t.Errorf("%s: empty database", name)
 		}
 		w, ok := walkthroughs[name]
@@ -259,8 +268,8 @@ func TestModelAccessor(t *testing.T) {
 	if eng.Model() == nil {
 		t.Fatal("model should be available")
 	}
-	if eng.Model().RelationSize("Lake") == 0 {
-		t.Error("trained model should know the size of Lake")
+	if eng.Model().ColumnIndex(ColumnRef{Table: "Lake", Column: "Name"}) == nil {
+		t.Error("trained model should hold Lake.Name's dictionary")
 	}
 }
 

@@ -7,13 +7,13 @@ package prism
 //   - which prism packages each package may import (allowedImports);
 //   - that no non-test function is longer than maxFuncLines, except the
 //     ones on longFuncs, a list that may only shrink;
-//   - that every exported package-level name of an internal package is
-//     named by some non-test file, except the ones on testOnlyExports, a
-//     list that may only shrink.
+//   - that every exported package-level name and every exported method of
+//     an internal package is named by some non-test file, except the ones
+//     on testOnlyExports, a list that may only shrink.
 //
 // A change that adds an import edge, drops one, adds a package, grows a
-// function past the ceiling or exports a name only tests use fails here and
-// has to say so in this file.
+// function past the ceiling or exports a name or method only tests use
+// fails here and has to say so in this file.
 
 import (
 	"fmt"
@@ -104,11 +104,10 @@ var allowedImports = map[string]string{
 // It may only shrink: an entry that is gone, or no longer over the
 // ceiling, fails until it is deleted. Never add one.
 var longFuncs = map[string]int{
-	"cmd/prism-loadtest.main":       133,
-	"benchmark.tracer.layerValues":  126,
-	"internal/dataset.decodeSQLite": 115,
-	"internal/loadtest.Run":         104,
-	"benchmark.stager.round":        102,
+	"cmd/prism-loadtest.main":      133,
+	"benchmark.tracer.layerValues": 126,
+	"internal/loadtest.Run":        104,
+	"benchmark.stager.round":       102,
 }
 
 // testSupport lists the internal packages that exist for tests: the
@@ -118,18 +117,22 @@ var testSupport = []string{"internal/chaos", "internal/difftest", "internal/expe
 
 // testOnlyExports lists the exported package-level funcs, types, vars and
 // consts of internal packages that no non-test file names outside their own
-// declaration and methods, keyed package.Name. It may only shrink: an entry
-// that a non-test file names, or whose declaration is gone, fails until it
-// is deleted. Never add one.
+// declaration and methods, keyed package.Name, and the exported methods no
+// non-test file selects outside their own body, keyed package.Type.Method.
+// It may only shrink: an entry that a non-test file names, or whose
+// declaration is gone, fails until it is deleted. Never add one.
 var testOnlyExports = []string{
+	"internal/constraint.Spec.MatchesResult",
 	"internal/discovery.NewEngineOn",
+	"internal/exec.SelectionMemo.Fills",
 	"internal/fault.Arm",
 	"internal/fault.Armed",
 	"internal/fault.DisarmAll",
 	"internal/fault.Names",
+	"internal/fault.Site.Fired",
 	"internal/filter.Decompose",
-	"internal/lang.MustParseValueConstraint",
 	"internal/loadtest.ReadTrajectory",
+	"internal/obs.Span.Find",
 }
 
 // shapePackage is one package as the shape check sees it: its path
@@ -224,11 +227,16 @@ func funcLengths(fset *token.FileSet, rel string, f *ast.File) map[string]int {
 
 // checkExports returns one line per exported package-level func, type, var
 // or const of a checked internal package that no non-test file names
-// outside its own declaration and methods and testOnly does not list, and
-// one per testOnly entry that is named or gone. A name counts as named by
-// an identifier in its own package or a selector on an import of it in
-// another; without type information, a struct literal's field key counts
-// too.
+// outside its own declaration and methods, one per exported method (on any
+// receiver) that no non-test file selects outside its own body, each unless
+// testOnly lists it, and one per testOnly entry that is named or gone. A
+// name counts as named by an identifier in its own package or a selector on
+// an import of it in another; without type information, a struct literal's
+// field key counts too, and a method counts as named by a selector of its
+// name on any value. So a method shares the selectors of every field and
+// method of its name, and one that only an interface of the standard
+// library calls (a String only fmt calls) counts as named only when some
+// file selects that name.
 func checkExports(pkgs []shapePackage, testOnly []string) []string {
 	pkgName := map[string]string{} // rel -> package clause name
 	for _, pkg := range pkgs {
@@ -236,9 +244,14 @@ func checkExports(pkgs []shapePackage, testOnly []string) []string {
 	}
 	declared := map[string]bool{}
 	named := map[string]bool{}
+	selected := map[string]int{}   // method name -> selectors of it in all non-test files
+	ownSelects := map[string]int{} // pkg.Type.Method -> selectors of its name in its own body
 	for _, pkg := range pkgs {
 		checked := strings.HasPrefix(pkg.rel, "internal/") && !slices.Contains(testSupport, pkg.rel)
 		for _, f := range pkg.files {
+			for name, n := range selectors(f) {
+				selected[name] += n
+			}
 			imports := map[string]string{} // local name -> rel
 			for _, spec := range f.Imports {
 				imp := strings.Trim(spec.Path.Value, `"`)
@@ -256,6 +269,13 @@ func checkExports(pkgs []shapePackage, testOnly []string) []string {
 				imports[local] = rel
 			}
 			for _, decl := range f.Decls {
+				if fd, ok := decl.(*ast.FuncDecl); ok && checked && fd.Recv != nil && len(fd.Recv.List) == 1 && ast.IsExported(fd.Name.Name) {
+					key := pkg.rel + "." + receiverName(fd.Recv.List[0].Type) + "." + fd.Name.Name
+					declared[key] = true
+					if fd.Body != nil {
+						ownSelects[key] = selectors(fd.Body)[fd.Name.Name]
+					}
+				}
 				for _, unit := range declUnits(decl) {
 					own := map[string]bool{}
 					for _, name := range unit.owns {
@@ -275,6 +295,11 @@ func checkExports(pkgs []shapePackage, testOnly []string) []string {
 			}
 		}
 	}
+	for name, own := range ownSelects {
+		if selected[name[strings.LastIndex(name, ".")+1:]] > own {
+			named[name] = true
+		}
+	}
 	var bad []string
 	for name := range declared {
 		if !named[name] && !slices.Contains(testOnly, name) {
@@ -290,6 +315,19 @@ func checkExports(pkgs []shapePackage, testOnly []string) []string {
 		}
 	}
 	return bad
+}
+
+// selectors counts the selector expressions under n by the name they
+// select.
+func selectors(n ast.Node) map[string]int {
+	out := map[string]int{}
+	ast.Inspect(n, func(n ast.Node) bool {
+		if sel, ok := n.(*ast.SelectorExpr); ok {
+			out[sel.Sel.Name]++
+		}
+		return true
+	})
+	return out
 }
 
 // declUnit is a part of a top-level declaration that declares names: a
@@ -439,8 +477,8 @@ func parseTree(t *testing.T, fset *token.FileSet, root string) []shapePackage {
 	return pkgs
 }
 
-// TestShape checks the tree against the import table and the length
-// ceiling.
+// TestShape checks the tree against the import table, the length ceiling
+// and the export check.
 func TestShape(t *testing.T) {
 	root, err := os.Getwd()
 	if err != nil {
@@ -547,9 +585,33 @@ func TestShapeChecker(t *testing.T) {
 		},
 		{
 			name:    "type named only by its methods",
-			files:   exports("type T struct{ next *T }\nfunc (t T) M() T { return T{} }\n"),
+			files:   exports("type T struct{ next *T }\nfunc (t T) m() T { return T{} }\n"),
 			imports: exportImports,
 			want:    "internal/sqlgen.T is named by no non-test file",
+		},
+		{
+			name:    "unnamed method",
+			files:   exports("type s struct{}\nfunc (s) Unused() {}\n"),
+			imports: exportImports,
+			want:    "internal/sqlgen.s.Unused is named by no non-test file",
+		},
+		{
+			name:    "method named through another type's value",
+			files:   exports("type s struct{}\nfunc (s) Close() {}\ntype closer interface{ Close() }\nfunc use(c closer) { c.Close() }\n"),
+			imports: exportImports,
+		},
+		{
+			name:    "self-recursive method",
+			files:   exports("type s struct{}\nfunc (r s) Loop() { r.Loop() }\n"),
+			imports: exportImports,
+			want:    "internal/sqlgen.s.Loop is named by no non-test file",
+		},
+		{
+			name:     "stale test-only method entry",
+			files:    exports(""),
+			imports:  exportImports,
+			testOnly: []string{"internal/sqlgen.s.Gone"},
+			want:     "internal/sqlgen.s.Gone no longer exists: delete it from testOnlyExports",
 		},
 		{
 			name:     "test-only export named",

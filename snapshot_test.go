@@ -243,8 +243,8 @@ func BenchmarkColdStart(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
-				if loaded.TotalRows() != db.TotalRows() {
-					b.Fatalf("snapshot round trip lost rows: %d != %d", loaded.TotalRows(), db.TotalRows())
+				if totalRows(loaded) != totalRows(db) {
+					b.Fatalf("snapshot round trip lost rows: %d != %d", totalRows(loaded), totalRows(db))
 				}
 			}
 		})
