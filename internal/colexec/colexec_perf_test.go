@@ -192,12 +192,30 @@ func wideDB(t testing.TB, n, codes int) *mem.Database {
 	return db
 }
 
+// shoreDB holds one text column whose values have blanks at their edges,
+// which no generated column does.
+func shoreDB(t testing.TB) *mem.Database {
+	t.Helper()
+	sch := schema.New()
+	if err := sch.AddTable(schema.MustTable("Shore", schema.Column{Name: "Name", Type: value.Text})); err != nil {
+		t.Fatal(err)
+	}
+	db := mem.NewDatabase("shore", sch)
+	for _, s := range []string{" Lake Tahoe", "Lake Tahoe", "TAHOE\t", " lake tahoe"} {
+		if err := db.Insert("Shore", value.Tuple{value.NewText(s)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db.Analyze()
+	return db
+}
+
 // TestWarmValidationPathAllocations is the tentpole's executor-level
 // guarantee: once the executor and its pooled execution state are warm, an
 // existence-style validation probe — the unit of work the scheduler issues
 // thousands of times per round — performs zero heap allocations, on the
-// keyword paths (text and numeric) and on the range selections the key
-// dictionary answers.
+// keyword paths (text, numeric, dates and text with blanks at its edges) and
+// on the range selections the key dictionary answers.
 func TestWarmValidationPathAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-mode sync.Pool drops pooled state on purpose; allocation counts are meaningless")
@@ -245,6 +263,26 @@ func TestWarmValidationPathAllocations(t *testing.T) {
 	// executor.
 	edge := build(t, edgeDB(t))
 	_, cyclic := edgePlans()
+	// Keyword probes that read the dictionary's respelled list: a date (its
+	// rendering is not its key) and text with blanks at its edges. Their
+	// predicates compare without rendering, as the residual edge does.
+	ranges := difftest.Ranges(t)
+	ranges.Analyze()
+	day := value.NewDateYMD(2019, time.January, 1)
+	dayOpts := exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{{
+		Ref:      ref("Reading", "Day"),
+		Pred:     func(v value.Value) bool { return v.EqualStrict(day) },
+		Keywords: []string{day.String()},
+	}}}
+	shore := build(t, shoreDB(t))
+	blankOpts := exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{{
+		Ref:      ref("Shore", "Name"),
+		Pred:     func(v value.Value) bool { return !v.IsNull() && v.Text() == " Lake Tahoe" },
+		Keywords: []string{"lake tahoe"},
+	}}}
+	single := func(table string, col schema.ColumnRef) exec.Plan {
+		return exec.Plan{Tables: []string{table}, Project: []schema.ColumnRef{col}}
+	}
 	probe := func(ex exec.Executor, plan exec.Plan, opts exec.ExecOptions) func() {
 		return func() {
 			if ok, _, err := ex.Exists(plan, opts); err != nil || !ok {
@@ -260,6 +298,8 @@ func TestWarmValidationPathAllocations(t *testing.T) {
 		"exact-range-probe":   probe(col, plan, exactOpts),
 		"three-table-probe":   probe(col, threeWayPlan(), exec.ExecOptions{TuplePredicate: always}),
 		"residual-edge-probe": probe(edge, cyclic, exec.ExecOptions{TuplePredicate: always}),
+		"date-kw-probe":       probe(build(t, ranges), single("Reading", ref("Reading", "Day")), dayOpts),
+		"edge-blank-kw-probe": probe(shore, single("Shore", ref("Shore", "Name")), blankOpts),
 	} {
 		fn() // warm the pools
 		fn()

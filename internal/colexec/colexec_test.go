@@ -306,9 +306,7 @@ func TestKeywordKeyConsistency(t *testing.T) {
 	x, _ := exec.NewColumnIndex(ref("T", "v"), value.Text, rows, 0)
 	for _, kw := range keywords {
 		hits := rowset.New(len(values))
-		for _, id := range x.KeywordIDs(kw) {
-			hits.AddSorted(x.Post.At(id))
-		}
+		x.KeywordIDs(kw, func(id int32) bool { hits.AddSorted(x.Post.At(id)); return true })
 		kept := rowset.New(len(values))
 		x.Select(&exec.ColumnPredicate{Pred: func(v value.Value) bool { return v.MatchesKeyword(kw) }, Keywords: []string{kw}}, kept, nil)
 		for row, v := range values {

@@ -267,7 +267,7 @@ func (e *Engine) Model() *bayes.Model { return e.model }
 // RelatedColumns finds, for every target column, the source columns that
 // could be mapped to it: columns satisfying the column's metadata
 // constraint whose contents make at least one value constraint feasible
-// (checked against the per-column keyword sets and column statistics, §2.3
+// (checked against the key dictionaries and column statistics, §2.3
 // step #1).
 func (e *Engine) RelatedColumns(spec *constraint.Spec) ([][]schema.ColumnRef, error) {
 	if spec == nil {

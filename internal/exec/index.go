@@ -73,20 +73,18 @@ type ColumnIndex struct {
 	// whatever their kind: numeric-looking text has one.
 	ByView []int32
 	Views  []float64
-	// Text maps the keyword a value renders as (value.Normalize(v.String()),
-	// never empty), unless the keyword parses as a number, to the entry of
-	// TextIDs that lists, ascending, the value ids holding such a value. A
-	// variant renders as its id's value does ("Lake"/"LAKE"), so the rows of
-	// those ids are the rows that render the keyword; Select still evaluates
-	// its predicate on each id and variant row. A keyword that parses as a
-	// number is compared by its numeric view (Value.MatchesKeyword), so the
-	// views answer it (KeywordIDs), and no number has an entry.
-	Text    map[string]int32
-	TextIDs CSR
 	// nums[c] maps the bits of a key of class c (Value.NumKey) to its value
-	// id, texts the folded text of a key of value.ClassText.
+	// id, texts the folded text of a key of value.ClassText. texts is also
+	// where a text keyword is looked up (KeywordIDs): the keyword a value
+	// renders as, value.Normalize(v.String()), is its folded text unless
+	// it is one of respelled's.
 	nums  [value.ClassText]map[uint64]int32
 	texts map[string]int32
+	// respelled lists, sorted by keyword, the value ids whose keyword is not
+	// their folded text: every date and time (a rendering such as year
+	// 12000's "12000-01-01" does not parse back), and text with blanks at
+	// its edges. Text of blanks alone renders no keyword and is not listed.
+	respelled []keywordID
 	// keys[id] is the key of value id: its class and bits, or for
 	// value.ClassText its position in folded, the folded texts in id order.
 	keys   []dictKey
@@ -100,6 +98,12 @@ type ColumnIndex struct {
 type dictKey struct {
 	class value.KeyClass
 	bits  uint64
+}
+
+// keywordID is one entry of ColumnIndex.respelled.
+type keywordID struct {
+	kw string
+	id int32
 }
 
 // NewColumnIndex indexes column ci of rows in one pass, and returns the
@@ -147,7 +151,7 @@ func NewColumnIndex(ref schema.ColumnRef, typ value.Kind, rows []value.Tuple, ci
 		x.plain = len(x.Vals)
 	}
 	x.sortViews()
-	x.indexText()
+	x.indexRespelled()
 	st := stats.Stats(len(x.Vals))
 	st.RowCount, st.NullCount = x.NumRows(), len(x.NullRows())
 	return x, st
@@ -195,48 +199,24 @@ func (x *ColumnIndex) intern(v value.Value, fold *[]byte) (id int32, seen bool) 
 	return id, seen
 }
 
-// indexText fills Text and TextIDs with the keyword of every value id. A
-// variant row needs none of its own: text that shares a key with its id's
-// value has the same folded form, so the same keyword (Normalize trims and
-// lower-cases), and a number renders none.
-func (x *ColumnIndex) indexText() {
-	x.Text = make(map[string]int32, len(x.folded))
-	var entries, ids []int32
-	for id := range x.Vals {
-		kw := x.keyword(int32(id))
-		if kw == "" {
+// indexRespelled fills respelled. A variant row needs no entry of its own:
+// text that shares a key with its id's value has the same folded form, so
+// the same keyword, and a date or a time the same rendering.
+func (x *ColumnIndex) indexRespelled() {
+	for id, v := range x.Vals {
+		switch v.Kind() {
+		case value.Int, value.Decimal:
 			continue
+		case value.Text:
+			if s := v.Text(); x.keys[id].class != value.ClassText || strings.TrimSpace(s) == s {
+				continue
+			}
 		}
-		entry, seen := x.Text[kw]
-		if !seen {
-			entry = int32(len(x.Text))
-			x.Text[kw] = entry
-		}
-		entries, ids = append(entries, entry), append(ids, int32(id))
-	}
-	x.TextIDs = GroupCSR(len(x.Text), entries, ids)
-}
-
-// keyword returns what the value v of id is listed under in Text:
-// value.Normalize(v.String()), or "" when that parses as a number — which a
-// number's rendering and numeric text's do. Text keyed by its folded self
-// renders as its folded key unless blanks surround it, so only a date, a
-// time and such text render here.
-func (x *ColumnIndex) keyword(id int32) string {
-	v := x.Vals[id]
-	switch v.Kind() {
-	case value.Int, value.Decimal:
-		return ""
-	case value.Text:
-		k := x.keys[id]
-		if k.class != value.ClassText {
-			return ""
-		}
-		if s := v.Text(); strings.TrimSpace(s) == s {
-			return x.folded[k.bits]
+		if kw := value.Normalize(v.String()); kw != "" {
+			x.respelled = append(x.respelled, keywordID{kw, int32(id)})
 		}
 	}
-	return value.Normalize(v.String())
+	slices.SortStableFunc(x.respelled, func(a, b keywordID) int { return strings.Compare(a.kw, b.kw) })
 }
 
 // sortViews fills ByView and Views. The sort runs on a scratch slice of
@@ -280,22 +260,36 @@ func (x *ColumnIndex) JoinID(probe *ColumnIndex, id int32) (int32, bool) {
 	return to, ok
 }
 
-// KeywordIDs returns the value ids whose rows hold every row whose value
-// matches keyword kw (Value.MatchesKeyword): for a keyword that parses as a
-// number — its numeric view as a text, which MatchesKeyword compares it
-// by — the ids whose numeric view equals it (none for NaN), in view order;
-// for any other, the ids Text lists under its normalised form, ascending.
-// Either list may hold ids whose values do not match: Select evaluates the
-// predicate on each.
-func (x *ColumnIndex) KeywordIDs(kw string) []int32 {
+// KeywordIDs calls yield, until it returns false, with value ids whose rows
+// hold every row whose value matches keyword kw (Value.MatchesKeyword): for
+// a keyword that parses as a number — its numeric view as a text, which
+// MatchesKeyword compares it by — the ids whose numeric view equals it (none
+// for NaN); for any other, the id whose folded text is its normalised form
+// and the ids respelled lists under that form. A keyword of blanks alone has
+// none. An id may hold values that do not match: Select evaluates the
+// predicate on each. A keyword already lower-case costs no allocation.
+func (x *ColumnIndex) KeywordIDs(kw string, yield func(id int32) bool) {
 	if f, ok := value.NewText(kw).Float(); ok {
-		return x.ViewRange(f, f)
+		for _, id := range x.ViewRange(f, f) {
+			if !yield(id) {
+				return
+			}
+		}
+		return
 	}
-	entry, ok := x.Text[value.Normalize(kw)]
-	if !ok {
-		return nil
+	kw = value.Normalize(kw)
+	if kw == "" {
+		return
 	}
-	return x.TextIDs.At(entry)
+	if id, ok := x.texts[kw]; ok && !yield(id) {
+		return
+	}
+	i, _ := slices.BinarySearchFunc(x.respelled, kw, func(e keywordID, kw string) int { return strings.Compare(e.kw, kw) })
+	for ; i < len(x.respelled) && x.respelled[i].kw == kw; i++ {
+		if !yield(x.respelled[i].id) {
+			return
+		}
+	}
 }
 
 // Value returns the value stored in row: NULL for a NULL row, the row's own
@@ -374,13 +368,14 @@ func (x *ColumnIndex) Select(cp *ColumnPredicate, rows *rowset.Bitmap, interrupt
 	}
 	if len(cp.Keywords) > 0 {
 		for _, kw := range cp.Keywords {
-			for _, id := range x.KeywordIDs(kw) {
-				if interrupt.Hit() {
-					return true
-				}
-				if cp.Pred(x.Vals[id]) {
+			x.KeywordIDs(kw, func(id int32) bool {
+				if aborted = interrupt.Hit(); !aborted && cp.Pred(x.Vals[id]) {
 					rows.AddSorted(x.Post.At(id))
 				}
+				return !aborted
+			})
+			if aborted {
+				return true
 			}
 		}
 	} else {

@@ -383,8 +383,8 @@ func EqualityKeywords(e ValueExpr) (keywords []string, ok bool) {
 
 // ColumnFeasible conservatively reports whether some value stored in a
 // column with the given statistics could satisfy the constraint. hasKeyword
-// answers whether the column contains an exact keyword (via the per-column
-// keyword sets). False negatives are not allowed (a false "infeasible" would
+// answers whether the column contains an exact keyword (via its key
+// dictionary, mem.Database.ColumnHasKeyword). False negatives are not allowed (a false "infeasible" would
 // prune a valid mapping); false positives merely cost extra validation work.
 func ColumnFeasible(e ValueExpr, st schema.Stats, hasKeyword func(string) bool) bool {
 	if e == nil {

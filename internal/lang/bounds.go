@@ -25,7 +25,7 @@ import (
 //     excluded because Value.Compare orders non-numeric text against them
 //     by kind, not by magnitude, so a numeric interval would not be a
 //     cover. Keywords are excluded too (their equality semantics are served
-//     better by the key dictionary's keyword table).
+//     better by the key dictionary's keyword lookup).
 //   - A conjunction may take each side of the interval from any of its
 //     terms (Eval implies every term, hence every term's cover).
 //   - A disjunction is covered only when every branch is; the interval is

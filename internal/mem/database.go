@@ -318,14 +318,19 @@ func (db *Database) AllStats() []schema.Stats {
 // ColumnHasKeyword reports whether some value of the given column matches
 // the keyword as Value.MatchesKeyword does: a keyword that parses as a number
 // when some value's numeric view equals it (never for NaN), any other when a
-// value of the column renders as it, normalised (the key dictionary's Text)
-// — the lookup the columnar executor seeds a keyword selection with
-// (exec.ColumnIndex.KeywordIDs), so related-column search accepts every
-// spelling the executor accepts. It answers false until the database is
-// analysed.
+// value of the column renders as it, normalised (the key dictionary's folded
+// texts, dates and times) — the lookup the columnar executor seeds a keyword
+// selection with (exec.ColumnIndex.KeywordIDs), so related-column search
+// accepts every spelling the executor accepts. It answers false until the
+// database is analysed.
 func (db *Database) ColumnHasKeyword(ref schema.ColumnRef, keyword string) bool {
 	x, err := db.ColumnIndex(ref)
-	return err == nil && len(x.KeywordIDs(keyword)) > 0
+	if err != nil {
+		return false
+	}
+	found := false
+	x.KeywordIDs(keyword, func(int32) bool { found = true; return false })
+	return found
 }
 
 // ColumnValues returns all values stored in the given column, in row order.

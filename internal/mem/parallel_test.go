@@ -33,15 +33,13 @@ func lowresMondial(t testing.TB) *mem.Database {
 	return db
 }
 
-// TestAnalyzeIndependentOfCoreCount: the statistics, the per-column keyword
-// sets, the key dictionaries and the snapshot bytes are a function of the
-// data alone — equal at
-// GOMAXPROCS 1 (the direct loop), 2 and 8 (more workers than this host may
-// have cores).
+// TestAnalyzeIndependentOfCoreCount: the statistics, the key dictionaries
+// (keyword side lists included) and the snapshot bytes are a function of
+// the data alone — equal at GOMAXPROCS 1 (the direct loop), 2 and 8 (more
+// workers than this host may have cores).
 func TestAnalyzeIndependentOfCoreCount(t *testing.T) {
 	type built struct {
 		stats    any
-		keywords map[string]map[string]struct{}
 		index    map[schema.ColumnRef]*exec.ColumnIndex
 		snapshot []byte
 	}
@@ -53,10 +51,10 @@ func TestAnalyzeIndependentOfCoreCount(t *testing.T) {
 		if err := db.WriteSnapshot(&snap); err != nil {
 			t.Fatal(err)
 		}
-		return built{db.AllStats(), db.ColumnKeywords(), allIndexes(t, db), snap.Bytes()}
+		return built{db.AllStats(), allIndexes(t, db), snap.Bytes()}
 	}
 	want := build(1)
-	if len(want.keywords) == 0 || len(want.snapshot) == 0 {
+	if len(want.index) == 0 || len(want.snapshot) == 0 {
 		t.Fatal("nothing built")
 	}
 	for _, procs := range []int{2, 8} {
@@ -64,9 +62,6 @@ func TestAnalyzeIndependentOfCoreCount(t *testing.T) {
 			got := build(procs)
 			if !reflect.DeepEqual(got.stats, want.stats) {
 				t.Error("AllStats differ from the one-core build")
-			}
-			if !reflect.DeepEqual(got.keywords, want.keywords) {
-				t.Error("per-column keyword sets differ from the one-core build")
 			}
 			if !reflect.DeepEqual(got.index, want.index) {
 				t.Error("key dictionaries differ from the one-core build")

@@ -89,11 +89,9 @@ func MustTable(name string, cols ...Column) *Table {
 }
 
 // ColumnIndex returns the position of the named column (case-insensitive),
-// or -1 when absent.
+// or -1 when absent. It only reads, so the parallel set-up builders may call
+// it from several goroutines.
 func (t *Table) ColumnIndex(name string) int {
-	if t.byName == nil {
-		t.rebuildIndex()
-	}
 	if i, ok := t.byName[strings.ToLower(name)]; ok {
 		return i
 	}
@@ -112,13 +110,6 @@ func (t *Table) Column(name string) (Column, bool) {
 // Arity returns the number of columns.
 func (t *Table) Arity() int { return len(t.Columns) }
 
-func (t *Table) rebuildIndex() {
-	t.byName = make(map[string]int, len(t.Columns))
-	for i, c := range t.Columns {
-		t.byName[strings.ToLower(c.Name)] = i
-	}
-}
-
 // Schema is the full database schema: tables plus foreign-key edges.
 type Schema struct {
 	tables      map[string]*Table
@@ -131,21 +122,15 @@ func New() *Schema {
 	return &Schema{tables: make(map[string]*Table)}
 }
 
-// AddTable registers a table. Table names are case-insensitive and must be
-// unique.
+// AddTable registers a table built by NewTable. Table names are
+// case-insensitive and must be unique.
 func (s *Schema) AddTable(t *Table) error {
-	if t == nil {
-		return fmt.Errorf("schema: nil table")
+	if t == nil || t.byName == nil {
+		return fmt.Errorf("schema: table not built by NewTable")
 	}
 	key := strings.ToLower(t.Name)
 	if _, dup := s.tables[key]; dup {
 		return fmt.Errorf("schema: duplicate table %q", t.Name)
-	}
-	if t.byName == nil {
-		// A table built as a literal indexes its columns lazily; do it here,
-		// so that ColumnIndex on a registered table never writes and the
-		// parallel set-up builders may call it from several goroutines.
-		t.rebuildIndex()
 	}
 	s.tables[key] = t
 	s.order = append(s.order, t.Name)

@@ -62,14 +62,6 @@ func TestTableLookups(t *testing.T) {
 	}
 }
 
-func TestTableIndexRebuild(t *testing.T) {
-	// A Table constructed by literal (no byName map) should still resolve.
-	tab := &Table{Name: "X", Columns: []Column{{Name: "A"}, {Name: "B"}}}
-	if tab.ColumnIndex("b") != 1 {
-		t.Error("literal-constructed table should lazily index columns")
-	}
-}
-
 func TestColumnRef(t *testing.T) {
 	r := ColumnRef{Table: "Lake", Column: "Name"}
 	if r.String() != "Lake.Name" {
@@ -139,6 +131,9 @@ func TestSchemaTables(t *testing.T) {
 	}
 	if err := s.AddTable(nil); err == nil {
 		t.Error("nil table should fail")
+	}
+	if err := s.AddTable(&Table{Name: "X", Columns: []Column{{Name: "A"}}}); err == nil {
+		t.Error("a table not built by NewTable should fail")
 	}
 }
 

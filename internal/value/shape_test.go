@@ -47,6 +47,7 @@ var shapeCorpus = []string{
 	"California", "Lake Tahoe", "O'Higgins", "3rd Street", "e5", "-", "+", ".",
 	"1.2.3", "1-2", "12:34-56", "--5", "1..2", "abc123", "123abc",
 	"Δ42", "４２", " 42 ", "\t3.5\n",
+	"-0005-01-01", "12000-01-01", "1e+5", "1E-5", "0x1p+4", "0x1P-4", "0x1e+5", "1+2", "1e5-", "-1e-5", "+.5e+3",
 }
 
 // TestParseShapeGuardsMatchReference is the no-behavior-change property of

@@ -222,7 +222,13 @@ func floatShaped(s string) bool {
 		switch c := s[i]; {
 		case c >= '0' && c <= '9', c >= 'a' && c <= 'f', c >= 'A' && c <= 'F':
 			// hex digits cover e/E (exponent) and the 0x prefix's digits
-		case c == '.', c == '+', c == '-', c == '_', c == 'x', c == 'X', c == 'p', c == 'P':
+		case c == '+', c == '-':
+			// past the first byte a sign follows an exponent's letter, so a
+			// date such as 2020-01-31 is not taken for a number
+			if p := s[i-1] | 0x20; p != 'e' && p != 'p' {
+				return false
+			}
+		case c == '.', c == '_', c == 'x', c == 'X', c == 'p', c == 'P':
 		default:
 			return false
 		}
@@ -548,8 +554,9 @@ func AppendFold(dst []byte, s string) []byte {
 	return dst
 }
 
-// Normalize returns the canonical case-insensitive keyword form of a value:
-// the key of the key dictionary's keyword table (exec.ColumnIndex.Text).
+// Normalize returns the canonical case-insensitive keyword form of a value.
+// For text that no blanks surround it is the folded text the key dictionary
+// keys it by (AppendFold), which exec.ColumnIndex.KeywordIDs looks it up as.
 func Normalize(s string) string {
 	return strings.ToLower(strings.TrimSpace(s))
 }
