@@ -42,7 +42,9 @@ func TestSessionWarmRoundSkipsAllValidations(t *testing.T) {
 	if cold.Validations == 0 || len(cold.Mappings) == 0 {
 		t.Fatalf("cold round too weak: %s", cold.Summary())
 	}
-	if cold.Cache.Hits != 0 || cold.Cache.Stores != cold.Validations {
+	// Every validation is written back, and so are the 50 class-mates the
+	// validations settle.
+	if cold.Cache.Hits != 0 || cold.Cache.Stores != cold.Validations+50 {
 		t.Errorf("cold round cache counters = %+v (validations %d)", cold.Cache, cold.Validations)
 	}
 

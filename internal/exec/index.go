@@ -152,6 +152,14 @@ func NewColumnIndex(ref schema.ColumnRef, typ value.Kind, rows []value.Tuple, ci
 	}
 	x.sortViews()
 	x.indexRespelled()
+	// intern grew keys by append: keep it at its exact length (slices.Clone
+	// would round the capacity up to an allocation size). folded is filled
+	// from texts here, at its length, rather than grown with keys.
+	x.keys = append(make([]dictKey, 0, len(x.keys)), x.keys...)
+	x.folded = make([]string, len(x.texts))
+	for text, id := range x.texts {
+		x.folded[x.keys[id].bits] = text
+	}
 	st := stats.Stats(len(x.Vals))
 	st.RowCount, st.NullCount = x.NumRows(), len(x.NullRows())
 	return x, st
@@ -192,9 +200,9 @@ func (x *ColumnIndex) intern(v value.Value, fold *[]byte) (id int32, seen bool) 
 		if string(*fold) != s {
 			key = string(*fold)
 		}
+		pos := uint64(len(x.texts))
 		id, x.texts[key] = next, next
-		x.keys = append(x.keys, dictKey{class, uint64(len(x.folded))})
-		x.folded = append(x.folded, key)
+		x.keys = append(x.keys, dictKey{class, pos})
 	}
 	return id, seen
 }

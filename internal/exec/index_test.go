@@ -37,3 +37,24 @@ func TestColumnIndexAllocsIndependentOfRows(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnIndexKeepsNoSpareCapacity: the dictionary grows by append while
+// it is built and is then cut to its length. A column of 1 000 distinct
+// numbers, texts or both would otherwise keep the doubling's spare room.
+func TestColumnIndexKeepsNoSpareCapacity(t *testing.T) {
+	for _, kinds := range [][]value.Kind{{value.Int}, {value.Text}, {value.Int, value.Text}} {
+		rows := make([]value.Tuple, 1_000)
+		for i := range rows {
+			if kinds[i%len(kinds)] == value.Int {
+				rows[i] = value.Tuple{value.NewInt(int64(i))}
+			} else {
+				rows[i] = value.Tuple{value.NewText(fmt.Sprintf("Lake %d", i))}
+			}
+		}
+		x, _ := NewColumnIndex(schema.ColumnRef{Table: "T", Column: "C"}, kinds[0], rows, 0)
+		if len(x.keys) != len(rows) || cap(x.keys) != len(x.keys) || cap(x.folded) != len(x.folded) {
+			t.Errorf("%v: keys len %d cap %d, folded len %d cap %d; want %d keys and no spare capacity",
+				kinds, len(x.keys), cap(x.keys), len(x.folded), cap(x.folded), len(rows))
+		}
+	}
+}

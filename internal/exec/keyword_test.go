@@ -2,12 +2,16 @@ package exec_test
 
 import (
 	"math/rand"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
 
 	"prism/internal/dataset"
 	"prism/internal/difftest"
 	"prism/internal/exec"
 	"prism/internal/mem"
+	"prism/internal/value"
 )
 
 // TestKeywordIDsMatchReference: on every column of the bundled databases,
@@ -32,7 +36,49 @@ func TestKeywordIDsMatchReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			exec.CheckKeywordIDs(t, db.Name+" "+st.Ref.String(), x, exec.KeywordProbes(x, rng))
+			probes := exec.KeywordProbes(x, rng)
+			exec.CheckKeywordIDs(t, db.Name+" "+st.Ref.String(), x, probes)
+			checkMatchesKeyword(t, db.Name+" "+st.Ref.String(), slices.Concat(x.Vals, x.VariantVals), probes)
 		}
 	}
+}
+
+// checkMatchesKeyword requires Value.MatchesKeyword to answer as it did when
+// it compared against the rendering String returns: every value against the
+// blank and random probes and the spellings of itself and of the next value.
+func checkMatchesKeyword(t *testing.T, label string, vals []value.Value, probes []string) {
+	t.Helper()
+	const random = 50 // KeywordProbes ends with 50 random strings
+	shared := slices.Concat(probes[:4], probes[len(probes)-random:])
+	for i, v := range vals {
+		kws := shared
+		for _, w := range []value.Value{v, vals[(i+1)%len(vals)]} {
+			s := w.String()
+			kws = append(kws, s, strings.ToUpper(s), " "+s+"\t")
+		}
+		for _, kw := range kws {
+			if got, want := v.MatchesKeyword(kw), renderedMatchesKeyword(v, kw); got != want {
+				t.Errorf("%s: %v.MatchesKeyword(%q) = %v, by its rendering %v", label, v, kw, got, want)
+			}
+		}
+	}
+}
+
+// renderedMatchesKeyword is Value.MatchesKeyword as it was before it
+// rendered onto the stack (without its shape guard, which the value
+// package's tests pin to change nothing).
+func renderedMatchesKeyword(v value.Value, keyword string) bool {
+	if v.IsNull() {
+		return false
+	}
+	kw := strings.TrimSpace(keyword)
+	if kw == "" {
+		return false
+	}
+	if f, err := strconv.ParseFloat(kw, 64); err == nil {
+		if vf, ok := v.Float(); ok {
+			return vf == f
+		}
+	}
+	return strings.EqualFold(strings.TrimSpace(v.String()), kw)
 }

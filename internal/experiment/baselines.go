@@ -119,54 +119,68 @@ func GroundTruth(ctx context.Context, db exec.Executor, spec *constraint.Spec, s
 }
 
 // OptimalValidationCount is E3's "optimum": the size of one plan that
-// resolves every candidate given the ground-truth outcomes,
+// resolves every candidate given the ground-truth outcomes, counting an
+// outcome class of spec (filter.Set.Classes) as one validation, since the
+// scheduler settles a whole class with one:
 //
-//   - the distinct top filters of the passing candidates, each of which must
-//     be validated;
-//   - plus a greedy set cover of the failing candidates by failing filters.
+//   - the distinct classes of the top filters of the passing candidates,
+//     each of which must be validated;
+//   - plus a greedy set cover of the failing candidates by failing classes,
+//     a class covering the candidates of each of its members.
 //
 // The cover is greedy, so the count is neither the minimum number of
-// validations nor a lower bound on it: over the generator pools the Bayes
-// scheduler needs fewer on 9 of 42 rounds (ROADMAP item 21).
-func OptimalValidationCount(set *filter.Set, truth []filter.Outcome) int {
-	count := 0
-	// Distinct top filters of passing candidates, and the failing
-	// candidates still to cover — both dense index sets, kept as bitsets.
-	neededTops := rowset.New(set.NumFilters())
+// validations nor a lower bound on it (ROADMAP item 21).
+func OptimalValidationCount(set *filter.Set, spec *constraint.Spec, truth []filter.Outcome) int {
+	class, n := set.Classes(spec)
+	// Distinct classes of passing tops, and the failing candidates still to
+	// cover — both dense index sets, kept as bitsets.
+	neededTops := rowset.New(n)
 	failing := rowset.New(set.NumCandidates())
 	remaining := 0
 	for ci := range set.Candidates {
 		top := set.Top[ci]
 		if truth[top] == filter.Passed {
-			neededTops.Add(int32(top))
+			neededTops.Add(class[top])
 		} else {
 			failing.Add(int32(ci))
 			remaining++
 		}
 	}
-	count += neededTops.Popcount()
+	count := neededTops.Popcount()
 
-	// Greedy set cover of failing candidates by failing filters; ties go to
-	// the lowest filter index.
-	for remaining > 0 {
-		bestFilter := -1
-		bestCover := 0
-		for fi := range set.Filters {
-			if truth[fi] != filter.Failed {
-				continue
+	// The failing classes, ascending, and their members.
+	members := make([][]int, n)
+	var failingClasses []int32
+	for fi, c := range class {
+		if truth[fi] == filter.Failed {
+			if members[c] == nil {
+				failingClasses = append(failingClasses, c)
 			}
-			cover := 0
+			members[c] = append(members[c], fi)
+		}
+	}
+	// Greedy set cover of failing candidates by failing classes; ties go to
+	// the class whose first filter has the lowest index.
+	covered := rowset.New(set.NumCandidates())
+	coverOf := func(c int32) int {
+		covered.Reset(set.NumCandidates())
+		for _, fi := range members[c] {
 			for _, ci := range set.CandidatesOf(fi) {
 				if failing.Contains(int32(ci)) {
-					cover++
+					covered.Add(int32(ci))
 				}
 			}
-			if cover > bestCover {
-				bestCover = cover
-				bestFilter = fi
+		}
+		return covered.Popcount()
+	}
+	for remaining > 0 {
+		best, bestCover := int32(-1), 0
+		for _, c := range failingClasses {
+			if cover := coverOf(c); cover > bestCover {
+				best, bestCover = c, cover
 			}
 		}
-		if bestFilter < 0 {
+		if best < 0 {
 			// Shouldn't happen: a failing candidate always has at least its
 			// failing top filter. Count one validation per remaining
 			// candidate to stay safe.
@@ -174,12 +188,12 @@ func OptimalValidationCount(set *filter.Set, truth []filter.Outcome) int {
 			break
 		}
 		count++
-		for _, ci := range set.CandidatesOf(bestFilter) {
-			if failing.Contains(int32(ci)) {
-				failing.Remove(int32(ci))
-				remaining--
-			}
-		}
+		coverOf(best)
+		covered.ForEach(func(ci int32) bool {
+			failing.Remove(ci)
+			remaining--
+			return true
+		})
 	}
 	return count
 }

@@ -143,6 +143,11 @@ type Set struct {
 	children [][]int
 	// candidatesOf[i] lists candidates that include filter i.
 	candidatesOf [][]int
+	// treeIDs[i] is the id of filter i's join tree and pairs[i] its covered
+	// (target column, source id) pairs, as decomposition identified the
+	// filter; Classes reads them.
+	treeIDs []int32
+	pairs   [][]colSource
 }
 
 // NumFilters returns the number of distinct filters.
@@ -204,7 +209,77 @@ func DecomposeContext(ctx context.Context, candidates []graphx.Candidate) (*Set,
 	if err := d.lattice(ctx, s); err != nil {
 		return nil, err
 	}
+	s.treeIDs, s.pairs = d.filterTree, d.filterCols
 	return s, nil
+}
+
+// Classes partitions the filters by their outcome under spec. Filters of one
+// class have the same join tree and cover the same (target column, source
+// column) pairs among the target columns some sample constrains; what else
+// they project cannot change a validation, which passes any unconstrained
+// cell (constraint.SampleConstraint.MatchesProjection) and never filters on
+// the projection. So one validation answers for the whole class. A target
+// column beyond a sample's cells counts as constrained, because the sample
+// rejects every tuple projected onto it.
+//
+// class[i] is filter i's class; classes are numbered from 0 in the order of
+// their first member, and n is their number. The key of a class is the
+// filter identity of decomposition (see identity) restricted to the
+// constrained pairs, so no text is rendered per filter. When every target
+// column is constrained each filter is its own class.
+func (s *Set) Classes(spec *constraint.Spec) (class []int32, n int) {
+	constrained := constrainedTargets(spec)
+	class = make([]int32, len(s.Filters))
+	if !slices.Contains(constrained, false) {
+		for i := range class {
+			class[i] = int32(i)
+		}
+		return class, len(class)
+	}
+	index := make(map[string]int32)
+	var (
+		key  []byte
+		cols []colSource
+	)
+	for i, pairs := range s.pairs {
+		cols = cols[:0]
+		for _, c := range pairs {
+			if c.target >= len(constrained) || constrained[c.target] {
+				cols = append(cols, c)
+			}
+		}
+		key = identity(key[:0], s.treeIDs[i], cols)
+		id, ok := index[string(key)]
+		if !ok {
+			id = int32(len(index))
+			index[string(key)] = id
+		}
+		class[i] = id
+	}
+	return class, len(index)
+}
+
+// constrainedTargets reports, per target column below the widest sample,
+// whether some sample constrains it, as the validator reads the samples: a
+// column beyond a sample's cells is constrained, and a specification with no
+// samples checks one sample of NumColumns unconstrained cells.
+func constrainedTargets(spec *constraint.Spec) []bool {
+	if len(spec.Samples) == 0 {
+		return make([]bool, spec.NumColumns)
+	}
+	widest := 0
+	for _, sample := range spec.Samples {
+		widest = max(widest, len(sample.Cells))
+	}
+	out := make([]bool, widest)
+	for _, sample := range spec.Samples {
+		for tc := range out {
+			if tc >= len(sample.Cells) || sample.Cells[tc] != nil {
+				out[tc] = true
+			}
+		}
+	}
+	return out
 }
 
 // decomposer holds the dense ids one decomposition assigns: to subtree
@@ -768,6 +843,23 @@ func (s *Session) RecordExecution(i int, res ValidationResult) {
 	s.Executed++
 	s.Cost.Add(res.Cost)
 	if res.Passed {
+		s.apply(i, Passed)
+	} else {
+		s.apply(i, Failed)
+	}
+}
+
+// RecordSettled applies the outcome of a filter whose class-mate (Set.Classes)
+// was just validated or served from a cross-round outcome cache: the filter
+// is resolved with full implication propagation, and counts as implied
+// because no executor work happened for it. A filter already determined is
+// left as it is.
+func (s *Session) RecordSettled(i int, passed bool) {
+	if s.Determined(i) {
+		return
+	}
+	s.Implied++
+	if passed {
 		s.apply(i, Passed)
 	} else {
 		s.apply(i, Failed)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"prism/internal/bayes"
@@ -22,7 +23,10 @@ import (
 // counters: every pick rescanning the candidates of every filter for its
 // reach and its top-of-an-unresolved-candidate flag, and calling the cost
 // model (a row count per table per call) whenever a tie got that far. It is
-// the oracle the array-backed pick must agree with, pick for pick.
+// the oracle the array-backed pick must agree with, pick for pick. Outcome
+// classes are derived here from text — the tree's canonical form and the
+// constrained columns' lower-cased sources — rather than from the ids
+// decomposition keeps.
 
 // referenceEntry is the priority of one filter at selection time.
 type referenceEntry struct {
@@ -121,6 +125,41 @@ func referenceCost(c float64) float64 {
 	return 1
 }
 
+// referenceClasses lists, per filter, the filters of its outcome class,
+// ascending: those with its join tree that cover the same source columns
+// for every target column some sample constrains, or that lies beyond a
+// sample's cells (with no samples, beyond NumColumns).
+func referenceClasses(spec *constraint.Spec, set *filter.Set) [][]int {
+	constrained := func(tc int) bool {
+		if len(spec.Samples) == 0 {
+			return tc >= spec.NumColumns
+		}
+		for _, sample := range spec.Samples {
+			if tc >= len(sample.Cells) || sample.Cells[tc] != nil {
+				return true
+			}
+		}
+		return false
+	}
+	keys := make([]string, set.NumFilters())
+	byKey := make(map[string][]int)
+	for i, f := range set.Filters {
+		key := f.Tree.Canonical()
+		for k, tc := range f.TargetCols {
+			if constrained(tc) {
+				key += fmt.Sprintf("|%d=%s", tc, strings.ToLower(f.Sources[k].String()))
+			}
+		}
+		keys[i] = key
+		byKey[key] = append(byKey[key], i)
+	}
+	mates := make([][]int, len(keys))
+	for i, key := range keys {
+		mates[i] = byKey[key]
+	}
+	return mates
+}
+
 // referenceRun is the sequential greedy loop over referencePick.
 type referenceRun struct {
 	picks       []int
@@ -131,7 +170,9 @@ type referenceRun struct {
 }
 
 // runReference runs the loop with the table-size cost model, or with the
-// given one when it is not nil.
+// given one when it is not nil. The estimator is asked about the first
+// filter of each outcome class, and a validation settles every undetermined
+// class-mate, ascending.
 func runReference(t *testing.T, db exec.Executor, spec *constraint.Spec, set *filter.Set, est Estimator, costModel func(*filter.Filter) float64) referenceRun {
 	t.Helper()
 	sess := filter.NewSession(set)
@@ -140,8 +181,13 @@ func runReference(t *testing.T, db exec.Executor, spec *constraint.Spec, set *fi
 	for _, ti := range set.Top {
 		isTop[ti] = true
 	}
+	mates := referenceClasses(spec, set)
 	failProb := make([]float64, set.NumFilters())
 	for i, f := range set.Filters {
+		if first := mates[i][0]; first < i {
+			failProb[i] = failProb[first]
+			continue
+		}
 		failProb[i] = referenceProbability(est.FailureProbability(f))
 	}
 	if costModel == nil {
@@ -164,6 +210,11 @@ func runReference(t *testing.T, db exec.Executor, spec *constraint.Spec, set *fi
 			t.Fatal(err)
 		}
 		sess.RecordExecution(next, vr)
+		for _, j := range mates[next] {
+			if !sess.Determined(j) {
+				sess.RecordSettled(j, vr.Passed)
+			}
+		}
 		run.picks = append(run.picks, next)
 	}
 	run.validations, run.implied = sess.Executed, sess.Implied
@@ -270,10 +321,25 @@ func TestPickMatchesReference(t *testing.T) {
 				want := runReference(t, refLog, round.spec, round.set, newEstimator(), refCost)
 				picks += len(want.picks)
 
-				// Lock-step: the ranking against the reference's pick sequence.
+				// Lock-step: the ranking against the reference's pick sequence,
+				// each outcome settled as a run settles it.
+				cls := newClasses(round.set, round.spec)
+				for i, want := range referenceClasses(round.spec, round.set) {
+					got := []int{i}
+					if mates := cls.mates(i); mates != nil {
+						got = got[:0]
+						for _, j := range mates {
+							got = append(got, int(j))
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: filter %d has class-mates %v, reference %v", label, i, got, want)
+					}
+				}
 				sess := filter.NewSession(round.set)
-				rank := newRanking(round.set, sess)
+				rank := newRanking(round.set, sess, cls)
 				rank.estimate(newEstimator(), costModel)
+				settler := &run{sess: sess, rank: rank}
 				validator := &filter.Validator{DB: db, Cells: filter.NewCells(round.spec)}
 				for step, wantIdx := range want.picks {
 					got, ok := rank.pick()
@@ -285,6 +351,7 @@ func TestPickMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					sess.RecordExecution(got, vr)
+					settler.settle(got, vr.Passed)
 					rank.sync()
 					if step%8 != 0 && step != len(want.picks)-1 {
 						continue // the scan is the expensive part
@@ -374,7 +441,7 @@ func widestRound(t testing.TB) (*mem.Database, generatedRound) {
 func TestPickDoesNotAllocate(t *testing.T) {
 	db, round := widestRound(t)
 	sess := filter.NewSession(round.set)
-	rank := newRanking(round.set, sess)
+	rank := newRanking(round.set, sess, newClasses(round.set, round.spec))
 	rank.estimate(&experiment.PathLengthEstimator{}, tableSizeCost(db))
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, ok := rank.pick(); !ok {
@@ -392,7 +459,7 @@ var sinkPick int
 func BenchmarkPick(b *testing.B) {
 	db, round := widestRound(b)
 	sess := filter.NewSession(round.set)
-	rank := newRanking(round.set, sess)
+	rank := newRanking(round.set, sess, newClasses(round.set, round.spec))
 	rank.estimate(&experiment.PathLengthEstimator{}, tableSizeCost(db))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -414,7 +481,7 @@ func BenchmarkPickRound(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		sess := filter.NewSession(round.set)
-		rank := newRanking(round.set, sess)
+		rank := newRanking(round.set, sess, newClasses(round.set, round.spec))
 		rank.estimate(&experiment.PathLengthEstimator{}, tableSizeCost(db))
 		for sess.UnresolvedCandidates() > 0 {
 			i, ok := rank.pick()

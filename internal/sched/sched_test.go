@@ -263,7 +263,7 @@ func TestOracleBeatsOrMatchesOthers(t *testing.T) {
 		t.Logf("note: bayes (%d) worse than random (%d) on this tiny instance", counts["bayes"], counts["random"])
 	}
 	// The optimum count derived analytically must not exceed the oracle run.
-	opt := experiment.OptimalValidationCount(fx.set, truth)
+	opt := experiment.OptimalValidationCount(fx.set, fx.spec, truth)
 	if opt > counts["oracle"] {
 		t.Errorf("analytic optimum %d exceeds oracle-run count %d", opt, counts["oracle"])
 	}

@@ -292,17 +292,11 @@ func (v Value) String() string {
 		return "NULL"
 	case Int:
 		return strconv.FormatInt(v.i, 10)
-	case Decimal:
-		return strconv.FormatFloat(v.f, 'g', -1, 64)
 	case Text:
 		return v.s
-	case Date:
-		return v.TimeValue().Format("2006-01-02")
-	case Time:
-		return v.TimeValue().Format("15:04:05")
-	default:
-		return "<invalid>"
 	}
+	var buf [32]byte
+	return string(v.appendString(buf[:0]))
 }
 
 // Equal reports whether two values are equal. Numeric values compare across
@@ -579,7 +573,30 @@ func (v Value) MatchesKeyword(keyword string) bool {
 			}
 		}
 	}
-	return strings.EqualFold(strings.TrimSpace(v.String()), kw)
+	if v.kind == Text {
+		return strings.EqualFold(strings.TrimSpace(v.s), kw)
+	}
+	// Numbers, dates and times render without blanks, here into a buffer on
+	// the stack: a keyword cell evaluates every value id it meets.
+	var buf [32]byte
+	return strings.EqualFold(string(v.appendString(buf[:0])), kw)
+}
+
+// appendString appends the rendering String returns for a number, a date or
+// a time.
+func (v Value) appendString(dst []byte) []byte {
+	switch v.kind {
+	case Int:
+		return strconv.AppendInt(dst, v.i, 10)
+	case Decimal:
+		return strconv.AppendFloat(dst, v.f, 'g', -1, 64)
+	case Date:
+		return v.TimeValue().AppendFormat(dst, "2006-01-02")
+	case Time:
+		return v.TimeValue().AppendFormat(dst, "15:04:05")
+	default:
+		return append(dst, "<invalid>"...)
+	}
 }
 
 // Parse converts a raw string into the "most specific" value: integers

@@ -616,3 +616,24 @@ func TestParseTemporalDatetimeForms(t *testing.T) {
 		t.Error("Coerce garbage to time should fail")
 	}
 }
+
+// TestMatchesKeywordDoesNotAllocate: matching a value against a keyword
+// renders a number, a date or a time on the stack. The keywords reach the
+// textual comparison, with and without a match.
+func TestMatchesKeywordDoesNotAllocate(t *testing.T) {
+	for _, v := range []Value{
+		NewDateYMD(2020, time.January, 31), NewDateYMD(12000, time.January, 1), NewDateYMD(-5, time.March, 1),
+		NewTimeHMS(12, 34, 56), NewInt(123456789), NewInt(-9223372036854775808),
+		NewDecimal(3.25), NewDecimal(-1.2345678901234567e-300), NewText("Lake Tahoe"),
+	} {
+		for _, kw := range []string{"lake", " " + strings.ToUpper(v.String()) + " "} {
+			want := strings.EqualFold(strings.TrimSpace(v.String()), strings.TrimSpace(kw))
+			if got := v.MatchesKeyword(kw); got != want {
+				t.Errorf("%v.MatchesKeyword(%q) = %v, want %v", v, kw, got, want)
+			}
+			if n := testing.AllocsPerRun(100, func() { v.MatchesKeyword(kw) }); n != 0 {
+				t.Errorf("%v.MatchesKeyword(%q) allocates %v times, want 0", v, kw, n)
+			}
+		}
+	}
+}
