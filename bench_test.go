@@ -229,7 +229,10 @@ func newSchedulingFixture(b *testing.B) *schedulingFixture {
 	if err != nil {
 		b.Fatal(err)
 	}
-	set := filter.Decompose(cands)
+	set, err := filter.DecomposeFor(context.Background(), spec, cands)
+	if err != nil {
+		b.Fatal(err)
+	}
 	truth, err := experiment.GroundTruth(context.Background(), eng.Database(), spec, set)
 	if err != nil {
 		b.Fatal(err)
@@ -323,7 +326,11 @@ func validationPhaseFixtures(tb testing.TB) []*schedulingFixture {
 		if err != nil {
 			tb.Fatal(err)
 		}
-		fx := &schedulingFixture{eng: eng, spec: spec, set: filter.Decompose(cands), model: eng.Model()}
+		set, err := filter.DecomposeFor(context.Background(), spec, cands)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fx := &schedulingFixture{eng: eng, spec: spec, set: set, model: eng.Model()}
 		fx.name = name
 		return fx
 	}

@@ -659,7 +659,11 @@ func BenchmarkRangeRound(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			heavy = append(heavy, round{spec: tc.Spec, set: filter.Decompose(cands)})
+			set, err := filter.DecomposeFor(context.Background(), tc.Spec, cands)
+			if err != nil {
+				b.Fatal(err)
+			}
+			heavy = append(heavy, round{spec: tc.Spec, set: set})
 		}
 	}
 	if len(heavy) == 0 {

@@ -192,6 +192,47 @@ func TestExistsEarlyTermination(t *testing.T) {
 	}
 }
 
+// TestExistsEmptyProjection pins what a filter covering no constrained
+// column asks: a plan that projects nothing is a probe of whether its join
+// is non-empty, and the two executors answer it alike, on a join that has
+// tuples and on one that a pushed-down selection empties.
+func TestExistsEmptyProjection(t *testing.T) {
+	db := mondial(t)
+	col := build(t, db)
+	plan := lakePlan()
+	plan.Project = nil
+	atlantis := exec.ColumnPredicate{
+		Ref:      ref("Lake", "Name"),
+		Pred:     func(v value.Value) bool { return v.MatchesKeyword("Atlantis") },
+		Keywords: []string{"Atlantis"},
+	}
+	for _, tc := range []struct {
+		name string
+		opts exec.ExecOptions
+		want bool
+	}{
+		{name: "non-empty", want: true},
+		{name: "empty", opts: exec.ExecOptions{ColumnPredicates: []exec.ColumnPredicate{atlantis}}},
+	} {
+		for ename, ex := range map[string]exec.Executor{"mem": db, "colexec": col} {
+			opts := tc.opts
+			opts.TuplePredicate = func(tuple value.Tuple) bool {
+				if len(tuple) != 0 {
+					t.Errorf("%s %s: a plan projecting nothing produced %v", tc.name, ename, tuple)
+				}
+				return true
+			}
+			got, _, err := ex.Exists(plan, opts)
+			if err != nil {
+				t.Fatalf("%s %s: %v", tc.name, ename, err)
+			}
+			if got != tc.want {
+				t.Errorf("%s %s: Exists = %v, want %v", tc.name, ename, got, tc.want)
+			}
+		}
+	}
+}
+
 // TestMaxIntermediateAborts checks the runaway-join guard.
 func TestMaxIntermediateAborts(t *testing.T) {
 	col := build(t, mondial(t))

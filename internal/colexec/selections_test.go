@@ -7,6 +7,7 @@ package colexec
 // that did not finish, and takes every identified predicate, keyword or not.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -127,7 +128,11 @@ func poolFilters(t testing.TB, db *mem.Database) (rounds []difftest.Round, filte
 		if err != nil {
 			t.Fatal(err)
 		}
-		fs := filter.Decompose(cands).Filters
+		set, err := filter.DecomposeFor(context.Background(), round.Spec, cands)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fs := set.Filters
 		rounds = append(rounds, round)
 		filters = append(filters, fs[:min(len(fs), 120)])
 	}

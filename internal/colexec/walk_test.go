@@ -9,6 +9,7 @@ package colexec
 // counters.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math/rand"
@@ -294,8 +295,12 @@ func TestWalkOnGeneratorPools(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			set, err := filter.DecomposeFor(context.Background(), round.Spec, cands)
+			if err != nil {
+				t.Fatal(err)
+			}
 			v := &filter.Validator{DB: ex, Cells: filter.NewCells(round.Spec)}
-			for i, f := range filter.Decompose(cands).Filters {
+			for i, f := range set.Filters {
 				if i == 120 {
 					break
 				}

@@ -239,8 +239,10 @@ func DerivedMappings(sch *schema.Schema) []workload.GroundTruthMapping {
 }
 
 // Plans derives validation-shaped Project-Join plans from the dataset's
-// own schema: every single table, every foreign-key pair, and every
-// two-edge chain — the same shapes filter.Decompose produces.
+// own schema: every single table, every foreign-key pair, and two-edge
+// chains — the shapes filter.DecomposeFor produces — each projecting
+// columns, and then every foreign-key pair again with nothing projected,
+// the non-emptiness probe of a filter that constrains none of its columns.
 func Plans(sch *schema.Schema) []exec.Plan {
 	var plans []exec.Plan
 	for _, t := range sch.Tables() {
@@ -259,6 +261,7 @@ func Plans(sch *schema.Schema) []exec.Plan {
 			Project: []schema.ColumnRef{fk.From, fk.To},
 		})
 	}
+chains:
 	for i, a := range fks {
 		for _, b := range fks[i+1:] {
 			p, ok := chainPlan(a, b)
@@ -266,9 +269,15 @@ func Plans(sch *schema.Schema) []exec.Plan {
 				plans = append(plans, p)
 			}
 			if len(plans) > 24 {
-				return plans
+				break chains
 			}
 		}
+	}
+	for _, fk := range fks {
+		plans = append(plans, exec.Plan{
+			Tables: []string{fk.From.Table, fk.To.Table},
+			Joins:  []exec.JoinEdge{{Left: fk.From, Right: fk.To}},
+		})
 	}
 	return plans
 }

@@ -144,11 +144,12 @@ type Report struct {
 	Cache CacheCounters
 	// CandidatesConfirmed and CandidatesPruned count candidate resolutions;
 	// CandidatesConfirmed can exceed len(Mappings) when MaxResults truncates
-	// the report.
+	// the report or the round was interrupted before it assembled them.
 	CandidatesConfirmed int
 	CandidatesPruned    int
 	// TimedOut reports whether the round hit the time limit before
-	// resolving every candidate (the paper reports this as a failure).
+	// resolving every candidate and assembling every confirmed mapping (the
+	// paper reports this as a failure).
 	TimedOut bool
 	// Cancelled reports whether the round's context was cancelled before
 	// resolving every candidate; the report then covers the work done up to
@@ -437,9 +438,12 @@ func (e *Engine) run(ctx context.Context, spec *constraint.Spec, opts Options, e
 		stop, err = r.settle(stages[i]())
 	}
 	// Whatever stopped the round, what the scheduler confirmed is assembled:
-	// interrupted rounds report partial results.
+	// interrupted rounds report partial results. The budget bounds assembly
+	// too, so a context that dies during it interrupts the round as well.
 	if r.res != nil {
-		err = cmp.Or(err, r.assemble())
+		aerr := r.assemble()
+		_, ierr := r.settle(nil)
+		err = cmp.Or(err, ierr, aerr)
 	}
 	return report, err
 }
@@ -518,27 +522,29 @@ func (r *round) enumerate() error {
 	return nil
 }
 
-// decompose splits the candidates into filters. Sessions reuse the
-// decomposition across rounds: the Set depends only on the candidate list
-// (which refinement deltas usually leave unchanged) and is read-only during
+// decompose splits the candidates into filters under the round's spec.
+// Sessions reuse the decomposition across rounds: the Set depends only on
+// the candidate list and on which target columns the spec constrains (which
+// refinement deltas usually leave unchanged), is read-only during
 // scheduling, and its filters carry what rounds memoise on them (plan and
 // plan fingerprint).
 func (r *round) decompose() error {
 	sp := r.trace.Child("decompose")
+	var key string
 	if r.sess != nil {
-		r.set = r.sess.lookupSet(r.candidates)
+		key = setKey(r.spec, r.candidates)
+		r.set = r.sess.lookupSet(key)
+		sp.SetAttr("cachedSet", r.set != nil)
 	}
-	if r.set != nil {
-		sp.SetAttr("cachedSet", true)
-	} else {
-		set, err := filter.DecomposeContext(r.ctx, r.candidates)
+	if r.set == nil {
+		set, err := filter.DecomposeFor(r.ctx, r.spec, r.candidates)
 		if err != nil {
 			sp.End()
 			return fmt.Errorf("discovery: %w", err)
 		}
 		r.set = set
 		if r.sess != nil {
-			r.sess.storeSet(r.candidates, set)
+			r.sess.storeSet(key, set)
 		}
 	}
 	sp.SetAttr("filters", r.set.NumFilters())
@@ -637,10 +643,9 @@ func (r *round) schedOptions() sched.Options {
 }
 
 // mapping assembles the mapping of one confirmed candidate, once. Once the
-// round context is dead, result previews are no longer executed — the
-// partial report keeps every confirmed mapping's SQL (plus any previews
-// already built), and cancellation latency stays bounded by the in-flight
-// work, not by MaxResults preview queries.
+// round context is dead, result previews are no longer executed, so
+// cancellation latency stays bounded by the in-flight work, not by
+// MaxResults preview queries.
 func (r *round) mapping(ci int) *Mapping {
 	if m, ok := r.built[ci]; ok {
 		return m
@@ -664,6 +669,9 @@ func (r *round) mapping(ci int) *Mapping {
 }
 
 // assemble lists the confirmed mappings, simplest (fewest tables) first.
+// Once the round context is dead it builds no further mapping: the partial
+// report keeps the mappings built before (the streamed ones), and rendering
+// the SQL of thousands of confirmed candidates does not outlast the budget.
 func (r *round) assemble() error {
 	sp := r.trace.Child("assemble")
 	confirmed := r.res.Confirmed // the round's own; sorted in place
@@ -677,6 +685,9 @@ func (r *round) assemble() error {
 	for _, ci := range confirmed {
 		if r.opts.MaxResults > 0 && len(r.report.Mappings) >= r.opts.MaxResults {
 			break
+		}
+		if _, ok := r.built[ci]; !ok && r.ctx.Err() != nil {
+			continue
 		}
 		m := r.mapping(ci)
 		if m == nil {

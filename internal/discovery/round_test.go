@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"prism/api"
+	"prism/internal/colexec"
+	"prism/internal/exec"
 	"prism/internal/sched"
 )
 
@@ -112,5 +114,61 @@ func TestRoundStopsAtEveryStageBoundary(t *testing.T) {
 	}
 	if stop, err := r.settle(nil); stop || err != nil {
 		t.Errorf("no error under a live context: stop=%v err=%v", stop, err)
+	}
+}
+
+// previewHook runs the round on the columnar executor and calls hook before
+// the first result preview.
+type previewHook struct {
+	exec.Executor
+	hook func()
+}
+
+func (p *previewHook) ExecuteWith(plan exec.Plan, opts exec.ExecOptions) (*exec.Result, error) {
+	if p.hook != nil {
+		p.hook()
+		p.hook = nil
+	}
+	return p.Executor.ExecuteWith(plan, opts)
+}
+
+// TestBudgetBoundsAssembly spends the round's budget while it assembles
+// the confirmed mappings, from inside the first result preview: the round
+// builds no further mapping and ends as a clean timeout whose report keeps
+// the one mapping built before. A caller's cancellation there is the
+// round's cancellation.
+func TestBudgetBoundsAssembly(t *testing.T) {
+	db := smallMondial(t)
+	spec := paperSpec(t)
+	full, err := NewEngine(db).Discover(context.Background(), spec, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(full.Mappings) < 2 {
+		t.Fatalf("the walkthrough confirms %d mappings, the test needs two", len(full.Mappings))
+	}
+	for _, cause := range []error{sched.ErrBudget, context.Canceled} {
+		col, err := colexec.New(db)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithCancelCause(context.Background())
+		e := NewEngineOn(db, &previewHook{Executor: col, hook: func() { cancel(cause) }})
+		report, err := e.Discover(ctx, spec, Options{IncludeResults: true})
+		cancel(nil)
+		if cause == sched.ErrBudget {
+			if err != nil || !report.TimedOut || report.Cancelled {
+				t.Errorf("budget: err=%v TimedOut=%v Cancelled=%v, want a clean timeout", err, report.TimedOut, report.Cancelled)
+			}
+		} else if !errors.Is(err, context.Canceled) || !report.Cancelled || report.TimedOut {
+			t.Errorf("cancel: err=%v TimedOut=%v Cancelled=%v, want a cancellation", err, report.TimedOut, report.Cancelled)
+		}
+		if report.Validations != full.Validations || report.CandidatesConfirmed != full.CandidatesConfirmed {
+			t.Errorf("%v: %d validations, %d confirmed; the schedule ran to its end with %d and %d", cause,
+				report.Validations, report.CandidatesConfirmed, full.Validations, full.CandidatesConfirmed)
+		}
+		if len(report.Mappings) != 1 || report.Mappings[0].SQL != full.Mappings[0].SQL || report.Mappings[0].Result == nil {
+			t.Errorf("%v: %d mappings, want the first, with its preview", cause, len(report.Mappings))
+		}
 	}
 }

@@ -3,8 +3,7 @@ package discovery
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
-	"strconv"
+	"strings"
 	"sync"
 
 	"prism/internal/constraint"
@@ -34,12 +33,13 @@ type Session struct {
 	rounds int
 	closed bool
 
-	// sets caches filter decompositions by candidate-list fingerprint.
-	// A filter.Set depends only on the candidates (not on constraint
-	// values or data) and is immutable once built, so warm rounds, which
-	// usually enumerate the identical candidate list, skip the rebuild and
-	// find every filter's plan and fingerprint already rendered. setOrder
-	// tracks insertion for FIFO eviction at setCacheCapacity.
+	// sets caches filter decompositions by setKey. A filter.Set depends
+	// only on the candidates and on which target columns the specification
+	// constrains (not on constraint values or data) and is immutable once
+	// built, so warm rounds, which usually enumerate the identical candidate
+	// list, skip the rebuild and find every filter's plan and fingerprint
+	// already rendered. setOrder tracks insertion for FIFO eviction at
+	// setCacheCapacity.
 	setMu    sync.Mutex
 	sets     map[string]*filter.Set
 	setOrder []string
@@ -50,29 +50,42 @@ type Session struct {
 // suffices; one Set is far heavier than an outcome entry.
 const setCacheCapacity = 8
 
-// candidatesKey fingerprints a candidate list (order-sensitive, since the
-// Set indexes candidates by position) from the signatures enumeration
-// rendered.
-func candidatesKey(candidates []graphx.Candidate) string {
-	h := fnv.New64a()
+// setKey is what filter.DecomposeFor(ctx, spec, candidates) depends on,
+// spelled out in full so that the map compares it exactly: the mask of
+// constrained target columns (filter.ConstrainedTargets), then the
+// signature enumeration rendered of every candidate, in order, since the Set
+// indexes candidates by position.
+func setKey(spec *constraint.Spec, candidates []graphx.Candidate) string {
+	mask := filter.ConstrainedTargets(spec)
+	n := len(mask)
 	for _, c := range candidates {
-		h.Write([]byte(c.Canonical()))
-		h.Write([]byte{0})
+		n += 1 + len(c.Canonical())
 	}
-	return strconv.FormatUint(h.Sum64(), 16)
+	var b strings.Builder
+	b.Grow(n)
+	for _, on := range mask {
+		if on {
+			b.WriteByte('1')
+		} else {
+			b.WriteByte('0')
+		}
+	}
+	for _, c := range candidates {
+		b.WriteByte(0)
+		b.WriteString(c.Canonical())
+	}
+	return b.String()
 }
 
-// lookupSet returns the cached decomposition of the candidate list, if any.
-func (s *Session) lookupSet(candidates []graphx.Candidate) *filter.Set {
-	key := candidatesKey(candidates)
+// lookupSet returns the cached decomposition under key, if any.
+func (s *Session) lookupSet(key string) *filter.Set {
 	s.setMu.Lock()
 	defer s.setMu.Unlock()
 	return s.sets[key]
 }
 
-// storeSet caches a freshly built decomposition.
-func (s *Session) storeSet(candidates []graphx.Candidate, set *filter.Set) {
-	key := candidatesKey(candidates)
+// storeSet caches a freshly built decomposition under key.
+func (s *Session) storeSet(key string, set *filter.Set) {
 	s.setMu.Lock()
 	defer s.setMu.Unlock()
 	if s.sets == nil {

@@ -42,9 +42,8 @@ func TestSessionWarmRoundSkipsAllValidations(t *testing.T) {
 	if cold.Validations == 0 || len(cold.Mappings) == 0 {
 		t.Fatalf("cold round too weak: %s", cold.Summary())
 	}
-	// Every validation is written back, and so are the 50 class-mates the
-	// validations settle.
-	if cold.Cache.Hits != 0 || cold.Cache.Stores != cold.Validations+50 {
+	// Every validation is written back, and nothing else.
+	if cold.Cache.Hits != 0 || cold.Cache.Stores != cold.Validations {
 		t.Errorf("cold round cache counters = %+v (validations %d)", cold.Cache, cold.Validations)
 	}
 
@@ -63,8 +62,19 @@ func TestSessionWarmRoundSkipsAllValidations(t *testing.T) {
 		t.Errorf("warm mapping set diverges:\n--- cold ---\n%s--- warm ---\n%s",
 			mappingDigest(cold), mappingDigest(warm))
 	}
-	if sess.Rounds() != 2 {
-		t.Errorf("Rounds() = %d, want 2", sess.Rounds())
+	// A round that validates nothing writes nothing back, however often it
+	// repeats.
+	again, err := sess.Discover(context.Background(), spec, sessionOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for round, r := range []*Report{warm, again} {
+		if r.Validations != 0 || r.Cache.Stores != 0 || r.Cache.Misses != 0 {
+			t.Errorf("warm round %d: %d validations, cache counters %+v; want nothing validated or stored", round+2, r.Validations, r.Cache)
+		}
+	}
+	if sess.Rounds() != 3 {
+		t.Errorf("Rounds() = %d, want 3", sess.Rounds())
 	}
 }
 
@@ -190,4 +200,55 @@ func TestSessionConcurrentRounds(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+}
+
+// TestSessionSetCacheKeysOnConstrainedTargets refines away the last
+// constraint on a target column and back. The cell is a range every related
+// column's values overlap, so the candidates stay the same; but a filter set
+// depends on which target columns the specification constrains too: the
+// cleared round decomposes afresh, into another number of filters, and maps
+// what a cold round maps, and the revert finds the first round's set.
+func TestSessionSetCacheKeysOnConstrainedTargets(t *testing.T) {
+	eng := NewEngine(smallMondial(t))
+	sess := eng.NewSession(0)
+	spec, err := constraint.Delta{UpdateCells: []constraint.CellUpdate{{Row: 0, Col: 2, Cell: "[0, 1000000000]"}}}.Apply(paperSpec(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := sessionOpts()
+	opts.Trace = true
+	cachedSet := func(r *Report) any { return r.Trace.Find("decompose").Attrs["cachedSet"] }
+
+	first, err := sess.Discover(context.Background(), spec, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clear := constraint.Delta{UpdateCells: []constraint.CellUpdate{{Row: 0, Col: 2, Cell: ""}}}
+	cleared, err := sess.Refine(context.Background(), clear, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cleared.CandidatesEnumerated != first.CandidatesEnumerated {
+		t.Fatalf("clearing the range cell changed the candidates: %d, then %d", first.CandidatesEnumerated, cleared.CandidatesEnumerated)
+	}
+	if got := cachedSet(cleared); got != false || cleared.FiltersGenerated == first.FiltersGenerated {
+		t.Errorf("cleared round: cachedSet %v, %d filters after %d; want a fresh set of another size", got, cleared.FiltersGenerated, first.FiltersGenerated)
+	}
+	reference, err := NewEngine(smallMondial(t)).Discover(context.Background(), sess.Spec(), sessionOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mappingDigest(cleared) != mappingDigest(reference) {
+		t.Errorf("cleared round diverges from a cold round:\n--- reference ---\n%s--- session ---\n%s", mappingDigest(reference), mappingDigest(cleared))
+	}
+
+	revert := constraint.Delta{UpdateCells: []constraint.CellUpdate{{Row: 0, Col: 2, Cell: "[0, 1000000000]"}}}
+	reverted, err := sess.Refine(context.Background(), revert, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cachedSet(reverted); got != true || reverted.FiltersGenerated != first.FiltersGenerated || reverted.Validations != 0 {
+		t.Errorf("reverted round: cachedSet %v, %d filters, %d validations; want the first round's %d filters, cached, and nothing validated",
+			got, reverted.FiltersGenerated, reverted.Validations, first.FiltersGenerated)
+	}
 }

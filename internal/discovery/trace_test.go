@@ -80,9 +80,9 @@ func TestDiscoverTrace(t *testing.T) {
 		}
 	}
 
-	// One estimate span per round (not per filter): a cold round ranks every
-	// filter and estimates one per outcome class, 94 of the 199 filters, and
-	// the memo shares cells between them.
+	// One estimate span per round (not per filter): a cold round ranks and
+	// estimates each of its 94 filters, and the memo shares cells between
+	// them.
 	estimates := 0
 	for _, c := range sched.Children {
 		if c.Name == "estimate" {
@@ -93,8 +93,8 @@ func TestDiscoverTrace(t *testing.T) {
 		t.Fatalf("schedule span has %d estimate children, want 1", estimates)
 	}
 	estimate := sched.Find("estimate")
-	if got := estimate.Attrs["calls"]; got != 94 || report.FiltersGenerated != 199 {
-		t.Errorf("estimate calls attr = %v over %d filters, want 94 classes over 199", got, report.FiltersGenerated)
+	if got := estimate.Attrs["calls"]; got != 94 || report.FiltersGenerated != 94 {
+		t.Errorf("estimate calls attr = %v over %d filters, want 94 over 94", got, report.FiltersGenerated)
 	}
 	cellSets, _ := estimate.Attrs["cell_sets"].(int)
 	memoHits, _ := estimate.Attrs["memo_hits"].(int)

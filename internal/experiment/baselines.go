@@ -119,28 +119,26 @@ func GroundTruth(ctx context.Context, db exec.Executor, spec *constraint.Spec, s
 }
 
 // OptimalValidationCount is E3's "optimum": the size of one plan that
-// resolves every candidate given the ground-truth outcomes, counting an
-// outcome class of spec (filter.Set.Classes) as one validation, since the
-// scheduler settles a whole class with one:
+// resolves every candidate given the ground-truth outcomes of a set built by
+// filter.DecomposeFor, whose filters are outcome classes:
 //
-//   - the distinct classes of the top filters of the passing candidates,
-//     each of which must be validated;
-//   - plus a greedy set cover of the failing candidates by failing classes,
-//     a class covering the candidates of each of its members.
+//   - the distinct top filters of the passing candidates, each of which must
+//     be validated;
+//   - plus a greedy set cover of the failing candidates by failing filters,
+//     a filter covering its candidates.
 //
 // The cover is greedy, so the count is neither the minimum number of
 // validations nor a lower bound on it (ROADMAP item 21).
-func OptimalValidationCount(set *filter.Set, spec *constraint.Spec, truth []filter.Outcome) int {
-	class, n := set.Classes(spec)
-	// Distinct classes of passing tops, and the failing candidates still to
-	// cover — both dense index sets, kept as bitsets.
-	neededTops := rowset.New(n)
+func OptimalValidationCount(set *filter.Set, truth []filter.Outcome) int {
+	// Distinct passing tops, and the failing candidates still to cover —
+	// both dense index sets, kept as bitsets.
+	neededTops := rowset.New(set.NumFilters())
 	failing := rowset.New(set.NumCandidates())
 	remaining := 0
 	for ci := range set.Candidates {
 		top := set.Top[ci]
 		if truth[top] == filter.Passed {
-			neededTops.Add(class[top])
+			neededTops.Add(int32(top))
 		} else {
 			failing.Add(int32(ci))
 			remaining++
@@ -148,36 +146,25 @@ func OptimalValidationCount(set *filter.Set, spec *constraint.Spec, truth []filt
 	}
 	count := neededTops.Popcount()
 
-	// The failing classes, ascending, and their members.
-	members := make([][]int, n)
-	var failingClasses []int32
-	for fi, c := range class {
-		if truth[fi] == filter.Failed {
-			if members[c] == nil {
-				failingClasses = append(failingClasses, c)
-			}
-			members[c] = append(members[c], fi)
-		}
-	}
-	// Greedy set cover of failing candidates by failing classes; ties go to
-	// the class whose first filter has the lowest index.
-	covered := rowset.New(set.NumCandidates())
-	coverOf := func(c int32) int {
-		covered.Reset(set.NumCandidates())
-		for _, fi := range members[c] {
-			for _, ci := range set.CandidatesOf(fi) {
-				if failing.Contains(int32(ci)) {
-					covered.Add(int32(ci))
-				}
+	// Greedy set cover of failing candidates by failing filters; ties go to
+	// the lowest index.
+	coverOf := func(fi int) int {
+		n := 0
+		for _, ci := range set.CandidatesOf(fi) {
+			if failing.Contains(int32(ci)) {
+				n++
 			}
 		}
-		return covered.Popcount()
+		return n
 	}
 	for remaining > 0 {
-		best, bestCover := int32(-1), 0
-		for _, c := range failingClasses {
-			if cover := coverOf(c); cover > bestCover {
-				best, bestCover = c, cover
+		best, bestCover := -1, 0
+		for fi, o := range truth {
+			if o != filter.Failed {
+				continue
+			}
+			if cover := coverOf(fi); cover > bestCover {
+				best, bestCover = fi, cover
 			}
 		}
 		if best < 0 {
@@ -188,12 +175,12 @@ func OptimalValidationCount(set *filter.Set, spec *constraint.Spec, truth []filt
 			break
 		}
 		count++
-		coverOf(best)
-		covered.ForEach(func(ci int32) bool {
-			failing.Remove(ci)
-			remaining--
-			return true
-		})
+		for _, ci := range set.CandidatesOf(best) {
+			if failing.Contains(int32(ci)) {
+				failing.Remove(int32(ci))
+				remaining--
+			}
+		}
 	}
 	return count
 }

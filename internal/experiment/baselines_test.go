@@ -42,7 +42,7 @@ func newRangeCase(t testing.TB) rangeCase {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set, err := scheduleSet(eng, tcs[0].Spec)
+	set, err := scheduleSet(context.Background(), eng, tcs[0].Spec)
 	if err != nil {
 		t.Fatal(err)
 	}

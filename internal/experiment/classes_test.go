@@ -2,6 +2,8 @@ package experiment
 
 import (
 	"context"
+	"fmt"
+	"strings"
 	"testing"
 
 	"prism/internal/difftest"
@@ -9,18 +11,23 @@ import (
 	"prism/internal/graphx"
 )
 
-// TestClassMatesShareGroundTruth is the oracle of outcome classes
-// (filter.Set.Classes): over the generator pools of the three bundled
-// databases and the corner-case chain, every filter's ground truth on the
-// reference executor equals that of every filter in its class. It also
-// requires the pools to hold classes of several members with either
-// outcome, so that a class key too coarse to tell their filters apart shows.
+// TestClassMatesShareGroundTruth is the oracle of filters as outcome classes
+// (filter.DecomposeFor): over the generator pools of the three bundled
+// databases and the corner-case chain, every filter of the decomposition
+// with every target column constrained has, on the reference executor, the
+// ground truth of its node — the filter over its tree that covers its
+// constrained columns — in the decomposition under the round's
+// specification; and every candidate's top node is the node of its top
+// filter. A filter alone in its node is not validated. The test also
+// requires the pools to hold nodes of several such filters with either
+// outcome, so that a node key too coarse to tell their filters apart shows.
 func TestClassMatesShareGroundTruth(t *testing.T) {
+	ctx := context.Background()
 	dbs := difftest.Databases(t)
 	quirks := difftest.Quirks(t)
 	quirks.Analyze()
 	dbs["quirks"] = quirks
-	shared := map[bool]int{}
+	shared := map[filter.Outcome]int{}
 	for name, db := range dbs {
 		g := graphx.New(db.Schema())
 		for _, round := range difftest.Rounds(t, db, 2) {
@@ -28,39 +35,83 @@ func TestClassMatesShareGroundTruth(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			set := filter.Decompose(cands)
-			class, n := set.Classes(round.Spec)
-			size := make([]int, n)
-			for _, c := range class {
-				size[c]++
+			nodes, err := filter.DecomposeFor(ctx, round.Spec, cands)
+			if err != nil {
+				t.Fatal(err)
 			}
-			// GroundTruth's validations, of the filters that share a class.
+			free, err := filter.DecomposeContext(ctx, cands)
+			if err != nil {
+				t.Fatal(err)
+			}
 			v := &filter.Validator{DB: db, Cells: filter.NewCells(round.Spec)}
-			first := make(map[int32]int)
-			var firstPassed []bool
-			for i, c := range class {
-				if size[c] < 2 {
-					continue // alone in its class: nobody to agree with
-				}
-				res, err := v.ValidateContext(context.Background(), set.Filters[i])
-				if err != nil {
-					t.Fatal(err)
-				}
-				j, ok := first[c]
+			nodeTruth, freeTruth := truthOf(t, v, nodes), truthOf(t, v, free)
+			label := name + " " + round.Name
+			mask := filter.ConstrainedTargets(round.Spec)
+			constrained := func(tc int) bool { return tc >= len(mask) || mask[tc] }
+			node := make(map[string]int, nodes.NumFilters())
+			for i, f := range nodes.Filters {
+				node[nodeKey(f, func(int) bool { return true })] = i
+			}
+			nodeOf := make([]int, free.NumFilters())
+			members := make([]int, nodes.NumFilters())
+			for i, f := range free.Filters {
+				n, ok := node[nodeKey(f, constrained)]
 				if !ok {
-					first[c] = len(firstPassed)
-					firstPassed = append(firstPassed, res.Passed)
+					t.Fatalf("%s: %s has no node", label, f)
+				}
+				nodeOf[i] = n
+				members[n]++
+			}
+			for i, n := range nodeOf {
+				if members[n] < 2 {
 					continue
 				}
-				shared[res.Passed]++
-				if res.Passed != firstPassed[j] {
-					t.Errorf("%s %s: %s passes: %v, the first filter of its class: %v", name, round.Name, set.Filters[i], res.Passed, firstPassed[j])
+				if got, want := freeTruth(i), nodeTruth(n); got != want {
+					t.Errorf("%s: %s %s, its node %s %s", label, free.Filters[i], got, nodes.Filters[n], want)
+				}
+				shared[nodeTruth(n)]++
+			}
+			for ci := range cands {
+				if got, want := nodes.Top[ci], nodeOf[free.Top[ci]]; got != want {
+					t.Errorf("%s: candidate %d's top is %s, the node of its top filter %s", label, ci, nodes.Filters[got], nodes.Filters[want])
 				}
 			}
 		}
 	}
-	t.Logf("filters sharing a class-mate's outcome: %d passing, %d failing", shared[true], shared[false])
-	if shared[true] == 0 || shared[false] == 0 {
-		t.Errorf("the pools share %d passing and %d failing outcomes within a class, want both > 0", shared[true], shared[false])
+	t.Logf("filters sharing a node with another: %d passing, %d failing", shared[filter.Passed], shared[filter.Failed])
+	if shared[filter.Passed] == 0 || shared[filter.Failed] == 0 {
+		t.Errorf("the pools share %d passing and %d failing outcomes within a node, want both > 0", shared[filter.Passed], shared[filter.Failed])
+	}
+}
+
+// nodeKey renders the tree of f and the sources it covers on the target
+// columns keep says to.
+func nodeKey(f *filter.Filter, keep func(tc int) bool) string {
+	var b strings.Builder
+	b.WriteString(f.Tree.Canonical())
+	for k, tc := range f.TargetCols {
+		if keep(tc) {
+			fmt.Fprintf(&b, "|%d=%s", tc, strings.ToLower(f.Sources[k].String()))
+		}
+	}
+	return b.String()
+}
+
+// truthOf returns the ground truth of the filters of set as v validates
+// them, each validated on its first request.
+func truthOf(t *testing.T, v *filter.Validator, set *filter.Set) func(i int) filter.Outcome {
+	truth := make([]filter.Outcome, set.NumFilters())
+	return func(i int) filter.Outcome {
+		if truth[i] == filter.Unknown {
+			res, err := v.Validate(set.Filters[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			truth[i] = filter.Failed
+			if res.Passed {
+				truth[i] = filter.Passed
+			}
+		}
+		return truth[i]
 	}
 }

@@ -81,7 +81,7 @@ func TestOutcomeCacheConcurrency(t *testing.T) {
 
 func TestValidationKeyIdentity(t *testing.T) {
 	fx := newFixture(t)
-	set := Decompose(fx.candidates)
+	set := decomposeFor(t, fx.spec, fx.candidates)
 	if set.NumFilters() < 2 {
 		t.Fatal("fixture too small")
 	}
@@ -113,7 +113,7 @@ func TestValidationKeyIdentity(t *testing.T) {
 
 func TestValidationKeySampleOrderInvariance(t *testing.T) {
 	fx := newFixture(t)
-	set := Decompose(fx.candidates)
+	set := decomposeFor(t, fx.spec, fx.candidates)
 
 	twoRows, err := constraint.ParseGrid(3,
 		[][]string{
@@ -140,11 +140,11 @@ func TestValidationKeySampleOrderInvariance(t *testing.T) {
 
 func TestValidationKeyUnrelatedCellChange(t *testing.T) {
 	fx := newFixture(t)
-	set := Decompose(fx.candidates)
 
 	// Refine the Area cell (target column 3): filters not covering column 3
 	// keep their keys — the reuse the session cache exploits — while filters
-	// covering it change.
+	// covering it change. The filters are those of the refined round, the
+	// only one whose filters cover column 3.
 	refined, err := constraint.ParseGrid(3,
 		[][]string{{"California || Nevada", "Lake Tahoe", "[400, 600]"}},
 		[]string{"", "", "DataType=='decimal' AND MinValue>='0'"},
@@ -152,6 +152,7 @@ func TestValidationKeyUnrelatedCellChange(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	set := decomposeFor(t, refined, fx.candidates)
 	unchanged, changed := 0, 0
 	for _, f := range set.Filters {
 		coversArea := false
@@ -180,7 +181,7 @@ func TestValidationKeyUnrelatedCellChange(t *testing.T) {
 
 func TestSessionRecordCached(t *testing.T) {
 	fx := newFixture(t)
-	set := Decompose(fx.candidates)
+	set := decomposeFor(t, fx.spec, fx.candidates)
 	sess := NewSession(set)
 
 	// Fail the filter with the widest reach from cache: candidates prune and

@@ -8,7 +8,7 @@ import (
 
 func TestValidateContextCancellation(t *testing.T) {
 	fx := newFixture(t)
-	set := Decompose(fx.candidates)
+	set := decomposeFor(t, fx.spec, fx.candidates)
 	v := &Validator{DB: fx.db, Cells: NewCells(fx.spec)}
 
 	ctx, cancel := context.WithCancel(context.Background())

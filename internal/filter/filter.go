@@ -1,12 +1,12 @@
 // Package filter implements the filter-based validation of candidate schema
 // mapping queries (§2.3 step #2).
 //
-// A filter is a sub-join-tree of a candidate query together with the target
-// columns whose source columns fall inside the subtree — a shorter
-// Project-Join query. Validating a filter asks whether, for every sample
-// constraint, the filter's result contains a tuple matching the sample's
-// cells restricted to the covered target columns. Because any tuple of the
-// full candidate projects onto a tuple of each of its filters:
+// A filter is a sub-join-tree of a candidate query together with the
+// constrained target columns whose source columns fall inside the subtree —
+// a shorter Project-Join query. Validating a filter asks whether, for every
+// sample constraint, the filter's result contains a tuple matching the
+// sample's cells restricted to the covered target columns. Because any tuple
+// of the full candidate projects onto a tuple of each of its filters:
 //
 //   - if a filter fails, every filter containing it and every candidate it
 //     was derived from fail too (upward failure propagation, the pruning
@@ -66,7 +66,7 @@ func (o Outcome) String() string {
 	}
 }
 
-// Filter is one sub-join-tree with its covered target columns.
+// Filter is one sub-join-tree with its covered constrained target columns.
 type Filter struct {
 	// Key is the canonical identity of the filter; filters with equal keys
 	// are shared across candidates.
@@ -126,8 +126,9 @@ func (f *Filter) String() string {
 	return fmt.Sprintf("filter[%s | %s]", f.Tree, strings.Join(cols, ", "))
 }
 
-// Set is the filter decomposition of a batch of candidate queries, with the
-// candidate associations and the sub/super dependency relation.
+// Set is the filter decomposition of a batch of candidate queries under a
+// specification, with the candidate associations and the sub/super
+// dependency relation.
 type Set struct {
 	// Filters holds every distinct filter.
 	Filters []*Filter
@@ -143,11 +144,6 @@ type Set struct {
 	children [][]int
 	// candidatesOf[i] lists candidates that include filter i.
 	candidatesOf [][]int
-	// treeIDs[i] is the id of filter i's join tree and pairs[i] its covered
-	// (target column, source id) pairs, as decomposition identified the
-	// filter; Classes reads them.
-	treeIDs []int32
-	pairs   [][]colSource
 }
 
 // NumFilters returns the number of distinct filters.
@@ -165,16 +161,21 @@ func (s *Set) Children(i int) []int { return s.children[i] }
 // CandidatesOf returns the candidates containing filter i, ascending.
 func (s *Set) CandidatesOf(i int) []int { return s.candidatesOf[i] }
 
-// Decompose builds the filter set of the candidates: every connected
-// subtree of each candidate's join tree that hosts at least one projected
-// column becomes a filter, deduplicated across candidates.
-func Decompose(candidates []graphx.Candidate) *Set {
-	s, _ := DecomposeContext(context.Background(), candidates)
-	return s
-}
-
-// DecomposeContext is Decompose under a context; cancellation is checked
-// throughout and aborts with ctx.Err().
+// DecomposeFor builds the filter set of the candidates under spec: every
+// connected subtree of each candidate's join tree that hosts at least one
+// projected column becomes a filter, deduplicated across candidates. A
+// filter covers the target columns that spec constrains (ConstrainedTargets)
+// and whose source columns its subtree hosts.
+//
+// A filter is thus one outcome class: validation passes any unconstrained
+// cell (constraint.SampleConstraint.MatchesProjection) and never filters on
+// the projection, so the columns a subtree hosts for unconstrained targets
+// cannot change its outcome, and candidates that differ only there share
+// their filters, top filter included. A subtree hosting only unconstrained
+// columns is a filter that projects nothing, a probe of whether its join is
+// non-empty.
+//
+// Cancellation is checked throughout and aborts with ctx.Err().
 //
 // A filter is identified by integers — the id of its subtree and the
 // (target column, source column id) pairs it covers — so a join tree is
@@ -182,17 +183,34 @@ func Decompose(candidates []graphx.Candidate) *Set {
 // tree, and a candidate costs one map probe per subtree. The dependency
 // relation is then read off an index instead of comparing every pair of
 // filters: see lattice.
+func DecomposeFor(ctx context.Context, spec *constraint.Spec, candidates []graphx.Candidate) (*Set, error) {
+	return decompose(ctx, ConstrainedTargets(spec), candidates)
+}
+
+// DecomposeContext is DecomposeFor with every target column constrained:
+// each filter covers every target column its subtree hosts.
+//
+// Deprecated: ROADMAP item 0e; only the staged replay under benchmark/
+// calls it.
 func DecomposeContext(ctx context.Context, candidates []graphx.Candidate) (*Set, error) {
+	return decompose(ctx, nil, candidates)
+}
+
+// decompose builds the filter set of the candidates whose filters cover the
+// target columns the mask constrains; a target column at or beyond its
+// length counts as constrained.
+func decompose(ctx context.Context, constrained []bool, candidates []graphx.Candidate) (*Set, error) {
 	s := &Set{
 		Candidates:       candidates,
 		CandidateFilters: make([][]int, len(candidates)),
 		Top:              make([]int, len(candidates)),
 	}
 	d := decomposer{
-		trees:   make(map[string]int32),
-		sources: make(map[schema.ColumnRef]int32),
-		byText:  make(map[string]int32),
-		index:   make(map[string]int),
+		constrained: constrained,
+		trees:       make(map[string]int32),
+		sources:     make(map[schema.ColumnRef]int32),
+		byText:      make(map[string]int32),
+		index:       make(map[string]int),
 		// members is a dense filter-index bitset reused across candidates;
 		// iterating it recovers each candidate's filter list in ascending
 		// order without a per-candidate map + sort.
@@ -209,61 +227,16 @@ func DecomposeContext(ctx context.Context, candidates []graphx.Candidate) (*Set,
 	if err := d.lattice(ctx, s); err != nil {
 		return nil, err
 	}
-	s.treeIDs, s.pairs = d.filterTree, d.filterCols
 	return s, nil
 }
 
-// Classes partitions the filters by their outcome under spec. Filters of one
-// class have the same join tree and cover the same (target column, source
-// column) pairs among the target columns some sample constrains; what else
-// they project cannot change a validation, which passes any unconstrained
-// cell (constraint.SampleConstraint.MatchesProjection) and never filters on
-// the projection. So one validation answers for the whole class. A target
-// column beyond a sample's cells counts as constrained, because the sample
-// rejects every tuple projected onto it.
-//
-// class[i] is filter i's class; classes are numbered from 0 in the order of
-// their first member, and n is their number. The key of a class is the
-// filter identity of decomposition (see identity) restricted to the
-// constrained pairs, so no text is rendered per filter. When every target
-// column is constrained each filter is its own class.
-func (s *Set) Classes(spec *constraint.Spec) (class []int32, n int) {
-	constrained := constrainedTargets(spec)
-	class = make([]int32, len(s.Filters))
-	if !slices.Contains(constrained, false) {
-		for i := range class {
-			class[i] = int32(i)
-		}
-		return class, len(class)
-	}
-	index := make(map[string]int32)
-	var (
-		key  []byte
-		cols []colSource
-	)
-	for i, pairs := range s.pairs {
-		cols = cols[:0]
-		for _, c := range pairs {
-			if c.target >= len(constrained) || constrained[c.target] {
-				cols = append(cols, c)
-			}
-		}
-		key = identity(key[:0], s.treeIDs[i], cols)
-		id, ok := index[string(key)]
-		if !ok {
-			id = int32(len(index))
-			index[string(key)] = id
-		}
-		class[i] = id
-	}
-	return class, len(index)
-}
-
-// constrainedTargets reports, per target column below the widest sample,
-// whether some sample constrains it, as the validator reads the samples: a
-// column beyond a sample's cells is constrained, and a specification with no
-// samples checks one sample of NumColumns unconstrained cells.
-func constrainedTargets(spec *constraint.Spec) []bool {
+// ConstrainedTargets reports, per target column below the widest sample,
+// whether some sample of spec constrains it, as the validator reads the
+// samples: a column beyond a sample's cells is constrained (the sample
+// rejects every tuple projected onto it), and a specification with no
+// samples checks one sample of NumColumns unconstrained cells. A set built
+// by DecomposeFor depends on the specification only through this mask.
+func ConstrainedTargets(spec *constraint.Spec) []bool {
 	if len(spec.Samples) == 0 {
 		return make([]bool, spec.NumColumns)
 	}
@@ -285,6 +258,9 @@ func constrainedTargets(spec *constraint.Spec) []bool {
 // decomposer holds the dense ids one decomposition assigns: to subtree
 // signatures, to projected source columns and, from the two, to filters.
 type decomposer struct {
+	// constrained is the mask of decompose: a filter covers target column tc
+	// when tc >= len(constrained) or constrained[tc].
+	constrained []bool
 	// trees maps a subtree signature to its id.
 	trees map[string]int32
 	// sources maps a projected column to its id, byText the same by
@@ -296,7 +272,7 @@ type decomposer struct {
 	// index maps a filter's identity (see identity) to its index.
 	index map[string]int
 	// filterTree and filterCols hold, per filter, its tree id and its
-	// covered (target column, source id) pairs.
+	// covered (target column, source id) pairs; lattice reads them.
 	filterTree []int32
 	filterCols [][]colSource
 	// contains lists the (sub, super) pairs of tree ids, and paired marks
@@ -433,12 +409,17 @@ func (d *decomposer) add(s *Set, ci int, cand graphx.Candidate) {
 	d.members.Reset(len(s.Filters) + len(tp.subs))
 	for k, sub := range tp.subs {
 		d.cols = d.cols[:0]
+		hosted := 0
 		for tc, p := range d.pos {
-			if p >= 0 && tp.has[k*tp.size+p] {
+			if p < 0 || !tp.has[k*tp.size+p] {
+				continue
+			}
+			hosted++
+			if tc >= len(d.constrained) || d.constrained[tc] {
 				d.cols = append(d.cols, colSource{target: tc, source: d.srcs[tc]})
 			}
 		}
-		if len(d.cols) == 0 {
+		if hosted == 0 {
 			continue
 		}
 		d.key = identity(d.key[:0], tp.ids[k], d.cols)
@@ -451,7 +432,7 @@ func (d *decomposer) add(s *Set, ci int, cand graphx.Candidate) {
 			d.filterCols = append(d.filterCols, slices.Clone(d.cols))
 		}
 		d.members.Add(int32(fi))
-		if sub.Size() == tp.size && len(d.cols) == len(cand.Projection) {
+		if sub.Size() == tp.size && hosted == len(cand.Projection) {
 			s.Top[ci] = fi
 		}
 	}
@@ -483,13 +464,14 @@ func identity(key []byte, tree int32, cols []colSource) []byte {
 	return key
 }
 
-// mint builds the filter of a subtree of cand covering d.cols. The Key text
-// is rendered here, once per distinct filter.
+// mint builds the filter of a subtree of cand covering d.cols; with no
+// column to cover, its plan projects nothing. The Key text is rendered here,
+// once per distinct filter.
 func (d *decomposer) mint(cand graphx.Candidate, sub graphx.Subtree) *Filter {
-	f := &Filter{
-		Tree:       cand.Tree.Subtree(sub),
-		TargetCols: make([]int, len(d.cols)),
-		Sources:    make([]schema.ColumnRef, len(d.cols)),
+	f := &Filter{Tree: cand.Tree.Subtree(sub)}
+	if len(d.cols) > 0 {
+		f.TargetCols = make([]int, len(d.cols))
+		f.Sources = make([]schema.ColumnRef, len(d.cols))
 	}
 	key := append(d.text[:0], sub.Canonical()...)
 	for i, c := range d.cols {
@@ -505,7 +487,9 @@ func (d *decomposer) mint(cand graphx.Candidate, sub graphx.Subtree) *Filter {
 
 // lattice fills in the dependency relation: i ≺ j (i is a sub-filter of j)
 // iff i's tree is contained in j's and every target column i covers, j
-// covers from the same source column.
+// covers from the same source column. The relation is a strict order: a
+// filter's identity is its tree and its pairs, so a super-filter has a
+// larger tree, or the same tree and more pairs.
 //
 // Rather than test every pair, it indexes the filters twice — by tree and
 // by covered (target column, source) pair — as bitsets over filter indexes.
@@ -843,23 +827,6 @@ func (s *Session) RecordExecution(i int, res ValidationResult) {
 	s.Executed++
 	s.Cost.Add(res.Cost)
 	if res.Passed {
-		s.apply(i, Passed)
-	} else {
-		s.apply(i, Failed)
-	}
-}
-
-// RecordSettled applies the outcome of a filter whose class-mate (Set.Classes)
-// was just validated or served from a cross-round outcome cache: the filter
-// is resolved with full implication propagation, and counts as implied
-// because no executor work happened for it. A filter already determined is
-// left as it is.
-func (s *Session) RecordSettled(i int, passed bool) {
-	if s.Determined(i) {
-		return
-	}
-	s.Implied++
-	if passed {
 		s.apply(i, Passed)
 	} else {
 		s.apply(i, Failed)

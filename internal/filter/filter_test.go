@@ -1,6 +1,8 @@
 package filter
 
 import (
+	"context"
+	"slices"
 	"strings"
 	"testing"
 
@@ -102,19 +104,32 @@ func newFixture(t testing.TB) *fixture {
 	return &fixture{db: db, spec: spec, graph: g, candidates: cands}
 }
 
+// decomposeFor is DecomposeFor under a live context.
+func decomposeFor(t testing.TB, spec *constraint.Spec, candidates []graphx.Candidate) *Set {
+	t.Helper()
+	set, err := DecomposeFor(context.Background(), spec, candidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
+}
+
 func TestDecomposeStructure(t *testing.T) {
 	fx := newFixture(t)
-	set := Decompose(fx.candidates)
+	set := decomposeFor(t, fx.spec, fx.candidates)
 	if set.NumCandidates() != len(fx.candidates) {
 		t.Fatalf("NumCandidates = %d", set.NumCandidates())
 	}
 	if set.NumFilters() == 0 {
 		t.Fatal("no filters")
 	}
-	// Every candidate has a top filter covering all target columns.
+	// Every candidate has a top filter over its whole tree covering the two
+	// constrained target columns, and not the third, which no sample
+	// constrains.
 	for ci, cand := range set.Candidates {
 		top := set.Filters[set.Top[ci]]
-		if top.Tree.Size() != cand.Tree.Size() || len(top.TargetCols) != len(cand.Projection) {
+		if top.Tree.Size() != cand.Tree.Size() || !slices.Equal(top.TargetCols, []int{0, 1}) ||
+			!slices.Equal(top.Sources, cand.Projection[:2]) {
 			t.Errorf("candidate %d: top filter %s does not cover candidate %s", ci, top, cand)
 		}
 		if len(set.CandidateFilters[ci]) == 0 {
@@ -157,7 +172,7 @@ func TestDecomposeStructure(t *testing.T) {
 
 func TestFilterPlanAndString(t *testing.T) {
 	fx := newFixture(t)
-	set := Decompose(fx.candidates)
+	set := decomposeFor(t, fx.spec, fx.candidates)
 	for _, f := range set.Filters {
 		plan := f.Plan()
 		if err := plan.Validate(fx.db.Schema()); err != nil {
@@ -177,7 +192,7 @@ func TestFilterPlanAndString(t *testing.T) {
 
 func TestValidateSingleTableFilters(t *testing.T) {
 	fx := newFixture(t)
-	set := Decompose(fx.candidates)
+	set := decomposeFor(t, fx.spec, fx.candidates)
 	v := &Validator{DB: fx.db, Cells: NewCells(fx.spec)}
 
 	// Find a single-table filter over Lake binding target column 1 (the
@@ -218,7 +233,7 @@ func TestValidateSingleTableFilters(t *testing.T) {
 
 func TestValidateFailingFilter(t *testing.T) {
 	fx := newFixture(t)
-	set := Decompose(fx.candidates)
+	set := decomposeFor(t, fx.spec, fx.candidates)
 	v := &Validator{DB: fx.db, Cells: NewCells(fx.spec)}
 	// The filter binding target column 1 (California || Nevada) to
 	// Province.Name trivially passes; the one binding target column 2
@@ -251,7 +266,7 @@ func TestValidateFailingFilter(t *testing.T) {
 
 func TestValidateFullCandidates(t *testing.T) {
 	fx := newFixture(t)
-	set := Decompose(fx.candidates)
+	set := decomposeFor(t, fx.spec, fx.candidates)
 	v := &Validator{DB: fx.db, Cells: NewCells(fx.spec)}
 	confirmed := 0
 	desiredConfirmed := false
@@ -340,7 +355,7 @@ func TestValidateErrorPropagation(t *testing.T) {
 
 func TestSessionPropagation(t *testing.T) {
 	fx := newFixture(t)
-	set := Decompose(fx.candidates)
+	set := decomposeFor(t, fx.spec, fx.candidates)
 	sess := NewSession(set)
 	if sess.UnresolvedCandidates() != set.NumCandidates() {
 		t.Fatal("all candidates start unresolved")
@@ -417,7 +432,7 @@ func TestSessionPropagation(t *testing.T) {
 
 func TestSessionDeterminedAndStatusStrings(t *testing.T) {
 	fx := newFixture(t)
-	set := Decompose(fx.candidates)
+	set := decomposeFor(t, fx.spec, fx.candidates)
 	sess := NewSession(set)
 	if sess.Determined(0) {
 		t.Error("filters start undetermined")
@@ -457,10 +472,10 @@ func TestValidateEmptySampleSpec(t *testing.T) {
 	}
 }
 
-// lowResCandidates enumerates the widest round of the low-resolution
-// recipe — metadata on every column, no sample value — over a Mondial of
-// ten thousand rows: about a thousand candidates.
-func lowResCandidates(t testing.TB) []graphx.Candidate {
+// lowResRound enumerates the widest round of the low-resolution recipe —
+// metadata on every column, no sample value — over a Mondial of ten
+// thousand rows: about a thousand candidates.
+func lowResRound(t testing.TB) (*constraint.Spec, []graphx.Candidate) {
 	t.Helper()
 	db, err := dataset.Mondial(dataset.MondialConfig{Seed: 1, Countries: 20, ProvincesPerCountry: 8, CitiesPerProvince: 8,
 		Lakes: 1500, Rivers: 1000, Mountains: 800})
@@ -477,7 +492,10 @@ func lowResCandidates(t testing.TB) []graphx.Candidate {
 		t.Fatal(err)
 	}
 	g := graphx.New(db.Schema())
-	var widest []graphx.Candidate
+	var (
+		spec   *constraint.Spec
+		widest []graphx.Candidate
+	)
 	for _, tc := range cases {
 		related, ok := difftest.Related(db, tc.Spec)
 		if !ok {
@@ -488,23 +506,23 @@ func lowResCandidates(t testing.TB) []graphx.Candidate {
 			t.Fatal(err)
 		}
 		if len(cands) > len(widest) {
-			widest = cands
+			spec, widest = tc.Spec, cands
 		}
 	}
 	if len(widest) < 500 {
 		t.Fatalf("widest low-resolution round has %d candidates", len(widest))
 	}
-	return widest
+	return spec, widest
 }
 
-// BenchmarkDecompose measures the decomposition of a low-resolution round.
-func BenchmarkDecompose(b *testing.B) {
-	candidates := lowResCandidates(b)
+// BenchmarkDecomposeLowRes measures the decomposition of a low-resolution
+// round under its specification, as a round decomposes it.
+func BenchmarkDecomposeLowRes(b *testing.B) {
+	spec, candidates := lowResRound(b)
 	b.ReportAllocs()
-	b.ResetTimer()
 	var set *Set
-	for i := 0; i < b.N; i++ {
-		set = Decompose(candidates)
+	for b.Loop() {
+		set = decomposeFor(b, spec, candidates)
 	}
 	b.ReportMetric(float64(len(candidates)), "candidates")
 	b.ReportMetric(float64(set.NumFilters()), "filters")
@@ -512,7 +530,7 @@ func BenchmarkDecompose(b *testing.B) {
 
 func BenchmarkValidateTopFilter(b *testing.B) {
 	fx := newFixture(b)
-	set := Decompose(fx.candidates)
+	set := decomposeFor(b, fx.spec, fx.candidates)
 	v := &Validator{DB: fx.db, Cells: NewCells(fx.spec)}
 	top := set.Filters[set.Top[0]]
 	b.ReportAllocs()

@@ -36,7 +36,7 @@ func TestPredicateIdentities(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := Decompose(fx.candidates)
+	set := decomposeFor(t, spec, fx.candidates)
 	one := &recordingExecutor{Executor: fx.db}
 	other := &recordingExecutor{Executor: fx.db}
 	v1 := &Validator{DB: one, Cells: NewCells(spec)}

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"prism/internal/constraint"
 	"prism/internal/difftest"
 	"prism/internal/graphx"
 	"prism/internal/mem"
@@ -20,7 +21,8 @@ import (
 // re-enumerated and re-canonicalised per candidate, one key string per
 // candidate × subtree, every pair of filters compared. They are the oracle
 // the indexed implementation must reproduce exactly — list order included,
-// since propagation and the Implied counter follow it.
+// since propagation and the Implied counter follow it. Which target columns
+// a specification constrains is read off its samples here, cell by cell.
 
 func referenceFilterKey(tree graphx.Tree, targetCols []int, sources []schema.ColumnRef) string {
 	parts := make([]string, 0, len(targetCols)+1)
@@ -41,7 +43,30 @@ type referenceSet struct {
 	candidatesOf     [][]int
 }
 
-func referenceDecompose(candidates []graphx.Candidate) *referenceSet {
+// referenceConstrained reports whether some sample of spec constrains target
+// column tc: a nil spec constrains every column, and a column beyond a
+// sample's cells (with no samples, beyond NumColumns) counts as constrained.
+func referenceConstrained(spec *constraint.Spec) func(tc int) bool {
+	return func(tc int) bool {
+		if spec == nil {
+			return true
+		}
+		if len(spec.Samples) == 0 {
+			return tc >= spec.NumColumns
+		}
+		for _, sample := range spec.Samples {
+			if tc >= len(sample.Cells) || sample.Cells[tc] != nil {
+				return true
+			}
+		}
+		return false
+	}
+}
+
+// referenceDecompose decomposes the candidates under spec (nil: every target
+// column constrained).
+func referenceDecompose(spec *constraint.Spec, candidates []graphx.Candidate) *referenceSet {
+	constrained := referenceConstrained(spec)
 	s := &referenceSet{
 		candidateFilters: make([][]int, len(candidates)),
 		top:              make([]int, len(candidates)),
@@ -52,13 +77,17 @@ func referenceDecompose(candidates []graphx.Candidate) *referenceSet {
 		for _, sub := range enumerateSubtrees(cand.Tree) {
 			var targetCols []int
 			var sources []schema.ColumnRef
+			hosted := 0
 			for tc, src := range cand.Projection {
 				if sub.Contains(src.Table) {
-					targetCols = append(targetCols, tc)
-					sources = append(sources, src)
+					hosted++
+					if constrained(tc) {
+						targetCols = append(targetCols, tc)
+						sources = append(sources, src)
+					}
 				}
 			}
-			if len(targetCols) == 0 {
+			if hosted == 0 {
 				continue
 			}
 			key := referenceFilterKey(sub, targetCols, sources)
@@ -69,7 +98,7 @@ func referenceDecompose(candidates []graphx.Candidate) *referenceSet {
 				s.filters = append(s.filters, &Filter{Key: key, Tree: sub, TargetCols: targetCols, Sources: sources})
 			}
 			member[fi] = struct{}{}
-			if sub.Size() == cand.Tree.Size() && len(targetCols) == len(cand.Projection) {
+			if sub.Size() == cand.Tree.Size() && hosted == len(cand.Projection) {
 				s.top[ci] = fi
 			}
 		}
@@ -285,20 +314,30 @@ func differentialRounds(t *testing.T, db *mem.Database, perLevel int) (rounds []
 
 // TestDecomposeMatchesReference compares the indexed decomposition with the
 // quadratic one over the generator pools of the three bundled databases,
-// low-resolution rounds of more than a thousand candidates included.
+// low-resolution rounds of more than a thousand candidates included: under
+// each round's specification, and with every target column constrained.
 func TestDecomposeMatchesReference(t *testing.T) {
 	widest := 0
 	for name, db := range difftest.Databases(t) {
 		rounds, candidates := differentialRounds(t, db, 1)
-		filters := 0
+		filters, nodes := 0, 0
 		for i, round := range rounds {
-			got := Decompose(candidates[i])
-			sameSet(t, name+" "+round.Name, got, referenceDecompose(candidates[i]))
-			filters += got.NumFilters()
+			got, err := DecomposeFor(context.Background(), round.Spec, candidates[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSet(t, name+" "+round.Name, got, referenceDecompose(round.Spec, candidates[i]))
+			nodes += got.NumFilters()
+			free, err := DecomposeContext(context.Background(), candidates[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameSet(t, name+" "+round.Name+" spec-free", free, referenceDecompose(nil, candidates[i]))
+			filters += free.NumFilters()
 			widest = max(widest, len(candidates[i]))
 		}
-		if filters == 0 {
-			t.Errorf("%s: no filters compared", name)
+		if nodes == 0 || nodes >= filters {
+			t.Errorf("%s: %d filters under the specifications, %d with every target constrained; want fewer, but some", name, nodes, filters)
 		}
 	}
 	if widest < 1000 {
@@ -329,7 +368,11 @@ func TestDecomposeHandBuiltCandidates(t *testing.T) {
 	for i := len(fx.candidates) - 1; i >= 0; i-- {
 		mixed = append(mixed, fx.candidates[i])
 	}
-	sameSet(t, "hand-built", Decompose(mixed), referenceDecompose(mixed))
+	got, err := DecomposeFor(context.Background(), fx.spec, mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameSet(t, "hand-built", got, referenceDecompose(fx.spec, mixed))
 }
 
 // TestDecomposeContextCancelled requires a dead context to abort the
@@ -364,4 +407,36 @@ func (c pollCountingContext) Err() error {
 		return context.Canceled
 	}
 	return nil
+}
+
+// TestParentsAreStrict requires the dependency relation to be a strict
+// order over the generator pools of the three bundled databases: every
+// super-filter contains the filter and has a larger tree, or the same tree
+// and more covered columns. Then no two filters contain each other, and the
+// relation has no cycle.
+func TestParentsAreStrict(t *testing.T) {
+	edges := 0
+	for name, db := range difftest.Databases(t) {
+		rounds, candidates := differentialRounds(t, db, 2)
+		for i, round := range rounds {
+			set, err := DecomposeFor(context.Background(), round.Spec, candidates[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			for fi, f := range set.Filters {
+				for _, pi := range set.Parents(fi) {
+					p := set.Filters[pi]
+					edges++
+					larger := p.Tree.Size() > f.Tree.Size()
+					wider := p.Tree.Canonical() == f.Tree.Canonical() && len(p.TargetCols) > len(f.TargetCols)
+					if !isSubFilter(f, p) || !(larger || wider) {
+						t.Fatalf("%s %s: %s has the parent %s, which is no strictly larger filter", name, round.Name, f, p)
+					}
+				}
+			}
+		}
+	}
+	if edges == 0 {
+		t.Fatal("no parent edge checked")
+	}
 }

@@ -1,6 +1,7 @@
 package sched
 
 import (
+	"context"
 	"math"
 	"slices"
 	"testing"
@@ -77,7 +78,17 @@ func decompose(t testing.TB, db *mem.Database, name string, spec *constraint.Spe
 	if err != nil {
 		t.Fatal(err)
 	}
-	return generatedRound{name: name, spec: spec, set: filter.Decompose(cands)}
+	return generatedRound{name: name, spec: spec, set: decomposeFor(t, spec, cands)}
+}
+
+// decomposeFor is filter.DecomposeFor under a live context.
+func decomposeFor(t testing.TB, spec *constraint.Spec, candidates []graphx.Candidate) *filter.Set {
+	t.Helper()
+	set, err := filter.DecomposeFor(context.Background(), spec, candidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return set
 }
 
 // generatedRounds builds rounds at every resolution level over db, two

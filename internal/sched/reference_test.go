@@ -23,10 +23,12 @@ import (
 // counters: every pick rescanning the candidates of every filter for its
 // reach and its top-of-an-unresolved-candidate flag, and calling the cost
 // model (a row count per table per call) whenever a tie got that far. It is
-// the oracle the array-backed pick must agree with, pick for pick. Outcome
-// classes are derived here from text — the tree's canonical form and the
-// constrained columns' lower-cased sources — rather than from the ids
-// decomposition keeps.
+// the oracle the array-backed pick must agree with, pick for pick. The
+// filters a round schedules are outcome classes (filter.DecomposeFor);
+// referenceClasses derives the classes from text instead — the tree's
+// canonical form and the constrained columns' lower-cased sources — over the
+// decomposition with every target constrained, and the filters must be
+// exactly those.
 
 // referenceEntry is the priority of one filter at selection time.
 type referenceEntry struct {
@@ -125,11 +127,12 @@ func referenceCost(c float64) float64 {
 	return 1
 }
 
-// referenceClasses lists, per filter, the filters of its outcome class,
-// ascending: those with its join tree that cover the same source columns
-// for every target column some sample constrains, or that lies beyond a
-// sample's cells (with no samples, beyond NumColumns).
-func referenceClasses(spec *constraint.Spec, set *filter.Set) [][]int {
+// referenceClasses returns, per filter of free (a decomposition with every
+// target column constrained), the key of its outcome class under spec: its
+// tree with the sources it covers on the target columns some sample
+// constrains, or that lie beyond a sample's cells (with no samples, beyond
+// NumColumns).
+func referenceClasses(spec *constraint.Spec, free *filter.Set) []string {
 	constrained := func(tc int) bool {
 		if len(spec.Samples) == 0 {
 			return tc >= spec.NumColumns
@@ -141,23 +144,58 @@ func referenceClasses(spec *constraint.Spec, set *filter.Set) [][]int {
 		}
 		return false
 	}
-	keys := make([]string, set.NumFilters())
-	byKey := make(map[string][]int)
-	for i, f := range set.Filters {
-		key := f.Tree.Canonical()
-		for k, tc := range f.TargetCols {
-			if constrained(tc) {
-				key += fmt.Sprintf("|%d=%s", tc, strings.ToLower(f.Sources[k].String()))
-			}
+	keys := make([]string, free.NumFilters())
+	for i, f := range free.Filters {
+		keys[i] = classKey(f, constrained)
+	}
+	return keys
+}
+
+// classKey renders the tree of f and the columns it covers that keep says to.
+func classKey(f *filter.Filter, keep func(tc int) bool) string {
+	key := f.Tree.Canonical()
+	for k, tc := range f.TargetCols {
+		if keep(tc) {
+			key += fmt.Sprintf("|%d=%s", tc, strings.ToLower(f.Sources[k].String()))
 		}
-		keys[i] = key
-		byKey[key] = append(byKey[key], i)
 	}
-	mates := make([][]int, len(keys))
+	return key
+}
+
+// sameClasses requires the filters of set, decomposed under spec, to be the
+// outcome classes referenceClasses finds: one filter per class, a filter's
+// candidates the union of its class's, and each candidate's top filter the
+// class of its top filter with every target constrained.
+func sameClasses(t *testing.T, label string, spec *constraint.Spec, set *filter.Set) {
+	t.Helper()
+	free, err := filter.DecomposeContext(context.Background(), set.Candidates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := referenceClasses(spec, free)
+	union := make(map[string][]int)
 	for i, key := range keys {
-		mates[i] = byKey[key]
+		union[key] = append(union[key], free.CandidatesOf(i)...)
 	}
-	return mates
+	if len(union) != set.NumFilters() {
+		t.Fatalf("%s: %d filters, %d outcome classes", label, set.NumFilters(), len(union))
+	}
+	all := func(int) bool { return true }
+	for i, f := range set.Filters {
+		want, ok := union[classKey(f, all)]
+		if !ok {
+			t.Fatalf("%s: filter %s is no outcome class", label, f)
+		}
+		slices.Sort(want)
+		if got := set.CandidatesOf(i); !slices.Equal(got, slices.Compact(want)) {
+			t.Fatalf("%s: filter %s has the candidates %v, its class %v", label, f, got, want)
+		}
+	}
+	for ci := range set.Candidates {
+		if got, want := classKey(set.Filters[set.Top[ci]], all), keys[free.Top[ci]]; got != want {
+			t.Fatalf("%s: candidate %d has the top filter %s, the class of its top %s", label, ci, got, want)
+		}
+	}
 }
 
 // referenceRun is the sequential greedy loop over referencePick.
@@ -170,9 +208,7 @@ type referenceRun struct {
 }
 
 // runReference runs the loop with the table-size cost model, or with the
-// given one when it is not nil. The estimator is asked about the first
-// filter of each outcome class, and a validation settles every undetermined
-// class-mate, ascending.
+// given one when it is not nil.
 func runReference(t *testing.T, db exec.Executor, spec *constraint.Spec, set *filter.Set, est Estimator, costModel func(*filter.Filter) float64) referenceRun {
 	t.Helper()
 	sess := filter.NewSession(set)
@@ -181,13 +217,8 @@ func runReference(t *testing.T, db exec.Executor, spec *constraint.Spec, set *fi
 	for _, ti := range set.Top {
 		isTop[ti] = true
 	}
-	mates := referenceClasses(spec, set)
 	failProb := make([]float64, set.NumFilters())
 	for i, f := range set.Filters {
-		if first := mates[i][0]; first < i {
-			failProb[i] = failProb[first]
-			continue
-		}
 		failProb[i] = referenceProbability(est.FailureProbability(f))
 	}
 	if costModel == nil {
@@ -210,11 +241,6 @@ func runReference(t *testing.T, db exec.Executor, spec *constraint.Spec, set *fi
 			t.Fatal(err)
 		}
 		sess.RecordExecution(next, vr)
-		for _, j := range mates[next] {
-			if !sess.Determined(j) {
-				sess.RecordSettled(j, vr.Passed)
-			}
-		}
 		run.picks = append(run.picks, next)
 	}
 	run.validations, run.implied = sess.Executed, sess.Implied
@@ -249,7 +275,7 @@ func referenceRounds(t *testing.T, db *mem.Database) []generatedRound {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, generatedRound{name: round.Name, spec: round.Spec, set: filter.Decompose(cands)})
+		out = append(out, generatedRound{name: round.Name, spec: round.Spec, set: decomposeFor(t, round.Spec, cands)})
 	}
 	return out
 }
@@ -298,7 +324,7 @@ func nanCost(db exec.Executor) func(*filter.Filter) float64 {
 // each policy: the same filter at every step, and counters that equal a
 // fresh scan. It then requires a whole RunContext to issue the reference's
 // probes in the reference's order and to end with its counters and candidate
-// sets.
+// sets. Every round's filters must be its outcome classes.
 func TestPickMatchesReference(t *testing.T) {
 	picks := 0
 	for name, mdb := range difftest.Databases(t) {
@@ -310,6 +336,7 @@ func TestPickMatchesReference(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, round := range referenceRounds(t, mdb) {
+			sameClasses(t, name+" "+round.name, round.spec, round.set)
 			for pname, policy := range policies(model, round.spec) {
 				label := fmt.Sprintf("%s %s %s", name, round.name, pname)
 				newEstimator, costModel := policy.estimator, tableSizeCost(db)
@@ -321,25 +348,10 @@ func TestPickMatchesReference(t *testing.T) {
 				want := runReference(t, refLog, round.spec, round.set, newEstimator(), refCost)
 				picks += len(want.picks)
 
-				// Lock-step: the ranking against the reference's pick sequence,
-				// each outcome settled as a run settles it.
-				cls := newClasses(round.set, round.spec)
-				for i, want := range referenceClasses(round.spec, round.set) {
-					got := []int{i}
-					if mates := cls.mates(i); mates != nil {
-						got = got[:0]
-						for _, j := range mates {
-							got = append(got, int(j))
-						}
-					}
-					if !slices.Equal(got, want) {
-						t.Fatalf("%s: filter %d has class-mates %v, reference %v", label, i, got, want)
-					}
-				}
+				// Lock-step: the ranking against the reference's pick sequence.
 				sess := filter.NewSession(round.set)
-				rank := newRanking(round.set, sess, cls)
+				rank := newRanking(round.set, sess)
 				rank.estimate(newEstimator(), costModel)
-				settler := &run{sess: sess, rank: rank}
 				validator := &filter.Validator{DB: db, Cells: filter.NewCells(round.spec)}
 				for step, wantIdx := range want.picks {
 					got, ok := rank.pick()
@@ -351,7 +363,6 @@ func TestPickMatchesReference(t *testing.T) {
 						t.Fatal(err)
 					}
 					sess.RecordExecution(got, vr)
-					settler.settle(got, vr.Passed)
 					rank.sync()
 					if step%8 != 0 && step != len(want.picks)-1 {
 						continue // the scan is the expensive part
@@ -431,7 +442,7 @@ func widestRound(t testing.TB) (*mem.Database, generatedRound) {
 			t.Fatal(err)
 		}
 		if widest.set == nil || len(cands) > widest.set.NumCandidates() {
-			widest = generatedRound{name: round.Name, spec: round.Spec, set: filter.Decompose(cands)}
+			widest = generatedRound{name: round.Name, spec: round.Spec, set: decomposeFor(t, round.Spec, cands)}
 		}
 	}
 	return db, widest
@@ -441,7 +452,7 @@ func widestRound(t testing.TB) (*mem.Database, generatedRound) {
 func TestPickDoesNotAllocate(t *testing.T) {
 	db, round := widestRound(t)
 	sess := filter.NewSession(round.set)
-	rank := newRanking(round.set, sess, newClasses(round.set, round.spec))
+	rank := newRanking(round.set, sess)
 	rank.estimate(&experiment.PathLengthEstimator{}, tableSizeCost(db))
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, ok := rank.pick(); !ok {
@@ -459,7 +470,7 @@ var sinkPick int
 func BenchmarkPick(b *testing.B) {
 	db, round := widestRound(b)
 	sess := filter.NewSession(round.set)
-	rank := newRanking(round.set, sess, newClasses(round.set, round.spec))
+	rank := newRanking(round.set, sess)
 	rank.estimate(&experiment.PathLengthEstimator{}, tableSizeCost(db))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -481,7 +492,7 @@ func BenchmarkPickRound(b *testing.B) {
 	b.ReportAllocs()
 	for b.Loop() {
 		sess := filter.NewSession(round.set)
-		rank := newRanking(round.set, sess, newClasses(round.set, round.spec))
+		rank := newRanking(round.set, sess)
 		rank.estimate(&experiment.PathLengthEstimator{}, tableSizeCost(db))
 		for sess.UnresolvedCandidates() > 0 {
 			i, ok := rank.pick()

@@ -32,12 +32,11 @@ import (
 
 // Estimator predicts the probability that validating a filter fails.
 //
-// A run asks it once per outcome class (filter.Set.Classes), about the
-// class's first filter it ranks, and gives every member that estimate: the
-// members have one outcome, so an estimate should be a function of what they
-// share, the join tree and the constrained cells with their source columns.
-// The Bayes and path-length estimators are (the Bayes model skips
-// unconstrained cells, and its long-path discount reads the tree).
+// A run asks it once about each filter it ranks. A filter of a set built by
+// filter.DecomposeFor is an outcome class, its join tree with the constrained
+// cells it covers and their source columns, which is all an estimate may
+// read: the Bayes model reads the covered constrained cells over the tree,
+// with a long-path discount, and the path-length baseline reads the tree.
 type Estimator interface {
 	// FailureProbability returns the estimated probability in [0, 1] that
 	// the filter produces no tuple matching the sample constraints.
@@ -223,11 +222,11 @@ type Options struct {
 	// Cache, when non-nil, is an interactive session's cross-round
 	// filter-outcome cache. Before any validation runs, every filter with a
 	// cached outcome is resolved for free (with full implication
-	// propagation), and so is its outcome class; every validation the run
-	// does execute, and every class-mate it settles, is written back.
-	// Requires CacheKey. Because filter outcomes are ground truths of the
-	// database, the resolved candidate set is identical with or without a
-	// cache — only the number of executed validations changes.
+	// propagation); the outcome of every validation the run does execute is
+	// written back, one entry per filter validated. Requires CacheKey.
+	// Because filter outcomes are ground truths of the database, the
+	// resolved candidate set is identical with or without a cache — only the
+	// number of executed validations changes.
 	Cache *filter.OutcomeCache
 	// CacheKey returns the cache key of filter i (filter.ValidationKey of
 	// the filter under the run's spec and dataset version). Must be set
@@ -255,15 +254,13 @@ type Result struct {
 	// Validations is the number of filter validations actually executed —
 	// the metric of the paper's §2.4 comparison.
 	Validations int
-	// Implied is the number of outcomes derived for free: by propagation, or
-	// settled from a class-mate's outcome.
+	// Implied is the number of outcomes derived for free, by propagation.
 	Implied int
 	// CacheHits counts filter outcomes served from Options.Cache —
 	// validations skipped entirely. CacheMisses counts validations that had
-	// to execute because the cache had no entry (equal to Validations when
-	// a cache is configured); CacheStores counts outcomes written back: the
-	// validations and the class-mates they and the hits settled. All three
-	// are zero for cache-less runs.
+	// to execute because the cache had no entry, and CacheStores the
+	// outcomes written back; both equal Validations when a cache is
+	// configured. All three are zero for cache-less runs.
 	CacheHits   int
 	CacheMisses int
 	CacheStores int
@@ -305,13 +302,12 @@ func (r *Runner) Run() (Result, error) {
 }
 
 // RunContext executes the scheduling loop under a context: stop check, pick
-// the best undetermined filter, validate it, apply the outcome to it and to
-// every undetermined member of its outcome class (filter.Set.Classes under
-// the run's spec) and propagate their implications, deliver the callbacks —
-// one validation at a time, the paper's sequential greedy loop. A context
-// that dies interrupts the validation in flight and ends the run with the
-// partial result, classified by Interruption: TimedOut and a nil error when
-// a budget expired, Cancelled and ctx.Err() otherwise.
+// the best undetermined filter, validate it, apply the outcome and propagate
+// its implications, deliver the callbacks — one validation at a time, the
+// paper's sequential greedy loop. A context that dies interrupts the
+// validation in flight and ends the run with the partial result, classified
+// by Interruption: TimedOut and a nil error when a budget expired, Cancelled
+// and ctx.Err() otherwise.
 //
 // The loop runs on a goroutine of its own so that RunContext can return when
 // the watchdog fires on a validation that wedged without polling its context
@@ -342,7 +338,7 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 		set: r.Set, opts: opts, ctx: ctx,
 		validator: &filter.Validator{DB: r.DB, Cells: cells},
 		sess:      sess,
-		rank:      newRanking(r.Set, sess, newClasses(r.Set, r.Spec)),
+		rank:      newRanking(r.Set, sess),
 		// On traced rounds the estimates hang one "estimate" span, and each
 		// validation a "validate" span, under the round's schedule span;
 		// untraced rounds carry a nil parent and every span call is a no-op.
@@ -447,10 +443,9 @@ func (s *run) notifyOutcome() {
 }
 
 // preloadCache resolves every filter with a known outcome in the session
-// cache before any validation executes. Hits settle their class and
-// propagate implications exactly like executed validations, so one cached
-// failure can still prune many candidates; the loop then only pays for what
-// the cache does not know.
+// cache before any validation executes. Hits propagate implications exactly
+// like executed validations, so one cached failure can still prune many
+// candidates; the loop then only pays for what the cache does not know.
 func (s *run) preloadCache() {
 	cache := s.opts.Cache
 	if cache == nil {
@@ -468,7 +463,6 @@ func (s *run) preloadCache() {
 		if passed, ok := cache.Lookup(key); ok {
 			s.sess.RecordCached(i, passed)
 			s.res.CacheHits++
-			s.settle(i, passed)
 			s.notifyOutcome()
 		}
 	}
@@ -515,7 +509,6 @@ func (s *run) step() bool {
 			s.res.CacheStores++
 			s.res.CacheMisses++
 		}
-		s.settle(idx, vr.Passed)
 		s.notifyOutcome()
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) || errors.Is(err, exec.ErrInterrupted):
 		// The validation was interrupted by cancellation or the time budget;
@@ -526,21 +519,6 @@ func (s *run) step() bool {
 		return false
 	}
 	return true
-}
-
-// settle gives every undetermined class-mate of filter i the outcome i was
-// just given, and writes each back to the session cache, if there is one.
-func (s *run) settle(i int, passed bool) {
-	for _, j := range s.rank.classes.mates(i) {
-		if s.sess.Determined(int(j)) {
-			continue
-		}
-		s.sess.RecordSettled(int(j), passed)
-		if s.opts.Cache != nil {
-			s.opts.Cache.Store(s.cacheKeys[j], passed)
-			s.res.CacheStores++
-		}
-	}
 }
 
 // validate executes one filter's validation, with mu released. A panic in it
@@ -613,57 +591,13 @@ func (s *run) result() (Result, error) {
 	return res, s.err
 }
 
-// classes is the partition of a run's filters into outcome classes
-// (filter.Set.Classes).
-type classes struct {
-	// n counts the classes and of[i] is filter i's class.
-	n  int
-	of []int32
-	// members[start[c]:start[c+1]] lists class c's filters, ascending; both
-	// are nil when every filter is its own class.
-	start   []int32
-	members []int32
-}
-
-func newClasses(set *filter.Set, spec *constraint.Spec) *classes {
-	of, n := set.Classes(spec)
-	if n == len(of) {
-		return &classes{n: n, of: of}
-	}
-	start := make([]int32, n+1)
-	for _, c := range of {
-		start[c+1]++
-	}
-	for c := range n {
-		start[c+1] += start[c]
-	}
-	members := make([]int32, len(of))
-	next := slices.Clone(start[:n])
-	for i, c := range of {
-		members[next[c]] = int32(i)
-		next[c]++
-	}
-	return &classes{n: n, of: of, start: start, members: members}
-}
-
-// mates lists the filters of filter i's class, i among them; nil when every
-// filter is its own class.
-func (c *classes) mates(i int) []int32 {
-	if c.members == nil {
-		return nil
-	}
-	k := c.of[i]
-	return c.members[c.start[k]:c.start[k+1]]
-}
-
 // ranking is what pick reads: per filter, the two terms of its score that
 // are fixed for the run and the two counts that fall as candidates resolve.
 // The counts are kept current from the session's resolution log (sync); the
 // heap orders the filters a pick may still choose.
 type ranking struct {
-	set     *filter.Set
-	sess    *filter.Session
-	classes *classes
+	set  *filter.Set
+	sess *filter.Session
 	// failProb is the clamped failure estimate, cost the clamped cost-model
 	// value; both are zero for a filter the run never ranks.
 	failProb []float64
@@ -692,10 +626,10 @@ type rankEntry struct {
 	top   bool
 }
 
-func newRanking(set *filter.Set, sess *filter.Session, cls *classes) *ranking {
+func newRanking(set *filter.Set, sess *filter.Session) *ranking {
 	n := set.NumFilters()
 	k := &ranking{
-		set: set, sess: sess, classes: cls,
+		set: set, sess: sess,
 		failProb: make([]float64, n), cost: make([]float64, n),
 		reach: make([]int32, n), tops: make([]int32, n),
 	}
@@ -713,36 +647,23 @@ func newRanking(set *filter.Set, sess *filter.Session, cls *classes) *ranking {
 
 // estimate fills in the static terms — failure probability and cost, both
 // fixed per filter — builds the heap pick reads, and returns how many
-// estimates it asked for: one per outcome class it ranks, of the class's
-// first filter, whose estimate every member it ranks shares (see Estimator).
-// Only filters pick can still reach are ranked: a filter the session cache
-// already determined, or whose candidates it all resolved, never is.
+// estimates it asked for, one per filter it ranks. Only filters pick can
+// still reach are ranked: a filter the session cache already determined, or
+// whose candidates it all resolved, never is.
 func (k *ranking) estimate(est Estimator, costModel func(*filter.Filter) float64) int {
 	k.heap = make([]rankEntry, 0, len(k.set.Filters))
-	// first[c] is the filter whose estimate class c's members share.
-	first := make([]int32, k.classes.n)
-	for c := range first {
-		first[c] = -1
-	}
-	calls := 0
 	for i, f := range k.set.Filters {
 		if k.reach[i] == 0 || k.sess.Determined(i) {
 			continue
 		}
-		if c := k.classes.of[i]; first[c] >= 0 {
-			k.failProb[i] = k.failProb[first[c]]
-		} else {
-			first[c] = int32(i)
-			k.failProb[i] = clamp01(est.FailureProbability(f))
-			calls++
-		}
+		k.failProb[i] = clamp01(est.FailureProbability(f))
 		k.cost[i] = clampCost(costModel(f))
 		k.heap = append(k.heap, k.entry(int32(i)))
 	}
 	for h := len(k.heap)/2 - 1; h >= 0; h-- {
 		k.down(h)
 	}
-	return calls
+	return len(k.heap)
 }
 
 // sync folds the candidates resolved since the last call into the counts

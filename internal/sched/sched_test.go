@@ -120,7 +120,7 @@ func newFixture(t testing.TB) *fixture {
 	return &fixture{
 		db:    db,
 		spec:  spec,
-		set:   filter.Decompose(cands),
+		set:   decomposeFor(t, spec, cands),
 		model: bayes.Train(db),
 	}
 }
@@ -263,7 +263,7 @@ func TestOracleBeatsOrMatchesOthers(t *testing.T) {
 		t.Logf("note: bayes (%d) worse than random (%d) on this tiny instance", counts["bayes"], counts["random"])
 	}
 	// The optimum count derived analytically must not exceed the oracle run.
-	opt := experiment.OptimalValidationCount(fx.set, fx.spec, truth)
+	opt := experiment.OptimalValidationCount(fx.set, truth)
 	if opt > counts["oracle"] {
 		t.Errorf("analytic optimum %d exceeds oracle-run count %d", opt, counts["oracle"])
 	}

@@ -54,7 +54,7 @@ func TestOpenBundledDatasets(t *testing.T) {
 	}{
 		"mondial": {[]OpenOption{WithMondialConfig(benchMondialConfig())},
 			[]string{"California || Nevada", "Lake Tahoe", ""},
-			[]string{"", "", "DataType=='decimal' AND MinValue>='0'"}, 37, 76},
+			[]string{"", "", "DataType=='decimal' AND MinValue>='0'"}, 35, 76},
 		"imdb": {nil,
 			[]string{"Inception", "Leonardo DiCaprio || Tim Robbins", "[8, 10]"},
 			[]string{"", "", "DataType=='decimal' AND MinValue>='0' AND MaxValue<='10'"}, 26, 13},

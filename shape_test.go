@@ -130,7 +130,6 @@ var testOnlyExports = []string{
 	"internal/fault.DisarmAll",
 	"internal/fault.Names",
 	"internal/fault.Site.Fired",
-	"internal/filter.Decompose",
 	"internal/loadtest.ReadTrajectory",
 	"internal/obs.Span.Find",
 }
