@@ -103,9 +103,9 @@ func (s *Session) storeSet(key string, set *filter.Set) {
 }
 
 // NewSession opens a refinement session whose filter-outcome cache holds up
-// to cacheCapacity outcomes (<= 0 selects filter.DefaultCacheCapacity).
-func (e *Engine) NewSession(cacheCapacity int) *Session {
-	return &Session{eng: e, cache: filter.NewOutcomeCache(cacheCapacity)}
+// to filter.DefaultCacheCapacity outcomes.
+func (e *Engine) NewSession() *Session {
+	return &Session{eng: e, cache: filter.NewOutcomeCache(filter.DefaultCacheCapacity)}
 }
 
 // Spec returns the session's current constraint specification (nil before

@@ -32,7 +32,7 @@ func mappingDigest(r *Report) string {
 
 func TestSessionWarmRoundSkipsAllValidations(t *testing.T) {
 	eng := NewEngine(smallMondial(t))
-	sess := eng.NewSession(0)
+	sess := eng.NewSession()
 	spec := paperSpec(t)
 
 	cold, err := sess.Discover(context.Background(), spec, sessionOpts())
@@ -80,7 +80,7 @@ func TestSessionWarmRoundSkipsAllValidations(t *testing.T) {
 
 func TestSessionRefineValidatesOnlyTheDelta(t *testing.T) {
 	eng := NewEngine(smallMondial(t))
-	sess := eng.NewSession(0)
+	sess := eng.NewSession()
 	spec := paperSpec(t)
 
 	cold, err := sess.Discover(context.Background(), spec, sessionOpts())
@@ -127,7 +127,7 @@ func TestSessionRefineValidatesOnlyTheDelta(t *testing.T) {
 
 func TestSessionCacheIsExecutorIndependent(t *testing.T) {
 	db := smallMondial(t)
-	sess := NewEngineOn(db, db).NewSession(0)
+	sess := NewEngineOn(db, db).NewSession()
 	spec := paperSpec(t)
 
 	cold, err := sess.Discover(context.Background(), spec, sessionOpts())
@@ -153,7 +153,7 @@ func TestSessionCacheIsExecutorIndependent(t *testing.T) {
 
 func TestSessionRefineErrors(t *testing.T) {
 	eng := NewEngine(smallMondial(t))
-	sess := eng.NewSession(0)
+	sess := eng.NewSession()
 
 	if _, err := sess.Refine(context.Background(), constraint.Delta{}, Options{}); err == nil {
 		t.Error("Refine before the first Discover should fail")
@@ -179,7 +179,7 @@ func TestSessionRefineErrors(t *testing.T) {
 
 func TestSessionConcurrentRounds(t *testing.T) {
 	eng := NewEngine(smallMondial(t))
-	sess := eng.NewSession(0)
+	sess := eng.NewSession()
 	spec := paperSpec(t)
 	if _, err := sess.Discover(context.Background(), spec, sessionOpts()); err != nil {
 		t.Fatal(err)
@@ -210,7 +210,7 @@ func TestSessionConcurrentRounds(t *testing.T) {
 // what a cold round maps, and the revert finds the first round's set.
 func TestSessionSetCacheKeysOnConstrainedTargets(t *testing.T) {
 	eng := NewEngine(smallMondial(t))
-	sess := eng.NewSession(0)
+	sess := eng.NewSession()
 	spec, err := constraint.Delta{UpdateCells: []constraint.CellUpdate{{Row: 0, Col: 2, Cell: "[0, 1000000000]"}}}.Apply(paperSpec(t))
 	if err != nil {
 		t.Fatal(err)

@@ -139,7 +139,7 @@ func TestDiscoverTrace(t *testing.T) {
 // resolves completely asks the estimator for nothing.
 func TestReplayTraceEstimatesNothing(t *testing.T) {
 	e := NewEngine(smallMondial(t))
-	sess := e.NewSession(0)
+	sess := e.NewSession()
 	opts := Options{Trace: true}
 	if _, err := sess.Discover(context.Background(), paperSpec(t), opts); err != nil {
 		t.Fatal(err)

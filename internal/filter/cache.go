@@ -96,9 +96,12 @@ func sampleSignatures(f *Filter, spec *constraint.Spec) []string {
 }
 
 // CacheStats is a point-in-time snapshot of an OutcomeCache's lifetime
-// activity.
+// activity. Hits, Misses and Stores count what a scheduling run's Result
+// counts, so a session's are the sums of its rounds' Report.Cache.
 type CacheStats struct {
-	// Hits and Misses count Lookup calls by result.
+	// Hits counts the outcomes Lookup served; Misses the outcomes a
+	// validation established instead, one per Store (a Lookup that finds
+	// nothing counts nothing: most such filters are then implied).
 	Hits   int
 	Misses int
 	// Stores counts Store calls; Evictions counts entries dropped by the
@@ -158,7 +161,6 @@ func (c *OutcomeCache) Lookup(key string) (passed, ok bool) {
 	defer c.mu.Unlock()
 	el, hit := c.entries[key]
 	if !hit {
-		c.stats.Misses++
 		return false, false
 	}
 	c.stats.Hits++
@@ -173,6 +175,7 @@ func (c *OutcomeCache) Store(key string, passed bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.stats.Stores++
+	c.stats.Misses++
 	if el, ok := c.entries[key]; ok {
 		c.lru.MoveToFront(el)
 		el.Value.(*cacheEntry).passed = passed

@@ -609,11 +609,6 @@ type Validator struct {
 	// filters that constrain one source column by one cell share one
 	// selection of it, with each other and with the round's estimator.
 	Cells *Cells
-	// MaxIntermediate guards runaway joins during validation: a probe is
-	// aborted once a join step has formed more than this many partial
-	// tuples (exec.ExecOptions.MaxIntermediate). 0 means unbounded — there
-	// is no default.
-	MaxIntermediate int
 }
 
 // Cells is the round table of one specification: the pushed-down predicate
@@ -725,7 +720,6 @@ func (v *Validator) ValidateContext(ctx context.Context, f *Filter) (ValidationR
 		}
 		opts := exec.ExecOptions{
 			ColumnPredicates: v.Cells.predicates(f, si),
-			MaxIntermediate:  v.MaxIntermediate,
 			Interrupt:        func() bool { return ctx.Err() != nil },
 			Selections:       v.Cells.Selections(),
 		}

@@ -171,7 +171,6 @@ func TestRetryRidesThroughOverload(t *testing.T) {
 		MaxConcurrent: 1,
 		MaxQueue:      4,
 		QueueTimeout:  2 * time.Second,
-		RetryAfter:    time.Second,
 	})
 	p, err := Run(context.Background(), Config{
 		BaseURL:       srv.URL,

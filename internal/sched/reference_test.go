@@ -351,7 +351,7 @@ func TestPickMatchesReference(t *testing.T) {
 				// Lock-step: the ranking against the reference's pick sequence.
 				sess := filter.NewSession(round.set)
 				rank := newRanking(round.set, sess)
-				rank.estimate(newEstimator(), costModel)
+				rank.estimate(context.Background(), newEstimator(), costModel)
 				validator := &filter.Validator{DB: db, Cells: filter.NewCells(round.spec)}
 				for step, wantIdx := range want.picks {
 					got, ok := rank.pick()
@@ -453,7 +453,7 @@ func TestPickDoesNotAllocate(t *testing.T) {
 	db, round := widestRound(t)
 	sess := filter.NewSession(round.set)
 	rank := newRanking(round.set, sess)
-	rank.estimate(&experiment.PathLengthEstimator{}, tableSizeCost(db))
+	rank.estimate(context.Background(), &experiment.PathLengthEstimator{}, tableSizeCost(db))
 	if allocs := testing.AllocsPerRun(50, func() {
 		if _, ok := rank.pick(); !ok {
 			t.Fatal("nothing to pick")
@@ -471,7 +471,7 @@ func BenchmarkPick(b *testing.B) {
 	db, round := widestRound(b)
 	sess := filter.NewSession(round.set)
 	rank := newRanking(round.set, sess)
-	rank.estimate(&experiment.PathLengthEstimator{}, tableSizeCost(db))
+	rank.estimate(context.Background(), &experiment.PathLengthEstimator{}, tableSizeCost(db))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -493,7 +493,7 @@ func BenchmarkPickRound(b *testing.B) {
 	for b.Loop() {
 		sess := filter.NewSession(round.set)
 		rank := newRanking(round.set, sess)
-		rank.estimate(&experiment.PathLengthEstimator{}, tableSizeCost(db))
+		rank.estimate(context.Background(), &experiment.PathLengthEstimator{}, tableSizeCost(db))
 		for sess.UnresolvedCandidates() > 0 {
 			i, ok := rank.pick()
 			if !ok {

@@ -8,8 +8,10 @@ import (
 	"testing"
 	"time"
 
+	"prism/internal/constraint"
 	"prism/internal/exec"
 	"prism/internal/experiment"
+	"prism/internal/filter"
 )
 
 func TestRunContextCancellation(t *testing.T) {
@@ -194,5 +196,74 @@ func TestWatchdogSilencesAbandonedLoop(t *testing.T) {
 	}
 	if late.Load() != 0 {
 		t.Errorf("%d callbacks fired after RunContext had returned", late.Load())
+	}
+}
+
+// hookEstimator counts the estimates a run asks for and calls hook on the
+// first.
+type hookEstimator struct {
+	Estimator
+	calls int
+	hook  func()
+}
+
+func (e *hookEstimator) FailureProbability(f *filter.Filter) float64 {
+	if e.calls++; e.calls == 1 {
+		e.hook()
+	}
+	return e.Estimator.FailureProbability(f)
+}
+
+// TestEstimateStopsOnDeadContext pins that the ranking honours the run's
+// context: once it dies during estimation, at most 64 further estimates are
+// asked for, no validation runs, and the run ends classified as usual —
+// cancelled with the context's error, or timed out with a nil error when
+// the budget expired.
+func TestEstimateStopsOnDeadContext(t *testing.T) {
+	db := smallMondial(t)
+	// Every target column is constrained by a cell every value matches:
+	// one filter per constrained class, a few hundred of them.
+	spec, err := constraint.ParseGrid(2, [][]string{{"NOT zzzz", "[0, 1000000000]"}},
+		[]string{"DataType=='text'", "DataType=='decimal'"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	round := decompose(t, db, "wide", spec)
+	if n := round.set.NumFilters(); n < 3*64 {
+		t.Fatalf("round has %d filters, too few to show a stop", n)
+	}
+	cases := []struct {
+		name  string
+		limit time.Duration
+		hook  func(cancel context.CancelFunc) func()
+		check func(res Result, err error) bool
+	}{
+		{"cancelled", 0,
+			func(cancel context.CancelFunc) func() { return cancel },
+			func(res Result, err error) bool { return res.Cancelled && errors.Is(err, context.Canceled) }},
+		{"timed out", 20 * time.Millisecond,
+			func(context.CancelFunc) func() { return func() { time.Sleep(40 * time.Millisecond) } },
+			func(res Result, err error) bool { return res.TimedOut && !res.Cancelled && err == nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			est := &hookEstimator{Estimator: &experiment.PathLengthEstimator{}, hook: tc.hook(cancel)}
+			runner := &Runner{
+				DB: db, Spec: round.spec, Set: round.set, Estimator: est,
+				Options: Options{TimeLimit: tc.limit},
+			}
+			res, err := runner.RunContext(ctx)
+			if !tc.check(res, err) {
+				t.Errorf("result = %+v, err = %v", res, err)
+			}
+			if res.Validations != 0 {
+				t.Errorf("%d validations after the context died in estimation", res.Validations)
+			}
+			if further := est.calls - 1; further > 64 {
+				t.Errorf("%d estimates after the context died, want at most 64 (of %d filters)", further, round.set.NumFilters())
+			}
+		})
 	}
 }

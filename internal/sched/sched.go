@@ -347,7 +347,7 @@ func (r *Runner) RunContext(ctx context.Context) (Result, error) {
 	s.preloadCache()
 
 	spEstimate := s.trace.Child("estimate")
-	estimates := s.rank.estimate(r.Estimator, cost)
+	estimates := s.rank.estimate(ctx, r.Estimator, cost)
 	spEstimate.SetAttr("calls", estimates)
 	if be, ok := r.Estimator.(*BayesEstimator); ok {
 		// The span counts the calls; what the calls shared is the Bayes
@@ -649,10 +649,15 @@ func newRanking(set *filter.Set, sess *filter.Session) *ranking {
 // fixed per filter — builds the heap pick reads, and returns how many
 // estimates it asked for, one per filter it ranks. Only filters pick can
 // still reach are ranked: a filter the session cache already determined, or
-// whose candidates it all resolved, never is.
-func (k *ranking) estimate(est Estimator, costModel func(*filter.Filter) float64) int {
+// whose candidates it all resolved, never is. It polls ctx every 64 filters
+// and stops ranking once it is dead; the loop then ends the run before its
+// first pick.
+func (k *ranking) estimate(ctx context.Context, est Estimator, costModel func(*filter.Filter) float64) int {
 	k.heap = make([]rankEntry, 0, len(k.set.Filters))
 	for i, f := range k.set.Filters {
+		if i%64 == 0 && ctx.Err() != nil {
+			break
+		}
 		if k.reach[i] == 0 || k.sess.Determined(i) {
 			continue
 		}

@@ -89,10 +89,11 @@ type Config struct {
 	// every slot is busy and the deadline cannot plausibly be met, it is
 	// shed immediately instead of queued to die.
 	QueueTimeout time.Duration
-	// RetryAfter is the base client back-off hint returned with shed
-	// requests; the effective hint grows with queue depth (default 1s).
-	RetryAfter time.Duration
 }
+
+// retryAfter is the base client back-off hint returned with shed requests;
+// the effective hint grows with queue depth.
+const retryAfter = time.Second
 
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrent <= 0 {
@@ -106,9 +107,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.QueueTimeout <= 0 {
 		c.QueueTimeout = 5 * time.Second
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
 	}
 	return c
 }
@@ -255,9 +253,6 @@ func NewController(cfg Config) *Controller {
 	}
 	return c
 }
-
-// Config returns the controller's effective (defaulted) configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 func (c *Controller) tenant(name string) *tenantCounters {
 	t, ok := c.tenants[name]
@@ -486,17 +481,13 @@ func (c *Controller) Drain() {
 }
 
 // RetryAfter returns the back-off hint for a shed request: the base hint
-// scaled up with queue fullness, never below one second (the HTTP
-// Retry-After granularity).
+// scaled up with queue fullness, in whole seconds (the HTTP Retry-After
+// granularity).
 func (c *Controller) RetryAfter() time.Duration {
 	c.mu.Lock()
 	queued := c.queued
 	c.mu.Unlock()
-	d := c.cfg.RetryAfter * time.Duration(1+queued/max(1, c.cfg.MaxConcurrent))
-	if d < time.Second {
-		d = time.Second
-	}
-	return d
+	return retryAfter * time.Duration(1+queued/c.cfg.MaxConcurrent)
 }
 
 // TenantSnapshot is the admission view of one tenant.

@@ -305,10 +305,10 @@ func TestDrainFlushesQueueAndRejectsNew(t *testing.T) {
 }
 
 func TestRetryAfterGrowsWithQueue(t *testing.T) {
-	c := NewController(Config{MaxConcurrent: 1, MaxQueue: 16, QueueTimeout: time.Minute, RetryAfter: time.Second})
+	c := NewController(Config{MaxConcurrent: 1, MaxQueue: 16, QueueTimeout: time.Minute})
 	base := c.RetryAfter()
-	if base < time.Second {
-		t.Fatalf("base retry-after %v < 1s", base)
+	if base != retryAfter {
+		t.Fatalf("idle retry-after %v, want the base %v", base, retryAfter)
 	}
 	release := mustAdmit(t, c, "a", PriorityNormal)
 	defer release()

@@ -10,11 +10,11 @@ package serve
 //
 //   - draining: set for good when shutdown starts;
 //   - repeated failures of a named source ("snapshot", "ingest",
-//     "engine"): FailureThreshold consecutive failures mark the source
+//     "engine"): failureThreshold consecutive failures mark the source
 //     degraded, one success clears it;
-//   - sustained shed: when, over the trailing ShedWindow, at least
-//     MinWindowRequests admissions were decided and more than
-//     ShedRateThreshold of them were shed.
+//   - sustained shed: when, over the trailing shedWindow, at least
+//     minWindowRequests admissions were decided and more than
+//     shedRateThreshold of them were shed.
 
 import (
 	"fmt"
@@ -23,43 +23,20 @@ import (
 	"time"
 )
 
-// HealthConfig tunes the readiness tracker. The zero value picks the
-// defaults documented on each field.
-type HealthConfig struct {
-	// FailureThreshold is how many consecutive failures of one source
-	// degrade readiness (default 3).
-	FailureThreshold int
-	// ShedWindow is the trailing window for the shed-rate signal
-	// (default 30s).
-	ShedWindow time.Duration
-	// ShedRateThreshold is the shed fraction over the window above
-	// which the server is not ready (default 0.75).
-	ShedRateThreshold float64
-	// MinWindowRequests is the minimum number of admission decisions in
-	// the window before the shed rate is meaningful (default 20).
-	MinWindowRequests int
-	// Now injects a clock for tests.
-	Now func() time.Time
-}
-
-func (c HealthConfig) withDefaults() HealthConfig {
-	if c.FailureThreshold <= 0 {
-		c.FailureThreshold = 3
-	}
-	if c.ShedWindow <= 0 {
-		c.ShedWindow = 30 * time.Second
-	}
-	if c.ShedRateThreshold <= 0 || c.ShedRateThreshold > 1 {
-		c.ShedRateThreshold = 0.75
-	}
-	if c.MinWindowRequests <= 0 {
-		c.MinWindowRequests = 20
-	}
-	if c.Now == nil {
-		c.Now = time.Now
-	}
-	return c
-}
+// The readiness thresholds.
+const (
+	// failureThreshold is how many consecutive failures of one source
+	// degrade readiness.
+	failureThreshold = 3
+	// shedWindow is the trailing window of the shed-rate signal.
+	shedWindow = 30 * time.Second
+	// shedRateThreshold is the shed fraction over the window above which
+	// the server is not ready.
+	shedRateThreshold = 0.75
+	// minWindowRequests is how many admission decisions the window must
+	// hold before its shed rate means anything.
+	minWindowRequests = 20
+)
 
 // shedBucket aggregates one second of admission decisions.
 type shedBucket struct {
@@ -71,25 +48,24 @@ type shedBucket struct {
 // Health tracks the readiness signals. All methods are safe for
 // concurrent use.
 type Health struct {
-	cfg HealthConfig
+	now func() time.Time // time.Now; tests drive their own clock
 
 	mu       sync.Mutex
 	draining bool
 	// consecutive failure count and degraded flag per source.
 	failures map[string]int
 	degraded map[string]bool
-	// ring of per-second shed buckets covering ShedWindow.
+	// ring of per-second shed buckets covering shedWindow.
 	buckets []shedBucket
 }
 
 // NewHealth builds a readiness tracker.
-func NewHealth(cfg HealthConfig) *Health {
-	cfg = cfg.withDefaults()
+func NewHealth() *Health {
 	return &Health{
-		cfg:      cfg,
+		now:      time.Now,
 		failures: make(map[string]int),
 		degraded: make(map[string]bool),
-		buckets:  make([]shedBucket, cfg.ShedWindow/time.Second+1),
+		buckets:  make([]shedBucket, shedWindow/time.Second+1),
 	}
 }
 
@@ -108,7 +84,7 @@ func (h *Health) ReportFailure(source string) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.failures[source]++
-	if h.failures[source] >= h.cfg.FailureThreshold {
+	if h.failures[source] >= failureThreshold {
 		h.degraded[source] = true
 	}
 }
@@ -129,7 +105,7 @@ func (h *Health) ReportSuccess(source string) {
 // ObserveAdmission records one admission decision for the shed-rate
 // window: shed is true when the request was rejected with 429/503.
 func (h *Health) ObserveAdmission(shed bool) {
-	now := h.cfg.Now().Unix()
+	now := h.now().Unix()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	b := &h.buckets[now%int64(len(h.buckets))]
@@ -146,8 +122,8 @@ func (h *Health) ObserveAdmission(shed bool) {
 // shedRateLocked returns the shed fraction and decision count over the
 // trailing window.
 func (h *Health) shedRateLocked() (rate float64, total int64) {
-	now := h.cfg.Now().Unix()
-	horizon := now - int64(h.cfg.ShedWindow/time.Second)
+	now := h.now().Unix()
+	horizon := now - int64(shedWindow/time.Second)
 	var admitted, shed int64
 	for i := range h.buckets {
 		b := &h.buckets[i]
@@ -177,10 +153,9 @@ func (h *Health) Ready() (bool, []string) {
 		reasons = append(reasons, fmt.Sprintf("%s: %d consecutive failures",
 			source, h.failures[source]))
 	}
-	if rate, total := h.shedRateLocked(); total >= int64(h.cfg.MinWindowRequests) &&
-		rate > h.cfg.ShedRateThreshold {
+	if rate, total := h.shedRateLocked(); total >= minWindowRequests && rate > shedRateThreshold {
 		reasons = append(reasons, fmt.Sprintf("shedding %.0f%% of %d requests over %v",
-			rate*100, total, h.cfg.ShedWindow))
+			rate*100, total, shedWindow))
 	}
 	sort.Strings(reasons)
 	return len(reasons) == 0, reasons

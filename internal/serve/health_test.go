@@ -7,14 +7,14 @@ import (
 )
 
 func TestHealthStartsReady(t *testing.T) {
-	h := NewHealth(HealthConfig{})
+	h := NewHealth()
 	if ready, reasons := h.Ready(); !ready || len(reasons) != 0 {
 		t.Fatalf("fresh tracker not ready: %v", reasons)
 	}
 }
 
 func TestHealthDrainingIsOneWay(t *testing.T) {
-	h := NewHealth(HealthConfig{})
+	h := NewHealth()
 	h.SetDraining()
 	ready, reasons := h.Ready()
 	if ready || len(reasons) != 1 || reasons[0] != "draining" {
@@ -28,9 +28,10 @@ func TestHealthDrainingIsOneWay(t *testing.T) {
 }
 
 func TestHealthSourceFailuresDegradeAndRecover(t *testing.T) {
-	h := NewHealth(HealthConfig{FailureThreshold: 3})
-	h.ReportFailure("engine")
-	h.ReportFailure("engine")
+	h := NewHealth()
+	for i := 1; i < failureThreshold; i++ {
+		h.ReportFailure("engine")
+	}
 	if ready, _ := h.Ready(); !ready {
 		t.Fatal("degraded below the failure threshold")
 	}
@@ -49,26 +50,29 @@ func TestHealthSourceFailuresDegradeAndRecover(t *testing.T) {
 
 func TestHealthSustainedShedDegrades(t *testing.T) {
 	now := time.Unix(1000, 0)
-	h := NewHealth(HealthConfig{
-		ShedWindow: 10 * time.Second, ShedRateThreshold: 0.75,
-		MinWindowRequests: 20, Now: func() time.Time { return now },
-	})
-	// 19 sheds: below the minimum sample size, still ready.
-	for i := 0; i < 19; i++ {
+	h := NewHealth()
+	h.now = func() time.Time { return now }
+	// One shed short of the minimum sample size: still ready.
+	for i := 1; i < minWindowRequests; i++ {
 		h.ObserveAdmission(true)
 	}
 	if ready, _ := h.Ready(); !ready {
-		t.Fatal("degraded below MinWindowRequests")
+		t.Fatal("degraded below minWindowRequests")
 	}
-	// 20th shed crosses both the sample floor and the rate threshold.
+	// The next shed crosses both the sample floor and the rate threshold.
 	h.ObserveAdmission(true)
 	ready, reasons := h.Ready()
 	if ready || len(reasons) != 1 || !strings.Contains(reasons[0], "shedding") {
 		t.Fatalf("Ready() = %v, %v; want shed-rate degradation", ready, reasons)
 	}
+	// Sheds spread over the window count as one burst.
+	now = now.Add(shedWindow - time.Second)
+	if ready, _ := h.Ready(); ready {
+		t.Fatal("the shed burst left the window before it ended")
+	}
 	// Mixed traffic below the rate threshold is ready again once time
 	// moves past the shed burst.
-	now = now.Add(11 * time.Second)
+	now = now.Add(2 * time.Second)
 	for i := 0; i < 30; i++ {
 		h.ObserveAdmission(i%4 == 0) // 25% shed
 	}
@@ -76,7 +80,7 @@ func TestHealthSustainedShedDegrades(t *testing.T) {
 		t.Fatalf("25%% shed rate read as degraded: %v", reasons)
 	}
 	// The window slides: old buckets expire without new traffic.
-	now = now.Add(11 * time.Second)
+	now = now.Add(shedWindow + time.Second)
 	if ready, _ := h.Ready(); !ready {
 		t.Fatal("expired window still degraded")
 	}

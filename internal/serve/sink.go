@@ -7,14 +7,20 @@ import (
 	"time"
 )
 
-// SinkOptions tunes a Sink. Zero fields take defaults.
+// sinkBuffer is the number of pending events a sink absorbs before a slow
+// consumer starts exerting backpressure.
+const sinkBuffer = 64
+
+// StreamWriteTimeout is the write timeout of a streaming response: a
+// consumer that can neither drain the sink's buffer nor complete one write
+// within it stalls the sink.
+const StreamWriteTimeout = 10 * time.Second
+
+// SinkOptions tunes a Sink.
 type SinkOptions struct {
-	// Buffer is the number of pending events the sink absorbs before a
-	// slow consumer starts exerting backpressure (default 64).
-	Buffer int
 	// WriteTimeout bounds both one blocked Send (buffer full) and one
-	// consumer write; a consumer that violates it stalls the sink
-	// (default 10s).
+	// consumer write; a consumer that violates it stalls the sink. The
+	// server passes StreamWriteTimeout.
 	WriteTimeout time.Duration
 	// SetWriteDeadline, when non-nil, arms the transport's write deadline
 	// before each write (http.ResponseController.SetWriteDeadline for
@@ -29,16 +35,6 @@ type SinkOptions struct {
 	// round's context here, which is what bounds the blast radius of a
 	// stalled consumer to its own round.
 	OnStall func()
-}
-
-func (o SinkOptions) withDefaults() SinkOptions {
-	if o.Buffer <= 0 {
-		o.Buffer = 64
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	return o
 }
 
 // Sink pumps encoded events to a streaming consumer through a bounded
@@ -64,12 +60,12 @@ type Sink struct {
 // reclaim it.
 func NewSink(w io.Writer, opts SinkOptions) *Sink {
 	s := &Sink{
-		opts:    opts.withDefaults(),
+		opts:    opts,
 		w:       faultSinkWrite.Writer(w),
+		events:  make(chan []byte, sinkBuffer),
 		stalled: make(chan struct{}),
 		done:    make(chan struct{}),
 	}
-	s.events = make(chan []byte, s.opts.Buffer)
 	go s.pump()
 	return s
 }

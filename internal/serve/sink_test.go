@@ -31,7 +31,7 @@ func (b *lockedBuffer) String() string {
 func TestSinkDeliversInOrder(t *testing.T) {
 	var buf lockedBuffer
 	flushes := 0
-	s := NewSink(&buf, SinkOptions{Buffer: 4, Flush: func() { flushes++ }})
+	s := NewSink(&buf, SinkOptions{WriteTimeout: StreamWriteTimeout, Flush: func() { flushes++ }})
 	for _, line := range []string{"a\n", "b\n", "c\n"} {
 		if !s.Send([]byte(line)) {
 			t.Fatalf("Send(%q) rejected", line)
@@ -68,19 +68,16 @@ func TestSinkStallsSlowConsumerAndCancelsOnlyItsRound(t *testing.T) {
 	w := &blockingWriter{release: make(chan struct{}), writes: make(chan struct{}, 1)}
 	stalled := make(chan struct{})
 	s := NewSink(w, SinkOptions{
-		Buffer:       2,
 		WriteTimeout: 20 * time.Millisecond,
 		OnStall:      func() { close(stalled) },
 	})
-	// First event reaches the (blocking) writer; the next two fill the
-	// buffer; one more must block and then stall the sink.
+	// First event reaches the (blocking) writer; the next sinkBuffer fill
+	// the buffer; one more must block and then stall the sink.
 	deadline := time.After(5 * time.Second)
-	sent := 0
-	for i := 0; i < 10; i++ {
+	for i := 0; i < sinkBuffer+2; i++ {
 		if !s.Send([]byte("x\n")) {
 			break
 		}
-		sent++
 		select {
 		case <-deadline:
 			t.Fatal("sink never stalled")
@@ -122,7 +119,7 @@ func (w *errWriter) Write(p []byte) (int, error) {
 }
 
 func TestSinkReportsWriteError(t *testing.T) {
-	s := NewSink(&errWriter{}, SinkOptions{Buffer: 4, WriteTimeout: 50 * time.Millisecond})
+	s := NewSink(&errWriter{}, SinkOptions{WriteTimeout: 50 * time.Millisecond})
 	s.Send([]byte("ok\n"))
 	s.Send([]byte("fails\n"))
 	err := s.Close()
@@ -141,7 +138,7 @@ func TestSinkSetWriteDeadlineIsArmedPerWrite(t *testing.T) {
 	var mu sync.Mutex
 	calls := 0
 	s := NewSink(&buf, SinkOptions{
-		Buffer: 4,
+		WriteTimeout: StreamWriteTimeout,
 		SetWriteDeadline: func(time.Time) error {
 			mu.Lock()
 			calls++
@@ -162,7 +159,7 @@ func TestSinkSetWriteDeadlineIsArmedPerWrite(t *testing.T) {
 func TestSinkCloseDrainsBufferedEvents(t *testing.T) {
 	var buf lockedBuffer
 	var w io.Writer = &buf
-	s := NewSink(w, SinkOptions{Buffer: 8})
+	s := NewSink(w, SinkOptions{WriteTimeout: StreamWriteTimeout})
 	for i := 0; i < 5; i++ {
 		s.Send([]byte("e"))
 	}

@@ -24,11 +24,9 @@ import (
 // directly) gets an admission controller.
 func (s *Server) init() {
 	s.initOnce.Do(func() {
-		if s.sessions == nil {
-			s.sessions = newSessionStore(s.SessionTTL, s.MaxSessions)
-		}
+		s.sessions = newSessionStore()
 		s.admission = serve.NewController(s.Admission)
-		s.health = serve.NewHealth(s.Health)
+		s.health = serve.NewHealth()
 		s.started = time.Now()
 		s.initMetrics()
 	})

@@ -340,14 +340,13 @@ func (w *wedgedWriter) SetWriteDeadline(t time.Time) error {
 }
 
 // TestStreamStallCancelsOwnRound pins the backpressure contract: a
-// streaming consumer that cannot complete a single write within
-// StreamWriteTimeout has its round cancelled and counted as a stall —
+// streaming consumer that cannot complete a single write within the
+// stream write timeout has its round cancelled and counted as a stall —
 // and only its own round: a healthy stream right after completes
 // normally.
 func TestStreamStallCancelsOwnRound(t *testing.T) {
 	s := testServer(t)
-	s.StreamBuffer = 1
-	s.StreamWriteTimeout = 50 * time.Millisecond
+	s.streamWriteTimeout = 50 * time.Millisecond // far below serve.StreamWriteTimeout
 	h := s.Handler()
 
 	body, err := json.Marshal(paperRequest())

@@ -45,13 +45,6 @@ type Server struct {
 	// TimeLimit is the per-round discovery budget (default 60s, as in the
 	// paper's demo).
 	TimeLimit time.Duration
-	// MaxGraphs bounds the number of inline SVG explanations rendered.
-	MaxGraphs int
-	// SessionTTL evicts refinement sessions idle for longer (default 15
-	// minutes); MaxSessions bounds live sessions, evicting the least
-	// recently used beyond it (default 64).
-	SessionTTL  time.Duration
-	MaxSessions int
 	// ShutdownGrace bounds how long ListenAndServe waits for in-flight
 	// requests to drain after its context is cancelled (0 = TimeLimit plus
 	// slack, so a round that started before the signal can finish).
@@ -59,15 +52,10 @@ type Server struct {
 	// Admission tunes the multi-tenant admission controller gating every
 	// discovery round (zero fields take the serve package defaults).
 	Admission serve.Config
-	// StreamBuffer and StreamWriteTimeout tune the backpressure of
-	// streaming responses: a consumer that can neither drain StreamBuffer
-	// pending events nor complete a write within StreamWriteTimeout has its
-	// round cancelled — only its own round (defaults 64 events, 10s).
-	StreamBuffer       int
-	StreamWriteTimeout time.Duration
-	// Health tunes the readiness tracker behind GET /api/v1/readyz
-	// (zero fields take the serve package defaults).
-	Health serve.HealthConfig
+
+	// streamWriteTimeout is serve.StreamWriteTimeout; the stall test
+	// shortens it.
+	streamWriteTimeout time.Duration
 
 	initOnce     sync.Once
 	admission    *serve.Controller
@@ -87,14 +75,16 @@ type Server struct {
 // lazily on first use so start-up stays instant.
 func New() *Server {
 	return &Server{
-		Registry:    prism.NewRegistry(),
-		TimeLimit:   60 * time.Second,
-		MaxGraphs:   3,
-		SessionTTL:  15 * time.Minute,
-		MaxSessions: 64,
-		tmpl:        template.Must(template.New("page").Parse(pageTemplate)),
+		Registry:           prism.NewRegistry(),
+		TimeLimit:          60 * time.Second,
+		streamWriteTimeout: serve.StreamWriteTimeout,
+		tmpl:               template.Must(template.New("page").Parse(pageTemplate)),
 	}
 }
+
+// maxGraphs bounds the number of inline SVG explanations a response
+// renders.
+const maxGraphs = 3
 
 // RegisterDatabase installs a custom database under the given name,
 // alongside the bundled synthetic ones.
@@ -384,7 +374,7 @@ func (s *Server) discoverResponse(database string, report *discovery.Report, err
 	}
 	for i, m := range report.Mappings {
 		mr := mappingResponse(m)
-		if withGraphs && i < s.MaxGraphs {
+		if withGraphs && i < maxGraphs {
 			g := explain.Build(m.Candidate, spec, m.SQL, explain.AllConstraints())
 			mr.GraphSVG = g.SVG()
 		}
@@ -419,7 +409,7 @@ func (s *Server) discover(ctx context.Context, req api.DiscoverRequest, withGrap
 //
 // Writes go through a bounded serve.Sink under a per-write deadline: a
 // consumer that can neither drain the buffer nor complete a write within
-// StreamWriteTimeout has its round cancelled — only its own round, so a
+// serve.StreamWriteTimeout has its round cancelled — only its own round, so a
 // stalled reader never ties up a worker slot or another tenant's stream.
 func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
@@ -453,8 +443,7 @@ func (s *Server) handleDiscoverStream(w http.ResponseWriter, r *http.Request) {
 	rc := http.NewResponseController(w)
 
 	sink := serve.NewSink(w, serve.SinkOptions{
-		Buffer:           s.StreamBuffer,
-		WriteTimeout:     s.StreamWriteTimeout,
+		WriteTimeout:     s.streamWriteTimeout,
 		SetWriteDeadline: func(t time.Time) error { return rc.SetWriteDeadline(t) },
 		Flush: func() {
 			if flusher != nil {

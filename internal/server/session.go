@@ -14,14 +14,21 @@ import (
 	"prism/api"
 )
 
+// The session store's bounds.
+const (
+	// sessionTTL evicts refinement sessions idle for longer.
+	sessionTTL = 15 * time.Minute
+	// maxSessions bounds live sessions; beyond it the least recently used
+	// is evicted.
+	maxSessions = 64
+)
+
 // sessionStore keeps the server's live refinement sessions, evicting by
-// idle TTL and, beyond MaxSessions, by least recent use. Eviction runs
+// idle sessionTTL and, beyond maxSessions, by least recent use. Eviction runs
 // opportunistically on every access, so the store needs no background
 // goroutine and an idle server holds no timers.
 type sessionStore struct {
 	mu       sync.Mutex
-	ttl      time.Duration
-	max      int
 	now      func() time.Time // injected by tests
 	sessions map[string]*serverSession
 }
@@ -35,16 +42,8 @@ type serverSession struct {
 	lastUsed time.Time
 }
 
-func newSessionStore(ttl time.Duration, max int) *sessionStore {
-	if ttl <= 0 {
-		ttl = 15 * time.Minute
-	}
-	if max <= 0 {
-		max = 64
-	}
+func newSessionStore() *sessionStore {
 	return &sessionStore{
-		ttl:      ttl,
-		max:      max,
 		now:      time.Now,
 		sessions: make(map[string]*serverSession),
 	}
@@ -55,12 +54,12 @@ func newSessionStore(ttl time.Duration, max int) *sessionStore {
 func (st *sessionStore) evictLocked() {
 	now := st.now()
 	for id, ss := range st.sessions {
-		if now.Sub(ss.lastUsed) > st.ttl {
+		if now.Sub(ss.lastUsed) > sessionTTL {
 			ss.sess.Close()
 			delete(st.sessions, id)
 		}
 	}
-	if len(st.sessions) <= st.max {
+	if len(st.sessions) <= maxSessions {
 		return
 	}
 	byAge := make([]*serverSession, 0, len(st.sessions))
@@ -68,7 +67,7 @@ func (st *sessionStore) evictLocked() {
 		byAge = append(byAge, ss)
 	}
 	sort.Slice(byAge, func(i, j int) bool { return byAge[i].lastUsed.Before(byAge[j].lastUsed) })
-	for _, ss := range byAge[:len(st.sessions)-st.max] {
+	for _, ss := range byAge[:len(st.sessions)-maxSessions] {
 		ss.sess.Close()
 		delete(st.sessions, ss.id)
 	}
@@ -156,7 +155,7 @@ func (s *Server) sessionResponse(ss *serverSession) api.SessionResponse {
 		SessionID: ss.id,
 		Database:  ss.database,
 		Rounds:    ss.sess.Rounds(),
-		TTLMs:     s.sessions.ttl.Milliseconds(),
+		TTLMs:     sessionTTL.Milliseconds(),
 		Cache:     api.CacheStats{Hits: st.Hits, Misses: st.Misses, Stores: st.Stores},
 	}
 }
@@ -164,7 +163,7 @@ func (s *Server) sessionResponse(ss *serverSession) api.SessionResponse {
 // handleSessionCreate serves POST /api/v1/session: it opens a refinement
 // session over the named database and returns its id. Rounds then go to
 // POST /api/v1/session/{id}/refine; idle sessions are evicted after
-// Server.SessionTTL.
+// sessionTTL.
 func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	var req api.SessionCreateRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {

@@ -187,27 +187,33 @@ func TestSessionCreateUnknownDatabase(t *testing.T) {
 
 func TestSessionStoreTTLAndLRUEviction(t *testing.T) {
 	s := testServer(t)
-	s.SessionTTL = time.Minute
-	s.MaxSessions = 2
 	h := s.Handler()
 
 	clock := time.Now()
 	s.sessions.now = func() time.Time { return clock }
 
+	// Fill the store, one session a second: a is the oldest, b the next.
 	a := createSession(t, h)
-	clock = clock.Add(10 * time.Second)
+	clock = clock.Add(time.Second)
 	b := createSession(t, h)
+	for i := 2; i < maxSessions; i++ {
+		clock = clock.Add(time.Second)
+		createSession(t, h)
+	}
+	if s.sessions.len() != maxSessions {
+		t.Fatalf("store holds %d sessions, want %d", s.sessions.len(), maxSessions)
+	}
 
 	// Touch a so b is least recently used, then exceed the capacity: the
-	// third session must evict b, keep a.
-	clock = clock.Add(10 * time.Second)
+	// next session must evict b, keep a.
+	clock = clock.Add(time.Second)
 	if rec := doJSON(t, h, http.MethodGet, "/api/v1/session/"+a.SessionID, nil, nil); rec.Code != http.StatusOK {
 		t.Fatalf("touch a: %d", rec.Code)
 	}
-	clock = clock.Add(10 * time.Second)
+	clock = clock.Add(time.Second)
 	c := createSession(t, h)
-	if s.sessions.len() != 2 {
-		t.Fatalf("store holds %d sessions, want 2", s.sessions.len())
+	if s.sessions.len() != maxSessions {
+		t.Fatalf("store holds %d sessions, want %d", s.sessions.len(), maxSessions)
 	}
 	if rec := doJSON(t, h, http.MethodGet, "/api/v1/session/"+b.SessionID, nil, nil); rec.Code != http.StatusNotFound {
 		t.Errorf("b should have been LRU-evicted, got %d", rec.Code)
@@ -216,8 +222,18 @@ func TestSessionStoreTTLAndLRUEviction(t *testing.T) {
 		t.Errorf("a should have survived, got %d", rec.Code)
 	}
 
+	// Idle for exactly the TTL: c lives, and the read refreshes it.
+	clock = clock.Add(sessionTTL)
+	var info api.SessionResponse
+	if rec := doJSON(t, h, http.MethodGet, "/api/v1/session/"+c.SessionID, nil, &info); rec.Code != http.StatusOK {
+		t.Fatalf("c idle for the TTL: status=%d", rec.Code)
+	}
+	if info.TTLMs != sessionTTL.Milliseconds() {
+		t.Errorf("ttlMs = %d, want %d", info.TTLMs, sessionTTL.Milliseconds())
+	}
+
 	// Idle past the TTL: everything is gone, with the structured code.
-	clock = clock.Add(2 * time.Minute)
+	clock = clock.Add(sessionTTL + time.Second)
 	var apiErr api.Error
 	if rec := doJSON(t, h, http.MethodGet, "/api/v1/session/"+c.SessionID, nil, &apiErr); rec.Code != http.StatusNotFound || apiErr.Code != "unknown_session" {
 		t.Errorf("c after TTL: status=%d body=%+v", rec.Code, apiErr)

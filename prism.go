@@ -132,30 +132,19 @@ const (
 // it.
 type Engine struct {
 	inner *discovery.Engine
-	// sessionCacheCapacity bounds the filter-outcome cache of sessions
-	// created by NewSession (0 = the package default).
-	sessionCacheCapacity int
 }
 
 // NewEngine preprocesses db and returns an engine bound to it.
 func NewEngine(db *Database) *Engine {
-	return newEngine(db, 0)
-}
-
-func newEngine(db *Database, sessionCacheCapacity int) *Engine {
-	return &Engine{
-		inner:                discovery.NewEngine(db),
-		sessionCacheCapacity: sessionCacheCapacity,
-	}
+	return &Engine{inner: discovery.NewEngine(db)}
 }
 
 // openConfig collects the effect of OpenOptions.
 type openConfig struct {
-	mondial      *MondialConfig
-	imdb         *IMDBConfig
-	nba          *NBAConfig
-	db           *Database
-	sessionCache int
+	mondial *MondialConfig
+	imdb    *IMDBConfig
+	nba     *NBAConfig
+	db      *Database
 }
 
 // OpenOption customises Open.
@@ -183,15 +172,6 @@ func WithDatabase(db *Database) OpenOption {
 	return func(c *openConfig) { c.db = db }
 }
 
-// WithSessionCacheCapacity bounds the filter-outcome cache of every
-// Session created from the opened engine (entries, evicted LRU; 0 keeps
-// the package default). One cache entry is a short key plus one boolean,
-// so the default is generous; shrink it for engines serving very many
-// concurrent sessions.
-func WithSessionCacheCapacity(entries int) OpenOption {
-	return func(c *openConfig) { c.sessionCache = entries }
-}
-
 // Open builds the named source database and returns an engine over it. The
 // bundled synthetic data sets are "mondial", "imdb" and "nba" (see
 // DatasetNames); their scale is tunable with WithMondialConfig /
@@ -211,7 +191,7 @@ func Open(name string, options ...OpenOption) (*Engine, error) {
 		o(&cfg)
 	}
 	if cfg.db != nil {
-		return newEngine(cfg.db, cfg.sessionCache), nil
+		return NewEngine(cfg.db), nil
 	}
 	// A sizing option for a data set other than the one being opened is a
 	// caller bug; report it instead of silently building the default size.
@@ -253,7 +233,7 @@ func Open(name string, options ...OpenOption) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(db, cfg.sessionCache), nil
+	return NewEngine(db), nil
 }
 
 // cutFileScheme splits a "file:PATH" Open name, preserving the path's

@@ -43,10 +43,9 @@ type Session struct {
 
 // NewSession opens a refinement session over the engine. The session lives
 // until Close is called or ctx is cancelled, whichever comes first — tie it
-// to a request, connection or UI lifetime. Its cache capacity defaults to
-// the engine's WithSessionCacheCapacity option.
+// to a request, connection or UI lifetime.
 func (e *Engine) NewSession(ctx context.Context) *Session {
-	s := &Session{inner: e.inner.NewSession(e.sessionCacheCapacity)}
+	s := &Session{inner: e.inner.NewSession()}
 	if ctx != nil && ctx.Done() != nil {
 		watch, stop := context.WithCancel(ctx)
 		s.stop = stop

@@ -98,20 +98,17 @@ func (e *Engine) SnapshotFile(path string) error {
 }
 
 // ReadSnapshot decodes a snapshot stream written by Engine.Snapshot and
-// returns an engine over the restored database. The session-cache option
-// applies as with Open; dataset-sizing options do
-// not (the data comes from the snapshot) and are rejected as caller
-// bugs.
+// returns an engine over the restored database. No OpenOption applies
+// (the data comes from the snapshot): each is rejected as a caller bug.
 func ReadSnapshot(r io.Reader, options ...OpenOption) (*Engine, error) {
-	cfg, err := snapshotConfig(options)
-	if err != nil {
+	if err := checkSnapshotOptions(options); err != nil {
 		return nil, err
 	}
 	db, err := mem.ReadSnapshot(r)
 	if err != nil {
 		return nil, err
 	}
-	return newEngine(db, cfg.sessionCache), nil
+	return NewEngine(db), nil
 }
 
 // OpenSnapshot is ReadSnapshot over a file path.
@@ -128,16 +125,16 @@ func OpenSnapshot(path string, options ...OpenOption) (*Engine, error) {
 	return eng, nil
 }
 
-func snapshotConfig(options []OpenOption) (openConfig, error) {
+func checkSnapshotOptions(options []OpenOption) error {
 	var cfg openConfig
 	for _, o := range options {
 		o(&cfg)
 	}
 	switch {
 	case cfg.db != nil:
-		return cfg, fmt.Errorf("prism: WithDatabase does not apply to snapshot loads — the database comes from the snapshot")
+		return fmt.Errorf("prism: WithDatabase does not apply to snapshot loads — the database comes from the snapshot")
 	case cfg.mondial != nil, cfg.imdb != nil, cfg.nba != nil:
-		return cfg, fmt.Errorf("prism: dataset sizing options do not apply to snapshot loads — the data comes from the snapshot")
+		return fmt.Errorf("prism: dataset sizing options do not apply to snapshot loads — the data comes from the snapshot")
 	}
-	return cfg, nil
+	return nil
 }

@@ -185,7 +185,7 @@ func TestSnapshotOptionValidation(t *testing.T) {
 	if _, err := ReadSnapshot(bytes.NewReader(snap), WithDatabase(eng.Database())); err == nil {
 		t.Error("WithDatabase on a snapshot load should be rejected")
 	}
-	loaded, err := ReadSnapshot(bytes.NewReader(snap), WithSessionCacheCapacity(16))
+	loaded, err := ReadSnapshot(bytes.NewReader(snap))
 	if err != nil {
 		t.Fatal(err)
 	}
