@@ -96,7 +96,10 @@ func (o Options) withDefaults() Options {
 type Mapping struct {
 	// Candidate is the join tree plus projection that produced the mapping.
 	Candidate graphx.Candidate
-	// Plan is the executable Project-Join plan.
+	// Plan is the executable Project-Join plan. Its Tables and Joins are
+	// shared with the other mappings of the round over the same join tree,
+	// and its Project is the candidate's Projection: treat them as
+	// read-only.
 	Plan exec.Plan
 	// SQL is the rendered SQL text shown to the user.
 	SQL string
@@ -385,11 +388,23 @@ type round struct {
 	set        *filter.Set        // decompose
 	estimator  sched.Estimator    // estimate
 	res        *sched.Result      // schedule; nil until the scheduler has run
-	// built holds the mappings assembled so far, by candidate, so the
-	// streaming path and the final report share one execution of each
-	// confirmed candidate; buildErr is the first preview that failed.
-	built    map[int]*Mapping
+	// streamed holds the mappings a stream delivered, by candidate, so the
+	// final report shares their one execution; buildErr is the first
+	// preview that failed.
+	streamed map[int]*Mapping
 	buildErr error
+	// joins holds what assembly renders once per join tree, by the tree id
+	// decomposition gave it (filter.Set.TreeID).
+	joins map[int32]*joinText
+}
+
+// joinText is the part of a mapping that depends only on its join tree: the
+// plan's tables and joins, which every mapping over the tree shares, and
+// their rendered FROM and WHERE clauses.
+type joinText struct {
+	tree graphx.Tree
+	plan exec.Plan // Tables and Joins only
+	from string
 }
 
 // run is the shared implementation of Discover, DiscoverStream and session
@@ -421,7 +436,7 @@ func (e *Engine) run(ctx context.Context, spec *constraint.Spec, opts Options, e
 	ctx, cancel := sched.WithBudget(ctx, report.start, opts.TimeLimit)
 	defer cancel()
 	report.deadline, _ = ctx.Deadline()
-	r := &round{eng: e, ctx: ctx, spec: spec, opts: opts, emit: emit, sess: sess, report: report, built: make(map[int]*Mapping)}
+	r := &round{eng: e, ctx: ctx, spec: spec, opts: opts, emit: emit, sess: sess, report: report, joins: make(map[int32]*joinText)}
 	if opts.Trace {
 		r.trace = obs.NewSpan("round")
 		report.Trace = r.trace
@@ -628,44 +643,64 @@ func (r *round) schedOptions() sched.Options {
 		r.report.CandidatesConfirmed, r.report.CandidatesPruned = s.Confirmed, s.Pruned
 		r.send(ev)
 	}
-	streamed := 0
+	r.streamed = make(map[int]*Mapping)
 	o.OnResolved = func(ci int, confirmed bool, s sched.Snapshot) {
-		if !confirmed || r.buildErr != nil || (r.opts.MaxResults > 0 && streamed >= r.opts.MaxResults) {
+		if !confirmed || r.buildErr != nil || (r.opts.MaxResults > 0 && len(r.streamed) >= r.opts.MaxResults) {
 			return
 		}
-		if m := r.mapping(ci); m != nil {
-			streamed++
-			stream(Event{Kind: api.EventMapping, Mapping: m}, s)
+		if m, ok := r.mapping(ci); ok {
+			r.streamed[ci] = &m
+			stream(Event{Kind: api.EventMapping, Mapping: &m}, s)
 		}
 	}
 	o.OnProgress = func(s sched.Snapshot) { stream(Event{Kind: api.EventProgress}, s) }
 	return o
 }
 
-// mapping assembles the mapping of one confirmed candidate, once. Once the
+// mapping assembles the mapping of one confirmed candidate, or reports
+// false when its result preview failed (r.buildErr holds why). Once the
 // round context is dead, result previews are no longer executed, so
 // cancellation latency stays bounded by the in-flight work, not by
 // MaxResults preview queries.
-func (r *round) mapping(ci int) *Mapping {
-	if m, ok := r.built[ci]; ok {
-		return m
-	}
+func (r *round) mapping(ci int) (Mapping, bool) {
 	cand := r.set.Candidates[ci]
-	plan := cand.Plan()
-	plan.Distinct = true
-	m := &Mapping{Candidate: cand, Plan: plan, SQL: sqlgen.Generate(plan)}
+	join := r.join(ci)
+	plan := join.plan
+	plan.Project, plan.Distinct = cand.Projection, true
+	m := Mapping{Candidate: cand, Plan: plan, SQL: sqlgen.GenerateFrom(plan, join.from)}
 	if r.opts.IncludeResults && r.ctx.Err() == nil {
 		result, err := r.executor.ExecuteWith(plan, exec.ExecOptions{Limit: r.opts.ResultLimit})
 		if err != nil {
 			if r.buildErr == nil {
 				r.buildErr = fmt.Errorf("discovery: executing final mapping %s: %w", m.SQL, err)
 			}
-			return nil
+			return Mapping{}, false
 		}
 		m.Result = result
 	}
-	r.built[ci] = m
-	return m
+	return m, true
+}
+
+// join returns the join text of candidate ci's tree, rendered on the first
+// mapping over the tree. Candidates of one tree id share one tree as
+// enumerated; a literal tree with the same signature in another order or
+// spelling renders its own, uncached.
+func (r *round) join(ci int) *joinText {
+	tree, id := r.set.Candidates[ci].Tree, r.set.TreeID(ci)
+	j, cached := r.joins[id]
+	if cached && slices.Equal(j.tree.Tables, tree.Tables) && slices.Equal(j.tree.Edges, tree.Edges) {
+		return j
+	}
+	joins := make([]exec.JoinEdge, len(tree.Edges))
+	for i, e := range tree.Edges {
+		joins[i] = exec.JoinEdge{Left: e.From, Right: e.To}
+	}
+	j = &joinText{tree: tree, plan: exec.Plan{Tables: tree.Tables, Joins: joins}}
+	j.from = sqlgen.FromWhere(j.plan)
+	if !cached && id >= 0 {
+		r.joins[id] = j
+	}
+	return j
 }
 
 // assemble lists the confirmed mappings, simplest (fewest tables) first.
@@ -676,24 +711,33 @@ func (r *round) assemble() error {
 	sp := r.trace.Child("assemble")
 	confirmed := r.res.Confirmed // the round's own; sorted in place
 	slices.SortFunc(confirmed, func(i, j int) int {
-		a, b := r.set.Candidates[i], r.set.Candidates[j]
+		a, b := &r.set.Candidates[i], &r.set.Candidates[j]
 		if c := a.Tree.Size() - b.Tree.Size(); c != 0 {
 			return c
 		}
 		return strings.Compare(a.Canonical(), b.Canonical())
 	})
+	n := len(confirmed)
+	if r.opts.MaxResults > 0 {
+		n = min(n, r.opts.MaxResults)
+	}
+	r.report.Mappings = slices.Grow(r.report.Mappings, n)
 	for _, ci := range confirmed {
 		if r.opts.MaxResults > 0 && len(r.report.Mappings) >= r.opts.MaxResults {
 			break
 		}
-		if _, ok := r.built[ci]; !ok && r.ctx.Err() != nil {
+		if m, ok := r.streamed[ci]; ok {
+			r.report.Mappings = append(r.report.Mappings, *m)
 			continue
 		}
-		m := r.mapping(ci)
-		if m == nil {
+		if r.ctx.Err() != nil {
+			continue
+		}
+		m, ok := r.mapping(ci)
+		if !ok {
 			break
 		}
-		r.report.Mappings = append(r.report.Mappings, *m)
+		r.report.Mappings = append(r.report.Mappings, m)
 	}
 	sp.SetAttr("mappings", len(r.report.Mappings))
 	sp.End()

@@ -91,11 +91,11 @@ func (e *RandomEstimator) FailureProbability(f *filter.Filter) float64 {
 		e.rng = rand.New(rand.NewSource(e.Seed))
 		e.memo = make(map[string]float64)
 	}
-	if p, ok := e.memo[f.Key]; ok {
+	if p, ok := e.memo[f.Key()]; ok {
 		return p
 	}
 	p := e.rng.Float64()
-	e.memo[f.Key] = p
+	e.memo[f.Key()] = p
 	return p
 }
 

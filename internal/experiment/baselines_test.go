@@ -107,7 +107,7 @@ func TestOracleEstimator(t *testing.T) {
 	if failed == 0 {
 		t.Error("no filter of the case fails; the check above proves nothing")
 	}
-	unknown := &filter.Filter{Key: "unknown"}
+	unknown := &filter.Filter{}
 	if oracle.FailureProbability(unknown) != 0 {
 		t.Error("unknown filters default to 0")
 	}

@@ -68,9 +68,6 @@ func (o Outcome) String() string {
 
 // Filter is one sub-join-tree with its covered constrained target columns.
 type Filter struct {
-	// Key is the canonical identity of the filter; filters with equal keys
-	// are shared across candidates.
-	Key string
 	// Tree is the sub-join-tree (tables plus foreign-key edges).
 	Tree graphx.Tree
 	// TargetCols lists the covered target-column indexes, ascending.
@@ -113,6 +110,19 @@ func (f *Filter) PlanFingerprint() string {
 	return f.fp
 }
 
+// Key renders the canonical identity of the filter: its tree's signature
+// and its covered (target column, lower-cased source column) pairs. Filters
+// with equal keys are one filter of a Set; the Set tells them apart by
+// integers and renders no key.
+func (f *Filter) Key() string {
+	key := []byte(f.Tree.Canonical())
+	for i, tc := range f.TargetCols {
+		key = strconv.AppendInt(append(key, '#'), int64(tc), 10)
+		key = append(append(key, ':'), strings.ToLower(f.Sources[i].String())...)
+	}
+	return string(key)
+}
+
 // JoinPathLength returns the number of join edges; the Filter baseline's
 // failure-probability heuristic is proportional to it.
 func (f *Filter) JoinPathLength() int { return len(f.Tree.Edges) }
@@ -138,6 +148,8 @@ type Set struct {
 	CandidateFilters [][]int
 	// Top lists, per candidate, the index of its top (complete) filter.
 	Top []int
+	// trees lists, per candidate, the id of its join tree (see TreeID).
+	trees []int32
 	// parents[i] lists filters that contain filter i (super-filters).
 	parents [][]int
 	// children[i] lists filters contained in filter i (sub-filters).
@@ -151,6 +163,11 @@ func (s *Set) NumFilters() int { return len(s.Filters) }
 
 // NumCandidates returns the number of candidates.
 func (s *Set) NumCandidates() int { return len(s.Candidates) }
+
+// TreeID returns the id the decomposition gave candidate ci's join tree: two
+// candidates have the same id exactly when their trees have the same
+// Canonical signature. It is -1 for a tree that is not connected.
+func (s *Set) TreeID(ci int) int32 { return s.trees[ci] }
 
 // Parents returns the indexes of super-filters of filter i, ascending.
 func (s *Set) Parents(i int) []int { return s.parents[i] }
@@ -178,9 +195,10 @@ func (s *Set) CandidatesOf(i int) []int { return s.candidatesOf[i] }
 // Cancellation is checked throughout and aborts with ctx.Err().
 //
 // A filter is identified by integers — the id of its subtree and the
-// (target column, source column id) pairs it covers — so a join tree is
-// taken apart (graphx.Tree.Subtrees) and its signatures rendered once per
-// tree, and a candidate costs one map probe per subtree. The dependency
+// (target column, source column id) pairs it covers — and a subtree by the
+// ids of its edges (or of its one table), so a join tree is taken apart
+// (graphx.Tree.Subtrees) once per tree with no signature rendered, and a
+// candidate costs one map probe per subtree. The dependency
 // relation is then read off an index instead of comparing every pair of
 // filters: see lattice.
 func DecomposeFor(ctx context.Context, spec *constraint.Spec, candidates []graphx.Candidate) (*Set, error) {
@@ -204,12 +222,14 @@ func decompose(ctx context.Context, constrained []bool, candidates []graphx.Cand
 		Candidates:       candidates,
 		CandidateFilters: make([][]int, len(candidates)),
 		Top:              make([]int, len(candidates)),
+		trees:            make([]int32, len(candidates)),
 	}
 	d := decomposer{
 		constrained: constrained,
 		trees:       make(map[string]int32),
-		sources:     make(map[schema.ColumnRef]int32),
-		byText:      make(map[string]int32),
+		edges:       newInterner(graphx.EdgeSignature),
+		tables:      newInterner(strings.ToLower),
+		sources:     newInterner(func(ref schema.ColumnRef) string { return strings.ToLower(ref.String()) }),
 		index:       make(map[string]int),
 		// members is a dense filter-index bitset reused across candidates;
 		// iterating it recovers each candidate's filter list in ascending
@@ -255,20 +275,22 @@ func ConstrainedTargets(spec *constraint.Spec) []bool {
 	return out
 }
 
-// decomposer holds the dense ids one decomposition assigns: to subtree
-// signatures, to projected source columns and, from the two, to filters.
+// decomposer holds the dense ids one decomposition assigns: to foreign-key
+// edges, tables and projected source columns, from those to subtrees, and
+// from subtrees and source columns to filters.
 type decomposer struct {
 	// constrained is the mask of decompose: a filter covers target column tc
 	// when tc >= len(constrained) or constrained[tc].
 	constrained []bool
-	// trees maps a subtree signature to its id.
+	// trees maps a subtree's key (see treeKey) to its id.
 	trees map[string]int32
-	// sources maps a projected column to its id, byText the same by
-	// lower-cased text (spellings differing in case share an id), and texts
-	// holds that text per id.
-	sources map[schema.ColumnRef]int32
-	byText  map[string]int32
-	texts   []string
+	// edges, tables and sources give ids to foreign keys by their
+	// graphx.EdgeSignature, to tables by their lower-cased name and to
+	// projected columns by their lower-cased text: spellings that differ in
+	// case (or a key's direction) share an id.
+	edges   interner[schema.ForeignKey]
+	tables  interner[string]
+	sources interner[schema.ColumnRef]
 	// index maps a filter's identity (see identity) to its index.
 	index map[string]int
 	// filterTree and filterCols hold, per filter, its tree id and its
@@ -286,13 +308,45 @@ type decomposer struct {
 	// consecutive candidates usually share theirs.
 	tree    treeParts
 	members *rowset.Bitmap
-	// Scratch, reused across candidates.
+	// Scratch, reused across candidates; last is the previous candidate's
+	// projection, whose source ids srcs holds.
+	last []schema.ColumnRef
 	pos  []int
 	srcs []int32
 	cols []colSource
+	ids  []int32
 	key  []byte
-	text []byte
 }
+
+// interner gives dense ids to values by their text: values whose text is
+// equal share an id, and a value's text is rendered once per decomposition.
+type interner[K comparable] struct {
+	of     map[K]int32
+	byText map[string]int32
+	text   func(K) string
+}
+
+func newInterner[K comparable](text func(K) string) interner[K] {
+	return interner[K]{of: make(map[K]int32), byText: make(map[string]int32), text: text}
+}
+
+// id returns the id of k.
+func (in *interner[K]) id(k K) int32 {
+	if id, ok := in.of[k]; ok {
+		return id
+	}
+	text := in.text(k)
+	id, ok := in.byText[text]
+	if !ok {
+		id = int32(len(in.byText))
+		in.byText[text] = id
+	}
+	in.of[k] = id
+	return id
+}
+
+// len returns the number of ids given.
+func (in *interner[K]) len() int { return len(in.byText) }
 
 // colSource is one covered target column with the id of its source column.
 type colSource struct {
@@ -304,11 +358,13 @@ type colSource struct {
 type treeParts struct {
 	of   graphx.Tree
 	subs []graphx.Subtree
-	// ids[k] is the tree id of subs[k]; has[k*size+p] reports whether the
+	// ids[k] is the tree id of subs[k], whole that of the tree itself (-1
+	// for a tree that is not connected); has[k*size+p] reports whether the
 	// tree's p-th table is in subs[k].
-	ids  []int32
-	has  []bool
-	size int
+	ids   []int32
+	whole int32
+	has   []bool
+	size  int
 }
 
 // split decomposes the tree of a candidate, unless it is the previous
@@ -325,12 +381,13 @@ func (d *decomposer) split(t graphx.Tree) *treeParts {
 	tp.ids = tp.ids[:0]
 	tp.has = slices.Grow(tp.has[:0], len(subs)*tp.size)[:len(subs)*tp.size]
 	clear(tp.has)
-	whole := int32(-1)
+	tp.whole = -1
 	for k, sub := range subs {
-		id, ok := d.trees[sub.Canonical()]
+		d.key = d.treeKey(d.key[:0], t, sub)
+		id, ok := d.trees[string(d.key)]
 		if !ok {
 			id = int32(len(d.trees))
-			d.trees[sub.Canonical()] = id
+			d.trees[string(d.key)] = id
 			d.paired = append(d.paired, false)
 		}
 		tp.ids = append(tp.ids, id)
@@ -338,13 +395,13 @@ func (d *decomposer) split(t graphx.Tree) *treeParts {
 			tp.has[k*tp.size+int(p)] = true
 		}
 		if sub.Size() == tp.size {
-			whole = id
+			tp.whole = id
 		}
 	}
-	if whole < 0 || d.paired[whole] {
+	if tp.whole < 0 || d.paired[tp.whole] {
 		return tp
 	}
-	d.paired[whole] = true
+	d.paired[tp.whole] = true
 	// Two subtrees of one tree contain each other exactly when their table
 	// sets do: a connected table set of a tree has one set of edges.
 	for k := range subs {
@@ -355,6 +412,25 @@ func (d *decomposer) split(t graphx.Tree) *treeParts {
 		}
 	}
 	return tp
+}
+
+// treeKey appends the map key of a subtree of t: the id of its table when it
+// has one, else the ascending ids of its edges — the integer form of the
+// subtree's Canonical signature.
+func (d *decomposer) treeKey(key []byte, t graphx.Tree, sub graphx.Subtree) []byte {
+	if sub.Size() == 1 {
+		return binary.LittleEndian.AppendUint32(append(key, 't'), uint32(d.tables.id(t.Tables[sub.Tables()[0]])))
+	}
+	d.ids = d.ids[:0]
+	for _, e := range sub.Edges() {
+		d.ids = append(d.ids, d.edges.id(t.Edges[e]))
+	}
+	slices.Sort(d.ids)
+	key = append(key, 'e')
+	for _, id := range d.ids {
+		key = binary.LittleEndian.AppendUint32(key, uint32(id))
+	}
+	return key
 }
 
 // sameSlice reports whether a and b are the same slice: same backing array,
@@ -378,33 +454,26 @@ func subset(a, b []bool) bool {
 	return true
 }
 
-// source returns the id of a projected source column.
-func (d *decomposer) source(ref schema.ColumnRef) int32 {
-	if id, ok := d.sources[ref]; ok {
-		return id
-	}
-	text := strings.ToLower(ref.String())
-	id, ok := d.byText[text]
-	if !ok {
-		id = int32(len(d.texts))
-		d.byText[text] = id
-		d.texts = append(d.texts, text)
-	}
-	d.sources[ref] = id
-	return id
-}
-
 // add decomposes one candidate into the set.
 func (d *decomposer) add(s *Set, ci int, cand graphx.Candidate) {
 	tp := d.split(cand.Tree)
+	s.trees[ci] = tp.whole
 	d.numCols = max(d.numCols, len(cand.Projection))
-	// Per target column: the id of its source column and the position of
-	// the source's table in the candidate's tree.
-	d.pos, d.srcs = d.pos[:0], d.srcs[:0]
-	for _, src := range cand.Projection {
-		d.srcs = append(d.srcs, d.source(src))
+	// Per target column: the id of its source column — kept from the
+	// previous candidate where that projects the same column, as the
+	// candidates of one tree mostly do — and the position of the source's
+	// table in the candidate's tree.
+	if len(d.srcs) != len(cand.Projection) {
+		d.srcs, d.last = make([]int32, len(cand.Projection)), nil
+	}
+	d.pos = d.pos[:0]
+	for tc, src := range cand.Projection {
+		if d.last == nil || d.last[tc] != src {
+			d.srcs[tc] = d.sources.id(src)
+		}
 		d.pos = append(d.pos, tablePosition(cand.Tree.Tables, src.Table))
 	}
+	d.last = cand.Projection
 	// Size the bitset for the worst case: every subtree mints a new filter.
 	d.members.Reset(len(s.Filters) + len(tp.subs))
 	for k, sub := range tp.subs {
@@ -465,23 +534,17 @@ func identity(key []byte, tree int32, cols []colSource) []byte {
 }
 
 // mint builds the filter of a subtree of cand covering d.cols; with no
-// column to cover, its plan projects nothing. The Key text is rendered here,
-// once per distinct filter.
+// column to cover, its plan projects nothing.
 func (d *decomposer) mint(cand graphx.Candidate, sub graphx.Subtree) *Filter {
 	f := &Filter{Tree: cand.Tree.Subtree(sub)}
 	if len(d.cols) > 0 {
 		f.TargetCols = make([]int, len(d.cols))
 		f.Sources = make([]schema.ColumnRef, len(d.cols))
 	}
-	key := append(d.text[:0], sub.Canonical()...)
 	for i, c := range d.cols {
 		f.TargetCols[i] = c.target
 		f.Sources[i] = cand.Projection[c.target]
-		key = strconv.AppendInt(append(key, '#'), int64(c.target), 10)
-		key = append(append(key, ':'), d.texts[c.source]...)
 	}
-	f.Key = string(key)
-	d.text = key
 	return f
 }
 
@@ -522,12 +585,13 @@ func (d *decomposer) lattice(ctx context.Context, s *Set) error {
 			within[sub].Or(own[super])
 		}
 	}
-	// covering[target*len(texts)+source] collects the filters covering the
+	// covering[target*sources+source] collects the filters covering the
 	// target column from that source.
-	covering := make([]*rowset.Bitmap, d.numCols*len(d.texts))
+	sources := d.sources.len()
+	covering := make([]*rowset.Bitmap, d.numCols*sources)
 	for fi, cols := range d.filterCols {
 		for _, c := range cols {
-			at := c.target*len(d.texts) + int(c.source)
+			at := c.target*sources + int(c.source)
 			if covering[at] == nil {
 				covering[at] = rowset.New(n)
 			}
@@ -546,7 +610,7 @@ func (d *decomposer) lattice(ctx context.Context, s *Set) error {
 		supers.Reset(n)
 		supers.Or(within[d.filterTree[i]])
 		for _, c := range d.filterCols[i] {
-			supers.And(covering[c.target*len(d.texts)+int(c.source)])
+			supers.And(covering[c.target*sources+int(c.source)])
 		}
 		supers.Remove(int32(i))
 		flat = supers.AppendTo(flat)

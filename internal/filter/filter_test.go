@@ -220,7 +220,6 @@ func TestValidateSingleTableFilters(t *testing.T) {
 	}
 	// A filter covering only the unconstrained area cell passes trivially.
 	areaFilter := &Filter{
-		Key:        "area",
 		Tree:       graphx.Tree{Tables: []string{"Lake"}},
 		TargetCols: []int{2},
 		Sources:    []schema.ColumnRef{{Table: "Lake", Column: "Area"}},
@@ -250,7 +249,6 @@ func TestValidateFailingFilter(t *testing.T) {
 	// Construct a filter directly: target column 0 (California || Nevada)
 	// bound to Lake.Name — no lake is named California or Nevada.
 	wrongBinding = &Filter{
-		Key:        "manual",
 		Tree:       graphx.Tree{Tables: []string{"Lake"}},
 		TargetCols: []int{0},
 		Sources:    []schema.ColumnRef{{Table: "Lake", Column: "Name"}},
@@ -306,7 +304,6 @@ func TestValidateMultipleSamples(t *testing.T) {
 	}
 	v := &Validator{DB: fx.db, Cells: NewCells(spec)}
 	good := &Filter{
-		Key:        "good",
 		Tree:       graphx.Tree{Tables: []string{"Lake", "geo_lake"}, Edges: []schema.ForeignKey{fx.db.Schema().ForeignKeys()[0]}},
 		TargetCols: []int{0, 1},
 		Sources: []schema.ColumnRef{
@@ -343,7 +340,6 @@ func TestValidateErrorPropagation(t *testing.T) {
 	fx := newFixture(t)
 	v := &Validator{DB: fx.db, Cells: NewCells(fx.spec)}
 	bad := &Filter{
-		Key:        "bad",
 		Tree:       graphx.Tree{Tables: []string{"NoSuchTable"}},
 		TargetCols: []int{0},
 		Sources:    []schema.ColumnRef{{Table: "NoSuchTable", Column: "X"}},
@@ -461,7 +457,6 @@ func TestValidateEmptySampleSpec(t *testing.T) {
 	}
 	v := &Validator{DB: fx.db, Cells: NewCells(spec)}
 	f := &Filter{
-		Key:        "area-only",
 		Tree:       graphx.Tree{Tables: []string{"Lake"}},
 		TargetCols: []int{0},
 		Sources:    []schema.ColumnRef{{Table: "Lake", Column: "Area"}},

@@ -73,15 +73,16 @@ func (t Tree) Canonical() string {
 	}
 	keys := make([]string, len(t.Edges))
 	for i, e := range t.Edges {
-		keys[i] = edgeSignature(e)
+		keys[i] = EdgeSignature(e)
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, ";")
 }
 
-// edgeSignature renders a foreign key independently of its direction and
-// of letter case.
-func edgeSignature(e schema.ForeignKey) string {
+// EdgeSignature renders a foreign key independently of its direction and
+// of letter case: two keys with equal signatures are one edge of a tree's
+// Canonical signature.
+func EdgeSignature(e schema.ForeignKey) string {
 	a, b := strings.ToLower(e.From.String()), strings.ToLower(e.To.String())
 	if a > b {
 		a, b = b, a
@@ -173,6 +174,12 @@ func (c Candidate) Canonical() string {
 	if c.sig != "" {
 		return c.sig
 	}
+	return c.render()
+}
+
+// render builds the signature of a literal candidate. It is apart from
+// Canonical so that Canonical inlines: a round sorts its mappings by it.
+func (c Candidate) render() string {
 	parts := make([]string, 0, len(c.Projection)+1)
 	parts = append(parts, c.Tree.Canonical())
 	for _, ref := range c.Projection {

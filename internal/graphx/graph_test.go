@@ -167,29 +167,35 @@ func TestSubtrees(t *testing.T) {
 		t.Fatalf("%d subtrees of %s, want %d", len(subs), chain, len(want))
 	}
 	for i, sub := range subs {
-		if sub.Canonical() != want[i] {
-			t.Errorf("subtree %d = %q, want %q", i, sub.Canonical(), want[i])
+		if got := chain.Subtree(sub).Canonical(); got != want[i] {
+			t.Errorf("subtree %d = %q, want %q", i, got, want[i])
 		}
 	}
-	// Every subtree of every tree materialises to a tree with the signature
-	// it announced, its tables at the positions it lists, and exactly once.
+	// Every subtree of every tree materialises to a tree of its size, with
+	// its tables and edges at the positions it lists, and exactly once.
 	for _, tr := range g.ConnectedTrees("Province", 5) {
 		seen := make(map[string]bool)
 		whole := 0
 		for _, sub := range tr.Subtrees() {
 			tree := tr.Subtree(sub)
-			if tree.Canonical() != sub.Canonical() || tree.Size() != sub.Size() || len(tree.Edges) != sub.Size()-1 {
-				t.Errorf("%s: subtree %q materialises as %s (%q)", tr, sub.Canonical(), tree, tree.Canonical())
+			sig := tree.Canonical()
+			if tree.Size() != sub.Size() || len(tree.Edges) != sub.Size()-1 || len(sub.Edges()) != len(tree.Edges) {
+				t.Errorf("%s: subtree %q of %d tables materialises as %s", tr, sig, sub.Size(), tree)
 			}
 			for i, p := range sub.Tables() {
 				if tree.Tables[i] != tr.Tables[p] {
-					t.Errorf("%s: subtree %q lists table %d at position %d, which is %s", tr, sub.Canonical(), i, p, tr.Tables[p])
+					t.Errorf("%s: subtree %q lists table %d at position %d, which is %s", tr, sig, i, p, tr.Tables[p])
 				}
 			}
-			if seen[sub.Canonical()] {
-				t.Errorf("%s: subtree %q listed twice", tr, sub.Canonical())
+			for i, e := range sub.Edges() {
+				if tree.Edges[i] != tr.Edges[e] {
+					t.Errorf("%s: subtree %q lists edge %d at position %d, which is %s", tr, sig, i, e, tr.Edges[e])
+				}
 			}
-			seen[sub.Canonical()] = true
+			if seen[sig] {
+				t.Errorf("%s: subtree %q listed twice", tr, sig)
+			}
+			seen[sig] = true
 			if sub.Size() == tr.Size() {
 				whole++
 			}
@@ -200,7 +206,7 @@ func TestSubtrees(t *testing.T) {
 	}
 	// A hand-built tree works the same; an edge leaving its tables is ignored.
 	stray := Tree{Tables: []string{"Lake"}, Edges: chain.Edges[:1]}
-	if subs := stray.Subtrees(); len(subs) != 1 || subs[0].Canonical() != "lake" {
+	if subs := stray.Subtrees(); len(subs) != 1 || stray.Subtree(subs[0]).Canonical() != "lake" {
 		t.Errorf("subtrees of a tree with a stray edge: %v", subs)
 	}
 	if subs := (Tree{}).Subtrees(); len(subs) != 0 {

@@ -294,3 +294,123 @@ func BenchmarkEnumerateLowRes(b *testing.B) {
 		}
 	}
 }
+
+// referenceSubtrees is Tree.Subtrees as it was before subtrees were told
+// apart by position: each one's signature rendered from its sorted edge
+// signatures and deduplicated through a string map. It returns the
+// signatures alongside, the one thing the old Subtree carried besides its
+// positions.
+func referenceSubtrees(t Tree) ([]Subtree, []string) {
+	lower := make([]string, len(t.Tables))
+	for p, name := range t.Tables {
+		lower[p] = strings.ToLower(name)
+	}
+	// ends[e] holds the positions of edge e's endpoints, keys[e] its
+	// canonical text.
+	ends := make([][2]int32, len(t.Edges))
+	keys := make([]string, len(t.Edges))
+	for e, fk := range t.Edges {
+		ends[e] = [2]int32{tablePosition(t.Tables, fk.From.Table), tablePosition(t.Tables, fk.To.Table)}
+		keys[e] = EdgeSignature(fk)
+	}
+
+	var (
+		out    []Subtree
+		sigs   []string
+		seen   = make(map[string]struct{})
+		tables []int32
+		edges  []int32
+		in     = make([]bool, len(t.Tables))
+	)
+	signature := func() string {
+		if len(edges) == 0 {
+			return lower[tables[0]]
+		}
+		parts := make([]string, len(edges))
+		for i, e := range edges {
+			parts[i] = keys[e]
+		}
+		slices.Sort(parts)
+		return strings.Join(parts, ";")
+	}
+	// record adds the subtree on the stacks unless its signature was seen.
+	record := func() bool {
+		sig := signature()
+		if _, dup := seen[sig]; dup {
+			return false
+		}
+		seen[sig] = struct{}{}
+		order := make([]int32, 0, len(tables)+len(edges))
+		order = append(append(order, tables...), edges...)
+		out = append(out, Subtree{order: order})
+		sigs = append(sigs, sig)
+		return true
+	}
+	var expand func()
+	expand = func() {
+		// The subtree at this level is tables[:n]; deeper levels push and
+		// pop beyond n.
+		n := len(tables)
+		for _, p := range tables[:n] {
+			for e := range t.Edges {
+				var other int32
+				switch p {
+				case ends[e][0]:
+					other = ends[e][1]
+				case ends[e][1]:
+					other = ends[e][0]
+				default:
+					continue
+				}
+				if other < 0 || in[other] {
+					continue
+				}
+				tables, edges, in[other] = append(tables, other), append(edges, int32(e)), true
+				if record() {
+					expand()
+				}
+				tables, edges, in[other] = tables[:n], edges[:len(edges)-1], false
+			}
+		}
+	}
+	for p := range t.Tables {
+		tables, in[p] = append(tables[:0], int32(p)), true
+		record()
+		expand()
+		in[p] = false
+	}
+	return out, sigs
+}
+
+// TestSubtreesMatchReference requires Tree.Subtrees to list the subtrees
+// the signature-deduplicating reference lists, in the same order, for every
+// connected tree of up to five tables around every table of the bundled
+// schemas, and each one's materialised signature to be the reference's.
+func TestSubtreesMatchReference(t *testing.T) {
+	trees, subtrees := 0, 0
+	for name, db := range difftest.Databases(t) {
+		g := New(db.Schema())
+		for _, table := range db.Schema().Tables() {
+			for _, tr := range g.ConnectedTrees(table.Name, 5) {
+				got := tr.Subtrees()
+				want, sigs := referenceSubtrees(tr)
+				if len(got) != len(want) {
+					t.Fatalf("%s: %s has %d subtrees, reference %d", name, tr, len(got), len(want))
+				}
+				for i := range got {
+					if !slices.Equal(got[i].order, want[i].order) {
+						t.Fatalf("%s: %s subtree %d is %v, reference %v (%q)", name, tr, i, got[i].order, want[i].order, sigs[i])
+					}
+					if sig := tr.Subtree(got[i]).Canonical(); sig != sigs[i] {
+						t.Fatalf("%s: %s subtree %d materialises as %q, reference %q", name, tr, i, sig, sigs[i])
+					}
+				}
+				trees, subtrees = trees+1, subtrees+len(got)
+			}
+		}
+	}
+	if trees < 100 {
+		t.Fatalf("only %d trees compared", trees)
+	}
+	t.Logf("%d trees, %d subtrees compared", trees, subtrees)
+}

@@ -1,26 +1,17 @@
 package graphx
 
 import (
-	"slices"
-	"strings"
-
 	"prism/internal/schema"
 )
 
 // Subtree is one connected subtree of a join tree, described by position in
 // the tree whose Subtrees call produced it.
 type Subtree struct {
-	// sig is the signature of the subtree as a tree of its own.
-	sig string
 	// order lists the positions of the subtree's tables in the parent's
 	// Tables, in the order the subtree grew, followed by the positions of
 	// its edges in the parent's Edges.
 	order []int32
 }
-
-// Canonical returns the signature of the subtree as a tree of its own:
-// Tree.Canonical of the materialised subtree.
-func (s Subtree) Canonical() string { return s.sig }
 
 // Size returns the number of tables in the subtree.
 func (s Subtree) Size() int { return (len(s.order) + 1) / 2 }
@@ -29,91 +20,117 @@ func (s Subtree) Size() int { return (len(s.order) + 1) / 2 }
 // Tables. The slice must not be modified.
 func (s Subtree) Tables() []int32 { return s.order[:s.Size()] }
 
+// Edges returns the positions of the subtree's edges in the parent's Edges.
+// The slice must not be modified.
+func (s Subtree) Edges() []int32 { return s.order[s.Size():] }
+
 // Subtrees lists every connected subtree of the tree, single tables and the
 // tree itself included, in a deterministic order: grown from each table in
 // Tables order along the tree's own edges in Edges order, first discovery
 // wins. Filters are numbered in this order. Subtrees are described by
-// position, so a caller decomposing many candidates over one tree pays for
-// the tree once and for integers per candidate. Edges with an endpoint
-// outside Tables are ignored.
+// position, and told apart by the positions of their tables and edges, so
+// a caller decomposing many candidates over one tree pays for the tree once
+// and for integers per candidate, and no signature is rendered. Edges with
+// an endpoint outside Tables are ignored.
 func (t Tree) Subtrees() []Subtree {
-	lower := make([]string, len(t.Tables))
-	for p, name := range t.Tables {
-		lower[p] = strings.ToLower(name)
+	// Capacity hints: a tree of n <= 5 tables has at most n*n subtrees (a
+	// star of five has 20), and for n <= 4 their orders fill at most
+	// n*n*(n+1)/2 positions (a star of four fills 35).
+	n := len(t.Tables)
+	g := grower{
+		t:      t,
+		ends:   make([][2]int32, len(t.Edges)),
+		in:     make([]bool, n),
+		tables: make([]int32, 0, n),
+		edges:  make([]int32, 0, len(t.Edges)),
+		mask:   make([]byte, (n+len(t.Edges)+7)/8),
+		seen:   make(map[string]struct{}),
+		flat:   make([]int32, 0, n*n*(n+1)/2),
+		bounds: make([]int, 0, n*n),
 	}
-	// ends[e] holds the positions of edge e's endpoints, keys[e] its
-	// canonical text.
-	ends := make([][2]int32, len(t.Edges))
-	keys := make([]string, len(t.Edges))
 	for e, fk := range t.Edges {
-		ends[e] = [2]int32{tablePosition(t.Tables, fk.From.Table), tablePosition(t.Tables, fk.To.Table)}
-		keys[e] = edgeSignature(fk)
-	}
-
-	var (
-		out    []Subtree
-		seen   = make(map[string]struct{})
-		tables []int32
-		edges  []int32
-		in     = make([]bool, len(t.Tables))
-	)
-	signature := func() string {
-		if len(edges) == 0 {
-			return lower[tables[0]]
-		}
-		parts := make([]string, len(edges))
-		for i, e := range edges {
-			parts[i] = keys[e]
-		}
-		slices.Sort(parts)
-		return strings.Join(parts, ";")
-	}
-	// record adds the subtree on the stacks unless its signature was seen.
-	record := func() bool {
-		sig := signature()
-		if _, dup := seen[sig]; dup {
-			return false
-		}
-		seen[sig] = struct{}{}
-		order := make([]int32, 0, len(tables)+len(edges))
-		order = append(append(order, tables...), edges...)
-		out = append(out, Subtree{sig: sig, order: order})
-		return true
-	}
-	var expand func()
-	expand = func() {
-		// The subtree at this level is tables[:n]; deeper levels push and
-		// pop beyond n.
-		n := len(tables)
-		for _, p := range tables[:n] {
-			for e := range t.Edges {
-				var other int32
-				switch p {
-				case ends[e][0]:
-					other = ends[e][1]
-				case ends[e][1]:
-					other = ends[e][0]
-				default:
-					continue
-				}
-				if other < 0 || in[other] {
-					continue
-				}
-				tables, edges, in[other] = append(tables, other), append(edges, int32(e)), true
-				if record() {
-					expand()
-				}
-				tables, edges, in[other] = tables[:n], edges[:len(edges)-1], false
-			}
-		}
+		g.ends[e] = [2]int32{tablePosition(t.Tables, fk.From.Table), tablePosition(t.Tables, fk.To.Table)}
 	}
 	for p := range t.Tables {
-		tables, in[p] = append(tables[:0], int32(p)), true
-		record()
-		expand()
-		in[p] = false
+		g.tables, g.in[p] = append(g.tables[:0], int32(p)), true
+		g.record()
+		g.expand()
+		g.in[p] = false
+	}
+	out := make([]Subtree, len(g.bounds))
+	from := 0
+	for k, to := range g.bounds {
+		out[k] = Subtree{order: g.flat[from:to:to]}
+		from = to
 	}
 	return out
+}
+
+// grower is the state of one Subtrees call.
+type grower struct {
+	t Tree
+	// ends[e] holds the positions of edge e's endpoints; in marks the
+	// tables of the subtree on the stacks tables and edges.
+	ends   [][2]int32
+	in     []bool
+	tables []int32
+	edges  []int32
+	// mask has one bit per table position, then one per edge position; a
+	// key of one byte, a tree of up to four tables, is not allocated.
+	mask []byte
+	seen map[string]struct{}
+	// flat holds the order of every subtree recorded, one after the other;
+	// bounds[k] is where the k-th ends.
+	flat   []int32
+	bounds []int
+}
+
+// record adds the subtree on the stacks unless its positions were seen.
+func (g *grower) record() bool {
+	clear(g.mask)
+	for _, p := range g.tables {
+		g.mask[p/8] |= 1 << (p % 8)
+	}
+	for _, e := range g.edges {
+		bit := len(g.t.Tables) + int(e)
+		g.mask[bit/8] |= 1 << (bit % 8)
+	}
+	if _, dup := g.seen[string(g.mask)]; dup {
+		return false
+	}
+	g.seen[string(g.mask)] = struct{}{}
+	g.flat = append(append(g.flat, g.tables...), g.edges...)
+	g.bounds = append(g.bounds, len(g.flat))
+	return true
+}
+
+// expand records every subtree that grows from the one on the stacks by
+// one edge, and recursively what grows from each new one.
+func (g *grower) expand() {
+	// The subtree at this level is tables[:n]; deeper levels push and pop
+	// beyond n.
+	n := len(g.tables)
+	for _, p := range g.tables[:n] {
+		for e, ends := range g.ends {
+			var other int32
+			switch p {
+			case ends[0]:
+				other = ends[1]
+			case ends[1]:
+				other = ends[0]
+			default:
+				continue
+			}
+			if other < 0 || g.in[other] {
+				continue
+			}
+			g.tables, g.edges, g.in[other] = append(g.tables, other), append(g.edges, int32(e)), true
+			if g.record() {
+				g.expand()
+			}
+			g.tables, g.edges, g.in[other] = g.tables[:n], g.edges[:len(g.edges)-1], false
+		}
+	}
 }
 
 // Subtree materialises one of the tree's Subtrees as a tree of its own,

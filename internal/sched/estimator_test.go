@@ -148,14 +148,14 @@ func TestBayesEstimatorMatchesUnmemoised(t *testing.T) {
 		for i, f := range round.set.Filters {
 			want := ref.FailureProbability(f)
 			if got := forward.FailureProbability(f); got != want {
-				t.Errorf("%s filter %d (%s): memoised %v, reference %v", round.name, i, f.Key, got, want)
+				t.Errorf("%s filter %d (%s): memoised %v, reference %v", round.name, i, f.Key(), got, want)
 			}
 			if got := forward.FailureProbability(f); got != want {
-				t.Errorf("%s filter %d (%s): memoised again %v, reference %v", round.name, i, f.Key, got, want)
+				t.Errorf("%s filter %d (%s): memoised again %v, reference %v", round.name, i, f.Key(), got, want)
 			}
 			b := round.set.Filters[n-1-i]
 			if got, want := backward.FailureProbability(b), ref.FailureProbability(b); got != want {
-				t.Errorf("%s filter %d (%s) in reverse order: memoised %v, reference %v", round.name, n-1-i, b.Key, got, want)
+				t.Errorf("%s filter %d (%s) in reverse order: memoised %v, reference %v", round.name, n-1-i, b.Key(), got, want)
 			}
 		}
 		run := func(est Estimator) Result {

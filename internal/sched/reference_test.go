@@ -301,7 +301,7 @@ func policies(model *bayes.Model, spec *constraint.Spec) map[string]policy {
 type nanEstimator struct{ experiment.PathLengthEstimator }
 
 func (e *nanEstimator) FailureProbability(f *filter.Filter) float64 {
-	if len(f.Key)%3 == 0 {
+	if len(f.Key())%3 == 0 {
 		return math.NaN()
 	}
 	return e.PathLengthEstimator.FailureProbability(f)
@@ -312,7 +312,7 @@ func (e *nanEstimator) FailureProbability(f *filter.Filter) float64 {
 func nanCost(db exec.Executor) func(*filter.Filter) float64 {
 	sizes := tableSizeCost(db)
 	return func(f *filter.Filter) float64 {
-		if len(f.Key)%4 == 1 {
+		if len(f.Key())%4 == 1 {
 			return math.NaN()
 		}
 		return sizes(f)
@@ -414,7 +414,7 @@ func TestCostModelCalledOncePerFilter(t *testing.T) {
 	r := &Runner{DB: fx.db, Spec: fx.spec, Set: fx.set, Estimator: &experiment.PathLengthEstimator{},
 		costModel: func(f *filter.Filter) float64 {
 			calls[f]++
-			return float64(len(f.Key))
+			return float64(len(f.Key()))
 		},
 	}
 	if _, err := r.Run(); err != nil {
@@ -425,7 +425,7 @@ func TestCostModelCalledOncePerFilter(t *testing.T) {
 	}
 	for f, n := range calls {
 		if n != 1 {
-			t.Errorf("cost model asked %d times about %s", n, f.Key)
+			t.Errorf("cost model asked %d times about %s", n, f.Key())
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"slices"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"prism/internal/exec"
 	"prism/internal/schema"
@@ -21,20 +22,58 @@ import (
 //	FROM Lake, geo_lake
 //	WHERE Lake.Name = geo_lake.Lake
 func Generate(p exec.Plan) string {
-	// Room for the keywords, and per identifier its bytes, two quotes and a
-	// separator; only an identifier with '"' in it can outgrow this.
-	size := len("SELECT DISTINCT  FROM  WHERE ")
-	for _, c := range p.Project {
+	var b strings.Builder
+	b.Grow(selectSize(p.Project) + fromSize(p))
+	writeSelect(&b, p)
+	writeFrom(&b, p)
+	return b.String()
+}
+
+// FromWhere renders the FROM and WHERE clauses of Generate's text for p,
+// leading space included: the part of the statement that depends only on
+// the join tree, which a caller rendering many plans over one tree renders
+// once.
+func FromWhere(p exec.Plan) string {
+	var b strings.Builder
+	b.Grow(fromSize(p))
+	writeFrom(&b, p)
+	return b.String()
+}
+
+// GenerateFrom is Generate of a plan whose FROM and WHERE clauses, from,
+// FromWhere has rendered: it writes the SELECT list and appends from, into
+// one buffer sized for the whole statement.
+func GenerateFrom(p exec.Plan, from string) string {
+	var b strings.Builder
+	b.Grow(selectSize(p.Project) + len(from))
+	writeSelect(&b, p)
+	b.WriteString(from)
+	return b.String()
+}
+
+// selectSize and fromSize size the two parts of a statement: room for the
+// keywords, and per identifier its bytes, two quotes and a separator; only
+// an identifier with '"' in it can outgrow this.
+func selectSize(project []schema.ColumnRef) int {
+	size := len("SELECT DISTINCT ")
+	for _, c := range project {
 		size += len(c.Table) + len(c.Column) + 7
 	}
+	return size
+}
+
+func fromSize(p exec.Plan) int {
+	size := len(" FROM  WHERE ")
 	for _, t := range p.Tables {
 		size += len(t) + 4
 	}
 	for _, j := range p.Joins {
 		size += len(j.Left.Table) + len(j.Left.Column) + len(j.Right.Table) + len(j.Right.Column) + 18
 	}
-	var b strings.Builder
-	b.Grow(size)
+	return size
+}
+
+func writeSelect(b *strings.Builder, p exec.Plan) {
 	b.WriteString("SELECT ")
 	if p.Distinct {
 		b.WriteString("DISTINCT ")
@@ -43,14 +82,17 @@ func Generate(p exec.Plan) string {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		writeRef(&b, c)
+		writeRef(b, c)
 	}
+}
+
+func writeFrom(b *strings.Builder, p exec.Plan) {
 	b.WriteString(" FROM ")
 	for i, t := range p.Tables {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		writeIdent(&b, t)
+		writeIdent(b, t)
 	}
 	if len(p.Joins) > 0 {
 		b.WriteString(" WHERE ")
@@ -58,12 +100,11 @@ func Generate(p exec.Plan) string {
 			if i > 0 {
 				b.WriteString(" AND ")
 			}
-			writeRef(&b, j.Left)
+			writeRef(b, j.Left)
 			b.WriteString(" = ")
-			writeRef(&b, j.Right)
+			writeRef(b, j.Right)
 		}
 	}
-	return b.String()
 }
 
 func writeRef(b *strings.Builder, r schema.ColumnRef) {
@@ -76,13 +117,30 @@ func writeRef(b *strings.Builder, r schema.ColumnRef) {
 // other than a letter, a digit or '_'), keeping generated SQL close to the
 // paper's examples. A quote inside a quoted identifier is doubled.
 func writeIdent(b *strings.Builder, s string) {
-	if !strings.ContainsFunc(s, func(r rune) bool { return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' }) {
+	if plainIdent(s) {
 		b.WriteString(s)
 		return
 	}
 	b.WriteByte('"')
 	b.WriteString(strings.ReplaceAll(s, `"`, `""`))
 	b.WriteByte('"')
+}
+
+// plainIdent reports whether every character of s is a letter, a digit or
+// '_'. ASCII is checked byte by byte; from the first byte of 0x80 or above,
+// the rest is decoded and checked by the unicode predicates (an invalid byte
+// decodes as U+FFFD, which is neither).
+func plainIdent(s string) bool {
+	for i := 0; i < len(s); i++ {
+		switch c := s[i]; {
+		case c >= utf8.RuneSelf:
+			return !strings.ContainsFunc(s[i:], func(r rune) bool { return !unicode.IsLetter(r) && !unicode.IsDigit(r) && r != '_' })
+		case 'a' <= c && c <= 'z', 'A' <= c && c <= 'Z', '0' <= c && c <= '9', c == '_':
+		default:
+			return false
+		}
+	}
+	return true
 }
 
 // ---------------------------------------------------------------------------

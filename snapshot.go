@@ -98,12 +98,9 @@ func (e *Engine) SnapshotFile(path string) error {
 }
 
 // ReadSnapshot decodes a snapshot stream written by Engine.Snapshot and
-// returns an engine over the restored database. No OpenOption applies
-// (the data comes from the snapshot): each is rejected as a caller bug.
-func ReadSnapshot(r io.Reader, options ...OpenOption) (*Engine, error) {
-	if err := checkSnapshotOptions(options); err != nil {
-		return nil, err
-	}
+// returns an engine over the restored database. It takes no options:
+// everything the engine is built from comes from the snapshot.
+func ReadSnapshot(r io.Reader) (*Engine, error) {
 	db, err := mem.ReadSnapshot(r)
 	if err != nil {
 		return nil, err
@@ -112,29 +109,15 @@ func ReadSnapshot(r io.Reader, options ...OpenOption) (*Engine, error) {
 }
 
 // OpenSnapshot is ReadSnapshot over a file path.
-func OpenSnapshot(path string, options ...OpenOption) (*Engine, error) {
+func OpenSnapshot(path string) (*Engine, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, fmt.Errorf("prism: opening snapshot: %w", err)
 	}
 	defer f.Close()
-	eng, err := ReadSnapshot(f, options...)
+	eng, err := ReadSnapshot(f)
 	if err != nil {
 		return nil, fmt.Errorf("prism: snapshot %s: %w", path, err)
 	}
 	return eng, nil
-}
-
-func checkSnapshotOptions(options []OpenOption) error {
-	var cfg openConfig
-	for _, o := range options {
-		o(&cfg)
-	}
-	switch {
-	case cfg.db != nil:
-		return fmt.Errorf("prism: WithDatabase does not apply to snapshot loads — the database comes from the snapshot")
-	case cfg.mondial != nil, cfg.imdb != nil, cfg.nba != nil:
-		return fmt.Errorf("prism: dataset sizing options do not apply to snapshot loads — the data comes from the snapshot")
-	}
-	return nil
 }
