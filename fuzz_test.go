@@ -5,6 +5,7 @@ package prism
 // on every path through the system —
 //
 //	mem executor ≡ columnar executor ≡ session round ≡ warm session round
+//	≡ warm session round over the target columns reversed
 //
 // comparing the mapping SQL set and order, the result previews, and the
 // validation schedule (executor-independent by design). The deterministic
@@ -16,6 +17,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -307,6 +309,39 @@ func FuzzEquivalence(f *testing.F) {
 		if got := mappingsDigest(warmReport); got != mappingsDigest(memReport) {
 			t.Fatalf("warm cached round diverges:\nspec:\n%s--- mem ---\n%s--- warm ---\n%s",
 				spec, mappingsDigest(memReport), got)
+		}
+
+		// Permuted arm: the same session, the specification with its target
+		// columns reversed. An outcome is keyed by its join tree and its
+		// constrained (source column, cell) pairs, not by target column
+		// numbers, so every outcome is cached already; a wrong hit would
+		// show as a mapping that a fresh round over the reversed spec
+		// disagrees with.
+		revSamples := make([][]string, len(samples))
+		for i, row := range samples {
+			revSamples[i] = slices.Clone(row)
+			slices.Reverse(revSamples[i])
+		}
+		revMetadata := slices.Clone(metadata)
+		slices.Reverse(revMetadata)
+		revSpec, err := ParseConstraints(numCols, revSamples, revMetadata)
+		if err != nil {
+			t.Fatalf("reversing a parsable grid: %v", err)
+		}
+		permReport, permErr := sess.Discover(ctx, revSpec, opts)
+		freshReport, freshErr := eng.Discover(ctx, revSpec, opts)
+		if permErr != nil || freshErr != nil {
+			t.Fatalf("reversed round failed where the original succeeded: session %v, fresh %v\nspec:\n%s", permErr, freshErr, revSpec)
+		}
+		// A round cut at MaxCandidates may keep other candidates once the
+		// columns are reversed, and so meet filters the first never had.
+		if coldReport.CandidatesEnumerated < opts.MaxCandidates && permReport.Validations != 0 {
+			t.Fatalf("reversed session round executed %d validations, want 0\nspec:\n%s",
+				permReport.Validations, revSpec)
+		}
+		if got, want := mappingsDigest(permReport), mappingsDigest(freshReport); got != want {
+			t.Fatalf("reversed session round diverges from a fresh one:\nspec:\n%s--- fresh ---\n%s--- session ---\n%s",
+				revSpec, want, got)
 		}
 
 		// Snapshot arm: an engine cold-started from a snapshot of the same

@@ -542,7 +542,7 @@ func (r *round) enumerate() error {
 // the candidate list and on which target columns the spec constrains (which
 // refinement deltas usually leave unchanged), is read-only during
 // scheduling, and its filters carry what rounds memoise on them (plan and
-// plan fingerprint).
+// tree signature).
 func (r *round) decompose() error {
 	sp := r.trace.Child("decompose")
 	var key string

@@ -14,7 +14,7 @@ import (
 // Session is an interactive refinement session over one engine: the unit of
 // the demo's iterate-on-constraints loop. It carries the constraint state
 // across rounds and owns a concurrency-safe filter-outcome cache keyed by
-// (plan fingerprint, filter constraint fingerprint, dataset version), so a
+// (tree signature, constraint signature, dataset version), so a
 // refined round re-executes only the validations its delta actually
 // invalidated — everything else is served from ground truths established by
 // earlier rounds.
@@ -37,7 +37,7 @@ type Session struct {
 	// only on the candidates and on which target columns the specification
 	// constrains (not on constraint values or data) and is immutable once
 	// built, so warm rounds, which usually enumerate the identical candidate
-	// list, skip the rebuild and find every filter's plan and fingerprint
+	// list, skip the rebuild and find every filter's plan and tree signature
 	// already rendered. setOrder tracks insertion for FIFO eviction at
 	// setCacheCapacity.
 	setMu    sync.Mutex

@@ -252,3 +252,41 @@ func TestSessionSetCacheKeysOnConstrainedTargets(t *testing.T) {
 			got, reverted.FiltersGenerated, reverted.Validations, first.FiltersGenerated)
 	}
 }
+
+// TestSessionKeyIgnoresTargetOrder runs the walkthrough, then the same
+// specification with its target columns reversed — sample cells and
+// metadata move together. An outcome is keyed by its join tree and its
+// constrained (source column, cell) pairs, never by the target column a
+// source feeds, so the reversed round finds every outcome the first round
+// stored, validates nothing, and maps what a fresh round over the reversed
+// specification maps.
+func TestSessionKeyIgnoresTargetOrder(t *testing.T) {
+	sess := NewEngine(smallMondial(t)).NewSession()
+	cold, err := sess.Discover(context.Background(), paperSpec(t), sessionOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reversed, err := constraint.ParseGrid(3,
+		[][]string{{"", "Lake Tahoe", "California || Nevada"}},
+		[]string{"DataType=='decimal' AND MinValue>='0'", "", ""},
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm, err := sess.Discover(context.Background(), reversed, sessionOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cold.Validations != 35 || warm.Validations != 0 || warm.Cache.Hits != 35 {
+		t.Errorf("cold round %d validations, reversed round %d validations and %d cache hits; want 35, then 0 and 35",
+			cold.Validations, warm.Validations, warm.Cache.Hits)
+	}
+	fresh, err := NewEngine(smallMondial(t)).Discover(context.Background(), reversed, sessionOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(fresh.Mappings) == 0 || mappingDigest(warm) != mappingDigest(fresh) {
+		t.Errorf("reversed session round diverges from a fresh round:\n--- fresh ---\n%s--- session ---\n%s",
+			mappingDigest(fresh), mappingDigest(warm))
+	}
+}

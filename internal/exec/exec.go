@@ -39,7 +39,8 @@ type Metadata interface {
 	// Stats returns the preprocessed statistics for a column.
 	Stats(ref schema.ColumnRef) (schema.Stats, bool)
 	// AllStats returns statistics for every column, sorted by column
-	// reference.
+	// reference. The slice is the source's own, built once: callers read
+	// it and must not modify it.
 	AllStats() []schema.Stats
 	// ColumnHasKeyword reports whether some value of the column matches the
 	// keyword as Value.MatchesKeyword does, via the column's key dictionary.

@@ -130,52 +130,3 @@ func TestExecStatsAdd(t *testing.T) {
 		t.Error("flags should be sticky")
 	}
 }
-
-func TestPlanFingerprint(t *testing.T) {
-	base := Plan{
-		Tables: []string{"Lake", "geo_lake"},
-		Joins:  []JoinEdge{{Left: schema.ColumnRef{Table: "Lake", Column: "Name"}, Right: schema.ColumnRef{Table: "geo_lake", Column: "Lake"}}},
-		Project: []schema.ColumnRef{
-			{Table: "geo_lake", Column: "Province"},
-			{Table: "Lake", Column: "Name"},
-		},
-	}
-	fp := base.Fingerprint()
-	if fp == "" || len(fp) != 16 {
-		t.Fatalf("fingerprint %q should be a 16-hex token", fp)
-	}
-
-	// Table order, join orientation and case are normalised away.
-	reordered := Plan{
-		Tables: []string{"GEO_LAKE", "lake"},
-		Joins:  []JoinEdge{{Left: schema.ColumnRef{Table: "geo_lake", Column: "Lake"}, Right: schema.ColumnRef{Table: "LAKE", Column: "name"}}},
-		Project: []schema.ColumnRef{
-			{Table: "Geo_Lake", Column: "province"},
-			{Table: "Lake", Column: "Name"},
-		},
-	}
-	if got := reordered.Fingerprint(); got != fp {
-		t.Errorf("reordered plan fingerprint = %s, want %s", got, fp)
-	}
-
-	// The projection order is part of the identity (it fixes output columns).
-	swapped := base
-	swapped.Project = []schema.ColumnRef{base.Project[1], base.Project[0]}
-	if got := swapped.Fingerprint(); got == fp {
-		t.Error("swapping projection order should change the fingerprint")
-	}
-
-	// Distinct changes the result set, so it changes the fingerprint.
-	distinct := base
-	distinct.Distinct = true
-	if got := distinct.Fingerprint(); got == fp {
-		t.Error("Distinct should change the fingerprint")
-	}
-
-	// Dropping the join edge changes the fingerprint.
-	crossed := base
-	crossed.Joins = nil
-	if got := crossed.Fingerprint(); got == fp {
-		t.Error("removing the join should change the fingerprint")
-	}
-}

@@ -3,8 +3,6 @@ package exec
 import (
 	"errors"
 	"fmt"
-	"hash/fnv"
-	"sort"
 	"strings"
 
 	"prism/internal/schema"
@@ -55,57 +53,6 @@ func (p Plan) String() string {
 	b.WriteString(") over ")
 	b.WriteString(strings.Join(p.Tables, ", "))
 	return b.String()
-}
-
-// Canonical renders the plan in a normal form that identifies it up to the
-// details that cannot change its result *set*: table order and join-edge
-// order (and the orientation of each equi-join edge) are normalised away,
-// while the projection keeps its declared order, since it fixes the output
-// columns. Two plans with equal Canonical strings produce the same set of
-// result tuples on every conforming Executor. Note that result *row order*
-// can still differ between plans with equal canonical forms (both bundled
-// executors derive it from edge declaration order), so order-sensitive
-// callers must not treat Canonical as a full identity.
-func (p Plan) Canonical() string {
-	tables := make([]string, len(p.Tables))
-	for i, t := range p.Tables {
-		tables[i] = strings.ToLower(t)
-	}
-	sort.Strings(tables)
-	joins := make([]string, len(p.Joins))
-	for i, j := range p.Joins {
-		l, r := strings.ToLower(j.Left.String()), strings.ToLower(j.Right.String())
-		if l > r {
-			l, r = r, l
-		}
-		joins[i] = l + "=" + r
-	}
-	sort.Strings(joins)
-	project := make([]string, len(p.Project))
-	for i, c := range p.Project {
-		project[i] = strings.ToLower(c.String())
-	}
-	var b strings.Builder
-	b.WriteString("t:")
-	b.WriteString(strings.Join(tables, ","))
-	b.WriteString("|j:")
-	b.WriteString(strings.Join(joins, ","))
-	b.WriteString("|p:")
-	b.WriteString(strings.Join(project, ","))
-	if p.Distinct {
-		b.WriteString("|distinct")
-	}
-	return b.String()
-}
-
-// Fingerprint hashes the plan's canonical form into a compact hex token.
-// Session filter-outcome caches key on it: because filter outcomes depend
-// only on the result set of a plan, two plans sharing a fingerprint are
-// interchangeable for existence-style validation on any backend.
-func (p Plan) Fingerprint() string {
-	h := fnv.New64a()
-	h.Write([]byte(p.Canonical()))
-	return fmt.Sprintf("%016x", h.Sum64())
 }
 
 // Validate checks that every table and column referenced by the plan exists

@@ -11,26 +11,30 @@ import (
 )
 
 // ValidationKey is the cache identity of one filter validation: the triple
-// (plan fingerprint, filter constraint fingerprint, dataset version) that
-// interactive sessions key their filter-outcome caches on.
+// (tree signature, constraint signature, dataset version) that interactive
+// sessions key their filter-outcome caches on. It holds no hash, so two
+// keys are equal exactly when their parts are.
 //
 // A validation outcome is a ground truth of the database: "does the
-// filter's Project-Join result contain, for every sample constraint, a
-// tuple matching the sample's cells on the covered target columns?" That
-// question is fully determined by
+// filter's join contain, for every sample constraint, a tuple matching the
+// sample's cells on the covered target columns?" That question is fully
+// determined by
 //
-//   - the filter's plan *as a result set* (exec.Plan.Fingerprint — table
-//     order, join orientation and case are normalised away, because
-//     existence does not depend on row order),
+//   - the filter's join tree (Filter.TreeSignature — table order, edge
+//     order and direction, and case are normalised away, because existence
+//     does not depend on row order),
 //   - the constraints actually applied: per sample, the multiset of
 //     (source column, value-constraint) pairs on the covered target
-//     columns. A sample whose covered cells are all unconstrained still
-//     requires the sub-join to be non-empty, which the sentinel "∃"
-//     signature captures; a specification with no samples at all behaves
-//     identically. Samples are conjunctive and order-independent, so their
-//     signatures are sorted and deduplicated — refining an *unrelated*
-//     cell, reordering sample rows, or renumbering target columns all
-//     leave the key (and therefore the cached ground truth) intact,
+//     columns. Together these name every source column the filter
+//     constrains; the projection itself is not part of the key, since
+//     validation never filters on an unconstrained column. A sample whose
+//     covered cells are all unconstrained still requires the sub-join to be
+//     non-empty, which the sentinel "∃" signature captures; a specification
+//     with no samples at all behaves identically. Samples are conjunctive
+//     and order-independent, so their signatures are sorted and
+//     deduplicated — refining an *unrelated* cell, reordering sample rows,
+//     or renumbering target columns all leave the key (and therefore the
+//     cached ground truth) intact,
 //   - the dataset version (mem.Database.Version), so a data mutation makes
 //     older entries unreachable rather than stale.
 //
@@ -43,7 +47,7 @@ func ValidationKey(f *Filter, spec *constraint.Spec, datasetVersion uint64) stri
 	b.WriteString("v")
 	b.WriteString(strconv.FormatUint(datasetVersion, 10))
 	b.WriteString("|")
-	b.WriteString(f.PlanFingerprint())
+	b.WriteString(strconv.Quote(f.TreeSignature()))
 	b.WriteString("|")
 	b.WriteString(strings.Join(sigs, ";"))
 	return b.String()

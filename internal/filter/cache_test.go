@@ -2,10 +2,15 @@ package filter
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 
 	"prism/internal/constraint"
+	"prism/internal/difftest"
+	"prism/internal/graphx"
+	"prism/internal/schema"
 )
 
 func TestOutcomeCacheBasics(t *testing.T) {
@@ -109,6 +114,175 @@ func TestValidationKeyIdentity(t *testing.T) {
 	f := set.Filters[0]
 	if ValidationKey(f, fx.spec, 0) == ValidationKey(f, fx.spec, 1) {
 		t.Error("bumping the dataset version should change the key")
+	}
+}
+
+// outcomeClass is what a validation's outcome depends on, spelled out: the
+// filter's join tree (table count and Canonical signature) and, per sample,
+// the sorted constrained (lower-cased source column, cell) pairs it covers,
+// as a sorted set over the samples. A specification with no samples checks
+// one sample of unconstrained cells.
+func outcomeClass(f *Filter, spec *constraint.Spec) string {
+	samples := spec.Samples
+	if len(samples) == 0 {
+		samples = []constraint.SampleConstraint{{}}
+	}
+	var rows [][]string
+	for _, sample := range samples {
+		pairs := []string{}
+		for i, tc := range f.TargetCols {
+			if tc < len(sample.Cells) && sample.Cells[tc] != nil {
+				pairs = append(pairs, fmt.Sprintf("%q=%q", strings.ToLower(f.Sources[i].String()), sample.Cells[tc].String()))
+			}
+		}
+		slices.Sort(pairs)
+		rows = append(rows, pairs)
+	}
+	slices.SortFunc(rows, slices.Compare)
+	rows = slices.CompactFunc(rows, slices.Equal)
+	return fmt.Sprintf("%d %q %q", f.Tree.Size(), f.Tree.Canonical(), rows)
+}
+
+// reversed returns spec with its target columns in reverse order, sample
+// cells and metadata alike, and the candidates with their projections
+// reversed to match.
+func reversed(t *testing.T, spec *constraint.Spec, candidates []graphx.Candidate) (*constraint.Spec, []graphx.Candidate) {
+	t.Helper()
+	samples := make([]constraint.SampleConstraint, len(spec.Samples))
+	for i, s := range spec.Samples {
+		samples[i].Cells = slices.Clone(s.Cells)
+		slices.Reverse(samples[i].Cells)
+	}
+	metadata := slices.Clone(spec.Metadata)
+	slices.Reverse(metadata)
+	rev, err := constraint.NewSpec(spec.NumColumns, samples, metadata)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands := make([]graphx.Candidate, len(candidates))
+	for i, c := range candidates {
+		cands[i] = graphx.Candidate{Tree: c.Tree, Projection: slices.Clone(c.Projection)}
+		slices.Reverse(cands[i].Projection)
+	}
+	return rev, cands
+}
+
+// TestValidationKeyIsTheOutcomeClass: over the generator pools of the three
+// bundled databases, two filters have equal keys exactly when they have
+// equal outcome classes. Each round is decomposed twice, as given and with
+// its target columns reversed, and the two sets' filters are pooled: the
+// reversed round must find every key of the first and no other.
+func TestValidationKeyIsTheOutcomeClass(t *testing.T) {
+	filters, keys := 0, 0
+	for name, db := range difftest.Databases(t) {
+		rounds, candidates := differentialRounds(t, db, 2)
+		for i, round := range rounds {
+			label := name + " " + round.Name
+			revSpec, revCands := reversed(t, round.Spec, candidates[i])
+			sides := []struct {
+				spec *constraint.Spec
+				set  *Set
+				keys map[string]bool
+			}{
+				{round.Spec, decomposeFor(t, round.Spec, candidates[i]), map[string]bool{}},
+				{revSpec, decomposeFor(t, revSpec, revCands), map[string]bool{}},
+			}
+			classOf := make(map[string]string)
+			keyOf := make(map[string]string)
+			for _, side := range sides {
+				for _, f := range side.set.Filters {
+					key, class := ValidationKey(f, side.spec, 7), outcomeClass(f, side.spec)
+					if c, ok := classOf[key]; ok && c != class {
+						t.Fatalf("%s: key %q names two classes:\n%s\n%s", label, key, c, class)
+					}
+					if k, ok := keyOf[class]; ok && k != key {
+						t.Fatalf("%s: class %s has two keys:\n%q\n%q", label, class, k, key)
+					}
+					classOf[key], keyOf[class] = class, key
+					side.keys[key] = true
+					filters++
+				}
+			}
+			for key := range sides[0].keys {
+				if !sides[1].keys[key] {
+					t.Errorf("%s: reversing the target columns lost key %q", label, key)
+				}
+			}
+			if len(sides[1].keys) != len(sides[0].keys) {
+				t.Errorf("%s: %d keys, reversed %d", label, len(sides[0].keys), len(sides[1].keys))
+			}
+			keys += len(sides[0].keys)
+		}
+	}
+	t.Logf("%d filters, %d keys each found again with the target columns reversed", filters, keys)
+}
+
+// TestValidationKeySpelling: one join tree spelled with another table
+// order, letter case or edge orientation, and a target column renumbered
+// with its cell, keep the key; another tree, cell, source or dataset
+// version changes it.
+func TestValidationKeySpelling(t *testing.T) {
+	ref := func(table, column string) schema.ColumnRef { return schema.ColumnRef{Table: table, Column: column} }
+	grid := func(cells ...string) *constraint.Spec {
+		spec, err := constraint.ParseGrid(len(cells), [][]string{cells}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec
+	}
+	lakeProvince := graphx.Tree{
+		Tables: []string{"Lake", "geo_lake"},
+		Edges:  []schema.ForeignKey{{From: ref("geo_lake", "Lake"), To: ref("Lake", "Name")}},
+	}
+	spec := grid("Lake Tahoe", "California")
+	base := &Filter{Tree: lakeProvince, TargetCols: []int{0, 1}, Sources: []schema.ColumnRef{ref("Lake", "Name"), ref("geo_lake", "Province")}}
+	key := ValidationKey(base, spec, 3)
+
+	respelled := &Filter{
+		Tree: graphx.Tree{
+			Tables: []string{"GEO_LAKE", "lake"},
+			Edges:  []schema.ForeignKey{{From: ref("LAKE", "name"), To: ref("Geo_Lake", "lake")}},
+		},
+		TargetCols: []int{0, 1},
+		Sources:    []schema.ColumnRef{ref("lake", "NAME"), ref("GEO_LAKE", "province")},
+	}
+	renumbered := &Filter{Tree: lakeProvince, TargetCols: []int{0, 1}, Sources: []schema.ColumnRef{ref("geo_lake", "Province"), ref("Lake", "Name")}}
+	for _, same := range []struct {
+		name string
+		got  string
+	}{
+		{"another table order, case and edge orientation", ValidationKey(respelled, spec, 3)},
+		{"target columns renumbered with their cells", ValidationKey(renumbered, grid("California", "Lake Tahoe"), 3)},
+	} {
+		if same.got != key {
+			t.Errorf("%s: key %q, want %q", same.name, same.got, key)
+		}
+	}
+
+	wider := &Filter{
+		Tree: graphx.Tree{
+			Tables: []string{"Lake", "geo_lake", "Province"},
+			Edges: []schema.ForeignKey{
+				{From: ref("geo_lake", "Lake"), To: ref("Lake", "Name")},
+				{From: ref("geo_lake", "Province"), To: ref("Province", "Name")},
+			},
+		},
+		TargetCols: base.TargetCols,
+		Sources:    base.Sources,
+	}
+	otherSource := &Filter{Tree: lakeProvince, TargetCols: []int{0, 1}, Sources: []schema.ColumnRef{ref("geo_lake", "Lake"), ref("geo_lake", "Province")}}
+	for _, other := range []struct {
+		name string
+		got  string
+	}{
+		{"another tree", ValidationKey(wider, spec, 3)},
+		{"another cell", ValidationKey(base, grid("Crater Lake", "California"), 3)},
+		{"another source", ValidationKey(otherSource, spec, 3)},
+		{"another dataset version", ValidationKey(base, spec, 4)},
+	} {
+		if other.got == key {
+			t.Errorf("%s kept the key %q", other.name, key)
+		}
 	}
 }
 

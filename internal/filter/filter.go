@@ -67,6 +67,9 @@ func (o Outcome) String() string {
 }
 
 // Filter is one sub-join-tree with its covered constrained target columns.
+// Its outcome depends on the tree and on the source columns the covered
+// cells constrain, not on which target columns they are: ValidationKey keys
+// it by TreeSignature and its (source column, cell) pairs.
 type Filter struct {
 	// Tree is the sub-join-tree (tables plus foreign-key edges).
 	Tree graphx.Tree
@@ -78,8 +81,8 @@ type Filter struct {
 
 	planOnce sync.Once
 	plan     exec.Plan
-	fpOnce   sync.Once
-	fp       string
+	sigOnce  sync.Once
+	sig      string
 }
 
 // Plan returns the executable Project-Join plan of the filter. The plan is
@@ -102,12 +105,15 @@ func (f *Filter) Plan() exec.Plan {
 	return f.plan
 }
 
-// PlanFingerprint returns the fingerprint of the filter's plan, memoised
-// next to the plan itself: the outcome cache keys on it every round, so it
-// must not re-canonicalise and re-hash the plan per probe.
-func (f *Filter) PlanFingerprint() string {
-	f.fpOnce.Do(func() { f.fp = f.Plan().Fingerprint() })
-	return f.fp
+// TreeSignature returns the signature of the filter's join tree: its table
+// count, then its Canonical text, so a one-table name cannot read as an
+// edge list. Two filters have equal signatures exactly when they join the
+// same tables over the same edges, whatever the order, case or direction
+// they are spelled in. It is memoised: the outcome cache keys on it every
+// round (ValidationKey), and a session's filters outlive their rounds.
+func (f *Filter) TreeSignature() string {
+	f.sigOnce.Do(func() { f.sig = strconv.Itoa(f.Tree.Size()) + ":" + f.Tree.Canonical() })
+	return f.sig
 }
 
 // Key renders the canonical identity of the filter: its tree's signature
@@ -227,7 +233,7 @@ func decompose(ctx context.Context, constrained []bool, candidates []graphx.Cand
 	d := decomposer{
 		constrained: constrained,
 		trees:       make(map[string]int32),
-		edges:       newInterner(graphx.EdgeSignature),
+		edges:       newInterner(func(fk schema.ForeignKey) string { return schema.EdgeSignature(fk.From, fk.To) }),
 		tables:      newInterner(strings.ToLower),
 		sources:     newInterner(func(ref schema.ColumnRef) string { return strings.ToLower(ref.String()) }),
 		index:       make(map[string]int),
@@ -285,7 +291,7 @@ type decomposer struct {
 	// trees maps a subtree's key (see treeKey) to its id.
 	trees map[string]int32
 	// edges, tables and sources give ids to foreign keys by their
-	// graphx.EdgeSignature, to tables by their lower-cased name and to
+	// schema.EdgeSignature, to tables by their lower-cased name and to
 	// projected columns by their lower-cased text: spellings that differ in
 	// case (or a key's direction) share an id.
 	edges   interner[schema.ForeignKey]

@@ -73,21 +73,10 @@ func (t Tree) Canonical() string {
 	}
 	keys := make([]string, len(t.Edges))
 	for i, e := range t.Edges {
-		keys[i] = EdgeSignature(e)
+		keys[i] = schema.EdgeSignature(e.From, e.To)
 	}
 	sort.Strings(keys)
 	return strings.Join(keys, ";")
-}
-
-// EdgeSignature renders a foreign key independently of its direction and
-// of letter case: two keys with equal signatures are one edge of a tree's
-// Canonical signature.
-func EdgeSignature(e schema.ForeignKey) string {
-	a, b := strings.ToLower(e.From.String()), strings.ToLower(e.To.String())
-	if a > b {
-		a, b = b, a
-	}
-	return a + "=" + b
 }
 
 // String renders the tree compactly.

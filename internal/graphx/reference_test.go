@@ -295,6 +295,17 @@ func BenchmarkEnumerateLowRes(b *testing.B) {
 	}
 }
 
+// referenceEdgeSignature is the edge text the oracle signatures were built
+// from, verbatim: the foreign key's two ends lower-cased, ordered and
+// joined by "=".
+func referenceEdgeSignature(e schema.ForeignKey) string {
+	a, b := strings.ToLower(e.From.String()), strings.ToLower(e.To.String())
+	if a > b {
+		a, b = b, a
+	}
+	return a + "=" + b
+}
+
 // referenceSubtrees is Tree.Subtrees as it was before subtrees were told
 // apart by position: each one's signature rendered from its sorted edge
 // signatures and deduplicated through a string map. It returns the
@@ -311,7 +322,7 @@ func referenceSubtrees(t Tree) ([]Subtree, []string) {
 	keys := make([]string, len(t.Edges))
 	for e, fk := range t.Edges {
 		ends[e] = [2]int32{tablePosition(t.Tables, fk.From.Table), tablePosition(t.Tables, fk.To.Table)}
-		keys[e] = EdgeSignature(fk)
+		keys[e] = referenceEdgeSignature(fk)
 	}
 
 	var (

@@ -101,6 +101,9 @@ type Database struct {
 	// constant once the database is frozen.
 	version uint64
 	frozen  atomic.Bool
+	// stats is every column's statistics sorted by column reference, built
+	// by the freeze (AllStats).
+	stats []schema.Stats
 }
 
 // NewDatabase creates an empty database over the given schema.
@@ -275,9 +278,12 @@ func (db *Database) Analyze() {
 		ref := schema.ColumnRef{Table: t.schema.Name, Column: c.Name}
 		t.cols[ci], t.stats[ci] = exec.NewColumnIndex(ref, c.Type, t.rows, ci)
 	})
+	db.stats = make([]schema.Stats, 0, len(cols))
 	for _, t := range db.tables {
 		t.rows = nil
+		db.stats = append(db.stats, t.stats...)
 	}
+	sort.Slice(db.stats, func(i, j int) bool { return db.stats[i].Ref.Less(db.stats[j].Ref) })
 	db.frozen.Store(true)
 }
 
@@ -303,16 +309,14 @@ func (db *Database) Stats(ref schema.ColumnRef) (schema.Stats, bool) {
 	return t.stats[ci], true
 }
 
-// AllStats returns statistics for every column, sorted by column reference.
+// AllStats returns statistics for every column, sorted by column reference:
+// the one slice Analyze built, which callers must not modify. An unanalysed
+// database has none.
 func (db *Database) AllStats() []schema.Stats {
-	out := make([]schema.Stats, 0)
-	if db.frozen.Load() {
-		for _, t := range db.tables {
-			out = append(out, t.stats...)
-		}
+	if !db.frozen.Load() {
+		return nil
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Ref.Less(out[j].Ref) })
-	return out
+	return db.stats
 }
 
 // ColumnHasKeyword reports whether some value of the given column matches

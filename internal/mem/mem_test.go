@@ -3,6 +3,7 @@ package mem
 import (
 	"errors"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -173,6 +174,43 @@ func TestAnalyzeStats(t *testing.T) {
 		if all[i].Ref.Less(all[i-1].Ref) {
 			t.Error("AllStats not sorted")
 		}
+	}
+}
+
+// TestAllStatsIsBuiltOnce: a frozen database answers AllStats with the one
+// slice Analyze sorted, allocating nothing, in the order a fresh sort of
+// every column's statistics by ColumnRef.Less gives; before the freeze it
+// has none.
+func TestAllStatsIsBuiltOnce(t *testing.T) {
+	db := loadTestDB(t)
+	if got := db.AllStats(); len(got) != 0 {
+		t.Errorf("unanalysed database: AllStats = %v, want none", got)
+	}
+	db.Analyze()
+	var want []schema.Stats
+	for _, tab := range db.Schema().Tables() {
+		for _, c := range tab.Columns {
+			st, ok := db.Stats(schema.ColumnRef{Table: tab.Name, Column: c.Name})
+			if !ok {
+				t.Fatalf("no statistics for %s.%s", tab.Name, c.Name)
+			}
+			want = append(want, st)
+		}
+	}
+	slices.SortFunc(want, func(a, b schema.Stats) int {
+		if a.Ref.Less(b.Ref) {
+			return -1
+		}
+		if b.Ref.Less(a.Ref) {
+			return 1
+		}
+		return 0
+	})
+	if got := db.AllStats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("AllStats = %v\nwant %v", got, want)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = db.AllStats() }); allocs != 0 {
+		t.Errorf("AllStats allocates %.1f times per call on a frozen database, want 0", allocs)
 	}
 }
 

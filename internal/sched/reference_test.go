@@ -256,7 +256,7 @@ type probeLog struct {
 }
 
 func (p *probeLog) Exists(plan exec.Plan, opts exec.ExecOptions) (bool, exec.ExecStats, error) {
-	sig := plan.Fingerprint()
+	sig := plan.String()
 	for _, cp := range opts.ColumnPredicates {
 		sig += "|" + cp.Ref.String()
 	}

@@ -530,7 +530,7 @@ func (s *run) validate(idx int) (vr filter.ValidationResult, err error) {
 	f := s.set.Filters[idx]
 	sp := s.trace.Child("validate")
 	if sp != nil {
-		sp.SetAttr("plan", f.PlanFingerprint())
+		sp.SetAttr("plan", f.TreeSignature())
 	}
 	defer func() {
 		if rec := recover(); rec != nil {

@@ -48,6 +48,19 @@ type ForeignKey struct {
 // String renders the foreign key as "a.b -> c.d".
 func (fk ForeignKey) String() string { return fk.From.String() + " -> " + fk.To.String() }
 
+// EdgeSignature renders the equi-join a = b independently of its direction
+// and of letter case: the two ends lower-cased, ordered and joined by "=".
+// A join tree's Canonical signature, the decomposer's edge ids and the
+// normalised SQL's join order all read it, so two joins with equal
+// signatures are one edge everywhere.
+func EdgeSignature(a, b ColumnRef) string {
+	x, y := strings.ToLower(a.String()), strings.ToLower(b.String())
+	if x > y {
+		x, y = y, x
+	}
+	return x + "=" + y
+}
+
 // Table is the schema of one relation.
 type Table struct {
 	Name    string

@@ -388,7 +388,7 @@ func Normalize(sql string, sch *schema.Schema) (string, error) {
 	}
 	slices.Sort(plan.Tables)
 	slices.SortFunc(plan.Joins, func(a, b exec.JoinEdge) int {
-		return strings.Compare(canonicalJoin(a), canonicalJoin(b))
+		return strings.Compare(schema.EdgeSignature(a.Left, a.Right), schema.EdgeSignature(b.Left, b.Right))
 	})
 	for i, j := range plan.Joins {
 		if j.Right.String() < j.Left.String() {
@@ -396,12 +396,4 @@ func Normalize(sql string, sch *schema.Schema) (string, error) {
 		}
 	}
 	return Generate(plan), nil
-}
-
-func canonicalJoin(j exec.JoinEdge) string {
-	a, b := strings.ToLower(j.Left.String()), strings.ToLower(j.Right.String())
-	if a > b {
-		a, b = b, a
-	}
-	return a + "=" + b
 }

@@ -27,7 +27,7 @@ type (
 
 // Session is an interactive refinement session: it carries constraint
 // state across discovery rounds over one engine and owns a filter-outcome
-// cache keyed by (plan fingerprint, filter constraint fingerprint, dataset
+// cache keyed by (tree signature, constraint signature, dataset
 // version). Filter outcomes are ground truths of the database, so a round
 // serves every previously established outcome from the cache and executes
 // only what its delta actually changed — with a mapping set byte-identical
