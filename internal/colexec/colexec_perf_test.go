@@ -540,25 +540,30 @@ func BenchmarkSetup(b *testing.B) {
 }
 
 // TestSetupRetainedBytes puts a ceiling on what set-up leaves on the heap
-// per row of the 10.7k-row Mondial: key dictionaries (keyword tables
-// included), statistics, model and executor together. Bytes do not
-// depend on the machine's speed or core count. Before the three builders
-// shared one key dictionary per column this measurement read 942 B/row, and
-// 726 after; the executor's own value copy, text postings and dictionaries
-// and the catalogue's keyword sets held 720 − 460 B/row more until the
-// dictionary became the only per-column structure, and a key string per
-// value id, a string-keyed dictionary and a keyword per number 460 − 406
-// more until the dictionary keyed values by class and bits; the row store
-// held 407 − 280 B/row more until the analysis dropped it, leaving the
-// dictionaries the only copy of a cell. The ceiling is 280 B/row plus 10 %,
-// so keeping the rows, or giving a builder back a private copy of a column,
-// fails here.
+// per row of the 10.7k-row Mondial: key dictionaries, statistics, model
+// and executor together. Bytes do not depend on the machine's speed or core
+// count. Before the three builders shared one key dictionary per column
+// this measurement read 942 B/row, and 726 after; the executor's own value
+// copy, text postings and dictionaries and the catalogue's keyword sets
+// held 720 − 460 B/row more until the dictionary became the only
+// per-column structure, and a key string per value id, a string-keyed
+// dictionary and a keyword per number 460 − 406 more until the dictionary
+// keyed values by class and bits; the row store held 407 − 280 B/row more
+// until the analysis dropped it, leaving the dictionaries the only copy of
+// a cell; a keyword table per column and the key list's spare capacity
+// 280 − 233 more until the dictionary's text map answered keywords and the
+// list was cut to its length; and a map per number class and a string per
+// text id 233 − 200 more until numbers were found by binary search over
+// the ids sorted by key and text ids pointed into one folded string. The
+// ceiling is 200 B/row plus 10 %, so keeping the rows, giving a builder
+// back a private copy of a column, or keeping the number maps after the
+// build, fails here.
 func TestSetupRetainedBytes(t *testing.T) {
 	src, err := dataset.Mondial(difftest.LowresMondialConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	const ceiling = 308 // B/row
+	const ceiling = 220 // B/row
 	one := runSetUp(t, src)
 	perRow := float64(one.retained) / float64(one.rows)
 	t.Logf("set-up retains %.0f B/row over %d rows", perRow, one.rows)

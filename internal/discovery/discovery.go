@@ -703,17 +703,23 @@ func (r *round) join(ci int) *joinText {
 	return j
 }
 
-// assemble lists the confirmed mappings, simplest (fewest tables) first.
-// Once the round context is dead it builds no further mapping: the partial
-// report keeps the mappings built before (the streamed ones), and rendering
-// the SQL of thousands of confirmed candidates does not outlast the budget.
+// assemble lists the confirmed mappings, simplest (fewest tables) first,
+// then by Canonical. Once the round context is dead it builds no further
+// mapping: the partial report keeps the mappings built before (the streamed
+// ones), and rendering the SQL of thousands of confirmed candidates does not
+// outlast the budget.
 func (r *round) assemble() error {
 	sp := r.trace.Child("assemble")
 	confirmed := r.res.Confirmed // the round's own; sorted in place
+	// Candidates of one tree id begin their Canonical with the same tree
+	// Canonical, so two of them compare by what follows it alone.
 	slices.SortFunc(confirmed, func(i, j int) int {
 		a, b := &r.set.Candidates[i], &r.set.Candidates[j]
 		if c := a.Tree.Size() - b.Tree.Size(); c != 0 {
 			return c
+		}
+		if id := r.set.TreeID(i); id >= 0 && id == r.set.TreeID(j) {
+			return strings.Compare(a.ProjectionSignature(), b.ProjectionSignature())
 		}
 		return strings.Compare(a.Canonical(), b.Canonical())
 	})

@@ -1,7 +1,6 @@
 package exec
 
 import (
-	"cmp"
 	"math"
 	"slices"
 	"sort"
@@ -45,11 +44,13 @@ func GroupCSR(n int, keys, vals []int32) CSR {
 // (by Value.Key's classes, under which values that Compare equal collide),
 // which rows hold each key, and how each value renders as a keyword. It keys
 // a cell without rendering it: a number, date or time by its class and 64
-// bits (Value.NumKey), text by its folded bytes, which are the text itself
-// when it is lower-case already. The column statistics, the Bayesian model,
-// related-column search and the columnar executor — which stores no other
-// copy of the column — all read it. Value ids are dense and handed out in
-// first-seen row order, so an index is a function of the column's rows alone.
+// bits (Value.NumKey), found by binary search over the ids sorted by key;
+// text by its folded bytes, kept once per value id in one string and found
+// through a map keyed by substrings of it. The column statistics, the
+// Bayesian model, related-column search and the columnar executor — which
+// stores no other copy of the column — all read it. Value ids are dense and
+// handed out in first-seen row order, so an index is a function of the
+// column's rows alone.
 // It is immutable once built, and it stores the column: Value(row) returns
 // every cell as it was loaded, and a Source whose data is its indexes (a
 // frozen mem.Database) keeps no other copy.
@@ -73,12 +74,11 @@ type ColumnIndex struct {
 	// whatever their kind: numeric-looking text has one.
 	ByView []int32
 	Views  []float64
-	// nums[c] maps the bits of a key of class c (Value.NumKey) to its value
-	// id, texts the folded text of a key of value.ClassText. texts is also
-	// where a text keyword is looked up (KeywordIDs): the keyword a value
-	// renders as, value.Normalize(v.String()), is its folded text unless
-	// it is one of respelled's.
-	nums  [value.ClassText]map[uint64]int32
+	// texts maps the folded text of a key of value.ClassText to its value
+	// id; its keys are substrings of fold, not one allocation each. It is
+	// also where a text keyword is looked up (KeywordIDs): the keyword a
+	// value renders as, value.Normalize(v.String()), is its folded text
+	// unless it is one of respelled's.
 	texts map[string]int32
 	// respelled lists, sorted by keyword, the value ids whose keyword is not
 	// their folded text: every date and time (a rendering such as year
@@ -86,9 +86,17 @@ type ColumnIndex struct {
 	// its edges. Text of blanks alone renders no keyword and is not listed.
 	respelled []keywordID
 	// keys[id] is the key of value id: its class and bits, or for
-	// value.ClassText its position in folded, the folded texts in id order.
-	keys   []dictKey
-	folded []string
+	// value.ClassText the offset (high 32 bits) and length (low 32 bits) of
+	// its folded text in fold, which holds the folded texts back to back in
+	// id order.
+	keys []dictKey
+	fold string
+	// numIDs lists the value ids of every other class, ascending by (class,
+	// bits): JoinID finds a number, date or time by binary search over it.
+	// That order is exact, so every NaN (keyed by one set of bits) joins
+	// every other, and it needs no special case for -0, dates, times or
+	// integers past 2^53.
+	numIDs []int32
 	// plain is len(Vals) when the column has no variant rows, 0 when it
 	// has: a row whose id is below it stores Vals[id] (Value).
 	plain int
@@ -98,6 +106,20 @@ type ColumnIndex struct {
 type dictKey struct {
 	class value.KeyClass
 	bits  uint64
+}
+
+// less orders keys by class, then bits, as numIDs is sorted.
+func (k dictKey) less(o dictKey) bool {
+	return k.class < o.class || k.class == o.class && k.bits < o.bits
+}
+
+// builder is what NewColumnIndex keeps only while it builds: the maps from
+// a number key to its id, and the folded texts so far, which the texts map
+// is keyed by substrings of until the one exact-size copy replaces them.
+type builder struct {
+	nums    [value.ClassText]map[uint64]int32
+	scratch []byte // the folded text of the cell being interned
+	text    strings.Builder
 }
 
 // keywordID is one entry of ColumnIndex.respelled.
@@ -116,7 +138,7 @@ func NewColumnIndex(ref schema.ColumnRef, typ value.Kind, rows []value.Tuple, ci
 	stats := schema.NewStatsCollector(ref, typ)
 	var (
 		first []int32 // value id -> the row that introduced it
-		fold  []byte  // scratch: the folded text of a cell
+		b     builder
 	)
 	for row, tuple := range rows {
 		v := tuple[ci]
@@ -124,7 +146,7 @@ func NewColumnIndex(ref schema.ColumnRef, typ value.Kind, rows []value.Tuple, ci
 			x.RowID[row] = -1
 			continue
 		}
-		id, seen := x.intern(v, &fold)
+		id, seen := x.intern(v, &b)
 		x.RowID[row] = id
 		if seen && identical(v, rows[first[id]][ci]) {
 			continue
@@ -152,17 +174,87 @@ func NewColumnIndex(ref schema.ColumnRef, typ value.Kind, rows []value.Tuple, ci
 	}
 	x.sortViews()
 	x.indexRespelled()
-	// intern grew keys by append: keep it at its exact length (slices.Clone
-	// would round the capacity up to an allocation size). folded is filled
-	// from texts here, at its length, rather than grown with keys.
-	x.keys = append(make([]dictKey, 0, len(x.keys)), x.keys...)
-	x.folded = make([]string, len(x.texts))
-	for text, id := range x.texts {
-		x.folded[x.keys[id].bits] = text
-	}
+	x.finish(&b)
 	st := stats.Stats(len(x.Vals))
 	st.RowCount, st.NullCount = x.NumRows(), len(x.NullRows())
 	return x, st
+}
+
+// finish lays out the lookup structures the index keeps from what intern
+// built. intern grew keys by append: it is kept at its exact length
+// (slices.Clone would round the capacity up to an allocation size), and so
+// are numIDs and fold. The texts map is re-keyed in place: assigning to a
+// string key that is there already replaces the key, so each now points
+// into fold and the builder's buffers are garbage.
+func (x *ColumnIndex) finish(b *builder) {
+	x.keys = append(make([]dictKey, 0, len(x.keys)), x.keys...)
+	x.sortNumIDs()
+	x.fold = strings.Clone(b.text.String())
+	for id, k := range x.keys {
+		if k.class == value.ClassText {
+			x.texts[x.text(k)] = int32(id)
+		}
+	}
+}
+
+// sortNumIDs fills numIDs.
+func (x *ColumnIndex) sortNumIDs() {
+	n := len(x.keys) - len(x.texts)
+	keys := make([]keyed, 0, n)
+	for id, k := range x.keys {
+		if k.class != value.ClassText {
+			keys = append(keys, keyed{k.bits, int32(id), k.class})
+		}
+	}
+	x.numIDs = make([]int32, n)
+	for i, k := range sortKeyed(keys) {
+		x.numIDs[i] = k.id
+	}
+}
+
+// keyed is a value id under a key that sortKeyed orders.
+type keyed struct {
+	bits  uint64
+	id    int32
+	class value.KeyClass
+}
+
+// sortKeyed sorts s by class, then bits, stably, and returns the sorted
+// elements, in s or in a scratch slice of its length. It is a
+// least-significant-digit radix sort, a byte at a time from the low byte
+// of the bits to the class, that skips a byte every element shares: the
+// build's comparison sorts cost more than a tenth of it.
+func sortKeyed(s []keyed) []keyed {
+	if len(s) < 2 {
+		return s
+	}
+	to := make([]keyed, len(s))
+	digit := func(e keyed, d int) byte {
+		if d == 8 {
+			return byte(e.class)
+		}
+		return byte(e.bits >> (8 * d))
+	}
+	for d := 0; d <= 8; d++ {
+		var next [256]int
+		for _, e := range s {
+			next[digit(e, d)]++
+		}
+		if next[digit(s[0], d)] == len(s) {
+			continue
+		}
+		at := 0
+		for c, count := range next {
+			next[c], at = at, at+count
+		}
+		for _, e := range s {
+			c := digit(e, d)
+			to[next[c]] = e
+			next[c]++
+		}
+		s, to = to, s
+	}
+	return s
 }
 
 // identical reports whether v is the very cell w is: two decimals of the
@@ -177,15 +269,15 @@ func identical(v, w value.Value) bool {
 }
 
 // intern returns the value id of v's key, handing out the next one to a key
-// not seen before. fold is scratch for the folded text of v.
-func (x *ColumnIndex) intern(v value.Value, fold *[]byte) (id int32, seen bool) {
+// not seen before.
+func (x *ColumnIndex) intern(v value.Value, b *builder) (id int32, seen bool) {
 	next := int32(len(x.keys))
 	class, bits := v.NumKey()
 	if class != value.ClassText {
-		m := x.nums[class]
+		m := b.nums[class]
 		if m == nil {
 			m = make(map[uint64]int32)
-			x.nums[class] = m
+			b.nums[class] = m
 		}
 		if id, seen = m[bits]; !seen {
 			id, m[bits] = next, next
@@ -193,18 +285,27 @@ func (x *ColumnIndex) intern(v value.Value, fold *[]byte) (id int32, seen bool) 
 		}
 		return id, seen
 	}
-	s := v.Text()
-	*fold = value.AppendFold((*fold)[:0], s)
-	if id, seen = x.texts[string(*fold)]; !seen {
-		key := s
-		if string(*fold) != s {
-			key = string(*fold)
+	b.scratch = value.AppendFold(b.scratch[:0], v.Text())
+	if id, seen = x.texts[string(b.scratch)]; !seen {
+		off := b.text.Len()
+		if uint64(off)+uint64(len(b.scratch)) > math.MaxUint32 {
+			panic("exec: a column's folded texts pass 4 GiB")
 		}
-		pos := uint64(len(x.texts))
-		id, x.texts[key] = next, next
-		x.keys = append(x.keys, dictKey{class, pos})
+		// Grow doubles the buffer (a Write alone would grow it by a quarter
+		// once it is large). A builder never writes over what it has: the
+		// substring stays valid while the builder grows.
+		b.text.Grow(len(b.scratch))
+		b.text.Write(b.scratch)
+		id, x.texts[b.text.String()[off:]] = next, next
+		x.keys = append(x.keys, dictKey{class, uint64(off)<<32 | uint64(len(b.scratch))})
 	}
 	return id, seen
+}
+
+// text returns the folded text of a value.ClassText key.
+func (x *ColumnIndex) text(k dictKey) string {
+	off := k.bits >> 32
+	return x.fold[off : off+k.bits&math.MaxUint32]
 }
 
 // indexRespelled fills respelled. A variant row needs no entry of its own:
@@ -227,26 +328,32 @@ func (x *ColumnIndex) indexRespelled() {
 	slices.SortStableFunc(x.respelled, func(a, b keywordID) int { return strings.Compare(a.kw, b.kw) })
 }
 
-// sortViews fills ByView and Views. The sort runs on a scratch slice of
-// pairs; the two slices the index keeps are sized exactly.
+// sortViews fills ByView and Views. The sort runs on scratch slices of
+// pairs, each view as bits whose unsigned order is its numeric order; the
+// two slices the index keeps are sized exactly.
 func (x *ColumnIndex) sortViews() {
-	type viewed struct {
-		view float64
-		id   int32
-	}
-	var pairs []viewed
+	var pairs []keyed
 	for id, v := range x.Vals {
 		if f, ok := v.Float(); ok && !math.IsNaN(f) {
-			pairs = append(pairs, viewed{f, int32(id)})
+			b := math.Float64bits(f)
+			if b>>63 == 1 {
+				b = ^b
+			} else {
+				b |= 1 << 63
+			}
+			pairs = append(pairs, keyed{bits: b, id: int32(id)})
 		}
 	}
 	if len(pairs) == 0 {
 		return
 	}
-	slices.SortFunc(pairs, func(a, b viewed) int { return cmp.Compare(a.view, b.view) })
 	x.ByView, x.Views = make([]int32, len(pairs)), make([]float64, len(pairs))
-	for i, p := range pairs {
-		x.ByView[i], x.Views[i] = p.id, p.view
+	for i, p := range sortKeyed(pairs) {
+		b := p.bits &^ (1 << 63)
+		if p.bits>>63 == 0 {
+			b = ^p.bits
+		}
+		x.ByView[i], x.Views[i] = p.id, math.Float64frombits(b)
 	}
 }
 
@@ -261,11 +368,22 @@ func (x *ColumnIndex) NullRows() []int32 { return x.Post.At(int32(len(x.Vals))) 
 func (x *ColumnIndex) JoinID(probe *ColumnIndex, id int32) (int32, bool) {
 	k := probe.keys[id]
 	if k.class == value.ClassText {
-		to, ok := x.texts[probe.folded[k.bits]]
+		to, ok := x.texts[probe.text(k)]
 		return to, ok
 	}
-	to, ok := x.nums[k.class][k.bits]
-	return to, ok
+	lo, hi := 0, len(x.numIDs)
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x.keys[x.numIDs[m]].less(k) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	if lo < len(x.numIDs) && x.keys[x.numIDs[lo]] == k {
+		return x.numIDs[lo], true
+	}
+	return 0, false
 }
 
 // KeywordIDs calls yield, until it returns false, with value ids whose rows

@@ -40,21 +40,27 @@ func TestColumnIndexAllocsIndependentOfRows(t *testing.T) {
 
 // TestColumnIndexKeepsNoSpareCapacity: the dictionary grows by append while
 // it is built and is then cut to its length. A column of 1 000 distinct
-// numbers, texts or both would otherwise keep the doubling's spare room.
+// numbers, texts or both would otherwise keep the doubling's spare room: in
+// keys, in the sorted number ids, or in the folded texts, which must be
+// exactly those of the text ids, back to back.
 func TestColumnIndexKeepsNoSpareCapacity(t *testing.T) {
 	for _, kinds := range [][]value.Kind{{value.Int}, {value.Text}, {value.Int, value.Text}} {
 		rows := make([]value.Tuple, 1_000)
+		var numbers, folded int
 		for i := range rows {
 			if kinds[i%len(kinds)] == value.Int {
 				rows[i] = value.Tuple{value.NewInt(int64(i))}
+				numbers++
 			} else {
-				rows[i] = value.Tuple{value.NewText(fmt.Sprintf("Lake %d", i))}
+				s := fmt.Sprintf("Lake %d", i)
+				rows[i] = value.Tuple{value.NewText(s)}
+				folded += len(s)
 			}
 		}
 		x, _ := NewColumnIndex(schema.ColumnRef{Table: "T", Column: "C"}, kinds[0], rows, 0)
-		if len(x.keys) != len(rows) || cap(x.keys) != len(x.keys) || cap(x.folded) != len(x.folded) {
-			t.Errorf("%v: keys len %d cap %d, folded len %d cap %d; want %d keys and no spare capacity",
-				kinds, len(x.keys), cap(x.keys), len(x.folded), cap(x.folded), len(rows))
+		if len(x.keys) != len(rows) || cap(x.keys) != len(x.keys) || len(x.numIDs) != numbers || cap(x.numIDs) != numbers || len(x.fold) != folded {
+			t.Errorf("%v: keys len %d cap %d, numIDs len %d cap %d, fold %d bytes; want %d keys, %d number ids and %d bytes, and no spare capacity",
+				kinds, len(x.keys), cap(x.keys), len(x.numIDs), cap(x.numIDs), len(x.fold), len(rows), numbers, folded)
 		}
 	}
 }

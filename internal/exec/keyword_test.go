@@ -20,17 +20,8 @@ import (
 // random strings find the value ids the old keyword table listed, and
 // select the same rows.
 func TestKeywordIDsMatchReference(t *testing.T) {
-	dbs := []*mem.Database{difftest.Quirks(t), difftest.Ranges(t), difftest.BigJoin(t)}
-	for _, name := range dataset.Names() {
-		db, err := dataset.ByName(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dbs = append(dbs, db)
-	}
 	rng := rand.New(rand.NewSource(1))
-	for _, db := range dbs {
-		db.Analyze()
+	for _, db := range referenceDatabases(t) {
 		for _, st := range db.AllStats() {
 			x, err := db.ColumnIndex(st.Ref)
 			if err != nil {
@@ -41,6 +32,44 @@ func TestKeywordIDsMatchReference(t *testing.T) {
 			checkMatchesKeyword(t, db.Name+" "+st.Ref.String(), slices.Concat(x.Vals, x.VariantVals), probes)
 		}
 	}
+}
+
+// TestJoinIDMatchesReference: on the bundled databases, the corner-case
+// chain, the numeric-view menagerie and the sampled join, every value id of
+// every column joins every column of its database as the old lookup
+// (a map per number class, a string per text id) joined it.
+func TestJoinIDMatchesReference(t *testing.T) {
+	for _, db := range referenceDatabases(t) {
+		var cols []*exec.ColumnIndex
+		ids := 0
+		for _, st := range db.AllStats() {
+			x, err := db.ColumnIndex(st.Ref)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cols, ids = append(cols, x), ids+len(x.Vals)
+		}
+		exec.CheckJoinIDs(t, db.Name, cols)
+		t.Logf("%s: %d ids of %d columns, each joined into every column", db.Name, ids, len(cols))
+	}
+}
+
+// referenceDatabases returns the analysed databases the reference tests
+// run over: the corner-case chain, the numeric-view menagerie, the sampled
+// join and the bundled databases.
+func referenceDatabases(t *testing.T) []*mem.Database {
+	dbs := []*mem.Database{difftest.Quirks(t), difftest.Ranges(t), difftest.BigJoin(t)}
+	for _, name := range dataset.Names() {
+		db, err := dataset.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		dbs = append(dbs, db)
+	}
+	for _, db := range dbs {
+		db.Analyze()
+	}
+	return dbs
 }
 
 // checkMatchesKeyword requires Value.MatchesKeyword to answer as it did when

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -12,23 +13,134 @@ import (
 	"prism/internal/value"
 )
 
-// This file keeps the keyword lookup as it was when every column kept a
-// keyword table beside its key dictionary: a map from each value id's
-// keyword to an entry of a CSR that lists, ascending, the ids rendering it,
-// and Select reading its lists. The methods are the old ones, word for
-// word, on a wrapper that carries the table. It is the oracle KeywordIDs
-// and Select must agree with, id set for id set and row for row.
+// This file keeps two lookups as they were. The first is the key
+// dictionary's join lookup from when it kept a map from each number key to
+// its id (nums) and one string per text id (folded): intern and JoinID are
+// the old ones, word for word, on a wrapper that carries those structures,
+// rebuilt from a dictionary's values. It is the oracle JoinID must agree
+// with, id for id. The second is the keyword lookup from when every column
+// kept a keyword table beside its key dictionary: a map from each value
+// id's keyword to an entry of a CSR that lists, ascending, the ids
+// rendering it, and Select reading its lists. The methods are the old ones,
+// word for word, on a wrapper that carries the table (and the old keys and
+// folded texts it read). It is the oracle KeywordIDs and Select must agree
+// with, id set for id set and row for row.
 
-// referenceIndex is a key dictionary with its old keyword table.
+// referenceDict is a key dictionary's old lookup structures: nums[c] maps
+// the bits of a key of class c (Value.NumKey) to its value id, texts the
+// folded text of a key of value.ClassText; keys[id] is the key of value id,
+// its class and bits, or for value.ClassText its position in folded, the
+// folded texts in id order.
+type referenceDict struct {
+	nums   [value.ClassText]map[uint64]int32
+	texts  map[string]int32
+	keys   []dictKey
+	folded []string
+}
+
+// referenceDictOf rebuilds x's old lookup structures by interning its
+// values in id order, which hands each the id it has in x: Vals[id] is the
+// first value seen with its key. It reports an id that comes out otherwise.
+func referenceDictOf(t testing.TB, x *ColumnIndex) *referenceDict {
+	t.Helper()
+	r := &referenceDict{texts: make(map[string]int32)}
+	var fold []byte
+	for id, v := range x.Vals {
+		if got, seen := r.intern(v, &fold); seen || got != int32(id) {
+			t.Fatalf("value %v of id %d interns as id %d (seen %v)", v, id, got, seen)
+		}
+	}
+	r.folded = make([]string, len(r.texts))
+	for text, id := range r.texts {
+		r.folded[r.keys[id].bits] = text
+	}
+	return r
+}
+
+// intern returns the value id of v's key, handing out the next one to a key
+// not seen before. fold is scratch for the folded text of v.
+func (x *referenceDict) intern(v value.Value, fold *[]byte) (id int32, seen bool) {
+	next := int32(len(x.keys))
+	class, bits := v.NumKey()
+	if class != value.ClassText {
+		m := x.nums[class]
+		if m == nil {
+			m = make(map[uint64]int32)
+			x.nums[class] = m
+		}
+		if id, seen = m[bits]; !seen {
+			id, m[bits] = next, next
+			x.keys = append(x.keys, dictKey{class, bits})
+		}
+		return id, seen
+	}
+	s := v.Text()
+	*fold = value.AppendFold((*fold)[:0], s)
+	if id, seen = x.texts[string(*fold)]; !seen {
+		key := s
+		if string(*fold) != s {
+			key = string(*fold)
+		}
+		pos := uint64(len(x.texts))
+		id, x.texts[key] = next, next
+		x.keys = append(x.keys, dictKey{class, pos})
+	}
+	return id, seen
+}
+
+// referenceJoinID is the old JoinID: the value id of x whose key is that
+// of value id of probe.
+func (x *referenceDict) referenceJoinID(probe *referenceDict, id int32) (int32, bool) {
+	k := probe.keys[id]
+	if k.class == value.ClassText {
+		to, ok := x.texts[probe.folded[k.bits]]
+		return to, ok
+	}
+	to, ok := x.nums[k.class][k.bits]
+	return to, ok
+}
+
+// CheckJoinIDs requires that every value id of every column, joined into
+// every column (itself included), finds the id and the verdict the old
+// lookup found. The external tests run it over the columns of one database.
+func CheckJoinIDs(t testing.TB, label string, cols []*ColumnIndex) {
+	t.Helper()
+	refs := make([]*referenceDict, len(cols))
+	for i, x := range cols {
+		refs[i] = referenceDictOf(t, x)
+	}
+	errs := 0
+	for i, x := range cols {
+		for j, probe := range cols {
+			for id := range probe.Vals {
+				got, ok := x.JoinID(probe, int32(id))
+				want, wantOK := refs[i].referenceJoinID(refs[j], int32(id))
+				if got != want || ok != wantOK {
+					t.Errorf("%s: id %d (%#v) of column %d joins column %d as (%d, %v), the old lookup (%d, %v)",
+						label, id, probe.Vals[id], j, i, got, ok, want, wantOK)
+					if errs++; errs == 20 {
+						t.Fatalf("%s: too many differences", label)
+					}
+				}
+			}
+		}
+	}
+}
+
+// referenceIndex is a key dictionary with its old keyword table, and the
+// old keys and folded texts the table was built from.
 type referenceIndex struct {
 	*ColumnIndex
+	keys    []dictKey
+	folded  []string
 	Text    map[string]int32
 	TextIDs CSR
 }
 
 // referenceKeywordIDs builds x's old keyword table.
-func referenceKeywordIDs(x *ColumnIndex) *referenceIndex {
-	r := &referenceIndex{ColumnIndex: x}
+func referenceKeywordIDs(t testing.TB, x *ColumnIndex) *referenceIndex {
+	d := referenceDictOf(t, x)
+	r := &referenceIndex{ColumnIndex: x, keys: d.keys, folded: d.folded}
 	r.indexText()
 	return r
 }
@@ -148,7 +260,7 @@ func (x *referenceIndex) Select(cp *ColumnPredicate, rows *rowset.Bitmap, interr
 // the columns of the generated databases.
 func CheckKeywordIDs(t testing.TB, label string, x *ColumnIndex, keywords []string) {
 	t.Helper()
-	ref := referenceKeywordIDs(x)
+	ref := referenceKeywordIDs(t, x)
 	for _, kw := range keywords {
 		var got []int32
 		x.KeywordIDs(kw, func(id int32) bool { got = append(got, id); return true })
@@ -261,5 +373,73 @@ func FuzzKeywordIDs(f *testing.F) {
 		vals = append(vals, value.NewDate(time.Unix(days*86400, 0)), value.NewTime(time.Unix(secs%86400, 0)))
 		x := columnOf(vals)
 		CheckKeywordIDs(t, "fuzzed", x, append(KeywordProbes(x, rand.New(rand.NewSource(days))), kw))
+	})
+}
+
+// plantedKeys are the number and text keys JoinID must tell apart or join
+// that no generated column holds: NaNs with other payloads (every NaN is
+// one key), -0 beside 0, 3 as an integer, a decimal and text, integers past
+// 2^53 (which share a float view with their neighbours), integers whose
+// bits are a date's, a time's or a decimal's, case variants, text with
+// blanks at its edges and invalid UTF-8.
+func plantedKeys() []value.Value {
+	vals := []value.Value{
+		value.NewDecimal(math.NaN()), value.NewDecimal(math.Float64frombits(0x7ff8000000000001)),
+		value.NewDecimal(math.Float64frombits(0xfff8000000000000)), value.NewDecimal(math.Float64frombits(0x7ff0000000000001)),
+		value.NewDecimal(0), value.NewDecimal(math.Copysign(0, -1)), value.NewInt(0),
+		value.NewInt(3), value.NewDecimal(3), value.NewText("3"), value.NewText(" 3 "), value.NewText("3.0"),
+		value.NewInt(1 << 53), value.NewInt(1<<53 + 1), value.NewDecimal(1 << 53), value.NewDecimal(1<<53 + 2),
+		value.NewInt(math.MaxInt64), value.NewInt(math.MinInt64), value.NewDecimal(1e15), value.NewInt(1e15 - 1),
+		value.NewInt(86400), value.NewDateYMD(1970, time.January, 2), value.NewInt(43200),
+		value.NewInt(int64(math.Float64bits(0.5))), value.NewDecimal(0.5), value.NewDecimal(-0.5),
+		value.NewText("\xff"), value.NewText("a\xffb"), value.NewText("Lake\xff"), value.NewText("İ"),
+	}
+	for _, s := range plantedText {
+		vals = append(vals, value.NewText(s))
+	}
+	return append(vals, plantedTimes...)
+}
+
+// TestJoinIDMatchesReferenceOnPlanted: the planted keys, as one column, as
+// its even and odd halves, and one column per key, join one another as the
+// old lookup joined them.
+func TestJoinIDMatchesReferenceOnPlanted(t *testing.T) {
+	vals := plantedKeys()
+	var even, odd []value.Value
+	for i, v := range vals {
+		if i%2 == 0 {
+			even = append(even, v)
+		} else {
+			odd = append(odd, v)
+		}
+	}
+	cols := []*ColumnIndex{columnOf(vals), columnOf(even), columnOf(odd), columnOf(nil)}
+	for _, v := range vals {
+		cols = append(cols, columnOf([]value.Value{v, value.NullValue}))
+	}
+	CheckJoinIDs(t, "planted", cols)
+}
+
+// FuzzJoinID: two columns of fuzzed cells — each piece of cells as text and
+// as value.Parse reads it, a decimal and an integer of fuzzed bits, a date
+// days after the epoch and a time of day — and the planted keys join each
+// other as the old lookup joined them.
+func FuzzJoinID(f *testing.F) {
+	planted := strings.Join(plantedText, "|")
+	f.Add(planted, "LAKE|3|3.0| 3 |nan", uint64(0x7ff8000000000001), uint64(0x7ff8000000000000), int64(-2_000_000))
+	f.Add("Lake|\xff|-0|0", "lake|a\xffb|0.0", uint64(1<<63), uint64(0), int64(3_700_000))
+	f.Add("9007199254740993|9007199254740992", "9007199254740992.0", uint64(1<<53+1), uint64(0x4340000000000000), int64(1))
+	f.Fuzz(func(t *testing.T, a, b string, bitsA, bitsB uint64, days int64) {
+		column := func(cells string, bits uint64, days int64) *ColumnIndex {
+			var vals []value.Value
+			for _, s := range strings.Split(cells, "|") {
+				vals = append(vals, value.NewText(s), value.Parse(s))
+			}
+			days %= 5_000_000 // about 13 700 years either side of 1970
+			vals = append(vals, value.NewDecimal(math.Float64frombits(bits)), value.NewInt(int64(bits)),
+				value.NewDate(time.Unix(days*86400, 0)), value.NewTime(time.Unix(int64(bits%86400), 0)))
+			return columnOf(vals)
+		}
+		CheckJoinIDs(t, "fuzzed", []*ColumnIndex{column(a, bitsA, days), column(b, bitsB, -days), columnOf(plantedKeys())})
 	})
 }

@@ -151,8 +151,10 @@ type Candidate struct {
 	// Projection maps target-column position -> source column.
 	Projection []schema.ColumnRef
 
-	// sig is Canonical(), kept by Enumerate; empty on a literal.
-	sig string
+	// sig is Canonical(), kept by Enumerate; empty on a literal. Its first
+	// tree bytes are Tree.Canonical().
+	sig  string
+	tree int
 }
 
 // Canonical returns a deterministic signature of the candidate. Enumerate
@@ -175,6 +177,22 @@ func (c Candidate) render() string {
 		parts = append(parts, strings.ToLower(ref.String()))
 	}
 	return strings.Join(parts, "#")
+}
+
+// ProjectionSignature returns what follows the tree's Canonical in the
+// candidate's: its projected columns, each after a '#'. Two candidates with
+// the same tree Canonical compare by it as they compare by Canonical.
+func (c Candidate) ProjectionSignature() string {
+	if c.sig != "" {
+		return c.sig[c.tree:]
+	}
+	return c.renderProjection()
+}
+
+// renderProjection is ProjectionSignature of a literal candidate, apart so
+// that ProjectionSignature inlines.
+func (c Candidate) renderProjection() string {
+	return c.render()[len(c.Tree.Canonical()):]
 }
 
 // Plan converts the candidate into an executable Project-Join plan.
@@ -449,7 +467,7 @@ func (e *emitter) add() {
 	for c, k := range e.pick {
 		projection[c] = e.related[c][k]
 	}
-	e.out = append(e.out, Candidate{Tree: e.tree.Tree, Projection: projection, sig: sig})
+	e.out = append(e.out, Candidate{Tree: e.tree.Tree, Projection: projection, sig: sig, tree: len(e.tree.sig)})
 }
 
 // tablePosition returns the position of a table in tables, compared as

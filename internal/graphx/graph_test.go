@@ -269,6 +269,29 @@ func TestCandidatePlanAndString(t *testing.T) {
 	}
 }
 
+// TestProjectionSignature: an enumerated candidate's projection signature
+// is what follows its tree's Canonical in its own Canonical, and a literal
+// copy of it, which keeps no signature, renders the same.
+func TestProjectionSignature(t *testing.T) {
+	g := New(mondialMiniSchema(t))
+	related := [][]schema.ColumnRef{
+		{ref("geo_lake", "Province"), ref("Province", "Name")},
+		{ref("Lake", "Name"), ref("geo_lake", "Lake")},
+		{ref("Lake", "Area")},
+	}
+	cands, err := Enumerate(g, related, EnumerateOptions{MaxTables: 3, RequireUsefulLeaves: true})
+	if err != nil || len(cands) == 0 {
+		t.Fatalf("%d candidates, error %v", len(cands), err)
+	}
+	for _, c := range cands {
+		literal := Candidate{Tree: c.Tree, Projection: c.Projection}
+		want := strings.TrimPrefix(c.Canonical(), c.Tree.Canonical())
+		if got := c.ProjectionSignature(); got != want || !strings.HasPrefix(got, "#") || literal.ProjectionSignature() != want {
+			t.Errorf("%s: projection signature %q, literal %q; want %q", c.Canonical(), got, literal.ProjectionSignature(), want)
+		}
+	}
+}
+
 func TestEnumerateLakeExample(t *testing.T) {
 	g := New(mondialMiniSchema(t))
 	related := [][]schema.ColumnRef{
