@@ -44,13 +44,17 @@
 // predicates, every execution selects for itself into pooled scratch.
 //
 // All per-execution scratch (level cursors, bitmaps, id buffers, the
-// projection tuple) comes from a sync.Pool of execution states, so a warm
-// existence-style validation probe runs without allocating, with a table
-// (a hit) or without one (guarded by AllocsPerRun tests).
+// projection tuple, a DISTINCT run's set of kept value ids) comes from a
+// sync.Pool of execution states, so a warm existence-style validation probe
+// runs without allocating, with a table (a hit) or without one, and a warm
+// result preview allocates only the rows it keeps (guarded by AllocsPerRun
+// tests).
 package colexec
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 	"sync"
 	"unsafe"
@@ -227,16 +231,7 @@ func (e *Executor) ExecuteWith(p exec.Plan, opts exec.ExecOptions) (*exec.Result
 	st := e.getState()
 	defer e.putState(st)
 	res := &exec.Result{}
-	var dedup *exec.TupleDeduper
-	if p.Distinct && opts.Limit != 1 {
-		// With Limit == 1 the first emitted tuple can never be a duplicate,
-		// so the deduper is skipped (Exists runs through this fast path).
-		dedup = exec.NewTupleDeduper()
-	}
 	stats, err := e.run(st, p, opts, func(proj value.Tuple) bool {
-		if dedup != nil && dedup.Seen(proj) {
-			return true
-		}
 		res.Rows = append(res.Rows, proj.Clone())
 		return opts.Limit <= 0 || len(res.Rows) < opts.Limit
 	})
@@ -373,6 +368,12 @@ type execState struct {
 
 	gathers []gather
 	scratch value.Tuple
+
+	// distinct says the walk drops a row whose projected value ids a row
+	// it yielded had (a Distinct plan run for more than one tuple); seen
+	// holds those ids.
+	distinct bool
+	seen     idSet
 }
 
 func (e *Executor) getState() *execState {
@@ -404,14 +405,17 @@ func (st *execState) reset() {
 	st.slotOf = st.slotOf[:0]
 	st.row = st.row[:0]
 	st.selUsed, st.bmUsed, st.idUsed = 0, 0, 0
+	st.distinct = false
+	st.seen.keys, st.seen.slots = st.seen.keys[:0], st.seen.slots[:0]
 }
 
 // scratchFootprint reports the bytes of pooled scratch this execution
 // drew, by length in use: the bitmaps and id buffers it took from the
-// arenas, the planned levels with the walk's row vector, and
-// the projection tuple. Capacity a larger, earlier execution left behind in
-// the same pooled state is not counted, so the figure is a function of
-// the execution and not of which state the pool handed out. It is
+// arenas, the planned levels with the walk's row vector, the projection
+// tuple and a DISTINCT run's set of kept value ids. Capacity a larger,
+// earlier execution left behind in the same pooled state is not counted, so
+// the figure is a function of the execution and not of which state the pool
+// handed out. It is
 // recorded as ExecStats.ScratchBytes; computing it touches only slice
 // headers (no allocation, a handful of iterations).
 func (st *execState) scratchFootprint() int {
@@ -424,6 +428,7 @@ func (st *execState) scratchFootprint() int {
 	}
 	n += len(st.levels)*int(unsafe.Sizeof(joinLevel{})) + len(st.row)*4
 	n += len(st.gathers) * int(unsafe.Sizeof(value.Value{}))
+	n += (len(st.seen.keys) + len(st.seen.slots)) * 4
 	return n
 }
 
@@ -593,11 +598,11 @@ func (st *execState) selCount(ti int) int {
 }
 
 // run executes the plan, calling yield with a shared scratch tuple for
-// every surviving projected row (in the reference engine's row order)
-// until yield returns false. The caller owns result assembly and
-// Distinct/Limit bookkeeping around yield. Every single execution —
-// Exists, Execute, limited previews — goes through here: bind, push the
-// predicates down, plan the levels, walk.
+// every surviving projected row (in the reference engine's row order) —
+// for a Distinct plan, the first of each — until yield returns false. The
+// caller owns result assembly and Limit bookkeeping around yield. Every
+// single execution — Exists, Execute, limited previews — goes through here:
+// bind, push the predicates down, plan the levels, walk.
 func (e *Executor) run(st *execState, p exec.Plan, opts exec.ExecOptions, yield func(value.Tuple) bool) (runStats, error) {
 	var stats runStats
 	if err := e.bind(st, p, opts); err != nil {
@@ -610,6 +615,11 @@ func (e *Executor) run(st *execState, p exec.Plan, opts exec.ExecOptions, yield 
 	}
 	if err := e.planLevels(st, p); err != nil {
 		return stats, err
+	}
+	// With Limit == 1 the first yielded tuple can never be a duplicate, so
+	// the set is skipped (Exists runs through this fast path).
+	if st.distinct = p.Distinct && opts.Limit != 1; st.distinct {
+		st.seen.start(len(st.gathers))
 	}
 	err := st.walk(opts, &stats, yield)
 	for i := 1; i < len(st.levels); i++ {
@@ -715,8 +725,11 @@ func (e *Executor) planLevels(st *execState, p exec.Plan) error {
 // output a materialising join would have built); one that also
 // passes the level's residual edges is visited: the interrupt is polled
 // and the walk descends, or at full depth gathers the projection, applies
-// the tuple predicate and yields. It returns when yield says stop, so an
-// existence probe costs the path to its first accepted tuple.
+// the tuple predicate and yields. A DISTINCT run drops a row whose value
+// ids it has yielded before: after the tuple predicate accepts it, or
+// before its values are gathered when there is no tuple predicate. It
+// returns when yield says stop, so an existence probe costs the path to its
+// first accepted tuple.
 func (st *execState) walk(opts exec.ExecOptions, stats *runStats, yield func(value.Tuple) bool) error {
 	lv := st.levels
 	last := len(lv) - 1
@@ -757,11 +770,18 @@ func (st *execState) walk(opts exec.ExecOptions, stats *runStats, yield func(val
 			d++
 			continue
 		}
+		early := st.distinct && opts.TuplePredicate == nil
+		if early && !st.fresh() {
+			continue
+		}
 		for gi := range st.gathers {
 			g := &st.gathers[gi]
 			proj[gi] = g.col.Value(st.row[g.slot])
 		}
 		if opts.TuplePredicate != nil && !opts.TuplePredicate(proj) {
+			continue
+		}
+		if st.distinct && !early && !st.fresh() {
 			continue
 		}
 		if !yield(proj) {
@@ -772,6 +792,102 @@ func (st *execState) walk(opts exec.ExecOptions, stats *runStats, yield func(val
 	// whether or not a row reached it.
 	stats.JoinsExecuted = last
 	return nil
+}
+
+// fresh reports whether no row the walk yielded before has the value ids of
+// the row in st.row in every projected column, and records them when so.
+func (st *execState) fresh() bool {
+	s := &st.seen
+	n := len(s.keys)
+	for gi := range st.gathers {
+		g := &st.gathers[gi]
+		s.keys = append(s.keys, g.col.RowID[st.row[g.slot]])
+	}
+	return s.add(n)
+}
+
+// idSet is the set of rows a DISTINCT execution has yielded, each keyed by
+// its projected cells' value ids (exec.ColumnIndex.RowID; every NULL has
+// the id len(Vals)). Within one column two cells share an id exactly when
+// their Value.Keys are equal, so two rows share a key exactly when their
+// projections share a value.Tuple.Key, the reference engine's DISTINCT.
+// It is open addressing with linear probing over a power-of-two slot
+// table; pooled with its execution state, it keeps its capacity, so a warm
+// execution allocates nothing for it.
+type idSet struct {
+	width int     // ids per key
+	n     int     // keys held
+	keys  []int32 // key e is keys[e*width:(e+1)*width]
+	slots []int32 // 0 for empty, e+1 for key e
+	shift uint    // 64 - log2(len(slots)): a hash's top bits are its slot
+}
+
+// minSlots is the table an execution starts from: a ten-row preview fits
+// it without growing.
+const minSlots = 32
+
+// start empties the set for keys of width ids.
+func (s *idSet) start(width int) {
+	s.width, s.n = width, 0
+	s.keys = s.keys[:0]
+	s.resize(minSlots)
+}
+
+// resize makes the slot table n long (a power of two) and places every
+// key held in it.
+func (s *idSet) resize(n int) {
+	if cap(s.slots) < n {
+		s.slots = make([]int32, n)
+	} else {
+		s.slots = s.slots[:n]
+		clear(s.slots)
+	}
+	s.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	for e := 0; e < s.n; e++ {
+		s.place(e)
+	}
+}
+
+// key returns key e.
+func (s *idSet) key(e int) []int32 { return s.keys[e*s.width : (e+1)*s.width] }
+
+// slot returns where key's probe sequence begins.
+func (s *idSet) slot(key []int32) int {
+	h := uint64(0)
+	for _, id := range key {
+		h = (h ^ uint64(uint32(id))) * 0x9e3779b97f4a7c15
+	}
+	return int(h >> s.shift)
+}
+
+// place puts key e in the first empty slot of its probe sequence.
+func (s *idSet) place(e int) {
+	mask := len(s.slots) - 1
+	i := s.slot(s.key(e))
+	for s.slots[i] != 0 {
+		i = (i + 1) & mask
+	}
+	s.slots[i] = int32(e + 1)
+}
+
+// add takes the key appended to keys at offset off: it keeps it and
+// reports true when the set does not hold it yet, else drops it.
+func (s *idSet) add(off int) bool {
+	key := s.keys[off:]
+	mask := len(s.slots) - 1
+	i := s.slot(key)
+	for ; s.slots[i] != 0; i = (i + 1) & mask {
+		if slices.Equal(s.key(int(s.slots[i]-1)), key) {
+			s.keys = s.keys[:off]
+			return false
+		}
+	}
+	s.n++
+	s.slots[i] = int32(s.n)
+	if 2*s.n > len(s.slots) {
+		s.resize(2 * len(s.slots))
+	}
+	return true
 }
 
 // residualsHold reports whether the partial tuple in st.row satisfies the

@@ -5,6 +5,7 @@ package colexec
 
 import (
 	"context"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -355,6 +356,120 @@ func TestScratchBytesDependsOnTheExecutionOnly(t *testing.T) {
 	if got := probe(warm); got != fresh {
 		t.Fatalf("ScratchBytes = %d on a warmed state, %d on a fresh one", got, fresh)
 	}
+}
+
+// TestPreviewAllocations pins what a warm result preview allocates: the
+// rows it keeps, not the rows it walks past. Two Distinct Limit 10
+// executions keep 10 rows each; one meets them in its first 10 rows, the
+// other drops 99 duplicates on the way. With and without a tuple
+// predicate (the two places the walk drops a duplicate), both allocate
+// alike.
+func TestPreviewAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-mode sync.Pool drops pooled state on purpose; allocation counts are meaningless")
+	}
+	sch := schema.New()
+	for _, name := range []string{"Fresh", "Repeats"} {
+		if err := sch.AddTable(schema.MustTable(name, schema.Column{Name: "V", Type: value.Int}, schema.Column{Name: "W", Type: value.Text})); err != nil {
+			t.Fatal(err)
+		}
+	}
+	db := mem.NewDatabase("previews", sch)
+	for i := 0; i < 200; i++ {
+		for table, v := range map[string]int{"Fresh": i, "Repeats": i / 12} {
+			if err := db.Insert(table, value.Tuple{value.NewInt(int64(v)), value.NewText(fmt.Sprintf("w%d", v%3))}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	db.Analyze()
+	col := build(t, db)
+	visited := 0
+	counting := func(value.Tuple) bool { visited++; return true }
+	for _, pred := range []func(value.Tuple) bool{nil, counting} {
+		allocs := map[string]float64{}
+		for _, table := range []string{"Fresh", "Repeats"} {
+			plan := exec.Plan{Tables: []string{table}, Project: []schema.ColumnRef{ref(table, "V"), ref(table, "W")}, Distinct: true}
+			opts := exec.ExecOptions{Limit: 10, TuplePredicate: pred}
+			preview := func() {
+				res, err := col.ExecuteWith(plan, opts)
+				if err != nil || len(res.Rows) != 10 {
+					t.Fatalf("%s preview: %v, %v", table, res, err)
+				}
+			}
+			preview() // warm the pool
+			visited = 0
+			preview()
+			if want := map[string]int{"Fresh": 10, "Repeats": 109}[table]; pred != nil && visited != want {
+				t.Fatalf("%s preview visits %d rows, want %d", table, visited, want)
+			}
+			allocs[table] = testing.AllocsPerRun(100, preview)
+		}
+		if allocs["Fresh"] != allocs["Repeats"] {
+			t.Errorf("predicate=%v: a preview that keeps every row it visits allocates %.1f times, one that drops 99 duplicates %.1f",
+				pred != nil, allocs["Fresh"], allocs["Repeats"])
+		}
+	}
+}
+
+// BenchmarkPreview runs the result previews of a demo-Mondial round: the
+// paper's walkthrough, scheduled as a round schedules it, then every
+// confirmed candidate's plan as a Distinct execution of at most 10 rows,
+// the preview the demo server attaches to each mapping.
+func BenchmarkPreview(b *testing.B) {
+	db, err := dataset.ByName("mondial")
+	if err != nil {
+		b.Fatal(err)
+	}
+	db.Analyze()
+	col := build(b, db)
+	spec, err := constraint.ParseGrid(3,
+		[][]string{{"California || Nevada", "Lake Tahoe", ""}},
+		[]string{"", "", "DataType=='decimal' AND MinValue>='0'"})
+	if err != nil {
+		b.Fatal(err)
+	}
+	related, ok := difftest.Related(db, spec)
+	if !ok {
+		b.Fatal("a target column has no related source column")
+	}
+	cands, err := graphx.Enumerate(graphx.New(db.Schema()), related, graphx.EnumerateOptions{RequireUsefulLeaves: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	set, err := filter.DecomposeFor(context.Background(), spec, cands)
+	if err != nil {
+		b.Fatal(err)
+	}
+	runner := &sched.Runner{DB: col, Spec: spec, Set: set, Estimator: &sched.BayesEstimator{Model: bayes.Train(db), Spec: spec}}
+	res, err := runner.RunContext(context.Background())
+	if err != nil {
+		b.Fatal(err)
+	}
+	var plans []exec.Plan
+	for _, ci := range res.Confirmed {
+		p := set.Candidates[ci].Plan()
+		p.Distinct = true
+		plans = append(plans, p)
+	}
+	if len(plans) == 0 {
+		b.Fatal("the walkthrough confirms no mapping")
+	}
+	opts := exec.ExecOptions{Limit: 10}
+	b.ReportAllocs()
+	rows := 0
+	for b.Loop() {
+		rows = 0
+		for _, p := range plans {
+			res, err := col.ExecuteWith(p, opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rows += len(res.Rows)
+		}
+	}
+	b.ReportMetric(float64(len(plans)), "previews/op")
+	b.ReportMetric(float64(rows), "rows/op")
 }
 
 // TestFirstTupleCost pins what an existence probe pays: on a join where

@@ -109,7 +109,7 @@ func planVariants() []struct {
 }
 
 // TestExecuteMatchesReference compares every plan variant against the mem
-// reference engine: same rows, same order.
+// reference engine: same rows, same order, same spelling.
 func TestExecuteMatchesReference(t *testing.T) {
 	db := mondial(t)
 	col := build(t, db)
@@ -124,14 +124,7 @@ func TestExecuteMatchesReference(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(got.Rows) != len(want.Rows) {
-				t.Fatalf("columnar returned %d rows, mem %d", len(got.Rows), len(want.Rows))
-			}
-			for i := range got.Rows {
-				if got.Rows[i].Key() != want.Rows[i].Key() {
-					t.Fatalf("row %d differs: columnar %v, mem %v", i, got.Rows[i], want.Rows[i])
-				}
-			}
+			sameSpelling(t, tc.name, got.Rows, want.Rows)
 			if tc.opts.Limit == 0 && got.Stats.ResultRows != want.Stats.ResultRows {
 				t.Errorf("ResultRows = %d, want %d", got.Stats.ResultRows, want.Stats.ResultRows)
 			}

@@ -126,11 +126,12 @@ func (st *execState) filterResiduals(cur [][]int32, l *joinLevel) [][]int32 {
 // (k <= 0 keeps all).
 func firstRows(rows []value.Tuple, distinct bool, k int) []value.Tuple {
 	var out []value.Tuple
-	dedup := exec.NewTupleDeduper()
+	seen := make(map[string]bool)
 	for _, row := range rows {
-		if distinct && dedup.Seen(row) {
+		if distinct && seen[row.Key()] {
 			continue
 		}
+		seen[row.Key()] = true
 		out = append(out, row)
 		if k > 0 && len(out) == k {
 			break

@@ -3,6 +3,7 @@ package discovery
 import (
 	"context"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -147,6 +148,77 @@ func TestJoinTextFollowsTheCandidate(t *testing.T) {
 	}
 	if &got[0].Plan.Joins[0] != &got[2].Plan.Joins[0] {
 		t.Error("two candidates over one enumerated tree do not share its joins")
+	}
+}
+
+// TestSortByTreeRank sorts planted candidates whose tree texts defeat a
+// rank by the text alone: a tree whose text is another's followed by a byte
+// below '#' (a column named y!), which sorts first although the text is
+// longer, and trees whose text holds '#' (a table named a#0), where no rank
+// agrees with the Canonical order. Each must sort as (size, Canonical).
+func TestSortByTreeRank(t *testing.T) {
+	col := func(table, column string) schema.ColumnRef { return schema.ColumnRef{Table: table, Column: column} }
+	tree := func(edges ...schema.ForeignKey) graphx.Tree {
+		tr := graphx.Tree{Edges: edges}
+		for _, e := range edges {
+			for _, name := range []string{e.From.Table, e.To.Table} {
+				if !slices.Contains(tr.Tables, name) {
+					tr.Tables = append(tr.Tables, name)
+				}
+			}
+		}
+		return tr
+	}
+	short := tree(schema.ForeignKey{From: col("a", "x"), To: col("b", "y")})
+	bang := tree(schema.ForeignKey{From: col("a", "x"), To: col("b", "y!")})
+	chain := tree(schema.ForeignKey{From: col("a", "x"), To: col("b", "y")}, schema.ForeignKey{From: col("b", "y"), To: col("c", "z")})
+	lone := func(table string) graphx.Tree { return graphx.Tree{Tables: []string{table}} }
+	for _, c := range []struct {
+		name       string
+		candidates []graphx.Candidate
+		ranked     bool
+	}{{
+		name: "prefix", ranked: true,
+		candidates: []graphx.Candidate{
+			{Tree: short, Projection: []schema.ColumnRef{col("a", "x")}},
+			{Tree: chain, Projection: []schema.ColumnRef{col("a", "x")}},
+			{Tree: bang, Projection: []schema.ColumnRef{col("b", "y!")}},
+			{Tree: short, Projection: []schema.ColumnRef{col("b", "y")}},
+			{Tree: lone("b"), Projection: []schema.ColumnRef{col("b", "y")}},
+			{Tree: bang, Projection: []schema.ColumnRef{col("a", "x")}},
+		},
+	}, {
+		name: "hash in a table name",
+		candidates: []graphx.Candidate{
+			{Tree: lone("a"), Projection: []schema.ColumnRef{col("a", "z")}},
+			{Tree: lone("a#0"), Projection: []schema.ColumnRef{col("a#0", "w")}},
+			{Tree: lone("a"), Projection: []schema.ColumnRef{col("a", "b")}},
+			{Tree: short, Projection: []schema.ColumnRef{col("a", "x")}},
+		},
+	}} {
+		set, err := filter.DecomposeFor(context.Background(), &constraint.Spec{NumColumns: 1}, c.candidates)
+		if err != nil {
+			t.Fatal(err)
+		}
+		all := make([]int, len(c.candidates))
+		for i := range all {
+			all[i] = len(all) - 1 - i
+		}
+		if ranked := treeRanks(set, all) != nil; ranked != c.ranked {
+			t.Errorf("%s: ranked = %v, want %v", c.name, ranked, c.ranked)
+		}
+		want := slices.Clone(all)
+		slices.SortFunc(want, func(i, j int) int {
+			a, b := c.candidates[i], c.candidates[j]
+			if d := a.Tree.Size() - b.Tree.Size(); d != 0 {
+				return d
+			}
+			return strings.Compare(a.Canonical(), b.Canonical())
+		})
+		sortSimplestFirst(set, all)
+		if !slices.Equal(all, want) {
+			t.Errorf("%s: sorted %v, want %v", c.name, all, want)
+		}
 	}
 }
 

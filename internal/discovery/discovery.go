@@ -711,18 +711,7 @@ func (r *round) join(ci int) *joinText {
 func (r *round) assemble() error {
 	sp := r.trace.Child("assemble")
 	confirmed := r.res.Confirmed // the round's own; sorted in place
-	// Candidates of one tree id begin their Canonical with the same tree
-	// Canonical, so two of them compare by what follows it alone.
-	slices.SortFunc(confirmed, func(i, j int) int {
-		a, b := &r.set.Candidates[i], &r.set.Candidates[j]
-		if c := a.Tree.Size() - b.Tree.Size(); c != 0 {
-			return c
-		}
-		if id := r.set.TreeID(i); id >= 0 && id == r.set.TreeID(j) {
-			return strings.Compare(a.ProjectionSignature(), b.ProjectionSignature())
-		}
-		return strings.Compare(a.Canonical(), b.Canonical())
-	})
+	sortSimplestFirst(r.set, confirmed)
 	n := len(confirmed)
 	if r.opts.MaxResults > 0 {
 		n = min(n, r.opts.MaxResults)
@@ -748,6 +737,83 @@ func (r *round) assemble() error {
 	sp.SetAttr("mappings", len(r.report.Mappings))
 	sp.End()
 	return r.buildErr
+}
+
+// sortSimplestFirst orders candidates of set, by index, simplest (fewest
+// tables) first, then by Canonical, without comparing whole Canonicals.
+// Candidates of one tree id begin their Canonical with the same tree text,
+// so two of them compare by what follows it alone (ProjectionSignature).
+// Two of different trees TA and TB compare as TA+"#" and TB+"#" do, since
+// a ProjectionSignature begins with '#': the first byte where those two
+// differ decides the whole comparison, unless one is a prefix of the
+// other, and for different texts that needs the longer one to hold '#'.
+// So each tree id is ranked once by (size, text+"#"), and candidates of
+// different trees compare by rank. Where a tree text holds '#', a tree id
+// is -1 or a candidate projects nothing, the Canonicals are compared.
+func sortSimplestFirst(set *filter.Set, confirmed []int) {
+	if rank := treeRanks(set, confirmed); rank != nil {
+		slices.SortFunc(confirmed, func(i, j int) int {
+			if c := int(rank[set.TreeID(i)] - rank[set.TreeID(j)]); c != 0 {
+				return c
+			}
+			return strings.Compare(set.Candidates[i].ProjectionSignature(), set.Candidates[j].ProjectionSignature())
+		})
+		return
+	}
+	slices.SortFunc(confirmed, func(i, j int) int {
+		a, b := &set.Candidates[i], &set.Candidates[j]
+		if c := a.Tree.Size() - b.Tree.Size(); c != 0 {
+			return c
+		}
+		if id := set.TreeID(i); id >= 0 && id == set.TreeID(j) {
+			return strings.Compare(a.ProjectionSignature(), b.ProjectionSignature())
+		}
+		return strings.Compare(a.Canonical(), b.Canonical())
+	})
+}
+
+// treeRanks returns, by tree id, the rank of each tree of the candidates by
+// (size, text+"#"), or nil when sortSimplestFirst cannot compare by rank.
+func treeRanks(set *filter.Set, candidates []int) []int32 {
+	type tree struct {
+		id   int32
+		size int
+		text string // the tree's text and the '#' after it
+	}
+	maxID := int32(-1)
+	for _, ci := range candidates {
+		id := set.TreeID(ci)
+		if id < 0 {
+			return nil
+		}
+		maxID = max(maxID, id)
+	}
+	rank := make([]int32, maxID+1) // 1 once the tree is listed, then its rank
+	var trees []tree
+	for _, ci := range candidates {
+		id := set.TreeID(ci)
+		if rank[id] != 0 {
+			continue
+		}
+		rank[id] = 1
+		c := &set.Candidates[ci]
+		canon, proj := c.Canonical(), c.ProjectionSignature()
+		text := canon[:len(canon)-len(proj)]
+		if proj == "" || strings.Contains(text, "#") {
+			return nil
+		}
+		trees = append(trees, tree{id: id, size: c.Tree.Size(), text: canon[:len(text)+1]})
+	}
+	slices.SortFunc(trees, func(a, b tree) int {
+		if c := a.size - b.size; c != 0 {
+			return c
+		}
+		return strings.Compare(a.text, b.text)
+	})
+	for r, t := range trees {
+		rank[t.id] = int32(r)
+	}
+	return rank
 }
 
 // Summary renders a short human-readable description of the report.

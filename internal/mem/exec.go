@@ -209,11 +209,11 @@ func (o *oracle) project(im *intermediate) (*exec.Result, error) {
 		offsets[i] = off
 	}
 	res := &exec.Result{Columns: append([]schema.ColumnRef(nil), o.p.Project...)}
-	// DISTINCT dedup runs through the fingerprint-keyed deduper shared
-	// with the columnar engine, so both backends drop the same duplicates.
-	var dedup *exec.TupleDeduper
+	// DISTINCT keeps the first row of each value.Tuple.Key, the reference
+	// the columnar engine's dedup on value ids is checked against.
+	var dedup *tupleDeduper
 	if o.p.Distinct {
-		dedup = exec.NewTupleDeduper()
+		dedup = newTupleDeduper()
 	}
 	for _, row := range im.rows {
 		if o.interrupt.Hit() {
@@ -226,7 +226,7 @@ func (o *oracle) project(im *intermediate) (*exec.Result, error) {
 		if o.opts.TuplePredicate != nil && !o.opts.TuplePredicate(proj) {
 			continue
 		}
-		if o.p.Distinct && dedup.Seen(proj) {
+		if o.p.Distinct && dedup.seen(proj) {
 			continue
 		}
 		res.Rows = append(res.Rows, proj)

@@ -783,16 +783,20 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
-// Key returns a canonical key for the whole tuple.
+// Key returns a canonical key for the whole tuple: two tuples have the same
+// key exactly when they are as long and their values pairwise have the
+// same Value.Key. Each element's key follows its length and a colon, so a
+// text key that holds another element's spelling cannot make two tuples
+// collide.
 func (t Tuple) Key() string {
-	var b strings.Builder
-	for i, v := range t {
-		if i > 0 {
-			b.WriteByte('|')
-		}
-		b.WriteString(v.Key())
+	var b []byte
+	for _, v := range t {
+		k := v.Key()
+		b = strconv.AppendInt(b, int64(len(k)), 10)
+		b = append(b, ':')
+		b = append(b, k...)
 	}
-	return b.String()
+	return string(b)
 }
 
 // String renders the tuple as a parenthesised, comma-separated list.

@@ -432,6 +432,27 @@ func TestTuple(t *testing.T) {
 	}
 }
 
+// TestTupleKeyIsInjective pins that a tuple's key tells its elements'
+// keys apart: a text key may hold any byte a joined key uses, and two
+// tuples key equal exactly when their elements pairwise key equal.
+func TestTupleKeyIsInjective(t *testing.T) {
+	for _, pair := range [][2]Tuple{
+		{{NewText("a|t:b"), NewText("c")}, {NewText("a"), NewText("b|t:c")}},
+		{{NewText("a"), NewText("")}, {NewText(""), NewText("a")}},
+		{{NewText("1:x")}, {NewText("1"), NewText("x")}},
+		{{NullValue, NewText("")}, {NewText(""), NullValue}},
+		{{NewText("6:t:abc")}, {NewText("abc"), NewText("")}},
+	} {
+		if pair[0].Key() == pair[1].Key() {
+			t.Errorf("%v and %v share the key %q", pair[0], pair[1], pair[0].Key())
+		}
+	}
+	same := [2]Tuple{{NewInt(3), NewText("Lake")}, {NewText(" 3 "), NewText("LAKE")}}
+	if same[0].Key() != same[1].Key() {
+		t.Errorf("%v keys %q, %v keys %q", same[0], same[0].Key(), same[1], same[1].Key())
+	}
+}
+
 // Property: Compare is a total order — antisymmetric and transitive over a
 // generated set, and Equal values share keys.
 func TestCompareProperties(t *testing.T) {
